@@ -9,9 +9,9 @@ histograms. The ``sched_throughput`` arm additionally measures Algorithm
 1's hot path in isolation (order + list-schedule tasks/sec at 600-, 2k-
 and 10k-task scales, vectorized vs ``_reference_`` implementations, plus
 ``sched.phase.*`` quantiles). The ``array_kernel`` arm races the
-vectorized array event loop against the pinned reference loop on three
-workload shapes and reports ``kernel_speedup_x`` (CI gates the
-``gang_online`` arm at ≥10x). The ``sharded`` arm races cell-sharded
+vectorized array event loop against the pinned reference loop on its two
+batch paths and reports ``kernel_speedup_x`` (CI gates the
+``gang_online`` arm at ≥10x and ``planned_frozen`` above 1x). The ``sharded`` arm races cell-sharded
 scheduling (:mod:`repro.cells`) against flat Hare end to end at the
 10k-GPU / 5k-job tier and reports ``speedup_x`` plus the weighted-JCT
 band (CI's ``shard-smoke`` gates the speedup at ≥3x). The
@@ -41,7 +41,12 @@ from repro.cluster import scaled_cluster, testbed_cluster
 from repro.core.job import Job
 from repro.core.types import ModelName
 from repro.harness import make_workload
-from repro.kernel import PlannedPolicy, run_policy
+from repro.kernel import (
+    ArraySchedulingKernel,
+    PlannedPolicy,
+    SchedulingKernel,
+    run_policy,
+)
 from repro.obs import Obs, use
 from repro.schedulers import HareScheduler, OnlineHarePolicy
 from repro.schedulers.hare import (
@@ -244,7 +249,7 @@ SCHED_SCALES: dict[str, tuple[int, int, int, int]] = {
 class _FrozenPlanner:
     """Planner stub replaying a precomputed plan: isolates the kernel
     event loop from the Hare solve, which would otherwise dominate the
-    planned arm's wall time (the loop is what the backends differ in)."""
+    planned arm's wall time (the loop is what the two kernels differ in)."""
 
     name = "Hare_Frozen"
 
@@ -258,7 +263,7 @@ class _FrozenPlanner:
 def _wide_gang_instance(seed: int, *, n_jobs=24, gpus=160, scale=64,
                         rounds=25):
     """Large-gang streaming workload (38 400 tasks): the ONLINE shape the
-    array backend's batched drain is built for."""
+    array loop's batched drain is built for."""
     rng = np.random.default_rng(seed)
     models = list(ModelName)
     jobs = [
@@ -276,48 +281,44 @@ def _wide_gang_instance(seed: int, *, n_jobs=24, gpus=160, scale=64,
 
 
 def bench_array_kernel(seed: int, *, repeats: int = 3) -> dict:
-    """Array vs reference event-loop throughput, three workload shapes.
+    """Array vs reference event-loop throughput on the two batch paths.
 
-    Each arm runs the identical policy through both kernel backends
-    (best wall time of *repeats* after a warm-up pass), asserts the two
-    backends produced byte-identical results — the bench would otherwise
-    gate on a broken comparison — and reports both events/sec rates plus
-    ``kernel_speedup_x``. CI's bench-smoke holds the ``gang_online``
-    arm's speedup at ≥10x (mirroring the ``list_speedup_x >= 3`` gate);
-    ``planned_frozen`` exercises the planned fast path on a frozen plan
-    and ``online_replan`` the solver-bound re-planning path — both
-    reported, not gated (the latter is dominated by the relaxation
-    solve, not the loop).
+    Each arm runs the identical policy through both kernel classes
+    directly (best wall time of *repeats* after a warm-up pass), asserts
+    the two loops produced byte-identical results — the bench would
+    otherwise gate on a broken comparison — and reports both events/sec
+    rates plus ``kernel_speedup_x``. CI's bench-smoke holds the
+    ``gang_online`` arm's speedup at ≥10x (mirroring the
+    ``list_speedup_x >= 3`` gate) and ``planned_frozen``, the planned
+    batch path on a frozen plan, above 1x.
     """
     from repro.schedulers import SrtfScheduler
 
-    def best_run(instance, policy_factory, backend):
+    def best_run(instance, policy_factory, kernel_cls):
         with use(Obs.start(trace=False)):
-            run_policy(
-                instance, policy_factory(), kernel_backend=backend
-            )
+            kernel_cls(instance, policy_factory()).run()
         best_wall, best_result = float("inf"), None
         for _ in range(repeats):
             with use(Obs.start(trace=False)):
                 t0 = time.perf_counter()
-                result = run_policy(
-                    instance, policy_factory(), kernel_backend=backend
-                )
+                result = kernel_cls(instance, policy_factory()).run()
                 wall_s = time.perf_counter() - t0
             if wall_s < best_wall:
                 best_wall, best_result = wall_s, result
         return best_wall, best_result
 
     def arm(instance, policy_factory) -> dict:
-        ref_wall, ref = best_run(instance, policy_factory, "reference")
-        arr_wall, arr = best_run(instance, policy_factory, "array")
+        ref_wall, ref = best_run(instance, policy_factory, SchedulingKernel)
+        arr_wall, arr = best_run(
+            instance, policy_factory, ArraySchedulingKernel
+        )
         if (arr.events, arr.commitments, arr.replans) != (
             ref.events, ref.commitments, ref.replans
         ) or arr.metrics.total_weighted_completion != (
             ref.metrics.total_weighted_completion
         ):
             raise AssertionError(
-                "array backend diverged from the reference loop"
+                "array loop diverged from the reference loop"
             )
         eps_ref = ref.events / ref_wall if ref_wall > 0 else 0.0
         eps_arr = arr.events / arr_wall if arr_wall > 0 else 0.0
@@ -337,9 +338,6 @@ def bench_array_kernel(seed: int, *, repeats: int = 3) -> dict:
     frozen = _FrozenPlanner(
         HareScheduler(relaxation="fluid").schedule(planned_instance)
     )
-    online_instance = _wide_gang_instance(
-        seed, n_jobs=24, gpus=15, scale=3, rounds=8
-    )
     return {
         "gang_online": arm(
             gang_instance, lambda: SrtfScheduler().make_policy(
@@ -348,10 +346,6 @@ def bench_array_kernel(seed: int, *, repeats: int = 3) -> dict:
         ),
         "planned_frozen": arm(
             planned_instance, lambda: PlannedPolicy(frozen)
-        ),
-        "online_replan": arm(
-            online_instance,
-            lambda: OnlineHarePolicy(relaxation="fluid"),
         ),
     }
 

@@ -30,7 +30,7 @@ result objects know how to export their artifacts::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterator, Literal, Mapping, Sequence, Union
 
@@ -42,7 +42,7 @@ from .core.schedule import Schedule, validate_schedule
 from .core.types import SwitchMode
 from .harness.experiments import make_loaded_workload, make_problem
 from .heal import RemediationEngine, RemediationLog
-from .kernel import KERNEL_BACKENDS, KernelResult, run_policy
+from .kernel import KernelResult, run_policy
 from .obs import (
     Obs,
     build_manifest,
@@ -90,16 +90,16 @@ class ExperimentSpec:
     Bundles every experiment parameter into one frozen value: hashable,
     comparable, and checked for cross-field consistency at construction
     (not halfway into a run) — ``heal``/``replan_interval``/``crashes``
-    require ``arrivals="streaming"``, ``arrivals`` and
-    ``kernel_backend`` must name known modes. Mutable inputs
-    (``workload``, ``crashes``) are normalized to tuples so a spec never
-    aliases caller state.
+    require ``arrivals="streaming"``, and ``arrivals`` must name a known
+    mode. Mutable inputs (``workload``, ``crashes``) are normalized to
+    tuples so a spec never aliases caller state.
 
     :func:`run_experiment` accepts a spec positionally
     (``run_experiment(spec)``) or builds one from its keyword arguments;
     :func:`compare`, :func:`repro.sweep.sweep` and the CLI construct
     specs internally, so every entry point funnels through the same
-    validation. :meth:`to_dict` is the manifest's ``config`` block.
+    validation. :meth:`to_dict` is the manifest's ``config`` block and
+    :meth:`from_dict` reads one back.
     """
 
     gpus: int = 15
@@ -120,9 +120,6 @@ class ExperimentSpec:
     heal: bool = False
     replan_interval: float | None = None
     crashes: tuple[tuple[float, int], ...] | None = None
-    #: Kernel event-loop implementation for streaming runs
-    #: (:data:`repro.kernel.KERNEL_BACKENDS`).
-    kernel_backend: str = "auto"
     #: Cell count for hierarchical sharded scheduling
     #: (:mod:`repro.cells`); ``1`` is the pinned flat path.
     cells: int = 1
@@ -136,11 +133,6 @@ class ExperimentSpec:
             raise ValueError(
                 f"arrivals must be one of {_ARRIVALS_MODES}, "
                 f"got {self.arrivals!r}"
-            )
-        if self.kernel_backend not in KERNEL_BACKENDS:
-            raise ValueError(
-                f"kernel_backend must be one of {KERNEL_BACKENDS}, "
-                f"got {self.kernel_backend!r}"
             )
         if self.arrivals != "streaming" and (
             self.heal or self.replan_interval is not None or self.crashes
@@ -190,9 +182,9 @@ class ExperimentSpec:
 
         ``gpus``/``jobs`` reflect an explicit ``cluster``/``workload``
         when one was passed; default-valued optional knobs
-        (``heal=False``, ``replan_interval=None``,
-        ``kernel_backend="auto"``, ``crashes=None``) are omitted so
-        configs stay byte-identical with pre-spec manifests.
+        (``heal=False``, ``replan_interval=None``, ``crashes=None``,
+        ``cells=1``) are omitted so configs stay byte-identical with
+        pre-spec manifests.
         """
         config = {
             "gpus": (
@@ -221,13 +213,26 @@ class ExperimentSpec:
             config["replan_interval"] = self.replan_interval
         if self.crashes:
             config["crashes"] = [list(c) for c in self.crashes]
-        if self.kernel_backend != "auto":
-            config["kernel_backend"] = self.kernel_backend
         if self.cells > 1:
             config["cells"] = self.cells
             config["cell_strategy"] = self.cell_strategy
             config["admission"] = self.admission
         return config
+
+    @classmethod
+    def from_dict(cls, config: Mapping, **overrides) -> "ExperimentSpec":
+        """The spec a :meth:`to_dict` config block describes.
+
+        Reads every key :meth:`to_dict` writes and ignores any other
+        (keys of retired options in old manifests included); *overrides*
+        set further fields, such as ``trace=False`` for a re-run.
+        """
+        values = {
+            f.name: config[f.name] for f in fields(cls) if f.name in config
+        }
+        if "switch_mode" in values:
+            values["switch_mode"] = SwitchMode(values["switch_mode"])
+        return cls(**{**values, **overrides})
 
 
 @dataclass(slots=True)
@@ -520,55 +525,21 @@ def _setup(
 
 
 def _run_one(
-    scheduler: SchedulerSpec,
+    spec: ExperimentSpec,
     cluster: Cluster,
     instance: ProblemInstance,
-    *,
-    simulate: bool,
-    switch_mode: SwitchMode,
-    trace: bool,
-    validate: bool,
     config: dict,
-    arrivals: ArrivalsMode = "planned",
-    record: bool = False,
-    monitors: bool = False,
-    heal: bool = False,
-    replan_interval: float | None = None,
-    crashes: Sequence[tuple[float, int]] | None = None,
-    kernel_backend: str = "auto",
-    cells: int = 1,
-    cell_strategy: str = "balanced",
-    admission: str = "throughput",
 ) -> RunResult:
-    if arrivals not in _ARRIVALS_MODES:
-        raise ValueError(
-            f"arrivals must be one of {_ARRIVALS_MODES}, got {arrivals!r}"
-        )
-    if arrivals != "streaming" and (
-        heal or replan_interval is not None or crashes
-    ):
-        raise ValueError(
-            "heal / replan_interval / crashes require arrivals='streaming' "
-            "(they act on the kernel event loop)"
-        )
-    if cells > 1 and arrivals != "streaming":
-        raise ValueError(
-            "cells > 1 requires arrivals='streaming' (cells run per-cell "
-            "scheduling kernels)"
-        )
-    if cells > 1 and heal:
-        raise ValueError(
-            "heal=True needs the flat kernel (cells=1): the remediation "
-            "engine attaches to a single event loop"
-        )
-    sched = create_from_spec(scheduler)
-    engine = RemediationEngine(instance) if heal else None
+    """Run *spec* on the prepared *cluster*/*instance*; *config* is the
+    manifest block the result carries."""
+    sched = create_from_spec(spec.scheduler)
+    engine = RemediationEngine(instance) if spec.heal else None
     obs = Obs.start(
-        trace=trace,
-        record=record or monitors or heal,
+        trace=spec.trace,
+        record=spec.record or spec.monitors or spec.heal,
         monitors=(
             [engine] if engine is not None
-            else default_monitors(instance) if monitors
+            else default_monitors(instance) if spec.monitors
             else None
         ),
     )
@@ -580,36 +551,36 @@ def _run_one(
         obs.recorder.attach(attrib_engine)
     kernel_result: KernelResult | None = None
     with use(obs):
-        if arrivals == "streaming" and cells > 1:
+        if spec.arrivals == "streaming" and spec.cells > 1:
             kernel_result = run_sharded(
                 instance,
                 sched,
-                cells=cells,
-                strategy=cell_strategy,
+                cells=spec.cells,
+                strategy=spec.cell_strategy,
                 cluster=cluster,
-                admission=admission,
-                crashes=crashes,
-                replan_interval=replan_interval,
-                kernel_backend=kernel_backend,
+                admission=spec.admission,
+                crashes=spec.crashes,
+                replan_interval=spec.replan_interval,
             )
             plan = kernel_result.schedule
-        elif arrivals == "streaming":
+        elif spec.arrivals == "streaming":
             kernel_result = run_policy(
                 instance,
                 sched.make_policy(instance),
-                crashes=crashes,
-                replan_interval=replan_interval,
+                crashes=spec.crashes,
+                replan_interval=spec.replan_interval,
                 heal=engine,
-                kernel_backend=kernel_backend,
             )
             plan = kernel_result.schedule
         else:
             plan = sched.plan(instance)
-        if validate:
+        if spec.validate:
             validate_schedule(plan)
         sim = (
-            simulate_plan(cluster, instance, plan, switch_mode=switch_mode)
-            if simulate
+            simulate_plan(
+                cluster, instance, plan, switch_mode=spec.switch_mode
+            )
+            if spec.simulate
             else None
         )
     result = RunResult(
@@ -623,7 +594,7 @@ def _run_one(
         config=config,
         kernel=kernel_result,
     )
-    if obs.recorder is not None and (monitors or heal):
+    if obs.recorder is not None and (spec.monitors or spec.heal):
         result.diagnosis = obs.recorder.diagnose(
             instance=instance, metrics=result.metrics_snapshot()
         )
@@ -674,11 +645,6 @@ def run_experiment(
     periodic ``REPLAN_TIMER`` and ``crashes`` injects permanent GPU
     failures as ``(time, gpu)`` events — both streaming-only too.
 
-    ``kernel_backend`` selects the streaming event-loop implementation
-    (:data:`repro.kernel.KERNEL_BACKENDS`); ``"auto"`` picks the
-    vectorized array backend for large instances (unless the policy
-    prefers the reference loop).
-
     ``cells > 1`` (streaming only) enables hierarchical cell-sharded
     scheduling (:mod:`repro.cells`): the cluster is split by
     ``cell_strategy``, each job is admitted to exactly one cell by the
@@ -704,16 +670,7 @@ def run_experiment(
         rounds_scale=spec.rounds_scale, cluster=spec.cluster,
         workload=spec.workload,
     )
-    return _run_one(
-        spec.scheduler, cluster, instance,
-        simulate=spec.simulate, switch_mode=spec.switch_mode,
-        trace=spec.trace, validate=spec.validate, config=spec.to_dict(),
-        arrivals=spec.arrivals, record=spec.record, monitors=spec.monitors,
-        heal=spec.heal, replan_interval=spec.replan_interval,
-        crashes=spec.crashes, kernel_backend=spec.kernel_backend,
-        cells=spec.cells, cell_strategy=spec.cell_strategy,
-        admission=spec.admission,
-    )
+    return _run_one(spec, cluster, instance, spec.to_dict())
 
 
 def simulate(
@@ -779,7 +736,6 @@ def compare(
     arrivals: ArrivalsMode = "planned",
     record: bool = False,
     monitors: bool = False,
-    kernel_backend: str = "auto",
     cells: int = 1,
     cell_strategy: str = "balanced",
     admission: str = "throughput",
@@ -801,41 +757,20 @@ def compare(
     schemes = list(schedulers) if schedulers is not None else list(
         DEFAULT_SCHEMES
     )
-    config = {
-        "gpus": cluster.num_gpus,
-        "jobs": len(workload),
-        "seed": seed,
-        "load": load,
-        "rounds_scale": rounds_scale,
-        "simulate": simulate,
-        "switch_mode": switch_mode.value,
-        "arrivals": arrivals,
-    }
-    if kernel_backend != "auto":
-        config["kernel_backend"] = kernel_backend
-    if cells > 1:
-        config["cells"] = cells
-        config["cell_strategy"] = cell_strategy
-        config["admission"] = admission
+    base = ExperimentSpec(
+        gpus=gpus, jobs=jobs, seed=seed, load=load,
+        rounds_scale=rounds_scale, simulate=simulate,
+        switch_mode=switch_mode, trace=trace, validate=validate,
+        cluster=cluster, workload=tuple(workload), arrivals=arrivals,
+        record=record, monitors=monitors,
+        cells=cells, cell_strategy=cell_strategy, admission=admission,
+    )
+    config = base.to_dict()
+    del config["scheduler"]
     results: dict[str, RunResult] = {}
     for scheme in schemes:
-        spec = ExperimentSpec(
-            gpus=gpus, jobs=jobs, scheduler=scheme, seed=seed, load=load,
-            rounds_scale=rounds_scale, simulate=simulate,
-            switch_mode=switch_mode, trace=trace, validate=validate,
-            cluster=cluster, workload=tuple(workload), arrivals=arrivals,
-            record=record, monitors=monitors,
-            kernel_backend=kernel_backend,
-            cells=cells, cell_strategy=cell_strategy, admission=admission,
-        )
         run = _run_one(
-            spec.scheduler, cluster, instance,
-            simulate=spec.simulate, switch_mode=spec.switch_mode,
-            trace=spec.trace, validate=spec.validate, config=config,
-            arrivals=spec.arrivals, record=spec.record,
-            monitors=spec.monitors, kernel_backend=spec.kernel_backend,
-            cells=spec.cells, cell_strategy=spec.cell_strategy,
-            admission=spec.admission,
+            replace(base, scheduler=scheme), cluster, instance, config
         )
         results[run.scheduler] = run
     return CompareResult(results=results, config=config)

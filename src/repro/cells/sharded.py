@@ -140,7 +140,6 @@ def _run_cell_worker(payload):
         restores,
         replan_interval,
         max_events,
-        kernel_backend,
     ) = payload
     start = _time.perf_counter()
     with planner_scope(), use(DISABLED):
@@ -151,7 +150,6 @@ def _run_cell_worker(payload):
             restores=restores or None,
             replan_interval=replan_interval,
             max_events=max_events,
-            kernel_backend=kernel_backend,
         )
     wall = _time.perf_counter() - start
     return result, wall
@@ -179,7 +177,6 @@ class ShardedKernel:
         restores: Sequence[tuple[float, int]] | None = None,
         replan_interval: float | None = None,
         max_events: int | None = None,
-        kernel_backend: str = "auto",
         workers: int = 1,
     ) -> None:
         if partition.num_gpus != instance.num_gpus:
@@ -201,7 +198,6 @@ class ShardedKernel:
         self.restores = list(restores or [])
         self.replan_interval = replan_interval
         self.max_events = max_events
-        self.kernel_backend = kernel_backend
         self.workers = workers
 
     # ------------------------------------------------------------------
@@ -247,7 +243,6 @@ class ShardedKernel:
                     cell_restores[cell.index],
                     self.replan_interval,
                     self.max_events,
-                    self.kernel_backend,
                 )
             )
 
@@ -383,7 +378,6 @@ def run_sharded(
     restores: Sequence[tuple[float, int]] | None = None,
     replan_interval: float | None = None,
     max_events: int | None = None,
-    kernel_backend: str = "auto",
     workers: int = 1,
 ) -> KernelResult:
     """Partition, admit, run per-cell kernels, and merge.
@@ -423,7 +417,6 @@ def run_sharded(
             restores=list(restores) if restores else None,
             replan_interval=replan_interval,
             max_events=max_events,
-            kernel_backend=kernel_backend,
         )
     return ShardedKernel(
         instance,
@@ -434,6 +427,5 @@ def run_sharded(
         restores=restores,
         replan_interval=replan_interval,
         max_events=max_events,
-        kernel_backend=kernel_backend,
         workers=workers,
     ).run()

@@ -66,7 +66,6 @@ from .core import improvement_percent
 from .core.types import ModelName, SwitchMode
 from .harness import render_table
 from .harness.experiments import make_loaded_workload
-from .kernel import KERNEL_BACKENDS
 from .schedulers import create as create_scheduler
 from .switching import switch_time_table
 from .workload import WorkloadConfig, batch_time, speedup_table
@@ -132,7 +131,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
         simulate=simulate,
         trace=_wants_artifacts(args),
         arrivals=getattr(args, "arrivals", "planned"),
-        kernel_backend=getattr(args, "kernel_backend", "auto"),
         cells=getattr(args, "cells", 1),
         cell_strategy=getattr(args, "cell_strategy", "balanced"),
         admission=getattr(args, "admission", "throughput"),
@@ -186,7 +184,6 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         simulate=simulate,
         trace=_wants_artifacts(args),
         arrivals=getattr(args, "arrivals", "planned"),
-        kernel_backend=getattr(args, "kernel_backend", "auto"),
         cells=getattr(args, "cells", 1),
         cell_strategy=getattr(args, "cell_strategy", "balanced"),
         admission=getattr(args, "admission", "throughput"),
@@ -425,7 +422,6 @@ def cmd_heal(args: argparse.Namespace) -> int:
         arrivals="streaming",
         replan_interval=args.replan_interval,
         crashes=crashes,
-        kernel_backend=getattr(args, "kernel_backend", "auto"),
     )
     base = api.run_experiment(**common)
     healed = api.run_experiment(**common, heal=True)
@@ -643,7 +639,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
                 record=args.arrivals == "streaming",
                 crashes=crashes,
                 replan_interval=args.replan_interval,
-                kernel_backend=getattr(args, "kernel_backend", "auto"),
                 cells=getattr(args, "cells", 1),
                 cell_strategy=getattr(args, "cell_strategy", "balanced"),
                 admission=getattr(args, "admission", "throughput"),
@@ -683,7 +678,6 @@ def cmd_record(args: argparse.Namespace) -> int:
         simulate=True,
         trace=False,
         arrivals=getattr(args, "arrivals", "planned"),
-        kernel_backend=getattr(args, "kernel_backend", "auto"),
         record=True,
         monitors=not args.no_monitors,
     )
@@ -794,19 +788,10 @@ def cmd_check(args: argparse.Namespace) -> int:
         # Re-run the experiment the baseline records and compare fresh.
         from .obs.baseline import flatten_metrics
 
-        config = base_doc.get("config", {})
         result = api.run_experiment(
-            gpus=int(config.get("gpus", 15)),
-            jobs=int(config.get("jobs", 20)),
-            scheduler=config.get("scheduler", "hare"),
-            seed=int(config.get("seed", 0)),
-            load=float(config.get("load", 1.5)),
-            rounds_scale=float(config.get("rounds_scale", 0.15)),
-            simulate=bool(config.get("simulate", True)),
-            switch_mode=SwitchMode(config.get("switch_mode", "hare")),
-            arrivals=config.get("arrivals", "planned"),
-            kernel_backend=config.get("kernel_backend", "auto"),
-            trace=False,
+            api.ExperimentSpec.from_dict(
+                base_doc.get("config", {}), trace=False
+            )
         )
         cand_flat = flatten_metrics(result.metrics_snapshot())
     else:
@@ -853,7 +838,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         simulate=not args.no_simulate,
         workers=args.workers,
         arrivals=args.arrivals,
-        kernel_backend=getattr(args, "kernel_backend", "auto"),
     )
     rows = [
         [p.scheduler, p.seed, p.gpus, p.weighted_jct, p.makespan]
@@ -992,12 +976,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="planned = offline clairvoyant planning; "
                             "streaming = feed arrivals as events through "
                             "the scheduling kernel")
-        p.add_argument("--kernel-backend", choices=KERNEL_BACKENDS,
-                       default="auto", dest="kernel_backend",
-                       help="streaming event-loop implementation: auto = "
-                            "pick by instance size and policy type, array "
-                            "= vectorized batch loop, reference = pinned "
-                            "per-event loop")
         p.add_argument("--cells", type=int, default=1,
                        help="cell count for hierarchical sharded "
                             "scheduling (streaming only); 1 = flat")
@@ -1053,9 +1031,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="skip the DES replay, use analytic metrics")
     p_sweep.add_argument("--arrivals", choices=("planned", "streaming"),
                          default="planned")
-    p_sweep.add_argument("--kernel-backend", choices=KERNEL_BACKENDS,
-                         default="auto", dest="kernel_backend",
-                         help="streaming event-loop implementation")
     p_sweep.add_argument("--manifest-out", metavar="JSON",
                          help="write the aggregated sweep manifest here")
     p_sweep.add_argument("--baseline-out", metavar="JSON",

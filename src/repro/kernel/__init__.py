@@ -21,24 +21,15 @@ from .residual import (
     ResidualPlanner,
     build_residual_instance,
 )
-from .runner import (
-    ARRAY_KERNEL_TASK_LIMIT,
-    KERNEL_BACKENDS,
-    KernelResult,
-    SchedulingKernel,
-    run_policy,
-    select_kernel_backend,
-)
+from .runner import KernelResult, SchedulingKernel, run_policy
 from .state import KERNEL_EPS, Commitment, KernelState
 
 __all__ = [
-    "ARRAY_KERNEL_TASK_LIMIT",
     "ArraySchedulingKernel",
     "Commitment",
     "Event",
     "EventQueue",
     "GangPolicy",
-    "KERNEL_BACKENDS",
     "KERNEL_EPS",
     "KERNEL_TRACK",
     "KernelEventType",
@@ -51,5 +42,4 @@ __all__ = [
     "build_residual_instance",
     "gang_commitment",
     "run_policy",
-    "select_kernel_backend",
 ]

@@ -1,23 +1,27 @@
 """Array-backed kernel event loop (DESIGN.md §15).
 
 :class:`ArraySchedulingKernel` is the vectorized sibling of the pinned
-reference loop in :mod:`repro.kernel.runner`. The semantic contract is
+reference loop in :mod:`repro.kernel.runner`. It runs only the two
+policy shapes it has a batch path for — an unmodified
+:class:`PlannedPolicy` or :class:`GangPolicy`
+(:func:`repro.kernel.runner.batch_path`) — on runs without faults, a
+re-plan timer or a heal engine; :func:`repro.kernel.runner.run_policy`
+sends every other run to the reference loop. The semantic contract is
 **byte-identical observable behavior**: the same event counts, the same
 commitment statistics, the same committed schedule (assignment-for-
 assignment, in the same insertion order), the same instants/samples/
 counters on the obs surface, and the same error messages on the same
 inputs. Only wall-clock time differs.
 
-Where the time goes, and how this backend wins it back:
+Where the time goes, and how this loop wins it back:
 
 * **Flat commit log instead of dict-of-objects.** Committed assignments
   live in parallel numpy arrays (job/round/slot/gpu as int64,
-  start/train/sync/compute-end/end as float64, plus an ``alive`` mask
-  for crash retraction). A round commits as one vectorized append +
-  ``np.maximum.at`` frontier update instead of ``sync_scale`` Python
-  object constructions. The :class:`~repro.core.schedule.Schedule` is
-  materialized lazily — only when somebody reads
-  ``KernelResult.schedule``.
+  start/train/sync/compute-end/end as float64). A round commits as one
+  vectorized append + ``np.maximum.at`` frontier update instead of
+  ``sync_scale`` Python object constructions. The
+  :class:`~repro.core.schedule.Schedule` is materialized lazily — only
+  when somebody reads ``KernelResult.schedule``.
 * **Tuple heap + bulk passive skip.** Events are plain
   ``(time, type, seq, a, b)`` tuples on a :mod:`heapq` heap (same
   ``(time, type, insertion)`` tie-break as
@@ -28,12 +32,9 @@ Where the time goes, and how this backend wins it back:
   without ever invoking the policy — the dominant cost of the reference
   loop at scale. Skipped events still count toward ``events`` and the
   event budget exactly as if processed one by one.
-* **Dispatch fast paths.** Unmodified :class:`PlannedPolicy` and
-  :class:`GangPolicy` policies are recognized by method identity and
-  driven through vectorized commit routines (plan rows are converted to
-  canonical arrays once and cached on the plan). Everything else — the
-  online re-planning Hare included — runs through a generic per-event
-  path that mirrors the reference loop call-for-call.
+* **Batch commits.** A planned round is a slice of the plan's canonical
+  arrays (converted once and cached on the plan); a gang job commits all
+  of its rounds as one tiled block.
 
 Equivalence subtleties worth knowing before editing:
 
@@ -44,10 +45,6 @@ Equivalence subtleties worth knowing before editing:
 * Every value that escapes the kernel (instant args, ``ready_at``,
   materialized assignments, metrics) is converted back to built-in
   ``float``/``int`` — ``np.float64`` would change JSON output bytes.
-* The crash-retraction order (jobs ascending, suffix rounds deactivated,
-  φ rebuilt from survivors) matches the reference loop exactly; the
-  retracted rows stay in the log as dead rows so later re-commits append
-  at the end, reproducing the reference dict's insertion order.
 """
 
 from __future__ import annotations
@@ -57,37 +54,37 @@ import itertools
 
 import numpy as np
 
-from ..core.errors import InfeasibleProblemError, SimulationError
+from ..core.errors import (
+    ConfigurationError,
+    InfeasibleProblemError,
+    SimulationError,
+)
 from ..core.job import ProblemInstance
 from ..core.metrics import metrics_from_completions
 from ..core.schedule import Schedule, TaskAssignment
 from ..core.types import TaskRef
 from ..obs import Category, current as obs_current
-from .events import Event, KernelEventType
-from .policies import GangPolicy, PlannedPolicy, Policy
+from .events import KernelEventType
+from .policies import Policy
 from .residual import KERNEL_TRACK
-from .runner import KernelResult, best_round_time
-from .state import KERNEL_EPS, Commitment, KernelState
+from .runner import KernelResult, batch_path, best_round_time
+from .state import KERNEL_EPS, KernelState
 
 __all__ = ["ArraySchedulingKernel"]
 
 _BARRIER = int(KernelEventType.ROUND_BARRIER_OPEN)
 _ARRIVED = int(KernelEventType.JOB_ARRIVED)
 _FREE = int(KernelEventType.GPU_FREE)
-_CRASHED = int(KernelEventType.GPU_CRASHED)
-_RESTORED = int(KernelEventType.GPU_RESTORED)
-_TIMER = int(KernelEventType.REPLAN_TIMER)
 
 _TYPE_NAMES = {int(t): t.name for t in KernelEventType}
-_TYPE_ENUMS = {int(t): t for t in KernelEventType}
 
 
 class _CommitLog:
-    """Append-only committed-assignment columns with an alive mask."""
+    """Append-only committed-assignment columns."""
 
     __slots__ = (
         "n", "job", "rnd", "slot", "gpu",
-        "start", "train", "sync", "ce", "end", "alive",
+        "start", "train", "sync", "ce", "end",
     )
 
     def __init__(self, capacity: int) -> None:
@@ -102,14 +99,13 @@ class _CommitLog:
         self.sync = np.empty(cap, dtype=np.float64)
         self.ce = np.empty(cap, dtype=np.float64)
         self.end = np.empty(cap, dtype=np.float64)
-        self.alive = np.empty(cap, dtype=bool)
 
     def _grow(self, need: int) -> None:
         cap = len(self.job)
         new = max(2 * cap, self.n + need)
         for name in (
             "job", "rnd", "slot", "gpu",
-            "start", "train", "sync", "ce", "end", "alive",
+            "start", "train", "sync", "ce", "end",
         ):
             old = getattr(self, name)
             arr = np.empty(new, dtype=old.dtype)
@@ -130,7 +126,6 @@ class _CommitLog:
         self.sync[lo:hi] = sync
         self.ce[lo:hi] = ce
         self.end[lo:hi] = end
-        self.alive[lo:hi] = True
         self.n = hi
 
 
@@ -157,12 +152,11 @@ def _plan_arrays(plan: Schedule, instance: ProblemInstance):
 
 
 class ArraySchedulingKernel:
-    """Vectorized event loop; drop-in for :class:`SchedulingKernel`.
+    """Vectorized event loop for policies with a batch path.
 
-    Same constructor, same :meth:`run` result, same remediation hooks
-    (:meth:`request_replan`, advisory ``weight_boost``/``quarantined``
-    aliasing through :class:`~repro.kernel.state.KernelState`). The
-    only intentional difference from the reference loop is that
+    Same :meth:`run` result as :class:`SchedulingKernel` on the runs
+    :func:`~repro.kernel.runner.run_policy` sends here. The only
+    intentional difference from the reference loop is that
     ``state.phi`` is a numpy array and ``state.committed`` stays empty —
     the committed schedule lives in the flat log until materialized.
     """
@@ -172,312 +166,99 @@ class ArraySchedulingKernel:
         instance: ProblemInstance,
         policy: Policy,
         *,
-        crashes: list[tuple[float, int]] | None = None,
-        restores: list[tuple[float, int]] | None = None,
-        replan_interval: float | None = None,
         max_events: int | None = None,
-        heal=None,
     ) -> None:
+        self._path = batch_path(policy)
+        if self._path is None:
+            raise ConfigurationError(
+                f"the array kernel has no batch path for "
+                f"{type(policy).__name__}; it runs unmodified "
+                "PlannedPolicy and GangPolicy policies only"
+            )
         self.instance = instance
         self.policy = policy
         self.state = KernelState(instance)
         self.state.phi = np.zeros(instance.num_gpus, dtype=np.float64)
-        self.replan_interval = replan_interval
-        self.heal = heal
-        if heal is not None and hasattr(heal, "attach_kernel"):
-            heal.attach_kernel(self)
         self.processed = 0
         self.commitments = 0
-        self.retracted_rounds = 0
-        self._pending_faults = 0
         self._now = 0.0
         self._heap: list[tuple[float, int, int, int, int]] = []
         self._seq = itertools.count()
-        self._alive_mask = np.ones(instance.num_gpus, dtype=bool)
         self._log = _CommitLog(instance.num_tasks)
-        total_tasks = instance.num_tasks
         self.max_events = (
             max_events
             if max_events is not None
             else 64 + 16 * (
-                total_tasks + instance.num_jobs + instance.num_gpus
-                + len(crashes or []) + len(restores or [])
+                instance.num_tasks + instance.num_jobs + instance.num_gpus
             )
         )
         # Seed events in the reference constructor's push order so the
         # insertion-sequence tie-break matches event for event.
         for job in instance.jobs:
-            self._push(job.arrival, _ARRIVED, job.job_id, 0)
-        for time, gpu in crashes or []:
-            self._push(time, _CRASHED, gpu, 0)
-            self._pending_faults += 1
-        for time, gpu in restores or []:
-            self._push(time, _RESTORED, gpu, 0)
-            self._pending_faults += 1
-        if replan_interval is not None:
-            if replan_interval <= 0:
-                raise SimulationError("replan_interval must be positive")
-            self._push(replan_interval, _TIMER, 0, 0)
-
-    # -- event helpers --------------------------------------------------
-    def _push(self, time: float, type_: int, a: int, b: int) -> None:
-        time = float(time)
-        if time < self._now - 1e-9:
-            raise SimulationError(
-                f"event at {time} pushed when clock is {self._now}"
-            )
-        heapq.heappush(
-            self._heap, (time, type_, next(self._seq), a, b)
-        )
+            self._wake(job.arrival, _ARRIVED, job.job_id, 0)
 
     def _wake(self, time: float, type_: int, a: int, b: int) -> None:
-        """Push a follow-up event, clamped to the current clock."""
+        """Push an event, clamped to the current clock."""
         time = float(time)
-        self._push(time if time > self._now else self._now, type_, a, b)
-
-    def request_replan(self, time: float | None = None) -> bool:
-        """External re-plan hook (the remediation ``force_replan`` action)."""
-        if self.state.complete():
-            return False
-        # a=1 encodes the "forced" payload: a one-shot wake-up outside
-        # the periodic timer chain (see _apply_event).
-        self._wake(
-            self._now if time is None else time, _TIMER, 1, 0
+        heapq.heappush(
+            self._heap,
+            (time if time > self._now else self._now, type_,
+             next(self._seq), a, b),
         )
-        return True
-
-    @staticmethod
-    def _payload(type_: int, a: int, b: int):
-        if type_ == _BARRIER:
-            return (a, b)
-        if type_ == _TIMER:
-            return None if a == 0 else "forced"
-        return a
 
     @staticmethod
     def _instant_args(type_: int, a: int, b: int) -> dict:
         if type_ == _ARRIVED:
             return {"job": a}
-        if type_ in (_CRASHED, _RESTORED, _FREE):
+        if type_ == _FREE:
             return {"gpu": a}
-        if type_ == _BARRIER:
-            return {"job": a, "round": b}
-        return {}
-
-    # -- event application ----------------------------------------------
-    def _apply_event(self, type_: int, a: int, time: float) -> None:
-        state = self.state
-        state.now = self._now
-        if type_ == _ARRIVED:
-            state.arrived.add(a)
-            state.pending_arrivals.remove(self.instance.jobs[a].arrival)
-        elif type_ == _CRASHED:
-            self._pending_faults -= 1
-            self._apply_crash(a, time)
-        elif type_ == _RESTORED:
-            self._pending_faults -= 1
-            state.alive.add(a)
-            self._alive_mask[a] = True
-            if state.phi[a] < state.now:
-                state.phi[a] = state.now
-        elif type_ == _TIMER:
-            if (
-                a == 0
-                and self.replan_interval is not None
-                and not state.complete()
-            ):
-                self._push(
-                    self._now + self.replan_interval, _TIMER, 0, 0
-                )
-        # ROUND_BARRIER_OPEN / GPU_FREE are pure wake-ups.
-
-    def _apply_crash(self, gpu: int, t: float) -> None:
-        state = self.state
-        state.alive.discard(gpu)
-        self._alive_mask[gpu] = False
-        log = self._log
-        n = log.n
-        lj = log.job[:n]
-        lr = log.rnd[:n]
-        lal = log.alive[:n]
-        hit = lal & (log.gpu[:n] == gpu) & (log.ce[:n] > t + KERNEL_EPS)
-        if hit.any():
-            for job_id in np.unique(lj[hit]).tolist():
-                job = self.instance.jobs[job_id]
-                done = state.rounds_done[job_id]
-                cut = int(lr[hit & (lj == job_id)].min())
-                lal[lal & (lj == job_id) & (lr >= cut)] = False
-                self.retracted_rounds += done - cut
-                state.rounds_done[job_id] = cut
-                if cut > 0:
-                    barrier_rows = lal & (lj == job_id) & (lr == cut - 1)
-                    last_barrier = float(log.end[:n][barrier_rows].max())
-                else:
-                    last_barrier = job.arrival
-                state.ready_at[job_id] = max(t, last_barrier)
-                obs_current().tracer.instant(
-                    Category.SCHED,
-                    "kernel.retract",
-                    track=KERNEL_TRACK,
-                    time=t,
-                    job=job_id,
-                    rounds_done=cut,
-                    gpu=gpu,
-                )
-        phi = np.zeros(self.instance.num_gpus, dtype=np.float64)
-        survivors = log.alive[:n]
-        np.maximum.at(phi, log.gpu[:n][survivors], log.ce[:n][survivors])
-        state.phi = phi
-        obs_current().metrics.counter("kernel.retractions").inc()
+        return {"job": a, "round": b}
 
     # -- commitment application -----------------------------------------
-    def _finish_commitment(
-        self, phi_before, horizon, touched_jobs, round_infos=None
-    ):
+    def _finish_commitment(self, job_id, phi_before, horizon, round_infos):
         """Shared tail: free wake-ups, instants, counters (reference order).
 
         *round_infos* — built by the commit paths only when the tracer is
-        enabled — is a list of ``(job, round, start, end, gpu, busy)``
-        tuples, rounds ascending per job, emitted as ``kernel.round``
-        instants before each job's ``kernel.commit`` (the reference
-        loop's emission order).
+        enabled — is a list of ``(round, start, end, gpu, busy)`` tuples,
+        rounds ascending, emitted as ``kernel.round`` instants before the
+        job's ``kernel.commit`` (the reference loop's emission order).
         """
         state = self.state
         obs = obs_current()
         phi = state.phi
         for m in np.flatnonzero(phi > phi_before + KERNEL_EPS).tolist():
             self._wake(phi[m], _FREE, m, 0)
-        for job_id in sorted(touched_jobs):
-            if round_infos is not None:
-                best = best_round_time(self.instance, job_id)
-                for j, r, rs, re_, g, busy in round_infos:
-                    if j != job_id:
-                        continue
-                    obs.tracer.instant(
-                        Category.SCHED,
-                        "kernel.round",
-                        track=KERNEL_TRACK,
-                        time=state.now,
-                        job=j,
-                        round=r,
-                        start=rs,
-                        end=re_,
-                        gpu=g,
-                        busy=busy,
-                        best=best,
-                    )
-            obs.tracer.instant(
-                Category.SCHED,
-                "kernel.commit",
-                track=KERNEL_TRACK,
-                time=state.now,
-                job=job_id,
-                rounds_done=state.rounds_done[job_id],
-            )
+        if round_infos is not None:
+            best = best_round_time(self.instance, job_id)
+            for r, rs, re_, g, busy in round_infos:
+                obs.tracer.instant(
+                    Category.SCHED,
+                    "kernel.round",
+                    track=KERNEL_TRACK,
+                    time=state.now,
+                    job=job_id,
+                    round=r,
+                    start=rs,
+                    end=re_,
+                    gpu=g,
+                    busy=busy,
+                    best=best,
+                )
+        obs.tracer.instant(
+            Category.SCHED,
+            "kernel.commit",
+            track=KERNEL_TRACK,
+            time=state.now,
+            job=job_id,
+            rounds_done=state.rounds_done[job_id],
+        )
         self.commitments += 1
         obs.metrics.counter("kernel.commitments").inc()
         obs.metrics.histogram("kernel.commit_horizon_s").observe(
             max(0.0, horizon - state.now)
         )
 
-    def _apply_commitment(self, commitment: Commitment) -> None:
-        """Generic path: mirrors the reference loop, appends to the log."""
-        state = self.state
-        state.check_commitment(commitment)
-        assignments = commitment.assignments
-        n = len(assignments)
-        gpus = np.fromiter((a.gpu for a in assignments), np.int64, count=n)
-        bad = ~self._alive_mask[gpus]
-        if bad.any():
-            a = assignments[int(np.argmax(bad))]
-            raise SimulationError(
-                f"commitment places {a.task} on dead GPU {a.gpu}"
-            )
-        jobc = np.fromiter(
-            (a.task.job_id for a in assignments), np.int64, count=n
-        )
-        rndc = np.fromiter(
-            (a.task.round_idx for a in assignments), np.int64, count=n
-        )
-        slotc = np.fromiter(
-            (a.task.slot for a in assignments), np.int64, count=n
-        )
-        startc = np.fromiter(
-            (a.start for a in assignments), np.float64, count=n
-        )
-        trainc = np.fromiter(
-            (a.train_time for a in assignments), np.float64, count=n
-        )
-        syncc = np.fromiter(
-            (a.sync_time for a in assignments), np.float64, count=n
-        )
-        cec = startc + trainc
-        endc = cec + syncc
-        self._log.append(
-            jobc, rndc, slotc, gpus, startc, trainc, syncc, cec, endc
-        )
-        phi = state.phi
-        phi_before = phi.copy()
-        np.maximum.at(phi, gpus, cec)
-        horizon = float(endc.max()) if n else 0.0
-        # Insertion order of the touched-jobs set matches the reference
-        # (it iterates this set before sorting for the commit instants).
-        touched_jobs: set[int] = set()
-        for a in assignments:
-            touched_jobs.add(a.task.job_id)
-        for job_id in touched_jobs:
-            job = self.instance.jobs[job_id]
-            jm = jobc == job_id
-            rounds = sorted(set(rndc[jm].tolist()))
-            state.rounds_done[job_id] += len(rounds)
-            last = rounds[-1]
-            barrier = float(endc[jm & (rndc == last)].max())
-            state.ready_at[job_id] = barrier
-            if state.rounds_done[job_id] < job.num_rounds:
-                self._wake(barrier, _BARRIER, job_id, last)
-        if commitment.gpu_release is not None:
-            for m, release in commitment.gpu_release.items():
-                if phi[m] < release:
-                    phi[m] = release
-        round_infos = None
-        if obs_current().tracer.enabled:
-            round_infos = []
-            for job_id in sorted(touched_jobs):
-                jm = jobc == job_id
-                for r in sorted(set(rndc[jm].tolist())):
-                    idxs = np.flatnonzero(jm & (rndc == r))
-                    # argmax keeps the first max — the reference loop's
-                    # strict `>` scan over assignment order.
-                    k = int(idxs[int(np.argmax(endc[idxs]))])
-                    round_infos.append((
-                        job_id,
-                        int(r),
-                        float(startc[idxs].min()),
-                        float(endc[k]),
-                        int(gpus[k]),
-                        float(trainc[k] + syncc[k]),
-                    ))
-        self._finish_commitment(
-            phi_before, horizon, touched_jobs, round_infos
-        )
-
-    # -- planned fast path ----------------------------------------------
-    def _detect_fast_path(self) -> str | None:
-        cls = type(self.policy)
-        if (
-            isinstance(self.policy, PlannedPolicy)
-            and cls.on_event is PlannedPolicy.on_event
-            and cls.setup is PlannedPolicy.setup
-            and cls._round_commitment is PlannedPolicy._round_commitment
-        ):
-            return "planned"
-        if (
-            isinstance(self.policy, GangPolicy)
-            and cls.on_event is GangPolicy.on_event
-        ):
-            return "gang"
-        return None
-
+    # -- planned batch path ---------------------------------------------
     def _prepare_planned(self) -> None:
         instance = self.instance
         plan = self.policy._plan
@@ -485,44 +266,23 @@ class ArraySchedulingKernel:
         self._plan_gpu, self._plan_start, self._plan_train, \
             self._plan_sync = _plan_arrays(plan, instance)
         task_off = [0]
-        round_off = [0]
         for job in instance.jobs:
             task_off.append(task_off[-1] + job.num_tasks)
-            round_off.append(round_off[-1] + job.num_rounds)
         self._task_off = task_off
-        self._round_off = round_off
-        # Mirrors PlannedPolicy._emitted (needed for crash-timing
-        # fidelity: a retracted round is NOT re-emitted by the planned
-        # policy, and neither is it here).
-        self._round_emitted = np.zeros(round_off[-1], dtype=bool)
 
     def _planned_commit(self, job_id: int, round_idx: int) -> None:
+        """Commit round *round_idx* of *job_id* as a slice of the plan.
+
+        Each round is requested exactly once — round 0 by the job's
+        arrival, round ``r + 1`` by round ``r``'s barrier — so no
+        emitted-set bookkeeping is needed without fault retraction.
+        """
         job = self.instance.jobs[job_id]
-        if round_idx >= job.num_rounds:
-            return
-        key = self._round_off[job_id] + round_idx
-        if self._round_emitted[key]:
-            return
-        self._round_emitted[key] = True
         state = self.state
-        done = state.rounds_done[job_id]
-        if round_idx != done:
-            raise SimulationError(
-                f"job {job_id} commitment rounds {[round_idx]} do not "
-                f"extend the committed prefix ({done} done)"
-            )
         scale = job.sync_scale
         lo = self._task_off[job_id] + round_idx * scale
         hi = lo + scale
         gpus = self._plan_gpu[lo:hi]
-        if len(state.alive) < self.instance.num_gpus:
-            bad = ~self._alive_mask[gpus]
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise SimulationError(
-                    f"commitment places {TaskRef(job_id, round_idx, i)} "
-                    f"on dead GPU {int(gpus[i])}"
-                )
         start = self._plan_start[lo:hi]
         train = self._plan_train[lo:hi]
         sync = self._plan_sync[lo:hi]
@@ -536,24 +296,25 @@ class ArraySchedulingKernel:
         phi_before = phi.copy()
         np.maximum.at(phi, gpus, ce)
         horizon = float(end.max())
-        state.rounds_done[job_id] = done + 1
+        state.rounds_done[job_id] = round_idx + 1
         state.ready_at[job_id] = horizon
-        if done + 1 < job.num_rounds:
+        if round_idx + 1 < job.num_rounds:
             self._wake(horizon, _BARRIER, job_id, round_idx)
         round_infos = None
         if obs_current().tracer.enabled:
+            # argmax keeps the first max — the reference loop's strict
+            # `>` scan over assignment order.
             i = int(np.argmax(end))
             round_infos = [(
-                job_id,
                 round_idx,
                 float(start.min()),
                 float(end[i]),
                 int(gpus[i]),
                 float(train[i] + sync[i]),
             )]
-        self._finish_commitment(phi_before, horizon, {job_id}, round_infos)
+        self._finish_commitment(job_id, phi_before, horizon, round_infos)
 
-    # -- gang fast path --------------------------------------------------
+    # -- gang batch path ------------------------------------------------
     def _gang_commit(self, job_id: int, gpus, start: float) -> None:
         instance = self.instance
         state = self.state
@@ -572,13 +333,6 @@ class ArraySchedulingKernel:
                 f"the committed prefix ({done} done)"
             )
         garr = np.asarray(gpus, dtype=np.int64)
-        bad = ~self._alive_mask[garr]
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise SimulationError(
-                f"commitment places {TaskRef(job_id, 0, i)} on dead "
-                f"GPU {int(garr[i])}"
-            )
         tc_g = instance.train_time[job_id, garr]
         ts_g = instance.sync_time[job_id, garr]
         round_time = float((tc_g + ts_g).max())
@@ -620,7 +374,6 @@ class ArraySchedulingKernel:
                 hi = lo + scale
                 k = lo + int(np.argmax(end_col[lo:hi]))
                 round_infos.append((
-                    job_id,
                     r,
                     float(start_col[lo:hi].min()),
                     float(end_col[k]),
@@ -628,7 +381,7 @@ class ArraySchedulingKernel:
                     float(train_col[k] + sync_col[k]),
                 ))
         # All rounds committed: no barrier wake-up (matches reference).
-        self._finish_commitment(phi_before, horizon, {job_id}, round_infos)
+        self._finish_commitment(job_id, phi_before, horizon, round_infos)
 
     # -- bulk passive skip -----------------------------------------------
     def _bulk_skip(self, passive) -> list:
@@ -673,11 +426,10 @@ class ArraySchedulingKernel:
         instance = self.instance
         policy = self.policy
         policy.setup(state)
-        fast = self._detect_fast_path()
-        if fast == "planned":
+        planned = self._path == "planned"
+        if planned:
             self._prepare_planned()
         invoke_cap = 4 * instance.num_jobs + 16
-        replans_seen = int(getattr(policy, "replans", 0))
         heap = self._heap
         pop = heapq.heappop
         # Bulk skipping changes no observable state, but it elides the
@@ -686,7 +438,7 @@ class ArraySchedulingKernel:
         may_skip = not obs.enabled
         carry: list = []
         while heap or carry:
-            if state.complete() and self._pending_faults == 0:
+            if state.complete():
                 break
             if may_skip and not carry:
                 passive = policy.passive_events(state)
@@ -704,6 +456,7 @@ class ArraySchedulingKernel:
                 t = first[0]
             if t > self._now:
                 self._now = t
+            state.now = self._now
             while heap and heap[0][0] == t:
                 batch.append(pop(heap))
             for time_, type_, _seq, a, b in batch:
@@ -721,14 +474,17 @@ class ArraySchedulingKernel:
                         time=time_,
                         **self._instant_args(type_, a, b),
                     )
-                self._apply_event(type_, a, time_)
-            if fast == "planned":
+                # ROUND_BARRIER_OPEN / GPU_FREE are pure wake-ups.
+                if type_ == _ARRIVED:
+                    state.arrived.add(a)
+                    state.pending_arrivals.remove(instance.jobs[a].arrival)
+            if planned:
                 for _time, type_, _seq, a, b in batch:
                     if type_ == _ARRIVED:
                         self._planned_commit(a, 0)
                     elif type_ == _BARRIER:
                         self._planned_commit(a, b + 1)
-            elif fast == "gang":
+            else:
                 # One fixed point per batch: the reference loop's extra
                 # per-event invocations hit an unchanged state and
                 # provably return None (GangPolicy.select contract).
@@ -752,32 +508,6 @@ class ArraySchedulingKernel:
                         f"policy {policy.name!r} did not reach a "
                         f"fixed point at t={state.now}"
                     )
-            else:
-                for time_, type_, _seq, a, b in batch:
-                    event = Event(
-                        time_, _TYPE_ENUMS[type_], self._payload(type_, a, b)
-                    )
-                    for _ in range(invoke_cap):
-                        commitments = policy.on_event(event, state)
-                        if not commitments:
-                            break
-                        for commitment in commitments:
-                            self._apply_commitment(commitment)
-                    else:  # pragma: no cover - defensive
-                        raise SimulationError(
-                            f"policy {policy.name!r} did not reach a "
-                            f"fixed point at t={state.now}"
-                        )
-                    replans_now = int(getattr(policy, "replans", 0))
-                    if replans_now > replans_seen:
-                        tracer.instant(
-                            Category.SCHED,
-                            "kernel.replan",
-                            track=KERNEL_TRACK,
-                            time=state.now,
-                            pass_idx=replans_now,
-                        )
-                        replans_seen = replans_now
             metrics.gauge("kernel.queue_depth").set(len(heap))
             metrics.sample("kernel.queue_depth", t)
             metrics.sample("kernel.commitments", t)
@@ -793,30 +523,29 @@ class ArraySchedulingKernel:
             events=self.processed,
             commitments=self.commitments,
             replans=int(getattr(policy, "replans", 0)),
-            retracted_rounds=self.retracted_rounds,
+            retracted_rounds=0,
         )
 
     # -- results ----------------------------------------------------------
     def _materialize(self) -> Schedule:
         """The committed schedule, rebuilt from the log.
 
-        Row order (append order, dead rows skipped) reproduces the
-        reference dict's insertion order, so downstream consumers that
-        iterate assignments see identical sequences.
+        Row order (append order) reproduces the reference dict's
+        insertion order, so downstream consumers that iterate
+        assignments see identical sequences.
         """
         log = self._log
         n = log.n
-        idx = np.flatnonzero(log.alive[:n])
         sched = Schedule(self.instance)
         assignments = sched.assignments
         for j, r, s, g, st, tr, sy in zip(
-            log.job[idx].tolist(),
-            log.rnd[idx].tolist(),
-            log.slot[idx].tolist(),
-            log.gpu[idx].tolist(),
-            log.start[idx].tolist(),
-            log.train[idx].tolist(),
-            log.sync[idx].tolist(),
+            log.job[:n].tolist(),
+            log.rnd[:n].tolist(),
+            log.slot[:n].tolist(),
+            log.gpu[:n].tolist(),
+            log.start[:n].tolist(),
+            log.train[:n].tolist(),
+            log.sync[:n].tolist(),
         ):
             task = TaskRef(j, r, s)
             assignments[task] = TaskAssignment(
@@ -829,10 +558,9 @@ class ArraySchedulingKernel:
         instance = self.instance
         log = self._log
         n = log.n
-        alive = log.alive[:n]
-        lj = log.job[:n][alive]
-        lr = log.rnd[:n][alive]
-        lend = log.end[:n][alive]
+        lj = log.job[:n]
+        lr = log.rnd[:n]
+        lend = log.end[:n]
         last_round = np.fromiter(
             (j.num_rounds - 1 for j in instance.jobs),
             np.int64,

@@ -44,12 +44,6 @@ class Policy(ABC):
     #: Display name (mirrors :attr:`repro.schedulers.base.Scheduler.name`).
     name: str = "policy"
 
-    #: Backend hint for ``kernel_backend="auto"``: policies that re-plan
-    #: on most events (so the array backend's planned/gang fast paths
-    #: never engage) should set this True to stay on the reference loop
-    #: at any scale. See :func:`repro.kernel.runner.select_kernel_backend`.
-    prefers_reference_backend: bool = False
-
     def setup(self, state: KernelState) -> None:
         """One-time hook before the first event (feasibility checks …)."""
 
@@ -81,13 +75,14 @@ class Policy(ABC):
     ) -> frozenset[KernelEventType]:
         """Event types this policy provably ignores *in the current state*.
 
-        The array kernel backend bulk-skips whole batches made of passive
-        events instead of invoking the policy per event. Declaring a type
-        passive is a contract: until the next non-passive event is
-        processed, (a) applying an event of that type mutates no kernel
-        state (only the pure wake-ups ``ROUND_BARRIER_OPEN`` / ``GPU_FREE``
-        qualify) and (b) :meth:`on_event` would return ``[]`` with no side
-        effects. Both conditions must be stable across the skipped
+        The array loop (which runs the :class:`PlannedPolicy` and
+        :class:`GangPolicy` batch paths) bulk-skips whole batches made of
+        passive events instead of invoking the policy per event.
+        Declaring a type passive is a contract: until the next
+        non-passive event is processed, (a) applying an event of that
+        type mutates no kernel state (only the pure wake-ups
+        ``ROUND_BARRIER_OPEN`` / ``GPU_FREE`` qualify) and (b)
+        :meth:`on_event` would return ``[]`` with no side effects. Both conditions must be stable across the skipped
         stretch — they may only depend on state that non-passive events
         change. The default claims nothing, which is always safe.
         """

@@ -31,13 +31,13 @@ each commitment reaches), and per-event instants on the ``kernel`` track.
 
 from __future__ import annotations
 
-from ..core.errors import ConfigurationError, InfeasibleProblemError, SimulationError
+from ..core.errors import InfeasibleProblemError, SimulationError
 from ..core.metrics import ScheduleMetrics, metrics_from_schedule
 from ..core.schedule import Schedule
 from ..core.job import ProblemInstance
 from ..obs import Category, current as obs_current
 from .events import Event, EventQueue, KernelEventType
-from .policies import Policy
+from .policies import GangPolicy, PlannedPolicy, Policy
 from .residual import KERNEL_TRACK
 from .state import KERNEL_EPS, Commitment, KernelState
 
@@ -503,43 +503,25 @@ class SchedulingKernel:
         )
 
 
-#: ``kernel_backend="auto"`` switches to the array backend at this task
-#: count — below it the reference loop is faster (no numpy fixed costs)
-#: and the golden traces stay pinned to the reference implementation.
-ARRAY_KERNEL_TASK_LIMIT = 2048
+def batch_path(policy: Policy) -> str | None:
+    """The array loop's batch path for *policy*, or ``None``.
 
-KERNEL_BACKENDS = ("auto", "array", "reference")
-
-
-def select_kernel_backend(
-    policy: Policy,
-    instance: ProblemInstance,
-    kernel_backend: str = "auto",
-) -> str:
-    """Resolve *kernel_backend* to ``"array"`` or ``"reference"``.
-
-    Explicit choices pass through untouched. ``"auto"`` considers both
-    the task count **and the policy type**: a policy that declares
-    ``prefers_reference_backend = True`` (natively online re-planners
-    such as :class:`repro.schedulers.online.OnlineHarePolicy`) stays on
-    the reference loop regardless of scale — the array backend's
-    planned/gang fast paths never engage for them, so its per-event
-    numpy overhead made ``online_replan`` *slower* than the reference
-    loop (0.74x in BENCH_kernel.json) while the old heuristic still
-    switched on task count alone.
+    ``"planned"`` for an unmodified :class:`PlannedPolicy`, ``"gang"``
+    for a :class:`GangPolicy` whose ``on_event`` is the base one (only
+    ``select`` varies). Recognized by method identity: a subclass that
+    overrides how the policy reacts to events has no batch path.
     """
-    if kernel_backend not in KERNEL_BACKENDS:
-        raise ConfigurationError(
-            f"unknown kernel_backend {kernel_backend!r}; "
-            f"expected one of {KERNEL_BACKENDS}"
-        )
-    if kernel_backend != "auto":
-        return kernel_backend
-    if getattr(policy, "prefers_reference_backend", False):
-        return "reference"
-    if instance.num_tasks >= ARRAY_KERNEL_TASK_LIMIT:
-        return "array"
-    return "reference"
+    cls = type(policy)
+    if (
+        isinstance(policy, PlannedPolicy)
+        and cls.on_event is PlannedPolicy.on_event
+        and cls.setup is PlannedPolicy.setup
+        and cls._round_commitment is PlannedPolicy._round_commitment
+    ):
+        return "planned"
+    if isinstance(policy, GangPolicy) and cls.on_event is GangPolicy.on_event:
+        return "gang"
+    return None
 
 
 def run_policy(
@@ -551,7 +533,6 @@ def run_policy(
     replan_interval: float | None = None,
     max_events: int | None = None,
     heal=None,
-    kernel_backend: str = "auto",
 ) -> KernelResult:
     """Build a kernel for *policy* and run it.
 
@@ -559,22 +540,26 @@ def run_policy(
     typed); it is attached to the kernel so remediation actions reach
     the policy and event queue mid-run.
 
-    *kernel_backend* selects the event-loop implementation:
-    ``"reference"`` is the pinned per-event-object loop
-    (:class:`SchedulingKernel`), ``"array"`` the vectorized batch loop
-    (:class:`repro.kernel.array.ArraySchedulingKernel`), and ``"auto"``
-    resolves via :func:`select_kernel_backend`: the array backend from
-    :data:`ARRAY_KERNEL_TASK_LIMIT` tasks upward, unless the policy
-    declares ``prefers_reference_backend``. Both produce byte-identical
-    results.
+    The loop is picked from the run itself: a policy with a
+    :func:`batch_path` on a run without crashes, restores, a re-plan
+    timer or a heal engine takes the vectorized
+    :class:`repro.kernel.array.ArraySchedulingKernel`; every other run
+    takes the reference :class:`SchedulingKernel`. Both produce
+    byte-identical results.
     """
-    if select_kernel_backend(policy, instance, kernel_backend) == "array":
+    if (
+        not crashes
+        and not restores
+        and replan_interval is None
+        and heal is None
+        and batch_path(policy) is not None
+    ):
         from .array import ArraySchedulingKernel
 
-        kernel_cls = ArraySchedulingKernel
-    else:
-        kernel_cls = SchedulingKernel
-    return kernel_cls(
+        return ArraySchedulingKernel(
+            instance, policy, max_events=max_events
+        ).run()
+    return SchedulingKernel(
         instance,
         policy,
         crashes=crashes,

@@ -78,12 +78,6 @@ class OnlineHarePolicy:
 
     name = "Hare_Online"
 
-    #: Auto backend selection keeps re-planners on the reference loop:
-    #: every event triggers a residual solve here, so the array backend's
-    #: bulk fast paths never engage and its per-event overhead dominates
-    #: (measured 0.74x on the ``online_replan`` bench arm).
-    prefers_reference_backend = True
-
     def __init__(
         self,
         relaxation: str | RelaxationSolver = "fluid",
@@ -197,14 +191,6 @@ class OnlineHarePolicy:
         if len(candidate) >= min_scale:
             return candidate
         return state.alive
-
-    def passive_events(
-        self, state: KernelState
-    ) -> frozenset[KernelEventType]:
-        """Barriers and frees never trigger a re-plan (``REPLAN_EVENTS``)."""
-        return frozenset(
-            {KernelEventType.ROUND_BARRIER_OPEN, KernelEventType.GPU_FREE}
-        )
 
     def apply_remediation(self, action) -> bool:
         """Accept ``throttle_replans`` (clamp the timer wake-up rate)."""

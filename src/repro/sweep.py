@@ -135,21 +135,7 @@ def _run_cell(cell: Mapping) -> dict:
     from .api import ExperimentSpec, run_experiment
     # local import: repro.api re-exports sweep()
 
-    spec = ExperimentSpec(
-        gpus=cell["gpus"],
-        jobs=cell["jobs"],
-        scheduler=cell["scheduler"],
-        seed=cell["seed"],
-        load=cell["load"],
-        rounds_scale=cell["rounds_scale"],
-        simulate=cell["simulate"],
-        switch_mode=SwitchMode(cell["switch_mode"]),
-        arrivals=cell["arrivals"],
-        kernel_backend=cell.get("kernel_backend", "auto"),
-        cells=cell.get("cells", 1),
-        trace=False,
-    )
-    result = run_experiment(spec)
+    result = run_experiment(ExperimentSpec.from_dict(cell, trace=False))
     return {
         "scheduler": result.scheduler,
         "seed": cell["seed"],
@@ -184,7 +170,6 @@ def sweep(
     simulate: bool = True,
     switch_mode: SwitchMode = SwitchMode.HARE,
     arrivals: str = "planned",
-    kernel_backend: str = "auto",
     cells: int | Sequence[int] = (1,),
     workers: int = 4,
 ) -> SweepResult:
@@ -222,7 +207,6 @@ def sweep(
             "simulate": simulate,
             "switch_mode": switch_mode.value,
             "arrivals": arrivals,
-            "kernel_backend": kernel_backend,
             "cells": cell_count,
         }
         for seed in seed_list
@@ -258,8 +242,6 @@ def sweep(
         "arrivals": arrivals,
         "workers": workers,
     }
-    if kernel_backend != "auto":
-        config["kernel_backend"] = kernel_backend
     if cells_list != [1]:  # default grids keep byte-compatible manifests
         config["cells"] = cells_list
     return SweepResult(points=points, config=config)

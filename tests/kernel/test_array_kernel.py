@@ -1,50 +1,44 @@
 """Array-kernel equivalence: the batched loop is the reference loop.
 
-The tentpole invariant of the array backend
+The invariant of the array loop
 (:class:`repro.kernel.array.ArraySchedulingKernel`): for every registered
-scheduler, on every instance, with or without faults, it produces
-**byte-identical** kernel statistics, schedules, observability streams
-(``kernel.commit`` / ``kernel.retract`` / ``kernel.replan`` instants,
-queue-depth timelines, counters) and ≤1e-9-identical metrics compared to
-the pinned per-event-object reference loop
-(:class:`repro.kernel.runner.SchedulingKernel`). Only the wall-clock
-``sched.phase.*`` latency histograms may differ — they time host code and
-differ between two runs of the *same* backend.
+scheduler with a batch path (every one but the natively online
+``hare_online``), on every instance, it produces **byte-identical**
+kernel statistics, schedules, observability streams (``kernel.commit`` /
+``kernel.round`` instants, queue-depth timelines, counters) and
+≤1e-9-identical metrics compared to the pinned per-event-object
+reference loop (:class:`repro.kernel.runner.SchedulingKernel`). Both
+kernel classes are driven directly. Only the wall-clock ``sched.phase.*``
+latency histograms may differ — they time host code and differ between
+two runs of the *same* loop.
 
 Also pinned here:
 
-* batch **tie-break order** — arrivals, barrier wakes and crashes landing
-  at the same timestamp drain in the same order through both loops
-  (satellite: the array batch drain preserves reference tie-breaks);
-* **wake-up clamping** — a commitment whose barrier lies in the past
-  wakes at the clamped current time, and the clamped event lands in the
-  same batch in both backends (asserted through the per-batch
-  ``kernel.queue_depth`` sample timeline, which fingerprints batch
-  boundaries exactly).
+* batch **tie-break order** — arrivals and barrier wakes landing at the
+  same timestamp drain in the same order through both loops;
+* **wake-up clamping** on the reference loop — a commitment whose barrier
+  lies in the past wakes at the clamped current time, inside the current
+  batch.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 
-from repro.core import Job, ProblemInstance, validate_schedule
-from repro.heal import RemediationEngine
-from repro.kernel import (
-    Commitment,
-    KernelEventType,
-    Policy,
-    run_policy,
-)
+from repro.core import Job, ProblemInstance
+from repro.kernel import Commitment, KernelEventType, Policy
 from repro.kernel.array import ArraySchedulingKernel
 from repro.kernel.runner import SchedulingKernel
 from repro.obs import Obs, use
 from repro.schedulers.registry import available, create
-from tests.conftest import make_random_instance
 from tests.property.test_kernel_properties import instances
 
-SCHEDULERS = [create(key) for key in available()]
+#: Every registered scheduler with a batch path: hare_online re-plans
+#: natively and always runs on the reference loop.
+SCHEDULERS = [create(key) for key in available() if key != "hare_online"]
+
+KERNELS = {"reference": SchedulingKernel, "array": ArraySchedulingKernel}
 
 METRIC_FIELDS = (
     "total_weighted_completion",
@@ -55,10 +49,11 @@ METRIC_FIELDS = (
 
 
 def _run(instance, policy, *, backend, obs=None, **kw):
-    """One kernel run under a fresh (or given) Obs context."""
+    """One run of the *backend* kernel class under a fresh (or given)
+    Obs context."""
     obs = obs if obs is not None else Obs.start(trace=True)
     with use(obs):
-        result = run_policy(instance, policy, kernel_backend=backend, **kw)
+        result = KERNELS[backend](instance, policy, **kw).run()
         schedule = result.schedule  # materialize inside the context
     return result, schedule, obs
 
@@ -92,13 +87,11 @@ def _counters(obs):
     }
 
 
-def assert_equivalent(instance, make_policy, **kw):
+def assert_equivalent(instance, make_policy):
     ref, ref_sched, ref_obs = _run(
-        instance, make_policy(), backend="reference", **kw
+        instance, make_policy(), backend="reference"
     )
-    arr, arr_sched, arr_obs = _run(
-        instance, make_policy(), backend="array", **kw
-    )
+    arr, arr_sched, arr_obs = _run(instance, make_policy(), backend="array")
     # byte-identical kernel statistics
     assert (arr.events, arr.commitments, arr.replans,
             arr.retracted_rounds) == (
@@ -136,73 +129,8 @@ class TestEveryRegisteredScheduler:
             assert arr.events > 0, sched.name
 
 
-class TestFaultEquivalence:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_crash_restore_replan_runs(self, seed):
-        inst = make_random_instance(
-            seed + 40, max_jobs=6, max_gpus=3, max_rounds=4, max_scale=2
-        )
-        sched = create("hare_online")
-        ref, arr = assert_equivalent(
-            inst,
-            lambda: sched.make_policy(inst),
-            crashes=[(1.5, 1)],
-            restores=[(4.0, 1)],
-            replan_interval=2.0,
-        )
-        assert arr.events == ref.events
-
-    def test_retractions_happen_and_match(self):
-        """A mid-round crash retracts work identically in both loops."""
-        jobs = [
-            Job(job_id=0, model="a", num_rounds=6, sync_scale=1),
-            Job(job_id=1, model="b", num_rounds=4, sync_scale=1,
-                arrival=0.5),
-        ]
-        inst = ProblemInstance(
-            jobs=jobs,
-            train_time=np.full((2, 2), 1.0),
-            sync_time=np.full((2, 2), 0.25),
-        )
-        sched = create("hare_online")
-        ref, arr = assert_equivalent(
-            inst,
-            lambda: sched.make_policy(inst),
-            crashes=[(2.2, 0)],
-            replan_interval=1.0,
-        )
-        assert ref.retracted_rounds > 0
-        assert arr.retracted_rounds == ref.retracted_rounds
-
-    def test_heal_runs_identically(self):
-        inst = make_random_instance(
-            77, max_jobs=8, max_gpus=4, max_rounds=5, max_scale=2
-        )
-        sched = create("hare_online")
-        stats, logs = [], []
-        for backend in ("reference", "array"):
-            engine = RemediationEngine(inst)
-            obs = Obs.start(trace=False, record=True, monitors=[engine])
-            result, _, _ = _run(
-                inst,
-                sched.make_policy(inst),
-                backend=backend,
-                obs=obs,
-                crashes=[(1.0, 0)],
-                replan_interval=0.5,
-                heal=engine,
-            )
-            stats.append((result.events, result.commitments,
-                          result.replans, result.retracted_rounds))
-            logs.append(
-                [(r.action.kind, r.applied) for r in engine.log.records]
-            )
-        assert stats[0] == stats[1]
-        assert logs[0] == logs[1]
-
-
 class TestBatchTieBreakOrder:
-    """Arrival vs barrier vs crash at one timestamp: same drain order."""
+    """Arrival vs barrier at one timestamp: same drain order."""
 
     @given(inst=instances())
     @settings(max_examples=10, deadline=None)
@@ -231,33 +159,9 @@ class TestBatchTieBreakOrder:
                 collided, lambda: sched.make_policy(collided)
             )
 
-    def test_arrival_barrier_crash_same_instant(self):
-        """Engineered three-way collision at t=2.0: job 0's round
-        barrier opens, job 1 arrives, and GPU 1 crashes — all in one
-        batch. Both backends must apply them in the same order."""
-        jobs = [
-            Job(job_id=0, model="a", num_rounds=3, sync_scale=1),
-            Job(job_id=1, model="b", num_rounds=2, sync_scale=1,
-                arrival=2.0),
-        ]
-        inst = ProblemInstance(
-            jobs=jobs,
-            train_time=np.full((2, 2), 2.0),
-            sync_time=np.zeros((2, 2)),
-        )
-        sched = create("hare_online")
-        ref, arr = assert_equivalent(
-            inst,
-            lambda: sched.make_policy(inst),
-            crashes=[(2.0, 1)],
-        )
-        assert ref.events == arr.events
-        validate_schedule(ref.schedule)
-
 
 class TestAttributionEquivalence:
-    """Satellite (ISSUE 9): the attribution report is byte-identical
-    across backends. ``kernel.round`` instants feed the attribution
+    """The attribution report is byte-identical across the two loops. ``kernel.round`` instants feed the attribution
     engine, so equal reports pin the whole chain — emission order,
     float arithmetic, and the decomposition — for every registered
     scheduler."""
@@ -287,23 +191,6 @@ class TestAttributionEquivalence:
                 inst, sched.make_policy(inst), backend="array"
             )
             assert arr == ref, sched.name
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_reports_byte_identical_under_faults(self, seed):
-        inst = make_random_instance(
-            seed + 40, max_jobs=6, max_gpus=3, max_rounds=4, max_scale=2
-        )
-        sched = create("hare_online")
-        kw = dict(
-            crashes=[(1.5, 1)], restores=[(4.0, 1)], replan_interval=2.0
-        )
-        ref = self._attribution_json(
-            inst, sched.make_policy(inst), backend="reference", **kw
-        )
-        arr = self._attribution_json(
-            inst, sched.make_policy(inst), backend="array", **kw
-        )
-        assert arr == ref
 
 
 class _PastCommitPolicy(Policy):
@@ -362,10 +249,11 @@ class _PastCommitPolicy(Policy):
 
 class TestWakeupClamping:
     def test_clamped_wake_lands_in_same_batch(self):
-        """Regression: a barrier wake clamped from t=1 to t=5 must join
-        the t=5 batch in both backends. The per-batch
-        ``kernel.queue_depth`` samples fingerprint batch boundaries, so
-        equal timelines ⇒ equal batching of the clamped event."""
+        """Regression: a barrier wake computed for t=1 but pushed at t=5
+        fires at the clamped t=5. The policy commits round 1 only when
+        that wake fires (asserting the time inside), so a lost wake
+        deadlocks the kernel; the per-batch ``kernel.queue_depth``
+        samples fingerprint the batch boundaries."""
         jobs = [
             Job(job_id=0, model="a", num_rounds=2, sync_scale=1),
             Job(job_id=1, model="b", num_rounds=1, sync_scale=1,
@@ -376,45 +264,12 @@ class TestWakeupClamping:
             train_time=np.ones((2, 2)),
             sync_time=np.zeros((2, 2)),
         )
-        runs = {}
-        for backend in ("reference", "array"):
-            result, schedule, obs = _run(
-                inst, _PastCommitPolicy(inst), backend=backend,
-                max_events=64,
-            )
-            runs[backend] = (result, schedule, obs)
-        ref, ref_sched, ref_obs = runs["reference"]
-        arr, arr_sched, arr_obs = runs["array"]
-        # the clamped barrier wake exists: job 0's round-0 barrier fires
-        # at the clamped t=5.0, not its computed t=1.0
-        wake_times = [
-            (time, value)
-            for time, value in ref_obs.metrics.timeline()[
-                "kernel.queue_depth"
-            ]
-        ]
-        assert all(time >= 0.0 for time, _ in wake_times)
-        assert arr_obs.metrics.timeline() == ref_obs.metrics.timeline()
-        assert (arr.events, arr.commitments) == (
-            ref.events, ref.commitments
+        result, schedule, obs = _run(
+            inst, _PastCommitPolicy(inst), backend="reference",
+            max_events=64,
         )
-        assert arr_sched.assignments == ref_sched.assignments
-
-    def test_direct_kernel_classes_agree_on_clamping(self, tiny_instance):
-        """Belt and braces: drive the kernel classes directly (no
-        run_policy dispatch) and compare their event totals."""
-        sched = create("hare_online")
-        obs = Obs.start(trace=False)
-        with use(obs):
-            ref = SchedulingKernel(
-                tiny_instance, sched.make_policy(tiny_instance)
-            ).run()
-        obs = Obs.start(trace=False)
-        with use(obs):
-            arr = ArraySchedulingKernel(
-                tiny_instance, sched.make_policy(tiny_instance)
-            ).run()
-        assert (arr.events, arr.commitments, arr.replans) == (
-            ref.events, ref.commitments, ref.replans
-        )
-        assert arr.schedule.assignments == ref.schedule.assignments
+        assert [t for t, _ in obs.metrics.timeline()[
+            "kernel.queue_depth"
+        ]] == [0.0, 5.0, 5.0]
+        assert result.commitments == 3
+        assert len(schedule) == inst.num_tasks

@@ -340,8 +340,6 @@ class TestExperimentSpec:
             ExperimentSpec(replan_interval=1.0)
         with pytest.raises(ValueError, match="streaming"):
             ExperimentSpec(crashes=[(1.0, 0)])
-        with pytest.raises(ValueError, match="kernel_backend"):
-            ExperimentSpec(kernel_backend="bogus")
         with pytest.raises(ValueError, match="arrivals"):
             ExperimentSpec(arrivals="nope")
 
@@ -371,38 +369,57 @@ class TestExperimentSpec:
         assert "heal" not in result.config
         assert "replan_interval" not in result.config
 
-    def test_non_default_backend_lands_in_config(self):
+    def test_backends_agree_through_the_api(self):
+        """A re-plan timer sends a run to the reference loop; the planned
+        policy ignores the timer, so both loops commit the same plan."""
+        array, reference = (
+            run_experiment(
+                scheduler="hare", arrivals="streaming", simulate=False,
+                trace=False, **extra, **SMALL,
+            )
+            for extra in ({}, {"replan_interval": 1.0})
+        )
+        assert array.kernel.commitments == reference.kernel.commitments
+        assert array.weighted_jct == reference.weighted_jct
+        assert array.plan.assignments == reference.plan.assignments
+
+    def test_compare_rejects_kernel_backend(self):
+        with pytest.raises(TypeError, match="kernel_backend"):
+            compare(schedulers=("srtf",), trace=False,
+                    kernel_backend="array", **SMALL)
+
+    @pytest.mark.parametrize(
+        "kwargs,expected",
+        [
+            ({}, {
+                "gpus": 15, "jobs": 20, "seed": 0, "load": 1.5,
+                "rounds_scale": 0.15, "simulate": False,
+                "switch_mode": "hare", "arrivals": "planned",
+            }),
+            ({"arrivals": "streaming", "cells": 2}, {
+                "gpus": 15, "jobs": 20, "seed": 0, "load": 1.5,
+                "rounds_scale": 0.15, "simulate": False,
+                "switch_mode": "hare", "arrivals": "streaming",
+                "cells": 2, "cell_strategy": "balanced",
+                "admission": "throughput",
+            }),
+        ],
+        ids=["default", "cells2_streaming"],
+    )
+    def test_compare_config_is_the_spec_config(self, kwargs, expected):
+        comparison = compare(schedulers=("srtf",), trace=False, **kwargs)
+        assert list(comparison.config.items()) == list(expected.items())
+        assert comparison["SRTF"].config == expected
+
+    def test_from_dict_round_trips_to_dict(self):
         from repro.api import ExperimentSpec
 
         spec = ExperimentSpec(
-            scheduler="hare_online", arrivals="streaming",
-            simulate=False, trace=False, kernel_backend="array", **SMALL
+            scheduler="hare_online", arrivals="streaming", heal=True,
+            replan_interval=2.0, crashes=((3.0, 1),), **SMALL,
         )
-        result = run_experiment(spec)
-        assert result.config["kernel_backend"] == "array"
-        assert result.kernel is not None
-
-    def test_backends_agree_through_the_api(self):
-        results = {
-            backend: run_experiment(
-                scheduler="hare_online", arrivals="streaming",
-                simulate=False, trace=False, kernel_backend=backend,
-                **SMALL,
-            )
-            for backend in ("reference", "array")
-        }
-        ref, arr = results["reference"], results["array"]
-        assert arr.kernel.events == ref.kernel.events
-        assert arr.weighted_jct == ref.weighted_jct
-        assert arr.plan.assignments == ref.plan.assignments
-
-    def test_compare_accepts_kernel_backend(self):
-        comparison = compare(
-            schedulers=("hare", "srtf"), arrivals="streaming",
-            trace=False, kernel_backend="array", **SMALL,
-        )
-        assert comparison.config["kernel_backend"] == "array"
-        assert set(comparison.names) == {"Hare", "SRTF"}
+        config = {**spec.to_dict(), "kernel_backend": "array"}
+        assert ExperimentSpec.from_dict(config).to_dict() == spec.to_dict()
 
     def test_reexported_from_package_root(self):
         assert repro.ExperimentSpec is repro.api.ExperimentSpec

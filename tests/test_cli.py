@@ -129,6 +129,29 @@ class TestAnalysisCommands:
         assert rc == 0
         assert "diagnosis OK" in text
 
+    @pytest.mark.parametrize(
+        "extra", [{}, {"cells": 4}], ids=["flat", "cells4"]
+    )
+    def test_check_reruns_every_recorded_config_key(
+        self, tmp_path, capsys, extra
+    ):
+        """The re-run honors crashes, replan_interval and the cell keys
+        the baseline recorded, instead of silently running flat and
+        fault-free."""
+        from repro.api import run_experiment
+
+        base = tmp_path / "base.json"
+        run_experiment(
+            gpus=16, jobs=12, scheduler="hare_online", seed=3,
+            arrivals="streaming", crashes=((3.0, 1),), replan_interval=2.0,
+            simulate=False, trace=False, **extra,
+        ).write_baseline(base)
+        rc = main(["check", "--baseline", str(base)])
+        text = capsys.readouterr().out
+        assert rc == 0
+        assert "ERROR" not in text
+        assert "missing from candidate" not in text
+
     def test_check_regressed_candidate_exits_1(self, tmp_path, capsys):
         """Acceptance pin: a synthetic p99 regression makes the CLI exit
         non-zero and name the drifted metric."""
