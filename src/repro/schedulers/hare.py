@@ -33,7 +33,6 @@ Two placement rules are provided for line 12:
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -139,9 +138,9 @@ def _precedence_safe_order(
     fix that preserves every job's position multiset.
 
     One bucketing pass collects each job's π positions *and* its tasks
-    (``_reference_precedence_safe_order`` rescanned the full order once
-    per job, quadratic in practice); sorting the per-job bucket is stable,
-    so the result is identical to the reference.
+    (rather than rescanning the full order once per job, quadratic in
+    practice); sorting the per-job bucket is stable, so the result is
+    identical to the rescan.
     """
     order = relaxation.ordering()
     positions: dict[int, list[int]] = {}
@@ -153,28 +152,6 @@ def _precedence_safe_order(
     for job_id, pos_list in positions.items():
         tasks = sorted(
             buckets[job_id], key=lambda t: (t.round_idx, t.slot)
-        )
-        for pos, task in zip(pos_list, tasks):
-            fixed[pos] = task
-    if any(t is None for t in fixed):  # pragma: no cover - defensive
-        raise SolverError("ordering fix-up lost tasks")
-    return fixed  # type: ignore[return-value]
-
-
-def _reference_precedence_safe_order(
-    instance: ProblemInstance, relaxation: RelaxationResult
-) -> list[TaskRef]:
-    """Pre-vectorization :func:`_precedence_safe_order`, kept as the
-    equivalence oracle for ``tests/schedulers/test_fastpath.py``."""
-    order = relaxation.ordering()
-    positions: dict[int, list[int]] = {}
-    for pos, task in enumerate(order):
-        positions.setdefault(task.job_id, []).append(pos)
-    fixed: list[TaskRef | None] = [None] * len(order)
-    for job_id, pos_list in positions.items():
-        tasks = sorted(
-            (t for t in order if t.job_id == job_id),
-            key=lambda t: (t.round_idx, t.slot),
         )
         for pos, task in zip(pos_list, tasks):
             fixed[pos] = task
@@ -264,13 +241,15 @@ def list_schedule(
     re-planning scheduler uses it to account for work already committed to
     each GPU.
 
-    This is the vectorized hot path: φ lives in one numpy array, each
+    This is the vectorized hot path: φ lives in one numpy array, and each
     placement is a single ``argmin`` over it (``earliest_available``) or
-    over ``max(φ, t_avail) + T^c`` (``earliest_finish``), and per-job
-    ``T^c``/``T^s`` rows are pre-fetched once. Results are bit-identical
-    to :func:`_reference_list_schedule` — ``np.argmin`` breaks ties
-    toward the lowest GPU index, exactly like the reference's fresh-entry
-    heap pop and strict-``<`` scan (pinned by the equivalence suite).
+    over ``max(φ, t_avail) + T^c`` (``earliest_finish``). Only the chosen
+    GPU's ``T^c``/``T^s`` entries are read back as Python floats, so a
+    call costs O(tasks × GPUs) numpy work and O(tasks + GPUs) Python
+    objects, never a boxed copy of the J×M matrices. ``np.argmin`` breaks
+    ties toward the lowest GPU index, exactly like a heap of φ popped for
+    its fresh entry or a strict-``<`` scan; the equivalence suite pins the
+    schedules byte-identical to that straightforward implementation.
     """
     schedule = Schedule(instance)
     num_gpus = instance.num_gpus
@@ -284,13 +263,10 @@ def list_schedule(
     else:
         phi = np.array(initial_phi, dtype=float)
     jobs = instance.jobs
-    # Per-job duration rows: numpy views for the vector math, plain
-    # Python lists for the scalar reads (a list index is ~5x cheaper than
-    # a numpy scalar lookup; the reference pays the numpy lookup per GPU
-    # per task). phi_list shadows the numpy φ for the same reason.
-    tc_rows = list(instance.train_time)
-    tc_lists = instance.train_time.tolist()
-    ts_lists = instance.sync_time.tolist()
+    # Per-job T^c rows as numpy views for the vector math; phi_list shadows
+    # the numpy φ for the scalar read of the chosen GPU.
+    train_time, sync_time = instance.train_time, instance.sync_time
+    tc_rows = list(train_time)
     phi_list = phi.tolist()
     finish = np.empty(num_gpus)  # scratch for the earliest-finish rule
     earliest_finish = placement != "earliest_available"
@@ -318,18 +294,18 @@ def list_schedule(
             # Ablation: minimize this task's finish time.
             np_maximum(phi, t_avail, out=finish)
             np_add(finish, tc_rows[job_id], out=finish)
-            m = finish.argmin()
+            m = int(finish.argmin())
         else:
             # Line 12: the GPU with smallest φ_m.
-            m = phi.argmin()
+            m = int(phi.argmin())
         avail = phi_list[m]
         start = avail if avail > t_avail else t_avail
 
-        tc = tc_lists[job_id][m]
-        ts = ts_lists[job_id][m]
+        tc = float(train_time[job_id, m])
+        ts = float(sync_time[job_id, m])
         add(
             TaskAssignment(
-                task=task, gpu=int(m), start=start,
+                task=task, gpu=m, start=start,
                 train_time=tc, sync_time=ts,
             )
         )
@@ -342,75 +318,4 @@ def list_schedule(
         end = released + ts
         prev = round_barrier.get(rkey, 0.0)
         round_barrier[rkey] = end if end > prev else prev
-    return schedule
-
-
-def _reference_list_schedule(
-    instance: ProblemInstance,
-    order: list[TaskRef],
-    *,
-    placement: Placement = "earliest_available",
-    initial_phi: list[float] | None = None,
-) -> Schedule:
-    """Pre-vectorization :func:`list_schedule` (heap φ, per-GPU Python
-    scan), kept as the equivalence oracle and the bench's reference arm."""
-    schedule = Schedule(instance)
-    if initial_phi is None:
-        initial_phi = [0.0] * instance.num_gpus
-    elif len(initial_phi) != instance.num_gpus:
-        raise SolverError(
-            f"initial_phi has {len(initial_phi)} entries for "
-            f"{instance.num_gpus} GPUs"
-        )
-    # φ_m as a heap of (available_time, gpu); lazily rebuilt on updates.
-    phi = [(float(t), m) for m, t in enumerate(initial_phi)]
-    heapq.heapify(phi)
-    phi_flat = [float(t) for t in initial_phi]
-    round_barrier: dict[tuple[int, int], float] = {}
-    scheduled_in_round: dict[tuple[int, int], int] = {}
-
-    for task in order:
-        job = instance.jobs[task.job_id]
-        if task.round_idx == 0:
-            t_avail = job.arrival
-        else:
-            key = (task.job_id, task.round_idx - 1)
-            if scheduled_in_round.get(key, 0) != job.sync_scale:
-                raise SolverError(
-                    f"π violates precedence: {task} before round "
-                    f"{task.round_idx - 1} completed"
-                )
-            t_avail = round_barrier[key]
-
-        if placement == "earliest_available":
-            while True:
-                avail, m = heapq.heappop(phi)
-                if avail == phi_flat[m]:
-                    break  # fresh entry
-            start = max(t_avail, avail)
-        else:
-            best = None
-            for m in range(instance.num_gpus):
-                cand = max(t_avail, phi_flat[m]) + instance.tc(task.job_id, m)
-                if best is None or cand < best[0]:
-                    best = (cand, m)
-            assert best is not None
-            m = best[1]
-            start = max(t_avail, phi_flat[m])
-
-        tc = instance.tc(task.job_id, m)
-        ts = instance.ts(task.job_id, m)
-        schedule.add(
-            TaskAssignment(
-                task=task, gpu=m, start=start, train_time=tc, sync_time=ts
-            )
-        )
-        phi_flat[m] = start + tc  # sync overlaps the next task (line 16)
-        heapq.heappush(phi, (phi_flat[m], m))
-
-        rkey = (task.job_id, task.round_idx)
-        scheduled_in_round[rkey] = scheduled_in_round.get(rkey, 0) + 1
-        round_barrier[rkey] = max(
-            round_barrier.get(rkey, 0.0), start + tc + ts
-        )
     return schedule

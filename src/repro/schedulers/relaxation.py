@@ -16,11 +16,16 @@ DESIGN.md):
     re-derives ``ŷ`` from the solved ``x̂`` and iterates.
 
 :class:`FluidRelaxationSolver`
-    An O(E log E) fluid approximation for large instances: jobs share the
-    cluster's aggregate capacity in proportion to their weights (capped by
-    their sync scale), and ``x̂`` of a round is the fluid time its work
-    starts. Produces the same *ordering signal* ``H_i`` that Algorithm 1
-    consumes; tests compare it against the exact solver on small instances.
+    A fluid approximation for large instances: arrived jobs take the
+    cluster's aggregate capacity in WSPT priority order (each capped by its
+    sync scale), and ``x̂`` of a round is the fluid time its work starts.
+    For J jobs, M GPUs and T tasks it runs at most ~2J arrival/finish
+    events, each a fixed handful of numpy operations over at most J jobs.
+    With the O(J·M) averaging of task times and the O(T) output dicts the
+    cost is O(J·M + J² + T), of which only O(J + T) steps are interpreted
+    Python. Produces the same
+    *ordering signal* ``H_i`` that Algorithm 1 consumes; tests compare it
+    against the exact solver on small instances.
 
 Both return :class:`RelaxationResult` with ``x̂_i`` and the middle
 completion times ``H_i = x̂_i + ½·max_m T^c_{i,m}`` that drive the list
@@ -398,107 +403,6 @@ class ExactRelaxationSolver:
             cuts_added=cuts_added,
         )
 
-    def _reference_solve_fixed_y(
-        self, instance: ProblemInstance, y: dict[TaskRef, int]
-    ) -> RelaxationResult:
-        """Pre-vectorization cut loop, kept for the equivalence suite.
-
-        Rebuilds the COO constraint matrix from scratch every round, cold-
-        starts ``linprog`` each time, and never dedupes separated prefixes —
-        the exact behaviour the incremental warm-started path must match
-        (objective within 1e-9; see tests/schedulers/test_fastpath.py).
-        """
-        tasks = list(instance.all_tasks())
-        t_index = {t: i for i, t in enumerate(tasks)}
-        n_x = len(tasks)
-
-        b_index: dict[tuple[int, int], int] = {}
-        for job in instance.jobs:
-            for r in range(job.num_rounds):
-                b_index[(job.job_id, r)] = n_x + len(b_index)
-        n_vars = n_x + len(b_index)
-
-        p = np.array([instance.task_time(t.job_id, y[t]) for t in tasks])
-        q = np.array([instance.tc(t.job_id, y[t]) for t in tasks])
-
-        c = np.zeros(n_vars)
-        for job in instance.jobs:
-            c[b_index[(job.job_id, job.num_rounds - 1)]] = job.weight
-
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        rhs: list[float] = []
-
-        def add_row(entries: list[tuple[int, float]], bound: float) -> None:
-            r = len(rhs)
-            for col, val in entries:
-                rows.append(r)
-                cols.append(col)
-                vals.append(val)
-            rhs.append(bound)
-
-        for i, task in enumerate(tasks):
-            add_row(
-                [(i, 1.0), (b_index[(task.job_id, task.round_idx)], -1.0)],
-                -p[i],
-            )
-        for i, task in enumerate(tasks):
-            if task.round_idx > 0:
-                add_row(
-                    [(b_index[(task.job_id, task.round_idx - 1)], 1.0), (i, -1.0)],
-                    0.0,
-                )
-
-        machine_tasks: dict[int, list[int]] = {}
-        for i, task in enumerate(tasks):
-            machine_tasks.setdefault(y[task], []).append(i)
-
-        def add_cut(subset: list[int]) -> None:
-            qs = q[subset]
-            bound = 0.5 * (qs.sum() ** 2 + (qs**2).sum())
-            add_row([(i, -float(q[i])) for i in subset], float((qs**2).sum()) - bound)
-
-        for subset in machine_tasks.values():
-            add_cut(subset)
-
-        lb = np.zeros(n_vars)
-        for i, task in enumerate(tasks):
-            lb[i] = instance.jobs[task.job_id].arrival
-        bounds = [(float(lb[i]), None) for i in range(n_vars)]
-
-        cuts_added = 0
-        x_sol = np.zeros(n_vars)
-        objective = 0.0
-        iteration = 0
-        for iteration in range(1, self.max_cut_rounds + 1):
-            a_ub = sparse.coo_matrix(
-                (vals, (rows, cols)), shape=(len(rhs), n_vars)
-            ).tocsr()
-            res = linprog(
-                c, A_ub=a_ub, b_ub=np.array(rhs), bounds=bounds, method="highs"
-            )
-            if not res.success:
-                raise SolverError(f"LP failed: {res.message}")
-            x_sol = res.x
-            objective = float(res.fun)
-            new_cuts = self._separate(machine_tasks, q, x_sol)
-            if not new_cuts:
-                break
-            for subset in new_cuts:
-                add_cut(subset)
-            cuts_added += len(new_cuts)
-
-        x_hat = {t: float(x_sol[t_index[t]]) for t in tasks}
-        return RelaxationResult(
-            x_hat=x_hat,
-            h=_middle_completion(instance, x_hat),
-            objective=objective,
-            y_hat=dict(y),
-            iterations=iteration,
-            cuts_added=cuts_added,
-        )
-
     def _separate(
         self,
         machine_tasks: dict[int, list[int]],
@@ -552,6 +456,13 @@ class FluidRelaxationSolver:
     With ``fair_share=True`` capacity is instead split proportionally to
     weights (max-min water-filling) — kept as an ablation of the priority
     rule.
+
+    **Cost.** The WSPT rank is computed once per solve. Every arrival or
+    finish event then takes the active jobs in rank order, gets all their
+    rates from one ``cumsum`` over their caps, advances them with one
+    elementwise update and appends one block of breakpoints, so a solve of
+    J jobs is O(J) events of O(J) numpy work each. The fair-share ablation
+    instead water-fills per event, up to one pass per capped job.
     """
 
     #: Use the harmonic mean of per-GPU times instead of the arithmetic
@@ -571,119 +482,130 @@ class FluidRelaxationSolver:
         else:
             rep = (instance.train_time + instance.sync_time).mean(axis=1)
 
+        ids = np.arange(num_jobs)
         total_work = np.array(
             [jobs[n].num_rounds * jobs[n].sync_scale * rep[n] for n in range(num_jobs)]
         )
         remaining = total_work.copy()
         weights = np.array([j.weight for j in jobs], dtype=float)
+        # Integer-valued floats: every cumsum of caps below is exact.
         caps = np.array([float(j.sync_scale) for j in jobs])
         arrivals = np.array([j.arrival for j in jobs])
-
-        # Work-completed breakpoints: (time, done) piecewise-linear curves.
-        breakpoints: list[list[tuple[float, float]]] = [
-            [(arrivals[n], 0.0)] for n in range(num_jobs)
-        ]
-        active = np.zeros(num_jobs, dtype=bool)
-        finished = np.zeros(num_jobs, dtype=bool)
-        t = 0.0
         capacity = float(instance.num_gpus)
-        pending_arrivals = sorted(range(num_jobs), key=lambda n: arrivals[n])
-        arr_ptr = 0
-        guard = 0
-        while not finished.all():
-            guard += 1
-            if guard > 8 * num_jobs + 64:  # pragma: no cover - defensive
-                raise SolverError("fluid solver failed to converge")
-            while arr_ptr < num_jobs and arrivals[pending_arrivals[arr_ptr]] <= t + 1e-12:
-                n = pending_arrivals[arr_ptr]
-                if not finished[n]:
-                    active[n] = True
-                arr_ptr += 1
-            act = np.where(active)[0]
-            if len(act) == 0:
-                if arr_ptr >= num_jobs:
-                    raise SolverError(
-                        "fluid solver: no active jobs and none arriving"
-                    )  # pragma: no cover - defensive
-                t = float(arrivals[pending_arrivals[arr_ptr]])
-                continue
-            if self.fair_share:
-                rates = _water_fill(weights[act], caps[act], capacity)
-            else:
-                rates = _density_fill(
-                    weights[act], total_work[act], caps[act], capacity
-                )
-            # Next event: a job finishing or the next arrival.
-            with np.errstate(divide="ignore"):
-                finish_dt = np.where(rates > 0, remaining[act] / rates, np.inf)
-            dt = float(finish_dt.min())
-            next_arrival = (
-                float(arrivals[pending_arrivals[arr_ptr]])
-                if arr_ptr < num_jobs
-                else np.inf
-            )
-            dt = min(dt, next_arrival - t)
-            if not np.isfinite(dt) or dt < 0:
-                raise SolverError("fluid solver produced a bad step")
-            t_next = t + dt
-            for idx, n in enumerate(act):
-                done_before = total_work[n] - remaining[n]
-                remaining[n] = max(0.0, remaining[n] - rates[idx] * dt)
-                done_after = total_work[n] - remaining[n]
-                if done_after > done_before:
-                    breakpoints[n].append((t_next, done_after))
-                if remaining[n] <= 1e-12:
-                    finished[n] = True
-                    active[n] = False
-            t = t_next
 
-        # Invert the work curves to get round start times (batched per job:
-        # one searchsorted over all round targets instead of a Python scan
-        # per round).
+        # Jobs are kept in *rank* order: WSPT density (w_n / total work,
+        # static, so a job's priority never drifts), ties toward the lower
+        # id. Fair sharing keeps id order, which _water_fill's sums expect.
+        if self.fair_share:
+            rank = ids
+        else:
+            density = weights / np.maximum(total_work, 1e-300)
+            rank = np.lexsort((ids, -density))
+        pos = np.empty(num_jobs, dtype=np.intp)
+        pos[rank] = ids
+        active = np.zeros(num_jobs, dtype=bool)  # indexed by rank position
+        pending = np.argsort(arrivals, kind="stable")
+        pending_pos = pos[pending]
+        pending_t = arrivals[pending]
+
+        # Work-completed breakpoints as columns, one block per event (its
+        # jobs, their done work, and the event time with its block size);
+        # each job's curve starts at (arrival, 0).
+        bp_job: list[np.ndarray] = [ids]
+        bp_done: list[np.ndarray] = [np.zeros(num_jobs)]
+        event_t: list[float] = []
+        event_size: list[int] = []
+        t = 0.0
+        arr_ptr = 0
+        unfinished = num_jobs
+        guard = 0
+        with np.errstate(divide="ignore"):
+            while unfinished:
+                guard += 1
+                if guard > 8 * num_jobs + 64:  # pragma: no cover - defensive
+                    raise SolverError("fluid solver failed to converge")
+                arrived = int(pending_t.searchsorted(t + 1e-12, side="right"))
+                if arrived > arr_ptr:
+                    active[pending_pos[arr_ptr:arrived]] = True
+                    arr_ptr = arrived
+                act_pos = active.nonzero()[0]
+                if len(act_pos) == 0:
+                    if arr_ptr >= num_jobs:
+                        raise SolverError(
+                            "fluid solver: no active jobs and none arriving"
+                        )  # pragma: no cover - defensive
+                    t = float(pending_t[arr_ptr])
+                    continue
+                act = rank[act_pos]
+                act_caps = caps[act]
+                if self.fair_share:
+                    rates = _water_fill(weights[act], act_caps, capacity)
+                else:
+                    # Serve in rank order until capacity runs out: each job
+                    # gets min(cap, capacity left by the denser jobs before).
+                    used = act_caps.cumsum()
+                    if used[-1] <= capacity:
+                        rates = act_caps
+                    else:
+                        rates = np.minimum(
+                            act_caps,
+                            np.maximum(capacity - (used - act_caps), 0.0),
+                        )
+                rem = remaining[act]
+                # Next event: a job finishing or the next arrival.
+                dt = float(np.where(rates > 0, rem / rates, np.inf).min())
+                next_arrival = (
+                    float(pending_t[arr_ptr]) if arr_ptr < num_jobs else np.inf
+                )
+                dt = min(dt, next_arrival - t)
+                if not np.isfinite(dt) or dt < 0:
+                    raise SolverError("fluid solver produced a bad step")
+                t_next = t + dt
+                work = total_work[act]
+                new_rem = np.maximum(0.0, rem - rates * dt)
+                remaining[act] = new_rem
+                done_after = work - new_rem
+                grew = (done_after > work - rem).nonzero()[0]
+                if len(grew):
+                    bp_job.append(act[grew])
+                    bp_done.append(done_after[grew])
+                    event_t.append(t_next)
+                    event_size.append(len(grew))
+                finished = (new_rem <= 1e-12).nonzero()[0]
+                if len(finished):
+                    active[act_pos[finished]] = False
+                    unfinished -= len(finished)
+                t = t_next
+
+        # Group the breakpoints by job (stable: each curve stays in time
+        # order), then invert every curve with one searchsorted over all of
+        # its round targets.
+        by_job = np.concatenate(bp_job)
+        order = by_job.argsort(kind="stable")
+        curve_t = np.concatenate(
+            [arrivals, np.repeat(event_t, event_size)]
+        )[order]
+        curve_done = np.concatenate(bp_done)[order]
+        ends = np.bincount(by_job, minlength=num_jobs).cumsum()
         x_hat: dict[TaskRef, float] = {}
+        lo = 0
         for n, job in enumerate(jobs):
+            hi = int(ends[n])
             round_work = job.sync_scale * rep[n]
             targets = np.arange(job.num_rounds) * round_work
-            starts = _invert_curve_batch(breakpoints[n], targets)
-            for r in range(job.num_rounds):
-                start = float(starts[r])
+            starts = _invert_curve_batch(
+                curve_t[lo:hi], curve_done[lo:hi], targets
+            )
+            for r, start in enumerate(starts.tolist()):
                 for d in range(job.sync_scale):
                     x_hat[TaskRef(n, r, d)] = start
+            lo = hi
 
         h = _middle_completion(instance, x_hat)
-        objective = float(
-            sum(
-                jobs[n].weight * breakpoints[n][-1][0]
-                for n in range(num_jobs)
-            )
-        )
+        # Completion = each curve's last breakpoint; summed left to right.
+        completion = curve_t[ends - 1]
+        objective = float(sum((weights * completion).tolist()))
         return RelaxationResult(x_hat=x_hat, h=h, objective=objective)
-
-
-def _density_fill(
-    weights: np.ndarray,
-    total_work: np.ndarray,
-    caps: np.ndarray,
-    capacity: float,
-) -> np.ndarray:
-    """WSPT-priority rates: densest jobs first, each capped at sync_scale.
-
-    Density is ``w_n / total work`` (static, so a job's priority does not
-    drift as it progresses — the classic WSPT rule). Ties break toward the
-    lower index for determinism.
-    """
-    n = len(weights)
-    density = weights / np.maximum(total_work, 1e-300)
-    order = sorted(range(n), key=lambda i: (-density[i], i))
-    rates = np.zeros(n)
-    remaining = capacity
-    for i in order:
-        if remaining <= 1e-15:
-            break
-        give = min(caps[i], remaining)
-        rates[i] = give
-        remaining -= give
-    return rates
 
 
 def _water_fill(
@@ -714,54 +636,32 @@ def _water_fill(
     return rates
 
 
-def _invert_curve(curve: list[tuple[float, float]], target: float) -> float:
-    """Earliest time the piecewise-linear work curve reaches *target*.
-
-    *target* is clamped to the curve's final work value: accumulated float
-    drift can make the last round's target overshoot the total work by
-    ~1e-12, and falling off the end would date that round at the job's
-    completion instant instead of interpolating inside the last segment.
-    """
-    w_end = curve[-1][1]
-    if target > w_end:
-        target = w_end
-    if target <= 0:
-        return curve[0][0]
-    for (t0, w0), (t1, w1) in zip(curve, curve[1:]):
-        if w1 < w0:
-            raise SolverError("work curve is not monotone")
-        if w1 >= target - 1e-12:
-            if w1 == w0:
-                return t1
-            frac = (target - w0) / (w1 - w0)
-            return t0 + frac * (t1 - t0)
-    return curve[-1][0]  # pragma: no cover - unreachable after clamping
-
-
 def _invert_curve_batch(
-    curve: list[tuple[float, float]], targets: np.ndarray
+    times: np.ndarray, works: np.ndarray, targets: np.ndarray
 ) -> np.ndarray:
-    """Vectorized :func:`_invert_curve` over many targets at once.
+    """Earliest times the piecewise-linear work curve reaches *targets*.
 
-    Matches the scalar routine bit-for-bit: the segment index from
-    ``searchsorted`` reproduces the scalar scan's first ``w1 >= target -
-    1e-12`` hit, and the interpolation uses the identical expression.
+    The curve passes through ``(times[k], works[k])``. Each target is
+    clamped to the final work value first: accumulated float drift can
+    make the last round's target overshoot the total work by ~1e-12, and
+    falling off the end would date that round at the job's completion
+    instant instead of interpolating inside the last segment. The segment
+    is the first one whose end reaches ``target - 1e-12``; a flat segment
+    dates the target at its end.
     """
-    times = np.array([t for t, _ in curve])
-    works = np.array([w for _, w in curve])
-    if np.any(np.diff(works) < 0):
+    if (works[1:] < works[:-1]).any():
         raise SolverError("work curve is not monotone")
     clamped = np.minimum(targets, works[-1])
-    if len(curve) == 1:
+    if len(times) == 1:
         return np.full(len(targets), times[0])
     # First segment end j >= 1 with works[j] >= target - 1e-12.
-    j = np.maximum(np.searchsorted(works, clamped - 1e-12, side="left"), 1)
+    j = np.maximum(works.searchsorted(clamped - 1e-12, side="left"), 1)
     w0 = works[j - 1]
     w1 = works[j]
     t0 = times[j - 1]
     t1 = times[j]
     flat = w1 == w0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac = (clamped - w0) / np.where(flat, 1.0, w1 - w0)
+    # Monotone works: every divisor is 1.0 or w1 - w0 > 0.
+    frac = (clamped - w0) / np.where(flat, 1.0, w1 - w0)
     starts = np.where(flat, t1, t0 + frac * (t1 - t0))
     return np.where(clamped <= 0, times[0], starts)

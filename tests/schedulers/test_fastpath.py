@@ -1,10 +1,10 @@
-"""Equivalence suite: vectorized hot paths vs the ``_reference_`` originals.
+"""Equivalence suite: vectorized hot paths vs the originals in ``oracles``.
 
 The tentpole fast paths (vectorized ``list_schedule``, single-pass
 ``_precedence_safe_order``, incremental warm-started cut LP, batch
 breakpoint inversion, the parallel sweep runner) are all pure refactors:
 same schedules, same objectives, same metrics. This suite pins that —
-byte-identical ``Schedule``s against the kept reference implementations,
+byte-identical ``Schedule``s against the reference implementations,
 objective agreement within 1e-9 for the relaxation, and per-cell metric
 equality between ``repro.api.sweep`` and serial ``run_experiment``.
 """
@@ -18,12 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core import validate_schedule
 from repro.schedulers import available, create
-from repro.schedulers.hare import (
-    _precedence_safe_order,
-    _reference_list_schedule,
-    _reference_precedence_safe_order,
-    list_schedule,
-)
+from repro.schedulers.hare import _precedence_safe_order, list_schedule
 from repro.schedulers.relaxation import (
     ExactRelaxationSolver,
     FluidRelaxationSolver,
@@ -31,6 +26,11 @@ from repro.schedulers.relaxation import (
     greedy_assignment,
 )
 from tests.conftest import make_random_instance
+from tests.schedulers.oracles import (
+    reference_list_schedule,
+    reference_precedence_safe_order,
+    reference_solve_fixed_y,
+)
 
 PLACEMENTS = ("earliest_available", "earliest_finish")
 
@@ -54,7 +54,7 @@ class TestListScheduleEquivalence:
         )
         order = _fluid_order(inst)
         vec = list_schedule(inst, order, placement=placement)
-        ref = _reference_list_schedule(inst, order, placement=placement)
+        ref = reference_list_schedule(inst, order, placement=placement)
         assert vec.assignments == ref.assignments
 
     def test_single_gpu_degenerate(self):
@@ -62,8 +62,38 @@ class TestListScheduleEquivalence:
         order = _fluid_order(inst)
         for placement in PLACEMENTS:
             vec = list_schedule(inst, order, placement=placement)
-            ref = _reference_list_schedule(inst, order, placement=placement)
+            ref = reference_list_schedule(inst, order, placement=placement)
             assert vec.assignments == ref.assignments
+
+
+class TestListScheduleMemory:
+    """``list_schedule`` reads one T^c/T^s entry per task; it must not box
+    the whole J×M matrices into Python floats (400 × 2000 here: 1.6 M
+    floats, ~50 MB of lists)."""
+
+    def test_peak_stays_far_below_matrix_boxing(self):
+        import tracemalloc
+
+        from repro.core import Job, ProblemInstance
+        from repro.core.types import TaskRef
+
+        n_jobs, n_gpus = 400, 2000
+        rng = np.random.default_rng(5)
+        inst = ProblemInstance(
+            jobs=[Job(job_id=n, model=f"m{n}") for n in range(n_jobs)],
+            train_time=rng.uniform(0.5, 2.0, size=(n_jobs, n_gpus)),
+            sync_time=rng.uniform(0.0, 0.2, size=(n_jobs, n_gpus)),
+        )
+        order = [TaskRef(n, 0, 0) for n in range(n_jobs)]
+        boxed_bytes = 2 * n_jobs * n_gpus * 24  # float objects alone
+        for placement in PLACEMENTS:
+            tracemalloc.start()
+            try:
+                list_schedule(inst, order, placement=placement)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < boxed_bytes / 10, (placement, peak)
 
 
 class TestOrderEquivalence:
@@ -77,7 +107,7 @@ class TestOrderEquivalence:
         )
         relaxation = FluidRelaxationSolver().solve(inst)
         fast = _precedence_safe_order(inst, relaxation)
-        slow = _reference_precedence_safe_order(inst, relaxation)
+        slow = reference_precedence_safe_order(inst, relaxation)
         assert fast == slow
 
 
@@ -98,7 +128,7 @@ class TestExactSolverEquivalence:
         solver = ExactRelaxationSolver(lp_backend=backend)
         y = greedy_assignment(inst)
         fast = solver._solve_fixed_y(inst, y)
-        ref = solver._reference_solve_fixed_y(inst, y)
+        ref = reference_solve_fixed_y(solver, inst, y)
         assert fast.objective == pytest.approx(
             ref.objective, rel=1e-9, abs=1e-9
         )

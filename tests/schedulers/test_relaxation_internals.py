@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core import SolverError
-from repro.schedulers.relaxation import (
-    _density_fill,
-    _invert_curve,
-    _invert_curve_batch,
-    _water_fill,
-)
+from repro.schedulers.relaxation import _invert_curve_batch, _water_fill
+from tests.schedulers.oracles import density_fill, invert_curve
+
+
+def _batch(curve, targets):
+    """:func:`_invert_curve_batch` on a ``[(time, work), ...]`` curve."""
+    times, works = (np.array(col) for col in zip(*curve))
+    return _invert_curve_batch(times, works, targets)
 
 
 class TestWaterFill:
@@ -45,7 +47,7 @@ class TestWaterFill:
 class TestDensityFill:
     def test_densest_served_first(self):
         # job1 denser (w/work = 2/1) than job0 (1/1): job1 gets its cap
-        rates = _density_fill(
+        rates = density_fill(
             np.array([1.0, 2.0]),
             np.array([1.0, 1.0]),
             np.array([3.0, 3.0]),
@@ -54,7 +56,7 @@ class TestDensityFill:
         np.testing.assert_allclose(rates, [1.0, 3.0])
 
     def test_starves_low_density_under_scarcity(self):
-        rates = _density_fill(
+        rates = density_fill(
             np.array([1.0, 5.0]),
             np.array([10.0, 1.0]),
             np.array([2.0, 2.0]),
@@ -63,7 +65,7 @@ class TestDensityFill:
         np.testing.assert_allclose(rates, [0.0, 2.0])
 
     def test_tie_breaks_by_index(self):
-        rates = _density_fill(
+        rates = density_fill(
             np.array([1.0, 1.0]),
             np.array([1.0, 1.0]),
             np.array([2.0, 2.0]),
@@ -79,7 +81,7 @@ class TestDensityFill:
             work = rng.uniform(0.1, 5.0, n)
             caps = rng.uniform(0.1, 3.0, n)
             cap = float(rng.uniform(0.5, 8.0))
-            rates = _density_fill(w, work, caps, cap)
+            rates = density_fill(w, work, caps, cap)
             assert rates.sum() <= cap + 1e-9
             assert (rates <= caps + 1e-12).all()
 
@@ -88,32 +90,32 @@ class TestInvertCurve:
     CURVE = [(0.0, 0.0), (2.0, 4.0), (5.0, 4.0), (6.0, 6.0)]
 
     def test_zero_target_is_curve_start(self):
-        assert _invert_curve(self.CURVE, 0.0) == 0.0
+        assert invert_curve(self.CURVE, 0.0) == 0.0
 
     def test_linear_interpolation(self):
-        assert _invert_curve(self.CURVE, 2.0) == pytest.approx(1.0)
+        assert invert_curve(self.CURVE, 2.0) == pytest.approx(1.0)
 
     def test_flat_segment_skipped(self):
         # work 4.0 is first reached at t=2.0, not during the stall
-        assert _invert_curve(self.CURVE, 4.0) == pytest.approx(2.0)
+        assert invert_curve(self.CURVE, 4.0) == pytest.approx(2.0)
 
     def test_after_stall(self):
-        assert _invert_curve(self.CURVE, 5.0) == pytest.approx(5.5)
+        assert invert_curve(self.CURVE, 5.0) == pytest.approx(5.5)
 
     def test_target_beyond_curve_clamps_to_end(self):
-        assert _invert_curve(self.CURVE, 100.0) == 6.0
+        assert invert_curve(self.CURVE, 100.0) == 6.0
 
     def test_float_drift_past_final_work_clamps(self):
         """num_rounds * round_work can land 1 ulp above the curve's total
         work; the inversion must clamp instead of running off the end."""
-        assert _invert_curve(self.CURVE, 6.0 + 1e-12) == 6.0
+        assert invert_curve(self.CURVE, 6.0 + 1e-12) == 6.0
 
     def test_non_monotone_curve_rejected(self):
         # The decreasing segment sits before the target, so the scalar
         # scan must trip over it rather than interpolate earlier.
         bad = [(0.0, 0.0), (1.0, 2.0), (2.0, 1.0), (3.0, 3.0)]
         with pytest.raises(SolverError, match="not monotone"):
-            _invert_curve(bad, 2.5)
+            invert_curve(bad, 2.5)
 
 
 class TestInvertCurveBatch:
@@ -121,8 +123,8 @@ class TestInvertCurveBatch:
 
     def test_matches_scalar_on_pinned_curve(self):
         targets = np.array([0.0, -1.0, 2.0, 4.0, 5.0, 6.0, 6.0 + 1e-12, 100.0])
-        batch = _invert_curve_batch(self.CURVE, targets)
-        scalar = np.array([_invert_curve(self.CURVE, float(t)) for t in targets])
+        batch = _batch(self.CURVE, targets)
+        scalar = np.array([invert_curve(self.CURVE, float(t)) for t in targets])
         assert np.array_equal(batch, scalar)
 
     def test_matches_scalar_on_random_curves(self):
@@ -136,21 +138,19 @@ class TestInvertCurveBatch:
             works = np.concatenate([[0.0], np.cumsum(steps)])
             curve = list(zip(times.tolist(), works.tolist()))
             targets = rng.uniform(-1.0, works[-1] + 1.0, 16)
-            batch = _invert_curve_batch(curve, targets)
+            batch = _batch(curve, targets)
             scalar = np.array(
-                [_invert_curve(curve, float(t)) for t in targets]
+                [invert_curve(curve, float(t)) for t in targets]
             )
             assert np.array_equal(batch, scalar)
 
     def test_single_point_curve(self):
-        batch = _invert_curve_batch([(3.0, 0.0)], np.array([0.0, 1.0]))
+        batch = _batch([(3.0, 0.0)], np.array([0.0, 1.0]))
         assert np.array_equal(batch, [3.0, 3.0])
 
     def test_non_monotone_rejected(self):
         with pytest.raises(SolverError, match="not monotone"):
-            _invert_curve_batch(
-                [(0.0, 0.0), (1.0, 2.0), (2.0, 1.0)], np.array([0.5])
-            )
+            _batch([(0.0, 0.0), (1.0, 2.0), (2.0, 1.0)], np.array([0.5]))
 
 
 class TestCutSeparation:
