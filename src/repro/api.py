@@ -588,7 +588,12 @@ def _run_one(
         cluster=cluster,
         instance=instance,
         plan=plan,
-        plan_metrics=metrics_from_schedule(plan),
+        # A kernel run already scored its own committed schedule.
+        plan_metrics=(
+            kernel_result.metrics
+            if kernel_result is not None
+            else metrics_from_schedule(plan)
+        ),
         sim=sim,
         obs=obs,
         config=config,

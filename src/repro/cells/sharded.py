@@ -8,12 +8,16 @@ onto exactly one cell, so the per-cell
 interleaving them on one global clock or running them to completion
 one-by-one (or in parallel worker processes) produces the same merged
 commit log. That is the "single logical event clock" argument — the
-merge below is a pure re-indexing, not a semantic synchronization.
+merge below is a pure re-indexing, not a semantic synchronization: each
+cell result's column view (:meth:`KernelResult.columns`) is remapped to
+global job and GPU ids and concatenated in cell order, so a cell's
+schedule is never materialized.
 
 The merged result is a :class:`ShardedKernelResult`: a plain
 :class:`~repro.kernel.runner.KernelResult` (schedule over the *global*
-instance, summed event/commitment/replan/retraction stats, metrics
-recomputed from the merged schedule) plus the admission plan and
+instance, materialized from the merged columns on first access, summed
+event/commitment/replan/retraction stats, metrics computed from the
+merged columns) plus the admission plan and
 per-cell statistics. The merged schedule passes the same streaming
 monitors as a flat run (:func:`repro.obs.monitors.diagnose_schedule`).
 
@@ -33,9 +37,8 @@ import numpy as np
 
 from ..core.errors import ConfigurationError
 from ..core.job import ProblemInstance
-from ..core.metrics import metrics_from_schedule
-from ..core.schedule import Schedule, TaskAssignment
-from ..core.types import TaskRef
+from ..core.metrics import metrics_from_columns
+from ..core.schedule import Schedule, ScheduleColumns
 from ..kernel.residual import KERNEL_TRACK, planner_scope
 from ..kernel.runner import KernelResult, best_round_time, run_policy
 from ..obs import Category, DISABLED, current as obs_current, use
@@ -254,24 +257,17 @@ class ShardedKernel:
         else:
             outcomes = [_run_cell_worker(p) for p in payloads]
 
-        merged = Schedule(instance)
+        parts: list[tuple[np.ndarray, ...]] = []
         events = commitments = replans = retracted = 0
         stats: list[dict] = []
         for (cell, job_ids), (result, wall) in zip(members, outcomes):
-            gpu_ids = cell.gpu_ids
-            for a in result.schedule.assignments.values():
-                t = a.task
-                merged.add(
-                    TaskAssignment(
-                        task=TaskRef(
-                            job_ids[t.job_id], t.round_idx, t.slot
-                        ),
-                        gpu=gpu_ids[a.gpu],
-                        start=a.start,
-                        train_time=a.train_time,
-                        sync_time=a.sync_time,
-                    )
-                )
+            # Re-index the cell's columns to global job and GPU ids.
+            c = result.columns()
+            parts.append((
+                np.asarray(job_ids, dtype=np.int64)[c.job], c.rnd, c.slot,
+                np.asarray(cell.gpu_ids, dtype=np.int64)[c.gpu],
+                c.start, c.train, c.sync,
+            ))
             events += result.events
             commitments += result.commitments
             replans += result.replans
@@ -303,6 +299,13 @@ class ShardedKernel:
         obs.metrics.counter("kernel.events").inc(events)
         obs.metrics.counter("kernel.commitments").inc(commitments)
 
+        merged = (
+            ScheduleColumns(
+                instance, *(np.concatenate(col) for col in zip(*parts))
+            )
+            if parts
+            else Schedule(instance).columns()
+        )
         if obs.tracer.enabled:
             self._emit_merged_rounds(obs, merged)
 
@@ -310,15 +313,15 @@ class ShardedKernel:
             partition=partition,
             admission_plan=plan,
             cell_stats=tuple(stats),
-            schedule=merged,
-            metrics=metrics_from_schedule(merged),
+            columns=merged,
+            metrics=metrics_from_columns(merged),
             events=events,
             commitments=commitments,
             replans=replans,
             retracted_rounds=retracted,
         )
 
-    def _emit_merged_rounds(self, obs, merged: Schedule) -> None:
+    def _emit_merged_rounds(self, obs, merged: ScheduleColumns) -> None:
         """Merged-clock ``kernel.round`` stream for the attribution engine.
 
         The per-cell kernels run under the DISABLED context (worker
@@ -329,22 +332,30 @@ class ShardedKernel:
         profile row, so cell confinement surfaces as heterogeneity
         penalty in the attribution.
         """
-        by_round: dict[tuple[int, int], list[TaskAssignment]] = {}
-        for a in merged.assignments.values():
-            key = (a.task.job_id, a.task.round_idx)
-            by_round.setdefault(key, []).append(a)
+        end = merged.end
+        # Rows grouped by (job, round), latest end first and ties in
+        # insertion order: each group's first row is its critical task,
+        # the one the reference loop's strict `>` scan keeps.
+        order = np.lexsort(
+            (np.arange(len(merged)), -end, merged.rnd, merged.job)
+        )
+        job, rnd = merged.job[order], merged.rnd[order]
+        first = np.flatnonzero(
+            np.r_[True, (job[1:] != job[:-1]) | (rnd[1:] != rnd[:-1])]
+        )
+        crit = order[first]
+        round_start = np.minimum.reduceat(merged.start[order], first)
+        emit = np.lexsort((merged.rnd[crit], merged.job[crit], end[crit]))
+        rows = crit[emit]
         best_cache: dict[int, float] = {}
-        rounds = []
-        for (job_id, r), tasks in by_round.items():
-            crit = tasks[0]
-            for a in tasks[1:]:
-                if a.end > crit.end:
-                    crit = a
-            rounds.append(
-                (crit.end, job_id, r, min(a.start for a in tasks), crit)
-            )
-        rounds.sort(key=lambda item: (item[0], item[1], item[2]))
-        for end, job_id, r, start, crit in rounds:
+        for job_id, r, start, end_t, gpu, busy in zip(
+            merged.job[rows].tolist(),
+            merged.rnd[rows].tolist(),
+            round_start[emit].tolist(),
+            end[rows].tolist(),
+            merged.gpu[rows].tolist(),
+            (merged.train[rows] + merged.sync[rows]).tolist(),
+        ):
             best = best_cache.get(job_id)
             if best is None:
                 best = best_cache[job_id] = best_round_time(
@@ -354,13 +365,13 @@ class ShardedKernel:
                 Category.SCHED,
                 "kernel.round",
                 track=KERNEL_TRACK,
-                time=float(end),
-                job=int(job_id),
-                round=int(r),
-                start=float(start),
-                end=float(end),
-                gpu=int(crit.gpu),
-                busy=float(crit.train_time + crit.sync_time),
+                time=end_t,
+                job=job_id,
+                round=r,
+                start=start,
+                end=end_t,
+                gpu=gpu,
+                busy=busy,
                 best=best,
             )
 

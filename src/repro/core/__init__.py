@@ -30,12 +30,14 @@ from .metrics import (
     improvement_percent,
     jct_cdf,
     mean_cluster_utilization,
+    metrics_from_columns,
     metrics_from_completions,
     metrics_from_schedule,
     utilization_timeline,
 )
 from .schedule import (
     Schedule,
+    ScheduleColumns,
     TaskAssignment,
     gpu_busy_intervals,
     merge_intervals,
@@ -71,6 +73,7 @@ __all__ = [
     "ProfileMissError",
     "ReproError",
     "Schedule",
+    "ScheduleColumns",
     "ScheduleMetrics",
     "ScheduleValidationError",
     "SimulationError",
@@ -90,6 +93,7 @@ __all__ = [
     "make_uniform_instance",
     "mean_cluster_utilization",
     "merge_intervals",
+    "metrics_from_columns",
     "metrics_from_completions",
     "metrics_from_schedule",
     "schedule_from_mapping",

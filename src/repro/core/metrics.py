@@ -15,7 +15,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .job import Job
-from .schedule import Schedule, gpu_busy_intervals, merge_intervals
+from .schedule import (
+    Schedule,
+    ScheduleColumns,
+    gpu_busy_intervals,
+    merge_intervals,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,10 +117,16 @@ def metrics_from_completions(
 
 def metrics_from_schedule(schedule: Schedule) -> ScheduleMetrics:
     """Compute metrics directly from an (analytic) schedule."""
+    return metrics_from_columns(schedule.columns())
+
+
+def metrics_from_columns(columns: ScheduleColumns) -> ScheduleMetrics:
+    """:func:`metrics_from_schedule` over a schedule's column view: one
+    ``np.maximum.at`` over final-round rows, bit-equal to the object walk."""
     return metrics_from_completions(
-        schedule.instance.jobs,
-        schedule.completions(),
-        makespan=schedule.makespan(),
+        columns.instance.jobs,
+        columns.completions(),
+        makespan=columns.makespan(),
     )
 
 

@@ -17,10 +17,12 @@ Where the time goes, and how this loop wins it back:
 
 * **Flat commit log instead of dict-of-objects.** Committed assignments
   live in parallel numpy arrays (job/round/slot/gpu as int64,
-  start/train/sync/compute-end/end as float64). A round commits as one
-  vectorized append + ``np.maximum.at`` frontier update instead of
-  ``sync_scale`` Python object constructions. The
-  :class:`~repro.core.schedule.Schedule` is materialized lazily — only
+  start/train/sync as float64). A round commits as one vectorized
+  append + ``np.maximum.at`` frontier update instead of ``sync_scale``
+  Python object constructions. The result carries the log as a
+  :class:`~repro.core.schedule.ScheduleColumns` view — metrics and the
+  cell merge read it directly — and the
+  :class:`~repro.core.schedule.Schedule` is materialized lazily, only
   when somebody reads ``KernelResult.schedule``.
 * **Tuple heap + bulk passive skip.** Events are plain
   ``(time, type, seq, a, b)`` tuples on a :mod:`heapq` heap (same
@@ -32,9 +34,10 @@ Where the time goes, and how this loop wins it back:
   without ever invoking the policy — the dominant cost of the reference
   loop at scale. Skipped events still count toward ``events`` and the
   event budget exactly as if processed one by one.
-* **Batch commits.** A planned round is a slice of the plan's canonical
-  arrays (converted once and cached on the plan); a gang job commits all
-  of its rounds as one tiled block.
+* **Batch commits.** A planned round is a slice of the plan's columns
+  in canonical order (reordered once per run by index arithmetic, no
+  per-task lookups); a gang job commits all of its rounds as one tiled
+  block.
 
 Equivalence subtleties worth knowing before editing:
 
@@ -60,9 +63,8 @@ from ..core.errors import (
     SimulationError,
 )
 from ..core.job import ProblemInstance
-from ..core.metrics import metrics_from_completions
-from ..core.schedule import Schedule, TaskAssignment
-from ..core.types import TaskRef
+from ..core.metrics import metrics_from_columns
+from ..core.schedule import Schedule, ScheduleColumns
 from ..obs import Category, current as obs_current
 from .events import KernelEventType
 from .policies import Policy
@@ -82,10 +84,7 @@ _TYPE_NAMES = {int(t): t.name for t in KernelEventType}
 class _CommitLog:
     """Append-only committed-assignment columns."""
 
-    __slots__ = (
-        "n", "job", "rnd", "slot", "gpu",
-        "start", "train", "sync", "ce", "end",
-    )
+    __slots__ = ("n", "job", "rnd", "slot", "gpu", "start", "train", "sync")
 
     def __init__(self, capacity: int) -> None:
         cap = max(capacity, 64)
@@ -97,22 +96,17 @@ class _CommitLog:
         self.start = np.empty(cap, dtype=np.float64)
         self.train = np.empty(cap, dtype=np.float64)
         self.sync = np.empty(cap, dtype=np.float64)
-        self.ce = np.empty(cap, dtype=np.float64)
-        self.end = np.empty(cap, dtype=np.float64)
 
     def _grow(self, need: int) -> None:
         cap = len(self.job)
         new = max(2 * cap, self.n + need)
-        for name in (
-            "job", "rnd", "slot", "gpu",
-            "start", "train", "sync", "ce", "end",
-        ):
+        for name in self.__slots__[1:]:
             old = getattr(self, name)
             arr = np.empty(new, dtype=old.dtype)
             arr[: self.n] = old[: self.n]
             setattr(self, name, arr)
 
-    def append(self, job, rnd, slot, gpu, start, train, sync, ce, end):
+    def append(self, job, rnd, slot, gpu, start, train, sync):
         k = len(gpu)
         if self.n + k > len(self.job):
             self._grow(k)
@@ -124,31 +118,18 @@ class _CommitLog:
         self.start[lo:hi] = start
         self.train[lo:hi] = train
         self.sync[lo:hi] = sync
-        self.ce[lo:hi] = ce
-        self.end[lo:hi] = end
         self.n = hi
 
 
-def _plan_arrays(plan: Schedule, instance: ProblemInstance):
-    """Canonical (gpu, start, train, sync) rows in ``all_tasks()`` order.
+def _plan_arrays(plan: Schedule):
+    """The plan's (gpu, start, train, sync) rows in ``all_tasks()`` order.
 
-    Cached on the plan (``Schedule._array_cache``) keyed by its length so
-    repeated runs of the same frozen plan skip the conversion.
+    Reorders the plan's column view by canonical index arithmetic; a plan
+    missing a task raises :class:`KeyError` for it, as a lookup would.
     """
-    cache = plan._array_cache
-    if cache is not None and cache[0] == len(plan.assignments):
-        return cache[1]
-    assignments = plan.assignments
-    rows = [assignments[t] for t in instance.all_tasks()]
-    n = len(rows)
-    arrays = (
-        np.fromiter((a.gpu for a in rows), np.int64, count=n),
-        np.fromiter((a.start for a in rows), np.float64, count=n),
-        np.fromiter((a.train_time for a in rows), np.float64, count=n),
-        np.fromiter((a.sync_time for a in rows), np.float64, count=n),
-    )
-    plan._array_cache = (len(assignments), arrays)
-    return arrays
+    cols = plan.columns()
+    rows = cols.canonical_rows()
+    return cols.gpu[rows], cols.start[rows], cols.train[rows], cols.sync[rows]
 
 
 class ArraySchedulingKernel:
@@ -264,7 +245,7 @@ class ArraySchedulingKernel:
         plan = self.policy._plan
         assert plan is not None
         self._plan_gpu, self._plan_start, self._plan_train, \
-            self._plan_sync = _plan_arrays(plan, instance)
+            self._plan_sync = _plan_arrays(plan)
         task_off = [0]
         for job in instance.jobs:
             task_off.append(task_off[-1] + job.num_tasks)
@@ -290,7 +271,7 @@ class ArraySchedulingKernel:
         end = ce + sync
         self._log.append(
             job_id, round_idx, np.arange(scale, dtype=np.int64),
-            gpus, start, train, sync, ce, end,
+            gpus, start, train, sync,
         )
         phi = state.phi
         phi_before = phi.copy()
@@ -356,7 +337,7 @@ class ArraySchedulingKernel:
                 np.arange(num_rounds, dtype=np.int64), scale
             ),
             np.tile(np.arange(scale, dtype=np.int64), num_rounds),
-            gpu_col, start_col, train_col, sync_col, ce_col, end_col,
+            gpu_col, start_col, train_col, sync_col,
         )
         phi = state.phi
         phi_before = phi.copy()
@@ -517,63 +498,27 @@ class ArraySchedulingKernel:
                 "check the policy"
             )
         metrics.counter("kernel.events").inc(self.processed)
+        columns = self._columns()
         return KernelResult(
-            schedule_factory=self._materialize,
-            metrics=self._metrics(),
+            columns=columns,
+            metrics=metrics_from_columns(columns),
             events=self.processed,
             commitments=self.commitments,
             replans=int(getattr(policy, "replans", 0)),
             retracted_rounds=0,
         )
 
-    # -- results ----------------------------------------------------------
-    def _materialize(self) -> Schedule:
-        """The committed schedule, rebuilt from the log.
+    def _columns(self) -> ScheduleColumns:
+        """The committed schedule as a view of the log.
 
         Row order (append order) reproduces the reference dict's
-        insertion order, so downstream consumers that iterate
-        assignments see identical sequences.
+        insertion order, so a materialized schedule iterates its
+        assignments in identical sequence.
         """
         log = self._log
         n = log.n
-        sched = Schedule(self.instance)
-        assignments = sched.assignments
-        for j, r, s, g, st, tr, sy in zip(
-            log.job[:n].tolist(),
-            log.rnd[:n].tolist(),
-            log.slot[:n].tolist(),
-            log.gpu[:n].tolist(),
-            log.start[:n].tolist(),
-            log.train[:n].tolist(),
-            log.sync[:n].tolist(),
-        ):
-            task = TaskRef(j, r, s)
-            assignments[task] = TaskAssignment(
-                task=task, gpu=g, start=st, train_time=tr, sync_time=sy
-            )
-        return sched
-
-    def _metrics(self):
-        """Metrics straight from the log (no Schedule materialization)."""
-        instance = self.instance
-        log = self._log
-        n = log.n
-        lj = log.job[:n]
-        lr = log.rnd[:n]
-        lend = log.end[:n]
-        last_round = np.fromiter(
-            (j.num_rounds - 1 for j in instance.jobs),
-            np.int64,
-            count=instance.num_jobs,
-        )
-        comp = np.full(instance.num_jobs, -np.inf)
-        if lend.size:
-            final = lr == last_round[lj]
-            np.maximum.at(comp, lj[final], lend[final])
-        completions = {
-            j.job_id: float(comp[j.job_id]) for j in instance.jobs
-        }
-        makespan = float(lend.max()) if lend.size else 0.0
-        return metrics_from_completions(
-            instance.jobs, completions, makespan=makespan
+        return ScheduleColumns(
+            self.instance,
+            log.job[:n], log.rnd[:n], log.slot[:n], log.gpu[:n],
+            log.start[:n], log.train[:n], log.sync[:n],
         )

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from ..core.errors import InfeasibleProblemError, SimulationError
 from ..core.metrics import ScheduleMetrics, metrics_from_schedule
-from ..core.schedule import Schedule
+from ..core.schedule import Schedule, ScheduleColumns
 from ..core.job import ProblemInstance
 from ..obs import Category, current as obs_current
 from .events import Event, EventQueue, KernelEventType
@@ -46,16 +46,18 @@ class KernelResult:
     """Outcome of one kernel run.
 
     The committed :attr:`schedule` may be materialized lazily: the array
-    backend hands a ``schedule_factory`` so large runs only pay the
-    per-task :class:`~repro.core.schedule.TaskAssignment` construction
-    when somebody actually reads the schedule. The statistics
+    backend hands over its commit log as a
+    :class:`~repro.core.schedule.ScheduleColumns` view, so large runs only
+    pay the per-task :class:`~repro.core.schedule.TaskAssignment`
+    construction when somebody actually reads the schedule, and readers
+    of :meth:`columns` (the cell merge) never do. The statistics
     (``events``/``commitments``/``replans``/``retracted_rounds``) are
     plain ints, byte-comparable across backends.
     """
 
     __slots__ = (
         "_schedule",
-        "_schedule_factory",
+        "_columns",
         "metrics",
         "events",
         "commitments",
@@ -67,19 +69,17 @@ class KernelResult:
         self,
         *,
         schedule: Schedule | None = None,
-        schedule_factory=None,
+        columns: ScheduleColumns | None = None,
         metrics: ScheduleMetrics,
         events: int,
         commitments: int,
         replans: int,
         retracted_rounds: int,
     ) -> None:
-        if schedule is None and schedule_factory is None:
-            raise ValueError(
-                "KernelResult needs a schedule or a schedule_factory"
-            )
+        if schedule is None and columns is None:
+            raise ValueError("KernelResult needs a schedule or its columns")
         self._schedule = schedule
-        self._schedule_factory = schedule_factory
+        self._columns = columns
         self.metrics = metrics
         self.events = events
         self.commitments = commitments
@@ -90,14 +90,26 @@ class KernelResult:
     def schedule(self) -> Schedule:
         """The committed schedule (materialized on first access)."""
         if self._schedule is None:
-            self._schedule = self._schedule_factory()
-            self._schedule_factory = None
+            self._schedule = self._columns.to_schedule()
+            self._columns = None
         return self._schedule
 
+    def columns(self) -> ScheduleColumns:
+        """The committed schedule's column view.
+
+        Straight from the array backend's log while the schedule is
+        unmaterialized; derived from :attr:`schedule` otherwise, so it
+        always reflects the schedule as it is now.
+        """
+        if self._schedule is None:
+            return self._columns
+        return self._schedule.columns()
+
     def __getstate__(self):
-        # Factories close over kernel arrays; materialize for pickling.
+        # An unmaterialized result pickles its columns, not objects.
         return {
-            "schedule": self.schedule,
+            "schedule": self._schedule,
+            "columns": self._columns,
             "metrics": self.metrics,
             "events": self.events,
             "commitments": self.commitments,
@@ -107,7 +119,7 @@ class KernelResult:
 
     def __setstate__(self, state) -> None:
         self._schedule = state["schedule"]
-        self._schedule_factory = None
+        self._columns = state["columns"]
         self.metrics = state["metrics"]
         self.events = state["events"]
         self.commitments = state["commitments"]

@@ -39,7 +39,7 @@ from .monitors import DiagnosisReport, Finding, Severity
 #: Baseline-file schema identifier, bumped on breaking layout changes.
 BASELINE_SCHEMA = "repro.baseline/1"
 
-_DIRECTIONS = ("up", "down", "both")
+_DIRECTIONS = ("up", "down", "both", "none")
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,9 +48,10 @@ class Tolerance:
 
     ``direction`` names which way drift counts as a regression: ``"up"``
     (an increase — latencies), ``"down"`` (a decrease — throughput) or
-    ``"both"``. Drift within ``abs_tol + rel * |baseline|`` passes;
-    drift beyond it in the regression direction is an ERROR, in the
-    improvement direction an INFO. ``limit`` (optional) caps the
+    ``"both"``, or ``"none"`` for a recorded-but-ungated metric. Drift
+    within ``abs_tol + rel * |baseline|`` passes; drift beyond it in the
+    regression direction is an ERROR, in the improvement direction (or
+    any direction, for ``"none"``) an INFO. ``limit`` (optional) caps the
     candidate's absolute value for ``direction="up"`` metrics no matter
     what the baseline was.
     """
@@ -86,6 +87,10 @@ EXACT = Tolerance(rel=1e-9, abs_tol=1e-6, direction="both")
 #: on scheduler noise; real regressions are order-of-magnitude events.
 TIMING_UP = Tolerance(rel=3.0, abs_tol=5e-3, direction="up")
 THROUGHPUT_DOWN = Tolerance(rel=0.75, abs_tol=1e-6, direction="down")
+
+#: Recorded, never gated (environment facts, noise descriptors): any
+#: change is reported as INFO drift.
+UNGATED = Tolerance(rel=0.0, abs_tol=0.0, direction="none")
 
 
 def resolve_tolerance(
@@ -250,9 +255,10 @@ def compare_snapshots(
                 **({"limit": tol.limit} if tol.limit is not None else {}),
             )
         elif drifted:
+            kind = "drift" if tol.direction == "none" else "improvement"
             emit(
                 Severity.INFO,
-                f"improvement: {name} went {b:g} -> {c:g} ({delta:+g})",
+                f"{kind}: {name} went {b:g} -> {c:g} ({delta:+g})",
                 metric=name, base=b, candidate=c, delta=delta,
             )
     for name in sorted(set(candidate) - set(base)):
@@ -295,6 +301,8 @@ BASELINE_TOLERANCES: dict[str, Tolerance] = {
 BENCH_TOLERANCES: dict[str, Tolerance] = {
     # Deterministic simulated results: exact for a fixed config+seed.
     "config.*": EXACT,
+    # Where the numbers came from (versions, CPU count): never gated.
+    "env.*": UNGATED,
     "*.events": EXACT,
     "*.commitments": EXACT,
     "*.replans": EXACT,
@@ -313,12 +321,16 @@ BENCH_TOLERANCES: dict[str, Tolerance] = {
     "*.max_s": TIMING_UP,
     "*.p50_s": TIMING_UP,
     "*.p99_s": TIMING_UP,
-    # Flight-recorder overhead: directed AND hard-capped at 15%.
+    # Flight-recorder overhead: the median of interleaved per-pair
+    # ratios, directed AND hard-capped at 15%; its quartiles describe
+    # the noise and are not gated.
     "recorder_overhead.overhead_frac": Tolerance(
         rel=0.0, abs_tol=0.10, direction="up", limit=0.15
     ),
+    "recorder_overhead.overhead_frac_q*": UNGATED,
     "recorder_overhead.*": THROUGHPUT_DOWN,
     "recorder_overhead.records": EXACT,
+    "recorder_overhead.pairs": EXACT,
     # Time attribution (the attrib_fractions arm): the run itself is
     # deterministic, so counts and totals are exact; the per-category
     # JCT shares get a loose directed band — only silent *growth* of a
@@ -344,6 +356,7 @@ BENCH_TOLERANCES: dict[str, Tolerance] = {
     "*.count": EXACT,
     "*_tasks_per_sec": THROUGHPUT_DOWN,
     "*.list_speedup_x": THROUGHPUT_DOWN,
+    "*.validate_speedup_x": THROUGHPUT_DOWN,
     # Array-kernel backend race (the array_kernel arms): event counts and
     # committed results are deterministic (and asserted equal across
     # backends inside the bench); the two rates and their ratio are

@@ -1,5 +1,8 @@
 """Tests for Schedule and constraint validation (4)-(8)."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -180,6 +183,101 @@ class TestValidation:
             )
         with pytest.raises(ScheduleValidationError):
             validate_schedule(sched, check_durations=False)
+
+
+class TestNonFiniteTimes:
+    """A NaN makes every comparison false; it must still be rejected."""
+
+    @pytest.fixture
+    def sched(self, two_round_instance):
+        return schedule_from_mapping(
+            two_round_instance, valid_mapping(two_round_instance)
+        )
+
+    @pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("check_durations", [True, False])
+    def test_non_finite_start_fails_constraint4(
+        self, sched, start, check_durations
+    ):
+        task = TaskRef(0, 1, 0)
+        sched.assignments[task] = replace(sched[task], start=start)
+        with pytest.raises(ScheduleValidationError, match="non-finite") as e:
+            validate_schedule(sched, check_durations=check_durations)
+        assert e.value.constraint == 4
+
+    @pytest.mark.parametrize("field", ["train_time", "sync_time"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("check_durations", [True, False])
+    def test_non_finite_durations_fail_constraint6(
+        self, sched, field, value, check_durations
+    ):
+        task = TaskRef(0, 0, 1)
+        sched.assignments[task] = replace(sched[task], **{field: value})
+        with pytest.raises(ScheduleValidationError, match="non-finite") as e:
+            validate_schedule(sched, check_durations=check_durations)
+        assert e.value.constraint == 6
+
+
+class TestScheduleColumns:
+    def test_columns_follow_insertion_order(self, two_round_instance):
+        mapping = dict(reversed(valid_mapping(two_round_instance).items()))
+        cols = schedule_from_mapping(two_round_instance, mapping).columns()
+        assert cols.canon.tolist() == [3, 2, 1, 0]
+        assert cols.gpu.tolist() == [1, 0, 1, 0]
+        assert cols.canonical_rows().tolist() == [3, 2, 1, 0]
+        assert cols.end.tolist() == [6.0, 5.0, 3.5, 2.5]
+
+    def test_unknown_tasks_have_no_canonical_index(self, two_round_instance):
+        sched = schedule_from_mapping(
+            two_round_instance, valid_mapping(two_round_instance)
+        )
+        sched.add(TaskAssignment(TaskRef(0, 2, 0), 0, 9.0, 1.0, 0.5))
+        sched.add(TaskAssignment(TaskRef(1, 0, 0), 0, 9.0, 1.0, 0.5))
+        assert sched.columns().canon.tolist() == [0, 1, 2, 3, -1, -1]
+
+    def test_instance_without_jobs(self):
+        inst = ProblemInstance(
+            jobs=[], train_time=np.ones((0, 2)), sync_time=np.zeros((0, 2))
+        )
+        sched = Schedule(inst)
+        assert sched.completions() == {} and sched.makespan() == 0.0
+        validate_schedule(sched)
+        sched.add(TaskAssignment(TaskRef(0, 0, 0), 0, 0.0, 1.0, 0.0))
+        assert sched.columns().canon.tolist() == [-1]
+        assert sched.makespan() == 1.0
+        with pytest.raises(ScheduleValidationError, match="1 unknown tasks"):
+            validate_schedule(sched)
+
+    def test_canonical_rows_name_the_first_missing_task(
+        self, two_round_instance
+    ):
+        mapping = valid_mapping(two_round_instance)
+        del mapping[TaskRef(0, 1, 0)]
+        cols = schedule_from_mapping(two_round_instance, mapping).columns()
+        with pytest.raises(KeyError) as e:
+            cols.canonical_rows()
+        assert e.value.args[0] == TaskRef(0, 1, 0)
+
+    def test_to_schedule_round_trips(self, two_round_instance):
+        sched = schedule_from_mapping(
+            two_round_instance, valid_mapping(two_round_instance)
+        )
+        again = sched.columns().to_schedule()
+        assert list(again.assignments.items()) == list(
+            sched.assignments.items()
+        )
+
+    def test_incomplete_final_round_raises_like_round_end(
+        self, two_round_instance
+    ):
+        mapping = valid_mapping(two_round_instance)
+        del mapping[TaskRef(0, 1, 1)]
+        sched = schedule_from_mapping(two_round_instance, mapping)
+        with pytest.raises(ScheduleValidationError) as want:
+            sched.round_end(0, 1)
+        with pytest.raises(ScheduleValidationError) as got:
+            sched.completions()
+        assert str(got.value) == str(want.value)
 
 
 class TestMergeIntervals:

@@ -171,8 +171,10 @@ class TestBenchGate:
         },
         "recorder_overhead": {
             "events_per_sec_off": 14000.0, "events_per_sec_on": 12700.0,
-            "overhead_frac": 0.093, "records": 644,
+            "overhead_frac": 0.093, "overhead_frac_q1": -0.02,
+            "overhead_frac_q3": 0.15, "records": 644,
         },
+        "env": {"python": "3.11.7", "nproc": 2, "git_sha": "abc"},
     }
 
     def candidate(self, **edits):
@@ -235,3 +237,20 @@ class TestBenchGate:
         )
         assert tol.limit == pytest.approx(0.15)
         assert tol.direction == "up"
+
+    def test_env_and_overhead_quartiles_are_not_gated(self):
+        """Environment facts and noise quartiles drift as INFO only."""
+        cand = self.candidate(**{
+            "env/nproc": 64,
+            "recorder_overhead/overhead_frac_q1": -0.5,
+            "recorder_overhead/overhead_frac_q3": 0.9,
+        })
+        report = compare_bench_reports(self.BASE, cand)
+        assert report.ok
+        drift = [f.message for f in report.findings if "drift" in f.message]
+        assert len(drift) == 3
+
+    def test_negative_overhead_is_kept_and_passes(self):
+        """A recorder-on side that ran faster reads negative, unclamped."""
+        cand = self.candidate(**{"recorder_overhead/overhead_frac": -0.05})
+        assert compare_bench_reports(self.BASE, cand).ok
