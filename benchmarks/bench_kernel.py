@@ -12,7 +12,7 @@ and 10k-task scales, vectorized vs the test-oracle implementations, plus
 against its object-walk oracle at 2k and 10k tasks. The ``array_kernel`` arm races the
 vectorized array event loop against the pinned reference loop on its two
 batch paths and reports ``kernel_speedup_x`` (CI gates the
-``gang_online`` arm at ≥10x and ``planned_frozen`` above 1x). The
+``gang_online`` arm at ≥10x and ``planned_frozen`` at ≥4x). The
 ``sharded`` arm races cell-sharded scheduling (:mod:`repro.cells`)
 against flat Hare end to end at the 10k-GPU / 5k-job tier, each side the
 median of repeated runs, and reports ``speedup_x`` plus the weighted-JCT
@@ -309,7 +309,7 @@ def bench_array_kernel(seed: int, *, repeats: int = 3) -> dict:
     rates plus ``kernel_speedup_x``. CI's bench-smoke holds the
     ``gang_online`` arm's speedup at ≥10x (mirroring the
     ``list_speedup_x >= 3`` gate) and ``planned_frozen``, the planned
-    batch path on a frozen plan, above 1x.
+    block replay of a frozen plan, at ≥4x.
     """
     from repro.schedulers import SrtfScheduler
 

@@ -75,16 +75,17 @@ class Policy(ABC):
     ) -> frozenset[KernelEventType]:
         """Event types this policy provably ignores *in the current state*.
 
-        The array loop (which runs the :class:`PlannedPolicy` and
-        :class:`GangPolicy` batch paths) bulk-skips whole batches made of
-        passive events instead of invoking the policy per event.
-        Declaring a type passive is a contract: until the next
-        non-passive event is processed, (a) applying an event of that
-        type mutates no kernel state (only the pure wake-ups
-        ``ROUND_BARRIER_OPEN`` / ``GPU_FREE`` qualify) and (b)
-        :meth:`on_event` would return ``[]`` with no side effects. Both conditions must be stable across the skipped
-        stretch — they may only depend on state that non-passive events
-        change. The default claims nothing, which is always safe.
+        The array loop's :class:`GangPolicy` batch path bulk-skips whole
+        batches made of passive events instead of invoking the policy per
+        event (its :class:`PlannedPolicy` path replays the plan as one
+        block and never asks). Declaring a type passive is a contract:
+        until the next non-passive event is processed, (a) applying an
+        event of that type mutates no kernel state (only the pure
+        wake-ups ``ROUND_BARRIER_OPEN`` / ``GPU_FREE`` qualify) and (b)
+        :meth:`on_event` would return ``[]`` with no side effects. Both
+        conditions must be stable across the skipped stretch — they may
+        only depend on state that non-passive events change. The default
+        claims nothing, which is always safe.
         """
         return frozenset()
 
@@ -138,12 +139,6 @@ class PlannedPolicy(Policy):
             job_id, round_idx = event.payload
             return self._round_commitment(state, job_id, round_idx + 1)
         return []
-
-    def passive_events(
-        self, state: KernelState
-    ) -> frozenset[KernelEventType]:
-        """GPU frees never move a clairvoyant plan (absolute start times)."""
-        return frozenset({KernelEventType.GPU_FREE})
 
 
 class GangPolicy(Policy):

@@ -31,6 +31,8 @@ each commitment reaches), and per-event instants on the ``kernel`` track.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from ..core.errors import InfeasibleProblemError, SimulationError
 from ..core.metrics import ScheduleMetrics, metrics_from_schedule
 from ..core.schedule import Schedule, ScheduleColumns
@@ -50,7 +52,10 @@ class KernelResult:
     :class:`~repro.core.schedule.ScheduleColumns` view, so large runs only
     pay the per-task :class:`~repro.core.schedule.TaskAssignment`
     construction when somebody actually reads the schedule, and readers
-    of :meth:`columns` (the cell merge) never do. The statistics
+    of :meth:`columns` (the cell merge) never do. *materialize*, when
+    given, builds that same schedule without constructing objects (the
+    planned replay re-inserts the plan's own assignments, as the
+    reference loop commits them); it is not pickled. The statistics
     (``events``/``commitments``/``replans``/``retracted_rounds``) are
     plain ints, byte-comparable across backends.
     """
@@ -58,6 +63,7 @@ class KernelResult:
     __slots__ = (
         "_schedule",
         "_columns",
+        "_materialize",
         "metrics",
         "events",
         "commitments",
@@ -70,6 +76,7 @@ class KernelResult:
         *,
         schedule: Schedule | None = None,
         columns: ScheduleColumns | None = None,
+        materialize: Callable[[], Schedule] | None = None,
         metrics: ScheduleMetrics,
         events: int,
         commitments: int,
@@ -80,6 +87,7 @@ class KernelResult:
             raise ValueError("KernelResult needs a schedule or its columns")
         self._schedule = schedule
         self._columns = columns
+        self._materialize = materialize
         self.metrics = metrics
         self.events = events
         self.commitments = commitments
@@ -90,8 +98,11 @@ class KernelResult:
     def schedule(self) -> Schedule:
         """The committed schedule (materialized on first access)."""
         if self._schedule is None:
-            self._schedule = self._columns.to_schedule()
+            self._schedule = (
+                self._materialize or self._columns.to_schedule
+            )()
             self._columns = None
+            self._materialize = None
         return self._schedule
 
     def columns(self) -> ScheduleColumns:
@@ -120,6 +131,7 @@ class KernelResult:
     def __setstate__(self, state) -> None:
         self._schedule = state["schedule"]
         self._columns = state["columns"]
+        self._materialize = None
         self.metrics = state["metrics"]
         self.events = state["events"]
         self.commitments = state["commitments"]

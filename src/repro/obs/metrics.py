@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from itertools import repeat
+from typing import Iterable
 
 from ..core.errors import ConfigurationError
 
@@ -136,6 +138,11 @@ class MetricsRegistry:
     render *curves* (Perfetto counter tracks: queue depth, busy GPUs)
     rather than only final totals. Sampling happens at deterministic sim
     times, so the timeline — like the trace — is byte-stable across runs.
+    :meth:`extend_samples` appends a whole curve at once, for code that
+    computes the values an instrument took instead of stepping through
+    them (the array kernel's plan replay). :class:`NullRegistry` drops
+    it like every other write; appending to ``_samples`` directly would
+    fill the one shared disabled registry on every untraced run.
     """
 
     _instruments: dict[str, object] = field(default_factory=dict)
@@ -191,6 +198,19 @@ class MetricsRegistry:
             return
         self._samples.append((float(time), name, float(instrument.value)))
 
+    def extend_samples(
+        self, name: str, times: Iterable[float], values: Iterable[float]
+    ) -> None:
+        """Append the curve ``zip(times, values)`` to instrument *name*'s
+        timeline, as if :meth:`sample` had captured each value in turn.
+
+        The values are given, not read from the instrument, so the
+        caller sets the instrument's final value itself.
+        """
+        self._samples.extend(
+            zip(map(float, times), repeat(name), map(float, values))
+        )
+
     def timeline(self) -> dict[str, list[tuple[float, float]]]:
         """Sampled ``(time, value)`` curves keyed by instrument name."""
         out: dict[str, list[tuple[float, float]]] = {}
@@ -237,6 +257,9 @@ class NullRegistry(MetricsRegistry):
         return self._HISTOGRAM
 
     def sample(self, name: str, time: float) -> None:
+        pass
+
+    def extend_samples(self, name, times, values) -> None:
         pass
 
     def snapshot(self) -> dict[str, dict]:

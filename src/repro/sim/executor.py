@@ -53,6 +53,9 @@ class GpuExecutor:
     prev_model: str | None = None
     started: int = 0
     aborted: int = 0
+    #: A transient failure takes the GPU down until its restart check;
+    #: nothing starts on it before then.
+    down_until: float = 0.0
 
     @property
     def gpu_id(self) -> int:
@@ -77,7 +80,7 @@ class GpuExecutor:
         has opened (round -1 is always open).
         """
         head = self.head()
-        if head is None or not self.idle:
+        if head is None or not self.idle or now < self.down_until:
             return False
         job = self.instance.jobs[head.task.job_id]
         if job.arrival > now + 1e-12:

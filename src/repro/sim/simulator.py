@@ -378,11 +378,11 @@ class ClusterSimulator:
                 executor.memory.flush()
                 executor.prev_job = None
                 executor.prev_model = None
-            engine.at(
-                event.time + self.restart_delay_s,
-                EventType.GPU_CHECK,
-                executor.gpu_id,
-            )
+            # Down until the restart check: arrivals and barriers in the
+            # window must not start the GPU early.
+            restart = event.time + self.restart_delay_s
+            executor.down_until = max(executor.down_until, restart)
+            engine.at(restart, EventType.GPU_CHECK, executor.gpu_id)
 
         def on_gpu_crash(event: Event) -> None:
             # Permanent: abandon in-flight and queued work, never restart.

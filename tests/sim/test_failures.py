@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cluster import make_cluster
+from repro.cluster import make_cluster, testbed_cluster
 from repro.core import Job, ProblemInstance, TaskRef, schedule_from_mapping, validate_schedule
 from repro.core.errors import ConfigurationError
 from repro.harness import make_workload
@@ -129,6 +129,77 @@ class TestFailureRecovery:
             2.0 * clean.pool.completion_time(0)
         )
         validate_schedule(slow.realized, check_durations=False)
+
+    def test_arrival_inside_restart_window_waits(self):
+        """A running abort: job 1 arrives while GPU 0 is down, and the
+        arrival must not restart GPU 0 before its restart check."""
+        cluster = make_cluster(["V100", "V100"])
+        jobs = [
+            Job(job_id=0, model="m", num_rounds=2, sync_scale=1),
+            Job(job_id=1, model="m", arrival=1.5, num_rounds=1,
+                sync_scale=1),
+        ]
+        inst = ProblemInstance(
+            jobs=jobs,
+            train_time=np.full((2, 2), 2.0),
+            sync_time=np.zeros((2, 2)),
+        )
+        plan = schedule_from_mapping(inst, {
+            TaskRef(0, 0, 0): (0, 0.0),
+            TaskRef(0, 1, 0): (0, 2.0),
+            TaskRef(1, 0, 0): (1, 1.5),
+        })
+        res = simulate_plan(
+            cluster, inst, plan, failures=[(1.0, 0)], restart_delay_s=2.0
+        )
+        # down 1.0 → 3.0, then both rounds back to back
+        assert res.realized[TaskRef(0, 0, 0)].start == pytest.approx(3.0)
+        assert res.pool.completion_time(0) == pytest.approx(7.0)
+
+    def test_barrier_inside_restart_window_waits(self):
+        """An idle crash: GPU 1 waits on round 0's barrier when it fails,
+        and the barrier opening inside its down window must not start
+        it before the restart check."""
+        cluster = make_cluster(["V100", "V100"])
+        jobs = [Job(job_id=0, model="m", num_rounds=2, sync_scale=2)]
+        inst = ProblemInstance(
+            jobs=jobs,
+            train_time=np.array([[4.0, 2.0]]),
+            sync_time=np.zeros((1, 2)),
+        )
+        plan = schedule_from_mapping(inst, {
+            TaskRef(0, r, s): (s, 4.0 * r) for r in range(2) for s in range(2)
+        })
+        res = simulate_plan(
+            cluster, inst, plan, failures=[(3.0, 1)], restart_delay_s=5.0
+        )
+        # barrier at 4.0, GPU 1 down 3.0 → 8.0
+        assert res.realized[TaskRef(0, 1, 1)].start == pytest.approx(8.0)
+        assert res.pool.completion_time(0) == pytest.approx(10.0)
+
+    def test_no_start_inside_restart_window_on_testbed(self):
+        """Hare plans on the testbed, one failure per run on every GPU at
+        five times: the failed GPU starts nothing until it restarts."""
+        cluster = testbed_cluster()
+        jobs = make_workload(
+            12, seed=3, config=WorkloadConfig(rounds_scale=0.1)
+        )
+        inst = build_instance(jobs, cluster)
+        plan = HareScheduler(relaxation="fluid").schedule(inst)
+        makespan = simulate_plan(cluster, inst, plan).makespan
+        delay = 50.0
+        for gpu in range(inst.num_gpus):
+            for frac in (0.1, 0.3, 0.5, 0.7, 0.9):
+                t = makespan * frac
+                res = simulate_plan(
+                    cluster, inst, plan, failures=[(t, gpu)],
+                    restart_delay_s=delay,
+                )
+                early = [
+                    a.task for a in res.realized.assignments.values()
+                    if a.gpu == gpu and t < a.start < t + delay
+                ]
+                assert early == [], (gpu, frac)
 
     def test_failures_on_realistic_workload(self):
         cluster = make_cluster(["V100", "T4", "K80", "V100"])
