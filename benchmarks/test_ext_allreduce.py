@@ -10,7 +10,7 @@ PS choice is justified; ring wins only for much wider groups.
 
 from benchmarks.conftest import run_once
 from repro.cluster import NetworkConfig, scaled_cluster
-from repro.harness import render_series, run_comparison
+from repro.harness import render_series
 from repro.harness.experiments import make_loaded_workload
 from repro.schedulers import HareScheduler
 from repro.sync import ps_round_sync_time, ring_allreduce_time

@@ -9,9 +9,10 @@ first orderings concentrate slowdown on a few victims.
 """
 
 from benchmarks.conftest import run_once
+from repro.api import compare
 from repro.cluster import scaled_cluster
 from repro.core import finish_time_fairness, make_uniform_instance
-from repro.harness import render_table, run_comparison
+from repro.harness import render_table
 from repro.harness.experiments import make_loaded_workload, make_problem
 from repro.workload import WorkloadConfig
 
@@ -25,7 +26,7 @@ def test_ext_fairness(benchmark, report):
     instance = make_problem(cluster, jobs)
 
     def run():
-        results = run_comparison(cluster, jobs)
+        results = compare(cluster=cluster, workload=jobs, trace=False).results
         out = {}
         for name, r in results.items():
             rep = finish_time_fairness(instance, r.plan_metrics)

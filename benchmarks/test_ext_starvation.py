@@ -9,8 +9,9 @@ not just the best mean.
 """
 
 from benchmarks.conftest import run_once
+from repro.api import compare
 from repro.cluster import scaled_cluster
-from repro.harness import render_table, run_comparison
+from repro.harness import render_table
 from repro.harness.experiments import make_loaded_workload
 from repro.workload import WorkloadConfig
 
@@ -22,7 +23,9 @@ def test_ext_starvation(benchmark, report):
     )
 
     def run():
-        results = run_comparison(scaled_cluster(32), jobs)
+        results = compare(
+            cluster=scaled_cluster(32), workload=jobs, trace=False
+        ).results
         return {
             name: (
                 r.plan_metrics.mean_flow,

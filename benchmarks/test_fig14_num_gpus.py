@@ -7,8 +7,9 @@ trace sized to keep even the largest cluster loaded.
 """
 
 from benchmarks.conftest import run_once
+from repro.api import compare
 from repro.cluster import scaled_cluster
-from repro.harness import render_series, run_comparison
+from repro.harness import render_series
 
 GPU_COUNTS = (24, 48, 96)
 
@@ -17,7 +18,10 @@ def test_fig14_num_gpus(benchmark, report, contended_jobs):
     def run():
         series: dict[str, list[float]] = {}
         for m in GPU_COUNTS:
-            results = run_comparison(scaled_cluster(m), contended_jobs)
+            results = compare(
+                cluster=scaled_cluster(m), workload=contended_jobs,
+                trace=False,
+            ).results
             for name, r in results.items():
                 series.setdefault(name, []).append(
                     r.plan_metrics.total_weighted_flow

@@ -6,9 +6,10 @@ scheme and the gap between Hare and the baselines widens — Hare wins by
 """
 
 from benchmarks.conftest import run_once
+from repro.api import compare
 from repro.cluster import scaled_cluster
 from repro.core import improvement_percent
-from repro.harness import render_series, run_comparison
+from repro.harness import render_series
 from repro.harness.experiments import make_loaded_workload
 from repro.workload import WorkloadConfig
 
@@ -28,7 +29,9 @@ def test_fig15_num_jobs(benchmark, report):
                 seed=9,
                 config=WorkloadConfig(rounds_scale=0.2),
             )
-            results = run_comparison(cluster, jobs)
+            results = compare(
+                cluster=cluster, workload=jobs, trace=False
+            ).results
             for name, r in results.items():
                 series.setdefault(name, []).append(
                     r.plan_metrics.total_weighted_flow

@@ -6,9 +6,10 @@ becomes the bottleneck as synchronization shrinks.
 """
 
 from benchmarks.conftest import run_once
+from repro.api import compare
 from repro.cluster import NetworkConfig, scaled_cluster
 from repro.core import improvement_percent
-from repro.harness import render_series, run_comparison
+from repro.harness import render_series
 from repro.harness.experiments import make_loaded_workload, make_problem
 from repro.workload import WorkloadConfig
 
@@ -31,7 +32,9 @@ def test_fig18_bandwidth(benchmark, report):
             # fewer PS shards than default so sync is a visible fraction
             net = NetworkConfig(ps_shards=1).with_bandwidth_gbps(gbps)
             cluster = scaled_cluster(NUM_GPUS, network=net)
-            results = run_comparison(cluster, jobs)
+            results = compare(
+                cluster=cluster, workload=jobs, trace=False
+            ).results
             for name, r in results.items():
                 series.setdefault(name, []).append(
                     r.plan_metrics.total_weighted_flow

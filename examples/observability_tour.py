@@ -25,7 +25,7 @@ It then tours the analysis stack on top of the raw events:
   on kernel-bench drift;
 * the **time-attribution engine** — per-job JCT decomposition into
   named causes and a cluster critical path (``repro explain``), here on
-  a crash-injected streaming run so fault recovery shows up in the
+  a crash-injected run so fault recovery shows up in the
   blame.
 
 Run:  python examples/observability_tour.py
@@ -156,13 +156,13 @@ def main() -> None:
 
     # ------------------------------------------------------------------
     # Time attribution: where did each job's completion time go? A
-    # streaming run with a GPU crash injected, decomposed per job and
+    # recorded run with a GPU crash injected, decomposed per job and
     # along the cluster critical path.
     # ------------------------------------------------------------------
     print("\n== Time attribution: why is my job slow? ==")
     crashed = run_experiment(
         gpus=8, jobs=10, scheduler="hare_online", seed=7,
-        rounds_scale=0.1, arrivals="streaming", record=True,
+        rounds_scale=0.1, record=True,
         crashes=[(2.0, 1)], replan_interval=2.0, trace=False,
     )
     report = crashed.attribution()

@@ -42,13 +42,11 @@ from .api import (
     compare,
     run_experiment,
 )
-from .harness.experiments import ExperimentResult, quick_compare, run_comparison
 
 __version__ = "1.0.0"
 
 __all__ = [
     "CompareResult",
-    "ExperimentResult",
     "ExperimentSpec",
     "RunResult",
     "__version__",
@@ -61,8 +59,6 @@ __all__ = [
     "harness",
     "kernel",
     "obs",
-    "quick_compare",
-    "run_comparison",
     "run_experiment",
     "schedulers",
     "sim",

@@ -69,10 +69,11 @@ from .workload.jobs import WorkloadConfig
 #: with a ``name`` key plus constructor options, or a built instance.
 SchedulerSpec = Union[str, Mapping, Scheduler]
 
-#: How arrivals reach the scheduler: ``"planned"`` gives the scheduler the
-#: whole instance up front (the paper's offline setting); ``"streaming"``
-#: feeds arrivals as events through the :mod:`repro.kernel` event loop and
-#: the scheduler participates as an incremental policy
+#: The arrival setting a run is labelled with in its manifest ``config``:
+#: ``"planned"`` (the paper's offline setting) or ``"streaming"``. It is
+#: validated and recorded but selects nothing — every run feeds arrivals
+#: as events through the :mod:`repro.kernel` event loop, with the
+#: scheduler as an incremental policy
 #: (:meth:`~repro.schedulers.base.Scheduler.make_policy`).
 ArrivalsMode = Literal["planned", "streaming"]
 
@@ -89,17 +90,17 @@ class ExperimentSpec:
 
     Bundles every experiment parameter into one frozen value: hashable,
     comparable, and checked for cross-field consistency at construction
-    (not halfway into a run) — ``heal``/``replan_interval``/``crashes``
-    require ``arrivals="streaming"``, and ``arrivals`` must name a known
-    mode. Mutable inputs (``workload``, ``crashes``) are normalized to
-    tuples so a spec never aliases caller state.
+    (not halfway into a run) — ``heal`` needs ``cells=1``, and
+    ``arrivals`` must name a known mode. ``arrivals`` is recorded in the
+    config but selects nothing: every run goes through the kernel.
+    Mutable inputs (``workload``, ``crashes``) are normalized to tuples
+    so a spec never aliases caller state.
 
-    :func:`run_experiment` accepts a spec positionally
-    (``run_experiment(spec)``) or builds one from its keyword arguments;
-    :func:`compare`, :func:`repro.sweep.sweep` and the CLI construct
-    specs internally, so every entry point funnels through the same
-    validation. :meth:`to_dict` is the manifest's ``config`` block and
-    :meth:`from_dict` reads one back.
+    :func:`run_experiment` and :func:`compare` accept a spec positionally
+    or build one from its fields as keyword arguments;
+    :func:`repro.sweep.sweep` and the CLI construct specs too, so every
+    entry point funnels through the same validation. :meth:`to_dict` is
+    the manifest's ``config`` block and :meth:`from_dict` reads one back.
     """
 
     gpus: int = 15
@@ -134,13 +135,6 @@ class ExperimentSpec:
                 f"arrivals must be one of {_ARRIVALS_MODES}, "
                 f"got {self.arrivals!r}"
             )
-        if self.arrivals != "streaming" and (
-            self.heal or self.replan_interval is not None or self.crashes
-        ):
-            raise ValueError(
-                "heal / replan_interval / crashes require "
-                "arrivals='streaming' (they act on the kernel event loop)"
-            )
         if self.cells < 1:
             raise ValueError(f"cells must be >= 1, got {self.cells}")
         if self.cell_strategy not in CELL_STRATEGIES:
@@ -152,11 +146,6 @@ class ExperimentSpec:
             raise ValueError(
                 f"admission must be one of {ADMISSION_POLICIES}, "
                 f"got {self.admission!r}"
-            )
-        if self.cells > 1 and self.arrivals != "streaming":
-            raise ValueError(
-                "cells > 1 requires arrivals='streaming' (cells run "
-                "per-cell scheduling kernels)"
             )
         if self.cells > 1 and self.heal:
             raise ValueError(
@@ -247,14 +236,14 @@ class RunResult:
     sim: SimResult | None
     obs: Obs
     config: dict
-    #: Kernel run details when ``arrivals="streaming"`` (else ``None``).
+    #: Kernel run details (``None`` only for :func:`simulate` results).
     kernel: KernelResult | None = None
     #: Monitor findings when the run was watched (``monitors=True``).
     diagnosis: DiagnosisReport | None = None
     #: Remediation log when the run self-healed (``heal=True``).
     remediation: RemediationLog | None = None
-    #: Cached attribution report (filled eagerly on recorded streaming
-    #: runs; computed lazily by :meth:`attribution` otherwise).
+    #: Cached attribution report (filled eagerly on recorded runs;
+    #: computed lazily by :meth:`attribution` otherwise).
     _attribution: AttributionReport | None = None
 
     # -- headline numbers ----------------------------------------------
@@ -377,10 +366,10 @@ class RunResult:
 
         Per-job JCT decomposition, cluster critical path, and per-cell
         residency as an :class:`~repro.obs.attrib.AttributionReport`
-        (schema ``repro.attrib/1``). Recorded streaming runs are
-        attributed from the kernel's ``kernel.round`` commit stream;
-        planned or unrecorded runs fall back to decomposing the
-        committed schedule directly. The report is cached.
+        (schema ``repro.attrib/1``). Recorded runs are attributed from
+        the kernel's ``kernel.round`` commit stream; unrecorded runs
+        fall back to decomposing the committed schedule directly. The
+        report is cached.
         """
         if self._attribution is not None:
             return self._attribution
@@ -500,28 +489,43 @@ class CompareResult:
 
 
 # ----------------------------------------------------------------------
-def _setup(
-    *,
-    gpus: int,
-    jobs: int,
-    seed: int,
-    load: float,
-    rounds_scale: float,
-    cluster: Cluster | None,
-    workload: Sequence[Job] | None,
-) -> tuple[Cluster, list[Job], ProblemInstance]:
+def _spec_from(
+    caller: str, spec: ExperimentSpec | None, kwargs: dict
+) -> ExperimentSpec:
+    """The spec a call describes: *spec* itself, or one built from the
+    keyword arguments (never both)."""
+    if spec is not None and kwargs:
+        raise TypeError(
+            f"{caller}() takes either an ExperimentSpec or keyword "
+            "arguments, not both"
+        )
+    if spec is None:
+        return ExperimentSpec(**kwargs)
+    if not isinstance(spec, ExperimentSpec):
+        raise TypeError(
+            f"{caller}() positional argument must be an "
+            f"ExperimentSpec, got {type(spec).__name__}"
+        )
+    return spec
+
+
+def _setup(spec: ExperimentSpec) -> tuple[Cluster, ProblemInstance]:
+    cluster = spec.cluster
     if cluster is None:
-        cluster = testbed_cluster() if gpus == 15 else scaled_cluster(gpus)
+        cluster = (
+            testbed_cluster() if spec.gpus == 15
+            else scaled_cluster(spec.gpus)
+        )
+    workload = spec.workload
     if workload is None:
         workload = make_loaded_workload(
-            jobs,
+            spec.jobs,
             reference_gpus=cluster.num_gpus,
-            load=load,
-            seed=seed,
-            config=WorkloadConfig(rounds_scale=rounds_scale),
+            load=spec.load,
+            seed=spec.seed,
+            config=WorkloadConfig(rounds_scale=spec.rounds_scale),
         )
-    workload = list(workload)
-    return cluster, workload, make_problem(cluster, workload)
+    return cluster, make_problem(cluster, list(workload))
 
 
 def _run_one(
@@ -549,9 +553,8 @@ def _run_one(
         # participates in diagnosis, ring-eviction-proof.
         attrib_engine = AttributionEngine(instance)
         obs.recorder.attach(attrib_engine)
-    kernel_result: KernelResult | None = None
     with use(obs):
-        if spec.arrivals == "streaming" and spec.cells > 1:
+        if spec.cells > 1:
             kernel_result = run_sharded(
                 instance,
                 sched,
@@ -562,8 +565,7 @@ def _run_one(
                 crashes=spec.crashes,
                 replan_interval=spec.replan_interval,
             )
-            plan = kernel_result.schedule
-        elif spec.arrivals == "streaming":
+        else:
             kernel_result = run_policy(
                 instance,
                 sched.make_policy(instance),
@@ -571,9 +573,7 @@ def _run_one(
                 replan_interval=spec.replan_interval,
                 heal=engine,
             )
-            plan = kernel_result.schedule
-        else:
-            plan = sched.plan(instance)
+        plan = kernel_result.schedule
         if spec.validate:
             validate_schedule(plan)
         sim = (
@@ -588,12 +588,7 @@ def _run_one(
         cluster=cluster,
         instance=instance,
         plan=plan,
-        # A kernel run already scored its own committed schedule.
-        plan_metrics=(
-            kernel_result.metrics
-            if kernel_result is not None
-            else metrics_from_schedule(plan)
-        ),
+        plan_metrics=kernel_result.metrics,
         sim=sim,
         obs=obs,
         config=config,
@@ -605,7 +600,7 @@ def _run_one(
         )
     if engine is not None:
         result.remediation = engine.log
-    if attrib_engine is not None and kernel_result is not None:
+    if attrib_engine is not None:
         result._attribution = attrib_engine.report()
         result._attribution.publish(obs.metrics)
     return result
@@ -629,11 +624,13 @@ def run_experiment(
     ``switch_mode`` switching costs; with ``trace`` the run records
     structured events exportable via :meth:`RunResult.write_trace`.
 
-    ``arrivals="streaming"`` runs the scheduler as an incremental policy
-    on the :mod:`repro.kernel` event loop — arrivals land as events, and
+    Every run drives the scheduler as an incremental policy on the
+    :mod:`repro.kernel` event loop — arrivals land as events, and
     :attr:`RunResult.kernel` carries the kernel's run statistics
-    (events, commitments, re-plans). With every arrival known and no
-    faults, the streaming metrics equal the planned ones.
+    (events, commitments, re-plans). Offline planners run through a
+    clairvoyant :class:`~repro.kernel.PlannedPolicy`, so their metrics
+    equal their plan's. ``arrivals`` is recorded in the manifest config
+    but selects nothing.
 
     ``record=True`` subscribes a flight recorder to the run
     (:attr:`Obs.recorder`, exportable via
@@ -641,40 +638,27 @@ def run_experiment(
     attaches the streaming invariant monitors and anomaly detectors and
     fills :attr:`RunResult.diagnosis` with their findings.
 
-    ``heal=True`` (streaming only) closes the loop: a
+    ``heal=True`` closes the loop: a
     :class:`repro.heal.RemediationEngine` watches the monitors' findings
     *during* the run and applies the mapped remediation actions —
     throttling re-plan storms, boosting starved jobs, forcing re-plans,
     quarantining SUSPECT GPUs. The applied actions land on
     :attr:`RunResult.remediation`. ``replan_interval`` arms the kernel's
     periodic ``REPLAN_TIMER`` and ``crashes`` injects permanent GPU
-    failures as ``(time, gpu)`` events — both streaming-only too.
+    failures as ``(time, gpu)`` events; a crash that hits a fixed plan's
+    committed work is a :class:`~repro.core.errors.SimulationError`
+    (use a re-planning scheme such as ``hare_online``).
 
-    ``cells > 1`` (streaming only) enables hierarchical cell-sharded
-    scheduling (:mod:`repro.cells`): the cluster is split by
-    ``cell_strategy``, each job is admitted to exactly one cell by the
-    ``admission`` policy, and one per-cell kernel runs per cell;
+    ``cells > 1`` enables hierarchical cell-sharded scheduling
+    (:mod:`repro.cells`): the cluster is split by ``cell_strategy``,
+    each job is admitted to exactly one cell by the ``admission``
+    policy, and one per-cell kernel runs per cell;
     :attr:`RunResult.kernel` is the merged
     :class:`~repro.cells.ShardedKernelResult`. ``cells=1`` is pinned
     byte-identical to the flat kernel path.
     """
-    if spec is not None and kwargs:
-        raise TypeError(
-            "run_experiment() takes either an ExperimentSpec or keyword "
-            "arguments, not both"
-        )
-    if spec is None:
-        spec = ExperimentSpec(**kwargs)
-    elif not isinstance(spec, ExperimentSpec):
-        raise TypeError(
-            "run_experiment() positional argument must be an "
-            f"ExperimentSpec, got {type(spec).__name__}"
-        )
-    cluster, workload, instance = _setup(
-        gpus=spec.gpus, jobs=spec.jobs, seed=spec.seed, load=spec.load,
-        rounds_scale=spec.rounds_scale, cluster=spec.cluster,
-        workload=spec.workload,
-    )
+    spec = _spec_from("run_experiment", spec, kwargs)
+    cluster, instance = _setup(spec)
     return _run_one(spec, cluster, instance, spec.to_dict())
 
 
@@ -725,53 +709,29 @@ def simulate(
 
 
 def compare(
+    spec: ExperimentSpec | None = None,
+    /,
     *,
-    gpus: int = 15,
-    jobs: int = 20,
     schedulers: Sequence[SchedulerSpec] | None = None,
-    seed: int = 0,
-    load: float = 1.5,
-    rounds_scale: float = 0.15,
-    simulate: bool = False,
-    switch_mode: SwitchMode = SwitchMode.HARE,
-    trace: bool = True,
-    validate: bool = True,
-    cluster: Cluster | None = None,
-    workload: Sequence[Job] | None = None,
-    arrivals: ArrivalsMode = "planned",
-    record: bool = False,
-    monitors: bool = False,
-    cells: int = 1,
-    cell_strategy: str = "balanced",
-    admission: str = "throughput",
+    **kwargs,
 ) -> CompareResult:
     """Run several schedulers on one shared workload.
 
+    Takes the same inputs as :func:`run_experiment` — an
+    :class:`ExperimentSpec` positionally or its fields as keywords —
+    plus ``schedulers``, which replaces the spec's ``scheduler``. Unlike
+    :func:`run_experiment`, keyword calls default to ``simulate=False``.
     Defaults to the paper's five compared schemes (Hare last). Each run
     gets a private tracer and registry; :meth:`CompareResult.write_trace`
     merges them into one Perfetto file with a process per scheduler.
-    ``arrivals="streaming"`` drives every scheme through the
-    :mod:`repro.kernel` event loop instead of offline planning; every
-    scheme's run is described by an :class:`ExperimentSpec` internally,
-    so the same construction-time validation applies.
     """
-    cluster, workload, instance = _setup(
-        gpus=gpus, jobs=jobs, seed=seed, load=load,
-        rounds_scale=rounds_scale, cluster=cluster, workload=workload,
-    )
-    schemes = list(schedulers) if schedulers is not None else list(
-        DEFAULT_SCHEMES
-    )
-    base = ExperimentSpec(
-        gpus=gpus, jobs=jobs, seed=seed, load=load,
-        rounds_scale=rounds_scale, simulate=simulate,
-        switch_mode=switch_mode, trace=trace, validate=validate,
-        cluster=cluster, workload=tuple(workload), arrivals=arrivals,
-        record=record, monitors=monitors,
-        cells=cells, cell_strategy=cell_strategy, admission=admission,
-    )
+    if spec is None:
+        kwargs.setdefault("simulate", False)
+    base = _spec_from("compare", spec, kwargs)
+    cluster, instance = _setup(base)
     config = base.to_dict()
     del config["scheduler"]
+    schemes = DEFAULT_SCHEMES if schedulers is None else schedulers
     results: dict[str, RunResult] = {}
     for scheme in schemes:
         run = _run_one(

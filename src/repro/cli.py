@@ -606,8 +606,9 @@ def cmd_explain(args: argparse.Namespace) -> int:
         if records and not report.jobs:
             print(
                 f"{args.flight_log}: {len(records)} records but no "
-                "kernel.round instants — attribution needs a streaming "
-                "run (repro record --arrivals streaming ...)",
+                "kernel.round instants — attribution needs a kernel "
+                "run's log (repro record ...), not an api.simulate or "
+                "repro chaos log",
                 file=sys.stderr,
             )
             return 2
@@ -636,7 +637,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
                 simulate=False,
                 trace=False,
                 arrivals=args.arrivals,
-                record=args.arrivals == "streaming",
+                record=True,
                 crashes=crashes,
                 replan_interval=args.replan_interval,
                 cells=getattr(args, "cells", 1),
@@ -973,12 +974,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="replay the plan on the DES with switch costs")
         p.add_argument("--arrivals", choices=("planned", "streaming"),
                        default="planned",
-                       help="planned = offline clairvoyant planning; "
-                            "streaming = feed arrivals as events through "
-                            "the scheduling kernel")
+                       help="arrival setting recorded in the run's "
+                            "config; every run feeds arrivals as events "
+                            "through the scheduling kernel")
         p.add_argument("--cells", type=int, default=1,
                        help="cell count for hierarchical sharded "
-                            "scheduling (streaming only); 1 = flat")
+                            "scheduling; 1 = flat")
         p.add_argument("--cell-strategy", choices=CELL_STRATEGIES,
                        default="balanced", dest="cell_strategy",
                        help="how the cluster is split into cells")
@@ -1112,13 +1113,12 @@ def build_parser() -> argparse.ArgumentParser:
              "two saved attributions",
     )
     add_workload_args(p_explain)
-    p_explain.set_defaults(arrivals="streaming")
     p_explain.add_argument("--scheduler", default="hare_online",
                            help="registry key (default: hare_online)")
     p_explain.add_argument("--crash", action="append", default=[],
                            metavar="TIME:GPU",
                            help="permanent GPU crash fed to the kernel "
-                                "(repeatable; streaming only)")
+                                "(repeatable)")
     p_explain.add_argument("--replan-interval", type=float, default=None,
                            help="periodic REPLAN_TIMER period (s)")
     p_explain.add_argument("--flight-log", metavar="JSONL",

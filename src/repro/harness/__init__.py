@@ -1,12 +1,9 @@
-"""Experiment harness: end-to-end runs, table rendering, result records."""
+"""Experiment harness: workload builders, table and report rendering."""
 
 from .experiments import (
-    ExperimentResult,
     make_loaded_workload,
     make_problem,
     make_workload,
-    quick_compare,
-    run_comparison,
 )
 from .gantt import GanttOptions, render_gantt, render_job_timeline
 from .report import PAPER_CLAIMS, Claim, Verdict, render_claims
@@ -15,18 +12,15 @@ from .tables import normalize_to, render_series, render_table
 __all__ = [
     "PAPER_CLAIMS",
     "Claim",
-    "ExperimentResult",
     "GanttOptions",
     "make_loaded_workload",
     "make_problem",
     "make_workload",
     "normalize_to",
-    "quick_compare",
     "render_series",
     "Verdict",
     "render_claims",
     "render_gantt",
     "render_job_timeline",
     "render_table",
-    "run_comparison",
 ]

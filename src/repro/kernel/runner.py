@@ -307,7 +307,9 @@ class SchedulingKernel:
         rebuilt from the surviving assignments; note gang-style
         ``gpu_release`` holds do not survive a rebuild — fault injection
         is exercised with re-planning policies, which release at
-        ``compute_end``.
+        ``compute_end``. A :class:`PlannedPolicy` cannot re-place a
+        retracted round, so a crash that would retract one raises
+        :class:`SimulationError` instead.
         """
         state = self.state
         state.alive.discard(gpu)
@@ -328,6 +330,13 @@ class SchedulingKernel:
                     break
             if cut is None:
                 continue
+            if isinstance(self.policy, PlannedPolicy):
+                raise SimulationError(
+                    f"{self.policy.name} runs a fixed plan and cannot "
+                    f"re-place job {job.job_id} round {cut}, committed "
+                    f"to GPU {gpu} which crashed at t={t:g}; use a "
+                    "re-planning scheme such as hare_online"
+                )
             for r in range(cut, done):
                 for task in job.round_tasks(r):
                     state.committed.assignments.pop(task, None)

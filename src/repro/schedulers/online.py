@@ -26,8 +26,8 @@ against offline Hare to price clairvoyance.
 :class:`OnlineHareScheduler` registers the policy with the scheduler
 registry; being natively online it has no offline ``schedule()`` — use
 :meth:`~repro.schedulers.base.Scheduler.plan` (which drives
-:meth:`make_policy` through the kernel) or the api's
-``arrivals="streaming"`` mode.
+:meth:`make_policy` through the kernel) or
+``repro.api.run_experiment(scheduler="hare_online")``.
 """
 
 from __future__ import annotations
@@ -248,7 +248,7 @@ class OnlineHareScheduler(Scheduler):
     The scheme is natively online, so there is no offline ``schedule()``;
     use :meth:`~repro.schedulers.base.Scheduler.plan` (which drives
     :meth:`make_policy` through the kernel with every arrival known) or
-    ``repro.api.run_experiment(..., arrivals="streaming")``.
+    ``repro.api.run_experiment(scheduler="hare_online")``.
     """
 
     relaxation: str | RelaxationSolver = "fluid"

@@ -178,11 +178,11 @@ def sweep(
     ``seeds`` may be a count (→ ``range(seeds)``) or an explicit sequence;
     ``scales`` are cluster GPU counts (15 selects the paper's testbed mix,
     as in :func:`repro.api.run_experiment`); ``cells`` is the sharded-
-    scheduling axis (:mod:`repro.cells` — values above 1 require
-    ``arrivals="streaming"``). ``workers <= 1`` runs the grid serially
-    in-process (still inside one planner scope). Grid cells are sharded
-    contiguously in seed-major order so one worker handles all
-    schedulers of a seed and its planner memo pays off.
+    scheduling axis (:mod:`repro.cells`); ``arrivals`` is recorded in
+    every grid cell's config but selects nothing. ``workers <= 1`` runs
+    the grid serially in-process (still inside one planner scope). Grid
+    cells are sharded contiguously in seed-major order so one worker
+    handles all schedulers of a seed and its planner memo pays off.
 
     Every grid cell is computed by the exact code path of a serial
     :func:`repro.api.run_experiment` call with the same arguments, so the

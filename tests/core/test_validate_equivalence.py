@@ -31,8 +31,8 @@ from repro.core import (
     validate_schedule,
 )
 from repro.core.errors import InfeasibleProblemError
-from repro.kernel import PlannedPolicy, SchedulingKernel, run_policy
-from repro.schedulers import HareScheduler, OnlineHarePolicy
+from repro.kernel import SchedulingKernel, run_policy
+from repro.schedulers import OnlineHarePolicy
 from repro.schedulers.registry import available, create
 from tests.core.oracles import (
     reference_completions,
@@ -302,11 +302,12 @@ def test_reference_kernel_retraction_is_seen(fig1_instance):
     """Validation after a crash retraction sees the retracted schedule.
 
     The committed schedule is checked, then the reference kernel's crash
-    retraction pops rounds from it; a view cached from the first check
+    retraction pops rounds from it (under a re-planning policy: a fixed
+    plan refuses the retraction); a view cached from the first check
     would still pass. The second check must fail on coverage exactly as
     the object-walk oracle does.
     """
-    kernel = SchedulingKernel(fig1_instance, PlannedPolicy(HareScheduler()))
+    kernel = SchedulingKernel(fig1_instance, OnlineHarePolicy())
     result = kernel.run()
     committed = result.schedule
     validate_schedule(committed)

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.cluster import scaled_cluster
-from repro.harness import make_problem, make_workload, quick_compare, run_comparison
+from repro.api import compare
+from repro.harness import make_problem, make_workload
 from repro.harness.experiments import job_min_work, make_loaded_workload
 from repro.schedulers import HareScheduler
 from repro.workload import WorkloadConfig
@@ -45,8 +45,12 @@ class TestLoadedWorkload:
 
 
 class TestRunComparison:
+    """:func:`repro.api.compare` on a supplied (cluster, workload) pair."""
+
     def test_all_schedulers_reported(self, testbed, small_workload):
-        results = run_comparison(testbed, small_workload)
+        results = compare(
+            cluster=testbed, workload=small_workload, trace=False
+        ).results
         assert set(results) == {
             "Gavel_FIFO", "SRTF", "Sched_Homo", "Sched_Allox", "Hare"
         }
@@ -57,23 +61,27 @@ class TestRunComparison:
 
     def test_simulation_toggle(self, testbed):
         jobs = make_workload(4, seed=9, config=WorkloadConfig(rounds_scale=0.05))
-        results = run_comparison(
-            testbed, jobs, schedulers=[HareScheduler()], simulate=True
-        )
+        results = compare(
+            cluster=testbed, workload=jobs, schedulers=[HareScheduler()],
+            simulate=True, trace=False,
+        ).results
         r = results["Hare"]
         assert r.sim is not None
         assert r.metrics is r.sim.metrics
 
     def test_subset_of_schedulers(self, testbed, small_workload):
-        results = run_comparison(
-            testbed, small_workload, schedulers=[HareScheduler()]
-        )
+        results = compare(
+            cluster=testbed, workload=small_workload,
+            schedulers=[HareScheduler()], trace=False,
+        ).results
         assert list(results) == ["Hare"]
 
 
 class TestQuickCompare:
     def test_returns_metrics(self):
-        out = quick_compare(num_jobs=5, num_gpus=6, seed=1, rounds_scale=0.05)
+        out = compare(
+            jobs=5, gpus=6, seed=1, rounds_scale=0.05, trace=False
+        ).summary()
         assert len(out) == 5
         for m in out.values():
             assert m.total_weighted_completion > 0

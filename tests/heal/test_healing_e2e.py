@@ -125,11 +125,17 @@ class TestChaosHealing:
 
 
 class TestApiSurface:
-    def test_run_experiment_heal_requires_streaming(self):
+    def test_run_experiment_heal_runs_under_planned_arrivals(self):
         from repro import api
 
-        with pytest.raises(ValueError, match="streaming"):
-            api.run_experiment(jobs=4, heal=True)
+        result = api.run_experiment(
+            gpus=4, jobs=4, rounds_scale=0.05, simulate=False, trace=False,
+            heal=True,
+        )
+        assert result.config["arrivals"] == "planned"
+        assert result.remediation is not None
+        with pytest.raises(ValueError, match="cells=1"):
+            api.run_experiment(jobs=4, heal=True, cells=2)
 
     def test_run_experiment_heal_fills_remediation(self):
         from repro import api

@@ -57,13 +57,14 @@ def _assert_sound(report, *, jobs):
 class TestAcceptanceSweep:
     """All registered schedulers × crashes × cells: invariant holds.
 
-    Planned (non-adaptive) policies cannot re-place rounds retracted by
-    a permanent GPU crash — the kernel raises
-    ``InfeasibleProblemError`` (queue drained with work left) or
-    ``SimulationError`` (stale plan re-offers a non-contiguous
-    round), which is documented kernel behavior, not an attribution
-    defect — so the crash leg skips a scheduler that cannot
-    complete the run.
+    Non-adaptive policies cannot recover from a permanent GPU crash
+    that hits their committed work: a fixed plan (``PlannedPolicy``)
+    raises ``SimulationError`` at the retraction, naming the job,
+    round, GPU and crash time and pointing to ``hare_online``; a gang
+    policy whose gang no longer fits raises ``InfeasibleProblemError``
+    (queue drained with work left). Both are documented kernel
+    behavior, not attribution defects, so the crash leg skips a
+    scheduler that cannot complete the run.
     """
 
     @pytest.mark.parametrize("name", sorted(available()))

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.cluster import make_cluster, testbed_cluster
+from repro.cluster import make_cluster
+from repro.cluster import testbed_cluster as _testbed_cluster
 from repro.core import Job, ProblemInstance, TaskRef, schedule_from_mapping, validate_schedule
 from repro.core.errors import ConfigurationError
 from repro.harness import make_workload
@@ -180,7 +181,7 @@ class TestFailureRecovery:
     def test_no_start_inside_restart_window_on_testbed(self):
         """Hare plans on the testbed, one failure per run on every GPU at
         five times: the failed GPU starts nothing until it restarts."""
-        cluster = testbed_cluster()
+        cluster = _testbed_cluster()
         jobs = make_workload(
             12, seed=3, config=WorkloadConfig(rounds_scale=0.1)
         )

@@ -4,7 +4,8 @@ import pytest
 
 from repro.cluster import make_cluster
 from repro.core import Job, SwitchMode, validate_schedule
-from repro.harness import make_workload, run_comparison
+from repro.api import compare
+from repro.harness import make_workload
 from repro.schedulers import HareScheduler, default_schedulers
 from repro.sim import ClusterSimulator, simulate_plan
 from repro.switching import SwitchCostModel
@@ -144,9 +145,11 @@ class TestAllSchedulersSimulate:
         )
 
 
-def test_run_comparison_with_simulation(testbed):
+def test_compare_with_simulation(testbed):
     jobs = make_workload(6, seed=3, config=WorkloadConfig(rounds_scale=0.06))
-    results = run_comparison(testbed, jobs, simulate=True)
-    for name, r in results.items():
+    comparison = compare(
+        cluster=testbed, workload=jobs, simulate=True, trace=False
+    )
+    for r in comparison:
         assert r.sim is not None
         assert r.sim.metrics.num_jobs == 6

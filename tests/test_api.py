@@ -7,7 +7,7 @@ from repro.api import CompareResult, RunResult, compare, run_experiment
 from repro.api import simulate as api_simulate
 from repro.cli import main
 from repro.obs import NullTracer, read_manifest, validate_chrome_trace
-from repro.schedulers import HareScheduler
+from repro.schedulers import HareScheduler, available
 
 SMALL = dict(gpus=4, jobs=3, seed=3, rounds_scale=0.05)
 
@@ -184,7 +184,8 @@ class TestGoldenTrace:
 
 
 class TestStreamingArrivals:
-    """``arrivals="streaming"`` drives schemes through repro.kernel."""
+    """Every run drives schemes through repro.kernel; ``arrivals`` is
+    a recorded label."""
 
     def test_kernel_result_populated(self):
         result = run_experiment(
@@ -195,19 +196,30 @@ class TestStreamingArrivals:
         assert result.kernel.commitments > 0
         assert result.config["arrivals"] == "streaming"
 
-    def test_planned_mode_has_no_kernel_result(self, hare_run):
-        assert hare_run.kernel is None
+    def test_planned_mode_runs_on_the_kernel(self, hare_run):
+        assert hare_run.kernel is not None
+        assert hare_run.kernel.commitments > 0
         assert hare_run.config["arrivals"] == "planned"
 
-    def test_streaming_metrics_match_planned_for_offline_scheme(
-        self, hare_run
-    ):
-        streamed = run_experiment(
-            scheduler="hare", arrivals="streaming", **SMALL
-        )
-        assert (
-            abs(streamed.weighted_jct - hare_run.weighted_jct) < 1e-9
-        )
+    def test_streaming_metrics_match_planned_for_offline_scheme(self):
+        """``arrivals`` only labels a run: for every registered scheme
+        both values commit the same schedule, replay to the same DES
+        metrics and attribute cleanly."""
+        for name in available():
+            planned, streamed = (
+                run_experiment(
+                    scheduler=name, arrivals=arrivals, trace=False,
+                    record=True, **SMALL,
+                )
+                for arrivals in ("planned", "streaming")
+            )
+            assert planned.plan_metrics == streamed.plan_metrics, name
+            assert planned.sim.metrics == streamed.sim.metrics, name
+            assert set(planned.plan.assignments.values()) == set(
+                streamed.plan.assignments.values()
+            ), name
+            for run in (planned, streamed):
+                assert run.attribution().check() == [], name
 
     def test_online_hare_streams_natively(self):
         result = run_experiment(
@@ -229,6 +241,34 @@ class TestStreamingArrivals:
     def test_invalid_mode_rejected(self):
         with pytest.raises(Exception, match="arrivals"):
             run_experiment(scheduler="hare", arrivals="later", **SMALL)
+
+
+class TestFixedPlanCrash:
+    """A crash that retracts a fixed plan's committed round fails at
+    the retraction, with a message naming what was lost."""
+
+    @pytest.mark.parametrize("arrivals", ["planned", "streaming"])
+    def test_retraction_raises_named_error(self, hare_run, arrivals):
+        from repro.core.errors import SimulationError
+
+        # Halfway through a task of Hare's last round: that round is
+        # committed by then and a fixed plan cannot re-place it.
+        task = max(
+            hare_run.plan.assignments.values(), key=lambda a: a.start
+        )
+        crash_t = (task.start + task.compute_end) / 2
+        with pytest.raises(SimulationError) as info:
+            run_experiment(
+                scheduler="hare", arrivals=arrivals, simulate=False,
+                trace=False, crashes=[(crash_t, task.gpu)], **SMALL,
+            )
+        message = str(info.value)
+        for part in (
+            "Hare", f"job {task.task.job_id}",
+            f"round {task.task.round_idx}", f"GPU {task.gpu}",
+            f"t={crash_t:g}", "hare_online",
+        ):
+            assert part in message
 
 
 class TestDiagnosisAndRecorder:
@@ -334,14 +374,38 @@ class TestExperimentSpec:
     def test_validation_happens_at_construction(self):
         from repro.api import ExperimentSpec
 
-        with pytest.raises(ValueError, match="streaming"):
-            ExperimentSpec(heal=True)
-        with pytest.raises(ValueError, match="streaming"):
-            ExperimentSpec(replan_interval=1.0)
-        with pytest.raises(ValueError, match="streaming"):
-            ExperimentSpec(crashes=[(1.0, 0)])
         with pytest.raises(ValueError, match="arrivals"):
             ExperimentSpec(arrivals="nope")
+        with pytest.raises(ValueError, match="cells=1"):
+            ExperimentSpec(heal=True, cells=2)
+
+    @pytest.mark.parametrize(
+        "extra", [{"cells": 2}, {"heal": True}], ids=["cells2", "heal"]
+    )
+    def test_planned_runs_take_kernel_options(self, extra):
+        result = run_experiment(
+            scheduler="hare", arrivals="planned", simulate=False,
+            trace=False, **extra, **SMALL,
+        )
+        assert result.kernel is not None
+        assert result.config["arrivals"] == "planned"
+        assert len(result.plan) == result.instance.num_tasks
+
+    def test_compare_takes_a_spec(self):
+        from repro.api import ExperimentSpec
+
+        spec = ExperimentSpec(simulate=False, trace=False, **SMALL)
+        via_spec = compare(spec, schedulers=("srtf", "hare"))
+        via_kwargs = compare(
+            schedulers=("srtf", "hare"), trace=False, **SMALL
+        )
+        assert via_spec.config == via_kwargs.config
+        assert via_spec.names == via_kwargs.names == ["SRTF", "Hare"]
+        for name in via_spec.names:
+            assert via_spec[name].kernel is not None
+            assert via_spec[name].weighted_jct == via_kwargs[name].weighted_jct
+        with pytest.raises(TypeError, match="not both"):
+            compare(spec, gpus=4)
 
     def test_unknown_kwarg_rejected(self):
         with pytest.raises(TypeError, match="bogus"):

@@ -283,19 +283,37 @@ class TestExplainCommand:
         assert "4 of 4 jobs" in text
         assert "compute" in text
 
-    def test_explain_planned_flight_log_exits_2_with_hint(
-        self, tmp_path, capsys
-    ):
-        # planned-arrival logs carry no kernel.round instants; the CLI
-        # must refuse loudly instead of printing an empty report
+    def test_explain_planned_flight_log_mode(self, tmp_path, capsys):
+        # planned arrivals run on the kernel too, so the default
+        # ``repro record`` log carries kernel.round instants
         log = tmp_path / "flight.jsonl"
         assert main(["record", *self.WORKLOAD, "--out", str(log)]) == 0
         capsys.readouterr()
         rc = main(["explain", "--flight-log", str(log)])
+        assert rc == 0
+        assert "4 of 4 jobs" in capsys.readouterr().out
+
+    def test_explain_log_without_kernel_rounds_exits_2_with_hint(
+        self, tmp_path, capsys
+    ):
+        # a DES-only replay records no kernel.round instants; the CLI
+        # must refuse loudly instead of printing an empty report
+        from repro.api import run_experiment, simulate
+
+        run = run_experiment(
+            gpus=4, jobs=4, seed=3, rounds_scale=0.1, simulate=False,
+            trace=False,
+        )
+        replay = simulate(
+            run.cluster, run.instance, run.plan, trace=False, record=True
+        )
+        log = replay.write_flight_log(tmp_path / "flight.jsonl")
+        rc = main(["explain", "--flight-log", str(log)])
         err = capsys.readouterr().err
         assert rc == 2
         assert "kernel.round" in err
-        assert "--arrivals streaming" in err
+        assert "repro record" in err
+        assert "--arrivals streaming" not in err
 
     def test_explain_diff_reproduces_delta(self, tmp_path, capsys):
         base = tmp_path / "base.json"

@@ -9,7 +9,7 @@ from repro.cluster.gpu import gpu_spec
 from repro.core import Job, ProblemInstance
 from repro.core.errors import ConfigurationError
 from repro.control import ControlPlane
-from repro.harness import quick_compare
+from repro.api import compare
 from repro.harness.experiments import make_loaded_workload
 from repro.schedulers import OnlineHareScheduler, TimeSliceScheduler
 from repro.workload import WorkloadConfig
@@ -43,10 +43,11 @@ class TestJobEstimates:
 
 class TestQuickCompareTestbedPath:
     def test_uses_testbed_for_15_gpus(self):
-        out = quick_compare(
-            num_jobs=4, num_gpus=15, seed=2, rounds_scale=0.04
+        comparison = compare(
+            jobs=4, gpus=15, seed=2, rounds_scale=0.04, trace=False
         )
-        assert "Hare" in out
+        assert "Hare" in comparison.results
+        assert comparison["Hare"].cluster.num_gpus == 15
 
 
 class TestControlPlaneWithExtensionSchedulers:
