@@ -645,9 +645,11 @@ def run_experiment(
     quarantining SUSPECT GPUs. The applied actions land on
     :attr:`RunResult.remediation`. ``replan_interval`` arms the kernel's
     periodic ``REPLAN_TIMER`` and ``crashes`` injects permanent GPU
-    failures as ``(time, gpu)`` events; a crash that hits a fixed plan's
-    committed work is a :class:`~repro.core.errors.SimulationError`
-    (use a re-planning scheme such as ``hare_online``).
+    failures as ``(time, gpu)`` events. Every scheduler recovers on the
+    kernel: the crash retracts the rounds the dead GPU would still run,
+    and the policy re-places them — online Hare re-plans as on any
+    event, a fixed plan re-plans its residual with its own planner, a
+    gang baseline restarts the job as a fresh gang.
 
     ``cells > 1`` enables hierarchical cell-sharded scheduling
     (:mod:`repro.cells`): the cluster is split by ``cell_strategy``,

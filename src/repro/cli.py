@@ -314,6 +314,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     rows = [
         ["jobs completed", len(result.completions)],
         ["permanent crashes", len(report.crashes)],
+        # One re-plan per crash inside the run; a crash at or after the
+        # last completion is detected but recovers nothing.
+        ["  after the last completion", len(report.crashes) - report.replans],
         ["re-plans", report.replans],
         ["mean detection latency (s)",
          (sum(report.detection_latencies) / len(report.detection_latencies))
@@ -607,8 +610,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
             print(
                 f"{args.flight_log}: {len(records)} records but no "
                 "kernel.round instants — attribution needs a kernel "
-                "run's log (repro record ...), not an api.simulate or "
-                "repro chaos log",
+                "run's log (repro record or a recorded repro chaos "
+                "run), not an api.simulate replay's",
                 file=sys.stderr,
             )
             return 2

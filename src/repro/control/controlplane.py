@@ -19,28 +19,26 @@ run generated.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from ..cluster.cluster import Cluster
 from ..core.errors import SimulationError
 from ..core.job import Job, ProblemInstance
-from ..core.metrics import ScheduleMetrics, metrics_from_completions
-from ..core.schedule import Schedule, TaskAssignment, validate_schedule
+from ..core.metrics import ScheduleMetrics
+from ..core.schedule import Schedule, validate_schedule
 from ..core.types import SwitchMode, TaskRef
-from ..faults.detector import DetectionResult, HeartbeatConfig, run_detection
-from ..faults.recovery import (
-    ChaosTelemetry,
-    RecoveryReport,
-    committed_rounds,
-    survivor_cluster,
-)
+from ..faults.detector import HeartbeatConfig, run_detection
+from ..faults.recovery import ChaosTelemetry, RecoveryReport
 from ..faults.retry import RetryPolicy
 from ..faults.scenario import FaultScenario
-from ..kernel.residual import ResidualPlanner
+from ..kernel.residual import planner_scope
+from ..kernel.runner import KernelResult, run_policy
+from ..kernel.state import KernelCrash
 from ..obs import Category, current as obs_current
 from ..obs.context import DISABLED, use as obs_use
 from ..schedulers import HareScheduler, Scheduler
-from ..sim.simulator import ClusterSimulator, SimResult, simulate_plan
+from ..sim.simulator import SimResult, simulate_plan
 from ..workload.models import spec_or_synthetic
 from ..workload.profiler import TaskProfiler, build_instance
 from .messages import (
@@ -67,6 +65,26 @@ CTRL_TRACK = "controlplane"
 
 def executor_endpoint(gpu_id: int) -> str:
     return f"executor-{gpu_id}"
+
+
+def _sequence_message(gpu_id: int, seq) -> TaskSequence:
+    """One executor's ordered task list, serialized for the wire."""
+    return TaskSequence(
+        gpu_id=gpu_id,
+        tasks=tuple(
+            to_wire(
+                PlannedTask(
+                    job_id=a.task.job_id,
+                    round_idx=a.task.round_idx,
+                    slot=a.task.slot,
+                    start=a.start,
+                    train_time=a.train_time,
+                    sync_time=a.sync_time,
+                )
+            )
+            for a in seq
+        ),
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,7 +136,6 @@ class ControlPlane:
     store: BlobStore = field(default_factory=BlobStore)
     profiler: TaskProfiler | None = None
     checkpoint_interval: int = 10
-    _jobs: list[Job] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.transport.register(UPPER)
@@ -169,6 +186,26 @@ class ControlPlane:
         jobs.sort(key=lambda j: j.job_id)
         return jobs
 
+    def _checkpoints(self, job: Job) -> CheckpointManager:
+        return CheckpointManager(
+            store=self.store,
+            job_id=job.job_id,
+            model_bytes=spec_or_synthetic(job.model).model_bytes,
+            interval=self.checkpoint_interval,
+        )
+
+    def _plan(self, instance: ProblemInstance, *, muted=False) -> Schedule:
+        """The scheduler's plan, timed on the control-plane track."""
+        obs = obs_current()
+        with obs.tracer.timed(
+            Category.CTRL,
+            "plan",
+            track=CTRL_TRACK,
+            scheduler=self.scheduler.name,
+            hist=obs.metrics.histogram("ctrl.plan_s"),
+        ), obs_use(DISABLED if muted else obs):
+            return self.scheduler.plan(instance)
+
     # ------------------------------------------------------------------
     def run(self) -> ControlPlaneResult:
         """Execute the full Fig. 9 pipeline for the submitted jobs."""
@@ -177,34 +214,12 @@ class ControlPlane:
         if not jobs:
             raise SimulationError("no jobs submitted")
         instance = build_instance(jobs, self.cluster, profiler=self.profiler)
-        with obs.tracer.timed(
-            Category.CTRL,
-            "plan",
-            track=CTRL_TRACK,
-            scheduler=self.scheduler.name,
-            hist=obs.metrics.histogram("ctrl.plan_s"),
-        ):
-            plan = self.scheduler.plan(instance)
+        plan = self._plan(instance)
 
         # Ship sequences to executors; collect acks.
         acks: list[SequenceAck] = []
         for gpu_id, seq in sorted(plan.gpu_sequences().items()):
-            message = TaskSequence(
-                gpu_id=gpu_id,
-                tasks=tuple(
-                    to_wire(
-                        PlannedTask(
-                            job_id=a.task.job_id,
-                            round_idx=a.task.round_idx,
-                            slot=a.task.slot,
-                            start=a.start,
-                            train_time=a.train_time,
-                            sync_time=a.sync_time,
-                        )
-                    )
-                    for a in seq
-                ),
-            )
+            message = _sequence_message(gpu_id, seq)
             endpoint = executor_endpoint(gpu_id)
             self.transport.send(SCHEDULER, endpoint, message)
             (delivery,) = self.transport.drain(endpoint)
@@ -225,15 +240,7 @@ class ControlPlane:
         gradient_pushes = 0
         model_updates = 0
         checkpoint_bytes = 0.0
-        managers = {
-            job.job_id: CheckpointManager(
-                store=self.store,
-                job_id=job.job_id,
-                model_bytes=spec_or_synthetic(job.model).model_bytes,
-                interval=self.checkpoint_interval,
-            )
-            for job in jobs
-        }
+        managers = {job.job_id: self._checkpoints(job) for job in jobs}
         # Build the full PS traffic timeline first (gradient pushes as
         # tasks sync; model updates/checkpoints as round barriers open),
         # then replay it in global time order — the transport clock is
@@ -332,39 +339,22 @@ class ControlPlane:
     # Chaos: the fault-injected pipeline
     # ------------------------------------------------------------------
     def _ship(
-        self,
-        plan: Schedule,
-        gpu_map: list[int],
-        policy: RetryPolicy,
-        *,
-        at: float,
+        self, schedule: Schedule, policy: RetryPolicy, *, at: float
     ) -> list[SequenceAck]:
-        """Ship every GPU's task sequence over the (unreliable) wire.
+        """Ship every GPU's tasks starting at or after *at* over the
+        (unreliable) wire.
 
         Each sequence rides :meth:`SimTransport.send_with_retry`; if a whole
         retry cycle times out (e.g. a partition outlasts the backoff span)
         the scheduler starts a fresh cycle, up to a hard cap.
         """
         acks: list[SequenceAck] = []
-        for local_gpu, seq in sorted(plan.gpu_sequences().items()):
-            global_gpu = gpu_map[local_gpu]
-            endpoint = executor_endpoint(global_gpu)
-            message = TaskSequence(
-                gpu_id=global_gpu,
-                tasks=tuple(
-                    to_wire(
-                        PlannedTask(
-                            job_id=a.task.job_id,
-                            round_idx=a.task.round_idx,
-                            slot=a.task.slot,
-                            start=a.start,
-                            train_time=a.train_time,
-                            sync_time=a.sync_time,
-                        )
-                    )
-                    for a in seq
-                ),
-            )
+        for gpu_id, seq in sorted(schedule.gpu_sequences().items()):
+            seq = [a for a in seq if a.start >= at]
+            if not seq:
+                continue
+            endpoint = executor_endpoint(gpu_id)
+            message = _sequence_message(gpu_id, seq)
             t = max(at, self.transport.now)
             cycles = 8
             for _ in range(cycles):
@@ -380,7 +370,7 @@ class ControlPlane:
                     f"{cycles * policy.max_attempts} send attempts"
                 )
             self.transport.drain(endpoint)  # consume (incl. duplicates)
-            acks.append(SequenceAck(gpu_id=global_gpu, num_tasks=len(seq)))
+            acks.append(SequenceAck(gpu_id=gpu_id, num_tasks=len(seq)))
         return acks
 
     def run_chaos(
@@ -394,15 +384,28 @@ class ControlPlane:
         """Execute the pipeline under injected faults, recovering as needed.
 
         The happy path matches :meth:`run`: plan, ship sequences, execute.
-        On top of it the scenario may drop RPCs (sequences are then shipped
-        with retry/backoff), slow GPUs down, restart them transiently — and
-        crash them permanently. Each permanent crash triggers the recovery
-        pipeline: lease-based detection from heartbeats, rollback of
-        affected jobs to their latest blob-store checkpoint (paying the
-        restore read and losing the rounds since it), residual re-planning
-        on the surviving GPUs, and re-shipped sequences. The committed
-        pre-failure prefix and every recovery phase stitch into one global
-        realized schedule, validated against the paper's constraints.
+        On top of it the scenario may drop RPCs (sequences then ship with
+        retry/backoff), slow GPUs down, restart them transiently — and
+        crash them permanently. Recovery is three steps (DESIGN.md §9):
+
+        1. **detection**: per crash, in time order, heartbeats from the
+           previous detection until the lease expires; the affected jobs'
+           restores and the re-planned sequences ship at the detection,
+           before the next crash's heartbeats go out. Re-plan *k* comes
+           from a muted kernel run with crashes 1..k (the kernel is
+           deterministic: it equals the full run up to detection *k + 1*).
+           A crash at or after that run's last completion falls outside
+           the run: it is detected from a one-lease window of heartbeats
+           and never re-planned;
+        2. **one kernel run** of the scheduler's own policy, each crash a
+           :class:`~repro.kernel.state.KernelCrash`: retraction at the
+           physical crash time, applied at the detection, affected jobs
+           rolled back to their newest checkpoint and ready after the
+           restore read;
+        3. **one DES replay** of that run with the scenario's restarts and
+           slowdowns, re-planned tasks released no earlier than their
+           detection (and restore): the realized schedule, metrics,
+           completions and checkpoint writes.
 
         Per-task PS gradient replay is skipped in chaos mode: recovery
         control traffic (heartbeats, restores, sequences) must stay in
@@ -412,11 +415,10 @@ class ControlPlane:
         *heal* is an optional :class:`repro.heal.RemediationEngine`
         (duck-typed — this module never imports ``repro.heal``). When
         given, it is attached to the ambient flight recorder so it sees
-        every record as it lands, its quarantine set is honoured at each
-        residual re-plan (advisory: ignored when excluding SUSPECT GPUs
-        would leave fewer survivors than the widest unfinished job
-        needs), and its :class:`~repro.heal.actions.RemediationLog` is
-        returned on :attr:`ChaosResult.remediation`.
+        every record as it lands, each re-plan honours its quarantine set
+        as of that crash's detection (advisory: feasibility wins), and its
+        :class:`~repro.heal.actions.RemediationLog` is returned on
+        :attr:`ChaosResult.remediation`.
         """
         obs = obs_current()
         heartbeat = heartbeat or HeartbeatConfig()
@@ -425,7 +427,6 @@ class ControlPlane:
         if not jobs:
             raise SimulationError("no jobs submitted")
         scenario.validate(self.cluster.num_gpus)
-        jobs_by_id = {job.job_id: job for job in jobs}
         instance = build_instance(jobs, self.cluster, profiler=self.profiler)
         if heal is not None:
             if getattr(heal, "instance", None) is None:
@@ -433,19 +434,24 @@ class ControlPlane:
             recorder = getattr(obs, "recorder", None)
             if recorder is not None and heal not in recorder.monitors:
                 recorder.attach(heal)
-        with obs.tracer.timed(
-            Category.CTRL,
-            "plan",
-            track=CTRL_TRACK,
-            scheduler=self.scheduler.name,
-            hist=obs.metrics.histogram("ctrl.plan_s"),
-        ):
-            plan = self.scheduler.plan(instance)
+        model_bytes = {
+            job.job_id: spec_or_synthetic(job.model).model_bytes
+            for job in jobs
+        }
+        restore_s = {
+            j: self.store.read_time(b) for j, b in model_bytes.items()
+        }
 
-        # Failure-free reference run (reliable wire) for degradation
-        # metrics. Muted: it is a counterfactual, and its spans would
-        # overlap the real phases on the same GPU tracks, tripping the
-        # double-booking invariant and inflating sim.* metrics.
+        def recover(crashes: list[KernelCrash]) -> KernelResult:
+            return run_policy(
+                instance, self.scheduler.make_policy(instance),
+                crashes=crashes,
+            )
+
+        # The failure-free plan and its reference run (reliable wire) for
+        # degradation metrics. Muted: they are counterfactuals — the
+        # recovered kernel run below is the one the recorder sees.
+        plan = self._plan(instance, muted=True)
         with obs_use(DISABLED):
             baseline = simulate_plan(
                 self.cluster, instance, plan, switch_mode=self.switch_mode
@@ -454,297 +460,94 @@ class ControlPlane:
         # Arm the unreliable wire; every send below may drop.
         self.transport.faults = scenario.network()
         telemetry = ChaosTelemetry()
-        managers = {
-            job.job_id: CheckpointManager(
-                store=self.store,
-                job_id=job.job_id,
-                model_bytes=spec_or_synthetic(job.model).model_bytes,
-                interval=self.checkpoint_interval,
-            )
-            for job in jobs
-        }
-        rounds_done = {job.job_id: 0 for job in jobs}
-        ready_at = {job.job_id: job.arrival for job in jobs}
-        checkpointed = {job.job_id: 0 for job in jobs}
-        checkpoint_bytes = 0.0
-        committed: dict[tuple[int, int], list[TaskAssignment]] = {}
-        completions: dict[int, float] = {}
-
-        cur_cluster = self.cluster
-        # Residual re-planning runs on the kernel's re-plan path: cached
-        # residual construction plus kernel.* latency observability.
-        planner = ResidualPlanner(instance)
-        gpu_map = list(range(instance.num_gpus))  # local → global GPU id
-        cur_instance, cur_plan = instance, plan
-        id_map = [(job.job_id, 0) for job in jobs]  # local → (global, offset)
+        acks = self._ship(plan, retry, at=0.0)
+        crashes: list[KernelCrash] = []
         dead: set[int] = set()
-
-        def bind_resolver() -> None:
-            """Point the engine's job resolver at the *current* id_map so
-            starvation findings (local residual job ids) boost the right
-            global job."""
-            if heal is None:
-                return
-            heal.job_resolver = (
-                lambda j, _m=id_map: _m[j][0] if 0 <= j < len(_m) else None
-            )
-
-        def survivors_excluding_quarantine() -> set[int]:
-            """Dead GPUs plus the engine's quarantined ones — unless that
-            would leave fewer survivors than the widest unfinished job
-            needs (quarantine is advisory; feasibility wins)."""
-            excluded = set(dead)
-            quarantined = (
-                set(getattr(heal, "quarantined", ()) or ())
-                if heal is not None
-                else set()
-            )
-            quarantined -= excluded
-            if not quarantined:
-                return excluded
-            min_scale = max(
-                (
-                    jobs_by_id[g].sync_scale
-                    for g in rounds_done
-                    if rounds_done[g] < jobs_by_id[g].num_rounds
-                ),
-                default=1,
-            )
-            if instance.num_gpus - len(excluded | quarantined) >= min_scale:
-                excluded |= quarantined
-            return excluded
-
-        bind_resolver()
-        phase_start = 0.0
-        all_windows = scenario.slowdown_windows()
-        all_restarts = scenario.restart_failures()
-
-        def local_faults(
-            t0: float,
-        ) -> tuple[list[tuple[float, float, int, float]], list[tuple[float, int]]]:
-            """Slowdowns/restarts still relevant to the current phase,
-            re-indexed to the surviving cluster's local GPU ids."""
-            windows = [
-                (s, e, gpu_map.index(g), f)
-                for s, e, g, f in all_windows
-                if g in gpu_map and e > t0
-            ]
-            restarts = [
-                (t, gpu_map.index(g))
-                for t, g in all_restarts
-                if g in gpu_map and t >= t0
-            ]
-            return windows, restarts
-
-        def commit_records(phase: SimResult) -> None:
-            """Keep records of committed rounds; the rest is lost work."""
-            for rec in phase.telemetry.records:
-                g, offset = id_map[rec.task.job_id]
-                global_round = offset + rec.task.round_idx
-                if global_round < rounds_done[g]:
-                    committed.setdefault((g, global_round), []).append(
-                        TaskAssignment(
-                            task=TaskRef(g, global_round, rec.task.slot),
-                            gpu=gpu_map[rec.gpu],
-                            start=rec.start,
-                            train_time=rec.train_time,
-                            sync_time=rec.sync_time,
-                        )
-                    )
-                else:
-                    telemetry.lost_work_s += rec.train_time
-            telemetry.lost_work_s += phase.telemetry.wasted_compute_s
-
-        acks = self._ship(cur_plan, gpu_map, retry, at=0.0)
-
-        for crash in scenario.ordered_crashes():
-            # 1. Lease-based detection from heartbeats over the flaky wire.
-            alive = [g for g in range(instance.num_gpus) if g not in dead]
-            detection = run_detection(
-                self.transport,
-                alive,
-                crash,
-                scenario,
-                cfg=heartbeat,
-                start=phase_start,
-                endpoint_of=executor_endpoint,
-                scheduler_endpoint=SCHEDULER,
-            )
-            telemetry.detections.append(detection)
-            t_dead = detection.detected_at
-
-            # 2. Freeze the running phase at the detection time with the
-            # crash physically injected.
-            local_crash = gpu_map.index(crash.gpu_id)
-            windows, restarts = local_faults(phase_start)
-            phase = ClusterSimulator(
-                cluster=cur_cluster,
-                instance=cur_instance,
-                switch_mode=self.switch_mode,
-                failures=restarts,
-                permanent_failures=[
-                    (max(crash.time, phase_start), local_crash)
-                ],
-                slowdowns=windows,
-            ).run(cur_plan, stop_at=t_dead)
-
-            # Which local rounds had work planned on the dead GPU?
-            on_dead: dict[int, set[int]] = {}
-            for a in cur_plan.assignments.values():
-                if a.gpu == local_crash:
-                    on_dead.setdefault(a.task.job_id, set()).add(
-                        a.task.round_idx
-                    )
-
-            # 3. Commit completed rounds (checkpoints stream as barriers
-            # open — the PS survives the crash); roll affected jobs back
-            # to their newest checkpoint.
-            for local_id, (g, offset) in enumerate(id_map):
-                local_job = cur_instance.jobs[local_id]
-                comp = committed_rounds(
-                    phase.pool, local_id, local_job.num_rounds
+        last_completion, t_dead = plan.makespan(), 0.0
+        with planner_scope():
+            for crash in scenario.ordered_crashes():
+                outside = crash.time >= last_completion
+                alive = [g for g in range(instance.num_gpus) if g not in dead]
+                detection = run_detection(
+                    self.transport, alive, crash, scenario, cfg=heartbeat,
+                    start=(
+                        max(t_dead, crash.time - heartbeat.lease_s)
+                        if outside else t_dead
+                    ),
+                    endpoint_of=executor_endpoint,
+                    scheduler_endpoint=SCHEDULER,
                 )
-                for r in range(comp):
-                    barrier = phase.pool.barrier_time(local_id, r)
-                    meta = managers[g].maybe_checkpoint(offset + r, at=barrier)
-                    if meta is not None:
-                        checkpoint_bytes += meta.size_bytes
-                        checkpointed[g] = offset + r + 1
-                candidate = offset + comp
-                affected = any(
-                    r >= comp for r in on_dead.get(local_id, ())
-                )
-                if affected:
-                    target = checkpointed[g]
-                    restore_s = 0.0
-                    if target > 0:
-                        meta = managers[g].restore_latest()
-                        restore_s = managers[g].restore_time(meta)
-                        telemetry.checkpoint_bytes_restored += meta.size_bytes
-                        telemetry.restore_reads += 1
-                        telemetry.restore_time_s += restore_s
-                        obs.metrics.counter("ctrl.restores").inc()
-                        if obs.enabled:
-                            obs.tracer.instant(
-                                Category.CTRL,
-                                f"restore job {g}",
-                                track=CTRL_TRACK,
-                                time=t_dead,
-                                job=g,
-                                version=meta.version,
-                            )
-                        self.transport.send(
-                            PS,
-                            SCHEDULER,
-                            CheckpointRestored(
-                                job_id=g,
-                                version=meta.version,
-                                round_idx=target - 1,
-                                time=t_dead,
-                                data_bytes=meta.size_bytes,
-                            ),
-                            at=max(t_dead, self.transport.now),
-                        )
-                    telemetry.record_lost_round(g, candidate - target)
-                    # Rounds committed in *earlier* phases may roll back too.
-                    for r in range(target, offset):
-                        for a in committed.pop((g, r), []):
-                            telemetry.lost_work_s += a.train_time
-                    rounds_done[g] = target
-                    ready_at[g] = t_dead + restore_s
-                else:
-                    rounds_done[g] = candidate
-                    ready_at[g] = t_dead
-                if rounds_done[g] == jobs_by_id[g].num_rounds:
-                    completions[g] = phase.pool.completion_time(local_id)
-                    final_meta = managers[g].final_checkpoint(
-                        at=completions[g]
+                telemetry.detections.append(detection)
+                t_dead = detection.detected_at
+                dead.add(crash.gpu_id)
+                if outside:
+                    continue
+                held = None if heal is None else frozenset(heal.quarantined)
+                crashes.append(
+                    KernelCrash(
+                        time=crash.time, gpu=crash.gpu_id, detected_at=t_dead,
+                        checkpoint_interval=self.checkpoint_interval,
+                        restore_s=restore_s, quarantined=held,
                     )
-                    checkpoint_bytes += final_meta.size_bytes
-            commit_records(phase)
-
-            # 4. Re-plan the residual workload on the survivors (minus
-            # any feasibly-quarantinable SUSPECT GPUs the engine flagged).
-            dead.add(crash.gpu_id)
-            cur_cluster, gpu_map = survivor_cluster(
-                self.cluster, survivors_excluding_quarantine()
-            )
-            residual, id_map = planner.residual(
-                jobs, rounds_done, ready_at, gpu_subset=gpu_map,
-                weight_boost=(
-                    dict(heal.boosts) if heal is not None and heal.boosts
-                    else None
-                ),
-            )
-            bind_resolver()
-            phase_start = t_dead
-            if residual is None:
-                cur_plan = None
-                break
-            cur_instance = residual
-            # The epoch mark must precede the re-plan: schedulers that
-            # drive the kernel internally emit kernel.commit instants for
-            # the residual's renumbered job ids, and monitors key their
-            # per-job state reset off this instant.
-            if obs.enabled:
-                obs.tracer.instant(
+                )
+                survivors = instance.num_gpus - len(dead)
+                if obs.enabled:
+                    obs.tracer.instant(
+                        Category.CTRL,
+                        f"replan after gpu {crash.gpu_id} crash",
+                        track=CTRL_TRACK,
+                        time=t_dead,
+                        dead_gpu=crash.gpu_id,
+                        survivors=survivors,
+                    )
+                with obs.tracer.timed(
                     Category.CTRL,
-                    f"replan after gpu {crash.gpu_id} crash",
+                    "replan",
                     track=CTRL_TRACK,
-                    time=t_dead,
-                    dead_gpu=crash.gpu_id,
-                    survivors=len(gpu_map),
+                    survivors=survivors,
+                    hist=obs.metrics.histogram("ctrl.plan_s"),
+                ), obs_use(DISABLED):
+                    recovered = recover(crashes)
+                last_completion = recovered.metrics.makespan
+                for r in recovered.retractions:
+                    if r.gpu == crash.gpu_id and r.rounds_done:
+                        self._announce_restore(r, model_bytes[r.job])
+                telemetry.replans += 1
+                obs.metrics.counter("ctrl.replans").inc()
+                acks.extend(
+                    self._ship(recovered.schedule, retry, at=t_dead)
                 )
-            with obs.tracer.timed(
-                Category.CTRL,
-                "replan",
-                track=CTRL_TRACK,
-                survivors=len(gpu_map),
-                hist=obs.metrics.histogram("ctrl.plan_s"),
-            ):
-                cur_plan = planner.plan(self.scheduler, residual)
-            telemetry.replans += 1
-            obs.metrics.counter("ctrl.replans").inc()
-            acks.extend(self._ship(cur_plan, gpu_map, retry, at=t_dead))
 
-        # 5. Run the last plan to completion (no further crashes).
-        if cur_plan is not None:
-            windows, restarts = local_faults(phase_start)
-            final = ClusterSimulator(
-                cluster=cur_cluster,
-                instance=cur_instance,
-                switch_mode=self.switch_mode,
-                failures=restarts,
-                slowdowns=windows,
-            ).run(cur_plan)
-            for local_id, (g, offset) in enumerate(id_map):
-                local_job = cur_instance.jobs[local_id]
-                for r in range(local_job.num_rounds):
-                    barrier = final.pool.barrier_time(local_id, r)
-                    meta = managers[g].maybe_checkpoint(offset + r, at=barrier)
-                    if meta is not None:
-                        checkpoint_bytes += meta.size_bytes
-                        checkpointed[g] = offset + r + 1
-                rounds_done[g] = offset + local_job.num_rounds
-                completions[g] = final.pool.completion_time(local_id)
-                final_meta = managers[g].final_checkpoint(at=completions[g])
-                checkpoint_bytes += final_meta.size_bytes
-            commit_records(final)
-
-        # 6. Stitch committed prefix + recovery phases into one schedule.
-        realized = Schedule(instance)
-        for assigns in committed.values():
-            for a in assigns:
-                realized.add(a)
-        validate_schedule(realized, check_durations=False)
-        makespan = max(
-            (a.end for a in realized.assignments.values()), default=0.0
+            # The one recovered run the recorder sees, then its replay.
+            final = recover(crashes)
+        for r in final.retractions:
+            telemetry.record_retraction(r, model_bytes[r.job])
+        sim = simulate_plan(
+            self.cluster,
+            instance,
+            final.schedule,
+            switch_mode=self.switch_mode,
+            failures=scenario.restart_failures(),
+            slowdowns=scenario.slowdown_windows(),
+            releases=_releases(final, [c.detected_at for c in crashes]),
         )
-        metrics = metrics_from_completions(
-            jobs, completions, makespan=makespan
-        )
+        validate_schedule(sim.realized, check_durations=False)
+        completions = {
+            job.job_id: sim.pool.completion_time(job.job_id) for job in jobs
+        }
+        checkpoint_bytes = 0.0
+        for job in jobs:
+            manager = self._checkpoints(job)
+            for r in range(job.num_rounds):
+                meta = manager.maybe_checkpoint(
+                    r, at=sim.pool.barrier_time(job.job_id, r)
+                )
+                checkpoint_bytes += meta.size_bytes if meta else 0.0
+            checkpoint_bytes += manager.final_checkpoint(
+                at=completions[job.job_id]
+            ).size_bytes
 
-        # 7. Notify the upper layer, in completion order.
+        # Notify the upper layer, in completion order.
         job_completions: list[JobCompleted] = []
         for g, time in sorted(completions.items(), key=lambda kv: kv[1]):
             message = JobCompleted(job_id=g, completion_time=time)
@@ -763,9 +566,9 @@ class ControlPlane:
         report = telemetry.report(
             crashes=tuple(scenario.ordered_crashes()),
             failure_free_weighted_jct=baseline.metrics.total_weighted_completion,
-            degraded_weighted_jct=metrics.total_weighted_completion,
+            degraded_weighted_jct=sim.metrics.total_weighted_completion,
             failure_free_makespan=baseline.metrics.makespan,
-            degraded_makespan=makespan,
+            degraded_makespan=sim.metrics.makespan,
         )
         self.transport.faults = None  # disarm the wire
         if heal is not None:
@@ -774,8 +577,8 @@ class ControlPlane:
             instance=instance,
             plan=plan,
             baseline=baseline,
-            realized=realized,
-            metrics=metrics,
+            realized=sim.realized,
+            metrics=sim.metrics,
             completions=completions,
             report=report,
             acks=tuple(acks),
@@ -786,3 +589,46 @@ class ControlPlane:
             payload_bytes=stats.payload_bytes,
             remediation=heal.log if heal is not None else None,
         )
+
+    def _announce_restore(self, retraction, size: float) -> None:
+        """The parameter server restores a rolled-back job's newest
+        checkpoint at its crash's detection."""
+        obs = obs_current()
+        t, job = retraction.time, retraction.job
+        version = retraction.rounds_done // self.checkpoint_interval
+        obs.metrics.counter("ctrl.restores").inc()
+        if obs.enabled:
+            obs.tracer.instant(
+                Category.CTRL, f"restore job {job}", track=CTRL_TRACK,
+                time=t, job=job, version=version,
+            )
+        message = CheckpointRestored(
+            job_id=job, version=version, round_idx=retraction.rounds_done - 1,
+            time=t, data_bytes=size,
+        )
+        self.transport.send(
+            PS, SCHEDULER, message, at=max(t, self.transport.now)
+        )
+
+
+def _releases(
+    run: KernelResult, detections: list[float]
+) -> dict[TaskRef, float]:
+    """When each task of a recovered run reaches its executor: a task
+    planned at or after a detection shipped with that re-plan, and the
+    rounds a job re-runs after a rollback also wait for its restore.
+    Tasks of the initial plan have no entry (shipped at t=0)."""
+    releases: dict[TaskRef, float] = {}
+    for a in run.schedule.assignments.values():
+        k = bisect_right(detections, a.start)
+        if k:
+            releases[a.task] = max(
+                [detections[k - 1]]
+                + [
+                    r.time + r.restore_s
+                    for r in run.retractions
+                    if r.job == a.task.job_id
+                    and a.task.round_idx >= r.rounds_done
+                ]
+            )
+    return releases

@@ -11,10 +11,9 @@ production-grade robustness layer on top of it:
 * :mod:`~repro.faults.detector` — a heartbeat/lease failure detector that
   distinguishes stragglers (late heartbeats → SUSPECT) from crashes
   (expired lease → DEAD);
-* :mod:`~repro.faults.recovery` — residual re-planning machinery and the
-  recovery report: restore affected jobs from their latest checkpoint,
-  re-plan the remaining rounds of all jobs on the surviving GPUs, and
-  stitch the pre-failure committed work to the recovery plan.
+* :mod:`~repro.faults.recovery` — the recovery report; recovery itself
+  (retraction, checkpoint rollback, residual re-plan) runs on the
+  scheduling kernel.
 """
 
 from .detector import (
@@ -24,12 +23,7 @@ from .detector import (
     HeartbeatConfig,
     run_detection,
 )
-from .recovery import (
-    ChaosTelemetry,
-    RecoveryReport,
-    committed_rounds,
-    survivor_cluster,
-)
+from .recovery import ChaosTelemetry, RecoveryReport
 from .retry import RetryPolicy, budget_exhaustion_severity
 from .scenario import (
     FaultScenario,
@@ -57,7 +51,5 @@ __all__ = [
     "RpcFlakiness",
     "UnreliableNetwork",
     "budget_exhaustion_severity",
-    "committed_rounds",
     "run_detection",
-    "survivor_cluster",
 ]

@@ -1,52 +1,24 @@
-"""Recovery machinery: survivors, committed work, and the recovery report.
+"""The recovery report: what a chaos run's crashes cost.
 
-When the detector confirms a permanent GPU failure, the control plane
+Crash recovery itself runs on the scheduling kernel
+(:class:`repro.kernel.state.KernelCrash`): when the detector confirms a
+permanent GPU failure, the kernel retracts the work the dead GPU would
+still have run — cut at the physical crash time, applied at the
+detection — rolls each affected job back to its newest checkpoint whose
+barrier opened by then, makes it ready after the restore read, and lets
+the scheduler's own policy re-place the residual on the alive GPUs
+(:meth:`repro.control.ControlPlane.run_chaos`).
 
-1. freezes the **committed** work — rounds whose barrier opened before the
-   detection time are safe at the parameter server;
-2. rolls **affected** jobs (those whose remaining plan touched the dead
-   GPU) back to their latest :class:`~repro.control.storage.BlobStore`
-   checkpoint, paying the restore read and losing the rounds since it;
-3. re-plans the residual workload — the remaining rounds of *all*
-   unfinished jobs — on the surviving GPUs, through the scheduling
-   kernel's residual re-plan path
-   (:class:`repro.kernel.residual.ResidualPlanner`);
-4. stitches the committed prefix to the realized recovery execution into
-   one global schedule.
-
-This module holds the pieces of that pipeline that are independent of the
-control plane itself, plus the :class:`RecoveryReport` the chaos CLI prints.
+This module holds the :class:`ChaosTelemetry` accumulator and the
+:class:`RecoveryReport` the chaos CLI prints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..cluster.cluster import Cluster, make_cluster
-from ..core.errors import SimulationError
 from .detector import DetectionResult
 from .scenario import GpuCrash
-
-
-def survivor_cluster(
-    cluster: Cluster, dead: set[int]
-) -> tuple[Cluster, list[int]]:
-    """The cluster minus *dead* GPUs, plus the local → global id map."""
-    survivors = [d for d in cluster.devices() if d.gpu_id not in dead]
-    if not survivors:
-        raise SimulationError("no surviving GPUs to recover onto")
-    return (
-        make_cluster([d.model for d in survivors], network=cluster.network),
-        [d.gpu_id for d in survivors],
-    )
-
-
-def committed_rounds(pool, job_id: int, num_rounds: int) -> int:
-    """Consecutive rounds of *job_id* whose barrier has opened in *pool*."""
-    done = 0
-    while done < num_rounds and pool.round_complete(job_id, done):
-        done += 1
-    return done
 
 
 @dataclass(slots=True)
@@ -68,6 +40,17 @@ class ChaosTelemetry:
     def record_lost_round(self, job_id: int, rounds: int) -> None:
         if rounds > 0:
             self.lost_rounds[job_id] = self.lost_rounds.get(job_id, 0) + rounds
+
+    def record_retraction(self, retraction, checkpoint_bytes: float) -> None:
+        """Account one crash's :class:`~repro.kernel.state.Retraction` of
+        one job; a job that keeps rounds restored a checkpoint of
+        *checkpoint_bytes*."""
+        self.record_lost_round(retraction.job, retraction.rounds_lost)
+        self.lost_work_s += retraction.lost_work_s
+        if retraction.rounds_done:
+            self.restore_reads += 1
+            self.checkpoint_bytes_restored += checkpoint_bytes
+            self.restore_time_s += retraction.restore_s
 
     def report(
         self,
@@ -100,7 +83,18 @@ class ChaosTelemetry:
 
 @dataclass(frozen=True, slots=True)
 class RecoveryReport:
-    """Everything a chaos run reveals about the fault-tolerance layer."""
+    """Everything a chaos run reveals about the fault-tolerance layer.
+
+    :attr:`crashes` lists every injected crash. A crash at or after the
+    recovered run's last completion falls outside the run: it is still
+    detected (from a one-lease window of heartbeats), but nothing is
+    retracted or re-planned, so :attr:`replans` counts the crashes inside
+    the run. :attr:`lost_rounds`, :attr:`lost_work_s` and the restore
+    counters come from the kernel's retractions: rounds whose barrier had
+    opened but were rolled back to a checkpoint, the compute the dropped
+    tasks had done, and one restore read per job that restored a
+    checkpoint. The JCT and makespan figures come from the DES replays.
+    """
 
     crashes: tuple[GpuCrash, ...]
     detections: tuple[DetectionResult, ...]

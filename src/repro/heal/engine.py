@@ -30,7 +30,7 @@ re-plan time).
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Mapping
 
 from ..obs import Category, current as obs_current
 from ..obs.monitors import (
@@ -87,9 +87,6 @@ class RemediationEngine:
         #: Per-job weight multipliers (global ids), capped and decaying.
         self.boosts: dict[int, float] = {}
         self.max_boost_seen = 1.0
-        #: Maps finding-local job ids to global ones (chaos re-plans
-        #: renumber jobs); ``None`` means ids are already global.
-        self.job_resolver: Callable[[int], int | None] | None = None
         self._kernel = None
         self._drained = [0] * len(self._monitors)
         self._drained_total = 0
@@ -266,11 +263,6 @@ class RemediationEngine:
         if job is None:
             return False, "finding names no job", params
         job = int(job)
-        if self.job_resolver is not None:
-            resolved = self.job_resolver(job)
-            if resolved is None:
-                return False, f"job {job} unresolvable", params
-            job = int(resolved)
         factor = float(params.get("factor", 2.0))
         cap = float(params.get("cap", 8.0))
         self._boost_decay = float(params.get("decay", self._boost_decay))

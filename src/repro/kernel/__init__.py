@@ -22,7 +22,13 @@ from .residual import (
     build_residual_instance,
 )
 from .runner import KernelResult, SchedulingKernel, run_policy
-from .state import KERNEL_EPS, Commitment, KernelState
+from .state import (
+    KERNEL_EPS,
+    Commitment,
+    KernelCrash,
+    KernelState,
+    Retraction,
+)
 
 __all__ = [
     "ArraySchedulingKernel",
@@ -32,12 +38,14 @@ __all__ = [
     "GangPolicy",
     "KERNEL_EPS",
     "KERNEL_TRACK",
+    "KernelCrash",
     "KernelEventType",
     "KernelResult",
     "KernelState",
     "PlannedPolicy",
     "Policy",
     "ResidualPlanner",
+    "Retraction",
     "SchedulingKernel",
     "build_residual_instance",
     "gang_commitment",

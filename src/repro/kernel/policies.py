@@ -9,33 +9,34 @@ values. Three shapes cover every scheme in the repo:
     Clairvoyant adapter: solve the whole instance once, then release each
     round's assignments as its precedence predecessor completes. Any
     offline :class:`~repro.schedulers.base.Scheduler` runs on the kernel
-    through this wrapper and realizes *exactly* its offline metrics.
+    through this wrapper and realizes *exactly* its offline metrics. A
+    GPU crash re-plans the residual with the same planner.
 :class:`GangPolicy`
     Base for the §7.1 gang baselines (Gavel_FIFO, SRTF, Sched_Homo): a
     job waits for ``sync_scale`` simultaneously free GPUs, pins one task
     per GPU per round at the pace of the slowest device, and releases the
-    GPUs only at job completion. Subclasses implement :meth:`select`.
+    GPUs only at job completion. Subclasses implement :meth:`select`. A
+    job a crash retracted restarts its remaining rounds as a fresh gang.
 native policies
     Schemes that genuinely re-plan (online Hare) implement
     :class:`Policy` directly — see ``repro.schedulers.online``.
 
 This module deliberately imports nothing from ``repro.schedulers``; the
-planner objects it adapts are duck-typed (``schedule(instance)``).
+planner objects it adapts are duck-typed (``schedule(instance)`` and
+``plan(instance)``).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from ..core.errors import InfeasibleProblemError
-from ..core.schedule import TaskAssignment
+from ..core.schedule import Schedule, TaskAssignment
 from ..core.types import TaskRef
 from .events import Event, KernelEventType
-from .state import Commitment, KernelState
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.schedule import Schedule
+from .residual import planner_for, to_global
+from .state import KERNEL_EPS, Commitment, KernelState
 
 
 class Policy(ABC):
@@ -97,33 +98,43 @@ class PlannedPolicy(Policy):
     """Run an offline planner's schedule through the kernel, verbatim.
 
     The plan is computed lazily at :meth:`setup` (the planner sees the
-    full instance — this wrapper *is* the clairvoyant mode). Round 0 of a
-    job is committed when its ``JOB_ARRIVED`` fires; round ``r + 1`` when
-    ``ROUND_BARRIER_OPEN(job, r)`` fires. Since commitments carry the
-    plan's absolute start times, the committed schedule equals the plan
-    assignment-for-assignment.
+    full instance — this wrapper *is* the clairvoyant mode). A job's next
+    round is committed when its ``JOB_ARRIVED`` (round 0) or its
+    predecessor's ``ROUND_BARRIER_OPEN`` fires. Since commitments carry
+    the plan's absolute start times, the committed schedule equals the
+    plan assignment-for-assignment.
+
+    When a GPU the plan uses dies, the first event after the crash
+    re-plans the residual — every job's remaining rounds — with the same
+    planner, on the usable GPUs (:meth:`KernelState.usable_gpus`). The
+    planner takes no per-GPU availability, so every residual job is made
+    ready no earlier than the time all alive GPUs' committed work
+    drains, which keeps the new plan off in-flight rounds.
     """
 
     def __init__(self, planner) -> None:
         self.planner = planner
         self.name = getattr(planner, "name", type(planner).__name__)
-        self._plan: "Schedule | None" = None
-        self._emitted: set[tuple[int, int]] = set()
+        self._plan: Schedule | None = None
+        #: The alive GPUs the current plan was made for.
+        self._alive: frozenset[int] = frozenset()
+        #: Residual re-plans performed (read by the kernel result).
+        self.replans = 0
 
     def setup(self, state: KernelState) -> None:
         self._plan = self.planner.schedule(state.instance)
-        self._emitted.clear()
+        self._alive = frozenset(state.alive)
+        self.replans = 0
 
     def _round_commitment(
         self, state: KernelState, job_id: int, round_idx: int
     ) -> list[Commitment]:
         job = state.instance.jobs[job_id]
-        if round_idx >= job.num_rounds:
+        if (
+            round_idx >= job.num_rounds
+            or round_idx != state.rounds_done[job_id]
+        ):
             return []
-        key = (job_id, round_idx)
-        if key in self._emitted:
-            return []
-        self._emitted.add(key)
         assert self._plan is not None
         assignments = tuple(
             self._plan[task] for task in job.round_tasks(round_idx)
@@ -133,12 +144,53 @@ class PlannedPolicy(Policy):
     def on_event(
         self, event: Event, state: KernelState
     ) -> list[Commitment]:
+        if not self._alive <= state.alive:
+            return self._replan(state)
         if event.type == KernelEventType.JOB_ARRIVED:
             return self._round_commitment(state, event.payload, 0)
         if event.type == KernelEventType.ROUND_BARRIER_OPEN:
             job_id, round_idx = event.payload
             return self._round_commitment(state, job_id, round_idx + 1)
         return []
+
+    def _replan(self, state: KernelState) -> list[Commitment]:
+        """Re-plan the residual after a crash; release every job whose
+        predecessor barrier has already opened (the rest wait for their
+        ``ROUND_BARRIER_OPEN`` or ``JOB_ARRIVED``)."""
+        self._alive = frozenset(state.alive)
+        instance = state.instance
+        drain = max([state.now] + [state.phi[m] for m in state.alive])
+        ready = {
+            j.job_id: max(state.ready_at[j.job_id], drain)
+            for j in instance.jobs
+        }
+        usable = state.usable_gpus(instance.jobs)
+        gpu_subset = (
+            None if len(usable) == instance.num_gpus else sorted(usable)
+        )
+        planner = planner_for(instance)
+        residual, id_map = planner.residual(
+            instance.jobs, state.rounds_done, ready, gpu_subset=gpu_subset,
+            weight_boost=state.weight_boost or None,
+        )
+        if residual is None:
+            return []
+        local = planner.plan(self.planner, residual)
+        self.replans += 1
+        self._plan = Schedule(instance)
+        for a in local.assignments.values():
+            self._plan.add(to_global(a, id_map, gpu_subset))
+        out: list[Commitment] = []
+        for job_id, done in id_map:
+            if job_id not in state.arrived:
+                continue
+            if (
+                done == 0
+                or state.committed.round_end(job_id, done - 1)
+                <= state.now + KERNEL_EPS
+            ):
+                out.extend(self._round_commitment(state, job_id, done))
+        return out
 
 
 class GangPolicy(Policy):
@@ -177,7 +229,12 @@ class GangPolicy(Policy):
     def on_event(
         self, event: Event, state: KernelState
     ) -> list[Commitment]:
-        runnable = state.unstarted()
+        # Arrived jobs with rounds left: without a crash exactly the
+        # unstarted ones (a gang commits every round at once); a crash
+        # adds the jobs it retracted, which restart as a fresh gang.
+        runnable = [
+            n for n in sorted(state.arrived) if state.remaining_rounds(n)
+        ]
         if not runnable:
             return []
         free = state.free_gpus()
@@ -186,7 +243,7 @@ class GangPolicy(Policy):
             return []
         job_id, gpus = decision
         job = state.instance.jobs[job_id]
-        start = max(state.now, job.arrival)
+        start = max(state.now, job.arrival, state.ready_at[job_id])
         return [gang_commitment(state, job_id, gpus, start)]
 
     def passive_events(
@@ -208,7 +265,8 @@ class GangPolicy(Policy):
 def gang_commitment(
     state: KernelState, job_id: int, gpus: Sequence[int], start: float
 ) -> Commitment:
-    """All rounds of *job_id* pinned one-task-per-GPU from *start*."""
+    """The remaining rounds of *job_id* pinned one-task-per-GPU from
+    *start* (every round, unless a crash retracted a started gang)."""
     instance = state.instance
     job = instance.jobs[job_id]
     if len(gpus) != job.sync_scale:
@@ -219,7 +277,7 @@ def gang_commitment(
     round_time = max(instance.task_time(job_id, m) for m in gpus)
     assignments: list[TaskAssignment] = []
     t = start
-    for r in range(job.num_rounds):
+    for r in range(state.rounds_done[job_id], job.num_rounds):
         for slot, m in enumerate(gpus):
             assignments.append(
                 TaskAssignment(

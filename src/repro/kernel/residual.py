@@ -1,9 +1,9 @@
 """Residual-problem construction and the kernel's re-plan path.
 
-Re-planning schedulers (online Hare, the chaos recovery pipeline) repeat
-one move: freeze the committed prefix, build the **residual problem** —
-the remaining rounds of the known jobs, optionally restricted to the
-surviving GPUs — and solve it. :func:`build_residual_instance` is that
+Re-planning policies (online Hare, a fixed plan after a GPU crash)
+repeat one move: freeze the committed prefix, build the **residual
+problem** — the remaining rounds of the known jobs, optionally
+restricted to the surviving GPUs — and solve it. :func:`build_residual_instance` is that
 construction (it used to live in ``repro.schedulers.online``, forcing the
 control plane to import from a sibling scheduler module — the layering
 inversion this module fixes), and :class:`ResidualPlanner` wraps it with
@@ -24,15 +24,14 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from ..core.job import Job, ProblemInstance
+from ..core.schedule import Schedule, TaskAssignment
+from ..core.types import TaskRef
 from ..obs import Category, current as obs_current
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids layering cycle
-    from ..core.schedule import Schedule
 
 #: Trace track carrying kernel-level spans and instants.
 KERNEL_TRACK = "kernel"
@@ -109,6 +108,23 @@ def build_residual_instance(
     )
 
 
+def to_global(
+    a: TaskAssignment,
+    id_map: list[tuple[int, int]],
+    gpu_subset: list[int] | None,
+) -> TaskAssignment:
+    """A residual-frame assignment in the base instance's frame (the
+    inverse of :func:`build_residual_instance`'s renumbering)."""
+    job_id, round_offset = id_map[a.task.job_id]
+    return TaskAssignment(
+        task=TaskRef(job_id, round_offset + a.task.round_idx, a.task.slot),
+        gpu=a.gpu if gpu_subset is None else gpu_subset[a.gpu],
+        start=a.start,
+        train_time=a.train_time,
+        sync_time=a.sync_time,
+    )
+
+
 def _fingerprint(
     jobs: Sequence[Job],
     rounds_done: dict[int, int],
@@ -130,8 +146,8 @@ class ResidualPlanner:
     """Cached residual construction and memoized re-plan solves.
 
     One planner serves one base :class:`ProblemInstance` for the length of
-    a run (an online-policy run, or one chaos recovery). Both memo tables
-    are bounded LRU (:data:`CACHE_SIZE` entries).
+    a run (an online-policy run, or a fixed plan's crash re-plans). Both
+    memo tables are bounded LRU (:data:`CACHE_SIZE` entries).
     """
 
     def __init__(self, instance: ProblemInstance) -> None:
@@ -217,11 +233,14 @@ class ResidualPlanner:
         return result
 
     # ------------------------------------------------------------------
-    def plan(self, scheduler, residual: ProblemInstance) -> "Schedule":
-        """Full-scheduler re-plan of a residual (the chaos recovery path).
+    def plan(self, scheduler, residual: ProblemInstance) -> Schedule:
+        """Full-scheduler re-plan of a residual (a fixed plan's crash
+        recovery, :class:`~repro.kernel.policies.PlannedPolicy`).
 
-        *scheduler* is anything with ``schedule(instance) -> Schedule``.
-        Counted in ``kernel.replans``; latency observed into
+        *scheduler* is anything with ``plan(instance) -> Schedule`` (a
+        :class:`~repro.schedulers.base.Scheduler`, whose ``plan`` answers
+        through ``schedule`` for offline schemes). Counted in
+        ``kernel.replans``; latency observed into
         ``kernel.residual_solve_s`` like the policy-side solves, so one
         histogram carries the whole re-plan latency story.
         """

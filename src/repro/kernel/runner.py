@@ -31,7 +31,7 @@ each commitment reaches), and per-event instants on the ``kernel`` track.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 from ..core.errors import InfeasibleProblemError, SimulationError
 from ..core.metrics import ScheduleMetrics, metrics_from_schedule
@@ -41,7 +41,13 @@ from ..obs import Category, current as obs_current
 from .events import Event, EventQueue, KernelEventType
 from .policies import GangPolicy, PlannedPolicy, Policy
 from .residual import KERNEL_TRACK
-from .state import KERNEL_EPS, Commitment, KernelState
+from .state import (
+    KERNEL_EPS,
+    Commitment,
+    KernelCrash,
+    KernelState,
+    Retraction,
+)
 
 
 class KernelResult:
@@ -57,7 +63,8 @@ class KernelResult:
     planned replay re-inserts the plan's own assignments, as the
     reference loop commits them); it is not pickled. The statistics
     (``events``/``commitments``/``replans``/``retracted_rounds``) are
-    plain ints, byte-comparable across backends.
+    plain ints, byte-comparable across backends; :attr:`retractions`
+    lists what each crash took from each job, in application order.
     """
 
     __slots__ = (
@@ -69,6 +76,7 @@ class KernelResult:
         "commitments",
         "replans",
         "retracted_rounds",
+        "retractions",
     )
 
     def __init__(
@@ -82,6 +90,7 @@ class KernelResult:
         commitments: int,
         replans: int,
         retracted_rounds: int,
+        retractions: tuple[Retraction, ...] = (),
     ) -> None:
         if schedule is None and columns is None:
             raise ValueError("KernelResult needs a schedule or its columns")
@@ -93,6 +102,7 @@ class KernelResult:
         self.commitments = commitments
         self.replans = replans
         self.retracted_rounds = retracted_rounds
+        self.retractions = retractions
 
     @property
     def schedule(self) -> Schedule:
@@ -126,6 +136,7 @@ class KernelResult:
             "commitments": self.commitments,
             "replans": self.replans,
             "retracted_rounds": self.retracted_rounds,
+            "retractions": self.retractions,
         }
 
     def __setstate__(self, state) -> None:
@@ -137,6 +148,7 @@ class KernelResult:
         self.commitments = state["commitments"]
         self.replans = state["replans"]
         self.retracted_rounds = state["retracted_rounds"]
+        self.retractions = state["retractions"]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -192,7 +204,7 @@ class SchedulingKernel:
         instance: ProblemInstance,
         policy: Policy,
         *,
-        crashes: list[tuple[float, int]] | None = None,
+        crashes: Sequence[tuple[float, int] | KernelCrash] | None = None,
         restores: list[tuple[float, int]] | None = None,
         replan_interval: float | None = None,
         max_events: int | None = None,
@@ -212,6 +224,7 @@ class SchedulingKernel:
         self.processed = 0
         self.commitments = 0
         self.retracted_rounds = 0
+        self.retractions: list[Retraction] = []
         self._pending_faults = 0
         total_tasks = instance.num_tasks
         self.max_events = (
@@ -226,9 +239,15 @@ class SchedulingKernel:
             self.queue.push(
                 Event(job.arrival, KernelEventType.JOB_ARRIVED, job.job_id)
             )
-        for time, gpu in crashes or []:
+        #: Crash specs by (event time, gpu): the event payload stays the
+        #: GPU id, as for every other fault event.
+        self._crashes: dict[tuple[float, int], KernelCrash] = {}
+        for crash in crashes or []:
+            if not isinstance(crash, KernelCrash):
+                crash = KernelCrash(*crash)
+            self._crashes[(crash.fires_at, crash.gpu)] = crash
             self.queue.push(
-                Event(time, KernelEventType.GPU_CRASHED, gpu)
+                Event(crash.fires_at, KernelEventType.GPU_CRASHED, crash.gpu)
             )
             self._pending_faults += 1
         for time, gpu in restores or []:
@@ -299,30 +318,38 @@ class SchedulingKernel:
         # ROUND_BARRIER_OPEN / GPU_FREE are pure wake-ups.
 
     def _apply_crash(self, gpu: int, t: float) -> None:
-        """Kill *gpu*: retract every committed round it would still run.
+        """Kill *gpu* at event time *t*: retract every committed round it
+        would still run.
 
         Retraction is round-granular and suffix-wise per job: the first
-        round with a task on the dead GPU finishing after *t* falls, and
-        every later round of that job with it (precedence). φ is then
-        rebuilt from the surviving assignments; note gang-style
-        ``gpu_release`` holds do not survive a rebuild — fault injection
-        is exercised with re-planning policies, which release at
-        ``compute_end``. A :class:`PlannedPolicy` cannot re-place a
-        retracted round, so a crash that would retract one raises
-        :class:`SimulationError` instead.
+        round with a task on the dead GPU still computing past the
+        physical crash time (the :class:`KernelCrash` behind the event;
+        *t* itself for a plain ``(t, gpu)`` crash) falls, and every later
+        round of that job with it (precedence). A rollback
+        (``checkpoint_interval``) cuts further back, to the newest
+        checkpoint whose barrier opened by *t* (the detection). The job
+        is ready again at *t* — plus the restore read when it restores a
+        checkpoint — and the policy sees ``GPU_CRASHED`` to re-place it.
+        φ is then rebuilt from the surviving assignments; gang-style
+        ``gpu_release`` holds do not survive a rebuild (a released GPU
+        frees at its last ``compute_end``).
         """
         state = self.state
+        crash = self._crashes.get((t, gpu)) or KernelCrash(t, gpu)
+        committed = state.committed
         state.alive.discard(gpu)
+        if crash.quarantined is not None:
+            state.quarantined = set(crash.quarantined)
         for job in self.instance.jobs:
             done = state.rounds_done[job.job_id]
             cut: int | None = None
             for r in range(done):
                 for task in job.round_tasks(r):
-                    a = state.committed.assignments.get(task)
+                    a = committed.assignments.get(task)
                     if (
                         a is not None
                         and a.gpu == gpu
-                        and a.compute_end > t + KERNEL_EPS
+                        and a.compute_end > crash.time + KERNEL_EPS
                     ):
                         cut = r
                         break
@@ -330,35 +357,58 @@ class SchedulingKernel:
                     break
             if cut is None:
                 continue
-            if isinstance(self.policy, PlannedPolicy):
-                raise SimulationError(
-                    f"{self.policy.name} runs a fixed plan and cannot "
-                    f"re-place job {job.job_id} round {cut}, committed "
-                    f"to GPU {gpu} which crashed at t={t:g}; use a "
-                    "re-planning scheme such as hare_online"
-                )
-            for r in range(cut, done):
+            opened = 0
+            while (
+                opened < cut
+                and committed.round_end(job.job_id, opened)
+                <= t + KERNEL_EPS
+            ):
+                opened += 1
+            keep, restore_s = cut, 0.0
+            if crash.checkpoint_interval:
+                keep = opened - opened % crash.checkpoint_interval
+                if keep:
+                    restore_s = crash.restore_s.get(job.job_id, 0.0)
+            lost_work_s = 0.0
+            for r in range(keep, done):
                 for task in job.round_tasks(r):
-                    state.committed.assignments.pop(task, None)
-                self.retracted_rounds += 1
-            state.rounds_done[job.job_id] = cut
+                    a = committed.assignments.pop(task)
+                    if r > cut:
+                        continue  # its barrier never opened: never ran
+                    stop = crash.time if a.gpu == gpu else t
+                    lost_work_s += min(
+                        a.train_time, max(0.0, stop - a.start)
+                    )
+            self.retracted_rounds += done - keep
+            state.rounds_done[job.job_id] = keep
             last_barrier = (
-                state.committed.round_end(job.job_id, cut - 1)
-                if cut > 0
+                committed.round_end(job.job_id, keep - 1)
+                if keep > 0
                 else job.arrival
             )
-            state.ready_at[job.job_id] = max(t, last_barrier)
+            state.ready_at[job.job_id] = max(t + restore_s, last_barrier)
+            self.retractions.append(
+                Retraction(
+                    time=t,
+                    gpu=gpu,
+                    job=job.job_id,
+                    rounds_done=keep,
+                    rounds_lost=max(0, opened - keep),
+                    lost_work_s=lost_work_s,
+                    restore_s=restore_s,
+                )
+            )
             obs_current().tracer.instant(
                 Category.SCHED,
                 "kernel.retract",
                 track=KERNEL_TRACK,
                 time=t,
                 job=job.job_id,
-                rounds_done=cut,
+                rounds_done=keep,
                 gpu=gpu,
             )
         phi = [0.0] * self.instance.num_gpus
-        for a in state.committed.assignments.values():
+        for a in committed.assignments.values():
             phi[a.gpu] = max(phi[a.gpu], a.compute_end)
         state.phi = phi
         obs_current().metrics.counter("kernel.retractions").inc()
@@ -533,6 +583,7 @@ class SchedulingKernel:
             commitments=self.commitments,
             replans=int(getattr(self.policy, "replans", 0)),
             retracted_rounds=self.retracted_rounds,
+            retractions=tuple(self.retractions),
         )
 
 
@@ -561,13 +612,18 @@ def run_policy(
     instance: ProblemInstance,
     policy: Policy,
     *,
-    crashes: list[tuple[float, int]] | None = None,
+    crashes: Sequence[tuple[float, int] | KernelCrash] | None = None,
     restores: list[tuple[float, int]] | None = None,
     replan_interval: float | None = None,
     max_events: int | None = None,
     heal=None,
 ) -> KernelResult:
     """Build a kernel for *policy* and run it.
+
+    *crashes* are permanent GPU failures: ``(time, gpu)`` pairs, or
+    :class:`~repro.kernel.state.KernelCrash` values that add a detection
+    delay, checkpoint rollback and a quarantine snapshot (the chaos
+    control plane's recovery). Every policy reacts to ``GPU_CRASHED``.
 
     *heal* is an optional :class:`repro.heal.RemediationEngine` (duck-
     typed); it is attached to the kernel so remediation actions reach

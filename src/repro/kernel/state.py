@@ -15,7 +15,7 @@ committed prefix in order. That keeps the residual problem a clean
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from ..core.errors import SimulationError
 from ..core.job import Job, ProblemInstance
@@ -39,6 +39,57 @@ class Commitment:
 
     assignments: tuple[TaskAssignment, ...]
     gpu_release: Mapping[int, float] | None = None
+
+
+@dataclass(frozen=True, slots=True)
+class KernelCrash:
+    """A permanent GPU failure, as the kernel applies it.
+
+    Retraction cuts at the physical crash :attr:`time`: every committed
+    round with a task on :attr:`gpu` still computing past it falls, with
+    the rest of its job. The ``GPU_CRASHED`` event fires, and retracted
+    jobs become ready again, at :attr:`detected_at` (``time`` when
+    omitted — a plain ``crashes=((t, gpu),)`` entry is exactly that).
+
+    With a :attr:`checkpoint_interval`, an affected job also rolls back
+    to its newest checkpoint whose barrier opened by the detection:
+    round ``k · checkpoint_interval``, or round 0 if there is none. A job
+    that restores a checkpoint is ready ``restore_s[job]`` seconds after
+    the detection (the restore read). :attr:`quarantined`, when given,
+    replaces the state's advisory quarantine set at the event — a heal
+    engine's set as of this detection.
+    """
+
+    time: float
+    gpu: int
+    detected_at: float | None = None
+    checkpoint_interval: int | None = None
+    restore_s: Mapping[int, float] = field(default_factory=dict)
+    quarantined: frozenset[int] | None = None
+
+    @property
+    def fires_at(self) -> float:
+        return self.time if self.detected_at is None else self.detected_at
+
+
+@dataclass(frozen=True, slots=True)
+class Retraction:
+    """What one crash took from one job (``KernelResult.retractions``)."""
+
+    #: When the crash was applied (its detection time).
+    time: float
+    gpu: int
+    job: int
+    #: Committed rounds the job keeps.
+    rounds_done: int
+    #: Dropped rounds whose barrier had already opened: rolled back.
+    rounds_lost: int
+    #: Compute the dropped tasks had performed: up to the crash on the
+    #: dead GPU, up to the detection elsewhere (rounds after the one
+    #: the crash hit never started: their barrier never opened).
+    lost_work_s: float
+    #: Checkpoint restore read paid before the job is ready (0 if none).
+    restore_s: float
 
 
 @dataclass(slots=True)
@@ -102,6 +153,26 @@ class KernelState:
             m for m in sorted(self.alive)
             if self.phi[m] <= self.now + KERNEL_EPS
         ]
+
+    def usable_gpus(self, jobs: Iterable[Job]) -> set[int]:
+        """Alive GPUs minus the quarantined ones — unless that would
+        leave *jobs*' residual infeasible (fewer GPUs than the widest
+        unfinished job needs), in which case quarantine is ignored: it
+        is advisory, feasibility wins."""
+        quarantined = self.quarantined
+        if not quarantined:
+            return self.alive
+        candidate = self.alive - quarantined
+        min_scale = max(
+            (
+                j.sync_scale for j in jobs
+                if self.rounds_done[j.job_id] < j.num_rounds
+            ),
+            default=1,
+        )
+        if len(candidate) >= min_scale:
+            return candidate
+        return self.alive
 
     def next_arrival_time(self) -> float | None:
         """The earliest arrival that has not fired yet (``None`` if none)."""

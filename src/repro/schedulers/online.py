@@ -36,11 +36,10 @@ import math
 from dataclasses import dataclass, field
 
 from ..core.errors import SolverError
-from ..core.job import Job, ProblemInstance
-from ..core.schedule import Schedule, TaskAssignment
-from ..core.types import TaskRef
+from ..core.job import ProblemInstance
+from ..core.schedule import Schedule
 from ..kernel.events import Event, KernelEventType
-from ..kernel.residual import ResidualPlanner, planner_for
+from ..kernel.residual import ResidualPlanner, planner_for, to_global
 from ..kernel.state import Commitment, KernelState
 from ..obs import current as obs_current
 from .base import Scheduler
@@ -137,7 +136,7 @@ class OnlineHarePolicy:
         planner = self._planner
         assert planner is not None
         known = state.known_jobs()
-        usable = self._usable_gpus(state, known)
+        usable = state.usable_gpus(known)
         gpu_subset = (
             None if len(usable) == state.instance.num_gpus
             else sorted(usable)
@@ -170,28 +169,6 @@ class OnlineHarePolicy:
             plan, residual, id_map, gpu_subset, next_t
         )
 
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _usable_gpus(state: KernelState, known: list[Job]) -> set[int]:
-        """Alive GPUs minus the quarantined ones — unless that would
-        leave the residual infeasible (fewer GPUs than the widest
-        remaining job needs), in which case quarantine is ignored:
-        it is advisory, feasibility wins."""
-        quarantined = state.quarantined
-        if not quarantined:
-            return state.alive
-        candidate = state.alive - quarantined
-        min_scale = max(
-            (
-                j.sync_scale for j in known
-                if state.rounds_done[j.job_id] < j.num_rounds
-            ),
-            default=1,
-        )
-        if len(candidate) >= min_scale:
-            return candidate
-        return state.alive
-
     def apply_remediation(self, action) -> bool:
         """Accept ``throttle_replans`` (clamp the timer wake-up rate)."""
         if getattr(action, "kind", None) != "throttle_replans":
@@ -213,30 +190,16 @@ class OnlineHarePolicy:
         """One commitment per residual round that starts before *next_t*."""
         out: list[Commitment] = []
         for local_job in residual.jobs:
-            global_id, round_offset = id_map[local_job.job_id]
             for r in range(local_job.num_rounds):
                 tasks = local_job.round_tasks(r)
                 starts = [plan[task].start for task in tasks]
                 if min(starts) >= next_t - 1e-12:
                     break  # later rounds are provisional
-                assignments = []
-                for task in tasks:
-                    a = plan[task]
-                    gpu = (
-                        a.gpu if gpu_subset is None else gpu_subset[a.gpu]
-                    )
-                    assignments.append(
-                        TaskAssignment(
-                            task=TaskRef(
-                                global_id, round_offset + r, task.slot
-                            ),
-                            gpu=gpu,
-                            start=a.start,
-                            train_time=a.train_time,
-                            sync_time=a.sync_time,
-                        )
-                    )
-                out.append(Commitment(assignments=tuple(assignments)))
+                assignments = tuple(
+                    to_global(plan[task], id_map, gpu_subset)
+                    for task in tasks
+                )
+                out.append(Commitment(assignments=assignments))
         return out
 
 

@@ -49,19 +49,13 @@ class Engine:
         """Convenience: push an event at an absolute time."""
         self.push(Event(time=time, type=event_type, payload=payload))
 
-    def run(
-        self, *, max_events: int | None = None, until: float | None = None
-    ) -> int:
+    def run(self, *, max_events: int | None = None) -> int:
         """Drain the queue; returns the number of events processed.
 
         ``max_events`` bounds the run (a livelock guard); exceeding it
         raises :class:`~repro.core.errors.SimulationError`. The budget is
         checked against *newly pushed* work, so handlers that enqueue
         follow-up events are fine as long as total volume stays bounded.
-
-        ``until`` stops the run at a horizon: events strictly after it stay
-        queued (a later ``run`` call can resume). The chaos pipeline uses
-        this to freeze a simulation at the failure-detection time.
 
         When an observability context is active, every dispatched event
         lands as a ``sim`` instant on the ``engine`` track and the total
@@ -71,8 +65,6 @@ class Engine:
         tracer = obs.tracer
         before = self.processed
         while self.queue:
-            if until is not None and self.queue.peek().time > until:
-                break
             if max_events is not None and self.processed >= max_events:
                 raise SimulationError(
                     f"event budget {max_events} exceeded; likely livelock"

@@ -24,7 +24,6 @@ class EventType(enum.IntEnum):
     JOB_ARRIVAL = 2
     GPU_CHECK = 3
     GPU_FAILURE = 4
-    GPU_CRASH = 5  # permanent: the GPU never restarts
 
 
 @dataclass(frozen=True, slots=True)

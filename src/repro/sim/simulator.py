@@ -9,19 +9,21 @@ replay play those two roles, and :class:`SimResult` exposes the deviation.
 
 The replay preserves each GPU's task order (executors follow the shipped
 sequence, Fig. 9) but recomputes every start time from actual readiness:
-GPU free + job arrived + previous round's barrier open.
+GPU free + job arrived + previous round's barrier open (+ the task's
+release time, when the run ships it late).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from ..cluster.cluster import Cluster
 from ..core.errors import ConfigurationError, SimulationError
 from ..core.job import ProblemInstance
 from ..core.metrics import ScheduleMetrics, metrics_from_completions
 from ..core.schedule import Schedule, TaskAssignment
-from ..core.types import SwitchMode
+from ..core.types import SwitchMode, TaskRef
 from ..obs import Category, gpu_track, job_track
 from ..obs import current as obs_current
 from ..switching.costmodel import SwitchCostModel
@@ -76,13 +78,10 @@ class ClusterSimulator:
     #: the checkpointing story of §6).
     failures: list[tuple[float, int]] = field(default_factory=list)
     restart_delay_s: float = 1.0
-    #: Permanent GPU crashes: (time, gpu_id) pairs. Unlike :attr:`failures`
-    #: the GPU never restarts — its running task is lost and its remaining
-    #: queue is abandoned (the fault-tolerant control plane re-plans that
-    #: residual work on the survivors). Runs with permanent crashes are
-    #: partial: jobs need not complete, and metrics cover only the jobs
-    #: whose final barrier opened.
-    permanent_failures: list[tuple[float, int]] = field(default_factory=list)
+    #: Earliest start per task: a task shipped after t=0 (a crash
+    #: recovery's re-planned sequence, a restored job's next round) cannot
+    #: start before it arrives, however early its GPU and barrier free up.
+    releases: Mapping[TaskRef, float] = field(default_factory=dict)
     #: Transient straggler windows: (start, end, gpu_id, factor). A task
     #: *started* on the GPU inside the window trains ``factor``× slower —
     #: the realized telemetry reflects the inflated duration.
@@ -103,21 +102,16 @@ class ClusterSimulator:
                 f"expects {self.instance.num_gpus}"
             )
         num_gpus = self.cluster.num_gpus
-        for kind, injections in (
-            ("failure", self.failures),
-            ("permanent failure", self.permanent_failures),
-        ):
-            for time, gpu_id in injections:
-                if time < 0:
-                    raise ConfigurationError(
-                        f"{kind} time must be >= 0, got {time} "
-                        f"(GPU {gpu_id})"
-                    )
-                if not 0 <= gpu_id < num_gpus:
-                    raise ConfigurationError(
-                        f"{kind} injected on unknown GPU {gpu_id}; the "
-                        f"cluster has GPUs 0..{num_gpus - 1}"
-                    )
+        for time, gpu_id in self.failures:
+            if time < 0:
+                raise ConfigurationError(
+                    f"failure time must be >= 0, got {time} (GPU {gpu_id})"
+                )
+            if not 0 <= gpu_id < num_gpus:
+                raise ConfigurationError(
+                    f"failure injected on unknown GPU {gpu_id}; the "
+                    f"cluster has GPUs 0..{num_gpus - 1}"
+                )
         for start, end, gpu_id, factor in self.slowdowns:
             if start < 0 or end <= start:
                 raise ConfigurationError(
@@ -170,7 +164,7 @@ class ClusterSimulator:
         return out
 
     # ------------------------------------------------------------------
-    def run(self, plan: Schedule, *, stop_at: float | None = None) -> SimResult:
+    def run(self, plan: Schedule) -> SimResult:
         instance = self.instance
         engine = Engine()
         pool = ParameterServerPool(instance)
@@ -204,9 +198,13 @@ class ClusterSimulator:
         #: in-flight attempt per GPU (recorded only if it completes)
         in_flight: dict[int, object] = {}
 
+        releases = self.releases
+
         def try_start(executor: GpuExecutor, now: float) -> None:
             if not executor.head_ready(now, barrier_open):
                 return
+            if releases and releases.get(executor.head().task, now) > now:
+                return  # not shipped yet: its GPU_CHECK wakes it
             started = executor.start_head(now)
             factor = self._slowdown_factor(executor.gpu_id, started.start)
             if factor > 1.0:
@@ -384,36 +382,11 @@ class ClusterSimulator:
             executor.down_until = max(executor.down_until, restart)
             engine.at(restart, EventType.GPU_CHECK, executor.gpu_id)
 
-        def on_gpu_crash(event: Event) -> None:
-            # Permanent: abandon in-flight and queued work, never restart.
-            executor = by_gpu[event.payload]
-            if tracer.enabled:
-                tracer.instant(
-                    Category.FAULT,
-                    "gpu crash (permanent)",
-                    track=gpu_track(executor.gpu_id),
-                    time=event.time,
-                    abandoned_tasks=len(executor.queue),
-                )
-            if executor.running is not None:
-                started = in_flight.pop(executor.gpu_id)
-                obs.metrics.gauge("sim.gpus_busy").set(len(in_flight))
-                obs.metrics.sample("sim.gpus_busy", event.time)
-                wasted = max(0.0, event.time - started.start)
-                telemetry.record_abort(wasted)
-                executor.abort_running()
-            executor.memory.flush()
-            executor.prev_job = None
-            executor.prev_model = None
-            executor.queue.clear()
-            telemetry.record_crash(executor.gpu_id, event.time)
-
         engine.on(EventType.GPU_CHECK, on_gpu_check)
         engine.on(EventType.JOB_ARRIVAL, on_job_arrival)
         engine.on(EventType.TASK_COMPUTE_DONE, on_compute_done)
         engine.on(EventType.TASK_SYNC_DONE, on_sync_done)
         engine.on(EventType.GPU_FAILURE, on_gpu_failure)
-        engine.on(EventType.GPU_CRASH, on_gpu_crash)
 
         # Seed events: arrivals + initial checks + injected failures.
         for job in instance.jobs:
@@ -422,49 +395,44 @@ class ClusterSimulator:
             engine.at(0.0, EventType.GPU_CHECK, executor.gpu_id)
         for time, gpu_id in self.failures:
             engine.at(time, EventType.GPU_FAILURE, gpu_id)
-        for time, gpu_id in self.permanent_failures:
-            engine.at(time, EventType.GPU_CRASH, gpu_id)
+        for task, time in releases.items():
+            engine.at(time, EventType.GPU_CHECK, plan[task].gpu)
 
         # Exact volume: one arrival per job, one check per GPU, one compute
         # and one sync completion per task; each failure adds at most one
-        # stale completion, one re-run completion and one recovery check.
+        # stale completion, one re-run completion and one recovery check;
+        # each release one check.
         budget = (
             2 * max(1, instance.num_tasks)
             + instance.num_jobs
             + instance.num_gpus
             + 4 * len(self.failures)
-            + 2 * len(self.permanent_failures)
+            + len(releases)
             + 16
         )
-        processed = engine.run(max_events=budget, until=stop_at)
+        processed = engine.run(max_events=budget)
 
-        # Runs with a horizon or a permanent crash are legitimately
-        # partial: the fault-tolerant control plane re-plans the rest.
-        partial = stop_at is not None or bool(self.permanent_failures)
-        if not partial:
-            if not pool.all_jobs_complete():
-                unfinished = [
-                    j.job_id
-                    for j in instance.jobs
-                    if not pool.job_complete(j.job_id)
-                ]
+        if not pool.all_jobs_complete():
+            unfinished = [
+                j.job_id
+                for j in instance.jobs
+                if not pool.job_complete(j.job_id)
+            ]
+            raise SimulationError(
+                f"simulation drained with unfinished jobs {unfinished[:5]}"
+            )
+        for executor in executors:
+            if not executor.done:  # pragma: no cover - defensive
                 raise SimulationError(
-                    f"simulation drained with unfinished jobs {unfinished[:5]}"
+                    f"GPU {executor.gpu_id} still has queued tasks"
                 )
-            for executor in executors:
-                if not executor.done:  # pragma: no cover - defensive
-                    raise SimulationError(
-                        f"GPU {executor.gpu_id} still has queued tasks"
-                    )
 
-        finished = [
-            job for job in instance.jobs if pool.job_complete(job.job_id)
-        ]
         completions = {
-            job.job_id: pool.completion_time(job.job_id) for job in finished
+            job.job_id: pool.completion_time(job.job_id)
+            for job in instance.jobs
         }
         metrics = metrics_from_completions(
-            finished, completions, makespan=telemetry.makespan
+            instance.jobs, completions, makespan=telemetry.makespan
         )
         return SimResult(
             realized=realized,
@@ -488,9 +456,8 @@ def simulate_plan(
     nic_contention: bool = False,
     failures: list[tuple[float, int]] | None = None,
     restart_delay_s: float = 1.0,
-    permanent_failures: list[tuple[float, int]] | None = None,
     slowdowns: list[tuple[float, float, int, float]] | None = None,
-    stop_at: float | None = None,
+    releases: Mapping[TaskRef, float] | None = None,
 ) -> SimResult:
     """Convenience wrapper: build a simulator and run one plan."""
     sim = ClusterSimulator(
@@ -504,7 +471,7 @@ def simulate_plan(
         nic_contention=nic_contention,
         failures=failures or [],
         restart_delay_s=restart_delay_s,
-        permanent_failures=permanent_failures or [],
         slowdowns=slowdowns or [],
+        releases=releases or {},
     )
-    return sim.run(plan, stop_at=stop_at)
+    return sim.run(plan)

@@ -54,8 +54,6 @@ class Telemetry:
     busy: dict[int, list[tuple[float, float]]] = field(default_factory=dict)
     #: per-GPU (start, end) switch-overhead intervals
     switching: dict[int, list[tuple[float, float]]] = field(default_factory=dict)
-    #: permanent GPU crashes observed: (gpu_id, time)
-    crashes: list[tuple[int, float]] = field(default_factory=list)
     #: every scalar mutation goes through here; the properties read it back
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
 
@@ -83,11 +81,6 @@ class Telemetry:
         """A GPU failure destroyed an in-flight attempt."""
         self.metrics.counter("sim.aborted_attempts").inc()
         self.metrics.counter("sim.wasted_compute_s").inc(wasted_compute_s)
-
-    def record_crash(self, gpu_id: int, time: float) -> None:
-        """A GPU failed permanently at *time*."""
-        self.crashes.append((gpu_id, time))
-        self.metrics.counter("sim.crashes").inc()
 
     # ------------------------------------------------------------------
     # Registry-backed read view of the legacy scalar attributes.

@@ -153,6 +153,8 @@ def mutate(plan: Schedule, kind: str, pick: int, delta: float) -> Schedule:
         # Onto another task's GPU at its start, with the durations that
         # GPU really has: an overlap (8) that no earlier check catches.
         donor = items[(pick + 1) % len(items)][1]
+        if not 0 <= donor.gpu < inst.num_gpus:
+            return plan  # an earlier bad_gpu mutation moved the donor
         out[task] = replace(
             a,
             gpu=donor.gpu,

@@ -140,6 +140,16 @@ class TestRunDetection:
         assert 0 < result.latency_s <= cfg.lease_s
         assert result.heartbeats_sent == result.heartbeats_delivered
 
+    def test_crash_before_start_expires_a_lease_after_start(self):
+        """A GPU that died while an earlier crash was being detected
+        never heartbeats in this pass: dead one lease after *start*."""
+        crash = GpuCrash(time=0.0, gpu_id=1)
+        result = run_detection(
+            self.transport(), [1, 2], crash, FaultScenario(crashes=(crash,)),
+            cfg=HeartbeatConfig(interval_s=1.0, lease_s=4.0), start=4.0,
+        )
+        assert result.detected_at == pytest.approx(8.0)
+
     def test_survivors_stay_alive(self):
         crash = GpuCrash(time=4.0, gpu_id=0)
         result = run_detection(

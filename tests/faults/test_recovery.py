@@ -1,50 +1,8 @@
-"""Tests for the recovery helpers: survivors, committed work, reporting."""
+"""Tests for the recovery report and its accumulator."""
 
 import pytest
 
-from repro.cluster import make_cluster
-from repro.core.errors import SimulationError
-from repro.faults import (
-    ChaosTelemetry,
-    GpuCrash,
-    committed_rounds,
-    survivor_cluster,
-)
-
-
-class FakePool:
-    def __init__(self, complete):
-        self._complete = complete
-
-    def round_complete(self, job_id, round_idx):
-        return (job_id, round_idx) in self._complete
-
-
-class TestSurvivorCluster:
-    def test_drops_dead_and_maps_ids(self):
-        cluster = make_cluster(["V100", "K80", "T4", "M60"])
-        survivors, gpu_map = survivor_cluster(cluster, {1, 3})
-        assert survivors.num_gpus == 2
-        assert gpu_map == [0, 2]
-        assert [d.model.value for d in survivors.devices()] == ["V100", "T4"]
-
-    def test_no_survivors_rejected(self):
-        cluster = make_cluster(["V100"])
-        with pytest.raises(SimulationError, match="no surviving"):
-            survivor_cluster(cluster, {0})
-
-
-class TestCommittedRounds:
-    def test_counts_consecutive_prefix(self):
-        pool = FakePool({(0, 0), (0, 1), (0, 3)})
-        assert committed_rounds(pool, 0, 5) == 2  # the gap at round 2 stops it
-
-    def test_zero_when_nothing_done(self):
-        assert committed_rounds(FakePool(set()), 0, 5) == 0
-
-    def test_capped_at_num_rounds(self):
-        pool = FakePool({(0, r) for r in range(10)})
-        assert committed_rounds(pool, 0, 3) == 3
+from repro.faults import ChaosTelemetry, GpuCrash
 
 
 class TestChaosTelemetry:

@@ -100,12 +100,6 @@ class TestDispatch:
             engine._decay_boosts()
         assert 3 not in engine.boosts
 
-    def test_boost_uses_job_resolver(self):
-        engine = RemediationEngine()
-        engine.job_resolver = {0: 7}.get
-        engine._dispatch(finding("job_starvation", job=0))
-        assert 7 in engine.boosts and 0 not in engine.boosts
-
     def test_quarantine_and_release_via_health_instants(self):
         from repro.obs.recorder import Record
 

@@ -13,7 +13,6 @@ import math
 import pytest
 
 from repro import api
-from repro.core.errors import InfeasibleProblemError, SimulationError
 from repro.obs import MetricsRegistry
 from repro.obs.attrib import (
     ATTRIB_SCHEMA,
@@ -57,35 +56,22 @@ def _assert_sound(report, *, jobs):
 class TestAcceptanceSweep:
     """All registered schedulers × crashes × cells: invariant holds.
 
-    Non-adaptive policies cannot recover from a permanent GPU crash
-    that hits their committed work: a fixed plan (``PlannedPolicy``)
-    raises ``SimulationError`` at the retraction, naming the job,
-    round, GPU and crash time and pointing to ``hare_online``; a gang
-    policy whose gang no longer fits raises ``InfeasibleProblemError``
-    (queue drained with work left). Both are documented kernel
-    behavior, not attribution defects, so the crash leg skips a
-    scheduler that cannot complete the run.
+    Every policy recovers from a permanent GPU crash on the kernel (a
+    fixed plan re-plans its residual, a gang restarts), so both legs
+    must complete for every scheduler.
     """
 
     @pytest.mark.parametrize("name", sorted(available()))
     def test_flat_streaming_clean_and_crashed(self, name):
         for crashes in (None, ((5.0, 1),)):
-            try:
-                r = _streaming(name, crashes=crashes)
-            except (InfeasibleProblemError, SimulationError):
-                assert crashes is not None, "clean run must complete"
-                continue
+            r = _streaming(name, crashes=crashes)
             report = r.attribution()
             _assert_sound(report, jobs=SMALL["jobs"])
 
     @pytest.mark.parametrize("name", sorted(available()))
     def test_sharded_streaming_clean_and_crashed(self, name):
         for crashes in (None, ((5.0, 1),)):
-            try:
-                r = _streaming(name, crashes=crashes, cells=4)
-            except (InfeasibleProblemError, SimulationError):
-                assert crashes is not None, "clean run must complete"
-                continue
+            r = _streaming(name, crashes=crashes, cells=4)
             report = r.attribution()
             _assert_sound(report, jobs=CELLED["jobs"])
             # every job landed on a cell, residency covers them all
@@ -95,6 +81,39 @@ class TestAcceptanceSweep:
                 math.fsum(report.cell_residency.values())
                 - report.total_jct_s
             ) < 1e-6
+
+
+class TestChaosAttribution:
+    """A recorded chaos run is attributable: its one kernel run carries
+    ``kernel.round`` and ``kernel.retract`` to the recorder."""
+
+    def test_rolled_back_job_shows_fault_recovery(self):
+        from repro.cluster import scaled_cluster
+        from repro.control import ControlPlane
+        from repro.faults import FaultScenario, GpuCrash, HeartbeatConfig
+        from repro.harness.experiments import make_loaded_workload
+        from repro.obs import Obs, use
+        from repro.workload import WorkloadConfig
+
+        jobs = make_loaded_workload(
+            6, reference_gpus=6, load=1.0, seed=3,
+            config=WorkloadConfig(rounds_scale=0.4),
+        )
+        plane = ControlPlane(cluster=scaled_cluster(6), checkpoint_interval=2)
+        plane.submit(jobs)
+        obs = Obs.start(trace=False, record=True)
+        with use(obs):
+            result = plane.run_chaos(
+                FaultScenario(crashes=(GpuCrash(time=10.0, gpu_id=1),)),
+                heartbeat=HeartbeatConfig(interval_s=1.0, lease_s=5.0),
+            )
+        report = attribute_records(list(obs.recorder.records()))
+        _assert_sound(report, jobs=len(jobs))
+        rolled_back = result.report.lost_rounds
+        assert rolled_back
+        by_job = {j.job_id: j for j in report.jobs}
+        for job in rolled_back:
+            assert by_job[job].components["fault_recovery"] > 0.0
 
 
 class TestDecomposition:

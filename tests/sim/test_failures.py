@@ -84,14 +84,6 @@ class TestFailureRecovery:
         with pytest.raises(ConfigurationError, match="time must be >= 0"):
             simulate_plan(cluster, inst, plan, failures=[(-0.5, 0)])
 
-    def test_permanent_failure_validated_at_construction(self):
-        """Bad injections surface before any event is processed."""
-        cluster, inst, plan = single_gpu_plan()
-        with pytest.raises(ConfigurationError, match="unknown GPU 3"):
-            simulate_plan(cluster, inst, plan, permanent_failures=[(1.0, 3)])
-        with pytest.raises(ConfigurationError, match="time must be >= 0"):
-            simulate_plan(cluster, inst, plan, permanent_failures=[(-1.0, 0)])
-
     def test_slowdown_windows_validated(self):
         cluster, inst, plan = single_gpu_plan()
         with pytest.raises(ConfigurationError, match="unknown GPU"):
@@ -101,24 +93,20 @@ class TestFailureRecovery:
         with pytest.raises(ConfigurationError, match="factor must be >= 1"):
             simulate_plan(cluster, inst, plan, slowdowns=[(0.0, 5.0, 0, 0.5)])
 
-    def test_permanent_crash_abandons_queue(self):
-        """A permanent crash loses in-flight work and never restarts."""
+    def test_release_holds_a_task_until_it_is_shipped(self):
+        """A task released late waits for its release, then runs; the
+        rest of the GPU's sequence follows it."""
         cluster, inst, plan = single_gpu_plan()
         res = simulate_plan(
-            cluster, inst, plan, permanent_failures=[(3.0, 0)]
+            cluster, inst, plan, releases={TaskRef(0, 1, 0): 7.0}
         )
-        # round 0 completed before the crash; rounds 1-2 never run
-        assert res.pool.round_complete(0, 0)
-        assert not res.pool.round_complete(0, 1)
-        assert res.telemetry.crashes == [(0, 3.0)]
-        assert res.telemetry.aborted_attempts == 1
-
-    def test_stop_at_freezes_partial_run(self):
-        cluster, inst, plan = single_gpu_plan()
-        res = simulate_plan(cluster, inst, plan, stop_at=3.0)
-        # only round 0 (ends t=2) fits inside the horizon
-        assert res.pool.round_complete(0, 0)
-        assert not res.pool.round_complete(0, 2)
+        starts = {
+            a.task.round_idx: a.start
+            for a in res.realized.assignments.values()
+        }
+        assert starts[1] == pytest.approx(7.0)
+        assert starts[2] >= 9.0 - 1e-9
+        assert res.pool.completion_time(0) == pytest.approx(11.0)
 
     def test_slowdown_inflates_started_tasks(self):
         cluster, inst, plan = single_gpu_plan()

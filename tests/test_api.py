@@ -244,31 +244,33 @@ class TestStreamingArrivals:
 
 
 class TestFixedPlanCrash:
-    """A crash that retracts a fixed plan's committed round fails at
-    the retraction, with a message naming what was lost."""
+    """A crash that retracts a fixed plan's committed round re-plans the
+    residual with the same planner, and the recovered run attributes."""
 
     @pytest.mark.parametrize("arrivals", ["planned", "streaming"])
-    def test_retraction_raises_named_error(self, hare_run, arrivals):
-        from repro.core.errors import SimulationError
+    def test_retraction_recovers(self, hare_run, arrivals):
+        from repro.core import validate_schedule
 
         # Halfway through a task of Hare's last round: that round is
-        # committed by then and a fixed plan cannot re-place it.
+        # committed by then and must be re-placed off the dead GPU.
         task = max(
             hare_run.plan.assignments.values(), key=lambda a: a.start
         )
         crash_t = (task.start + task.compute_end) / 2
-        with pytest.raises(SimulationError) as info:
-            run_experiment(
-                scheduler="hare", arrivals=arrivals, simulate=False,
-                trace=False, crashes=[(crash_t, task.gpu)], **SMALL,
-            )
-        message = str(info.value)
-        for part in (
-            "Hare", f"job {task.task.job_id}",
-            f"round {task.task.round_idx}", f"GPU {task.gpu}",
-            f"t={crash_t:g}", "hare_online",
-        ):
-            assert part in message
+        result = run_experiment(
+            scheduler="hare", arrivals=arrivals, trace=False, record=True,
+            crashes=[(crash_t, task.gpu)], **SMALL,
+        )
+        assert result.kernel.retracted_rounds > 0
+        assert result.kernel.replans == 1
+        assert result.attribution().check() == []
+        validate_schedule(result.plan)
+        assert all(
+            a.compute_end <= crash_t
+            for a in result.plan.assignments.values()
+            if a.gpu == task.gpu
+        )
+        assert result.sim is not None
 
 
 class TestDiagnosisAndRecorder:
