@@ -78,6 +78,14 @@ class Histogram:
         bisect.insort(self._sorted, float(value))
         self._total += float(value)
 
+    def observe_all(self, values: Iterable[float]) -> None:
+        """:meth:`observe` each value in turn, with one sort for all."""
+        values = [float(v) for v in values]
+        self._sorted.extend(values)
+        self._sorted.sort()
+        for value in values:
+            self._total += value
+
     @property
     def count(self) -> int:
         return len(self._sorted)

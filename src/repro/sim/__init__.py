@@ -1,22 +1,19 @@
 """Trace-driven discrete-event cluster simulator (§7.1)."""
 
-from .engine import Engine
 from .events import Event, EventQueue, EventType
-from .executor import GpuExecutor, StartedTask, build_executors
+from .executor import GpuExecutor, build_executors
 from .paramserver import ParameterServerPool
 from .simulator import ClusterSimulator, SimResult, simulate_plan
 from .telemetry import TaskRecord, Telemetry
 
 __all__ = [
     "ClusterSimulator",
-    "Engine",
     "Event",
     "EventQueue",
     "EventType",
     "GpuExecutor",
     "ParameterServerPool",
     "SimResult",
-    "StartedTask",
     "TaskRecord",
     "Telemetry",
     "build_executors",

@@ -15,8 +15,11 @@ release time, when the run ships it late).
 
 from __future__ import annotations
 
+import heapq
+import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from ..cluster.cluster import Cluster
 from ..core.errors import ConfigurationError, SimulationError
@@ -26,12 +29,20 @@ from ..core.schedule import Schedule, TaskAssignment
 from ..core.types import SwitchMode, TaskRef
 from ..obs import Category, gpu_track, job_track
 from ..obs import current as obs_current
+from ..obs.metrics import NullRegistry
 from ..switching.costmodel import SwitchCostModel
-from .engine import Engine
-from .events import Event, EventType
-from .executor import GpuExecutor, StartedTask, build_executors
+from ..workload.models import spec_or_synthetic
+from .events import EventType
+from .executor import build_executors
 from .paramserver import ParameterServerPool
 from .telemetry import TaskRecord, Telemetry
+
+#: Heap priorities: at one timestamp sync completions commit first (they
+#: may open barriers), then compute completions, arrivals, checks, crashes.
+SYNC, COMPUTE, ARRIVAL, CHECK, FAILURE = (int(t) for t in EventType)
+EVENT_NAMES = [t.name for t in EventType]
+#: Track every dispatched event appears under in exported traces.
+ENGINE_TRACK = "engine"
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,6 +54,8 @@ class SimResult:
     telemetry: Telemetry
     pool: ParameterServerPool
     events_processed: int
+    #: start attempts: executors the loop tried to start
+    wakeups: int
 
     @property
     def total_weighted_completion(self) -> float:
@@ -127,14 +140,12 @@ class ClusterSimulator:
                 raise ConfigurationError(
                     f"slowdown factor must be >= 1, got {factor}"
                 )
-
-    # ------------------------------------------------------------------
-    def _slowdown_factor(self, gpu_id: int, at: float) -> float:
-        factor = 1.0
-        for start, end, gpu, f in self.slowdowns:
-            if gpu == gpu_id and start <= at < end:
-                factor = max(factor, f)
-        return factor
+        for task, time in self.releases.items():
+            if not (math.isfinite(time) and time >= 0):
+                raise ConfigurationError(
+                    f"release of {task} must be a finite time >= 0, "
+                    f"got {time}"
+                )
 
     # ------------------------------------------------------------------
     def _jitter(
@@ -165,238 +176,170 @@ class ClusterSimulator:
 
     # ------------------------------------------------------------------
     def run(self, plan: Schedule) -> SimResult:
+        """Replay *plan*: one event loop over plain ``(time, priority,
+        seq, gpu, payload)`` heap entries (DESIGN §13).
+
+        An idle executor whose head cannot start is parked on what it
+        waits for: its job's arrival, the previous round's barrier, or
+        the ``held`` set (restart window or unshipped release). A scan —
+        an arrival or a barrier opening — tries only the executors it can
+        wake, in device order, which is exactly the set a scan of every
+        executor would start.
+        """
         instance = self.instance
-        engine = Engine()
-        pool = ParameterServerPool(instance)
-        telemetry = Telemetry(num_gpus=instance.num_gpus)
-        realized = Schedule(instance)
+        jobs = instance.jobs
+        for task in self.releases:
+            if task not in plan:
+                raise ConfigurationError(
+                    f"release for {task}, which is not in the plan"
+                )
         obs = obs_current()
         tracer = obs.tracer
+        traced = tracer.enabled
+        registry = obs.metrics
+        sampled = not isinstance(registry, NullRegistry)
+        pool = ParameterServerPool(instance)
+        releases = self.releases
+        nic = self.nic_contention
 
-        def flow_id(task) -> int:
-            # Deterministic id per (job, round, slot): one arrow from the
-            # previous round's barrier to each task it released.
-            return (task.job_id * 10_000 + task.round_idx) * 10_000 + task.slot
-
+        switch_model = self.switch_model or SwitchCostModel(
+            mode=self.switch_mode
+        )
+        if switch_model.mode is not self.switch_mode:
+            raise SimulationError(
+                f"switch model mode {switch_model.mode} != requested "
+                f"{self.switch_mode}"
+            )
+        hare = self.switch_mode is SwitchMode.HARE
+        same_job_cost = switch_model.same_job_cost_s
         sequences = plan.gpu_sequences()
         if self.jitter_sigma > 0:
             sequences = self._jitter(sequences)
         executors = build_executors(
-            instance,
             list(self.cluster.devices()),
             sequences,
-            self.switch_mode,
-            switch_model=self.switch_model,
-            retention_enabled=self.retention_enabled,
+            retention_enabled=(
+                hare if self.retention_enabled is None
+                else self.retention_enabled
+            ),
+            slowdowns=self.slowdowns,
         )
-        by_gpu: dict[int, GpuExecutor] = {e.gpu_id: e for e in executors}
-        planned_start = {a.task: a.start for a in plan.assignments.values()}
+        position = {ex.gpu_id: g for g, ex in enumerate(executors)}
 
-        def barrier_open(job_id: int, round_idx: int) -> bool:
-            return pool.round_complete(job_id, round_idx)
+        # Per-job constants, hoisted out of the per-task path.
+        specs = [spec_or_synthetic(job.model) for job in jobs]
+        model_of = [job.model for job in jobs]
+        working = [spec.training_memory_bytes() for spec in specs]
+        retain = [spec.model_bytes if hare else 0.0 for spec in specs]
+        arrival = [job.arrival for job in jobs]
+        #: barriers open in round order, so round r - 1 is open iff
+        #: r <= rounds_open[job]
+        rounds_open = [0] * len(jobs)
+        syncs_in_flight = {node.node_id: 0 for node in self.cluster.nodes}
 
-        #: in-flight attempt per GPU (recorded only if it completes)
-        in_flight: dict[int, object] = {}
+        seq = itertools.count()
+        heap = [(job.arrival, ARRIVAL, next(seq), -1, job.job_id) for job in jobs]
+        heap += [(0.0, CHECK, next(seq), g, None) for g in range(len(executors))]
+        heap += [
+            (time, FAILURE, next(seq), position[gpu_id], None)
+            for time, gpu_id in self.failures
+        ]
+        heap += [
+            (time, CHECK, next(seq), position[plan[task].gpu], None)
+            for task, time in releases.items()
+        ]
+        heapq.heapify(heap)
+        push, pop = heapq.heappush, heapq.heappop
 
-        releases = self.releases
+        # The wake index. Every executor is tried at the first scan.
+        held = set(range(len(executors)))
+        by_arrival: list[tuple[float, int]] = []
+        by_barrier: dict[tuple[int, int], list[int]] = {}
+        wakeups = 0
+        busy = 0
+        #: completions in order: (assignment, start, switch, retained,
+        #: train time, gpu id)
+        rows: list[tuple] = []
+        wasted: list[float] = []
 
-        def try_start(executor: GpuExecutor, now: float) -> None:
-            if not executor.head_ready(now, barrier_open):
+        def try_start(g: int, now: float) -> None:
+            nonlocal wakeups, busy
+            wakeups += 1
+            ex = executors[g]
+            if ex.running is not None or ex.head == len(ex.queue):
+                return  # busy or done: not parked
+            a = ex.queue[ex.head]
+            task = a.task
+            j = task.job_id
+            if arrival[j] > now + 1e-12:
+                push(by_arrival, (arrival[j], g))
                 return
-            if releases and releases.get(executor.head().task, now) > now:
-                return  # not shipped yet: its GPU_CHECK wakes it
-            started = executor.start_head(now)
-            factor = self._slowdown_factor(executor.gpu_id, started.start)
-            if factor > 1.0:
-                a = started.assignment
-                started = StartedTask(
-                    assignment=TaskAssignment(
-                        task=a.task,
-                        gpu=a.gpu,
-                        start=a.start,
-                        train_time=a.train_time * factor,
-                        sync_time=a.sync_time,
-                    ),
-                    start=started.start,
-                    switch_time=started.switch_time,
-                    retained_hit=started.retained_hit,
-                )
-            in_flight[executor.gpu_id] = started
-            # Busy-GPU curve, sampled at deterministic sim times so the
-            # exported counter track is byte-stable.
-            obs.metrics.gauge("sim.gpus_busy").set(len(in_flight))
-            obs.metrics.sample("sim.gpus_busy", started.start)
-            task = started.assignment.task
-            if tracer.enabled and task.round_idx > 0:
+            r = task.round_idx
+            if r > rounds_open[j]:
+                by_barrier.setdefault((j, r - 1), []).append(g)
+                return
+            if now < ex.down_until or (
+                releases and releases.get(task, now) > now
+            ):
+                held.add(g)
+                return
+            ex.head += 1
+            model = model_of[j]
+            hit = ex.memory.begin_task(model, working[j]).retained_hit
+            prev = ex.prev_job
+            if prev is None or prev == j:
+                # Same-job successors share context; a GPU's very first
+                # task loads during the idle warm-up.
+                switch = 0.0 if prev is None else same_job_cost
+            else:
+                hit = hit and hare
+                switch = ex.switch_costs.get((model, hit))
+                if switch is None:
+                    switch = switch_model.cost(
+                        model, ex.spec, same_job=False, retained_hit=hit
+                    )
+                    if not sampled:
+                        # A live registry counts every modeled transfer.
+                        ex.switch_costs[model, hit] = switch
+            start = now + switch
+            ex.prev_job = j
+            ex.serial += 1
+            train = a.train_time
+            if ex.slowdowns:
+                factor = 1.0
+                for lo, hi, f in ex.slowdowns:
+                    if lo <= start < hi:
+                        factor = max(factor, f)
+                if factor > 1.0:
+                    train = train * factor
+            ex.running = (a, start, switch, hit, train)
+            busy += 1
+            if sampled:
+                # Busy-GPU curve, sampled at deterministic sim times so
+                # the exported counter track is byte-stable.
+                registry.gauge("sim.gpus_busy").set(busy)
+                registry.sample("sim.gpus_busy", start)
+            if traced and r > 0:
                 # Arrow: previous round's barrier released this task.
                 tracer.flow(
-                    flow_id(task),
+                    (j * 10_000 + r) * 10_000 + task.slot,
                     Category.SYNC,
-                    f"j{task.job_id} barrier",
-                    src_track=job_track(task.job_id),
-                    src_time=pool.barrier_time(task.job_id, task.round_idx - 1),
-                    dst_track=gpu_track(executor.gpu_id),
-                    dst_time=started.start,
+                    f"j{j} barrier",
+                    src_track=job_track(j),
+                    src_time=pool.barrier_time(j, r - 1),
+                    dst_track=gpu_track(ex.gpu_id),
+                    dst_time=start,
                 )
-            engine.at(
-                started.compute_end,
-                EventType.TASK_COMPUTE_DONE,
-                (executor.gpu_id, executor.started),
-            )
+            push(heap, (start + train, COMPUTE, next(seq), g, ex.serial))
 
-        syncs_in_flight: dict[int, int] = {
-            node.node_id: 0 for node in self.cluster.nodes
-        }
-
-        def on_gpu_check(event: Event) -> None:
-            try_start(by_gpu[event.payload], event.time)
-
-        def on_job_arrival(event: Event) -> None:
-            for executor in executors:
-                try_start(executor, event.time)
-
-        def on_compute_done(event: Event) -> None:
-            gpu_id, serial = event.payload
-            executor = by_gpu[gpu_id]
-            if executor.running is None or executor.started != serial:
-                return  # stale completion of a crashed attempt
-            started = in_flight.pop(executor.gpu_id)
-            obs.metrics.gauge("sim.gpus_busy").set(len(in_flight))
-            obs.metrics.sample("sim.gpus_busy", event.time)
-            obs.metrics.counter("sim.tasks_completed").inc()
-            obs.metrics.sample("sim.tasks_completed", event.time)
-            task = started.assignment.task
-            if tracer.enabled:
-                track = gpu_track(executor.gpu_id)
-                if started.switch_time > 0:
-                    tracer.span(
-                        Category.SWITCH,
-                        f"switch→j{task.job_id}",
-                        track=track,
-                        start=started.start - started.switch_time,
-                        end=started.start,
-                        job=task.job_id,
-                        retained_hit=started.retained_hit,
-                    )
-                tracer.span(
-                    Category.SIM,
-                    f"j{task.job_id} r{task.round_idx}",
-                    track=track,
-                    start=started.start,
-                    end=event.time,
-                    job=task.job_id,
-                    round=task.round_idx,
-                    slot=task.slot,
-                    planned_start=planned_start[task],
-                )
-            telemetry.record_task(
-                TaskRecord(
-                    task=task,
-                    gpu=executor.gpu_id,
-                    planned_start=planned_start[task],
-                    start=started.start,
-                    switch_time=started.switch_time,
-                    train_time=started.assignment.train_time,
-                    sync_time=started.assignment.sync_time,
-                    retained_hit=started.retained_hit,
-                )
-            )
-            realized.add(
-                TaskAssignment(
-                    task=task,
-                    gpu=executor.gpu_id,
-                    start=started.start,
-                    train_time=started.assignment.train_time,
-                    sync_time=started.assignment.sync_time,
-                )
-            )
-            assignment = executor.finish_running()
-            sync_time = assignment.sync_time
-            node_id = executor.device.node_id
-            if self.nic_contention and sync_time > 0:
-                syncs_in_flight[node_id] += 1
-                sync_time *= syncs_in_flight[node_id]
-            if tracer.enabled and sync_time > 0:
-                tracer.span(
-                    Category.SYNC,
-                    f"sync j{task.job_id} r{task.round_idx}",
-                    track=job_track(task.job_id),
-                    start=event.time,
-                    end=event.time + sync_time,
-                    job=task.job_id,
-                    round=task.round_idx,
-                    gpu=executor.gpu_id,
-                    slot=task.slot,
-                )
-            engine.at(
-                event.time + sync_time,
-                EventType.TASK_SYNC_DONE,
-                (assignment.task, node_id, assignment.sync_time > 0),
-            )
-            # The GPU is free; sync overlaps the successor (§5.2).
-            try_start(executor, event.time)
-
-        def on_sync_done(event: Event) -> None:
-            task, node_id, counted = event.payload
-            if self.nic_contention and counted:
-                syncs_in_flight[node_id] -= 1
-            if pool.record_sync(task, event.time):
-                if tracer.enabled:
-                    tracer.instant(
-                        Category.SYNC,
-                        f"barrier j{task.job_id} r{task.round_idx}",
-                        track=job_track(task.job_id),
-                        time=event.time,
-                        job=task.job_id,
-                        round=task.round_idx,
-                    )
-                # The barrier opened: next-round tasks may be heads.
-                for executor in executors:
-                    try_start(executor, event.time)
-
-        def on_gpu_failure(event: Event) -> None:
-            executor = by_gpu[event.payload]
-            if tracer.enabled:
-                tracer.instant(
-                    Category.FAULT,
-                    "gpu failure",
-                    track=gpu_track(executor.gpu_id),
-                    time=event.time,
-                    restart_delay_s=self.restart_delay_s,
-                )
-            if executor.running is not None:
-                started = in_flight.pop(executor.gpu_id)
-                obs.metrics.gauge("sim.gpus_busy").set(len(in_flight))
-                obs.metrics.sample("sim.gpus_busy", event.time)
-                wasted = max(0.0, event.time - started.start)
-                telemetry.record_abort(wasted)
-                executor.abort_running()
-            elif not executor.done:
-                # idle crash: device state is still lost
-                executor.memory.flush()
-                executor.prev_job = None
-                executor.prev_model = None
-            # Down until the restart check: arrivals and barriers in the
-            # window must not start the GPU early.
-            restart = event.time + self.restart_delay_s
-            executor.down_until = max(executor.down_until, restart)
-            engine.at(restart, EventType.GPU_CHECK, executor.gpu_id)
-
-        engine.on(EventType.GPU_CHECK, on_gpu_check)
-        engine.on(EventType.JOB_ARRIVAL, on_job_arrival)
-        engine.on(EventType.TASK_COMPUTE_DONE, on_compute_done)
-        engine.on(EventType.TASK_SYNC_DONE, on_sync_done)
-        engine.on(EventType.GPU_FAILURE, on_gpu_failure)
-
-        # Seed events: arrivals + initial checks + injected failures.
-        for job in instance.jobs:
-            engine.at(job.arrival, EventType.JOB_ARRIVAL, job.job_id)
-        for executor in executors:
-            engine.at(0.0, EventType.GPU_CHECK, executor.gpu_id)
-        for time, gpu_id in self.failures:
-            engine.at(time, EventType.GPU_FAILURE, gpu_id)
-        for task, time in releases.items():
-            engine.at(time, EventType.GPU_CHECK, plan[task].gpu)
+        def scan(now: float, woken: Iterable[int]) -> None:
+            woken = held.union(woken)
+            held.clear()
+            limit = now + 1e-12
+            while by_arrival and by_arrival[0][0] <= limit:
+                woken.add(pop(by_arrival)[1])
+            for g in sorted(woken):
+                try_start(g, now)
 
         # Exact volume: one arrival per job, one check per GPU, one compute
         # and one sync completion per task; each failure adds at most one
@@ -410,29 +353,167 @@ class ClusterSimulator:
             + len(releases)
             + 16
         )
-        processed = engine.run(max_events=budget)
+        processed = 0
+        while heap:
+            if processed >= budget:
+                raise SimulationError(
+                    f"event budget {budget} exceeded; likely livelock"
+                )
+            time, kind, _, g, payload = pop(heap)
+            processed += 1
+            if traced:
+                tracer.instant(
+                    Category.SIM, EVENT_NAMES[kind], track=ENGINE_TRACK,
+                    time=time,
+                )
+            if kind == COMPUTE:
+                ex = executors[g]
+                running = ex.running
+                if running is None or ex.serial != payload:
+                    continue  # stale completion of a crashed attempt
+                ex.running = None
+                busy -= 1
+                if sampled:
+                    registry.gauge("sim.gpus_busy").set(busy)
+                    registry.sample("sim.gpus_busy", time)
+                    registry.counter("sim.tasks_completed").inc()
+                    registry.sample("sim.tasks_completed", time)
+                a, start, switch, hit, train = running
+                task = a.task
+                j = task.job_id
+                if traced:
+                    track = gpu_track(ex.gpu_id)
+                    if switch > 0:
+                        tracer.span(
+                            Category.SWITCH,
+                            f"switch→j{j}",
+                            track=track,
+                            start=start - switch,
+                            end=start,
+                            job=j,
+                            retained_hit=hit,
+                        )
+                    tracer.span(
+                        Category.SIM,
+                        f"j{j} r{task.round_idx}",
+                        track=track,
+                        start=start,
+                        end=time,
+                        job=j,
+                        round=task.round_idx,
+                        slot=task.slot,
+                        planned_start=a.start,
+                    )
+                rows.append((a, start, switch, hit, train, ex.gpu_id))
+                ex.memory.end_task(retain_bytes=retain[j])
+                sync = a.sync_time
+                if nic and sync > 0:
+                    syncs_in_flight[ex.node_id] += 1
+                    sync *= syncs_in_flight[ex.node_id]
+                if traced and sync > 0:
+                    tracer.span(
+                        Category.SYNC,
+                        f"sync j{j} r{task.round_idx}",
+                        track=job_track(j),
+                        start=time,
+                        end=time + sync,
+                        job=j,
+                        round=task.round_idx,
+                        gpu=ex.gpu_id,
+                        slot=task.slot,
+                    )
+                push(heap, (time + sync, SYNC, next(seq), g, a))
+                # The GPU is free; sync overlaps the successor (§5.2).
+                try_start(g, time)
+            elif kind == SYNC:
+                if nic and payload.sync_time > 0:
+                    syncs_in_flight[executors[g].node_id] -= 1
+                task = payload.task
+                if pool.record_sync(task, time):
+                    j = task.job_id
+                    rounds_open[j] += 1
+                    if traced:
+                        tracer.instant(
+                            Category.SYNC,
+                            f"barrier j{j} r{task.round_idx}",
+                            track=job_track(j),
+                            time=time,
+                            job=j,
+                            round=task.round_idx,
+                        )
+                    # The barrier opened: next-round tasks may be heads.
+                    scan(time, by_barrier.pop((j, task.round_idx), ()))
+            elif kind == ARRIVAL:
+                scan(time, ())
+            elif kind == CHECK:
+                try_start(g, time)
+            else:  # FAILURE
+                ex = executors[g]
+                if traced:
+                    tracer.instant(
+                        Category.FAULT,
+                        "gpu failure",
+                        track=gpu_track(ex.gpu_id),
+                        time=time,
+                        restart_delay_s=self.restart_delay_s,
+                    )
+                if ex.running is not None:
+                    # The attempt is lost and re-runs from the queue head;
+                    # the crash wipes device memory and context.
+                    wasted.append(max(0.0, time - ex.running[1]))
+                    ex.running = None
+                    busy -= 1
+                    if sampled:
+                        registry.gauge("sim.gpus_busy").set(busy)
+                        registry.sample("sim.gpus_busy", time)
+                    ex.memory.end_task(retain_bytes=0.0)
+                    ex.memory.flush()
+                    ex.head -= 1
+                    ex.prev_job = None
+                    held.add(g)
+                elif not ex.done:
+                    # idle crash: device state is still lost
+                    ex.memory.flush()
+                    ex.prev_job = None
+                # Down until the restart check: arrivals and barriers in
+                # the window must not start the GPU early.
+                restart = time + self.restart_delay_s
+                ex.down_until = max(ex.down_until, restart)
+                push(heap, (restart, CHECK, next(seq), g, None))
+        registry.counter("sim.engine_events").inc(processed)
 
         if not pool.all_jobs_complete():
             unfinished = [
-                j.job_id
-                for j in instance.jobs
-                if not pool.job_complete(j.job_id)
+                j.job_id for j in jobs if not pool.job_complete(j.job_id)
             ]
             raise SimulationError(
                 f"simulation drained with unfinished jobs {unfinished[:5]}"
             )
-        for executor in executors:
-            if not executor.done:  # pragma: no cover - defensive
-                raise SimulationError(
-                    f"GPU {executor.gpu_id} still has queued tasks"
-                )
+        for ex in executors:
+            if not ex.done:  # pragma: no cover - defensive
+                raise SimulationError(f"GPU {ex.gpu_id} still has queued tasks")
 
+        # Columns out: the records, realized schedule and telemetry in one
+        # pass over the completions, in completion order.
+        records = [
+            TaskRecord(a.task, gpu, a.start, start, switch, train, a.sync_time, hit)
+            for a, start, switch, hit, train, gpu in rows
+        ]
+        realized = Schedule(
+            instance,
+            {
+                r.task: TaskAssignment(
+                    r.task, r.gpu, r.start, r.train_time, r.sync_time
+                )
+                for r in records
+            },
+        )
+        telemetry = Telemetry.from_run(instance.num_gpus, records, wasted)
         completions = {
-            job.job_id: pool.completion_time(job.job_id)
-            for job in instance.jobs
+            job.job_id: pool.completion_time(job.job_id) for job in jobs
         }
         metrics = metrics_from_completions(
-            instance.jobs, completions, makespan=telemetry.makespan
+            jobs, completions, makespan=telemetry.makespan
         )
         return SimResult(
             realized=realized,
@@ -440,8 +521,8 @@ class ClusterSimulator:
             telemetry=telemetry,
             pool=pool,
             events_processed=processed,
+            wakeups=wakeups,
         )
-
 
 def simulate_plan(
     cluster: Cluster,

@@ -57,25 +57,51 @@ class Telemetry:
     #: every scalar mutation goes through here; the properties read it back
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
 
+    @classmethod
+    def from_run(
+        cls,
+        num_gpus: int,
+        records: list[TaskRecord],
+        wasted_compute_s: list[float] = (),
+    ) -> "Telemetry":
+        """A finished run's telemetry, built in one pass: the same state
+        as :meth:`record_task` per record, in order, then
+        :meth:`record_abort` per destroyed attempt."""
+        telemetry = cls(num_gpus=num_gpus)
+        telemetry._absorb(records)
+        for wasted in wasted_compute_s:
+            telemetry.record_abort(wasted)
+        return telemetry
+
     def record_task(self, record: TaskRecord) -> None:
-        self.records.append(record)
-        self.busy.setdefault(record.gpu, []).append(
-            (record.start, record.compute_end)
-        )
-        self.metrics.counter("sim.tasks").inc()
-        self.metrics.histogram("sim.train_time_s").observe(record.train_time)
-        if record.sync_time > 0:
-            self.metrics.histogram("sim.sync_time_s").observe(record.sync_time)
-        if record.switch_time > 0:
-            self.switching.setdefault(record.gpu, []).append(
-                (record.start - record.switch_time, record.start)
-            )
-            self.metrics.counter("sim.switch_count").inc()
-            self.metrics.histogram("sim.switch_time_s").observe(
-                record.switch_time
-            )
-        if record.retained_hit:
-            self.metrics.counter("sim.retention_hits").inc()
+        self._absorb([record])
+
+    def _absorb(self, records: list[TaskRecord]) -> None:
+        if not records:
+            return
+        self.records.extend(records)
+        trains, syncs, switches = [], [], []
+        hits = 0
+        for r in records:
+            self.busy.setdefault(r.gpu, []).append((r.start, r.compute_end))
+            trains.append(r.train_time)
+            if r.sync_time > 0:
+                syncs.append(r.sync_time)
+            if r.switch_time > 0:
+                self.switching.setdefault(r.gpu, []).append(
+                    (r.start - r.switch_time, r.start)
+                )
+                switches.append(r.switch_time)
+            hits += r.retained_hit
+        self.metrics.counter("sim.tasks").inc(len(records))
+        self.metrics.histogram("sim.train_time_s").observe_all(trains)
+        if syncs:
+            self.metrics.histogram("sim.sync_time_s").observe_all(syncs)
+        if switches:
+            self.metrics.counter("sim.switch_count").inc(len(switches))
+            self.metrics.histogram("sim.switch_time_s").observe_all(switches)
+        if hits:
+            self.metrics.counter("sim.retention_hits").inc(hits)
 
     def record_abort(self, wasted_compute_s: float) -> None:
         """A GPU failure destroyed an in-flight attempt."""

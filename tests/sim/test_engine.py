@@ -1,10 +1,10 @@
-"""Tests for the generic DES engine."""
+"""Tests for the generic DES engine behind the replay oracle."""
 
 import pytest
 
 from repro.core import SimulationError
-from repro.sim.engine import Engine
 from repro.sim.events import Event, EventType
+from tests.sim.oracles import Engine
 
 
 class TestEngine:

@@ -1,4 +1,4 @@
-"""Tests for the per-GPU executor state machine."""
+"""Tests for the replay oracle's per-GPU executor state machine."""
 
 from collections import deque
 
@@ -8,8 +8,8 @@ import pytest
 from repro.cluster import make_cluster
 from repro.core import Job, ProblemInstance, SimulationError, SwitchMode, TaskRef
 from repro.core.schedule import TaskAssignment
-from repro.sim import build_executors
 from repro.switching import SwitchCostModel
+from tests.sim.oracles import build_executors
 
 
 @pytest.fixture
