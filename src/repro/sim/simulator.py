@@ -258,7 +258,7 @@ class ClusterSimulator:
         wakeups = 0
         busy = 0
         #: completions in order: (assignment, start, switch, retained,
-        #: train time, gpu id)
+        #: train time, sync time, gpu id)
         rows: list[tuple] = []
         wasted: list[float] = []
 
@@ -404,12 +404,14 @@ class ClusterSimulator:
                         slot=task.slot,
                         planned_start=a.start,
                     )
-                rows.append((a, start, switch, hit, train, ex.gpu_id))
                 ex.memory.end_task(retain_bytes=retain[j])
                 sync = a.sync_time
                 if nic and sync > 0:
                     syncs_in_flight[ex.node_id] += 1
                     sync *= syncs_in_flight[ex.node_id]
+                # The realized sync is the contended one: the barrier
+                # opens when it lands.
+                rows.append((a, start, switch, hit, train, sync, ex.gpu_id))
                 if traced and sync > 0:
                     tracer.span(
                         Category.SYNC,
@@ -496,8 +498,8 @@ class ClusterSimulator:
         # Columns out: the records, realized schedule and telemetry in one
         # pass over the completions, in completion order.
         records = [
-            TaskRecord(a.task, gpu, a.start, start, switch, train, a.sync_time, hit)
-            for a, start, switch, hit, train, gpu in rows
+            TaskRecord(a.task, gpu, a.start, start, switch, train, sync, hit)
+            for a, start, switch, hit, train, sync, gpu in rows
         ]
         realized = Schedule(
             instance,

@@ -421,6 +421,12 @@ def reference_run(sim: ClusterSimulator, plan: Schedule) -> SimResult:
                 slot=task.slot,
                 planned_start=planned_start[task],
             )
+        assignment = executor.finish_running()
+        sync_time = assignment.sync_time
+        node_id = executor.device.node_id
+        if sim.nic_contention and sync_time > 0:
+            syncs_in_flight[node_id] += 1
+            sync_time *= syncs_in_flight[node_id]
         telemetry.record_task(
             TaskRecord(
                 task=task,
@@ -429,7 +435,7 @@ def reference_run(sim: ClusterSimulator, plan: Schedule) -> SimResult:
                 start=started.start,
                 switch_time=started.switch_time,
                 train_time=started.assignment.train_time,
-                sync_time=started.assignment.sync_time,
+                sync_time=sync_time,
                 retained_hit=started.retained_hit,
             )
         )
@@ -439,15 +445,9 @@ def reference_run(sim: ClusterSimulator, plan: Schedule) -> SimResult:
                 gpu=executor.gpu_id,
                 start=started.start,
                 train_time=started.assignment.train_time,
-                sync_time=started.assignment.sync_time,
+                sync_time=sync_time,
             )
         )
-        assignment = executor.finish_running()
-        sync_time = assignment.sync_time
-        node_id = executor.device.node_id
-        if sim.nic_contention and sync_time > 0:
-            syncs_in_flight[node_id] += 1
-            sync_time *= syncs_in_flight[node_id]
         if tracer.enabled and sync_time > 0:
             tracer.span(
                 Category.SYNC,

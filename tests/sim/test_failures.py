@@ -108,6 +108,27 @@ class TestFailureRecovery:
         assert starts[2] >= 9.0 - 1e-9
         assert res.pool.completion_time(0) == pytest.approx(11.0)
 
+    def test_release_for_task_not_in_plan_rejected(self):
+        cluster, inst, plan = single_gpu_plan()
+        with pytest.raises(ConfigurationError, match=r"J0\.r5\.t0"):
+            simulate_plan(
+                cluster, inst, plan, releases={TaskRef(0, 5, 0): 1.0}
+            )
+
+    def test_nan_release_rejected(self):
+        cluster, inst, plan = single_gpu_plan()
+        with pytest.raises(ConfigurationError, match=r"J0\.r1\.t0.*nan"):
+            simulate_plan(
+                cluster, inst, plan, releases={TaskRef(0, 1, 0): float("nan")}
+            )
+
+    def test_negative_release_rejected(self):
+        cluster, inst, plan = single_gpu_plan()
+        with pytest.raises(ConfigurationError, match=r"J0\.r1\.t0.*-5\.0"):
+            simulate_plan(
+                cluster, inst, plan, releases={TaskRef(0, 1, 0): -5.0}
+            )
+
     def test_slowdown_inflates_started_tasks(self):
         cluster, inst, plan = single_gpu_plan()
         slow = simulate_plan(
