@@ -19,7 +19,9 @@ median of repeated runs, and reports ``speedup_x`` plus the weighted-JCT
 band (CI's ``shard-smoke`` holds the sharded side no slower than flat).
 The ``attrib_fractions`` arm runs the time-attribution engine on a
 crash-injected streaming run and drift-gates the per-category JCT
-shares. The report's ``env`` block records the python, numpy and scipy
+shares. The ``sim_replay`` arm races the DES replay loop against its
+oracle on Hare plans of 125-, 500- and 1000-GPU clusters and reports
+``sim_speedup_x`` and ``wakeups_per_task``. The report's ``env`` block records the python, numpy and scipy
 versions, the CPU count and the git revision. CI's ``bench-smoke`` job
 runs this and uploads the artifact; it is a smoke + trend probe, not a
 rigorous perf harness.
@@ -47,6 +49,7 @@ from repro.core.job import Job
 from repro.core.schedule import validate_schedule
 from repro.core.types import ModelName
 from repro.harness import make_workload
+from repro.harness.experiments import make_loaded_workload
 from repro.kernel import (
     ArraySchedulingKernel,
     PlannedPolicy,
@@ -57,6 +60,7 @@ from repro.obs import Obs, use
 from repro.schedulers import HareScheduler, OnlineHarePolicy
 from repro.schedulers.hare import _precedence_safe_order, list_schedule
 from repro.schedulers.relaxation import FluidRelaxationSolver
+from repro.sim import ClusterSimulator
 from repro.workload import WorkloadConfig, build_instance
 
 # The reference arms' list scheduler and validator are test oracles
@@ -64,6 +68,7 @@ from repro.workload import WorkloadConfig, build_instance
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from tests.core.oracles import reference_validate_schedule  # noqa: E402
 from tests.schedulers.oracles import reference_list_schedule  # noqa: E402
+from tests.sim.oracles import reference_run  # noqa: E402
 
 
 def _quantiles(snapshot: dict, name: str, hist) -> dict:
@@ -369,6 +374,74 @@ def bench_array_kernel(seed: int, *, repeats: int = 3) -> dict:
     }
 
 
+#: The sim_replay arm's cluster sizes; each runs GPUs / 2 jobs.
+SIM_REPLAY_GPUS: tuple[int, ...] = (125, 500, 1000)
+
+
+def bench_sim_replay(seed: int, *, repeats: int = 3) -> dict:
+    """The DES replay loop vs its oracle as the cluster grows.
+
+    For each size, Hare (fluid relaxation) plans ``scaled_cluster(G)``
+    with ``G / 2`` loaded jobs once; then :meth:`ClusterSimulator.run`
+    and the engine-of-handlers oracle (``tests/sim/oracles.py``) replay
+    the plan *repeats* times each, interleaved and alternating which
+    goes first. ``wall_s`` is each side's median, ``sim_speedup_x``
+    their ratio. ``wakeups_per_task`` is the loop's start attempts per
+    started task: the oracle's grows with the cluster, the loop's should
+    not (CI's bench-smoke holds the 1000-GPU value within 2x of the
+    125-GPU one, and the speedup at 500 GPUs at >= 3x). The two replays
+    must agree, or the bench would gate on a broken comparison.
+    """
+    arms: dict[str, dict] = {}
+    for gpus in SIM_REPLAY_GPUS:
+        cluster = scaled_cluster(gpus)
+        jobs = make_loaded_workload(
+            gpus // 2, reference_gpus=gpus, load=1.5, seed=seed,
+            config=WorkloadConfig(rounds_scale=0.15),
+        )
+        instance = build_instance(jobs, cluster)
+        plan = HareScheduler(relaxation="fluid").schedule(instance)
+        sim = ClusterSimulator(cluster=cluster, instance=instance)
+        runners = {"loop": ClusterSimulator.run, "oracle": reference_run}
+        walls: dict[str, list[float]] = {"loop": [], "oracle": []}
+        results = {}
+        for i in range(repeats):
+            for side in ("loop", "oracle") if i % 2 == 0 else (
+                "oracle", "loop"
+            ):
+                t0 = time.perf_counter()
+                results[side] = runners[side](sim, plan)
+                walls[side].append(time.perf_counter() - t0)
+        loop, oracle = results["loop"], results["oracle"]
+        if (
+            loop.events_processed != oracle.events_processed
+            or loop.metrics != oracle.metrics
+            or loop.telemetry.records != oracle.telemetry.records
+        ):
+            raise AssertionError("replay loop diverged from its oracle")
+        loop_s = statistics.median(walls["loop"])
+        oracle_s = statistics.median(walls["oracle"])
+        arms[f"gpus{gpus}"] = {
+            "gpus": instance.num_gpus,
+            "jobs": instance.num_jobs,
+            "tasks": instance.num_tasks,
+            "repeats": repeats,
+            "events": loop.events_processed,
+            "makespan": loop.metrics.makespan,
+            "weighted_completion": loop.metrics.total_weighted_completion,
+            "wakeups": loop.wakeups,
+            "wakeups_per_task": loop.wakeups / instance.num_tasks,
+            "oracle_wakeups_per_task": oracle.wakeups / instance.num_tasks,
+            "loop": {"wall_s": loop_s, "wall_s_runs": sorted(walls["loop"])},
+            "oracle": {
+                "wall_s": oracle_s,
+                "wall_s_runs": sorted(walls["oracle"]),
+            },
+            "sim_speedup_x": oracle_s / loop_s if loop_s > 0 else 0.0,
+        }
+    return arms
+
+
 #: The sharded arm's shape: (jobs, rounds, sync_scale, gpus, cells).
 #: ≥10k GPUs / ≥5k jobs — the tier the cell architecture targets.
 SHARDED_SHAPE: tuple[int, int, int, int, int] = (5000, 1, 2, 10000, 16)
@@ -584,6 +657,7 @@ ALL_ARMS: tuple[str, ...] = (
     "sched_throughput",
     "array_kernel",
     "sharded",
+    "sim_replay",
 )
 
 
@@ -630,6 +704,7 @@ def main(argv: list[str] | None = None) -> int:
         "sched_throughput": lambda: bench_sched_throughput(args.seed),
         "array_kernel": lambda: bench_array_kernel(args.seed),
         "sharded": lambda: bench_sharded(args.seed),
+        "sim_replay": lambda: bench_sim_replay(args.seed),
     }
     report = {
         "benchmark": "kernel",
