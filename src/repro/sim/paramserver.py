@@ -31,20 +31,22 @@ class ParameterServerPool:
 
         Returns True when this completes the round (the barrier opens).
         """
-        if task in self._synced_tasks:
+        synced = self._synced_tasks
+        before = len(synced)
+        synced.add(task)
+        if len(synced) == before:
             raise SimulationError(f"{task} synchronized twice")
-        self._synced_tasks.add(task)
-        job = self.instance.jobs[task.job_id]
+        scale = self.instance.jobs[task.job_id].sync_scale
         key = (task.job_id, task.round_idx)
         count = self._done.get(key, 0) + 1
-        if count > job.sync_scale:
+        if count > scale:
             raise SimulationError(
-                f"round {key} over-synchronized: {count}/{job.sync_scale}"
+                f"round {key} over-synchronized: {count}/{scale}"
             )
         self._done[key] = count
         self._barrier[key] = max(self._barrier.get(key, 0.0), time)
         self.total_syncs += 1
-        return count == job.sync_scale
+        return count == scale
 
     def round_complete(self, job_id: int, round_idx: int) -> bool:
         if round_idx < 0:
