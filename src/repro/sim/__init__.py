@@ -1,7 +1,6 @@
 """Trace-driven discrete-event cluster simulator (§7.1)."""
 
 from .events import Event, EventQueue, EventType
-from .executor import GpuExecutor, build_executors
 from .paramserver import ParameterServerPool
 from .simulator import ClusterSimulator, SimResult, simulate_plan
 from .telemetry import TaskRecord, Telemetry
@@ -11,11 +10,9 @@ __all__ = [
     "Event",
     "EventQueue",
     "EventType",
-    "GpuExecutor",
     "ParameterServerPool",
     "SimResult",
     "TaskRecord",
     "Telemetry",
-    "build_executors",
     "simulate_plan",
 ]

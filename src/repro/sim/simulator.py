@@ -238,8 +238,12 @@ class ClusterSimulator:
         syncs_in_flight = {node.node_id: 0 for node in self.cluster.nodes}
 
         seq = itertools.count()
-        heap = [(job.arrival, ARRIVAL, next(seq), -1, job.job_id) for job in jobs]
-        heap += [(0.0, CHECK, next(seq), g, None) for g in range(len(executors))]
+        heap = [
+            (job.arrival, ARRIVAL, next(seq), -1, job.job_id) for job in jobs
+        ]
+        heap += [
+            (0.0, CHECK, next(seq), g, None) for g in range(len(executors))
+        ]
         heap += [
             (time, FAILURE, next(seq), position[gpu_id], None)
             for time, gpu_id in self.failures
@@ -493,7 +497,9 @@ class ClusterSimulator:
             )
         for ex in executors:
             if not ex.done:  # pragma: no cover - defensive
-                raise SimulationError(f"GPU {ex.gpu_id} still has queued tasks")
+                raise SimulationError(
+                    f"GPU {ex.gpu_id} still has queued tasks"
+                )
 
         # Columns out: the records, realized schedule and telemetry in one
         # pass over the completions, in completion order.

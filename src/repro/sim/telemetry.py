@@ -14,6 +14,7 @@ properties return plain floats.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -62,7 +63,7 @@ class Telemetry:
         cls,
         num_gpus: int,
         records: list[TaskRecord],
-        wasted_compute_s: list[float] = (),
+        wasted_compute_s: Iterable[float] = (),
     ) -> "Telemetry":
         """A finished run's telemetry, built in one pass: the same state
         as :meth:`record_task` per record, in order, then

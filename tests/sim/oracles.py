@@ -293,7 +293,8 @@ def _slowdown_factor(sim: ClusterSimulator, gpu_id: int, at: float) -> float:
 
 
 def reference_run(sim: ClusterSimulator, plan: Schedule) -> SimResult:
-    """``ClusterSimulator.run`` as one handler per event type on :class:`Engine`."""
+    """``ClusterSimulator.run`` as one handler per event type on an
+    :class:`Engine`."""
     instance = sim.instance
     engine = Engine()
     pool = ParameterServerPool(instance)

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import make_cluster
 from repro.core import Job, ProblemInstance, SwitchMode, TaskRef
-from repro.core.errors import InfeasibleProblemError
+from repro.core.errors import InfeasibleProblemError, ReproError
 from repro.core.schedule import schedule_from_mapping
 from repro.obs import Obs, use
 from repro.schedulers.registry import available, create
@@ -52,7 +52,7 @@ def observe(run, sim: ClusterSimulator, plan, mode: str) -> dict:
         else:
             with use(obs):
                 res = run(sim, plan)
-    except Exception as exc:  # compared like any other outcome
+    except ReproError as exc:  # compared like any other outcome
         return {"error": (type(exc), str(exc))}
     out = {
         "records": res.telemetry.records,
