@@ -21,7 +21,10 @@ The ``attrib_fractions`` arm runs the time-attribution engine on a
 crash-injected streaming run and drift-gates the per-category JCT
 shares. The ``sim_replay`` arm races the DES replay loop against its
 oracle on Hare plans of 125-, 500- and 1000-GPU clusters and reports
-``sim_speedup_x`` and ``wakeups_per_task``. The report's ``env`` block records the python, numpy and scipy
+``sim_speedup_x`` and ``wakeups_per_task``. The ``online_fleet`` arm
+times online Hare against offline Hare at 125, 250 and 500 GPUs and
+reports how much of each re-plan's residual was list-scheduled and
+committed. The report's ``env`` block records the python, numpy and scipy
 versions, the CPU count and the git revision. CI's ``bench-smoke`` job
 runs this and uploads the artifact; it is a smoke + trend probe, not a
 rigorous perf harness.
@@ -30,6 +33,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_kernel.py \
         [--jobs 24] [--seed 7] [--arms sharded,heal,...] \
+        [--online-fleet-gpus 125,250,500] \
         [--out benchmarks/out/BENCH_kernel.json]
 """
 
@@ -442,6 +446,82 @@ def bench_sim_replay(seed: int, *, repeats: int = 3) -> dict:
     return arms
 
 
+#: The online_fleet arm's cluster sizes (``--online-fleet-gpus``).
+ONLINE_FLEET_GPUS: tuple[int, ...] = (125, 250, 500)
+
+
+class _TallyingOnlineHare(OnlineHarePolicy):
+    """Online Hare that counts the residual tasks each re-plan could
+    place, the tasks it list-scheduled and the tasks it committed."""
+
+    def __init__(self) -> None:
+        super().__init__(relaxation="fluid")
+        self.residual_tasks = self.placed_tasks = self.committed_tasks = 0
+
+    def _plan(self, residual, relaxation, initial_phi, horizon):
+        plan = super()._plan(residual, relaxation, initial_phi, horizon)
+        self.residual_tasks += residual.num_tasks
+        self.placed_tasks += len(plan)
+        return plan
+
+    def _commitments(self, *args):
+        out = super()._commitments(*args)
+        self.committed_tasks += sum(len(c.assignments) for c in out)
+        return out
+
+
+def bench_online_fleet(seed: int, sizes=ONLINE_FLEET_GPUS) -> dict:
+    """Online Hare against offline Hare as the cluster grows.
+
+    For each size, ``G / 2`` loaded jobs (load 1.5, rounds scale 0.15)
+    on ``scaled_cluster(G)`` stream through the kernel once under offline
+    Hare (fluid relaxation, :class:`PlannedPolicy`) and once under
+    online Hare, with no replay. ``wall_ratio`` is online over offline
+    wall time, one run each. ``placed_frac`` is the share of the
+    re-plans' residual tasks that were list-scheduled (1.0 without the
+    commit-horizon stop rule), ``committed_frac`` the share committed.
+    This is Gavel's policy-cost-against-cluster-size curve for the
+    online policy; CI's bench-smoke runs the smallest size only.
+    """
+    arms: dict[str, dict] = {}
+    for gpus in sizes:
+        jobs = make_loaded_workload(
+            gpus // 2, reference_gpus=gpus, load=1.5, seed=seed,
+            config=WorkloadConfig(rounds_scale=0.15),
+        )
+        instance = build_instance(jobs, scaled_cluster(gpus))
+        t0 = time.perf_counter()
+        offline = run_policy(
+            instance, PlannedPolicy(HareScheduler(relaxation="fluid"))
+        )
+        offline_s = time.perf_counter() - t0
+        policy = _TallyingOnlineHare()
+        t0 = time.perf_counter()
+        online = run_policy(instance, policy)
+        online_s = time.perf_counter() - t0
+        arms[f"gpus{gpus}"] = {
+            "gpus": instance.num_gpus,
+            "jobs": instance.num_jobs,
+            "tasks": instance.num_tasks,
+            "replans": online.replans,
+            "hare": {
+                "wall_s": offline_s,
+                "weighted_completion":
+                    offline.metrics.total_weighted_completion,
+            },
+            "hare_online": {
+                "wall_s": online_s,
+                "weighted_completion":
+                    online.metrics.total_weighted_completion,
+            },
+            "wall_ratio": online_s / offline_s if offline_s > 0 else 0.0,
+            "residual_tasks": policy.residual_tasks,
+            "placed_frac": policy.placed_tasks / policy.residual_tasks,
+            "committed_frac": policy.committed_tasks / policy.residual_tasks,
+        }
+    return arms
+
+
 #: The sharded arm's shape: (jobs, rounds, sync_scale, gpus, cells).
 #: ≥10k GPUs / ≥5k jobs — the tier the cell architecture targets.
 SHARDED_SHAPE: tuple[int, int, int, int, int] = (5000, 1, 2, 10000, 16)
@@ -658,6 +738,7 @@ ALL_ARMS: tuple[str, ...] = (
     "array_kernel",
     "sharded",
     "sim_replay",
+    "online_fleet",
 )
 
 
@@ -670,6 +751,11 @@ def main(argv: list[str] | None = None) -> int:
         default=",".join(ALL_ARMS),
         help="comma-separated arm subset to run (default: all); "
         f"known arms: {', '.join(ALL_ARMS)}",
+    )
+    parser.add_argument(
+        "--online-fleet-gpus",
+        default=",".join(map(str, ONLINE_FLEET_GPUS)),
+        help="comma-separated cluster sizes for the online_fleet arm",
     )
     parser.add_argument(
         "--out",
@@ -705,6 +791,10 @@ def main(argv: list[str] | None = None) -> int:
         "array_kernel": lambda: bench_array_kernel(args.seed),
         "sharded": lambda: bench_sharded(args.seed),
         "sim_replay": lambda: bench_sim_replay(args.seed),
+        "online_fleet": lambda: bench_online_fleet(
+            args.seed,
+            [int(g) for g in args.online_fleet_gpus.split(",") if g.strip()],
+        ),
     }
     report = {
         "benchmark": "kernel",

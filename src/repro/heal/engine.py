@@ -9,11 +9,14 @@ observability plumbing unchanged::
         result = run_policy(instance, policy, replan_interval=0.25,
                             heal=engine)
 
-It wraps its own copy of the monitor catalogue and forwards every record
-to it, so callers attach *either* plain monitors *or* the engine — not
-both (the engine's ``findings`` already include everything its wrapped
-monitors found, plus an INFO finding per action taken, so
-``recorder.diagnose()`` keeps working).
+It wraps its own copy of the monitor catalogue and forwards each record
+to the wrapped monitors that want it
+(:class:`~repro.obs.recorder.RecordRouter`), so callers attach *either*
+plain monitors *or* the engine — not both (the engine's ``findings``
+already include everything its wrapped monitors found, plus an INFO
+finding per action taken, so ``recorder.diagnose()`` keeps working). The
+engine itself sees every record: each one counts towards the
+``poll_every`` cadence.
 
 Dispatch is three-stage: streaming monitors (replan storm, the invariant
 checkers, RPC budget) surface findings the moment they observe them;
@@ -39,6 +42,7 @@ from ..obs.monitors import (
     Severity,
     default_monitors,
 )
+from ..obs.recorder import RecordRouter
 from .actions import RemediationAction, RemediationLog, RemediationRecord
 from .policy import ActionSpec, resolve_policy
 
@@ -73,10 +77,10 @@ class RemediationEngine:
         self.instance = instance
         self.policy_table = resolve_policy(policy)
         self.poll_every = poll_every
-        self._monitors = (
-            list(monitors) if monitors is not None
-            else default_monitors(instance)
+        self._router = RecordRouter(
+            monitors if monitors is not None else default_monitors(instance)
         )
+        self._monitors = self._router.consumers
         self.log = RemediationLog()
         #: Assembled at :meth:`finish`: wrapped monitors' findings plus
         #: one INFO finding per action (the monitor protocol surface).
@@ -115,8 +119,9 @@ class RemediationEngine:
         if self._dispatching:
             return  # our own remediation instants echo back; ignore
         self._now = max(self._now, record.time)
-        for m in self._monitors:
-            m.observe(record)
+        route = self._router.route(record.kind, record.category, record.name)
+        for observe in route:
+            observe(record)
         if (
             record.kind == "instant"
             and record.category == "fault"
@@ -124,8 +129,12 @@ class RemediationEngine:
             and "state" in record.args
         ):
             self._on_health(record)
-        total = sum(len(m.findings) for m in self._monitors)
-        if total != self._drained_total:
+        # Findings grow only in a monitor that just ran (or in a poll,
+        # which drains on its own).
+        if route and (
+            sum(len(m.findings) for m in self._monitors)
+            != self._drained_total
+        ):
             self._drain()
         self._records += 1
         if self._records % self.poll_every == 0:

@@ -743,6 +743,9 @@ class AttributionEngine(Monitor):
         self.instance = instance
         self._records: list[Record] = []
 
+    def wants(self, kind: str, category: str, prefix: str) -> bool:
+        return kind == "instant" and prefix in _ATTRIB_NAMES
+
     def on_record(self, record: Record) -> None:
         if record.kind == "instant" and record.name in _ATTRIB_NAMES:
             self._records.append(record)

@@ -35,10 +35,9 @@ suspicious, not provably wrong):
 * :class:`RpcBudgetMonitor` — a transport destination exhausted its retry
   budget (severity graded by how many times in a row).
 
-Control-plane recovery re-plans renumber the residual jobs, so a ``ctrl``
-``replan …`` instant is an **epoch boundary**: per-job bookkeeping resets
-there (time-based checks, like GPU double-booking, carry across epochs
-because sim time stays global).
+Each monitor declares which records it reads with ``wants(kind,
+category, prefix)`` (see :class:`~repro.obs.recorder.RecordRouter`), so
+the recorder hands it only those; it still filters what it receives.
 
 Besides the post-hoc ``finish``, monitors support **incremental
 evaluation**: :meth:`Monitor.poll` evaluates the detector mid-run on the
@@ -57,7 +56,7 @@ from statistics import median
 from typing import Iterable, Mapping, Sequence
 
 from ..core.schedule import merge_intervals
-from .recorder import Record
+from .recorder import Record, RecordRouter
 
 #: Float slack for time comparisons, mirroring the schedule validator.
 MONITOR_EPS = 1e-9
@@ -165,15 +164,6 @@ class DiagnosisReport:
         )
 
 
-def _is_epoch_mark(record: Record) -> bool:
-    """Control-plane recovery re-plan: the job-id namespace resets."""
-    return (
-        record.kind == "instant"
-        and record.category == "ctrl"
-        and record.name.startswith("replan")
-    )
-
-
 class Monitor:
     """Base streaming monitor: accumulate findings, finish on demand."""
 
@@ -184,15 +174,19 @@ class Monitor:
         self.findings: list[Finding] = []
 
     # -- protocol -------------------------------------------------------
+    def wants(self, kind: str, category: str, prefix: str) -> bool:
+        """Whether records of this kind, category and name prefix (the
+        name up to its first space) may matter to :meth:`on_record`.
+
+        Must hold for a superset of the records :meth:`on_record` acts
+        on. The default wants everything.
+        """
+        return True
+
     def observe(self, record: Record) -> None:
-        if _is_epoch_mark(record):
-            self.on_epoch(record)
         self.on_record(record)
 
     def on_record(self, record: Record) -> None:  # pragma: no cover - hook
-        pass
-
-    def on_epoch(self, record: Record) -> None:  # pragma: no cover - hook
         pass
 
     def finish(self, ctx: "DiagnosisContext") -> None:
@@ -267,6 +261,9 @@ class GpuDoubleBookingMonitor(Monitor):
         self._starts: dict[str, list[float]] = {}
         self._ends: dict[str, list[float]] = {}
 
+    def wants(self, kind: str, category: str, prefix: str) -> bool:
+        return kind == "span" and category == "sim"
+
     def on_record(self, record: Record) -> None:
         if (
             record.kind != "span"
@@ -309,7 +306,6 @@ class RoundBarrierMonitor(Monitor):
     Invariants (paper constraints (6)/(7)): every *completed* round of a
     job — one whose ``barrier`` instant fired — ran exactly ``sync_scale``
     tasks, and no round-``r+1`` task starts before round ``r``'s barrier.
-    Resets at control-plane re-plan epochs (job ids renumber).
     """
 
     name = "round_barrier"
@@ -318,16 +314,14 @@ class RoundBarrierMonitor(Monitor):
     def __init__(self, eps: float = MONITOR_EPS) -> None:
         super().__init__()
         self.eps = eps
-        self._reset()
-
-    def _reset(self) -> None:
         self._task_count: dict[tuple[int, int], int] = {}
         self._min_start: dict[tuple[int, int], float] = {}
         self._barrier: dict[tuple[int, int], float] = {}
 
-    def on_epoch(self, record: Record) -> None:
-        self._check()
-        self._reset()
+    def wants(self, kind: str, category: str, prefix: str) -> bool:
+        return (kind == "span" and category == "sim") or (
+            kind == "instant" and prefix.startswith("barrier")
+        )
 
     def on_record(self, record: Record) -> None:
         args = record.args
@@ -414,9 +408,10 @@ class CommitmentMonotonicityMonitor(Monitor):
         self._rounds: dict[int, int] = {}
         self._retracted: set[int] = set()
 
-    def on_epoch(self, record: Record) -> None:
-        self._rounds.clear()
-        self._retracted.clear()
+    def wants(self, kind: str, category: str, prefix: str) -> bool:
+        return kind == "instant" and prefix in (
+            "kernel.commit", "kernel.retract"
+        )
 
     def on_record(self, record: Record) -> None:
         if record.kind != "instant":
@@ -461,6 +456,9 @@ class UtilizationConservationMonitor(Monitor):
         super().__init__()
         self.eps = eps
         self._intervals: dict[str, list[tuple[float, float]]] = {}
+
+    def wants(self, kind: str, category: str, prefix: str) -> bool:
+        return kind == "span" and category == "sim"
 
     def on_record(self, record: Record) -> None:
         if (
@@ -524,6 +522,12 @@ class ReplanStormMonitor(Monitor):
         self._times: list[float] = []
         self._reported_until = float("-inf")
 
+    def wants(self, kind: str, category: str, prefix: str) -> bool:
+        return kind == "instant" and (
+            prefix == "kernel.replan"
+            or (category == "ctrl" and prefix.startswith("replan"))
+        )
+
     def on_record(self, record: Record) -> None:
         if record.kind != "instant" or not (
             record.name == "kernel.replan"
@@ -566,13 +570,13 @@ class JobStarvationMonitor(Monitor):
         self.min_jobs = min_jobs
         self._arrival: dict[int, float] = {}
         self._first_start: dict[int, float] = {}
-        #: Jobs already reported (per epoch) — poll/finish idempotence.
+        #: Jobs already reported — poll/finish idempotence.
         self._reported: set[int] = set()
 
-    def on_epoch(self, record: Record) -> None:
-        self._arrival.clear()
-        self._first_start.clear()
-        self._reported.clear()
+    def wants(self, kind: str, category: str, prefix: str) -> bool:
+        return (kind == "span" and category == "sim") or (
+            kind == "instant" and prefix == "JOB_ARRIVED"
+        )
 
     def on_record(self, record: Record) -> None:
         if record.kind == "instant" and record.name == "JOB_ARRIVED":
@@ -634,6 +638,13 @@ class UtilizationCollapseMonitor(Monitor):
     later-run task was already ready (its round's barrier — or its job's
     arrival — predates the gap) means the cluster collapsed to zero
     utilization with runnable work on the table.
+
+    Compute spans are recorded when they finish, so mid-run a task still
+    in flight can fill a gap the merged list shows. A GPU's next span
+    starts no earlier than its last recorded compute end, its watermark;
+    :meth:`poll` grades only gaps that end at or before every GPU's
+    watermark, and grades none without an instance to count the GPUs.
+    :meth:`finish` grades every gap.
     """
 
     name = "utilization_collapse"
@@ -642,7 +653,13 @@ class UtilizationCollapseMonitor(Monitor):
         super().__init__()
         self.gap_frac = gap_frac
         self.min_gap_s = min_gap_s
-        self._intervals: list[tuple[float, float]] = []
+        #: The merged compute intervals, kept incrementally: disjoint,
+        #: sorted, and separated by gaps (``merge_intervals`` of every
+        #: span seen).
+        self._starts: list[float] = []
+        self._ends: list[float] = []
+        #: Per GPU track: the latest recorded compute end.
+        self._watermark: dict[str, float] = {}
         #: (start, job, round) of every compute span
         self._tasks: list[tuple[float, int, int]] = []
         self._barrier: dict[tuple[int, int], float] = {}
@@ -650,13 +667,22 @@ class UtilizationCollapseMonitor(Monitor):
         #: Gaps already reported — poll/finish idempotence.
         self._reported: set[tuple[float, float]] = set()
 
+    def wants(self, kind: str, category: str, prefix: str) -> bool:
+        return (kind == "span" and category == "sim") or (
+            kind == "instant"
+            and (prefix == "JOB_ARRIVED" or prefix.startswith("barrier"))
+        )
+
     def on_record(self, record: Record) -> None:
         if (
             record.kind == "span"
             and record.category == "sim"
             and record.track.startswith("gpu/")
         ):
-            self._intervals.append((record.time, record.end))
+            self._add_interval(record.time, record.end)
+            mark = self._watermark.get(record.track)
+            if mark is None or record.end > mark:
+                self._watermark[record.track] = record.end
             job, rnd = record.args.get("job"), record.args.get("round")
             if job is not None and rnd is not None:
                 self._tasks.append((record.time, int(job), int(rnd)))
@@ -669,6 +695,18 @@ class UtilizationCollapseMonitor(Monitor):
                 job, rnd = record.args.get("job"), record.args.get("round")
                 if job is not None and rnd is not None:
                     self._barrier[(int(job), int(rnd))] = record.time
+
+    def _add_interval(self, s: float, e: float) -> None:
+        """Fold ``[s, e]`` into the merged list with the same ``s <= end``
+        touch rule as :func:`~repro.core.schedule.merge_intervals`."""
+        starts, ends = self._starts, self._ends
+        lo = bisect.bisect_left(ends, s)  # first interval ending at or after s
+        hi = bisect.bisect_right(starts, e)  # past the last starting by e
+        if lo < hi:
+            s = min(s, starts[lo])
+            e = max(e, ends[hi - 1])
+        starts[lo:hi] = [s]
+        ends[lo:hi] = [e]
 
     def _ready_time(
         self, ctx: DiagnosisContext, job: int, rnd: int
@@ -684,15 +722,20 @@ class UtilizationCollapseMonitor(Monitor):
                 return None
         return None
 
-    def _evaluate(self, ctx: DiagnosisContext) -> None:
-        if not self._intervals:
+    def _evaluate(
+        self, ctx: DiagnosisContext, settled: float = float("inf")
+    ) -> None:
+        """Grade the gaps that end at or before *settled*."""
+        starts, ends = self._starts, self._ends
+        if not starts:
             return
-        merged = merge_intervals(self._intervals)
-        horizon = merged[-1][1] - merged[0][0]
+        horizon = ends[-1] - starts[0]
         if horizon <= 0:
             return
         threshold = max(self.min_gap_s, self.gap_frac * horizon)
-        for (s0, e0), (s1, _) in zip(merged, merged[1:]):
+        for e0, s1 in zip(ends, starts[1:]):
+            if s1 > settled:
+                break
             gap = s1 - e0
             if gap <= threshold or (e0, s1) in self._reported:
                 continue
@@ -714,7 +757,10 @@ class UtilizationCollapseMonitor(Monitor):
                     break
 
     def poll(self, ctx: DiagnosisContext) -> None:
-        self._evaluate(ctx)
+        num_gpus = getattr(ctx.instance, "num_gpus", None)
+        if num_gpus is None or len(self._watermark) < num_gpus:
+            return  # a GPU with no recorded span may be computing now
+        self._evaluate(ctx, min(self._watermark.values()))
 
     def finish(self, ctx: DiagnosisContext) -> None:
         self._evaluate(ctx)
@@ -734,6 +780,9 @@ class RpcBudgetMonitor(Monitor):
     """
 
     name = "rpc_budget_exhausted"
+
+    def wants(self, kind: str, category: str, prefix: str) -> bool:
+        return kind == "instant" and prefix == "rpc_budget_exhausted"
 
     def on_record(self, record: Record) -> None:
         if record.kind != "instant" or record.name != "rpc_budget_exhausted":
@@ -784,6 +833,11 @@ class CellImbalanceMonitor(Monitor):
         self._loads: dict[int, float] = {}
         self._jobs: dict[int, int] = {}
         self._reported = False
+
+    def wants(self, kind: str, category: str, prefix: str) -> bool:
+        return kind == "instant" and prefix in (
+            "cells.partition", "cells.admit"
+        )
 
     def on_record(self, record: Record) -> None:
         if record.kind != "instant":
@@ -893,11 +947,12 @@ def replay_monitors(
 ) -> DiagnosisReport:
     """Run monitors post-hoc over a recorded (or loaded) stream."""
     monitors = default_monitors(instance) if monitors is None else monitors
+    route = RecordRouter(monitors).route
     seen = 0
     for record in records:
         seen += 1
-        for monitor in monitors:
-            monitor.observe(record)
+        for observe in route(record.kind, record.category, record.name):
+            observe(record)
     return collect_findings(
         monitors, records_seen=seen, instance=instance, metrics=metrics
     )

@@ -17,10 +17,10 @@ Three consumers sit on top:
   aggregates span durations (count/total/mean/max) for the harness and the
   ``repro record`` / ``repro replay`` CLI;
 * **streaming monitors** — objects attached via
-  :meth:`FlightRecorder.attach` receive every record at emission time (the
-  ring may long have evicted it); :meth:`FlightRecorder.diagnose` collects
-  their findings into a
-  :class:`~repro.obs.monitors.DiagnosisReport`;
+  :meth:`FlightRecorder.attach` receive the records they can act on at
+  emission time (the ring may long have evicted them; see
+  :class:`RecordRouter`); :meth:`FlightRecorder.diagnose` collects their
+  findings into a :class:`~repro.obs.monitors.DiagnosisReport`;
 * **replay** — :meth:`FlightRecorder.dump` writes the full history (spill
   + ring) as schema-versioned JSONL, and :meth:`load_flight_log` reads it
   back so monitors can re-run post-hoc on another machine.
@@ -96,6 +96,41 @@ class Record:
         )
 
 
+class RecordRouter:
+    """Fans each record out to the consumers that can act on it.
+
+    A consumer may declare ``wants(kind, category, prefix)``, where
+    *prefix* is the record's name up to its first space. It must return
+    True for a superset of the records its ``on_record`` acts on: it
+    still filters what it receives, so a name like ``"kernel.commit x"``
+    reaches a consumer of ``"kernel.commit"``. A consumer without
+    ``wants`` sees every record. Routes are memoized per ``(kind,
+    category, prefix)``, never per full name, since names embed job and
+    round ids.
+    """
+
+    __slots__ = ("consumers", "_routes")
+
+    def __init__(self, consumers: Iterable = ()) -> None:
+        self.consumers = list(consumers)
+        self._routes: dict[tuple[str, str, str], tuple] = {}
+
+    def add(self, consumer) -> None:
+        self.consumers.append(consumer)
+        self._routes.clear()
+
+    def route(self, kind: str, category: str, name: str) -> tuple:
+        """The ``observe`` methods of the consumers that want the record."""
+        key = (kind, category, name.partition(" ")[0])
+        route = self._routes.get(key)
+        if route is None:
+            route = self._routes[key] = tuple(
+                c.observe for c in self.consumers
+                if getattr(c, "wants", None) is None or c.wants(*key)
+            )
+        return route
+
+
 class FlightRecorder:
     """Bounded-ring structured event log with streaming observers.
 
@@ -116,7 +151,9 @@ class FlightRecorder:
             raise ValueError(f"recorder capacity must be > 0, got {capacity}")
         self.capacity = capacity
         self.spill_path = Path(spill_path) if spill_path is not None else None
-        self.monitors = list(monitors)
+        self._router = RecordRouter(monitors)
+        #: Attached consumers; add more through :meth:`attach`.
+        self.monitors = self._router.consumers
         self.dropped = 0
         self._ring: deque[Record] = deque()
         self._seq = 0
@@ -144,8 +181,9 @@ class FlightRecorder:
         ring.append(rec)
         if len(ring) > self.capacity:
             self._evict(ring.popleft())
-        for monitor in self.monitors:
-            monitor.observe(rec)
+        if self.monitors:
+            for observe in self._router.route(kind, category, name):
+                observe(rec)
         return rec
 
     def _evict(self, rec: Record) -> None:
@@ -270,8 +308,8 @@ class FlightRecorder:
 
     # -- monitors ------------------------------------------------------
     def attach(self, monitor) -> None:
-        """Subscribe *monitor* to every future record."""
-        self.monitors.append(monitor)
+        """Subscribe *monitor* to the future records it wants."""
+        self._router.add(monitor)
 
     def diagnose(self, *, instance=None, metrics: Mapping | None = None):
         """Finish the attached monitors and collect their findings.

@@ -33,8 +33,9 @@ Two placement rules are provided for line 12:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Iterable, Iterator, Literal
 
 import numpy as np
 
@@ -127,8 +128,11 @@ class HareScheduler(Scheduler):
 
 
 def _precedence_safe_order(
-    instance: ProblemInstance, relaxation: RelaxationResult
-) -> list[TaskRef]:
+    instance: ProblemInstance,
+    relaxation: RelaxationResult,
+    *,
+    lazy: bool = False,
+) -> list[TaskRef] | Iterator[TaskRef]:
     """The sequence π of line 4, guaranteed to respect round precedence.
 
     Sorting by (H, job, round, slot) already yields precedence-safe orders
@@ -141,7 +145,14 @@ def _precedence_safe_order(
     (rather than rescanning the full order once per job, quadratic in
     practice); sorting the per-job bucket is stable, so the result is
     identical to the rescan.
+
+    With ``lazy=True`` the same π is produced on demand by
+    :func:`_lazy_order`, so a caller that reads only a prefix (the
+    horizon-truncated list schedule of the online policy) pays only for
+    that prefix.
     """
+    if lazy:
+        return _lazy_order(instance, relaxation)
     order = relaxation.ordering()
     positions: dict[int, list[int]] = {}
     buckets: dict[int, list[TaskRef]] = {}
@@ -158,6 +169,36 @@ def _precedence_safe_order(
     if any(t is None for t in fixed):  # pragma: no cover - defensive
         raise SolverError("ordering fix-up lost tasks")
     return fixed  # type: ignore[return-value]
+
+
+def _lazy_order(
+    instance: ProblemInstance, relaxation: RelaxationResult
+) -> Iterator[TaskRef]:
+    """π from a heap keyed ``(H, job, round, slot)``, one pop per task read.
+
+    The heap pops tasks in :meth:`RelaxationResult.ordering` order. The
+    eager fix-up writes each job's tasks, in (round, slot) order, into
+    that job's π positions, so the k-th pop of job ``j`` stands for
+    ``j``'s k-th task in (round, slot) order. Every solver's ``x_hat``
+    covers all of the instance's tasks, which makes that task
+    ``TaskRef(j, k // sync_scale, k % sync_scale)``.
+    """
+    h = relaxation.h
+    heap = [(h[t], t.job_id, t.round_idx, t.slot) for t in relaxation.x_hat]
+    if len(heap) != instance.num_tasks:
+        raise SolverError(
+            f"relaxation covers {len(heap)} of {instance.num_tasks} tasks"
+        )
+    heapq.heapify(heap)
+    jobs = instance.jobs
+    popped = [0] * len(jobs)
+    pop = heapq.heappop
+    while heap:
+        job_id = pop(heap)[1]
+        k = popped[job_id]
+        popped[job_id] = k + 1
+        scale = jobs[job_id].sync_scale
+        yield TaskRef(job_id, k // scale, k % scale)
 
 
 def strict_gang_schedule(
@@ -230,16 +271,22 @@ def strict_gang_schedule(
 
 def list_schedule(
     instance: ProblemInstance,
-    order: list[TaskRef],
+    order: Iterable[TaskRef],
     *,
     placement: Placement = "earliest_available",
     initial_phi: list[float] | None = None,
+    horizon: float | None = None,
 ) -> Schedule:
     """Lines 5-17 of Algorithm 1: greedy placement in π order.
 
     ``initial_phi`` seeds the per-GPU available times — the online
     re-planning scheduler uses it to account for work already committed to
     each GPU.
+
+    With a ``horizon`` the schedule holds only the prefix of π that
+    :func:`_until_horizon` lets through: every round that has a task
+    starting before ``horizon`` is complete, and the tasks left out all
+    start at or after it. The placements made are those of the full run.
 
     This is the vectorized hot path: φ lives in one numpy array, and each
     placement is a single ``argmin`` over it (``earliest_available``) or
@@ -275,6 +322,11 @@ def list_schedule(
     round_barrier: dict[tuple[int, int], float] = {}
     scheduled_in_round: dict[tuple[int, int], int] = {}
     add = schedule.add
+    if horizon is not None:
+        order = _until_horizon(
+            order, schedule, phi_list, scheduled_in_round, round_barrier,
+            horizon,
+        )
 
     for task in order:
         job_id = task.job_id
@@ -319,3 +371,61 @@ def list_schedule(
         prev = round_barrier.get(rkey, 0.0)
         round_barrier[rkey] = end if end > prev else prev
     return schedule
+
+
+def _until_horizon(
+    order: Iterable[TaskRef],
+    schedule: Schedule,
+    phi: list[float],
+    counts: dict[tuple[int, int], int],
+    barriers: dict[tuple[int, int], float],
+    horizon: float,
+) -> Iterator[TaskRef]:
+    """π, cut where no later task can start before *horizon*.
+
+    :func:`list_schedule` starts a task no earlier than its GPU's φ,
+    which only grows, and no earlier than its round's release (the job's
+    arrival, or the previous round's barrier). π places each job's rounds
+    in order, so every unplaced task of job ``j`` starts at or after
+    ``max(min φ, A_j)``, where ``A_j`` releases ``j``'s first round with
+    unplaced tasks. Once that bound is at or past *horizon* for every job
+    — min φ is, or every ``A_j`` is — and every round with a task
+    starting before *horizon* is fully placed, no remaining task can
+    start before *horizon* or join a round that does, and π stops.
+
+    The generator resumes after :func:`list_schedule` has placed the
+    task it yielded, and reads that placement from *schedule* and from
+    the caller's own *phi*, per-round *counts* and *barriers*.
+    """
+    jobs = schedule.instance.jobs
+    placed = schedule.assignments
+    #: GPUs whose φ is before *horizon*.
+    low_gpus = {m for m, p in enumerate(phi) if p < horizon}
+    #: Per job, the release of its first round with unplaced tasks.
+    release = [job.arrival for job in jobs]
+    #: Jobs with unplaced tasks released before *horizon*.
+    low_jobs = sum(1 for a in release if a < horizon)
+    #: Rounds with a task starting before *horizon* and tasks unplaced.
+    open_rounds: set[tuple[int, int]] = set()
+    for task in order:
+        if not open_rounds and (not low_gpus or low_jobs == 0):
+            return
+        yield task
+        a = placed[task]
+        if phi[a.gpu] >= horizon:
+            low_gpus.discard(a.gpu)
+        job = jobs[task.job_id]
+        key = (task.job_id, task.round_idx)
+        if counts[key] < job.sync_scale:
+            if a.start < horizon:
+                open_rounds.add(key)
+            continue
+        # Round complete: the job's next round is released at its barrier.
+        open_rounds.discard(key)
+        nxt = (
+            barriers[key] if task.round_idx + 1 < job.num_rounds
+            else float("inf")
+        )
+        if release[task.job_id] < horizon <= nxt:
+            low_jobs -= 1
+        release[task.job_id] = nxt

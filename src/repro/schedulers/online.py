@@ -14,7 +14,11 @@ running natively on :mod:`repro.kernel`:
   :class:`~repro.kernel.residual.ResidualPlanner` — list-schedules them
   from the GPUs' committed availability, and **commits only the rounds
   that start before the next arrival**; everything later is provisional
-  and will be reconsidered when new information lands;
+  and will be reconsidered when new information lands. The list schedule
+  stops as soon as no further task can join a committed round (the
+  ``horizon`` of :func:`~repro.schedulers.hare.list_schedule`), reading
+  π lazily, so a re-plan pays for what it commits, not for the whole
+  residual;
 * at the final arrival the whole residual plan is committed.
 
 Commitment is at round granularity: once any task of a round is committed
@@ -32,7 +36,6 @@ registry; being natively online it has no offline ``schedule()`` — use
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from ..core.errors import SolverError
@@ -53,6 +56,7 @@ from .registry import register
 from .relaxation import (
     ExactRelaxationSolver,
     FluidRelaxationSolver,
+    RelaxationResult,
     RelaxationSolver,
 )
 
@@ -150,24 +154,19 @@ class OnlineHarePolicy:
         relaxation = planner.solve_relaxation(
             self._solver(residual), residual
         )
-        order = _precedence_safe_order(residual, relaxation)
+        next_arrival = state.next_arrival_time()
+        # Rounds starting at or after the horizon stay provisional.
+        horizon = None if next_arrival is None else next_arrival - 1e-12
         initial_phi = (
             list(state.phi)
             if gpu_subset is None
             else [state.phi[m] for m in gpu_subset]
         )
-        plan = list_schedule(
-            residual, order, placement=self.placement,
-            initial_phi=initial_phi,
-        )
+        plan = self._plan(residual, relaxation, initial_phi, horizon)
         self._last_replan = state.now
         self.replans += 1
         obs_current().metrics.counter("kernel.replans").inc()
-        next_arrival = state.next_arrival_time()
-        next_t = math.inf if next_arrival is None else next_arrival
-        return self._commitments(
-            plan, residual, id_map, gpu_subset, next_t
-        )
+        return self._commitments(plan, residual, id_map, gpu_subset, horizon)
 
     def apply_remediation(self, action) -> bool:
         """Accept ``throttle_replans`` (clamp the timer wake-up rate)."""
@@ -179,25 +178,51 @@ class OnlineHarePolicy:
         self.replan_min_gap_s = max(self.replan_min_gap_s, gap)
         return True
 
+    def _plan(
+        self,
+        residual: ProblemInstance,
+        relaxation: RelaxationResult,
+        initial_phi: list[float],
+        horizon: float | None,
+    ) -> Schedule:
+        """List-schedule the residual until no further task can join a
+        round that starts before *horizon* (all of it when ``None``)."""
+        order = _precedence_safe_order(
+            residual, relaxation, lazy=horizon is not None
+        )
+        return list_schedule(
+            residual, order, placement=self.placement,
+            initial_phi=initial_phi, horizon=horizon,
+        )
+
     def _commitments(
         self,
         plan: Schedule,
         residual: ProblemInstance,
         id_map: list[tuple[int, int]],
         gpu_subset: list[int] | None,
-        next_t: float,
+        horizon: float | None,
     ) -> list[Commitment]:
-        """One commitment per residual round that starts before *next_t*."""
+        """One commitment per residual round that starts before *horizon*.
+
+        A ``None`` horizon (the final arrival) commits the whole plan. A
+        truncated plan lacks only tasks that start at or after the
+        horizon, in rounds that would not be committed anyway.
+        """
+        placed = plan.assignments
         out: list[Commitment] = []
         for local_job in residual.jobs:
             for r in range(local_job.num_rounds):
-                tasks = local_job.round_tasks(r)
-                starts = [plan[task].start for task in tasks]
-                if min(starts) >= next_t - 1e-12:
+                try:
+                    assigned = [placed[t] for t in local_job.round_tasks(r)]
+                except KeyError:
+                    break  # never placed: starts at or after the horizon
+                if horizon is not None and min(
+                    a.start for a in assigned
+                ) >= horizon:
                     break  # later rounds are provisional
                 assignments = tuple(
-                    to_global(plan[task], id_map, gpu_subset)
-                    for task in tasks
+                    to_global(a, id_map, gpu_subset) for a in assigned
                 )
                 out.append(Commitment(assignments=assignments))
         return out

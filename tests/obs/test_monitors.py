@@ -1,18 +1,24 @@
 """Streaming monitors: invariants on real runs, pinned violations on
-corrupted fixtures, epoch resets, and heuristic detectors."""
+corrupted fixtures, routing, and heuristic detectors."""
 
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import api
 from repro.obs import Severity, default_monitors, diagnose_schedule
+from repro.core.job import make_uniform_instance
+from repro.core.schedule import merge_intervals
 from repro.obs.monitors import (
     CellImbalanceMonitor,
     CommitmentMonotonicityMonitor,
+    DiagnosisContext,
     GpuDoubleBookingMonitor,
     JobStarvationMonitor,
     ReplanStormMonitor,
+    UtilizationCollapseMonitor,
     collect_findings,
     replay_monitors,
 )
@@ -140,24 +146,6 @@ class TestCommitmentMonotonicity:
         )
         assert mon.findings == []
 
-    def test_epoch_mark_resets_job_namespace(self):
-        """Chaos recovery renumbers jobs; a ctrl replan* instant must
-        clear per-job state so the new namespace starts fresh."""
-        mon = CommitmentMonotonicityMonitor()
-        mon.observe(
-            instant(0, "sched", "kernel.commit", "kernel", 1.0,
-                    job=0, rounds_done=5)
-        )
-        mon.observe(
-            instant(1, "ctrl", "replan after gpu 2 crash", "controlplane",
-                    2.0, dead_gpu=2)
-        )
-        mon.observe(
-            instant(2, "sched", "kernel.commit", "kernel", 3.0,
-                    job=0, rounds_done=1)
-        )
-        assert mon.findings == []
-
 
 class TestHeuristics:
     def test_replan_storm_fires_on_burst(self):
@@ -206,6 +194,70 @@ class TestHeuristics:
         assert starved[0].severity is Severity.WARNING
 
 
+class TestUtilizationCollapse:
+    """Mid-run polls grade only gaps no unrecorded span can fill."""
+
+    CTX = DiagnosisContext(instance=make_uniform_instance(6, 2))
+
+    def _task(self, seq, gpu, start, end):
+        return span(seq, "j5 r0", f"gpu/{gpu}", start, end - start,
+                    job=5, round=0)
+
+    def test_poll_ignores_a_gap_an_in_flight_task_fills(self):
+        mon = UtilizationCollapseMonitor()
+        mon.observe(instant(0, "sim", "JOB_ARRIVED", "kernel", 0.0, job=5))
+        mon.observe(self._task(1, 0, 0.0, 1.0))
+        mon.observe(self._task(2, 0, 8.0, 9.0))
+        mon.poll(self.CTX)  # gpu/1 is still computing (0.5, 10)
+        mon.observe(self._task(3, 1, 0.5, 10.0))
+        mon.finish(self.CTX)
+        assert mon.findings == []
+
+    def test_poll_grades_a_gap_every_gpu_has_passed(self):
+        mon = UtilizationCollapseMonitor()
+        mon.observe(instant(0, "sim", "JOB_ARRIVED", "kernel", 0.0, job=5))
+        mon.observe(self._task(1, 0, 0.0, 1.0))
+        mon.observe(self._task(2, 1, 0.0, 1.0))
+        mon.observe(self._task(3, 0, 8.0, 9.0))
+        mon.poll(self.CTX)  # gpu/1's next span may start before 8
+        assert mon.findings == []
+        mon.observe(self._task(4, 1, 9.0, 10.0))
+        mon.poll(self.CTX)
+        assert [f.details["gap_s"] for f in mon.findings] == [7.0]
+        mon.finish(self.CTX)  # reported once
+        assert len(mon.findings) == 1
+
+    def test_poll_without_an_instance_grades_nothing(self):
+        mon = UtilizationCollapseMonitor()
+        mon.observe(instant(0, "sim", "JOB_ARRIVED", "kernel", 0.0, job=5))
+        mon.observe(self._task(1, 0, 0.0, 1.0))
+        mon.observe(self._task(2, 0, 8.0, 9.0))
+        mon.poll(DiagnosisContext())
+        assert mon.findings == []
+        mon.finish(DiagnosisContext())
+        assert len(mon.findings) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from((0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0)),
+                st.sampled_from((0.0, 0.5, 1.0, 2.0)),
+            ),
+            max_size=30,
+        )
+    )
+    def test_incremental_merge_equals_merge_intervals(self, spans):
+        """Bisect-insert with the ``s <= end`` touch rule keeps exactly
+        ``merge_intervals`` of every interval seen, after every insert."""
+        mon = UtilizationCollapseMonitor()
+        seen = []
+        for k, (start, dur) in enumerate(spans):
+            mon.observe(self._task(k, k % 3, start, start + dur))
+            seen.append((start, start + dur))
+            assert list(zip(mon._starts, mon._ends)) == merge_intervals(seen)
+
+
 class TestReplay:
     def test_replay_matches_live_diagnosis(self):
         r = api.run_experiment(
@@ -235,9 +287,9 @@ class TestChaosRuns:
     @pytest.mark.parametrize("name", ["hare", "gavel_fifo"])
     def test_chaos_recovery_violates_no_invariants(self, name):
         """Acceptance pin: the full crash→detect→rollback→re-plan pipeline,
-        watched end to end, keeps every invariant (epoch marks reset the
-        per-phase job-id namespace; the muted failure-free reference run
-        must not leak counterfactual spans into the stream)."""
+        watched end to end, keeps every invariant (the muted failure-free
+        reference run must not leak counterfactual spans into the
+        stream)."""
         from repro.cluster import testbed_cluster
         from repro.control import ControlPlane
         from repro.faults import FaultScenario, GpuCrash, HeartbeatConfig

@@ -17,11 +17,15 @@ where the arithmetic allows it, and ``benchmarks/bench_kernel.py`` races
   the full order once per job.
 - :func:`reference_solve_fixed_y` — the cut loop that rebuilds its COO
   matrix and cold-starts ``linprog`` every round, without cut dedup.
+- :class:`UntruncatedOnlineHarePolicy` — the online re-plan that
+  list-schedules the whole residual and then keeps only the rounds that
+  start before the next arrival (``test_online_truncation.py``).
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 
 import numpy as np
 from scipy import sparse
@@ -31,6 +35,9 @@ from repro.core.errors import SolverError
 from repro.core.job import ProblemInstance
 from repro.core.schedule import Schedule, TaskAssignment
 from repro.core.types import TaskRef
+from repro.kernel.residual import to_global
+from repro.kernel.state import Commitment
+from repro.schedulers.online import OnlineHarePolicy
 from repro.schedulers.relaxation import (
     ExactRelaxationSolver,
     FluidRelaxationSolver,
@@ -382,3 +389,40 @@ def reference_solve_fixed_y(
         iterations=iteration,
         cuts_added=cuts_added,
     )
+
+
+# ----------------------------------------------------------------------
+# Online re-planning
+# ----------------------------------------------------------------------
+class UntruncatedOnlineHarePolicy(OnlineHarePolicy):
+    """``OnlineHarePolicy`` without the horizon stop rule.
+
+    Every re-plan list-schedules the *whole* residual from the eager π,
+    then commits each round that starts before the next arrival, reading
+    every task of the plan.
+    """
+
+    def _plan(self, residual, relaxation, initial_phi, horizon):
+        order = reference_precedence_safe_order(residual, relaxation)
+        return reference_list_schedule(
+            residual, order, placement=self.placement,
+            initial_phi=initial_phi,
+        )
+
+    def _commitments(self, plan, residual, id_map, gpu_subset, horizon):
+        cut = math.inf if horizon is None else horizon
+        out: list[Commitment] = []
+        for local_job in residual.jobs:
+            for r in range(local_job.num_rounds):
+                tasks = local_job.round_tasks(r)
+                if min(plan[task].start for task in tasks) >= cut:
+                    break
+                out.append(
+                    Commitment(
+                        assignments=tuple(
+                            to_global(plan[task], id_map, gpu_subset)
+                            for task in tasks
+                        )
+                    )
+                )
+        return out
