@@ -640,9 +640,10 @@ def bench_sched_throughput(seed: int, *, repeats: int = 5) -> dict:
         tasks = instance.num_tasks
         relaxation = FluidRelaxationSolver().solve(instance)
         order_s = _best_of(
-            lambda: _precedence_safe_order(instance, relaxation), repeats
+            lambda: list(_precedence_safe_order(instance, relaxation)),
+            repeats,
         )
-        order = _precedence_safe_order(instance, relaxation)
+        order = list(_precedence_safe_order(instance, relaxation))
         list_s = _best_of(
             lambda: list_schedule(
                 instance, order, placement="earliest_finish"

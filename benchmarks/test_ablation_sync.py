@@ -27,7 +27,7 @@ def test_ablation_sync(benchmark, report):
     def run():
         sched = HareScheduler(relaxation="fluid")
         relaxed = sched.schedule(instance)
-        order = _precedence_safe_order(instance, sched.last_relaxation)
+        order = list(_precedence_safe_order(instance, sched.last_relaxation))
         strict = strict_gang_schedule(instance, order)
         validate_schedule(strict)
         return (

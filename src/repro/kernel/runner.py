@@ -213,8 +213,6 @@ class SchedulingKernel:
         self.instance = instance
         self.policy = policy
         self.state = KernelState(instance)
-        #: ``best_round_time`` per job, for the ``kernel.round`` instants.
-        self._best_round: dict[int, float] = {}
         self.queue = EventQueue()
         self.replan_interval = replan_interval
         #: Optional remediation engine (duck-typed: anything with
@@ -474,11 +472,7 @@ class SchedulingKernel:
                         if a.task.job_id == job_id
                     }
                 )
-                best = self._best_round.get(job_id)
-                if best is None:
-                    best = self._best_round[job_id] = best_round_time(
-                        self.instance, job_id
-                    )
+                best = best_round_time(self.instance, job_id)
                 for r in rounds:
                     tasks = [
                         a
@@ -542,7 +536,7 @@ class SchedulingKernel:
                 if tracer.enabled:
                     tracer.instant(
                         Category.SIM,
-                        event.type._name_,  # Enum's .name, sans lookup
+                        event.type.name,
                         track=KERNEL_TRACK,
                         time=event.time,
                         **_event_args(event),

@@ -57,6 +57,7 @@ from typing import Iterable, Mapping, Sequence
 
 from ..core.schedule import merge_intervals
 from .recorder import Record, RecordRouter
+from .trace import gpu_track
 
 #: Float slack for time comparisons, mirroring the schedule validator.
 MONITOR_EPS = 1e-9
@@ -644,7 +645,16 @@ class UtilizationCollapseMonitor(Monitor):
     starts no earlier than its last recorded compute end, its watermark;
     :meth:`poll` grades only gaps that end at or before every GPU's
     watermark, and grades none without an instance to count the GPUs.
-    :meth:`finish` grades every gap.
+    A GPU the kernel reports crashed (``GPU_CRASHED``, until a
+    ``GPU_RESTORED``) computes nothing after the report, so it holds back
+    only the gaps that start before its crash. :meth:`finish` grades
+    every gap.
+
+    The poll stays conservative for a live GPU that has not computed
+    lately: one with no recorded span holds back every gap, and one that
+    idles holds back every gap past its watermark, until its next span
+    lands (or, for good, when it never computes again). Those gaps are
+    graded at :meth:`finish`.
     """
 
     name = "utilization_collapse"
@@ -660,6 +670,8 @@ class UtilizationCollapseMonitor(Monitor):
         self._ends: list[float] = []
         #: Per GPU track: the latest recorded compute end.
         self._watermark: dict[str, float] = {}
+        #: Per crashed, unrestored GPU track: the crash report's time.
+        self._crashed: dict[str, float] = {}
         #: (start, job, round) of every compute span
         self._tasks: list[tuple[float, int, int]] = []
         self._barrier: dict[tuple[int, int], float] = {}
@@ -670,7 +682,10 @@ class UtilizationCollapseMonitor(Monitor):
     def wants(self, kind: str, category: str, prefix: str) -> bool:
         return (kind == "span" and category == "sim") or (
             kind == "instant"
-            and (prefix == "JOB_ARRIVED" or prefix.startswith("barrier"))
+            and (
+                prefix in ("JOB_ARRIVED", "GPU_CRASHED", "GPU_RESTORED")
+                or prefix.startswith("barrier")
+            )
         )
 
     def on_record(self, record: Record) -> None:
@@ -695,6 +710,15 @@ class UtilizationCollapseMonitor(Monitor):
                 job, rnd = record.args.get("job"), record.args.get("round")
                 if job is not None and rnd is not None:
                     self._barrier[(int(job), int(rnd))] = record.time
+            elif record.name in ("GPU_CRASHED", "GPU_RESTORED"):
+                gpu = record.args.get("gpu")
+                if gpu is None:
+                    return
+                track = gpu_track(int(gpu))
+                if record.name == "GPU_CRASHED":
+                    self._crashed.setdefault(track, record.time)
+                else:
+                    self._crashed.pop(track, None)
 
     def _add_interval(self, s: float, e: float) -> None:
         """Fold ``[s, e]`` into the merged list with the same ``s <= end``
@@ -722,10 +746,10 @@ class UtilizationCollapseMonitor(Monitor):
                 return None
         return None
 
-    def _evaluate(
-        self, ctx: DiagnosisContext, settled: float = float("inf")
-    ) -> None:
-        """Grade the gaps that end at or before *settled*."""
+    def _evaluate(self, ctx: DiagnosisContext, settled=None) -> None:
+        """Grade every gap, or with *settled* (``settled(e0)`` bounds the
+        ends of the gaps starting at ``e0`` that no unrecorded span can
+        fill, and never exceeds ``settled(inf)``) only those."""
         starts, ends = self._starts, self._ends
         if not starts:
             return
@@ -733,9 +757,12 @@ class UtilizationCollapseMonitor(Monitor):
         if horizon <= 0:
             return
         threshold = max(self.min_gap_s, self.gap_frac * horizon)
+        last = float("inf") if settled is None else settled(float("inf"))
         for e0, s1 in zip(ends, starts[1:]):
-            if s1 > settled:
+            if s1 > last:
                 break
+            if settled is not None and s1 > settled(e0):
+                continue
             gap = s1 - e0
             if gap <= threshold or (e0, s1) in self._reported:
                 continue
@@ -758,9 +785,21 @@ class UtilizationCollapseMonitor(Monitor):
 
     def poll(self, ctx: DiagnosisContext) -> None:
         num_gpus = getattr(ctx.instance, "num_gpus", None)
-        if num_gpus is None or len(self._watermark) < num_gpus:
+        marks, crashed = self._watermark, self._crashed
+        if num_gpus is None or len(marks.keys() | crashed.keys()) < num_gpus:
             return  # a GPU with no recorded span may be computing now
-        self._evaluate(ctx, min(self._watermark.values()))
+        live = min(
+            (m for g, m in marks.items() if g not in crashed),
+            default=float("inf"),
+        )
+        down = [(t, marks.get(g, float("-inf"))) for g, t in crashed.items()]
+
+        def settled(e0: float) -> float:
+            # A crashed GPU holds back only the gaps starting before its
+            # crash; a gap starting later is beyond it.
+            return min([live] + [m for t, m in down if t > e0])
+
+        self._evaluate(ctx, settled)
 
     def finish(self, ctx: DiagnosisContext) -> None:
         self._evaluate(ctx)

@@ -112,11 +112,13 @@ class RecordRouter:
     __slots__ = ("consumers", "_routes")
 
     def __init__(self, consumers: Iterable = ()) -> None:
-        self.consumers = list(consumers)
+        #: Read-only: :meth:`add` is the only way to subscribe, so no
+        #: consumer misses a memoized route.
+        self.consumers = tuple(consumers)
         self._routes: dict[tuple[str, str, str], tuple] = {}
 
     def add(self, consumer) -> None:
-        self.consumers.append(consumer)
+        self.consumers += (consumer,)
         self._routes.clear()
 
     def route(self, kind: str, category: str, name: str) -> tuple:
@@ -152,8 +154,6 @@ class FlightRecorder:
         self.capacity = capacity
         self.spill_path = Path(spill_path) if spill_path is not None else None
         self._router = RecordRouter(monitors)
-        #: Attached consumers; add more through :meth:`attach`.
-        self.monitors = self._router.consumers
         self.dropped = 0
         self._ring: deque[Record] = deque()
         self._seq = 0
@@ -181,7 +181,7 @@ class FlightRecorder:
         ring.append(rec)
         if len(ring) > self.capacity:
             self._evict(ring.popleft())
-        if self.monitors:
+        if self._router.consumers:
             for observe in self._router.route(kind, category, name):
                 observe(rec)
         return rec
@@ -307,6 +307,12 @@ class FlightRecorder:
         }
 
     # -- monitors ------------------------------------------------------
+    @property
+    def monitors(self) -> tuple:
+        """The attached consumers, read-only; subscribe through
+        :meth:`attach`."""
+        return self._router.consumers
+
     def attach(self, monitor) -> None:
         """Subscribe *monitor* to the future records it wants."""
         self._router.add(monitor)

@@ -143,9 +143,8 @@ class Tracer:
             if self.sink is not None:
                 # Fast path: no retained event object, feed the recorder
                 # directly (it normalizes into its own Record type anyway).
-                # ``_value_`` skips Enum's property lookup on this path.
                 self.sink.record(
-                    "span", category._value_, name,
+                    "span", category.value, name,
                     track=track, time=start,
                     duration=max(0.0, end - start), args=args,
                 )
@@ -174,7 +173,7 @@ class Tracer:
         if not self.keep:
             if self.sink is not None:
                 self.sink.record(
-                    "instant", category._value_, name,
+                    "instant", category.value, name,
                     track=track, time=time, args=args,
                 )
             return

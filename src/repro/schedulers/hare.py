@@ -115,7 +115,7 @@ class HareScheduler(Scheduler):
             "order",
             hist=metrics.histogram("sched.phase.order_s"),
         ):
-            order = _precedence_safe_order(instance, relaxation)
+            order = list(_precedence_safe_order(instance, relaxation))
         with tracer.timed(
             Category.SCHED,
             "list_schedule",
@@ -128,77 +128,51 @@ class HareScheduler(Scheduler):
 
 
 def _precedence_safe_order(
-    instance: ProblemInstance,
-    relaxation: RelaxationResult,
-    *,
-    lazy: bool = False,
-) -> list[TaskRef] | Iterator[TaskRef]:
-    """The sequence π of line 4, guaranteed to respect round precedence.
-
-    Sorting by (H, job, round, slot) already yields precedence-safe orders
-    for both solvers (H strictly grows across a job's rounds). As a
-    safeguard against degenerate relaxation outputs, each job's tasks are
-    re-written into its own π positions in (round, slot) order — a stable
-    fix that preserves every job's position multiset.
-
-    One bucketing pass collects each job's π positions *and* its tasks
-    (rather than rescanning the full order once per job, quadratic in
-    practice); sorting the per-job bucket is stable, so the result is
-    identical to the rescan.
-
-    With ``lazy=True`` the same π is produced on demand by
-    :func:`_lazy_order`, so a caller that reads only a prefix (the
-    horizon-truncated list schedule of the online policy) pays only for
-    that prefix.
-    """
-    if lazy:
-        return _lazy_order(instance, relaxation)
-    order = relaxation.ordering()
-    positions: dict[int, list[int]] = {}
-    buckets: dict[int, list[TaskRef]] = {}
-    for pos, task in enumerate(order):
-        positions.setdefault(task.job_id, []).append(pos)
-        buckets.setdefault(task.job_id, []).append(task)
-    fixed: list[TaskRef | None] = [None] * len(order)
-    for job_id, pos_list in positions.items():
-        tasks = sorted(
-            buckets[job_id], key=lambda t: (t.round_idx, t.slot)
-        )
-        for pos, task in zip(pos_list, tasks):
-            fixed[pos] = task
-    if any(t is None for t in fixed):  # pragma: no cover - defensive
-        raise SolverError("ordering fix-up lost tasks")
-    return fixed  # type: ignore[return-value]
-
-
-def _lazy_order(
     instance: ProblemInstance, relaxation: RelaxationResult
 ) -> Iterator[TaskRef]:
-    """π from a heap keyed ``(H, job, round, slot)``, one pop per task read.
+    """The sequence π of line 4, guaranteed to respect round precedence.
 
-    The heap pops tasks in :meth:`RelaxationResult.ordering` order. The
-    eager fix-up writes each job's tasks, in (round, slot) order, into
-    that job's π positions, so the k-th pop of job ``j`` stands for
-    ``j``'s k-th task in (round, slot) order. Every solver's ``x_hat``
-    covers all of the instance's tasks, which makes that task
-    ``TaskRef(j, k // sync_scale, k % sync_scale)``.
+    π is :meth:`RelaxationResult.ordering` — the tasks by (H, job,
+    round, slot) — with each job's tasks re-written into that job's π
+    positions in (round, slot) order. The sort alone is precedence-safe
+    for both solvers (H strictly grows across a job's rounds); the
+    re-write guards against degenerate relaxation outputs and keeps every
+    job's position multiset.
+
+    π is produced lazily from a heap of ``(H, job)`` pairs, one pop per
+    task read, so a caller that reads only a prefix (the
+    horizon-truncated list schedule of the online policy) pays only for
+    that prefix: the k-th pop of job ``j`` yields ``j``'s k-th task in
+    (round, slot) order. The sort's (round, slot) tie-break cannot change
+    which job pops next, so the heap leaves it out. Every solver's
+    ``x_hat`` covers all of the instance's tasks; that is checked here,
+    before the first read.
     """
-    h = relaxation.h
-    heap = [(h[t], t.job_id, t.round_idx, t.slot) for t in relaxation.x_hat]
-    if len(heap) != instance.num_tasks:
+    x_hat, h = relaxation.x_hat, relaxation.h
+    if not len(x_hat) == len(h) == instance.num_tasks:
         raise SolverError(
-            f"relaxation covers {len(heap)} of {instance.num_tasks} tasks"
+            f"relaxation covers {len(x_hat)} of {instance.num_tasks} tasks"
         )
-    heapq.heapify(heap)
     jobs = instance.jobs
-    popped = [0] * len(jobs)
+    scales = [job.sync_scale for job in jobs]
+    #: Per job, its tasks in (round, slot) order.
+    tasks: list[list] = [[None] * job.num_tasks for job in jobs]
+    heap: list[tuple[float, int]] = []
+    for t, value in h.items():
+        j = t.job_id
+        tasks[j][t.round_idx * scales[j] + t.slot] = t
+        heap.append((value, j))
+    heapq.heapify(heap)
+    return _pop_order(heap, [iter(ts) for ts in tasks])
+
+
+def _pop_order(
+    heap: list[tuple[float, int]], tasks: list[Iterator[TaskRef]]
+) -> Iterator[TaskRef]:
+    """Pop *heap* empty, yielding the popped job's next task."""
     pop = heapq.heappop
     while heap:
-        job_id = pop(heap)[1]
-        k = popped[job_id]
-        popped[job_id] = k + 1
-        scale = jobs[job_id].sync_scale
-        yield TaskRef(job_id, k // scale, k % scale)
+        yield next(tasks[pop(heap)[1]])
 
 
 def strict_gang_schedule(

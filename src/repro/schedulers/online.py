@@ -187,11 +187,9 @@ class OnlineHarePolicy:
     ) -> Schedule:
         """List-schedule the residual until no further task can join a
         round that starts before *horizon* (all of it when ``None``)."""
-        order = _precedence_safe_order(
-            residual, relaxation, lazy=horizon is not None
-        )
         return list_schedule(
-            residual, order, placement=self.placement,
+            residual, _precedence_safe_order(residual, relaxation),
+            placement=self.placement,
             initial_phi=initial_phi, horizon=horizon,
         )
 

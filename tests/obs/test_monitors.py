@@ -237,6 +237,56 @@ class TestUtilizationCollapse:
         mon.finish(DiagnosisContext())
         assert len(mon.findings) == 1
 
+    def _gap_then_poll(self, mon, *before):
+        """Job 5 ready at 0, ``gpu/0`` busy (0, 1) and (8, 9), then the
+        *before* records, then a poll."""
+        mon.observe(instant(0, "sim", "JOB_ARRIVED", "kernel", 0.0, job=5))
+        mon.observe(self._task(1, 0, 0.0, 1.0))
+        mon.observe(self._task(2, 0, 8.0, 9.0))
+        for rec in before:
+            mon.observe(rec)
+        mon.poll(self.CTX)
+
+    def test_poll_waits_for_a_gpu_that_never_computes(self):
+        """The documented limit: a live GPU with no recorded span may be
+        computing now, so the poll grades nothing; finish does."""
+        mon = UtilizationCollapseMonitor()
+        self._gap_then_poll(mon)
+        assert mon.findings == []
+        mon.finish(self.CTX)
+        assert [f.details["gap_s"] for f in mon.findings] == [7.0]
+
+    @pytest.mark.parametrize("busy", [False, True])
+    def test_poll_grades_gaps_after_a_crash(self, busy):
+        """A crashed GPU, with or without spans before its crash, no
+        longer holds back the gaps that start after it."""
+        mon = UtilizationCollapseMonitor()
+        spans = [self._task(3, 1, 0.0, 0.5)] if busy else []
+        self._gap_then_poll(
+            mon, *spans,
+            instant(4, "sim", "GPU_CRASHED", "kernel", 1.0, gpu=1),
+        )
+        assert [f.details["gap_s"] for f in mon.findings] == [7.0]
+
+    def test_poll_holds_gaps_that_start_before_the_crash(self):
+        mon = UtilizationCollapseMonitor()
+        self._gap_then_poll(
+            mon,
+            self._task(3, 1, 0.0, 0.5),
+            instant(4, "sim", "GPU_CRASHED", "kernel", 3.0, gpu=1),
+        )
+        assert mon.findings == []  # gpu/1 may compute until 3
+
+    def test_a_restored_gpu_holds_gaps_again(self):
+        mon = UtilizationCollapseMonitor()
+        self._gap_then_poll(
+            mon,
+            self._task(3, 1, 0.0, 0.5),
+            instant(4, "sim", "GPU_CRASHED", "kernel", 1.0, gpu=1),
+            instant(5, "sim", "GPU_RESTORED", "kernel", 2.0, gpu=1),
+        )
+        assert mon.findings == []
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.lists(

@@ -213,3 +213,21 @@ class TestRoutingContract:
             router.route("instant", "sync", f"barrier j3 r{r}")
         router.route("instant", "sched", "kernel.commit")
         assert len(router._routes) == 2
+
+    def test_attach_is_the_only_way_to_subscribe(self):
+        """``monitors`` is read-only, so no consumer can join behind the
+        route memo; one attached after a route was memoized still gets
+        that route's records."""
+        first, late = _SeesAll(), _SeesAll()
+        rec = FlightRecorder(monitors=[first])
+        assert rec.monitors == (first,)
+        with pytest.raises(AttributeError):
+            rec.monitors.append(late)
+        with pytest.raises(AttributeError):
+            rec.monitors = [first, late]
+        _instant(rec, "kernel.commit", 1.0, job=0, rounds_done=1)
+        rec.attach(late)
+        _instant(rec, "kernel.commit", 2.0, job=0, rounds_done=2)
+        assert rec.monitors == (first, late)
+        assert first.names == ["kernel.commit", "kernel.commit"]
+        assert late.names == ["kernel.commit"]

@@ -1,6 +1,6 @@
 """Equivalence suite: vectorized hot paths vs the originals in ``oracles``.
 
-The tentpole fast paths (vectorized ``list_schedule``, single-pass
+The tentpole fast paths (vectorized ``list_schedule``, heap-ordered
 ``_precedence_safe_order``, incremental warm-started cut LP, batch
 breakpoint inversion, the parallel sweep runner) are all pure refactors:
 same schedules, same objectives, same metrics. This suite pins that —
@@ -39,7 +39,7 @@ LP_BACKENDS = ["linprog"] + (["highs"] if _highs_core is not None else [])
 
 def _fluid_order(instance):
     relaxation = FluidRelaxationSolver().solve(instance)
-    return _precedence_safe_order(instance, relaxation)
+    return list(_precedence_safe_order(instance, relaxation))
 
 
 class TestListScheduleEquivalence:
@@ -97,7 +97,7 @@ class TestListScheduleMemory:
 
 
 class TestOrderEquivalence:
-    """The bucketing pass must reproduce the quadratic rescan exactly."""
+    """The heap order must reproduce the rescanning fix-up exactly."""
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -106,7 +106,7 @@ class TestOrderEquivalence:
             seed, max_jobs=5, max_gpus=4, max_rounds=4, max_scale=3
         )
         relaxation = FluidRelaxationSolver().solve(inst)
-        fast = _precedence_safe_order(inst, relaxation)
+        fast = list(_precedence_safe_order(inst, relaxation))
         slow = reference_precedence_safe_order(inst, relaxation)
         assert fast == slow
 

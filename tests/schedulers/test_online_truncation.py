@@ -1,6 +1,6 @@
 """The online policy's horizon-truncated re-plan against the untruncated
 oracle: committed rounds and ``KernelResult`` stats are byte-identical,
-and the lazy order and the stop rule hold on their own."""
+and the heap-ordered π and the stop rule hold on their own."""
 
 from __future__ import annotations
 
@@ -17,7 +17,10 @@ from repro.schedulers import online
 from repro.schedulers.hare import _precedence_safe_order, list_schedule
 from repro.schedulers.online import OnlineHarePolicy
 from repro.schedulers.relaxation import FluidRelaxationSolver, RelaxationResult
-from tests.schedulers.oracles import UntruncatedOnlineHarePolicy
+from tests.schedulers.oracles import (
+    UntruncatedOnlineHarePolicy,
+    reference_precedence_safe_order,
+)
 
 #: Coarse grids, so arrivals, starts and frontiers tie often.
 TIMES = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0)
@@ -174,7 +177,7 @@ def _relaxation(instance: ProblemInstance, h_values) -> RelaxationResult:
     return RelaxationResult(x_hat=dict(h), h=h, objective=0.0)
 
 
-class TestLazyOrder:
+class TestHeapOrder:
     @settings(max_examples=60, deadline=None)
     @given(
         online_instances(),
@@ -183,11 +186,10 @@ class TestLazyOrder:
     )
     def test_equals_the_eager_fix_up(self, instance, h_values):
         """Degenerate H values (ties across rounds, later rounds first)
-        exercise the fix-up the lazy heap reproduces."""
+        exercise the fix-up the heap reproduces."""
         relaxation = _relaxation(instance, h_values)
-        eager = _precedence_safe_order(instance, relaxation)
-        lazy = _precedence_safe_order(instance, relaxation, lazy=True)
-        assert list(lazy) == eager
+        eager = reference_precedence_safe_order(instance, relaxation)
+        assert list(_precedence_safe_order(instance, relaxation)) == eager
 
     def test_rejects_a_partial_relaxation(self, fig1_instance):
         relaxation = FluidRelaxationSolver().solve(fig1_instance)
@@ -197,7 +199,7 @@ class TestLazyOrder:
             x_hat=x_hat, h=relaxation.h, objective=relaxation.objective
         )
         with pytest.raises(SolverError, match="covers"):
-            list(_precedence_safe_order(fig1_instance, partial, lazy=True))
+            _precedence_safe_order(fig1_instance, partial)
 
 
 class TestHorizonStopRule:
@@ -216,14 +218,14 @@ class TestHorizonStopRule:
         leaves out starts at or after the horizon, and every round with a
         task starting before the horizon is complete."""
         relaxation = FluidRelaxationSolver().solve(instance)
-        order = _precedence_safe_order(instance, relaxation)
+        order = list(_precedence_safe_order(instance, relaxation))
         initial_phi = phi[: instance.num_gpus]
         full = list_schedule(
             instance, order, placement=placement, initial_phi=initial_phi
         )
         cut = list_schedule(
             instance,
-            _precedence_safe_order(instance, relaxation, lazy=True),
+            _precedence_safe_order(instance, relaxation),
             placement=placement, initial_phi=initial_phi, horizon=horizon,
         )
         placed = cut.assignments

@@ -18,7 +18,7 @@ from tests.conftest import make_random_instance
 def ordering_for(instance):
     sched = HareScheduler(relaxation="fluid")
     sched.schedule(instance)
-    return _precedence_safe_order(instance, sched.last_relaxation)
+    return list(_precedence_safe_order(instance, sched.last_relaxation))
 
 
 class TestStrictGang:
