@@ -15,8 +15,10 @@ to the wrapped monitors that want it
 plain monitors *or* the engine — not both (the engine's ``findings``
 already include everything its wrapped monitors found, plus an INFO
 finding per action taken, so ``recorder.diagnose()`` keeps working). The
-engine itself sees every record: each one counts towards the
-``poll_every`` cadence.
+engine itself sees every sim-time record: each one counts towards the
+``poll_every`` cadence. Wall-domain records (the tooling's own phase
+timings) are ignored, so a decision never depends on how many timed
+spans the run emitted or on their wall-clock times.
 
 Dispatch is three-stage: streaming monitors (replan storm, the invariant
 checkers, RPC budget) surface findings the moment they observe them;
@@ -118,6 +120,8 @@ class RemediationEngine:
     def observe(self, record) -> None:
         if self._dispatching:
             return  # our own remediation instants echo back; ignore
+        if record.kind == "wall":
+            return  # tooling timings, not the run: never count or clock them
         self._now = max(self._now, record.time)
         route = self._router.route(record.kind, record.category, record.name)
         for observe in route:

@@ -160,3 +160,50 @@ class TestApiSurface:
         assert set(block) == {
             "ok", "actions", "applied", "by_kind", "unremediated",
         }
+
+
+class TestWallRecords:
+    """Wall-domain records time the tooling, not the run: a remediation
+    decision must not depend on how many of them were emitted."""
+
+    @staticmethod
+    def replay(instance, stream):
+        from repro.obs import DISABLED
+
+        engine = RemediationEngine(instance)
+        with use(DISABLED):
+            for record in stream:
+                engine.observe(record)
+        return engine.log.to_json()
+
+    def test_interleaved_wall_records_leave_the_log_unchanged(self):
+        from repro import api
+        from repro.harness.experiments import make_loaded_workload
+        from repro.obs.recorder import Record
+
+        # The online_chaos shape: streaming hare_online, crash at 5 s, a
+        # 2 s re-plan timer, heal on; seed 4 boosts starving jobs.
+        jobs = make_loaded_workload(
+            40, reference_gpus=15, load=1.5, seed=4,
+            config=WorkloadConfig(rounds_scale=0.15),
+        )
+        result = api.run_experiment(
+            scheduler="hare_online", cluster=make_testbed(),
+            workload=tuple(jobs), arrivals="streaming", trace=False,
+            replan_interval=2.0, crashes=((5.0, 1),), heal=True,
+        )
+        recorded = result.obs.recorder.records()
+        sim_time = [r for r in recorded if r.kind != "wall"]
+        assert len(sim_time) < len(recorded)
+        padded = []
+        for i, record in enumerate(sim_time):
+            padded.append(record)
+            padded.append(Record(
+                seq=0, kind="wall", category="sched",
+                name="residual_solve", track="kernel",
+                time=1e6 + i, duration=1e-3,
+            ))
+        log = self.replay(result.instance, sim_time)
+        assert log["counts"].get("boost_weight", 0) >= 1
+        assert self.replay(result.instance, recorded) == log
+        assert self.replay(result.instance, padded) == log
