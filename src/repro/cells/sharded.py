@@ -39,7 +39,7 @@ from ..core.errors import ConfigurationError
 from ..core.job import ProblemInstance
 from ..core.metrics import metrics_from_columns
 from ..core.schedule import Schedule, ScheduleColumns
-from ..kernel.residual import KERNEL_TRACK, planner_scope
+from ..kernel.residual import KERNEL_TRACK
 from ..kernel.runner import KernelResult, best_round_time, run_policy
 from ..obs import Category, DISABLED, current as obs_current, use
 from .admission import AdmissionPlan, GlobalAdmission
@@ -131,10 +131,9 @@ def _split_faults(
 def _run_cell_worker(payload):
     """One cell's kernel run (module-level so worker processes can pickle).
 
-    Runs under a fresh :func:`planner_scope` and the DISABLED obs
-    context — exactly what a spawned worker process would see — so
-    serial and parallel execution are bit-identical
-    (``repro.sweep``'s process-sharding discipline).
+    Runs under the DISABLED obs context — exactly what a spawned worker
+    process would see — so serial and parallel execution are
+    bit-identical (``repro.sweep``'s process-sharding discipline).
     """
     (
         sub,
@@ -145,7 +144,7 @@ def _run_cell_worker(payload):
         max_events,
     ) = payload
     start = _time.perf_counter()
-    with planner_scope(), use(DISABLED):
+    with use(DISABLED):
         result = run_policy(
             sub,
             scheduler.make_policy(sub),

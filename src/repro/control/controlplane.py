@@ -32,7 +32,7 @@ from ..faults.detector import HeartbeatConfig, run_detection
 from ..faults.recovery import ChaosTelemetry, RecoveryReport
 from ..faults.retry import RetryPolicy
 from ..faults.scenario import FaultScenario
-from ..kernel.residual import planner_scope
+from ..kernel.residual import solve_memo
 from ..kernel.runner import KernelResult, run_policy
 from ..kernel.state import KernelCrash
 from ..obs import Category, current as obs_current
@@ -464,7 +464,8 @@ class ControlPlane:
         crashes: list[KernelCrash] = []
         dead: set[int] = set()
         last_completion, t_dead = plan.makespan(), 0.0
-        with planner_scope():
+        # The recorded run below repeats the last recovery run's re-plans.
+        with solve_memo():
             for crash in scenario.ordered_crashes():
                 outside = crash.time >= last_completion
                 alive = [g for g in range(instance.num_gpus) if g not in dead]

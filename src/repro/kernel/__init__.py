@@ -6,7 +6,7 @@ events (:class:`KernelEventType`) and answering with
 :class:`Commitment` values. Offline planners ride along via
 :class:`PlannedPolicy`; the §7.1 gang baselines subclass
 :class:`GangPolicy`; online Hare implements :class:`Policy` directly
-on the kernel's residual re-plan path (:class:`ResidualPlanner`).
+on the kernel's residual re-plan path (:mod:`repro.kernel.residual`).
 
 Invariant: with every arrival known at t=0 and no faults injected, a
 kernel-driven policy realizes exactly the metrics of its offline
@@ -16,11 +16,7 @@ counterpart — the kernel changes architecture, not semantics.
 from .array import ArraySchedulingKernel
 from .events import Event, EventQueue, KernelEventType
 from .policies import GangPolicy, PlannedPolicy, Policy, gang_commitment
-from .residual import (
-    KERNEL_TRACK,
-    ResidualPlanner,
-    build_residual_instance,
-)
+from .residual import KERNEL_TRACK, build_residual_instance
 from .runner import KernelResult, SchedulingKernel, run_policy
 from .state import (
     KERNEL_EPS,
@@ -44,7 +40,6 @@ __all__ = [
     "KernelState",
     "PlannedPolicy",
     "Policy",
-    "ResidualPlanner",
     "Retraction",
     "SchedulingKernel",
     "build_residual_instance",

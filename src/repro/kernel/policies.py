@@ -35,7 +35,7 @@ from ..core.errors import InfeasibleProblemError
 from ..core.schedule import Schedule, TaskAssignment
 from ..core.types import TaskRef
 from .events import Event, KernelEventType
-from .residual import planner_for, to_global
+from .residual import build_residual, replan, to_global
 from .state import KERNEL_EPS, Commitment, KernelState
 
 
@@ -168,14 +168,13 @@ class PlannedPolicy(Policy):
         gpu_subset = (
             None if len(usable) == instance.num_gpus else sorted(usable)
         )
-        planner = planner_for(instance)
-        residual, id_map = planner.residual(
-            instance.jobs, state.rounds_done, ready, gpu_subset=gpu_subset,
-            weight_boost=state.weight_boost or None,
+        residual, id_map = build_residual(
+            instance, instance.jobs, state.rounds_done, ready,
+            gpu_subset=gpu_subset, weight_boost=state.weight_boost or None,
         )
         if residual is None:
             return []
-        local = planner.plan(self.planner, residual)
+        local = replan(self.planner, residual)
         self.replans += 1
         self._plan = Schedule(instance)
         for a in local.assignments.values():

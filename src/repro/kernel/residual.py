@@ -3,28 +3,25 @@
 Re-planning policies (online Hare, a fixed plan after a GPU crash)
 repeat one move: freeze the committed prefix, build the **residual
 problem** — the remaining rounds of the known jobs, optionally
-restricted to the surviving GPUs — and solve it. :func:`build_residual_instance` is that
-construction (it used to live in ``repro.schedulers.online``, forcing the
-control plane to import from a sibling scheduler module — the layering
-inversion this module fixes), and :class:`ResidualPlanner` wraps it with
+restricted to the surviving GPUs — and solve it.
+:func:`build_residual_instance` is that construction (it used to live in
+``repro.schedulers.online``, forcing the control plane to import from a
+sibling scheduler module — the layering inversion this module fixes).
+:func:`build_residual`, :func:`solve_relaxation` and :func:`replan` are
+the policies' timed entry points: build/solve latency histograms, spans
+and the ``kernel.replans`` counter land in the ambient
+:class:`repro.obs.Obs` registry.
 
-* a fingerprint cache over residual construction (identical kernel state
-  → the same ``ProblemInstance`` object, no numpy re-slicing), and
-* a memo over relaxation solves keyed by (solver type, residual
-  fingerprint) — the "warm start" of an event-driven re-planner: since
-  the solvers are deterministic, replaying a previously seen residual
-  reuses the previous :class:`RelaxationResult` exactly, preserving
-  semantics while skipping the LP/fluid solve,
-
-plus ``kernel.*`` observability: build/solve latency histograms and
-cache-hit counters land in the ambient :class:`repro.obs.Obs` registry.
+A :func:`solve_memo` block memoizes relaxation solves by residual
+content. Only ``run_chaos`` opens one: its recorded run repeats the
+re-plans of its last recovery run, while a single run almost never
+meets the same residual twice.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -35,9 +32,6 @@ from ..obs import Category, current as obs_current
 
 #: Trace track carrying kernel-level spans and instants.
 KERNEL_TRACK = "kernel"
-
-#: Entries kept in each of the planner's two memo tables.
-CACHE_SIZE = 128
 
 
 def build_residual_instance(
@@ -125,85 +119,63 @@ def to_global(
     )
 
 
-def _fingerprint(
-    jobs: Sequence[Job],
+def build_residual(
+    instance: ProblemInstance,
+    jobs: list[Job],
     rounds_done: dict[int, int],
     ready_at: dict[int, float],
-    gpu_subset: list[int] | None,
+    *,
+    gpu_subset: list[int] | None = None,
     weight_boost: dict[int, float] | None = None,
-) -> tuple:
-    return (
-        tuple(
-            (j.job_id, rounds_done[j.job_id], ready_at[j.job_id])
-            for j in jobs
-        ),
-        None if gpu_subset is None else tuple(gpu_subset),
-        None if not weight_boost else tuple(sorted(weight_boost.items())),
-    )
-
-
-class ResidualPlanner:
-    """Cached residual construction and memoized re-plan solves.
-
-    One planner serves one base :class:`ProblemInstance` for the length of
-    a run (an online-policy run, or a fixed plan's crash re-plans). Both
-    memo tables are bounded LRU (:data:`CACHE_SIZE` entries).
-    """
-
-    def __init__(self, instance: ProblemInstance) -> None:
-        self.instance = instance
-        self._residuals: OrderedDict[
-            tuple, tuple[ProblemInstance | None, list[tuple[int, int]]]
-        ] = OrderedDict()
-        self._solves: OrderedDict[tuple, object] = OrderedDict()
-
-    # -- residual construction -----------------------------------------
-    def residual(
-        self,
-        jobs: list[Job],
-        rounds_done: dict[int, int],
-        ready_at: dict[int, float],
-        *,
-        gpu_subset: list[int] | None = None,
-        weight_boost: dict[int, float] | None = None,
-    ) -> tuple[ProblemInstance | None, list[tuple[int, int]]]:
-        """Cached :func:`build_residual_instance` over this instance."""
-        obs = obs_current()
-        key = _fingerprint(
-            jobs, rounds_done, ready_at, gpu_subset, weight_boost
+) -> tuple[ProblemInstance | None, list[tuple[int, int]]]:
+    """:func:`build_residual_instance`, timed into the
+    ``kernel.residual_build_s`` histogram."""
+    obs = obs_current()
+    with obs.tracer.timed(
+        Category.SCHED,
+        "residual_build",
+        track=KERNEL_TRACK,
+        jobs=len(jobs),
+        hist=obs.metrics.histogram("kernel.residual_build_s"),
+    ):
+        return build_residual_instance(
+            instance, jobs, rounds_done, ready_at,
+            gpu_subset=gpu_subset, weight_boost=weight_boost,
         )
-        hit = self._residuals.get(key)
-        if hit is not None:
-            self._residuals.move_to_end(key)
-            obs.metrics.counter("kernel.residual_cache_hits").inc()
-            return hit
-        obs.metrics.counter("kernel.residual_cache_misses").inc()
-        with obs.tracer.timed(
-            Category.SCHED,
-            "residual_build",
-            track=KERNEL_TRACK,
-            jobs=len(jobs),
-            hist=obs.metrics.histogram("kernel.residual_build_s"),
-        ):
-            built = build_residual_instance(
-                self.instance, jobs, rounds_done, ready_at,
-                gpu_subset=gpu_subset, weight_boost=weight_boost,
-            )
-        self._residuals[key] = built
-        while len(self._residuals) > CACHE_SIZE:
-            self._residuals.popitem(last=False)
-        return built
 
-    # -- solving ---------------------------------------------------------
-    def solve_relaxation(self, solver, residual: ProblemInstance):
-        """Memoized ``solver.solve(residual)``.
 
-        The memo key is (solver type, residual content); the solvers are
-        deterministic pure functions of the instance, so a hit returns a
-        result identical to a fresh solve. The solve latency (misses only)
-        lands in the ``kernel.residual_solve_s`` histogram.
-        """
-        obs = obs_current()
+#: The open :func:`solve_memo`'s table, ``None`` while none is open.
+_solves: dict[tuple, object] | None = None
+
+
+@contextmanager
+def solve_memo() -> Iterator[None]:
+    """Memoize :func:`solve_relaxation` inside this block.
+
+    For the runs that repeat one another: ``run_chaos`` reruns the kernel
+    once per crash and then once more recorded, so the recorded run's
+    re-plans are the last recovery run's. The solvers are deterministic
+    functions of the residual's content, so a hit is exactly a fresh
+    solve. Each block starts an empty table and drops it on exit.
+    """
+    global _solves
+    prev, _solves = _solves, {}
+    try:
+        yield
+    finally:
+        _solves = prev
+
+
+def solve_relaxation(solver, residual: ProblemInstance):
+    """``solver.solve(residual)``, timed into ``kernel.residual_solve_s``.
+
+    Inside a :func:`solve_memo` a residual already solved with the same
+    solver type is answered from the memo (``kernel.solver_cache_hits``)
+    instead.
+    """
+    obs = obs_current()
+    memo = _solves
+    if memo is not None:
         key = (
             type(solver).__name__,
             tuple(
@@ -213,109 +185,43 @@ class ResidualPlanner:
             residual.train_time.tobytes(),
             residual.sync_time.tobytes(),
         )
-        hit = self._solves.get(key)
+        hit = memo.get(key)
         if hit is not None:
-            self._solves.move_to_end(key)
             obs.metrics.counter("kernel.solver_cache_hits").inc()
             return hit
-        with obs.tracer.timed(
-            Category.SCHED,
-            "residual_solve",
-            track=KERNEL_TRACK,
-            solver=type(solver).__name__,
-            tasks=residual.num_tasks,
-            hist=obs.metrics.histogram("kernel.residual_solve_s"),
-        ):
-            result = solver.solve(residual)
-        self._solves[key] = result
-        while len(self._solves) > CACHE_SIZE:
-            self._solves.popitem(last=False)
-        return result
-
-    # ------------------------------------------------------------------
-    def plan(self, scheduler, residual: ProblemInstance) -> Schedule:
-        """Full-scheduler re-plan of a residual (a fixed plan's crash
-        recovery, :class:`~repro.kernel.policies.PlannedPolicy`).
-
-        *scheduler* is anything with ``plan(instance) -> Schedule`` (a
-        :class:`~repro.schedulers.base.Scheduler`, whose ``plan`` answers
-        through ``schedule`` for offline schemes). Counted in
-        ``kernel.replans``; latency observed into
-        ``kernel.residual_solve_s`` like the policy-side solves, so one
-        histogram carries the whole re-plan latency story.
-        """
-        obs = obs_current()
-        with obs.tracer.timed(
-            Category.SCHED,
-            "residual_replan",
-            track=KERNEL_TRACK,
-            tasks=residual.num_tasks,
-            hist=obs.metrics.histogram("kernel.residual_solve_s"),
-        ):
-            plan = scheduler.plan(residual)
-        obs.metrics.counter("kernel.replans").inc()
-        return plan
+    with obs.tracer.timed(
+        Category.SCHED,
+        "residual_solve",
+        track=KERNEL_TRACK,
+        solver=type(solver).__name__,
+        tasks=residual.num_tasks,
+        hist=obs.metrics.histogram("kernel.residual_solve_s"),
+    ):
+        result = solver.solve(residual)
+    if memo is not None:
+        memo[key] = result
+    return result
 
 
-# ----------------------------------------------------------------------
-# Planner sharing (the sweep runner's per-worker memo reuse)
-# ----------------------------------------------------------------------
-#: Planners kept alive inside one :func:`planner_scope`.
-SCOPE_PLANNER_SLOTS = 16
+def replan(scheduler, residual: ProblemInstance) -> Schedule:
+    """Full-scheduler re-plan of a residual (a fixed plan's crash
+    recovery, :class:`~repro.kernel.policies.PlannedPolicy`).
 
-_active_planner_scope: OrderedDict[tuple, ResidualPlanner] | None = None
-
-
-def instance_fingerprint(instance: ProblemInstance) -> tuple:
-    """Content key for a :class:`ProblemInstance` (identity-independent)."""
-    return (
-        tuple(
-            (
-                j.job_id, j.model, j.arrival, j.weight,
-                j.num_rounds, j.sync_scale, j.batch_scale,
-            )
-            for j in instance.jobs
-        ),
-        instance.train_time.tobytes(),
-        instance.sync_time.tobytes(),
-        tuple(instance.gpu_labels),
-    )
-
-
-@contextmanager
-def planner_scope() -> Iterator[None]:
-    """Share :class:`ResidualPlanner`\\s across runs inside this scope.
-
-    While active, :func:`planner_for` hands back one planner per distinct
-    instance *content*, so back-to-back runs over the same workload — a
-    sweep worker grinding through its shard of a (seed, scheduler, scale)
-    grid — reuse the residual-fingerprint cache and relaxation-solve memo
-    instead of re-deriving them. Outside a scope every run gets a fresh
-    planner (cache-hit counters stay per-run deterministic). Scopes nest:
-    an inner scope joins the outer one's table.
+    *scheduler* is anything with ``plan(instance) -> Schedule`` (a
+    :class:`~repro.schedulers.base.Scheduler`, whose ``plan`` answers
+    through ``schedule`` for offline schemes). Counted in
+    ``kernel.replans``; latency observed into ``kernel.residual_solve_s``
+    like the policy-side solves, so one histogram carries the whole
+    re-plan latency story.
     """
-    global _active_planner_scope
-    prev = _active_planner_scope
-    _active_planner_scope = prev if prev is not None else OrderedDict()
-    try:
-        yield
-    finally:
-        _active_planner_scope = prev
-
-
-def planner_for(instance: ProblemInstance) -> ResidualPlanner:
-    """A :class:`ResidualPlanner` for *instance* — shared when a
-    :func:`planner_scope` is active, otherwise freshly constructed."""
-    scope = _active_planner_scope
-    if scope is None:
-        return ResidualPlanner(instance)
-    key = instance_fingerprint(instance)
-    planner = scope.get(key)
-    if planner is None:
-        planner = ResidualPlanner(instance)
-        scope[key] = planner
-        while len(scope) > SCOPE_PLANNER_SLOTS:
-            scope.popitem(last=False)
-    else:
-        scope.move_to_end(key)
-    return planner
+    obs = obs_current()
+    with obs.tracer.timed(
+        Category.SCHED,
+        "residual_replan",
+        track=KERNEL_TRACK,
+        tasks=residual.num_tasks,
+        hist=obs.metrics.histogram("kernel.residual_solve_s"),
+    ):
+        plan = scheduler.plan(residual)
+    obs.metrics.counter("kernel.replans").inc()
+    return plan

@@ -60,6 +60,23 @@ Placement = Literal["earliest_available", "earliest_finish"]
 AUTO_LP_TASK_LIMIT = 600
 
 
+def select_solver(
+    relaxation: str | RelaxationSolver, instance: ProblemInstance
+) -> RelaxationSolver:
+    """The solver a ``relaxation`` setting picks for *instance*: a solver
+    object as given, ``"exact"``, ``"fluid"``, or ``"auto"`` (exact up to
+    :data:`AUTO_LP_TASK_LIMIT` tasks, fluid beyond)."""
+    if not isinstance(relaxation, str):
+        return relaxation
+    if relaxation == "exact" or (
+        relaxation == "auto" and instance.num_tasks <= AUTO_LP_TASK_LIMIT
+    ):
+        return ExactRelaxationSolver()
+    if relaxation in ("fluid", "auto"):
+        return FluidRelaxationSolver()
+    raise SolverError(f"unknown relaxation {relaxation!r}")
+
+
 @register("hare", summary="Algorithm 1: relaxation-ordered list scheduling")
 @dataclass(slots=True)
 class HareScheduler(Scheduler):
@@ -83,24 +100,11 @@ class HareScheduler(Scheduler):
     #: Filled by :meth:`schedule` for diagnostics / theory audits.
     last_relaxation: RelaxationResult | None = field(default=None, init=False)
 
-    def _solver(self, instance: ProblemInstance) -> RelaxationSolver:
-        if not isinstance(self.relaxation, str):
-            return self.relaxation
-        if self.relaxation == "exact":
-            return ExactRelaxationSolver()
-        if self.relaxation == "fluid":
-            return FluidRelaxationSolver()
-        if self.relaxation == "auto":
-            if instance.num_tasks <= AUTO_LP_TASK_LIMIT:
-                return ExactRelaxationSolver()
-            return FluidRelaxationSolver()
-        raise SolverError(f"unknown relaxation {self.relaxation!r}")
-
     # ------------------------------------------------------------------
     def schedule(self, instance: ProblemInstance) -> Schedule:
         obs = obs_current()
         tracer, metrics = obs.tracer, obs.metrics
-        solver = self._solver(instance)
+        solver = select_solver(self.relaxation, instance)
         with tracer.timed(
             Category.SCHED,
             "relaxation_solve",

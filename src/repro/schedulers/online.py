@@ -9,9 +9,8 @@ running natively on :mod:`repro.kernel`:
 * the policy re-plans at every job arrival (and at GPU crash/restore and
   ``REPLAN_TIMER`` wake-ups), seeing only the jobs that have arrived;
 * each re-plan solves the relaxation over the *remaining* rounds of known
-  jobs (committed work is fixed) — residual construction and the
-  relaxation solve are cached/memoized by the kernel's
-  :class:`~repro.kernel.residual.ResidualPlanner` — list-schedules them
+  jobs (committed work is fixed; :mod:`repro.kernel.residual` builds and
+  solves that residual), list-schedules them
   from the GPUs' committed availability, and **commits only the rounds
   that start before the next arrival**; everything later is provisional
   and will be reconsidered when new information lands. The list schedule
@@ -38,27 +37,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.errors import SolverError
 from ..core.job import ProblemInstance
 from ..core.schedule import Schedule
 from ..kernel.events import Event, KernelEventType
-from ..kernel.residual import ResidualPlanner, planner_for, to_global
+from ..kernel.residual import build_residual, solve_relaxation, to_global
 from ..kernel.state import Commitment, KernelState
 from ..obs import current as obs_current
 from .base import Scheduler
 from .hare import (
-    AUTO_LP_TASK_LIMIT,
     Placement,
     _precedence_safe_order,
     list_schedule,
+    select_solver,
 )
 from .registry import register
-from .relaxation import (
-    ExactRelaxationSolver,
-    FluidRelaxationSolver,
-    RelaxationResult,
-    RelaxationSolver,
-)
+from .relaxation import RelaxationResult, RelaxationSolver
 
 #: Events that trigger a re-planning pass.
 REPLAN_EVENTS = frozenset(
@@ -95,29 +88,12 @@ class OnlineHarePolicy:
         #: (arrivals, crashes, restores) always re-plan.
         self.replan_min_gap_s = 0.0
         self._last_replan: float | None = None
-        self._planner: ResidualPlanner | None = None
-
-    def _solver(self, instance: ProblemInstance) -> RelaxationSolver:
-        if not isinstance(self.relaxation, str):
-            return self.relaxation
-        if self.relaxation == "exact":
-            return ExactRelaxationSolver()
-        if self.relaxation == "fluid":
-            return FluidRelaxationSolver()
-        if self.relaxation == "auto":
-            if instance.num_tasks <= AUTO_LP_TASK_LIMIT:
-                return ExactRelaxationSolver()
-            return FluidRelaxationSolver()
-        raise SolverError(f"unknown relaxation {self.relaxation!r}")
 
     # -- Policy protocol -------------------------------------------------
     def setup(self, state: KernelState) -> None:
         self.replans = 0
         self.replan_min_gap_s = 0.0
         self._last_replan = None
-        # Fresh planner normally; shared (memo-reusing) inside an active
-        # kernel.residual.planner_scope — the sweep runner's worker loop.
-        self._planner = planner_for(state.instance)
 
     def on_event(
         self, event: Event, state: KernelState
@@ -137,22 +113,20 @@ class OnlineHarePolicy:
             # events bypass the gap (no livelock possible).
             obs_current().metrics.counter("kernel.replans_throttled").inc()
             return []
-        planner = self._planner
-        assert planner is not None
         known = state.known_jobs()
         usable = state.usable_gpus(known)
         gpu_subset = (
             None if len(usable) == state.instance.num_gpus
             else sorted(usable)
         )
-        residual, id_map = planner.residual(
-            known, state.rounds_done, state.ready_at, gpu_subset=gpu_subset,
-            weight_boost=state.weight_boost or None,
+        residual, id_map = build_residual(
+            state.instance, known, state.rounds_done, state.ready_at,
+            gpu_subset=gpu_subset, weight_boost=state.weight_boost or None,
         )
         if residual is None:
             return []
-        relaxation = planner.solve_relaxation(
-            self._solver(residual), residual
+        relaxation = solve_relaxation(
+            select_solver(self.relaxation, residual), residual
         )
         next_arrival = state.next_arrival_time()
         # Rounds starting at or after the horizon stay provisional.

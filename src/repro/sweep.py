@@ -6,11 +6,7 @@ scales × cell counts across a
 each cell through :func:`repro.api.run_experiment` with identical
 parameters, so every cell's headline metrics are **byte-equal** to the
 serial run of the same cell (the pool only changes where the work
-happens, never what it computes). Each worker wraps its shard in
-:func:`repro.kernel.residual.planner_scope`, so cells sharing a workload
-(same seed and scale, different scheduler) reuse the kernel's
-residual-fingerprint cache and relaxation-solve memo instead of
-re-deriving them.
+happens, never what it computes).
 
 The aggregated :class:`SweepResult` exports one manifest for the whole
 grid and one flat ``sweep.*`` baseline snapshot
@@ -27,7 +23,6 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .core.types import SwitchMode
-from .kernel.residual import planner_scope
 from .obs import build_manifest, write_manifest as _write_manifest_file
 from .obs.baseline import BASELINE_SCHEMA, write_baseline
 
@@ -150,13 +145,9 @@ def _run_cell(cell: Mapping) -> dict:
 
 
 def _run_shard(shard: list[tuple[int, dict]]) -> list[tuple[int, dict]]:
-    """Worker entry point: run a shard of grid cells in one process.
-
-    Module-level (picklable) and wrapped in a planner scope so cells that
-    share a workload reuse the kernel's residual/solve memos.
-    """
-    with planner_scope():
-        return [(index, _run_cell(cell)) for index, cell in shard]
+    """Worker entry point: run a shard of grid cells in one process
+    (module-level, so picklable)."""
+    return [(index, _run_cell(cell)) for index, cell in shard]
 
 
 def sweep(
@@ -180,9 +171,8 @@ def sweep(
     as in :func:`repro.api.run_experiment`); ``cells`` is the sharded-
     scheduling axis (:mod:`repro.cells`); ``arrivals`` is recorded in
     every grid cell's config but selects nothing. ``workers <= 1`` runs
-    the grid serially in-process (still inside one planner scope). Grid
-    cells are sharded contiguously in seed-major order so one worker
-    handles all schedulers of a seed and its planner memo pays off.
+    the grid serially in-process. Grid cells are sharded contiguously in
+    seed-major order.
 
     Every grid cell is computed by the exact code path of a serial
     :func:`repro.api.run_experiment` call with the same arguments, so the

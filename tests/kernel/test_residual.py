@@ -1,4 +1,4 @@
-"""Residual construction, the planner's caches, and their observability."""
+"""Residual construction, the timed re-plan path and the solve memo."""
 
 from __future__ import annotations
 
@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from repro.core import Job, ProblemInstance
-from repro.kernel import ResidualPlanner, build_residual_instance
+from repro.kernel import build_residual_instance
 from repro.kernel.residual import (
-    instance_fingerprint,
-    planner_for,
-    planner_scope,
+    build_residual,
+    replan,
+    solve_memo,
+    solve_relaxation,
 )
 from repro.obs import Obs, use
 from repro.schedulers import HareScheduler
@@ -78,104 +79,131 @@ class TestBuildResidualInstance:
         assert residual.jobs[1].arrival == 1.0  # max(ready, arrival)
 
 
-class TestResidualPlannerCaches:
-    def test_residual_cache_returns_same_object(self, inst):
-        planner = ResidualPlanner(inst)
+class TestTimedReplan:
+    def test_build_observes_latency_every_call(self, inst):
         rounds, ready = {0: 1, 1: 0}, {0: 2.0, 1: 1.0}
         with use(Obs.start()) as obs:
-            first = planner.residual(list(inst.jobs), rounds, ready)
-            second = planner.residual(list(inst.jobs), rounds, ready)
+            first, _ = build_residual(inst, list(inst.jobs), rounds, ready)
+            second, _ = build_residual(inst, list(inst.jobs), rounds, ready)
             snap = obs.metrics.snapshot()
-        assert first[0] is second[0]  # no numpy re-slicing on a hit
-        assert snap["kernel.residual_cache_hits"]["value"] == 1
-        assert snap["kernel.residual_cache_misses"]["value"] == 1
-        assert snap["kernel.residual_build_s"]["count"] == 1
+        assert first is not second
+        np.testing.assert_array_equal(first.train_time, second.train_time)
+        assert snap["kernel.residual_build_s"]["count"] == 2
 
-    def test_distinct_states_miss(self, inst):
-        planner = ResidualPlanner(inst)
-        with use(Obs.start()) as obs:
-            planner.residual(list(inst.jobs), {0: 0, 1: 0}, {0: 0.0, 1: 1.0})
-            planner.residual(list(inst.jobs), {0: 1, 1: 0}, {0: 2.0, 1: 1.0})
-            snap = obs.metrics.snapshot()
-        assert snap["kernel.residual_cache_misses"]["value"] == 2
-        assert "kernel.residual_cache_hits" not in snap
-
-    def test_gpu_subset_is_part_of_the_key(self, inst):
-        planner = ResidualPlanner(inst)
-        rounds, ready = {0: 0, 1: 0}, {0: 0.0, 1: 1.0}
-        full, _ = planner.residual(list(inst.jobs), rounds, ready)
-        subset, _ = planner.residual(
-            list(inst.jobs), rounds, ready, gpu_subset=[0, 1]
-        )
-        assert full.num_gpus == 3
-        assert subset.num_gpus == 2
-
-    def test_solver_memo_hits_on_identical_residual(self, inst):
-        planner = ResidualPlanner(inst)
-        residual, _ = planner.residual(
-            list(inst.jobs), {0: 0, 1: 0}, {0: 0.0, 1: 1.0}
-        )
-        solver = FluidRelaxationSolver()
-        with use(Obs.start()) as obs:
-            first = planner.solve_relaxation(solver, residual)
-            second = planner.solve_relaxation(solver, residual)
-            snap = obs.metrics.snapshot()
-        assert first is second  # deterministic solver: memo is exact
-        assert snap["kernel.solver_cache_hits"]["value"] == 1
-        assert snap["kernel.residual_solve_s"]["count"] == 1
-
-    def test_plan_counts_replans_and_observes_latency(self, inst):
-        planner = ResidualPlanner(inst)
-        residual, _ = planner.residual(
-            list(inst.jobs), {0: 0, 1: 0}, {0: 0.0, 1: 1.0}
+    def test_replan_counts_replans_and_observes_latency(self, inst):
+        residual, _ = build_residual_instance(
+            inst, list(inst.jobs), {0: 0, 1: 0}, {0: 0.0, 1: 1.0}
         )
         with use(Obs.start()) as obs:
-            plan = planner.plan(HareScheduler(relaxation="fluid"), residual)
+            plan = replan(HareScheduler(relaxation="fluid"), residual)
             snap = obs.metrics.snapshot()
         assert len(plan) == residual.num_tasks
         assert snap["kernel.replans"]["value"] == 1
         assert snap["kernel.residual_solve_s"]["count"] == 1
 
 
-class TestPlannerScope:
-    """Opt-in planner sharing for the sweep runner's worker loop."""
+class TestSolveMemo:
+    """The content-keyed solve memo, open only inside :func:`solve_memo`."""
 
-    def _clone(self, inst: ProblemInstance) -> ProblemInstance:
-        return ProblemInstance(
-            jobs=list(inst.jobs),
-            train_time=inst.train_time.copy(),
-            sync_time=inst.sync_time.copy(),
+    @staticmethod
+    def residual(inst, gpu_subset=None):
+        residual, _ = build_residual_instance(
+            inst, list(inst.jobs), {0: 0, 1: 0}, {0: 0.0, 1: 1.0},
+            gpu_subset=gpu_subset,
         )
+        return residual
 
-    def test_fresh_planner_outside_scope(self, inst):
-        # No scope: per-run cache counters must stay deterministic, so
-        # every call constructs a new planner.
-        assert planner_for(inst) is not planner_for(inst)
+    @staticmethod
+    def solve_twice(first, second):
+        solver = FluidRelaxationSolver()
+        with use(Obs.start()) as obs:
+            a = solve_relaxation(solver, first)
+            b = solve_relaxation(solver, second)
+            snap = obs.metrics.snapshot()
+        return a, b, snap
 
-    def test_shared_within_scope(self, inst):
-        with planner_scope():
-            assert planner_for(inst) is planner_for(inst)
+    def test_identical_solves_both_run_outside_the_memo(self, inst):
+        residual = self.residual(inst)
+        first, second, snap = self.solve_twice(residual, residual)
+        assert first is not second
+        assert first.h == second.h
+        assert "kernel.solver_cache_hits" not in snap
+        assert snap["kernel.residual_solve_s"]["count"] == 2
+
+    def test_hits_on_identical_residual(self, inst):
+        residual = self.residual(inst)
+        with solve_memo():
+            first, second, snap = self.solve_twice(residual, residual)
+        assert first is second  # deterministic solver: memo is exact
+        assert snap["kernel.solver_cache_hits"]["value"] == 1
+        assert snap["kernel.residual_solve_s"]["count"] == 1
 
     def test_keyed_by_content_not_identity(self, inst):
-        with planner_scope():
-            assert planner_for(inst) is planner_for(self._clone(inst))
+        with solve_memo():
+            first, second, _ = self.solve_twice(
+                self.residual(inst), self.residual(inst)
+            )
+        assert first is second
 
-    def test_different_content_gets_different_planner(self, inst):
-        other = self._clone(inst)
-        other.train_time[0, 0] *= 2.0
-        with planner_scope():
-            assert planner_for(inst) is not planner_for(other)
-
-    def test_nested_scope_joins_outer_table(self, inst):
-        with planner_scope():
-            outer = planner_for(inst)
-            with planner_scope():
-                assert planner_for(inst) is outer
-            # Leaving the inner scope keeps the outer one alive.
-            assert planner_for(inst) is outer
-        assert planner_for(inst) is not outer
-
-    def test_fingerprint_identity_independent(self, inst):
-        assert instance_fingerprint(inst) == instance_fingerprint(
-            self._clone(inst)
+    def test_different_content_misses(self, inst):
+        residual = self.residual(inst)
+        other = ProblemInstance(
+            jobs=list(residual.jobs),
+            train_time=residual.train_time * 2.0,
+            sync_time=residual.sync_time,
         )
+        with solve_memo():
+            first, second, snap = self.solve_twice(residual, other)
+        assert first is not second
+        assert "kernel.solver_cache_hits" not in snap
+
+    def test_gpu_subset_is_part_of_the_key(self, inst):
+        with solve_memo():
+            _, subset, snap = self.solve_twice(
+                self.residual(inst), self.residual(inst, gpu_subset=[0, 1])
+            )
+        assert "kernel.solver_cache_hits" not in snap
+        assert subset is not None
+
+    def test_table_dropped_on_exit(self, inst):
+        residual = self.residual(inst)
+        solver = FluidRelaxationSolver()
+        with solve_memo():
+            first = solve_relaxation(solver, residual)
+        with solve_memo():
+            assert solve_relaxation(solver, residual) is not first
+
+    def test_every_recorded_replan_of_run_chaos_hits(self):
+        """run_chaos opens the memo: its recorded run repeats the last
+        recovery run, so each of its re-plans is answered from it."""
+        from repro.cluster import testbed_cluster
+        from repro.control import ControlPlane
+        from repro.faults import FaultScenario, GpuCrash, HeartbeatConfig
+        from repro.harness.experiments import make_loaded_workload
+        from repro.schedulers import create
+        from repro.workload import WorkloadConfig
+
+        jobs = make_loaded_workload(
+            12, reference_gpus=15, load=1.0, seed=1,
+            config=WorkloadConfig(rounds_scale=0.2),
+        )
+        plane = ControlPlane(
+            cluster=testbed_cluster(), scheduler=create("hare_online"),
+            checkpoint_interval=2,
+        )
+        plane.submit(jobs)
+        scenario = FaultScenario(crashes=(
+            GpuCrash(time=3.0, gpu_id=1),
+            GpuCrash(time=6.0, gpu_id=5),
+            GpuCrash(time=9.0, gpu_id=10),
+        ))
+        with use(Obs.start()) as obs:
+            result = plane.run_chaos(
+                scenario,
+                heartbeat=HeartbeatConfig(interval_s=1.0, lease_s=3.0),
+            )
+            snap = obs.metrics.snapshot()
+        assert result.report.replans == 3
+        replans = snap["kernel.replans"]["value"]
+        assert replans > 0
+        assert snap["kernel.solver_cache_hits"]["value"] == replans
