@@ -311,7 +311,6 @@ BENCH_TOLERANCES: dict[str, Tolerance] = {
     "*.counters.kernel.events": EXACT,
     "*.counters.kernel.commitments": EXACT,
     "*.counters.kernel.replans": EXACT,
-    "*.counters.kernel.residual_cache_misses": EXACT,
     "*.residual_build.count": EXACT,
     "*.residual_solve.count": EXACT,
     # Wall-clock: loose, directed.
