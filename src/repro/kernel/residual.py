@@ -156,7 +156,8 @@ def solve_memo() -> Iterator[None]:
     once per crash and then once more recorded, so the recorded run's
     re-plans are the last recovery run's. The solvers are deterministic
     functions of the residual's content, so a hit is exactly a fresh
-    solve. Each block starts an empty table and drops it on exit.
+    solve. Each block starts an empty table and drops it on exit; the
+    table is unbounded, holding every distinct solve made inside it.
     """
     global _solves
     prev, _solves = _solves, {}
