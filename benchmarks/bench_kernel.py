@@ -626,6 +626,7 @@ def bench_sched_throughput(seed: int, *, repeats: int = 5) -> dict:
 
     Each scale times the vectorized ``list_schedule`` against the test
     oracle ``reference_list_schedule`` on the identical relaxation ordering
+    π (canonical task indices, which the oracle turns into ``TaskRef``\ s)
     (schedules are byte-identical — pinned by the fastpath test suite; a
     cheap equality assert here double-checks the bench itself), and pulls
     ``sched.phase.*`` quantiles from one full ``HareScheduler`` run. At
@@ -640,10 +641,9 @@ def bench_sched_throughput(seed: int, *, repeats: int = 5) -> dict:
         tasks = instance.num_tasks
         relaxation = FluidRelaxationSolver().solve(instance)
         order_s = _best_of(
-            lambda: list(_precedence_safe_order(instance, relaxation)),
-            repeats,
+            lambda: _precedence_safe_order(instance, relaxation), repeats
         )
-        order = list(_precedence_safe_order(instance, relaxation))
+        order = _precedence_safe_order(instance, relaxation)
         list_s = _best_of(
             lambda: list_schedule(
                 instance, order, placement="earliest_finish"

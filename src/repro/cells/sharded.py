@@ -15,7 +15,7 @@ schedule is never materialized.
 
 The merged result is a :class:`ShardedKernelResult`: a plain
 :class:`~repro.kernel.runner.KernelResult` (schedule over the *global*
-instance, materialized from the merged columns on first access, summed
+instance, backed by the merged columns until its objects are read, summed
 event/commitment/replan/retraction stats, metrics computed from the
 merged columns) plus the admission plan and
 per-cell statistics. The merged schedule passes the same streaming
@@ -70,19 +70,6 @@ class ShardedKernelResult(KernelResult):
         self.partition = partition
         self.admission_plan = admission_plan
         self.cell_stats = cell_stats
-
-    def __getstate__(self):
-        state = super().__getstate__()
-        state["partition"] = self.partition
-        state["admission_plan"] = self.admission_plan
-        state["cell_stats"] = self.cell_stats
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.partition = state.pop("partition")
-        self.admission_plan = state.pop("admission_plan")
-        self.cell_stats = state.pop("cell_stats")
-        super().__setstate__(state)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -312,7 +299,7 @@ class ShardedKernel:
             partition=partition,
             admission_plan=plan,
             cell_stats=tuple(stats),
-            columns=merged,
+            schedule=merged.to_schedule(),
             metrics=metrics_from_columns(merged),
             events=events,
             commitments=commitments,

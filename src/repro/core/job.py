@@ -184,6 +184,19 @@ class ProblemInstance:
         """Every task of every job, jobs in id order."""
         return itertools.chain.from_iterable(job.tasks() for job in self.jobs)
 
+    def task_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Job, round and slot of every task as int64 arrays, in
+        :meth:`all_tasks` order — entry ``k`` names canonical task ``k``
+        (:attr:`repro.core.schedule.ScheduleColumns.canon`)."""
+        n = len(self.jobs)
+        rounds = np.fromiter((j.num_rounds for j in self.jobs), np.int64, n)
+        scale = np.fromiter((j.sync_scale for j in self.jobs), np.int64, n)
+        per_job = rounds * scale
+        job = np.repeat(np.arange(n), per_job)
+        local = np.arange(len(job)) - (np.cumsum(per_job) - per_job)[job]
+        rnd, slot = np.divmod(local, scale[job])
+        return job, rnd, slot
+
     # ------------------------------------------------------------------
     # Derived quantities used by theory and schedulers
     # ------------------------------------------------------------------

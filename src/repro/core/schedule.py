@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Mapping
 
@@ -55,22 +55,60 @@ class TaskAssignment:
         return self.start + self.train_time + self.sync_time
 
 
-@dataclass(slots=True)
 class Schedule:
-    """A complete task schedule for a problem instance."""
+    """A complete task schedule for a problem instance.
 
-    instance: ProblemInstance
-    assignments: dict[TaskRef, TaskAssignment] = field(default_factory=dict)
+    A schedule is either built object by object (:meth:`add`, or an
+    initial ``task -> assignment`` mapping) or **column-backed**: made by
+    :meth:`ScheduleColumns.to_schedule` from a view it holds on to. A
+    column-backed schedule builds its :attr:`assignments` dict on the
+    first object read — :attr:`assignments`, ``[]``, ``in``, or
+    :meth:`add` (which materializes first) — and then drops the view.
+    Until then :meth:`columns` and ``len`` answer from the view, so
+    validating or scoring a schedule never builds objects. It compares
+    equal to its materialized twin and pickles as its view.
+    """
+
+    __slots__ = ("instance", "_assignments", "_columns")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self,
+        instance: ProblemInstance,
+        assignments: dict[TaskRef, TaskAssignment] | None = None,
+    ) -> None:
+        self.instance = instance
+        self._assignments = {} if assignments is None else assignments
+        self._columns: ScheduleColumns | None = None
+
+    @classmethod
+    def _backed(cls, columns: ScheduleColumns) -> Schedule:
+        sched = cls(columns.instance)
+        sched._assignments = None
+        sched._columns = columns
+        return sched
+
+    @property
+    def assignments(self) -> dict[TaskRef, TaskAssignment]:
+        """Task → assignment, in insertion (row) order; built from the
+        backing view on first read."""
+        if self._assignments is None:
+            self._assignments = self._columns._build_assignments()
+            self._columns = None
+        return self._assignments
 
     def add(self, assignment: TaskAssignment) -> None:
-        if assignment.task in self.assignments:
+        assignments = self.assignments
+        if assignment.task in assignments:
             raise ScheduleValidationError(
                 5, f"task {assignment.task} assigned twice"
             )
-        self.assignments[assignment.task] = assignment
+        assignments[assignment.task] = assignment
 
     def __len__(self) -> int:
-        return len(self.assignments)
+        if self._assignments is None:
+            return len(self._columns)
+        return len(self._assignments)
 
     def __contains__(self, task: TaskRef) -> bool:
         return task in self.assignments
@@ -78,17 +116,34 @@ class Schedule:
     def __getitem__(self, task: TaskRef) -> TaskAssignment:
         return self.assignments[task]
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.instance, self.assignments) == (
+            other.instance, other.assignments
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"Schedule(instance={self.instance!r}, "
+            f"assignments={self.assignments!r})"
+        )
+
     # ------------------------------------------------------------------
     # Derived views
     # ------------------------------------------------------------------
     def columns(self) -> ScheduleColumns:
-        """The schedule as columns, built by one pass over the assignments.
+        """The schedule as columns.
 
-        Built on every call and never stored, so no mutation of
-        :attr:`assignments` can leave a view stale.
+        A column-backed schedule returns its view. Otherwise the view is
+        built by one pass over the assignments on every call and never
+        stored. Either way no mutation can leave it stale: every mutation
+        goes through :attr:`assignments`, which drops the view first.
         """
-        keys = self.assignments.keys()
-        rows = self.assignments.values()
+        if self._assignments is None:
+            return self._columns
+        keys = self._assignments.keys()
+        rows = self._assignments.values()
         n = len(keys)
 
         def col(objs, name, dtype):
@@ -162,9 +217,10 @@ class ScheduleColumns:
     placement, and ``canon`` its position in ``instance.all_tasks()``
     order — ``off[job] + rnd · sync_scale + slot`` — or -1 for a task the
     instance does not have. :meth:`Schedule.columns` builds the view from
-    the objects; the array kernel and the cell merge build it straight
-    from their arrays and only materialize objects on demand
-    (:meth:`to_schedule`).
+    the objects; the list schedule, the array kernel and the cell merge
+    build it straight from their arrays, and :meth:`to_schedule` wraps it
+    in a column-backed :class:`Schedule` that builds objects only when
+    they are read.
     """
 
     __slots__ = (
@@ -266,13 +322,14 @@ class ScheduleColumns:
         return float(self.end.max()) if len(self) else 0.0
 
     def to_schedule(self) -> Schedule:
-        """Materialize one :class:`TaskAssignment` per row, in row order.
+        """A :class:`Schedule` backed by this view: its objects are built
+        only when somebody reads them (:attr:`Schedule.assignments`)."""
+        return Schedule._backed(self)
 
-        Rows must name distinct tasks (the kernel log and the cell merge
-        guarantee it), so no duplicate check is made.
-        """
-        sched = Schedule(self.instance)
-        assignments = sched.assignments
+    def _build_assignments(self) -> dict[TaskRef, TaskAssignment]:
+        """One :class:`TaskAssignment` per row, in row order. A task on
+        two rows keeps its last (:func:`validate_schedule` rejects it)."""
+        assignments: dict[TaskRef, TaskAssignment] = {}
         for j, r, s, g, st, tr, sy in zip(
             self.job.tolist(), self.rnd.tolist(), self.slot.tolist(),
             self.gpu.tolist(), self.start.tolist(), self.train.tolist(),
@@ -282,7 +339,7 @@ class ScheduleColumns:
             assignments[task] = TaskAssignment(
                 task=task, gpu=g, start=st, train_time=tr, sync_time=sy
             )
-        return sched
+        return assignments
 
 
 def _check_assignment(
@@ -361,7 +418,7 @@ def validate_schedule(
     failing check, in this order:
 
     1. (5) missing tasks — the count and the smallest missing task — then
-       unknown tasks, likewise;
+       unknown tasks, then tasks on more than one row, likewise;
     2. the first assignment in insertion order that fails a per-task
        check, checked as GPU range (5), finite start (4), arrival (4),
        finite durations (6), then the durations rule of the mode (6);
@@ -370,24 +427,27 @@ def validate_schedule(
     4. (8) the first overlapping pair on the first GPU, GPUs in order of
        first appearance, each GPU's tasks by ``(start, task)``.
 
-    **Cost.** One pass over the assignments builds the
-    :class:`ScheduleColumns`; every check is then numpy work over the
-    columns — masks, per-round ``reduceat`` and one ``lexsort`` — so
-    O(n log n) with no per-task Python work.
+    **Cost.** :meth:`Schedule.columns` is the backing view of a
+    column-backed schedule, or one pass over the assignments otherwise;
+    every check is then numpy work over the columns — one ``bincount``,
+    masks, per-round ``reduceat`` and one ``lexsort`` — so O(n log n)
+    with no per-task Python work.
     """
     inst = schedule.instance
     cols = schedule.columns()
 
-    # (5): full coverage, no duplicates (duplicates impossible by dict).
-    canon_rows = cols._rows_by_canon()
-    missing = canon_rows < 0
+    # (5): full coverage, then no unknown and no duplicated tasks (a
+    # column-backed schedule can hold a task on two rows).
+    known = cols.canon >= 0
+    times = np.bincount(cols.canon[known], minlength=int(cols._off[-1]))
+    missing = times == 0
     if missing.any():
         raise ScheduleValidationError(
             5,
             f"{int(missing.sum())} tasks unscheduled, e.g. "
             f"{cols._canonical_task(int(missing.argmax()))}",
         )
-    unknown = np.flatnonzero(cols.canon < 0)
+    unknown = np.flatnonzero(~known)
     if unknown.size:
         first = unknown[
             np.lexsort(
@@ -399,8 +459,16 @@ def validate_schedule(
             f"{unknown.size} unknown tasks scheduled, e.g. "
             f"{_item(schedule, int(first))[0]}",
         )
+    repeated = times > 1
+    if repeated.any():
+        raise ScheduleValidationError(
+            5,
+            f"{int(repeated.sum())} tasks assigned more than once, e.g. "
+            f"{cols._canonical_task(int(repeated.argmax()))}",
+        )
     if not len(cols):
         return
+    canon_rows = cols._rows_by_canon()
 
     # Per-task checks, each row in the precedence of _check_assignment.
     job, gpu = cols.job, cols.gpu

@@ -35,13 +35,12 @@ Where the time goes, and how this loop wins it back:
 * **Flat commit log instead of dict-of-objects.** Committed assignments
   live in parallel numpy arrays (job/round/slot/gpu as int64,
   start/train/sync as float64). The result carries the log as a
-  :class:`~repro.core.schedule.ScheduleColumns` view — metrics and the
-  cell merge read it directly — and the
-  :class:`~repro.core.schedule.Schedule` is materialized lazily, only
-  when somebody reads ``KernelResult.schedule``. A planned run
-  materializes it by re-inserting the plan's own assignment objects in
-  commit order — the objects the reference loop commits — instead of
-  constructing one per row.
+  :class:`~repro.core.schedule.ScheduleColumns` view wrapped in a
+  column-backed :class:`~repro.core.schedule.Schedule` — metrics,
+  validation and the cell merge read the view directly, and the
+  per-task objects are built only when somebody reads them. The planned
+  replay reads the plan the same way: its canonical columns, never its
+  objects.
 * **Gang runs: tuple heap + bulk passive skip.** Events are plain
   ``(time, type, seq, a, b)`` tuples on a :mod:`heapq` heap (same
   ``(time, type, insertion)`` tie-break as
@@ -77,7 +76,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from functools import partial
 
 import numpy as np
 
@@ -194,13 +192,6 @@ def _gpu_frees(gpu, commit, compute_end, commit_time):
     return c, g[fire], _clamp(after[fire], commit_time[c])
 
 
-def _reinsert(instance, items, order) -> Schedule:
-    """The committed schedule from the plan's own ``(task, assignment)``
-    *items*, re-inserted in commit *order* — the objects the reference
-    loop commits, with none constructed."""
-    return Schedule(instance, dict(map(items.__getitem__, order)))
-
-
 def _round_spans(start, end, gpu, train, sync, first_row):
     """Each round's ``kernel.round`` values, as lists of built-ins.
 
@@ -230,7 +221,8 @@ class ArraySchedulingKernel:
     :func:`~repro.kernel.runner.run_policy` sends here. The only
     intentional difference from the reference loop is that
     ``state.phi`` is a numpy array and ``state.committed`` stays empty —
-    the committed schedule lives in the flat log until materialized.
+    the committed schedule lives in the flat log, which the result wraps
+    as a column-backed schedule.
     """
 
     def __init__(
@@ -296,13 +288,12 @@ class ArraySchedulingKernel:
     def run(self) -> KernelResult:
         self.policy.setup(self.state)
         if self._path == "planned":
-            columns, materialize = self._replay_plan()
+            columns = self._replay_plan()
         else:
-            columns, materialize = self._run_gang(), None
+            columns = self._run_gang()
         obs_current().metrics.counter("kernel.events").inc(self.processed)
         return KernelResult(
-            columns=columns,
-            materialize=materialize,
+            schedule=columns.to_schedule(),
             metrics=metrics_from_columns(columns),
             events=self.processed,
             commitments=self.commitments,
@@ -317,13 +308,13 @@ class ArraySchedulingKernel:
         Each round is committed exactly once — round 0 by its job's
         arrival, round ``r + 1`` by round ``r``'s barrier — at the time
         its trigger pops, as a slice of the plan's canonical columns.
-        Returns the log and a materializer for the committed schedule.
+        Returns the log.
         """
         instance = self.instance
         jobs = instance.jobs
         num_jobs = len(jobs)
         if not num_jobs:
-            return Schedule(instance).columns(), None
+            return Schedule(instance).columns()
         plan = self.policy._plan
         cols = plan.columns()
         rows = cols.canonical_rows()
@@ -474,10 +465,7 @@ class ArraySchedulingKernel:
         state.rounds_done.update(enumerate(num_rounds.tolist()))
         state.ready_at.update(enumerate(horizon[round_base[1:] - 1].tolist()))
         np.maximum.at(state.phi, log.gpu, compute_end)
-        return log, partial(
-            _reinsert, instance, list(plan.assignments.items()),
-            rows[take].tolist(),
-        )
+        return log
 
     def _commit_order(self, first_round, rounds_of, horizons):
         """Phase 1: pop the trigger events as the loop would.

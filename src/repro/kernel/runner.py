@@ -31,7 +31,7 @@ each commitment reaches), and per-event instants on the ``kernel`` track.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..core.errors import InfeasibleProblemError, SimulationError
 from ..core.metrics import ScheduleMetrics, metrics_from_schedule
@@ -53,24 +53,20 @@ from .state import (
 class KernelResult:
     """Outcome of one kernel run.
 
-    The committed :attr:`schedule` may be materialized lazily: the array
-    backend hands over its commit log as a
-    :class:`~repro.core.schedule.ScheduleColumns` view, so large runs only
-    pay the per-task :class:`~repro.core.schedule.TaskAssignment`
-    construction when somebody actually reads the schedule, and readers
-    of :meth:`columns` (the cell merge) never do. *materialize*, when
-    given, builds that same schedule without constructing objects (the
-    planned replay re-inserts the plan's own assignments, as the
-    reference loop commits them); it is not pickled. The statistics
+    :attr:`schedule` is the committed schedule. The array backend and
+    the cell merge hand it over column-backed
+    (:meth:`~repro.core.schedule.ScheduleColumns.to_schedule`), so large
+    runs pay the per-task :class:`~repro.core.schedule.TaskAssignment`
+    construction only when somebody reads its objects, and readers of
+    :meth:`columns` (the cell merge, validation, metrics) never do; a
+    result pickles whatever the schedule holds. The statistics
     (``events``/``commitments``/``replans``/``retracted_rounds``) are
     plain ints, byte-comparable across backends; :attr:`retractions`
     lists what each crash took from each job, in application order.
     """
 
     __slots__ = (
-        "_schedule",
-        "_columns",
-        "_materialize",
+        "schedule",
         "metrics",
         "events",
         "commitments",
@@ -82,9 +78,7 @@ class KernelResult:
     def __init__(
         self,
         *,
-        schedule: Schedule | None = None,
-        columns: ScheduleColumns | None = None,
-        materialize: Callable[[], Schedule] | None = None,
+        schedule: Schedule,
         metrics: ScheduleMetrics,
         events: int,
         commitments: int,
@@ -92,11 +86,7 @@ class KernelResult:
         retracted_rounds: int,
         retractions: tuple[Retraction, ...] = (),
     ) -> None:
-        if schedule is None and columns is None:
-            raise ValueError("KernelResult needs a schedule or its columns")
-        self._schedule = schedule
-        self._columns = columns
-        self._materialize = materialize
+        self.schedule = schedule
         self.metrics = metrics
         self.events = events
         self.commitments = commitments
@@ -104,51 +94,10 @@ class KernelResult:
         self.retracted_rounds = retracted_rounds
         self.retractions = retractions
 
-    @property
-    def schedule(self) -> Schedule:
-        """The committed schedule (materialized on first access)."""
-        if self._schedule is None:
-            self._schedule = (
-                self._materialize or self._columns.to_schedule
-            )()
-            self._columns = None
-            self._materialize = None
-        return self._schedule
-
     def columns(self) -> ScheduleColumns:
-        """The committed schedule's column view.
-
-        Straight from the array backend's log while the schedule is
-        unmaterialized; derived from :attr:`schedule` otherwise, so it
-        always reflects the schedule as it is now.
-        """
-        if self._schedule is None:
-            return self._columns
-        return self._schedule.columns()
-
-    def __getstate__(self):
-        # An unmaterialized result pickles its columns, not objects.
-        return {
-            "schedule": self._schedule,
-            "columns": self._columns,
-            "metrics": self.metrics,
-            "events": self.events,
-            "commitments": self.commitments,
-            "replans": self.replans,
-            "retracted_rounds": self.retracted_rounds,
-            "retractions": self.retractions,
-        }
-
-    def __setstate__(self, state) -> None:
-        self._schedule = state["schedule"]
-        self._columns = state["columns"]
-        self._materialize = None
-        self.metrics = state["metrics"]
-        self.events = state["events"]
-        self.commitments = state["commitments"]
-        self.replans = state["replans"]
-        self.retracted_rounds = state["retracted_rounds"]
-        self.retractions = state["retractions"]
+        """The committed schedule's column view
+        (:meth:`Schedule.columns`)."""
+        return self.schedule.columns()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

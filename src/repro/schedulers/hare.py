@@ -33,15 +33,18 @@ Two placement rules are provided for line 12:
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Literal
+from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
-from ..core.errors import InfeasibleProblemError, SolverError
+from ..core.errors import (
+    InfeasibleProblemError,
+    ScheduleValidationError,
+    SolverError,
+)
 from ..core.job import ProblemInstance
-from ..core.schedule import Schedule, TaskAssignment
+from ..core.schedule import Schedule, ScheduleColumns, TaskAssignment
 from ..core.types import TaskRef
 from ..obs import Category, current as obs_current
 from .base import Scheduler
@@ -119,7 +122,7 @@ class HareScheduler(Scheduler):
             "order",
             hist=metrics.histogram("sched.phase.order_s"),
         ):
-            order = list(_precedence_safe_order(instance, relaxation))
+            order = _precedence_safe_order(instance, relaxation)
         with tracer.timed(
             Category.SCHED,
             "list_schedule",
@@ -133,61 +136,46 @@ class HareScheduler(Scheduler):
 
 def _precedence_safe_order(
     instance: ProblemInstance, relaxation: RelaxationResult
-) -> Iterator[TaskRef]:
-    """The sequence π of line 4, guaranteed to respect round precedence.
+) -> np.ndarray:
+    """The sequence π of line 4 as canonical task indices, guaranteed to
+    respect round precedence.
 
-    π is :meth:`RelaxationResult.ordering` — the tasks by (H, job,
-    round, slot) — with each job's tasks re-written into that job's π
-    positions in (round, slot) order. The sort alone is precedence-safe
-    for both solvers (H strictly grows across a job's rounds); the
-    re-write guards against degenerate relaxation outputs and keeps every
-    job's position multiset.
+    π is the tasks by (H, job, round, slot), with each job's tasks
+    re-written into that job's π positions in (round, slot) order. The
+    sort alone is precedence-safe for both solvers (H strictly grows
+    across a job's rounds); the re-write guards against degenerate
+    relaxation outputs and keeps every job's position multiset.
 
-    π is produced lazily from a heap of ``(H, job)`` pairs, one pop per
-    task read, so a caller that reads only a prefix (the
-    horizon-truncated list schedule of the online policy) pays only for
-    that prefix: the k-th pop of job ``j`` yields ``j``'s k-th task in
-    (round, slot) order. The sort's (round, slot) tie-break cannot change
-    which job pops next, so the heap leaves it out. Every solver's
-    ``x_hat`` covers all of the instance's tasks; that is checked here,
-    before the first read.
+    The (round, slot) tie-break cannot change which job holds a position,
+    so one ``lexsort`` by (H, job) fixes the job sequence, and the k-th
+    position of job ``j`` takes ``j``'s k-th canonical task: a stable
+    sort of the job sequence lists each job's positions in order, in
+    canonical blocks. Entry ``i`` of the result is the canonical index
+    (``instance.all_tasks()`` order) of the ``i``-th task of π. Every
+    solver's ``x_hat`` covers all of the instance's tasks; that is
+    checked here.
     """
     x_hat, h = relaxation.x_hat, relaxation.h
-    if not len(x_hat) == len(h) == instance.num_tasks:
-        raise SolverError(
-            f"relaxation covers {len(x_hat)} of {instance.num_tasks} tasks"
-        )
-    jobs = instance.jobs
-    scales = [job.sync_scale for job in jobs]
-    #: Per job, its tasks in (round, slot) order.
-    tasks: list[list] = [[None] * job.num_tasks for job in jobs]
-    heap: list[tuple[float, int]] = []
-    for t, value in h.items():
-        j = t.job_id
-        tasks[j][t.round_idx * scales[j] + t.slot] = t
-        heap.append((value, j))
-    heapq.heapify(heap)
-    return _pop_order(heap, [iter(ts) for ts in tasks])
-
-
-def _pop_order(
-    heap: list[tuple[float, int]], tasks: list[Iterator[TaskRef]]
-) -> Iterator[TaskRef]:
-    """Pop *heap* empty, yielding the popped job's next task."""
-    pop = heapq.heappop
-    while heap:
-        yield next(tasks[pop(heap)[1]])
+    n = instance.num_tasks
+    if not len(x_hat) == len(h) == n:
+        raise SolverError(f"relaxation covers {len(x_hat)} of {n} tasks")
+    job = instance.task_columns()[0]
+    by_h = np.lexsort((job, h))
+    order = np.empty(n, dtype=np.int64)
+    order[job[by_h].argsort(kind="stable")] = np.arange(n)
+    return order
 
 
 def strict_gang_schedule(
     instance: ProblemInstance,
-    order: list[TaskRef],
+    order: Sequence[int] | np.ndarray,
     *,
     hold_gpus: bool = False,
 ) -> Schedule:
     """Ablation: Algorithm 1's ordering with **strict** scale-fixed rounds.
 
-    Rounds are taken in the order their first task appears in π; each round
+    Rounds are taken in the order their first task appears in π (canonical
+    task indices, as :func:`_precedence_safe_order` returns); each round
     waits until ``sync_scale`` GPUs are simultaneously free and runs its
     tasks strictly in parallel (one per GPU, the fastest free ones). This
     isolates the value of Hare's relaxed scale-fixed scheme: identical
@@ -210,8 +198,9 @@ def strict_gang_schedule(
     barrier: dict[tuple[int, int], float] = {}
     seen_rounds: set[tuple[int, int]] = set()
     round_order: list[tuple[int, int]] = []
-    for task in order:
-        key = (task.job_id, task.round_idx)
+    job_col, rnd_col, _ = instance.task_columns()
+    ks = np.asarray(order, dtype=np.int64)
+    for key in zip(job_col[ks].tolist(), rnd_col[ks].tolist()):
         if key not in seen_rounds:
             seen_rounds.add(key)
             round_order.append(key)
@@ -249,13 +238,18 @@ def strict_gang_schedule(
 
 def list_schedule(
     instance: ProblemInstance,
-    order: Iterable[TaskRef],
+    order: Sequence[int] | np.ndarray,
     *,
     placement: Placement = "earliest_available",
     initial_phi: list[float] | None = None,
     horizon: float | None = None,
 ) -> Schedule:
     """Lines 5-17 of Algorithm 1: greedy placement in π order.
+
+    *order* is π as canonical task indices (``instance.all_tasks()``
+    order, as :func:`_precedence_safe_order` returns it). A task placed
+    before its previous round is complete raises :class:`SolverError`; a
+    task placed twice raises :class:`ScheduleValidationError` (5).
 
     ``initial_phi`` seeds the per-GPU available times — the online
     re-planning scheduler uses it to account for work already committed to
@@ -268,7 +262,11 @@ def list_schedule(
 
     This is the vectorized hot path: φ lives in one numpy array, and each
     placement is a single ``argmin`` over it (``earliest_available``) or
-    over ``max(φ, t_avail) + T^c`` (``earliest_finish``). Only the chosen
+    over ``max(φ, t_avail) + T^c`` (``earliest_finish``). Per-round counts
+    and barriers are flat lists indexed by round, placements are appended
+    to column lists, and the result is a column-backed
+    :class:`~repro.core.schedule.Schedule` (:meth:`ScheduleColumns.to_schedule`)
+    whose objects are built only if somebody reads them. Only the chosen
     GPU's ``T^c``/``T^s`` entries are read back as Python floats, so a
     call costs O(tasks × GPUs) numpy work and O(tasks + GPUs) Python
     objects, never a boxed copy of the J×M matrices. ``np.argmin`` breaks
@@ -276,7 +274,6 @@ def list_schedule(
     its fresh entry or a strict-``<`` scan; the equivalence suite pins the
     schedules byte-identical to that straightforward implementation.
     """
-    schedule = Schedule(instance)
     num_gpus = instance.num_gpus
     if initial_phi is None:
         phi = np.zeros(num_gpus)
@@ -287,78 +284,125 @@ def list_schedule(
         )
     else:
         phi = np.array(initial_phi, dtype=float)
-    jobs = instance.jobs
+    job_col, rnd_col, slot_col = instance.task_columns()
+    ks = np.asarray(order, dtype=np.int64)
+    if ks.size and (ks.min() < 0 or ks.max() >= len(job_col)):
+        raise SolverError(
+            f"π holds a task index outside 0..{len(job_col) - 1}"
+        )
+    rounds = _Rounds(instance, job_col, rnd_col)
+    task_job, task_prev = rounds.task_job, rounds.task_prev
+    need, counts, barrier = rounds.need, rounds.counts, rounds.barrier
     # Per-job T^c rows as numpy views for the vector math; phi_list shadows
     # the numpy φ for the scalar read of the chosen GPU.
     train_time, sync_time = instance.train_time, instance.sync_time
     tc_rows = list(train_time)
+    tc_item, ts_item = train_time.item, sync_time.item
     phi_list = phi.tolist()
     finish = np.empty(num_gpus)  # scratch for the earliest-finish rule
     earliest_finish = placement != "earliest_available"
     np_maximum, np_add = np.maximum, np.add
-    #: Barrier time of (job, round): max end over its scheduled tasks.
-    round_barrier: dict[tuple[int, int], float] = {}
-    scheduled_in_round: dict[tuple[int, int], int] = {}
-    add = schedule.add
+    seen = bytearray(len(job_col))
+    gpus: list[int] = []
+    starts: list[float] = []
+    put_gpu, put_start = gpus.append, starts.append
+    tasks = ks.tolist()
     if horizon is not None:
-        order = _until_horizon(
-            order, schedule, phi_list, scheduled_in_round, round_barrier,
-            horizon,
-        )
+        tasks = _until_horizon(tasks, rounds, gpus, starts, phi_list, horizon)
 
-    for task in order:
-        job_id = task.job_id
-        round_idx = task.round_idx
-        if round_idx == 0:
-            t_avail = jobs[job_id].arrival
-        else:
-            key = (job_id, round_idx - 1)
-            if scheduled_in_round.get(key, 0) != jobs[job_id].sync_scale:
-                raise SolverError(
-                    f"π violates precedence: {task} before round "
-                    f"{round_idx - 1} completed"
-                )
-            t_avail = round_barrier[key]
+    for k in tasks:
+        j = task_job[k]
+        p = task_prev[k]  # the previous round (a complete one for round 0)
+        if counts[p] != need[p]:
+            task = TaskRef(j, int(rnd_col[k]), int(slot_col[k]))
+            raise SolverError(
+                f"π violates precedence: {task} before round "
+                f"{task.round_idx - 1} completed"
+            )
+        if seen[k]:
+            task = TaskRef(j, int(rnd_col[k]), int(slot_col[k]))
+            raise ScheduleValidationError(5, f"task {task} assigned twice")
+        seen[k] = 1
+        t_avail = barrier[p]
 
         if earliest_finish:
             # Ablation: minimize this task's finish time.
             np_maximum(phi, t_avail, out=finish)
-            np_add(finish, tc_rows[job_id], out=finish)
+            np_add(finish, tc_rows[j], out=finish)
             m = int(finish.argmin())
         else:
             # Line 12: the GPU with smallest φ_m.
             m = int(phi.argmin())
         avail = phi_list[m]
         start = avail if avail > t_avail else t_avail
+        put_gpu(m)
+        put_start(start)
 
-        tc = float(train_time[job_id, m])
-        ts = float(sync_time[job_id, m])
-        add(
-            TaskAssignment(
-                task=task, gpu=m, start=start,
-                train_time=tc, sync_time=ts,
-            )
-        )
-        released = start + tc  # sync overlaps the next task (line 16)
+        released = start + tc_item(j, m)  # sync overlaps the next task
         phi[m] = released
         phi_list[m] = released
+        r = p + 1
+        counts[r] += 1
+        end = released + ts_item(j, m)
+        if end > barrier[r]:
+            barrier[r] = end
 
-        rkey = (job_id, round_idx)
-        scheduled_in_round[rkey] = scheduled_in_round.get(rkey, 0) + 1
-        end = released + ts
-        prev = round_barrier.get(rkey, 0.0)
-        round_barrier[rkey] = end if end > prev else prev
-    return schedule
+    rows = ks[: len(gpus)]  # the placed prefix of π
+    gpu = np.array(gpus, dtype=np.int64)
+    job = job_col[rows]
+    return ScheduleColumns(
+        instance, job, rnd_col[rows], slot_col[rows], gpu,
+        np.array(starts, dtype=np.float64),
+        train_time[job, gpu], sync_time[job, gpu],
+    ).to_schedule()
+
+
+class _Rounds:
+    """The list schedule's per-task lookups and per-round state.
+
+    Each job owns ``1 + num_rounds`` consecutive round ids: a complete
+    sentinel whose barrier is the job's arrival, then its rounds. A
+    task's previous round is then always one id back — the sentinel for
+    round 0 — and all state is flat lists: per task its job and previous
+    round id, per round id the tasks it needs, the tasks placed so far
+    and the barrier (the latest end among them).
+    """
+
+    __slots__ = (
+        "task_job", "task_prev", "need", "counts", "barrier", "stop",
+        "arrival",
+    )
+
+    def __init__(self, instance: ProblemInstance, job_col, rnd_col) -> None:
+        jobs = instance.jobs
+        n = len(jobs)
+        rounds = np.fromiter((j.num_rounds for j in jobs), np.int64, n)
+        scale = np.fromiter((j.sync_scale for j in jobs), np.int64, n)
+        arrival = np.fromiter((j.arrival for j in jobs), np.float64, n)
+        stop = np.cumsum(rounds + 1)
+        sentinel = stop - rounds - 1
+        counts = np.zeros(int(stop[-1]) if n else 0, dtype=np.int64)
+        counts[sentinel] = scale
+        barrier = np.zeros(len(counts))
+        barrier[sentinel] = arrival
+        self.task_job = job_col.tolist()
+        self.task_prev = (sentinel[job_col] + rnd_col).tolist()
+        self.need = np.repeat(scale, rounds + 1).tolist()
+        self.counts = counts.tolist()
+        self.barrier = barrier.tolist()
+        #: Per job, the round id after its last round.
+        self.stop = stop.tolist()
+        self.arrival = arrival.tolist()
 
 
 def _until_horizon(
-    order: Iterable[TaskRef],
-    schedule: Schedule,
+    order: list[int],
+    rounds: _Rounds,
+    gpus: list[int],
+    starts: list[float],
     phi: list[float],
-    counts: dict[tuple[int, int], int],
-    barriers: dict[tuple[int, int], float],
     horizon: float,
-) -> Iterator[TaskRef]:
+) -> Iterator[int]:
     """π, cut where no later task can start before *horizon*.
 
     :func:`list_schedule` starts a task no earlier than its GPU's φ,
@@ -372,38 +416,37 @@ def _until_horizon(
     start before *horizon* or join a round that does, and π stops.
 
     The generator resumes after :func:`list_schedule` has placed the
-    task it yielded, and reads that placement from *schedule* and from
-    the caller's own *phi*, per-round *counts* and *barriers*.
+    task it yielded, and reads that placement — the last entry of the
+    loop's own *gpus* and *starts* columns — with the loop's *phi* and
+    *rounds* state.
     """
-    jobs = schedule.instance.jobs
-    placed = schedule.assignments
+    task_job, task_prev = rounds.task_job, rounds.task_prev
+    need, counts, barrier = rounds.need, rounds.counts, rounds.barrier
+    stop = rounds.stop
     #: GPUs whose φ is before *horizon*.
     low_gpus = {m for m, p in enumerate(phi) if p < horizon}
     #: Per job, the release of its first round with unplaced tasks.
-    release = [job.arrival for job in jobs]
+    release = list(rounds.arrival)
     #: Jobs with unplaced tasks released before *horizon*.
     low_jobs = sum(1 for a in release if a < horizon)
     #: Rounds with a task starting before *horizon* and tasks unplaced.
-    open_rounds: set[tuple[int, int]] = set()
-    for task in order:
+    open_rounds: set[int] = set()
+    for k in order:
         if not open_rounds and (not low_gpus or low_jobs == 0):
             return
-        yield task
-        a = placed[task]
-        if phi[a.gpu] >= horizon:
-            low_gpus.discard(a.gpu)
-        job = jobs[task.job_id]
-        key = (task.job_id, task.round_idx)
-        if counts[key] < job.sync_scale:
-            if a.start < horizon:
-                open_rounds.add(key)
+        yield k
+        m = gpus[-1]
+        if phi[m] >= horizon:
+            low_gpus.discard(m)
+        r = task_prev[k] + 1
+        if counts[r] < need[r]:
+            if starts[-1] < horizon:
+                open_rounds.add(r)
             continue
         # Round complete: the job's next round is released at its barrier.
-        open_rounds.discard(key)
-        nxt = (
-            barriers[key] if task.round_idx + 1 < job.num_rounds
-            else float("inf")
-        )
-        if release[task.job_id] < horizon <= nxt:
+        open_rounds.discard(r)
+        j = task_job[k]
+        nxt = barrier[r] if r + 1 < stop[j] else float("inf")
+        if release[j] < horizon <= nxt:
             low_jobs -= 1
-        release[task.job_id] = nxt
+        release[j] = nxt

@@ -15,9 +15,9 @@ running natively on :mod:`repro.kernel`:
   that start before the next arrival**; everything later is provisional
   and will be reconsidered when new information lands. The list schedule
   stops as soon as no further task can join a committed round (the
-  ``horizon`` of :func:`~repro.schedulers.hare.list_schedule`), reading
-  π lazily, so a re-plan pays for what it commits, not for the whole
-  residual;
+  ``horizon`` of :func:`~repro.schedulers.hare.list_schedule`), so a
+  re-plan's per-task Python work covers what it commits, not the whole
+  residual, and only the committed tasks become objects;
 * at the final arrival the whole residual plan is committed.
 
 Commitment is at round granularity: once any task of a round is committed
@@ -37,10 +37,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..core.job import ProblemInstance
-from ..core.schedule import Schedule
+from ..core.schedule import Schedule, TaskAssignment
+from ..core.types import TaskRef
 from ..kernel.events import Event, KernelEventType
-from ..kernel.residual import build_residual, solve_relaxation, to_global
+from ..kernel.residual import build_residual, solve_relaxation
 from ..kernel.state import Commitment, KernelState
 from ..obs import current as obs_current
 from .base import Scheduler
@@ -179,24 +182,54 @@ class OnlineHarePolicy:
 
         A ``None`` horizon (the final arrival) commits the whole plan. A
         truncated plan lacks only tasks that start at or after the
-        horizon, in rounds that would not be committed anyway.
+        horizon, in rounds that would not be committed anyway. The plan
+        is read as columns; only committed tasks become objects, in the
+        base instance's frame (:func:`~repro.kernel.residual.to_global`).
         """
-        placed = plan.assignments
+        cols = plan.columns()
+        n = residual.num_tasks
+        row = np.full(n, -1, dtype=np.int64)
+        row[cols.canon] = np.arange(len(cols))
+        start = np.full(n, np.inf)
+        start[cols.canon] = cols.start
+        job, rnd, _ = residual.task_columns()
+        # Canonical order holds each round's tasks as one block, and each
+        # job's rounds as consecutive blocks.
+        first = np.flatnonzero(
+            (np.diff(job, prepend=-1) != 0) | (np.diff(rnd, prepend=-1) != 0)
+        )
+        cut = np.inf if horizon is None else horizon
+        ok = np.logical_and.reduceat(row >= 0, first)
+        ok &= np.minimum.reduceat(start, first) < cut
+        # A job commits its rounds up to its first round that is not ok:
+        # the rounds with no failed round of their job at or before them.
+        failed = np.cumsum(~ok)
+        job_first = np.flatnonzero(np.diff(job[first], prepend=-1))
+        failed_before = np.repeat(
+            (failed - ~ok)[job_first], np.diff(job_first, append=len(first))
+        )
+        keep = failed == failed_before
+
+        gpu = cols.gpu
+        if gpu_subset is not None:
+            gpu = np.asarray(gpu_subset)[gpu]
+        gpus, starts = gpu.tolist(), cols.start.tolist()
+        trains, syncs = cols.train.tolist(), cols.sync.tolist()
+        rows = row.tolist()
+        bounds = np.append(first, n).tolist()
+        job_of, rnd_of = job.tolist(), rnd.tolist()
         out: list[Commitment] = []
-        for local_job in residual.jobs:
-            for r in range(local_job.num_rounds):
-                try:
-                    assigned = [placed[t] for t in local_job.round_tasks(r)]
-                except KeyError:
-                    break  # never placed: starts at or after the horizon
-                if horizon is not None and min(
-                    a.start for a in assigned
-                ) >= horizon:
-                    break  # later rounds are provisional
-                assignments = tuple(
-                    to_global(a, id_map, gpu_subset) for a in assigned
+        for k in np.flatnonzero(keep).tolist():
+            lo, hi = bounds[k], bounds[k + 1]
+            job_id, round_offset = id_map[job_of[lo]]
+            r = round_offset + rnd_of[lo]
+            out.append(Commitment(assignments=tuple(
+                TaskAssignment(
+                    TaskRef(job_id, r, slot), gpus[i], starts[i],
+                    trains[i], syncs[i],
                 )
-                out.append(Commitment(assignments=assignments))
+                for slot, i in enumerate(rows[lo:hi])
+            )))
         return out
 
 

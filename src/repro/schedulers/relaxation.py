@@ -19,17 +19,21 @@ DESIGN.md):
     A fluid approximation for large instances: arrived jobs take the
     cluster's aggregate capacity in WSPT priority order (each capped by its
     sync scale), and ``x̂`` of a round is the fluid time its work starts.
-    For J jobs, M GPUs and T tasks it runs at most ~2J arrival/finish
-    events, each a fixed handful of numpy operations over at most J jobs.
-    With the O(J·M) averaging of task times and the O(T) output dicts the
-    cost is O(J·M + J² + T), of which only O(J + T) steps are interpreted
-    Python. Produces the same
-    *ordering signal* ``H_i`` that Algorithm 1 consumes; tests compare it
-    against the exact solver on small instances.
+    For J jobs, M GPUs, R rounds and T tasks it runs at most ~2J
+    arrival/finish events, each a fixed handful of numpy operations over
+    at most J jobs, then inverts every round's work target in one
+    vectorized binary search. With the O(J·M) averaging of task times the
+    cost is O(J·M + J² + R log J + T) numpy work and O(J) steps of
+    interpreted Python. Produces the same *ordering signal* ``H_i`` that
+    Algorithm 1 consumes; tests compare it against the exact solver on
+    small instances.
 
 Both return :class:`RelaxationResult` with ``x̂_i`` and the middle
 completion times ``H_i = x̂_i + ½·max_m T^c_{i,m}`` that drive the list
-scheduling of step 2.
+scheduling of step 2, as float64 arrays in canonical task order: task
+``i`` is the ``i``-th of ``instance.all_tasks()`` (jobs by id, then
+rounds, then slots — the numbering of
+:attr:`repro.core.schedule.ScheduleColumns.canon`).
 """
 
 from __future__ import annotations
@@ -53,12 +57,16 @@ except Exception:  # pragma: no cover - older/newer scipy layouts
 
 @dataclass(frozen=True, slots=True)
 class RelaxationResult:
-    """Solution of the relaxed scheduling problem."""
+    """Solution of the relaxed scheduling problem.
+
+    ``x_hat`` and ``h`` hold one float64 per task in canonical order
+    (``instance.all_tasks()`` order).
+    """
 
     #: Relaxed start time x̂_i per task.
-    x_hat: dict[TaskRef, float]
+    x_hat: np.ndarray
     #: Middle completion time H_i = x̂_i + max_m T^c_{i,m} / 2.
-    h: dict[TaskRef, float]
+    h: np.ndarray
     #: Objective value of the relaxation (Σ w_n Ĉ_n).
     objective: float
     #: Assignment ŷ used by the solver (empty for the fluid solver).
@@ -66,17 +74,6 @@ class RelaxationResult:
     #: Solver diagnostics.
     iterations: int = 0
     cuts_added: int = 0
-
-    def ordering(self) -> list[TaskRef]:
-        """Tasks sorted by non-descending H (Algorithm 1, line 4).
-
-        Ties break by (job, round, slot) so the order is deterministic and
-        respects round precedence within a job whenever H values tie.
-        """
-        return sorted(
-            self.x_hat,
-            key=lambda t: (self.h[t], t.job_id, t.round_idx, t.slot),
-        )
 
 
 class RelaxationSolver(Protocol):
@@ -86,10 +83,10 @@ class RelaxationSolver(Protocol):
 
 
 def _middle_completion(
-    instance: ProblemInstance, x_hat: dict[TaskRef, float]
-) -> dict[TaskRef, float]:
+    instance: ProblemInstance, x_hat: np.ndarray
+) -> np.ndarray:
     half_max_tc = instance.train_time.max(axis=1) / 2.0
-    return {t: x + float(half_max_tc[t.job_id]) for t, x in x_hat.items()}
+    return x_hat + half_max_tc[instance.task_columns()[0]]
 
 
 def greedy_assignment(instance: ProblemInstance) -> dict[TaskRef, int]:
@@ -249,7 +246,9 @@ class ExactRelaxationSolver:
         """New ŷ: sweep tasks in x̂ order, place on least-loaded GPU."""
         load = np.zeros(instance.num_gpus)
         y: dict[TaskRef, int] = {}
-        for task in sorted(result.x_hat, key=lambda t: result.x_hat[t]):
+        tasks = list(instance.all_tasks())
+        for k in np.argsort(result.x_hat, kind="stable").tolist():
+            task = tasks[k]
             tc_row = instance.train_time[task.job_id]
             m = int(np.argmin(load + tc_row))
             y[task] = m
@@ -284,7 +283,6 @@ class ExactRelaxationSolver:
         self, instance: ProblemInstance, y: dict[TaskRef, int]
     ) -> RelaxationResult:
         tasks = list(instance.all_tasks())
-        t_index = {t: i for i, t in enumerate(tasks)}
         n_x = len(tasks)
 
         # Barrier variables b_{n,r}, one per (job, round).
@@ -393,7 +391,8 @@ class ExactRelaxationSolver:
             lp.add_rows(block, block_rhs)
             cuts_added += len(new_cuts)
 
-        x_hat = {t: float(x_sol[t_index[t]]) for t in tasks}
+        # The x columns come first, in all_tasks() order.
+        x_hat = np.array(x_sol[:n_x], dtype=np.float64)
         return RelaxationResult(
             x_hat=x_hat,
             h=_middle_completion(instance, x_hat),
@@ -462,7 +461,10 @@ class FluidRelaxationSolver:
     rates from one ``cumsum`` over their caps, advances them with one
     elementwise update and appends one block of breakpoints, so a solve of
     J jobs is O(J) events of O(J) numpy work each. The fair-share ablation
-    instead water-fills per event, up to one pass per capped job.
+    instead water-fills per event, up to one pass per capped job. The
+    output is numpy too: one radix sort groups the breakpoints by job,
+    :func:`_invert_curves` dates every round in one binary search, and
+    ``x̂``/``H`` come out as canonical arrays with no per-task Python.
     """
 
     #: Use the harmonic mean of per-GPU times instead of the arithmetic
@@ -578,28 +580,30 @@ class FluidRelaxationSolver:
                 t = t_next
 
         # Group the breakpoints by job (stable: each curve stays in time
-        # order), then invert every curve with one searchsorted over all of
-        # its round targets.
+        # order), then invert every round's work target on its job's
+        # curve in one pass.
         by_job = np.concatenate(bp_job)
-        order = by_job.argsort(kind="stable")
+        # A stable sort's result is unique, and 16-bit keys take numpy's
+        # radix sort: several times faster than timsort on int64 keys.
+        keys = by_job.astype(np.uint16) if num_jobs <= 1 << 16 else by_job
+        order = keys.argsort(kind="stable")
         curve_t = np.concatenate(
             [arrivals, np.repeat(event_t, event_size)]
         )[order]
         curve_done = np.concatenate(bp_done)[order]
         ends = np.bincount(by_job, minlength=num_jobs).cumsum()
-        x_hat: dict[TaskRef, float] = {}
-        lo = 0
-        for n, job in enumerate(jobs):
-            hi = int(ends[n])
-            round_work = job.sync_scale * rep[n]
-            targets = np.arange(job.num_rounds) * round_work
-            starts = _invert_curve_batch(
-                curve_t[lo:hi], curve_done[lo:hi], targets
-            )
-            for r, start in enumerate(starts.tolist()):
-                for d in range(job.sync_scale):
-                    x_hat[TaskRef(n, r, d)] = start
-            lo = hi
+        scales = caps.astype(np.int64)
+        rounds = np.fromiter(
+            (j.num_rounds for j in jobs), np.int64, count=num_jobs
+        )
+        round_job = np.repeat(ids, rounds)
+        first_round = np.cumsum(rounds) - rounds
+        round_idx = np.arange(len(round_job)) - first_round[round_job]
+        targets = round_idx * (scales * rep)[round_job]
+        starts = _invert_curves(
+            curve_t, curve_done, ends, round_job, targets
+        )
+        x_hat = np.repeat(starts, scales[round_job])
 
         h = _middle_completion(instance, x_hat)
         # Completion = each curve's last breakpoint; summed left to right.
@@ -636,32 +640,51 @@ def _water_fill(
     return rates
 
 
-def _invert_curve_batch(
-    times: np.ndarray, works: np.ndarray, targets: np.ndarray
+def _invert_curves(
+    times: np.ndarray,
+    works: np.ndarray,
+    ends: np.ndarray,
+    curve: np.ndarray,
+    targets: np.ndarray,
 ) -> np.ndarray:
-    """Earliest times the piecewise-linear work curve reaches *targets*.
+    """Earliest times piecewise-linear work curves reach *targets*.
 
-    The curve passes through ``(times[k], works[k])``. Each target is
-    clamped to the final work value first: accumulated float drift can
-    make the last round's target overshoot the total work by ~1e-12, and
-    falling off the end would date that round at the job's completion
-    instant instead of interpolating inside the last segment. The segment
-    is the first one whose end reaches ``target - 1e-12``; a flat segment
-    dates the target at its end.
+    Curve ``n`` passes through ``(times[k], works[k])`` for ``k`` in
+    ``ends[n-1]:ends[n]`` (from 0 for the first curve); target ``i`` is
+    read on curve ``curve[i]``. Each target is clamped to its curve's
+    final work value first: accumulated float drift can make a job's
+    last round target overshoot its total work by ~1e-12, and falling off
+    the end would date that round at the job's completion instant
+    instead of interpolating inside the last segment. The segment is the
+    first one whose end reaches ``target - 1e-12``, found by one binary
+    search over every target at once (per curve, the index
+    ``searchsorted(side="left")`` finds); a flat segment dates the target
+    at its end, and a one-point curve dates every target at its point.
     """
-    if (works[1:] < works[:-1]).any():
+    down = works[1:] < works[:-1]
+    down[ends[:-1] - 1] = False  # across a curve boundary
+    if down.any():
         raise SolverError("work curve is not monotone")
-    clamped = np.minimum(targets, works[-1])
-    if len(times) == 1:
-        return np.full(len(targets), times[0])
-    # First segment end j >= 1 with works[j] >= target - 1e-12.
-    j = np.maximum(works.searchsorted(clamped - 1e-12, side="left"), 1)
-    w0 = works[j - 1]
+    lo = (ends - np.diff(ends, prepend=0))[curve]
+    hi = ends[curve] - 1
+    clamped = np.minimum(targets, works[hi])
+    key = clamped - 1e-12
+    # First k in [lo, hi] with works[k] >= key; works[hi] >= key always.
+    k = hi.copy()
+    a = lo.copy()
+    while (a < k).any():
+        mid = (a + k) >> 1
+        right = works[mid] < key
+        a = np.where(right, mid + 1, a)
+        k = np.where(right, k, mid)
+    single = hi == lo
+    j = np.where(single, lo, np.maximum(k, lo + 1))
+    w0 = works[np.where(single, lo, j - 1)]
     w1 = works[j]
-    t0 = times[j - 1]
+    t0 = times[np.where(single, lo, j - 1)]
     t1 = times[j]
     flat = w1 == w0
     # Monotone works: every divisor is 1.0 or w1 - w0 > 0.
     frac = (clamped - w0) / np.where(flat, 1.0, w1 - w0)
     starts = np.where(flat, t1, t0 + frac * (t1 - t0))
-    return np.where(clamped <= 0, times[0], starts)
+    return np.where(clamped <= 0, times[lo], starts)

@@ -10,6 +10,7 @@ from repro.core import (
     Job,
     ProblemInstance,
     Schedule,
+    ScheduleColumns,
     ScheduleValidationError,
     TaskAssignment,
     TaskRef,
@@ -278,6 +279,107 @@ class TestScheduleColumns:
         with pytest.raises(ScheduleValidationError) as got:
             sched.completions()
         assert str(got.value) == str(want.value)
+
+
+def _backed(inst) -> Schedule:
+    """A column-backed copy of the valid two-round schedule."""
+    sched = schedule_from_mapping(inst, valid_mapping(inst))
+    backed = sched.columns().to_schedule()
+    assert backed._assignments is None
+    return backed
+
+
+class TestColumnBackedSchedule:
+    """A schedule made by ``ScheduleColumns.to_schedule`` builds its
+    objects on the first object read and answers ``len`` and
+    ``columns()`` from its view until then."""
+
+    def test_equals_its_materialized_twin(self, two_round_instance):
+        backed = _backed(two_round_instance)
+        twin = schedule_from_mapping(
+            two_round_instance, valid_mapping(two_round_instance)
+        )
+        assert backed == twin and twin == backed
+        assert backed == _backed(two_round_instance)
+        twin.add(TaskAssignment(TaskRef(0, 2, 0), 0, 9.0, 1.0, 0.5))
+        assert backed != twin
+
+    def test_pickles_without_materializing(self, two_round_instance):
+        import pickle
+
+        backed = _backed(two_round_instance)
+        again = pickle.loads(pickle.dumps(backed))
+        assert backed._assignments is None and again._assignments is None
+        assert again.columns().canon.tolist() == [0, 1, 2, 3]
+        assert list(again.assignments.items()) == list(
+            backed.assignments.items()
+        )
+
+    def test_add_materializes_first(self, two_round_instance):
+        backed = _backed(two_round_instance)
+        extra = TaskAssignment(TaskRef(0, 2, 0), 0, 9.0, 1.0, 0.5)
+        backed.add(extra)
+        assert len(backed) == 5
+        assert list(backed.assignments)[-1] == extra.task
+        with pytest.raises(ScheduleValidationError, match="assigned twice"):
+            backed.add(extra)
+
+    def test_columns_never_stale_after_a_mutation(self, two_round_instance):
+        backed = _backed(two_round_instance)
+        view = backed.columns()
+        assert backed.columns() is view  # the backing view, not a copy
+        task = TaskRef(0, 1, 1)
+        backed.assignments[task] = replace(backed[task], start=7.0)
+        assert backed.columns() is not view
+        assert backed.columns().start.tolist() == [1.0, 1.0, 3.5, 7.0]
+        backed.add(TaskAssignment(TaskRef(0, 2, 0), 0, 9.0, 1.0, 0.5))
+        assert backed.columns().canon.tolist() == [0, 1, 2, 3, -1]
+
+    def test_len_validate_and_metrics_do_not_materialize(
+        self, two_round_instance
+    ):
+        from repro.core import metrics_from_schedule
+
+        backed = _backed(two_round_instance)
+        assert len(backed) == 4
+        validate_schedule(backed)
+        metrics_from_schedule(backed)
+        assert backed.makespan() == 6.0
+        assert backed._assignments is None
+        assert TaskRef(0, 0, 0) in backed
+        assert backed._assignments is not None
+
+    def test_streaming_run_returns_an_unmaterialized_plan(self):
+        from repro.api import run_experiment
+
+        result = run_experiment(
+            gpus=8, jobs=6, scheduler="hare", arrivals="streaming",
+            rounds_scale=0.05, simulate=False, validate=True, trace=False,
+        )
+        plan = result.plan
+        assert plan._assignments is None
+        assert len(plan) == result.instance.num_tasks
+        assert len(plan.assignments) == len(plan)
+        assert plan._assignments is not None
+
+    def test_repeated_row_fails_constraint5(self, two_round_instance):
+        """A column-backed schedule can hold a task on two rows; the
+        validator must reject it (a dict-backed one cannot)."""
+        cols = schedule_from_mapping(
+            two_round_instance, valid_mapping(two_round_instance)
+        ).columns()
+        rows = [0, 1, 2, 3, 3]
+        twice = ScheduleColumns(
+            two_round_instance, cols.job[rows], cols.rnd[rows],
+            cols.slot[rows], cols.gpu[rows], cols.start[rows],
+            cols.train[rows], cols.sync[rows],
+        ).to_schedule()
+        with pytest.raises(
+            ScheduleValidationError, match="1 tasks assigned more than once"
+        ) as e:
+            validate_schedule(twice)
+        assert e.value.constraint == 5
+        assert str(TaskRef(0, 1, 1)) in str(e.value)
 
 
 class TestMergeIntervals:

@@ -269,9 +269,9 @@ class TestTieBreakCorners:
 
 
 class TestMaterializedSchedule:
-    """The replay's schedule holds the plan's own assignment objects, in
-    the reference loop's insertion order, and a pickled result (which
-    drops the materializer) rebuilds an equal schedule from its
+    """The replay reads the plan's columns, never its objects; its
+    schedule materializes to the reference loop's, in the same insertion
+    order, and a pickled result rebuilds an equal schedule from its
     columns."""
 
     def _runs(self, instance):
@@ -281,11 +281,19 @@ class TestMaterializedSchedule:
             for k in KERNELS
         ]
 
-    def test_reuses_the_plans_objects_in_commit_order(self, small_instance):
+    def test_matches_the_reference_in_commit_order(self, small_instance):
         plan, (ref, arr) = self._runs(small_instance)
+        assert arr.schedule._assignments is None
+        assert len(arr.schedule) == len(ref.schedule)
         got = list(arr.schedule.assignments.items())
         assert got == list(ref.schedule.assignments.items())
-        assert all(a is plan[task] for task, a in got)
+
+    def test_replay_leaves_the_plan_unmaterialized(self, small_instance):
+        plan = create("hare").schedule(small_instance)
+        ArraySchedulingKernel(
+            small_instance, PlannedPolicy(FrozenPlanner(plan))
+        ).run()
+        assert plan._assignments is None
 
     def test_pickled_result_rebuilds_it_from_columns(self, small_instance):
         _, (_, arr) = self._runs(small_instance)

@@ -11,10 +11,19 @@ where the arithmetic allows it, and ``benchmarks/bench_kernel.py`` races
   ``FluidRelaxationSolver.solve``, re-sorting the active set at every
   event (:func:`density_fill`) and inverting curves one target at a time
   (:func:`invert_curve`).
+- :func:`invert_curve_batch` — one job's curve inverted at all of its
+  targets, the per-job step the one-pass ``_invert_curves`` replaced.
 - :func:`reference_list_schedule` — heap-of-φ list scheduling with a
-  per-GPU Python scan.
+  per-GPU Python scan over ``TaskRef`` objects and a dict of barriers.
+- :func:`reference_ordering` — the tasks sorted by (H, job, round, slot).
 - :func:`reference_precedence_safe_order` — the order fix-up that rescans
   the full order once per job.
+
+Relaxation results, π and list-schedule inputs are canonical arrays
+(``instance.all_tasks()`` order); :func:`task_refs`,
+:func:`canonical_order` and :func:`by_task` translate between them and
+``TaskRef`` objects, and :func:`column_bytes` compares schedules byte for
+byte.
 - :func:`reference_solve_fixed_y` — the cut loop that rebuilds its COO
   matrix and cold-starts ``linprog`` every round, without cut dedup.
 - :class:`UntruncatedOnlineHarePolicy` — the online re-plan that
@@ -45,6 +54,37 @@ from repro.schedulers.relaxation import (
     _middle_completion,
     _water_fill,
 )
+
+
+# ----------------------------------------------------------------------
+# Canonical task indices
+# ----------------------------------------------------------------------
+def task_refs(instance: ProblemInstance, order) -> list[TaskRef]:
+    """The ``TaskRef`` of every canonical index in *order*."""
+    tasks = list(instance.all_tasks())
+    return [tasks[k] for k in np.asarray(order, dtype=np.int64).tolist()]
+
+
+def canonical_order(instance: ProblemInstance, tasks) -> np.ndarray:
+    """The canonical index of every ``TaskRef`` in *tasks*."""
+    index = {t: k for k, t in enumerate(instance.all_tasks())}
+    return np.array([index[t] for t in tasks], dtype=np.int64)
+
+
+def by_task(instance: ProblemInstance, values) -> dict[TaskRef, float]:
+    """A canonical per-task array as a ``TaskRef`` → value dict."""
+    return dict(zip(instance.all_tasks(), np.asarray(values).tolist()))
+
+
+def column_bytes(schedule: Schedule) -> tuple[bytes, ...]:
+    """A schedule's columns, row by row, as bytes: equal for two
+    schedules exactly when they place the same tasks, identically, in the
+    same order."""
+    cols = schedule.columns()
+    return tuple(
+        getattr(cols, name).tobytes()
+        for name in ("job", "rnd", "slot", "gpu", "start", "train", "sync")
+    )
 
 
 # ----------------------------------------------------------------------
@@ -98,6 +138,33 @@ def invert_curve(curve: list[tuple[float, float]], target: float) -> float:
             frac = (target - w0) / (w1 - w0)
             return t0 + frac * (t1 - t0)
     return curve[-1][0]  # pragma: no cover - unreachable after clamping
+
+
+def invert_curve_batch(
+    times: np.ndarray, works: np.ndarray, targets: np.ndarray
+) -> np.ndarray:
+    """Earliest times one piecewise-linear work curve reaches *targets*.
+
+    The curve passes through ``(times[k], works[k])``. Each target is
+    clamped to the final work value first; the segment is the first one
+    whose end reaches ``target - 1e-12``; a flat segment dates the target
+    at its end.
+    """
+    if (works[1:] < works[:-1]).any():
+        raise SolverError("work curve is not monotone")
+    clamped = np.minimum(targets, works[-1])
+    if len(times) == 1:
+        return np.full(len(targets), times[0])
+    # First segment end j >= 1 with works[j] >= target - 1e-12.
+    j = np.maximum(works.searchsorted(clamped - 1e-12, side="left"), 1)
+    w0 = works[j - 1]
+    w1 = works[j]
+    t0 = times[j - 1]
+    t1 = times[j]
+    flat = w1 == w0
+    frac = (clamped - w0) / np.where(flat, 1.0, w1 - w0)
+    starts = np.where(flat, t1, t0 + frac * (t1 - t0))
+    return np.where(clamped <= 0, times[0], starts)
 
 
 def reference_fluid_solve(
@@ -175,13 +242,13 @@ def reference_fluid_solve(
                 active[n] = False
         t = t_next
 
-    x_hat: dict[TaskRef, float] = {}
+    starts: list[float] = []
     for n, job in enumerate(jobs):
         round_work = job.sync_scale * rep[n]
         for r in range(job.num_rounds):
             start = float(invert_curve(breakpoints[n], r * round_work))
-            for d in range(job.sync_scale):
-                x_hat[TaskRef(n, r, d)] = start
+            starts.extend([start] * job.sync_scale)
+    x_hat = np.array(starts, dtype=np.float64)
 
     objective = float(
         sum(jobs[n].weight * breakpoints[n][-1][0] for n in range(num_jobs))
@@ -194,11 +261,24 @@ def reference_fluid_solve(
 # ----------------------------------------------------------------------
 # Ordering and list scheduling
 # ----------------------------------------------------------------------
-def reference_precedence_safe_order(
+def reference_ordering(
     instance: ProblemInstance, relaxation: RelaxationResult
 ) -> list[TaskRef]:
-    """``_precedence_safe_order`` rescanning the full order once per job."""
-    order = relaxation.ordering()
+    """Tasks sorted by non-descending H (Algorithm 1, line 4).
+
+    Ties break by (job, round, slot) so the order is deterministic and
+    respects round precedence within a job whenever H values tie.
+    """
+    h = by_task(instance, relaxation.h)
+    return sorted(h, key=lambda t: (h[t], t.job_id, t.round_idx, t.slot))
+
+
+def reference_precedence_safe_order(
+    instance: ProblemInstance, relaxation: RelaxationResult
+) -> np.ndarray:
+    """``_precedence_safe_order`` rescanning the full order once per job,
+    as canonical indices."""
+    order = reference_ordering(instance, relaxation)
     positions: dict[int, list[int]] = {}
     for pos, task in enumerate(order):
         positions.setdefault(task.job_id, []).append(pos)
@@ -212,17 +292,19 @@ def reference_precedence_safe_order(
             fixed[pos] = task
     if any(t is None for t in fixed):
         raise SolverError("ordering fix-up lost tasks")
-    return fixed  # type: ignore[return-value]
+    return canonical_order(instance, fixed)
 
 
 def reference_list_schedule(
     instance: ProblemInstance,
-    order: list[TaskRef],
+    order,
     *,
     placement: str = "earliest_available",
     initial_phi: list[float] | None = None,
 ) -> Schedule:
-    """``list_schedule`` with a heap of φ and a per-GPU Python scan."""
+    """``list_schedule`` with a heap of φ and a per-GPU Python scan over
+    the ``TaskRef`` of each canonical index in *order*."""
+    order = task_refs(instance, order)
     schedule = Schedule(instance)
     if initial_phi is None:
         initial_phi = [0.0] * instance.num_gpus
@@ -380,7 +462,7 @@ def reference_solve_fixed_y(
             add_cut(subset)
         cuts_added += len(new_cuts)
 
-    x_hat = {t: float(x_sol[t_index[t]]) for t in tasks}
+    x_hat = np.array([float(x_sol[t_index[t]]) for t in tasks])
     return RelaxationResult(
         x_hat=x_hat,
         h=_middle_completion(instance, x_hat),

@@ -4,7 +4,8 @@ The tentpole fast paths (vectorized ``list_schedule``, heap-ordered
 ``_precedence_safe_order``, incremental warm-started cut LP, batch
 breakpoint inversion, the parallel sweep runner) are all pure refactors:
 same schedules, same objectives, same metrics. This suite pins that —
-byte-identical ``Schedule``s against the reference implementations,
+byte-identical π arrays and ``Schedule`` columns against the reference
+implementations,
 objective agreement within 1e-9 for the relaxation, and per-cell metric
 equality between ``repro.api.sweep`` and serial ``run_experiment``.
 """
@@ -27,6 +28,8 @@ from repro.schedulers.relaxation import (
 )
 from tests.conftest import make_random_instance
 from tests.schedulers.oracles import (
+    canonical_order,
+    column_bytes,
     reference_list_schedule,
     reference_precedence_safe_order,
     reference_solve_fixed_y,
@@ -39,7 +42,7 @@ LP_BACKENDS = ["linprog"] + (["highs"] if _highs_core is not None else [])
 
 def _fluid_order(instance):
     relaxation = FluidRelaxationSolver().solve(instance)
-    return list(_precedence_safe_order(instance, relaxation))
+    return _precedence_safe_order(instance, relaxation)
 
 
 class TestListScheduleEquivalence:
@@ -55,6 +58,7 @@ class TestListScheduleEquivalence:
         order = _fluid_order(inst)
         vec = list_schedule(inst, order, placement=placement)
         ref = reference_list_schedule(inst, order, placement=placement)
+        assert column_bytes(vec) == column_bytes(ref)
         assert vec.assignments == ref.assignments
 
     def test_single_gpu_degenerate(self):
@@ -63,7 +67,7 @@ class TestListScheduleEquivalence:
         for placement in PLACEMENTS:
             vec = list_schedule(inst, order, placement=placement)
             ref = reference_list_schedule(inst, order, placement=placement)
-            assert vec.assignments == ref.assignments
+            assert column_bytes(vec) == column_bytes(ref)
 
 
 class TestListScheduleMemory:
@@ -84,7 +88,9 @@ class TestListScheduleMemory:
             train_time=rng.uniform(0.5, 2.0, size=(n_jobs, n_gpus)),
             sync_time=rng.uniform(0.0, 0.2, size=(n_jobs, n_gpus)),
         )
-        order = [TaskRef(n, 0, 0) for n in range(n_jobs)]
+        order = canonical_order(
+            inst, [TaskRef(n, 0, 0) for n in range(n_jobs)]
+        )
         boxed_bytes = 2 * n_jobs * n_gpus * 24  # float objects alone
         for placement in PLACEMENTS:
             tracemalloc.start()
@@ -106,9 +112,10 @@ class TestOrderEquivalence:
             seed, max_jobs=5, max_gpus=4, max_rounds=4, max_scale=3
         )
         relaxation = FluidRelaxationSolver().solve(inst)
-        fast = list(_precedence_safe_order(inst, relaxation))
+        fast = _precedence_safe_order(inst, relaxation)
         slow = reference_precedence_safe_order(inst, relaxation)
-        assert fast == slow
+        assert fast.dtype == slow.dtype == np.int64
+        assert fast.tobytes() == slow.tobytes()
 
 
 class TestExactSolverEquivalence:

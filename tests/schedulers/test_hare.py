@@ -19,6 +19,7 @@ from repro.schedulers import (
     list_schedule,
 )
 from tests.conftest import make_random_instance
+from tests.schedulers.oracles import canonical_order
 
 
 class TestFig1Example:
@@ -123,7 +124,7 @@ class TestListSchedule:
         inst = ProblemInstance(
             jobs=jobs, train_time=np.ones((2, 1)), sync_time=np.zeros((2, 1))
         )
-        order = [TaskRef(1, 0, 0), TaskRef(0, 0, 0)]
+        order = canonical_order(inst, [TaskRef(1, 0, 0), TaskRef(0, 0, 0)])
         sched = list_schedule(inst, order)
         assert sched[TaskRef(1, 0, 0)].start < sched[TaskRef(0, 0, 0)].start
 
@@ -132,7 +133,7 @@ class TestListSchedule:
         inst = ProblemInstance(
             jobs=jobs, train_time=np.ones((1, 1)), sync_time=np.zeros((1, 1))
         )
-        bad_order = [TaskRef(0, 1, 0), TaskRef(0, 0, 0)]
+        bad_order = canonical_order(inst, [TaskRef(0, 1, 0), TaskRef(0, 0, 0)])
         with pytest.raises(SolverError):
             list_schedule(inst, bad_order)
 
@@ -147,7 +148,7 @@ class TestListSchedule:
             train_time=np.ones((2, 1)),
             sync_time=np.full((2, 1), 0.5),
         )
-        sched = list_schedule(inst, [TaskRef(0, 0, 0), TaskRef(1, 0, 0)])
+        sched = list_schedule(inst, [0, 1])
         assert sched[TaskRef(1, 0, 0)].start == pytest.approx(1.0)
 
 

@@ -10,6 +10,7 @@ from repro.schedulers import (
     greedy_assignment,
 )
 from tests.conftest import make_random_instance
+from tests.schedulers.oracles import by_task, reference_ordering
 
 
 class TestGreedyAssignment:
@@ -48,29 +49,31 @@ class TestExactSolver:
 
     def test_x_hat_respects_arrivals(self, tiny_instance):
         res = ExactRelaxationSolver().solve(tiny_instance)
-        for task, x in res.x_hat.items():
+        for task, x in by_task(tiny_instance, res.x_hat).items():
             assert x >= tiny_instance.jobs[task.job_id].arrival - 1e-9
 
     def test_x_hat_respects_round_order(self, tiny_instance):
         res = ExactRelaxationSolver().solve(tiny_instance)
-        job = tiny_instance.jobs[0]  # 2 rounds
-        assert res.x_hat[TaskRef(0, 1, 0)] > res.x_hat[TaskRef(0, 0, 0)]
+        x_hat = by_task(tiny_instance, res.x_hat)  # job 0 has 2 rounds
+        assert x_hat[TaskRef(0, 1, 0)] > x_hat[TaskRef(0, 0, 0)]
 
     def test_h_definition(self, tiny_instance):
         res = ExactRelaxationSolver().solve(tiny_instance)
-        for task, h in res.h.items():
+        x_hat = by_task(tiny_instance, res.x_hat)
+        for task, h in by_task(tiny_instance, res.h).items():
             half = tiny_instance.train_time[task.job_id].max() / 2
-            assert h == pytest.approx(res.x_hat[task] + half)
+            assert h == pytest.approx(x_hat[task] + half)
 
     def test_queyranne_full_set_holds(self, fig1_instance):
         """Constraint (9) holds at the solution for each machine's full set."""
         res = ExactRelaxationSolver().solve(fig1_instance)
+        x_hat = by_task(fig1_instance, res.x_hat)
         per_machine: dict[int, list] = {}
         for task, m in res.y_hat.items():
             per_machine.setdefault(m, []).append(task)
         for m, tasks in per_machine.items():
             q = np.array([fig1_instance.tc(t.job_id, m) for t in tasks])
-            x = np.array([res.x_hat[t] for t in tasks])
+            x = np.array([x_hat[t] for t in tasks])
             lhs = (q * (x + q)).sum()
             rhs = 0.5 * (q.sum() ** 2 + (q**2).sum())
             assert lhs >= rhs - 1e-6
@@ -78,15 +81,16 @@ class TestExactSolver:
     def test_queyranne_prefixes_hold(self, fig1_instance):
         """Lemma 2 needs (9) on every prefix in x̂ order — the cuts enforce it."""
         res = ExactRelaxationSolver().solve(fig1_instance)
+        x_hat = by_task(fig1_instance, res.x_hat)
         per_machine: dict[int, list] = {}
         for task, m in res.y_hat.items():
             per_machine.setdefault(m, []).append(task)
         for m, tasks in per_machine.items():
-            tasks.sort(key=lambda t: res.x_hat[t])
+            tasks.sort(key=lambda t: x_hat[t])
             for k in range(1, len(tasks) + 1):
                 sub = tasks[:k]
                 q = np.array([fig1_instance.tc(t.job_id, m) for t in sub])
-                x = np.array([res.x_hat[t] for t in sub])
+                x = np.array([x_hat[t] for t in sub])
                 lhs = (q * (x + q)).sum()
                 rhs = 0.5 * (q.sum() ** 2 + (q**2).sum())
                 assert lhs >= rhs - 1e-5
@@ -110,9 +114,10 @@ class TestFluidSolver:
 
     def test_round_starts_monotone(self, fig1_instance):
         res = FluidRelaxationSolver().solve(fig1_instance)
+        x_hat = by_task(fig1_instance, res.x_hat)
         for job in fig1_instance.jobs:
             starts = [
-                res.x_hat[TaskRef(job.job_id, r, 0)]
+                x_hat[TaskRef(job.job_id, r, 0)]
                 for r in range(job.num_rounds)
             ]
             assert all(a <= b + 1e-9 for a, b in zip(starts, starts[1:]))
@@ -126,7 +131,7 @@ class TestFluidSolver:
             jobs=jobs, train_time=np.ones((2, 1)), sync_time=np.zeros((2, 1))
         )
         res = FluidRelaxationSolver().solve(inst)
-        assert res.x_hat[TaskRef(1, 0, 0)] >= 10.0
+        assert by_task(inst, res.x_hat)[TaskRef(1, 0, 0)] >= 10.0
 
     def test_density_priority_prefers_heavy_short(self):
         """A heavy short job must get capacity before a light long one."""
@@ -137,8 +142,8 @@ class TestFluidSolver:
         inst = ProblemInstance(
             jobs=jobs, train_time=np.ones((2, 1)), sync_time=np.zeros((2, 1))
         )
-        res = FluidRelaxationSolver().solve(inst)
-        assert res.h[TaskRef(1, 0, 0)] < res.h[TaskRef(0, 5, 0)]
+        h = by_task(inst, FluidRelaxationSolver().solve(inst).h)
+        assert h[TaskRef(1, 0, 0)] < h[TaskRef(0, 5, 0)]
 
     def test_fair_share_variant_runs(self, fig1_instance):
         res = FluidRelaxationSolver(fair_share=True).solve(fig1_instance)
@@ -181,8 +186,12 @@ class TestOrderingAgreement:
             inst = make_random_instance(seed, max_jobs=4, max_rounds=3)
             if inst.num_tasks < 4:
                 continue
-            exact = ExactRelaxationSolver().solve(inst).ordering()
-            fluid = FluidRelaxationSolver().solve(inst).ordering()
+            exact = reference_ordering(
+                inst, ExactRelaxationSolver().solve(inst)
+            )
+            fluid = reference_ordering(
+                inst, FluidRelaxationSolver().solve(inst)
+            )
             pos_f = {t: i for i, t in enumerate(fluid)}
             ranks_e = np.arange(len(exact))
             ranks_f = np.array([pos_f[t] for t in exact])
@@ -194,6 +203,19 @@ class TestOrderingAgreement:
 class TestRelaxationResult:
     def test_ordering_sorted_by_h(self, tiny_instance):
         res = ExactRelaxationSolver().solve(tiny_instance)
-        order = res.ordering()
-        hs = [res.h[t] for t in order]
+        h = by_task(tiny_instance, res.h)
+        hs = [h[t] for t in reference_ordering(tiny_instance, res)]
         assert hs == sorted(hs)
+
+    @pytest.mark.parametrize("solver", ["exact", "fluid"])
+    def test_arrays_in_canonical_order(self, tiny_instance, solver):
+        cls = {"exact": ExactRelaxationSolver, "fluid": FluidRelaxationSolver}
+        res = cls[solver]().solve(tiny_instance)
+        for values in (res.x_hat, res.h):
+            assert values.dtype == np.float64
+            assert values.shape == (tiny_instance.num_tasks,)
+        half = np.repeat(
+            tiny_instance.train_time.max(axis=1) / 2,
+            [job.num_tasks for job in tiny_instance.jobs],
+        )
+        assert (res.x_hat + half).tobytes() == res.h.tobytes()

@@ -4,14 +4,47 @@ import numpy as np
 import pytest
 
 from repro.core import SolverError
-from repro.schedulers.relaxation import _invert_curve_batch, _water_fill
-from tests.schedulers.oracles import density_fill, invert_curve
+from repro.schedulers import relaxation
+from repro.schedulers.relaxation import (
+    FluidRelaxationSolver,
+    _invert_curves,
+    _water_fill,
+)
+from tests.schedulers.oracles import (
+    density_fill,
+    invert_curve,
+    invert_curve_batch,
+)
 
 
 def _batch(curve, targets):
-    """:func:`_invert_curve_batch` on a ``[(time, work), ...]`` curve."""
+    """:func:`invert_curve_batch` on a ``[(time, work), ...]`` curve."""
     times, works = (np.array(col) for col in zip(*curve))
-    return _invert_curve_batch(times, works, targets)
+    return invert_curve_batch(times, works, targets)
+
+
+def _per_job(times, works, ends, curve, targets):
+    """:func:`_invert_curves`' inputs inverted one curve at a time."""
+    out = np.empty(len(targets))
+    lo = 0
+    for n, hi in enumerate(ends.tolist()):
+        mine = curve == n
+        out[mine] = invert_curve_batch(
+            times[lo:hi], works[lo:hi], targets[mine]
+        )
+        lo = hi
+    return out
+
+
+def _concat(curves, targets):
+    """``_invert_curves`` inputs for ``[(time, work), ...]`` *curves* and
+    one target list per curve."""
+    times = np.array([t for c in curves for t, _ in c])
+    works = np.array([w for c in curves for _, w in c])
+    ends = np.cumsum([len(c) for c in curves])
+    curve = np.repeat(np.arange(len(curves)), [len(t) for t in targets])
+    flat = np.array([x for t in targets for x in t], dtype=float)
+    return times, works, ends, curve, flat
 
 
 class TestWaterFill:
@@ -153,6 +186,97 @@ class TestInvertCurveBatch:
             _batch([(0.0, 0.0), (1.0, 2.0), (2.0, 1.0)], np.array([0.5]))
 
 
+class TestOnePassInversion:
+    """``_invert_curves`` inverts every job's curve in one binary search;
+    it must be bit-equal to the per-job oracle."""
+
+    CURVE = TestInvertCurve.CURVE
+
+    def _assert_bit_equal(self, *args):
+        got = _invert_curves(*args)
+        assert got.tobytes() == _per_job(*args).tobytes()
+
+    def test_edge_cases(self):
+        curves = [
+            [(3.0, 0.0)],  # a single breakpoint
+            self.CURVE,  # a flat segment from t=2 to t=5
+            [(1.0, 0.0), (4.0, 0.1 + 0.2)],  # the clamp: 0.3 < 0.1 + 0.2
+            [(0.5, 0.0), (1.5, 2.0), (2.5, 5.0)],
+        ]
+        targets = [
+            [0.0, 1.0],
+            [0.0, 2.0, 4.0, 5.0, 6.0, 6.0 + 1e-12],
+            [0.0, 0.3, 0.1 + 0.2 + 1e-12, 0.15],
+            [0.0, 1.0, 2.0, 3.5, 5.0],
+        ]
+        self._assert_bit_equal(*_concat(curves, targets))
+        got = _invert_curves(*_concat(curves, targets))
+        assert got[0] == got[1] == 3.0
+        assert got[2] == 0.0  # target 0: the curve's start
+        assert got[4] == 2.0  # work 4 is first reached before the stall
+        assert got[7] == 6.0  # 1e-12 past the end clamps to the end
+
+    def test_random_curves(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            curves, targets = [], []
+            for _ in range(int(rng.integers(1, 9))):
+                n = int(rng.integers(0, 7))
+                times = np.cumsum(rng.uniform(0.1, 2.0, n + 1))
+                steps = rng.uniform(0.0, 3.0, n)
+                steps[rng.random(n) < 0.3] = 0.0
+                works = np.concatenate([[0.0], np.cumsum(steps)])
+                curves.append(list(zip(times.tolist(), works.tolist())))
+                targets.append(
+                    rng.uniform(-1.0, works[-1] + 1.0, int(rng.integers(1, 6)))
+                    .tolist() + [0.0, float(works[-1]) + 1e-12]
+                )
+            self._assert_bit_equal(*_concat(curves, targets))
+
+    def test_non_monotone_rejected(self):
+        args = _concat(
+            [[(0.0, 0.0), (1.0, 2.0)], [(0.0, 0.0), (1.0, 2.0), (2.0, 1.0)]],
+            [[0.5], [0.5]],
+        )
+        with pytest.raises(SolverError, match="not monotone"):
+            _invert_curves(*args)
+
+    def test_curve_boundary_is_not_a_drop(self):
+        # Curve 0 ends at work 5, curve 1 starts at 0: not a decrease.
+        self._assert_bit_equal(*_concat(
+            [[(0.0, 0.0), (1.0, 5.0)], [(2.0, 0.0), (3.0, 1.0)]],
+            [[2.5], [0.5]],
+        ))
+
+    def test_fleet_sized_solve(self, monkeypatch):
+        """Every inversion of a fleet-sized solve (500 jobs, 1000 GPUs,
+        ~11k tasks) equals the per-job oracle bit for bit."""
+        from repro.cluster import scaled_cluster
+        from repro.harness.experiments import make_loaded_workload, make_problem
+        from repro.workload import WorkloadConfig
+
+        jobs = make_loaded_workload(
+            500, reference_gpus=1000, load=1.5, seed=1007,
+            config=WorkloadConfig(rounds_scale=0.15),
+        )
+        instance = make_problem(scaled_cluster(1000), jobs)
+        calls = []
+
+        def checked(*args):
+            calls.append(args)
+            return _invert_curves(*args)
+
+        monkeypatch.setattr(relaxation, "_invert_curves", checked)
+        for solver in (
+            FluidRelaxationSolver(), FluidRelaxationSolver(fair_share=True)
+        ):
+            solver.solve(instance)
+        assert len(calls) == 2
+        for args in calls:
+            assert len(args[1]) > 2 * instance.num_jobs
+            self._assert_bit_equal(*args)
+
+
 class TestCutSeparation:
     def test_violated_prefix_found_and_fixed(self):
         """Craft an instance whose initial LP (full-set cut only) violates a
@@ -176,10 +300,9 @@ class TestCutSeparation:
         solver = ExactRelaxationSolver()
         res = solver.solve(inst)
         # all prefixes of the x̂-sorted order satisfy constraint (9)
-        tasks = sorted(res.x_hat, key=lambda t: res.x_hat[t])
-        q = np.ones(len(tasks))
-        xs = np.array([res.x_hat[t] for t in tasks])
-        for k in range(1, len(tasks) + 1):
+        xs = np.sort(res.x_hat)
+        q = np.ones(len(xs))
+        for k in range(1, len(xs) + 1):
             lhs = (q[:k] * (xs[:k] + q[:k])).sum()
             rhs = 0.5 * (q[:k].sum() ** 2 + (q[:k] ** 2).sum())
             assert lhs >= rhs - 1e-6
