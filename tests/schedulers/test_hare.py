@@ -6,6 +6,7 @@ import pytest
 from repro.core import (
     Job,
     ProblemInstance,
+    ScheduleValidationError,
     SolverError,
     TaskRef,
     metrics_from_schedule,
@@ -136,6 +137,24 @@ class TestListSchedule:
         bad_order = canonical_order(inst, [TaskRef(0, 1, 0), TaskRef(0, 0, 0)])
         with pytest.raises(SolverError):
             list_schedule(inst, bad_order)
+
+    def test_task_placed_twice_raises(self):
+        jobs = [Job(job_id=0, model="a", num_rounds=1, sync_scale=2)]
+        inst = ProblemInstance(
+            jobs=jobs, train_time=np.ones((1, 2)), sync_time=np.zeros((1, 2))
+        )
+        with pytest.raises(ScheduleValidationError, match="twice") as e:
+            list_schedule(inst, [0, 0])
+        assert e.value.constraint == 5
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_index_outside_the_instance_raises(self, bad):
+        jobs = [Job(job_id=0, model="a", num_rounds=1, sync_scale=2)]
+        inst = ProblemInstance(
+            jobs=jobs, train_time=np.ones((1, 2)), sync_time=np.zeros((1, 2))
+        )
+        with pytest.raises(SolverError, match="outside"):
+            list_schedule(inst, [0, bad])
 
     def test_sync_overlaps_successor(self):
         """GPU frees after compute; the next task may start during sync."""
