@@ -6,12 +6,11 @@ onto exactly one cell, so the per-cell
 :class:`~repro.kernel.runner.SchedulingKernel` runs share **no** state
 — no job, no GPU, no φ entry. Their event queues therefore commute:
 interleaving them on one global clock or running them to completion
-one-by-one (or in parallel worker processes) produces the same merged
-commit log. That is the "single logical event clock" argument — the
-merge below is a pure re-indexing, not a semantic synchronization: each
-cell result's column view (:meth:`KernelResult.columns`) is remapped to
-global job and GPU ids and concatenated in cell order, so a cell's
-schedule is never materialized.
+one-by-one produces the same merged commit log. That is the "single
+logical event clock" argument — the merge below is a pure re-indexing,
+not a semantic synchronization: each cell result's column view
+(:meth:`KernelResult.columns`) is remapped to global job and GPU ids and
+concatenated in cell order, so a cell's schedule is never materialized.
 
 The merged result is a :class:`ShardedKernelResult`: a plain
 :class:`~repro.kernel.runner.KernelResult` (schedule over the *global*
@@ -29,7 +28,6 @@ every registered scheduler.
 from __future__ import annotations
 
 import time as _time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from typing import TYPE_CHECKING, Sequence
 
@@ -40,7 +38,7 @@ from ..core.job import ProblemInstance
 from ..core.metrics import metrics_from_columns
 from ..core.schedule import Schedule, ScheduleColumns
 from ..kernel.residual import KERNEL_TRACK
-from ..kernel.runner import KernelResult, best_round_time, run_policy
+from ..kernel.runner import KernelResult, run_policy
 from ..obs import Category, DISABLED, current as obs_current, use
 from .admission import AdmissionPlan, GlobalAdmission
 from .partition import Cell, CellPartition, CellPartitioner
@@ -104,44 +102,15 @@ def cell_instance(
     )
 
 
-def _split_faults(
-    faults: Sequence[tuple[float, int]] | None, partition: CellPartition
+def _split_crashes(
+    crashes: Sequence[tuple[float, int]], partition: CellPartition
 ) -> list[list[tuple[float, int]]]:
-    """Map global ``(time, gpu)`` faults to their owning cell, local ids."""
+    """Map global ``(time, gpu)`` crashes to their owning cell, local ids."""
     per: list[list[tuple[float, int]]] = [[] for _ in partition.cells]
-    for time, gpu in faults or []:
+    for time, gpu in crashes:
         c = partition.cell_of(gpu)
         per[c].append((time, partition.cells[c].gpu_ids.index(gpu)))
     return per
-
-
-def _run_cell_worker(payload):
-    """One cell's kernel run (module-level so worker processes can pickle).
-
-    Runs under the DISABLED obs context — exactly what a spawned worker
-    process would see — so serial and parallel execution are
-    bit-identical (``repro.sweep``'s process-sharding discipline).
-    """
-    (
-        sub,
-        scheduler,
-        crashes,
-        restores,
-        replan_interval,
-        max_events,
-    ) = payload
-    start = _time.perf_counter()
-    with use(DISABLED):
-        result = run_policy(
-            sub,
-            scheduler.make_policy(sub),
-            crashes=crashes or None,
-            restores=restores or None,
-            replan_interval=replan_interval,
-            max_events=max_events,
-        )
-    wall = _time.perf_counter() - start
-    return result, wall
 
 
 class ShardedKernel:
@@ -151,8 +120,8 @@ class ShardedKernel:
     :class:`CellPartitioner`), admission (a :class:`GlobalAdmission`
     policy name or instance), and the per-cell scheduler — each cell
     gets its own policy via ``scheduler.make_policy(sub_instance)``, so
-    any registered scheduler works unchanged. ``workers > 1`` fans the
-    cells out over processes (results are bit-identical to serial).
+    any registered scheduler works unchanged. Cells run one after
+    another.
     """
 
     def __init__(
@@ -163,18 +132,14 @@ class ShardedKernel:
         partition: CellPartition,
         admission: str | GlobalAdmission = "throughput",
         crashes: Sequence[tuple[float, int]] | None = None,
-        restores: Sequence[tuple[float, int]] | None = None,
         replan_interval: float | None = None,
         max_events: int | None = None,
-        workers: int = 1,
     ) -> None:
         if partition.num_gpus != instance.num_gpus:
             raise ConfigurationError(
                 f"partition covers {partition.num_gpus} GPUs but the "
                 f"instance has {instance.num_gpus}"
             )
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
         self.instance = instance
         self.scheduler = scheduler
         self.partition = partition
@@ -184,10 +149,8 @@ class ShardedKernel:
             else GlobalAdmission(policy=admission)
         )
         self.crashes = list(crashes or [])
-        self.restores = list(restores or [])
         self.replan_interval = replan_interval
         self.max_events = max_events
-        self.workers = workers
 
     # ------------------------------------------------------------------
     def run(self) -> ShardedKernelResult:
@@ -213,40 +176,29 @@ class ShardedKernel:
                 cell=d.cell,
                 work_s=d.work_s,
             )
-        cell_crashes = _split_faults(self.crashes, partition)
-        cell_restores = _split_faults(self.restores, partition)
+        cell_crashes = _split_crashes(self.crashes, partition)
 
-        payloads: list[tuple] = []
-        members: list[tuple[Cell, list[int]]] = []
+        parts: list[tuple[np.ndarray, ...]] = []
+        events = commitments = replans = retracted = 0
+        stats: list[dict] = []
         for cell in partition.cells:
             job_ids = plan.jobs_in(cell.index)
             if not job_ids:
                 continue
             sub = cell_instance(instance, job_ids, cell)
-            members.append((cell, job_ids))
-            payloads.append(
-                (
+            start = _time.perf_counter()
+            # DISABLED keeps the cell's local-frame instants and metrics
+            # out of the merged stream; _emit_merged_rounds replays the
+            # rounds on the global frame.
+            with use(DISABLED):
+                result = run_policy(
                     sub,
-                    self.scheduler,
-                    cell_crashes[cell.index],
-                    cell_restores[cell.index],
-                    self.replan_interval,
-                    self.max_events,
+                    self.scheduler.make_policy(sub),
+                    crashes=cell_crashes[cell.index] or None,
+                    replan_interval=self.replan_interval,
+                    max_events=self.max_events,
                 )
-            )
-
-        if self.workers > 1 and len(payloads) > 1:
-            with ProcessPoolExecutor(
-                max_workers=min(self.workers, len(payloads))
-            ) as pool:
-                outcomes = list(pool.map(_run_cell_worker, payloads))
-        else:
-            outcomes = [_run_cell_worker(p) for p in payloads]
-
-        parts: list[tuple[np.ndarray, ...]] = []
-        events = commitments = replans = retracted = 0
-        stats: list[dict] = []
-        for (cell, job_ids), (result, wall) in zip(members, outcomes):
+            wall = _time.perf_counter() - start
             # Re-index the cell's columns to global job and GPU ids.
             c = result.columns()
             parts.append((
@@ -310,13 +262,13 @@ class ShardedKernel:
     def _emit_merged_rounds(self, obs, merged: ScheduleColumns) -> None:
         """Merged-clock ``kernel.round`` stream for the attribution engine.
 
-        The per-cell kernels run under the DISABLED context (worker
-        discipline), so their commit instants never reach the global
-        obs; this replays the merged schedule's rounds onto the logical
-        clock — one instant per ``(job, round)``, ordered by round end,
-        with **global** GPU ids and ``best`` over the whole cluster's
-        profile row, so cell confinement surfaces as heterogeneity
-        penalty in the attribution.
+        The per-cell kernels run under the DISABLED context, so their
+        commit instants never reach the global obs; this replays the
+        merged schedule's rounds onto the logical clock — one instant
+        per ``(job, round)``, ordered by round end, with **global** GPU
+        ids and ``best`` over the whole cluster's profile row, so cell
+        confinement surfaces as heterogeneity penalty in the
+        attribution.
         """
         end = merged.end
         # Rows grouped by (job, round), latest end first and ties in
@@ -344,9 +296,8 @@ class ShardedKernel:
         ):
             best = best_cache.get(job_id)
             if best is None:
-                best = best_cache[job_id] = best_round_time(
-                    self.instance, job_id
-                )
+                best = self.instance.best_round_time(job_id)
+                best_cache[job_id] = best
             obs.tracer.instant(
                 Category.SCHED,
                 "kernel.round",
@@ -372,10 +323,8 @@ def run_sharded(
     cluster: "Cluster | None" = None,
     admission: str | GlobalAdmission = "throughput",
     crashes: Sequence[tuple[float, int]] | None = None,
-    restores: Sequence[tuple[float, int]] | None = None,
     replan_interval: float | None = None,
     max_events: int | None = None,
-    workers: int = 1,
 ) -> KernelResult:
     """Partition, admit, run per-cell kernels, and merge.
 
@@ -411,7 +360,6 @@ def run_sharded(
             instance,
             sched.make_policy(instance),
             crashes=list(crashes) if crashes else None,
-            restores=list(restores) if restores else None,
             replan_interval=replan_interval,
             max_events=max_events,
         )
@@ -421,8 +369,6 @@ def run_sharded(
         partition=partition,
         admission=admission,
         crashes=crashes,
-        restores=restores,
         replan_interval=replan_interval,
         max_events=max_events,
-        workers=workers,
     ).run()

@@ -176,6 +176,15 @@ class ProblemInstance:
         """``T^c + T^s`` — the span a task contributes to its round."""
         return self.tc(job_id, gpu) + self.ts(job_id, gpu)
 
+    def best_round_time(self, job_id: int) -> float:
+        """Fastest profiled single-round time ``min_m (T^c + T^s)`` of
+        *job_id* — the ``best`` of every ``kernel.round`` instant, which
+        attribution (:mod:`repro.obs.attrib`) uses to split a round's
+        span into compute and heterogeneity penalty."""
+        return float(
+            (self.train_time[job_id] + self.sync_time[job_id]).min()
+        )
+
     def fastest_gpu(self, job_id: int) -> int:
         """GPU index minimizing ``T^c + T^s`` for the job."""
         return int(np.argmin(self.train_time[job_id] + self.sync_time[job_id]))

@@ -4,7 +4,7 @@
 reference loop in :mod:`repro.kernel.runner`. It runs only the two
 policy shapes it has a batch path for — an unmodified
 :class:`PlannedPolicy` or :class:`GangPolicy`
-(:func:`repro.kernel.runner.batch_path`) — on runs without faults, a
+(:func:`repro.kernel.runner.batch_path`) — on runs without crashes, a
 re-plan timer or a heal engine; :func:`repro.kernel.runner.run_policy`
 sends every other run to the reference loop. The semantic contract is
 **byte-identical observable behavior**: the same event counts, the same
@@ -41,16 +41,12 @@ Where the time goes, and how this loop wins it back:
   per-task objects are built only when somebody reads them. The planned
   replay reads the plan the same way: its canonical columns, never its
   objects.
-* **Gang runs: tuple heap + bulk passive skip.** Events are plain
-  ``(time, type, seq, a, b)`` tuples on a :mod:`heapq` heap (same
+* **Gang runs: tuple heap, one fixed point per batch.** Events are
+  plain ``(time, type, seq, a, b)`` tuples on a :mod:`heapq` heap (same
   ``(time, type, insertion)`` tie-break as
-  :class:`repro.sim.events.EventQueue`). When observability is fully
-  disabled the loop asks the policy which event types it provably
-  ignores (:meth:`repro.kernel.policies.Policy.passive_events`) and
-  drains whole stretches of ``GPU_FREE``/``ROUND_BARRIER_OPEN`` wake-ups
-  without ever invoking the policy. Skipped events still count toward
-  ``events`` and the event budget exactly as if processed one by one. A
-  gang job commits all of its rounds as one tiled block.
+  :class:`repro.sim.events.EventQueue`). The policy's ``select`` runs to
+  a fixed point once per batch rather than once per event, and a gang
+  job commits all of its rounds as one tiled block.
 
 Equivalence subtleties worth knowing before editing:
 
@@ -62,10 +58,6 @@ Equivalence subtleties worth knowing before editing:
   plus every push so far minus every pop so far; its
   ``kernel.commitments`` sample starts from the counter's value before
   the run, which a caller's registry may already have raised.
-* A passive event at the same timestamp as a non-passive one belongs to
-  that event's *batch*; the skip loop carries such events forward
-  instead of finalizing them (tie-break fidelity — see the property
-  tests).
 * Every value that escapes the kernel (instant args, ``ready_at``,
   assignments materialized from the gang log, metrics) is converted back
   to built-in ``float``/``int`` — ``np.float64`` would change JSON
@@ -92,7 +84,7 @@ from ..obs import Category, current as obs_current
 from .events import KernelEventType
 from .policies import Policy
 from .residual import KERNEL_TRACK
-from .runner import KernelResult, batch_path, best_round_time
+from .runner import KernelResult, batch_path
 from .state import KERNEL_EPS, KernelState
 
 __all__ = ["ArraySchedulingKernel"]
@@ -546,7 +538,7 @@ class ArraySchedulingKernel:
             for k in range(c, c_stop):
                 j = jobs[k]
                 if j not in best:
-                    best[j] = best_round_time(self.instance, j)
+                    best[j] = self.instance.best_round_time(j)
                 self._trace_commit(
                     c_now[k], j, rounds[k:k + 1], spans[k:k + 1], best[j]
                 )
@@ -645,41 +637,13 @@ class ArraySchedulingKernel:
                     start_col, end_col, gpu_col, train_col, sync_col,
                     np.arange(num_rounds) * scale,
                 )),
-                best_round_time(instance, job_id),
+                instance.best_round_time(job_id),
             )
         self.commitments += 1
         obs.metrics.counter("kernel.commitments").inc()
         obs.metrics.histogram("kernel.commit_horizon_s").observe(
             max(0.0, horizon - state.now)
         )
-
-    def _bulk_skip(self, passive) -> list:
-        """Drain leading passive events without invoking the policy.
-
-        Returns the *carry*: popped passive events sharing a timestamp
-        with the next non-passive event, which therefore belong to that
-        event's batch (same-time tie-break fidelity).
-        """
-        heap = self._heap
-        pop = heapq.heappop
-        skipped: list = []
-        while heap and heap[0][1] in passive:
-            skipped.append(pop(heap))
-        carry: list = []
-        if skipped and heap and skipped[-1][0] == heap[0][0]:
-            t_edge = heap[0][0]
-            k = len(skipped)
-            while k > 0 and skipped[k - 1][0] == t_edge:
-                k -= 1
-            carry = skipped[k:]
-            skipped = skipped[:k]
-        if skipped:
-            self._count_events(len(skipped))
-            last_t = skipped[-1][0]
-            if last_t > self._now:
-                self._now = last_t
-            self.state.now = self._now
-        return carry
 
     def _run_gang(self) -> ScheduleColumns:
         self._log = _CommitLog(self.instance.num_tasks)
@@ -692,28 +656,9 @@ class ArraySchedulingKernel:
         invoke_cap = 4 * instance.num_jobs + 16
         heap = self._heap
         pop = heapq.heappop
-        # Bulk skipping changes no observable state, but it elides the
-        # per-event instants and per-batch samples — only legal when
-        # nothing records them.
-        may_skip = not obs.enabled
-        carry: list = []
-        while heap or carry:
-            if state.complete():
-                break
-            if may_skip and not carry:
-                passive = policy.passive_events(state)
-                if passive:
-                    carry = self._bulk_skip(passive)
-                    if not heap and not carry:
-                        break
-            if carry:
-                batch = carry
-                carry = []
-                t = batch[0][0]
-            else:
-                first = pop(heap)
-                batch = [first]
-                t = first[0]
+        while heap and not state.complete():
+            batch = [pop(heap)]
+            t = batch[0][0]
             if t > self._now:
                 self._now = t
             state.now = self._now

@@ -6,7 +6,7 @@ event *vocabulary* differs from the cluster simulator's. Like
 :class:`repro.sim.events.EventType`, the integer values double as
 same-time tie-break priority: at one timestamp round barriers open first
 (they may unlock successor rounds), then arrivals land, then GPUs report
-free, then fault transitions apply, then periodic re-plan timers fire.
+free, then crashes apply, then periodic re-plan timers fire.
 """
 
 from __future__ import annotations
@@ -32,16 +32,17 @@ class KernelEventType(enum.IntEnum):
         payload = ``gpu`` — the device's committed work drains at the
         event time (a pure wake-up; the availability vector φ is the
         authority).
-    ``GPU_CRASHED`` / ``GPU_RESTORED``
-        payload = ``gpu``.
+    ``GPU_CRASHED``
+        payload = ``gpu`` — a permanent failure; the GPU never returns.
     ``REPLAN_TIMER``
         payload = ``None`` — periodic wake-up requested via
         ``replan_interval``.
+
+    The values are priorities, not a dense range: 4 is unused.
     """
 
     ROUND_BARRIER_OPEN = 0
     JOB_ARRIVED = 1
     GPU_FREE = 2
     GPU_CRASHED = 3
-    GPU_RESTORED = 4
     REPLAN_TIMER = 5

@@ -71,25 +71,6 @@ class Policy(ABC):
         """
         return False
 
-    def passive_events(
-        self, state: KernelState
-    ) -> frozenset[KernelEventType]:
-        """Event types this policy provably ignores *in the current state*.
-
-        The array loop's :class:`GangPolicy` batch path bulk-skips whole
-        batches made of passive events instead of invoking the policy per
-        event (its :class:`PlannedPolicy` path replays the plan as one
-        block and never asks). Declaring a type passive is a contract:
-        until the next non-passive event is processed, (a) applying an
-        event of that type mutates no kernel state (only the pure
-        wake-ups ``ROUND_BARRIER_OPEN`` / ``GPU_FREE`` qualify) and (b)
-        :meth:`on_event` would return ``[]`` with no side effects. Both
-        conditions must be stable across the skipped stretch — they may
-        only depend on state that non-passive events change. The default
-        claims nothing, which is always safe.
-        """
-        return frozenset()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"
 
@@ -244,21 +225,6 @@ class GangPolicy(Policy):
         job = state.instance.jobs[job_id]
         start = max(state.now, job.arrival, state.ready_at[job_id])
         return [gang_commitment(state, job_id, gpus, start)]
-
-    def passive_events(
-        self, state: KernelState
-    ) -> frozenset[KernelEventType]:
-        """With no waiting job, wake-ups cannot start anything.
-
-        ``unstarted()`` only grows on ``JOB_ARRIVED`` (or crash
-        retraction) — never passive types — so the claim is stable
-        across a skipped stretch.
-        """
-        if state.unstarted():
-            return frozenset()
-        return frozenset(
-            {KernelEventType.ROUND_BARRIER_OPEN, KernelEventType.GPU_FREE}
-        )
 
 
 def gang_commitment(

@@ -3,18 +3,15 @@
 :class:`SchedulingKernel` drives a :class:`~repro.kernel.policies.Policy`
 over the DES time substrate (:class:`repro.sim.events.EventQueue` — the
 same queue, clock and tie-break discipline as the cluster simulator).
-This retired the repo's three other ad-hoc loops: the virtual-time gang
-loop that lived in ``schedulers/base.py``, the arrival-replay loop inside
-``OnlineHareScheduler.schedule``, and the crash re-plan loop's residual
-bookkeeping in ``control/controlplane.py``.
+Offline plans, the gang baselines, online re-planning and crash recovery
+all run on it.
 
 Mechanics per iteration:
 
 1. pop every event sharing the earliest timestamp (a *batch* — policies
-   must see all simultaneous arrivals/frees before deciding, exactly like
-   the retired loops did);
-2. apply the state transitions (arrival bookkeeping, fault transitions
-   and their round retractions);
+   must see all simultaneous arrivals/frees before deciding);
+2. apply the state transitions (arrival bookkeeping, crashes and their
+   round retractions);
 3. invoke the policy once per event, re-invoking after each non-empty
    return until it reaches a fixed point — so e.g. a gang policy can
    start several jobs at one instant;
@@ -23,7 +20,7 @@ Mechanics per iteration:
    wake-ups (clamped to *now*: re-planning policies may legally commit
    work dated before the event that triggered it).
 
-The run stops when every round of every job is committed and no fault
+The run stops when every round of every job is committed and no crash
 events remain. Observability: ``kernel.events`` / ``kernel.commitments``
 counters, the ``kernel.commit_horizon_s`` histogram (how far past *now*
 each commitment reaches), and per-event instants on the ``kernel`` track.
@@ -107,30 +104,11 @@ class KernelResult:
         )
 
 
-def best_round_time(instance: ProblemInstance, job_id: int) -> float:
-    """Fastest profiled single-round time of *job_id* on any GPU.
-
-    ``min_m (t^c_{n,m} + t^s_{n,m})`` over the instance's profile
-    matrices — the round time the job would see on its best GPU. This is
-    the ``best`` reference emitted with every ``kernel.round`` instant,
-    the yardstick the attribution engine (:mod:`repro.obs.attrib`) uses
-    to split a round's span into compute vs. heterogeneity penalty. Both
-    kernel backends call this one helper so the float is bit-identical.
-    """
-    return float(
-        (instance.train_time[job_id] + instance.sync_time[job_id]).min()
-    )
-
-
 def _event_args(event: Event) -> dict:
     """Structured args for an event's kernel-track instant."""
     if event.type == KernelEventType.JOB_ARRIVED:
         return {"job": event.payload}
-    if event.type in (
-        KernelEventType.GPU_CRASHED,
-        KernelEventType.GPU_RESTORED,
-        KernelEventType.GPU_FREE,
-    ):
+    if event.type in (KernelEventType.GPU_CRASHED, KernelEventType.GPU_FREE):
         return {"gpu": event.payload}
     if event.type == KernelEventType.ROUND_BARRIER_OPEN and event.payload:
         job, round_idx = event.payload
@@ -154,7 +132,6 @@ class SchedulingKernel:
         policy: Policy,
         *,
         crashes: Sequence[tuple[float, int] | KernelCrash] | None = None,
-        restores: list[tuple[float, int]] | None = None,
         replan_interval: float | None = None,
         max_events: int | None = None,
         heal=None,
@@ -174,14 +151,14 @@ class SchedulingKernel:
         self.commitments = 0
         self.retracted_rounds = 0
         self.retractions: list[Retraction] = []
-        self._pending_faults = 0
+        self._pending_crashes = 0
         total_tasks = instance.num_tasks
         self.max_events = (
             max_events
             if max_events is not None
             else 64 + 16 * (
                 total_tasks + instance.num_jobs + instance.num_gpus
-                + len(crashes or []) + len(restores or [])
+                + len(crashes or [])
             )
         )
         for job in instance.jobs:
@@ -189,7 +166,7 @@ class SchedulingKernel:
                 Event(job.arrival, KernelEventType.JOB_ARRIVED, job.job_id)
             )
         #: Crash specs by (event time, gpu): the event payload stays the
-        #: GPU id, as for every other fault event.
+        #: GPU id, as for ``GPU_FREE``.
         self._crashes: dict[tuple[float, int], KernelCrash] = {}
         for crash in crashes or []:
             if not isinstance(crash, KernelCrash):
@@ -198,12 +175,7 @@ class SchedulingKernel:
             self.queue.push(
                 Event(crash.fires_at, KernelEventType.GPU_CRASHED, crash.gpu)
             )
-            self._pending_faults += 1
-        for time, gpu in restores or []:
-            self.queue.push(
-                Event(time, KernelEventType.GPU_RESTORED, gpu)
-            )
-            self._pending_faults += 1
+            self._pending_crashes += 1
         if replan_interval is not None:
             if replan_interval <= 0:
                 raise SimulationError("replan_interval must be positive")
@@ -216,23 +188,19 @@ class SchedulingKernel:
         """Push a follow-up event, clamped to the current clock."""
         self.queue.push(Event(max(time, self.queue.now), type_, payload))
 
-    def request_replan(self, time: float | None = None) -> bool:
+    def request_replan(self) -> bool:
         """External re-plan hook (the remediation ``force_replan`` action).
 
-        Injects a one-shot ``REPLAN_TIMER`` wake-up at *time* (clamped
-        to the current clock). Returns False once the run is complete —
-        there is nothing left to re-plan.
+        Injects a one-shot ``REPLAN_TIMER`` wake-up at the current clock.
+        Returns False once the run is complete — there is nothing left
+        to re-plan.
         """
         if self.state.complete():
             return False
         # The "forced" payload keeps this one-shot out of the periodic
         # timer chain (see _apply_event), so forcing never multiplies
         # the timer cadence.
-        self._wake(
-            self.queue.now if time is None else time,
-            KernelEventType.REPLAN_TIMER,
-            "forced",
-        )
+        self._wake(self.queue.now, KernelEventType.REPLAN_TIMER, "forced")
         return True
 
     def _apply_event(self, event: Event) -> None:
@@ -243,14 +211,8 @@ class SchedulingKernel:
             arrival = self.instance.jobs[event.payload].arrival
             state.pending_arrivals.remove(arrival)
         elif event.type == KernelEventType.GPU_CRASHED:
-            self._pending_faults -= 1
+            self._pending_crashes -= 1
             self._apply_crash(event.payload, event.time)
-        elif event.type == KernelEventType.GPU_RESTORED:
-            self._pending_faults -= 1
-            state.alive.add(event.payload)
-            state.phi[event.payload] = max(
-                state.phi[event.payload], state.now
-            )
         elif event.type == KernelEventType.REPLAN_TIMER:
             if (
                 event.payload is None
@@ -421,7 +383,7 @@ class SchedulingKernel:
                         if a.task.job_id == job_id
                     }
                 )
-                best = best_round_time(self.instance, job_id)
+                best = self.instance.best_round_time(job_id)
                 for r in rounds:
                     tasks = [
                         a
@@ -469,7 +431,7 @@ class SchedulingKernel:
         invoke_cap = 4 * self.instance.num_jobs + 16
         replans_seen = int(getattr(self.policy, "replans", 0))
         while self.queue:
-            if state.complete() and self._pending_faults == 0:
+            if state.complete() and self._pending_crashes == 0:
                 break
             batch = [self.queue.pop()]
             t = batch[0].time
@@ -562,7 +524,6 @@ def run_policy(
     policy: Policy,
     *,
     crashes: Sequence[tuple[float, int] | KernelCrash] | None = None,
-    restores: list[tuple[float, int]] | None = None,
     replan_interval: float | None = None,
     max_events: int | None = None,
     heal=None,
@@ -579,15 +540,14 @@ def run_policy(
     the policy and event queue mid-run.
 
     The loop is picked from the run itself: a policy with a
-    :func:`batch_path` on a run without crashes, restores, a re-plan
-    timer or a heal engine takes the vectorized
+    :func:`batch_path` on a run without crashes, a re-plan timer or a
+    heal engine takes the vectorized
     :class:`repro.kernel.array.ArraySchedulingKernel`; every other run
     takes the reference :class:`SchedulingKernel`. Both produce
     byte-identical results.
     """
     if (
         not crashes
-        and not restores
         and replan_interval is None
         and heal is None
         and batch_path(policy) is not None
@@ -601,7 +561,6 @@ def run_policy(
         instance,
         policy,
         crashes=crashes,
-        restores=restores,
         replan_interval=replan_interval,
         max_events=max_events,
         heal=heal,

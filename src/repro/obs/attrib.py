@@ -331,15 +331,6 @@ def load_attribution(path) -> AttributionReport:
 
 
 # ---------------------------------------------------------------------
-def _best_round_time(instance, job_id: int) -> float:
-    # Mirrors repro.kernel.runner.best_round_time (not imported — obs
-    # must not depend on the kernel layer); same numpy expression, so
-    # the float is bit-identical.
-    return float(
-        (instance.train_time[job_id] + instance.sync_time[job_id]).min()
-    )
-
-
 def _in_window(times: Sequence[float], lo: float, hi: float) -> bool:
     return any(lo - _EPS <= t <= hi + _EPS for t in times)
 
@@ -688,7 +679,7 @@ def attribute_schedule(
                 crit = a
         best = best_cache.get(j)
         if best is None:
-            best = best_cache[j] = _best_round_time(instance, j)
+            best = best_cache[j] = instance.best_round_time(j)
         gpu = int(crit.gpu)
         job_rounds.setdefault(j, []).append(
             _Round(

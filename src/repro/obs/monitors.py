@@ -645,9 +645,9 @@ class UtilizationCollapseMonitor(Monitor):
     starts no earlier than its last recorded compute end, its watermark;
     :meth:`poll` grades only gaps that end at or before every GPU's
     watermark, and grades none without an instance to count the GPUs.
-    A GPU the kernel reports crashed (``GPU_CRASHED``, until a
-    ``GPU_RESTORED``) computes nothing after the report, so it holds back
-    only the gaps that start before its crash. :meth:`finish` grades
+    A GPU the kernel reports crashed (``GPU_CRASHED``; a crash is
+    permanent) computes nothing after the report, so it holds back only
+    the gaps that start before its crash. :meth:`finish` grades
     every gap.
 
     The poll stays conservative for a live GPU that has not computed
@@ -670,7 +670,7 @@ class UtilizationCollapseMonitor(Monitor):
         self._ends: list[float] = []
         #: Per GPU track: the latest recorded compute end.
         self._watermark: dict[str, float] = {}
-        #: Per crashed, unrestored GPU track: the crash report's time.
+        #: Per crashed GPU track: the crash report's time.
         self._crashed: dict[str, float] = {}
         #: (start, job, round) of every compute span
         self._tasks: list[tuple[float, int, int]] = []
@@ -683,7 +683,7 @@ class UtilizationCollapseMonitor(Monitor):
         return (kind == "span" and category == "sim") or (
             kind == "instant"
             and (
-                prefix in ("JOB_ARRIVED", "GPU_CRASHED", "GPU_RESTORED")
+                prefix in ("JOB_ARRIVED", "GPU_CRASHED")
                 or prefix.startswith("barrier")
             )
         )
@@ -710,15 +710,10 @@ class UtilizationCollapseMonitor(Monitor):
                 job, rnd = record.args.get("job"), record.args.get("round")
                 if job is not None and rnd is not None:
                     self._barrier[(int(job), int(rnd))] = record.time
-            elif record.name in ("GPU_CRASHED", "GPU_RESTORED"):
+            elif record.name == "GPU_CRASHED":
                 gpu = record.args.get("gpu")
-                if gpu is None:
-                    return
-                track = gpu_track(int(gpu))
-                if record.name == "GPU_CRASHED":
-                    self._crashed.setdefault(track, record.time)
-                else:
-                    self._crashed.pop(track, None)
+                if gpu is not None:
+                    self._crashed.setdefault(gpu_track(int(gpu)), record.time)
 
     def _add_interval(self, s: float, e: float) -> None:
         """Fold ``[s, e]`` into the merged list with the same ``s <= end``

@@ -6,7 +6,7 @@ we cannot accurately predict future job arrivals. Online algorithms are
 needed"). :class:`OnlineHarePolicy` is the natural event-driven extension,
 running natively on :mod:`repro.kernel`:
 
-* the policy re-plans at every job arrival (and at GPU crash/restore and
+* the policy re-plans at every job arrival (and at GPU crash and
   ``REPLAN_TIMER`` wake-ups), seeing only the jobs that have arrived;
 * each re-plan solves the relaxation over the *remaining* rounds of known
   jobs (committed work is fixed; :mod:`repro.kernel.residual` builds and
@@ -61,7 +61,6 @@ REPLAN_EVENTS = frozenset(
     {
         KernelEventType.JOB_ARRIVED,
         KernelEventType.GPU_CRASHED,
-        KernelEventType.GPU_RESTORED,
         KernelEventType.REPLAN_TIMER,
     }
 )
@@ -88,7 +87,7 @@ class OnlineHarePolicy:
         self.replans = 0
         #: Minimum gap between *timer-driven* re-plans (remediation
         #: ``throttle_replans``); 0 disables. Information-bearing events
-        #: (arrivals, crashes, restores) always re-plan.
+        #: (arrivals, crashes) always re-plan.
         self.replan_min_gap_s = 0.0
         self._last_replan: float | None = None
 

@@ -6,7 +6,7 @@ job and GPU ids and materializes the merged schedule once.
 materialized schedule, and build every global ``TaskAssignment`` from the
 cell's objects. Both must produce the same assignments in the same
 insertion order for every registered scheduler at ``cells=4``, with and
-without a crash, and with cell results pickled back from worker processes.
+without a crash.
 The merged-clock ``kernel.round`` instants are pinned the same way against
 :func:`object_walk_rounds`.
 """
@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cells import CellPartitioner, GlobalAdmission, ShardedKernel
-from repro.cells.sharded import _run_cell_worker, _split_faults, cell_instance
+from repro.cells.sharded import _split_crashes, cell_instance
 from repro.core import (
     Job,
     ProblemInstance,
@@ -31,7 +31,6 @@ from repro.core import (
     make_uniform_instance,
 )
 from repro.kernel import run_policy
-from repro.kernel.runner import best_round_time
 from repro.obs import Obs, use
 from repro.schedulers.registry import available, create
 from tests.core.oracles import reference_metrics_from_schedule
@@ -42,15 +41,16 @@ CELLS = 4
 def object_walk_merge(instance, scheduler, partition, crashes) -> Schedule:
     """The merge as a walk over each cell's materialized assignments."""
     plan = GlobalAdmission().admit(instance, partition)
-    cell_crashes = _split_faults(crashes, partition)
+    cell_crashes = _split_crashes(crashes, partition)
     merged = Schedule(instance)
     for cell in partition.cells:
         job_ids = plan.jobs_in(cell.index)
         if not job_ids:
             continue
         sub = cell_instance(instance, job_ids, cell)
-        result, _wall = _run_cell_worker(
-            (sub, scheduler, cell_crashes[cell.index], [], None, None)
+        result = run_policy(
+            sub, scheduler.make_policy(sub),
+            crashes=cell_crashes[cell.index] or None,
         )
         for a in result.schedule.assignments.values():
             t = a.task
@@ -74,7 +74,7 @@ def _outcome(run):
         return type(exc)
 
 
-def assert_merge_identity(instance, key, *, crash_frac=None, workers=1):
+def assert_merge_identity(instance, key, *, crash_frac=None):
     scheduler = create(key)
     partition = CellPartitioner(cells=CELLS).partition_instance(instance)
     crashes = []
@@ -94,7 +94,6 @@ def assert_merge_identity(instance, key, *, crash_frac=None, workers=1):
             scheduler,
             partition=partition,
             crashes=crashes,
-            workers=workers,
         ).run()
     )
     if isinstance(want, type):
@@ -160,17 +159,6 @@ def fixed_instance():
     )
 
 
-@pytest.mark.parametrize("key", available())
-@pytest.mark.parametrize("crash_frac", [None, 0.3])
-def test_pickled_worker_results_merge_identically(
-    fixed_instance, key, crash_frac
-):
-    """``workers=2``: cell results cross a process boundary as pickles."""
-    assert_merge_identity(
-        fixed_instance, key, crash_frac=crash_frac, workers=2
-    )
-
-
 def test_unmaterialized_result_pickles_its_columns(fixed_instance):
     """An array-kernel result pickles its column view, not objects."""
     result = run_policy(
@@ -214,7 +202,7 @@ def object_walk_rounds(instance, merged: Schedule) -> list[dict]:
             "end": end,
             "gpu": crit.gpu,
             "busy": crit.train_time + crit.sync_time,
-            "best": best_round_time(instance, job_id),
+            "best": instance.best_round_time(job_id),
         }
         for end, job_id, r, start, crit in rounds
     ]

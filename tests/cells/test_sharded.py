@@ -65,23 +65,6 @@ class TestMergedResult:
         report = diagnose_schedule(result.schedule, instance=instance)
         assert report.invariant_violations() == []
 
-    def test_parallel_workers_bit_equal_to_serial(self, workload):
-        cluster, instance = workload
-        serial = run_sharded(
-            instance, "srtf", cells=3, cluster=cluster, workers=1
-        )
-        parallel = run_sharded(
-            instance, "srtf", cells=3, cluster=cluster, workers=2
-        )
-        assert (
-            serial.schedule.assignments == parallel.schedule.assignments
-        )
-        assert serial.events == parallel.events
-        for s, p in zip(serial.cell_stats, parallel.cell_stats):
-            assert {k: v for k, v in s.items() if k != "wall_s"} == {
-                k: v for k, v in p.items() if k != "wall_s"
-            }
-
     def test_result_pickles(self, workload):
         cluster, instance = workload
         result = run_sharded(

@@ -2,13 +2,15 @@
 
 The vectorized :class:`~repro.kernel.array.ArraySchedulingKernel` takes a
 run when the policy has a batch path (an unmodified ``PlannedPolicy`` or
-``GangPolicy``) and the run has no crashes, restores, re-plan timer or
-heal engine; every other run takes the reference
+``GangPolicy``) and the run has no crashes, re-plan timer or heal
+engine; every other run takes the reference
 :class:`~repro.kernel.runner.SchedulingKernel`. Each case poisons both
 kernel classes so the one ``run_policy`` builds names itself.
 
 Also pinned: the retired ``kernel_backend`` option stays gone from every
-layer — spec, ``run_policy``, CLI and the package exports.
+layer — spec, ``run_policy``, CLI and the package exports — and so do
+GPU restores, the gang loop's passive-event skip and the per-cell
+process pool.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ import repro.kernel as kernel_pkg
 import repro.kernel.array as array_mod
 import repro.kernel.runner as runner
 from repro.api import ExperimentSpec
+from repro.cells import CellPartitioner, ShardedKernel, run_sharded
 from repro.cli import main
 from repro.core import Job, ProblemInstance
 from repro.core.errors import ConfigurationError
 from repro.heal import RemediationEngine
-from repro.kernel import PlannedPolicy, run_policy
+from repro.kernel import KernelEventType, Policy, PlannedPolicy, run_policy
 from repro.kernel.array import ArraySchedulingKernel
 from repro.schedulers import HareScheduler, OnlineHarePolicy, SrtfScheduler
 
@@ -55,7 +58,6 @@ POLICIES = {
 RUNS = {
     "no_fault": dict,
     "crashes": lambda: {"crashes": [(1.0, 0)]},
-    "restores": lambda: {"restores": [(2.0, 0)]},
     "replan_interval": lambda: {"replan_interval": 1.0},
     "heal": lambda: {"heal": RemediationEngine(INSTANCE)},
 }
@@ -127,3 +129,36 @@ class TestKernelBackendOptionIsGone:
         ):
             assert not hasattr(kernel_pkg, name), name
             assert not hasattr(runner, name), name
+
+
+class TestRemovedKernelPathsAreGone:
+    def test_run_policy_restores(self):
+        with pytest.raises(TypeError, match="restores"):
+            run_policy(
+                INSTANCE, PlannedPolicy(HareScheduler()),
+                restores=[(2.0, 0)],
+            )
+
+    def test_no_restore_event(self):
+        assert not hasattr(KernelEventType, "GPU_RESTORED")
+
+    def test_no_passive_events_hook(self):
+        assert not hasattr(Policy, "passive_events")
+
+    def test_request_replan_takes_no_time(self):
+        kernel = runner.SchedulingKernel(
+            INSTANCE, PlannedPolicy(HareScheduler())
+        )
+        with pytest.raises(TypeError, match="time"):
+            kernel.request_replan(time=1.0)
+
+    def test_run_sharded_workers(self):
+        with pytest.raises(TypeError, match="workers"):
+            run_sharded(INSTANCE, "srtf", cells=2, workers=2)
+
+    def test_sharded_kernel_workers(self):
+        partition = CellPartitioner(cells=2).partition_instance(INSTANCE)
+        with pytest.raises(TypeError, match="workers"):
+            ShardedKernel(
+                INSTANCE, SrtfScheduler(), partition=partition, workers=2
+            )

@@ -113,17 +113,6 @@ class TestFaults:
             if a.gpu == dead:
                 assert a.compute_end <= crash_t + 1e-9
 
-    def test_crash_then_restore_reuses_the_gpu(self):
-        inst = staggered_instance()
-        result = run_policy(
-            inst,
-            OnlineHarePolicy(),
-            crashes=[(0.4, 0)],
-            restores=[(1.5, 0)],
-        )
-        assert len(result.schedule) == inst.num_tasks
-        validate_schedule(result.schedule)
-
     def test_retraction_counted(self):
         """A crash landing mid-flight on committed work retracts rounds."""
         jobs = [Job(job_id=0, model="a", num_rounds=4, sync_scale=1)]

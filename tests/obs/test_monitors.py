@@ -277,16 +277,6 @@ class TestUtilizationCollapse:
         )
         assert mon.findings == []  # gpu/1 may compute until 3
 
-    def test_a_restored_gpu_holds_gaps_again(self):
-        mon = UtilizationCollapseMonitor()
-        self._gap_then_poll(
-            mon,
-            self._task(3, 1, 0.0, 0.5),
-            instant(4, "sim", "GPU_CRASHED", "kernel", 1.0, gpu=1),
-            instant(5, "sim", "GPU_RESTORED", "kernel", 2.0, gpu=1),
-        )
-        assert mon.findings == []
-
     @settings(max_examples=300, deadline=None)
     @given(
         st.lists(

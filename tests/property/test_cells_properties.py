@@ -5,7 +5,8 @@ The acceptance invariant of the cells refactor (DESIGN.md §16):
 :func:`repro.cells.run_sharded` with one cell must hand back a
 :class:`~repro.kernel.runner.KernelResult` whose stats and assignments
 are byte-identical to :func:`repro.kernel.runner.run_policy` for every
-registered scheduler, with and without crash/restore faults, and whose
+registered scheduler, with and without a crash (and its checkpoint
+restore), and whose
 metrics agree to 1e-9. Multi-cell runs additionally stay complete and
 feasible under the same fault injections.
 """
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.cells import run_sharded
 from repro.core import Job, ProblemInstance, validate_schedule
-from repro.kernel import run_policy
+from repro.kernel import KernelCrash, run_policy
 from repro.schedulers.registry import available, create
 
 
@@ -105,23 +106,25 @@ def test_cells1_byte_identical_for_every_scheduler(inst):
 def test_cells1_byte_identical_under_crash_and_restore(
     inst, crash_frac, restore
 ):
-    """``cells=1`` ≡ flat ``run_policy`` under the same fault script —
-    including schedulers whose policies reject mid-run faults: the two
-    paths must then raise identically."""
+    """``cells=1`` ≡ flat ``run_policy`` under the same crash — with
+    *restore*, a rollback to each job's newest checkpoint plus a
+    restore read — including schedulers whose policies reject mid-run
+    faults: the two paths must then raise identically."""
     if any(j.sync_scale >= inst.num_gpus for j in inst.jobs):
         return  # survivor set cannot host the widest job
     dead = inst.num_gpus - 1
     for sched in SCHEDULERS:
         probe = run_policy(inst, sched.make_policy(inst))
         crash_t = crash_frac * probe.metrics.makespan
-        faults = {
-            "crashes": [(crash_t, dead)],
-            "restores": (
-                [(crash_t + probe.metrics.makespan, dead)]
-                if restore
-                else None
-            ),
-        }
+        crash = (
+            KernelCrash(
+                crash_t, dead, checkpoint_interval=1,
+                restore_s={j.job_id: 0.5 for j in inst.jobs},
+            )
+            if restore
+            else (crash_t, dead)
+        )
+        faults = {"crashes": [crash]}
         try:
             flat = run_policy(inst, sched.make_policy(inst), **faults)
         except Exception as exc:  # identical rejection counts too
