@@ -15,8 +15,9 @@ concatenated in cell order, so a cell's schedule is never materialized.
 The merged result is a :class:`ShardedKernelResult`: a plain
 :class:`~repro.kernel.runner.KernelResult` (schedule over the *global*
 instance, backed by the merged columns until its objects are read, summed
-event/commitment/replan/retraction stats, metrics computed from the
-merged columns) plus the admission plan and
+event/commitment/replan/retraction stats, the cells' retractions on
+global ids, metrics computed from the merged columns) plus the admission
+plan and
 per-cell statistics. The merged schedule passes the same streaming
 monitors as a flat run (:func:`repro.obs.monitors.diagnose_schedule`).
 
@@ -33,12 +34,17 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..core.errors import ConfigurationError
+from ..core.errors import ConfigurationError, GangDoesNotFitError
 from ..core.job import ProblemInstance
 from ..core.metrics import metrics_from_columns
 from ..core.schedule import Schedule, ScheduleColumns
-from ..kernel.residual import KERNEL_TRACK
-from ..kernel.runner import KernelResult, run_policy
+from ..kernel.runner import (
+    KernelResult,
+    emit_retract,
+    emit_rounds,
+    run_policy,
+)
+from ..kernel.state import Retraction
 from ..obs import Category, DISABLED, current as obs_current, use
 from .admission import AdmissionPlan, GlobalAdmission
 from .partition import Cell, CellPartition, CellPartitioner
@@ -179,6 +185,7 @@ class ShardedKernel:
         cell_crashes = _split_crashes(self.crashes, partition)
 
         parts: list[tuple[np.ndarray, ...]] = []
+        lost: list[Retraction] = []
         events = commitments = replans = retracted = 0
         stats: list[dict] = []
         for cell in partition.cells:
@@ -188,16 +195,22 @@ class ShardedKernel:
             sub = cell_instance(instance, job_ids, cell)
             start = _time.perf_counter()
             # DISABLED keeps the cell's local-frame instants and metrics
-            # out of the merged stream; _emit_merged_rounds replays the
-            # rounds on the global frame.
-            with use(DISABLED):
-                result = run_policy(
-                    sub,
-                    self.scheduler.make_policy(sub),
-                    crashes=cell_crashes[cell.index] or None,
-                    replan_interval=self.replan_interval,
-                    max_events=self.max_events,
-                )
+            # out of the merged stream; its rounds and retractions are
+            # emitted below, on the global frame.
+            try:
+                with use(DISABLED):
+                    result = run_policy(
+                        sub,
+                        self.scheduler.make_policy(sub),
+                        crashes=cell_crashes[cell.index] or None,
+                        replan_interval=self.replan_interval,
+                        max_events=self.max_events,
+                    )
+            except GangDoesNotFitError as exc:
+                raise GangDoesNotFitError(
+                    job_ids[exc.job_id], exc.scale, exc.alive,
+                    cell=cell.index,
+                ) from None
             wall = _time.perf_counter() - start
             # Re-index the cell's columns to global job and GPU ids.
             c = result.columns()
@@ -206,6 +219,10 @@ class ShardedKernel:
                 np.asarray(cell.gpu_ids, dtype=np.int64)[c.gpu],
                 c.start, c.train, c.sync,
             ))
+            for x in result.retractions:
+                lost.append(replace(
+                    x, job=job_ids[x.job], gpu=cell.gpu_ids[x.gpu]
+                ))
             events += result.events
             commitments += result.commitments
             replans += result.replans
@@ -244,8 +261,13 @@ class ShardedKernel:
             if parts
             else Schedule(instance).columns()
         )
+        # Cells share no state: ordering by crash time (stable, so each
+        # cell keeps its own order) is one global application order.
+        lost.sort(key=lambda x: x.time)
         if obs.tracer.enabled:
-            self._emit_merged_rounds(obs, merged)
+            for x in lost:
+                emit_retract(x)
+            emit_rounds(merged)
 
         return ShardedKernelResult(
             partition=partition,
@@ -257,60 +279,8 @@ class ShardedKernel:
             commitments=commitments,
             replans=replans,
             retracted_rounds=retracted,
+            retractions=tuple(lost),
         )
-
-    def _emit_merged_rounds(self, obs, merged: ScheduleColumns) -> None:
-        """Merged-clock ``kernel.round`` stream for the attribution engine.
-
-        The per-cell kernels run under the DISABLED context, so their
-        commit instants never reach the global obs; this replays the
-        merged schedule's rounds onto the logical clock — one instant
-        per ``(job, round)``, ordered by round end, with **global** GPU
-        ids and ``best`` over the whole cluster's profile row, so cell
-        confinement surfaces as heterogeneity penalty in the
-        attribution.
-        """
-        end = merged.end
-        # Rows grouped by (job, round), latest end first and ties in
-        # insertion order: each group's first row is its critical task,
-        # the one the reference loop's strict `>` scan keeps.
-        order = np.lexsort(
-            (np.arange(len(merged)), -end, merged.rnd, merged.job)
-        )
-        job, rnd = merged.job[order], merged.rnd[order]
-        first = np.flatnonzero(
-            np.r_[True, (job[1:] != job[:-1]) | (rnd[1:] != rnd[:-1])]
-        )
-        crit = order[first]
-        round_start = np.minimum.reduceat(merged.start[order], first)
-        emit = np.lexsort((merged.rnd[crit], merged.job[crit], end[crit]))
-        rows = crit[emit]
-        best_cache: dict[int, float] = {}
-        for job_id, r, start, end_t, gpu, busy in zip(
-            merged.job[rows].tolist(),
-            merged.rnd[rows].tolist(),
-            round_start[emit].tolist(),
-            end[rows].tolist(),
-            merged.gpu[rows].tolist(),
-            (merged.train[rows] + merged.sync[rows]).tolist(),
-        ):
-            best = best_cache.get(job_id)
-            if best is None:
-                best = self.instance.best_round_time(job_id)
-                best_cache[job_id] = best
-            obs.tracer.instant(
-                Category.SCHED,
-                "kernel.round",
-                track=KERNEL_TRACK,
-                time=end_t,
-                job=job_id,
-                round=r,
-                start=start,
-                end=end_t,
-                gpu=gpu,
-                busy=busy,
-                best=best,
-            )
 
 
 def run_sharded(

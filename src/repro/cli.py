@@ -684,6 +684,9 @@ def cmd_record(args: argparse.Namespace) -> int:
         arrivals=getattr(args, "arrivals", "planned"),
         record=True,
         monitors=not args.no_monitors,
+        cells=getattr(args, "cells", 1),
+        cell_strategy=getattr(args, "cell_strategy", "balanced"),
+        admission=getattr(args, "admission", "throughput"),
     )
     recorder = r.obs.recorder
     path = r.write_flight_log(args.out)

@@ -12,6 +12,7 @@ from .fairness import (
 )
 from .errors import (
     ConfigurationError,
+    GangDoesNotFitError,
     InfeasibleProblemError,
     MemoryModelError,
     ProfileMissError,
@@ -64,6 +65,7 @@ __all__ = [
     "Domain",
     "FairnessReport",
     "GPUModel",
+    "GangDoesNotFitError",
     "InfeasibleProblemError",
     "Job",
     "JobMetrics",

@@ -58,6 +58,27 @@ class InfeasibleProblemError(ReproError):
     """No feasible schedule exists (e.g. a job needs more GPUs than exist)."""
 
 
+class GangDoesNotFitError(InfeasibleProblemError):
+    """A crash left fewer GPUs alive than a gang job needs at once.
+
+    ``cell`` names the cell whose GPUs were counted in a sharded run
+    (``None`` on the flat path).
+    """
+
+    def __init__(
+        self, job_id: int, scale: int, alive: int, *, cell: int | None = None
+    ) -> None:
+        self.job_id = job_id
+        self.scale = scale
+        self.alive = alive
+        self.cell = cell
+        where = "" if cell is None else f" in cell {cell}"
+        super().__init__(
+            f"job {job_id} needs {scale} simultaneous GPUs but only "
+            f"{alive} are alive{where}"
+        )
+
+
 class SolverError(ReproError):
     """The relaxation solver failed to converge or returned an invalid point."""
 

@@ -178,9 +178,12 @@ class ProblemInstance:
 
     def best_round_time(self, job_id: int) -> float:
         """Fastest profiled single-round time ``min_m (T^c + T^s)`` of
-        *job_id* — the ``best`` of every ``kernel.round`` instant, which
-        attribution (:mod:`repro.obs.attrib`) uses to split a round's
-        span into compute and heterogeneity penalty."""
+        *job_id*: the one definition of ``best``. It is the ``best`` arg
+        of every ``kernel.round`` instant
+        (:func:`repro.kernel.runner.emit_rounds`) and of every round
+        :func:`repro.obs.attrib.attribute_schedule` builds; attribution
+        uses it to split a round's span into compute and heterogeneity
+        penalty."""
         return float(
             (self.train_time[job_id] + self.sync_time[job_id]).min()
         )

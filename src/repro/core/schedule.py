@@ -321,6 +321,35 @@ class ScheduleColumns:
         """Latest task end (0 for an empty schedule)."""
         return float(self.end.max()) if len(self) else 0.0
 
+    def round_spans(self) -> tuple[np.ndarray, ...]:
+        """Every committed round's span, one row per ``(job, round)``.
+
+        Returns the columns ``(job, rnd, start, end, gpu, busy)``, rows
+        ordered by ``(end, job, rnd)``. ``start`` is the round's earliest
+        task start. ``end``, ``gpu`` and ``busy`` (``train + sync``)
+        belong to the round's critical task: the first row, in insertion
+        order, with the latest end — the task whose end sets the barrier.
+        """
+        if not len(self):
+            ints, floats = np.empty(0, dtype=np.int64), np.empty(0)
+            return ints, ints, floats, floats, ints, floats
+        end = self.end
+        # Rows grouped by (job, round), latest end first and ties in
+        # insertion order: each group's first row is its critical task.
+        order = np.lexsort((np.arange(len(self)), -end, self.rnd, self.job))
+        job, rnd = self.job[order], self.rnd[order]
+        first = np.flatnonzero(
+            np.r_[True, (job[1:] != job[:-1]) | (rnd[1:] != rnd[:-1])]
+        )
+        crit = order[first]
+        round_start = np.minimum.reduceat(self.start[order], first)
+        emit = np.lexsort((self.rnd[crit], self.job[crit], end[crit]))
+        rows = crit[emit]
+        return (
+            self.job[rows], self.rnd[rows], round_start[emit], end[rows],
+            self.gpu[rows], self.train[rows] + self.sync[rows],
+        )
+
     def to_schedule(self) -> Schedule:
         """A :class:`Schedule` backed by this view: its objects are built
         only when somebody reads them (:attr:`Schedule.assignments`)."""

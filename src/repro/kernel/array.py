@@ -84,7 +84,7 @@ from ..obs import Category, current as obs_current
 from .events import KernelEventType
 from .policies import Policy
 from .residual import KERNEL_TRACK
-from .runner import KernelResult, batch_path
+from .runner import KernelResult, batch_path, emit_rounds
 from .state import KERNEL_EPS, KernelState
 
 __all__ = ["ArraySchedulingKernel"]
@@ -184,28 +184,6 @@ def _gpu_frees(gpu, commit, compute_end, commit_time):
     return c, g[fire], _clamp(after[fire], commit_time[c])
 
 
-def _round_spans(start, end, gpu, train, sync, first_row):
-    """Each round's ``kernel.round`` values, as lists of built-ins.
-
-    Round ``k`` is rows ``first_row[k]`` up to the next round's first
-    row. Returns its earliest start, then the end, GPU and busy time of
-    its critical task: the first row with the largest end, as the
-    reference loop's strict ``>`` scan picks it.
-    """
-    n = len(end)
-    peak = np.maximum.reduceat(end, first_row)
-    size = np.diff(np.append(first_row, n))
-    crit = np.minimum.reduceat(
-        np.where(end == np.repeat(peak, size), np.arange(n), n), first_row
-    )
-    return (
-        np.minimum.reduceat(start, first_row).tolist(),
-        peak.tolist(),
-        gpu[crit].tolist(),
-        (train[crit] + sync[crit]).tolist(),
-    )
-
-
 class ArraySchedulingKernel:
     """Vectorized event loop for policies with a batch path.
 
@@ -283,7 +261,10 @@ class ArraySchedulingKernel:
             columns = self._replay_plan()
         else:
             columns = self._run_gang()
-        obs_current().metrics.counter("kernel.events").inc(self.processed)
+        obs = obs_current()
+        obs.metrics.counter("kernel.events").inc(self.processed)
+        if obs.tracer.enabled:
+            emit_rounds(columns)
         return KernelResult(
             schedule=columns.to_schedule(),
             metrics=metrics_from_columns(columns),
@@ -446,7 +427,7 @@ class ArraySchedulingKernel:
                 [ev_time[pops], ev_type[pops], ev_a[pops], ev_b[pops]],
                 np.searchsorted(pop_batch, np.arange(1, n_batches + 1)),
                 np.searchsorted(commit_bid, np.arange(1, n_batches + 1)),
-                log, c_first_row, ctime,
+                ctime, c_job, c_rnd,
             )
 
         # Final state, as the per-event loop would leave it.
@@ -506,24 +487,18 @@ class ArraySchedulingKernel:
         )
 
     def _trace_replay(
-        self, events, event_stop, commit_stop, log, c_first_row, ctime
+        self, events, event_stop, commit_stop, ctime, c_job, c_rnd
     ) -> None:
         """The loop's instants, in its order, from the replay's arrays.
 
         *events* holds the popped events' (time, type, a, b) columns in
         pop order; batch ``k`` spans events up to ``event_stop[k]`` and
         commits up to ``commit_stop[k]``. Each batch emits its event
-        instants, then each of its commits' instants.
+        instants, then each of its commits' ``kernel.commit``.
         """
         tracer = obs_current().tracer
-        spans = list(zip(*_round_spans(
-            log.start, log.end, log.gpu, log.train, log.sync, c_first_row
-        )))
-        c_now = ctime.tolist()
-        jobs = log.job[c_first_row].tolist()
-        rounds = log.rnd[c_first_row].tolist()
+        c_now, jobs, rounds = ctime.tolist(), c_job.tolist(), c_rnd.tolist()
         e_time, e_type, e_a, e_b = (col.tolist() for col in events)
-        best: dict[int, float] = {}
         e = c = 0
         for e_stop, c_stop in zip(event_stop.tolist(), commit_stop.tolist()):
             for k in range(e, e_stop):
@@ -536,40 +511,19 @@ class ArraySchedulingKernel:
                     **self._instant_args(type_, e_a[k], e_b[k]),
                 )
             for k in range(c, c_stop):
-                j = jobs[k]
-                if j not in best:
-                    best[j] = self.instance.best_round_time(j)
-                self._trace_commit(
-                    c_now[k], j, rounds[k:k + 1], spans[k:k + 1], best[j]
-                )
+                self._trace_commit(c_now[k], jobs[k], rounds[k] + 1)
             e, c = e_stop, c_stop
 
-    def _trace_commit(self, now, job_id, rounds, spans, best) -> None:
-        """A commitment's instants, in the reference loop's order: one
-        ``kernel.round`` per round of *rounds*, with its ``(start, end,
-        gpu, busy)`` from *spans*, then the job's ``kernel.commit``."""
-        tracer = obs_current().tracer
-        for r, (start, end, gpu, busy) in zip(rounds, spans):
-            tracer.instant(
-                Category.SCHED,
-                "kernel.round",
-                track=KERNEL_TRACK,
-                time=now,
-                job=job_id,
-                round=r,
-                start=start,
-                end=end,
-                gpu=gpu,
-                busy=busy,
-                best=best,
-            )
-        tracer.instant(
+    @staticmethod
+    def _trace_commit(now, job_id, rounds_done) -> None:
+        """A commitment's ``kernel.commit`` instant."""
+        obs_current().tracer.instant(
             Category.SCHED,
             "kernel.commit",
             track=KERNEL_TRACK,
             time=now,
             job=job_id,
-            rounds_done=rounds[-1] + 1,
+            rounds_done=rounds_done,
         )
 
     # -- gang batch path ------------------------------------------------
@@ -629,16 +583,7 @@ class ArraySchedulingKernel:
         # All rounds committed: no barrier wake-up (matches reference).
         obs = obs_current()
         if obs.tracer.enabled:
-            self._trace_commit(
-                state.now,
-                job_id,
-                range(num_rounds),
-                zip(*_round_spans(
-                    start_col, end_col, gpu_col, train_col, sync_col,
-                    np.arange(num_rounds) * scale,
-                )),
-                instance.best_round_time(job_id),
-            )
+            self._trace_commit(state.now, job_id, num_rounds)
         self.commitments += 1
         obs.metrics.counter("kernel.commitments").inc()
         obs.metrics.histogram("kernel.commit_horizon_s").observe(

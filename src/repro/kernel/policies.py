@@ -31,7 +31,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Sequence
 
-from ..core.errors import InfeasibleProblemError
+from ..core.errors import GangDoesNotFitError, InfeasibleProblemError
 from ..core.schedule import Schedule, TaskAssignment
 from ..core.types import TaskRef
 from .events import Event, KernelEventType
@@ -217,6 +217,12 @@ class GangPolicy(Policy):
         ]
         if not runnable:
             return []
+        # A gang wider than the alive GPUs can never (re)start.
+        alive = len(state.alive)
+        for n in runnable:
+            scale = state.instance.jobs[n].sync_scale
+            if scale > alive:
+                raise GangDoesNotFitError(n, scale, alive)
         free = state.free_gpus()
         decision = self.select(state, runnable, free)
         if decision is None:

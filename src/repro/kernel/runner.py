@@ -23,7 +23,9 @@ Mechanics per iteration:
 The run stops when every round of every job is committed and no crash
 events remain. Observability: ``kernel.events`` / ``kernel.commitments``
 counters, the ``kernel.commit_horizon_s`` histogram (how far past *now*
-each commitment reaches), and per-event instants on the ``kernel`` track.
+each commitment reaches), per-event instants on the ``kernel`` track,
+and, once the run is over, one ``kernel.round`` instant per committed
+round (:func:`emit_rounds`).
 """
 
 from __future__ import annotations
@@ -298,26 +300,17 @@ class SchedulingKernel:
                 else job.arrival
             )
             state.ready_at[job.job_id] = max(t + restore_s, last_barrier)
-            self.retractions.append(
-                Retraction(
-                    time=t,
-                    gpu=gpu,
-                    job=job.job_id,
-                    rounds_done=keep,
-                    rounds_lost=max(0, opened - keep),
-                    lost_work_s=lost_work_s,
-                    restore_s=restore_s,
-                )
-            )
-            obs_current().tracer.instant(
-                Category.SCHED,
-                "kernel.retract",
-                track=KERNEL_TRACK,
+            retraction = Retraction(
                 time=t,
+                gpu=gpu,
                 job=job.job_id,
                 rounds_done=keep,
-                gpu=gpu,
+                rounds_lost=max(0, opened - keep),
+                lost_work_s=lost_work_s,
+                restore_s=restore_s,
             )
+            self.retractions.append(retraction)
+            emit_retract(retraction)
         phi = [0.0] * self.instance.num_gpus
         for a in committed.assignments.values():
             phi[a.gpu] = max(phi[a.gpu], a.compute_end)
@@ -371,43 +364,6 @@ class SchedulingKernel:
             if state.phi[m] > before + KERNEL_EPS:
                 self._wake(state.phi[m], KernelEventType.GPU_FREE, m)
         for job_id in sorted(touched_jobs):
-            if obs.tracer.enabled:
-                # One attribution instant per newly committed round:
-                # span bounds, the critical (barrier-setting) task's GPU
-                # and busy time, and the best-profiled round time. The
-                # array backend mirrors these byte-for-byte.
-                rounds = sorted(
-                    {
-                        a.task.round_idx
-                        for a in commitment.assignments
-                        if a.task.job_id == job_id
-                    }
-                )
-                best = self.instance.best_round_time(job_id)
-                for r in rounds:
-                    tasks = [
-                        a
-                        for a in commitment.assignments
-                        if a.task.job_id == job_id
-                        and a.task.round_idx == r
-                    ]
-                    crit = tasks[0]
-                    for a in tasks[1:]:
-                        if a.end > crit.end:
-                            crit = a
-                    obs.tracer.instant(
-                        Category.SCHED,
-                        "kernel.round",
-                        track=KERNEL_TRACK,
-                        time=state.now,
-                        job=job_id,
-                        round=r,
-                        start=float(min(a.start for a in tasks)),
-                        end=float(crit.end),
-                        gpu=int(crit.gpu),
-                        busy=float(crit.train_time + crit.sync_time),
-                        best=best,
-                    )
             obs.tracer.instant(
                 Category.SCHED,
                 "kernel.commit",
@@ -487,6 +443,8 @@ class SchedulingKernel:
             )
         obs.metrics.counter("kernel.events").inc(self.processed)
         schedule = state.committed
+        if tracer.enabled:
+            emit_rounds(schedule.columns())
         return KernelResult(
             schedule=schedule,
             metrics=metrics_from_schedule(schedule),
@@ -495,6 +453,52 @@ class SchedulingKernel:
             replans=int(getattr(self.policy, "replans", 0)),
             retracted_rounds=self.retracted_rounds,
             retractions=tuple(self.retractions),
+        )
+
+
+def emit_retract(retraction: Retraction) -> None:
+    """The ``kernel.retract`` instant of one applied retraction."""
+    obs_current().tracer.instant(
+        Category.SCHED,
+        "kernel.retract",
+        track=KERNEL_TRACK,
+        time=retraction.time,
+        job=retraction.job,
+        rounds_done=retraction.rounds_done,
+        gpu=retraction.gpu,
+    )
+
+
+def emit_rounds(columns: ScheduleColumns) -> None:
+    """One ``kernel.round`` instant per committed round of *columns*.
+
+    The attribution engine's input (:mod:`repro.obs.attrib`): each row of
+    :meth:`~repro.core.schedule.ScheduleColumns.round_spans`, at its
+    round end, with the job's best-profiled round time
+    (:meth:`~repro.core.job.ProblemInstance.best_round_time`) as
+    ``best``. Every kernel calls this once, after its run, on the
+    columns it committed; rounds a crash retracted are not among them.
+    """
+    tracer = obs_current().tracer
+    instance = columns.instance
+    best: dict[int, float] = {}
+    for job, r, start, end, gpu, busy in zip(
+        *(col.tolist() for col in columns.round_spans())
+    ):
+        if job not in best:
+            best[job] = instance.best_round_time(job)
+        tracer.instant(
+            Category.SCHED,
+            "kernel.round",
+            track=KERNEL_TRACK,
+            time=end,
+            job=job,
+            round=r,
+            start=start,
+            end=end,
+            gpu=gpu,
+            busy=busy,
+            best=best[job],
         )
 
 

@@ -41,12 +41,13 @@ file (:func:`attribute_records`) — and produces an
   reports component-by-component, so "JCT regressed 12%" decomposes
   into "9 points are added queue wait".
 
-Round spans come from the ``kernel.round`` instants both kernel
-backends emit identically on commit (``repro.kernel.runner`` /
-``repro.kernel.array``); arrivals from ``JOB_ARRIVED`` (flat runs) or
+Round spans are :meth:`~repro.core.schedule.ScheduleColumns.round_spans`
+of the committed schedule: every kernel emits them after its run as
+``kernel.round`` instants (:func:`repro.kernel.runner.emit_rounds`),
+and :func:`attribute_schedule` reads them straight from any
+:class:`~repro.core.schedule.Schedule`'s columns when there is no
+record stream. Arrivals come from ``JOB_ARRIVED`` (flat runs) or
 ``cells.admit`` (sharded runs, which also supply per-cell residency).
-Without a record stream, :func:`attribute_schedule` synthesizes the
-same rounds from any committed :class:`~repro.core.schedule.Schedule`.
 """
 
 from __future__ import annotations
@@ -658,37 +659,27 @@ def attribute_schedule(
     per-cell residency; *retracts* optional ``(time, job)`` markers for
     gap classification. Realized (DES) schedules whose task durations
     include switching costs surface the excess as ``switch_overhead``
-    against the instance's profile matrices.
+    against the instance's profile matrices. Only the schedule's columns
+    are read, so a column-backed schedule is never materialized.
     """
     if instance is None:
         instance = schedule.instance
-    by_round: dict[tuple[int, int], list] = {}
-    for task in sorted(
-        schedule.assignments,
-        key=lambda t: (t.job_id, t.round_idx, t.slot),
-    ):
-        a = schedule.assignments[task]
-        by_round.setdefault((task.job_id, task.round_idx), []).append(a)
     job_rounds: dict[int, list[_Round]] = {}
-    best_cache: dict[int, float] = {}
-    for (j, r) in sorted(by_round):
-        tasks = by_round[(j, r)]
-        crit = tasks[0]
-        for a in tasks[1:]:
-            if a.end > crit.end:
-                crit = a
-        best = best_cache.get(j)
-        if best is None:
-            best = best_cache[j] = instance.best_round_time(j)
-        gpu = int(crit.gpu)
+    best: dict[int, float] = {}
+    spans = schedule.columns().round_spans()
+    for j, r, start, end, gpu, busy in sorted(
+        zip(*(col.tolist() for col in spans))
+    ):
+        if j not in best:
+            best[j] = instance.best_round_time(j)
         job_rounds.setdefault(j, []).append(
             _Round(
                 round_idx=r,
-                start=float(min(a.start for a in tasks)),
-                end=float(crit.end),
+                start=start,
+                end=end,
                 gpu=gpu,
-                busy=float(crit.train_time + crit.sync_time),
-                best=best,
+                busy=busy,
+                best=best[j],
                 profiled=float(
                     instance.train_time[j, gpu]
                     + instance.sync_time[j, gpu]

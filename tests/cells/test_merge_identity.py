@@ -8,7 +8,7 @@ cell's objects. Both must produce the same assignments in the same
 insertion order for every registered scheduler at ``cells=4``, with and
 without a crash.
 The merged-clock ``kernel.round`` instants are pinned the same way against
-:func:`object_walk_rounds`.
+:func:`tests.core.oracles.object_walk_rounds`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,10 @@ from repro.core import (
 from repro.kernel import run_policy
 from repro.obs import Obs, use
 from repro.schedulers.registry import available, create
-from tests.core.oracles import reference_metrics_from_schedule
+from tests.core.oracles import (
+    object_walk_rounds,
+    reference_metrics_from_schedule,
+)
 
 CELLS = 4
 
@@ -139,26 +142,6 @@ def test_columnar_merge_matches_object_walk(inst, key, crash_frac):
     assert_merge_identity(inst, key, crash_frac=crash_frac)
 
 
-@pytest.fixture(scope="module")
-def fixed_instance():
-    rng = np.random.default_rng(11)
-    jobs = [
-        Job(
-            job_id=n,
-            model=f"m{n % 3}",
-            arrival=float(rng.uniform(0, 4)),
-            num_rounds=1 + n % 3,
-            sync_scale=1 + n % 2,
-        )
-        for n in range(10)
-    ]
-    return ProblemInstance(
-        jobs=jobs,
-        train_time=rng.uniform(0.5, 3.0, (10, 8)),
-        sync_time=rng.uniform(0.0, 0.4, (10, 8)),
-    )
-
-
 def test_unmaterialized_result_pickles_its_columns(fixed_instance):
     """An array-kernel result pickles its column view, not objects."""
     result = run_policy(
@@ -173,39 +156,6 @@ def test_unmaterialized_result_pickles_its_columns(fixed_instance):
     assert list(again.schedule.assignments.items()) == list(
         result.schedule.assignments.items()
     )
-
-
-def object_walk_rounds(instance, merged: Schedule) -> list[dict]:
-    """``kernel.round`` args per (job, round) of *merged*, by round end.
-
-    The critical task is the first in insertion order with the latest
-    end (a strict ``>`` scan).
-    """
-    by_round: dict[tuple[int, int], list[TaskAssignment]] = {}
-    for a in merged.assignments.values():
-        by_round.setdefault((a.task.job_id, a.task.round_idx), []).append(a)
-    rounds = []
-    for (job_id, r), tasks in by_round.items():
-        crit = tasks[0]
-        for a in tasks[1:]:
-            if a.end > crit.end:
-                crit = a
-        rounds.append(
-            (crit.end, job_id, r, min(a.start for a in tasks), crit)
-        )
-    rounds.sort(key=lambda item: item[:3])
-    return [
-        {
-            "job": job_id,
-            "round": r,
-            "start": start,
-            "end": end,
-            "gpu": crit.gpu,
-            "busy": crit.train_time + crit.sync_time,
-            "best": instance.best_round_time(job_id),
-        }
-        for end, job_id, r, start, crit in rounds
-    ]
 
 
 @pytest.mark.parametrize("key", ["hare", "srtf", "sched_homo"])

@@ -66,6 +66,27 @@ def small_instance(testbed, small_workload):
     return build_instance(small_workload, testbed)
 
 
+@pytest.fixture(scope="session")
+def fixed_instance() -> ProblemInstance:
+    """10 staggered jobs of 1-3 rounds and scale 1-2 on 8 GPUs, seeded."""
+    rng = np.random.default_rng(11)
+    jobs = [
+        Job(
+            job_id=n,
+            model=f"m{n % 3}",
+            arrival=float(rng.uniform(0, 4)),
+            num_rounds=1 + n % 3,
+            sync_scale=1 + n % 2,
+        )
+        for n in range(10)
+    ]
+    return ProblemInstance(
+        jobs=jobs,
+        train_time=rng.uniform(0.5, 3.0, (10, 8)),
+        sync_time=rng.uniform(0.0, 0.4, (10, 8)),
+    )
+
+
 def make_random_instance(
     seed: int,
     *,

@@ -16,6 +16,9 @@ makespan for :func:`reference_metrics_from_schedule`.
 - :func:`reference_metrics_from_schedule` — completions through
   ``Schedule.round_end`` per job, makespan as a max over
   ``TaskAssignment.end``.
+- :func:`object_walk_rounds` — the ``kernel.round`` args
+  (``ScheduleColumns.round_spans`` plus ``best``) from grouped
+  assignment objects and a strict ``>`` scan for the critical task.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import math
 
 from repro.core.errors import ScheduleValidationError
 from repro.core.metrics import ScheduleMetrics, metrics_from_completions
-from repro.core.schedule import TIME_EPS, Schedule
+from repro.core.schedule import TIME_EPS, Schedule, TaskAssignment
 
 
 def reference_validate_schedule(
@@ -134,3 +137,36 @@ def reference_metrics_from_schedule(schedule: Schedule) -> ScheduleMetrics:
         reference_completions(schedule),
         makespan=reference_makespan(schedule),
     )
+
+
+def object_walk_rounds(instance, schedule: Schedule) -> list[dict]:
+    """``kernel.round`` args per (job, round) of *schedule*, by round end.
+
+    The critical task is the first in insertion order with the latest
+    end (a strict ``>`` scan).
+    """
+    by_round: dict[tuple[int, int], list[TaskAssignment]] = {}
+    for a in schedule.assignments.values():
+        by_round.setdefault((a.task.job_id, a.task.round_idx), []).append(a)
+    rounds = []
+    for (job_id, r), tasks in by_round.items():
+        crit = tasks[0]
+        for a in tasks[1:]:
+            if a.end > crit.end:
+                crit = a
+        rounds.append(
+            (crit.end, job_id, r, min(a.start for a in tasks), crit)
+        )
+    rounds.sort(key=lambda item: item[:3])
+    return [
+        {
+            "job": job_id,
+            "round": r,
+            "start": start,
+            "end": end,
+            "gpu": crit.gpu,
+            "busy": crit.train_time + crit.sync_time,
+            "best": instance.best_round_time(job_id),
+        }
+        for end, job_id, r, start, crit in rounds
+    ]

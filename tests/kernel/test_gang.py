@@ -12,7 +12,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import InfeasibleProblemError, Job, ProblemInstance
+from repro.core import (
+    GangDoesNotFitError,
+    InfeasibleProblemError,
+    Job,
+    ProblemInstance,
+)
 from repro.core.schedule import Schedule
 from repro.kernel import run_policy
 from repro.schedulers import (
@@ -181,6 +186,43 @@ def test_policy_rejects_oversized_gang(policy_cls):
     )
     with pytest.raises(InfeasibleProblemError, match="simultaneous"):
         run_policy(inst, policy_cls())
+
+
+@pytest.mark.parametrize(
+    "policy_cls",
+    [GavelFifoPolicy, SrtfPolicy, SchedHomoPolicy],
+    ids=lambda c: c.__name__,
+)
+def test_crash_below_gang_width_is_refused(policy_cls):
+    """A crash retracts a running 3-wide gang on 3 GPUs: it can never
+    restart, and the guard names the job, its scale and the alive
+    count instead of letting the kernel drain."""
+    jobs = [Job(job_id=0, model="m", num_rounds=2, sync_scale=3)]
+    inst = ProblemInstance(
+        jobs=jobs, train_time=np.ones((1, 3)), sync_time=np.zeros((1, 3))
+    )
+    with pytest.raises(
+        GangDoesNotFitError,
+        match="job 0 needs 3 simultaneous GPUs but only 2 are alive$",
+    ):
+        run_policy(inst, policy_cls(), crashes=[(0.5, 0)])
+
+
+@pytest.mark.parametrize("key", ["gavel_fifo", "srtf", "sched_homo"])
+def test_sharded_crash_below_gang_width_names_global_job(key):
+    """Cell 0 (GPUs 0-3) loses GPU 2 while it holds a 4-wide job."""
+    from repro import api
+
+    with pytest.raises(GangDoesNotFitError) as info:
+        api.run_experiment(
+            gpus=16, jobs=20, scheduler=key, seed=1, simulate=False,
+            trace=False, cells=4, crashes=((3.0, 2), (8.0, 9)),
+        )
+    err = info.value
+    assert (err.job_id, err.scale, err.alive, err.cell) == (19, 4, 3, 0)
+    assert str(err) == (
+        "job 19 needs 4 simultaneous GPUs but only 3 are alive in cell 0"
+    )
 
 
 def test_gang_holds_gpus_through_sync_tail():

@@ -83,6 +83,54 @@ class TestAcceptanceSweep:
             ) < 1e-6
 
 
+class TestScheduleMatchesRecords:
+    """``attribute_schedule`` on the committed plan reproduces the
+    recorded report byte for byte, given the kernel's retractions and
+    re-plan count: both read the same round spans."""
+
+    @pytest.mark.parametrize("name", sorted(available()))
+    def test_flat_clean_and_crashed(self, name):
+        for crashes in (None, ((5.0, 1),)):
+            r = _streaming(name, crashes=crashes)
+            from_schedule = attribute_schedule(
+                r.plan,
+                retracts=[(x.time, x.job) for x in r.kernel.retractions],
+                replans=r.kernel.replans,
+            )
+            assert json.dumps(
+                from_schedule.to_json(), sort_keys=True
+            ) == json.dumps(r.attribution().to_json(), sort_keys=True), (
+                name, crashes,
+            )
+
+
+class TestShardedCrash:
+    """A sharded run carries its cells' crashes into the merged result
+    and the record stream, on global job and GPU ids."""
+
+    def test_retractions_reach_the_report(self):
+        r = api.run_experiment(
+            gpus=8, jobs=16, seed=7, rounds_scale=0.1,
+            scheduler="hare_online", crashes=((5.0, 1),),
+            replan_interval=2, cells=2, record=True, trace=False,
+            simulate=False,
+        )
+        kernel = r.kernel
+        assert kernel.retractions
+        assert len(kernel.retractions) == sum(
+            1 for rec in r.obs.recorder.records()
+            if rec.name == "kernel.retract"
+        )
+        cell = kernel.partition.cell_of(1)
+        for x in kernel.retractions:
+            assert x.gpu == 1
+            assert kernel.admission_plan.assignment[x.job] == cell
+        report = r.attribution()
+        _assert_sound(report, jobs=16)
+        assert report.retractions == len(kernel.retractions)
+        assert report.totals["fault_recovery"] > 0.0
+
+
 class TestChaosAttribution:
     """A recorded chaos run is attributable: its one kernel run carries
     ``kernel.round`` and ``kernel.retract`` to the recorder."""

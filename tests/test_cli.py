@@ -98,6 +98,21 @@ class TestAnalysisCommands:
         assert out.exists()
         assert "diagnosis OK" in text
 
+    def test_record_passes_cell_options(self, tmp_path, capsys):
+        from repro.obs import load_flight_log
+
+        out = tmp_path / "flight.jsonl"
+        rc = main(
+            ["record", "--jobs", "4", "--gpus", "8", "--seed", "3",
+             "--rounds-scale", "0.1", "--cells", "2", "--out", str(out)]
+        )
+        capsys.readouterr()
+        assert rc == 0
+        admits = [
+            r for r in load_flight_log(out) if r.name == "cells.admit"
+        ]
+        assert len(admits) == 4
+
     def test_replay_filters_and_monitors(self, tmp_path, capsys):
         log = tmp_path / "flight.jsonl"
         main(["record", *self.WORKLOAD, "--out", str(log)])
