@@ -90,17 +90,19 @@ class ExperimentSpec:
 
     Bundles every experiment parameter into one frozen value: hashable,
     comparable, and checked for cross-field consistency at construction
-    (not halfway into a run) — ``heal`` needs ``cells=1``, and
-    ``arrivals`` must name a known mode. ``arrivals`` is recorded in the
+    (not halfway into a run) — ``heal`` needs ``cells=1``,
+    ``arrivals`` must name a known mode, and each crash needs a time
+    >= 0 and a GPU the cluster has. ``arrivals`` is recorded in the
     config but selects nothing: every run goes through the kernel.
     Mutable inputs (``workload``, ``crashes``) are normalized to tuples
     so a spec never aliases caller state.
 
     :func:`run_experiment` and :func:`compare` accept a spec positionally
     or build one from its fields as keyword arguments;
-    :func:`repro.sweep.sweep` and the CLI construct specs too, so every
-    entry point funnels through the same validation. :meth:`to_dict` is
-    the manifest's ``config`` block and :meth:`from_dict` reads one back.
+    :func:`repro.sweep.sweep` and the CLI (``cli._spec``) construct
+    specs too, so every entry point funnels through the same
+    validation. :meth:`to_dict` is the manifest's ``config`` block and
+    :meth:`from_dict` reads one back.
     """
 
     gpus: int = 15
@@ -165,6 +167,16 @@ class ExperimentSpec:
                 "crashes",
                 tuple((float(t), int(g)) for t, g in self.crashes),
             )
+        num_gpus = (
+            self.cluster.num_gpus if self.cluster is not None else self.gpus
+        )
+        for time, gpu in self.crashes or ():
+            if time < 0 or not 0 <= gpu < num_gpus:
+                raise ValueError(
+                    f"crash {time:g}:{gpu} is outside the run: a crash "
+                    f"needs a time >= 0 and a GPU in 0..{num_gpus - 1} "
+                    f"of the {num_gpus}-GPU cluster"
+                )
 
     def to_dict(self) -> dict:
         """The manifest ``config`` block: resolved, JSON-ready scalars.

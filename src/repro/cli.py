@@ -51,12 +51,29 @@ which component a regression came from. Works on a fresh run, on a
 recorded flight log (``--flight-log``), or on two saved
 ``repro.attrib/1`` reports; exits non-zero if the components fail the
 sum-to-JCT invariant.
+
+Flag groups. Each verb offers only the flags it honours:
+
+* workload flags (``--gpus --jobs --load --seed --rounds-scale
+  --trace CSV --save-trace``) — every verb that runs a workload:
+  ``compare``, ``schedule``, ``trace``, ``record``, ``explain``,
+  ``heal`` and ``chaos``;
+* run flags (``--arrivals --cells --cell-strategy --admission``) —
+  ``compare``, ``schedule``, ``trace``, ``explain`` and ``record``;
+* ``--simulate`` — ``compare`` and ``schedule``; the other verbs fix it.
+
+The six spec-driven verbs (all but ``chaos``) build their run in one
+place, :func:`_spec`, and hand the :class:`~repro.api.ExperimentSpec`
+to :func:`repro.api.run_experiment` or :func:`repro.api.compare`. An
+unknown ``--scheduler`` or a spec the guard refuses exits 2 from
+:func:`main`.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import Sequence
 
 from . import api
@@ -66,7 +83,7 @@ from .core import improvement_percent
 from .core.types import ModelName, SwitchMode
 from .harness import render_table
 from .harness.experiments import make_loaded_workload
-from .schedulers import create as create_scheduler
+from .schedulers import UnknownSchedulerError, create as create_scheduler
 from .switching import switch_time_table
 from .workload import WorkloadConfig, batch_time, speedup_table
 
@@ -78,10 +95,10 @@ def _cluster(args: argparse.Namespace):
 
 
 def _workload(args: argparse.Namespace):
-    if getattr(args, "trace", None):
+    if args.trace_csv:
         from .workload import load_jobs_csv
 
-        return load_jobs_csv(args.trace)
+        return load_jobs_csv(args.trace_csv)
     jobs = make_loaded_workload(
         args.jobs,
         reference_gpus=args.gpus,
@@ -89,7 +106,7 @@ def _workload(args: argparse.Namespace):
         seed=args.seed,
         config=WorkloadConfig(rounds_scale=args.rounds_scale),
     )
-    if getattr(args, "save_trace", None):
+    if args.save_trace:
         from .workload import save_jobs_csv
 
         save_jobs_csv(jobs, args.save_trace)
@@ -103,13 +120,52 @@ def _wants_artifacts(args: argparse.Namespace) -> bool:
     )
 
 
+class _Refused(Exception):
+    """A run refused before it starts; :func:`main` prints it, exit 2."""
+
+
+#: ExperimentSpec fields a verb's parser may define under the same name.
+_SPEC_FLAGS = (
+    "seed", "load", "rounds_scale", "simulate", "arrivals", "cells",
+    "cell_strategy", "admission", "replan_interval",
+)
+
+
+def _spec(args: argparse.Namespace, **fixed) -> api.ExperimentSpec:
+    """The run a verb's flags describe: the one place CLI flags become an
+    :class:`~repro.api.ExperimentSpec`.
+
+    Reads every spec field the verb's parser defines, plus ``--crash``
+    as ``crashes`` and ``--scheduler`` (built through the registry, so
+    the manifest names the scheme); *fixed* holds the verb's own
+    settings and wins over its flags.
+    """
+    flags = vars(args)
+    values = {name: flags[name] for name in _SPEC_FLAGS if name in flags}
+    values["trace"] = _wants_artifacts(args)
+    # The trace's events come from the DES, so --trace-out implies replay.
+    if flags.get("trace_out"):
+        values["simulate"] = True
+    if flags.get("crash"):
+        values["crashes"] = flags["crash"]
+    values["cluster"] = _cluster(args)
+    values["workload"] = _workload(args)
+    # compare and ``trace --scheduler all`` run the default schemes.
+    if flags.get("scheduler", "all") != "all":
+        values["scheduler"] = create_scheduler(args.scheduler)
+    try:
+        return api.ExperimentSpec(**{**values, **fixed})
+    except ValueError as exc:
+        raise _Refused(exc) from exc
+
+
 def _write_artifacts(args: argparse.Namespace, result) -> None:
     """Export ``--trace-out`` / ``--manifest-out`` for an api result."""
     trace_path = None
-    if getattr(args, "trace_out", None):
+    if args.trace_out:
         trace_path = result.write_trace(args.trace_out)
         print(f"trace written to {trace_path}", file=sys.stderr)
-    if getattr(args, "manifest_out", None):
+    if args.manifest_out:
         manifest = result.write_manifest(
             args.manifest_out,
             trace_path=str(trace_path) if trace_path else None,
@@ -118,23 +174,8 @@ def _write_artifacts(args: argparse.Namespace, result) -> None:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    cluster = _cluster(args)
-    jobs = _workload(args)
-    # The trace's events come from the DES, so --trace-out implies replay.
-    simulate = args.simulate or bool(getattr(args, "trace_out", None))
-    comparison = api.compare(
-        cluster=cluster,
-        workload=jobs,
-        seed=args.seed,
-        load=args.load,
-        rounds_scale=args.rounds_scale,
-        simulate=simulate,
-        trace=_wants_artifacts(args),
-        arrivals=getattr(args, "arrivals", "planned"),
-        cells=getattr(args, "cells", 1),
-        cell_strategy=getattr(args, "cell_strategy", "balanced"),
-        admission=getattr(args, "admission", "throughput"),
-    )
+    spec = _spec(args)
+    comparison = api.compare(spec)
     results = comparison.results
     hare = results["Hare"].metrics.total_weighted_flow
     rows = []
@@ -154,9 +195,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
              "Hare reduction %"],
             rows,
             title=(
-                f"{args.jobs} jobs on {cluster.num_gpus} GPUs "
+                f"{args.jobs} jobs on {spec.cluster.num_gpus} GPUs "
                 f"(load {args.load}, seed {args.seed}"
-                f"{', DES replay' if simulate else ''})"
+                f"{', DES replay' if spec.simulate else ''})"
             ),
             float_fmt="{:.1f}",
         )
@@ -166,28 +207,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_schedule(args: argparse.Namespace) -> int:
-    cluster = _cluster(args)
-    jobs = _workload(args)
-    try:
-        scheduler = create_scheduler(args.scheduler)
-    except KeyError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    simulate = args.simulate or bool(getattr(args, "trace_out", None))
-    r = api.run_experiment(
-        cluster=cluster,
-        workload=jobs,
-        scheduler=scheduler,
-        seed=args.seed,
-        load=args.load,
-        rounds_scale=args.rounds_scale,
-        simulate=simulate,
-        trace=_wants_artifacts(args),
-        arrivals=getattr(args, "arrivals", "planned"),
-        cells=getattr(args, "cells", 1),
-        cell_strategy=getattr(args, "cell_strategy", "balanced"),
-        admission=getattr(args, "admission", "throughput"),
-    )
+    spec = _spec(args)
+    r = api.run_experiment(spec)
     m = r.metrics
     rows = [
         ["weighted JCT (Σ w·(C−a))", m.total_weighted_flow],
@@ -206,7 +227,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         render_table(
             ["metric", "value"],
             rows,
-            title=f"{scheduler.name} on {cluster.num_gpus} GPUs, "
+            title=f"{r.scheduler} on {r.cluster.num_gpus} GPUs, "
             f"{args.jobs} jobs",
             float_fmt="{:.3f}",
         )
@@ -215,11 +236,15 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_crash(spec: str):
-    from .faults import GpuCrash
-
-    time, gpu = spec.split(":")
-    return GpuCrash(time=float(time), gpu_id=int(gpu))
+def _crash(text: str) -> tuple[float, int]:
+    """``--crash TIME:GPU`` as a ``(time, gpu)`` pair."""
+    try:
+        time, gpu = text.split(":")
+        return float(time), int(gpu)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected TIME:GPU, got {text!r}"
+        ) from None
 
 
 def _parse_slowdown(spec: str):
@@ -243,19 +268,15 @@ def _parse_partition(spec: str):
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     from .control import ControlPlane
-    from .faults import FaultScenario, HeartbeatConfig, RpcFlakiness
+    from .faults import FaultScenario, GpuCrash, HeartbeatConfig, RpcFlakiness
     from .obs import Obs, use
 
     cluster = _cluster(args)
     jobs = _workload(args)
-    try:
-        scheduler = create_scheduler(args.scheduler)
-    except KeyError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    scheduler = create_scheduler(args.scheduler)
     try:
         scenario = FaultScenario(
-            crashes=tuple(_parse_crash(s) for s in args.crash),
+            crashes=tuple(GpuCrash(time=t, gpu_id=g) for t, g in args.crash),
             slowdowns=tuple(_parse_slowdown(s) for s in args.slowdown),
             flakiness=(
                 RpcFlakiness(drop_rate=args.drop_rate, seed=args.drop_seed)
@@ -276,8 +297,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     plane.submit(jobs)
     from contextlib import nullcontext
 
-    monitors_on = bool(getattr(args, "monitors", False))
-    heal_on = bool(getattr(args, "heal", False))
+    monitors_on = args.monitors
+    heal_on = args.heal
     engine = None
     obs = None
     if heal_on:
@@ -365,7 +386,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                     "jobs": len(jobs),
                     "scheduler": args.scheduler,
                     "seed": args.seed,
-                    "crashes": args.crash,
+                    "crashes": [list(c) for c in args.crash],
                     "drop_rate": args.drop_rate,
                 },
                 seed=args.seed,
@@ -400,34 +421,9 @@ def _print_report(report, *, limit: int = 20) -> None:
 def cmd_heal(args: argparse.Namespace) -> int:
     """Run a streaming experiment twice — healing off, then on — and
     show what the remediation engine changed."""
-    cluster = _cluster(args)
-    jobs = _workload(args)
-    try:
-        scheduler = create_scheduler(args.scheduler)
-    except KeyError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    crashes = None
-    if args.crash:
-        crashes = []
-        for spec in args.crash:
-            time, gpu = spec.split(":")
-            crashes.append((float(time), int(gpu)))
-    common = dict(
-        cluster=cluster,
-        workload=jobs,
-        scheduler=scheduler,
-        seed=args.seed,
-        load=args.load,
-        rounds_scale=args.rounds_scale,
-        simulate=False,
-        trace=False,
-        arrivals="streaming",
-        replan_interval=args.replan_interval,
-        crashes=crashes,
-    )
-    base = api.run_experiment(**common)
-    healed = api.run_experiment(**common, heal=True)
+    spec = _spec(args, simulate=False, arrivals="streaming")
+    base = api.run_experiment(spec)
+    healed = api.run_experiment(replace(spec, heal=True))
     log = healed.remediation
     assert log is not None and base.kernel is not None
     assert healed.kernel is not None
@@ -449,8 +445,8 @@ def cmd_heal(args: argparse.Namespace) -> int:
             ["metric", "no heal -> heal"],
             rows,
             title=(
-                f"heal: {scheduler.name}, {len(jobs)} jobs on "
-                f"{cluster.num_gpus} GPUs, replan interval "
+                f"heal: {healed.scheduler}, {len(spec.workload)} jobs on "
+                f"{spec.cluster.num_gpus} GPUs, replan interval "
                 f"{args.replan_interval}s"
             ),
         )
@@ -616,40 +612,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
             )
             return 2
     else:
-        cluster = _cluster(args)
-        jobs = _workload(args)
-        try:
-            scheduler = create_scheduler(args.scheduler)
-        except KeyError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        crashes = None
-        if args.crash:
-            crashes = []
-            for spec in args.crash:
-                time, gpu = spec.split(":")
-                crashes.append((float(time), int(gpu)))
-        try:
-            r = api.run_experiment(
-                cluster=cluster,
-                workload=jobs,
-                scheduler=scheduler,
-                seed=args.seed,
-                load=args.load,
-                rounds_scale=args.rounds_scale,
-                simulate=False,
-                trace=False,
-                arrivals=args.arrivals,
-                record=True,
-                crashes=crashes,
-                replan_interval=args.replan_interval,
-                cells=getattr(args, "cells", 1),
-                cell_strategy=getattr(args, "cell_strategy", "balanced"),
-                admission=getattr(args, "admission", "throughput"),
-            )
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
+        r = api.run_experiment(_spec(args, simulate=False, record=True))
         report = r.attribution()
     problems = report.check()
     _print_attribution(report, top=args.top)
@@ -665,28 +628,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 def cmd_record(args: argparse.Namespace) -> int:
     """Run one scheduler with the flight recorder + monitors attached."""
-    cluster = _cluster(args)
-    jobs = _workload(args)
-    try:
-        scheduler = create_scheduler(args.scheduler)
-    except KeyError as exc:
-        print(exc, file=sys.stderr)
-        return 2
     r = api.run_experiment(
-        cluster=cluster,
-        workload=jobs,
-        scheduler=scheduler,
-        seed=args.seed,
-        load=args.load,
-        rounds_scale=args.rounds_scale,
-        simulate=True,
-        trace=False,
-        arrivals=getattr(args, "arrivals", "planned"),
-        record=True,
-        monitors=not args.no_monitors,
-        cells=getattr(args, "cells", 1),
-        cell_strategy=getattr(args, "cell_strategy", "balanced"),
-        admission=getattr(args, "admission", "throughput"),
+        _spec(args, simulate=True, record=True, monitors=not args.no_monitors)
     )
     recorder = r.obs.recorder
     path = r.write_flight_log(args.out)
@@ -694,7 +637,7 @@ def cmd_record(args: argparse.Namespace) -> int:
     print(
         f"recorded {recorder.seen} events "
         f"({recorder.dropped} dropped) from {r.scheduler} on "
-        f"{cluster.num_gpus} GPUs, {len(jobs)} jobs"
+        f"{r.cluster.num_gpus} GPUs, {r.instance.num_jobs} jobs"
     )
     print(
         f"compute spans: {compute['count']} "
@@ -877,41 +820,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     """Export a Perfetto trace + run manifest for one run (or a compare)."""
-    cluster = _cluster(args)
-    jobs = _workload(args)
+    spec = _spec(args, simulate=True, trace=True)
     if args.scheduler == "all":
-        result = api.compare(
-            cluster=cluster,
-            workload=jobs,
-            seed=args.seed,
-            load=args.load,
-            rounds_scale=args.rounds_scale,
-            simulate=True,
-            trace=True,
-        )
+        result = api.compare(spec)
         label = ", ".join(result.names)
     else:
-        try:
-            scheduler = create_scheduler(args.scheduler)
-        except KeyError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        result = api.run_experiment(
-            cluster=cluster,
-            workload=jobs,
-            scheduler=scheduler,
-            seed=args.seed,
-            load=args.load,
-            rounds_scale=args.rounds_scale,
-            simulate=True,
-            trace=True,
-        )
+        result = api.run_experiment(spec)
         label = result.scheduler
     trace_path = result.write_trace(args.out)
     manifest_path = result.write_manifest(
         args.manifest, trace_path=str(trace_path)
     )
-    print(f"traced {label}: {len(jobs)} jobs on {cluster.num_gpus} GPUs")
+    print(
+        f"traced {label}: {len(spec.workload)} jobs on "
+        f"{spec.cluster.num_gpus} GPUs"
+    )
     print(f"trace:    {trace_path}  (open in ui.perfetto.dev)")
     print(f"manifest: {manifest_path}")
     return 0
@@ -976,8 +899,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--rounds-scale", type=float, default=0.15,
                        help="multiplier on per-job round counts")
-        p.add_argument("--simulate", action="store_true",
-                       help="replay the plan on the DES with switch costs")
+        p.add_argument("--trace", metavar="CSV", dest="trace_csv",
+                       help="load the workload from a trace CSV instead of "
+                            "generating one")
+        p.add_argument("--save-trace", metavar="CSV",
+                       help="write the generated workload to a trace CSV")
+
+    def add_run_args(
+        p: argparse.ArgumentParser, *, simulate: bool = False
+    ) -> None:
+        if simulate:
+            p.add_argument("--simulate", action="store_true",
+                           help="replay the plan on the DES with switch "
+                                "costs")
         p.add_argument("--arrivals", choices=("planned", "streaming"),
                        default="planned",
                        help="arrival setting recorded in the run's "
@@ -992,11 +926,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--admission", choices=ADMISSION_POLICIES,
                        default="throughput",
                        help="global job-to-cell admission policy")
-        p.add_argument("--trace", metavar="CSV",
-                       help="load the workload from a trace CSV instead of "
-                            "generating one")
-        p.add_argument("--save-trace", metavar="CSV",
-                       help="write the generated workload to a trace CSV")
+
+    def add_crash_arg(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--crash", action="append", default=[], type=_crash,
+                       metavar="TIME:GPU",
+                       help="permanent GPU crash (repeatable)")
 
     def add_artifact_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--trace-out", metavar="JSON",
@@ -1007,11 +941,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_compare = sub.add_parser("compare", help="run all five schedulers")
     add_workload_args(p_compare)
+    add_run_args(p_compare, simulate=True)
     add_artifact_args(p_compare)
     p_compare.set_defaults(func=cmd_compare)
 
     p_sched = sub.add_parser("schedule", help="run one scheduler")
     add_workload_args(p_sched)
+    add_run_args(p_sched, simulate=True)
     add_artifact_args(p_sched)
     p_sched.add_argument("--scheduler", default="hare",
                          help="hare | gavel_fifo | srtf | sched_homo | sched_allox")
@@ -1049,6 +985,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run on the DES and export a Perfetto trace + run manifest",
     )
     add_workload_args(p_trace)
+    add_run_args(p_trace)
     p_trace.add_argument("--scheduler", default="hare",
                          help="a registry key, or 'all' for the full "
                               "five-scheme comparison")
@@ -1065,9 +1002,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_workload_args(p_chaos)
     add_artifact_args(p_chaos)
     p_chaos.add_argument("--scheduler", default="hare")
-    p_chaos.add_argument("--crash", action="append", default=[],
-                         metavar="TIME:GPU",
-                         help="permanent GPU crash (repeatable)")
+    add_crash_arg(p_chaos)
     p_chaos.add_argument("--slowdown", action="append", default=[],
                          metavar="GPU:START:DURATION:FACTOR",
                          help="transient straggler window (repeatable)")
@@ -1104,10 +1039,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="periodic REPLAN_TIMER period (s); small "
                              "values provoke a replan storm for the "
                              "engine to throttle")
-    p_heal.add_argument("--crash", action="append", default=[],
-                        metavar="TIME:GPU",
-                        help="permanent GPU crash fed to the kernel "
-                             "(repeatable)")
+    add_crash_arg(p_heal)
     p_heal.add_argument("--out", metavar="JSON",
                         help="write the repro.remediation/1 log here")
     p_heal.set_defaults(func=cmd_heal)
@@ -1119,12 +1051,10 @@ def build_parser() -> argparse.ArgumentParser:
              "two saved attributions",
     )
     add_workload_args(p_explain)
+    add_run_args(p_explain)
     p_explain.add_argument("--scheduler", default="hare_online",
                            help="registry key (default: hare_online)")
-    p_explain.add_argument("--crash", action="append", default=[],
-                           metavar="TIME:GPU",
-                           help="permanent GPU crash fed to the kernel "
-                                "(repeatable)")
+    add_crash_arg(p_explain)
     p_explain.add_argument("--replan-interval", type=float, default=None,
                            help="periodic REPLAN_TIMER period (s)")
     p_explain.add_argument("--flight-log", metavar="JSONL",
@@ -1147,6 +1077,7 @@ def build_parser() -> argparse.ArgumentParser:
              "and dump the JSONL flight log",
     )
     add_workload_args(p_record)
+    add_run_args(p_record)
     p_record.add_argument("--scheduler", default="hare")
     p_record.add_argument("--out", default="flight.jsonl", metavar="JSONL",
                           help="flight-log output path")
@@ -1206,7 +1137,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (UnknownSchedulerError, _Refused) as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -12,8 +12,8 @@ One import point for the four pieces the rest of the package emits into:
 * :mod:`~repro.obs.manifest` — the ``run.json`` artifact every traced run
   leaves behind.
 
-On top of that substrate sits the continuous-observability stack
-(:mod:`~repro.obs.analysis` is its facade):
+On top of that substrate sits the continuous-observability stack,
+exported from here too:
 
 * :mod:`~repro.obs.recorder` — the flight recorder: a bounded-ring,
   spill-to-JSONL structured event log subscribed to the tracer;

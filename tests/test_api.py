@@ -382,6 +382,28 @@ class TestExperimentSpec:
             ExperimentSpec(heal=True, cells=2)
 
     @pytest.mark.parametrize(
+        "crash", [(5.0, 99), (5.0, 4), (5.0, -1), (-1.0, 1)],
+        ids=["gpu99", "gpu-past-end", "gpu-negative", "negative-time"],
+    )
+    def test_crash_outside_the_run_rejected(self, crash):
+        """A crash on a GPU the cluster lacks was silently dropped, and a
+        negative crash time failed deep in the kernel."""
+        from repro.api import ExperimentSpec
+        from repro.cluster import scaled_cluster
+
+        time, gpu = crash
+        match = rf"crash {time:g}:{gpu} .*4-GPU cluster"
+        with pytest.raises(ValueError, match=match):
+            run_experiment(
+                scheduler="hare", crashes=(crash,), simulate=False,
+                trace=False, **SMALL,
+            )
+        # an explicit cluster's size wins over ``gpus``
+        with pytest.raises(ValueError, match=match):
+            ExperimentSpec(cluster=scaled_cluster(4), crashes=[crash])
+        ExperimentSpec(cluster=scaled_cluster(8), gpus=4, crashes=[(5.0, 4)])
+
+    @pytest.mark.parametrize(
         "extra", [{"cells": 2}, {"heal": True}], ids=["cells2", "heal"]
     )
     def test_planned_runs_take_kernel_options(self, extra):

@@ -377,3 +377,174 @@ class TestExplainCommand:
     def test_explain_unknown_scheduler_exits_2(self, capsys):
         rc = main(["explain", *self.WORKLOAD, "--scheduler", "mystery"])
         assert rc == 2
+
+
+class _Captured(Exception):
+    """Raised by the patched run entry points once they hold the spec."""
+
+
+def _capture_specs(monkeypatch):
+    """Patch ``api.run_experiment``/``api.compare`` to record the spec a
+    verb builds and stop before running it."""
+    from repro import api
+
+    specs = []
+
+    def capture(spec=None, /, *, schedulers=None, **kwargs):
+        specs.append(spec or api.ExperimentSpec(**kwargs))
+        raise _Captured
+
+    monkeypatch.setattr(api, "run_experiment", capture)
+    monkeypatch.setattr(api, "compare", capture)
+    return specs
+
+
+#: Every run flag, a non-default value, and the spec field it must set.
+RUN_FLAGS = {
+    "--gpus": (["--gpus", "6"], lambda s: s.cluster.num_gpus, 6),
+    "--jobs": (["--jobs", "3"], lambda s: len(s.workload), 3),
+    "--seed": (["--seed", "5"], lambda s: s.seed, 5),
+    "--load": (["--load", "2.5"], lambda s: s.load, 2.5),
+    "--rounds-scale": (["--rounds-scale", "0.07"],
+                       lambda s: s.rounds_scale, 0.07),
+    "--simulate": (["--simulate"], lambda s: s.simulate, True),
+    "--arrivals": (["--arrivals", "streaming"],
+                   lambda s: s.arrivals, "streaming"),
+    "--cells": (["--cells", "2"], lambda s: s.cells, 2),
+    "--cell-strategy": (["--cell-strategy", "gpu_type"],
+                        lambda s: s.cell_strategy, "gpu_type"),
+    "--admission": (["--admission", "least_loaded"],
+                    lambda s: s.admission, "least_loaded"),
+    "--replan-interval": (["--replan-interval", "3"],
+                          lambda s: s.replan_interval, 3.0),
+    "--crash": (["--crash", "1:2"], lambda s: s.crashes, ((1.0, 2),)),
+    "--scheduler": (["--scheduler", "srtf"],
+                    lambda s: s.scheduler.name, "SRTF"),
+}
+
+WORKLOAD_FLAGS = ("--gpus", "--jobs", "--seed", "--load", "--rounds-scale")
+CELL_FLAGS = ("--arrivals", "--cells", "--cell-strategy", "--admission")
+
+#: Each run verb, the run flags it offers, and the settings it fixes.
+RUN_VERBS = {
+    "compare": (
+        (*WORKLOAD_FLAGS, "--simulate", *CELL_FLAGS), {"trace": False},
+    ),
+    "schedule": (
+        (*WORKLOAD_FLAGS, "--simulate", *CELL_FLAGS, "--scheduler"),
+        {"trace": False},
+    ),
+    "trace": (
+        (*WORKLOAD_FLAGS, *CELL_FLAGS, "--scheduler"),
+        {"simulate": True, "trace": True},
+    ),
+    "record": (
+        (*WORKLOAD_FLAGS, *CELL_FLAGS, "--scheduler"),
+        {"simulate": True, "record": True, "monitors": True,
+         "trace": False},
+    ),
+    "explain": (
+        (*WORKLOAD_FLAGS, *CELL_FLAGS, "--scheduler", "--replan-interval",
+         "--crash"),
+        {"simulate": False, "record": True, "trace": False},
+    ),
+    "heal": (
+        (*WORKLOAD_FLAGS, "--scheduler", "--replan-interval", "--crash"),
+        {"simulate": False, "arrivals": "streaming", "trace": False},
+    ),
+}
+
+
+class TestSpecBuilder:
+    """Every run verb turns each run flag it offers into the spec."""
+
+    @pytest.mark.parametrize("verb", sorted(RUN_VERBS))
+    def test_every_offered_flag_reaches_the_spec(
+        self, verb, monkeypatch, tmp_path
+    ):
+        specs = _capture_specs(monkeypatch)
+        offered, fixed = RUN_VERBS[verb]
+        argv = [verb]
+        for flag in offered:
+            argv += RUN_FLAGS[flag][0]
+        if verb == "trace":
+            argv += ["--out", str(tmp_path / "t.json"),
+                     "--manifest", str(tmp_path / "run.json")]
+        with pytest.raises(_Captured):
+            main(argv)
+        (spec,) = specs
+        for flag in offered:
+            _, read, want = RUN_FLAGS[flag]
+            assert read(spec) == want, flag
+        for field, want in fixed.items():
+            assert getattr(spec, field) == want, field
+
+    def test_trace_all_compares_with_the_run_flags(
+        self, monkeypatch, tmp_path
+    ):
+        specs = _capture_specs(monkeypatch)
+        with pytest.raises(_Captured):
+            main(["trace", "--scheduler", "all", "--jobs", "3",
+                  "--cells", "2", "--arrivals", "streaming",
+                  "--out", str(tmp_path / "t.json")])
+        (spec,) = specs
+        assert (spec.cells, spec.arrivals, spec.simulate, spec.trace) == (
+            2, "streaming", True, True
+        )
+
+    def test_trace_manifest_records_its_run_flags(self, tmp_path, capsys):
+        from repro.obs import read_manifest
+
+        manifest = tmp_path / "run.json"
+        rc = main(
+            ["trace", "--gpus", "8", "--jobs", "6", "--rounds-scale",
+             "0.05", "--cells", "2", "--arrivals", "streaming",
+             "--out", str(tmp_path / "t.json"),
+             "--manifest", str(manifest)]
+        )
+        capsys.readouterr()
+        assert rc == 0
+        config = read_manifest(manifest)["config"]
+        assert config["cells"] == 2
+        assert config["arrivals"] == "streaming"
+
+    @pytest.mark.parametrize(
+        "verb, flag",
+        [
+            pytest.param(verb, flag, id=f"{verb}{flag[0]}")
+            for verb, flag in (
+                ("trace", ["--simulate"]),
+                ("explain", ["--simulate"]),
+                ("record", ["--simulate"]),
+                *(
+                    (verb, flag)
+                    for verb in ("heal", "chaos")
+                    for flag in (
+                        ["--simulate"], ["--arrivals", "streaming"],
+                        ["--cells", "2"], ["--cell-strategy", "gpu_type"],
+                        ["--admission", "least_loaded"],
+                    )
+                ),
+            )
+        ],
+    )
+    def test_flags_a_verb_ignores_are_usage_errors(self, verb, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--jobs", "2", "--gpus", "4", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["chaos", "heal", "explain"])
+    @pytest.mark.parametrize("crash", ["5", "5:x", "a:1", "1:2:3"])
+    def test_malformed_crash_is_a_usage_error(self, verb, crash, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--jobs", "2", "--gpus", "4", "--crash", crash])
+        assert exc.value.code == 2
+        assert "expected TIME:GPU" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("crash", ["5:99", "-1:1"])
+    def test_crash_outside_the_cluster_exits_2(self, crash, capsys):
+        rc = main(["explain", "--jobs", "2", "--gpus", "4",
+                   "--rounds-scale", "0.05", f"--crash={crash}"])
+        assert rc == 2
+        assert "4-GPU cluster" in capsys.readouterr().err
