@@ -293,6 +293,21 @@ class ScheduleColumns:
             raise KeyError(self._canonical_task(int(rows.argmin())))
         return rows
 
+    def rows_of(self, tasks: Iterable[TaskRef]) -> list[int]:
+        """The row holding each of *tasks* (-1: the view lacks it)."""
+        by_canon = self._rows_by_canon().tolist()
+        rounds, scale = self._rounds.tolist(), self._scale.tolist()
+        off = self._off.tolist()
+        rows = []
+        for task in tasks:
+            j, r, s = task.job_id, task.round_idx, task.slot
+            known = 0 <= j < len(rounds) and 0 <= r < rounds[j]
+            if known and 0 <= s < scale[j]:
+                rows.append(by_canon[off[j] + r * scale[j] + s])
+            else:
+                rows.append(-1)
+        return rows
+
     def completions(self) -> dict[int, float]:
         """``C_n`` for every job: the max end over its final round.
 

@@ -148,7 +148,9 @@ class MetricsRegistry:
     times, so the timeline — like the trace — is byte-stable across runs.
     :meth:`extend_samples` appends a whole curve at once, for code that
     computes the values an instrument took instead of stepping through
-    them (the array kernel's plan replay). :class:`NullRegistry` drops
+    them (the array kernel's plan replay); :meth:`extend_timeline`
+    appends curves that interleave (the DES replay's busy GPUs and
+    completed tasks). :class:`NullRegistry` drops
     it like every other write; appending to ``_samples`` directly would
     fill the one shared disabled registry on every untraced run.
     """
@@ -219,6 +221,15 @@ class MetricsRegistry:
             zip(map(float, times), repeat(name), map(float, values))
         )
 
+    def extend_timeline(
+        self, samples: Iterable[tuple[float, str, float]]
+    ) -> None:
+        """Append ``(time, name, value)`` float triples, in order, as if
+        :meth:`sample` had captured each in turn; instruments of several
+        names may interleave. As with :meth:`extend_samples` the caller
+        sets each instrument's final value itself."""
+        self._samples.extend(samples)
+
     def timeline(self) -> dict[str, list[tuple[float, float]]]:
         """Sampled ``(time, value)`` curves keyed by instrument name."""
         out: dict[str, list[tuple[float, float]]] = {}
@@ -268,6 +279,9 @@ class NullRegistry(MetricsRegistry):
         pass
 
     def extend_samples(self, name, times, values) -> None:
+        pass
+
+    def extend_timeline(self, samples) -> None:
         pass
 
     def snapshot(self) -> dict[str, dict]:

@@ -2,8 +2,8 @@
 
 An executor is the passive state of one GPU; the loop in
 :mod:`repro.sim.simulator` decides when it starts, finishes and crashes.
-It holds the ordered task sequence the scheduler shipped (Fig. 9) with a
-head index, the attempt in flight, a
+It holds the ordered task sequence the scheduler shipped (Fig. 9), as
+plan row ids, with a head index, the attempt in flight, a
 :class:`~repro.switching.memory.GpuMemoryManager`, the previous job (which
 decides the switch cost), the restart window after a crash, the GPU's
 straggler windows and the cross-job switch costs already computed for its
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from ..cluster.gpu import GPUSpec
 from ..cluster.node import GPUDevice
-from ..core.schedule import TaskAssignment
 from ..switching.memory import GpuMemoryManager
 
 
@@ -27,16 +26,18 @@ class GpuExecutor:
     gpu_id: int
     node_id: int
     spec: GPUSpec
-    queue: list[TaskAssignment]
+    #: plan rows in the order the GPU runs them
+    queue: list[int]
     memory: GpuMemoryManager
     #: (start, end, factor) straggler windows on this GPU, in input order
     slowdowns: list[tuple[float, float, float]]
-    #: cross-job switch cost per (model, retained hit), shared by every
-    #: executor of the same device model
-    switch_costs: dict[tuple[str, bool], float]
+    #: cross-job switch cost per (model, retained hit), with the metric
+    #: writes computing it made; shared by every executor of the same
+    #: device model
+    switch_costs: dict[tuple[str, bool], tuple[float, tuple]]
     #: index of the next task to start; an abort steps it back
     head: int = 0
-    #: (assignment, start, switch, retained hit, train time) in flight
+    #: (row, start, switch, retained hit, train time) in flight
     running: tuple | None = None
     #: attempts started; stamps each compute completion so a crashed
     #: attempt's completion is recognised as stale
@@ -52,12 +53,13 @@ class GpuExecutor:
 
 def build_executors(
     devices: list[GPUDevice],
-    sequences: dict[int, list[TaskAssignment]],
+    sequences: dict[int, list[int]],
     *,
     retention_enabled: bool,
     slowdowns: list[tuple[float, float, int, float]] = (),
 ) -> list[GpuExecutor]:
-    """One executor per device, in device order, loaded with its sequence."""
+    """One executor per device, in device order, loaded with its
+    sequence of plan rows."""
     tables: dict[GPUSpec, dict] = {}
     windows: dict[int, list[tuple[float, float, float]]] = {}
     for start, end, gpu, factor in slowdowns:

@@ -21,21 +21,24 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from ..cluster.cluster import Cluster
+from ..cluster.gpu import GPUSpec
 from ..core.errors import ConfigurationError, SimulationError
 from ..core.job import ProblemInstance
 from ..core.metrics import ScheduleMetrics, metrics_from_completions
-from ..core.schedule import Schedule, TaskAssignment
+from ..core.schedule import Schedule, ScheduleColumns, TaskAssignment
 from ..core.types import SwitchMode, TaskRef
-from ..obs import Category, gpu_track, job_track
+from ..obs import Category, Obs, gpu_track, job_track, use
 from ..obs import current as obs_current
-from ..obs.metrics import NullRegistry
+from ..obs.metrics import MetricsRegistry, NullRegistry
 from ..switching.costmodel import SwitchCostModel
 from ..workload.models import spec_or_synthetic
 from .events import EventType
 from .executor import build_executors
 from .paramserver import ParameterServerPool
-from .telemetry import TaskRecord, Telemetry
+from .telemetry import Telemetry
 
 #: Heap priorities: at one timestamp sync completions commit first (they
 #: may open barriers), then compute completions, arrivals, checks, crashes.
@@ -43,6 +46,8 @@ SYNC, COMPUTE, ARRIVAL, CHECK, FAILURE = (int(t) for t in EventType)
 EVENT_NAMES = [t.name for t in EventType]
 #: Track every dispatched event appears under in exported traces.
 ENGINE_TRACK = "engine"
+#: The replay's sampled instruments.
+GPUS_BUSY, TASKS_COMPLETED = "sim.gpus_busy", "sim.tasks_completed"
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,58 +153,72 @@ class ClusterSimulator:
                 )
 
     # ------------------------------------------------------------------
+    def _jitter_factors(self, n: int) -> np.ndarray:
+        """``(n, 2)`` clipped-normal train/sync factors, one row per task
+        in ``(gpu, start, task)`` order."""
+        rng = np.random.default_rng(self.jitter_seed)
+        return np.clip(rng.normal(1.0, self.jitter_sigma, size=(n, 2)),
+                       0.5, 1.5)
+
     def _jitter(
         self, sequences: dict[int, list[TaskAssignment]]
     ) -> dict[int, list[TaskAssignment]]:
-        """Perturb each task's train/sync time by a clipped normal factor."""
-        import numpy as np
+        """Per-GPU assignment sequences with each task's train/sync time
+        perturbed by :meth:`_jitter_factors`: the object form of what
+        :meth:`run` does to the plan's columns."""
+        ordered = sorted(sequences.items())
+        factors = iter(
+            self._jitter_factors(sum(len(seq) for _, seq in ordered)).tolist()
+        )
+        return {
+            gpu: [
+                TaskAssignment(a.task, a.gpu, a.start, a.train_time * f_tc,
+                               a.sync_time * f_ts)
+                for a, (f_tc, f_ts) in zip(seq, factors)
+            ]
+            for gpu, seq in ordered
+        }
 
-        rng = np.random.default_rng(self.jitter_seed)
-        out: dict[int, list[TaskAssignment]] = {}
-        for gpu, seq in sorted(sequences.items()):
-            jittered = []
-            for a in seq:
-                f_tc, f_ts = np.clip(
-                    rng.normal(1.0, self.jitter_sigma, size=2), 0.5, 1.5
+    def _release_rows(self, cols: ScheduleColumns) -> dict[int, float]:
+        """The plan row of each released task → its release time."""
+        releases = self.releases
+        rows = cols.rows_of(releases)
+        for task, row in zip(releases, rows):
+            if row < 0:
+                raise ConfigurationError(
+                    f"release for {task}, which is not in the plan"
                 )
-                jittered.append(
-                    TaskAssignment(
-                        task=a.task,
-                        gpu=a.gpu,
-                        start=a.start,
-                        train_time=a.train_time * float(f_tc),
-                        sync_time=a.sync_time * float(f_ts),
-                    )
-                )
-            out[gpu] = jittered
-        return out
+        return dict(zip(rows, releases.values()))
 
     # ------------------------------------------------------------------
     def run(self, plan: Schedule) -> SimResult:
         """Replay *plan*: one event loop over plain ``(time, priority,
         seq, gpu, payload)`` heap entries (DESIGN §13).
 
-        An idle executor whose head cannot start is parked on what it
-        waits for: its job's arrival, the previous round's barrier, or
-        the ``held`` set (restart window or unshipped release). A scan —
-        an arrival or a barrier opening — tries only the executors it can
-        wake, in device order, which is exactly the set a scan of every
-        executor would start.
+        The plan is read as columns (:meth:`Schedule.columns`) and each
+        task is its plan row. An idle executor whose head cannot start
+        is parked on what it waits for: its job's arrival, the previous
+        round's barrier, or the ``held`` set (restart window or
+        unshipped release). A scan — an arrival or a barrier opening —
+        tries only the executors it can wake, in device order, which is
+        exactly the set a scan of every executor would start.
         """
         instance = self.instance
         jobs = instance.jobs
-        for task in self.releases:
-            if task not in plan:
-                raise ConfigurationError(
-                    f"release for {task}, which is not in the plan"
-                )
+        cols = plan.columns()
+        release_at = self._release_rows(cols) if self.releases else {}
+        if len(cols) and cols.canon.min() < 0:
+            row = cols.canon.argmin()
+            task = TaskRef(*map(int, (cols.job[row], cols.rnd[row],
+                                      cols.slot[row])))
+            raise ConfigurationError(f"plan task {task} is not in the "
+                                     f"instance")
         obs = obs_current()
         tracer = obs.tracer
         traced = tracer.enabled
         registry = obs.metrics
         sampled = not isinstance(registry, NullRegistry)
         pool = ParameterServerPool(instance)
-        releases = self.releases
         nic = self.nic_contention
 
         switch_model = self.switch_model or SwitchCostModel(
@@ -212,19 +231,45 @@ class ClusterSimulator:
             )
         hare = self.switch_mode is SwitchMode.HARE
         same_job_cost = switch_model.same_job_cost_s
-        sequences = plan.gpu_sequences()
+
+        # Columns in: each GPU's rows in (start, task) order, with the
+        # per-row values the loop reads as plain lists.
+        order = np.lexsort((cols.slot, cols.rnd, cols.job, cols.start,
+                            cols.gpu))
+        trains, syncs = cols.train, cols.sync
         if self.jitter_sigma > 0:
-            sequences = self._jitter(sequences)
+            factors = self._jitter_factors(len(cols))
+            trains, syncs = trains.copy(), syncs.copy()
+            trains[order] *= factors[:, 0]
+            syncs[order] *= factors[:, 1]
+        devices = list(self.cluster.devices())
+        gpu_ids = [d.gpu_id for d in devices]
+        by_gpu = cols.gpu[order]
+        first = np.searchsorted(by_gpu, gpu_ids, side="left").tolist()
+        last = np.searchsorted(by_gpu, gpu_ids, side="right").tolist()
+        order_list = order.tolist()
         executors = build_executors(
-            list(self.cluster.devices()),
-            sequences,
+            devices,
+            {m: order_list[a:b] for m, a, b in zip(gpu_ids, first, last)},
             retention_enabled=(
                 hare if self.retention_enabled is None
                 else self.retention_enabled
             ),
             slowdowns=self.slowdowns,
         )
-        position = {ex.gpu_id: g for g, ex in enumerate(executors)}
+        position = {m: g for g, m in enumerate(gpu_ids)}
+        job_of = cols.job.tolist()
+        rnd_of = cols.rnd.tolist()
+        slot_of = cols.slot.tolist()
+        planned_of = cols.start.tolist()
+        train_of = trains.tolist()
+        sync_of = syncs.tolist()
+        canon_of = cols.canon.tolist()
+        #: the row's round id: barrier state is indexed by it
+        rid_of = (
+            np.asarray(pool.round_base[:-1], dtype=np.int64)[cols.job]
+            + cols.rnd
+        ).tolist()
 
         # Per-job constants, hoisted out of the per-task path.
         specs = [spec_or_synthetic(job.model) for job in jobs]
@@ -232,10 +277,12 @@ class ClusterSimulator:
         working = [spec.training_memory_bytes() for spec in specs]
         retain = [spec.model_bytes if hare else 0.0 for spec in specs]
         arrival = [job.arrival for job in jobs]
+        scale = [job.sync_scale for job in jobs]
         #: barriers open in round order, so round r - 1 is open iff
         #: r <= rounds_open[job]
         rounds_open = [0] * len(jobs)
         syncs_in_flight = {node.node_id: 0 for node in self.cluster.nodes}
+        done, barrier, synced = pool.done, pool.barrier, pool.synced
 
         seq = itertools.count()
         heap = [
@@ -249,8 +296,8 @@ class ClusterSimulator:
             for time, gpu_id in self.failures
         ]
         heap += [
-            (time, CHECK, next(seq), position[plan[task].gpu], None)
-            for task, time in releases.items()
+            (time, CHECK, next(seq), position[int(cols.gpu[row])], None)
+            for row, time in release_at.items()
         ]
         heapq.heapify(heap)
         push, pop = heapq.heappush, heapq.heappop
@@ -258,12 +305,19 @@ class ClusterSimulator:
         # The wake index. Every executor is tried at the first scan.
         held = set(range(len(executors)))
         by_arrival: list[tuple[float, int]] = []
-        by_barrier: dict[tuple[int, int], list[int]] = {}
+        #: executors parked on a barrier, by the round id it closes
+        by_barrier: dict[int, list[int]] = {}
         wakeups = 0
-        busy = 0
-        #: completions in order: (assignment, start, switch, retained,
-        #: train time, sync time, gpu id)
-        rows: list[tuple] = []
+        busy = 0.0
+        #: (time, instrument, value) samples, in event order
+        samples: list[tuple[float, str, float]] = []
+        completed = (
+            registry.counter(TASKS_COMPLETED).value
+            if TASKS_COMPLETED in registry else 0.0
+        )
+        #: completions in order: (row, start, switch, retained, train
+        #: time, sync time, gpu id)
+        finished: list[tuple] = []
         wasted: list[float] = []
 
         def try_start(g: int, now: float) -> None:
@@ -272,18 +326,17 @@ class ClusterSimulator:
             ex = executors[g]
             if ex.running is not None or ex.head == len(ex.queue):
                 return  # busy or done: not parked
-            a = ex.queue[ex.head]
-            task = a.task
-            j = task.job_id
+            row = ex.queue[ex.head]
+            j = job_of[row]
             if arrival[j] > now + 1e-12:
                 push(by_arrival, (arrival[j], g))
                 return
-            r = task.round_idx
+            r = rnd_of[row]
             if r > rounds_open[j]:
-                by_barrier.setdefault((j, r - 1), []).append(g)
+                by_barrier.setdefault(rid_of[row] - 1, []).append(g)
                 return
             if now < ex.down_until or (
-                releases and releases.get(task, now) > now
+                release_at and release_at.get(row, now) > now
             ):
                 held.add(g)
                 return
@@ -297,18 +350,23 @@ class ClusterSimulator:
                 switch = 0.0 if prev is None else same_job_cost
             else:
                 hit = hit and hare
-                switch = ex.switch_costs.get((model, hit))
-                if switch is None:
-                    switch = switch_model.cost(
-                        model, ex.spec, same_job=False, retained_hit=hit
-                    )
-                    if not sampled:
-                        # A live registry counts every modeled transfer.
-                        ex.switch_costs[model, hit] = switch
+                memo = ex.switch_costs.get((model, hit))
+                if memo is None:
+                    memo = _cross_job_switch(switch_model, model, ex.spec,
+                                             hit)
+                    ex.switch_costs[model, hit] = memo
+                switch, writes = memo
+                if sampled:
+                    # The transfer pipeline counts every modeled upload.
+                    for name, observed, amount in writes:
+                        if observed:
+                            registry.histogram(name).observe(amount)
+                        else:
+                            registry.counter(name).inc(amount)
             start = now + switch
             ex.prev_job = j
             ex.serial += 1
-            train = a.train_time
+            train = train_of[row]
             if ex.slowdowns:
                 factor = 1.0
                 for lo, hi, f in ex.slowdowns:
@@ -316,21 +374,20 @@ class ClusterSimulator:
                         factor = max(factor, f)
                 if factor > 1.0:
                     train = train * factor
-            ex.running = (a, start, switch, hit, train)
-            busy += 1
+            ex.running = (row, start, switch, hit, train)
+            busy += 1.0
             if sampled:
                 # Busy-GPU curve, sampled at deterministic sim times so
                 # the exported counter track is byte-stable.
-                registry.gauge("sim.gpus_busy").set(busy)
-                registry.sample("sim.gpus_busy", start)
+                samples.append((start, GPUS_BUSY, busy))
             if traced and r > 0:
                 # Arrow: previous round's barrier released this task.
                 tracer.flow(
-                    (j * 10_000 + r) * 10_000 + task.slot,
+                    (j * 10_000 + r) * 10_000 + slot_of[row],
                     Category.SYNC,
                     f"j{j} barrier",
                     src_track=job_track(j),
-                    src_time=pool.barrier_time(j, r - 1),
+                    src_time=barrier[rid_of[row] - 1],
                     dst_track=gpu_track(ex.gpu_id),
                     dst_time=start,
                 )
@@ -354,10 +411,11 @@ class ClusterSimulator:
             + instance.num_jobs
             + instance.num_gpus
             + 4 * len(self.failures)
-            + len(releases)
+            + len(release_at)
             + 16
         )
         processed = 0
+        total_syncs = 0
         while heap:
             if processed >= budget:
                 raise SimulationError(
@@ -376,16 +434,15 @@ class ClusterSimulator:
                 if running is None or ex.serial != payload:
                     continue  # stale completion of a crashed attempt
                 ex.running = None
-                busy -= 1
+                busy -= 1.0
                 if sampled:
-                    registry.gauge("sim.gpus_busy").set(busy)
-                    registry.sample("sim.gpus_busy", time)
-                    registry.counter("sim.tasks_completed").inc()
-                    registry.sample("sim.tasks_completed", time)
-                a, start, switch, hit, train = running
-                task = a.task
-                j = task.job_id
+                    completed += 1.0
+                    samples.append((time, GPUS_BUSY, busy))
+                    samples.append((time, TASKS_COMPLETED, completed))
+                row, start, switch, hit, train = running
+                j = job_of[row]
                 if traced:
+                    r = rnd_of[row]
                     track = gpu_track(ex.gpu_id)
                     if switch > 0:
                         tracer.span(
@@ -399,56 +456,77 @@ class ClusterSimulator:
                         )
                     tracer.span(
                         Category.SIM,
-                        f"j{j} r{task.round_idx}",
+                        f"j{j} r{r}",
                         track=track,
                         start=start,
                         end=time,
                         job=j,
-                        round=task.round_idx,
-                        slot=task.slot,
-                        planned_start=a.start,
+                        round=r,
+                        slot=slot_of[row],
+                        planned_start=planned_of[row],
                     )
                 ex.memory.end_task(retain_bytes=retain[j])
-                sync = a.sync_time
+                sync = sync_of[row]
                 if nic and sync > 0:
                     syncs_in_flight[ex.node_id] += 1
                     sync *= syncs_in_flight[ex.node_id]
                 # The realized sync is the contended one: the barrier
                 # opens when it lands.
-                rows.append((a, start, switch, hit, train, sync, ex.gpu_id))
+                finished.append((row, start, switch, hit, train, sync,
+                                 ex.gpu_id))
                 if traced and sync > 0:
+                    r = rnd_of[row]
                     tracer.span(
                         Category.SYNC,
-                        f"sync j{j} r{task.round_idx}",
+                        f"sync j{j} r{r}",
                         track=job_track(j),
                         start=time,
                         end=time + sync,
                         job=j,
-                        round=task.round_idx,
+                        round=r,
                         gpu=ex.gpu_id,
-                        slot=task.slot,
+                        slot=slot_of[row],
                     )
-                push(heap, (time + sync, SYNC, next(seq), g, a))
+                push(heap, (time + sync, SYNC, next(seq), g, row))
                 # The GPU is free; sync overlaps the successor (§5.2).
                 try_start(g, time)
             elif kind == SYNC:
-                if nic and payload.sync_time > 0:
+                row = payload
+                if nic and sync_of[row] > 0:
                     syncs_in_flight[executors[g].node_id] -= 1
-                task = payload.task
-                if pool.record_sync(task, time):
-                    j = task.job_id
+                # The parameter server's bookkeeping, on the pool's lists.
+                k = canon_of[row]
+                if synced[k]:
+                    raise SimulationError(
+                        f"{TaskRef(job_of[row], rnd_of[row], slot_of[row])}"
+                        f" synchronized twice"
+                    )
+                synced[k] = 1
+                total_syncs += 1
+                j, rid = job_of[row], rid_of[row]
+                count = done[rid] + 1
+                if count > scale[j]:
+                    raise SimulationError(
+                        f"round {(j, rnd_of[row])} over-synchronized: "
+                        f"{count}/{scale[j]}"
+                    )
+                done[rid] = count
+                if time > barrier[rid]:
+                    barrier[rid] = time
+                if count == scale[j]:
                     rounds_open[j] += 1
                     if traced:
+                        r = rnd_of[row]
                         tracer.instant(
                             Category.SYNC,
-                            f"barrier j{j} r{task.round_idx}",
+                            f"barrier j{j} r{r}",
                             track=job_track(j),
                             time=time,
                             job=j,
-                            round=task.round_idx,
+                            round=r,
                         )
                     # The barrier opened: next-round tasks may be heads.
-                    scan(time, by_barrier.pop((j, task.round_idx), ()))
+                    scan(time, by_barrier.pop(rid, ()))
             elif kind == ARRIVAL:
                 scan(time, ())
             elif kind == CHECK:
@@ -468,10 +546,9 @@ class ClusterSimulator:
                     # the crash wipes device memory and context.
                     wasted.append(max(0.0, time - ex.running[1]))
                     ex.running = None
-                    busy -= 1
+                    busy -= 1.0
                     if sampled:
-                        registry.gauge("sim.gpus_busy").set(busy)
-                        registry.sample("sim.gpus_busy", time)
+                        samples.append((float(time), GPUS_BUSY, busy))
                     ex.memory.end_task(retain_bytes=0.0)
                     ex.memory.flush()
                     ex.head -= 1
@@ -486,6 +563,14 @@ class ClusterSimulator:
                 restart = time + self.restart_delay_s
                 ex.down_until = max(ex.down_until, restart)
                 push(heap, (restart, CHECK, next(seq), g, None))
+        pool.total_syncs = total_syncs
+        if samples:
+            # Every sample follows a busy-GPU change; the last one is the
+            # gauge's final value.
+            registry.extend_timeline(samples)
+            registry.gauge(GPUS_BUSY).set(busy)
+            if finished:
+                registry.counter(TASKS_COMPLETED).inc(len(finished))
         registry.counter("sim.engine_events").inc(processed)
 
         if not pool.all_jobs_complete():
@@ -501,22 +586,20 @@ class ClusterSimulator:
                     f"GPU {ex.gpu_id} still has queued tasks"
                 )
 
-        # Columns out: the records, realized schedule and telemetry in one
-        # pass over the completions, in completion order.
-        records = [
-            TaskRecord(a.task, gpu, a.start, start, switch, train, sync, hit)
-            for a, start, switch, hit, train, sync, gpu in rows
-        ]
-        realized = Schedule(
-            instance,
-            {
-                r.task: TaskAssignment(
-                    r.task, r.gpu, r.start, r.train_time, r.sync_time
-                )
-                for r in records
-            },
+        # Columns out: the realized schedule and the telemetry as views
+        # over the completions, in completion order.
+        rows, start, switch, hit, train, sync, gpu = (
+            zip(*finished) if finished else ((),) * 7
         )
-        telemetry = Telemetry.from_run(instance.num_gpus, records, wasted)
+        rows = np.asarray(rows, dtype=np.int64)
+        realized = ScheduleColumns(
+            instance, cols.job[rows], cols.rnd[rows], cols.slot[rows], gpu,
+            start, train, sync,
+        )
+        telemetry = Telemetry.from_columns(
+            instance.num_gpus, realized, cols.start[rows].tolist(), switch,
+            hit, wasted,
+        )
         completions = {
             job.job_id: pool.completion_time(job.job_id) for job in jobs
         }
@@ -524,13 +607,36 @@ class ClusterSimulator:
             jobs, completions, makespan=telemetry.makespan
         )
         return SimResult(
-            realized=realized,
+            realized=realized.to_schedule(),
             metrics=metrics,
             telemetry=telemetry,
             pool=pool,
             events_processed=processed,
             wakeups=wakeups,
         )
+
+
+def _cross_job_switch(
+    switch_model: SwitchCostModel, model: str, spec: GPUSpec, hit: bool
+) -> tuple[float, tuple]:
+    """A cross-job switch cost and the metric writes computing it makes.
+
+    The transfer pipeline counts each modeled upload in the ambient
+    registry (``switch.*``: counters, and one observation per
+    histogram). The cost is computed against a scratch registry, so a
+    memoized cost replays the same writes on every use.
+    """
+    log = MetricsRegistry()
+    with use(Obs(metrics=log)):
+        cost = switch_model.cost(model, spec, same_job=False,
+                                 retained_hit=hit)
+    writes = tuple(
+        (name, True, snap["total"]) if snap["type"] == "histogram"
+        else (name, False, snap["value"])
+        for name, snap in log.snapshot().items()
+    )
+    return cost, writes
+
 
 def simulate_plan(
     cluster: Cluster,

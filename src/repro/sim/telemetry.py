@@ -13,12 +13,12 @@ properties return plain floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..core.schedule import merge_intervals
+from ..core.schedule import ScheduleColumns, merge_intervals
 from ..core.types import TaskRef
 from ..obs.metrics import MetricsRegistry
 
@@ -45,56 +45,87 @@ class TaskRecord:
         return self.compute_end + self.sync_time
 
 
-@dataclass(slots=True)
 class Telemetry:
-    """Accumulates what happened on every GPU during a simulation."""
+    """Accumulates what happened on every GPU during a simulation.
 
-    num_gpus: int
-    records: list[TaskRecord] = field(default_factory=list)
-    #: per-GPU (start, end) compute intervals
-    busy: dict[int, list[tuple[float, float]]] = field(default_factory=dict)
-    #: per-GPU (start, end) switch-overhead intervals
-    switching: dict[int, list[tuple[float, float]]] = field(default_factory=dict)
-    #: every scalar mutation goes through here; the properties read it back
-    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
+    Built task by task (:meth:`record_task`) or, for a finished replay,
+    from its completion columns (:meth:`from_columns`). Either way the
+    ``sim.*`` instruments are written up front; a column-backed
+    telemetry builds its :attr:`records` and the :attr:`busy` and
+    :attr:`switching` intervals only when they are read.
+    """
+
+    __slots__ = (
+        "num_gpus", "metrics", "_records", "_columns", "_busy", "_switching",
+    )
+
+    def __init__(
+        self, num_gpus: int, metrics: MetricsRegistry | None = None
+    ) -> None:
+        self.num_gpus = num_gpus
+        #: every scalar mutation goes through here; the properties read
+        #: it back
+        self.metrics = MetricsRegistry() if metrics is None else metrics
+        self._records: list[TaskRecord] | None = []
+        #: (realized view, planned start, switch time, retained hit)
+        self._columns: tuple | None = None
+        self._busy: dict[int, list[tuple[float, float]]] | None = None
+        self._switching: dict[int, list[tuple[float, float]]] | None = None
 
     @classmethod
-    def from_run(
+    def from_columns(
         cls,
         num_gpus: int,
-        records: list[TaskRecord],
+        realized: ScheduleColumns,
+        planned_start: Sequence[float],
+        switch_time: Sequence[float],
+        retained_hit: Sequence[bool],
         wasted_compute_s: Iterable[float] = (),
     ) -> "Telemetry":
-        """A finished run's telemetry, built in one pass: the same state
-        as :meth:`record_task` per record, in order, then
-        :meth:`record_abort` per destroyed attempt."""
-        telemetry = cls(num_gpus=num_gpus)
-        telemetry._absorb(records)
+        """A finished run's telemetry from its completions, one row each
+        in completion order: the realized schedule's view plus each
+        task's planned start, switch time and retention hit.
+
+        The instruments end in the same state as :meth:`record_task` per
+        row, in order, then :meth:`record_abort` per destroyed attempt.
+        """
+        telemetry = cls(num_gpus)
+        telemetry._records = None
+        telemetry._columns = (
+            realized, planned_start, switch_time, retained_hit
+        )
+        telemetry._count(
+            realized.train.tolist(),
+            [s for s in realized.sync.tolist() if s > 0],
+            [w for w in switch_time if w > 0],
+            sum(retained_hit),
+        )
         for wasted in wasted_compute_s:
             telemetry.record_abort(wasted)
         return telemetry
 
     def record_task(self, record: TaskRecord) -> None:
-        self._absorb([record])
+        self.records.append(record)
+        self._columns = self._busy = self._switching = None
+        self._count(
+            [record.train_time],
+            [record.sync_time] if record.sync_time > 0 else [],
+            [record.switch_time] if record.switch_time > 0 else [],
+            int(record.retained_hit),
+        )
 
-    def _absorb(self, records: list[TaskRecord]) -> None:
-        if not records:
+    def _count(
+        self,
+        trains: list[float],
+        syncs: list[float],
+        switches: list[float],
+        hits: int,
+    ) -> None:
+        """Write tasks' durations, in order, to the ``sim.*``
+        instruments; *syncs* and *switches* hold the positive ones."""
+        if not trains:
             return
-        self.records.extend(records)
-        trains, syncs, switches = [], [], []
-        hits = 0
-        for r in records:
-            self.busy.setdefault(r.gpu, []).append((r.start, r.compute_end))
-            trains.append(r.train_time)
-            if r.sync_time > 0:
-                syncs.append(r.sync_time)
-            if r.switch_time > 0:
-                self.switching.setdefault(r.gpu, []).append(
-                    (r.start - r.switch_time, r.start)
-                )
-                switches.append(r.switch_time)
-            hits += r.retained_hit
-        self.metrics.counter("sim.tasks").inc(len(records))
+        self.metrics.counter("sim.tasks").inc(len(trains))
         self.metrics.histogram("sim.train_time_s").observe_all(trains)
         if syncs:
             self.metrics.histogram("sim.sync_time_s").observe_all(syncs)
@@ -108,6 +139,51 @@ class Telemetry:
         """A GPU failure destroyed an in-flight attempt."""
         self.metrics.counter("sim.aborted_attempts").inc()
         self.metrics.counter("sim.wasted_compute_s").inc(wasted_compute_s)
+
+    # ------------------------------------------------------------------
+    # Per-task views, built on first read.
+    # ------------------------------------------------------------------
+    @property
+    def records(self) -> list[TaskRecord]:
+        """One :class:`TaskRecord` per completed task, in completion
+        order."""
+        if self._records is None:
+            realized, planned, switch, hit = self._columns
+            self._records = [
+                TaskRecord(TaskRef(j, r, s), *rest)
+                for j, r, s, *rest in zip(
+                    realized.job.tolist(), realized.rnd.tolist(),
+                    realized.slot.tolist(), realized.gpu.tolist(),
+                    planned, realized.start.tolist(), switch,
+                    realized.train.tolist(), realized.sync.tolist(), hit,
+                )
+            ]
+        return self._records
+
+    @property
+    def busy(self) -> dict[int, list[tuple[float, float]]]:
+        """Per-GPU ``(start, end)`` compute intervals."""
+        if self._busy is None:
+            self._intervals()
+        return self._busy
+
+    @property
+    def switching(self) -> dict[int, list[tuple[float, float]]]:
+        """Per-GPU ``(start, end)`` switch-overhead intervals."""
+        if self._switching is None:
+            self._intervals()
+        return self._switching
+
+    def _intervals(self) -> None:
+        busy: dict[int, list[tuple[float, float]]] = {}
+        switching: dict[int, list[tuple[float, float]]] = {}
+        for r in self.records:
+            busy.setdefault(r.gpu, []).append((r.start, r.compute_end))
+            if r.switch_time > 0:
+                switching.setdefault(r.gpu, []).append(
+                    (r.start - r.switch_time, r.start)
+                )
+        self._busy, self._switching = busy, switching
 
     # ------------------------------------------------------------------
     # Registry-backed read view of the legacy scalar attributes.
@@ -131,9 +207,11 @@ class Telemetry:
     # ------------------------------------------------------------------
     @property
     def makespan(self) -> float:
-        if not self.records:
+        if self._columns is not None:
+            return self._columns[0].makespan()
+        if not self._records:
             return 0.0
-        return max(r.sync_end for r in self.records)
+        return max(r.sync_end for r in self._records)
 
     @property
     def total_switch_time(self) -> float:

@@ -3,12 +3,13 @@
 ``ClusterSimulator.run`` parks idle executors on what they wait for and
 wakes only those an event can start; ``tests/sim/oracles.py`` keeps the
 loop it replaced, which tries every executor at every arrival and barrier.
-On plans from every registered scheduler, in every switch mode, with
-jitter, failures (same-time ones included), releases, overlapping
-slowdowns and NIC contention, untraced and traced with a flight recorder,
-the two must agree on everything a run exposes: records, the realized
-schedule, metrics, telemetry, parameter-server state, event counts, every
-tracer event, every metric sample and every recorded record.
+On plans from every registered scheduler, object- and column-backed, in
+every switch mode, with jitter, failures (same-time ones included),
+releases, overlapping slowdowns and NIC contention, untraced and traced
+with a flight recorder, the two must agree on everything a run exposes:
+records, the realized schedule, metrics, telemetry, parameter-server
+state, event counts, every tracer event, every metric sample and every
+recorded record.
 """
 
 from __future__ import annotations
@@ -138,7 +139,11 @@ def features(draw, instance, plan):
             )
         )
     if draw(st.booleans()):
-        tasks = sorted(plan.assignments)
+        cols = plan.columns()  # reading the objects would build them
+        tasks = sorted(
+            map(TaskRef, cols.job.tolist(), cols.rnd.tolist(),
+                cols.slot.tolist())
+        )
         picked = draw(st.lists(st.sampled_from(tasks), max_size=3,
                                unique=True))
         kw["releases"] = {
@@ -164,7 +169,9 @@ def test_loop_matches_oracle(scenario, key, mode, obs_mode, data):
     kw = data.draw(features(instance, plan))
     sim = ClusterSimulator(cluster=cluster, instance=instance,
                            switch_mode=mode, **kw)
+    # Both plan forms: as drawn, and column-backed.
     assert_equivalent(sim, plan, obs_mode)
+    assert_equivalent(sim, plan.columns().to_schedule(), obs_mode)
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,16 @@
 """Tests for the discrete-event cluster simulator."""
 
+from collections import Counter
+
 import pytest
 
 from repro.cluster import make_cluster
-from repro.core import Job, SwitchMode, validate_schedule
+from repro.core import Job, SwitchMode, TaskRef, validate_schedule
+from repro.core.errors import ConfigurationError
+from repro.core.schedule import TaskAssignment
 from repro.api import compare
 from repro.harness import make_workload
+from repro.obs import Obs, use
 from repro.schedulers import HareScheduler, default_schedulers
 from repro.sim import ClusterSimulator, simulate_plan
 from repro.switching import SwitchCostModel
@@ -130,6 +135,44 @@ class TestConfiguration:
                 switch_mode=SwitchMode.HARE,
                 switch_model=SwitchCostModel(mode=SwitchMode.DEFAULT),
             )
+
+
+    def test_plan_task_outside_the_instance_rejected(self, scenario):
+        cluster, instance = scenario
+        plan = HareScheduler().schedule(instance)
+        plan.add(TaskAssignment(TaskRef(0, 99, 0), 0, 0.0, 1.0, 0.0))
+        with pytest.raises(ConfigurationError, match=r"J0\.r99\.t0"):
+            simulate_plan(cluster, instance, plan)
+
+
+class TestSwitchCostMemo:
+    def test_live_registry_computes_each_switch_cost_once(
+        self, testbed, monkeypatch
+    ):
+        """A metrics-only replay memoizes cross-job switch costs: one
+        ``breakdown`` per (device model, job model, retained hit)."""
+        jobs = make_workload(
+            12, seed=5, config=WorkloadConfig(rounds_scale=0.1)
+        )
+        instance = build_instance(jobs, testbed)
+        plan = HareScheduler().schedule(instance)
+        calls = Counter()
+        breakdown = SwitchCostModel.breakdown
+
+        def counting(self, next_model, gpu, **kw):
+            calls[gpu, next_model, kw.get("retained_hit", False)] += 1
+            return breakdown(self, next_model, gpu, **kw)
+
+        monkeypatch.setattr(SwitchCostModel, "breakdown", counting)
+        obs = Obs.start(trace=False)
+        with use(obs):
+            result = simulate_plan(testbed, instance, plan)
+        assert result.telemetry.switch_count > len(calls) > 0
+        assert max(calls.values()) == 1
+        # Every switch still counts its modeled transfer.
+        assert obs.metrics.counter("switch.pipelined_transfers").value > len(
+            calls
+        )
 
 
 class TestAllSchedulersSimulate:

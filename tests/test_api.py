@@ -79,6 +79,19 @@ class TestRunExperiment:
         assert repro.compare is compare
 
 
+@pytest.mark.parametrize(
+    "scheduler", ["gavel_fifo", "srtf", "sched_homo", "sched_allox", "hare"]
+)
+def test_replay_builds_no_per_task_objects(testbed, scheduler):
+    """The api path keeps the plan and the realized schedule as columns."""
+    result = run_experiment(
+        scheduler=scheduler, cluster=testbed, jobs=8, seed=3,
+        rounds_scale=0.05, simulate=True, trace=False,
+    )
+    assert result.plan._assignments is None
+    assert result.sim.realized._assignments is None
+
+
 class TestArtifacts:
     def test_trace_validates(self, hare_run):
         assert validate_chrome_trace(hare_run.trace()) > 0
