@@ -466,7 +466,7 @@ class _TallyingOnlineHare(OnlineHarePolicy):
 
     def _commitments(self, *args):
         out = super()._commitments(*args)
-        self.committed_tasks += sum(len(c.assignments) for c in out)
+        self.committed_tasks += sum(len(c.rnd) for c in out)
         return out
 
 

@@ -16,8 +16,8 @@ The merged result is a :class:`ShardedKernelResult`: a plain
 :class:`~repro.kernel.runner.KernelResult` (schedule over the *global*
 instance, backed by the merged columns until its objects are read, summed
 event/commitment/replan/retraction stats, the cells' retractions on
-global ids, metrics computed from the merged columns) plus the admission
-plan and
+global ids and their re-plan instants in time order, metrics computed
+from the merged columns) plus the admission plan and
 per-cell statistics. The merged schedule passes the same streaming
 monitors as a flat run (:func:`repro.obs.monitors.diagnose_schedule`).
 
@@ -40,6 +40,7 @@ from ..core.metrics import metrics_from_columns
 from ..core.schedule import Schedule, ScheduleColumns
 from ..kernel.runner import (
     KernelResult,
+    emit_replan,
     emit_retract,
     emit_rounds,
     run_policy,
@@ -186,6 +187,7 @@ class ShardedKernel:
 
         parts: list[tuple[np.ndarray, ...]] = []
         lost: list[Retraction] = []
+        replan_times: list[float] = []
         events = commitments = replans = retracted = 0
         stats: list[dict] = []
         for cell in partition.cells:
@@ -223,6 +225,7 @@ class ShardedKernel:
                 lost.append(replace(
                     x, job=job_ids[x.job], gpu=cell.gpu_ids[x.gpu]
                 ))
+            replan_times.extend(t for t, _ in result.replan_instants)
             events += result.events
             commitments += result.commitments
             replans += result.replans
@@ -261,12 +264,18 @@ class ShardedKernel:
             if parts
             else Schedule(instance).columns()
         )
-        # Cells share no state: ordering by crash time (stable, so each
-        # cell keeps its own order) is one global application order.
+        # Cells share no state: ordering by time (stable, so each cell
+        # keeps its own order) is one global order; re-plan passes are
+        # renumbered across the merge.
         lost.sort(key=lambda x: x.time)
+        replan_instants = tuple(
+            (t, i) for i, t in enumerate(sorted(replan_times), 1)
+        )
         if obs.tracer.enabled:
             for x in lost:
                 emit_retract(x)
+            for t, i in replan_instants:
+                emit_replan(t, i)
             emit_rounds(merged)
 
         return ShardedKernelResult(
@@ -280,6 +289,7 @@ class ShardedKernel:
             replans=replans,
             retracted_rounds=retracted,
             retractions=tuple(lost),
+            replan_instants=replan_instants,
         )
 
 

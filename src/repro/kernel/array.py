@@ -26,27 +26,27 @@ Where the time goes, and how this loop wins it back:
   generation ``gen + 1`` of that time. ``GPU_FREE`` events commit
   nothing, and ``seq`` is monotone, so leaving them out changes no
   trigger's order. Phase 2 derives everything else with numpy over the
-  commit order: the log (one gather of round slices), the ``GPU_FREE``
+  commit order: the commit-log block (one gather of the plan's
+  canonical round slices, never its objects), the ``GPU_FREE``
   wake-ups (a per-(commit, GPU) ``reduceat`` max of compute ends against
   the GPU's running φ), the event count (every event at or before the
   batch of the last commit), the per-batch ``kernel.queue_depth`` and
   ``kernel.commitments`` samples, and — with the tracer on — the same
   instants in the same order, from the same arrays.
-* **Flat commit log instead of dict-of-objects.** Committed assignments
-  live in parallel numpy arrays (job/round/slot/gpu as int64,
-  start/train/sync as float64). The result carries the log as a
-  :class:`~repro.core.schedule.ScheduleColumns` view wrapped in a
-  column-backed :class:`~repro.core.schedule.Schedule` — metrics,
-  validation and the cell merge read the view directly, and the
-  per-task objects are built only when somebody reads them. The planned
-  replay reads the plan the same way: its canonical columns, never its
-  objects.
 * **Gang runs: tuple heap, one fixed point per batch.** Events are
   plain ``(time, type, seq, a, b)`` tuples on a :mod:`heapq` heap (same
   ``(time, type, insertion)`` tie-break as
   :class:`repro.sim.events.EventQueue`). The policy's ``select`` runs to
-  a fixed point once per batch rather than once per event, and a gang
-  job commits all of its rounds as one tiled block.
+  a fixed point once per batch rather than once per event; each start
+  commits through the reference loop's own
+  :func:`~repro.kernel.policies.gang_commitment` and
+  :func:`~repro.kernel.runner.apply_commitment`.
+
+Both loops share one :class:`~repro.kernel.state.KernelState`: the
+commit log (:class:`~repro.kernel.state.CommitLog`) both append to, and
+φ, ``rounds_done`` and ``ready_at`` as arrays. The result wraps the log
+as a column-backed :class:`~repro.core.schedule.Schedule`, whose
+per-task objects are built only when somebody reads them.
 
 Equivalence subtleties worth knowing before editing:
 
@@ -58,10 +58,9 @@ Equivalence subtleties worth knowing before editing:
   plus every push so far minus every pop so far; its
   ``kernel.commitments`` sample starts from the counter's value before
   the run, which a caller's registry may already have raised.
-* Every value that escapes the kernel (instant args, ``ready_at``,
-  assignments materialized from the gang log, metrics) is converted back
-  to built-in ``float``/``int`` — ``np.float64`` would change JSON
-  output bytes.
+* Every value that escapes the kernel (instant args, wake-up times,
+  metrics) is converted back to built-in ``float``/``int`` —
+  ``np.float64`` would change JSON output bytes.
 """
 
 from __future__ import annotations
@@ -78,13 +77,18 @@ from ..core.errors import (
 )
 from ..core.job import ProblemInstance
 from ..core.metrics import metrics_from_columns
-from ..core.schedule import Schedule, ScheduleColumns
 from ..core.types import TaskRef
 from ..obs import Category, current as obs_current
 from .events import KernelEventType
-from .policies import Policy
+from .policies import Policy, gang_commitment
 from .residual import KERNEL_TRACK
-from .runner import KernelResult, batch_path, emit_rounds
+from .runner import (
+    KernelResult,
+    apply_commitment,
+    batch_path,
+    emit_commit,
+    emit_rounds,
+)
 from .state import KERNEL_EPS, KernelState
 
 __all__ = ["ArraySchedulingKernel"]
@@ -94,46 +98,6 @@ _ARRIVED = int(KernelEventType.JOB_ARRIVED)
 _FREE = int(KernelEventType.GPU_FREE)
 
 _TYPE_NAMES = {int(t): t.name for t in KernelEventType}
-
-
-class _CommitLog:
-    """Append-only committed-assignment columns."""
-
-    __slots__ = ("n", "job", "rnd", "slot", "gpu", "start", "train", "sync")
-
-    def __init__(self, capacity: int) -> None:
-        cap = max(capacity, 64)
-        self.n = 0
-        self.job = np.empty(cap, dtype=np.int64)
-        self.rnd = np.empty(cap, dtype=np.int64)
-        self.slot = np.empty(cap, dtype=np.int64)
-        self.gpu = np.empty(cap, dtype=np.int64)
-        self.start = np.empty(cap, dtype=np.float64)
-        self.train = np.empty(cap, dtype=np.float64)
-        self.sync = np.empty(cap, dtype=np.float64)
-
-    def _grow(self, need: int) -> None:
-        cap = len(self.job)
-        new = max(2 * cap, self.n + need)
-        for name in self.__slots__[1:]:
-            old = getattr(self, name)
-            arr = np.empty(new, dtype=old.dtype)
-            arr[: self.n] = old[: self.n]
-            setattr(self, name, arr)
-
-    def append(self, job, rnd, slot, gpu, start, train, sync):
-        k = len(gpu)
-        if self.n + k > len(self.job):
-            self._grow(k)
-        lo, hi = self.n, self.n + k
-        self.job[lo:hi] = job
-        self.rnd[lo:hi] = rnd
-        self.slot[lo:hi] = slot
-        self.gpu[lo:hi] = gpu
-        self.start[lo:hi] = start
-        self.train[lo:hi] = train
-        self.sync[lo:hi] = sync
-        self.n = hi
 
 
 def _clamp(times: np.ndarray, now: np.ndarray) -> np.ndarray:
@@ -187,12 +151,9 @@ def _gpu_frees(gpu, commit, compute_end, commit_time):
 class ArraySchedulingKernel:
     """Vectorized event loop for policies with a batch path.
 
-    Same :meth:`run` result as :class:`SchedulingKernel` on the runs
-    :func:`~repro.kernel.runner.run_policy` sends here. The only
-    intentional difference from the reference loop is that
-    ``state.phi`` is a numpy array and ``state.committed`` stays empty —
-    the committed schedule lives in the flat log, which the result wraps
-    as a column-backed schedule.
+    Same :meth:`run` result, and the same final state, as
+    :class:`SchedulingKernel` on the runs
+    :func:`~repro.kernel.runner.run_policy` sends here.
     """
 
     def __init__(
@@ -212,7 +173,6 @@ class ArraySchedulingKernel:
         self.instance = instance
         self.policy = policy
         self.state = KernelState(instance)
-        self.state.phi = np.zeros(instance.num_gpus, dtype=np.float64)
         self.processed = 0
         self.commitments = 0
         self._now = 0.0
@@ -232,7 +192,6 @@ class ArraySchedulingKernel:
 
     def _wake(self, time: float, type_: int, a: int, b: int) -> None:
         """Push an event, clamped to the current clock."""
-        time = float(time)
         heapq.heappush(
             self._heap,
             (time if time > self._now else self._now, type_,
@@ -258,9 +217,10 @@ class ArraySchedulingKernel:
     def run(self) -> KernelResult:
         self.policy.setup(self.state)
         if self._path == "planned":
-            columns = self._replay_plan()
+            self._replay_plan()
         else:
-            columns = self._run_gang()
+            self._run_gang()
+        columns = self.state.committed.columns()
         obs = obs_current()
         obs.metrics.counter("kernel.events").inc(self.processed)
         if obs.tracer.enabled:
@@ -280,21 +240,15 @@ class ArraySchedulingKernel:
 
         Each round is committed exactly once — round 0 by its job's
         arrival, round ``r + 1`` by round ``r``'s barrier — at the time
-        its trigger pops, as a slice of the plan's canonical columns.
-        Returns the log.
+        its trigger pops, as a slice of the plan's canonical columns,
+        appended to the commit log as one block.
         """
         instance = self.instance
         jobs = instance.jobs
         num_jobs = len(jobs)
         if not num_jobs:
-            return Schedule(instance).columns()
-        plan = self.policy._plan
-        cols = plan.columns()
-        rows = cols.canonical_rows()
-        gpu = cols.gpu[rows]
-        start = cols.start[rows]
-        train = cols.train[rows]
-        sync = cols.sync[rows]
+            return
+        gpu, start, train, sync = self.policy._canonical(instance)
         num_rounds = np.fromiter(
             (j.num_rounds for j in jobs), np.int64, count=num_jobs
         )
@@ -327,20 +281,18 @@ class ArraySchedulingKernel:
         row_commit = np.repeat(np.arange(n_commits), c_scale)
         slot = np.arange(len(row_commit)) - c_first_row[row_commit]
         take = round_lo[crid][row_commit] + slot
-        log = ScheduleColumns(
-            instance, c_job[row_commit], c_rnd[row_commit], slot,
-            gpu[take], start[take], train[take], sync[take],
-        )
-        bad = np.flatnonzero((log.gpu < 0) | (log.gpu >= instance.num_gpus))
+        log_job, log_rnd = c_job[row_commit], c_rnd[row_commit]
+        log_gpu = gpu[take]
+        bad = np.flatnonzero((log_gpu < 0) | (log_gpu >= instance.num_gpus))
         if bad.size:
             i = int(bad[0])
-            task = TaskRef(int(log.job[i]), int(log.rnd[i]), int(log.slot[i]))
+            task = TaskRef(int(log_job[i]), int(log_rnd[i]), int(slot[i]))
             raise SimulationError(
-                f"commitment places {task} on dead GPU {int(log.gpu[i])}"
+                f"commitment places {task} on dead GPU {int(log_gpu[i])}"
             )
-        compute_end = log.start + log.train
+        compute_end = start[take] + train[take]
         free_commit, free_gpu, free_time = _gpu_frees(
-            log.gpu, row_commit, compute_end, ctime
+            log_gpu, row_commit, compute_end, ctime
         )
 
         # Every event: arrivals, then the pushed barriers and frees. A
@@ -435,10 +387,13 @@ class ArraySchedulingKernel:
         state.now = self._now
         state.arrived.update(range(num_jobs))
         state.pending_arrivals.clear()
-        state.rounds_done.update(enumerate(num_rounds.tolist()))
-        state.ready_at.update(enumerate(horizon[round_base[1:] - 1].tolist()))
-        np.maximum.at(state.phi, log.gpu, compute_end)
-        return log
+        state.committed.append(
+            log_job, log_rnd, slot, log_gpu, start[take], train[take],
+            sync[take],
+        )
+        state.rounds_done[:] = num_rounds
+        state.ready_at[:] = horizon[round_base[1:] - 1]
+        np.maximum.at(state.phi, log_gpu, compute_end)
 
     def _commit_order(self, first_round, rounds_of, horizons):
         """Phase 1: pop the trigger events as the loop would.
@@ -511,87 +466,13 @@ class ArraySchedulingKernel:
                     **self._instant_args(type_, e_a[k], e_b[k]),
                 )
             for k in range(c, c_stop):
-                self._trace_commit(c_now[k], jobs[k], rounds[k] + 1)
+                emit_commit(c_now[k], jobs[k], rounds[k] + 1)
             e, c = e_stop, c_stop
 
-    @staticmethod
-    def _trace_commit(now, job_id, rounds_done) -> None:
-        """A commitment's ``kernel.commit`` instant."""
-        obs_current().tracer.instant(
-            Category.SCHED,
-            "kernel.commit",
-            track=KERNEL_TRACK,
-            time=now,
-            job=job_id,
-            rounds_done=rounds_done,
-        )
-
     # -- gang batch path ------------------------------------------------
-    def _gang_commit(self, job_id: int, gpus, start: float) -> None:
-        instance = self.instance
-        state = self.state
-        job = instance.jobs[job_id]
-        scale = job.sync_scale
-        if len(gpus) != scale:
-            raise InfeasibleProblemError(
-                f"job {job_id} with scale {scale} given {len(gpus)} GPUs"
-            )
-        done = state.rounds_done[job_id]
-        num_rounds = job.num_rounds
-        if done != 0:
-            rounds = list(range(num_rounds))
-            raise SimulationError(
-                f"job {job_id} commitment rounds {rounds} do not extend "
-                f"the committed prefix ({done} done)"
-            )
-        garr = np.asarray(gpus, dtype=np.int64)
-        tc_g = instance.train_time[job_id, garr]
-        ts_g = instance.sync_time[job_id, garr]
-        round_time = float((tc_g + ts_g).max())
-        starts = np.empty(num_rounds + 1, dtype=np.float64)
-        t = float(start)
-        # Sequential accumulation on purpose: bitwise-equal to the
-        # reference gang_commitment's ``t += round_time`` walk.
-        for r in range(num_rounds):
-            starts[r] = t
-            t += round_time
-        starts[num_rounds] = t
-        start_col = np.repeat(starts[:num_rounds], scale)
-        gpu_col = np.tile(garr, num_rounds)
-        train_col = np.tile(tc_g, num_rounds)
-        sync_col = np.tile(ts_g, num_rounds)
-        ce_col = start_col + train_col
-        end_col = ce_col + sync_col
-        self._log.append(
-            np.repeat(np.int64(job_id), num_rounds * scale),
-            np.repeat(
-                np.arange(num_rounds, dtype=np.int64), scale
-            ),
-            np.tile(np.arange(scale, dtype=np.int64), num_rounds),
-            gpu_col, start_col, train_col, sync_col,
-        )
-        phi = state.phi
-        phi_before = phi.copy()
-        np.maximum.at(phi, gpu_col, ce_col)
-        # Gang hold: every GPU stays busy until job completion.
-        np.maximum.at(phi, garr, np.full(scale, t))
-        horizon = float(end_col.max())
-        state.rounds_done[job_id] = num_rounds
-        state.ready_at[job_id] = float(end_col[-scale:].max())
-        for m in np.flatnonzero(phi > phi_before + KERNEL_EPS).tolist():
-            self._wake(phi[m], _FREE, m, 0)
-        # All rounds committed: no barrier wake-up (matches reference).
-        obs = obs_current()
-        if obs.tracer.enabled:
-            self._trace_commit(state.now, job_id, num_rounds)
-        self.commitments += 1
-        obs.metrics.counter("kernel.commitments").inc()
-        obs.metrics.histogram("kernel.commit_horizon_s").observe(
-            max(0.0, horizon - state.now)
-        )
-
-    def _run_gang(self) -> ScheduleColumns:
-        self._log = _CommitLog(self.instance.num_tasks)
+    def _run_gang(self) -> None:
+        """Run ``select`` to a fixed point per batch; each start commits
+        the job's remaining rounds as one block."""
         obs = obs_current()
         tracer = obs.tracer
         metrics = obs.metrics
@@ -634,11 +515,12 @@ class ArraySchedulingKernel:
                 if decision is None:
                     break
                 job_id, gpus = decision
-                self._gang_commit(
-                    job_id,
-                    gpus,
+                commitment = gang_commitment(
+                    state, job_id, gpus,
                     max(state.now, instance.jobs[job_id].arrival),
                 )
+                apply_commitment(state, commitment, self._wake)
+                self.commitments += 1
             else:  # pragma: no cover - defensive
                 raise SimulationError(
                     f"policy {policy.name!r} did not reach a "
@@ -652,13 +534,3 @@ class ArraySchedulingKernel:
                 "kernel drained its queue with rounds still uncommitted; "
                 "check the policy"
             )
-        log = self._log
-        n = log.n
-        # Row order (append order) reproduces the reference dict's
-        # insertion order, so a materialized schedule iterates its
-        # assignments in identical sequence.
-        return ScheduleColumns(
-            self.instance,
-            log.job[:n], log.rnd[:n], log.slot[:n], log.gpu[:n],
-            log.start[:n], log.train[:n], log.sync[:n],
-        )

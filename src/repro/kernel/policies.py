@@ -29,11 +29,13 @@ planner objects it adapts are duck-typed (``schedule(instance)`` and
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from itertools import accumulate
 from typing import Sequence
 
+import numpy as np
+
 from ..core.errors import GangDoesNotFitError, InfeasibleProblemError
-from ..core.schedule import Schedule, TaskAssignment
-from ..core.types import TaskRef
+from ..core.schedule import Schedule, ScheduleColumns
 from .events import Event, KernelEventType
 from .residual import build_residual, replan, to_global
 from .state import KERNEL_EPS, Commitment, KernelState
@@ -96,7 +98,10 @@ class PlannedPolicy(Policy):
     def __init__(self, planner) -> None:
         self.planner = planner
         self.name = getattr(planner, "name", type(planner).__name__)
+        #: The planner's plan; the current one is :meth:`_canonical`.
         self._plan: Schedule | None = None
+        self._canon: list[np.ndarray] | None = None
+        self._first: list[int] = []
         #: The alive GPUs the current plan was made for.
         self._alive: frozenset[int] = frozenset()
         #: Residual re-plans performed (read by the kernel result).
@@ -104,8 +109,21 @@ class PlannedPolicy(Policy):
 
     def setup(self, state: KernelState) -> None:
         self._plan = self.planner.schedule(state.instance)
+        self._canon = None
         self._alive = frozenset(state.alive)
         self.replans = 0
+
+    def _canonical(self, instance) -> list[np.ndarray]:
+        """The current plan's (gpu, start, train, sync) columns in
+        ``all_tasks()`` order (``_first[j]`` is job ``j``'s first row),
+        built from :attr:`_plan` on first use."""
+        if self._canon is None:
+            cols = self._plan.columns()
+            rows = cols.canonical_rows()
+            self._canon = [cols.gpu[rows], cols.start[rows],
+                           cols.train[rows], cols.sync[rows]]
+            self._first = [0, *accumulate(j.num_tasks for j in instance.jobs)]
+        return self._canon
 
     def _round_commitment(
         self, state: KernelState, job_id: int, round_idx: int
@@ -116,11 +134,14 @@ class PlannedPolicy(Policy):
             or round_idx != state.rounds_done[job_id]
         ):
             return []
-        assert self._plan is not None
-        assignments = tuple(
-            self._plan[task] for task in job.round_tasks(round_idx)
-        )
-        return [Commitment(assignments=assignments)]
+        gpu, start, train, sync = self._canonical(state.instance)
+        scale = job.sync_scale
+        lo = self._first[job_id] + round_idx * scale
+        hi = lo + scale
+        return [Commitment(
+            job_id, np.full(scale, round_idx), np.arange(scale),
+            gpu[lo:hi], start[lo:hi], train[lo:hi], sync[lo:hi],
+        )]
 
     def on_event(
         self, event: Event, state: KernelState
@@ -140,26 +161,34 @@ class PlannedPolicy(Policy):
         ``ROUND_BARRIER_OPEN`` or ``JOB_ARRIVED``)."""
         self._alive = frozenset(state.alive)
         instance = state.instance
-        drain = max([state.now] + [state.phi[m] for m in state.alive])
-        ready = {
-            j.job_id: max(state.ready_at[j.job_id], drain)
-            for j in instance.jobs
-        }
+        drain = max([state.now] + state.phi[sorted(state.alive)].tolist())
         usable = state.usable_gpus(instance.jobs)
         gpu_subset = (
             None if len(usable) == instance.num_gpus else sorted(usable)
         )
         residual, id_map = build_residual(
-            instance, instance.jobs, state.rounds_done, ready,
+            instance, instance.jobs, state.rounds_done,
+            np.maximum(state.ready_at, drain),
             gpu_subset=gpu_subset, weight_boost=state.weight_boost or None,
         )
         if residual is None:
             return []
-        local = replan(self.planner, residual)
+        local = replan(self.planner, residual).columns()
         self.replans += 1
-        self._plan = Schedule(instance)
-        for a in local.assignments.values():
-            self._plan.add(to_global(a, id_map, gpu_subset))
+        job, rnd, gpu = to_global(
+            local.job, local.rnd, local.gpu, id_map, gpu_subset
+        )
+        plan = ScheduleColumns(
+            instance, job, rnd, local.slot, gpu, local.start, local.train,
+            local.sync,
+        )
+        # The residual's tasks take their new rows; the committed ones
+        # keep stale rows no commitment reads.
+        for col, new in zip(
+            self._canonical(instance),
+            (plan.gpu, plan.start, plan.train, plan.sync),
+        ):
+            col[plan.canon] = new
         out: list[Commitment] = []
         for job_id, done in id_map:
             if job_id not in state.arrived:
@@ -237,30 +266,29 @@ def gang_commitment(
     state: KernelState, job_id: int, gpus: Sequence[int], start: float
 ) -> Commitment:
     """The remaining rounds of *job_id* pinned one-task-per-GPU from
-    *start* (every round, unless a crash retracted a started gang)."""
+    *start* (every round, unless a crash retracted a started gang), each
+    at the pace of the gang's slowest GPU, holding every GPU until the
+    last round ends."""
     instance = state.instance
     job = instance.jobs[job_id]
-    if len(gpus) != job.sync_scale:
+    scale = job.sync_scale
+    if len(gpus) != scale:
         raise InfeasibleProblemError(
-            f"job {job_id} with scale {job.sync_scale} given "
-            f"{len(gpus)} GPUs"
+            f"job {job_id} with scale {scale} given {len(gpus)} GPUs"
         )
-    round_time = max(instance.task_time(job_id, m) for m in gpus)
-    assignments: list[TaskAssignment] = []
-    t = start
-    for r in range(state.rounds_done[job_id], job.num_rounds):
-        for slot, m in enumerate(gpus):
-            assignments.append(
-                TaskAssignment(
-                    task=TaskRef(job_id, r, slot),
-                    gpu=m,
-                    start=t,
-                    train_time=instance.tc(job_id, m),
-                    sync_time=instance.ts(job_id, m),
-                )
-            )
-        t += round_time
+    done = int(state.rounds_done[job_id])
+    k = job.num_rounds - done
+    gpu = np.asarray(gpus, dtype=np.int64)
+    train = instance.train_time[job_id, gpu]
+    sync = instance.sync_time[job_id, gpu]
+    round_time = float((train + sync).max())
+    # A running sum, not a product: round r starts where r - 1 ended,
+    # and the last round's end releases the gang.
+    *starts, release = accumulate([float(start)] + [round_time] * k)
+    row = np.arange(k * scale)
+    slot = row % scale
     return Commitment(
-        assignments=tuple(assignments),
-        gpu_release={m: t for m in gpus},
+        job_id, done + row // scale, slot, gpu[slot],
+        np.repeat(starts, scale), train[slot], sync[slot],
+        gpu_release=release,
     )

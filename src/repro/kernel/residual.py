@@ -21,13 +21,12 @@ meets the same residual twice.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from ..core.job import Job, ProblemInstance
-from ..core.schedule import Schedule, TaskAssignment
-from ..core.types import TaskRef
+from ..core.schedule import Schedule
 from ..obs import Category, current as obs_current
 
 #: Trace track carrying kernel-level spans and instants.
@@ -37,8 +36,8 @@ KERNEL_TRACK = "kernel"
 def build_residual_instance(
     instance: ProblemInstance,
     jobs: list[Job],
-    rounds_done: dict[int, int],
-    ready_at: dict[int, float],
+    rounds_done: Sequence[int],
+    ready_at: Sequence[float],
     *,
     gpu_subset: list[int] | None = None,
     weight_boost: dict[int, float] | None = None,
@@ -48,7 +47,8 @@ def build_residual_instance(
 
     Each job with rounds left becomes a locally re-indexed job whose
     arrival is when its next round may start (its last committed barrier,
-    or its recovery-readiness time after a checkpoint restore). Returns the
+    or its recovery-readiness time after a checkpoint restore; both
+    inputs are indexed by job id). Returns the
     residual instance (``None`` if nothing remains) and the local → global
     map ``[(global_job_id, round_offset), ...]``.
 
@@ -62,7 +62,7 @@ def build_residual_instance(
     id_map: list[tuple[int, int]] = []
     boost = weight_boost or {}
     for job in jobs:
-        done = rounds_done[job.job_id]
+        done = int(rounds_done[job.job_id])
         remaining = job.num_rounds - done
         if remaining <= 0:
             continue
@@ -71,7 +71,7 @@ def build_residual_instance(
             Job(
                 job_id=local_id,
                 model=job.model,
-                arrival=max(ready_at[job.job_id], job.arrival),
+                arrival=max(float(ready_at[job.job_id]), job.arrival),
                 weight=job.weight * boost.get(job.job_id, 1.0),
                 num_rounds=remaining,
                 sync_scale=job.sync_scale,
@@ -103,27 +103,26 @@ def build_residual_instance(
 
 
 def to_global(
-    a: TaskAssignment,
+    job: np.ndarray,
+    rnd: np.ndarray,
+    gpu: np.ndarray,
     id_map: list[tuple[int, int]],
     gpu_subset: list[int] | None,
-) -> TaskAssignment:
-    """A residual-frame assignment in the base instance's frame (the
-    inverse of :func:`build_residual_instance`'s renumbering)."""
-    job_id, round_offset = id_map[a.task.job_id]
-    return TaskAssignment(
-        task=TaskRef(job_id, round_offset + a.task.round_idx, a.task.slot),
-        gpu=a.gpu if gpu_subset is None else gpu_subset[a.gpu],
-        start=a.start,
-        train_time=a.train_time,
-        sync_time=a.sync_time,
-    )
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Residual-frame ``(job, rnd, gpu)`` columns in the base instance's
+    frame (the inverse of :func:`build_residual_instance`'s renumbering);
+    slots and times carry over unchanged."""
+    base = np.array(id_map, dtype=np.int64).reshape(-1, 2)
+    if gpu_subset is not None:
+        gpu = np.asarray(gpu_subset, dtype=np.int64)[gpu]
+    return base[job, 0], base[job, 1] + rnd, gpu
 
 
 def build_residual(
     instance: ProblemInstance,
     jobs: list[Job],
-    rounds_done: dict[int, int],
-    ready_at: dict[int, float],
+    rounds_done: Sequence[int],
+    ready_at: Sequence[float],
     *,
     gpu_subset: list[int] | None = None,
     weight_boost: dict[int, float] | None = None,

@@ -15,10 +15,11 @@ Mechanics per iteration:
 3. invoke the policy once per event, re-invoking after each non-empty
    return until it reaches a fixed point — so e.g. a gang policy can
    start several jobs at one instant;
-4. apply the returned commitments: extend the committed schedule, advance
-   φ, and publish the follow-up ``ROUND_BARRIER_OPEN`` / ``GPU_FREE``
-   wake-ups (clamped to *now*: re-planning policies may legally commit
-   work dated before the event that triggered it).
+4. apply the returned commitments (:func:`apply_commitment`): extend the
+   commit log, advance φ, and publish the follow-up
+   ``ROUND_BARRIER_OPEN`` / ``GPU_FREE`` wake-ups (clamped to *now*:
+   re-planning policies may legally commit work dated before the event
+   that triggered it).
 
 The run stops when every round of every job is committed and no crash
 events remain. Observability: ``kernel.events`` / ``kernel.commitments``
@@ -30,10 +31,12 @@ round (:func:`emit_rounds`).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
+
+import numpy as np
 
 from ..core.errors import InfeasibleProblemError, SimulationError
-from ..core.metrics import ScheduleMetrics, metrics_from_schedule
+from ..core.metrics import ScheduleMetrics, metrics_from_columns
 from ..core.schedule import Schedule, ScheduleColumns
 from ..core.job import ProblemInstance
 from ..obs import Category, current as obs_current
@@ -52,16 +55,18 @@ from .state import (
 class KernelResult:
     """Outcome of one kernel run.
 
-    :attr:`schedule` is the committed schedule. The array backend and
+    :attr:`schedule` is a snapshot of the commit log. Both loops and
     the cell merge hand it over column-backed
-    (:meth:`~repro.core.schedule.ScheduleColumns.to_schedule`), so large
-    runs pay the per-task :class:`~repro.core.schedule.TaskAssignment`
+    (:meth:`~repro.core.schedule.ScheduleColumns.to_schedule`), so runs
+    pay the per-task :class:`~repro.core.schedule.TaskAssignment`
     construction only when somebody reads its objects, and readers of
     :meth:`columns` (the cell merge, validation, metrics) never do; a
     result pickles whatever the schedule holds. The statistics
     (``events``/``commitments``/``replans``/``retracted_rounds``) are
     plain ints, byte-comparable across backends; :attr:`retractions`
-    lists what each crash took from each job, in application order.
+    lists what each crash took from each job, in application order, and
+    :attr:`replan_instants` the ``(time, pass_idx)`` of each
+    ``kernel.replan`` instant, in emission order.
     """
 
     __slots__ = (
@@ -72,6 +77,7 @@ class KernelResult:
         "replans",
         "retracted_rounds",
         "retractions",
+        "replan_instants",
     )
 
     def __init__(
@@ -84,6 +90,7 @@ class KernelResult:
         replans: int,
         retracted_rounds: int,
         retractions: tuple[Retraction, ...] = (),
+        replan_instants: tuple[tuple[float, int], ...] = (),
     ) -> None:
         self.schedule = schedule
         self.metrics = metrics
@@ -92,6 +99,7 @@ class KernelResult:
         self.replans = replans
         self.retracted_rounds = retracted_rounds
         self.retractions = retractions
+        self.replan_instants = replan_instants
 
     def columns(self) -> ScheduleColumns:
         """The committed schedule's column view
@@ -153,6 +161,7 @@ class SchedulingKernel:
         self.commitments = 0
         self.retracted_rounds = 0
         self.retractions: list[Retraction] = []
+        self.replan_instants: list[tuple[float, int]] = []
         self._pending_crashes = 0
         total_tasks = instance.num_tasks
         self.max_events = (
@@ -243,67 +252,63 @@ class SchedulingKernel:
         checkpoint whose barrier opened by *t* (the detection). The job
         is ready again at *t* — plus the restore read when it restores a
         checkpoint — and the policy sees ``GPU_CRASHED`` to re-place it.
-        φ is then rebuilt from the surviving assignments; gang-style
-        ``gpu_release`` holds do not survive a rebuild (a released GPU
-        frees at its last ``compute_end``).
+        The retracted rows leave the commit log and φ is rebuilt from the
+        rest; gang-style ``gpu_release`` holds do not survive a rebuild
+        (a released GPU frees at its last ``compute_end``).
         """
         state = self.state
         crash = self._crashes.get((t, gpu)) or KernelCrash(t, gpu)
-        committed = state.committed
+        log = state.committed
         state.alive.discard(gpu)
         if crash.quarantined is not None:
             state.quarantined = set(crash.quarantined)
-        for job in self.instance.jobs:
-            done = state.rounds_done[job.job_id]
-            cut: int | None = None
-            for r in range(done):
-                for task in job.round_tasks(r):
-                    a = committed.assignments.get(task)
-                    if (
-                        a is not None
-                        and a.gpu == gpu
-                        and a.compute_end > crash.time + KERNEL_EPS
-                    ):
-                        cut = r
-                        break
-                if cut is not None:
-                    break
-            if cut is None:
-                continue
-            opened = 0
-            while (
-                opened < cut
-                and committed.round_end(job.job_id, opened)
-                <= t + KERNEL_EPS
-            ):
-                opened += 1
+        job, rnd, slot, on, start, train, sync = (
+            buf[: log.n] for buf in log.buffers
+        )
+        compute_end = start + train
+        end = compute_end + sync
+        hit = (on == gpu) & (compute_end > crash.time + KERNEL_EPS)
+        uncut = np.iinfo(np.int64).max
+        cut_of = np.full(self.instance.num_jobs, uncut)
+        np.minimum.at(cut_of, job[hit], rnd[hit])
+        drop = np.zeros(log.n, dtype=bool)
+        for job_id in np.flatnonzero(cut_of < uncut).tolist():
+            cut = int(cut_of[job_id])
+            done = int(state.rounds_done[job_id])
+            mine = job == job_id
+            ends = np.full(done, -np.inf)
+            np.maximum.at(ends, rnd[mine], end[mine])
+            shut = np.flatnonzero(ends[:cut] > t + KERNEL_EPS)
+            opened = int(shut[0]) if shut.size else cut
             keep, restore_s = cut, 0.0
             if crash.checkpoint_interval:
                 keep = opened - opened % crash.checkpoint_interval
                 if keep:
-                    restore_s = crash.restore_s.get(job.job_id, 0.0)
+                    restore_s = crash.restore_s.get(job_id, 0.0)
+            gone = mine & (rnd >= keep)
+            drop |= gone
+            # Rounds after the cut never ran (their barrier never opened);
+            # the rest ran until the crash or the detection.
+            ran = np.flatnonzero(gone & (rnd <= cut))
+            ran = ran[np.lexsort((slot[ran], rnd[ran]))]
             lost_work_s = 0.0
-            for r in range(keep, done):
-                for task in job.round_tasks(r):
-                    a = committed.assignments.pop(task)
-                    if r > cut:
-                        continue  # its barrier never opened: never ran
-                    stop = crash.time if a.gpu == gpu else t
-                    lost_work_s += min(
-                        a.train_time, max(0.0, stop - a.start)
-                    )
+            for m, s, tr in zip(
+                on[ran].tolist(), start[ran].tolist(), train[ran].tolist()
+            ):
+                stop = crash.time if m == gpu else t
+                lost_work_s += min(tr, max(0.0, stop - s))
             self.retracted_rounds += done - keep
-            state.rounds_done[job.job_id] = keep
+            state.rounds_done[job_id] = keep
             last_barrier = (
-                committed.round_end(job.job_id, keep - 1)
+                float(ends[keep - 1])
                 if keep > 0
-                else job.arrival
+                else self.instance.jobs[job_id].arrival
             )
-            state.ready_at[job.job_id] = max(t + restore_s, last_barrier)
+            state.ready_at[job_id] = max(t + restore_s, last_barrier)
             retraction = Retraction(
                 time=t,
                 gpu=gpu,
-                job=job.job_id,
+                job=job_id,
                 rounds_done=keep,
                 rounds_lost=max(0, opened - keep),
                 lost_work_s=lost_work_s,
@@ -311,72 +316,15 @@ class SchedulingKernel:
             )
             self.retractions.append(retraction)
             emit_retract(retraction)
-        phi = [0.0] * self.instance.num_gpus
-        for a in committed.assignments.values():
-            phi[a.gpu] = max(phi[a.gpu], a.compute_end)
-        state.phi = phi
+        state.phi.fill(0.0)
+        np.maximum.at(state.phi, on[~drop], compute_end[~drop])
+        log.keep(~drop)
         obs_current().metrics.counter("kernel.retractions").inc()
 
-    # -- commitments -----------------------------------------------------
-    def _apply_commitment(self, commitment: Commitment) -> None:
-        state = self.state
-        state.check_commitment(commitment)
-        obs = obs_current()
-        horizon = 0.0
-        touched_jobs: set[int] = set()
-        phi_before = list(state.phi)
-        for a in commitment.assignments:
-            if a.gpu not in state.alive:
-                raise SimulationError(
-                    f"commitment places {a.task} on dead GPU {a.gpu}"
-                )
-            state.committed.add(a)
-            state.phi[a.gpu] = max(state.phi[a.gpu], a.compute_end)
-            horizon = max(horizon, a.end)
-            touched_jobs.add(a.task.job_id)
-        for job_id in touched_jobs:
-            job = self.instance.jobs[job_id]
-            rounds = sorted(
-                {
-                    a.task.round_idx
-                    for a in commitment.assignments
-                    if a.task.job_id == job_id
-                }
-            )
-            state.rounds_done[job_id] += len(rounds)
-            barrier = max(
-                a.end
-                for a in commitment.assignments
-                if (a.task.job_id, a.task.round_idx)
-                == (job_id, rounds[-1])
-            )
-            state.ready_at[job_id] = barrier
-            if state.rounds_done[job_id] < job.num_rounds:
-                self._wake(
-                    barrier,
-                    KernelEventType.ROUND_BARRIER_OPEN,
-                    (job_id, rounds[-1]),
-                )
-        if commitment.gpu_release is not None:
-            for m, release in commitment.gpu_release.items():
-                state.phi[m] = max(state.phi[m], release)
-        for m, before in enumerate(phi_before):
-            if state.phi[m] > before + KERNEL_EPS:
-                self._wake(state.phi[m], KernelEventType.GPU_FREE, m)
-        for job_id in sorted(touched_jobs):
-            obs.tracer.instant(
-                Category.SCHED,
-                "kernel.commit",
-                track=KERNEL_TRACK,
-                time=state.now,
-                job=job_id,
-                rounds_done=state.rounds_done[job_id],
-            )
-        self.commitments += 1
-        obs.metrics.counter("kernel.commitments").inc()
-        obs.metrics.histogram("kernel.commit_horizon_s").observe(
-            max(0.0, horizon - state.now)
-        )
+    def _push(self, time: float, type_: KernelEventType, a: int, b: int):
+        """:func:`apply_commitment`'s wake-up sink for this queue."""
+        payload = (a, b) if type_ == KernelEventType.ROUND_BARRIER_OPEN else a
+        self._wake(time, type_, payload)
 
     # -- the loop --------------------------------------------------------
     def run(self) -> KernelResult:
@@ -415,7 +363,8 @@ class SchedulingKernel:
                     if not commitments:
                         break
                     for commitment in commitments:
-                        self._apply_commitment(commitment)
+                        apply_commitment(state, commitment, self._push)
+                        self.commitments += 1
                 else:  # pragma: no cover - defensive
                     raise SimulationError(
                         f"policy {self.policy.name!r} did not reach a "
@@ -423,13 +372,8 @@ class SchedulingKernel:
                     )
                 replans_now = int(getattr(self.policy, "replans", 0))
                 if replans_now > replans_seen:
-                    tracer.instant(
-                        Category.SCHED,
-                        "kernel.replan",
-                        track=KERNEL_TRACK,
-                        time=state.now,
-                        pass_idx=replans_now,
-                    )
+                    emit_replan(state.now, replans_now)
+                    self.replan_instants.append((state.now, replans_now))
                     replans_seen = replans_now
             # Sample point-in-time curves once per batch (deterministic
             # sim times → byte-stable counter tracks in the export).
@@ -442,18 +386,88 @@ class SchedulingKernel:
                 "check the policy"
             )
         obs.metrics.counter("kernel.events").inc(self.processed)
-        schedule = state.committed
+        columns = state.committed.columns()
         if tracer.enabled:
-            emit_rounds(schedule.columns())
+            emit_rounds(columns)
         return KernelResult(
-            schedule=schedule,
-            metrics=metrics_from_schedule(schedule),
+            schedule=columns.to_schedule(),
+            metrics=metrics_from_columns(columns),
             events=self.processed,
             commitments=self.commitments,
             replans=int(getattr(self.policy, "replans", 0)),
             retracted_rounds=self.retracted_rounds,
             retractions=tuple(self.retractions),
+            replan_instants=tuple(self.replan_instants),
         )
+
+
+def apply_commitment(
+    state: KernelState,
+    commitment: Commitment,
+    wake: Callable[[float, KernelEventType, int, int], None],
+) -> None:
+    """Check and apply one commitment block: both loops' only commit.
+
+    Appends the block to the commit log, raises φ (and the
+    ``gpu_release`` hold) and advances the job's ``rounds_done`` and
+    ``ready_at``. The wake-ups go to ``wake(time, type, a, b)``, unclamped:
+    the barrier ``(job, round)`` unless the job is done, then
+    ``GPU_FREE`` ``(gpu, 0)`` per GPU whose φ rose, ascending. The obs
+    writes come last, so events a remediation engine pushes on the
+    ``kernel.commit`` instant queue behind these.
+    """
+    state.check_commitment(commitment)
+    c = commitment
+    job_id = c.job
+    state.committed.append(
+        job_id, c.rnd, c.slot, c.gpu, c.start, c.train, c.sync
+    )
+    compute_end = c.start + c.train
+    end = compute_end + c.sync
+    scale = state.instance.jobs[job_id].sync_scale
+    done = int(state.rounds_done[job_id]) + len(c.rnd) // scale
+    state.rounds_done[job_id] = done
+    barrier = float(end[c.rnd == done - 1].max())
+    state.ready_at[job_id] = barrier
+    if done < state.num_rounds[job_id]:
+        wake(barrier, KernelEventType.ROUND_BARRIER_OPEN, job_id, done - 1)
+    phi = state.phi
+    before = phi.copy()
+    np.maximum.at(phi, c.gpu, compute_end)
+    if c.gpu_release is not None:
+        np.maximum.at(phi, c.gpu, c.gpu_release)
+    rose = (phi > before + KERNEL_EPS).nonzero()[0]
+    for m, free_at in zip(rose.tolist(), phi[rose].tolist()):
+        wake(free_at, KernelEventType.GPU_FREE, m, 0)
+    emit_commit(state.now, job_id, done)
+    metrics = obs_current().metrics
+    metrics.counter("kernel.commitments").inc()
+    metrics.histogram("kernel.commit_horizon_s").observe(
+        max(0.0, float(end.max()) - state.now)
+    )
+
+
+def emit_commit(time: float, job: int, rounds_done: int) -> None:
+    """The ``kernel.commit`` instant of one applied commitment."""
+    obs_current().tracer.instant(
+        Category.SCHED,
+        "kernel.commit",
+        track=KERNEL_TRACK,
+        time=time,
+        job=job,
+        rounds_done=rounds_done,
+    )
+
+
+def emit_replan(time: float, pass_idx: int) -> None:
+    """The ``kernel.replan`` instant of a policy's re-plan pass."""
+    obs_current().tracer.instant(
+        Category.SCHED,
+        "kernel.replan",
+        track=KERNEL_TRACK,
+        time=time,
+        pass_idx=pass_idx,
+    )
 
 
 def emit_retract(retraction: Retraction) -> None:

@@ -1,25 +1,33 @@
 """Kernel state and the commitment model.
 
 A policy never mutates the world directly: it returns
-:class:`Commitment` values from ``on_event`` and the kernel applies them —
-appending the assignments to the committed schedule, advancing the per-GPU
-availability vector φ, and publishing the follow-up events
-(``ROUND_BARRIER_OPEN``, ``GPU_FREE``) that wake policies later.
+:class:`Commitment` values from ``on_event`` and the kernel applies them
+(:func:`repro.kernel.runner.apply_commitment`) — appending the block to
+the commit log, advancing the per-GPU availability vector φ, and
+publishing the follow-up events (``ROUND_BARRIER_OPEN``, ``GPU_FREE``)
+that wake policies later.
 
-Commitments are **round-granular**: every round present in a commitment
-must be complete (all ``sync_scale`` slots) and must extend its job's
-committed prefix in order. That keeps the residual problem a clean
-:class:`~repro.core.job.ProblemInstance` at all times.
+A commitment is one job's next ``k`` **complete rounds** as a block of
+columns, extending its committed prefix in order; that keeps the
+residual problem a clean :class:`~repro.core.job.ProblemInstance`. Both
+kernel loops keep this one state: φ, ``rounds_done`` and ``ready_at``
+are arrays (values leave them as built-in ``int``/``float``: numpy
+scalars would change JSON bytes), and :class:`CommitLog` is the
+committed schedule.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from ..core.errors import SimulationError
+import numpy as np
+
+from ..core.errors import ScheduleValidationError, SimulationError
 from ..core.job import Job, ProblemInstance
-from ..core.schedule import Schedule, TaskAssignment
+from ..core.schedule import ScheduleColumns
+from ..core.types import TaskRef
 
 #: Time comparisons in the kernel tolerate this much float slack.
 KERNEL_EPS = 1e-12
@@ -29,16 +37,66 @@ KERNEL_EPS = 1e-12
 class Commitment:
     """An irrevocable (fault-retraction aside) scheduling decision.
 
-    ``assignments`` are global-frame :class:`TaskAssignment` values
-    covering one or more *complete* rounds. ``gpu_release`` optionally
-    overrides when the touched GPUs become available again: gang policies
-    hold every GPU until job completion (the sync tail included), while
-    the default releases each GPU at the last committed ``compute_end``
-    (sync overlaps the successor, §5.2).
+    Row ``i`` places task ``(job, rnd[i], slot[i])`` on ``gpu[i]`` at
+    ``start[i]`` for ``train[i]`` + ``sync[i]``, in the base instance's
+    frame. ``gpu_release`` optionally holds every GPU of the block until
+    that time: gang policies keep their GPUs until job completion (the
+    sync tail included), while by default each GPU frees at its last
+    committed ``compute_end`` (sync overlaps the successor, §5.2).
     """
 
-    assignments: tuple[TaskAssignment, ...]
-    gpu_release: Mapping[int, float] | None = None
+    job: int
+    rnd: np.ndarray
+    slot: np.ndarray
+    gpu: np.ndarray
+    start: np.ndarray
+    train: np.ndarray
+    sync: np.ndarray
+    gpu_release: float | None = None
+
+
+class CommitLog:
+    """The committed schedule as columns, rows in commit order; a
+    retraction drops rows and keeps the rest in order. Sized to the
+    instance, since no task is committed twice."""
+
+    def __init__(self, instance: ProblemInstance) -> None:
+        self.instance = instance
+        self.n = 0
+        cap = instance.num_tasks
+        #: The seven columns; rows from :attr:`n` on are unused.
+        self.buffers = [np.empty(cap, dtype=np.int64) for _ in range(4)]
+        self.buffers += [np.empty(cap) for _ in range(3)]
+        (self.job, self.rnd, self.slot, self.gpu, self.start, self.train,
+         self.sync) = self.buffers
+
+    def append(self, *block) -> None:
+        """Append a block given as the seven columns (``job`` may be one
+        id for every row)."""
+        lo = self.n
+        self.n += len(block[-1])
+        for buf, col in zip(self.buffers, block):
+            buf[lo:self.n] = col
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the rows where *mask* is False."""
+        n = int(np.count_nonzero(mask))
+        for buf in self.buffers:
+            buf[:n] = buf[: self.n][mask]
+        self.n = n
+
+    def round_end(self, job_id: int, round_idx: int) -> float:
+        """The barrier of a committed round: its latest task end."""
+        n = self.n
+        rows = (self.job[:n] == job_id) & (self.rnd[:n] == round_idx)
+        end = (self.start[:n] + self.train[:n]) + self.sync[:n]
+        return float(end[rows].max())
+
+    def columns(self) -> ScheduleColumns:
+        """A copy of the committed rows."""
+        return ScheduleColumns(
+            self.instance, *(buf[: self.n].copy() for buf in self.buffers)
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,17 +161,17 @@ class KernelState:
     #: Current kernel time (the event being processed).
     now: float = 0.0
     #: Per-GPU availability φ_m: when the device's committed compute drains.
-    phi: list[float] = field(default_factory=list)
+    phi: np.ndarray = field(init=False)
     #: Job ids whose arrival event has fired.
     arrived: set[int] = field(default_factory=set)
-    #: Rounds committed so far, per job.
-    rounds_done: dict[int, int] = field(default_factory=dict)
+    #: Rounds committed so far, per job id.
+    rounds_done: np.ndarray = field(init=False)
     #: When each job's next round may start (last committed barrier).
-    ready_at: dict[int, float] = field(default_factory=dict)
+    ready_at: np.ndarray = field(init=False)
     #: GPUs currently alive (all of them unless faults are injected).
     alive: set[int] = field(default_factory=set)
     #: The committed schedule, growing monotonically (faults may retract).
-    committed: Schedule = None  # type: ignore[assignment]
+    committed: CommitLog = field(init=False)
     #: Arrival times not yet fired, ascending (kernel-maintained).
     pending_arrivals: list[float] = field(default_factory=list)
     #: Advisory per-job weight multipliers (remediation ``boost_weight``):
@@ -124,15 +182,21 @@ class KernelState:
     #: policies avoid *new* commitments there, but these GPUs stay in
     #: :attr:`alive` — quarantine is a preference, not a crash.
     quarantined: set[int] = field(default_factory=set)
+    #: Every job's round count, by job id.
+    num_rounds: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         inst = self.instance
-        self.phi = [0.0] * inst.num_gpus
-        self.rounds_done = {j.job_id: 0 for j in inst.jobs}
-        self.ready_at = {j.job_id: j.arrival for j in inst.jobs}
+        jobs = inst.jobs
+        self.phi = np.zeros(inst.num_gpus)
+        self.num_rounds = np.array(
+            [j.num_rounds for j in jobs], dtype=np.int64
+        )
+        self.rounds_done = np.zeros(len(jobs), dtype=np.int64)
+        self.ready_at = np.array([j.arrival for j in jobs], dtype=np.float64)
         self.alive = set(range(inst.num_gpus))
-        self.committed = Schedule(inst)
-        self.pending_arrivals = sorted(j.arrival for j in inst.jobs)
+        self.committed = CommitLog(inst)
+        self.pending_arrivals = sorted(j.arrival for j in jobs)
 
     # -- derived views policies decide from ----------------------------
     def known_jobs(self) -> list[Job]:
@@ -143,16 +207,13 @@ class KernelState:
 
     def unstarted(self) -> list[int]:
         """Arrived jobs with no committed round yet (gang candidates)."""
-        return sorted(
-            n for n in self.arrived if self.rounds_done[n] == 0
-        )
+        unstarted = (self.rounds_done == 0).nonzero()[0].tolist()
+        return [n for n in unstarted if n in self.arrived]
 
     def free_gpus(self) -> list[int]:
         """Alive GPUs whose committed work has drained by *now*."""
-        return [
-            m for m in sorted(self.alive)
-            if self.phi[m] <= self.now + KERNEL_EPS
-        ]
+        drained = (self.phi <= self.now + KERNEL_EPS).nonzero()[0].tolist()
+        return [m for m in drained if m in self.alive]
 
     def usable_gpus(self, jobs: Iterable[Job]) -> set[int]:
         """Alive GPUs minus the quarantined ones — unless that would
@@ -179,41 +240,57 @@ class KernelState:
         return self.pending_arrivals[0] if self.pending_arrivals else None
 
     def remaining_rounds(self, job_id: int) -> int:
-        return (
-            self.instance.jobs[job_id].num_rounds - self.rounds_done[job_id]
-        )
+        return int(self.num_rounds[job_id] - self.rounds_done[job_id])
 
     def complete(self) -> bool:
         """Every round of every job committed."""
-        return all(
-            self.rounds_done[j.job_id] == j.num_rounds
-            for j in self.instance.jobs
-        )
+        return bool((self.rounds_done == self.num_rounds).all())
 
     # -- commitment validation (used by the kernel before applying) ----
     def check_commitment(self, commitment: Commitment) -> None:
-        """Round-granularity sanity: complete rounds, in prefix order."""
-        by_round: dict[tuple[int, int], int] = {}
-        for a in commitment.assignments:
-            key = (a.task.job_id, a.task.round_idx)
-            by_round[key] = by_round.get(key, 0) + 1
-        per_job: dict[int, list[int]] = {}
-        for (job_id, r), count in by_round.items():
-            job = self.instance.jobs[job_id]
-            if count != job.sync_scale:
+        """Refuse a block that is not its job's next complete rounds.
+
+        A canonical block (row ``i`` is task ``(done + i // sync_scale,
+        i % sync_scale)``) only needs live GPUs. Any other is checked in
+        order: each round has ``sync_scale`` rows, the rounds extend the
+        committed prefix, and no row is on a dead GPU or repeats an
+        earlier row's task (the first such row is named).
+        """
+        c = commitment
+        job_id = c.job
+        scale = self.instance.jobs[job_id].sync_scale
+        done = int(self.rounds_done[job_id])
+        row = np.arange(len(c.rnd))
+        if (
+            len(row) % scale == 0
+            and (c.rnd == done + row // scale).all()
+            and (c.slot == row % scale).all()
+            and self.alive.issuperset(c.gpu.tolist())
+        ):
+            return
+        rnd, slot = c.rnd.tolist(), c.slot.tolist()
+        for r, count in Counter(rnd).items():
+            if count != scale:
                 raise SimulationError(
-                    f"commitment covers {count}/{job.sync_scale} tasks of "
+                    f"commitment covers {count}/{scale} tasks of "
                     f"job {job_id} round {r}"
                 )
-            per_job.setdefault(job_id, []).append(r)
-        for job_id, rounds in per_job.items():
-            rounds.sort()
-            expected = list(
-                range(self.rounds_done[job_id],
-                      self.rounds_done[job_id] + len(rounds))
+        rounds = sorted(set(rnd))
+        if rounds != list(range(done, done + len(rounds))):
+            raise SimulationError(
+                f"job {job_id} commitment rounds {rounds} do not extend "
+                f"the committed prefix ({done} done)"
             )
-            if rounds != expected:
-                raise SimulationError(
-                    f"job {job_id} commitment rounds {rounds} do not extend "
-                    f"the committed prefix ({self.rounds_done[job_id]} done)"
-                )
+        dead = np.isin(c.gpu, list(self.alive), invert=True)
+        repeat = np.ones(len(row), dtype=bool)
+        repeat[np.unique(np.stack((c.rnd, c.slot)), axis=1,
+                         return_index=True)[1]] = False
+        if not (dead | repeat).any():
+            return
+        i = int(np.argmax(dead | repeat))
+        task = TaskRef(job_id, rnd[i], slot[i])
+        if dead[i]:
+            raise SimulationError(
+                f"commitment places {task} on dead GPU {int(c.gpu[i])}"
+            )
+        raise ScheduleValidationError(5, f"task {task} assigned twice")

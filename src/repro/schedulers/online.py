@@ -40,10 +40,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.job import ProblemInstance
-from ..core.schedule import Schedule, TaskAssignment
-from ..core.types import TaskRef
+from ..core.schedule import Schedule
 from ..kernel.events import Event, KernelEventType
-from ..kernel.residual import build_residual, solve_relaxation
+from ..kernel.residual import build_residual, solve_relaxation, to_global
 from ..kernel.state import Commitment, KernelState
 from ..obs import current as obs_current
 from .base import Scheduler
@@ -134,10 +133,8 @@ class OnlineHarePolicy:
         # Rounds starting at or after the horizon stay provisional.
         horizon = None if next_arrival is None else next_arrival - 1e-12
         initial_phi = (
-            list(state.phi)
-            if gpu_subset is None
-            else [state.phi[m] for m in gpu_subset]
-        )
+            state.phi if gpu_subset is None else state.phi[gpu_subset]
+        ).tolist()
         plan = self._plan(residual, relaxation, initial_phi, horizon)
         self._last_replan = state.now
         self.replans += 1
@@ -182,8 +179,10 @@ class OnlineHarePolicy:
         A ``None`` horizon (the final arrival) commits the whole plan. A
         truncated plan lacks only tasks that start at or after the
         horizon, in rounds that would not be committed anyway. The plan
-        is read as columns; only committed tasks become objects, in the
-        base instance's frame (:func:`~repro.kernel.residual.to_global`).
+        is read as columns: the committed rounds' rows are gathered in
+        canonical order, moved to the base instance's frame
+        (:func:`~repro.kernel.residual.to_global`) and cut into one
+        block per round.
         """
         cols = plan.columns()
         n = residual.num_tasks
@@ -191,7 +190,7 @@ class OnlineHarePolicy:
         row[cols.canon] = np.arange(len(cols))
         start = np.full(n, np.inf)
         start[cols.canon] = cols.start
-        job, rnd, _ = residual.task_columns()
+        job, rnd, slot = residual.task_columns()
         # Canonical order holds each round's tasks as one block, and each
         # job's rounds as consecutive blocks.
         first = np.flatnonzero(
@@ -208,28 +207,24 @@ class OnlineHarePolicy:
             (failed - ~ok)[job_first], np.diff(job_first, append=len(first))
         )
         keep = failed == failed_before
-
-        gpu = cols.gpu
-        if gpu_subset is not None:
-            gpu = np.asarray(gpu_subset)[gpu]
-        gpus, starts = gpu.tolist(), cols.start.tolist()
-        trains, syncs = cols.train.tolist(), cols.sync.tolist()
-        rows = row.tolist()
-        bounds = np.append(first, n).tolist()
-        job_of, rnd_of = job.tolist(), rnd.tolist()
-        out: list[Commitment] = []
-        for k in np.flatnonzero(keep).tolist():
-            lo, hi = bounds[k], bounds[k + 1]
-            job_id, round_offset = id_map[job_of[lo]]
-            r = round_offset + rnd_of[lo]
-            out.append(Commitment(assignments=tuple(
-                TaskAssignment(
-                    TaskRef(job_id, r, slot), gpus[i], starts[i],
-                    trains[i], syncs[i],
-                )
-                for slot, i in enumerate(rows[lo:hi])
-            )))
-        return out
+        sizes = np.diff(first, append=n)
+        tasks = np.repeat(keep, sizes)
+        take = row[tasks]
+        g_job, g_rnd, g_gpu = to_global(
+            job[tasks], rnd[tasks], cols.gpu[take], id_map, gpu_subset
+        )
+        columns = (
+            g_rnd, slot[tasks], g_gpu, cols.start[take], cols.train[take],
+            cols.sync[take],
+        )
+        hi = np.cumsum(sizes[keep])
+        lo = hi - sizes[keep]
+        return [
+            Commitment(job_id, *(col[a:b] for col in columns))
+            for job_id, a, b in zip(
+                g_job[lo].tolist(), lo.tolist(), hi.tolist()
+            )
+        ]
 
 
 @register("hare_online", summary="Event-driven re-planning Hare (online)")

@@ -304,19 +304,20 @@ def test_reference_kernel_retraction_is_seen(fig1_instance):
     """Validation after a crash retraction sees the retracted schedule.
 
     The committed schedule is checked, then the reference kernel's crash
-    retraction pops rounds from it (under a re-planning policy: a fixed
-    plan refuses the retraction); a view cached from the first check
-    would still pass. The second check must fail on coverage exactly as
-    the object-walk oracle does.
+    retraction drops rounds from its commit log (under a re-planning
+    policy: a fixed plan refuses the retraction). The result holds a
+    snapshot, which still passes; the log's schedule must fail on
+    coverage exactly as the object-walk oracle does.
     """
     kernel = SchedulingKernel(fig1_instance, OnlineHarePolicy())
     result = kernel.run()
-    committed = result.schedule
-    validate_schedule(committed)
-    before = metrics_from_schedule(committed)
-    assert before == reference_metrics_from_schedule(committed)
+    validate_schedule(result.schedule)
+    before = metrics_from_schedule(result.schedule)
+    assert before == reference_metrics_from_schedule(result.schedule)
     kernel._apply_crash(0, 0.0)
     assert kernel.retracted_rounds > 0
+    validate_schedule(result.schedule)
+    committed = kernel.state.committed.columns().to_schedule()
     got = _outcome(validate_schedule, committed)
     assert got[:2] == (ScheduleValidationError, 5)
     assert got == _outcome(reference_validate_schedule, committed)

@@ -207,24 +207,19 @@ class _PastCommitPolicy(Policy):
         self._instance = instance
 
     def _commit(self, job_id, round_idx, gpu, start):
-        from repro.core.schedule import TaskAssignment
-        from repro.core.types import TaskRef
-
         key = (job_id, round_idx)
         if key in self._committed:
             return []
         self._committed.add(key)
         return [
             Commitment(
-                assignments=(
-                    TaskAssignment(
-                        task=TaskRef(job_id, round_idx, 0),
-                        gpu=gpu,
-                        start=start,
-                        train_time=1.0,
-                        sync_time=0.0,
-                    ),
-                )
+                job_id,
+                rnd=np.array([round_idx]),
+                slot=np.array([0]),
+                gpu=np.array([gpu]),
+                start=np.array([start]),
+                train=np.array([1.0]),
+                sync=np.array([0.0]),
             )
         ]
 

@@ -209,6 +209,84 @@ class TestWakeupsAndGuards:
             run_policy(inst, OntoDead(), crashes=[(0.0, 1)])
 
 
+def _block(job_id, rows):
+    """A commitment of *job_id* from ``(round, slot, gpu, start)`` rows,
+    each task training 1 s and syncing 0 s."""
+    rnd, slot, gpu, start = (np.array(col) for col in zip(*rows))
+    return Commitment(
+        job_id, rnd=rnd, slot=slot, gpu=gpu, start=start.astype(float),
+        train=np.ones(len(rows)), sync=np.zeros(len(rows)),
+    )
+
+
+class TestCommitmentRefusals:
+    """The kernel refuses a malformed block with the same exception and
+    message whichever check catches it: a block is one job's next
+    complete rounds, each task once, on live GPUs."""
+
+    @staticmethod
+    def _refusal(blocks, crashes=None):
+        jobs = [Job(job_id=0, model="m", num_rounds=2, sync_scale=2)]
+        inst = ProblemInstance(
+            jobs=jobs,
+            train_time=np.ones((1, 3)),
+            sync_time=np.zeros((1, 3)),
+        )
+
+        class Scripted(Policy):
+            name = "scripted"
+
+            def __init__(self):
+                self.pending = list(blocks)
+
+            def on_event(self, event, state):
+                if event.type != KernelEventType.JOB_ARRIVED:
+                    return []
+                out, self.pending = self.pending, []
+                return out
+
+        with pytest.raises(Exception) as err:
+            run_policy(inst, Scripted(), crashes=crashes)
+        return type(err.value).__name__, str(err.value)
+
+    def test_a_repeated_task(self):
+        block = _block(0, [(0, 0, 0, 0.0), (0, 0, 1, 0.0)])
+        assert self._refusal([block]) == (
+            "ScheduleValidationError",
+            "constraint (5): task J0.r0.t0 assigned twice",
+        )
+
+    def test_a_committed_task_again(self):
+        first = _block(0, [(0, 0, 0, 0.0), (0, 1, 1, 0.0)])
+        again = _block(0, [(0, 0, 2, 1.0), (0, 1, 1, 1.0)])
+        assert self._refusal([first, again]) == (
+            "SimulationError",
+            "job 0 commitment rounds [0] do not extend the committed "
+            "prefix (1 done)",
+        )
+
+    def test_a_dead_gpu(self):
+        block = _block(0, [(0, 0, 0, 0.0), (0, 1, 1, 0.0)])
+        assert self._refusal([block], crashes=[(0.0, 1)]) == (
+            "SimulationError",
+            "commitment places J0.r0.t1 on dead GPU 1",
+        )
+
+    def test_a_dead_gpu_before_a_later_repeat(self):
+        block = _block(0, [(0, 1, 1, 0.0), (0, 1, 2, 0.0)])
+        assert self._refusal([block], crashes=[(0.0, 1)]) == (
+            "SimulationError",
+            "commitment places J0.r0.t1 on dead GPU 1",
+        )
+
+    def test_a_partial_round(self):
+        block = _block(0, [(0, 0, 0, 0.0), (1, 0, 1, 1.0), (1, 1, 2, 1.0)])
+        assert self._refusal([block]) == (
+            "SimulationError",
+            "commitment covers 1/2 tasks of job 0 round 0",
+        )
+
+
 class TestObservability:
     def test_kernel_counters_and_histograms(self, tiny_instance):
         with use(Obs.start()) as obs:

@@ -105,8 +105,27 @@ class TestScheduleMatchesRecords:
 
 
 class TestShardedCrash:
-    """A sharded run carries its cells' crashes into the merged result
-    and the record stream, on global job and GPU ids."""
+    """A sharded run carries its cells' crashes and re-plans into the
+    merged result and the record stream, on global job and GPU ids."""
+
+    @pytest.mark.parametrize("crashes", [None, ((5.0, 1),)])
+    def test_replans_reach_the_report(self, crashes):
+        r = api.run_experiment(
+            gpus=8, jobs=16, seed=7, rounds_scale=0.1,
+            scheduler="hare_online", crashes=crashes,
+            replan_interval=2, cells=2, record=True, trace=False,
+            simulate=False,
+        )
+        kernel = r.kernel
+        assert r.attribution().replans == kernel.replans > 0
+        marks = [
+            (rec.time, rec.args["pass_idx"])
+            for rec in r.obs.recorder.records()
+            if rec.name == "kernel.replan"
+        ]
+        assert marks == list(kernel.replan_instants)
+        assert [i for _, i in marks] == list(range(1, kernel.replans + 1))
+        assert [t for t, _ in marks] == sorted(t for t, _ in marks)
 
     def test_retractions_reach_the_report(self):
         r = api.run_experiment(

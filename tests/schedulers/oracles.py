@@ -496,15 +496,22 @@ class UntruncatedOnlineHarePolicy(OnlineHarePolicy):
         out: list[Commitment] = []
         for local_job in residual.jobs:
             for r in range(local_job.num_rounds):
-                tasks = local_job.round_tasks(r)
-                if min(plan[task].start for task in tasks) >= cut:
+                placed = [plan[task] for task in local_job.round_tasks(r)]
+                if min(a.start for a in placed) >= cut:
                     break
+                job, rnd, gpu = to_global(
+                    np.array([a.task.job_id for a in placed]),
+                    np.array([a.task.round_idx for a in placed]),
+                    np.array([a.gpu for a in placed]),
+                    id_map, gpu_subset,
+                )
                 out.append(
                     Commitment(
-                        assignments=tuple(
-                            to_global(plan[task], id_map, gpu_subset)
-                            for task in tasks
-                        )
+                        int(job[0]), rnd,
+                        np.array([a.task.slot for a in placed]), gpu,
+                        np.array([a.start for a in placed]),
+                        np.array([a.train_time for a in placed]),
+                        np.array([a.sync_time for a in placed]),
                     )
                 )
         return out

@@ -92,6 +92,30 @@ def test_replay_builds_no_per_task_objects(testbed, scheduler):
     assert result.sim.realized._assignments is None
 
 
+def test_reference_loop_builds_no_per_task_objects(testbed):
+    """An online crash run with a re-plan timer, which only the reference
+    loop takes, commits column blocks into the commit log and returns it
+    as columns; no kernel module, nor online Hare, imports the per-task
+    assignment type."""
+    import importlib
+    import pkgutil
+
+    import repro.kernel
+
+    result = run_experiment(
+        scheduler="hare_online", cluster=testbed, crashes=((5.0, 1),),
+        replan_interval=2.0, simulate=False,
+    )
+    assert result.kernel.retractions
+    assert result.kernel.schedule._assignments is None
+    modules = [repro.kernel] + [
+        importlib.import_module(f"repro.kernel.{m.name}")
+        for m in pkgutil.iter_modules(repro.kernel.__path__)
+    ] + [importlib.import_module("repro.schedulers.online")]
+    for module in modules:
+        assert not hasattr(module, "TaskAssignment"), module.__name__
+
+
 class TestArtifacts:
     def test_trace_validates(self, hare_run):
         assert validate_chrome_trace(hare_run.trace()) > 0
