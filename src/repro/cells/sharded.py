@@ -29,7 +29,7 @@ every registered scheduler.
 from __future__ import annotations
 
 import time as _time
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -58,23 +58,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 CELLS_TRACK = "cells"
 
 
+@dataclass(slots=True, kw_only=True, eq=False, repr=False)
 class ShardedKernelResult(KernelResult):
     """A merged :class:`KernelResult` plus the cell-layer evidence."""
 
-    __slots__ = ("partition", "admission_plan", "cell_stats")
-
-    def __init__(
-        self,
-        *,
-        partition: CellPartition,
-        admission_plan: AdmissionPlan,
-        cell_stats: tuple[dict, ...],
-        **kwargs,
-    ) -> None:
-        super().__init__(**kwargs)
-        self.partition = partition
-        self.admission_plan = admission_plan
-        self.cell_stats = cell_stats
+    partition: CellPartition
+    admission_plan: AdmissionPlan
+    cell_stats: tuple[dict, ...]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -78,15 +78,15 @@ from ..core.errors import (
 from ..core.job import ProblemInstance
 from ..core.metrics import metrics_from_columns
 from ..core.types import TaskRef
-from ..obs import Category, current as obs_current
+from ..obs import current as obs_current
 from .events import KernelEventType
 from .policies import Policy, gang_commitment
-from .residual import KERNEL_TRACK
 from .runner import (
     KernelResult,
     apply_commitment,
     batch_path,
     emit_commit,
+    emit_event,
     emit_rounds,
 )
 from .state import KERNEL_EPS, KernelState
@@ -96,8 +96,6 @@ __all__ = ["ArraySchedulingKernel"]
 _BARRIER = int(KernelEventType.ROUND_BARRIER_OPEN)
 _ARRIVED = int(KernelEventType.JOB_ARRIVED)
 _FREE = int(KernelEventType.GPU_FREE)
-
-_TYPE_NAMES = {int(t): t.name for t in KernelEventType}
 
 
 def _clamp(times: np.ndarray, now: np.ndarray) -> np.ndarray:
@@ -206,14 +204,6 @@ class ArraySchedulingKernel:
                 "likely policy livelock"
             )
 
-    @staticmethod
-    def _instant_args(type_: int, a: int, b: int) -> dict:
-        if type_ == _ARRIVED:
-            return {"job": a}
-        if type_ == _FREE:
-            return {"gpu": a}
-        return {"job": a, "round": b}
-
     def run(self) -> KernelResult:
         self.policy.setup(self.state)
         if self._path == "planned":
@@ -248,16 +238,13 @@ class ArraySchedulingKernel:
         num_jobs = len(jobs)
         if not num_jobs:
             return
-        gpu, start, train, sync = self.policy._canonical(instance)
-        num_rounds = np.fromiter(
-            (j.num_rounds for j in jobs), np.int64, count=num_jobs
-        )
+        gpu, start, train, sync = self.policy.canon
+        num_rounds = self.state.num_rounds
         scale = np.fromiter(
             (j.sync_scale for j in jobs), np.int64, count=num_jobs
         )
         # Per-round columns, rounds in canonical (job, round) order.
-        round_base = np.zeros(num_jobs + 1, dtype=np.int64)
-        np.cumsum(num_rounds, out=round_base[1:])
+        round_base = self.state.committed.round_base
         round_job = np.repeat(np.arange(num_jobs), num_rounds)
         round_idx = np.arange(int(round_base[-1])) - round_base[round_job]
         round_lo = np.zeros(len(round_job), dtype=np.int64)
@@ -451,20 +438,12 @@ class ArraySchedulingKernel:
         commits up to ``commit_stop[k]``. Each batch emits its event
         instants, then each of its commits' ``kernel.commit``.
         """
-        tracer = obs_current().tracer
         c_now, jobs, rounds = ctime.tolist(), c_job.tolist(), c_rnd.tolist()
         e_time, e_type, e_a, e_b = (col.tolist() for col in events)
         e = c = 0
         for e_stop, c_stop in zip(event_stop.tolist(), commit_stop.tolist()):
             for k in range(e, e_stop):
-                type_ = e_type[k]
-                tracer.instant(
-                    Category.SIM,
-                    _TYPE_NAMES[type_],
-                    track=KERNEL_TRACK,
-                    time=e_time[k],
-                    **self._instant_args(type_, e_a[k], e_b[k]),
-                )
+                emit_event(e_time[k], e_type[k], e_a[k], e_b[k])
             for k in range(c, c_stop):
                 emit_commit(c_now[k], jobs[k], rounds[k] + 1)
             e, c = e_stop, c_stop
@@ -493,13 +472,7 @@ class ArraySchedulingKernel:
             for time_, type_, _seq, a, b in batch:
                 self._count_events(1)
                 if tracer.enabled:
-                    tracer.instant(
-                        Category.SIM,
-                        _TYPE_NAMES[type_],
-                        track=KERNEL_TRACK,
-                        time=time_,
-                        **self._instant_args(type_, a, b),
-                    )
+                    emit_event(time_, type_, a, b)
                 # ROUND_BARRIER_OPEN / GPU_FREE are pure wake-ups.
                 if type_ == _ARRIVED:
                     state.arrived.add(a)

@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from ..core.errors import GangDoesNotFitError, InfeasibleProblemError
-from ..core.schedule import Schedule, ScheduleColumns
+from ..core.schedule import ScheduleColumns
 from .events import Event, KernelEventType
 from .residual import build_residual, replan, to_global
 from .state import KERNEL_EPS, Commitment, KernelState
@@ -80,12 +80,13 @@ class Policy(ABC):
 class PlannedPolicy(Policy):
     """Run an offline planner's schedule through the kernel, verbatim.
 
-    The plan is computed lazily at :meth:`setup` (the planner sees the
-    full instance — this wrapper *is* the clairvoyant mode). A job's next
-    round is committed when its ``JOB_ARRIVED`` (round 0) or its
-    predecessor's ``ROUND_BARRIER_OPEN`` fires. Since commitments carry
-    the plan's absolute start times, the committed schedule equals the
-    plan assignment-for-assignment.
+    The plan is computed at :meth:`setup` (the planner sees the full
+    instance — this wrapper *is* the clairvoyant mode) and kept as
+    canonical columns. A job's next round, a slice of them, is committed
+    when its ``JOB_ARRIVED`` (round 0) or its predecessor's
+    ``ROUND_BARRIER_OPEN`` fires. Since commitments carry the plan's
+    absolute start times, the committed schedule equals the plan
+    assignment-for-assignment.
 
     When a GPU the plan uses dies, the first event after the crash
     re-plans the residual — every job's remaining rounds — with the same
@@ -98,9 +99,9 @@ class PlannedPolicy(Policy):
     def __init__(self, planner) -> None:
         self.planner = planner
         self.name = getattr(planner, "name", type(planner).__name__)
-        #: The planner's plan; the current one is :meth:`_canonical`.
-        self._plan: Schedule | None = None
-        self._canon: list[np.ndarray] | None = None
+        #: The current plan's (gpu, start, train, sync) columns in
+        #: ``all_tasks()`` order; job ``j``'s rows start at ``_first[j]``.
+        self.canon: list[np.ndarray] = []
         self._first: list[int] = []
         #: The alive GPUs the current plan was made for.
         self._alive: frozenset[int] = frozenset()
@@ -108,22 +109,16 @@ class PlannedPolicy(Policy):
         self.replans = 0
 
     def setup(self, state: KernelState) -> None:
-        self._plan = self.planner.schedule(state.instance)
-        self._canon = None
+        instance = state.instance
+        cols = self.planner.schedule(instance).columns()
+        rows = cols.canonical_rows()
+        self.canon = [
+            cols.gpu[rows], cols.start[rows], cols.train[rows],
+            cols.sync[rows],
+        ]
+        self._first = [0, *accumulate(j.num_tasks for j in instance.jobs)]
         self._alive = frozenset(state.alive)
         self.replans = 0
-
-    def _canonical(self, instance) -> list[np.ndarray]:
-        """The current plan's (gpu, start, train, sync) columns in
-        ``all_tasks()`` order (``_first[j]`` is job ``j``'s first row),
-        built from :attr:`_plan` on first use."""
-        if self._canon is None:
-            cols = self._plan.columns()
-            rows = cols.canonical_rows()
-            self._canon = [cols.gpu[rows], cols.start[rows],
-                           cols.train[rows], cols.sync[rows]]
-            self._first = [0, *accumulate(j.num_tasks for j in instance.jobs)]
-        return self._canon
 
     def _round_commitment(
         self, state: KernelState, job_id: int, round_idx: int
@@ -134,7 +129,7 @@ class PlannedPolicy(Policy):
             or round_idx != state.rounds_done[job_id]
         ):
             return []
-        gpu, start, train, sync = self._canonical(state.instance)
+        gpu, start, train, sync = self.canon
         scale = job.sync_scale
         lo = self._first[job_id] + round_idx * scale
         hi = lo + scale
@@ -185,18 +180,19 @@ class PlannedPolicy(Policy):
         # The residual's tasks take their new rows; the committed ones
         # keep stale rows no commitment reads.
         for col, new in zip(
-            self._canonical(instance),
+            self.canon,
             (plan.gpu, plan.start, plan.train, plan.sync),
         ):
             col[plan.canon] = new
+        ends = state.committed.round_ends()
+        base = state.committed.round_base
         out: list[Commitment] = []
         for job_id, done in id_map:
             if job_id not in state.arrived:
                 continue
             if (
                 done == 0
-                or state.committed.round_end(job_id, done - 1)
-                <= state.now + KERNEL_EPS
+                or ends[base[job_id] + done - 1] <= state.now + KERNEL_EPS
             ):
                 out.extend(self._round_commitment(state, job_id, done))
         return out

@@ -31,6 +31,7 @@ round (:func:`emit_rounds`).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,6 +46,7 @@ from .policies import GangPolicy, PlannedPolicy, Policy
 from .residual import KERNEL_TRACK
 from .state import (
     KERNEL_EPS,
+    SMALL_BLOCK,
     Commitment,
     KernelCrash,
     KernelState,
@@ -52,6 +54,7 @@ from .state import (
 )
 
 
+@dataclass(slots=True, kw_only=True, eq=False, repr=False)
 class KernelResult:
     """Outcome of one kernel run.
 
@@ -69,37 +72,14 @@ class KernelResult:
     ``kernel.replan`` instant, in emission order.
     """
 
-    __slots__ = (
-        "schedule",
-        "metrics",
-        "events",
-        "commitments",
-        "replans",
-        "retracted_rounds",
-        "retractions",
-        "replan_instants",
-    )
-
-    def __init__(
-        self,
-        *,
-        schedule: Schedule,
-        metrics: ScheduleMetrics,
-        events: int,
-        commitments: int,
-        replans: int,
-        retracted_rounds: int,
-        retractions: tuple[Retraction, ...] = (),
-        replan_instants: tuple[tuple[float, int], ...] = (),
-    ) -> None:
-        self.schedule = schedule
-        self.metrics = metrics
-        self.events = events
-        self.commitments = commitments
-        self.replans = replans
-        self.retracted_rounds = retracted_rounds
-        self.retractions = retractions
-        self.replan_instants = replan_instants
+    schedule: Schedule
+    metrics: ScheduleMetrics
+    events: int
+    commitments: int
+    replans: int
+    retracted_rounds: int
+    retractions: tuple[Retraction, ...] = ()
+    replan_instants: tuple[tuple[float, int], ...] = ()
 
     def columns(self) -> ScheduleColumns:
         """The committed schedule's column view
@@ -114,16 +94,24 @@ class KernelResult:
         )
 
 
-def _event_args(event: Event) -> dict:
-    """Structured args for an event's kernel-track instant."""
-    if event.type == KernelEventType.JOB_ARRIVED:
-        return {"job": event.payload}
-    if event.type in (KernelEventType.GPU_CRASHED, KernelEventType.GPU_FREE):
-        return {"gpu": event.payload}
-    if event.type == KernelEventType.ROUND_BARRIER_OPEN and event.payload:
-        job, round_idx = event.payload
-        return {"job": job, "round": round_idx}
-    return {}
+_EVENT_NAMES = {int(t): t.name for t in KernelEventType}
+
+
+def emit_event(time: float, type_: int, a=None, b=None) -> None:
+    """The kernel-track instant of one popped event: an arrival names job
+    *a*, a barrier job *a*'s round *b*, a free or a crash GPU *a*."""
+    if type_ == KernelEventType.ROUND_BARRIER_OPEN:
+        args = {"job": a, "round": b}
+    elif type_ == KernelEventType.JOB_ARRIVED:
+        args = {"job": a}
+    elif type_ == KernelEventType.REPLAN_TIMER:
+        args = {}
+    else:
+        args = {"gpu": a}
+    obs_current().tracer.instant(
+        Category.SIM, _EVENT_NAMES[type_], track=KERNEL_TRACK, time=time,
+        **args,
+    )
 
 
 class SchedulingKernel:
@@ -266,7 +254,7 @@ class SchedulingKernel:
             buf[: log.n] for buf in log.buffers
         )
         compute_end = start + train
-        end = compute_end + sync
+        round_ends = log.round_ends()
         hit = (on == gpu) & (compute_end > crash.time + KERNEL_EPS)
         uncut = np.iinfo(np.int64).max
         cut_of = np.full(self.instance.num_jobs, uncut)
@@ -276,8 +264,8 @@ class SchedulingKernel:
             cut = int(cut_of[job_id])
             done = int(state.rounds_done[job_id])
             mine = job == job_id
-            ends = np.full(done, -np.inf)
-            np.maximum.at(ends, rnd[mine], end[mine])
+            base = int(log.round_base[job_id])
+            ends = round_ends[base:base + done]
             shut = np.flatnonzero(ends[:cut] > t + KERNEL_EPS)
             opened = int(shut[0]) if shut.size else cut
             keep, restore_s = cut, 0.0
@@ -349,13 +337,10 @@ class SchedulingKernel:
                         "likely policy livelock"
                     )
                 if tracer.enabled:
-                    tracer.instant(
-                        Category.SIM,
-                        event.type.name,
-                        track=KERNEL_TRACK,
-                        time=event.time,
-                        **_event_args(event),
-                    )
+                    barrier = event.type == KernelEventType.ROUND_BARRIER_OPEN
+                    emit_event(event.time, event.type, *(
+                        event.payload if barrier else (event.payload,)
+                    ))
                 self._apply_event(event)
             for event in batch:
                 for _ in range(invoke_cap):
@@ -422,28 +407,59 @@ def apply_commitment(
     state.committed.append(
         job_id, c.rnd, c.slot, c.gpu, c.start, c.train, c.sync
     )
-    compute_end = c.start + c.train
-    end = compute_end + c.sync
     scale = state.instance.jobs[job_id].sync_scale
     done = int(state.rounds_done[job_id]) + len(c.rnd) // scale
     state.rounds_done[job_id] = done
-    barrier = float(end[c.rnd == done - 1].max())
+    raise_phi = _raise_phi_wide if len(c.rnd) > SMALL_BLOCK else _raise_phi
+    barrier, horizon, frees = raise_phi(state.phi, c, done - 1)
     state.ready_at[job_id] = barrier
     if done < state.num_rounds[job_id]:
         wake(barrier, KernelEventType.ROUND_BARRIER_OPEN, job_id, done - 1)
-    phi = state.phi
-    before = phi.copy()
-    np.maximum.at(phi, c.gpu, compute_end)
-    if c.gpu_release is not None:
-        np.maximum.at(phi, c.gpu, c.gpu_release)
-    rose = (phi > before + KERNEL_EPS).nonzero()[0]
-    for m, free_at in zip(rose.tolist(), phi[rose].tolist()):
+    for m, free_at in frees:
         wake(free_at, KernelEventType.GPU_FREE, m, 0)
     emit_commit(state.now, job_id, done)
     metrics = obs_current().metrics
     metrics.counter("kernel.commitments").inc()
     metrics.histogram("kernel.commit_horizon_s").observe(
-        max(0.0, float(end.max()) - state.now)
+        max(0.0, horizon - state.now)
+    )
+
+
+def _raise_phi(phi: np.ndarray, c: Commitment, last: int):
+    """Raise *phi* by block *c*, row by row; returns the barrier of round
+    *last*, the block's latest end and the ``(gpu, time)`` of every GPU
+    whose φ rose, ascending. Bit-equal to :func:`_raise_phi_wide`."""
+    compute_end = [s + t for s, t in zip(c.start.tolist(), c.train.tolist())]
+    end = [e + y for e, y in zip(compute_end, c.sync.tolist())]
+    release = -np.inf if c.gpu_release is None else float(c.gpu_release)
+    hold: dict[int, float] = {}
+    for m, e in zip(c.gpu.tolist(), compute_end):
+        hold[m] = max(hold.get(m, release), e)
+    frees = []
+    for m in sorted(hold):
+        before = float(phi[m])
+        if hold[m] > before:
+            phi[m] = hold[m]
+            if hold[m] > before + KERNEL_EPS:
+                frees.append((m, hold[m]))
+    barrier = max(e for r, e in zip(c.rnd.tolist(), end) if r == last)
+    return barrier, max(end), frees
+
+
+def _raise_phi_wide(phi: np.ndarray, c: Commitment, last: int):
+    """:func:`_raise_phi` with numpy, for blocks wider than
+    :data:`SMALL_BLOCK` rows."""
+    compute_end = c.start + c.train
+    end = compute_end + c.sync
+    before = phi.copy()
+    np.maximum.at(phi, c.gpu, compute_end)
+    if c.gpu_release is not None:
+        np.maximum.at(phi, c.gpu, c.gpu_release)
+    rose = (phi > before + KERNEL_EPS).nonzero()[0]
+    return (
+        float(end[c.rnd == last].max()),
+        float(end.max()),
+        list(zip(rose.tolist(), phi[rose].tolist())),
     )
 
 

@@ -32,6 +32,10 @@ from ..core.types import TaskRef
 #: Time comparisons in the kernel tolerate this much float slack.
 KERNEL_EPS = 1e-12
 
+#: Blocks up to this many rows are checked and applied through
+#: ``tolist()`` reads: below it numpy's per-call overhead costs more.
+SMALL_BLOCK = 16
+
 
 @dataclass(frozen=True, slots=True)
 class Commitment:
@@ -69,6 +73,10 @@ class CommitLog:
         self.buffers += [np.empty(cap) for _ in range(3)]
         (self.job, self.rnd, self.slot, self.gpu, self.start, self.train,
          self.sync) = self.buffers
+        #: Job ``j``'s round ``r`` is round id ``round_base[j] + r``.
+        self.round_base = np.cumsum(
+            [0] + [j.num_rounds for j in instance.jobs], dtype=np.int64
+        )
 
     def append(self, *block) -> None:
         """Append a block given as the seven columns (``job`` may be one
@@ -85,12 +93,16 @@ class CommitLog:
             buf[:n] = buf[: self.n][mask]
         self.n = n
 
-    def round_end(self, job_id: int, round_idx: int) -> float:
-        """The barrier of a committed round: its latest task end."""
+    def round_ends(self) -> np.ndarray:
+        """Every round's barrier, its latest committed task end, by round
+        id (:attr:`round_base`); ``-inf`` where nothing is committed."""
         n = self.n
-        rows = (self.job[:n] == job_id) & (self.rnd[:n] == round_idx)
-        end = (self.start[:n] + self.train[:n]) + self.sync[:n]
-        return float(end[rows].max())
+        ends = np.full(int(self.round_base[-1]), -np.inf)
+        np.maximum.at(
+            ends, self.round_base[self.job[:n]] + self.rnd[:n],
+            (self.start[:n] + self.train[:n]) + self.sync[:n],
+        )
+        return ends
 
     def columns(self) -> ScheduleColumns:
         """A copy of the committed rows."""
@@ -260,11 +272,21 @@ class KernelState:
         job_id = c.job
         scale = self.instance.jobs[job_id].sync_scale
         done = int(self.rounds_done[job_id])
-        row = np.arange(len(c.rnd))
+        n = len(c.rnd)
+        if n > SMALL_BLOCK:
+            row = np.arange(n)
+            canonical = (
+                (c.rnd == done + row // scale).all()
+                and (c.slot == row % scale).all()
+            )
+        else:
+            canonical = (
+                c.rnd.tolist() == [done + i // scale for i in range(n)]
+                and c.slot.tolist() == [i % scale for i in range(n)]
+            )
         if (
-            len(row) % scale == 0
-            and (c.rnd == done + row // scale).all()
-            and (c.slot == row % scale).all()
+            n % scale == 0
+            and canonical
             and self.alive.issuperset(c.gpu.tolist())
         ):
             return
@@ -282,7 +304,7 @@ class KernelState:
                 f"the committed prefix ({done} done)"
             )
         dead = np.isin(c.gpu, list(self.alive), invert=True)
-        repeat = np.ones(len(row), dtype=bool)
+        repeat = np.ones(n, dtype=bool)
         repeat[np.unique(np.stack((c.rnd, c.slot)), axis=1,
                          return_index=True)[1]] = False
         if not (dead | repeat).any():

@@ -287,6 +287,44 @@ class TestCommitmentRefusals:
         )
 
 
+
+class TestCommitmentRefusalsNumpy(TestCommitmentRefusals):
+    """The same refusals when every block takes the numpy check, as a
+    block wider than ``SMALL_BLOCK`` rows does."""
+
+    @pytest.fixture(autouse=True)
+    def _every_block_wide(self, monkeypatch):
+        monkeypatch.setattr("repro.kernel.state.SMALL_BLOCK", 0)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_small_and_wide_block_apply_agree(seed):
+    """A block raises φ and wakes the same GPUs, to the bit and with
+    built-in types, whether read row by row or with numpy."""
+    from repro.kernel.runner import _raise_phi, _raise_phi_wide
+
+    rng = np.random.default_rng(seed)
+    scale, k = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+    n = scale * k
+    block = Commitment(
+        0, rnd=np.repeat(np.arange(k), scale),
+        slot=np.tile(np.arange(scale), k),
+        gpu=rng.integers(0, 6, n), start=rng.uniform(0, 5, n).round(1),
+        train=rng.uniform(0.1, 2, n), sync=rng.uniform(0, 1, n),
+        gpu_release=[None, float(rng.uniform(0, 9))][seed % 2],
+    )
+    phi = rng.uniform(0, 6, 6).round(1)
+    if seed % 4 == 0:  # φ already at the block's ends: nothing rises
+        np.maximum.at(phi, block.gpu, block.start + block.train)
+    small, wide = phi.copy(), phi.copy()
+    got = _raise_phi(small, block, k - 1)
+    want = _raise_phi_wide(wide, block, k - 1)
+    assert got == want
+    assert small.tolist() == wide.tolist()
+    assert {type(v) for v in (*got[:2], *(x for f in got[2] for x in f))} <= {
+        int, float,
+    }
+
 class TestObservability:
     def test_kernel_counters_and_histograms(self, tiny_instance):
         with use(Obs.start()) as obs:
