@@ -65,8 +65,9 @@ Flag groups. Each verb offers only the flags it honours:
 The six spec-driven verbs (all but ``chaos``) build their run in one
 place, :func:`_spec`, and hand the :class:`~repro.api.ExperimentSpec`
 to :func:`repro.api.run_experiment` or :func:`repro.api.compare`. An
-unknown ``--scheduler`` or a spec the guard refuses exits 2 from
-:func:`main`.
+unknown ``--scheduler``, a spec the guard refuses or a problem no
+schedule can meet (a job needing more GPUs than the cluster has) prints
+one line and exits 2 from :func:`main`.
 """
 
 from __future__ import annotations
@@ -80,6 +81,7 @@ from . import api
 from .cells import ADMISSION_POLICIES, CELL_STRATEGIES
 from .cluster import gpu_spec, scaled_cluster, testbed_cluster
 from .core import improvement_percent
+from .core.errors import InfeasibleProblemError
 from .core.types import ModelName, SwitchMode
 from .harness import render_table
 from .harness.experiments import make_loaded_workload
@@ -1137,9 +1139,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # An impossible problem is the user's input, not a bug: one line, exit
+    # 2. SolverError, SimulationError and validation errors keep their
+    # tracebacks.
     try:
         return args.func(args)
-    except (UnknownSchedulerError, _Refused) as exc:
+    except (UnknownSchedulerError, _Refused, InfeasibleProblemError) as exc:
         print(exc, file=sys.stderr)
         return 2
 

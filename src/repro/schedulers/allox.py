@@ -18,12 +18,10 @@ not (the paper's Fig. 1(b) scenario), which is the gap Hare exploits.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from ..core.errors import InfeasibleProblemError
 from ..core.job import ProblemInstance
-from ..core.schedule import Schedule, TaskAssignment
-from ..core.types import TaskRef
+from ..core.schedule import Schedule, ScheduleColumns
 from .base import Scheduler
 from .registry import register
 
@@ -40,34 +38,28 @@ class SchedAlloxScheduler(Scheduler):
         self.weighted = weighted
 
     # ------------------------------------------------------------------
-    def serial_runtime(self, instance: ProblemInstance, job_id: int, gpu: int) -> float:
-        """Whole-job runtime on one GPU: rounds × (scale·T^c + T^s)."""
-        job = instance.jobs[job_id]
-        round_time = (
-            job.sync_scale * instance.tc(job_id, gpu) + instance.ts(job_id, gpu)
-        )
-        return job.num_rounds * round_time
-
     def _run_job(
-        self, schedule: Schedule, instance: ProblemInstance, job_id: int,
+        self, cols: dict[str, list], instance: ProblemInstance, job_id: int,
         gpu: int, start: float,
     ) -> float:
-        """Emit all task assignments for a job serialized on *gpu*."""
+        """Append the rows of a job serialized on *gpu* to the *cols* lists;
+        returns the time the GPU frees up."""
         job = instance.jobs[job_id]
         tc = instance.tc(job_id, gpu)
         ts = instance.ts(job_id, gpu)
+        scale = job.sync_scale
+        n = job.num_rounds * scale
+        cols["job"] += [job_id] * n
+        cols["rnd"] += [r for r in range(job.num_rounds) for _ in range(scale)]
+        cols["slot"] += list(range(scale)) * job.num_rounds
+        cols["gpu"] += [gpu] * n
+        cols["train"] += [tc] * n
+        cols["sync"] += [ts] * n
+        starts = cols["start"]
         t = start
-        for r in range(job.num_rounds):
-            for d in range(job.sync_scale):
-                schedule.add(
-                    TaskAssignment(
-                        task=TaskRef(job_id, r, d),
-                        gpu=gpu,
-                        start=t,
-                        train_time=tc,
-                        sync_time=ts,
-                    )
-                )
+        for _ in range(job.num_rounds):
+            for _ in range(scale):
+                starts.append(t)
                 t += tc
             # Each task's sync overlaps the next task's compute (§5.2); the
             # round barrier is the last task's end, so the next round (and
@@ -77,7 +69,9 @@ class SchedAlloxScheduler(Scheduler):
 
     # ------------------------------------------------------------------
     def schedule(self, instance: ProblemInstance) -> Schedule:
-        schedule = Schedule(instance)
+        cols: dict[str, list] = {
+            k: [] for k in ("job", "rnd", "slot", "gpu", "start", "train", "sync")
+        }
         num_gpus = instance.num_gpus
         gpu_free = [0.0] * num_gpus
         waiting = {j.job_id for j in instance.jobs}
@@ -98,7 +92,7 @@ class SchedAlloxScheduler(Scheduler):
                 for job_id, gpu in starts:
                     start = max(t, instance.jobs[job_id].arrival)
                     gpu_free[gpu] = self._run_job(
-                        schedule, instance, job_id, gpu, start
+                        cols, instance, job_id, gpu, start
                     )
                     waiting.discard(job_id)
                     started = True
@@ -113,7 +107,7 @@ class SchedAlloxScheduler(Scheduler):
             if not future:  # pragma: no cover - defensive
                 raise InfeasibleProblemError("AlloX deadlock")
             t = min(future)
-        return schedule
+        return ScheduleColumns(instance, **cols).to_schedule()
 
     def _match(
         self,
@@ -136,21 +130,31 @@ class SchedAlloxScheduler(Scheduler):
         else re-enters the matching at the next event, which is how AlloX
         stays adaptive online.
         """
+        from scipy.optimize import linear_sum_assignment
+
         num_gpus = len(gpu_free)
         positions = max(1, -(-len(runnable) // num_gpus))
-        cols = [(m, k) for m in range(num_gpus) for k in range(1, positions + 1)]
-        cost = np.empty((len(runnable), len(cols)))
-        for i, job_id in enumerate(runnable):
-            w = instance.jobs[job_id].weight if self.weighted else 1.0
-            for c, (m, k) in enumerate(cols):
-                r_m = max(0.0, gpu_free[m] - now)
-                cost[i, c] = (
-                    k * self.serial_runtime(instance, job_id, m) + r_m
-                ) / w
+        jobs = [instance.jobs[n] for n in runnable]
+        rounds = np.array([j.num_rounds for j in jobs], dtype=np.int64)
+        scale = np.array([j.sync_scale for j in jobs], dtype=np.int64)
+        w = np.array([j.weight if self.weighted else 1.0 for j in jobs])
+        # p_{j,m} = rounds · (scale·T^c + T^s), the job run serially on m;
+        # columns run GPU-major over positions k = 1..positions.
+        serial = rounds[:, None] * (
+            scale[:, None] * instance.train_time[runnable]
+            + instance.sync_time[runnable]
+        )
+        r = np.maximum(0.0, np.asarray(gpu_free) - now)
+        pos = np.arange(1, positions + 1)
+        cost = (
+            (pos[None, None, :] * serial[:, :, None] + r[None, :, None])
+            / w[:, None, None]
+        ).reshape(len(runnable), num_gpus * positions)
         rows, chosen = linear_sum_assignment(cost)
         head: dict[int, tuple[int, int]] = {}  # gpu -> (k, job)
-        for i, c in zip(rows, chosen):
-            m, k = cols[c]
+        for i, c in zip(rows.tolist(), chosen.tolist()):
+            m, k = divmod(c, positions)
+            k += 1
             if m not in head or k > head[m][0]:
                 head[m] = (k, runnable[i])
         return [

@@ -39,20 +39,32 @@ rounds, then slots — the numbering of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
+from functools import cache
+from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from ..core.errors import SolverError
 from ..core.job import ProblemInstance
 from ..core.types import TaskRef
 
-try:  # scipy vendors the HiGHS pybind API; no standalone highspy needed.
-    from scipy.optimize._highspy import _core as _highs_core
-except Exception:  # pragma: no cover - older/newer scipy layouts
-    _highs_core = None
+if TYPE_CHECKING:
+    from scipy import sparse
+
+# scipy is imported inside the functions that call it: loading
+# ``scipy.optimize`` is more than half of a cold ``import repro``, in time
+# and in memory, which runs that never reach the exact LP should not pay.
+
+
+@cache
+def _highs():
+    """scipy's vendored HiGHS pybind API, or ``None`` when this scipy
+    layout does not expose it (``auto`` then picks ``linprog``)."""
+    try:  # scipy vendors the HiGHS pybind API; no standalone highspy needed.
+        from scipy.optimize._highspy import _core
+    except Exception:  # pragma: no cover - older/newer scipy layouts
+        return None
+    return _core
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,10 +150,14 @@ class _LinprogCutLp:
         self._rhs = list(rhs)
 
     def add_rows(self, block: sparse.csr_matrix, rhs_block: list[float]) -> None:
+        from scipy import sparse
+
         self._a_ub = sparse.vstack([self._a_ub, block], format="csr")
         self._rhs.extend(rhs_block)
 
     def solve(self) -> tuple[np.ndarray, float]:
+        from scipy.optimize import linprog
+
         res = linprog(
             self._c,
             A_ub=self._a_ub,
@@ -172,7 +188,7 @@ class _HighsCutLp:
         a_ub: sparse.csr_matrix,
         rhs: list[float],
     ) -> None:
-        core = _highs_core
+        core = _highs()
         self._core = core
         n_vars = len(c)
         h = core._Highs()
@@ -264,9 +280,9 @@ class ExactRelaxationSolver:
     ) -> _LinprogCutLp | _HighsCutLp:
         backend = self.lp_backend
         if backend == "auto":
-            backend = "highs" if _highs_core is not None else "linprog"
+            backend = "highs" if _highs() is not None else "linprog"
         if backend == "highs":
-            if _highs_core is None:
+            if _highs() is None:
                 raise SolverError(
                     "lp_backend='highs' needs scipy's vendored highspy "
                     "(scipy.optimize._highspy); use 'auto' or 'linprog'"
@@ -282,6 +298,8 @@ class ExactRelaxationSolver:
     def _solve_fixed_y(
         self, instance: ProblemInstance, y: dict[TaskRef, int]
     ) -> RelaxationResult:
+        from scipy import sparse
+
         tasks = list(instance.all_tasks())
         n_x = len(tasks)
 

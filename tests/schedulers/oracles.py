@@ -29,6 +29,8 @@ byte.
 - :class:`UntruncatedOnlineHarePolicy` — the online re-plan that
   list-schedules the whole residual and then keeps only the rounds that
   start before the next arrival (``test_online_truncation.py``).
+- :class:`LoopCostAlloxScheduler` — AlloX with its matching cost matrix
+  filled one (job, GPU, position) entry at a time (``test_baselines.py``).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import math
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 
 from repro.core.errors import SolverError
 from repro.core.job import ProblemInstance
@@ -46,6 +48,7 @@ from repro.core.schedule import Schedule, TaskAssignment
 from repro.core.types import TaskRef
 from repro.kernel.residual import to_global
 from repro.kernel.state import Commitment
+from repro.schedulers.allox import SchedAlloxScheduler
 from repro.schedulers.online import OnlineHarePolicy
 from repro.schedulers.relaxation import (
     ExactRelaxationSolver,
@@ -471,6 +474,41 @@ def reference_solve_fixed_y(
         iterations=iteration,
         cuts_added=cuts_added,
     )
+
+
+# ----------------------------------------------------------------------
+# AlloX
+# ----------------------------------------------------------------------
+class LoopCostAlloxScheduler(SchedAlloxScheduler):
+    """``SchedAlloxScheduler`` whose ``_match`` fills the cost matrix with
+    a Python double loop over ``k · rounds·(scale·T^c + T^s) + r_m``."""
+
+    def _match(self, instance, runnable, gpu_free, now):
+        num_gpus = len(gpu_free)
+        positions = max(1, -(-len(runnable) // num_gpus))
+        cols = [(m, k) for m in range(num_gpus) for k in range(1, positions + 1)]
+        cost = np.empty((len(runnable), len(cols)))
+        for i, job_id in enumerate(runnable):
+            job = instance.jobs[job_id]
+            w = job.weight if self.weighted else 1.0
+            for c, (m, k) in enumerate(cols):
+                r_m = max(0.0, gpu_free[m] - now)
+                serial = job.num_rounds * (
+                    job.sync_scale * instance.tc(job_id, m)
+                    + instance.ts(job_id, m)
+                )
+                cost[i, c] = (k * serial + r_m) / w
+        rows, chosen = linear_sum_assignment(cost)
+        head: dict[int, tuple[int, int]] = {}  # gpu -> (k, job)
+        for i, c in zip(rows, chosen):
+            m, k = cols[c]
+            if m not in head or k > head[m][0]:
+                head[m] = (k, runnable[i])
+        return [
+            (job_id, m)
+            for m, (_, job_id) in head.items()
+            if gpu_free[m] <= now + 1e-12
+        ]
 
 
 # ----------------------------------------------------------------------

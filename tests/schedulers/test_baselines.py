@@ -17,6 +17,8 @@ from repro.schedulers import (
     create,
     default_schedulers,
 )
+from tests.conftest import make_random_instance
+from tests.schedulers.oracles import LoopCostAlloxScheduler, column_bytes
 
 
 def hetero_instance(num_jobs=3, arrivals=(0.0, 0.0, 0.0)):
@@ -200,6 +202,19 @@ class TestSchedAllox:
         )
         sched = SchedAlloxScheduler(weighted=True).schedule(inst)
         assert sched.job_completion(1) < sched.job_completion(0)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_broadcast_costs_match_the_loop(self, seed, weighted):
+        # Busy GPUs (r_m > 0) and several positions per GPU need more
+        # jobs than GPUs.
+        inst = make_random_instance(
+            seed, max_jobs=9, max_gpus=3, max_rounds=3, max_scale=3
+        )
+        sched = SchedAlloxScheduler(weighted=weighted).schedule(inst)
+        ref = LoopCostAlloxScheduler(weighted=weighted).schedule(inst)
+        assert column_bytes(sched) == column_bytes(ref)
+        validate_schedule(sched)
 
 
 class TestRegistry:

@@ -23,7 +23,7 @@ from repro.schedulers.hare import _precedence_safe_order, list_schedule
 from repro.schedulers.relaxation import (
     ExactRelaxationSolver,
     FluidRelaxationSolver,
-    _highs_core,
+    _highs,
     greedy_assignment,
 )
 from tests.conftest import make_random_instance
@@ -37,7 +37,7 @@ from tests.schedulers.oracles import (
 
 PLACEMENTS = ("earliest_available", "earliest_finish")
 
-LP_BACKENDS = ["linprog"] + (["highs"] if _highs_core is not None else [])
+LP_BACKENDS = ["linprog"] + (["highs"] if _highs() is not None else [])
 
 
 def _fluid_order(instance):

@@ -548,3 +548,14 @@ class TestSpecBuilder:
                    "--rounds-scale", "0.05", f"--crash={crash}"])
         assert rc == 2
         assert "4-GPU cluster" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "verb", [["compare"], ["schedule", "--scheduler", "gavel_fifo"]]
+    )
+    def test_infeasible_cluster_exits_2_without_traceback(self, verb, capsys):
+        rc = main([*verb, "--jobs", "4", "--gpus", "2", "--seed", "1",
+                   "--rounds-scale", "0.05"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "needs 4 simultaneous GPUs but the cluster has 2" in err
