@@ -9,10 +9,10 @@ histograms. The ``sched_throughput`` arm additionally measures Algorithm
 1's hot path in isolation (order + list-schedule tasks/sec at 600-, 2k-
 and 10k-task scales, vectorized vs the test-oracle implementations, plus
 ``sched.phase.*`` quantiles) and the columnar ``validate_schedule``
-against its object-walk oracle at 2k and 10k tasks. The ``array_kernel`` arm races the
-vectorized array event loop against the pinned reference loop on its two
-batch paths and reports ``kernel_speedup_x`` (CI gates the
-``gang_online`` arm at ≥10x and ``planned_frozen`` at ≥4x). The
+against its object-walk oracle at 2k and 10k tasks. The ``array_kernel``
+arm races the array loop's block replay of a frozen Hare plan against
+the pinned reference loop and reports ``kernel_speedup_x`` (CI gates
+``planned_frozen`` at ≥4x). The
 ``sharded`` arm races cell-sharded scheduling (:mod:`repro.cells`)
 against flat Hare end to end at the 10k-GPU / 5k-job tier, each side the
 median of repeated runs, and reports ``speedup_x`` plus the weighted-JCT
@@ -288,39 +288,16 @@ class _FrozenPlanner:
         return self._plan
 
 
-def _wide_gang_instance(seed: int, *, n_jobs=24, gpus=160, scale=64,
-                        rounds=25):
-    """Large-gang streaming workload (38 400 tasks): the ONLINE shape the
-    array loop's batched drain is built for."""
-    rng = np.random.default_rng(seed)
-    models = list(ModelName)
-    jobs = [
-        Job(
-            job_id=i,
-            model=models[i % len(models)].value,
-            arrival=float(rng.uniform(0.0, 50.0)),
-            weight=float(rng.uniform(0.5, 2.0)),
-            num_rounds=rounds,
-            sync_scale=scale,
-        )
-        for i in range(n_jobs)
-    ]
-    return build_instance(jobs, scaled_cluster(gpus))
-
-
 def bench_array_kernel(seed: int, *, repeats: int = 3) -> dict:
-    """Array vs reference event-loop throughput on the two batch paths.
+    """Array vs reference event-loop throughput on the batch path.
 
-    Each arm runs the identical policy through both kernel classes
-    directly (best wall time of *repeats* after a warm-up pass), asserts
-    the two loops produced byte-identical results — the bench would
-    otherwise gate on a broken comparison — and reports both events/sec
-    rates plus ``kernel_speedup_x``. CI's bench-smoke holds the
-    ``gang_online`` arm's speedup at ≥10x (mirroring the
-    ``list_speedup_x >= 3`` gate) and ``planned_frozen``, the planned
-    block replay of a frozen plan, at ≥4x.
+    The ``planned_frozen`` arm runs the identical policy, a frozen Hare
+    plan, through both kernel classes directly (best wall time of
+    *repeats* after a warm-up pass), asserts the two loops produced
+    byte-identical results — the bench would otherwise gate on a broken
+    comparison — and reports both events/sec rates plus
+    ``kernel_speedup_x``. CI's bench-smoke holds the speedup at ≥4x.
     """
-    from repro.schedulers import SrtfScheduler
 
     def best_run(instance, policy_factory, kernel_cls):
         with use(Obs.start(trace=False)):
@@ -361,17 +338,11 @@ def bench_array_kernel(seed: int, *, repeats: int = 3) -> dict:
             "kernel_speedup_x": eps_arr / eps_ref if eps_ref > 0 else 0.0,
         }
 
-    gang_instance = _wide_gang_instance(seed)
     planned_instance = _sched_instance(125, 16, 5, 48, seed)
     frozen = _FrozenPlanner(
         HareScheduler(relaxation="fluid").schedule(planned_instance)
     )
     return {
-        "gang_online": arm(
-            gang_instance, lambda: SrtfScheduler().make_policy(
-                gang_instance
-            )
-        ),
         "planned_frozen": arm(
             planned_instance, lambda: PlannedPolicy(frozen)
         ),

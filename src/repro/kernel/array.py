@@ -1,46 +1,35 @@
 """Array-backed kernel event loop (DESIGN.md §15).
 
 :class:`ArraySchedulingKernel` is the vectorized sibling of the pinned
-reference loop in :mod:`repro.kernel.runner`. It runs only the two
-policy shapes it has a batch path for — an unmodified
-:class:`PlannedPolicy` or :class:`GangPolicy`
-(:func:`repro.kernel.runner.batch_path`) — on runs without crashes, a
-re-plan timer or a heal engine; :func:`repro.kernel.runner.run_policy`
-sends every other run to the reference loop. The semantic contract is
-**byte-identical observable behavior**: the same event counts, the same
-commitment statistics, the same committed schedule (assignment-for-
-assignment, in the same insertion order), the same instants/samples/
-counters on the obs surface, and the same error messages on the same
-inputs. Only wall-clock time differs.
+reference loop in :mod:`repro.kernel.runner`. It runs only the policy
+shape it has a batch path for — an unmodified :class:`PlannedPolicy`
+(:func:`repro.kernel.runner.has_batch_path`) — on runs without crashes,
+a re-plan timer or a heal engine; :func:`repro.kernel.runner.run_policy`
+sends every other run, the gang baselines included, to the reference
+loop. The semantic contract is **byte-identical observable behavior**:
+the same event counts, the same commitment statistics, the same
+committed schedule (assignment-for-assignment, in the same insertion
+order), the same instants/samples/counters on the obs surface, and the
+same error messages on the same inputs. Only wall-clock time differs.
 
-Where the time goes, and how this loop wins it back:
-
-* **Planned runs replay the plan as one block.** A clairvoyant plan
-  fixes every start time before the first event, so nothing the
-  reference loop does per event can change it. The replay has two
-  phases. Phase 1 runs a :mod:`heapq` over the *trigger* events only —
-  arrivals and one barrier per non-final round, keyed ``(time, type,
-  seq)`` — and pops same-time triggers as one batch, exactly like the
-  loop; that yields the commit order and each commit's batch key
-  ``(time, gen)``, where an event pushed at the current time lands in
-  generation ``gen + 1`` of that time. ``GPU_FREE`` events commit
-  nothing, and ``seq`` is monotone, so leaving them out changes no
-  trigger's order. Phase 2 derives everything else with numpy over the
-  commit order: the commit-log block (one gather of the plan's
-  canonical round slices, never its objects), the ``GPU_FREE``
-  wake-ups (a per-(commit, GPU) ``reduceat`` max of compute ends against
-  the GPU's running φ), the event count (every event at or before the
-  batch of the last commit), the per-batch ``kernel.queue_depth`` and
-  ``kernel.commitments`` samples, and — with the tracer on — the same
-  instants in the same order, from the same arrays.
-* **Gang runs: tuple heap, one fixed point per batch.** Events are
-  plain ``(time, type, seq, a, b)`` tuples on a :mod:`heapq` heap (same
-  ``(time, type, insertion)`` tie-break as
-  :class:`repro.sim.events.EventQueue`). The policy's ``select`` runs to
-  a fixed point once per batch rather than once per event; each start
-  commits through the reference loop's own
-  :func:`~repro.kernel.policies.gang_commitment` and
-  :func:`~repro.kernel.runner.apply_commitment`.
+How this loop wins the time back: **it replays the plan as one block.**
+A clairvoyant plan fixes every start time before the first event, so
+nothing the reference loop does per event can change it. The replay
+has two phases. Phase 1 runs a :mod:`heapq` over the *trigger* events
+only — arrivals and one barrier per non-final round, keyed ``(time,
+type, seq)`` — and pops same-time triggers as one batch, exactly like
+the loop; that yields the commit order and each commit's batch key
+``(time, gen)``, where an event pushed at the current time lands in
+generation ``gen + 1`` of that time. ``GPU_FREE`` events commit
+nothing, and ``seq`` is monotone, so leaving them out changes no
+trigger's order. Phase 2 derives everything else with numpy over the
+commit order: the commit-log block (one gather of the plan's canonical
+round slices, never its objects), the ``GPU_FREE`` wake-ups (a
+per-(commit, GPU) ``reduceat`` max of compute ends against the GPU's
+running φ), the event count (every event at or before the batch of the
+last commit), the per-batch ``kernel.queue_depth`` and
+``kernel.commitments`` samples, and — with the tracer on — the same
+instants in the same order, from the same arrays.
 
 Both loops share one :class:`~repro.kernel.state.KernelState`: the
 commit log (:class:`~repro.kernel.state.CommitLog`) both append to, and
@@ -50,10 +39,10 @@ per-task objects are built only when somebody reads them.
 
 Equivalence subtleties worth knowing before editing:
 
-* In the block replay, a batch of ``GPU_FREE`` events alone commits and
-  pushes nothing, so it can only be the last generation of its time.
-  Trigger batches therefore keep the loop's generation numbers, and the
-  generations of one time run 0, 1, … without a gap.
+* A batch of ``GPU_FREE`` events alone commits and pushes nothing, so
+  it can only be the last generation of its time. Trigger batches
+  therefore keep the loop's generation numbers, and the generations of
+  one time run 0, 1, … without a gap.
 * The replay's ``kernel.queue_depth`` sample of a batch is the arrivals
   plus every push so far minus every pop so far; its
   ``kernel.commitments`` sample starts from the counter's value before
@@ -70,24 +59,19 @@ import itertools
 
 import numpy as np
 
-from ..core.errors import (
-    ConfigurationError,
-    InfeasibleProblemError,
-    SimulationError,
-)
+from ..core.errors import ConfigurationError, SimulationError
 from ..core.job import ProblemInstance
 from ..core.metrics import metrics_from_columns
 from ..core.types import TaskRef
 from ..obs import current as obs_current
 from .events import KernelEventType
-from .policies import Policy, gang_commitment
+from .policies import Policy
 from .runner import (
     KernelResult,
-    apply_commitment,
-    batch_path,
     emit_commit,
     emit_event,
     emit_rounds,
+    has_batch_path,
 )
 from .state import KERNEL_EPS, KernelState
 
@@ -147,7 +131,7 @@ def _gpu_frees(gpu, commit, compute_end, commit_time):
 
 
 class ArraySchedulingKernel:
-    """Vectorized event loop for policies with a batch path.
+    """Block replay for policies with a batch path.
 
     Same :meth:`run` result, and the same final state, as
     :class:`SchedulingKernel` on the runs
@@ -161,12 +145,11 @@ class ArraySchedulingKernel:
         *,
         max_events: int | None = None,
     ) -> None:
-        self._path = batch_path(policy)
-        if self._path is None:
+        if not has_batch_path(policy):
             raise ConfigurationError(
                 f"the array kernel has no batch path for "
                 f"{type(policy).__name__}; it runs unmodified "
-                "PlannedPolicy and GangPolicy policies only"
+                "PlannedPolicy policies only"
             )
         self.instance = instance
         self.policy = policy
@@ -196,20 +179,9 @@ class ArraySchedulingKernel:
              next(self._seq), a, b),
         )
 
-    def _count_events(self, n: int) -> None:
-        self.processed += n
-        if self.processed > self.max_events:
-            raise SimulationError(
-                f"kernel event budget {self.max_events} exceeded; "
-                "likely policy livelock"
-            )
-
     def run(self) -> KernelResult:
         self.policy.setup(self.state)
-        if self._path == "planned":
-            self._replay_plan()
-        else:
-            self._run_gang()
+        self._replay_plan()
         columns = self.state.committed.columns()
         obs = obs_current()
         obs.metrics.counter("kernel.events").inc(self.processed)
@@ -315,7 +287,12 @@ class ArraySchedulingKernel:
         popped = np.flatnonzero(
             (ev_time < t_last) | ((ev_time == t_last) & (ev_gen <= g_last))
         )
-        self._count_events(len(popped))
+        self.processed = len(popped)
+        if self.processed > self.max_events:
+            raise SimulationError(
+                f"kernel event budget {self.max_events} exceeded; "
+                "likely policy livelock"
+            )
         self.commitments = n_commits
         pops = popped[np.lexsort((
             ev_seq[popped], ev_type[popped], ev_gen[popped], ev_time[popped],
@@ -447,63 +424,3 @@ class ArraySchedulingKernel:
             for k in range(c, c_stop):
                 emit_commit(c_now[k], jobs[k], rounds[k] + 1)
             e, c = e_stop, c_stop
-
-    # -- gang batch path ------------------------------------------------
-    def _run_gang(self) -> None:
-        """Run ``select`` to a fixed point per batch; each start commits
-        the job's remaining rounds as one block."""
-        obs = obs_current()
-        tracer = obs.tracer
-        metrics = obs.metrics
-        state = self.state
-        instance = self.instance
-        policy = self.policy
-        invoke_cap = 4 * instance.num_jobs + 16
-        heap = self._heap
-        pop = heapq.heappop
-        while heap and not state.complete():
-            batch = [pop(heap)]
-            t = batch[0][0]
-            if t > self._now:
-                self._now = t
-            state.now = self._now
-            while heap and heap[0][0] == t:
-                batch.append(pop(heap))
-            for time_, type_, _seq, a, b in batch:
-                self._count_events(1)
-                if tracer.enabled:
-                    emit_event(time_, type_, a, b)
-                # ROUND_BARRIER_OPEN / GPU_FREE are pure wake-ups.
-                if type_ == _ARRIVED:
-                    state.arrived.add(a)
-                    state.pending_arrivals.remove(instance.jobs[a].arrival)
-            # One fixed point per batch: the reference loop's extra
-            # per-event invocations hit an unchanged state and provably
-            # return None (GangPolicy.select contract).
-            for _ in range(invoke_cap):
-                runnable = state.unstarted()
-                if not runnable:
-                    break
-                decision = policy.select(state, runnable, state.free_gpus())
-                if decision is None:
-                    break
-                job_id, gpus = decision
-                commitment = gang_commitment(
-                    state, job_id, gpus,
-                    max(state.now, instance.jobs[job_id].arrival),
-                )
-                apply_commitment(state, commitment, self._wake)
-                self.commitments += 1
-            else:  # pragma: no cover - defensive
-                raise SimulationError(
-                    f"policy {policy.name!r} did not reach a "
-                    f"fixed point at t={state.now}"
-                )
-            metrics.gauge("kernel.queue_depth").set(len(heap))
-            metrics.sample("kernel.queue_depth", t)
-            metrics.sample("kernel.commitments", t)
-        if not state.complete():
-            raise InfeasibleProblemError(
-                "kernel drained its queue with rounds still uncommitted; "
-                "check the policy"
-            )

@@ -226,9 +226,10 @@ class GangPolicy(Policy):
 
         Must be a **pure function of its arguments**: no mutation, and a
         ``None`` return must stay ``None`` until the state changes. The
-        array backend relies on this to run one fixed point per event
-        *batch* instead of one per event — with a stateful ``select``
-        the two loops could diverge.
+        reference loop re-invokes the policy after every commitment and
+        once per event of a batch, until it returns nothing; with a
+        stateful ``select`` that fixed point would depend on how many
+        events share a timestamp.
         """
 
     def on_event(
@@ -237,9 +238,8 @@ class GangPolicy(Policy):
         # Arrived jobs with rounds left: without a crash exactly the
         # unstarted ones (a gang commits every round at once); a crash
         # adds the jobs it retracted, which restart as a fresh gang.
-        runnable = [
-            n for n in sorted(state.arrived) if state.remaining_rounds(n)
-        ]
+        left = (state.rounds_done < state.num_rounds).nonzero()[0].tolist()
+        runnable = [n for n in left if n in state.arrived]
         if not runnable:
             return []
         # A gang wider than the alive GPUs can never (re)start.

@@ -42,7 +42,7 @@ from ..core.schedule import Schedule, ScheduleColumns
 from ..core.job import ProblemInstance
 from ..obs import Category, current as obs_current
 from .events import Event, EventQueue, KernelEventType
-from .policies import GangPolicy, PlannedPolicy, Policy
+from .policies import PlannedPolicy, Policy
 from .residual import KERNEL_TRACK
 from .state import (
     KERNEL_EPS,
@@ -532,25 +532,17 @@ def emit_rounds(columns: ScheduleColumns) -> None:
         )
 
 
-def batch_path(policy: Policy) -> str | None:
-    """The array loop's batch path for *policy*, or ``None``.
-
-    ``"planned"`` for an unmodified :class:`PlannedPolicy`, ``"gang"``
-    for a :class:`GangPolicy` whose ``on_event`` is the base one (only
-    ``select`` varies). Recognized by method identity: a subclass that
-    overrides how the policy reacts to events has no batch path.
-    """
+def has_batch_path(policy: Policy) -> bool:
+    """Whether the array loop's block replay can run *policy*: an
+    unmodified :class:`PlannedPolicy`, recognized by method identity (a
+    subclass that overrides how the policy reacts to events has none)."""
     cls = type(policy)
-    if (
+    return (
         isinstance(policy, PlannedPolicy)
         and cls.on_event is PlannedPolicy.on_event
         and cls.setup is PlannedPolicy.setup
         and cls._round_commitment is PlannedPolicy._round_commitment
-    ):
-        return "planned"
-    if isinstance(policy, GangPolicy) and cls.on_event is GangPolicy.on_event:
-        return "gang"
-    return None
+    )
 
 
 def run_policy(
@@ -573,18 +565,18 @@ def run_policy(
     typed); it is attached to the kernel so remediation actions reach
     the policy and event queue mid-run.
 
-    The loop is picked from the run itself: a policy with a
-    :func:`batch_path` on a run without crashes, a re-plan timer or a
-    heal engine takes the vectorized
-    :class:`repro.kernel.array.ArraySchedulingKernel`; every other run
-    takes the reference :class:`SchedulingKernel`. Both produce
-    byte-identical results.
+    The loop is picked from the run itself: a policy with a batch path
+    (:func:`has_batch_path`) on a run without crashes, a re-plan timer
+    or a heal engine takes the vectorized
+    :class:`repro.kernel.array.ArraySchedulingKernel`; every other run,
+    the gang baselines included, takes the reference
+    :class:`SchedulingKernel`. Both produce byte-identical results.
     """
     if (
         not crashes
         and replan_interval is None
         and heal is None
-        and batch_path(policy) is not None
+        and has_batch_path(policy)
     ):
         from .array import ArraySchedulingKernel
 

@@ -217,11 +217,6 @@ class KernelState:
             j for j in self.instance.jobs if j.job_id in self.arrived
         ]
 
-    def unstarted(self) -> list[int]:
-        """Arrived jobs with no committed round yet (gang candidates)."""
-        unstarted = (self.rounds_done == 0).nonzero()[0].tolist()
-        return [n for n in unstarted if n in self.arrived]
-
     def free_gpus(self) -> list[int]:
         """Alive GPUs whose committed work has drained by *now*."""
         drained = (self.phi <= self.now + KERNEL_EPS).nonzero()[0].tolist()
@@ -250,9 +245,6 @@ class KernelState:
     def next_arrival_time(self) -> float | None:
         """The earliest arrival that has not fired yet (``None`` if none)."""
         return self.pending_arrivals[0] if self.pending_arrivals else None
-
-    def remaining_rounds(self, job_id: int) -> int:
-        return int(self.num_rounds[job_id] - self.rounds_done[job_id])
 
     def complete(self) -> bool:
         """Every round of every job committed."""

@@ -2,8 +2,9 @@
 
 The invariant of the array loop
 (:class:`repro.kernel.array.ArraySchedulingKernel`): for every registered
-scheduler with a batch path (every one but the natively online
-``hare_online``), on every instance, it produces **byte-identical**
+scheduler with a batch path (the planned ones; the gang baselines and
+the natively online ``hare_online`` always run on the reference loop),
+on every instance, it produces **byte-identical**
 kernel statistics, schedules, observability streams (``kernel.commit`` /
 ``kernel.round`` instants, queue-depth timelines, counters) and
 ≤1e-9-identical metrics compared to the pinned per-event-object
@@ -29,14 +30,17 @@ from hypothesis import given, settings
 from repro.core import Job, ProblemInstance
 from repro.kernel import Commitment, KernelEventType, Policy
 from repro.kernel.array import ArraySchedulingKernel
-from repro.kernel.runner import SchedulingKernel
+from repro.kernel.runner import SchedulingKernel, has_batch_path
 from repro.obs import Obs, use
 from repro.schedulers.registry import available, create
 from tests.property.test_kernel_properties import instances
 
-#: Every registered scheduler with a batch path: hare_online re-plans
-#: natively and always runs on the reference loop.
-SCHEDULERS = [create(key) for key in available() if key != "hare_online"]
+#: Every registered scheduler with a batch path: the planned ones. The
+#: gang baselines and hare_online always run on the reference loop.
+SCHEDULERS = [
+    sched for sched in map(create, available())
+    if has_batch_path(sched.make_policy(None))
+]
 
 KERNELS = {"reference": SchedulingKernel, "array": ArraySchedulingKernel}
 

@@ -1,9 +1,9 @@
 """run_policy picks the event loop from the run, and only from the run.
 
 The vectorized :class:`~repro.kernel.array.ArraySchedulingKernel` takes a
-run when the policy has a batch path (an unmodified ``PlannedPolicy`` or
-``GangPolicy``) and the run has no crashes, re-plan timer or heal
-engine; every other run takes the reference
+run when the policy has a batch path (an unmodified ``PlannedPolicy``)
+and the run has no crashes, re-plan timer or heal engine; every other
+run, every gang run included, takes the reference
 :class:`~repro.kernel.runner.SchedulingKernel`. Each case poisons both
 kernel classes so the one ``run_policy`` builds names itself.
 
@@ -66,7 +66,8 @@ ARRAY, REFERENCE = "ArraySchedulingKernel", "SchedulingKernel"
 
 DISPATCH = [
     *(
-        (policy, run, ARRAY if run == "no_fault" else REFERENCE)
+        (policy, run, ARRAY if (policy, run) == ("planned", "no_fault")
+         else REFERENCE)
         for policy in ("gang", "planned")
         for run in RUNS
     ),
@@ -98,7 +99,9 @@ def test_dispatch_table(monkeypatch, policy, run, expected):
     assert str(built.value) == expected
 
 
-@pytest.mark.parametrize("policy", ["online", "planned_own_on_event"])
+@pytest.mark.parametrize(
+    "policy", ["gang", "online", "planned_own_on_event"]
+)
 def test_array_kernel_refuses_policies_without_a_batch_path(policy):
     with pytest.raises(ConfigurationError, match="batch path"):
         ArraySchedulingKernel(INSTANCE, POLICIES[policy]())
