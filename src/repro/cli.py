@@ -81,7 +81,7 @@ from . import api
 from .cells import ADMISSION_POLICIES, CELL_STRATEGIES
 from .cluster import gpu_spec, scaled_cluster, testbed_cluster
 from .core import improvement_percent
-from .core.errors import InfeasibleProblemError
+from .core.errors import ConfigurationError, InfeasibleProblemError
 from .core.types import ModelName, SwitchMode
 from .harness import render_table
 from .harness.experiments import make_loaded_workload
@@ -286,16 +286,18 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                 else None
             ),
             partitions=tuple(_parse_partition(s) for s in args.partition),
+        ).validate(cluster.num_gpus)
+        heartbeat = HeartbeatConfig(
+            interval_s=args.heartbeat_interval, lease_s=args.lease
         )
+        plane = ControlPlane(
+            cluster, scheduler, checkpoint_interval=args.checkpoint_interval
+        )
+    except ConfigurationError as exc:
+        raise _Refused(exc) from exc
     except ValueError as exc:
         print(f"bad fault spec: {exc}", file=sys.stderr)
         return 2
-    scenario = scenario.validate(cluster.num_gpus)
-    plane = ControlPlane(
-        cluster=cluster,
-        scheduler=scheduler,
-        checkpoint_interval=args.checkpoint_interval,
-    )
     plane.submit(jobs)
     from contextlib import nullcontext
 
@@ -323,13 +325,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     elif _wants_artifacts(args):
         obs = Obs.start(trace=True)
     with use(obs) if obs is not None else nullcontext():
-        result = plane.run_chaos(
-            scenario,
-            heartbeat=HeartbeatConfig(
-                interval_s=args.heartbeat_interval, lease_s=args.lease
-            ),
-            heal=engine,
-        )
+        result = plane.run_chaos(scenario, heartbeat=heartbeat, heal=engine)
     diagnosis = None
     if monitors_on or heal_on:
         diagnosis = obs.recorder.diagnose(metrics=obs.metrics.snapshot())

@@ -21,19 +21,22 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import groupby
+from math import inf, nextafter
+from operator import itemgetter
 
 from ..cluster.cluster import Cluster
-from ..core.errors import SimulationError
+from ..core.errors import ConfigurationError, SimulationError
 from ..core.job import Job, ProblemInstance
 from ..core.metrics import ScheduleMetrics
-from ..core.schedule import Schedule, validate_schedule
+from ..core.schedule import Schedule, ScheduleColumns, validate_schedule
 from ..core.types import SwitchMode, TaskRef
 from ..faults.detector import HeartbeatConfig, run_detection
 from ..faults.recovery import ChaosTelemetry, RecoveryReport
 from ..faults.retry import RetryPolicy
 from ..faults.scenario import FaultScenario
-from ..kernel.residual import solve_memo
-from ..kernel.runner import KernelResult, run_policy
+from ..kernel.policies import PlannedPolicy
+from ..kernel.runner import KernelResult, SchedulingKernel
 from ..kernel.state import KernelCrash
 from ..obs import Category, current as obs_current
 from ..obs.context import DISABLED, use as obs_use
@@ -67,24 +70,29 @@ def executor_endpoint(gpu_id: int) -> str:
     return f"executor-{gpu_id}"
 
 
-def _sequence_message(gpu_id: int, seq) -> TaskSequence:
-    """One executor's ordered task list, serialized for the wire."""
-    return TaskSequence(
-        gpu_id=gpu_id,
-        tasks=tuple(
-            to_wire(
-                PlannedTask(
-                    job_id=a.task.job_id,
-                    round_idx=a.task.round_idx,
-                    slot=a.task.slot,
-                    start=a.start,
-                    train_time=a.train_time,
-                    sync_time=a.sync_time,
-                )
-            )
-            for a in seq
-        ),
+#: Column order of a wire row: sorting rows orders them by GPU, then
+#: start, then task.
+_ROW = ("gpu", "start", "job", "rnd", "slot", "train", "sync")
+
+
+def _sequences(
+    parts: list[ScheduleColumns], at: float
+) -> list[TaskSequence]:
+    """Each GPU's rows of *parts* starting at or after *at*, in start
+    then task order: one wire message per GPU, by ascending id."""
+    rows = sorted(
+        row
+        for cols in parts
+        for row in zip(*(getattr(cols, name).tolist() for name in _ROW))
+        if row[1] >= at
     )
+    return [
+        TaskSequence(gpu_id=gpu, tasks=tuple(
+            to_wire(PlannedTask(job, rnd, slot, start, train, sync))
+            for _, start, job, rnd, slot, train, sync in seq
+        ))
+        for gpu, seq in groupby(rows, key=itemgetter(0))
+    ]
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,6 +146,8 @@ class ControlPlane:
     checkpoint_interval: int = 10
 
     def __post_init__(self) -> None:
+        if self.checkpoint_interval < 1:
+            raise ConfigurationError("checkpoint interval must be >= 1")
         self.transport.register(UPPER)
         self.transport.register(SCHEDULER)
         self.transport.register(PS)
@@ -218,13 +228,12 @@ class ControlPlane:
 
         # Ship sequences to executors; collect acks.
         acks: list[SequenceAck] = []
-        for gpu_id, seq in sorted(plan.gpu_sequences().items()):
-            message = _sequence_message(gpu_id, seq)
-            endpoint = executor_endpoint(gpu_id)
+        for message in _sequences([plan.columns()], 0.0):
+            endpoint = executor_endpoint(message.gpu_id)
             self.transport.send(SCHEDULER, endpoint, message)
             (delivery,) = self.transport.drain(endpoint)
             ack = SequenceAck(
-                gpu_id=gpu_id, num_tasks=len(delivery.message.tasks)
+                gpu_id=message.gpu_id, num_tasks=len(delivery.message.tasks)
             )
             self.transport.send(endpoint, SCHEDULER, ack)
             acks.append(ack)
@@ -339,7 +348,7 @@ class ControlPlane:
     # Chaos: the fault-injected pipeline
     # ------------------------------------------------------------------
     def _ship(
-        self, schedule: Schedule, policy: RetryPolicy, *, at: float
+        self, parts: list[ScheduleColumns], policy: RetryPolicy, *, at: float
     ) -> list[SequenceAck]:
         """Ship every GPU's tasks starting at or after *at* over the
         (unreliable) wire.
@@ -349,12 +358,8 @@ class ControlPlane:
         the scheduler starts a fresh cycle, up to a hard cap.
         """
         acks: list[SequenceAck] = []
-        for gpu_id, seq in sorted(schedule.gpu_sequences().items()):
-            seq = [a for a in seq if a.start >= at]
-            if not seq:
-                continue
-            endpoint = executor_endpoint(gpu_id)
-            message = _sequence_message(gpu_id, seq)
+        for message in _sequences(parts, at):
+            endpoint = executor_endpoint(message.gpu_id)
             t = max(at, self.transport.now)
             cycles = 8
             for _ in range(cycles):
@@ -370,7 +375,7 @@ class ControlPlane:
                     f"{cycles * policy.max_attempts} send attempts"
                 )
             self.transport.drain(endpoint)  # consume (incl. duplicates)
-            acks.append(SequenceAck(gpu_id=gpu_id, num_tasks=len(seq)))
+            acks.append(SequenceAck(message.gpu_id, len(message.tasks)))
         return acks
 
     def run_chaos(
@@ -386,23 +391,23 @@ class ControlPlane:
         The happy path matches :meth:`run`: plan, ship sequences, execute.
         On top of it the scenario may drop RPCs (sequences then ship with
         retry/backoff), slow GPUs down, restart them transiently — and
-        crash them permanently. Recovery is three steps (DESIGN.md §9):
+        crash them permanently. Recovery is one stepped kernel run and
+        one replay (DESIGN.md §9):
 
-        1. **detection**: per crash, in time order, heartbeats from the
-           previous detection until the lease expires; the affected jobs'
-           restores and the re-planned sequences ship at the detection,
-           before the next crash's heartbeats go out. Re-plan *k* comes
-           from a muted kernel run with crashes 1..k (the kernel is
-           deterministic: it equals the full run up to detection *k + 1*).
-           A crash at or after that run's last completion falls outside
-           the run: it is detected from a one-lease window of heartbeats
-           and never re-planned;
-        2. **one kernel run** of the scheduler's own policy, each crash a
-           :class:`~repro.kernel.state.KernelCrash`: retraction at the
-           physical crash time, applied at the detection, affected jobs
-           rolled back to their newest checkpoint and ready after the
-           restore read;
-        3. **one DES replay** of that run with the scenario's restarts and
+        1. **one kernel run** of the scheduler's own policy, the run the
+           recorder sees, stepped crash by crash: advanced to the crash,
+           heartbeats from the previous detection until the lease
+           expires, then the crash as a
+           :class:`~repro.kernel.state.KernelCrash` (retraction at the
+           crash, applied at the detection, affected jobs rolled back
+           to their newest checkpoint and ready after the restore read).
+           Restores go out at the detection; the re-planned sequences,
+           stamped at it, ship just before the next wire traffic, with
+           every committed task from the detection on plus a fixed
+           plan's uncommitted rounds. A crash after the run has ended
+           falls outside it: detected from a one-lease window of
+           heartbeats, never re-planned;
+        2. **one DES replay** of that run with the scenario's restarts and
            slowdowns, re-planned tasks released no earlier than their
            detection (and restore): the realized schedule, metrics,
            completions and checkpoint writes.
@@ -442,12 +447,6 @@ class ControlPlane:
             j: self.store.read_time(b) for j, b in model_bytes.items()
         }
 
-        def recover(crashes: list[KernelCrash]) -> KernelResult:
-            return run_policy(
-                instance, self.scheduler.make_policy(instance),
-                crashes=crashes,
-            )
-
         # The failure-free plan and its reference run (reliable wire) for
         # degradation metrics. Muted: they are counterfactuals — the
         # recovered kernel run below is the one the recorder sees.
@@ -460,67 +459,80 @@ class ControlPlane:
         # Arm the unreliable wire; every send below may drop.
         self.transport.faults = scenario.network()
         telemetry = ChaosTelemetry()
-        acks = self._ship(plan, retry, at=0.0)
-        crashes: list[KernelCrash] = []
+        acks = self._ship([plan.columns()], retry, at=0.0)
+        kernel = SchedulingKernel(
+            instance, self.scheduler.make_policy(instance)
+        )
+        state = kernel.state
+        detections: list[float] = []
         dead: set[int] = set()
-        last_completion, t_dead = plan.makespan(), 0.0
-        # The recorded run below repeats the last recovery run's re-plans.
-        with solve_memo():
-            for crash in scenario.ordered_crashes():
-                outside = crash.time >= last_completion
-                alive = [g for g in range(instance.num_gpus) if g not in dead]
-                detection = run_detection(
-                    self.transport, alive, crash, scenario, cfg=heartbeat,
-                    start=(
-                        max(t_dead, crash.time - heartbeat.lease_s)
-                        if outside else t_dead
-                    ),
-                    endpoint_of=executor_endpoint,
-                    scheduler_endpoint=SCHEDULER,
-                )
-                telemetry.detections.append(detection)
-                t_dead = detection.detected_at
-                dead.add(crash.gpu_id)
-                if outside:
-                    continue
-                held = None if heal is None else frozenset(heal.quarantined)
-                crashes.append(
-                    KernelCrash(
-                        time=crash.time, gpu=crash.gpu_id, detected_at=t_dead,
-                        checkpoint_interval=self.checkpoint_interval,
-                        restore_s=restore_s, quarantined=held,
-                    )
-                )
-                survivors = instance.num_gpus - len(dead)
-                if obs.enabled:
-                    obs.tracer.instant(
-                        Category.CTRL,
-                        f"replan after gpu {crash.gpu_id} crash",
-                        track=CTRL_TRACK,
-                        time=t_dead,
-                        dead_gpu=crash.gpu_id,
-                        survivors=survivors,
-                    )
-                with obs.tracer.timed(
-                    Category.CTRL,
-                    "replan",
-                    track=CTRL_TRACK,
-                    survivors=survivors,
-                    hist=obs.metrics.histogram("ctrl.plan_s"),
-                ), obs_use(DISABLED):
-                    recovered = recover(crashes)
-                last_completion = recovered.metrics.makespan
-                for r in recovered.retractions:
-                    if r.gpu == crash.gpu_id and r.rounds_done:
-                        self._announce_restore(r, model_bytes[r.job])
-                telemetry.replans += 1
-                obs.metrics.counter("ctrl.replans").inc()
-                acks.extend(
-                    self._ship(recovered.schedule, retry, at=t_dead)
-                )
+        t_dead = 0.0
 
-            # The one recovered run the recorder sees, then its replay.
-            final = recover(crashes)
+        def ship_replan() -> None:
+            """Ship the last detection's re-plan: what the run decided."""
+            parts = [state.committed.columns()]
+            if isinstance(kernel.policy, PlannedPolicy):
+                parts.append(kernel.policy.uncommitted(state))
+            acks.extend(self._ship(parts, retry, at=detections[-1]))
+
+        unshipped = False
+        for crash in scenario.ordered_crashes():
+            kernel.advance(max(crash.time, t_dead))
+            outside = (
+                state.complete()
+                and state.committed.round_ends().max() <= crash.time
+            )
+            if unshipped:
+                ship_replan()
+                unshipped = False
+            alive = [g for g in range(instance.num_gpus) if g not in dead]
+            detection = run_detection(
+                self.transport, alive, crash, scenario, cfg=heartbeat,
+                start=(
+                    max(t_dead, crash.time - heartbeat.lease_s)
+                    if outside else t_dead
+                ),
+                endpoint_of=executor_endpoint,
+                scheduler_endpoint=SCHEDULER,
+            )
+            telemetry.detections.append(detection)
+            t_dead = detection.detected_at
+            dead.add(crash.gpu_id)
+            if outside:
+                continue
+            held = None if heal is None else frozenset(heal.quarantined)
+            kernel.add_crash(KernelCrash(
+                time=crash.time, gpu=crash.gpu_id, detected_at=t_dead,
+                checkpoint_interval=self.checkpoint_interval,
+                restore_s=restore_s, quarantined=held,
+            ))
+            # The run up to the detection, so the recorder sees the
+            # re-plan instant in time order; then the re-plan at it.
+            kernel.advance(nextafter(t_dead, -inf))
+            survivors = instance.num_gpus - len(dead)
+            if obs.enabled:
+                obs.tracer.instant(
+                    Category.CTRL, f"replan after gpu {crash.gpu_id} crash",
+                    track=CTRL_TRACK, time=t_dead, dead_gpu=crash.gpu_id,
+                    survivors=survivors,
+                )
+            seen = len(kernel.retractions)
+            with obs.tracer.timed(
+                Category.CTRL, "replan", track=CTRL_TRACK,
+                survivors=survivors, hist=obs.metrics.histogram("ctrl.plan_s"),
+            ):
+                kernel.advance(t_dead)
+            for r in kernel.retractions[seen:]:
+                if r.gpu == crash.gpu_id and r.rounds_done:
+                    self._announce_restore(r, model_bytes[r.job])
+            detections.append(t_dead)
+            unshipped = True
+            telemetry.replans += 1
+            obs.metrics.counter("ctrl.replans").inc()
+
+        final = kernel.run()
+        if unshipped:
+            ship_replan()
         for r in final.retractions:
             telemetry.record_retraction(r, model_bytes[r.job])
         sim = simulate_plan(
@@ -530,7 +542,7 @@ class ControlPlane:
             switch_mode=self.switch_mode,
             failures=scenario.restart_failures(),
             slowdowns=scenario.slowdown_windows(),
-            releases=_releases(final, [c.detected_at for c in crashes]),
+            releases=_releases(final, detections),
         )
         validate_schedule(sim.realized, check_durations=False)
         completions = {

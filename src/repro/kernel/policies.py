@@ -100,8 +100,10 @@ class PlannedPolicy(Policy):
         self.planner = planner
         self.name = getattr(planner, "name", type(planner).__name__)
         #: The current plan's (gpu, start, train, sync) columns in
-        #: ``all_tasks()`` order; job ``j``'s rows start at ``_first[j]``.
+        #: ``all_tasks()`` order; job ``j``'s rows start at ``_first[j]``,
+        #: and ``_tasks`` holds each row's (job, rnd, slot).
         self.canon: list[np.ndarray] = []
+        self._tasks: tuple[np.ndarray, ...] = ()
         self._first: list[int] = []
         #: The alive GPUs the current plan was made for.
         self._alive: frozenset[int] = frozenset()
@@ -116,6 +118,7 @@ class PlannedPolicy(Policy):
             cols.gpu[rows], cols.start[rows], cols.train[rows],
             cols.sync[rows],
         ]
+        self._tasks = (cols.job[rows], cols.rnd[rows], cols.slot[rows])
         self._first = [0, *accumulate(j.num_tasks for j in instance.jobs)]
         self._alive = frozenset(state.alive)
         self.replans = 0
@@ -137,6 +140,16 @@ class PlannedPolicy(Policy):
             job_id, np.full(scale, round_idx), np.arange(scale),
             gpu[lo:hi], start[lo:hi], train[lo:hi], sync[lo:hi],
         )]
+
+    def uncommitted(self, state: KernelState) -> ScheduleColumns:
+        """The current plan's rows for every round not yet committed:
+        what this policy will still commit unless a crash re-plans."""
+        job, rnd, slot = self._tasks
+        left = rnd >= state.rounds_done[job]
+        return ScheduleColumns(
+            state.instance, job[left], rnd[left], slot[left],
+            *(col[left] for col in self.canon),
+        )
 
     def on_event(
         self, event: Event, state: KernelState

@@ -11,17 +11,11 @@ sibling scheduler module — the layering inversion this module fixes).
 the policies' timed entry points: build/solve latency histograms, spans
 and the ``kernel.replans`` counter land in the ambient
 :class:`repro.obs.Obs` registry.
-
-A :func:`solve_memo` block memoizes relaxation solves by residual
-content. Only ``run_chaos`` opens one: its recorded run repeats the
-re-plans of its last recovery run, while a single run almost never
-meets the same residual twice.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -143,52 +137,9 @@ def build_residual(
         )
 
 
-#: The open :func:`solve_memo`'s table, ``None`` while none is open.
-_solves: dict[tuple, object] | None = None
-
-
-@contextmanager
-def solve_memo() -> Iterator[None]:
-    """Memoize :func:`solve_relaxation` inside this block.
-
-    For the runs that repeat one another: ``run_chaos`` reruns the kernel
-    once per crash and then once more recorded, so the recorded run's
-    re-plans are the last recovery run's. The solvers are deterministic
-    functions of the residual's content, so a hit is exactly a fresh
-    solve. Each block starts an empty table and drops it on exit; the
-    table is unbounded, holding every distinct solve made inside it.
-    """
-    global _solves
-    prev, _solves = _solves, {}
-    try:
-        yield
-    finally:
-        _solves = prev
-
-
 def solve_relaxation(solver, residual: ProblemInstance):
-    """``solver.solve(residual)``, timed into ``kernel.residual_solve_s``.
-
-    Inside a :func:`solve_memo` a residual already solved with the same
-    solver type is answered from the memo (``kernel.solver_cache_hits``)
-    instead.
-    """
+    """``solver.solve(residual)``, timed into ``kernel.residual_solve_s``."""
     obs = obs_current()
-    memo = _solves
-    if memo is not None:
-        key = (
-            type(solver).__name__,
-            tuple(
-                (j.arrival, j.weight, j.num_rounds, j.sync_scale)
-                for j in residual.jobs
-            ),
-            residual.train_time.tobytes(),
-            residual.sync_time.tobytes(),
-        )
-        hit = memo.get(key)
-        if hit is not None:
-            obs.metrics.counter("kernel.solver_cache_hits").inc()
-            return hit
     with obs.tracer.timed(
         Category.SCHED,
         "residual_solve",
@@ -197,10 +148,7 @@ def solve_relaxation(solver, residual: ProblemInstance):
         tasks=residual.num_tasks,
         hist=obs.metrics.histogram("kernel.residual_solve_s"),
     ):
-        result = solver.solve(residual)
-    if memo is not None:
-        memo[key] = result
-    return result
+        return solver.solve(residual)
 
 
 def replan(scheduler, residual: ProblemInstance) -> Schedule:

@@ -22,15 +22,18 @@ Mechanics per iteration:
    that triggered it).
 
 The run stops when every round of every job is committed and no crash
-events remain. Observability: ``kernel.events`` / ``kernel.commitments``
-counters, the ``kernel.commit_horizon_s`` histogram (how far past *now*
-each commitment reaches), per-event instants on the ``kernel`` track,
-and, once the run is over, one ``kernel.round`` instant per committed
-round (:func:`emit_rounds`).
+events remain; :meth:`SchedulingKernel.advance` steps it up to a time,
+and :meth:`SchedulingKernel.add_crash` adds a crash mid-run.
+Observability: ``kernel.events`` / ``kernel.commitments`` counters, the
+``kernel.commit_horizon_s`` histogram (how far past *now* each
+commitment reaches), per-event instants on the ``kernel`` track, and,
+once the run is over, one ``kernel.round`` instant per committed round
+(:func:`emit_rounds`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -151,15 +154,16 @@ class SchedulingKernel:
         self.retractions: list[Retraction] = []
         self.replan_instants: list[tuple[float, int]] = []
         self._pending_crashes = 0
-        total_tasks = instance.num_tasks
+        self._auto_budget = max_events is None
         self.max_events = (
             max_events
             if max_events is not None
             else 64 + 16 * (
-                total_tasks + instance.num_jobs + instance.num_gpus
-                + len(crashes or [])
+                instance.num_tasks + instance.num_jobs + instance.num_gpus
             )
         )
+        #: The policy's re-plan count, ``None`` until it is set up.
+        self._replans_seen: int | None = None
         for job in instance.jobs:
             self.queue.push(
                 Event(job.arrival, KernelEventType.JOB_ARRIVED, job.job_id)
@@ -168,19 +172,27 @@ class SchedulingKernel:
         #: GPU id, as for ``GPU_FREE``.
         self._crashes: dict[tuple[float, int], KernelCrash] = {}
         for crash in crashes or []:
-            if not isinstance(crash, KernelCrash):
-                crash = KernelCrash(*crash)
-            self._crashes[(crash.fires_at, crash.gpu)] = crash
-            self.queue.push(
-                Event(crash.fires_at, KernelEventType.GPU_CRASHED, crash.gpu)
-            )
-            self._pending_crashes += 1
+            self.add_crash(crash)
         if replan_interval is not None:
             if replan_interval <= 0:
                 raise SimulationError("replan_interval must be positive")
             self.queue.push(
                 Event(replan_interval, KernelEventType.REPLAN_TIMER, None)
             )
+
+    def add_crash(self, crash: tuple[float, int] | KernelCrash) -> None:
+        """Schedule a permanent GPU failure: its ``GPU_CRASHED`` event
+        fires at :attr:`KernelCrash.fires_at`, which must not be before
+        the events already processed. The run does not end before it."""
+        if not isinstance(crash, KernelCrash):
+            crash = KernelCrash(*crash)
+        self._crashes[(crash.fires_at, crash.gpu)] = crash
+        self.queue.push(
+            Event(crash.fires_at, KernelEventType.GPU_CRASHED, crash.gpu)
+        )
+        self._pending_crashes += 1
+        if self._auto_budget:
+            self.max_events += 16
 
     # -- event helpers --------------------------------------------------
     def _wake(self, time: float, type_: KernelEventType, payload) -> None:
@@ -315,14 +327,19 @@ class SchedulingKernel:
         self._wake(time, type_, payload)
 
     # -- the loop --------------------------------------------------------
-    def run(self) -> KernelResult:
+    def advance(self, until: float) -> None:
+        """Process every event batch due by *until*, stopping early once
+        every round is committed and no crash is pending. Steps with
+        :meth:`add_crash` between them make the run :meth:`run` makes
+        with the crashes up front, if each comes before its clock."""
         obs = obs_current()
         tracer = obs.tracer
         state = self.state
-        self.policy.setup(state)
+        if self._replans_seen is None:
+            self.policy.setup(state)
+            self._replans_seen = int(getattr(self.policy, "replans", 0))
         invoke_cap = 4 * self.instance.num_jobs + 16
-        replans_seen = int(getattr(self.policy, "replans", 0))
-        while self.queue:
+        while self.queue and self.queue.peek().time <= until:
             if state.complete() and self._pending_crashes == 0:
                 break
             batch = [self.queue.pop()]
@@ -356,23 +373,29 @@ class SchedulingKernel:
                         f"fixed point at t={state.now}"
                     )
                 replans_now = int(getattr(self.policy, "replans", 0))
-                if replans_now > replans_seen:
+                if replans_now > self._replans_seen:
                     emit_replan(state.now, replans_now)
                     self.replan_instants.append((state.now, replans_now))
-                    replans_seen = replans_now
+                    self._replans_seen = replans_now
             # Sample point-in-time curves once per batch (deterministic
             # sim times → byte-stable counter tracks in the export).
             obs.metrics.gauge("kernel.queue_depth").set(len(self.queue))
             obs.metrics.sample("kernel.queue_depth", t)
             obs.metrics.sample("kernel.commitments", t)
+
+    def run(self) -> KernelResult:
+        """Advance to the end of the run and return its result."""
+        self.advance(math.inf)
+        state = self.state
         if not state.complete():
             raise InfeasibleProblemError(
                 "kernel drained its queue with rounds still uncommitted; "
                 "check the policy"
             )
+        obs = obs_current()
         obs.metrics.counter("kernel.events").inc(self.processed)
         columns = state.committed.columns()
-        if tracer.enabled:
+        if obs.tracer.enabled:
             emit_rounds(columns)
         return KernelResult(
             schedule=columns.to_schedule(),

@@ -5,7 +5,7 @@ import pytest
 from repro.cluster import make_cluster
 from repro.control import ControlPlane
 from repro.core import SwitchMode
-from repro.core.errors import SimulationError
+from repro.core.errors import ConfigurationError, SimulationError
 from repro.harness.experiments import make_loaded_workload
 from repro.schedulers import SchedAlloxScheduler
 from repro.workload import WorkloadConfig
@@ -99,6 +99,15 @@ class TestConfigurations:
         cp = ControlPlane(make_cluster(["V100"]))
         with pytest.raises(SimulationError):
             cp.run()
+
+    @pytest.mark.parametrize("interval", [0, -1])
+    def test_checkpoint_interval_below_one_rejected(self, interval):
+        with pytest.raises(
+            ConfigurationError, match="checkpoint interval must be >= 1"
+        ):
+            ControlPlane(
+                make_cluster(["V100"]), checkpoint_interval=interval
+            )
 
     def test_profiler_database_reused(self):
         from repro.core import Domain

@@ -349,3 +349,105 @@ class TestObservability:
             if e.track == "kernel" and e.name == "JOB_ARRIVED"
         ]
         assert len(kernel_instants) == len(tiny_instance.jobs)
+
+
+class TestSteppedRun:
+    """``advance`` in steps plus ``add_crash`` is the run with the crashes
+    given up front: the chaos control plane steps one kernel this way."""
+
+    @staticmethod
+    def instance():
+        from repro.cluster import scaled_cluster
+        from repro.harness.experiments import make_loaded_workload
+        from repro.workload import WorkloadConfig, build_instance
+
+        jobs = make_loaded_workload(
+            8, reference_gpus=6, load=1.0, seed=2,
+            config=WorkloadConfig(rounds_scale=0.2),
+        )
+        return build_instance(jobs, scaled_cluster(6))
+
+    @staticmethod
+    def crashes(instance):
+        from repro.kernel import KernelCrash
+
+        restore = {j.job_id: 0.5 for j in instance.jobs}
+        return [
+            KernelCrash(
+                time=4.0, gpu=1, detected_at=7.0, checkpoint_interval=2,
+                restore_s=restore,
+            ),
+            # Crashes before the first one is detected.
+            KernelCrash(
+                time=6.0, gpu=3, detected_at=9.5, checkpoint_interval=2,
+                restore_s=restore,
+            ),
+        ]
+
+    @staticmethod
+    def outcome(instance, name, step):
+        from repro.schedulers import create
+
+        kernel_crashes = TestSteppedRun.crashes(instance)
+        with use(Obs.start()) as obs:
+            policy = create(name).make_policy(instance)
+            if step:
+                kernel = SchedulingKernel(instance, policy)
+                for crash in kernel_crashes:
+                    kernel.advance(crash.time)
+                    kernel.add_crash(crash)
+                    kernel.advance(crash.fires_at)
+            else:
+                kernel = SchedulingKernel(
+                    instance, policy, crashes=kernel_crashes
+                )
+            result = kernel.run()
+            instants = [
+                (e.time, e.track, e.name, sorted(e.args.items()))
+                for e in obs.tracer.instants
+            ]
+            snap = obs.metrics.snapshot()
+        cols = result.columns()
+        return (
+            [getattr(cols, n).tobytes() for n in (
+                "job", "rnd", "slot", "gpu", "start", "train", "sync",
+            )],
+            result.metrics, result.events, result.commitments,
+            result.replans, result.retracted_rounds, result.retractions,
+            result.replan_instants, instants,
+            snap["kernel.events"], snap["kernel.commitments"],
+        )
+
+    @pytest.mark.parametrize("name", ["hare", "srtf", "hare_online"])
+    def test_stepped_run_equals_the_run_with_crashes_up_front(self, name):
+        instance = self.instance()
+        stepped = self.outcome(instance, name, step=True)
+        assert stepped[6], "the crashes must retract something"
+        assert stepped == self.outcome(instance, name, step=False)
+
+    def test_advance_stops_at_until_and_once_complete(self, tiny_instance):
+        kernel = SchedulingKernel(
+            tiny_instance, PlannedPolicy(HareScheduler("fluid"))
+        )
+        kernel.advance(0.0)
+        assert kernel.queue.now == 0.0
+        assert kernel.queue.peek().time > 0.0
+        kernel.advance(float("inf"))
+        assert kernel.state.complete()
+        # Wake-ups after the last commitment stay queued, as in run().
+        events = kernel.processed
+        assert kernel.run().events == events
+
+    def test_add_crash_raises_the_default_event_budget(self, tiny_instance):
+        kernel = SchedulingKernel(
+            tiny_instance, PlannedPolicy(HareScheduler("fluid"))
+        )
+        budget = kernel.max_events
+        kernel.add_crash((1.0, 0))
+        assert kernel.max_events == budget + 16
+        pinned = SchedulingKernel(
+            tiny_instance, PlannedPolicy(HareScheduler("fluid")),
+            max_events=100,
+        )
+        pinned.add_crash((1.0, 0))
+        assert pinned.max_events == 100

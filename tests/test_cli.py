@@ -63,12 +63,26 @@ class TestCommands:
         assert "jobs completed" in out and "re-plans" in out
         assert "mean detection latency" in out
 
-    def test_chaos_rejects_bad_crash_gpu(self, capsys):
-        with pytest.raises(Exception):
-            main(
-                ["chaos", "--jobs", "2", "--gpus", "4",
-                 "--rounds-scale", "0.05", "--crash", "1:99"]
-            )
+    @pytest.mark.parametrize(
+        ("flags", "message"),
+        [
+            (["--crash", "1:99"], "GpuCrash targets GPU 99"),
+            (["--drop-rate", "1.5"], "drop_rate must be in [0, 1)"),
+            (["--heartbeat-interval", "0"], "interval_s must be > 0"),
+            (["--checkpoint-interval", "0"],
+             "checkpoint interval must be >= 1"),
+        ],
+        ids=["crash-gpu", "drop-rate", "heartbeat-interval",
+             "checkpoint-interval"],
+    )
+    def test_chaos_rejects_bad_input_in_one_line(self, flags, message,
+                                                 capsys):
+        rc = main(["chaos", "--jobs", "2", "--gpus", "4",
+                   "--rounds-scale", "0.05", "--crash", "1:1", *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert message in err
 
     def test_table3(self, capsys):
         assert main(["table3"]) == 0
