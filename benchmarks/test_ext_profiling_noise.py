@@ -10,7 +10,7 @@ mini-batches, so a few percent of error is the realistic regime.
 import numpy as np
 
 from benchmarks.conftest import run_once
-from repro.core import Schedule, TaskAssignment, metrics_from_schedule
+from repro.core import Schedule, metrics_from_schedule, schedule_from_rows
 from repro.harness import render_series
 from repro.harness.experiments import make_loaded_workload, make_problem
 from repro.schedulers import HareScheduler
@@ -25,12 +25,10 @@ def reevaluate(plan: Schedule, truth) -> float:
     Re-executes the plan's per-GPU task order and assignment against the
     true instance, recomputing start times from true durations.
     """
-    from repro.core.types import TaskRef
-
     phi = [0.0] * truth.num_gpus
     barrier: dict[tuple[int, int], float] = {}
     done: dict[tuple[int, int], int] = {}
-    realized = Schedule(truth)
+    realized = []
     order = sorted(
         plan.assignments.values(), key=lambda a: (a.start, a.task)
     )
@@ -54,15 +52,17 @@ def reevaluate(plan: Schedule, truth) -> float:
             start = max(avail, phi[a.gpu])
             tc = truth.tc(a.task.job_id, a.gpu)
             ts = truth.ts(a.task.job_id, a.gpu)
-            realized.add(
-                TaskAssignment(a.task, a.gpu, start, tc, ts)
+            realized.append(
+                (a.task.job_id, a.task.round_idx, a.task.slot, a.gpu, start)
             )
             phi[a.gpu] = start + tc
             rkey = (a.task.job_id, a.task.round_idx)
             done[rkey] = done.get(rkey, 0) + 1
             barrier[rkey] = max(barrier.get(rkey, 0.0), start + tc + ts)
         pending = rest
-    return metrics_from_schedule(realized).total_weighted_flow
+    return metrics_from_schedule(
+        schedule_from_rows(truth, realized)
+    ).total_weighted_flow
 
 
 def test_ext_profiling_noise(benchmark, report, testbed):

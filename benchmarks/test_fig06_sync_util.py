@@ -9,7 +9,7 @@ per-GPU busy fractions.
 
 from benchmarks.conftest import run_once
 from repro.cluster import make_cluster
-from repro.core import Job, Schedule, metrics_from_schedule
+from repro.core import Job, metrics_from_schedule, schedule_from_rows
 from repro.harness import render_table
 from repro.schedulers.base import gang_run_job
 from repro.sim import simulate_plan
@@ -24,8 +24,9 @@ def test_fig06_sync_util(benchmark, report):
     instance = build_instance(jobs, cluster)
 
     def run():
-        plan = Schedule(instance)
-        gang_run_job(plan, instance, instance.jobs[0], [0, 1], 0.0)
+        rows = []
+        gang_run_job(rows, instance, instance.jobs[0], [0, 1], 0.0)
+        plan = schedule_from_rows(instance, rows)
         result = simulate_plan(cluster, instance, plan)
         return result.telemetry.gpu_utilization()
 

@@ -31,11 +31,11 @@ It then tours the analysis stack on top of the raw events:
 Run:  python examples/observability_tour.py
 """
 
-import dataclasses
 import tempfile
 from pathlib import Path
 
 from repro.api import run_experiment
+from repro.core import ScheduleColumns
 from repro.harness import render_table
 from repro.obs import diagnose_schedule, read_baseline
 from repro.obs.baseline import compare_snapshots, flatten_metrics
@@ -125,14 +125,16 @@ def main() -> None:
     # GPU double-booking invariant fires at ERROR severity.
     # ------------------------------------------------------------------
     print("\n== Triggered finding: corrupted schedule ==")
-    schedule = recorded.plan
-    tasks = sorted(schedule.assignments)
-    victim, donor = tasks[0], tasks[1]
-    schedule.assignments[victim] = dataclasses.replace(
-        schedule.assignments[victim],
-        gpu=schedule.assignments[donor].gpu,
-        start=schedule.assignments[donor].start,
-    )
+    # A schedule never changes, so the corrupted one is a copy of the
+    # plan's columns with the victim's row moved.
+    plan = recorded.plan.columns()
+    victim, donor = plan.rows_of(sorted(recorded.plan.assignments)[:2])
+    gpu, start = plan.gpu.copy(), plan.start.copy()
+    gpu[victim], start[victim] = gpu[donor], start[donor]
+    schedule = ScheduleColumns(
+        plan.instance, plan.job, plan.rnd, plan.slot, gpu, start,
+        plan.train, plan.sync,
+    ).to_schedule()
     report = diagnose_schedule(schedule, instance=recorded.instance)
     print(report.summary())
     for finding in report.invariant_violations()[:2]:

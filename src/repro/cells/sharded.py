@@ -37,7 +37,7 @@ import numpy as np
 from ..core.errors import ConfigurationError, GangDoesNotFitError
 from ..core.job import ProblemInstance
 from ..core.metrics import metrics_from_columns
-from ..core.schedule import Schedule, ScheduleColumns
+from ..core.schedule import ScheduleColumns, schedule_from_rows
 from ..kernel.runner import (
     KernelResult,
     emit_replan,
@@ -252,7 +252,7 @@ class ShardedKernel:
                 instance, *(np.concatenate(col) for col in zip(*parts))
             )
             if parts
-            else Schedule(instance).columns()
+            else schedule_from_rows(instance, []).columns()
         )
         # Cells share no state: ordering by time (stable, so each cell
         # keeps its own order) is one global order; re-plan passes are

@@ -632,16 +632,19 @@ def _releases(
     rounds a job re-runs after a rollback also wait for its restore.
     Tasks of the initial plan have no entry (shipped at t=0)."""
     releases: dict[TaskRef, float] = {}
-    for a in run.schedule.assignments.values():
-        k = bisect_right(detections, a.start)
+    cols = run.schedule.columns()
+    for job, rnd, slot, start in zip(
+        cols.job.tolist(), cols.rnd.tolist(), cols.slot.tolist(),
+        cols.start.tolist(),
+    ):
+        k = bisect_right(detections, start)
         if k:
-            releases[a.task] = max(
+            releases[TaskRef(job, rnd, slot)] = max(
                 [detections[k - 1]]
                 + [
                     r.time + r.restore_s
                     for r in run.retractions
-                    if r.job == a.task.job_id
-                    and a.task.round_idx >= r.rounds_done
+                    if r.job == job and rnd >= r.rounds_done
                 ]
             )
     return releases

@@ -7,16 +7,17 @@ also provides :func:`validate_schedule`, which checks the full Hare_Sched
 constraint set, and helpers to derive per-GPU task sequences and per-job
 completion times.
 
-Checks and metrics read a :class:`ScheduleColumns` view — the schedule as
-numpy columns — rather than walking the per-task objects.
+A schedule *is* one :class:`ScheduleColumns` view — the schedule as numpy
+columns, one row per task — built by :func:`schedule_from_rows` or straight
+from a producer's arrays. Checks and metrics read the view; per-task
+objects are built only for a reader that asks for them.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from operator import attrgetter
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -28,6 +29,10 @@ from .types import TaskRef
 #: Start-time comparisons tolerate this much float slack (seconds).
 TIME_EPS = 1e-9
 
+#: One task's placement as :func:`schedule_from_rows` reads it:
+#: ``(job, rnd, slot, gpu, start)``.
+ScheduleRow = tuple[int, int, int, int, float]
+
 
 @dataclass(frozen=True, slots=True)
 class TaskAssignment:
@@ -35,7 +40,8 @@ class TaskAssignment:
 
     ``train_time``/``sync_time`` are stored explicitly (instead of looked up
     from the instance) so a schedule can also represent *realized* execution
-    from the simulator, where switching overhead inflates the span.
+    from the simulator, where runtime jitter and GPU slowdowns change the
+    durations; a task switch's cost delays the start instead.
     """
 
     task: TaskRef
@@ -58,57 +64,38 @@ class TaskAssignment:
 class Schedule:
     """A complete task schedule for a problem instance.
 
-    A schedule is either built object by object (:meth:`add`, or an
-    initial ``task -> assignment`` mapping) or **column-backed**: made by
-    :meth:`ScheduleColumns.to_schedule` from a view it holds on to. A
-    column-backed schedule builds its :attr:`assignments` dict on the
-    first object read — :attr:`assignments`, ``[]``, ``in``, or
-    :meth:`add` (which materializes first) — and then drops the view.
-    Until then :meth:`columns` and ``len`` answer from the view, so
-    validating or scoring a schedule never builds objects. It compares
-    equal to its materialized twin and pickles as its view.
+    A schedule is one :class:`ScheduleColumns` view, made by
+    :meth:`ScheduleColumns.to_schedule` or :func:`schedule_from_rows`,
+    and never changes. :attr:`assignments` is a read-only
+    ``task -> TaskAssignment`` mapping built from the view on its first
+    read and kept beside it; ``len``, :meth:`columns`, validation and
+    the metrics read the view, so they never build objects. A schedule
+    pickles as its view.
     """
 
-    __slots__ = ("instance", "_assignments", "_columns")
+    __slots__ = ("instance", "_columns", "_assignments")
     __hash__ = None  # type: ignore[assignment]
 
-    def __init__(
-        self,
-        instance: ProblemInstance,
-        assignments: dict[TaskRef, TaskAssignment] | None = None,
-    ) -> None:
-        self.instance = instance
-        self._assignments = {} if assignments is None else assignments
-        self._columns: ScheduleColumns | None = None
+    def __init__(self, columns: ScheduleColumns) -> None:
+        self.instance = columns.instance
+        self._columns = columns
+        self._assignments: Mapping[TaskRef, TaskAssignment] | None = None
 
-    @classmethod
-    def _backed(cls, columns: ScheduleColumns) -> Schedule:
-        sched = cls(columns.instance)
-        sched._assignments = None
-        sched._columns = columns
-        return sched
+    def __reduce__(self):
+        return Schedule, (self._columns,)
 
     @property
-    def assignments(self) -> dict[TaskRef, TaskAssignment]:
-        """Task → assignment, in insertion (row) order; built from the
-        backing view on first read."""
+    def assignments(self) -> Mapping[TaskRef, TaskAssignment]:
+        """Task → assignment, read-only, in row order; built from the
+        view on first read."""
         if self._assignments is None:
-            self._assignments = self._columns._build_assignments()
-            self._columns = None
+            self._assignments = MappingProxyType(
+                self._columns._build_assignments()
+            )
         return self._assignments
 
-    def add(self, assignment: TaskAssignment) -> None:
-        assignments = self.assignments
-        if assignment.task in assignments:
-            raise ScheduleValidationError(
-                5, f"task {assignment.task} assigned twice"
-            )
-        assignments[assignment.task] = assignment
-
     def __len__(self) -> int:
-        if self._assignments is None:
-            return len(self._columns)
-        return len(self._assignments)
+        return len(self._columns)
 
     def __contains__(self, task: TaskRef) -> bool:
         return task in self.assignments
@@ -126,39 +113,15 @@ class Schedule:
     def __repr__(self) -> str:
         return (
             f"Schedule(instance={self.instance!r}, "
-            f"assignments={self.assignments!r})"
+            f"assignments={dict(self.assignments)!r})"
         )
 
     # ------------------------------------------------------------------
     # Derived views
     # ------------------------------------------------------------------
     def columns(self) -> ScheduleColumns:
-        """The schedule as columns.
-
-        A column-backed schedule returns its view. Otherwise the view is
-        built by one pass over the assignments on every call and never
-        stored. Either way no mutation can leave it stale: every mutation
-        goes through :attr:`assignments`, which drops the view first.
-        """
-        if self._assignments is None:
-            return self._columns
-        keys = self._assignments.keys()
-        rows = self._assignments.values()
-        n = len(keys)
-
-        def col(objs, name, dtype):
-            return np.fromiter(map(attrgetter(name), objs), dtype, count=n)
-
-        return ScheduleColumns(
-            self.instance,
-            col(keys, "job_id", np.int64),
-            col(keys, "round_idx", np.int64),
-            col(keys, "slot", np.int64),
-            col(rows, "gpu", np.int64),
-            col(rows, "start", np.float64),
-            col(rows, "train_time", np.float64),
-            col(rows, "sync_time", np.float64),
-        )
+        """The schedule as columns: its view."""
+        return self._columns
 
     def gpu_sequences(self) -> dict[int, list[TaskAssignment]]:
         """Per-GPU task sequences ordered by start time.
@@ -216,11 +179,10 @@ class ScheduleColumns:
     name each row's task, ``gpu``/``start``/``train``/``sync`` its
     placement, and ``canon`` its position in ``instance.all_tasks()``
     order — ``off[job] + rnd · sync_scale + slot`` — or -1 for a task the
-    instance does not have. :meth:`Schedule.columns` builds the view from
-    the objects; the list schedule, the array kernel and the cell merge
-    build it straight from their arrays, and :meth:`to_schedule` wraps it
-    in a column-backed :class:`Schedule` that builds objects only when
-    they are read.
+    instance does not have. Producers build it straight from their
+    arrays or rows (:func:`schedule_from_rows`), and :meth:`to_schedule`
+    wraps it in a :class:`Schedule` that builds objects only when they
+    are read.
     """
 
     __slots__ = (
@@ -366,13 +328,14 @@ class ScheduleColumns:
         )
 
     def to_schedule(self) -> Schedule:
-        """A :class:`Schedule` backed by this view: its objects are built
+        """The :class:`Schedule` of this view: its objects are built
         only when somebody reads them (:attr:`Schedule.assignments`)."""
-        return Schedule._backed(self)
+        return Schedule(self)
 
     def _build_assignments(self) -> dict[TaskRef, TaskAssignment]:
-        """One :class:`TaskAssignment` per row, in row order. A task on
-        two rows keeps its last (:func:`validate_schedule` rejects it)."""
+        """One :class:`TaskAssignment` per row, in row order: the only
+        place objects are built. A task on two rows keeps its last
+        (:func:`validate_schedule` rejects it)."""
         assignments: dict[TaskRef, TaskAssignment] = {}
         for j, r, s, g, st, tr, sy in zip(
             self.job.tolist(), self.rnd.tolist(), self.slot.tolist(),
@@ -429,9 +392,16 @@ def _check_assignment(
         raise ScheduleValidationError(6, f"{task} has negative durations")
 
 
+def _task(cols: ScheduleColumns, row: int) -> TaskRef:
+    """The task on *row*."""
+    return TaskRef(int(cols.job[row]), int(cols.rnd[row]), int(cols.slot[row]))
+
+
 def _item(schedule: Schedule, row: int) -> tuple[TaskRef, TaskAssignment]:
-    """The (task, assignment) pair at insertion position *row*."""
-    return next(itertools.islice(schedule.assignments.items(), row, None))
+    """The (task, assignment) pair on *row* of a schedule whose tasks
+    are on one row each."""
+    task = _task(schedule.columns(), row)
+    return task, schedule[task]
 
 
 def validate_schedule(
@@ -453,8 +423,9 @@ def validate_schedule(
 
     With ``check_durations=True`` (the planning case) each assignment's
     durations must equal the instance's ``T^c``/``T^s``; the simulator's
-    realized schedules pass ``check_durations=False`` because switching
-    overhead legitimately inflates spans (negative ones still fail). A
+    realized schedules pass ``check_durations=False`` because runtime
+    jitter and GPU slowdowns change the realized durations (negative ones
+    still fail; a switch's cost delays the start instead). A
     non-finite start fails (4) and non-finite durations fail (6) in both
     modes.
 
@@ -471,9 +442,8 @@ def validate_schedule(
     4. (8) the first overlapping pair on the first GPU, GPUs in order of
        first appearance, each GPU's tasks by ``(start, task)``.
 
-    **Cost.** :meth:`Schedule.columns` is the backing view of a
-    column-backed schedule, or one pass over the assignments otherwise;
-    every check is then numpy work over the columns — one ``bincount``,
+    **Cost.** :meth:`Schedule.columns` is the schedule's view; every
+    check is numpy work over the columns — one ``bincount``,
     masks, per-round ``reduceat`` and one ``lexsort`` — so O(n log n)
     with no per-task Python work.
     """
@@ -481,7 +451,7 @@ def validate_schedule(
     cols = schedule.columns()
 
     # (5): full coverage, then no unknown and no duplicated tasks (a
-    # column-backed schedule can hold a task on two rows).
+    # schedule can hold a task on two rows).
     known = cols.canon >= 0
     times = np.bincount(cols.canon[known], minlength=int(cols._off[-1]))
     missing = times == 0
@@ -501,7 +471,7 @@ def validate_schedule(
         raise ScheduleValidationError(
             5,
             f"{unknown.size} unknown tasks scheduled, e.g. "
-            f"{_item(schedule, int(first))[0]}",
+            f"{_task(cols, int(first))}",
         )
     repeated = times > 1
     if repeated.any():
@@ -582,23 +552,50 @@ def validate_schedule(
         )
 
 
+def schedule_from_rows(
+    instance: ProblemInstance, rows: Iterable[ScheduleRow]
+) -> Schedule:
+    """A schedule from ``(job, rnd, slot, gpu, start)`` rows, in order,
+    with each row's durations read from the instance's ``T^c``/``T^s``.
+
+    A task on two rows keeps both (:func:`validate_schedule` names it).
+    A row whose job or GPU the instance lacks raises
+    :class:`ScheduleValidationError` (5) before any duration is read.
+    """
+    cols = np.array(list(rows), dtype=np.float64).reshape(-1, 5).T.copy()
+    job, rnd, slot, gpu = cols[:4].astype(np.int64)
+    start = cols[4]
+    bad = (job < 0) | (job >= instance.num_jobs)
+    bad |= (gpu < 0) | (gpu >= instance.num_gpus)
+    if bad.any():
+        k = int(bad.argmax())
+        task = TaskRef(int(job[k]), int(rnd[k]), int(slot[k]))
+        if not 0 <= task.job_id < instance.num_jobs:
+            raise ScheduleValidationError(
+                5, f"unknown task {task} scheduled: the instance has no "
+                f"job {task.job_id}"
+            )
+        raise ScheduleValidationError(
+            5, f"{task} placed on nonexistent GPU {int(gpu[k])}"
+        )
+    return ScheduleColumns(
+        instance, job, rnd, slot, gpu, start,
+        instance.train_time[job, gpu], instance.sync_time[job, gpu],
+    ).to_schedule()
+
+
 def schedule_from_mapping(
     instance: ProblemInstance,
     placements: Mapping[TaskRef, tuple[int, float]],
 ) -> Schedule:
     """Build a Schedule from ``task -> (gpu, start)`` using instance durations."""
-    sched = Schedule(instance)
-    for task, (gpu, start) in placements.items():
-        sched.add(
-            TaskAssignment(
-                task=task,
-                gpu=gpu,
-                start=start,
-                train_time=instance.tc(task.job_id, gpu),
-                sync_time=instance.ts(task.job_id, gpu),
-            )
-        )
-    return sched
+    return schedule_from_rows(
+        instance,
+        (
+            (task.job_id, task.round_idx, task.slot, gpu, start)
+            for task, (gpu, start) in placements.items()
+        ),
+    )
 
 
 def gpu_busy_intervals(

@@ -1017,24 +1017,24 @@ def diagnose_schedule(
         )
         seq += 1
 
-    assignments = sorted(
-        schedule.assignments.values(), key=lambda a: (a.start, a.task)
-    )
+    cols = schedule.columns()
     round_end: dict[tuple[int, int], float] = {}
-    for a in assignments:
-        key = (a.task.job_id, a.task.round_idx)
-        round_end[key] = max(round_end.get(key, 0.0), a.end)
+    # Rows by (start, task), as the executors would run them.
+    for start, job, rnd, slot, gpu, train, sync in sorted(zip(
+        cols.start.tolist(), cols.job.tolist(), cols.rnd.tolist(),
+        cols.slot.tolist(), cols.gpu.tolist(), cols.train.tolist(),
+        cols.sync.tolist(),
+    )):
+        key = (job, rnd)
+        round_end[key] = max(round_end.get(key, 0.0), start + train + sync)
         rec(
-            "span", "sim", f"j{a.task.job_id} r{a.task.round_idx}",
-            f"gpu/{a.gpu}", a.start, a.train_time,
-            job=a.task.job_id, round=a.task.round_idx, slot=a.task.slot,
+            "span", "sim", f"j{job} r{rnd}", f"gpu/{gpu}", start, train,
+            job=job, round=rnd, slot=slot,
         )
-        if a.sync_time > 0:
+        if sync > 0:
             rec(
-                "span", "sync",
-                f"sync j{a.task.job_id} r{a.task.round_idx}",
-                f"job/{a.task.job_id}", a.compute_end, a.sync_time,
-                job=a.task.job_id, round=a.task.round_idx, gpu=a.gpu,
+                "span", "sync", f"sync j{job} r{rnd}", f"job/{job}",
+                start + train, sync, job=job, round=rnd, gpu=gpu,
             )
     for (job, rnd), end in sorted(round_end.items(), key=lambda kv: kv[1]):
         rec(

@@ -27,8 +27,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from ..core.errors import InfeasibleProblemError
 from ..core.job import Job, ProblemInstance
-from ..core.schedule import Schedule, TaskAssignment
-from ..core.types import TaskRef
+from ..core.schedule import Schedule, ScheduleRow
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..kernel.policies import Policy
@@ -88,7 +87,7 @@ def check_gang_feasible(instance: ProblemInstance) -> None:
 
 
 def gang_run_job(
-    schedule: Schedule,
+    rows: list[ScheduleRow],
     instance: ProblemInstance,
     job: Job,
     gpus: Sequence[int],
@@ -98,8 +97,10 @@ def gang_run_job(
 
     Every round takes ``max_d (T^c + T^s)`` over the assigned GPUs — the
     straggler effect that motivates the paper (§2.2.2): fast GPUs idle at
-    the barrier waiting for the slowest one. Returns the job completion
-    time ``C_n``.
+    the barrier waiting for the slowest one. Appends one
+    ``(job, rnd, slot, gpu, start)`` row per task to *rows*
+    (:func:`~repro.core.schedule.schedule_from_rows`) and returns the job
+    completion time ``C_n``.
     """
     if len(gpus) != job.sync_scale:
         raise InfeasibleProblemError(
@@ -109,16 +110,9 @@ def gang_run_job(
     round_time = max(instance.task_time(job.job_id, m) for m in gpus)
     t = start
     for r in range(job.num_rounds):
-        for slot, m in enumerate(gpus):
-            schedule.add(
-                TaskAssignment(
-                    task=TaskRef(job.job_id, r, slot),
-                    gpu=m,
-                    start=t,
-                    train_time=instance.tc(job.job_id, m),
-                    sync_time=instance.ts(job.job_id, m),
-                )
-            )
+        rows.extend(
+            (job.job_id, r, slot, m, t) for slot, m in enumerate(gpus)
+        )
         t += round_time
     return t
 

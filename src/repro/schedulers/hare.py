@@ -44,7 +44,12 @@ from ..core.errors import (
     SolverError,
 )
 from ..core.job import ProblemInstance
-from ..core.schedule import Schedule, ScheduleColumns, TaskAssignment
+from ..core.schedule import (
+    Schedule,
+    ScheduleColumns,
+    ScheduleRow,
+    schedule_from_rows,
+)
 from ..core.types import TaskRef
 from ..obs import Category, current as obs_current
 from .base import Scheduler
@@ -193,7 +198,7 @@ def strict_gang_schedule(
                 f"job {job.job_id} has sync_scale {job.sync_scale} on "
                 f"{instance.num_gpus} GPUs"
             )
-    schedule = Schedule(instance)
+    rows: list[ScheduleRow] = []
     phi = [0.0] * instance.num_gpus
     barrier: dict[tuple[int, int], float] = {}
     seen_rounds: set[tuple[int, int]] = set()
@@ -217,23 +222,14 @@ def strict_gang_schedule(
         end = 0.0
         for slot, m in enumerate(chosen):
             tc = instance.tc(job_id, m)
-            ts = instance.ts(job_id, m)
-            schedule.add(
-                TaskAssignment(
-                    task=TaskRef(job_id, r, slot),
-                    gpu=m,
-                    start=start,
-                    train_time=tc,
-                    sync_time=ts,
-                )
-            )
+            rows.append((job_id, r, slot, m, start))
             phi[m] = start + tc
-            end = max(end, start + tc + ts)
+            end = max(end, start + tc + instance.ts(job_id, m))
         if hold_gpus:
             for m in chosen:
                 phi[m] = max(phi[m], end)
         barrier[(job_id, r)] = end
-    return schedule
+    return schedule_from_rows(instance, rows)
 
 
 def list_schedule(

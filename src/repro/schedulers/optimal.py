@@ -15,7 +15,7 @@ from itertools import permutations, product
 
 from ..core.errors import InfeasibleProblemError
 from ..core.job import ProblemInstance
-from ..core.schedule import Schedule, TaskAssignment
+from ..core.schedule import Schedule, ScheduleRow, schedule_from_rows
 from ..core.types import TaskRef
 
 #: Enumeration explodes as M^T · T!; refuse beyond this many tasks.
@@ -26,9 +26,10 @@ def _build(
     instance: ProblemInstance,
     order: tuple[TaskRef, ...],
     assignment: dict[TaskRef, int],
-) -> Schedule | None:
-    """Active schedule for (π, y); None if π violates round precedence."""
-    schedule = Schedule(instance)
+) -> tuple[list[ScheduleRow], dict[tuple[int, int], float]] | None:
+    """Rows and round barriers of the active schedule for (π, y); None if
+    π violates round precedence."""
+    rows: list[ScheduleRow] = []
     phi = [0.0] * instance.num_gpus
     barrier: dict[tuple[int, int], float] = {}
     count: dict[tuple[int, int], int] = {}
@@ -45,38 +46,45 @@ def _build(
         start = max(avail, phi[m])
         tc = instance.tc(task.job_id, m)
         ts = instance.ts(task.job_id, m)
-        schedule.add(
-            TaskAssignment(
-                task=task, gpu=m, start=start, train_time=tc, sync_time=ts
-            )
-        )
+        rows.append((task.job_id, task.round_idx, task.slot, m, start))
         phi[m] = start + tc
         rkey = (task.job_id, task.round_idx)
         count[rkey] = count.get(rkey, 0) + 1
         barrier[rkey] = max(barrier.get(rkey, 0.0), start + tc + ts)
-    return schedule
+    return rows, barrier
 
 
 def brute_force_optimal(instance: ProblemInstance) -> Schedule:
-    """The minimum total weighted completion time schedule (tiny instances)."""
+    """The minimum total weighted completion time schedule (tiny instances).
+
+    Each candidate is scored from its round barriers — ``Σ_n w_n`` times
+    the barrier of job n's last round, equal to
+    :meth:`Schedule.total_weighted_completion` — and only the winner is
+    built into a :class:`Schedule`.
+    """
     tasks = list(instance.all_tasks())
     if len(tasks) > MAX_TASKS:
         raise InfeasibleProblemError(
             f"brute force limited to {MAX_TASKS} tasks, got {len(tasks)}"
         )
-    best: Schedule | None = None
+    best: list[ScheduleRow] | None = None
     best_obj = float("inf")
     gpus = range(instance.num_gpus)
+    last = [
+        (job.weight, (job.job_id, job.num_rounds - 1))
+        for job in instance.jobs
+    ]
     for order in permutations(tasks):
         for combo in product(gpus, repeat=len(tasks)):
             assignment = dict(zip(order, combo))
-            schedule = _build(instance, order, assignment)
-            if schedule is None:
+            built = _build(instance, order, assignment)
+            if built is None:
                 continue
-            obj = schedule.total_weighted_completion()
+            rows, barrier = built
+            obj = sum(w * barrier[key] for w, key in last)
             if obj < best_obj - 1e-12:
                 best_obj = obj
-                best = schedule
+                best = rows
     if best is None:  # pragma: no cover - always at least one feasible
         raise InfeasibleProblemError("no feasible schedule found")
-    return best
+    return schedule_from_rows(instance, best)

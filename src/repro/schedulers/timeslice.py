@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 
 from ..core.errors import InfeasibleProblemError
 from ..core.job import ProblemInstance
-from ..core.schedule import Schedule, TaskAssignment
-from ..core.types import TaskRef
+from ..core.schedule import Schedule, ScheduleRow, schedule_from_rows
 from .base import Scheduler, check_gang_feasible
 from .registry import register
 
@@ -44,7 +43,7 @@ class TimeSliceScheduler(Scheduler):
 
     def schedule(self, instance: ProblemInstance) -> Schedule:
         check_gang_feasible(instance)
-        schedule = Schedule(instance)
+        rows: list[ScheduleRow] = []
         rounds_done = {j.job_id: 0 for j in instance.jobs}
         #: per-job weighted service received (for the round-robin priority)
         service = {j.job_id: 0.0 for j in instance.jobs}
@@ -100,16 +99,10 @@ class TimeSliceScheduler(Scheduler):
                     and start + round_time <= boundary + 1e-12
                 ):
                     r = rounds_done[job.job_id]
-                    for slot, m in enumerate(chosen):
-                        schedule.add(
-                            TaskAssignment(
-                                task=TaskRef(job.job_id, r, slot),
-                                gpu=m,
-                                start=start,
-                                train_time=instance.tc(job.job_id, m),
-                                sync_time=instance.ts(job.job_id, m),
-                            )
-                        )
+                    rows.extend(
+                        (job.job_id, r, slot, m, start)
+                        for slot, m in enumerate(chosen)
+                    )
                     rounds_done[job.job_id] += 1
                     service[job.job_id] += job.sync_scale * round_time
                     start += round_time
@@ -132,19 +125,13 @@ class TimeSliceScheduler(Scheduler):
                     instance.task_time(job.job_id, m) for m in chosen
                 )
                 r = rounds_done[job.job_id]
-                for slot, m in enumerate(chosen):
-                    schedule.add(
-                        TaskAssignment(
-                            task=TaskRef(job.job_id, r, slot),
-                            gpu=m,
-                            start=t,
-                            train_time=instance.tc(job.job_id, m),
-                            sync_time=instance.ts(job.job_id, m),
-                        )
-                    )
+                rows.extend(
+                    (job.job_id, r, slot, m, t)
+                    for slot, m in enumerate(chosen)
+                )
                 rounds_done[job.job_id] += 1
                 service[job.job_id] += job.sync_scale * round_time
                 t += round_time
                 continue
             t = boundary
-        return schedule
+        return schedule_from_rows(instance, rows)

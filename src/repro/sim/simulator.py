@@ -28,7 +28,7 @@ from ..cluster.gpu import GPUSpec
 from ..core.errors import ConfigurationError, SimulationError
 from ..core.job import ProblemInstance
 from ..core.metrics import ScheduleMetrics, metrics_from_completions
-from ..core.schedule import Schedule, ScheduleColumns, TaskAssignment
+from ..core.schedule import Schedule, ScheduleColumns
 from ..core.types import SwitchMode, TaskRef
 from ..obs import Category, Obs, gpu_track, job_track, use
 from ..obs import current as obs_current
@@ -159,25 +159,6 @@ class ClusterSimulator:
         rng = np.random.default_rng(self.jitter_seed)
         return np.clip(rng.normal(1.0, self.jitter_sigma, size=(n, 2)),
                        0.5, 1.5)
-
-    def _jitter(
-        self, sequences: dict[int, list[TaskAssignment]]
-    ) -> dict[int, list[TaskAssignment]]:
-        """Per-GPU assignment sequences with each task's train/sync time
-        perturbed by :meth:`_jitter_factors`: the object form of what
-        :meth:`run` does to the plan's columns."""
-        ordered = sorted(sequences.items())
-        factors = iter(
-            self._jitter_factors(sum(len(seq) for _, seq in ordered)).tolist()
-        )
-        return {
-            gpu: [
-                TaskAssignment(a.task, a.gpu, a.start, a.train_time * f_tc,
-                               a.sync_time * f_ts)
-                for a, (f_tc, f_ts) in zip(seq, factors)
-            ]
-            for gpu, seq in ordered
-        }
 
     def _release_rows(self, cols: ScheduleColumns) -> dict[int, float]:
         """The plan row of each released task → its release time."""

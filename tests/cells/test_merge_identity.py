@@ -36,6 +36,7 @@ from repro.schedulers.registry import available, create
 from tests.core.oracles import (
     object_walk_rounds,
     reference_metrics_from_schedule,
+    schedule_of,
 )
 
 CELLS = 4
@@ -45,7 +46,7 @@ def object_walk_merge(instance, scheduler, partition, crashes) -> Schedule:
     """The merge as a walk over each cell's materialized assignments."""
     plan = GlobalAdmission().admit(instance, partition)
     cell_crashes = _split_crashes(crashes, partition)
-    merged = Schedule(instance)
+    merged: list[TaskAssignment] = []
     for cell in partition.cells:
         job_ids = plan.jobs_in(cell.index)
         if not job_ids:
@@ -57,7 +58,7 @@ def object_walk_merge(instance, scheduler, partition, crashes) -> Schedule:
         )
         for a in result.schedule.assignments.values():
             t = a.task
-            merged.add(
+            merged.append(
                 TaskAssignment(
                     task=TaskRef(job_ids[t.job_id], t.round_idx, t.slot),
                     gpu=cell.gpu_ids[a.gpu],
@@ -66,7 +67,7 @@ def object_walk_merge(instance, scheduler, partition, crashes) -> Schedule:
                     sync_time=a.sync_time,
                 )
             )
-    return merged
+    return schedule_of(instance, merged)
 
 
 def _outcome(run):

@@ -19,15 +19,40 @@ makespan for :func:`reference_metrics_from_schedule`.
 - :func:`object_walk_rounds` — the ``kernel.round`` args
   (``ScheduleColumns.round_spans`` plus ``best``) from grouped
   assignment objects and a strict ``>`` scan for the critical task.
+
+:func:`schedule_of` turns ``TaskAssignment`` objects — with arbitrary
+durations, or tasks the instance lacks — into a schedule, for tests
+that build or corrupt one object by object.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterable
 
 from repro.core.errors import ScheduleValidationError
 from repro.core.metrics import ScheduleMetrics, metrics_from_completions
-from repro.core.schedule import TIME_EPS, Schedule, TaskAssignment
+from repro.core.schedule import (
+    TIME_EPS,
+    Schedule,
+    ScheduleColumns,
+    TaskAssignment,
+)
+
+
+def schedule_of(
+    instance, assignments: Iterable[TaskAssignment]
+) -> Schedule:
+    """A schedule holding *assignments* as its rows, in order, with
+    their own durations."""
+    rows = [
+        (a.task.job_id, a.task.round_idx, a.task.slot, a.gpu, a.start,
+         a.train_time, a.sync_time)
+        for a in assignments
+    ]
+    return ScheduleColumns(
+        instance, *(zip(*rows) if rows else ((),) * 7)
+    ).to_schedule()
 
 
 def reference_validate_schedule(

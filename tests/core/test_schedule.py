@@ -16,8 +16,10 @@ from repro.core import (
     TaskRef,
     merge_intervals,
     schedule_from_mapping,
+    schedule_from_rows,
     validate_schedule,
 )
+from tests.core.oracles import schedule_of
 
 
 @pytest.fixture
@@ -49,13 +51,6 @@ class TestScheduleBasics:
         assert TaskRef(0, 0, 0) in sched
         assert sched[TaskRef(0, 0, 0)].gpu == 0
 
-    def test_double_add_rejected(self, two_round_instance):
-        sched = Schedule(two_round_instance)
-        a = TaskAssignment(TaskRef(0, 0, 0), 0, 1.0, 1.0, 0.5)
-        sched.add(a)
-        with pytest.raises(ScheduleValidationError):
-            sched.add(a)
-
     def test_gpu_sequences_sorted(self, two_round_instance):
         sched = schedule_from_mapping(
             two_round_instance, valid_mapping(two_round_instance)
@@ -84,7 +79,7 @@ class TestScheduleBasics:
         assert sched.total_weighted_completion() == pytest.approx(6.0)
 
     def test_empty_makespan(self, two_round_instance):
-        assert Schedule(two_round_instance).makespan() == 0.0
+        assert schedule_from_rows(two_round_instance, []).makespan() == 0.0
 
 
 class TestValidation:
@@ -147,11 +142,15 @@ class TestValidation:
         validate_schedule(sched)  # must not raise
 
     def test_wrong_durations_detected(self, two_round_instance):
-        sched = Schedule(two_round_instance)
-        for task, (gpu, start) in valid_mapping(two_round_instance).items():
-            sched.add(
+        sched = schedule_of(
+            two_round_instance,
+            (
                 TaskAssignment(task, gpu, start, train_time=9.9, sync_time=0.5)
-            )
+                for task, (gpu, start) in valid_mapping(
+                    two_round_instance
+                ).items()
+            ),
+        )
         with pytest.raises(ScheduleValidationError) as e:
             validate_schedule(sched)
         assert e.value.constraint == 6
@@ -164,26 +163,41 @@ class TestValidation:
             TaskRef(0, 1, 0): (0, 5.0),
             TaskRef(0, 1, 1): (1, 5.0),
         }
-        sched = Schedule(two_round_instance)
-        for task, (gpu, start) in mapping.items():
-            sched.add(
+        sched = schedule_of(
+            two_round_instance,
+            (
                 TaskAssignment(task, gpu, start, train_time=2.5, sync_time=0.5)
-            )
+                for task, (gpu, start) in mapping.items()
+            ),
+        )
         validate_schedule(sched, check_durations=False)
 
     def test_bad_gpu_rejected(self, two_round_instance):
         mapping = valid_mapping(two_round_instance)
         mapping[TaskRef(0, 0, 0)] = (7, 1.0)
-        sched = Schedule(two_round_instance)
-        for task, (gpu, start) in mapping.items():
-            sched.add(
+        sched = schedule_of(
+            two_round_instance,
+            (
                 TaskAssignment(
                     task, gpu, start,
                     train_time=1.0, sync_time=0.5,
                 )
-            )
+                for task, (gpu, start) in mapping.items()
+            ),
+        )
         with pytest.raises(ScheduleValidationError):
             validate_schedule(sched, check_durations=False)
+
+
+def _with(sched: Schedule, task: TaskRef, **changes) -> Schedule:
+    """A copy of *sched* with *task*'s assignment changed."""
+    return schedule_of(
+        sched.instance,
+        (
+            replace(a, **changes) if t == task else a
+            for t, a in sched.assignments.items()
+        ),
+    )
 
 
 class TestNonFiniteTimes:
@@ -200,8 +214,7 @@ class TestNonFiniteTimes:
     def test_non_finite_start_fails_constraint4(
         self, sched, start, check_durations
     ):
-        task = TaskRef(0, 1, 0)
-        sched.assignments[task] = replace(sched[task], start=start)
+        sched = _with(sched, TaskRef(0, 1, 0), start=start)
         with pytest.raises(ScheduleValidationError, match="non-finite") as e:
             validate_schedule(sched, check_durations=check_durations)
         assert e.value.constraint == 4
@@ -212,8 +225,7 @@ class TestNonFiniteTimes:
     def test_non_finite_durations_fail_constraint6(
         self, sched, field, value, check_durations
     ):
-        task = TaskRef(0, 0, 1)
-        sched.assignments[task] = replace(sched[task], **{field: value})
+        sched = _with(sched, TaskRef(0, 0, 1), **{field: value})
         with pytest.raises(ScheduleValidationError, match="non-finite") as e:
             validate_schedule(sched, check_durations=check_durations)
         assert e.value.constraint == 6
@@ -232,18 +244,26 @@ class TestScheduleColumns:
         sched = schedule_from_mapping(
             two_round_instance, valid_mapping(two_round_instance)
         )
-        sched.add(TaskAssignment(TaskRef(0, 2, 0), 0, 9.0, 1.0, 0.5))
-        sched.add(TaskAssignment(TaskRef(1, 0, 0), 0, 9.0, 1.0, 0.5))
+        sched = schedule_of(
+            two_round_instance,
+            [
+                *sched.assignments.values(),
+                TaskAssignment(TaskRef(0, 2, 0), 0, 9.0, 1.0, 0.5),
+                TaskAssignment(TaskRef(1, 0, 0), 0, 9.0, 1.0, 0.5),
+            ],
+        )
         assert sched.columns().canon.tolist() == [0, 1, 2, 3, -1, -1]
 
     def test_instance_without_jobs(self):
         inst = ProblemInstance(
             jobs=[], train_time=np.ones((0, 2)), sync_time=np.zeros((0, 2))
         )
-        sched = Schedule(inst)
+        sched = schedule_from_rows(inst, [])
         assert sched.completions() == {} and sched.makespan() == 0.0
         validate_schedule(sched)
-        sched.add(TaskAssignment(TaskRef(0, 0, 0), 0, 0.0, 1.0, 0.0))
+        sched = schedule_of(
+            inst, [TaskAssignment(TaskRef(0, 0, 0), 0, 0.0, 1.0, 0.0)]
+        )
         assert sched.columns().canon.tolist() == [-1]
         assert sched.makespan() == 1.0
         with pytest.raises(ScheduleValidationError, match="1 unknown tasks"):
@@ -290,9 +310,9 @@ def _backed(inst) -> Schedule:
 
 
 class TestColumnBackedSchedule:
-    """A schedule made by ``ScheduleColumns.to_schedule`` builds its
-    objects on the first object read and answers ``len`` and
-    ``columns()`` from its view until then."""
+    """A schedule is its view: it builds its objects on the first object
+    read, keeps them read-only beside the view, and answers ``len`` and
+    ``columns()`` from the view."""
 
     def test_equals_its_materialized_twin(self, two_round_instance):
         backed = _backed(two_round_instance)
@@ -301,8 +321,11 @@ class TestColumnBackedSchedule:
         )
         assert backed == twin and twin == backed
         assert backed == _backed(two_round_instance)
-        twin.add(TaskAssignment(TaskRef(0, 2, 0), 0, 9.0, 1.0, 0.5))
-        assert backed != twin
+        extra = TaskAssignment(TaskRef(0, 2, 0), 0, 9.0, 1.0, 0.5)
+        longer = schedule_of(
+            two_round_instance, [*twin.assignments.values(), extra]
+        )
+        assert backed != longer
 
     def test_pickles_without_materializing(self, two_round_instance):
         import pickle
@@ -315,25 +338,16 @@ class TestColumnBackedSchedule:
             backed.assignments.items()
         )
 
-    def test_add_materializes_first(self, two_round_instance):
-        backed = _backed(two_round_instance)
-        extra = TaskAssignment(TaskRef(0, 2, 0), 0, 9.0, 1.0, 0.5)
-        backed.add(extra)
-        assert len(backed) == 5
-        assert list(backed.assignments)[-1] == extra.task
-        with pytest.raises(ScheduleValidationError, match="assigned twice"):
-            backed.add(extra)
+    def test_pickles_after_an_object_read(self, two_round_instance):
+        import pickle
 
-    def test_columns_never_stale_after_a_mutation(self, two_round_instance):
         backed = _backed(two_round_instance)
-        view = backed.columns()
-        assert backed.columns() is view  # the backing view, not a copy
-        task = TaskRef(0, 1, 1)
-        backed.assignments[task] = replace(backed[task], start=7.0)
-        assert backed.columns() is not view
-        assert backed.columns().start.tolist() == [1.0, 1.0, 3.5, 7.0]
-        backed.add(TaskAssignment(TaskRef(0, 2, 0), 0, 9.0, 1.0, 0.5))
-        assert backed.columns().canon.tolist() == [0, 1, 2, 3, -1]
+        assert TaskRef(0, 0, 0) in backed  # builds the objects
+        again = pickle.loads(pickle.dumps(backed))
+        assert again._assignments is None
+        assert list(again.assignments.items()) == list(
+            backed.assignments.items()
+        )
 
     def test_len_validate_and_metrics_do_not_materialize(
         self, two_round_instance
@@ -362,9 +376,21 @@ class TestColumnBackedSchedule:
         assert len(plan.assignments) == len(plan)
         assert plan._assignments is not None
 
+    def test_a_run_plan_is_read_only(self):
+        from repro.api import run_experiment
+
+        run = run_experiment(
+            gpus=4, jobs=3, scheduler="hare", rounds_scale=0.05,
+            simulate=False, trace=False,
+        )
+        task, a = next(iter(run.plan.assignments.items()))
+        with pytest.raises(TypeError):
+            run.plan.assignments[task] = replace(a, start=a.start + 1.0)
+        assert run.plan[task] == a
+
     def test_repeated_row_fails_constraint5(self, two_round_instance):
-        """A column-backed schedule can hold a task on two rows; the
-        validator must reject it (a dict-backed one cannot)."""
+        """A schedule can hold a task on two rows; the validator must
+        reject it."""
         cols = schedule_from_mapping(
             two_round_instance, valid_mapping(two_round_instance)
         ).columns()
@@ -380,6 +406,52 @@ class TestColumnBackedSchedule:
             validate_schedule(twice)
         assert e.value.constraint == 5
         assert str(TaskRef(0, 1, 1)) in str(e.value)
+
+
+class TestScheduleFromRows:
+    @pytest.fixture
+    def one_job(self) -> ProblemInstance:
+        jobs = [Job(job_id=0, model="m", num_rounds=1, sync_scale=1)]
+        return ProblemInstance(
+            jobs=jobs,
+            train_time=np.array([[3.0, 7.0]]),
+            sync_time=np.array([[0.5, 0.25]]),
+        )
+
+    def test_rows_keep_order_and_read_instance_durations(self, one_job):
+        sched = schedule_from_rows(one_job, [(0, 0, 0, 1, 2.0)])
+        assert sched[TaskRef(0, 0, 0)] == TaskAssignment(
+            TaskRef(0, 0, 0), 1, 2.0, 7.0, 0.25
+        )
+        rows = [(0, 1, 0, 1, 5.0), (0, 0, 0, 0, 1.0)]
+        cols = schedule_from_rows(one_job, rows).columns()
+        assert cols.rnd.tolist() == [1, 0]
+        assert cols.train.tolist() == [7.0, 3.0]
+
+    @pytest.mark.parametrize(
+        ("row", "message"),
+        [
+            ((0, 0, 0, -1, 0.0), "J0.r0.t0 placed on nonexistent GPU -1"),
+            ((0, 0, 0, 2, 0.0), "J0.r0.t0 placed on nonexistent GPU 2"),
+            ((3, 0, 0, 0, 0.0), "unknown task J3.r0.t0"),
+        ],
+        ids=["gpu_-1", "gpu_num_gpus", "unknown_job"],
+    )
+    def test_row_outside_the_instance_rejected(self, one_job, row, message):
+        with pytest.raises(ScheduleValidationError) as e:
+            schedule_from_rows(one_job, [row])
+        assert e.value.constraint == 5
+        assert message in str(e.value)
+
+    def test_a_task_on_two_rows_keeps_both(self, one_job):
+        sched = schedule_from_rows(
+            one_job, [(0, 0, 0, 0, 0.0), (0, 0, 0, 1, 0.0)]
+        )
+        assert len(sched) == 2
+        with pytest.raises(
+            ScheduleValidationError, match="1 tasks assigned more than once"
+        ):
+            validate_schedule(sched)
 
 
 class TestMergeIntervals:

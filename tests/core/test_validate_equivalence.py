@@ -39,6 +39,7 @@ from tests.core.oracles import (
     reference_makespan,
     reference_metrics_from_schedule,
     reference_validate_schedule,
+    schedule_of,
 )
 
 #: (arrivals, cells) plan sources.
@@ -178,7 +179,7 @@ def mutate(plan: Schedule, kind: str, pick: int, delta: float) -> Schedule:
             out[task] = replace(a, start=start)
     else:  # pragma: no cover - guards the KINDS table
         raise AssertionError(kind)
-    return Schedule(inst, out)
+    return schedule_of(inst, out.values())
 
 
 def _outcome(fn, *args, **kwargs):
@@ -290,10 +291,14 @@ def test_overlaps_reported_on_the_first_gpu_to_appear():
         train_time=np.ones((4, 2)),
         sync_time=np.zeros((4, 2)),
     )
-    plan = Schedule(inst)
     placements = ((0, 1, 0.0), (1, 0, 0.0), (2, 1, 0.5), (3, 0, 0.5))
-    for job, gpu, start in placements:
-        plan.add(TaskAssignment(TaskRef(job, 0, 0), gpu, start, 1.0, 0.0))
+    plan = schedule_of(
+        inst,
+        (
+            TaskAssignment(TaskRef(job, 0, 0), gpu, start, 1.0, 0.0)
+            for job, gpu, start in placements
+        ),
+    )
     overlap_on_gpu1 = r"^constraint \(8\): GPU 1:"
     with pytest.raises(ScheduleValidationError, match=overlap_on_gpu1):
         validate_schedule(plan)

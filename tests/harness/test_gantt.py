@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import Job, ProblemInstance, Schedule, TaskRef, schedule_from_mapping
+from repro.core import Job, ProblemInstance, TaskRef, schedule_from_mapping
 from repro.core.errors import ConfigurationError
 from repro.harness.gantt import GanttOptions, render_gantt, render_job_timeline
 from repro.schedulers import HareScheduler
@@ -54,7 +54,7 @@ class TestRenderGantt:
         assert "0=0:a" not in out
 
     def test_empty_schedule(self, small_schedule):
-        empty = Schedule(small_schedule.instance)
+        empty = schedule_from_mapping(small_schedule.instance, {})
         assert render_gantt(empty) == "(empty schedule)"
 
     def test_width_validation(self):

@@ -18,7 +18,7 @@ from repro.core import (
     Job,
     ProblemInstance,
 )
-from repro.core.schedule import Schedule
+from repro.core.schedule import Schedule, ScheduleRow, schedule_from_rows
 from repro.kernel import run_policy
 from repro.schedulers import (
     GavelFifoPolicy,
@@ -46,7 +46,7 @@ def legacy_gang_schedule(instance: ProblemInstance, select) -> Schedule:
     module-level policy closures.
     """
     check_gang_feasible(instance)
-    schedule = Schedule(instance)
+    rows: list[ScheduleRow] = []
     gpu_free = [0.0] * instance.num_gpus
     waiting = {j.job_id for j in instance.jobs}
     t = 0.0
@@ -60,7 +60,7 @@ def legacy_gang_schedule(instance: ProblemInstance, select) -> Schedule:
             job_id, gpus = decision
             job = instance.jobs[job_id]
             start = max(t, job.arrival)
-            completion = gang_run_job(schedule, instance, job, gpus, start)
+            completion = gang_run_job(rows, instance, job, gpus, start)
             for m in gpus:
                 gpu_free[m] = completion
             waiting.discard(job_id)
@@ -74,7 +74,7 @@ def legacy_gang_schedule(instance: ProblemInstance, select) -> Schedule:
         if not candidates:
             raise InfeasibleProblemError("stuck")
         t = min(candidates)
-    return schedule
+    return schedule_from_rows(instance, rows)
 
 
 def legacy_fifo(instance: ProblemInstance) -> Schedule:

@@ -39,6 +39,7 @@ from repro.kernel.array import ArraySchedulingKernel
 from repro.kernel.runner import SchedulingKernel
 from repro.obs import NULL_REGISTRY, Obs, trace_json, use
 from repro.schedulers.registry import available, create
+from tests.core.oracles import schedule_of
 from tests.property.test_kernel_properties import instances
 
 #: Every registered offline planner, run through PlannedPolicy.
@@ -128,10 +129,13 @@ def _instance(arrivals, rounds, scale, gpus):
 
 def _plan(instance, rows):
     """A schedule from ``(job, round, slot, gpu, start, train, sync)``."""
-    plan = Schedule(instance)
-    for j, r, s, g, start, train, sync in rows:
-        plan.add(TaskAssignment(TaskRef(j, r, s), g, start, train, sync))
-    return plan
+    return schedule_of(
+        instance,
+        (
+            TaskAssignment(TaskRef(j, r, s), g, start, train, sync)
+            for j, r, s, g, start, train, sync in rows
+        ),
+    )
 
 
 @st.composite

@@ -23,6 +23,7 @@ from repro.obs.monitors import (
     replay_monitors,
 )
 from repro.obs.recorder import Record
+from tests.core.oracles import schedule_of
 
 
 def span(seq, name, track, t, dur, **args):
@@ -71,10 +72,15 @@ class TestCorruptedSchedule:
         sched = r.plan
         tasks = sorted(sched.assignments)
         victim, donor = tasks[0], tasks[1]
-        sched.assignments[victim] = dataclasses.replace(
-            sched.assignments[victim],
-            gpu=sched.assignments[donor].gpu,
-            start=sched.assignments[donor].start,
+        moved = dataclasses.replace(
+            sched[victim], gpu=sched[donor].gpu, start=sched[donor].start
+        )
+        sched = schedule_of(
+            sched.instance,
+            (
+                moved if t == victim else a
+                for t, a in sched.assignments.items()
+            ),
         )
         report = diagnose_schedule(sched, instance=r.instance)
         assert not report.ok

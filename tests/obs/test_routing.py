@@ -19,6 +19,7 @@ from repro.obs.monitors import (
 )
 from repro.obs.recorder import FlightRecorder, Record, RecordRouter
 from repro.schedulers.registry import available
+from tests.core.oracles import schedule_of
 from tests.obs.oracles import unrouted
 
 
@@ -68,10 +69,15 @@ class TestRoutedEqualsUnrouted:
         )
         sched = r.plan
         victim, donor = sorted(sched.assignments)[:2]
-        sched.assignments[victim] = dataclasses.replace(
-            sched.assignments[victim],
-            gpu=sched.assignments[donor].gpu,
-            start=sched.assignments[donor].start,
+        moved = dataclasses.replace(
+            sched[victim], gpu=sched[donor].gpu, start=sched[donor].start
+        )
+        sched = schedule_of(
+            sched.instance,
+            (
+                moved if t == victim else a
+                for t, a in sched.assignments.items()
+            ),
         )
 
         def run():

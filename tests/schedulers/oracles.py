@@ -37,19 +37,22 @@ from __future__ import annotations
 
 import heapq
 import math
+from itertools import permutations, product
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 
-from repro.core.errors import SolverError
-from repro.core.job import ProblemInstance
+from repro.core.errors import InfeasibleProblemError, SolverError
+from repro.core.job import Job, ProblemInstance
 from repro.core.schedule import Schedule, TaskAssignment
 from repro.core.types import TaskRef
 from repro.kernel.residual import to_global
 from repro.kernel.state import Commitment
 from repro.schedulers.allox import SchedAlloxScheduler
+from repro.schedulers.base import check_gang_feasible
 from repro.schedulers.online import OnlineHarePolicy
+from repro.schedulers.optimal import MAX_TASKS
 from repro.schedulers.relaxation import (
     ExactRelaxationSolver,
     FluidRelaxationSolver,
@@ -57,6 +60,8 @@ from repro.schedulers.relaxation import (
     _middle_completion,
     _water_fill,
 )
+from repro.schedulers.timeslice import TimeSliceScheduler
+from tests.core.oracles import schedule_of
 
 
 # ----------------------------------------------------------------------
@@ -308,7 +313,7 @@ def reference_list_schedule(
     """``list_schedule`` with a heap of φ and a per-GPU Python scan over
     the ``TaskRef`` of each canonical index in *order*."""
     order = task_refs(instance, order)
-    schedule = Schedule(instance)
+    schedule: list[TaskAssignment] = []
     if initial_phi is None:
         initial_phi = [0.0] * instance.num_gpus
     elif len(initial_phi) != instance.num_gpus:
@@ -354,7 +359,7 @@ def reference_list_schedule(
 
         tc = instance.tc(task.job_id, m)
         ts = instance.ts(task.job_id, m)
-        schedule.add(
+        schedule.append(
             TaskAssignment(
                 task=task, gpu=m, start=start, train_time=tc, sync_time=ts
             )
@@ -367,7 +372,7 @@ def reference_list_schedule(
         round_barrier[rkey] = max(
             round_barrier.get(rkey, 0.0), start + tc + ts
         )
-    return schedule
+    return schedule_of(instance, schedule)
 
 
 # ----------------------------------------------------------------------
@@ -553,3 +558,267 @@ class UntruncatedOnlineHarePolicy(OnlineHarePolicy):
                     )
                 )
         return out
+
+
+# ----------------------------------------------------------------------
+# Object-building producers
+# ----------------------------------------------------------------------
+# The producers as they were when a Schedule could be filled assignment by
+# assignment: each builds one TaskAssignment per task, in the order the
+# old code called Schedule.add, and the list becomes the schedule.
+def reference_strict_gang_schedule(
+    instance: ProblemInstance,
+    order,
+    *,
+    hold_gpus: bool = False,
+) -> Schedule:
+    """``strict_gang_schedule`` building a ``TaskAssignment`` per task."""
+    for job in instance.jobs:
+        if job.sync_scale > instance.num_gpus:
+            raise InfeasibleProblemError(
+                f"strict gang scheduling needs sync_scale <= num_gpus: "
+                f"job {job.job_id} has sync_scale {job.sync_scale} on "
+                f"{instance.num_gpus} GPUs"
+            )
+    schedule: list[TaskAssignment] = []
+    phi = [0.0] * instance.num_gpus
+    barrier: dict[tuple[int, int], float] = {}
+    seen_rounds: set[tuple[int, int]] = set()
+    round_order: list[tuple[int, int]] = []
+    job_col, rnd_col, _ = instance.task_columns()
+    ks = np.asarray(order, dtype=np.int64)
+    for key in zip(job_col[ks].tolist(), rnd_col[ks].tolist()):
+        if key not in seen_rounds:
+            seen_rounds.add(key)
+            round_order.append(key)
+    for job_id, r in round_order:
+        job = instance.jobs[job_id]
+        avail = job.arrival if r == 0 else barrier[(job_id, r - 1)]
+        # gang: the sync_scale GPUs that free earliest, preferring fast ones
+        ranked = sorted(
+            range(instance.num_gpus),
+            key=lambda m: (phi[m], instance.tc(job_id, m), m),
+        )
+        chosen = ranked[: job.sync_scale]
+        start = max(avail, max(phi[m] for m in chosen))
+        end = 0.0
+        for slot, m in enumerate(chosen):
+            tc = instance.tc(job_id, m)
+            ts = instance.ts(job_id, m)
+            schedule.append(
+                TaskAssignment(
+                    task=TaskRef(job_id, r, slot),
+                    gpu=m,
+                    start=start,
+                    train_time=tc,
+                    sync_time=ts,
+                )
+            )
+            phi[m] = start + tc
+            end = max(end, start + tc + ts)
+        if hold_gpus:
+            for m in chosen:
+                phi[m] = max(phi[m], end)
+        barrier[(job_id, r)] = end
+    return schedule_of(instance, schedule)
+
+
+def reference_gang_run_job(
+    schedule: list[TaskAssignment],
+    instance: ProblemInstance,
+    job: Job,
+    gpus,
+    start: float,
+) -> float:
+    """``gang_run_job`` appending a ``TaskAssignment`` per task."""
+    if len(gpus) != job.sync_scale:
+        raise InfeasibleProblemError(
+            f"job {job.job_id} with scale {job.sync_scale} given "
+            f"{len(gpus)} GPUs"
+        )
+    round_time = max(instance.task_time(job.job_id, m) for m in gpus)
+    t = start
+    for r in range(job.num_rounds):
+        for slot, m in enumerate(gpus):
+            schedule.append(
+                TaskAssignment(
+                    task=TaskRef(job.job_id, r, slot),
+                    gpu=m,
+                    start=t,
+                    train_time=instance.tc(job.job_id, m),
+                    sync_time=instance.ts(job.job_id, m),
+                )
+            )
+        t += round_time
+    return t
+
+
+class ObjectTimeSliceScheduler(TimeSliceScheduler):
+    """``TimeSliceScheduler`` building a ``TaskAssignment`` per task."""
+
+    def schedule(self, instance: ProblemInstance) -> Schedule:
+        check_gang_feasible(instance)
+        schedule: list[TaskAssignment] = []
+        rounds_done = {j.job_id: 0 for j in instance.jobs}
+        #: per-job weighted service received (for the round-robin priority)
+        service = {j.job_id: 0.0 for j in instance.jobs}
+        t = 0.0
+        guard = 0
+        total_rounds = sum(j.num_rounds for j in instance.jobs)
+        limit = 100 * total_rounds + 1000
+        while any(
+            rounds_done[j.job_id] < j.num_rounds for j in instance.jobs
+        ):
+            guard += 1
+            if guard > limit:  # pragma: no cover - defensive
+                raise InfeasibleProblemError(
+                    "time-slice scheduler failed to progress; "
+                    "quantum too small for the workload's round times?"
+                )
+            boundary = t + self.quantum_s
+            active = [
+                j for j in instance.jobs
+                if j.arrival <= t + 1e-12
+                and rounds_done[j.job_id] < j.num_rounds
+            ]
+            if not active:
+                future = [
+                    j.arrival for j in instance.jobs
+                    if j.arrival > t + 1e-12
+                    and rounds_done[j.job_id] < j.num_rounds
+                ]
+                if not future:  # pragma: no cover - loop guard above
+                    break
+                t = max(boundary, min(future))
+                continue
+            # least weighted service first (weighted round-robin fairness)
+            active.sort(key=lambda j: (service[j.job_id] / j.weight, j.job_id))
+            gpu_free = [t] * instance.num_gpus
+            free_set = set(range(instance.num_gpus))
+            progressed = False
+            for job in active:
+                if len(free_set) < job.sync_scale:
+                    continue
+                # fastest available GPUs for this job
+                chosen = sorted(
+                    free_set,
+                    key=lambda m: (instance.task_time(job.job_id, m), m),
+                )[: job.sync_scale]
+                round_time = max(
+                    instance.task_time(job.job_id, m) for m in chosen
+                )
+                start = t
+                ran = 0
+                while (
+                    rounds_done[job.job_id] < job.num_rounds
+                    and start + round_time <= boundary + 1e-12
+                ):
+                    r = rounds_done[job.job_id]
+                    for slot, m in enumerate(chosen):
+                        schedule.append(
+                            TaskAssignment(
+                                task=TaskRef(job.job_id, r, slot),
+                                gpu=m,
+                                start=start,
+                                train_time=instance.tc(job.job_id, m),
+                                sync_time=instance.ts(job.job_id, m),
+                            )
+                        )
+                    rounds_done[job.job_id] += 1
+                    service[job.job_id] += job.sync_scale * round_time
+                    start += round_time
+                    ran += 1
+                if ran:
+                    progressed = True
+                    free_set -= set(chosen)
+                    for m in chosen:
+                        gpu_free[m] = start
+            if not progressed:
+                # nothing fits in a quantum: stretch this one to fit the
+                # neediest job's single round (prevents livelock when the
+                # quantum is shorter than a round)
+                job = active[0]
+                chosen = sorted(
+                    range(instance.num_gpus),
+                    key=lambda m: (instance.task_time(job.job_id, m), m),
+                )[: job.sync_scale]
+                round_time = max(
+                    instance.task_time(job.job_id, m) for m in chosen
+                )
+                r = rounds_done[job.job_id]
+                for slot, m in enumerate(chosen):
+                    schedule.append(
+                        TaskAssignment(
+                            task=TaskRef(job.job_id, r, slot),
+                            gpu=m,
+                            start=t,
+                            train_time=instance.tc(job.job_id, m),
+                            sync_time=instance.ts(job.job_id, m),
+                        )
+                    )
+                rounds_done[job.job_id] += 1
+                service[job.job_id] += job.sync_scale * round_time
+                t += round_time
+                continue
+            t = boundary
+        return schedule_of(instance, schedule)
+
+
+def _reference_build(
+    instance: ProblemInstance,
+    order: tuple[TaskRef, ...],
+    assignment: dict[TaskRef, int],
+) -> Schedule | None:
+    """Active schedule for (π, y); None if π violates round precedence."""
+    schedule: list[TaskAssignment] = []
+    phi = [0.0] * instance.num_gpus
+    barrier: dict[tuple[int, int], float] = {}
+    count: dict[tuple[int, int], int] = {}
+    for task in order:
+        job = instance.jobs[task.job_id]
+        if task.round_idx == 0:
+            avail = job.arrival
+        else:
+            key = (task.job_id, task.round_idx - 1)
+            if count.get(key, 0) != job.sync_scale:
+                return None
+            avail = barrier[key]
+        m = assignment[task]
+        start = max(avail, phi[m])
+        tc = instance.tc(task.job_id, m)
+        ts = instance.ts(task.job_id, m)
+        schedule.append(
+            TaskAssignment(
+                task=task, gpu=m, start=start, train_time=tc, sync_time=ts
+            )
+        )
+        phi[m] = start + tc
+        rkey = (task.job_id, task.round_idx)
+        count[rkey] = count.get(rkey, 0) + 1
+        barrier[rkey] = max(barrier.get(rkey, 0.0), start + tc + ts)
+    return schedule_of(instance, schedule)
+
+
+def reference_brute_force_optimal(instance: ProblemInstance) -> Schedule:
+    """``brute_force_optimal`` building and scoring every candidate."""
+    tasks = list(instance.all_tasks())
+    if len(tasks) > MAX_TASKS:
+        raise InfeasibleProblemError(
+            f"brute force limited to {MAX_TASKS} tasks, got {len(tasks)}"
+        )
+    best: Schedule | None = None
+    best_obj = float("inf")
+    gpus = range(instance.num_gpus)
+    for order in permutations(tasks):
+        for combo in product(gpus, repeat=len(tasks)):
+            assignment = dict(zip(order, combo))
+            schedule = _reference_build(instance, order, assignment)
+            if schedule is None:
+                continue
+            obj = schedule.total_weighted_completion()
+            if obj < best_obj - 1e-12:
+                best_obj = obj
+                best = schedule
+    if best is None:  # pragma: no cover - always at least one feasible
+        raise InfeasibleProblemError("no feasible schedule found")
+    return best

@@ -7,7 +7,7 @@ from repro.core import (
     InfeasibleProblemError,
     Job,
     ProblemInstance,
-    Schedule,
+    schedule_from_rows,
     validate_schedule,
 )
 from repro.schedulers import (
@@ -42,21 +42,22 @@ class TestGangFeasibility:
 
 class TestGangRunJob:
     def test_round_time_is_slowest_gpu(self, inst):
-        sched = Schedule(inst)
-        completion = gang_run_job(sched, inst, inst.jobs[0], [0, 2], 1.0)
+        rows = []
+        completion = gang_run_job(rows, inst, inst.jobs[0], [0, 2], 1.0)
         # round = max(1.1, 3.1) = 3.1; two rounds from t=1.0
         assert completion == pytest.approx(1.0 + 2 * 3.1)
-        validate_schedule(sched)
+        validate_schedule(schedule_from_rows(inst, rows))
 
     def test_all_tasks_emitted(self, inst):
-        sched = Schedule(inst)
-        gang_run_job(sched, inst, inst.jobs[0], [0, 1], 0.0)
-        assert len(sched) == 4
+        rows = []
+        gang_run_job(rows, inst, inst.jobs[0], [0, 1], 0.0)
+        assert len(rows) == 4
 
     def test_wrong_gpu_count(self, inst):
-        sched = Schedule(inst)
+        rows = []
         with pytest.raises(InfeasibleProblemError):
-            gang_run_job(sched, inst, inst.jobs[0], [0], 0.0)
+            gang_run_job(rows, inst, inst.jobs[0], [0], 0.0)
+        assert rows == []
 
 
 class TestFastestFreeGpus:

@@ -1,0 +1,111 @@
+"""Row-building producers ≡ their object-building originals, byte for byte.
+
+``strict_gang_schedule``, ``gang_run_job``, ``TimeSliceScheduler`` and
+``brute_force_optimal`` append ``(job, rnd, slot, gpu, start)`` rows and
+build one schedule from them (``schedule_from_rows``). The originals,
+kept in ``tests/schedulers/oracles.py``, built one ``TaskAssignment`` per
+task. Both must give the same columns in the same row order.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.core import InfeasibleProblemError, schedule_from_rows
+from repro.schedulers import (
+    HareScheduler,
+    TimeSliceScheduler,
+    brute_force_optimal,
+    gang_run_job,
+    strict_gang_schedule,
+)
+from repro.schedulers.hare import _precedence_safe_order
+from tests.conftest import make_random_instance
+from tests.core.oracles import schedule_of
+from tests.schedulers.oracles import (
+    ObjectTimeSliceScheduler,
+    column_bytes,
+    reference_brute_force_optimal,
+    reference_gang_run_job,
+    reference_strict_gang_schedule,
+)
+
+SEEDS = range(12)
+
+
+def _instance(seed):
+    return make_random_instance(seed, max_jobs=4, max_gpus=4, max_rounds=3)
+
+
+def _outcome(build):
+    """The schedule's column bytes, or the class of what it raised."""
+    try:
+        return column_bytes(build())
+    except InfeasibleProblemError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("hold_gpus", [False, True])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_strict_gang(seed, hold_gpus):
+    inst = _instance(seed)
+    hare = HareScheduler(relaxation="fluid")
+    hare.schedule(inst)
+    order = _precedence_safe_order(inst, hare.last_relaxation)
+    got = _outcome(
+        lambda: strict_gang_schedule(inst, order, hold_gpus=hold_gpus)
+    )
+    want = _outcome(
+        lambda: reference_strict_gang_schedule(
+            inst, order, hold_gpus=hold_gpus
+        )
+    )
+    assert got == want
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_gang_run_job(seed):
+    inst = _instance(seed)
+    rows, objects = [], []
+    start = 0.0
+    for job in inst.jobs:
+        if job.sync_scale > inst.num_gpus:
+            continue
+        gpus = list(range(inst.num_gpus))[-job.sync_scale:]
+        end = gang_run_job(rows, inst, job, gpus, start)
+        assert end == reference_gang_run_job(objects, inst, job, gpus, start)
+        start = end
+    assert column_bytes(schedule_from_rows(inst, rows)) == column_bytes(
+        schedule_of(inst, objects)
+    )
+
+
+@pytest.mark.parametrize("quantum", [1e-3, 0.5, 2.0, 10.0, 60.0])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_timeslice(seed, quantum):
+    """1 ms is shorter than every round: each quantum takes the stretch
+    branch."""
+    inst = _instance(seed)
+    got = _outcome(
+        lambda: TimeSliceScheduler(quantum_s=quantum).schedule(inst)
+    )
+    want = _outcome(
+        lambda: ObjectTimeSliceScheduler(quantum_s=quantum).schedule(inst)
+    )
+    assert got == want
+
+
+def _tiny(seed):
+    """The Theorem 4 audit's instances (``tests/theory/test_bounds.py``)."""
+    return make_random_instance(seed, max_jobs=3, max_gpus=2, max_rounds=2)
+
+
+@pytest.mark.parametrize(
+    "seed", [s for s in range(40) if _tiny(s).num_tasks <= 5]
+)
+def test_brute_force_optimal(seed):
+    inst = _tiny(seed)
+    best = brute_force_optimal(inst)
+    ref = reference_brute_force_optimal(inst)
+    assert column_bytes(best) == column_bytes(ref)
+    assert best.total_weighted_completion() == ref.total_weighted_completion()

@@ -8,6 +8,7 @@ machine, and a scan of *every* executor at each job arrival and barrier
 opening. The equivalence suite (``test_replay_equivalence.py``) pins the
 production loop to it: records, realized schedule, metrics, telemetry,
 parameter-server state, event counts, and every tracer and metric call.
+:func:`jitter` is the object form of the replay's runtime jitter.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from repro.sim.telemetry import TaskRecord, Telemetry
 from repro.switching.costmodel import SwitchCostModel
 from repro.switching.memory import GpuMemoryManager
 from repro.workload.models import spec_or_synthetic
+from tests.core.oracles import schedule_of
 
 Handler = Callable[[Event], None]
 
@@ -292,6 +294,26 @@ def _slowdown_factor(sim: ClusterSimulator, gpu_id: int, at: float) -> float:
     return factor
 
 
+def jitter(
+    sim: ClusterSimulator, sequences: dict[int, list[TaskAssignment]]
+) -> dict[int, list[TaskAssignment]]:
+    """Per-GPU assignment sequences with each task's train/sync time
+    perturbed by ``sim._jitter_factors``: the object form of what
+    ``ClusterSimulator.run`` does to the plan's columns."""
+    ordered = sorted(sequences.items())
+    factors = iter(
+        sim._jitter_factors(sum(len(seq) for _, seq in ordered)).tolist()
+    )
+    return {
+        gpu: [
+            TaskAssignment(a.task, a.gpu, a.start, a.train_time * f_tc,
+                           a.sync_time * f_ts)
+            for a, (f_tc, f_ts) in zip(seq, factors)
+        ]
+        for gpu, seq in ordered
+    }
+
+
 def reference_run(sim: ClusterSimulator, plan: Schedule) -> SimResult:
     """``ClusterSimulator.run`` as one handler per event type on an
     :class:`Engine`."""
@@ -299,7 +321,7 @@ def reference_run(sim: ClusterSimulator, plan: Schedule) -> SimResult:
     engine = Engine()
     pool = ParameterServerPool(instance)
     telemetry = Telemetry(num_gpus=instance.num_gpus)
-    realized = Schedule(instance)
+    realized: list[TaskAssignment] = []
     obs = obs_current()
     tracer = obs.tracer
 
@@ -310,7 +332,7 @@ def reference_run(sim: ClusterSimulator, plan: Schedule) -> SimResult:
 
     sequences = plan.gpu_sequences()
     if sim.jitter_sigma > 0:
-        sequences = sim._jitter(sequences)
+        sequences = jitter(sim, sequences)
     executors = build_executors(
         instance,
         list(sim.cluster.devices()),
@@ -440,7 +462,7 @@ def reference_run(sim: ClusterSimulator, plan: Schedule) -> SimResult:
                 retained_hit=started.retained_hit,
             )
         )
-        realized.add(
+        realized.append(
             TaskAssignment(
                 task=task,
                 gpu=executor.gpu_id,
@@ -568,7 +590,7 @@ def reference_run(sim: ClusterSimulator, plan: Schedule) -> SimResult:
         instance.jobs, completions, makespan=telemetry.makespan
     )
     return SimResult(
-        realized=realized,
+        realized=schedule_of(instance, realized),
         metrics=metrics,
         telemetry=telemetry,
         pool=pool,

@@ -15,6 +15,7 @@ from repro.schedulers import HareScheduler, default_schedulers
 from repro.sim import ClusterSimulator, simulate_plan
 from repro.switching import SwitchCostModel
 from repro.workload import WorkloadConfig, build_instance
+from tests.core.oracles import schedule_of
 
 
 @pytest.fixture(scope="module")
@@ -140,7 +141,10 @@ class TestConfiguration:
     def test_plan_task_outside_the_instance_rejected(self, scenario):
         cluster, instance = scenario
         plan = HareScheduler().schedule(instance)
-        plan.add(TaskAssignment(TaskRef(0, 99, 0), 0, 0.0, 1.0, 0.0))
+        plan = schedule_of(instance, [
+            *plan.assignments.values(),
+            TaskAssignment(TaskRef(0, 99, 0), 0, 0.0, 1.0, 0.0),
+        ])
         with pytest.raises(ConfigurationError, match=r"J0\.r99\.t0"):
             simulate_plan(cluster, instance, plan)
 
