@@ -30,16 +30,19 @@ result objects know how to export their artifacts::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterator, Literal, Mapping, Sequence, Union
 
 from .cells import ADMISSION_POLICIES, CELL_STRATEGIES, run_sharded
 from .cluster.cluster import Cluster, scaled_cluster, testbed_cluster
+from .control import ChaosResult, ControlPlane
+from .core.errors import ConfigurationError
 from .core.job import Job, ProblemInstance
 from .core.metrics import ScheduleMetrics, metrics_from_schedule
 from .core.schedule import Schedule, validate_schedule
 from .core.types import SwitchMode
+from .faults import FaultScenario, HeartbeatConfig
 from .harness.experiments import make_loaded_workload, make_problem
 from .heal import RemediationEngine, RemediationLog
 from .kernel import KernelResult, run_policy
@@ -91,11 +94,13 @@ class ExperimentSpec:
     Bundles every experiment parameter into one frozen value: hashable,
     comparable, and checked for cross-field consistency at construction
     (not halfway into a run) — ``heal`` needs ``cells=1``,
-    ``arrivals`` must name a known mode, and each crash needs a time
-    >= 0 and a GPU the cluster has. ``arrivals`` is recorded in the
-    config but selects nothing: every run goes through the kernel.
-    Mutable inputs (``workload``, ``crashes``) are normalized to tuples
-    so a spec never aliases caller state.
+    ``arrivals`` must name a known mode, each crash needs a time
+    >= 0 and a GPU the cluster has, and ``faults`` must fit the cluster
+    and excludes ``crashes``, ``cells > 1``, ``replan_interval`` and
+    ``simulate=False``. ``arrivals`` is recorded in the config but
+    selects nothing: every run goes through the kernel. Mutable inputs
+    (``workload``, ``crashes``) are normalized to tuples so a spec
+    never aliases caller state.
 
     :func:`run_experiment` and :func:`compare` accept a spec positionally
     or build one from its fields as keyword arguments;
@@ -130,6 +135,14 @@ class ExperimentSpec:
     cell_strategy: str = "balanced"
     #: Global admission policy (:data:`repro.cells.ADMISSION_POLICIES`).
     admission: str = "throughput"
+    #: Injected faults: the run goes through the chaos control plane
+    #: (:meth:`repro.control.ControlPlane.run_chaos`), and its crashes
+    #: are ``faults.crashes``.
+    faults: FaultScenario | None = None
+    #: The failure detector's heartbeat; read only with ``faults``.
+    heartbeat: HeartbeatConfig = HeartbeatConfig()
+    #: Checkpoint every N rounds; read only with ``faults``.
+    checkpoint_interval: int = 10
 
     def __post_init__(self) -> None:
         if self.arrivals not in _ARRIVALS_MODES:
@@ -177,6 +190,25 @@ class ExperimentSpec:
                     f"needs a time >= 0 and a GPU in 0..{num_gpus - 1} "
                     f"of the {num_gpus}-GPU cluster"
                 )
+        if self.faults is not None:
+            clashes = [name for name, clash in {
+                "crashes": self.crashes,
+                "cells > 1": self.cells > 1,
+                "replan_interval": self.replan_interval is not None,
+                "simulate=False": not self.simulate,
+            }.items() if clash]
+            if clashes:
+                raise ValueError(
+                    f"faults cannot be combined with {', '.join(clashes)}: "
+                    "a fault run is one flat, replayed kernel run whose "
+                    "crashes are faults.crashes"
+                )
+            if self.checkpoint_interval < 1:
+                raise ValueError("checkpoint interval must be >= 1")
+            try:
+                self.faults.validate(num_gpus)
+            except ConfigurationError as exc:
+                raise ValueError(str(exc)) from None
 
     def to_dict(self) -> dict:
         """The manifest ``config`` block: resolved, JSON-ready scalars.
@@ -184,8 +216,8 @@ class ExperimentSpec:
         ``gpus``/``jobs`` reflect an explicit ``cluster``/``workload``
         when one was passed; default-valued optional knobs
         (``heal=False``, ``replan_interval=None``, ``crashes=None``,
-        ``cells=1``) are omitted so configs stay byte-identical with
-        pre-spec manifests.
+        ``cells=1``, ``faults=None``) and the settings only they read are
+        omitted so configs stay byte-identical with pre-spec manifests.
         """
         config = {
             "gpus": (
@@ -218,6 +250,10 @@ class ExperimentSpec:
             config["cells"] = self.cells
             config["cell_strategy"] = self.cell_strategy
             config["admission"] = self.admission
+        if self.faults is not None:
+            config["faults"] = asdict(self.faults)
+            config["heartbeat"] = asdict(self.heartbeat)
+            config["checkpoint_interval"] = self.checkpoint_interval
         return config
 
     @classmethod
@@ -233,6 +269,10 @@ class ExperimentSpec:
         }
         if "switch_mode" in values:
             values["switch_mode"] = SwitchMode(values["switch_mode"])
+        if "faults" in values:
+            values["faults"] = FaultScenario.from_json(values["faults"])
+        if "heartbeat" in values:
+            values["heartbeat"] = HeartbeatConfig(**values["heartbeat"])
         return cls(**{**values, **overrides})
 
 
@@ -254,6 +294,8 @@ class RunResult:
     diagnosis: DiagnosisReport | None = None
     #: Remediation log when the run self-healed (``heal=True``).
     remediation: RemediationLog | None = None
+    #: Recovery report and wire totals of a fault run (``faults=``).
+    chaos: ChaosResult | None = None
     #: Cached attribution report (filled eagerly on recorded runs;
     #: computed lazily by :meth:`attribution` otherwise).
     _attribution: AttributionReport | None = None
@@ -345,6 +387,12 @@ class RunResult:
                 "by_kind": self.remediation.counts(),
                 "unremediated": len(self.remediation.unremediated),
             }
+        if self.chaos is not None:
+            report = self.chaos.report
+            results["jobs_completed"] = len(self.chaos.completions)
+            results["replans"] = report.replans
+            results["lost_rounds"] = report.total_lost_rounds
+            results["degraded_weighted_jct"] = report.degraded_weighted_jct
         return build_manifest(
             command=f"api.run_experiment({self.scheduler})",
             config=self.config,
@@ -565,8 +613,19 @@ def _run_one(
         # participates in diagnosis, ring-eviction-proof.
         attrib_engine = AttributionEngine(instance)
         obs.recorder.attach(attrib_engine)
+    chaos = sim = None
     with use(obs):
-        if spec.cells > 1:
+        if spec.faults is not None:
+            plane = ControlPlane(
+                cluster, sched, spec.switch_mode,
+                checkpoint_interval=spec.checkpoint_interval,
+            )
+            plane.submit(instance.jobs)
+            chaos = plane.run_chaos(
+                spec.faults, heartbeat=spec.heartbeat, heal=engine
+            )
+            kernel_result, sim = chaos.kernel, chaos.sim
+        elif spec.cells > 1:
             kernel_result = run_sharded(
                 instance,
                 sched,
@@ -588,13 +647,10 @@ def _run_one(
         plan = kernel_result.schedule
         if spec.validate:
             validate_schedule(plan)
-        sim = (
-            simulate_plan(
+        if spec.simulate and sim is None:
+            sim = simulate_plan(
                 cluster, instance, plan, switch_mode=spec.switch_mode
             )
-            if spec.simulate
-            else None
-        )
     result = RunResult(
         scheduler=sched.name,
         cluster=cluster,
@@ -605,6 +661,7 @@ def _run_one(
         obs=obs,
         config=config,
         kernel=kernel_result,
+        chaos=chaos,
     )
     if obs.recorder is not None and (spec.monitors or spec.heal):
         result.diagnosis = obs.recorder.diagnose(
@@ -670,6 +727,12 @@ def run_experiment(
     :attr:`RunResult.kernel` is the merged
     :class:`~repro.cells.ShardedKernelResult`. ``cells=1`` is pinned
     byte-identical to the flat kernel path.
+
+    ``faults`` runs the §6 prototype under a
+    :class:`~repro.faults.FaultScenario` on
+    :meth:`repro.control.ControlPlane.run_chaos`; ``plan``/``kernel``
+    are its recovered kernel run, ``sim`` the replay and
+    :attr:`RunResult.chaos` the recovery report.
     """
     spec = _spec_from("run_experiment", spec, kwargs)
     cluster, instance = _setup(spec)

@@ -62,9 +62,10 @@ Flag groups. Each verb offers only the flags it honours:
   ``compare``, ``schedule``, ``trace``, ``explain`` and ``record``;
 * ``--simulate`` — ``compare`` and ``schedule``; the other verbs fix it.
 
-The six spec-driven verbs (all but ``chaos``) build their run in one
-place, :func:`_spec`, and hand the :class:`~repro.api.ExperimentSpec`
-to :func:`repro.api.run_experiment` or :func:`repro.api.compare`. An
+Every verb that runs a workload builds its run in one place,
+:func:`_spec`, and hands the :class:`~repro.api.ExperimentSpec` to
+:func:`repro.api.run_experiment` or :func:`repro.api.compare`;
+``chaos`` puts its fault flags in the spec's ``faults``. An
 unknown ``--scheduler``, a spec the guard refuses or a problem no
 schedule can meet (a job needing more GPUs than the cluster has) prints
 one line and exits 2 from :func:`main`.
@@ -83,17 +84,15 @@ from .cluster import gpu_spec, scaled_cluster, testbed_cluster
 from .core import improvement_percent
 from .core.errors import ConfigurationError, InfeasibleProblemError
 from .core.types import ModelName, SwitchMode
+from .faults import (
+    FaultScenario, GpuCrash, GpuSlowdown, HeartbeatConfig, NetworkPartition,
+    RpcFlakiness,
+)
 from .harness import render_table
 from .harness.experiments import make_loaded_workload
 from .schedulers import UnknownSchedulerError, create as create_scheduler
 from .switching import switch_time_table
 from .workload import WorkloadConfig, batch_time, speedup_table
-
-
-def _cluster(args: argparse.Namespace):
-    if args.gpus == 15:
-        return testbed_cluster()
-    return scaled_cluster(args.gpus)
 
 
 def _workload(args: argparse.Namespace):
@@ -115,13 +114,6 @@ def _workload(args: argparse.Namespace):
     return jobs
 
 
-def _wants_artifacts(args: argparse.Namespace) -> bool:
-    return bool(
-        getattr(args, "trace_out", None)
-        or getattr(args, "manifest_out", None)
-    )
-
-
 class _Refused(Exception):
     """A run refused before it starts; :func:`main` prints it, exit 2."""
 
@@ -129,7 +121,8 @@ class _Refused(Exception):
 #: ExperimentSpec fields a verb's parser may define under the same name.
 _SPEC_FLAGS = (
     "seed", "load", "rounds_scale", "simulate", "arrivals", "cells",
-    "cell_strategy", "admission", "replan_interval",
+    "cell_strategy", "admission", "replan_interval", "monitors", "heal",
+    "checkpoint_interval",
 )
 
 
@@ -144,13 +137,15 @@ def _spec(args: argparse.Namespace, **fixed) -> api.ExperimentSpec:
     """
     flags = vars(args)
     values = {name: flags[name] for name in _SPEC_FLAGS if name in flags}
-    values["trace"] = _wants_artifacts(args)
+    values["trace"] = bool(flags.get("trace_out") or flags.get("manifest_out"))
     # The trace's events come from the DES, so --trace-out implies replay.
     if flags.get("trace_out"):
         values["simulate"] = True
     if flags.get("crash"):
         values["crashes"] = flags["crash"]
-    values["cluster"] = _cluster(args)
+    values["cluster"] = (
+        testbed_cluster() if args.gpus == 15 else scaled_cluster(args.gpus)
+    )
     values["workload"] = _workload(args)
     # compare and ``trace --scheduler all`` run the default schemes.
     if flags.get("scheduler", "all") != "all":
@@ -249,89 +244,40 @@ def _crash(text: str) -> tuple[float, int]:
         ) from None
 
 
-def _parse_slowdown(spec: str):
-    from .faults import GpuSlowdown
-
-    gpu, start, duration, factor = spec.split(":")
-    return GpuSlowdown(
-        gpu_id=int(gpu),
-        start=float(start),
-        duration=float(duration),
-        factor=float(factor),
-    )
+def _parse_slowdown(text: str) -> GpuSlowdown:
+    gpu, start, duration, factor = text.split(":")
+    return GpuSlowdown(int(gpu), float(start), float(duration), float(factor))
 
 
-def _parse_partition(spec: str):
-    from .faults import NetworkPartition
-
-    start, duration = spec.split(":")
-    return NetworkPartition(start=float(start), duration=float(duration))
+def _parse_partition(text: str) -> NetworkPartition:
+    start, duration = text.split(":")
+    return NetworkPartition(float(start), float(duration))
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    from .control import ControlPlane
-    from .faults import FaultScenario, GpuCrash, HeartbeatConfig, RpcFlakiness
-    from .obs import Obs, use
-
-    cluster = _cluster(args)
-    jobs = _workload(args)
-    scheduler = create_scheduler(args.scheduler)
     try:
-        scenario = FaultScenario(
+        faults = FaultScenario(
             crashes=tuple(GpuCrash(time=t, gpu_id=g) for t, g in args.crash),
             slowdowns=tuple(_parse_slowdown(s) for s in args.slowdown),
             flakiness=(
                 RpcFlakiness(drop_rate=args.drop_rate, seed=args.drop_seed)
-                if args.drop_rate > 0
+                if args.drop_rate
                 else None
             ),
             partitions=tuple(_parse_partition(s) for s in args.partition),
-        ).validate(cluster.num_gpus)
+        )
         heartbeat = HeartbeatConfig(
             interval_s=args.heartbeat_interval, lease_s=args.lease
-        )
-        plane = ControlPlane(
-            cluster, scheduler, checkpoint_interval=args.checkpoint_interval
         )
     except ConfigurationError as exc:
         raise _Refused(exc) from exc
     except ValueError as exc:
-        print(f"bad fault spec: {exc}", file=sys.stderr)
-        return 2
-    plane.submit(jobs)
-    from contextlib import nullcontext
-
-    monitors_on = args.monitors
-    heal_on = args.heal
-    engine = None
-    obs = None
-    if heal_on:
-        from .heal import RemediationEngine
-
-        # The engine wraps the default monitors itself; its findings
-        # reach the diagnosis through the recorder.
-        engine = RemediationEngine()
-        obs = Obs.start(
-            trace=_wants_artifacts(args), record=True, monitors=[engine]
-        )
-    elif monitors_on:
-        from .obs import default_monitors
-
-        obs = Obs.start(
-            trace=_wants_artifacts(args),
-            record=True,
-            monitors=default_monitors(),
-        )
-    elif _wants_artifacts(args):
-        obs = Obs.start(trace=True)
-    with use(obs) if obs is not None else nullcontext():
-        result = plane.run_chaos(scenario, heartbeat=heartbeat, heal=engine)
-    diagnosis = None
-    if monitors_on or heal_on:
-        diagnosis = obs.recorder.diagnose(metrics=obs.metrics.snapshot())
-    report = result.report
+        raise _Refused(f"bad fault spec: {exc}") from exc
+    spec = _spec(args, crashes=None, faults=faults, heartbeat=heartbeat)
+    r = api.run_experiment(spec)
+    report = r.chaos.report
     rows = [
-        ["jobs completed", len(result.completions)],
+        ["jobs completed", len(r.chaos.completions)],
         ["permanent crashes", len(report.crashes)],
         # One re-plan per crash inside the run; a crash at or after the
         # last completion is detected but recovers nothing.
@@ -360,48 +306,20 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             ["metric", "value"],
             rows,
             title=(
-                f"chaos: {len(jobs)} jobs on {cluster.num_gpus} GPUs, "
+                f"chaos: {len(spec.workload)} jobs on "
+                f"{spec.cluster.num_gpus} GPUs, "
                 f"{len(report.crashes)} crash(es), "
                 f"drop rate {args.drop_rate}"
             ),
             float_fmt="{:.3f}",
         )
     )
-    if heal_on and result.remediation is not None:
-        print(result.remediation.summary())
-    if obs is not None:
-        from .obs import build_manifest, write_manifest, write_trace
-
-        trace_path = None
-        if args.trace_out:
-            trace_path = write_trace(obs.tracer, args.trace_out)
-            print(f"trace written to {trace_path}", file=sys.stderr)
-        if args.manifest_out:
-            manifest = build_manifest(
-                command="chaos",
-                config={
-                    "gpus": cluster.num_gpus,
-                    "jobs": len(jobs),
-                    "scheduler": args.scheduler,
-                    "seed": args.seed,
-                    "crashes": [list(c) for c in args.crash],
-                    "drop_rate": args.drop_rate,
-                },
-                seed=args.seed,
-                results={
-                    "jobs_completed": len(result.completions),
-                    "replans": report.replans,
-                    "lost_rounds": report.total_lost_rounds,
-                    "degraded_weighted_jct": report.degraded_weighted_jct,
-                },
-                metrics=obs.metrics,
-                trace_path=str(trace_path) if trace_path else None,
-            )
-            path = write_manifest(manifest, args.manifest_out)
-            print(f"manifest written to {path}", file=sys.stderr)
-    if diagnosis is not None:
-        _print_report(diagnosis)
-        if not diagnosis.ok:
+    if r.remediation is not None:
+        print(r.remediation.summary())
+    _write_artifacts(args, r)
+    if r.diagnosis is not None:
+        _print_report(r.diagnosis)
+        if not r.diagnosis.ok:
             return 1
     return 0
 

@@ -118,8 +118,10 @@ class ChaosResult:
     instance: ProblemInstance
     plan: Schedule
     baseline: SimResult
-    realized: Schedule
-    metrics: ScheduleMetrics
+    #: The DES replay of :attr:`kernel` under the scenario's faults.
+    sim: SimResult
+    #: The one recovered kernel run the replay executes.
+    kernel: KernelResult
     completions: dict[int, float]
     report: RecoveryReport
     acks: tuple[SequenceAck, ...]
@@ -131,6 +133,14 @@ class ChaosResult:
     #: The remediation log when the run was healed
     #: (:meth:`ControlPlane.run_chaos` with ``heal=``), else ``None``.
     remediation: object | None = None
+
+    @property
+    def realized(self) -> Schedule:
+        return self.sim.realized
+
+    @property
+    def metrics(self) -> ScheduleMetrics:
+        return self.sim.metrics
 
 
 @dataclass(slots=True)
@@ -590,8 +600,8 @@ class ControlPlane:
             instance=instance,
             plan=plan,
             baseline=baseline,
-            realized=sim.realized,
-            metrics=sim.metrics,
+            sim=sim,
+            kernel=final,
             completions=completions,
             report=report,
             acks=tuple(acks),

@@ -6,8 +6,8 @@ pipeline understands:
 * :class:`GpuCrash` — a **permanent** GPU failure: the device never comes
   back, affected jobs restore from checkpoints and the residual workload is
   re-planned on the survivors;
-* :class:`GpuRestart` — the legacy transient failure (crash + restart after
-  a fixed delay) the bare ``(time, gpu_id)`` list used to express;
+* :class:`GpuRestart` — a transient failure: crash + restart after a
+  fixed delay;
 * :class:`GpuSlowdown` — a transient straggler: tasks started on the GPU
   inside the window run ``factor``× slower, and its heartbeats arrive late;
 * :class:`RpcFlakiness` — each control-plane message is independently
@@ -106,6 +106,10 @@ class RpcFlakiness:
         if not 0.0 <= self.drop_rate < 1.0:
             raise ConfigurationError(
                 f"drop_rate must be in [0, 1), got {self.drop_rate}"
+            )
+        if self.seed < 0:
+            raise ConfigurationError(
+                f"RpcFlakiness seed must be >= 0, got {self.seed}"
             )
 
 
@@ -217,20 +221,22 @@ class FaultScenario:
         ]
 
     def restart_failures(self) -> list[tuple[float, int]]:
-        """Legacy ``(time, gpu_id)`` list for transient restarts."""
+        """Simulator-facing ``(time, gpu_id)`` transient restarts."""
         return [(r.time, r.gpu_id) for r in self.restarts]
 
     def ordered_crashes(self) -> list[GpuCrash]:
         return sorted(self.crashes, key=lambda c: (c.time, c.gpu_id))
 
     @classmethod
-    def from_failures(
-        cls, failures: list[tuple[float, int]], *, restart_delay_s: float = 1.0
-    ) -> "FaultScenario":
-        """Wrap a legacy ``(time, gpu_id)`` transient-failure list."""
+    def from_json(cls, doc: dict) -> "FaultScenario":
+        """The scenario ``dataclasses.asdict`` wrote as *doc*."""
+        flaky = doc.get("flakiness")
         return cls(
-            restarts=tuple(
-                GpuRestart(time=t, gpu_id=g, restart_delay_s=restart_delay_s)
-                for t, g in failures
-            )
+            crashes=[GpuCrash(**e) for e in doc.get("crashes", ())],
+            restarts=[GpuRestart(**e) for e in doc.get("restarts", ())],
+            slowdowns=[GpuSlowdown(**e) for e in doc.get("slowdowns", ())],
+            flakiness=RpcFlakiness(**flaky) if flaky else None,
+            partitions=[
+                NetworkPartition(**e) for e in doc.get("partitions", ())
+            ],
         )

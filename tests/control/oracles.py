@@ -222,7 +222,7 @@ def reference_run_chaos(
         heal.poll_now()
     return ChaosResult(
         instance=instance, plan=plan, baseline=baseline,
-        realized=sim.realized, metrics=sim.metrics, completions=completions,
+        sim=sim, kernel=final, completions=completions,
         report=report, acks=tuple(acks),
         job_completions=tuple(job_completions),
         checkpoint_bytes=checkpoint_bytes,

@@ -8,6 +8,7 @@ from repro.core import validate_schedule
 from repro.faults import (
     FaultScenario,
     GpuCrash,
+    GpuRestart,
     GpuSlowdown,
     HeartbeatConfig,
     RpcFlakiness,
@@ -123,9 +124,11 @@ class TestChaosRecovery:
             )
 
     def test_legacy_restart_scenario(self):
-        """from_failures wraps the old (time, gpu) list: transient only."""
+        """A transient restart recovers without a re-plan."""
         plane, jobs = chaos_plane(num_jobs=3)
-        scenario = FaultScenario.from_failures([(2.0, 0)], restart_delay_s=1.0)
+        scenario = FaultScenario(
+            restarts=(GpuRestart(time=2.0, gpu_id=0, restart_delay_s=1.0),)
+        )
         result = plane.run_chaos(scenario)
         assert sorted(result.completions) == [j.job_id for j in jobs]
         assert result.report.replans == 0

@@ -104,13 +104,6 @@ class TestFaultScenario:
         )
         assert [c.time for c in scenario.ordered_crashes()] == [2.0, 9.0]
 
-    def test_from_failures_wraps_legacy_list(self):
-        scenario = FaultScenario.from_failures(
-            [(1.0, 0), (2.0, 1)], restart_delay_s=0.5
-        )
-        assert scenario.restart_failures() == [(1.0, 0), (2.0, 1)]
-        assert all(r.restart_delay_s == 0.5 for r in scenario.restarts)
-
     def test_slowdown_windows(self):
         scenario = FaultScenario(
             slowdowns=(GpuSlowdown(gpu_id=2, start=1.0, duration=4.0,

@@ -1,11 +1,22 @@
 """Tests for the stable ``repro.api`` facade and its exported artifacts."""
 
+import json
+
 import pytest
 
 import repro
 from repro.api import CompareResult, RunResult, compare, run_experiment
 from repro.api import simulate as api_simulate
 from repro.cli import main
+from repro.faults import (
+    FaultScenario,
+    GpuCrash,
+    GpuRestart,
+    GpuSlowdown,
+    HeartbeatConfig,
+    NetworkPartition,
+    RpcFlakiness,
+)
 from repro.obs import NullTracer, read_manifest, validate_chrome_trace
 from repro.schedulers import HareScheduler, available
 
@@ -536,15 +547,36 @@ class TestExperimentSpec:
         assert list(comparison.config.items()) == list(expected.items())
         assert comparison["SRTF"].config == expected
 
-    def test_from_dict_round_trips_to_dict(self):
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            dict(arrivals="streaming", replan_interval=2.0,
+                 crashes=((3.0, 1),)),
+            dict(
+                faults=FaultScenario(
+                    crashes=(GpuCrash(3.0, 1),),
+                    restarts=(GpuRestart(1.0, 2, restart_delay_s=0.5),),
+                    slowdowns=(GpuSlowdown(0, 1.0, 2.0, factor=1.5),),
+                    flakiness=RpcFlakiness(0.05, seed=7),
+                    partitions=(NetworkPartition(2.0, 1.0),),
+                ),
+                heartbeat=HeartbeatConfig(interval_s=1.0, lease_s=3.0),
+                checkpoint_interval=2,
+            ),
+        ],
+        ids=["crashes", "faults"],
+    )
+    def test_from_dict_round_trips_to_dict(self, settings):
         from repro.api import ExperimentSpec
 
         spec = ExperimentSpec(
-            scheduler="hare_online", arrivals="streaming", heal=True,
-            replan_interval=2.0, crashes=((3.0, 1),), **SMALL,
+            scheduler="hare_online", heal=True, **settings, **SMALL
         )
-        config = {**spec.to_dict(), "kernel_backend": "array"}
+        config = json.loads(
+            json.dumps({**spec.to_dict(), "kernel_backend": "array"})
+        )
         assert ExperimentSpec.from_dict(config).to_dict() == spec.to_dict()
+        assert ExperimentSpec.from_dict(config) == spec
 
     def test_reexported_from_package_root(self):
         assert repro.ExperimentSpec is repro.api.ExperimentSpec

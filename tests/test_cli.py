@@ -71,9 +71,14 @@ class TestCommands:
             (["--heartbeat-interval", "0"], "interval_s must be > 0"),
             (["--checkpoint-interval", "0"],
              "checkpoint interval must be >= 1"),
+            (["--drop-rate", "-0.5"],
+             "drop_rate must be in [0, 1), got -0.5"),
+            (["--drop-seed", "-4", "--drop-rate", "0.1"],
+             "RpcFlakiness seed must be >= 0, got -4"),
         ],
         ids=["crash-gpu", "drop-rate", "heartbeat-interval",
-             "checkpoint-interval"],
+             "checkpoint-interval", "negative-drop-rate",
+             "negative-drop-seed"],
     )
     def test_chaos_rejects_bad_input_in_one_line(self, flags, message,
                                                  capsys):
@@ -83,6 +88,24 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert message in err
+
+    def test_chaos_manifest_config_reruns_the_run(self, tmp_path, capsys):
+        """A chaos manifest's config is the spec of the run it records."""
+        from repro.api import ExperimentSpec, run_experiment
+        from repro.obs import read_manifest
+
+        manifest = tmp_path / "run.json"
+        rc = main(["chaos", "--scheduler", "hare", "--crash", "3:2",
+                   "--jobs", "8", "--seed", "5", "--rounds-scale", "0.1",
+                   "--manifest-out", str(manifest)])
+        assert rc == 0
+        capsys.readouterr()
+        doc = read_manifest(manifest)
+        rerun = run_experiment(
+            ExperimentSpec.from_dict(doc["config"], trace=False)
+        )
+        assert rerun.weighted_jct == doc["results"]["degraded_weighted_jct"]
+        assert rerun.weighted_jct == doc["results"]["weighted_jct"]
 
     def test_table3(self, capsys):
         assert main(["table3"]) == 0
@@ -466,6 +489,11 @@ RUN_VERBS = {
         (*WORKLOAD_FLAGS, "--scheduler", "--replan-interval", "--crash"),
         {"simulate": False, "arrivals": "streaming", "trace": False},
     ),
+    # chaos's --crash lands in the fault scenario, not in crashes.
+    "chaos": (
+        (*WORKLOAD_FLAGS, "--scheduler"),
+        {"simulate": True, "trace": False, "crashes": None},
+    ),
 }
 
 
@@ -492,6 +520,35 @@ class TestSpecBuilder:
             assert read(spec) == want, flag
         for field, want in fixed.items():
             assert getattr(spec, field) == want, field
+
+    def test_chaos_fault_flags_reach_the_spec(self, monkeypatch):
+        from repro.faults import (
+            FaultScenario,
+            GpuCrash,
+            GpuSlowdown,
+            HeartbeatConfig,
+            NetworkPartition,
+            RpcFlakiness,
+        )
+
+        specs = _capture_specs(monkeypatch)
+        with pytest.raises(_Captured):
+            main(["chaos", "--jobs", "2", "--gpus", "4", "--crash", "1:2",
+                  "--slowdown", "0:1:2:1.5", "--partition", "3:1",
+                  "--drop-rate", "0.1", "--drop-seed", "4",
+                  "--heartbeat-interval", "1", "--lease", "5",
+                  "--checkpoint-interval", "3", "--monitors", "--heal"])
+        (spec,) = specs
+        assert spec.faults == FaultScenario(
+            crashes=(GpuCrash(1.0, 2),),
+            slowdowns=(GpuSlowdown(0, 1.0, 2.0, factor=1.5),),
+            flakiness=RpcFlakiness(0.1, seed=4),
+            partitions=(NetworkPartition(3.0, 1.0),),
+        )
+        assert spec.heartbeat == HeartbeatConfig(interval_s=1.0, lease_s=5.0)
+        assert (spec.checkpoint_interval, spec.monitors, spec.heal) == (
+            3, True, True
+        )
 
     def test_trace_all_compares_with_the_run_flags(
         self, monkeypatch, tmp_path
