@@ -31,13 +31,10 @@ def test_ext_failures(benchmark, report, testbed):
         rows = []
         for n_fail in FAIL_COUNTS:
             failures = [
-                (mk * (0.2 + 0.05 * i), i % instance.num_gpus)
+                (mk * (0.2 + 0.05 * i), i % instance.num_gpus, 5.0)
                 for i in range(n_fail)
             ]
-            res = simulate_plan(
-                testbed, instance, plan,
-                failures=failures, restart_delay_s=5.0,
-            )
+            res = simulate_plan(testbed, instance, plan, failures=failures)
             rows.append(
                 (
                     n_fail,

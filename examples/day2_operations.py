@@ -44,10 +44,10 @@ def main() -> None:
         ).schedule
         clean = simulate_plan(cluster, instance, plan)
         # two GPUs crash mid-run; 10 s to restart each
-        failures = [(clean.makespan * 0.3, 0), (clean.makespan * 0.5, 3)]
-        crashed = simulate_plan(
-            cluster, instance, plan, failures=failures, restart_delay_s=10.0
-        )
+        failures = [
+            (clean.makespan * 0.3, 0, 10.0), (clean.makespan * 0.5, 3, 10.0)
+        ]
+        crashed = simulate_plan(cluster, instance, plan, failures=failures)
         fair = finish_time_fairness(instance, crashed.metrics)
         rows.append(
             [

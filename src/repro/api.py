@@ -320,11 +320,9 @@ class RunResult:
         return self.sim.telemetry if self.sim is not None else None
 
     def metrics_snapshot(self) -> dict:
-        """Merged metrics: the run's registry plus the DES telemetry's."""
-        merged = dict(self.obs.metrics.snapshot())
-        if self.sim is not None:
-            merged.update(self.sim.telemetry.metrics.snapshot())
-        return merged
+        """The run's registry: every domain's instruments, the DES
+        replay's ``sim.*`` among them."""
+        return self.obs.metrics.snapshot()
 
     # -- artifacts ------------------------------------------------------
     def trace(self, *, include_wall: bool = False) -> dict:
@@ -411,7 +409,7 @@ class RunResult:
         )
 
     def write_baseline(self, path: str | Path) -> Path:
-        """Snapshot this run's merged metrics as a regression baseline."""
+        """Snapshot this run's metrics as a regression baseline."""
         return write_baseline(
             snapshot_baseline(
                 self.metrics_snapshot(),

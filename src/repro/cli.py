@@ -626,7 +626,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     from .obs.baseline import (
         BASELINE_TOLERANCES,
-        BENCH_TOLERANCES,
+        compare_bench_reports,
         compare_snapshots,
         load_snapshot,
     )
@@ -668,15 +668,15 @@ def cmd_check(args: argparse.Namespace) -> int:
         )
         return 2
 
-    tolerances = (
-        BENCH_TOLERANCES if base_kind == "bench" else BASELINE_TOLERANCES
-    )
-    report = compare_snapshots(
-        base_flat,
-        cand_flat,
-        tolerances=tolerances,
-        source=f"{base_kind}-check",
-    )
+    if base_kind == "bench":
+        report = compare_bench_reports(base_doc, cand_doc)
+    else:
+        report = compare_snapshots(
+            base_flat,
+            cand_flat,
+            tolerances=BASELINE_TOLERANCES,
+            source="baseline-check",
+        )
     _print_report(report)
     if args.report:
         from pathlib import Path

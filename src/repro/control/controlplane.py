@@ -320,7 +320,7 @@ class ControlPlane:
                 checkpoint_bytes += final.size_bytes
                 completion = JobCompleted(
                     job_id=job_id,
-                    completion_time=sim.pool.completion_time(job_id),
+                    completion_time=sim.metrics.per_job[job_id].completion,
                 )
                 self.transport.send(SCHEDULER, UPPER, completion)
                 completions.append(completion)
@@ -555,15 +555,17 @@ class ControlPlane:
             releases=_releases(final, detections),
         )
         validate_schedule(sim.realized, check_durations=False)
-        completions = {
-            job.job_id: sim.pool.completion_time(job.job_id) for job in jobs
-        }
+        completions = {j.job_id: j.completion for j in sim.metrics.per_job}
+        # Each round's barrier: its realized end.
+        job_of, rnd_of, _, ends, _, _ = sim.realized.columns().round_spans()
+        barriers = dict(zip(zip(job_of.tolist(), rnd_of.tolist()),
+                            ends.tolist()))
         checkpoint_bytes = 0.0
         for job in jobs:
             manager = self._checkpoints(job)
             for r in range(job.num_rounds):
                 meta = manager.maybe_checkpoint(
-                    r, at=sim.pool.barrier_time(job.job_id, r)
+                    r, at=barriers[job.job_id, r]
                 )
                 checkpoint_bytes += meta.size_bytes if meta else 0.0
             checkpoint_bytes += manager.final_checkpoint(

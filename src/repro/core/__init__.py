@@ -40,7 +40,6 @@ from .schedule import (
     Schedule,
     ScheduleColumns,
     TaskAssignment,
-    gpu_busy_intervals,
     merge_intervals,
     schedule_from_mapping,
     schedule_from_rows,
@@ -88,7 +87,6 @@ __all__ = [
     "UnknownGPUTypeError",
     "UnknownModelError",
     "finish_time_fairness",
-    "gpu_busy_intervals",
     "gpu_utilization",
     "improvement_percent",
     "isolated_flow_time",

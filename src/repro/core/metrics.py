@@ -15,12 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .job import Job
-from .schedule import (
-    Schedule,
-    ScheduleColumns,
-    gpu_busy_intervals,
-    merge_intervals,
-)
+from .schedule import Schedule, ScheduleColumns, merge_intervals
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,18 +156,24 @@ def gpu_utilization(
     starting at or past the horizon are excluded; a straddling interval
     contributes its part before the horizon.
     """
+    cols = schedule.columns()
     if horizon is None:
-        horizon = schedule.makespan()
-    out = {m: 0.0 for m in range(schedule.instance.num_gpus)}
+        horizon = cols.makespan()
+    out = {m: 0.0 for m in range(cols.instance.num_gpus)}
     if horizon <= 0:
         return out
-    for gpu, intervals in gpu_busy_intervals(schedule).items():
-        busy = sum(
+    busy: dict[int, list[tuple[float, float]]] = {}
+    for gpu, start, end in zip(
+        cols.gpu.tolist(), cols.start.tolist(),
+        (cols.start + cols.train).tolist(),
+    ):
+        busy.setdefault(gpu, []).append((start, end))
+    for gpu, intervals in busy.items():
+        out[gpu] = sum(
             min(e, horizon) - s
             for s, e in merge_intervals(intervals)
             if s < horizon
-        )
-        out[gpu] = busy / horizon
+        ) / horizon
     return out
 
 

@@ -598,16 +598,6 @@ def schedule_from_mapping(
     )
 
 
-def gpu_busy_intervals(
-    schedule: Schedule,
-) -> dict[int, list[tuple[float, float]]]:
-    """Per-GPU sorted ``(start, compute_end)`` intervals (for utilization)."""
-    out: dict[int, list[tuple[float, float]]] = {}
-    for gpu, seq in schedule.gpu_sequences().items():
-        out[gpu] = [(a.start, a.compute_end) for a in seq]
-    return out
-
-
 def merge_intervals(
     intervals: Iterable[tuple[float, float]],
 ) -> list[tuple[float, float]]:

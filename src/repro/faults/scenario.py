@@ -220,9 +220,10 @@ class FaultScenario:
             (s.start, s.end, s.gpu_id, s.factor) for s in self.slowdowns
         ]
 
-    def restart_failures(self) -> list[tuple[float, int]]:
-        """Simulator-facing ``(time, gpu_id)`` transient restarts."""
-        return [(r.time, r.gpu_id) for r in self.restarts]
+    def restart_failures(self) -> list[tuple[float, int, float]]:
+        """Simulator-facing ``(time, gpu_id, restart delay)`` transient
+        restarts."""
+        return [(r.time, r.gpu_id, r.restart_delay_s) for r in self.restarts]
 
     def ordered_crashes(self) -> list[GpuCrash]:
         return sorted(self.crashes, key=lambda c: (c.time, c.gpu_id))

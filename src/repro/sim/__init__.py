@@ -1,7 +1,6 @@
 """Trace-driven discrete-event cluster simulator (§7.1)."""
 
 from .events import Event, EventQueue, EventType
-from .paramserver import ParameterServerPool
 from .simulator import ClusterSimulator, SimResult, simulate_plan
 from .telemetry import TaskRecord, Telemetry
 
@@ -10,7 +9,6 @@ __all__ = [
     "Event",
     "EventQueue",
     "EventType",
-    "ParameterServerPool",
     "SimResult",
     "TaskRecord",
     "Telemetry",

@@ -37,7 +37,6 @@ from ..switching.costmodel import SwitchCostModel
 from ..workload.models import spec_or_synthetic
 from .events import EventType
 from .executor import build_executors
-from .paramserver import ParameterServerPool
 from .telemetry import Telemetry
 
 #: Heap priorities: at one timestamp sync completions commit first (they
@@ -57,7 +56,6 @@ class SimResult:
     realized: Schedule
     metrics: ScheduleMetrics
     telemetry: Telemetry
-    pool: ParameterServerPool
     events_processed: int
     #: start attempts: executors the loop tried to start
     wakeups: int
@@ -88,14 +86,13 @@ class ClusterSimulator:
     #: this injects it at execution time so plans face realistic noise.
     jitter_sigma: float = 0.0
     jitter_seed: int = 0
-    #: Injected GPU failures: (time, gpu_id) pairs. At each failure the
-    #: GPU crashes: its running task (if any) is lost and re-executed from
-    #: the head of the queue, device memory and CUDA context are wiped, and
-    #: the executor restarts after ``restart_delay_s``. Rounds never lose
-    #: completed work (gradients already synchronized are safe at the PS —
-    #: the checkpointing story of §6).
-    failures: list[tuple[float, int]] = field(default_factory=list)
-    restart_delay_s: float = 1.0
+    #: Injected GPU failures: (time, gpu_id, restart delay) triples. At
+    #: each failure the GPU crashes: its running task (if any) is lost and
+    #: re-executed from the head of the queue, device memory and CUDA
+    #: context are wiped, and the executor restarts after the failure's
+    #: delay. Rounds never lose completed work (gradients already
+    #: synchronized are safe at the PS — the checkpointing story of §6).
+    failures: list[tuple[float, int, float]] = field(default_factory=list)
     #: Earliest start per task: a task shipped after t=0 (a crash
     #: recovery's re-planned sequence, a restored job's next round) cannot
     #: start before it arrives, however early its GPU and barrier free up.
@@ -120,10 +117,14 @@ class ClusterSimulator:
                 f"expects {self.instance.num_gpus}"
             )
         num_gpus = self.cluster.num_gpus
-        for time, gpu_id in self.failures:
+        for time, gpu_id, delay in self.failures:
             if time < 0:
                 raise ConfigurationError(
                     f"failure time must be >= 0, got {time} (GPU {gpu_id})"
+                )
+            if delay < 0:
+                raise ConfigurationError(
+                    f"restart delay must be >= 0, got {delay} (GPU {gpu_id})"
                 )
             if not 0 <= gpu_id < num_gpus:
                 raise ConfigurationError(
@@ -199,7 +200,6 @@ class ClusterSimulator:
         traced = tracer.enabled
         registry = obs.metrics
         sampled = not isinstance(registry, NullRegistry)
-        pool = ParameterServerPool(instance)
         nic = self.nic_contention
 
         switch_model = self.switch_model or SwitchCostModel(
@@ -246,10 +246,18 @@ class ClusterSimulator:
         train_of = trains.tolist()
         sync_of = syncs.tolist()
         canon_of = cols.canon.tolist()
+        # The parameter servers' round barriers, flat: round r of job j
+        # is round id round_base[j] + r, and a task is its canonical
+        # index. Per round id: syncs landed and the latest one (the
+        # barrier time once the round completes); per task: synced yet.
+        round_base = [0]
+        for job in jobs:
+            round_base.append(round_base[-1] + job.num_rounds)
+        done, barrier = [0] * round_base[-1], [0.0] * round_base[-1]
+        synced = bytearray(instance.num_tasks)
         #: the row's round id: barrier state is indexed by it
         rid_of = (
-            np.asarray(pool.round_base[:-1], dtype=np.int64)[cols.job]
-            + cols.rnd
+            np.asarray(round_base[:-1], dtype=np.int64)[cols.job] + cols.rnd
         ).tolist()
 
         # Per-job constants, hoisted out of the per-task path.
@@ -263,7 +271,6 @@ class ClusterSimulator:
         #: r <= rounds_open[job]
         rounds_open = [0] * len(jobs)
         syncs_in_flight = {node.node_id: 0 for node in self.cluster.nodes}
-        done, barrier, synced = pool.done, pool.barrier, pool.synced
 
         seq = itertools.count()
         heap = [
@@ -273,8 +280,8 @@ class ClusterSimulator:
             (0.0, CHECK, next(seq), g, None) for g in range(len(executors))
         ]
         heap += [
-            (time, FAILURE, next(seq), position[gpu_id], None)
-            for time, gpu_id in self.failures
+            (time, FAILURE, next(seq), position[gpu_id], delay)
+            for time, gpu_id, delay in self.failures
         ]
         heap += [
             (time, CHECK, next(seq), position[int(cols.gpu[row])], None)
@@ -396,7 +403,6 @@ class ClusterSimulator:
             + 16
         )
         processed = 0
-        total_syncs = 0
         while heap:
             if processed >= budget:
                 raise SimulationError(
@@ -475,7 +481,7 @@ class ClusterSimulator:
                 row = payload
                 if nic and sync_of[row] > 0:
                     syncs_in_flight[executors[g].node_id] -= 1
-                # The parameter server's bookkeeping, on the pool's lists.
+                # The parameter server's bookkeeping.
                 k = canon_of[row]
                 if synced[k]:
                     raise SimulationError(
@@ -483,7 +489,6 @@ class ClusterSimulator:
                         f" synchronized twice"
                     )
                 synced[k] = 1
-                total_syncs += 1
                 j, rid = job_of[row], rid_of[row]
                 count = done[rid] + 1
                 if count > scale[j]:
@@ -520,7 +525,7 @@ class ClusterSimulator:
                         "gpu failure",
                         track=gpu_track(ex.gpu_id),
                         time=time,
-                        restart_delay_s=self.restart_delay_s,
+                        restart_delay_s=payload,
                     )
                 if ex.running is not None:
                     # The attempt is lost and re-runs from the queue head;
@@ -541,10 +546,9 @@ class ClusterSimulator:
                     ex.prev_job = None
                 # Down until the restart check: arrivals and barriers in
                 # the window must not start the GPU early.
-                restart = time + self.restart_delay_s
+                restart = time + payload
                 ex.down_until = max(ex.down_until, restart)
                 push(heap, (restart, CHECK, next(seq), g, None))
-        pool.total_syncs = total_syncs
         if samples:
             # Every sample follows a busy-GPU change; the last one is the
             # gauge's final value.
@@ -554,10 +558,11 @@ class ClusterSimulator:
                 registry.counter(TASKS_COMPLETED).inc(len(finished))
         registry.counter("sim.engine_events").inc(processed)
 
-        if not pool.all_jobs_complete():
-            unfinished = [
-                j.job_id for j in jobs if not pool.job_complete(j.job_id)
-            ]
+        unfinished = [
+            job.job_id for job in jobs
+            if rounds_open[job.job_id] < job.num_rounds
+        ]
+        if unfinished:
             raise SimulationError(
                 f"simulation drained with unfinished jobs {unfinished[:5]}"
             )
@@ -578,20 +583,36 @@ class ClusterSimulator:
             start, train, sync,
         )
         telemetry = Telemetry.from_columns(
-            instance.num_gpus, realized, cols.start[rows].tolist(), switch,
-            hit, wasted,
+            realized, cols.start[rows].tolist(), switch, hit, wasted,
         )
-        completions = {
-            job.job_id: pool.completion_time(job.job_id) for job in jobs
-        }
+        if sampled:
+            # The run's sim.* instruments: every completion in order,
+            # then every destroyed attempt.
+            if finished:
+                registry.counter("sim.tasks").inc(len(finished))
+                registry.histogram("sim.train_time_s").observe_all(train)
+                syncs = [s for s in sync if s > 0]
+                if syncs:
+                    registry.histogram("sim.sync_time_s").observe_all(syncs)
+                switches = [w for w in switch if w > 0]
+                if switches:
+                    registry.counter("sim.switch_count").inc(len(switches))
+                    registry.histogram("sim.switch_time_s").observe_all(
+                        switches
+                    )
+                hits = telemetry.retention_hits
+                if hits:
+                    registry.counter("sim.retention_hits").inc(hits)
+            for lost in wasted:
+                registry.counter("sim.aborted_attempts").inc()
+                registry.counter("sim.wasted_compute_s").inc(lost)
         metrics = metrics_from_completions(
-            jobs, completions, makespan=telemetry.makespan
+            jobs, realized.completions(), makespan=telemetry.makespan
         )
         return SimResult(
             realized=realized.to_schedule(),
             metrics=metrics,
             telemetry=telemetry,
-            pool=pool,
             events_processed=processed,
             wakeups=wakeups,
         )
@@ -630,8 +651,7 @@ def simulate_plan(
     jitter_sigma: float = 0.0,
     jitter_seed: int = 0,
     nic_contention: bool = False,
-    failures: list[tuple[float, int]] | None = None,
-    restart_delay_s: float = 1.0,
+    failures: list[tuple[float, int, float]] | None = None,
     slowdowns: list[tuple[float, float, int, float]] | None = None,
     releases: Mapping[TaskRef, float] | None = None,
 ) -> SimResult:
@@ -646,7 +666,6 @@ def simulate_plan(
         jitter_seed=jitter_seed,
         nic_contention=nic_contention,
         failures=failures or [],
-        restart_delay_s=restart_delay_s,
         slowdowns=slowdowns or [],
         releases=releases or {},
     )

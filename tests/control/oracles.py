@@ -182,15 +182,14 @@ def reference_run_chaos(
         releases=_releases(final, [c.detected_at for c in crashes]),
     )
     validate_schedule(sim.realized, check_durations=False)
-    completions = {
-        job.job_id: sim.pool.completion_time(job.job_id) for job in jobs
-    }
+    completions = {j.job_id: j.completion for j in sim.metrics.per_job}
+    realized = sim.realized
     checkpoint_bytes = 0.0
     for job in jobs:
         manager = plane._checkpoints(job)
         for r in range(job.num_rounds):
             meta = manager.maybe_checkpoint(
-                r, at=sim.pool.barrier_time(job.job_id, r)
+                r, at=realized.round_end(job.job_id, r)
             )
             checkpoint_bytes += meta.size_bytes if meta else 0.0
         checkpoint_bytes += manager.final_checkpoint(

@@ -44,7 +44,7 @@ class TestPipelineConservation:
         for c, job in zip(res.completions, jobs):
             assert c.job_id == job.job_id
             assert c.completion_time == pytest.approx(
-                res.sim.pool.completion_time(job.job_id)
+                res.sim.metrics.per_job[job.job_id].completion
             )
 
     def test_checkpoints_written(self, outcome):

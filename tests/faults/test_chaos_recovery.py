@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import run_experiment
 from repro.cluster import scaled_cluster
 from repro.control import ControlPlane
 from repro.core import validate_schedule
@@ -14,6 +15,7 @@ from repro.faults import (
     RpcFlakiness,
 )
 from repro.harness.experiments import make_loaded_workload
+from repro.sim import simulate_plan
 from repro.workload import WorkloadConfig
 
 
@@ -135,3 +137,41 @@ class TestChaosRecovery:
         assert result.report.degraded_makespan >= (
             result.report.failure_free_makespan - 1e-9
         )
+
+    def test_checkpoints_land_at_the_realized_barriers(self):
+        """Every checkpoint is written when its round's barrier opened in
+        the replay, the realized round end; the final one at the job's
+        completion."""
+        plane, _ = chaos_plane(num_jobs=3, interval=2)
+        result = plane.run_chaos(
+            FaultScenario(crashes=(GpuCrash(time=5.0, gpu_id=1),))
+        )
+        store, realized = plane.store, result.realized
+        for job in result.instance.jobs:
+            path = f"checkpoints/job{job.job_id}/model.pt"
+            written = [
+                store.get(path, v).written_at
+                for v in range(1, store.latest_version(path) + 1)
+            ]
+            last = job.num_rounds - 1
+            assert written == [
+                realized.round_end(job.job_id, r)
+                for r in range(job.num_rounds) if (r + 1) % 2 == 0
+            ] + [result.metrics.per_job[job.job_id].completion]
+            assert written[-1] == realized.round_end(job.job_id, last)
+
+    def test_restart_replays_its_own_delay(self):
+        """A restart's delay reaches the replay: the 5 s restart costs
+        what ``simulate_plan`` of the same plan with a 5 s restart does,
+        not the 1 s default's weighted JCT (222.53)."""
+        restart = GpuRestart(time=2.0, gpu_id=0, restart_delay_s=5.0)
+        result = run_experiment(
+            gpus=15, jobs=10, seed=1, trace=False,
+            faults=FaultScenario(restarts=(restart,)),
+        )
+        direct = simulate_plan(
+            result.cluster, result.instance, result.plan,
+            failures=[(2.0, 0, 5.0)],
+        )
+        assert result.weighted_jct == direct.total_weighted_completion
+        assert result.weighted_jct == pytest.approx(302.53, abs=0.01)

@@ -19,6 +19,7 @@ from repro.obs.baseline import (
     BENCH_TOLERANCES,
     EXACT,
     TIMING_UP,
+    bench_snapshot,
     flatten_metrics,
     flatten_scalars,
     load_snapshot,
@@ -230,6 +231,23 @@ class TestBenchGate:
         doc = json.loads(path.read_text())
         assert doc["recorder_overhead"]["overhead_frac"] <= 0.15
         assert compare_bench_reports(doc, doc).ok
+
+    def test_every_committed_bench_key_has_a_pattern(self):
+        """No key of the checked-in report falls through to a default
+        band: each resolves to an explicit ``BENCH_TOLERANCES`` entry."""
+        from pathlib import Path
+
+        path = Path(__file__).parents[2] / "benchmarks/out/BENCH_kernel.json"
+        unmatched = object()
+        flat = bench_snapshot(json.loads(path.read_text()))
+        assert [
+            key for key in flat
+            if resolve_tolerance(key, BENCH_TOLERANCES, unmatched)
+            is unmatched
+        ] == []
+        assert resolve_tolerance(
+            "online_fleet.gpus125.wall_ratio", BENCH_TOLERANCES
+        ) == Tolerance(rel=0.25, abs_tol=1e-9, direction="both")
 
     def test_bench_tolerances_cover_the_overhead_gate(self):
         tol = resolve_tolerance(

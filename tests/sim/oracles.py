@@ -4,10 +4,11 @@
 :meth:`repro.sim.ClusterSimulator.run` replaced: a generic
 :class:`Engine` dispatching :class:`~repro.sim.events.Event` objects to one
 handler per event type, an object-per-GPU :class:`GpuExecutor` state
-machine, and a scan of *every* executor at each job arrival and barrier
-opening. The equivalence suite (``test_replay_equivalence.py``) pins the
+machine, a :class:`ParameterServerPool` that records every gradient sync,
+and a scan of *every* executor at each job arrival and barrier opening.
+The equivalence suite (``test_replay_equivalence.py``) pins the
 production loop to it: records, realized schedule, metrics, telemetry,
-parameter-server state, event counts, and every tracer and metric call.
+every round barrier, event counts, and every tracer and metric call.
 :func:`jitter` is the object form of the replay's runtime jitter.
 """
 
@@ -22,13 +23,12 @@ from repro.core.errors import SimulationError
 from repro.core.job import ProblemInstance
 from repro.core.metrics import metrics_from_completions
 from repro.core.schedule import Schedule, TaskAssignment
-from repro.core.types import SwitchMode
+from repro.core.types import SwitchMode, TaskRef
 from repro.obs import Category, gpu_track, job_track
 from repro.obs import current as obs_current
 from repro.sim import ClusterSimulator, SimResult
 from repro.sim.events import Event, EventQueue, EventType
-from repro.sim.paramserver import ParameterServerPool
-from repro.sim.telemetry import TaskRecord, Telemetry
+from repro.sim.telemetry import Telemetry
 from repro.switching.costmodel import SwitchCostModel
 from repro.switching.memory import GpuMemoryManager
 from repro.workload.models import spec_or_synthetic
@@ -104,6 +104,73 @@ class Engine:
             handler(event)
         obs.metrics.counter("sim.engine_events").inc(self.processed - before)
         return self.processed
+
+
+@dataclass(slots=True)
+class ParameterServerPool:
+    """Per-job round barriers (§2.1, §3), one :meth:`record_sync` per
+    task: the object form of the replay's flat barrier lists."""
+
+    instance: ProblemInstance
+    total_syncs: int = 0
+    _done: dict[tuple[int, int], int] = field(default_factory=dict)
+    _barrier: dict[tuple[int, int], float] = field(default_factory=dict)
+    _synced_tasks: set[TaskRef] = field(default_factory=set)
+
+    def record_sync(self, task: TaskRef, time: float) -> bool:
+        """A task's gradients reached the PS at *time*.
+
+        Returns True when this completes the round (the barrier opens).
+        """
+        job = self.instance.jobs[task.job_id]
+        if not (0 <= task.round_idx < job.num_rounds
+                and 0 <= task.slot < job.sync_scale):
+            raise SimulationError(f"{task} is not a task of job {job.job_id}")
+        if task in self._synced_tasks:
+            raise SimulationError(f"{task} synchronized twice")
+        self._synced_tasks.add(task)
+        key = (task.job_id, task.round_idx)
+        count = self._done.get(key, 0) + 1
+        self._done[key] = count
+        self._barrier[key] = max(self._barrier.get(key, 0.0), time)
+        self.total_syncs += 1
+        return count == job.sync_scale
+
+    def round_complete(self, job_id: int, round_idx: int) -> bool:
+        if round_idx < 0:
+            return True
+        job = self.instance.jobs[job_id]
+        return self._done.get((job_id, round_idx), 0) == job.sync_scale
+
+    def barrier_time(self, job_id: int, round_idx: int) -> float:
+        """Time the round's last gradient landed."""
+        if round_idx < 0:
+            return self.instance.jobs[job_id].arrival
+        if not self.round_complete(job_id, round_idx):
+            raise SimulationError(
+                f"barrier_time of incomplete round {(job_id, round_idx)}"
+            )
+        return self._barrier[job_id, round_idx]
+
+    def job_complete(self, job_id: int) -> bool:
+        job = self.instance.jobs[job_id]
+        return self.round_complete(job_id, job.num_rounds - 1)
+
+    def completion_time(self, job_id: int) -> float:
+        job = self.instance.jobs[job_id]
+        return self.barrier_time(job_id, job.num_rounds - 1)
+
+    def all_jobs_complete(self) -> bool:
+        return all(self.job_complete(j.job_id) for j in self.instance.jobs)
+
+
+def realized_pool(realized: Schedule) -> ParameterServerPool:
+    """The barriers a realized schedule implies: every task synced at
+    its realized end, in end order."""
+    pool = ParameterServerPool(realized.instance)
+    for a in sorted(realized.assignments.values(), key=lambda a: a.end):
+        pool.record_sync(a.task, a.end)
+    return pool
 
 
 @dataclass(frozen=True, slots=True)
@@ -314,14 +381,18 @@ def jitter(
     }
 
 
-def reference_run(sim: ClusterSimulator, plan: Schedule) -> SimResult:
+def reference_run(
+    sim: ClusterSimulator, plan: Schedule
+) -> tuple[SimResult, ParameterServerPool]:
     """``ClusterSimulator.run`` as one handler per event type on an
-    :class:`Engine`."""
+    :class:`Engine`; also returns the parameter servers' state."""
     instance = sim.instance
     engine = Engine()
     pool = ParameterServerPool(instance)
-    telemetry = Telemetry(num_gpus=instance.num_gpus)
     realized: list[TaskAssignment] = []
+    #: per completion: planned start, switch time, retention hit
+    planned, switches, hits = [], [], []
+    wasted: list[float] = []
     obs = obs_current()
     tracer = obs.tracer
 
@@ -450,18 +521,23 @@ def reference_run(sim: ClusterSimulator, plan: Schedule) -> SimResult:
         if sim.nic_contention and sync_time > 0:
             syncs_in_flight[node_id] += 1
             sync_time *= syncs_in_flight[node_id]
-        telemetry.record_task(
-            TaskRecord(
-                task=task,
-                gpu=executor.gpu_id,
-                planned_start=planned_start[task],
-                start=started.start,
-                switch_time=started.switch_time,
-                train_time=started.assignment.train_time,
-                sync_time=sync_time,
-                retained_hit=started.retained_hit,
-            )
+        # The run's sim.* instruments, one completion at a time.
+        obs.metrics.counter("sim.tasks").inc()
+        obs.metrics.histogram("sim.train_time_s").observe(
+            started.assignment.train_time
         )
+        if sync_time > 0:
+            obs.metrics.histogram("sim.sync_time_s").observe(sync_time)
+        if started.switch_time > 0:
+            obs.metrics.counter("sim.switch_count").inc()
+            obs.metrics.histogram("sim.switch_time_s").observe(
+                started.switch_time
+            )
+        if started.retained_hit:
+            obs.metrics.counter("sim.retention_hits").inc()
+        planned.append(planned_start[task])
+        switches.append(started.switch_time)
+        hits.append(started.retained_hit)
         realized.append(
             TaskAssignment(
                 task=task,
@@ -510,21 +586,23 @@ def reference_run(sim: ClusterSimulator, plan: Schedule) -> SimResult:
                 try_start(executor, event.time)
 
     def on_gpu_failure(event: Event) -> None:
-        executor = by_gpu[event.payload]
+        gpu_id, delay = event.payload
+        executor = by_gpu[gpu_id]
         if tracer.enabled:
             tracer.instant(
                 Category.FAULT,
                 "gpu failure",
                 track=gpu_track(executor.gpu_id),
                 time=event.time,
-                restart_delay_s=sim.restart_delay_s,
+                restart_delay_s=delay,
             )
         if executor.running is not None:
             started = in_flight.pop(executor.gpu_id)
             obs.metrics.gauge("sim.gpus_busy").set(len(in_flight))
             obs.metrics.sample("sim.gpus_busy", event.time)
-            wasted = max(0.0, event.time - started.start)
-            telemetry.record_abort(wasted)
+            wasted.append(max(0.0, event.time - started.start))
+            obs.metrics.counter("sim.aborted_attempts").inc()
+            obs.metrics.counter("sim.wasted_compute_s").inc(wasted[-1])
             executor.abort_running()
         elif not executor.done:
             # idle crash: device state is still lost
@@ -533,7 +611,7 @@ def reference_run(sim: ClusterSimulator, plan: Schedule) -> SimResult:
             executor.prev_model = None
         # Down until the restart check: arrivals and barriers in the
         # window must not start the GPU early.
-        restart = event.time + sim.restart_delay_s
+        restart = event.time + delay
         executor.down_until = max(executor.down_until, restart)
         engine.at(restart, EventType.GPU_CHECK, executor.gpu_id)
 
@@ -548,8 +626,8 @@ def reference_run(sim: ClusterSimulator, plan: Schedule) -> SimResult:
         engine.at(job.arrival, EventType.JOB_ARRIVAL, job.job_id)
     for executor in executors:
         engine.at(0.0, EventType.GPU_CHECK, executor.gpu_id)
-    for time, gpu_id in sim.failures:
-        engine.at(time, EventType.GPU_FAILURE, gpu_id)
+    for time, gpu_id, delay in sim.failures:
+        engine.at(time, EventType.GPU_FAILURE, (gpu_id, delay))
     for task, time in releases.items():
         engine.at(time, EventType.GPU_CHECK, plan[task].gpu)
 
@@ -586,14 +664,18 @@ def reference_run(sim: ClusterSimulator, plan: Schedule) -> SimResult:
         job.job_id: pool.completion_time(job.job_id)
         for job in instance.jobs
     }
+    schedule = schedule_of(instance, realized)
+    telemetry = Telemetry.from_columns(
+        schedule.columns(), planned, switches, hits, wasted
+    )
     metrics = metrics_from_completions(
         instance.jobs, completions, makespan=telemetry.makespan
     )
-    return SimResult(
-        realized=schedule_of(instance, realized),
+    result = SimResult(
+        realized=schedule,
         metrics=metrics,
         telemetry=telemetry,
-        pool=pool,
         events_processed=processed,
         wakeups=attempts[0],
     )
+    return result, pool

@@ -32,36 +32,36 @@ class TestFailureRecovery:
         cluster, inst, plan = single_gpu_plan()
         # crash mid first task (t=1.0); restart after 1s; task re-runs
         res = simulate_plan(
-            cluster, inst, plan, failures=[(1.0, 0)], restart_delay_s=1.0
+            cluster, inst, plan, failures=[(1.0, 0, 1.0)]
         )
-        assert res.pool.all_jobs_complete()
+        assert len(res.realized) == inst.num_tasks
         # completion = 1 (crash) + 1 (restart) + 3 full tasks of 2s
-        assert res.pool.completion_time(0) == pytest.approx(8.0)
+        assert res.metrics.per_job[0].completion == pytest.approx(8.0)
         assert res.telemetry.aborted_attempts == 1
         assert res.telemetry.wasted_compute_s == pytest.approx(1.0)
 
     def test_all_tasks_complete_exactly_once(self):
         cluster, inst, plan = single_gpu_plan()
-        res = simulate_plan(cluster, inst, plan, failures=[(1.0, 0)])
+        res = simulate_plan(cluster, inst, plan, failures=[(1.0, 0, 1.0)])
         assert len(res.realized) == inst.num_tasks
         validate_schedule(res.realized, check_durations=False)
 
     def test_idle_crash_costs_only_context(self):
         cluster, inst, plan = single_gpu_plan(num_rounds=1)
         # crash long after the job finished: nothing aborts
-        res = simulate_plan(cluster, inst, plan, failures=[(100.0, 0)])
+        res = simulate_plan(cluster, inst, plan, failures=[(100.0, 0, 1.0)])
         assert res.telemetry.aborted_attempts == 0
-        assert res.pool.completion_time(0) == pytest.approx(2.0)
+        assert res.metrics.per_job[0].completion == pytest.approx(2.0)
 
     def test_completed_rounds_survive_failures(self):
         """Gradients already at the PS are never lost (§6's checkpoints)."""
         cluster, inst, plan = single_gpu_plan()
         res = simulate_plan(
-            cluster, inst, plan, failures=[(3.0, 0)], restart_delay_s=0.5
+            cluster, inst, plan, failures=[(3.0, 0, 0.5)]
         )
         # round 0 completed at t=2 < crash at t=3: only round 1 re-runs
         assert res.telemetry.aborted_attempts == 1
-        assert res.pool.completion_time(0) == pytest.approx(
+        assert res.metrics.per_job[0].completion == pytest.approx(
             3.0 + 0.5 + 2 * 2.0
         )
 
@@ -69,20 +69,22 @@ class TestFailureRecovery:
         cluster, inst, plan = single_gpu_plan()
         res = simulate_plan(
             cluster, inst, plan,
-            failures=[(1.0, 0), (4.0, 0)], restart_delay_s=0.5,
+            failures=[(1.0, 0, 0.5), (4.0, 0, 0.5)],
         )
-        assert res.pool.all_jobs_complete()
+        assert len(res.realized) == inst.num_tasks
         assert res.telemetry.aborted_attempts >= 1
 
     def test_unknown_gpu_rejected(self):
         cluster, inst, plan = single_gpu_plan()
         with pytest.raises(ConfigurationError, match="unknown GPU 7"):
-            simulate_plan(cluster, inst, plan, failures=[(1.0, 7)])
+            simulate_plan(cluster, inst, plan, failures=[(1.0, 7, 1.0)])
 
     def test_negative_time_rejected(self):
         cluster, inst, plan = single_gpu_plan()
         with pytest.raises(ConfigurationError, match="time must be >= 0"):
-            simulate_plan(cluster, inst, plan, failures=[(-0.5, 0)])
+            simulate_plan(cluster, inst, plan, failures=[(-0.5, 0, 1.0)])
+        with pytest.raises(ConfigurationError, match="delay must be >= 0"):
+            simulate_plan(cluster, inst, plan, failures=[(1.0, 0, -1.0)])
 
     def test_slowdown_windows_validated(self):
         cluster, inst, plan = single_gpu_plan()
@@ -106,7 +108,7 @@ class TestFailureRecovery:
         }
         assert starts[1] == pytest.approx(7.0)
         assert starts[2] >= 9.0 - 1e-9
-        assert res.pool.completion_time(0) == pytest.approx(11.0)
+        assert res.metrics.per_job[0].completion == pytest.approx(11.0)
 
     def test_release_for_task_not_in_plan_rejected(self):
         cluster, inst, plan = single_gpu_plan()
@@ -135,8 +137,8 @@ class TestFailureRecovery:
             cluster, inst, plan, slowdowns=[(0.0, 100.0, 0, 2.0)]
         )
         clean = simulate_plan(cluster, inst, plan)
-        assert slow.pool.completion_time(0) == pytest.approx(
-            2.0 * clean.pool.completion_time(0)
+        assert slow.metrics.per_job[0].completion == pytest.approx(
+            2.0 * clean.metrics.per_job[0].completion
         )
         validate_schedule(slow.realized, check_durations=False)
 
@@ -160,11 +162,11 @@ class TestFailureRecovery:
             TaskRef(1, 0, 0): (1, 1.5),
         })
         res = simulate_plan(
-            cluster, inst, plan, failures=[(1.0, 0)], restart_delay_s=2.0
+            cluster, inst, plan, failures=[(1.0, 0, 2.0)]
         )
         # down 1.0 → 3.0, then both rounds back to back
         assert res.realized[TaskRef(0, 0, 0)].start == pytest.approx(3.0)
-        assert res.pool.completion_time(0) == pytest.approx(7.0)
+        assert res.metrics.per_job[0].completion == pytest.approx(7.0)
 
     def test_barrier_inside_restart_window_waits(self):
         """An idle crash: GPU 1 waits on round 0's barrier when it fails,
@@ -181,11 +183,11 @@ class TestFailureRecovery:
             TaskRef(0, r, s): (s, 4.0 * r) for r in range(2) for s in range(2)
         })
         res = simulate_plan(
-            cluster, inst, plan, failures=[(3.0, 1)], restart_delay_s=5.0
+            cluster, inst, plan, failures=[(3.0, 1, 5.0)]
         )
         # barrier at 4.0, GPU 1 down 3.0 → 8.0
         assert res.realized[TaskRef(0, 1, 1)].start == pytest.approx(8.0)
-        assert res.pool.completion_time(0) == pytest.approx(10.0)
+        assert res.metrics.per_job[0].completion == pytest.approx(10.0)
 
     def test_no_start_inside_restart_window_on_testbed(self):
         """Hare plans on the testbed, one failure per run on every GPU at
@@ -202,8 +204,7 @@ class TestFailureRecovery:
             for frac in (0.1, 0.3, 0.5, 0.7, 0.9):
                 t = makespan * frac
                 res = simulate_plan(
-                    cluster, inst, plan, failures=[(t, gpu)],
-                    restart_delay_s=delay,
+                    cluster, inst, plan, failures=[(t, gpu, delay)],
                 )
                 early = [
                     a.task for a in res.realized.assignments.values()
@@ -223,10 +224,9 @@ class TestFailureRecovery:
             cluster,
             inst,
             plan,
-            failures=[(clean.makespan * 0.3, g) for g in range(4)],
-            restart_delay_s=2.0,
+            failures=[(clean.makespan * 0.3, g, 2.0) for g in range(4)],
         )
-        assert failed.pool.all_jobs_complete()
+        assert len(failed.realized) == inst.num_tasks
         validate_schedule(failed.realized, check_durations=False)
         # failures only delay
         assert (

@@ -68,7 +68,7 @@ class TestJitter:
             cluster, instance, plan, jitter_sigma=0.10, jitter_seed=9
         )
         validate_schedule(result.realized, check_durations=False)
-        assert result.pool.all_jobs_complete()
+        assert len(result.realized) == instance.num_tasks
 
     def test_small_jitter_small_impact(self, scenario):
         """Fig. 11-scale jitter (2%) barely moves the weighted JCT."""

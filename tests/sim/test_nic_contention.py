@@ -35,18 +35,18 @@ class TestContention:
         off = simulate_plan(cluster, inst, plan, nic_contention=False)
         on = simulate_plan(cluster, inst, plan, nic_contention=True)
         # two concurrent syncs on one NIC: the second is charged 2x
-        assert off.pool.completion_time(0) == pytest.approx(1.5)
-        assert on.pool.completion_time(0) == pytest.approx(2.0)
+        assert off.metrics.per_job[0].completion == pytest.approx(1.5)
+        assert on.metrics.per_job[0].completion == pytest.approx(2.0)
         # the realized run records the contended sync
         assert sorted(r.sync_time for r in on.telemetry.records) == [0.5, 1.0]
-        assert on.makespan == on.pool.completion_time(0)
+        assert on.makespan == on.metrics.per_job[0].completion
 
     def test_separate_nodes_unaffected(self):
         cluster, inst, plan = two_task_round_plan(gpus_per_node=1)
         off = simulate_plan(cluster, inst, plan, nic_contention=False)
         on = simulate_plan(cluster, inst, plan, nic_contention=True)
-        assert on.pool.completion_time(0) == pytest.approx(
-            off.pool.completion_time(0)
+        assert on.metrics.per_job[0].completion == pytest.approx(
+            off.metrics.per_job[0].completion
         )
 
     def test_zero_sync_not_counted(self):
@@ -62,7 +62,7 @@ class TestContention:
             inst, {TaskRef(0, 0, 0): (0, 0.0), TaskRef(0, 0, 1): (1, 0.0)}
         )
         res = simulate_plan(cluster, inst, plan, nic_contention=True)
-        assert res.pool.completion_time(0) == pytest.approx(1.0)
+        assert res.metrics.per_job[0].completion == pytest.approx(1.0)
 
     def test_contention_never_speeds_up(self):
         cluster = make_cluster(
@@ -79,7 +79,7 @@ class TestContention:
             on.total_weighted_completion
             >= off.total_weighted_completion - 1e-9
         )
-        assert on.pool.all_jobs_complete()
+        assert len(on.realized) == inst.num_tasks
 
     def test_makespan_is_the_last_barrier(self):
         """With contention on, the realized makespan ends at the last
@@ -93,6 +93,6 @@ class TestContention:
         inst = build_instance(jobs, cluster)
         plan = HareScheduler().schedule(inst)
         res = simulate_plan(cluster, inst, plan, nic_contention=True)
-        completions = [res.pool.completion_time(j.job_id) for j in inst.jobs]
+        completions = [j.completion for j in res.metrics.per_job]
         assert res.makespan == max(completions)
         assert res.realized.makespan() == res.makespan

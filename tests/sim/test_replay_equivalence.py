@@ -7,9 +7,10 @@ On plans from every registered scheduler, object- and column-backed, in
 every switch mode, with jitter, failures (same-time ones included),
 releases, overlapping slowdowns and NIC contention, untraced and traced
 with a flight recorder, the two must agree on everything a run exposes:
-records, the realized schedule, metrics, telemetry, parameter-server
-state, event counts, every tracer event, every metric sample and every
-recorded record.
+records, the realized schedule, metrics, telemetry, every round barrier
+(the loop's realized round ends against the oracle's parameter servers),
+event counts, every tracer event, every ``sim.*`` instrument and metric
+sample and every recorded record.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.obs import Obs, use
 from repro.schedulers.registry import available, create
 from repro.sim import ClusterSimulator
 from repro.workload import build_instance
-from tests.sim.oracles import reference_run
+from tests.sim.oracles import realized_pool, reference_run
 
 GPU_MENU = ["V100", "T4", "K80", "M60"]
 MODEL_MENU = ["VGG19", "ResNet50", "Bert_base", "GraphSAGE", "DeepSpeech"]
@@ -44,29 +45,56 @@ def make_obs(mode: str) -> Obs | None:
     return Obs.start(trace=mode == "trace+record", record=True)
 
 
+def loop_run(sim: ClusterSimulator, plan):
+    """The replay, and the parameter servers its realized rounds imply."""
+    res = sim.run(plan)
+    return res, realized_pool(res.realized)
+
+
+def oracle_run(sim: ClusterSimulator, plan):
+    """The oracle, and the parameter servers it recorded each sync in."""
+    res, pool = reference_run(sim, plan)
+    assert realized_pool(res.realized) == pool
+    return res, pool
+
+
+def telemetry_values(t) -> dict:
+    return {
+        "retention_hits": t.retention_hits,
+        "switch_count": t.switch_count,
+        "aborted_attempts": t.aborted_attempts,
+        "wasted_compute_s": t.wasted_compute_s,
+        "total_switch_time": t.total_switch_time,
+        "total_train_time": t.total_train_time,
+        "makespan": t.makespan,
+        "gpu_utilization": t.gpu_utilization(),
+        "plan_deviation": t.plan_deviation(),
+    }
+
+
 def observe(run, sim: ClusterSimulator, plan, mode: str) -> dict:
     """Everything one replay exposes, or the error it raised."""
     obs = make_obs(mode)
     try:
         if obs is None:
-            res = run(sim, plan)
+            res, pool = run(sim, plan)
         else:
             with use(obs):
-                res = run(sim, plan)
+                res, pool = run(sim, plan)
     except ReproError as exc:  # compared like any other outcome
         return {"error": (type(exc), str(exc))}
     out = {
         "records": res.telemetry.records,
         "realized": list(res.realized.assignments.items()),
         "metrics": res.metrics,
-        "telemetry": res.telemetry.metrics.snapshot(),
+        "telemetry": telemetry_values(res.telemetry),
         "busy": res.telemetry.busy,
         "switching": res.telemetry.switching,
         "pool": (
-            res.pool._done,
-            res.pool._barrier,
-            res.pool._synced_tasks,
-            res.pool.total_syncs,
+            pool._done,
+            pool._barrier,
+            pool._synced_tasks,
+            pool.total_syncs,
         ),
         "events": res.events_processed,
     }
@@ -82,8 +110,8 @@ def observe(run, sim: ClusterSimulator, plan, mode: str) -> dict:
 
 
 def assert_equivalent(sim: ClusterSimulator, plan, mode: str = "off"):
-    loop = observe(ClusterSimulator.run, sim, plan, mode)
-    oracle = observe(reference_run, sim, plan, mode)
+    loop = observe(loop_run, sim, plan, mode)
+    oracle = observe(oracle_run, sim, plan, mode)
     assert loop.keys() == oracle.keys()
     for key in loop:
         assert loop[key] == oracle[key], key
@@ -126,8 +154,9 @@ def features(draw, instance, plan):
         kw["jitter_seed"] = draw(st.integers(0, 3))
     if draw(st.booleans()):
         # duplicates allowed: same-time failures, on one GPU or several
-        kw["failures"] = draw(st.lists(st.tuples(times, gpus), max_size=3))
-        kw["restart_delay_s"] = draw(st.sampled_from([0.5, 1.0]))
+        kw["failures"] = draw(st.lists(
+            st.tuples(times, gpus, st.sampled_from([0.5, 1.0])), max_size=3
+        ))
     if draw(st.booleans()):
         kw["slowdowns"] = draw(
             st.lists(
@@ -218,7 +247,7 @@ class TestTies:
         cluster, inst, plan = two_job_instance(2.0)
         sim = ClusterSimulator(
             cluster=cluster, instance=inst,
-            failures=[(1.0, 1)], restart_delay_s=1.0,
+            failures=[(1.0, 1, 1.0)],
         )
         out = assert_equivalent(sim, plan, obs_mode)
         assert start_of(out, TaskRef(1, 0, 0)) == 2.0

@@ -56,6 +56,16 @@ class TestRunExperiment:
         assert "sched.phase.relaxation_solve_s" in snapshot
         assert "sim.tasks" in snapshot
 
+    def test_sim_instruments_land_in_the_run_registry(self, hare_run):
+        """The replay writes its ``sim.*`` instruments into the run's own
+        registry, so the snapshot is that registry's."""
+        snapshot = hare_run.obs.metrics.snapshot()
+        tele = hare_run.telemetry
+        assert snapshot["sim.tasks"]["value"] == len(tele.records)
+        assert snapshot["sim.train_time_s"]["total"] == tele.total_train_time
+        assert snapshot["sim.switch_count"]["value"] == tele.switch_count
+        assert hare_run.metrics_snapshot() == snapshot
+
     def test_simulate_false_falls_back_to_plan_metrics(self):
         result = run_experiment(scheduler="srtf", simulate=False, **SMALL)
         assert result.sim is None

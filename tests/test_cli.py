@@ -251,6 +251,41 @@ class TestAnalysisCommands:
         )
         assert rc == 0
 
+    @pytest.mark.parametrize("key, factor", [
+        ("online_fleet/gpus125/wall_ratio", 1.3),
+        ("online_fleet/gpus125/wall_ratio", 0.7),
+        ("sim_replay/gpus125/repeats", 2),
+        ("sim_replay/gpus125/jobs", 2),
+    ])
+    def test_check_bench_gates_like_compare_bench_reports(
+        self, tmp_path, capsys, key, factor
+    ):
+        """``repro check`` on bench reports is ``compare_bench_reports``:
+        the same findings, so the same band for every key."""
+        import json
+
+        from repro.obs.baseline import compare_bench_reports
+
+        committed = "benchmarks/out/BENCH_kernel.json"
+        base = json.load(open(committed))
+        cand = json.loads(json.dumps(base))
+        *parents, leaf = key.split("/")
+        node = cand
+        for part in parents:
+            node = node[part]
+        node[leaf] *= factor
+        candidate = tmp_path / "candidate.json"
+        candidate.write_text(json.dumps(cand))
+        report_path = tmp_path / "report.json"
+        rc = main(["check", "--baseline", committed,
+                   "--candidate", str(candidate),
+                   "--report", str(report_path)])
+        assert rc == 1
+        expected = compare_bench_reports(base, cand).to_json()
+        assert json.loads(report_path.read_text()) == json.loads(
+            json.dumps(expected)
+        )
+
     def test_chaos_with_monitors_is_clean(self, capsys):
         rc = main(
             ["chaos", "--jobs", "4", "--gpus", "6", "--rounds-scale", "0.3",
