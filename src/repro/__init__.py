@@ -19,52 +19,13 @@ See :mod:`repro.api` for the stable facade (``run_experiment``,
 
 from __future__ import annotations
 
-from . import (
-    cluster,
-    control,
-    core,
-    dml,
-    harness,
-    kernel,
-    obs,
-    schedulers,
-    sim,
-    switching,
-    sync,
-    theory,
-    workload,
-)
-from . import api
-from .api import (
-    CompareResult,
-    ExperimentSpec,
-    RunResult,
-    compare,
-    run_experiment,
-)
+from ._lazy import lazy_facade
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CompareResult",
-    "ExperimentSpec",
-    "RunResult",
-    "__version__",
-    "api",
-    "cluster",
-    "compare",
-    "control",
-    "core",
-    "dml",
-    "harness",
-    "kernel",
-    "obs",
-    "run_experiment",
-    "schedulers",
-    "sim",
-    "sweep",
-    "switching",
-    "sync",
-    "theory",
-    "workload",
-]
+__getattr__, __dir__, __all__ = lazy_facade(globals(), {
+    ".": "api cluster control core dml harness kernel obs schedulers sim "
+    "sweep switching sync theory workload",
+    ".api": "CompareResult ExperimentSpec RunResult compare run_experiment",
+})
+__all__.append("__version__")

@@ -32,41 +32,43 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Iterator, Literal, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, Literal, Mapping, Sequence, Union
 
-from .cells import ADMISSION_POLICIES, CELL_STRATEGIES, run_sharded
+from ._lazy import lazy_facade
+from .cells.admission import ADMISSION_POLICIES
+from .cells.partition import CELL_STRATEGIES
+from .cells.sharded import run_sharded
 from .cluster.cluster import Cluster, scaled_cluster, testbed_cluster
-from .control import ChaosResult, ControlPlane
 from .core.errors import ConfigurationError
 from .core.job import Job, ProblemInstance
 from .core.metrics import ScheduleMetrics, metrics_from_schedule
 from .core.schedule import Schedule, validate_schedule
 from .core.types import SwitchMode
-from .faults import FaultScenario, HeartbeatConfig
+from .faults.detector import HeartbeatConfig
+from .faults.scenario import FaultScenario
 from .harness.experiments import make_loaded_workload, make_problem
-from .heal import RemediationEngine, RemediationLog
-from .kernel import KernelResult, run_policy
-from .obs import (
-    Obs,
-    build_manifest,
-    chrome_trace,
-    use,
-    write_manifest as _write_manifest_file,
-    write_trace as _write_trace_file,
+from .kernel.runner import KernelResult, run_policy
+from .obs.context import Obs, use
+from .obs.manifest import (
+    build_manifest, write_manifest as _write_manifest_file,
 )
-from .obs.attrib import (
-    AttributionEngine,
-    AttributionReport,
-    attribute_records,
-    attribute_schedule,
-    write_attribution,
-)
-from .obs.baseline import snapshot_baseline, write_baseline
-from .obs.monitors import DiagnosisReport, default_monitors
+from .obs.perfetto import chrome_trace, write_trace as _write_trace_file
 from .schedulers import Scheduler, create_from_spec
 from .sim.simulator import SimResult, simulate_plan
-from .sweep import SweepPoint, SweepResult, sweep
 from .workload.jobs import WorkloadConfig
+
+if TYPE_CHECKING:
+    from .control.controlplane import ChaosResult
+    from .heal.actions import RemediationLog
+    from .obs.attrib import AttributionReport
+    from .obs.monitors import DiagnosisReport
+
+# The control plane, healing, sweeps, baselines, attribution and the
+# monitors load in the functions that use them; a plain run skips them.
+# ``sweep`` imports this module, so its names resolve on first read.
+__getattr__, __dir__ = lazy_facade(globals(), {
+    ".sweep": "SweepPoint SweepResult sweep",
+})[:2]
 
 #: How a scheduler may be specified: registry key (``"hare"``), a mapping
 #: with a ``name`` key plus constructor options, or a built instance.
@@ -410,6 +412,8 @@ class RunResult:
 
     def write_baseline(self, path: str | Path) -> Path:
         """Snapshot this run's metrics as a regression baseline."""
+        from .obs.baseline import snapshot_baseline, write_baseline
+
         return write_baseline(
             snapshot_baseline(
                 self.metrics_snapshot(),
@@ -431,6 +435,8 @@ class RunResult:
         """
         if self._attribution is not None:
             return self._attribution
+        from .obs.attrib import attribute_records, attribute_schedule
+
         report = None
         if self.obs.recorder is not None:
             records = self.obs.recorder.records()
@@ -457,6 +463,8 @@ class RunResult:
 
     def write_attribution(self, path: str | Path) -> Path:
         """Write the attribution report as ``repro.attrib/1`` JSON."""
+        from .obs.attrib import write_attribution
+
         return write_attribution(self.attribution(), path)
 
     def write_flight_log(self, path: str | Path) -> Path:
@@ -595,18 +603,25 @@ def _run_one(
     """Run *spec* on the prepared *cluster*/*instance*; *config* is the
     manifest block the result carries."""
     sched = create_from_spec(spec.scheduler)
-    engine = RemediationEngine(instance) if spec.heal else None
+    engine = monitors = None
+    if spec.heal:
+        from .heal.engine import RemediationEngine
+
+        engine = RemediationEngine(instance)
+        monitors = [engine]
+    elif spec.monitors:
+        from .obs.monitors import default_monitors
+
+        monitors = default_monitors(instance)
     obs = Obs.start(
         trace=spec.trace,
         record=spec.record or spec.monitors or spec.heal,
-        monitors=(
-            [engine] if engine is not None
-            else default_monitors(instance) if spec.monitors
-            else None
-        ),
+        monitors=monitors,
     )
     attrib_engine = None
     if obs.recorder is not None:
+        from .obs.attrib import AttributionEngine
+
         # Silent stream consumer: rides the recorder sink, never
         # participates in diagnosis, ring-eviction-proof.
         attrib_engine = AttributionEngine(instance)
@@ -614,6 +629,8 @@ def _run_one(
     chaos = sim = None
     with use(obs):
         if spec.faults is not None:
+            from .control.controlplane import ControlPlane
+
             plane = ControlPlane(
                 cluster, sched, spec.switch_mode,
                 checkpoint_interval=spec.checkpoint_interval,
@@ -752,10 +769,13 @@ def simulate(
     context; the returned :class:`RunResult` carries the simulation, its
     telemetry, and the trace (plus the flight recorder / monitor
     diagnosis when ``record`` / ``monitors`` are set)."""
+    watchers = None
+    if monitors:
+        from .obs.monitors import default_monitors
+
+        watchers = default_monitors(instance)
     obs = Obs.start(
-        trace=trace,
-        record=record or monitors,
-        monitors=default_monitors(instance) if monitors else None,
+        trace=trace, record=record or monitors, monitors=watchers
     )
     with use(obs):
         sim = simulate_plan(

@@ -17,40 +17,16 @@ One logical scheduler over 10k+ GPUs, in three layers:
 :func:`repro.kernel.runner.run_policy` path.
 """
 
-from .admission import (
-    ADMISSION_POLICIES,
-    AdmissionDecision,
-    AdmissionPlan,
-    GlobalAdmission,
-    throughput_matrix,
-)
-from .partition import (
-    CELL_STRATEGIES,
-    Cell,
-    CellPartition,
-    CellPartitioner,
-)
-from .sharded import (
-    CELLS_TRACK,
-    ShardedKernel,
-    ShardedKernelResult,
-    cell_instance,
-    run_sharded,
-)
+from .._lazy import lazy_facade
 
-__all__ = [
-    "ADMISSION_POLICIES",
-    "AdmissionDecision",
-    "AdmissionPlan",
-    "CELL_STRATEGIES",
-    "CELLS_TRACK",
-    "Cell",
-    "CellPartition",
-    "CellPartitioner",
-    "GlobalAdmission",
-    "ShardedKernel",
-    "ShardedKernelResult",
-    "cell_instance",
-    "run_sharded",
-    "throughput_matrix",
-]
+__getattr__, __dir__, __all__ = lazy_facade(globals(), {
+    ".admission": (
+        "ADMISSION_POLICIES AdmissionDecision AdmissionPlan GlobalAdmission "
+        "throughput_matrix"
+    ),
+    ".partition": "CELL_STRATEGIES Cell CellPartition CellPartitioner",
+    ".sharded": (
+        "CELLS_TRACK ShardedKernel ShardedKernelResult cell_instance "
+        "run_sharded"
+    ),
+})

@@ -1,29 +1,13 @@
 """Heterogeneous GPU cluster substrate: devices, nodes, interconnect."""
 
-from .cluster import (
-    TESTBED_MIX,
-    Cluster,
-    heterogeneity_preset,
-    make_cluster,
-    scaled_cluster,
-    testbed_cluster,
-)
-from .gpu import GPUSpec, catalog, gpu_spec
-from .network import NetworkConfig
-from .node import GPUDevice, Node, build_nodes
+from .._lazy import lazy_facade
 
-__all__ = [
-    "TESTBED_MIX",
-    "Cluster",
-    "GPUDevice",
-    "GPUSpec",
-    "NetworkConfig",
-    "Node",
-    "build_nodes",
-    "catalog",
-    "gpu_spec",
-    "heterogeneity_preset",
-    "make_cluster",
-    "scaled_cluster",
-    "testbed_cluster",
-]
+__getattr__, __dir__, __all__ = lazy_facade(globals(), {
+    ".cluster": (
+        "TESTBED_MIX Cluster heterogeneity_preset make_cluster scaled_cluster "
+        "testbed_cluster"
+    ),
+    ".gpu": "GPUSpec catalog gpu_spec",
+    ".network": "NetworkConfig",
+    ".node": "GPUDevice Node build_nodes",
+})

@@ -1,63 +1,17 @@
 """Control plane (§6): message protocol, transport, storage, orchestrator."""
 
-from .controlplane import (
-    PS,
-    SCHEDULER,
-    UPPER,
-    ChaosResult,
-    ControlPlane,
-    ControlPlaneResult,
-    executor_endpoint,
-)
-from .messages import (
-    CheckpointRestored,
-    CheckpointSaved,
-    GradientPush,
-    Heartbeat,
-    JobCompleted,
-    Message,
-    ModelUpdate,
-    PlannedTask,
-    ProfileReply,
-    ProfileRequest,
-    SequenceAck,
-    SubmitJob,
-    TaskSequence,
-    from_wire,
-    to_wire,
-)
-from .storage import BlobMeta, BlobStore, CheckpointManager
-from .transport import DROPPED, Delivery, LinkStats, RpcOutcome, SimTransport
+from .._lazy import lazy_facade
 
-__all__ = [
-    "DROPPED",
-    "PS",
-    "SCHEDULER",
-    "UPPER",
-    "BlobMeta",
-    "BlobStore",
-    "ChaosResult",
-    "CheckpointManager",
-    "CheckpointRestored",
-    "CheckpointSaved",
-    "ControlPlane",
-    "ControlPlaneResult",
-    "Delivery",
-    "GradientPush",
-    "Heartbeat",
-    "JobCompleted",
-    "LinkStats",
-    "Message",
-    "ModelUpdate",
-    "PlannedTask",
-    "ProfileReply",
-    "ProfileRequest",
-    "RpcOutcome",
-    "SequenceAck",
-    "SimTransport",
-    "SubmitJob",
-    "TaskSequence",
-    "executor_endpoint",
-    "from_wire",
-    "to_wire",
-]
+__getattr__, __dir__, __all__ = lazy_facade(globals(), {
+    ".controlplane": (
+        "PS SCHEDULER UPPER ChaosResult ControlPlane ControlPlaneResult "
+        "executor_endpoint"
+    ),
+    ".messages": (
+        "CheckpointRestored CheckpointSaved GradientPush Heartbeat "
+        "JobCompleted Message ModelUpdate PlannedTask ProfileReply "
+        "ProfileRequest SequenceAck SubmitJob TaskSequence from_wire to_wire"
+    ),
+    ".storage": "BlobMeta BlobStore CheckpointManager",
+    ".transport": "DROPPED Delivery LinkStats RpcOutcome SimTransport",
+})

@@ -128,10 +128,24 @@ class ProblemInstance:
             )
         if self.num_gpus < 1:
             raise InfeasibleProblemError("a problem instance needs >= 1 GPU")
-        if np.any(self.train_time <= 0):
-            raise ConfigurationError("all training times must be > 0")
-        if np.any(self.sync_time < 0):
-            raise ConfigurationError("sync times must be >= 0")
+        tc, ts = self.train_time, self.sync_time
+        # min/max reduce without a temporary array, and NaN propagates
+        # through both, so it fails these comparisons as ±inf does.
+        if tc.size and not (
+            tc.min() > 0 and tc.max() < np.inf
+            and ts.min() >= 0 and ts.max() < np.inf
+        ):
+            for name, matrix, ok, rule in (
+                ("train_time", tc, tc > 0, "> 0"),
+                ("sync_time", ts, ts >= 0, ">= 0"),
+            ):
+                bad = ~(ok & (matrix < np.inf))
+                if bad.any():
+                    n, m = np.argwhere(bad)[0]
+                    raise ConfigurationError(
+                        f"{name}[job {n}, GPU {m}] = {matrix[n, m]}: task "
+                        f"times must be finite and {rule}"
+                    )
         for n, job in enumerate(self.jobs):
             if job.job_id != n:
                 raise ConfigurationError(

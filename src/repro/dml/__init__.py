@@ -1,18 +1,9 @@
 """Mini-DML training engine: NumPy PS-synchronous SGD (§2.2.3 substrate)."""
 
-from .data import Dataset, make_classification, make_regression
-from .model import LogisticRegression, MLPRegressor, TrainableModel
-from .training import ParameterServer, TrainingResult, compare_schemes, train
+from .._lazy import lazy_facade
 
-__all__ = [
-    "Dataset",
-    "LogisticRegression",
-    "MLPRegressor",
-    "ParameterServer",
-    "TrainableModel",
-    "TrainingResult",
-    "compare_schemes",
-    "make_classification",
-    "make_regression",
-    "train",
-]
+__getattr__, __dir__, __all__ = lazy_facade(globals(), {
+    ".data": "Dataset make_classification make_regression",
+    ".model": "LogisticRegression MLPRegressor TrainableModel",
+    ".training": "ParameterServer TrainingResult compare_schemes train",
+})

@@ -16,40 +16,17 @@ production-grade robustness layer on top of it:
   scheduling kernel.
 """
 
-from .detector import (
-    DetectionResult,
-    FailureDetector,
-    GpuHealth,
-    HeartbeatConfig,
-    run_detection,
-)
-from .recovery import ChaosTelemetry, RecoveryReport
-from .retry import RetryPolicy, budget_exhaustion_severity
-from .scenario import (
-    FaultScenario,
-    GpuCrash,
-    GpuRestart,
-    GpuSlowdown,
-    NetworkPartition,
-    RpcFlakiness,
-    UnreliableNetwork,
-)
+from .._lazy import lazy_facade
 
-__all__ = [
-    "ChaosTelemetry",
-    "DetectionResult",
-    "FailureDetector",
-    "FaultScenario",
-    "GpuCrash",
-    "GpuHealth",
-    "GpuRestart",
-    "GpuSlowdown",
-    "HeartbeatConfig",
-    "NetworkPartition",
-    "RecoveryReport",
-    "RetryPolicy",
-    "RpcFlakiness",
-    "UnreliableNetwork",
-    "budget_exhaustion_severity",
-    "run_detection",
-]
+__getattr__, __dir__, __all__ = lazy_facade(globals(), {
+    ".detector": (
+        "DetectionResult FailureDetector GpuHealth HeartbeatConfig "
+        "run_detection"
+    ),
+    ".recovery": "ChaosTelemetry RecoveryReport",
+    ".retry": "RetryPolicy budget_exhaustion_severity",
+    ".scenario": (
+        "FaultScenario GpuCrash GpuRestart GpuSlowdown NetworkPartition "
+        "RpcFlakiness UnreliableNetwork"
+    ),
+})

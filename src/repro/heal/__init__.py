@@ -28,23 +28,13 @@ nothing safe to auto-do) are recorded as *unremediated*; CI fails a heal
 run that ends with an unremediated ERROR.
 """
 
-from .actions import (
-    REMEDIATION_SCHEMA,
-    RemediationAction,
-    RemediationLog,
-    RemediationRecord,
-)
-from .engine import HEAL_TRACK, RemediationEngine
-from .policy import DEFAULT_POLICY, ActionSpec, resolve_policy
+from .._lazy import lazy_facade
 
-__all__ = [
-    "ActionSpec",
-    "DEFAULT_POLICY",
-    "HEAL_TRACK",
-    "REMEDIATION_SCHEMA",
-    "RemediationAction",
-    "RemediationEngine",
-    "RemediationLog",
-    "RemediationRecord",
-    "resolve_policy",
-]
+__getattr__, __dir__, __all__ = lazy_facade(globals(), {
+    ".actions": (
+        "REMEDIATION_SCHEMA RemediationAction RemediationLog "
+        "RemediationRecord"
+    ),
+    ".engine": "HEAL_TRACK RemediationEngine",
+    ".policy": "DEFAULT_POLICY ActionSpec resolve_policy",
+})

@@ -13,36 +13,13 @@ kernel-driven policy realizes exactly the metrics of its offline
 counterpart — the kernel changes architecture, not semantics.
 """
 
-from .array import ArraySchedulingKernel
-from .events import Event, EventQueue, KernelEventType
-from .policies import GangPolicy, PlannedPolicy, Policy, gang_commitment
-from .residual import KERNEL_TRACK, build_residual_instance
-from .runner import KernelResult, SchedulingKernel, run_policy
-from .state import (
-    KERNEL_EPS,
-    Commitment,
-    KernelCrash,
-    KernelState,
-    Retraction,
-)
+from .._lazy import lazy_facade
 
-__all__ = [
-    "ArraySchedulingKernel",
-    "Commitment",
-    "Event",
-    "EventQueue",
-    "GangPolicy",
-    "KERNEL_EPS",
-    "KERNEL_TRACK",
-    "KernelCrash",
-    "KernelEventType",
-    "KernelResult",
-    "KernelState",
-    "PlannedPolicy",
-    "Policy",
-    "Retraction",
-    "SchedulingKernel",
-    "build_residual_instance",
-    "gang_commitment",
-    "run_policy",
-]
+__getattr__, __dir__, __all__ = lazy_facade(globals(), {
+    ".array": "ArraySchedulingKernel",
+    ".events": "Event EventQueue KernelEventType",
+    ".policies": "GangPolicy PlannedPolicy Policy gang_commitment",
+    ".residual": "KERNEL_TRACK build_residual_instance",
+    ".runner": "KernelResult SchedulingKernel run_policy",
+    ".state": "KERNEL_EPS Commitment KernelCrash KernelState Retraction",
+})

@@ -33,123 +33,32 @@ extent. Tracing is **off by default** — outside ``use`` the context is
 :data:`DISABLED` and every emission is a no-op.
 """
 
-from .attrib import (
-    ATTRIB_DIFF_SCHEMA,
-    ATTRIB_SCHEMA,
-    COMPONENTS,
-    AttributionEngine,
-    AttributionReport,
-    JobAttribution,
-    attribute_flight_log,
-    attribute_records,
-    attribute_schedule,
-    load_attribution,
-    write_attribution,
-)
-from .baseline import (
-    BASELINE_SCHEMA,
-    Tolerance,
-    compare_bench_reports,
-    compare_snapshots,
-    read_baseline,
-    snapshot_baseline,
-    write_baseline,
-)
-from .context import DISABLED, Obs, current, use
-from .manifest import SCHEMA, build_manifest, read_manifest, write_manifest
-from .monitors import (
-    DiagnosisReport,
-    Finding,
-    Monitor,
-    Severity,
-    default_monitors,
-    diagnose_schedule,
-    replay_monitors,
-)
-from .recorder import FLIGHT_SCHEMA, FlightRecorder, Record, load_flight_log
-from .metrics import (
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullRegistry,
-)
-from .perfetto import (
-    chrome_trace,
-    trace_json,
-    validate_chrome_trace,
-    write_trace,
-)
-from .trace import (
-    NULL_TRACER,
-    Category,
-    FlowEvent,
-    InstantEvent,
-    NullTracer,
-    SpanEvent,
-    Tracer,
-    WallSpan,
-    gpu_track,
-    job_track,
-)
+from .._lazy import lazy_facade
 
-__all__ = [
-    "ATTRIB_DIFF_SCHEMA",
-    "ATTRIB_SCHEMA",
-    "AttributionEngine",
-    "AttributionReport",
-    "BASELINE_SCHEMA",
-    "COMPONENTS",
-    "Category",
-    "Counter",
-    "DISABLED",
-    "DiagnosisReport",
-    "FLIGHT_SCHEMA",
-    "Finding",
-    "FlightRecorder",
-    "FlowEvent",
-    "Gauge",
-    "Histogram",
-    "InstantEvent",
-    "JobAttribution",
-    "MetricsRegistry",
-    "Monitor",
-    "NULL_REGISTRY",
-    "NULL_TRACER",
-    "NullRegistry",
-    "NullTracer",
-    "Obs",
-    "Record",
-    "SCHEMA",
-    "Severity",
-    "SpanEvent",
-    "Tolerance",
-    "Tracer",
-    "WallSpan",
-    "attribute_flight_log",
-    "attribute_records",
-    "attribute_schedule",
-    "build_manifest",
-    "chrome_trace",
-    "compare_bench_reports",
-    "compare_snapshots",
-    "current",
-    "default_monitors",
-    "diagnose_schedule",
-    "gpu_track",
-    "job_track",
-    "load_attribution",
-    "load_flight_log",
-    "read_baseline",
-    "read_manifest",
-    "replay_monitors",
-    "snapshot_baseline",
-    "trace_json",
-    "use",
-    "validate_chrome_trace",
-    "write_attribution",
-    "write_baseline",
-    "write_manifest",
-    "write_trace",
-]
+__getattr__, __dir__, __all__ = lazy_facade(globals(), {
+    ".attrib": (
+        "ATTRIB_DIFF_SCHEMA ATTRIB_SCHEMA COMPONENTS AttributionEngine "
+        "AttributionReport JobAttribution attribute_flight_log "
+        "attribute_records attribute_schedule load_attribution "
+        "write_attribution"
+    ),
+    ".baseline": (
+        "BASELINE_SCHEMA Tolerance compare_bench_reports compare_snapshots "
+        "read_baseline snapshot_baseline write_baseline"
+    ),
+    ".context": "DISABLED Obs current use",
+    ".manifest": "SCHEMA build_manifest read_manifest write_manifest",
+    ".monitors": (
+        "DiagnosisReport Finding Monitor Severity default_monitors "
+        "diagnose_schedule replay_monitors"
+    ),
+    ".recorder": "FLIGHT_SCHEMA FlightRecorder Record load_flight_log",
+    ".metrics": (
+        "NULL_REGISTRY Counter Gauge Histogram MetricsRegistry NullRegistry"
+    ),
+    ".perfetto": "chrome_trace trace_json validate_chrome_trace write_trace",
+    ".trace": (
+        "NULL_TRACER Category FlowEvent InstantEvent NullTracer SpanEvent "
+        "Tracer WallSpan gpu_track job_track"
+    ),
+})

@@ -1,16 +1,9 @@
 """Trace-driven discrete-event cluster simulator (§7.1)."""
 
-from .events import Event, EventQueue, EventType
-from .simulator import ClusterSimulator, SimResult, simulate_plan
-from .telemetry import TaskRecord, Telemetry
+from .._lazy import lazy_facade
 
-__all__ = [
-    "ClusterSimulator",
-    "Event",
-    "EventQueue",
-    "EventType",
-    "SimResult",
-    "TaskRecord",
-    "Telemetry",
-    "simulate_plan",
-]
+__getattr__, __dir__, __all__ = lazy_facade(globals(), {
+    ".events": "Event EventQueue EventType",
+    ".simulator": "ClusterSimulator SimResult simulate_plan",
+    ".telemetry": "TaskRecord Telemetry",
+})

@@ -1,49 +1,19 @@
 """Fast task switching (§4): pipelined transfer, speculative memory, costs."""
 
-from .costmodel import (
-    CALIBRATION,
-    SwitchBreakdown,
-    SwitchCalibration,
-    SwitchCostModel,
-    switch_time_table,
-    switching_ratio,
-)
-from .memory import GpuMemoryManager, SwitchDecision, plan_retention_hits
-from .planner import (
-    BeladyPolicy,
-    ModelFootprint,
-    OldestFirstPolicy,
-    RetentionOutcome,
-    evaluate_policy,
-    optimal_retention_cost,
-)
-from .pipeline import (
-    PipelineParams,
-    TransferBreakdown,
-    group_layers,
-    pipelined_transfer,
-    sequential_transfer,
-)
+from .._lazy import lazy_facade
 
-__all__ = [
-    "BeladyPolicy",
-    "CALIBRATION",
-    "GpuMemoryManager",
-    "ModelFootprint",
-    "OldestFirstPolicy",
-    "RetentionOutcome",
-    "evaluate_policy",
-    "optimal_retention_cost",
-    "PipelineParams",
-    "SwitchBreakdown",
-    "SwitchCalibration",
-    "SwitchCostModel",
-    "SwitchDecision",
-    "TransferBreakdown",
-    "group_layers",
-    "pipelined_transfer",
-    "plan_retention_hits",
-    "sequential_transfer",
-    "switch_time_table",
-    "switching_ratio",
-]
+__getattr__, __dir__, __all__ = lazy_facade(globals(), {
+    ".costmodel": (
+        "CALIBRATION SwitchBreakdown SwitchCalibration SwitchCostModel "
+        "switch_time_table switching_ratio"
+    ),
+    ".memory": "GpuMemoryManager SwitchDecision plan_retention_hits",
+    ".planner": (
+        "BeladyPolicy ModelFootprint OldestFirstPolicy RetentionOutcome "
+        "evaluate_policy optimal_retention_cost"
+    ),
+    ".pipeline": (
+        "PipelineParams TransferBreakdown group_layers pipelined_transfer "
+        "sequential_transfer"
+    ),
+})

@@ -1,29 +1,14 @@
 """Synchronization: §2.2.3 schemes + PS/All-Reduce aggregation fabrics."""
 
-from .allreduce import (
-    RingTrace,
-    ps_round_sync_time,
-    ring_allreduce,
-    ring_allreduce_time,
-    tree_allreduce_time,
-)
-from .schemes import (
-    RoundPlan,
-    plan_relaxed_scale_fixed,
-    plan_round,
-    plan_scale_adaptive,
-    plan_scale_fixed,
-)
+from .._lazy import lazy_facade
 
-__all__ = [
-    "RingTrace",
-    "RoundPlan",
-    "plan_relaxed_scale_fixed",
-    "plan_round",
-    "plan_scale_adaptive",
-    "plan_scale_fixed",
-    "ps_round_sync_time",
-    "ring_allreduce",
-    "ring_allreduce_time",
-    "tree_allreduce_time",
-]
+__getattr__, __dir__, __all__ = lazy_facade(globals(), {
+    ".allreduce": (
+        "RingTrace ps_round_sync_time ring_allreduce ring_allreduce_time "
+        "tree_allreduce_time"
+    ),
+    ".schemes": (
+        "RoundPlan plan_relaxed_scale_fixed plan_round plan_scale_adaptive "
+        "plan_scale_fixed"
+    ),
+})

@@ -1,66 +1,20 @@
 """Workload substrate: model zoo, calibrated profiles, jobs, traces."""
 
-from .jobs import (
-    DEFAULT_DOMAIN_MIX,
-    DEFAULT_TEMPLATES,
-    JobTemplate,
-    WorkloadConfig,
-    domain_of_job,
-    generate_jobs,
-    mix_with_boost,
-    sample_job,
-    sample_model,
-)
-from .models import DLModelSpec, model_spec, model_zoo, models_by_domain
-from .profiler import (
-    ProfileDatabase,
-    ProfileKey,
-    ProfileRecord,
-    TaskProfiler,
-    build_instance,
-)
-from .profiles import (
-    PROFILES,
-    BatchTimeProfile,
-    batch_time,
-    profile_for,
-    speedup_table,
-    speedup_vs_k80,
-    train_utilization,
-)
-from .trace import BatchTrace, GoogleLikeTrace, PoissonTrace, burstiness_index
-from .traceio import load_jobs_csv, save_jobs_csv
+from .._lazy import lazy_facade
 
-__all__ = [
-    "DEFAULT_DOMAIN_MIX",
-    "DEFAULT_TEMPLATES",
-    "PROFILES",
-    "BatchTimeProfile",
-    "BatchTrace",
-    "DLModelSpec",
-    "GoogleLikeTrace",
-    "JobTemplate",
-    "PoissonTrace",
-    "ProfileDatabase",
-    "ProfileKey",
-    "ProfileRecord",
-    "TaskProfiler",
-    "WorkloadConfig",
-    "batch_time",
-    "build_instance",
-    "burstiness_index",
-    "domain_of_job",
-    "generate_jobs",
-    "load_jobs_csv",
-    "mix_with_boost",
-    "model_spec",
-    "model_zoo",
-    "models_by_domain",
-    "profile_for",
-    "sample_job",
-    "sample_model",
-    "save_jobs_csv",
-    "speedup_table",
-    "speedup_vs_k80",
-    "train_utilization",
-]
+__getattr__, __dir__, __all__ = lazy_facade(globals(), {
+    ".jobs": (
+        "DEFAULT_DOMAIN_MIX DEFAULT_TEMPLATES JobTemplate WorkloadConfig "
+        "domain_of_job generate_jobs mix_with_boost sample_job sample_model"
+    ),
+    ".models": "DLModelSpec model_spec model_zoo models_by_domain",
+    ".profiler": (
+        "ProfileDatabase ProfileKey ProfileRecord TaskProfiler build_instance"
+    ),
+    ".profiles": (
+        "PROFILES BatchTimeProfile batch_time profile_for speedup_table "
+        "speedup_vs_k80 train_utilization"
+    ),
+    ".trace": "BatchTrace GoogleLikeTrace PoissonTrace burstiness_index",
+    ".traceio": "load_jobs_csv save_jobs_csv",
+})

@@ -220,30 +220,29 @@ def build_instance(
     """
     profiler = profiler or TaskProfiler(cluster)
     gpu_models = cluster.gpu_models()
-    n_jobs, n_gpus = len(jobs), len(gpu_models)
-    # Column indexes per GPU type, keyed in order of first appearance —
-    # so profile() is still called once per (job, type) in exactly the
-    # order the retired per-column loop used, keeping database traffic
-    # and noise-path RNG draws byte-identical while the per-column
-    # writes vectorize (O(jobs × types) instead of O(jobs × gpus)
-    # Python iterations; the 10k-GPU tier needs this).
-    type_cols: dict[GPUModel, list[int]] = {}
-    for m, gm in enumerate(gpu_models):
-        type_cols.setdefault(gm, []).append(m)
-    col_index = {gm: np.asarray(ms) for gm, ms in type_cols.items()}
-    tc = np.empty((n_jobs, n_gpus))
-    ts = np.empty((n_jobs, n_gpus))
+    # GPU types in order of first appearance, so profile() is called once
+    # per (job, type) in the order the retired per-column loop used:
+    # database traffic and noise-path RNG draws stay byte-identical.
+    # The jobs × types table then expands to jobs × GPUs in one gather
+    # per matrix; np.take keeps the result C-ordered for row reads.
+    types: dict[GPUModel, int] = {}
+    col_type = np.array(
+        [types.setdefault(gm, len(types)) for gm in gpu_models],
+        dtype=np.intp,
+    )
+    tc = np.empty((len(jobs), len(types)))
+    ts = np.empty((len(jobs), len(types)))
     for n, job in enumerate(jobs):
-        for gm, ms in col_index.items():
+        for gm, k in types.items():
             rec = profiler.profile(
                 job.model, gm, job.batch_scale,
                 sync_scale=job.sync_scale,
             )
-            tc[n, ms] = rec.train_time
-            ts[n, ms] = rec.sync_time
+            tc[n, k] = rec.train_time
+            ts[n, k] = rec.sync_time
     return ProblemInstance(
         jobs=list(jobs),
-        train_time=tc,
-        sync_time=ts,
+        train_time=np.take(tc, col_type, axis=1),
+        sync_time=np.take(ts, col_type, axis=1),
         gpu_labels=cluster.labels(),
     )

@@ -81,6 +81,20 @@ class TestProblemInstance:
                 sync_time=np.zeros((1, 2)),
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("matrix", ["train_time", "sync_time"])
+    def test_non_finite_times_rejected(self, matrix, bad):
+        jobs = [Job(job_id=0, model="m"), Job(job_id=1, model="m")]
+        times = {
+            "train_time": np.ones((2, 3)), "sync_time": np.ones((2, 3)),
+        }
+        times[matrix][1, 2] = bad
+        times[matrix][1, 1] = bad
+        with pytest.raises(
+            ConfigurationError, match=rf"{matrix}\[job 1, GPU 1\]"
+        ):
+            ProblemInstance(jobs=jobs, **times)
+
     def test_dense_job_ids_required(self):
         jobs = [Job(job_id=1, model="m")]
         with pytest.raises(ConfigurationError):

@@ -91,3 +91,49 @@ class TestBuildInstance:
         # 4 distinct GPU types → only 4 profiling runs despite 5 jobs.
         assert len(profiler.database) == 4
         assert profiler.database.hits >= 4 * 4  # later jobs all hit
+
+
+def per_column_instance(jobs, cluster, profiler):
+    """The straightforward build: profile each (job, GPU type) in order
+    of the type's first column, then write its times column by column."""
+    models = cluster.gpu_models()
+    tc = np.empty((len(jobs), len(models)))
+    ts = np.empty((len(jobs), len(models)))
+    for n, job in enumerate(jobs):
+        for gm in dict.fromkeys(models):
+            rec = profiler.profile(
+                job.model, gm, job.batch_scale, sync_scale=job.sync_scale
+            )
+            for m, other in enumerate(models):
+                if other is gm:
+                    tc[n, m] = rec.train_time
+                    ts[n, m] = rec.sync_time
+    return tc, ts
+
+
+@pytest.mark.parametrize("fabric", ["ps", "ring"])
+def test_build_instance_matches_per_column_build(fabric):
+    from repro.cluster import scaled_cluster
+    from repro.harness.experiments import make_loaded_workload
+    from repro.workload import WorkloadConfig
+
+    # Every third GPU of a mixed cluster: types interleave in column order.
+    cluster = scaled_cluster(40).subcluster(range(1, 40, 3))
+    jobs = make_loaded_workload(
+        12, reference_gpus=cluster.num_gpus, seed=4,
+        config=WorkloadConfig(rounds_scale=0.05),
+    )
+    profilers = [
+        TaskProfiler(cluster, noise_sigma=0.05, sync_fabric=fabric)
+        for _ in range(2)
+    ]
+    for p in profilers:
+        p.reseed(7)
+    inst = build_instance(jobs, cluster, profiler=profilers[0])
+    tc, ts = per_column_instance(jobs, cluster, profilers[1])
+    assert len(set(cluster.gpu_models())) > 1
+    for got, want in ((inst.train_time, tc), (inst.sync_time, ts)):
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+    db, oracle_db = profilers[0].database, profilers[1].database
+    assert (db.hits, db.misses) == (oracle_db.hits, oracle_db.misses)
