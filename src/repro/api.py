@@ -95,7 +95,8 @@ class ExperimentSpec:
 
     Bundles every experiment parameter into one frozen value: hashable,
     comparable, and checked for cross-field consistency at construction
-    (not halfway into a run) — ``heal`` needs ``cells=1``,
+    (not halfway into a run) — a run needs at least one job and one
+    GPU, ``heal`` needs ``cells=1``,
     ``arrivals`` must name a known mode, each crash needs a time
     >= 0 and a GPU the cluster has, and ``faults`` must fit the cluster
     and excludes ``crashes``, ``cells > 1``, ``replan_interval`` and
@@ -147,6 +148,14 @@ class ExperimentSpec:
     checkpoint_interval: int = 10
 
     def __post_init__(self) -> None:
+        if self.workload is not None and not isinstance(
+            self.workload, tuple
+        ):
+            object.__setattr__(self, "workload", tuple(self.workload))
+        num_gpus = self.num_gpus
+        for what, count in (("jobs", self.num_jobs), ("gpus", num_gpus)):
+            if count < 1:
+                raise ValueError(f"a run needs {what} >= 1, got {count}")
         if self.arrivals not in _ARRIVALS_MODES:
             raise ValueError(
                 f"arrivals must be one of {_ARRIVALS_MODES}, "
@@ -169,10 +178,6 @@ class ExperimentSpec:
                 "heal=True needs the flat kernel (cells=1): the "
                 "remediation engine attaches to a single event loop"
             )
-        if self.workload is not None and not isinstance(
-            self.workload, tuple
-        ):
-            object.__setattr__(self, "workload", tuple(self.workload))
         if self.crashes is not None and (
             not isinstance(self.crashes, tuple)
             or any(not isinstance(c, tuple) for c in self.crashes)
@@ -182,9 +187,6 @@ class ExperimentSpec:
                 "crashes",
                 tuple((float(t), int(g)) for t, g in self.crashes),
             )
-        num_gpus = (
-            self.cluster.num_gpus if self.cluster is not None else self.gpus
-        )
         for time, gpu in self.crashes or ():
             if time < 0 or not 0 <= gpu < num_gpus:
                 raise ValueError(
@@ -212,6 +214,16 @@ class ExperimentSpec:
             except ConfigurationError as exc:
                 raise ValueError(str(exc)) from None
 
+    @property
+    def num_gpus(self) -> int:
+        """The run's GPU count: an explicit ``cluster``'s, else ``gpus``."""
+        return self.cluster.num_gpus if self.cluster is not None else self.gpus
+
+    @property
+    def num_jobs(self) -> int:
+        """The run's job count: an explicit ``workload``'s, else ``jobs``."""
+        return len(self.workload) if self.workload is not None else self.jobs
+
     def to_dict(self) -> dict:
         """The manifest ``config`` block: resolved, JSON-ready scalars.
 
@@ -222,14 +234,8 @@ class ExperimentSpec:
         omitted so configs stay byte-identical with pre-spec manifests.
         """
         config = {
-            "gpus": (
-                self.cluster.num_gpus if self.cluster is not None
-                else self.gpus
-            ),
-            "jobs": (
-                len(self.workload) if self.workload is not None
-                else self.jobs
-            ),
+            "gpus": self.num_gpus,
+            "jobs": self.num_jobs,
             "scheduler": (
                 self.scheduler.name
                 if isinstance(self.scheduler, Scheduler)

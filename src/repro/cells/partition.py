@@ -9,10 +9,11 @@ and the sharded kernel (:mod:`repro.cells.sharded`) runs one
 
 Identity convention: ``Cell.gpu_ids`` lists **global** GPU ids in
 ascending order, and the cell-local dense index ``j`` corresponds to
-``gpu_ids[j]`` — the same column-slice convention as
-:func:`repro.kernel.residual.build_residual_instance`, so matrices
-sliced with ``np.ix_(rows, gpu_ids)`` line up with the cell's
-sub-cluster device order (see :meth:`repro.cluster.Cluster.subcluster`).
+``gpu_ids[j]`` — the column convention of
+:meth:`repro.core.job.ProblemInstance.subset`, which residuals share, so
+the cell instance ``instance.subset(job_ids, gpu_ids)`` lines up with the
+cell's sub-cluster device order (see
+:meth:`repro.cluster.Cluster.subcluster`).
 """
 
 from __future__ import annotations

@@ -79,24 +79,13 @@ def cell_instance(
 ) -> ProblemInstance:
     """The cell-local sub-instance: *job_ids* rows × the cell's columns.
 
-    Jobs are re-identified dense (local id = position in ascending
-    *job_ids*); GPU columns follow ``cell.gpu_ids`` ascending, and the
-    **parent** labels are kept so GPU identity stays stable across the
-    partition (the same convention as
-    :func:`repro.kernel.residual.build_residual_instance`).
+    One :meth:`ProblemInstance.subset`: jobs are re-identified dense
+    (local id = position in *job_ids*), GPU columns follow
+    ``cell.gpu_ids`` ascending, and the **parent** labels are kept so
+    GPU identity stays stable across the partition (the same convention
+    as :func:`repro.kernel.residual.build_residual_instance`).
     """
-    rows = np.asarray(job_ids, dtype=int)
-    cols = np.asarray(cell.gpu_ids, dtype=int)
-    jobs = tuple(
-        replace(instance.jobs[g], job_id=i)
-        for i, g in enumerate(job_ids)
-    )
-    return ProblemInstance(
-        jobs=jobs,
-        train_time=instance.train_time[np.ix_(rows, cols)],
-        sync_time=instance.sync_time[np.ix_(rows, cols)],
-        gpu_labels=[instance.gpu_labels[m] for m in cell.gpu_ids],
-    )
+    return instance.subset(job_ids, cell.gpu_ids)
 
 
 def _split_crashes(
@@ -168,7 +157,7 @@ class ShardedKernel:
                 Category.SCHED,
                 "cells.admit",
                 track=CELLS_TRACK,
-                time=instance.jobs[d.job_id].arrival,
+                time=float(instance.arrival[d.job_id]),
                 job=d.job_id,
                 cell=d.cell,
                 work_s=d.work_s,

@@ -143,10 +143,13 @@ def _spec(args: argparse.Namespace, **fixed) -> api.ExperimentSpec:
         values["simulate"] = True
     if flags.get("crash"):
         values["crashes"] = flags["crash"]
-    values["cluster"] = (
-        testbed_cluster() if args.gpus == 15 else scaled_cluster(args.gpus)
-    )
-    values["workload"] = _workload(args)
+    values["gpus"], values["jobs"] = args.gpus, args.jobs
+    if args.gpus >= 1 and args.jobs >= 1:  # else the spec refuses the run
+        values["cluster"] = (
+            testbed_cluster() if args.gpus == 15
+            else scaled_cluster(args.gpus)
+        )
+        values["workload"] = _workload(args)
     # compare and ``trace --scheduler all`` run the default schemes.
     if flags.get("scheduler", "all") != "all":
         values["scheduler"] = create_scheduler(args.scheduler)

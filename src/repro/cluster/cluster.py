@@ -94,9 +94,9 @@ class Cluster:
         result satisfies the dense-id invariant and can be used anywhere a
         :class:`Cluster` is expected (cell-local scheduling). Local GPU
         ``j`` corresponds to global GPU ``sorted(gpu_ids)[j]``, which is
-        exactly the column-slice convention of
-        :func:`repro.kernel.residual.build_residual_instance`, so matrices
-        sliced with ``np.ix_(rows, sorted(gpu_ids))`` line up with the
+        exactly the column convention of
+        :meth:`repro.core.job.ProblemInstance.subset`, so a sub-instance
+        ``instance.subset(rows, sorted(gpu_ids))`` lines up with the
         sub-cluster's device order. Node boundaries (failure domains) are
         preserved: devices stay grouped under their original host, and the
         interconnect config is shared.

@@ -4,18 +4,17 @@ A :class:`Job` is the static description of one DML training job: its model,
 arrival time ``a_n``, weight ``w_n``, number of training rounds ``|R_n|`` and
 the number of parallel tasks per round ``|D_r|`` (the *sync scale*).
 
-A :class:`ProblemInstance` bundles a set of jobs with the per-(job, GPU)
-training and synchronization time matrices ``T^c`` and ``T^s``. The paper
-drops the round subscript ``r`` because per-round times are stable (Fig. 11);
-we keep that simplification: every task of job ``n`` takes ``T^c[n, m]``
-seconds of compute and ``T^s[n, m]`` seconds of gradient synchronization when
-placed on GPU ``m``.
+A :class:`ProblemInstance` holds the jobs as one table of columns, with
+the per-(job, GPU) training and synchronization time matrices ``T^c`` and
+``T^s``. The paper drops the round subscript ``r`` because per-round times
+are stable (Fig. 11); we keep that simplification: every task of job ``n``
+takes ``T^c[n, m]`` seconds of compute and ``T^s[n, m]`` seconds of
+gradient synchronization when placed on GPU ``m``.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -91,14 +90,21 @@ class Job:
         return [TaskRef(self.job_id, round_idx, d) for d in range(self.sync_scale)]
 
 
-@dataclass(slots=True)
 class ProblemInstance:
     """A scheduling problem: jobs ``N``, GPUs ``M`` and time matrices.
 
+    The jobs are one table indexed by job id: read-only numpy columns
+    :attr:`arrival` (``a_n``), :attr:`weight` (``w_n``),
+    :attr:`num_rounds` (``|R_n|``), :attr:`sync_scale` (``|D_r|``) and
+    :attr:`task_offset` (job ``n``'s canonical tasks start at
+    ``task_offset[n]``), and the tuples :attr:`model` and
+    :attr:`batch_scale`. The constructor copies the :class:`Job` values
+    into the table; :meth:`subset` slices a residual or a cell out of it
+    without building a :class:`Job`, and :attr:`jobs` is then built from
+    the columns the first time it is read.
+
     Attributes
     ----------
-    jobs:
-        The job set ``N``; ``jobs[n].job_id == n`` must hold.
     train_time:
         ``(|N|, |M|)`` array; ``train_time[n, m]`` is ``T^c`` of any task of
         job ``n`` on GPU ``m`` (already including ``batch_scale``).
@@ -108,15 +114,23 @@ class ProblemInstance:
         Optional human-readable per-GPU labels (e.g. ``"V100#3"``).
     """
 
-    jobs: Sequence[Job]
-    train_time: np.ndarray
-    sync_time: np.ndarray
-    gpu_labels: Sequence[str] = field(default_factory=list)
+    __slots__ = (
+        "train_time", "sync_time", "gpu_labels", "arrival", "weight",
+        "num_rounds", "sync_scale", "model", "batch_scale", "task_offset",
+        "_jobs", "_tasks",
+    )
 
-    def __post_init__(self) -> None:
-        self.train_time = np.asarray(self.train_time, dtype=float)
-        self.sync_time = np.asarray(self.sync_time, dtype=float)
-        n_jobs = len(self.jobs)
+    def __init__(
+        self,
+        jobs: Sequence[Job],
+        train_time: np.ndarray,
+        sync_time: np.ndarray,
+        gpu_labels: Sequence[str] = (),
+    ) -> None:
+        jobs = tuple(jobs)
+        n_jobs = len(jobs)
+        self.train_time = np.asarray(train_time, dtype=float)
+        self.sync_time = np.asarray(sync_time, dtype=float)
         if self.train_time.shape != self.sync_time.shape:
             raise ConfigurationError(
                 "train_time and sync_time shapes differ: "
@@ -146,25 +160,118 @@ class ProblemInstance:
                         f"{name}[job {n}, GPU {m}] = {matrix[n, m]}: task "
                         f"times must be finite and {rule}"
                     )
-        for n, job in enumerate(self.jobs):
+        for n, job in enumerate(jobs):
             if job.job_id != n:
                 raise ConfigurationError(
                     f"jobs must be densely indexed: jobs[{n}].job_id == "
                     f"{job.job_id}"
                 )
-        if not self.gpu_labels:
-            self.gpu_labels = [f"gpu{m}" for m in range(self.num_gpus)]
-        elif len(self.gpu_labels) != self.num_gpus:
+        self._set_table(
+            np.fromiter((j.arrival for j in jobs), np.float64, n_jobs),
+            np.fromiter((j.weight for j in jobs), np.float64, n_jobs),
+            np.fromiter((j.num_rounds for j in jobs), np.int64, n_jobs),
+            np.fromiter((j.sync_scale for j in jobs), np.int64, n_jobs),
+            tuple(j.model for j in jobs),
+            tuple(j.batch_scale for j in jobs),
+        )
+        self._jobs = jobs
+        if not gpu_labels:
+            gpu_labels = [f"gpu{m}" for m in range(self.num_gpus)]
+        elif len(gpu_labels) != self.num_gpus:
             raise ConfigurationError(
-                f"{len(self.gpu_labels)} labels for {self.num_gpus} GPUs"
+                f"{len(gpu_labels)} labels for {self.num_gpus} GPUs"
             )
+        self.gpu_labels = gpu_labels
+
+    def _set_table(
+        self, arrival, weight, num_rounds, sync_scale, model, batch_scale
+    ) -> None:
+        """Install the job columns read-only, after :class:`Job`'s checks
+        run over each column (the first offending job is named)."""
+        for name, col, bad, rule in (
+            ("arrival", arrival, arrival < 0, ">= 0"),
+            ("weight", weight, ~(weight > 0), "> 0"),
+            ("batch_scale", batch_scale,
+             ~(np.asarray(batch_scale, dtype=float) > 0), "> 0"),
+            ("num_rounds", num_rounds, num_rounds < 1, ">= 1"),
+            ("sync_scale", sync_scale, sync_scale < 1, ">= 1"),
+        ):
+            if bad.any():
+                n = int(bad.argmax())
+                raise ConfigurationError(
+                    f"job {n}: {name} must be {rule}, got {col[n]!r}"
+                )
+        offset = np.zeros(len(num_rounds) + 1, dtype=np.int64)
+        np.cumsum(num_rounds * sync_scale, out=offset[1:])
+        for col in (arrival, weight, num_rounds, sync_scale, offset):
+            col.flags.writeable = False
+        self.arrival, self.weight = arrival, weight
+        self.num_rounds, self.sync_scale = num_rounds, sync_scale
+        self.model, self.batch_scale = model, batch_scale
+        self.task_offset = offset
+        self._tasks = None
+
+    def subset(
+        self,
+        rows: Sequence[int] | np.ndarray,
+        gpus: Sequence[int] | None = None,
+        *,
+        arrival: np.ndarray | None = None,
+        weight: np.ndarray | None = None,
+        num_rounds: np.ndarray | None = None,
+    ) -> ProblemInstance:
+        """The sub-instance of jobs *rows* on GPUs *gpus* (all if ``None``).
+
+        Job ``rows[i]`` becomes job ``i`` and GPU ``gpus[j]`` GPU ``j``,
+        keeping its label. *arrival*, *weight* and *num_rounds*, given
+        one value per row, replace the sliced columns (a residual's ready
+        times, boosted weights and remaining rounds). No :class:`Job` is
+        built.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        sub = object.__new__(ProblemInstance)
+        # A row take is many times faster than an np.ix_ block.
+        block = rows if gpus is None else np.ix_(rows, np.asarray(gpus, int))
+        sub.train_time = self.train_time[block]
+        sub.sync_time = self.sync_time[block]
+        sub.gpu_labels = (
+            list(self.gpu_labels) if gpus is None
+            else [self.gpu_labels[m] for m in gpus]
+        )
+        if sub.num_gpus < 1:
+            raise InfeasibleProblemError("a problem instance needs >= 1 GPU")
+        picked = rows.tolist()
+        sub._set_table(
+            self.arrival[rows] if arrival is None
+            else np.array(arrival, dtype=np.float64),
+            self.weight[rows] if weight is None
+            else np.array(weight, dtype=np.float64),
+            self.num_rounds[rows] if num_rounds is None
+            else np.array(num_rounds, dtype=np.int64),
+            self.sync_scale[rows],
+            tuple(self.model[g] for g in picked),
+            tuple(self.batch_scale[g] for g in picked),
+        )
+        sub._jobs = None
+        return sub
+
+    @property
+    def jobs(self) -> tuple[Job, ...]:
+        """The jobs as :class:`Job` values, in id order."""
+        if self._jobs is None:
+            self._jobs = tuple(map(
+                Job, range(self.num_jobs), self.model, self.arrival.tolist(),
+                self.weight.tolist(), self.num_rounds.tolist(),
+                self.sync_scale.tolist(), self.batch_scale,
+            ))
+        return self._jobs
 
     # ------------------------------------------------------------------
     # Sizes
     # ------------------------------------------------------------------
     @property
     def num_jobs(self) -> int:
-        return len(self.jobs)
+        return len(self.num_rounds)
 
     @property
     def num_gpus(self) -> int:
@@ -173,7 +280,7 @@ class ProblemInstance:
     @property
     def num_tasks(self) -> int:
         """Total task count ``|D|`` across all jobs and rounds."""
-        return sum(job.num_tasks for job in self.jobs)
+        return int(self.task_offset[-1])
 
     # ------------------------------------------------------------------
     # Time lookups (the only way schedulers should read T^c / T^s)
@@ -208,20 +315,23 @@ class ProblemInstance:
 
     def all_tasks(self) -> Iterator[TaskRef]:
         """Every task of every job, jobs in id order."""
-        return itertools.chain.from_iterable(job.tasks() for job in self.jobs)
+        return map(TaskRef, *(col.tolist() for col in self.task_columns()))
 
     def task_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Job, round and slot of every task as int64 arrays, in
-        :meth:`all_tasks` order — entry ``k`` names canonical task ``k``
-        (:attr:`repro.core.schedule.ScheduleColumns.canon`)."""
-        n = len(self.jobs)
-        rounds = np.fromiter((j.num_rounds for j in self.jobs), np.int64, n)
-        scale = np.fromiter((j.sync_scale for j in self.jobs), np.int64, n)
-        per_job = rounds * scale
-        job = np.repeat(np.arange(n), per_job)
-        local = np.arange(len(job)) - (np.cumsum(per_job) - per_job)[job]
-        rnd, slot = np.divmod(local, scale[job])
-        return job, rnd, slot
+        """Job, round and slot of every task as read-only int64 arrays,
+        in :meth:`all_tasks` order — entry ``k`` names canonical task
+        ``k`` (:attr:`repro.core.schedule.ScheduleColumns.canon`).
+        Computed once, from :attr:`task_offset`."""
+        if self._tasks is None:
+            offset = self.task_offset
+            job = np.repeat(np.arange(self.num_jobs), np.diff(offset))
+            rnd, slot = np.divmod(
+                np.arange(len(job)) - offset[job], self.sync_scale[job]
+            )
+            for col in (job, rnd, slot):
+                col.flags.writeable = False
+            self._tasks = (job, rnd, slot)
+        return self._tasks
 
     # ------------------------------------------------------------------
     # Derived quantities used by theory and schedulers
@@ -246,29 +356,6 @@ class ProblemInstance:
         m = self.fastest_gpu(job_id)
         per_round = self.task_time(job_id, m)
         return job.num_rounds * per_round
-
-    def remaining_time_estimate(
-        self, job_id: int, rounds_done: int, free_gpus: Sequence[int]
-    ) -> float:
-        """Estimated remaining runtime on a given set of free GPUs.
-
-        Used by SRTF-style policies: each remaining round runs its
-        ``sync_scale`` tasks spread over the ``free_gpus`` (or serialized on
-        the single fastest one when fewer GPUs than tasks are free).
-        """
-        job = self.jobs[job_id]
-        remaining_rounds = job.num_rounds - rounds_done
-        if remaining_rounds <= 0:
-            return 0.0
-        if not free_gpus:
-            m = self.fastest_gpu(job_id)
-            return remaining_rounds * job.sync_scale * self.task_time(job_id, m)
-        times = sorted(self.task_time(job_id, m) for m in free_gpus)
-        k = min(job.sync_scale, len(times))
-        # sync_scale tasks over k GPUs: ceil(scale/k) waves bounded by the
-        # slowest of the chosen k fastest GPUs.
-        waves = -(-job.sync_scale // k)
-        return remaining_rounds * waves * times[k - 1]
 
 
 def make_uniform_instance(

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .job import Job
+from .job import Job, ProblemInstance
 from .schedule import Schedule, ScheduleColumns, merge_intervals
 
 
@@ -90,20 +90,26 @@ class ScheduleMetrics:
 
 
 def metrics_from_completions(
-    jobs: Sequence[Job],
+    jobs: Sequence[Job] | ProblemInstance,
     completions: Mapping[int, float],
     *,
     makespan: float | None = None,
 ) -> ScheduleMetrics:
-    """Assemble :class:`ScheduleMetrics` from a ``job_id -> C_n`` mapping."""
+    """Assemble :class:`ScheduleMetrics` from a ``job_id -> C_n`` mapping;
+    *jobs* is a sequence of :class:`Job` or an instance's job table."""
+    if isinstance(jobs, ProblemInstance):
+        rows = zip(range(jobs.num_jobs), jobs.weight.tolist(),
+                   jobs.arrival.tolist())
+    else:
+        rows = ((job.job_id, job.weight, job.arrival) for job in jobs)
     per_job = tuple(
         JobMetrics(
-            job_id=job.job_id,
-            weight=job.weight,
-            arrival=job.arrival,
-            completion=float(completions[job.job_id]),
+            job_id=job_id,
+            weight=weight,
+            arrival=arrival,
+            completion=float(completions[job_id]),
         )
-        for job in jobs
+        for job_id, weight, arrival in rows
     )
     if makespan is None:
         makespan = max((j.completion for j in per_job), default=0.0)
@@ -119,7 +125,7 @@ def metrics_from_columns(columns: ScheduleColumns) -> ScheduleMetrics:
     """:func:`metrics_from_schedule` over a schedule's column view: one
     ``np.maximum.at`` over final-round rows, bit-equal to the object walk."""
     return metrics_from_completions(
-        columns.instance.jobs,
+        columns.instance,
         columns.completions(),
         makespan=columns.makespan(),
     )

@@ -178,8 +178,9 @@ class ScheduleColumns:
     Rows keep the schedule's insertion order. ``job``/``rnd``/``slot``
     name each row's task, ``gpu``/``start``/``train``/``sync`` its
     placement, and ``canon`` its position in ``instance.all_tasks()``
-    order — ``off[job] + rnd · sync_scale + slot`` — or -1 for a task the
-    instance does not have. Producers build it straight from their
+    order — ``task_offset[job] + rnd · sync_scale[job] + slot``, read
+    from the instance's job table — or -1 for a task the instance does
+    not have. Producers build it straight from their
     arrays or rows (:func:`schedule_from_rows`), and :meth:`to_schedule`
     wraps it in a :class:`Schedule` that builds objects only when they
     are read.
@@ -187,7 +188,7 @@ class ScheduleColumns:
 
     __slots__ = (
         "instance", "job", "rnd", "slot", "gpu",
-        "start", "train", "sync", "canon", "_off", "_rounds", "_scale",
+        "start", "train", "sync", "canon",
     )
 
     def __init__(
@@ -202,24 +203,16 @@ class ScheduleColumns:
         self.start = np.asarray(start, dtype=np.float64)
         self.train = np.asarray(train, dtype=np.float64)
         self.sync = np.asarray(sync, dtype=np.float64)
-        jobs = instance.jobs
-        nj = len(jobs)
-        self._rounds = np.fromiter(
-            (j.num_rounds for j in jobs), np.int64, count=nj
-        )
-        self._scale = np.fromiter(
-            (j.sync_scale for j in jobs), np.int64, count=nj
-        )
-        self._off = np.zeros(nj + 1, dtype=np.int64)
-        np.cumsum(self._rounds * self._scale, out=self._off[1:])
+        nj = instance.num_jobs
         # Unknown job ids index a sentinel job with no rounds.
         j = np.where((self.job >= 0) & (self.job < nj), self.job, nj)
-        rounds = np.append(self._rounds, 0)
-        scale = np.append(self._scale, 0)
+        rounds = np.append(instance.num_rounds, 0)
+        scale = np.append(instance.sync_scale, 0)
         known = (self.rnd >= 0) & (self.rnd < rounds[j])
         known &= (self.slot >= 0) & (self.slot < scale[j])
         self.canon = np.where(
-            known, self._off[j] + self.rnd * scale[j] + self.slot, -1
+            known, instance.task_offset[j] + self.rnd * scale[j] + self.slot,
+            -1,
         )
 
     def __len__(self) -> int:
@@ -233,13 +226,14 @@ class ScheduleColumns:
 
     def _canonical_task(self, k: int) -> TaskRef:
         """The instance task at canonical index *k*."""
-        j = int(np.searchsorted(self._off, k, side="right")) - 1
-        r, s = divmod(k - int(self._off[j]), int(self._scale[j]))
+        inst = self.instance
+        j = int(np.searchsorted(inst.task_offset, k, side="right")) - 1
+        r, s = divmod(k - int(inst.task_offset[j]), int(inst.sync_scale[j]))
         return TaskRef(j, r, s)
 
     def _rows_by_canon(self) -> np.ndarray:
         """Row holding each instance task, in canonical order (-1: none)."""
-        rows = np.full(int(self._off[-1]), -1, dtype=np.int64)
+        rows = np.full(self.instance.num_tasks, -1, dtype=np.int64)
         known = self.canon >= 0
         rows[self.canon[known]] = np.flatnonzero(known)
         return rows
@@ -258,8 +252,9 @@ class ScheduleColumns:
     def rows_of(self, tasks: Iterable[TaskRef]) -> list[int]:
         """The row holding each of *tasks* (-1: the view lacks it)."""
         by_canon = self._rows_by_canon().tolist()
-        rounds, scale = self._rounds.tolist(), self._scale.tolist()
-        off = self._off.tolist()
+        inst = self.instance
+        rounds, scale = inst.num_rounds.tolist(), inst.sync_scale.tolist()
+        off = inst.task_offset.tolist()
         rows = []
         for task in tasks:
             j, r, s = task.job_id, task.round_idx, task.slot
@@ -277,18 +272,19 @@ class ScheduleColumns:
         :meth:`Schedule.round_end` for the first job, by id, whose final
         round is not fully scheduled.
         """
-        num_jobs = len(self._rounds)
+        rounds, scale = self.instance.num_rounds, self.instance.sync_scale
+        num_jobs = len(rounds)
         final = self.canon >= 0
-        final[final] = self.rnd[final] == self._rounds[self.job[final]] - 1
+        final[final] = self.rnd[final] == rounds[self.job[final]] - 1
         counts = np.bincount(self.job[final], minlength=num_jobs)
-        short = np.flatnonzero(counts != self._scale)
+        short = np.flatnonzero(counts != scale)
         if short.size:
             j = int(short[0])
             raise ScheduleValidationError(
                 5,
-                f"job {j} round {int(self._rounds[j]) - 1} has "
+                f"job {j} round {int(rounds[j]) - 1} has "
                 f"{int(counts[j])} scheduled tasks, expected "
-                f"{int(self._scale[j])}",
+                f"{int(scale[j])}",
             )
         comp = np.full(num_jobs, -np.inf)
         np.maximum.at(comp, self.job[final], self.end[final])
@@ -358,7 +354,7 @@ def _check_assignment(
     eps: float,
 ) -> None:
     """The per-task checks of one assignment, raising on the first failure."""
-    job = instance.jobs[task.job_id]
+    arrival = float(instance.arrival[task.job_id])
     if not 0 <= a.gpu < instance.num_gpus:
         raise ScheduleValidationError(
             5, f"{task} placed on nonexistent GPU {a.gpu}"
@@ -367,11 +363,11 @@ def _check_assignment(
         raise ScheduleValidationError(
             4, f"{task} has non-finite start {a.start}"
         )
-    if a.start < job.arrival - eps:
+    if a.start < arrival - eps:
         raise ScheduleValidationError(
             4,
             f"{task} starts at {a.start:.6f} before arrival "
-            f"{job.arrival:.6f}",
+            f"{arrival:.6f}",
         )
     if not (math.isfinite(a.train_time) and math.isfinite(a.sync_time)):
         raise ScheduleValidationError(
@@ -453,7 +449,7 @@ def validate_schedule(
     # (5): full coverage, then no unknown and no duplicated tasks (a
     # schedule can hold a task on two rows).
     known = cols.canon >= 0
-    times = np.bincount(cols.canon[known], minlength=int(cols._off[-1]))
+    times = np.bincount(cols.canon[known], minlength=inst.num_tasks)
     missing = times == 0
     if missing.any():
         raise ScheduleValidationError(
@@ -487,9 +483,7 @@ def validate_schedule(
     # Per-task checks, each row in the precedence of _check_assignment.
     job, gpu = cols.job, cols.gpu
     start, train, sync = cols.start, cols.train, cols.sync
-    arrival = np.fromiter(
-        (j.arrival for j in inst.jobs), np.float64, count=inst.num_jobs
-    )
+    arrival = inst.arrival
     gpu_ok = (gpu >= 0) & (gpu < inst.num_gpus)
     bad = ~gpu_ok | ~np.isfinite(start) | (start < arrival[job] - eps)
     bad |= ~(np.isfinite(train) & np.isfinite(sync))
@@ -508,11 +502,12 @@ def validate_schedule(
 
     # (7): synchronization barrier between consecutive rounds, over the
     # rows in canonical order (round blocks of sync_scale rows each).
-    block = np.zeros(int(cols._rounds.sum()), dtype=np.int64)
-    np.cumsum(np.repeat(cols._scale, cols._rounds)[:-1], out=block[1:])
+    rounds = inst.num_rounds
+    block = np.zeros(int(rounds.sum()), dtype=np.int64)
+    np.cumsum(np.repeat(inst.sync_scale, rounds)[:-1], out=block[1:])
     round_start = np.minimum.reduceat(start[canon_rows], block)
     round_end = np.maximum.reduceat(cols.end[canon_rows], block)
-    first_round = np.cumsum(cols._rounds) - cols._rounds
+    first_round = np.cumsum(rounds) - rounds
     barrier = np.empty_like(round_end)
     barrier[1:] = round_end[:-1]
     barrier[first_round] = arrival

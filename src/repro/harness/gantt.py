@@ -80,10 +80,9 @@ def render_gantt(
         lines.append(f"{inst.gpu_labels[gpu]:>{label_w}} {''.join(row)}")
 
     if options.legend:
-        seen: dict[int, str] = {}
-        for job in inst.jobs:
-            seen[job.job_id] = f"{_glyph(job.job_id)}={job.job_id}:{job.model}"
-        legend = "  ".join(seen[j] for j in sorted(seen))
+        legend = "  ".join(
+            f"{_glyph(n)}={n}:{model}" for n, model in enumerate(inst.model)
+        )
         lines.append(f"{'':{label_w}} {legend[: width + 8]}")
     return "\n".join(lines)
 

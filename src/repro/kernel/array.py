@@ -168,8 +168,8 @@ class ArraySchedulingKernel:
         )
         # Seed events in the reference constructor's push order so the
         # insertion-sequence tie-break matches event for event.
-        for job in instance.jobs:
-            self._wake(job.arrival, _ARRIVED, job.job_id, 0)
+        for job_id, arrival in enumerate(instance.arrival.tolist()):
+            self._wake(arrival, _ARRIVED, job_id, 0)
 
     def _wake(self, time: float, type_: int, a: int, b: int) -> None:
         """Push an event, clamped to the current clock."""
@@ -206,15 +206,12 @@ class ArraySchedulingKernel:
         appended to the commit log as one block.
         """
         instance = self.instance
-        jobs = instance.jobs
-        num_jobs = len(jobs)
+        num_jobs = instance.num_jobs
         if not num_jobs:
             return
         gpu, start, train, sync = self.policy.canon
-        num_rounds = self.state.num_rounds
-        scale = np.fromiter(
-            (j.sync_scale for j in jobs), np.int64, count=num_jobs
-        )
+        num_rounds = instance.num_rounds
+        scale = instance.sync_scale
         # Per-round columns, rounds in canonical (job, round) order.
         round_base = self.state.committed.round_base
         round_job = np.repeat(np.arange(num_jobs), num_rounds)
@@ -257,9 +254,7 @@ class ArraySchedulingKernel:
         # Every event: arrivals, then the pushed barriers and frees. A
         # commit pushes its barrier, then its frees in ascending GPU
         # order; seq numbers the pushes in that order after the arrivals.
-        arrival = np.fromiter(
-            (j.arrival for j in jobs), np.float64, count=num_jobs
-        )
+        arrival = instance.arrival
         bar_commit = np.flatnonzero(c_rnd + 1 < num_rounds[c_job])
         n_bar, n_free = len(bar_commit), len(free_commit)
         push_commit = np.concatenate((bar_commit, free_commit))

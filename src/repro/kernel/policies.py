@@ -35,6 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from ..core.errors import GangDoesNotFitError, InfeasibleProblemError
+from ..core.job import ProblemInstance
 from ..core.schedule import ScheduleColumns
 from .events import Event, KernelEventType
 from .residual import build_residual, replan, to_global
@@ -119,21 +120,20 @@ class PlannedPolicy(Policy):
             cols.sync[rows],
         ]
         self._tasks = (cols.job[rows], cols.rnd[rows], cols.slot[rows])
-        self._first = [0, *accumulate(j.num_tasks for j in instance.jobs)]
+        self._first = instance.task_offset.tolist()
         self._alive = frozenset(state.alive)
         self.replans = 0
 
     def _round_commitment(
         self, state: KernelState, job_id: int, round_idx: int
     ) -> list[Commitment]:
-        job = state.instance.jobs[job_id]
         if (
-            round_idx >= job.num_rounds
+            round_idx >= state.instance.num_rounds[job_id]
             or round_idx != state.rounds_done[job_id]
         ):
             return []
         gpu, start, train, sync = self.canon
-        scale = job.sync_scale
+        scale = int(state.instance.sync_scale[job_id])
         lo = self._first[job_id] + round_idx * scale
         hi = lo + scale
         return [Commitment(
@@ -170,12 +170,13 @@ class PlannedPolicy(Policy):
         self._alive = frozenset(state.alive)
         instance = state.instance
         drain = max([state.now] + state.phi[sorted(state.alive)].tolist())
-        usable = state.usable_gpus(instance.jobs)
+        job_ids = range(instance.num_jobs)
+        usable = state.usable_gpus(job_ids)
         gpu_subset = (
             None if len(usable) == instance.num_gpus else sorted(usable)
         )
         residual, id_map = build_residual(
-            instance, instance.jobs, state.rounds_done,
+            instance, job_ids, state.rounds_done,
             np.maximum(state.ready_at, drain),
             gpu_subset=gpu_subset, weight_boost=state.weight_boost or None,
         )
@@ -224,12 +225,11 @@ class GangPolicy(Policy):
     """
 
     def setup(self, state: KernelState) -> None:
-        for job in state.instance.jobs:
-            if job.sync_scale > state.instance.num_gpus:
-                raise InfeasibleProblemError(
-                    f"job {job.job_id} needs {job.sync_scale} simultaneous "
-                    f"GPUs but the cluster has {state.instance.num_gpus}"
-                )
+        instance = state.instance
+        check_gang_feasible(instance)
+        #: The instance's arrival and sync-scale columns, as lists.
+        self.arrival = instance.arrival.tolist()
+        self.scale = instance.sync_scale.tolist()
 
     @abstractmethod
     def select(
@@ -251,14 +251,15 @@ class GangPolicy(Policy):
         # Arrived jobs with rounds left: without a crash exactly the
         # unstarted ones (a gang commits every round at once); a crash
         # adds the jobs it retracted, which restart as a fresh gang.
-        left = (state.rounds_done < state.num_rounds).nonzero()[0].tolist()
+        done, rounds = state.rounds_done, state.instance.num_rounds
+        left = (done < rounds).nonzero()[0].tolist()
         runnable = [n for n in left if n in state.arrived]
         if not runnable:
             return []
         # A gang wider than the alive GPUs can never (re)start.
         alive = len(state.alive)
         for n in runnable:
-            scale = state.instance.jobs[n].sync_scale
+            scale = self.scale[n]
             if scale > alive:
                 raise GangDoesNotFitError(n, scale, alive)
         free = state.free_gpus()
@@ -266,9 +267,19 @@ class GangPolicy(Policy):
         if decision is None:
             return []
         job_id, gpus = decision
-        job = state.instance.jobs[job_id]
-        start = max(state.now, job.arrival, state.ready_at[job_id])
+        start = max(state.now, self.arrival[job_id], state.ready_at[job_id])
         return [gang_commitment(state, job_id, gpus, start)]
+
+
+def check_gang_feasible(instance: ProblemInstance) -> None:
+    """Gang schedulers need sync_scale <= number of GPUs for every job."""
+    wide = np.flatnonzero(instance.sync_scale > instance.num_gpus)
+    if wide.size:
+        n = int(wide[0])
+        raise InfeasibleProblemError(
+            f"job {n} needs {int(instance.sync_scale[n])} simultaneous "
+            f"GPUs but the cluster has {instance.num_gpus}"
+        )
 
 
 def gang_commitment(
@@ -279,14 +290,13 @@ def gang_commitment(
     at the pace of the gang's slowest GPU, holding every GPU until the
     last round ends."""
     instance = state.instance
-    job = instance.jobs[job_id]
-    scale = job.sync_scale
+    scale = int(instance.sync_scale[job_id])
     if len(gpus) != scale:
         raise InfeasibleProblemError(
             f"job {job_id} with scale {scale} given {len(gpus)} GPUs"
         )
     done = int(state.rounds_done[job_id])
-    k = job.num_rounds - done
+    k = int(instance.num_rounds[job_id]) - done
     gpu = np.asarray(gpus, dtype=np.int64)
     train = instance.train_time[job_id, gpu]
     sync = instance.sync_time[job_id, gpu]

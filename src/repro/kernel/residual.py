@@ -4,9 +4,12 @@ Re-planning policies (online Hare, a fixed plan after a GPU crash)
 repeat one move: freeze the committed prefix, build the **residual
 problem** — the remaining rounds of the known jobs, optionally
 restricted to the surviving GPUs — and solve it.
-:func:`build_residual_instance` is that construction (it used to live in
-``repro.schedulers.online``, forcing the control plane to import from a
-sibling scheduler module — the layering inversion this module fixes).
+:func:`build_residual_instance` is that construction: one
+:meth:`~repro.core.job.ProblemInstance.subset` of the base instance's
+job table and T^c/T^s rows, with no :class:`~repro.core.job.Job` built
+(it used to live in ``repro.schedulers.online``, forcing the control
+plane to import from a sibling scheduler module — the layering
+inversion this module fixes).
 :func:`build_residual`, :func:`solve_relaxation` and :func:`replan` are
 the policies' timed entry points: build/solve latency histograms, spans
 and the ``kernel.replans`` counter land in the ambient
@@ -19,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.job import Job, ProblemInstance
+from ..core.job import ProblemInstance
 from ..core.schedule import Schedule
 from ..obs import Category, current as obs_current
 
@@ -29,22 +32,23 @@ KERNEL_TRACK = "kernel"
 
 def build_residual_instance(
     instance: ProblemInstance,
-    jobs: list[Job],
+    job_ids: Sequence[int],
     rounds_done: Sequence[int],
     ready_at: Sequence[float],
     *,
     gpu_subset: list[int] | None = None,
     weight_boost: dict[int, float] | None = None,
 ) -> tuple[ProblemInstance | None, list[tuple[int, int]]]:
-    """The residual problem: remaining rounds of *jobs*, optionally on a
-    GPU subset.
+    """The residual problem: remaining rounds of *job_ids*, optionally on
+    a GPU subset.
 
-    Each job with rounds left becomes a locally re-indexed job whose
-    arrival is when its next round may start (its last committed barrier,
-    or its recovery-readiness time after a checkpoint restore; both
-    inputs are indexed by job id). Returns the
-    residual instance (``None`` if nothing remains) and the local → global
-    map ``[(global_job_id, round_offset), ...]``.
+    Each job with rounds left becomes a locally re-indexed job (in
+    *job_ids* order) whose arrival is when its next round may start (its
+    last committed barrier, or its recovery-readiness time after a
+    checkpoint restore; both inputs are indexed by job id). The residual
+    is one :meth:`ProblemInstance.subset` of the base instance. Returns
+    it (``None`` if nothing remains) and the local → global map
+    ``[(global_job_id, round_offset), ...]``.
 
     ``gpu_subset`` restricts the time matrices to the given (global) GPU
     columns — the fault-recovery path passes the surviving GPUs here, the
@@ -52,48 +56,23 @@ def build_residual_instance(
     per-job weights in the residual objective (the remediation engine's
     ``boost_weight`` hook); the base instance is never mutated.
     """
-    residual_jobs: list[Job] = []
-    id_map: list[tuple[int, int]] = []
-    boost = weight_boost or {}
-    for job in jobs:
-        done = int(rounds_done[job.job_id])
-        remaining = job.num_rounds - done
-        if remaining <= 0:
-            continue
-        local_id = len(residual_jobs)
-        residual_jobs.append(
-            Job(
-                job_id=local_id,
-                model=job.model,
-                arrival=max(float(ready_at[job.job_id]), job.arrival),
-                weight=job.weight * boost.get(job.job_id, 1.0),
-                num_rounds=remaining,
-                sync_scale=job.sync_scale,
-                batch_scale=job.batch_scale,
-            )
-        )
-        id_map.append((job.job_id, done))
-    if not residual_jobs:
+    ids = np.fromiter(job_ids, dtype=np.int64)
+    done = np.asarray(rounds_done, dtype=np.int64)[ids]
+    remaining = instance.num_rounds[ids] - done
+    left = remaining > 0
+    ids, done, remaining = ids[left], done[left], remaining[left]
+    if not ids.size:
         return None, []
-    globals_ = [g for g, _ in id_map]
-    if gpu_subset is None:
-        train = instance.train_time[globals_]
-        sync = instance.sync_time[globals_]
-        labels = list(instance.gpu_labels)
-    else:
-        cols = np.ix_(globals_, gpu_subset)
-        train = instance.train_time[cols]
-        sync = instance.sync_time[cols]
-        labels = [instance.gpu_labels[m] for m in gpu_subset]
-    return (
-        ProblemInstance(
-            jobs=residual_jobs,
-            train_time=train,
-            sync_time=sync,
-            gpu_labels=labels,
+    boost = (weight_boost or {}).get
+    residual = instance.subset(
+        ids, gpu_subset,
+        arrival=np.maximum(
+            np.asarray(ready_at, dtype=np.float64)[ids], instance.arrival[ids]
         ),
-        id_map,
+        weight=instance.weight[ids] * [boost(g, 1.0) for g in ids.tolist()],
+        num_rounds=remaining,
     )
+    return residual, list(zip(ids.tolist(), done.tolist()))
 
 
 def to_global(
@@ -114,7 +93,7 @@ def to_global(
 
 def build_residual(
     instance: ProblemInstance,
-    jobs: list[Job],
+    job_ids: Sequence[int],
     rounds_done: Sequence[int],
     ready_at: Sequence[float],
     *,
@@ -128,11 +107,11 @@ def build_residual(
         Category.SCHED,
         "residual_build",
         track=KERNEL_TRACK,
-        jobs=len(jobs),
+        jobs=len(job_ids),
         hist=obs.metrics.histogram("kernel.residual_build_s"),
     ):
         return build_residual_instance(
-            instance, jobs, rounds_done, ready_at,
+            instance, job_ids, rounds_done, ready_at,
             gpu_subset=gpu_subset, weight_boost=weight_boost,
         )
 

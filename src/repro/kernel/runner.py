@@ -164,9 +164,9 @@ class SchedulingKernel:
         )
         #: The policy's re-plan count, ``None`` until it is set up.
         self._replans_seen: int | None = None
-        for job in instance.jobs:
+        for job_id, arrival in enumerate(instance.arrival.tolist()):
             self.queue.push(
-                Event(job.arrival, KernelEventType.JOB_ARRIVED, job.job_id)
+                Event(arrival, KernelEventType.JOB_ARRIVED, job_id)
             )
         #: Crash specs by (event time, gpu): the event payload stays the
         #: GPU id, as for ``GPU_FREE``.
@@ -219,7 +219,7 @@ class SchedulingKernel:
         state.now = self.queue.now
         if event.type == KernelEventType.JOB_ARRIVED:
             state.arrived.add(event.payload)
-            arrival = self.instance.jobs[event.payload].arrival
+            arrival = float(self.instance.arrival[event.payload])
             state.pending_arrivals.remove(arrival)
         elif event.type == KernelEventType.GPU_CRASHED:
             self._pending_crashes -= 1
@@ -302,7 +302,7 @@ class SchedulingKernel:
             last_barrier = (
                 float(ends[keep - 1])
                 if keep > 0
-                else self.instance.jobs[job_id].arrival
+                else float(self.instance.arrival[job_id])
             )
             state.ready_at[job_id] = max(t + restore_s, last_barrier)
             retraction = Retraction(
@@ -430,13 +430,13 @@ def apply_commitment(
     state.committed.append(
         job_id, c.rnd, c.slot, c.gpu, c.start, c.train, c.sync
     )
-    scale = state.instance.jobs[job_id].sync_scale
+    scale = int(state.instance.sync_scale[job_id])
     done = int(state.rounds_done[job_id]) + len(c.rnd) // scale
     state.rounds_done[job_id] = done
     raise_phi = _raise_phi_wide if len(c.rnd) > SMALL_BLOCK else _raise_phi
     barrier, horizon, frees = raise_phi(state.phi, c, done - 1)
     state.ready_at[job_id] = barrier
-    if done < state.num_rounds[job_id]:
+    if done < state.instance.num_rounds[job_id]:
         wake(barrier, KernelEventType.ROUND_BARRIER_OPEN, job_id, done - 1)
     for m, free_at in frees:
         wake(free_at, KernelEventType.GPU_FREE, m, 0)

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from ..core.errors import ScheduleValidationError, SimulationError
-from ..core.job import Job, ProblemInstance
+from ..core.job import ProblemInstance
 from ..core.schedule import ScheduleColumns
 from ..core.types import TaskRef
 
@@ -74,9 +74,8 @@ class CommitLog:
         (self.job, self.rnd, self.slot, self.gpu, self.start, self.train,
          self.sync) = self.buffers
         #: Job ``j``'s round ``r`` is round id ``round_base[j] + r``.
-        self.round_base = np.cumsum(
-            [0] + [j.num_rounds for j in instance.jobs], dtype=np.int64
-        )
+        self.round_base = np.zeros(instance.num_jobs + 1, dtype=np.int64)
+        np.cumsum(instance.num_rounds, out=self.round_base[1:])
 
     def append(self, *block) -> None:
         """Append a block given as the seven columns (``job`` may be one
@@ -194,50 +193,38 @@ class KernelState:
     #: policies avoid *new* commitments there, but these GPUs stay in
     #: :attr:`alive` — quarantine is a preference, not a crash.
     quarantined: set[int] = field(default_factory=set)
-    #: Every job's round count, by job id.
-    num_rounds: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         inst = self.instance
-        jobs = inst.jobs
         self.phi = np.zeros(inst.num_gpus)
-        self.num_rounds = np.array(
-            [j.num_rounds for j in jobs], dtype=np.int64
-        )
-        self.rounds_done = np.zeros(len(jobs), dtype=np.int64)
-        self.ready_at = np.array([j.arrival for j in jobs], dtype=np.float64)
+        self.rounds_done = np.zeros(inst.num_jobs, dtype=np.int64)
+        self.ready_at = inst.arrival.copy()
         self.alive = set(range(inst.num_gpus))
         self.committed = CommitLog(inst)
-        self.pending_arrivals = sorted(j.arrival for j in jobs)
+        self.pending_arrivals = sorted(inst.arrival.tolist())
 
     # -- derived views policies decide from ----------------------------
-    def known_jobs(self) -> list[Job]:
-        """Arrived jobs, in job-id order (what a non-clairvoyant sees)."""
-        return [
-            j for j in self.instance.jobs if j.job_id in self.arrived
-        ]
+    def known_jobs(self) -> list[int]:
+        """Arrived job ids, ascending (what a non-clairvoyant sees)."""
+        return sorted(self.arrived)
 
     def free_gpus(self) -> list[int]:
         """Alive GPUs whose committed work has drained by *now*."""
         drained = (self.phi <= self.now + KERNEL_EPS).nonzero()[0].tolist()
         return [m for m in drained if m in self.alive]
 
-    def usable_gpus(self, jobs: Iterable[Job]) -> set[int]:
+    def usable_gpus(self, job_ids: Iterable[int]) -> set[int]:
         """Alive GPUs minus the quarantined ones — unless that would
-        leave *jobs*' residual infeasible (fewer GPUs than the widest
-        unfinished job needs), in which case quarantine is ignored: it
-        is advisory, feasibility wins."""
+        leave the residual of *job_ids* infeasible (fewer GPUs than the
+        widest unfinished job needs), in which case quarantine is
+        ignored: it is advisory, feasibility wins."""
         quarantined = self.quarantined
         if not quarantined:
             return self.alive
         candidate = self.alive - quarantined
-        min_scale = max(
-            (
-                j.sync_scale for j in jobs
-                if self.rounds_done[j.job_id] < j.num_rounds
-            ),
-            default=1,
-        )
+        ids = np.fromiter(job_ids, dtype=np.int64)
+        left = ids[self.rounds_done[ids] < self.instance.num_rounds[ids]]
+        min_scale = int(self.instance.sync_scale[left].max(initial=1))
         if len(candidate) >= min_scale:
             return candidate
         return self.alive
@@ -248,7 +235,7 @@ class KernelState:
 
     def complete(self) -> bool:
         """Every round of every job committed."""
-        return bool((self.rounds_done == self.num_rounds).all())
+        return bool((self.rounds_done == self.instance.num_rounds).all())
 
     # -- commitment validation (used by the kernel before applying) ----
     def check_commitment(self, commitment: Commitment) -> None:
@@ -262,7 +249,7 @@ class KernelState:
         """
         c = commitment
         job_id = c.job
-        scale = self.instance.jobs[job_id].sync_scale
+        scale = int(self.instance.sync_scale[job_id])
         done = int(self.rounds_done[job_id])
         n = len(c.rnd)
         if n > SMALL_BLOCK:

@@ -687,9 +687,7 @@ def attribute_schedule(
             )
         )
     arrivals = {
-        job.job_id: float(job.arrival)
-        for job in instance.jobs
-        if job.job_id in job_rounds
+        j: a for j, a in enumerate(instance.arrival.tolist()) if j in job_rounds
     }
     cells_of: dict[int, int] = {}
     if cells is not None:

@@ -44,20 +44,20 @@ class SchedAlloxScheduler(Scheduler):
     ) -> float:
         """Append the rows of a job serialized on *gpu* to the *cols* lists;
         returns the time the GPU frees up."""
-        job = instance.jobs[job_id]
         tc = instance.tc(job_id, gpu)
         ts = instance.ts(job_id, gpu)
-        scale = job.sync_scale
-        n = job.num_rounds * scale
+        scale = int(instance.sync_scale[job_id])
+        num_rounds = int(instance.num_rounds[job_id])
+        n = num_rounds * scale
         cols["job"] += [job_id] * n
-        cols["rnd"] += [r for r in range(job.num_rounds) for _ in range(scale)]
-        cols["slot"] += list(range(scale)) * job.num_rounds
+        cols["rnd"] += [r for r in range(num_rounds) for _ in range(scale)]
+        cols["slot"] += list(range(scale)) * num_rounds
         cols["gpu"] += [gpu] * n
         cols["train"] += [tc] * n
         cols["sync"] += [ts] * n
         starts = cols["start"]
         t = start
-        for _ in range(job.num_rounds):
+        for _ in range(num_rounds):
             for _ in range(scale):
                 starts.append(t)
                 t += tc
@@ -74,7 +74,8 @@ class SchedAlloxScheduler(Scheduler):
         }
         num_gpus = instance.num_gpus
         gpu_free = [0.0] * num_gpus
-        waiting = {j.job_id for j in instance.jobs}
+        arrival = instance.arrival.tolist()
+        waiting = set(range(instance.num_jobs))
         t = 0.0
         guard = 0
         max_iters = 4 * len(waiting) + 4 * num_gpus + 64
@@ -83,14 +84,14 @@ class SchedAlloxScheduler(Scheduler):
             if guard > max_iters:  # pragma: no cover - defensive
                 raise InfeasibleProblemError("AlloX failed to make progress")
             runnable = sorted(
-                n for n in waiting if instance.jobs[n].arrival <= t + 1e-12
+                n for n in waiting if arrival[n] <= t + 1e-12
             )
             free = [m for m in range(num_gpus) if gpu_free[m] <= t + 1e-12]
             started = False
             if runnable and free:
                 starts = self._match(instance, runnable, gpu_free, t)
                 for job_id, gpu in starts:
-                    start = max(t, instance.jobs[job_id].arrival)
+                    start = max(t, arrival[job_id])
                     gpu_free[gpu] = self._run_job(
                         cols, instance, job_id, gpu, start
                     )
@@ -99,11 +100,7 @@ class SchedAlloxScheduler(Scheduler):
             if started:
                 continue
             future = [ft for ft in gpu_free if ft > t + 1e-12]
-            future += [
-                instance.jobs[n].arrival
-                for n in waiting
-                if instance.jobs[n].arrival > t + 1e-12
-            ]
+            future += [arrival[n] for n in waiting if arrival[n] > t + 1e-12]
             if not future:  # pragma: no cover - defensive
                 raise InfeasibleProblemError("AlloX deadlock")
             t = min(future)
@@ -134,10 +131,12 @@ class SchedAlloxScheduler(Scheduler):
 
         num_gpus = len(gpu_free)
         positions = max(1, -(-len(runnable) // num_gpus))
-        jobs = [instance.jobs[n] for n in runnable]
-        rounds = np.array([j.num_rounds for j in jobs], dtype=np.int64)
-        scale = np.array([j.sync_scale for j in jobs], dtype=np.int64)
-        w = np.array([j.weight if self.weighted else 1.0 for j in jobs])
+        rounds = instance.num_rounds[runnable]
+        scale = instance.sync_scale[runnable]
+        w = (
+            instance.weight[runnable] if self.weighted
+            else np.ones(len(runnable))
+        )
         # p_{j,m} = rounds · (scale·T^c + T^s), the job run serially on m;
         # columns run GPU-major over positions k = 1..positions.
         serial = rounds[:, None] * (

@@ -14,7 +14,8 @@ over this planner; event-driven schemes override it with a native
 policy). The virtual-time gang loop that used to live here
 (``run_gang_scheduler``/``GangState``) is gone — the gang baselines now
 run on the kernel — while the helpers gang policies share
-(:func:`check_gang_feasible`, :func:`gang_run_job`,
+(:func:`check_gang_feasible`, from :mod:`repro.kernel.policies`,
+:func:`gang_run_job`,
 :class:`ObliviousPicker`, :func:`fastest_free_gpus`,
 :class:`HeapTimeline`) remain here.
 """
@@ -28,6 +29,7 @@ from typing import TYPE_CHECKING, Sequence
 from ..core.errors import InfeasibleProblemError
 from ..core.job import Job, ProblemInstance
 from ..core.schedule import Schedule, ScheduleRow
+from ..kernel.policies import check_gang_feasible
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..kernel.policies import Policy
@@ -74,16 +76,6 @@ class Scheduler(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"
-
-
-def check_gang_feasible(instance: ProblemInstance) -> None:
-    """Gang schedulers need sync_scale <= number of GPUs for every job."""
-    for job in instance.jobs:
-        if job.sync_scale > instance.num_gpus:
-            raise InfeasibleProblemError(
-                f"job {job.job_id} needs {job.sync_scale} simultaneous GPUs "
-                f"but the cluster has {instance.num_gpus}"
-            )
 
 
 def gang_run_job(

@@ -31,14 +31,14 @@ class GavelFifoPolicy(GangPolicy):
     def select(
         self, state: KernelState, runnable: list[int], free: list[int]
     ) -> tuple[int, list[int]] | None:
-        instance = state.instance
         # Head of line = earliest arrival (ties: lowest id). Only the
         # head may start; if it does not fit, everyone waits.
-        head = min(runnable, key=lambda n: (instance.jobs[n].arrival, n))
-        need = instance.jobs[head].sync_scale
+        arrival = self.arrival
+        head = min(runnable, key=lambda n: (arrival[n], n))
+        need = self.scale[head]
         if len(free) < need:
             return None
-        return head, fastest_free_gpus(instance, head, free, need)
+        return head, fastest_free_gpus(state.instance, head, free, need)
 
 
 @register("gavel_fifo", summary="FIFO gang scheduling, no backfill")

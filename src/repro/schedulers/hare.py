@@ -191,11 +191,13 @@ def strict_gang_schedule(
     but a gang cannot. Such instances are rejected up front instead of
     silently truncating the round to ``num_gpus`` tasks.
     """
-    for job in instance.jobs:
-        if job.sync_scale > instance.num_gpus:
+    arrival = instance.arrival.tolist()
+    scales = instance.sync_scale.tolist()
+    for job_id, scale in enumerate(scales):
+        if scale > instance.num_gpus:
             raise InfeasibleProblemError(
                 f"strict gang scheduling needs sync_scale <= num_gpus: "
-                f"job {job.job_id} has sync_scale {job.sync_scale} on "
+                f"job {job_id} has sync_scale {scale} on "
                 f"{instance.num_gpus} GPUs"
             )
     rows: list[ScheduleRow] = []
@@ -210,14 +212,13 @@ def strict_gang_schedule(
             seen_rounds.add(key)
             round_order.append(key)
     for job_id, r in round_order:
-        job = instance.jobs[job_id]
-        avail = job.arrival if r == 0 else barrier[(job_id, r - 1)]
+        avail = arrival[job_id] if r == 0 else barrier[(job_id, r - 1)]
         # gang: the sync_scale GPUs that free earliest, preferring fast ones
         ranked = sorted(
             range(instance.num_gpus),
             key=lambda m: (phi[m], instance.tc(job_id, m), m),
         )
-        chosen = ranked[: job.sync_scale]
+        chosen = ranked[: scales[job_id]]
         start = max(avail, max(phi[m] for m in chosen))
         end = 0.0
         for slot, m in enumerate(chosen):
@@ -370,11 +371,9 @@ class _Rounds:
     )
 
     def __init__(self, instance: ProblemInstance, job_col, rnd_col) -> None:
-        jobs = instance.jobs
-        n = len(jobs)
-        rounds = np.fromiter((j.num_rounds for j in jobs), np.int64, n)
-        scale = np.fromiter((j.sync_scale for j in jobs), np.int64, n)
-        arrival = np.fromiter((j.arrival for j in jobs), np.float64, n)
+        n = instance.num_jobs
+        rounds, scale = instance.num_rounds, instance.sync_scale
+        arrival = instance.arrival
         stop = np.cumsum(rounds + 1)
         sentinel = stop - rounds - 1
         counts = np.zeros(int(stop[-1]) if n else 0, dtype=np.int64)

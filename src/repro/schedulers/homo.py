@@ -41,7 +41,7 @@ class SchedHomoPolicy(GangPolicy):
 
     def __init__(self) -> None:
         self._picker = ObliviousPicker()
-        self._est_total: np.ndarray | None = None
+        self._wspt: np.ndarray | None = None
 
     def setup(self, state: KernelState) -> None:
         super().setup(state)
@@ -51,35 +51,19 @@ class SchedHomoPolicy(GangPolicy):
         avg_round = np.mean(
             instance.train_time + instance.sync_time, axis=1
         )
-        self._est_total = np.array(
-            [
-                instance.jobs[n].num_rounds * avg_round[n]
-                for n in range(instance.num_jobs)
-            ]
-        )
-
-    def _wspt_key(
-        self, state: KernelState, job_id: int
-    ) -> tuple[float, int]:
-        job = state.instance.jobs[job_id]
-        est_total = self._est_total
-        assert est_total is not None
         # Smallest processing-per-weight first (classic WSPT ordering).
-        return (est_total[job_id] / job.weight, job_id)
+        self._wspt = instance.num_rounds * avg_round / instance.weight
 
     def select(
         self, state: KernelState, runnable: list[int], free: list[int]
     ) -> tuple[int, list[int]] | None:
-        instance = state.instance
-        fitting = [
-            n for n in runnable
-            if instance.jobs[n].sync_scale <= len(free)
-        ]
+        wspt = self._wspt
+        assert wspt is not None
+        fitting = [n for n in runnable if self.scale[n] <= len(free)]
         if not fitting:
             return None
-        best = min(fitting, key=lambda n: self._wspt_key(state, n))
-        need = instance.jobs[best].sync_scale
-        return best, self._picker.pick(free, need)
+        best = min(fitting, key=lambda n: (wspt[n], n))
+        return best, self._picker.pick(free, self.scale[best])
 
 
 @register("sched_homo", summary="Weighted-SPT gang, heterogeneity-oblivious")

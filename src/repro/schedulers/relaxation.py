@@ -111,15 +111,9 @@ def greedy_assignment(instance: ProblemInstance) -> dict[TaskRef, int]:
     """
     load = np.zeros(instance.num_gpus)
     y: dict[TaskRef, int] = {}
-    ordered = sorted(
-        instance.all_tasks(),
-        key=lambda t: (
-            instance.jobs[t.job_id].arrival,
-            t.job_id,
-            t.round_idx,
-            t.slot,
-        ),
-    )
+    arrival = instance.arrival.tolist()
+    # all_tasks() is in (job, round, slot) order, and the sort is stable.
+    ordered = sorted(instance.all_tasks(), key=lambda t: arrival[t.job_id])
     for task in ordered:
         tc_row = instance.train_time[task.job_id]
         m = int(np.argmin(load + tc_row))
@@ -300,25 +294,23 @@ class ExactRelaxationSolver:
     ) -> RelaxationResult:
         from scipy import sparse
 
-        tasks = list(instance.all_tasks())
-        n_x = len(tasks)
+        job, rnd, _ = instance.task_columns()
+        n_x = len(job)
 
-        # Barrier variables b_{n,r}, one per (job, round).
-        b_index: dict[tuple[int, int], int] = {}
-        for job in instance.jobs:
-            for r in range(job.num_rounds):
-                b_index[(job.job_id, r)] = n_x + len(b_index)
-        n_vars = n_x + len(b_index)
+        # Barrier variables b_{n,r}, one per (job, round): task i's round
+        # is variable b[i].
+        rounds = instance.num_rounds
+        first = n_x + np.cumsum(rounds) - rounds
+        b = (first[job] + rnd).tolist()
+        n_vars = n_x + int(rounds.sum())
 
         # Durations on the assigned GPU.
-        p = np.array(
-            [instance.task_time(t.job_id, y[t]) for t in tasks]
-        )  # T^c + T^s
-        q = np.array([instance.tc(t.job_id, y[t]) for t in tasks])  # T^c
+        gpu = np.array([y[t] for t in instance.all_tasks()], dtype=np.int64)
+        q = instance.train_time[job, gpu]  # T^c
+        p = q + instance.sync_time[job, gpu]  # T^c + T^s
 
         c = np.zeros(n_vars)
-        for job in instance.jobs:
-            c[b_index[(job.job_id, job.num_rounds - 1)]] = job.weight
+        c[first + rounds - 1] = instance.weight
 
         # Base constraint matrix built once as CSR triplets; cut rounds only
         # ever *append* row blocks after this.
@@ -335,23 +327,17 @@ class ExactRelaxationSolver:
             rhs.append(bound)
 
         # (6)-style: x_i + p_i <= b_{n,r}
-        for i, task in enumerate(tasks):
-            add_row(
-                [(i, 1.0), (b_index[(task.job_id, task.round_idx)], -1.0)],
-                -p[i],
-            )
+        for i in range(n_x):
+            add_row([(i, 1.0), (b[i], -1.0)], -p[i])
         # (7): b_{n,r-1} <= x_j for j in round r
-        for i, task in enumerate(tasks):
-            if task.round_idx > 0:
-                add_row(
-                    [(b_index[(task.job_id, task.round_idx - 1)], 1.0), (i, -1.0)],
-                    0.0,
-                )
+        for i, r in enumerate(rnd.tolist()):
+            if r > 0:
+                add_row([(b[i] - 1, 1.0), (i, -1.0)], 0.0)
 
         # Machine task lists for cut separation.
         machine_tasks: dict[int, list[int]] = {}
-        for i, task in enumerate(tasks):
-            machine_tasks.setdefault(y[task], []).append(i)
+        for i, m in enumerate(gpu.tolist()):
+            machine_tasks.setdefault(m, []).append(i)
 
         # Every cut ever emitted, keyed by its (order-independent) task set,
         # so near-degenerate prefixes are never re-separated across rounds.
@@ -373,8 +359,7 @@ class ExactRelaxationSolver:
             emitted.add(tuple(sorted(subset)))
 
         lb = np.zeros(n_vars)
-        for i, task in enumerate(tasks):
-            lb[i] = instance.jobs[task.job_id].arrival
+        lb[:n_x] = instance.arrival[job]
 
         a_base = sparse.csr_matrix(
             (data, indices, indptr), shape=(len(rhs), n_vars)
@@ -493,8 +478,7 @@ class FluidRelaxationSolver:
     fair_share: bool = False
 
     def solve(self, instance: ProblemInstance) -> RelaxationResult:
-        jobs = instance.jobs
-        num_jobs = len(jobs)
+        num_jobs = instance.num_jobs
         if self.harmonic:
             rep = instance.num_gpus / (
                 (1.0 / (instance.train_time + instance.sync_time)).sum(axis=1)
@@ -503,14 +487,13 @@ class FluidRelaxationSolver:
             rep = (instance.train_time + instance.sync_time).mean(axis=1)
 
         ids = np.arange(num_jobs)
-        total_work = np.array(
-            [jobs[n].num_rounds * jobs[n].sync_scale * rep[n] for n in range(num_jobs)]
-        )
+        rounds, scales = instance.num_rounds, instance.sync_scale
+        total_work = (rounds * scales) * rep
         remaining = total_work.copy()
-        weights = np.array([j.weight for j in jobs], dtype=float)
+        weights = instance.weight
         # Integer-valued floats: every cumsum of caps below is exact.
-        caps = np.array([float(j.sync_scale) for j in jobs])
-        arrivals = np.array([j.arrival for j in jobs])
+        caps = scales.astype(np.float64)
+        arrivals = instance.arrival
         capacity = float(instance.num_gpus)
 
         # Jobs are kept in *rank* order: WSPT density (w_n / total work,
@@ -610,10 +593,6 @@ class FluidRelaxationSolver:
         )[order]
         curve_done = np.concatenate(bp_done)[order]
         ends = np.bincount(by_job, minlength=num_jobs).cumsum()
-        scales = caps.astype(np.int64)
-        rounds = np.fromiter(
-            (j.num_rounds for j in jobs), np.int64, count=num_jobs
-        )
         round_job = np.repeat(ids, rounds)
         first_round = np.cumsum(rounds) - rounds
         round_idx = np.arange(len(round_job)) - first_round[round_job]

@@ -47,28 +47,18 @@ class SrtfPolicy(GangPolicy):
         avg_round = np.mean(
             instance.train_time + instance.sync_time, axis=1
         )
-        self._est_total = np.array(
-            [
-                instance.jobs[n].num_rounds * avg_round[n]
-                for n in range(instance.num_jobs)
-            ]
-        )
+        self._est_total = instance.num_rounds * avg_round
 
     def select(
         self, state: KernelState, runnable: list[int], free: list[int]
     ) -> tuple[int, list[int]] | None:
-        instance = state.instance
         est_total = self._est_total
         assert est_total is not None
-        fitting = [
-            n for n in runnable
-            if instance.jobs[n].sync_scale <= len(free)
-        ]
+        fitting = [n for n in runnable if self.scale[n] <= len(free)]
         if not fitting:
             return None
         best = min(fitting, key=lambda n: (est_total[n], n))
-        need = instance.jobs[best].sync_scale
-        return best, self._picker.pick(free, need)
+        return best, self._picker.pick(free, self.scale[best])
 
 
 @register("srtf", summary="Shortest-remaining-time-first gang execution")

@@ -44,16 +44,17 @@ class TimeSliceScheduler(Scheduler):
     def schedule(self, instance: ProblemInstance) -> Schedule:
         check_gang_feasible(instance)
         rows: list[ScheduleRow] = []
-        rounds_done = {j.job_id: 0 for j in instance.jobs}
+        arrival, weight = instance.arrival.tolist(), instance.weight.tolist()
+        rounds, scale = (
+            instance.num_rounds.tolist(), instance.sync_scale.tolist()
+        )
+        rounds_done = [0] * instance.num_jobs
         #: per-job weighted service received (for the round-robin priority)
-        service = {j.job_id: 0.0 for j in instance.jobs}
+        service = [0.0] * instance.num_jobs
         t = 0.0
         guard = 0
-        total_rounds = sum(j.num_rounds for j in instance.jobs)
-        limit = 100 * total_rounds + 1000
-        while any(
-            rounds_done[j.job_id] < j.num_rounds for j in instance.jobs
-        ):
+        limit = 100 * sum(rounds) + 1000
+        while rounds_done != rounds:
             guard += 1
             if guard > limit:  # pragma: no cover - defensive
                 raise InfeasibleProblemError(
@@ -61,50 +62,41 @@ class TimeSliceScheduler(Scheduler):
                     "quantum too small for the workload's round times?"
                 )
             boundary = t + self.quantum_s
-            active = [
-                j for j in instance.jobs
-                if j.arrival <= t + 1e-12
-                and rounds_done[j.job_id] < j.num_rounds
+            waiting = [
+                n for n, done in enumerate(rounds_done) if done < rounds[n]
             ]
+            active = [n for n in waiting if arrival[n] <= t + 1e-12]
             if not active:
-                future = [
-                    j.arrival for j in instance.jobs
-                    if j.arrival > t + 1e-12
-                    and rounds_done[j.job_id] < j.num_rounds
-                ]
+                future = [a for n in waiting if (a := arrival[n]) > t + 1e-12]
                 if not future:  # pragma: no cover - loop guard above
                     break
                 t = max(boundary, min(future))
                 continue
             # least weighted service first (weighted round-robin fairness)
-            active.sort(key=lambda j: (service[j.job_id] / j.weight, j.job_id))
+            active.sort(key=lambda n: (service[n] / weight[n], n))
             gpu_free = [t] * instance.num_gpus
             free_set = set(range(instance.num_gpus))
             progressed = False
-            for job in active:
-                if len(free_set) < job.sync_scale:
+            for n in active:
+                if len(free_set) < scale[n]:
                     continue
                 # fastest available GPUs for this job
                 chosen = sorted(
-                    free_set,
-                    key=lambda m: (instance.task_time(job.job_id, m), m),
-                )[: job.sync_scale]
-                round_time = max(
-                    instance.task_time(job.job_id, m) for m in chosen
-                )
+                    free_set, key=lambda m: (instance.task_time(n, m), m),
+                )[: scale[n]]
+                round_time = max(instance.task_time(n, m) for m in chosen)
                 start = t
                 ran = 0
                 while (
-                    rounds_done[job.job_id] < job.num_rounds
+                    rounds_done[n] < rounds[n]
                     and start + round_time <= boundary + 1e-12
                 ):
-                    r = rounds_done[job.job_id]
+                    r = rounds_done[n]
                     rows.extend(
-                        (job.job_id, r, slot, m, start)
-                        for slot, m in enumerate(chosen)
+                        (n, r, slot, m, start) for slot, m in enumerate(chosen)
                     )
-                    rounds_done[job.job_id] += 1
-                    service[job.job_id] += job.sync_scale * round_time
+                    rounds_done[n] += 1
+                    service[n] += scale[n] * round_time
                     start += round_time
                     ran += 1
                 if ran:
@@ -116,21 +108,16 @@ class TimeSliceScheduler(Scheduler):
                 # nothing fits in a quantum: stretch this one to fit the
                 # neediest job's single round (prevents livelock when the
                 # quantum is shorter than a round)
-                job = active[0]
+                n = active[0]
                 chosen = sorted(
                     range(instance.num_gpus),
-                    key=lambda m: (instance.task_time(job.job_id, m), m),
-                )[: job.sync_scale]
-                round_time = max(
-                    instance.task_time(job.job_id, m) for m in chosen
-                )
-                r = rounds_done[job.job_id]
-                rows.extend(
-                    (job.job_id, r, slot, m, t)
-                    for slot, m in enumerate(chosen)
-                )
-                rounds_done[job.job_id] += 1
-                service[job.job_id] += job.sync_scale * round_time
+                    key=lambda m: (instance.task_time(n, m), m),
+                )[: scale[n]]
+                round_time = max(instance.task_time(n, m) for m in chosen)
+                r = rounds_done[n]
+                rows.extend((n, r, d, m, t) for d, m in enumerate(chosen))
+                rounds_done[n] += 1
+                service[n] += scale[n] * round_time
                 t += round_time
                 continue
             t = boundary

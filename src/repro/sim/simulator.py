@@ -186,7 +186,6 @@ class ClusterSimulator:
         exactly the set a scan of every executor would start.
         """
         instance = self.instance
-        jobs = instance.jobs
         cols = plan.columns()
         release_at = self._release_rows(cols) if self.releases else {}
         if len(cols) and cols.canon.min() < 0:
@@ -250,9 +249,7 @@ class ClusterSimulator:
         # is round id round_base[j] + r, and a task is its canonical
         # index. Per round id: syncs landed and the latest one (the
         # barrier time once the round completes); per task: synced yet.
-        round_base = [0]
-        for job in jobs:
-            round_base.append(round_base[-1] + job.num_rounds)
+        round_base = [0, *np.cumsum(instance.num_rounds).tolist()]
         done, barrier = [0] * round_base[-1], [0.0] * round_base[-1]
         synced = bytearray(instance.num_tasks)
         #: the row's round id: barrier state is indexed by it
@@ -261,20 +258,20 @@ class ClusterSimulator:
         ).tolist()
 
         # Per-job constants, hoisted out of the per-task path.
-        specs = [spec_or_synthetic(job.model) for job in jobs]
-        model_of = [job.model for job in jobs]
+        model_of = instance.model
+        specs = [spec_or_synthetic(model) for model in model_of]
         working = [spec.training_memory_bytes() for spec in specs]
         retain = [spec.model_bytes if hare else 0.0 for spec in specs]
-        arrival = [job.arrival for job in jobs]
-        scale = [job.sync_scale for job in jobs]
+        arrival = instance.arrival.tolist()
+        scale = instance.sync_scale.tolist()
         #: barriers open in round order, so round r - 1 is open iff
         #: r <= rounds_open[job]
-        rounds_open = [0] * len(jobs)
+        rounds_open = [0] * instance.num_jobs
         syncs_in_flight = {node.node_id: 0 for node in self.cluster.nodes}
 
         seq = itertools.count()
         heap = [
-            (job.arrival, ARRIVAL, next(seq), -1, job.job_id) for job in jobs
+            (a, ARRIVAL, next(seq), -1, j) for j, a in enumerate(arrival)
         ]
         heap += [
             (0.0, CHECK, next(seq), g, None) for g in range(len(executors))
@@ -559,8 +556,8 @@ class ClusterSimulator:
         registry.counter("sim.engine_events").inc(processed)
 
         unfinished = [
-            job.job_id for job in jobs
-            if rounds_open[job.job_id] < job.num_rounds
+            j for j, rounds in enumerate(instance.num_rounds.tolist())
+            if rounds_open[j] < rounds
         ]
         if unfinished:
             raise SimulationError(
@@ -607,7 +604,7 @@ class ClusterSimulator:
                 registry.counter("sim.aborted_attempts").inc()
                 registry.counter("sim.wasted_compute_s").inc(lost)
         metrics = metrics_from_completions(
-            jobs, realized.completions(), makespan=telemetry.makespan
+            instance, realized.completions(), makespan=telemetry.makespan
         )
         return SimResult(
             realized=realized.to_schedule(),

@@ -46,8 +46,11 @@ def critical_path_lower_bound(instance: ProblemInstance) -> float:
     """
     total = 0.0
     p_min = (instance.train_time + instance.sync_time).min(axis=1)
-    for job in instance.jobs:
-        total += job.weight * (job.arrival + job.num_rounds * p_min[job.job_id])
+    for w, a, r, p in zip(
+        instance.weight.tolist(), instance.arrival.tolist(),
+        instance.num_rounds.tolist(), p_min.tolist(),
+    ):
+        total += w * (a + r * p)
     return float(total)
 
 
@@ -65,13 +68,8 @@ def capacity_lower_bound(instance: ProblemInstance) -> float:
     """
     m = instance.num_gpus
     p_min = instance.train_time.min(axis=1)
-    work = np.array(
-        [
-            job.num_rounds * job.sync_scale * p_min[job.job_id]
-            for job in instance.jobs
-        ]
-    )
-    weights = np.array([j.weight for j in instance.jobs])
+    work = (instance.num_rounds * instance.sync_scale) * p_min
+    weights = instance.weight
     order = sorted(
         range(instance.num_jobs), key=lambda n: work[n] / weights[n]
     )
@@ -93,11 +91,12 @@ def parallel_work_lower_bound(instance: ProblemInstance) -> float:
     m = instance.num_gpus
     p_min = instance.train_time.min(axis=1)
     total = 0.0
-    for job in instance.jobs:
-        work = job.num_rounds * job.sync_scale * p_min[job.job_id]
-        total += job.weight * (
-            job.arrival + work / min(job.sync_scale, m)
-        )
+    for w, a, r, scale, p in zip(
+        instance.weight.tolist(), instance.arrival.tolist(),
+        instance.num_rounds.tolist(), instance.sync_scale.tolist(),
+        p_min.tolist(),
+    ):
+        total += w * (a + r * scale * p / min(scale, m))
     return float(total)
 
 

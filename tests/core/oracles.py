@@ -23,6 +23,8 @@ makespan for :func:`reference_metrics_from_schedule`.
 :func:`schedule_of` turns ``TaskAssignment`` objects — with arbitrary
 durations, or tasks the instance lacks — into a schedule, for tests
 that build or corrupt one object by object.
+:func:`assert_same_instance` compares two problem instances column by
+column, for the sub-instance equivalence suites.
 """
 
 from __future__ import annotations
@@ -195,3 +197,20 @@ def object_walk_rounds(instance, schedule: Schedule) -> list[dict]:
         }
         for end, job_id, r, start, crit in rounds
     ]
+
+
+def assert_same_instance(got, want) -> None:
+    """*got* and *want* hold the same job table (dtypes and bytes), time
+    matrices, GPU labels, ``Job`` values and task columns."""
+    for name in ("arrival", "weight", "num_rounds", "sync_scale",
+                 "task_offset", "train_time", "sync_time"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.model == want.model
+    assert got.batch_scale == want.batch_scale
+    assert list(got.gpu_labels) == list(want.gpu_labels)
+    assert got.num_tasks == want.num_tasks
+    for a, b in zip(got.task_columns(), want.task_columns()):
+        assert a.tobytes() == b.tobytes()
+    assert got.jobs == tuple(want.jobs)

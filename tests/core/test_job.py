@@ -152,10 +152,65 @@ class TestProblemInstance:
         # job 0: 2 rounds × fastest (1.0 + 0.1)
         assert tiny_instance.total_work_lower_bound(0) == pytest.approx(2.2)
 
-    def test_remaining_time_estimate_zero_when_done(self, tiny_instance):
-        assert tiny_instance.remaining_time_estimate(0, 2, [0]) == 0.0
 
-    def test_remaining_time_estimate_serializes_waves(self, tiny_instance):
-        # job 1 has 2 tasks; one free GPU → two waves on GPU0: 2 × 1.6
-        est = tiny_instance.remaining_time_estimate(1, 0, [0])
-        assert est == pytest.approx(2 * 1.6)
+class TestJobTable:
+    def test_caller_list_is_copied(self):
+        """Appending to the caller's list after construction changed
+        num_jobs under fixed-size matrices, and planning then failed with
+        a bare IndexError."""
+        from repro.schedulers import create
+
+        jobs = [Job(0, "m", num_rounds=2), Job(1, "m")]
+        inst = ProblemInstance(
+            jobs=jobs, train_time=np.ones((2, 3)), sync_time=np.zeros((2, 3))
+        )
+        jobs.append(Job(2, "m"))
+        assert inst.num_jobs == 2
+        assert inst.jobs == (Job(0, "m", num_rounds=2), Job(1, "m"))
+        assert len(create("hare").plan(inst)) == inst.num_tasks == 3
+
+    @pytest.mark.parametrize(
+        "column", ["arrival", "weight", "num_rounds", "sync_scale",
+                   "task_offset"],
+    )
+    def test_job_columns_are_read_only(self, tiny_instance, column):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(tiny_instance, column)[0] = 1
+
+    def test_task_columns_are_read_only_and_computed_once(
+        self, tiny_instance
+    ):
+        cols = tiny_instance.task_columns()
+        assert cols is tiny_instance.task_columns()
+        with pytest.raises(ValueError, match="read-only"):
+            cols[0][0] = 1
+
+    def test_columns_mirror_the_jobs(self, tiny_instance):
+        inst = tiny_instance
+        assert inst.arrival.tolist() == [0.0, 0.5]
+        assert inst.weight.tolist() == [2.0, 1.0]
+        assert inst.num_rounds.tolist() == [2, 1]
+        assert inst.sync_scale.tolist() == [1, 2]
+        assert inst.model == ("a", "b")
+        assert inst.batch_scale == (1.0, 1.0)
+        assert inst.task_offset.tolist() == [0, 2, 4]
+
+    def test_subset_reindexes_and_keeps_labels(self, tiny_instance):
+        sub = tiny_instance.subset(
+            [1], [1], arrival=[3.0], weight=[4.0], num_rounds=[5]
+        )
+        assert sub.num_jobs == 1 and sub.num_gpus == 1
+        assert sub.gpu_labels == ["gpu1"]
+        assert sub.train_time.tolist() == [[1.0]]
+        assert sub.jobs == (
+            Job(0, "b", arrival=3.0, weight=4.0, num_rounds=5, sync_scale=2),
+        )
+        assert sub.num_tasks == 10
+
+    @pytest.mark.parametrize(
+        "override",
+        [{"arrival": [-1.0]}, {"weight": [0.0]}, {"num_rounds": [0]}],
+    )
+    def test_subset_runs_the_job_checks(self, tiny_instance, override):
+        with pytest.raises(ConfigurationError, match="job 0"):
+            tiny_instance.subset([1], **override)

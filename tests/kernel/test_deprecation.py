@@ -69,7 +69,7 @@ class TestResidualCanonicalPath:
             warnings.simplefilter("error", DeprecationWarning)
             build_residual_instance(
                 tiny_instance,
-                list(tiny_instance.jobs),
-                {0: 0, 1: 0},
-                {0: 0.0, 1: 0.5},
+                range(tiny_instance.num_jobs),
+                [0, 0],
+                [0.0, 0.5],
             )

@@ -31,7 +31,7 @@ def inst() -> ProblemInstance:
 class TestBuildResidualInstance:
     def test_remaining_rounds_and_id_map(self, inst):
         residual, id_map = build_residual_instance(
-            inst, list(inst.jobs), {0: 1, 1: 0}, {0: 4.0, 1: 1.0}
+            inst, range(inst.num_jobs), [1, 0], [4.0, 1.0]
         )
         assert id_map == [(0, 1), (1, 0)]
         assert [j.num_rounds for j in residual.jobs] == [2, 2]
@@ -41,7 +41,7 @@ class TestBuildResidualInstance:
 
     def test_finished_jobs_dropped(self, inst):
         residual, id_map = build_residual_instance(
-            inst, list(inst.jobs), {0: 3, 1: 0}, {0: 9.0, 1: 1.0}
+            inst, range(inst.num_jobs), [3, 0], [9.0, 1.0]
         )
         assert id_map == [(1, 0)]
         assert residual.num_jobs == 1
@@ -51,7 +51,7 @@ class TestBuildResidualInstance:
 
     def test_all_done_returns_none(self, inst):
         residual, id_map = build_residual_instance(
-            inst, list(inst.jobs), {0: 3, 1: 2}, {0: 9.0, 1: 9.0}
+            inst, range(inst.num_jobs), [3, 2], [9.0, 9.0]
         )
         assert residual is None
         assert id_map == []
@@ -59,9 +59,9 @@ class TestBuildResidualInstance:
     def test_gpu_subset_slices_columns_and_labels(self, inst):
         residual, _ = build_residual_instance(
             inst,
-            list(inst.jobs),
-            {0: 0, 1: 0},
-            {0: 0.0, 1: 1.0},
+            range(inst.num_jobs),
+            [0, 0],
+            [0.0, 1.0],
             gpu_subset=[0, 2],
         )
         np.testing.assert_array_equal(
@@ -73,17 +73,17 @@ class TestBuildResidualInstance:
 
     def test_arrival_never_before_original(self, inst):
         residual, _ = build_residual_instance(
-            inst, list(inst.jobs), {0: 0, 1: 0}, {0: 0.0, 1: 0.0}
+            inst, range(inst.num_jobs), [0, 0], [0.0, 0.0]
         )
         assert residual.jobs[1].arrival == 1.0  # max(ready, arrival)
 
 
 class TestTimedReplan:
     def test_build_observes_latency_every_call(self, inst):
-        rounds, ready = {0: 1, 1: 0}, {0: 2.0, 1: 1.0}
+        ids, rounds, ready = range(inst.num_jobs), [1, 0], [2.0, 1.0]
         with use(Obs.start()) as obs:
-            first, _ = build_residual(inst, list(inst.jobs), rounds, ready)
-            second, _ = build_residual(inst, list(inst.jobs), rounds, ready)
+            first, _ = build_residual(inst, ids, rounds, ready)
+            second, _ = build_residual(inst, ids, rounds, ready)
             snap = obs.metrics.snapshot()
         assert first is not second
         np.testing.assert_array_equal(first.train_time, second.train_time)
@@ -91,7 +91,7 @@ class TestTimedReplan:
 
     def test_replan_counts_replans_and_observes_latency(self, inst):
         residual, _ = build_residual_instance(
-            inst, list(inst.jobs), {0: 0, 1: 0}, {0: 0.0, 1: 1.0}
+            inst, range(inst.num_jobs), [0, 0], [0.0, 1.0]
         )
         with use(Obs.start()) as obs:
             plan = replan(HareScheduler(relaxation="fluid"), residual)
@@ -102,7 +102,7 @@ class TestTimedReplan:
 
     def test_solve_observes_latency_every_call(self, inst):
         residual, _ = build_residual_instance(
-            inst, list(inst.jobs), {0: 0, 1: 0}, {0: 0.0, 1: 1.0}
+            inst, range(inst.num_jobs), [0, 0], [0.0, 1.0]
         )
         solver = FluidRelaxationSolver()
         with use(Obs.start()) as obs:

@@ -58,10 +58,10 @@ class TestViews:
         state = KernelState(inst)
         assert state.known_jobs() == []
         state.arrived.add(1)
-        assert [j.job_id for j in state.known_jobs()] == [1]
+        assert state.known_jobs() == [1]
         assert state.rounds_done.tolist() == [0, 0]
         state.rounds_done[1] = 1
-        assert [j.job_id for j in state.known_jobs()] == [1]
+        assert state.known_jobs() == [1]
 
     def test_free_gpus_respects_phi_and_liveness(self, inst):
         state = KernelState(inst)
@@ -81,9 +81,9 @@ class TestViews:
 
     def test_remaining_rounds_and_complete(self, inst):
         state = KernelState(inst)
-        assert (state.num_rounds - state.rounds_done).tolist() == [2, 1]
+        assert (state.instance.num_rounds - state.rounds_done).tolist() == [2, 1]
         state.rounds_done[:] = [2, 1]
-        assert (state.num_rounds - state.rounds_done).tolist() == [0, 0]
+        assert (state.instance.num_rounds - state.rounds_done).tolist() == [0, 0]
         assert state.complete()
 
 

@@ -438,6 +438,18 @@ class TestExperimentSpec:
             ExperimentSpec(arrivals="nope")
         with pytest.raises(ValueError, match="cells=1"):
             ExperimentSpec(heal=True, cells=2)
+        # An empty run is refused, not run: jobs=-1 ran an empty
+        # workload and jobs=0 failed in the LP solver.
+        for kwargs, match in (
+            ({"jobs": -1}, "jobs >= 1, got -1"),
+            ({"jobs": 0}, "jobs >= 1, got 0"),
+            ({"workload": ()}, "jobs >= 1, got 0"),
+            ({"gpus": 0}, "gpus >= 1, got 0"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                ExperimentSpec(**kwargs)
+        with pytest.raises(ValueError, match="jobs >= 1"):
+            run_experiment(jobs=0, scheduler="hare")
 
     @pytest.mark.parametrize(
         "crash", [(5.0, 99), (5.0, 4), (5.0, -1), (-1.0, 1)],

@@ -75,10 +75,14 @@ class TestCommands:
              "drop_rate must be in [0, 1), got -0.5"),
             (["--drop-seed", "-4", "--drop-rate", "0.1"],
              "RpcFlakiness seed must be >= 0, got -4"),
+            (["--jobs", "0"], "a run needs jobs >= 1, got 0"),
+            (["--jobs", "-1"], "a run needs jobs >= 1, got -1"),
+            (["--gpus", "0"], "a run needs gpus >= 1, got 0"),
         ],
         ids=["crash-gpu", "drop-rate", "heartbeat-interval",
              "checkpoint-interval", "negative-drop-rate",
-             "negative-drop-seed"],
+             "negative-drop-seed", "zero-jobs", "negative-jobs",
+             "zero-gpus"],
     )
     def test_chaos_rejects_bad_input_in_one_line(self, flags, message,
                                                  capsys):

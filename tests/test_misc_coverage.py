@@ -29,18 +29,6 @@ class TestNodeValidation:
             Node(node_id=0, gpus=(bad,))
 
 
-class TestJobEstimates:
-    def test_remaining_estimate_with_no_free_gpus(self):
-        jobs = [Job(job_id=0, model="m", num_rounds=4, sync_scale=2)]
-        inst = ProblemInstance(
-            jobs=jobs,
-            train_time=np.array([[1.0, 3.0]]),
-            sync_time=np.zeros((1, 2)),
-        )
-        # serialized on the fastest GPU: 4 rounds x 2 tasks x 1.0
-        assert inst.remaining_time_estimate(0, 0, []) == pytest.approx(8.0)
-
-
 class TestQuickCompareTestbedPath:
     def test_uses_testbed_for_15_gpus(self):
         comparison = compare(
