@@ -5,6 +5,7 @@ Each is executed in-process (examples expose ``main()``), capturing stdout.
 """
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -44,3 +45,26 @@ def test_quickstart_mentions_all_schedulers(capsys):
     out = capsys.readouterr().out
     for name in ("Gavel_FIFO", "SRTF", "Sched_Homo", "Sched_Allox", "Hare"):
         assert name in out
+
+
+def test_walkthrough_bill(capsys):
+    """The Fig. 9 walkthrough's traffic bill and weighted JCT."""
+    module = load_example(
+        Path(__file__).parent.parent / "examples"
+        / "control_plane_walkthrough.py"
+    )
+    module.main()
+    out = capsys.readouterr().out
+    bill = {
+        "control messages": "293",
+        "gradient pushes": "175",
+        "model updates": "66",
+        "bulk payload": "67.73 GB",
+        "checkpoints written": "20",
+        "checkpoint bytes": "4.80 GB",
+        "profiler DB hits": "20",
+        "profiler DB misses": "28",
+    }
+    for quantity, value in bill.items():
+        assert re.search(rf"{quantity} \|\s+{value}\s*$", out, re.M), quantity
+    assert "Weighted JCT 76.2 s" in out
