@@ -377,7 +377,10 @@ def bench_sim_replay(seed: int, *, repeats: int = 3) -> dict:
         instance = build_instance(jobs, cluster)
         plan = HareScheduler(relaxation="fluid").schedule(instance)
         sim = ClusterSimulator(cluster=cluster, instance=instance)
-        runners = {"loop": ClusterSimulator.run, "oracle": reference_run}
+        runners = {
+            "loop": ClusterSimulator.run,
+            "oracle": lambda sim, plan: reference_run(sim, plan)[0],
+        }
         walls: dict[str, list[float]] = {"loop": [], "oracle": []}
         results = {}
         for i in range(repeats):

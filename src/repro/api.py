@@ -103,7 +103,8 @@ class ExperimentSpec:
     ``simulate=False``. ``arrivals`` is recorded in the config but
     selects nothing: every run goes through the kernel. Mutable inputs
     (``workload``, ``crashes``) are normalized to tuples so a spec
-    never aliases caller state.
+    never aliases caller state, and a ``switch_mode`` name to its
+    :class:`SwitchMode` (an unknown name is refused).
 
     :func:`run_experiment` and :func:`compare` accept a spec positionally
     or build one from its fields as keyword arguments;
@@ -152,6 +153,7 @@ class ExperimentSpec:
             self.workload, tuple
         ):
             object.__setattr__(self, "workload", tuple(self.workload))
+        object.__setattr__(self, "switch_mode", SwitchMode(self.switch_mode))
         num_gpus = self.num_gpus
         for what, count in (("jobs", self.num_jobs), ("gpus", num_gpus)):
             if count < 1:
@@ -275,8 +277,6 @@ class ExperimentSpec:
         values = {
             f.name: config[f.name] for f in fields(cls) if f.name in config
         }
-        if "switch_mode" in values:
-            values["switch_mode"] = SwitchMode(values["switch_mode"])
         if "faults" in values:
             values["faults"] = FaultScenario.from_json(values["faults"])
         if "heartbeat" in values:
@@ -641,9 +641,8 @@ def _run_one(
                 cluster, sched, spec.switch_mode,
                 checkpoint_interval=spec.checkpoint_interval,
             )
-            plane.submit(instance.jobs)
             chaos = plane.run_chaos(
-                spec.faults, heartbeat=spec.heartbeat, heal=engine
+                instance, spec.faults, heartbeat=spec.heartbeat, heal=engine
             )
             kernel_result, sim = chaos.kernel, chaos.sim
         elif spec.cells > 1:

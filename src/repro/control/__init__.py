@@ -4,13 +4,12 @@ from .._lazy import lazy_facade
 
 __getattr__, __dir__, __all__ = lazy_facade(globals(), {
     ".controlplane": (
-        "PS SCHEDULER UPPER ChaosResult ControlPlane ControlPlaneResult "
-        "executor_endpoint"
+        "PS SCHEDULER UPPER ChaosResult ControlPlane TrafficBill "
+        "executor_endpoint traffic_bill"
     ),
     ".messages": (
-        "CheckpointRestored CheckpointSaved GradientPush Heartbeat "
-        "JobCompleted Message ModelUpdate PlannedTask ProfileReply "
-        "ProfileRequest SequenceAck SubmitJob TaskSequence from_wire to_wire"
+        "CheckpointRestored Heartbeat JobCompleted Message PlannedTask "
+        "SequenceAck SubmitJob TaskSequence from_wire to_wire"
     ),
     ".storage": "BlobMeta BlobStore CheckpointManager",
     ".transport": "DROPPED Delivery LinkStats RpcOutcome SimTransport",

@@ -1,20 +1,19 @@
 """The central control plane: the §6 prototype's scheduler process.
 
-Orchestrates the full Fig. 9 flow over the message substrate:
+Orchestrates the Fig. 9 flow over the message substrate:
 
-1. upper layer **submits** jobs (``SubmitJob`` messages);
-2. the scheduler **profiles** every (model, GPU type) pair through the
-   profiler service, hitting the historical-results database where it can;
-3. the scheduling algorithm produces per-GPU **task sequences**, which are
+1. the upper layer **submits** the run's profiled jobs, one
+   ``SubmitJob`` message per row of the :class:`ProblemInstance`;
+2. the scheduling algorithm produces per-GPU **task sequences**, which are
    serialized and shipped to the executors (acked);
-4. the plan is **executed** on the discrete-event simulator; every task's
-   gradient push and every round's model update become accounted PS
-   traffic, and each job checkpoints through the blob store;
-5. completion notifications return to the upper layer.
+3. the plan is **executed** on the discrete-event simulator under the
+   scenario's faults, recovering from crashes, and each job checkpoints
+   through the blob store at its realized round barriers;
+4. completion notifications return to the upper layer.
 
-The result bundles the simulation outcome with the control/data-plane
-traffic accounting — how many RPCs, gradient bytes, checkpoint bytes the
-run generated.
+:meth:`ControlPlane.run_chaos` is the one entry point. What a fault-free
+run of the same flow puts on its wire, gradient pushes and model updates
+included, is a reduction over the realized columns: :func:`traffic_bill`.
 """
 
 from __future__ import annotations
@@ -25,9 +24,11 @@ from itertools import groupby
 from math import inf, nextafter
 from operator import itemgetter
 
+import numpy as np
+
 from ..cluster.cluster import Cluster
 from ..core.errors import ConfigurationError, SimulationError
-from ..core.job import Job, ProblemInstance
+from ..core.job import ProblemInstance
 from ..core.metrics import ScheduleMetrics
 from ..core.schedule import Schedule, ScheduleColumns, validate_schedule
 from ..core.types import SwitchMode, TaskRef
@@ -43,12 +44,9 @@ from ..obs.context import DISABLED, use as obs_use
 from ..schedulers import HareScheduler, Scheduler
 from ..sim.simulator import SimResult, simulate_plan
 from ..workload.models import spec_or_synthetic
-from ..workload.profiler import TaskProfiler, build_instance
 from .messages import (
     CheckpointRestored,
-    GradientPush,
     JobCompleted,
-    ModelUpdate,
     PlannedTask,
     SequenceAck,
     SubmitJob,
@@ -96,22 +94,6 @@ def _sequences(
 
 
 @dataclass(frozen=True, slots=True)
-class ControlPlaneResult:
-    """Everything one orchestrated run produced."""
-
-    instance: ProblemInstance
-    sim: SimResult
-    acks: tuple[SequenceAck, ...]
-    completions: tuple[JobCompleted, ...]
-    gradient_pushes: int
-    model_updates: int
-    checkpoint_bytes: float
-    control_messages: int
-    control_bytes: float
-    payload_bytes: float
-
-
-@dataclass(frozen=True, slots=True)
 class ChaosResult:
     """Everything one fault-injected run produced."""
 
@@ -152,7 +134,6 @@ class ControlPlane:
     switch_mode: SwitchMode = SwitchMode.HARE
     transport: SimTransport = field(default_factory=SimTransport)
     store: BlobStore = field(default_factory=BlobStore)
-    profiler: TaskProfiler | None = None
     checkpoint_interval: int = 10
 
     def __post_init__(self) -> None:
@@ -163,56 +144,6 @@ class ControlPlane:
         self.transport.register(PS)
         for device in self.cluster.devices():
             self.transport.register(executor_endpoint(device.gpu_id))
-        if self.profiler is None:
-            self.profiler = TaskProfiler(self.cluster)
-
-    # ------------------------------------------------------------------
-    def submit(self, jobs: list[Job]) -> None:
-        """Upper layer submits jobs (as SubmitJob messages)."""
-        for job in jobs:
-            self.transport.send(
-                UPPER,
-                SCHEDULER,
-                SubmitJob(
-                    job_id=job.job_id,
-                    model=job.model,
-                    arrival=job.arrival,
-                    weight=job.weight,
-                    num_rounds=job.num_rounds,
-                    sync_scale=job.sync_scale,
-                    batch_scale=job.batch_scale,
-                ),
-            )
-
-    def _collect_submissions(self) -> list[Job]:
-        jobs = []
-        for delivery in self.transport.drain(SCHEDULER):
-            msg = delivery.message
-            if not isinstance(msg, SubmitJob):
-                raise SimulationError(
-                    f"unexpected message at scheduler: {msg!r}"
-                )
-            jobs.append(
-                Job(
-                    job_id=msg.job_id,
-                    model=msg.model,
-                    arrival=msg.arrival,
-                    weight=msg.weight,
-                    num_rounds=msg.num_rounds,
-                    sync_scale=msg.sync_scale,
-                    batch_scale=msg.batch_scale,
-                )
-            )
-        jobs.sort(key=lambda j: j.job_id)
-        return jobs
-
-    def _checkpoints(self, job: Job) -> CheckpointManager:
-        return CheckpointManager(
-            store=self.store,
-            job_id=job.job_id,
-            model_bytes=spec_or_synthetic(job.model).model_bytes,
-            interval=self.checkpoint_interval,
-        )
 
     def _plan(self, instance: ProblemInstance, *, muted=False) -> Schedule:
         """The scheduler's plan, timed on the control-plane track."""
@@ -226,136 +157,6 @@ class ControlPlane:
         ), obs_use(DISABLED if muted else obs):
             return self.scheduler.plan(instance)
 
-    # ------------------------------------------------------------------
-    def run(self) -> ControlPlaneResult:
-        """Execute the full Fig. 9 pipeline for the submitted jobs."""
-        obs = obs_current()
-        jobs = self._collect_submissions()
-        if not jobs:
-            raise SimulationError("no jobs submitted")
-        instance = build_instance(jobs, self.cluster, profiler=self.profiler)
-        plan = self._plan(instance)
-
-        # Ship sequences to executors; collect acks.
-        acks: list[SequenceAck] = []
-        for message in _sequences([plan.columns()], 0.0):
-            endpoint = executor_endpoint(message.gpu_id)
-            self.transport.send(SCHEDULER, endpoint, message)
-            (delivery,) = self.transport.drain(endpoint)
-            ack = SequenceAck(
-                gpu_id=message.gpu_id, num_tasks=len(delivery.message.tasks)
-            )
-            self.transport.send(endpoint, SCHEDULER, ack)
-            acks.append(ack)
-        self.transport.drain(SCHEDULER)  # consume acks
-        obs.metrics.counter("ctrl.sequence_acks").inc(len(acks))
-
-        # Execute on the DES.
-        sim = simulate_plan(
-            self.cluster, instance, plan, switch_mode=self.switch_mode
-        )
-
-        # Account PS traffic and checkpoints from the realized execution.
-        gradient_pushes = 0
-        model_updates = 0
-        checkpoint_bytes = 0.0
-        managers = {job.job_id: self._checkpoints(job) for job in jobs}
-        # Build the full PS traffic timeline first (gradient pushes as
-        # tasks sync; model updates/checkpoints as round barriers open),
-        # then replay it in global time order — the transport clock is
-        # monotonic like a real wire.
-        rounds_seen: dict[tuple[int, int], float] = {}
-        events: list[tuple[float, int, object]] = []  # (time, kind, payload)
-        for rec in sim.telemetry.records:
-            events.append((rec.sync_end, 0, rec))
-            key = (rec.task.job_id, rec.task.round_idx)
-            rounds_seen[key] = max(rounds_seen.get(key, 0.0), rec.sync_end)
-        for key, barrier in rounds_seen.items():
-            events.append((barrier, 1, key))
-        events.sort(key=lambda e: (e[0], e[1]))
-
-        completions: list[JobCompleted] = []
-        for time, kind, payload in events:
-            if kind == 0:
-                rec = payload
-                spec = spec_or_synthetic(
-                    instance.jobs[rec.task.job_id].model
-                )
-                self.transport.send(
-                    executor_endpoint(rec.gpu),
-                    PS,
-                    GradientPush(
-                        job_id=rec.task.job_id,
-                        round_idx=rec.task.round_idx,
-                        slot=rec.task.slot,
-                        gpu_id=rec.gpu,
-                        time=time,
-                        data_bytes=spec.gradient_bytes,
-                    ),
-                    at=time,
-                )
-                gradient_pushes += 1
-                continue
-            job_id, r = payload
-            job = jobs[job_id]
-            spec = spec_or_synthetic(job.model)
-            self.transport.send(
-                PS,
-                executor_endpoint(0),
-                ModelUpdate(
-                    job_id=job_id,
-                    round_idx=r,
-                    version=r + 1,
-                    time=time,
-                    data_bytes=spec.model_bytes,
-                ),
-                at=time,
-            )
-            model_updates += 1
-            meta = managers[job_id].maybe_checkpoint(r, at=time)
-            if meta is not None:
-                checkpoint_bytes += meta.size_bytes
-            if r == job.num_rounds - 1:
-                final = managers[job_id].final_checkpoint(at=time)
-                checkpoint_bytes += final.size_bytes
-                completion = JobCompleted(
-                    job_id=job_id,
-                    completion_time=sim.metrics.per_job[job_id].completion,
-                )
-                self.transport.send(SCHEDULER, UPPER, completion)
-                completions.append(completion)
-                if obs.enabled:
-                    obs.tracer.instant(
-                        Category.CTRL,
-                        f"job {job_id} completed",
-                        track=CTRL_TRACK,
-                        time=completion.completion_time,
-                        job=job_id,
-                    )
-        completions.sort(key=lambda c: c.job_id)
-        obs.metrics.counter("ctrl.completions").inc(len(completions))
-        obs.metrics.counter("ctrl.gradient_pushes").inc(gradient_pushes)
-        obs.metrics.counter("ctrl.model_updates").inc(model_updates)
-        self.transport.drain(PS)
-        self.transport.drain(executor_endpoint(0))
-        self.transport.drain(UPPER)
-
-        totals = self.transport.total_stats()
-        return ControlPlaneResult(
-            instance=instance,
-            sim=sim,
-            acks=tuple(acks),
-            completions=tuple(completions),
-            gradient_pushes=gradient_pushes,
-            model_updates=model_updates,
-            checkpoint_bytes=checkpoint_bytes,
-            control_messages=totals.messages,
-            control_bytes=totals.control_bytes,
-            payload_bytes=totals.payload_bytes,
-        )
-
-    # ------------------------------------------------------------------
-    # Chaos: the fault-injected pipeline
     # ------------------------------------------------------------------
     def _ship(
         self, parts: list[ScheduleColumns], policy: RetryPolicy, *, at: float
@@ -390,19 +191,23 @@ class ControlPlane:
 
     def run_chaos(
         self,
+        instance: ProblemInstance,
         scenario: FaultScenario,
         *,
         heartbeat: HeartbeatConfig | None = None,
         retry: RetryPolicy | None = None,
         heal=None,
     ) -> ChaosResult:
-        """Execute the pipeline under injected faults, recovering as needed.
+        """Execute the pipeline for *instance* under injected faults,
+        recovering as needed.
 
-        The happy path matches :meth:`run`: plan, ship sequences, execute.
-        On top of it the scenario may drop RPCs (sequences then ship with
-        retry/backoff), slow GPUs down, restart them transiently — and
-        crash them permanently. Recovery is one stepped kernel run and
-        one replay (DESIGN.md §9):
+        The upper layer submits one ``SubmitJob`` per job of *instance*
+        (the run's profiled job table: nothing is profiled again), then
+        the happy path is plan, ship sequences, execute. On top of it the
+        scenario may drop RPCs (sequences then ship with retry/backoff),
+        slow GPUs down, restart them transiently — and crash them
+        permanently. Recovery is one stepped kernel run and one replay
+        (DESIGN.md §9):
 
         1. **one kernel run** of the scheduler's own policy, the run the
            recorder sees, stepped crash by crash: advanced to the crash,
@@ -422,10 +227,10 @@ class ControlPlane:
            detection (and restore): the realized schedule, metrics,
            completions and checkpoint writes.
 
-        Per-task PS gradient replay is skipped in chaos mode: recovery
-        control traffic (heartbeats, restores, sequences) must stay in
-        causal order on the monotonic wire, and the data-plane accounting
-        is :meth:`run`'s concern.
+        The wire carries control traffic only (submissions, sequences,
+        heartbeats, restores, completions), in causal order on a
+        monotonic clock; the per-task gradient pushes and per-round model
+        updates are counted by :func:`traffic_bill`, not sent.
 
         *heal* is an optional :class:`repro.heal.RemediationEngine`
         (duck-typed — this module never imports ``repro.heal``). When
@@ -438,11 +243,15 @@ class ControlPlane:
         obs = obs_current()
         heartbeat = heartbeat or HeartbeatConfig()
         retry = retry or RetryPolicy()
-        jobs = self._collect_submissions()
-        if not jobs:
-            raise SimulationError("no jobs submitted")
         scenario.validate(self.cluster.num_gpus)
-        instance = build_instance(jobs, self.cluster, profiler=self.profiler)
+        for row in zip(
+            range(instance.num_jobs), instance.model,
+            instance.arrival.tolist(), instance.weight.tolist(),
+            instance.num_rounds.tolist(), instance.sync_scale.tolist(),
+            instance.batch_scale,
+        ):
+            self.transport.send(UPPER, SCHEDULER, SubmitJob(*row))
+        self.transport.drain(SCHEDULER)
         if heal is not None:
             if getattr(heal, "instance", None) is None:
                 heal.instance = instance
@@ -450,8 +259,8 @@ class ControlPlane:
             if recorder is not None and heal not in recorder.monitors:
                 recorder.attach(heal)
         model_bytes = {
-            job.job_id: spec_or_synthetic(job.model).model_bytes
-            for job in jobs
+            j: spec_or_synthetic(model).model_bytes
+            for j, model in enumerate(instance.model)
         }
         restore_s = {
             j: self.store.read_time(b) for j, b in model_bytes.items()
@@ -556,21 +365,10 @@ class ControlPlane:
         )
         validate_schedule(sim.realized, check_durations=False)
         completions = {j.job_id: j.completion for j in sim.metrics.per_job}
-        # Each round's barrier: its realized end.
-        job_of, rnd_of, _, ends, _, _ = sim.realized.columns().round_spans()
-        barriers = dict(zip(zip(job_of.tolist(), rnd_of.tolist()),
-                            ends.tolist()))
-        checkpoint_bytes = 0.0
-        for job in jobs:
-            manager = self._checkpoints(job)
-            for r in range(job.num_rounds):
-                meta = manager.maybe_checkpoint(
-                    r, at=barriers[job.job_id, r]
-                )
-                checkpoint_bytes += meta.size_bytes if meta else 0.0
-            checkpoint_bytes += manager.final_checkpoint(
-                at=completions[job.job_id]
-            ).size_bytes
+        checkpoint_bytes = _write_checkpoints(
+            self.store, instance, sim.realized,
+            interval=self.checkpoint_interval,
+        )
 
         # Notify the upper layer, in completion order.
         job_completions: list[JobCompleted] = []
@@ -634,6 +432,101 @@ class ControlPlane:
         self.transport.send(
             PS, SCHEDULER, message, at=max(t, self.transport.now)
         )
+
+
+def _write_checkpoints(
+    store: BlobStore,
+    instance: ProblemInstance,
+    realized: Schedule,
+    *,
+    interval: int,
+) -> float:
+    """Write each job's checkpoints into *store* at its realized round
+    barriers (a round's barrier is its end): one every *interval* rounds
+    and a final one at the job's last barrier. Returns the bytes
+    written."""
+    job_of, rnd_of, _, ends, _, _ = realized.columns().round_spans()
+    barriers = dict(zip(zip(job_of.tolist(), rnd_of.tolist()),
+                        ends.tolist()))
+    written = 0.0
+    for job, (model, rounds) in enumerate(
+        zip(instance.model, instance.num_rounds.tolist())
+    ):
+        manager = CheckpointManager(
+            store=store, job_id=job,
+            model_bytes=spec_or_synthetic(model).model_bytes,
+            interval=interval,
+        )
+        for r in range(rounds):
+            meta = manager.maybe_checkpoint(r, at=barriers[job, r])
+            written += meta.size_bytes if meta else 0.0
+        written += manager.final_checkpoint(
+            at=barriers[job, rounds - 1]
+        ).size_bytes
+    return written
+
+
+@dataclass(frozen=True, slots=True)
+class TrafficBill:
+    """What a fault-free run of the Fig. 9 flow puts on its wire: the
+    message count of each kind and the bulk and checkpoint bytes."""
+
+    submissions: int
+    sequences: int
+    acks: int
+    #: One per realized task (its gradients to the parameter server).
+    gradient_pushes: int
+    #: One per round (the aggregated model back to the executors).
+    model_updates: int
+    completions: int
+    #: Gradient bytes over the tasks plus model bytes over the rounds.
+    payload_bytes: float
+    checkpoint_writes: int
+    checkpoint_bytes: float
+
+    @property
+    def messages(self) -> int:
+        """Every message on the wire."""
+        return (
+            self.submissions + self.sequences + self.acks
+            + self.gradient_pushes + self.model_updates + self.completions
+        )
+
+
+def traffic_bill(
+    instance: ProblemInstance,
+    realized: Schedule,
+    *,
+    checkpoint_interval: int,
+) -> TrafficBill:
+    """The traffic bill of *realized*, a fault-free replay of a plan for
+    *instance*: one submission and one completion per job, one sequence
+    and one ack per busy GPU, one gradient push per task and one model
+    update per round, and the checkpoints :func:`_write_checkpoints`
+    writes. Reduced from the columns; no message is built."""
+    cols = realized.columns()
+    specs = [spec_or_synthetic(model) for model in instance.model]
+    tasks = np.bincount(cols.job, minlength=instance.num_jobs)
+    rounds = instance.num_rounds
+    store = BlobStore()
+    checkpoint_bytes = _write_checkpoints(
+        store, instance, realized, interval=checkpoint_interval
+    )
+    busy = len(np.unique(cols.gpu))
+    return TrafficBill(
+        submissions=instance.num_jobs,
+        sequences=busy,
+        acks=busy,
+        gradient_pushes=len(cols),
+        model_updates=int(rounds.sum()),
+        completions=instance.num_jobs,
+        payload_bytes=float(
+            tasks @ [s.gradient_bytes for s in specs]
+            + rounds @ [s.model_bytes for s in specs]
+        ),
+        checkpoint_writes=store.writes,
+        checkpoint_bytes=checkpoint_bytes,
+    )
 
 
 def _releases(

@@ -1,11 +1,13 @@
 """Control-plane message protocol (§6: scheduler ↔ executors over gRPC).
 
 The paper's prototype wires a central scheduler to per-machine executors
-with gRPC control messages: job submission, task sequences, acks, gradient
-pushes to the parameter server and model updates back. We model that
-protocol with typed dataclass messages and a wire format (plain dicts,
-JSON-serializable) so the transport can account bytes and tests can verify
-round-trips.
+with gRPC control messages: job submission, task sequences, acks and
+completions, plus the liveness and recovery traffic of a fault run. We
+model that protocol with typed dataclass messages and a wire format
+(plain dicts, JSON-serializable) so the transport can account bytes and
+tests can verify round-trips. The training-time bulk traffic (gradient
+pushes, model updates) is counted by
+:func:`repro.control.controlplane.traffic_bill`, not sent.
 
 Every message type registers itself; :func:`to_wire` / :func:`from_wire`
 convert between objects and wire dicts.
@@ -27,7 +29,7 @@ class Message:
     """Base class; subclasses register by class name."""
 
     #: Estimated payload size on the wire when the message stands in for a
-    #: bulk transfer (gradients, model weights); 0 for control messages.
+    #: bulk transfer (a checkpoint read back); 0 for control messages.
     TYPE: ClassVar[str] = "Message"
 
     def __init_subclass__(cls) -> None:
@@ -74,7 +76,7 @@ def from_wire(wire: dict[str, Any]) -> Message:
 
 
 # ----------------------------------------------------------------------
-# Submission and profiling
+# Submission
 # ----------------------------------------------------------------------
 @dataclass(frozen=True, slots=True)
 class SubmitJob(Message):
@@ -87,26 +89,6 @@ class SubmitJob(Message):
     num_rounds: int
     sync_scale: int
     batch_scale: float = 1.0
-
-
-@dataclass(frozen=True, slots=True)
-class ProfileRequest(Message):
-    """Scheduler → profiler: measure a (model, GPU type) pair."""
-
-    model: str
-    gpu_model: str
-    batch_scale: float = 1.0
-
-
-@dataclass(frozen=True, slots=True)
-class ProfileReply(Message):
-    """Profiler → scheduler: measured times (possibly from the database)."""
-
-    model: str
-    gpu_model: str
-    train_time: float
-    sync_time: float
-    from_database: bool
 
 
 # ----------------------------------------------------------------------
@@ -144,42 +126,6 @@ class SequenceAck(Message):
 
     gpu_id: int
     num_tasks: int
-
-
-# ----------------------------------------------------------------------
-# Training-time traffic (executor ↔ parameter server)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
-class GradientPush(Message):
-    """Executor → PS: one task's gradients (bulk payload)."""
-
-    job_id: int
-    round_idx: int
-    slot: int
-    gpu_id: int
-    time: float
-    data_bytes: float = 0.0
-
-
-@dataclass(frozen=True, slots=True)
-class ModelUpdate(Message):
-    """PS → executors: the aggregated model for the next round (bulk)."""
-
-    job_id: int
-    round_idx: int
-    version: int
-    time: float
-    data_bytes: float = 0.0
-
-
-@dataclass(frozen=True, slots=True)
-class CheckpointSaved(Message):
-    """PS → storage layer ack: a model checkpoint was persisted."""
-
-    job_id: int
-    round_idx: int
-    version: int
-    path: str
 
 
 # ----------------------------------------------------------------------

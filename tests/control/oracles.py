@@ -24,10 +24,13 @@ from repro.control.messages import (
     JobCompleted,
     PlannedTask,
     SequenceAck,
+    SubmitJob,
     TaskSequence,
     to_wire,
 )
+from repro.control.storage import CheckpointManager
 from repro.core.errors import SimulationError
+from repro.core.job import ProblemInstance
 from repro.core.schedule import Schedule, validate_schedule
 from repro.faults.detector import HeartbeatConfig, run_detection
 from repro.faults.recovery import ChaosTelemetry
@@ -39,7 +42,6 @@ from repro.obs import Category, current as obs_current
 from repro.obs.context import DISABLED, use as obs_use
 from repro.sim.simulator import simulate_plan
 from repro.workload.models import spec_or_synthetic
-from repro.workload.profiler import build_instance
 
 
 def _ship_schedule(
@@ -84,6 +86,7 @@ def _ship_schedule(
 
 def reference_run_chaos(
     plane: ControlPlane,
+    instance: ProblemInstance,
     scenario: FaultScenario,
     *,
     heartbeat: HeartbeatConfig | None = None,
@@ -94,11 +97,15 @@ def reference_run_chaos(
     obs = obs_current()
     heartbeat = heartbeat or HeartbeatConfig()
     retry = retry or RetryPolicy()
-    jobs = plane._collect_submissions()
-    if not jobs:
-        raise SimulationError("no jobs submitted")
     scenario.validate(plane.cluster.num_gpus)
-    instance = build_instance(jobs, plane.cluster, profiler=plane.profiler)
+    jobs = instance.jobs
+    for job in jobs:
+        plane.transport.send(UPPER, SCHEDULER, SubmitJob(
+            job_id=job.job_id, model=job.model, arrival=job.arrival,
+            weight=job.weight, num_rounds=job.num_rounds,
+            sync_scale=job.sync_scale, batch_scale=job.batch_scale,
+        ))
+    plane.transport.drain(SCHEDULER)
     if heal is not None:
         if getattr(heal, "instance", None) is None:
             heal.instance = instance
@@ -186,7 +193,11 @@ def reference_run_chaos(
     realized = sim.realized
     checkpoint_bytes = 0.0
     for job in jobs:
-        manager = plane._checkpoints(job)
+        manager = CheckpointManager(
+            store=plane.store, job_id=job.job_id,
+            model_bytes=model_bytes[job.job_id],
+            interval=plane.checkpoint_interval,
+        )
         for r in range(job.num_rounds):
             meta = manager.maybe_checkpoint(
                 r, at=realized.round_end(job.job_id, r)

@@ -26,7 +26,7 @@ from repro.faults import (
     HeartbeatConfig,
     RpcFlakiness,
 )
-from repro.harness.experiments import make_loaded_workload
+from repro.harness.experiments import make_loaded_workload, make_problem
 from repro.heal import RemediationEngine
 from repro.obs import Obs, use
 from repro.obs.monitors import ReplanStormMonitor
@@ -125,27 +125,27 @@ def plane_for(scheduler):
         10, reference_gpus=8, load=1.0, seed=0,
         config=WorkloadConfig(rounds_scale=0.2),
     )
+    cluster = scaled_cluster(8)
     plane = ControlPlane(
-        cluster=scaled_cluster(8), scheduler=create(scheduler),
+        cluster=cluster, scheduler=create(scheduler),
         checkpoint_interval=2,
     )
-    plane.submit(jobs)
-    return plane
+    return plane, make_problem(cluster, jobs)
 
 
 def chaos(run, scheduler, scenario, *, heal=False):
-    plane = plane_for(scheduler)
+    plane, instance = plane_for(scheduler)
     if not heal:
-        return fields(run(plane, scenario, heartbeat=HEARTBEAT))
+        return fields(run(plane, instance, scenario, heartbeat=HEARTBEAT))
     engine = RemediationEngine()
     with use(Obs.start(record=True, monitors=[engine])):
         return fields(
-            run(plane, scenario, heartbeat=HEARTBEAT, heal=engine)
+            run(plane, instance, scenario, heartbeat=HEARTBEAT, heal=engine)
         )
 
 
-def one_run(plane, scenario, **kwargs):
-    return plane.run_chaos(scenario, **kwargs)
+def one_run(plane, instance, scenario, **kwargs):
+    return plane.run_chaos(instance, scenario, **kwargs)
 
 
 @pytest.mark.parametrize(
@@ -192,8 +192,9 @@ def test_the_recorder_sees_the_replans_in_time_order():
     backwards; the stepped run records them in time order."""
     monitor = _ReplanTimes()
     with use(Obs.start(record=True, monitors=[monitor])):
-        result = plane_for("hare_online").run_chaos(
-            SCENARIOS["two"], heartbeat=HEARTBEAT
+        plane, instance = plane_for("hare_online")
+        result = plane.run_chaos(
+            instance, SCENARIOS["two"], heartbeat=HEARTBEAT
         )
     assert result.report.replans == 2
     assert len(monitor.seen) > 2

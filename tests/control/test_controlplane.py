@@ -1,86 +1,99 @@
-"""End-to-end tests of the control plane (Fig. 9 pipeline)."""
+"""End-to-end tests of the control plane (Fig. 9 pipeline): the traffic
+bill of a fault-free run, and the one entry point, ``run_chaos``."""
 
+import numpy as np
 import pytest
 
 from repro.cluster import make_cluster
-from repro.control import ControlPlane
+from repro.control import ControlPlane, traffic_bill
 from repro.core import SwitchMode
-from repro.core.errors import ConfigurationError, SimulationError
-from repro.harness.experiments import make_loaded_workload
-from repro.schedulers import SchedAlloxScheduler
+from repro.core.errors import ConfigurationError
+from repro.faults import FaultScenario
+from repro.harness.experiments import make_loaded_workload, make_problem
+from repro.schedulers import HareScheduler, SchedAlloxScheduler
+from repro.sim import simulate_plan
 from repro.workload import WorkloadConfig
+
+
+def billed(cluster, jobs, scheduler, *, checkpoint_interval=10):
+    """Plan, replay and bill *jobs* on *cluster*."""
+    instance = make_problem(cluster, jobs)
+    sim = simulate_plan(cluster, instance, scheduler.plan(instance))
+    bill = traffic_bill(
+        instance, sim.realized, checkpoint_interval=checkpoint_interval
+    )
+    return instance, sim, bill
 
 
 @pytest.fixture(scope="module")
 def outcome():
     cluster = make_cluster(["V100", "T4", "K80", "V100"])
-    cp = ControlPlane(cluster)
     jobs = make_loaded_workload(
         6, reference_gpus=4, load=1.5, seed=2,
         config=WorkloadConfig(rounds_scale=0.05),
     )
-    cp.submit(jobs)
-    return jobs, cp, cp.run()
+    return (jobs, *billed(cluster, jobs, HareScheduler()))
 
 
 class TestPipelineConservation:
     def test_one_ack_per_busy_gpu(self, outcome):
-        jobs, cp, res = outcome
-        assert len(res.acks) == len(res.sim.telemetry.busy)
-        for ack in res.acks:
-            assert ack.num_tasks > 0
+        jobs, instance, sim, bill = outcome
+        assert bill.sequences == bill.acks == len(sim.telemetry.busy)
 
     def test_gradient_push_per_task(self, outcome):
-        jobs, cp, res = outcome
-        assert res.gradient_pushes == res.instance.num_tasks
+        jobs, instance, sim, bill = outcome
+        assert bill.gradient_pushes == instance.num_tasks
 
     def test_model_update_per_round(self, outcome):
-        jobs, cp, res = outcome
-        assert res.model_updates == sum(j.num_rounds for j in jobs)
+        jobs, instance, sim, bill = outcome
+        assert bill.model_updates == sum(j.num_rounds for j in jobs)
 
     def test_completion_per_job(self, outcome):
-        jobs, cp, res = outcome
-        assert len(res.completions) == len(jobs)
-        for c, job in zip(res.completions, jobs):
-            assert c.job_id == job.job_id
-            assert c.completion_time == pytest.approx(
-                res.sim.metrics.per_job[job.job_id].completion
-            )
+        jobs, instance, sim, bill = outcome
+        assert bill.submissions == bill.completions == len(jobs)
 
     def test_checkpoints_written(self, outcome):
-        jobs, cp, res = outcome
+        jobs, instance, sim, bill = outcome
         # at least the final checkpoint of every job
-        assert cp.store.writes >= len(jobs)
-        assert res.checkpoint_bytes > 0
+        assert bill.checkpoint_writes >= len(jobs)
+        assert bill.checkpoint_bytes > 0
 
     def test_traffic_accounted(self, outcome):
-        jobs, cp, res = outcome
-        assert res.control_messages >= (
-            len(jobs) + len(res.acks) * 2 + res.gradient_pushes
+        jobs, instance, sim, bill = outcome
+        assert bill.messages == (
+            len(jobs) * 2 + bill.acks * 2 + bill.gradient_pushes
+            + bill.model_updates
         )
-        assert res.payload_bytes > 0
+        assert bill.payload_bytes > 0
         # gradients dominate payload: every task pushes its model-size worth
-        assert res.payload_bytes >= res.gradient_pushes * 1e6
+        assert bill.payload_bytes >= bill.gradient_pushes * 1e6
 
     def test_inboxes_drained(self, outcome):
-        jobs, cp, res = outcome
+        """A fault-free ``run_chaos`` leaves no message undelivered, and
+        its wire carries the bill's submissions, sequences and
+        completions (an RPC's ack rides the RPC), and no bulk traffic."""
         from repro.control import PS, SCHEDULER, UPPER
 
+        jobs, instance, sim, bill = outcome
+        cp = ControlPlane(make_cluster(["V100", "T4", "K80", "V100"]))
+        result = cp.run_chaos(instance, FaultScenario())
         for endpoint in (UPPER, SCHEDULER, PS):
             assert cp.transport.pending(endpoint) == 0
+        assert result.control_messages == (
+            bill.submissions + bill.sequences + bill.completions
+        )
+        assert result.payload_bytes == 0.0
 
 
 class TestConfigurations:
     def test_alternate_scheduler(self):
         cluster = make_cluster(["V100", "K80"])
-        cp = ControlPlane(cluster, scheduler=SchedAlloxScheduler())
         jobs = make_loaded_workload(
             3, reference_gpus=2, load=1.0, seed=5,
             config=WorkloadConfig(rounds_scale=0.04, max_sync_scale=2),
         )
-        cp.submit(jobs)
-        res = cp.run()
-        assert len(res.completions) == 3
+        _, _, bill = billed(cluster, jobs, SchedAlloxScheduler())
+        assert bill.completions == 3
 
     def test_switch_mode_propagates(self):
         cluster = make_cluster(["V100", "K80"])
@@ -91,14 +104,10 @@ class TestConfigurations:
         results = {}
         for mode in (SwitchMode.DEFAULT, SwitchMode.HARE):
             cp = ControlPlane(cluster, switch_mode=mode)
-            cp.submit(jobs)
-            results[mode] = cp.run().sim.total_weighted_completion
+            results[mode] = cp.run_chaos(
+                make_problem(cluster, jobs), FaultScenario()
+            ).sim.total_weighted_completion
         assert results[SwitchMode.HARE] <= results[SwitchMode.DEFAULT]
-
-    def test_run_without_submissions(self):
-        cp = ControlPlane(make_cluster(["V100"]))
-        with pytest.raises(SimulationError):
-            cp.run()
 
     @pytest.mark.parametrize("interval", [0, -1])
     def test_checkpoint_interval_below_one_rejected(self, interval):
@@ -110,13 +119,16 @@ class TestConfigurations:
             )
 
     def test_profiler_database_reused(self):
+        """The pipeline's profiling step (``make_problem``) answers
+        repeated (model, batch, scale) keys from the historical database,
+        the repeated-submission case the paper's database targets."""
         from repro.core import Domain
+        from repro.workload import TaskProfiler
 
         cluster = make_cluster(["V100", "V100"])
-        cp = ControlPlane(cluster)
+        profiler = TaskProfiler(cluster)
         # restrict to one domain and one sync scale so several jobs share a
-        # (model, batch, scale) profile key — the repeated-submission case
-        # the paper's database targets
+        # (model, batch, scale) profile key
         jobs = make_loaded_workload(
             8, reference_gpus=2, load=1.0, seed=6,
             config=WorkloadConfig(
@@ -125,6 +137,33 @@ class TestConfigurations:
                 domain_mix={Domain.REC: 1.0},
             ),
         )
-        cp.submit(jobs)
-        cp.run()
-        assert cp.profiler.database.hits > 0
+        make_problem(cluster, jobs, profiler=profiler)
+        assert profiler.database.hits > 0
+
+    def test_checkpoint_interval_counts_writes(self, outcome):
+        """Every *interval* rounds plus the final one, per job."""
+        jobs, instance, sim, _ = outcome
+        for interval in (1, 3):
+            bill = traffic_bill(
+                instance, sim.realized, checkpoint_interval=interval
+            )
+            assert bill.checkpoint_writes == int(
+                (instance.num_rounds // interval + 1).sum()
+            )
+        with pytest.raises(
+            ConfigurationError, match="checkpoint interval must be >= 1"
+        ):
+            traffic_bill(instance, sim.realized, checkpoint_interval=0)
+
+    def test_payload_is_gradients_plus_models(self, outcome):
+        from repro.workload.models import spec_or_synthetic
+
+        jobs, instance, sim, bill = outcome
+        specs = [spec_or_synthetic(job.model) for job in jobs]
+        tasks = np.bincount(
+            sim.realized.columns().job, minlength=len(jobs)
+        )
+        assert bill.payload_bytes == pytest.approx(sum(
+            n * s.gradient_bytes + job.num_rounds * s.model_bytes
+            for n, s, job in zip(tasks.tolist(), specs, jobs)
+        ))

@@ -5,12 +5,10 @@ import json
 import pytest
 
 from repro.control import (
-    GradientPush,
+    CheckpointRestored,
+    Heartbeat,
     JobCompleted,
-    ModelUpdate,
     PlannedTask,
-    ProfileReply,
-    ProfileRequest,
     SequenceAck,
     SubmitJob,
     TaskSequence,
@@ -22,15 +20,12 @@ from repro.core.errors import ConfigurationError
 SAMPLES = [
     SubmitJob(job_id=3, model="ResNet50", arrival=1.5, weight=2.0,
               num_rounds=10, sync_scale=2),
-    ProfileRequest(model="VGG19", gpu_model="T4"),
-    ProfileReply(model="VGG19", gpu_model="T4", train_time=0.4,
-                 sync_time=0.05, from_database=True),
     PlannedTask(job_id=0, round_idx=1, slot=0, start=2.0, train_time=1.0,
                 sync_time=0.1),
     SequenceAck(gpu_id=4, num_tasks=12),
-    GradientPush(job_id=1, round_idx=0, slot=1, gpu_id=2, time=3.5,
-                 data_bytes=1e8),
-    ModelUpdate(job_id=1, round_idx=0, version=1, time=3.6, data_bytes=1e8),
+    Heartbeat(gpu_id=2, seq=7, time=3.5),
+    CheckpointRestored(job_id=1, version=2, round_idx=19, time=3.6,
+                       data_bytes=1e8),
     JobCompleted(job_id=1, completion_time=99.0),
 ]
 
@@ -71,8 +66,8 @@ class TestPayloadAccounting:
     def test_control_message_has_no_payload(self):
         assert SequenceAck(gpu_id=0, num_tasks=5).payload_bytes == 0.0
 
-    def test_gradient_push_payload(self):
-        msg = GradientPush(0, 0, 0, 0, 1.0, data_bytes=2e8)
+    def test_bulk_message_payload(self):
+        msg = CheckpointRestored(0, 1, 0, 1.0, data_bytes=2e8)
         assert msg.payload_bytes == 2e8
         assert msg.wire_bytes() > 2e8  # envelope on top
 

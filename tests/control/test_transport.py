@@ -3,7 +3,7 @@
 import pytest
 
 from repro.control import SequenceAck, SimTransport, SubmitJob
-from repro.control.messages import GradientPush
+from repro.control.messages import CheckpointRestored
 from repro.core.errors import ConfigurationError, SimulationError
 
 
@@ -31,12 +31,12 @@ class TestDelivery:
         assert delivered == pytest.approx(1.0 + bus.rpc_latency_s)
 
     def test_bulk_pays_bandwidth(self, bus):
-        msg = GradientPush(0, 0, 0, 0, 0.0, data_bytes=bus.bandwidth)  # 1s
+        msg = CheckpointRestored(0, 1, 0, 0.0, data_bytes=bus.bandwidth)  # 1s
         delivered = bus.send("a", "b", msg, at=0.0)
         assert delivered == pytest.approx(1.0 + bus.rpc_latency_s)
 
     def test_delivery_order_by_time(self, bus):
-        slow = GradientPush(0, 0, 0, 0, 0.0, data_bytes=bus.bandwidth)
+        slow = CheckpointRestored(0, 1, 0, 0.0, data_bytes=bus.bandwidth)
         bus.send("a", "b", slow, at=0.0)       # arrives ~1s
         bus.send("a", "b", ack(7), at=0.0)     # arrives ~0.0005s
         first = bus.receive("b")
@@ -72,7 +72,7 @@ class TestValidation:
 
 class TestStats:
     def test_per_link_counters(self, bus):
-        bus.send("a", "b", GradientPush(0, 0, 0, 0, 0.0, data_bytes=1e6))
+        bus.send("a", "b", CheckpointRestored(0, 1, 0, 0.0, data_bytes=1e6))
         bus.send("a", "b", ack())
         s = bus.stats("a", "b")
         assert s.messages == 2

@@ -14,7 +14,7 @@ from repro.faults import (
     HeartbeatConfig,
     RpcFlakiness,
 )
-from repro.harness.experiments import make_loaded_workload
+from repro.harness.experiments import make_loaded_workload, make_problem
 from repro.sim import simulate_plan
 from repro.workload import WorkloadConfig
 
@@ -29,7 +29,6 @@ def chaos_plane(num_jobs=6, gpus=6, seed=3, interval=2):
         config=WorkloadConfig(rounds_scale=0.4),
     )
     plane = ControlPlane(cluster=cluster, checkpoint_interval=interval)
-    plane.submit(jobs)
     return plane, jobs
 
 
@@ -47,7 +46,9 @@ class TestChaosRecovery:
                                    factor=1.5),),
             flakiness=RpcFlakiness(drop_rate=0.05, seed=7),
         )
-        result = plane.run_chaos(scenario, heartbeat=heartbeat)
+        result = plane.run_chaos(
+            make_problem(plane.cluster, jobs), scenario, heartbeat=heartbeat
+        )
         report = result.report
 
         # every job completes despite the faults
@@ -70,7 +71,7 @@ class TestChaosRecovery:
         """Pure RPC flakiness: retries deliver everything, nothing re-plans."""
         plane, jobs = chaos_plane(num_jobs=4)
         scenario = FaultScenario(flakiness=RpcFlakiness(drop_rate=0.2, seed=1))
-        result = plane.run_chaos(scenario)
+        result = plane.run_chaos(make_problem(plane.cluster, jobs), scenario)
         assert sorted(result.completions) == [j.job_id for j in jobs]
         assert result.report.replans == 0
         assert result.report.rpc_retries > 0
@@ -81,6 +82,7 @@ class TestChaosRecovery:
         plane, jobs = chaos_plane(num_jobs=4, interval=10_000)
         scenario = FaultScenario(crashes=(GpuCrash(time=8.0, gpu_id=0),))
         result = plane.run_chaos(
+            make_problem(plane.cluster, jobs),
             scenario,
             heartbeat=HeartbeatConfig(interval_s=1.0, lease_s=5.0),
         )
@@ -96,6 +98,7 @@ class TestChaosRecovery:
             flakiness=RpcFlakiness(drop_rate=0.03, seed=11),
         )
         result = plane.run_chaos(
+            make_problem(plane.cluster, jobs),
             scenario,
             heartbeat=HeartbeatConfig(interval_s=1.0, lease_s=5.0),
         )
@@ -109,7 +112,7 @@ class TestChaosRecovery:
     def test_crash_after_completion_changes_nothing(self):
         plane, jobs = chaos_plane(num_jobs=3)
         scenario = FaultScenario(crashes=(GpuCrash(time=1e6, gpu_id=0),))
-        result = plane.run_chaos(scenario)
+        result = plane.run_chaos(make_problem(plane.cluster, jobs), scenario)
         assert sorted(result.completions) == [j.job_id for j in jobs]
         assert result.report.total_lost_rounds == 0
         assert result.report.degraded_makespan == pytest.approx(
@@ -119,9 +122,10 @@ class TestChaosRecovery:
     def test_scenario_validated_against_cluster(self):
         from repro.core.errors import ConfigurationError
 
-        plane, _ = chaos_plane(num_jobs=2)
+        plane, jobs = chaos_plane(num_jobs=2)
         with pytest.raises(ConfigurationError, match="GPU 99"):
             plane.run_chaos(
+                make_problem(plane.cluster, jobs),
                 FaultScenario(crashes=(GpuCrash(time=1.0, gpu_id=99),))
             )
 
@@ -131,7 +135,7 @@ class TestChaosRecovery:
         scenario = FaultScenario(
             restarts=(GpuRestart(time=2.0, gpu_id=0, restart_delay_s=1.0),)
         )
-        result = plane.run_chaos(scenario)
+        result = plane.run_chaos(make_problem(plane.cluster, jobs), scenario)
         assert sorted(result.completions) == [j.job_id for j in jobs]
         assert result.report.replans == 0
         assert result.report.degraded_makespan >= (
@@ -142,8 +146,9 @@ class TestChaosRecovery:
         """Every checkpoint is written when its round's barrier opened in
         the replay, the realized round end; the final one at the job's
         completion."""
-        plane, _ = chaos_plane(num_jobs=3, interval=2)
+        plane, jobs = chaos_plane(num_jobs=3, interval=2)
         result = plane.run_chaos(
+            make_problem(plane.cluster, jobs),
             FaultScenario(crashes=(GpuCrash(time=5.0, gpu_id=1),))
         )
         store, realized = plane.store, result.realized

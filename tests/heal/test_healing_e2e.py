@@ -12,7 +12,7 @@ from repro.faults import (
     GpuSlowdown,
     HeartbeatConfig,
 )
-from repro.harness import make_workload
+from repro.harness import make_problem, make_workload
 from repro.heal import RemediationEngine
 from repro.kernel import run_policy
 from repro.obs import Obs, use
@@ -89,7 +89,6 @@ class TestChaosHealing:
             8, seed=3, config=WorkloadConfig(rounds_scale=0.1)
         )
         plane = ControlPlane(cluster=cluster)
-        plane.submit(jobs)
         scenario = FaultScenario(
             crashes=(GpuCrash(time=3.0, gpu_id=2),),
             slowdowns=(
@@ -103,7 +102,9 @@ class TestChaosHealing:
         engine = RemediationEngine()
         obs = Obs.start(trace=False, record=True, monitors=[engine])
         with use(obs):
-            result = plane.run_chaos(scenario, heal=engine)
+            result = plane.run_chaos(
+                make_problem(plane.cluster, jobs), scenario, heal=engine
+            )
         assert sorted(result.completions) == [j.job_id for j in jobs]
         log = result.remediation
         assert log is engine.log
@@ -119,7 +120,7 @@ class TestChaosHealing:
 
     def test_unhealed_run_has_no_remediation(self):
         plane, jobs, scenario = self.scenario_plane()
-        result = plane.run_chaos(scenario)
+        result = plane.run_chaos(make_problem(plane.cluster, jobs), scenario)
         assert result.remediation is None
         assert sorted(result.completions) == [j.job_id for j in jobs]
 

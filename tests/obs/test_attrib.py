@@ -158,7 +158,10 @@ class TestChaosAttribution:
         from repro.cluster import scaled_cluster
         from repro.control import ControlPlane
         from repro.faults import FaultScenario, GpuCrash, HeartbeatConfig
-        from repro.harness.experiments import make_loaded_workload
+        from repro.harness.experiments import (
+            make_loaded_workload,
+            make_problem,
+        )
         from repro.obs import Obs, use
         from repro.workload import WorkloadConfig
 
@@ -167,10 +170,10 @@ class TestChaosAttribution:
             config=WorkloadConfig(rounds_scale=0.4),
         )
         plane = ControlPlane(cluster=scaled_cluster(6), checkpoint_interval=2)
-        plane.submit(jobs)
         obs = Obs.start(trace=False, record=True)
         with use(obs):
             result = plane.run_chaos(
+                make_problem(plane.cluster, jobs),
                 FaultScenario(crashes=(GpuCrash(time=10.0, gpu_id=1),)),
                 heartbeat=HeartbeatConfig(interval_s=1.0, lease_s=5.0),
             )

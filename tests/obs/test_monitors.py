@@ -339,7 +339,10 @@ class TestChaosRuns:
         from repro.cluster import testbed_cluster
         from repro.control import ControlPlane
         from repro.faults import FaultScenario, GpuCrash, HeartbeatConfig
-        from repro.harness.experiments import make_loaded_workload
+        from repro.harness.experiments import (
+            make_loaded_workload,
+            make_problem,
+        )
         from repro.obs import Obs, use
         from repro.schedulers import create
 
@@ -348,13 +351,13 @@ class TestChaosRuns:
             8, reference_gpus=cluster.num_gpus, load=1.0, seed=5
         )
         plane = ControlPlane(cluster=cluster, scheduler=create(name))
-        plane.submit(jobs)
         obs = Obs.start(trace=False, record=True, monitors=default_monitors())
         scenario = FaultScenario(
             crashes=(GpuCrash(time=8.0, gpu_id=2),)
         ).validate(cluster.num_gpus)
         with use(obs):
             plane.run_chaos(
+                make_problem(plane.cluster, jobs),
                 scenario,
                 heartbeat=HeartbeatConfig(interval_s=2.0, lease_s=6.0),
             )

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.control import (
-    GradientPush,
+    CheckpointRestored,
+    Heartbeat,
     JobCompleted,
-    ModelUpdate,
     SequenceAck,
     SubmitJob,
     from_wire,
@@ -29,20 +29,16 @@ submit_jobs = st.builds(
     sync_scale=st.integers(1, 64),
     batch_scale=st.floats(0.1, 16, allow_nan=False),
 )
-gradient_pushes = st.builds(
-    GradientPush,
-    job_id=ids, round_idx=ids, slot=ids, gpu_id=ids,
-    time=times, data_bytes=sizes,
+restores = st.builds(
+    CheckpointRestored,
+    job_id=ids, version=ids, round_idx=ids, time=times, data_bytes=sizes,
 )
-model_updates = st.builds(
-    ModelUpdate,
-    job_id=ids, round_idx=ids, version=ids, time=times, data_bytes=sizes,
-)
+heartbeats = st.builds(Heartbeat, gpu_id=ids, seq=ids, time=times)
 acks = st.builds(SequenceAck, gpu_id=ids, num_tasks=ids)
 completions = st.builds(JobCompleted, job_id=ids, completion_time=times)
 
 any_message = st.one_of(
-    submit_jobs, gradient_pushes, model_updates, acks, completions
+    submit_jobs, restores, heartbeats, acks, completions
 )
 
 

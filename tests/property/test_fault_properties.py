@@ -13,6 +13,7 @@ from repro.cluster import make_cluster
 from repro.control import ControlPlane
 from repro.core import Job, validate_schedule
 from repro.faults import FaultScenario, GpuCrash, HeartbeatConfig
+from repro.harness import make_problem
 
 GPU_MENU = ["V100", "T4", "K80", "M60"]
 MODEL_MENU = ["VGG19", "ResNet50", "Bert_base", "GraphSAGE", "DeepSpeech"]
@@ -48,8 +49,8 @@ def chaos_cases(draw):
 def test_single_crash_recovery_invariants(case):
     cluster, jobs, crash = case
     plane = ControlPlane(cluster=cluster, checkpoint_interval=2)
-    plane.submit(jobs)
     result = plane.run_chaos(
+        make_problem(plane.cluster, jobs),
         FaultScenario(crashes=(crash,)),
         heartbeat=HeartbeatConfig(interval_s=2.0, lease_s=10.0),
     )

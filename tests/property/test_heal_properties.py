@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.cluster import scaled_cluster
 from repro.control import ControlPlane
 from repro.faults import FaultScenario, GpuCrash, GpuSlowdown
-from repro.harness.experiments import make_loaded_workload
+from repro.harness.experiments import make_loaded_workload, make_problem
 from repro.heal import DEFAULT_POLICY, RemediationEngine
 from repro.obs import Obs, use
 from repro.schedulers import available, create
@@ -29,7 +29,6 @@ def test_chaos_with_healing_stays_invariant_clean(scheduler, seed):
         config=WorkloadConfig(rounds_scale=0.2),
     )
     plane = ControlPlane(cluster=cluster, scheduler=create(scheduler))
-    plane.submit(jobs)
     scenario = FaultScenario(
         crashes=(GpuCrash(time=6.0, gpu_id=1),),
         slowdowns=(
@@ -39,7 +38,9 @@ def test_chaos_with_healing_stays_invariant_clean(scheduler, seed):
     engine = RemediationEngine()
     obs = Obs.start(trace=False, record=True, monitors=[engine])
     with use(obs):
-        result = plane.run_chaos(scenario, heal=engine)
+        result = plane.run_chaos(
+            make_problem(plane.cluster, jobs), scenario, heal=engine
+        )
     # every job still completes with the engine in the loop
     assert sorted(result.completions) == [j.job_id for j in jobs]
     # no invariant checker fired: healing never corrupts the execution

@@ -433,6 +433,7 @@ class TestExperimentSpec:
 
     def test_validation_happens_at_construction(self):
         from repro.api import ExperimentSpec
+        from repro.core.types import SwitchMode
 
         with pytest.raises(ValueError, match="arrivals"):
             ExperimentSpec(arrivals="nope")
@@ -445,11 +446,18 @@ class TestExperimentSpec:
             ({"jobs": 0}, "jobs >= 1, got 0"),
             ({"workload": ()}, "jobs >= 1, got 0"),
             ({"gpus": 0}, "gpus >= 1, got 0"),
+            # A name that is no switch mode failed only in to_dict,
+            # after the workload was profiled.
+            ({"switch_mode": "bogus"}, "'bogus' is not a valid SwitchMode"),
         ):
             with pytest.raises(ValueError, match=match):
                 ExperimentSpec(**kwargs)
         with pytest.raises(ValueError, match="jobs >= 1"):
             run_experiment(jobs=0, scheduler="hare")
+        # A switch mode's name is its mode (to_dict failed on the name).
+        spec = ExperimentSpec(switch_mode="default")
+        assert spec.switch_mode is SwitchMode.DEFAULT
+        assert spec.to_dict()["switch_mode"] == "default"
 
     @pytest.mark.parametrize(
         "crash", [(5.0, 99), (5.0, 4), (5.0, -1), (-1.0, 1)],

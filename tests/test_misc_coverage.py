@@ -8,10 +8,11 @@ from repro.cluster.node import GPUDevice, Node
 from repro.cluster.gpu import gpu_spec
 from repro.core import Job, ProblemInstance
 from repro.core.errors import ConfigurationError
-from repro.control import ControlPlane
+from repro.control import traffic_bill
 from repro.api import compare
-from repro.harness.experiments import make_loaded_workload
+from repro.harness.experiments import make_loaded_workload, make_problem
 from repro.schedulers import OnlineHareScheduler, TimeSliceScheduler
+from repro.sim import simulate_plan
 from repro.workload import WorkloadConfig
 
 
@@ -46,15 +47,15 @@ class TestControlPlaneWithExtensionSchedulers:
     )
     def test_pipeline_runs(self, scheduler):
         cluster = make_cluster(["V100", "T4"])
-        cp = ControlPlane(cluster, scheduler=scheduler)
         jobs = make_loaded_workload(
             3, reference_gpus=2, load=1.0, seed=9,
             config=WorkloadConfig(rounds_scale=0.04, max_sync_scale=2),
         )
-        cp.submit(jobs)
-        res = cp.run()
-        assert len(res.completions) == 3
-        assert res.gradient_pushes == res.instance.num_tasks
+        instance = make_problem(cluster, jobs)
+        sim = simulate_plan(cluster, instance, scheduler.plan(instance))
+        bill = traffic_bill(instance, sim.realized, checkpoint_interval=10)
+        assert bill.completions == len(sim.metrics.per_job) == 3
+        assert bill.gradient_pushes == instance.num_tasks
 
 
 class TestGangDeadlockGuards:

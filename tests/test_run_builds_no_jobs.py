@@ -3,7 +3,8 @@
 Residuals and cells are :meth:`ProblemInstance.subset` views of the job
 table, and every layer reads the table's columns, so from the end of
 ``make_problem`` to the end of ``run_experiment`` no ``Job`` is
-constructed. Small versions of the four end-to-end benchmark shapes.
+constructed. Small versions of the four end-to-end benchmark shapes,
+and a fault run through the control plane.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import pytest
 import repro.api as api
 from repro.cluster import scaled_cluster
 from repro.core.job import Job
+from repro.faults import FaultScenario, GpuCrash
 
 PLANNED = dict(
     gpus=15, jobs=8, seed=3, rounds_scale=0.05, arrivals="planned",
@@ -31,6 +33,11 @@ SHAPES = {
     "online-crash-heal": dict(
         gpus=15, jobs=8, seed=3, rounds_scale=0.1, arrivals="streaming",
         scheduler="hare_online", replan_interval=2.0, crashes=((5.0, 1),),
+        heal=True, simulate=True,
+    ),
+    "faults-crash-heal": dict(
+        gpus=15, jobs=8, seed=3, rounds_scale=0.1, scheduler="hare",
+        faults=FaultScenario(crashes=(GpuCrash(time=5.0, gpu_id=1),)),
         heal=True, simulate=True,
     ),
     "flat": FLEET,
@@ -65,4 +72,8 @@ def test_run_builds_no_job(spec, monkeypatch):
         assert result.kernel.retractions and result.kernel.replans
     if "cells" in spec:
         assert len(result.kernel.cell_stats) == spec["cells"]
+    if "faults" in spec:
+        assert result.kernel.retractions
+        # The control plane runs the run's instance; it profiles nothing.
+        assert result.instance is result.chaos.instance
     assert built == []
