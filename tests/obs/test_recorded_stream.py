@@ -1,0 +1,193 @@
+"""Recorded runs, pinned byte for byte.
+
+Each run's flight-recorder stream is hashed record by record, with its
+diagnosis, remediation and attribution JSON, so a change to how records
+are produced or delivered (the DES emission, the tracer's fast path,
+the recorder's routing, the remediation engine's bookkeeping) must keep
+every record, every finding and every remediation as it was. Wall
+records are the tooling's own phase timings: only their position and
+identity are pinned, not their wall-clock times or arguments.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from repro.api import ExperimentSpec, run_experiment
+from repro.cluster import scaled_cluster
+from repro.faults import FaultScenario, GpuCrash, HeartbeatConfig
+from repro.harness.experiments import make_loaded_workload
+from repro.workload import WorkloadConfig
+
+#: Hare on the fluid relaxation: the exact LP's optimal vertex depends on
+#: the HiGHS build, and these pins must not.
+HARE = {"name": "hare", "relaxation": "fluid"}
+
+
+def _record_key(rec) -> tuple:
+    head = (rec.seq, rec.kind, rec.category, rec.name, rec.track)
+    if rec.kind == "wall":
+        return head
+    return (*head, rec.time, rec.duration, dict(rec.args))
+
+
+def digest(result, trace_path=None) -> dict:
+    """Hashes of a recorded run's stream and of its reports."""
+    records = result.obs.recorder.records()
+    stream = hashlib.sha256()
+    for rec in records:
+        stream.update(repr(_record_key(rec)).encode())
+        stream.update(b"\n")
+    out = {
+        "records": len(records),
+        "stream": stream.hexdigest(),
+        "attribution": json.dumps(result.attribution().to_json(),
+                                  sort_keys=True),
+    }
+    if result.diagnosis is not None:
+        out["diagnosis"] = json.dumps(result.diagnosis.to_json(),
+                                      sort_keys=True)
+    if result.remediation is not None:
+        out["remediation"] = json.dumps(result.remediation.to_json(),
+                                        sort_keys=True)
+    if trace_path is not None:
+        out["trace"] = hashlib.sha256(trace_path.read_bytes()).hexdigest()
+    return {
+        k: (v if k in ("records", "stream", "trace")
+            else hashlib.sha256(v.encode()).hexdigest())
+        for k, v in out.items()
+    }
+
+
+def _workload(jobs: int, gpus: int, seed: int, rounds_scale: float):
+    return tuple(make_loaded_workload(
+        jobs, reference_gpus=gpus, load=1.5, seed=seed,
+        config=WorkloadConfig(rounds_scale=rounds_scale),
+    ))
+
+
+def online_chaos(seed: int):
+    """The ``online_chaos`` bench workload's shape, scaled down."""
+    return run_experiment(ExperimentSpec(
+        scheduler="hare_online", cluster=scaled_cluster(8),
+        workload=_workload(16, 8, seed, 0.15), arrivals="streaming",
+        replan_interval=2.0, crashes=((5.0, 1),), heal=True,
+        simulate=True, trace=False, validate=True,
+    ))
+
+
+def faults_heal():
+    return run_experiment(ExperimentSpec(
+        scheduler=HARE, cluster=scaled_cluster(8),
+        workload=_workload(10, 8, 0, 0.2),
+        faults=FaultScenario(crashes=(GpuCrash(4.0, 1), GpuCrash(9.0, 5))),
+        heartbeat=HeartbeatConfig(interval_s=1.0, lease_s=3.0),
+        checkpoint_interval=2, heal=True, trace=False,
+    ))
+
+
+def traced_hare():
+    return run_experiment(ExperimentSpec(
+        scheduler=HARE, cluster=scaled_cluster(6),
+        workload=_workload(6, 6, 4, 0.2), record=True, trace=True,
+        monitors=True, simulate=True,
+    ))
+
+
+#: The digests of every pinned run. Seeds 3 and 5 of the online run
+#: starve a job (a poll-time boost) and storm (a streaming throttle).
+PINS = {
+    "faults_heal": {
+        "attribution": (
+            "2ed5587f3e30e3957d3114b8a25c7b63"
+            "51acc071fd705953e68d169df93a0304"
+        ),
+        "diagnosis": (
+            "b32a62931ab7f12f0fe59594112caeb6"
+            "7b3ce3dda5067bf2aec9844a6cba493c"
+        ),
+        "records": 3215,
+        "remediation": (
+            "c46e31d367fe57cbf11f9aaf1c836328"
+            "3b65b74273dcc1904135f44d533c3928"
+        ),
+        "stream": (
+            "98ff9a4562175b27c7f334b4ebce283c"
+            "9586b4578c1a04dcf3ddc9360fd83be3"
+        ),
+    },
+    "online_chaos-3": {
+        "attribution": (
+            "a70f2834c8792307d414779cdff1401b"
+            "b1aa3053b5da8aa19d00cdd33888971d"
+        ),
+        "diagnosis": (
+            "f56b91e891fa2e73c5dfcaae560879a0"
+            "a00110de2ea0f7b7af25c1e0e6612e09"
+        ),
+        "records": 2513,
+        "remediation": (
+            "e586db995fc01742847486efad6fdda5"
+            "25d35ab9270f32c947aa636d98760716"
+        ),
+        "stream": (
+            "ad3c6593d7fed2247fb5f63eee662685"
+            "df10bbcd94f2316998fe4c7faec27785"
+        ),
+    },
+    "online_chaos-5": {
+        "attribution": (
+            "a2cb1d841cb5d27dc4ea7d4afb24eef3"
+            "01ae4e61fcd794583d81609ffdabf3f8"
+        ),
+        "diagnosis": (
+            "1a8aee02fe5457d2eced85ea1a285305"
+            "9a5365d10153420ccb1f007894fad233"
+        ),
+        "records": 3319,
+        "remediation": (
+            "74f41fc96d2bb96e49dd26e0fda28c2e"
+            "7b54355e2a3d10042d9c145083bc5e59"
+        ),
+        "stream": (
+            "fe8d220780561f5673400e97d5dd4bfc"
+            "0616706defe313262dc219dd22ccbe18"
+        ),
+    },
+    "traced_hare": {
+        "attribution": (
+            "51818cfe37f17ea2545be46b24144828"
+            "9dc1c589e5be6ac1842563b94784a4f1"
+        ),
+        "diagnosis": (
+            "c6ca2943d4e4ecaa8d02076365aeb9a1"
+            "aa941073d6cdc4cd0fd9a4e9463bd017"
+        ),
+        "records": 1231,
+        "stream": (
+            "8c053022b8210cb2133ab80379cf4d43"
+            "62c24a322b115b69dbd89e13bc4cdc1b"
+        ),
+        "trace": (
+            "67650f2c8a5561e137b17ce6b3e6c404"
+            "2e08d7d2422d425a937dff2ee2e1d302"
+        ),
+    },
+}
+
+
+def pinned_run(name: str, tmp_path=None) -> dict:
+    if name.startswith("online_chaos"):
+        return digest(online_chaos(int(name.rpartition("-")[2])))
+    if name == "faults_heal":
+        return digest(faults_heal())
+    result = traced_hare()
+    return digest(result, result.write_trace(tmp_path / "trace.json"))
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_recorded_stream_is_pinned(name, tmp_path):
+    assert pinned_run(name, tmp_path) == PINS[name]
