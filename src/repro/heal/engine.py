@@ -9,16 +9,18 @@ observability plumbing unchanged::
         result = run_policy(instance, policy, replan_interval=0.25,
                             heal=engine)
 
-It wraps its own copy of the monitor catalogue and forwards each record
-to the wrapped monitors that want it
-(:class:`~repro.obs.recorder.RecordRouter`), so callers attach *either*
-plain monitors *or* the engine — not both (the engine's ``findings``
-already include everything its wrapped monitors found, plus an INFO
-finding per action taken, so ``recorder.diagnose()`` keeps working). The
-engine itself sees every sim-time record: each one counts towards the
-``poll_every`` cadence. Wall-domain records (the tooling's own phase
-timings) are ignored, so a decision never depends on how many timed
-spans the run emitted or on their wall-clock times.
+It wraps its own copy of the monitor catalogue, which the recorder's
+one :class:`~repro.obs.recorder.RecordRouter` routes to directly: a
+record reaches the wrapped monitors that want it, then the engine's
+per-record bookkeeping (:meth:`RemediationEngine.bookkeeper`). Callers
+attach *either* plain monitors *or* the engine — not both (the engine's
+``findings`` already include everything its wrapped monitors found,
+plus an INFO finding per action taken, so ``recorder.diagnose()`` keeps
+working). The engine itself sees every sim-time record: each one counts
+towards the ``poll_every`` cadence. Wall-domain records (the tooling's
+own phase timings) reach neither the engine nor its monitors, so a
+decision never depends on how many timed spans the run emitted or on
+their wall-clock times.
 
 Dispatch is three-stage: streaming monitors (replan storm, the invariant
 checkers, RPC budget) surface findings the moment they observe them;
@@ -79,10 +81,10 @@ class RemediationEngine:
         self.instance = instance
         self.policy_table = resolve_policy(policy)
         self.poll_every = poll_every
-        self._router = RecordRouter(
+        #: The wrapped monitors; the recorder routes records to them.
+        self.monitors = tuple(
             monitors if monitors is not None else default_monitors(instance)
         )
-        self._monitors = self._router.consumers
         self.log = RemediationLog()
         #: Assembled at :meth:`finish`: wrapped monitors' findings plus
         #: one INFO finding per action (the monitor protocol surface).
@@ -94,12 +96,13 @@ class RemediationEngine:
         self.boosts: dict[int, float] = {}
         self.max_boost_seen = 1.0
         self._kernel = None
-        self._drained = [0] * len(self._monitors)
-        self._drained_total = 0
+        self._drained = [0] * len(self.monitors)
         self._freshly_boosted: set[int] = set()
         self._boost_decay = 0.5
         self._records = 0
         self._now = 0.0
+        #: True while acting on findings: the remediation instants the
+        #: engine emits then echo back uncounted.
         self._dispatching = False
 
     # -- host attachment ------------------------------------------------
@@ -117,47 +120,59 @@ class RemediationEngine:
             self.instance = kernel.instance
 
     # -- monitor protocol ----------------------------------------------
+    def bookkeeper(self, key: tuple[str, str, str], reached: tuple):
+        """The per-record bookkeeping the recorder runs once a record of
+        *key* has reached the wrapped monitors in *reached*; ``None`` for
+        wall records, which neither the engine nor its monitors take."""
+        kind, category, _ = key
+        if kind == "wall":
+            return None  # tooling timings, not the run: never count or clock them
+        health = kind == "instant" and category == "fault"
+        watched = tuple(
+            (m, i) for i, m in enumerate(self.monitors) if m in reached
+        )
+        drained = self._drained
+
+        def after(record) -> None:
+            if self._dispatching:
+                return  # our own remediation instants echo back; ignore
+            if record.time > self._now:
+                self._now = record.time
+            if health and "gpu" in record.args and "state" in record.args:
+                self._on_health(record)
+            # Findings grow only in a monitor that just ran (or in a
+            # poll, which drains on its own).
+            for m, i in watched:
+                if len(m.findings) != drained[i]:
+                    self._drain()
+                    break
+            self._records += 1
+            if self._records % self.poll_every == 0:
+                self.poll_now()
+
+        return after
+
     def observe(self, record) -> None:
-        if self._dispatching:
-            return  # our own remediation instants echo back; ignore
-        if record.kind == "wall":
-            return  # tooling timings, not the run: never count or clock them
-        self._now = max(self._now, record.time)
-        route = self._router.route(record.kind, record.category, record.name)
-        for observe in route:
-            observe(record)
-        if (
-            record.kind == "instant"
-            and record.category == "fault"
-            and "gpu" in record.args
-            and "state" in record.args
+        """Take one record as the recorder's route would deliver it."""
+        for deliver in RecordRouter((self,)).route(
+            record.kind, record.category, record.name
         ):
-            self._on_health(record)
-        # Findings grow only in a monitor that just ran (or in a poll,
-        # which drains on its own).
-        if route and (
-            sum(len(m.findings) for m in self._monitors)
-            != self._drained_total
-        ):
-            self._drain()
-        self._records += 1
-        if self._records % self.poll_every == 0:
-            self.poll_now()
+            deliver(record)
 
     def poll_now(self) -> None:
         """Incrementally evaluate the wrapped monitors and dispatch."""
         ctx = DiagnosisContext(instance=self.instance, metrics=None)
-        for m in self._monitors:
+        for m in self.monitors:
             m.poll(ctx)
         self._drain()
         self._decay_boosts()
 
     def finish(self, ctx: DiagnosisContext) -> None:
-        for m in self._monitors:
+        for m in self.monitors:
             m.finish(ctx)
         self._drain()
         merged: list[Finding] = []
-        for m in self._monitors:
+        for m in self.monitors:
             merged.extend(m.findings)
         merged.extend(self._own)
         self.findings = merged
@@ -169,14 +184,11 @@ class RemediationEngine:
             return
         self._dispatching = True
         try:
-            for i, m in enumerate(self._monitors):
+            for i, m in enumerate(self.monitors):
                 fresh = m.findings[self._drained[i]:]
                 self._drained[i] = len(m.findings)
                 for finding in fresh:
                     self._dispatch(finding)
-            self._drained_total = sum(
-                len(m.findings) for m in self._monitors
-            )
         finally:
             self._dispatching = False
 

@@ -2,8 +2,8 @@
 
 Monitors subscribe to the flight-recorder stream
 (:meth:`~repro.obs.recorder.FlightRecorder.attach`) and watch the run *as
-it happens*: each :class:`~repro.obs.recorder.Record` flows through
-:meth:`Monitor.observe`, findings accumulate, and
+it happens*: each :class:`~repro.obs.recorder.Record` it wants flows into
+:meth:`Monitor.on_record`, findings accumulate, and
 :func:`collect_findings` (via ``recorder.diagnose()``) finishes every
 monitor into one severity-graded :class:`DiagnosisReport`.
 
@@ -37,7 +37,8 @@ suspicious, not provably wrong):
 
 Each monitor declares which records it reads with ``wants(kind,
 category, prefix)`` (see :class:`~repro.obs.recorder.RecordRouter`), so
-the recorder hands it only those; it still filters what it receives.
+the recorder hands only those to its :meth:`Monitor.on_record`; it still
+filters what it receives.
 
 Besides the post-hoc ``finish``, monitors support **incremental
 evaluation**: :meth:`Monitor.poll` evaluates the detector mid-run on the
@@ -185,6 +186,8 @@ class Monitor:
         return True
 
     def observe(self, record: Record) -> None:
+        """Take one record. A :class:`~repro.obs.recorder.RecordRouter`
+        calls :meth:`on_record` directly, so subclasses override that."""
         self.on_record(record)
 
     def on_record(self, record: Record) -> None:  # pragma: no cover - hook
@@ -347,7 +350,7 @@ class RoundBarrierMonitor(Monitor):
         if instance is None:
             return None
         try:
-            return instance.jobs[job].sync_scale
+            return int(instance.sync_scale[job])
         except (AttributeError, IndexError, KeyError):
             return None
 
@@ -598,12 +601,11 @@ class JobStarvationMonitor(Monitor):
 
     def _evaluate(self, ctx: DiagnosisContext) -> None:
         arrivals = dict(self._arrival)
-        if ctx.instance is not None:
-            try:
-                for job in ctx.instance.jobs:
-                    arrivals.setdefault(job.job_id, job.arrival)
-            except AttributeError:
-                pass
+        arrival = getattr(ctx.instance, "arrival", None)
+        if arrival is not None:
+            # The job table: job ids are its rows.
+            for job, t0 in enumerate(arrival.tolist()):
+                arrivals.setdefault(job, t0)
         waits = {
             job: self._first_start[job] - t0
             for job, t0 in arrivals.items()
@@ -734,12 +736,10 @@ class UtilizationCollapseMonitor(Monitor):
             return self._barrier.get((job, rnd - 1))
         if job in self._arrival:
             return self._arrival[job]
-        if ctx.instance is not None:
-            try:
-                return ctx.instance.jobs[job].arrival
-            except (AttributeError, IndexError, KeyError):
-                return None
-        return None
+        try:
+            return float(ctx.instance.arrival[job])
+        except (AttributeError, IndexError, KeyError):
+            return None
 
     def _evaluate(self, ctx: DiagnosisContext, settled=None) -> None:
         """Grade every gap, or with *settled* (``settled(e0)`` bounds the

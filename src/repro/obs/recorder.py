@@ -101,12 +101,22 @@ class RecordRouter:
 
     A consumer may declare ``wants(kind, category, prefix)``, where
     *prefix* is the record's name up to its first space. It must return
-    True for a superset of the records its ``on_record`` acts on: it
-    still filters what it receives, so a name like ``"kernel.commit x"``
-    reaches a consumer of ``"kernel.commit"``. A consumer without
-    ``wants`` sees every record. Routes are memoized per ``(kind,
-    category, prefix)``, never per full name, since names embed job and
-    round ids.
+    True for a superset of the records it acts on: it still filters what
+    it receives, so a name like ``"kernel.commit x"`` reaches a consumer
+    of ``"kernel.commit"``. A consumer without ``wants`` sees every
+    record. A record reaches a consumer's ``on_record`` when it has one
+    (:meth:`repro.obs.monitors.Monitor.observe` only forwards there),
+    its ``observe`` otherwise.
+
+    A consumer that wraps monitors of its own (the remediation engine)
+    exposes ``monitors`` and ``bookkeeper(key, reached)``. It is
+    expanded in place: a route reaches the wrapped monitors that want
+    the record directly, then the callable ``bookkeeper`` returned for
+    the route's key and the monitors it *reached* (``None``: the wrapper
+    takes no such records, and neither do its monitors).
+
+    Routes are memoized per ``(kind, category, prefix)``, never per full
+    name, since names embed job and round ids.
     """
 
     __slots__ = ("consumers", "_routes")
@@ -122,15 +132,40 @@ class RecordRouter:
         self._routes.clear()
 
     def route(self, kind: str, category: str, name: str) -> tuple:
-        """The ``observe`` methods of the consumers that want the record."""
+        """The callables that take the record, in delivery order."""
         key = (kind, category, name.partition(" ")[0])
         route = self._routes.get(key)
         if route is None:
-            route = self._routes[key] = tuple(
-                c.observe for c in self.consumers
-                if getattr(c, "wants", None) is None or c.wants(*key)
-            )
+            route = self._routes[key] = self._resolve(key)
         return route
+
+    def _resolve(self, key: tuple[str, str, str]) -> tuple:
+        calls = []
+        for consumer in self.consumers:
+            bookkeeper = getattr(consumer, "bookkeeper", None)
+            if bookkeeper is None:
+                if self.wants(consumer, key):
+                    calls.append(_entry(consumer))
+            else:
+                reached = tuple(
+                    m for m in consumer.monitors if self.wants(m, key)
+                )
+                after = bookkeeper(key, reached)
+                if after is not None:
+                    calls.extend(map(_entry, reached))
+                    calls.append(after)
+        return tuple(calls)
+
+    @staticmethod
+    def wants(consumer, key: tuple[str, str, str]) -> bool:
+        """Whether *consumer* takes records of *key*."""
+        wants = getattr(consumer, "wants", None)
+        return wants is None or wants(*key)
+
+
+def _entry(consumer):
+    """The method a routed record is handed to."""
+    return getattr(consumer, "on_record", None) or consumer.observe
 
 
 class FlightRecorder:
@@ -166,7 +201,6 @@ class FlightRecorder:
         kind: str,
         category: str,
         name: str,
-        *,
         track: str,
         time: float,
         duration: float = 0.0,
@@ -181,9 +215,10 @@ class FlightRecorder:
         ring.append(rec)
         if len(ring) > self.capacity:
             self._evict(ring.popleft())
-        if self._router.consumers:
-            for observe in self._router.route(kind, category, name):
-                observe(rec)
+        router = self._router
+        if router.consumers:
+            for deliver in router.route(kind, category, name):
+                deliver(rec)
         return rec
 
     def _evict(self, rec: Record) -> None:
@@ -200,20 +235,20 @@ class FlightRecorder:
     # -- tracer sink protocol -------------------------------------------
     def on_span(self, ev) -> None:
         self.record(
-            "span", ev.category.value, ev.name,
+            "span", ev.category._value_, ev.name,
             track=ev.track, time=ev.start, duration=ev.duration,
             args=ev.args,
         )
 
     def on_instant(self, ev) -> None:
         self.record(
-            "instant", ev.category.value, ev.name,
+            "instant", ev.category._value_, ev.name,
             track=ev.track, time=ev.time, args=ev.args,
         )
 
     def on_flow(self, ev) -> None:
         self.record(
-            "flow", ev.category.value, ev.name,
+            "flow", ev.category._value_, ev.name,
             track=ev.src_track, time=ev.src_time,
             duration=max(0.0, ev.dst_time - ev.src_time),
             args={"dst_track": ev.dst_track, "dst_time": ev.dst_time},
@@ -221,7 +256,7 @@ class FlightRecorder:
 
     def on_wall(self, ev) -> None:
         self.record(
-            "wall", ev.category.value, ev.name,
+            "wall", ev.category._value_, ev.name,
             track=ev.track, time=ev.start, duration=ev.duration,
             args=ev.args,
         )

@@ -110,10 +110,10 @@ class Tracer:
     ``on_wall``) — this is how the flight recorder subscribes. With
     ``keep=False`` events are *only* forwarded, not retained, so a
     recorder-equipped run pays no unbounded list growth when nobody
-    wants the Perfetto export; on that path spans and instants skip the
-    event object entirely and call ``sink.record(...)`` directly, so a
-    sink must also expose :meth:`repro.obs.recorder.FlightRecorder.record`'s
-    signature.
+    wants the Perfetto export; on that path spans, instants and flows
+    build no event object and pass plain values to ``sink.record``
+    positionally, so a sink must also expose
+    :meth:`repro.obs.recorder.FlightRecorder.record`'s signature.
     """
 
     enabled: bool = True
@@ -143,10 +143,11 @@ class Tracer:
             if self.sink is not None:
                 # Fast path: no retained event object, feed the recorder
                 # directly (it normalizes into its own Record type anyway).
+                # ``_value_`` is the member's plain attribute; ``.value``
+                # is a property.
                 self.sink.record(
-                    "span", category.value, name,
-                    track=track, time=start,
-                    duration=max(0.0, end - start), args=args,
+                    "span", category._value_, name, track, start,
+                    max(0.0, end - start), args,
                 )
             return
         ev = SpanEvent(
@@ -173,8 +174,8 @@ class Tracer:
         if not self.keep:
             if self.sink is not None:
                 self.sink.record(
-                    "instant", category.value, name,
-                    track=track, time=time, args=args,
+                    "instant", category._value_, name, track, time, 0.0,
+                    args,
                 )
             return
         ev = InstantEvent(
@@ -195,6 +196,14 @@ class Tracer:
         dst_track: str,
         dst_time: float,
     ) -> None:
+        if not self.keep:
+            if self.sink is not None:
+                self.sink.record(
+                    "flow", category._value_, name, src_track, src_time,
+                    max(0.0, dst_time - src_time),
+                    {"dst_track": dst_track, "dst_time": dst_time},
+                )
+            return
         ev = FlowEvent(
             flow_id=flow_id,
             category=category,
@@ -204,8 +213,7 @@ class Tracer:
             dst_track=dst_track,
             dst_time=dst_time,
         )
-        if self.keep:
-            self.flows.append(ev)
+        self.flows.append(ev)
         if self.sink is not None:
             self.sink.on_flow(ev)
 

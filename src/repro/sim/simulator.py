@@ -45,6 +45,8 @@ SYNC, COMPUTE, ARRIVAL, CHECK, FAILURE = (int(t) for t in EventType)
 EVENT_NAMES = [t.name for t in EventType]
 #: Track every dispatched event appears under in exported traces.
 ENGINE_TRACK = "engine"
+#: Tags of the loop's trace log entries (see :func:`_emit_records`).
+_POP, _TASK, _FLOW, _BARRIER, _CRASH = range(5)
 #: The replay's sampled instruments.
 GPUS_BUSY, TASKS_COMPLETED = "sim.gpus_busy", "sim.tasks_completed"
 
@@ -184,6 +186,11 @@ class ClusterSimulator:
         unshipped release). A scan — an arrival or a barrier opening —
         tries only the executors it can wake, in device order, which is
         exactly the set a scan of every executor would start.
+
+        When the ambient tracer records, the loop appends one plain
+        tuple per record group to a log, and :func:`_emit_records`
+        turns the log into the trace's spans, instants and flows after
+        the loop, in loop order. A replay that raises emits none.
         """
         instance = self.instance
         cols = plan.columns()
@@ -197,6 +204,9 @@ class ClusterSimulator:
         obs = obs_current()
         tracer = obs.tracer
         traced = tracer.enabled
+        #: the trace log: (tag, *values) tuples, in emission order
+        log: list[tuple] = []
+        note = log.append
         registry = obs.metrics
         sampled = not isinstance(registry, NullRegistry)
         nic = self.nic_contention
@@ -367,15 +377,8 @@ class ClusterSimulator:
                 samples.append((start, GPUS_BUSY, busy))
             if traced and r > 0:
                 # Arrow: previous round's barrier released this task.
-                tracer.flow(
-                    (j * 10_000 + r) * 10_000 + slot_of[row],
-                    Category.SYNC,
-                    f"j{j} barrier",
-                    src_track=job_track(j),
-                    src_time=barrier[rid_of[row] - 1],
-                    dst_track=gpu_track(ex.gpu_id),
-                    dst_time=start,
-                )
+                note((_FLOW, row, ex.gpu_id, start,
+                      barrier[rid_of[row] - 1]))
             push(heap, (start + train, COMPUTE, next(seq), g, ex.serial))
 
         def scan(now: float, woken: Iterable[int]) -> None:
@@ -408,10 +411,7 @@ class ClusterSimulator:
             time, kind, _, g, payload = pop(heap)
             processed += 1
             if traced:
-                tracer.instant(
-                    Category.SIM, EVENT_NAMES[kind], track=ENGINE_TRACK,
-                    time=time,
-                )
+                note((_POP, time, kind))
             if kind == COMPUTE:
                 ex = executors[g]
                 running = ex.running
@@ -425,30 +425,6 @@ class ClusterSimulator:
                     samples.append((time, TASKS_COMPLETED, completed))
                 row, start, switch, hit, train = running
                 j = job_of[row]
-                if traced:
-                    r = rnd_of[row]
-                    track = gpu_track(ex.gpu_id)
-                    if switch > 0:
-                        tracer.span(
-                            Category.SWITCH,
-                            f"switch→j{j}",
-                            track=track,
-                            start=start - switch,
-                            end=start,
-                            job=j,
-                            retained_hit=hit,
-                        )
-                    tracer.span(
-                        Category.SIM,
-                        f"j{j} r{r}",
-                        track=track,
-                        start=start,
-                        end=time,
-                        job=j,
-                        round=r,
-                        slot=slot_of[row],
-                        planned_start=planned_of[row],
-                    )
                 ex.memory.end_task(retain_bytes=retain[j])
                 sync = sync_of[row]
                 if nic and sync > 0:
@@ -458,19 +434,10 @@ class ClusterSimulator:
                 # opens when it lands.
                 finished.append((row, start, switch, hit, train, sync,
                                  ex.gpu_id))
-                if traced and sync > 0:
-                    r = rnd_of[row]
-                    tracer.span(
-                        Category.SYNC,
-                        f"sync j{j} r{r}",
-                        track=job_track(j),
-                        start=time,
-                        end=time + sync,
-                        job=j,
-                        round=r,
-                        gpu=ex.gpu_id,
-                        slot=slot_of[row],
-                    )
+                if traced:
+                    # The switch, compute and sync spans.
+                    note((_TASK, time, row, start, switch, hit, sync,
+                          ex.gpu_id))
                 push(heap, (time + sync, SYNC, next(seq), g, row))
                 # The GPU is free; sync overlaps the successor (§5.2).
                 try_start(g, time)
@@ -499,15 +466,7 @@ class ClusterSimulator:
                 if count == scale[j]:
                     rounds_open[j] += 1
                     if traced:
-                        r = rnd_of[row]
-                        tracer.instant(
-                            Category.SYNC,
-                            f"barrier j{j} r{r}",
-                            track=job_track(j),
-                            time=time,
-                            job=j,
-                            round=r,
-                        )
+                        note((_BARRIER, time, row))
                     # The barrier opened: next-round tasks may be heads.
                     scan(time, by_barrier.pop(rid, ()))
             elif kind == ARRIVAL:
@@ -517,13 +476,7 @@ class ClusterSimulator:
             else:  # FAILURE
                 ex = executors[g]
                 if traced:
-                    tracer.instant(
-                        Category.FAULT,
-                        "gpu failure",
-                        track=gpu_track(ex.gpu_id),
-                        time=time,
-                        restart_delay_s=payload,
-                    )
+                    note((_CRASH, time, ex.gpu_id, payload))
                 if ex.running is not None:
                     # The attempt is lost and re-runs from the queue head;
                     # the crash wipes device memory and context.
@@ -568,6 +521,9 @@ class ClusterSimulator:
                 raise SimulationError(
                     f"GPU {ex.gpu_id} still has queued tasks"
                 )
+        if log:
+            _emit_records(tracer, log, instance.num_jobs, gpu_ids, job_of,
+                          rnd_of, slot_of, planned_of)
 
         # Columns out: the realized schedule and the telemetry as views
         # over the completions, in completion order.
@@ -613,6 +569,59 @@ class ClusterSimulator:
             events_processed=processed,
             wakeups=wakeups,
         )
+
+
+def _emit_records(
+    tracer, log: list[tuple], num_jobs: int, gpu_ids: list[int],
+    job_of: list[int], rnd_of: list[int], slot_of: list[int],
+    planned_of: list[float],
+) -> None:
+    """The replay's records, in loop order, from its trace log.
+
+    Each log entry is one record group as the loop met it: a popped
+    event's engine instant; a completion's switch, compute and sync
+    spans; a barrier→task flow; a barrier opening; a GPU failure. Track
+    names are built once per GPU and once per job.
+    """
+    span, instant, flow = tracer.span, tracer.instant, tracer.flow
+    gpu_tracks = {m: gpu_track(m) for m in gpu_ids}
+    job_tracks = [job_track(j) for j in range(num_jobs)]
+    SIM, SYNC, SWITCH = Category.SIM, Category.SYNC, Category.SWITCH
+    for entry in log:
+        tag = entry[0]
+        if tag == _POP:
+            _, time, kind = entry
+            instant(SIM, EVENT_NAMES[kind], track=ENGINE_TRACK, time=time)
+        elif tag == _TASK:
+            _, time, row, start, switch, hit, sync, gpu = entry
+            j, r = job_of[row], rnd_of[row]
+            track = gpu_tracks[gpu]
+            if switch > 0:
+                span(SWITCH, f"switch→j{j}", track=track,
+                     start=start - switch, end=start, job=j,
+                     retained_hit=hit)
+            span(SIM, f"j{j} r{r}", track=track, start=start, end=time,
+                 job=j, round=r, slot=slot_of[row],
+                 planned_start=planned_of[row])
+            if sync > 0:
+                span(SYNC, f"sync j{j} r{r}", track=job_tracks[j],
+                     start=time, end=time + sync, job=j, round=r, gpu=gpu,
+                     slot=slot_of[row])
+        elif tag == _FLOW:
+            _, row, gpu, start, opened = entry
+            j, r = job_of[row], rnd_of[row]
+            flow((j * 10_000 + r) * 10_000 + slot_of[row], SYNC,
+                 f"j{j} barrier", src_track=job_tracks[j], src_time=opened,
+                 dst_track=gpu_tracks[gpu], dst_time=start)
+        elif tag == _BARRIER:
+            _, time, row = entry
+            j, r = job_of[row], rnd_of[row]
+            instant(SYNC, f"barrier j{j} r{r}", track=job_tracks[j],
+                    time=time, job=j, round=r)
+        else:  # _CRASH
+            _, time, gpu, delay = entry
+            instant(Category.FAULT, "gpu failure", track=gpu_tracks[gpu],
+                    time=time, restart_delay_s=delay)
 
 
 def _cross_job_switch(

@@ -1,9 +1,12 @@
 """Test oracle: record fan-out without routing.
 
-:func:`unrouted` makes every :class:`~repro.obs.recorder.RecordRouter` —
-the flight recorder's, the remediation engine's and
-:func:`~repro.obs.monitors.replay_monitors`'s — hand every record to
-every consumer, as the recorder did before consumers declared ``wants``.
+:func:`unrouted` makes every :class:`~repro.obs.recorder.RecordRouter`
+— the flight recorder's and :func:`~repro.obs.monitors.replay_monitors`'s
+— hand every record to every consumer, the remediation engine's wrapped
+monitors included, as the recorder did before consumers declared
+``wants``. What is not routing stays: wall records still reach neither
+the engine nor its monitors, and the engine does not count the records
+it emits while dispatching.
 ``test_routing.py`` pins routed and unrouted runs to the same findings,
 remediation logs and attribution.
 """
@@ -16,12 +19,12 @@ from unittest import mock
 from repro.obs.recorder import RecordRouter
 
 
-def _route_to_all(self, kind: str, category: str, name: str) -> tuple:
-    return tuple(c.observe for c in self.consumers)
+def _wants_all(consumer, key) -> bool:
+    return True
 
 
 @contextmanager
 def unrouted():
     """Within the block every consumer sees every record."""
-    with mock.patch.object(RecordRouter, "route", _route_to_all):
+    with mock.patch.object(RecordRouter, "wants", staticmethod(_wants_all)):
         yield
