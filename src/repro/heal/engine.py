@@ -126,7 +126,8 @@ class RemediationEngine:
         wall records, which neither the engine nor its monitors take."""
         kind, category, _ = key
         if kind == "wall":
-            return None  # tooling timings, not the run: never count or clock them
+            # Tooling timings, not the run: never count or clock them.
+            return None
         health = kind == "instant" and category == "fault"
         watched = tuple(
             (m, i) for i, m in enumerate(self.monitors) if m in reached
