@@ -29,6 +29,9 @@ byte.
 - :class:`UntruncatedOnlineHarePolicy` — the online re-plan that
   list-schedules the whole residual and then keeps only the rounds that
   start before the next arrival (``test_online_truncation.py``).
+- :class:`EagerFluidOnlineHarePolicy` — the online re-plan that solves
+  the residual's relaxation in full and list-schedules the eager π up to
+  the commit horizon (``test_online_stepped.py``).
 - :class:`LoopCostAlloxScheduler` — AlloX with its matching cost matrix
   filled one (job, GPU, position) entry at a time (``test_baselines.py``).
 """
@@ -51,6 +54,11 @@ from repro.kernel.residual import to_global
 from repro.kernel.state import Commitment
 from repro.schedulers.allox import SchedAlloxScheduler
 from repro.schedulers.base import check_gang_feasible
+from repro.schedulers.hare import (
+    _precedence_safe_order,
+    list_schedule,
+    select_solver,
+)
 from repro.schedulers.online import OnlineHarePolicy
 from repro.schedulers.optimal import MAX_TASKS
 from repro.schedulers.relaxation import (
@@ -558,6 +566,24 @@ class UntruncatedOnlineHarePolicy(OnlineHarePolicy):
                     )
                 )
         return out
+
+
+class EagerFluidOnlineHarePolicy(OnlineHarePolicy):
+    """``OnlineHarePolicy`` with every re-plan's relaxation solved in full.
+
+    Each re-plan runs the residual's relaxation to the end with
+    ``solve()``, sorts the whole of π (``_precedence_safe_order``) and
+    list-schedules it up to the commit horizon; the relaxation the policy
+    hands in is not read.
+    """
+
+    def _plan(self, residual, relaxation, initial_phi, horizon):
+        eager = select_solver(self.relaxation, residual).solve(residual)
+        return list_schedule(
+            residual, _precedence_safe_order(residual, eager),
+            placement=self.placement, initial_phi=initial_phi,
+            horizon=horizon,
+        )
 
 
 # ----------------------------------------------------------------------
