@@ -136,21 +136,20 @@ class GlobalAdmission:
         assignment = [-1] * instance.num_jobs
         decisions: list[AdmissionDecision] = []
         rr_next = 0
-        order = sorted(
-            instance.jobs, key=lambda job: (job.arrival, job.job_id)
-        )
-        for job in order:
-            n = job.job_id
-            feasible = [
-                c for c, size in enumerate(sizes) if size >= job.sync_scale
-            ]
+        arrival = instance.arrival.tolist()
+        scales = instance.sync_scale.tolist()
+        num_rounds = instance.num_rounds.tolist()
+        # Jobs by (arrival, id): a stable sort of the ids.
+        for n in sorted(range(instance.num_jobs), key=arrival.__getitem__):
+            scale = scales[n]
+            feasible = [c for c, size in enumerate(sizes) if size >= scale]
             if not feasible:
                 raise InfeasibleProblemError(
-                    f"job {n} needs {job.sync_scale} simultaneous GPUs "
+                    f"job {n} needs {scale} simultaneous GPUs "
                     f"but the largest cell has {max(sizes)} "
                     f"(cell sizes: {list(sizes)})"
                 )
-            tasks = job.num_rounds * job.sync_scale
+            tasks = num_rounds[n] * scale
             if self.policy == "round_robin":
                 best = next(
                     c
@@ -158,7 +157,7 @@ class GlobalAdmission:
                         (rr_next + k) % len(sizes)
                         for k in range(len(sizes))
                     )
-                    if sizes[c] >= job.sync_scale
+                    if sizes[c] >= scale
                 )
                 rr_next = (best + 1) % len(sizes)
                 score = float(best)
@@ -175,7 +174,7 @@ class GlobalAdmission:
             loads[best] += work
             name = f"cells.cell{best}.admitted_load_s"
             metrics.gauge(name).set(loads[best])
-            metrics.sample(name, job.arrival)
+            metrics.sample(name, arrival[n])
             assignment[n] = best
             decisions.append(
                 AdmissionDecision(

@@ -29,13 +29,13 @@ def isolated_flow_time(instance: ProblemInstance, job_id: int) -> float:
     ``min(sync_scale, M)`` at once), rounds back-to-back. A certified lower
     bound on any schedule's flow time for this job.
     """
-    job = instance.jobs[job_id]
+    scale = int(instance.sync_scale[job_id])
     m = instance.num_gpus
-    k = min(job.sync_scale, m)
+    k = min(scale, m)
     times = np.sort(instance.train_time[job_id] + instance.sync_time[job_id])
-    waves = -(-job.sync_scale // k)
+    waves = -(-scale // k)
     per_round = waves * float(times[min(k, len(times)) - 1])
-    return job.num_rounds * per_round
+    return int(instance.num_rounds[job_id]) * per_round
 
 
 @dataclass(frozen=True, slots=True)

@@ -352,10 +352,9 @@ class ProblemInstance:
 
     def total_work_lower_bound(self, job_id: int) -> float:
         """Serial work of the job on its fastest GPU — a crude LB on C_n - a_n."""
-        job = self.jobs[job_id]
         m = self.fastest_gpu(job_id)
         per_round = self.task_time(job_id, m)
-        return job.num_rounds * per_round
+        return int(self.num_rounds[job_id]) * per_round
 
 
 def make_uniform_instance(

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import ScheduleValidationError
+from .errors import ConfigurationError, ScheduleValidationError
 from .job import ProblemInstance
 from .types import TaskRef
 
@@ -138,23 +138,31 @@ class Schedule:
 
     def round_end(self, job_id: int, round_idx: int) -> float:
         """Completion (post-sync) time of a round: max end over its tasks."""
-        job = self.instance.jobs[job_id]
+        instance = self.instance
+        rounds = int(instance.num_rounds[job_id])
+        if not 0 <= round_idx < rounds:
+            raise ConfigurationError(
+                f"round {round_idx} out of range for job {job_id} "
+                f"with {rounds} rounds"
+            )
+        scale = int(instance.sync_scale[job_id])
+        assignments = self.assignments
         ends = [
-            self.assignments[t].end for t in job.round_tasks(round_idx)
-            if t in self.assignments
+            assignments[t].end
+            for t in (TaskRef(job_id, round_idx, d) for d in range(scale))
+            if t in assignments
         ]
-        if len(ends) != job.sync_scale:
+        if len(ends) != scale:
             raise ScheduleValidationError(
                 5,
                 f"job {job_id} round {round_idx} has {len(ends)} scheduled "
-                f"tasks, expected {job.sync_scale}",
+                f"tasks, expected {scale}",
             )
         return max(ends)
 
     def job_completion(self, job_id: int) -> float:
         """``C_n``: the end of the job's last round."""
-        job = self.instance.jobs[job_id]
-        return self.round_end(job_id, job.num_rounds - 1)
+        return self.round_end(job_id, int(self.instance.num_rounds[job_id]) - 1)
 
     def completions(self) -> dict[int, float]:
         """``C_n`` for every job."""
@@ -167,8 +175,8 @@ class Schedule:
     def total_weighted_completion(self) -> float:
         """The paper's objective ``Σ_n w_n · C_n``."""
         return sum(
-            job.weight * self.job_completion(job.job_id)
-            for job in self.instance.jobs
+            weight * self.job_completion(n)
+            for n, weight in enumerate(self.instance.weight.tolist())
         )
 
 

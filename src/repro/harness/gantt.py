@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from ..core.errors import ConfigurationError
 from ..core.schedule import Schedule
+from ..core.types import TaskRef
 
 #: job-id glyphs: digits, then letters.
 _GLYPHS = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -90,12 +91,13 @@ def render_gantt(
 def render_job_timeline(schedule: Schedule, job_id: int) -> str:
     """One-line-per-round view of a single job's execution."""
     inst = schedule.instance
-    job = inst.jobs[job_id]
-    lines = [f"job {job_id} ({job.model}): {job.num_rounds} rounds x "
-             f"{job.sync_scale} tasks, arrival {job.arrival:.2f}"]
-    for r in range(job.num_rounds):
+    rounds = int(inst.num_rounds[job_id])
+    scale = int(inst.sync_scale[job_id])
+    lines = [f"job {job_id} ({inst.model[job_id]}): {rounds} rounds x "
+             f"{scale} tasks, arrival {float(inst.arrival[job_id]):.2f}"]
+    for r in range(rounds):
         parts = []
-        for t in job.round_tasks(r):
+        for t in (TaskRef(job_id, r, d) for d in range(scale)):
             a = schedule[t]
             parts.append(
                 f"t{t.slot}@{inst.gpu_labels[a.gpu]}"

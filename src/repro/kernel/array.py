@@ -317,9 +317,10 @@ class ArraySchedulingKernel:
         counter = metrics.counter("kernel.commitments")
         prior = counter.value
         counter.inc(n_commits)
-        hist = metrics.histogram("kernel.commit_horizon_s")
-        for h, now in zip(c_horizon.tolist(), ctime.tolist()):
-            hist.observe(max(0.0, h - now))
+        metrics.histogram("kernel.commit_horizon_s").observe_all(
+            [max(0.0, h - now)
+             for h, now in zip(c_horizon.tolist(), ctime.tolist())]
+        )
         metrics.gauge("kernel.queue_depth").set(depth[-1])
         times = b_time.tolist()
         metrics.extend_samples("kernel.queue_depth", times, depth.tolist())

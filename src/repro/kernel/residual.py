@@ -10,8 +10,8 @@ job table and T^c/T^s rows, with no :class:`~repro.core.job.Job` built
 (it used to live in ``repro.schedulers.online``, forcing the control
 plane to import from a sibling scheduler module — the layering
 inversion this module fixes).
-:func:`build_residual`, :func:`solve_relaxation` and :func:`replan` are
-the policies' timed entry points: build/solve latency histograms, spans
+:func:`build_residual`, :func:`solve_relaxation`, :func:`start_relaxation`
+and :func:`replan` are the policies' timed entry points: build/solve latency histograms, spans
 and the ``kernel.replans`` counter land in the ambient
 :class:`repro.obs.Obs` registry.
 """
@@ -116,18 +116,31 @@ def build_residual(
         )
 
 
-def solve_relaxation(solver, residual: ProblemInstance):
-    """``solver.solve(residual)``, timed into ``kernel.residual_solve_s``."""
+def _solve_span(solver, residual: ProblemInstance):
+    """The ``residual_solve`` span, timed into ``kernel.residual_solve_s``."""
     obs = obs_current()
-    with obs.tracer.timed(
+    return obs.tracer.timed(
         Category.SCHED,
         "residual_solve",
         track=KERNEL_TRACK,
         solver=type(solver).__name__,
         tasks=residual.num_tasks,
         hist=obs.metrics.histogram("kernel.residual_solve_s"),
-    ):
+    )
+
+
+def solve_relaxation(solver, residual: ProblemInstance):
+    """``solver.solve(residual)``, timed into ``kernel.residual_solve_s``."""
+    with _solve_span(solver, residual):
         return solver.solve(residual)
+
+
+def start_relaxation(solver, residual: ProblemInstance):
+    """``solver.stepper(residual)``: a fluid relaxation at its start,
+    timed like :func:`solve_relaxation`. Its events run later, while the
+    list schedule reads π, so the span covers only the set-up."""
+    with _solve_span(solver, residual):
+        return solver.stepper(residual)
 
 
 def replan(scheduler, residual: ProblemInstance) -> Schedule:

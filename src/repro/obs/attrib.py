@@ -622,7 +622,7 @@ def attribute_records(
         job_rounds[j] = out
         if instance is not None and j not in arrivals:
             try:
-                arrivals[j] = float(instance.jobs[j].arrival)
+                arrivals[j] = float(instance.arrival[j])
             except (IndexError, AttributeError):
                 pass
     return _build_report(

@@ -393,11 +393,14 @@ BENCH_TOLERANCES: dict[str, Tolerance] = {
     "*.sim_speedup_x": THROUGHPUT_DOWN,
     # Online Hare at fleet scale (the online_fleet arms): the runs are
     # deterministic, so the residual, placed and committed task shares
-    # are exact; the online-over-offline wall_ratio keeps a two-sided
-    # ±25 % band. CI's bench-smoke holds placed_frac below 1.
+    # and the share of fluid events the re-plans step are exact; the
+    # online-over-offline wall_ratio keeps a two-sided ±25 % band.
+    # CI's bench-smoke holds placed_frac below 1 and fluid_events_frac
+    # strictly between 0 and 1.
     "*.residual_tasks": EXACT,
     "*.placed_frac": EXACT,
     "*.committed_frac": EXACT,
+    "*.fluid_events_frac": EXACT,
     "*.wall_ratio": DEFAULT_TOLERANCE,
 }
 

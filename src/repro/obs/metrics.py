@@ -258,6 +258,9 @@ class _NullHistogram(Histogram):
     def observe(self, value: float) -> None:
         pass
 
+    def observe_all(self, values: Iterable[float]) -> None:
+        pass
+
 
 class NullRegistry(MetricsRegistry):
     """Drops every write; instrumented code pays one no-op call."""

@@ -34,6 +34,7 @@ Two placement rules are provided for line 12:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Iterator, Literal, Sequence
 
 import numpy as np
@@ -57,6 +58,7 @@ from .registry import register
 from .relaxation import (
     ExactRelaxationSolver,
     FluidRelaxationSolver,
+    FluidStepper,
     RelaxationResult,
     RelaxationSolver,
 )
@@ -171,6 +173,49 @@ def _precedence_safe_order(
     return order
 
 
+def _stepped_order(
+    instance: ProblemInstance, fluid: FluidStepper
+) -> Iterator[int]:
+    """π of :func:`_precedence_safe_order` for *fluid*'s relaxation, read
+    while the fluid runs: it steps only until the next task is certain.
+
+    π takes the tasks by (H, job), and a job's k-th position in it holds
+    the job's k-th canonical task, so π is its rounds by (H, job), each
+    giving ``sync_scale`` positions to its job's next tasks (a round's
+    tasks share their ``H``). A dated round is next once its ``H`` is
+    below :meth:`FluidStepper.bound`, which no undated round can go
+    under; the order among dated rounds is a heap's. Until then the
+    fluid takes another step. The generator is left where its reader
+    stops, with the rest of the fluid never run.
+    """
+    scale = instance.sync_scale.tolist()
+    task = instance.task_offset[:-1].tolist()  # each job's next task
+    half_tc = fluid.half_tc.tolist()
+    round_job = np.repeat(
+        np.arange(instance.num_jobs), instance.num_rounds
+    ).tolist()
+    starts, dated = fluid.starts, fluid.dated
+    heap: list[tuple[float, int]] = []
+    seen = 0
+    bound = -np.inf
+    while True:
+        for g in dated[seen:]:
+            j = round_job[g]
+            heappush(heap, (starts[g] + half_tc[j], j))
+        seen = len(dated)
+        if heap and heap[0][0] >= bound:
+            bound = fluid.bound()
+        while heap and heap[0][0] < bound:
+            j = heappop(heap)[1]
+            k = task[j]
+            task[j] = k + scale[j]
+            yield from range(k, k + scale[j])
+        if not fluid.step():
+            if not heap:
+                return
+            bound = np.inf
+
+
 def strict_gang_schedule(
     instance: ProblemInstance,
     order: Sequence[int] | np.ndarray,
@@ -235,7 +280,7 @@ def strict_gang_schedule(
 
 def list_schedule(
     instance: ProblemInstance,
-    order: Sequence[int] | np.ndarray,
+    order: Sequence[int] | np.ndarray | Iterator[int],
     *,
     placement: Placement = "earliest_available",
     initial_phi: list[float] | None = None,
@@ -244,7 +289,9 @@ def list_schedule(
     """Lines 5-17 of Algorithm 1: greedy placement in π order.
 
     *order* is π as canonical task indices (``instance.all_tasks()``
-    order, as :func:`_precedence_safe_order` returns it). A task placed
+    order, as :func:`_precedence_safe_order` returns it), or an iterator
+    that yields them (:func:`_stepped_order`), read only as far as the
+    schedule places tasks. A task placed
     before its previous round is complete raises :class:`SolverError`; a
     task placed twice raises :class:`ScheduleValidationError` (5).
 
@@ -282,11 +329,15 @@ def list_schedule(
     else:
         phi = np.array(initial_phi, dtype=float)
     job_col, rnd_col, slot_col = instance.task_columns()
-    ks = np.asarray(order, dtype=np.int64)
-    if ks.size and (ks.min() < 0 or ks.max() >= len(job_col)):
-        raise SolverError(
-            f"π holds a task index outside 0..{len(job_col) - 1}"
-        )
+    if isinstance(order, Iterator):
+        tasks = order
+    else:
+        ks = np.asarray(order, dtype=np.int64)
+        if ks.size and (ks.min() < 0 or ks.max() >= len(job_col)):
+            raise SolverError(
+                f"π holds a task index outside 0..{len(job_col) - 1}"
+            )
+        tasks = ks.tolist()
     rounds = _Rounds(instance, job_col, rnd_col)
     task_job, task_prev = rounds.task_job, rounds.task_prev
     need, counts, barrier = rounds.need, rounds.counts, rounds.barrier
@@ -300,10 +351,10 @@ def list_schedule(
     earliest_finish = placement != "earliest_available"
     np_maximum, np_add = np.maximum, np.add
     seen = bytearray(len(job_col))
+    placed: list[int] = []
     gpus: list[int] = []
     starts: list[float] = []
-    put_gpu, put_start = gpus.append, starts.append
-    tasks = ks.tolist()
+    put_task, put_gpu, put_start = placed.append, gpus.append, starts.append
     if horizon is not None:
         tasks = _until_horizon(tasks, rounds, gpus, starts, phi_list, horizon)
 
@@ -320,6 +371,7 @@ def list_schedule(
             task = TaskRef(j, int(rnd_col[k]), int(slot_col[k]))
             raise ScheduleValidationError(5, f"task {task} assigned twice")
         seen[k] = 1
+        put_task(k)
         t_avail = barrier[p]
 
         if earliest_finish:
@@ -344,7 +396,7 @@ def list_schedule(
         if end > barrier[r]:
             barrier[r] = end
 
-    rows = ks[: len(gpus)]  # the placed prefix of π
+    rows = np.array(placed, dtype=np.int64)  # the placed prefix of π
     gpu = np.array(gpus, dtype=np.int64)
     job = job_col[rows]
     return ScheduleColumns(
@@ -391,7 +443,7 @@ class _Rounds:
 
 
 def _until_horizon(
-    order: list[int],
+    order: Iterator[int] | list[int],
     rounds: _Rounds,
     gpus: list[int],
     starts: list[float],
@@ -413,7 +465,8 @@ def _until_horizon(
     The generator resumes after :func:`list_schedule` has placed the
     task it yielded, and reads that placement — the last entry of the
     loop's own *gpus* and *starts* columns — with the loop's *phi* and
-    *rounds* state.
+    *rounds* state. It tests the stop rule before it reads the next
+    task of *order*, so a lazy π is read no further than it is placed.
     """
     task_job, task_prev = rounds.task_job, rounds.task_prev
     need, counts, barrier = rounds.need, rounds.counts, rounds.barrier
@@ -426,8 +479,10 @@ def _until_horizon(
     low_jobs = sum(1 for a in release if a < horizon)
     #: Rounds with a task starting before *horizon* and tasks unplaced.
     open_rounds: set[int] = set()
-    for k in order:
-        if not open_rounds and (not low_gpus or low_jobs == 0):
+    order = iter(order)
+    while open_rounds or (low_gpus and low_jobs):
+        k = next(order, None)
+        if k is None:
             return
         yield k
         m = gpus[-1]

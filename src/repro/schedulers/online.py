@@ -42,18 +42,29 @@ import numpy as np
 from ..core.job import ProblemInstance
 from ..core.schedule import Schedule
 from ..kernel.events import Event, KernelEventType
-from ..kernel.residual import build_residual, solve_relaxation, to_global
+from ..kernel.residual import (
+    build_residual,
+    solve_relaxation,
+    start_relaxation,
+    to_global,
+)
 from ..kernel.state import Commitment, KernelState
 from ..obs import current as obs_current
 from .base import Scheduler
 from .hare import (
     Placement,
     _precedence_safe_order,
+    _stepped_order,
     list_schedule,
     select_solver,
 )
 from .registry import register
-from .relaxation import RelaxationResult, RelaxationSolver
+from .relaxation import (
+    FluidRelaxationSolver,
+    FluidStepper,
+    RelaxationResult,
+    RelaxationSolver,
+)
 
 #: Events that trigger a re-planning pass.
 REPLAN_EVENTS = frozenset(
@@ -126,9 +137,11 @@ class OnlineHarePolicy:
         )
         if residual is None:
             return []
-        relaxation = solve_relaxation(
-            select_solver(self.relaxation, residual), residual
-        )
+        solver = select_solver(self.relaxation, residual)
+        if isinstance(solver, FluidRelaxationSolver):
+            relaxation = start_relaxation(solver, residual)
+        else:
+            relaxation = solve_relaxation(solver, residual)
         next_arrival = state.next_arrival_time()
         # Rounds starting at or after the horizon stay provisional.
         horizon = None if next_arrival is None else next_arrival - 1e-12
@@ -154,15 +167,22 @@ class OnlineHarePolicy:
     def _plan(
         self,
         residual: ProblemInstance,
-        relaxation: RelaxationResult,
+        relaxation: RelaxationResult | FluidStepper,
         initial_phi: list[float],
         horizon: float | None,
     ) -> Schedule:
         """List-schedule the residual until no further task can join a
-        round that starts before *horizon* (all of it when ``None``)."""
+        round that starts before *horizon* (all of it when ``None``).
+
+        A fluid relaxation arrives as its stepper, at its start: π is read
+        from it lazily, so the fluid runs only as far as the list
+        schedule places tasks."""
+        if isinstance(relaxation, FluidStepper):
+            order = _stepped_order(residual, relaxation)
+        else:
+            order = _precedence_safe_order(residual, relaxation)
         return list_schedule(
-            residual, _precedence_safe_order(residual, relaxation),
-            placement=self.placement,
+            residual, order, placement=self.placement,
             initial_phi=initial_phi, horizon=horizon,
         )
 

@@ -33,13 +33,14 @@ def _build(
     phi = [0.0] * instance.num_gpus
     barrier: dict[tuple[int, int], float] = {}
     count: dict[tuple[int, int], int] = {}
+    arrival = instance.arrival.tolist()
+    scales = instance.sync_scale.tolist()
     for task in order:
-        job = instance.jobs[task.job_id]
         if task.round_idx == 0:
-            avail = job.arrival
+            avail = arrival[task.job_id]
         else:
             key = (task.job_id, task.round_idx - 1)
-            if count.get(key, 0) != job.sync_scale:
+            if count.get(key, 0) != scales[task.job_id]:
                 return None
             avail = barrier[key]
         m = assignment[task]
@@ -71,8 +72,10 @@ def brute_force_optimal(instance: ProblemInstance) -> Schedule:
     best_obj = float("inf")
     gpus = range(instance.num_gpus)
     last = [
-        (job.weight, (job.job_id, job.num_rounds - 1))
-        for job in instance.jobs
+        (weight, (n, rounds - 1))
+        for n, (weight, rounds) in enumerate(
+            zip(instance.weight.tolist(), instance.num_rounds.tolist())
+        )
     ]
     for order in permutations(tasks):
         for combo in product(gpus, repeat=len(tasks)):

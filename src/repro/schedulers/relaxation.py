@@ -20,13 +20,14 @@ DESIGN.md):
     cluster's aggregate capacity in WSPT priority order (each capped by its
     sync scale), and ``x̂`` of a round is the fluid time its work starts.
     For J jobs, M GPUs, R rounds and T tasks it runs at most ~2J
-    arrival/finish events, each a fixed handful of numpy operations over
-    at most J jobs, then inverts every round's work target in one
-    vectorized binary search. With the O(J·M) averaging of task times the
-    cost is O(J·M + J² + R log J + T) numpy work and O(J) steps of
-    interpreted Python. Produces the same *ordering signal* ``H_i`` that
-    Algorithm 1 consumes; tests compare it against the exact solver on
-    small instances.
+    arrival/finish events (:class:`FluidStepper`, one per step), each a
+    fixed handful of numpy operations over at most J jobs, and dates each
+    round at the event whose breakpoint reaches it. With the O(J·M)
+    averaging of task times the cost is O(J·M + J² + T) numpy work and
+    O(J + R) steps of interpreted Python. Online Hare runs only the
+    events its list schedule needs. Produces the same *ordering signal*
+    ``H_i`` that Algorithm 1 consumes; tests compare it against the exact
+    solver on small instances.
 
 Both return :class:`RelaxationResult` with ``x̂_i`` and the middle
 completion times ``H_i = x̂_i + ½·max_m T^c_{i,m}`` that drive the list
@@ -459,15 +460,9 @@ class FluidRelaxationSolver:
     weights (max-min water-filling) — kept as an ablation of the priority
     rule.
 
-    **Cost.** The WSPT rank is computed once per solve. Every arrival or
-    finish event then takes the active jobs in rank order, gets all their
-    rates from one ``cumsum`` over their caps, advances them with one
-    elementwise update and appends one block of breakpoints, so a solve of
-    J jobs is O(J) events of O(J) numpy work each. The fair-share ablation
-    instead water-fills per event, up to one pass per capped job. The
-    output is numpy too: one radix sort groups the breakpoints by job,
-    :func:`_invert_curves` dates every round in one binary search, and
-    ``x̂``/``H`` come out as canonical arrays with no per-task Python.
+    The fluid runs as a :class:`FluidStepper`, one arrival or finish
+    event per step, and :meth:`solve` drains it. Online Hare steps it only
+    as far as the part of π its list schedule reads.
     """
 
     #: Use the harmonic mean of per-GPU times instead of the arithmetic
@@ -477,136 +472,368 @@ class FluidRelaxationSolver:
     #: Egalitarian weighted fair sharing instead of WSPT priority.
     fair_share: bool = False
 
+    def stepper(self, instance: ProblemInstance) -> FluidStepper:
+        """*instance*'s fluid at its start, before the first event."""
+        return FluidStepper(instance, self.harmonic, self.fair_share)
+
     def solve(self, instance: ProblemInstance) -> RelaxationResult:
+        fluid = self.stepper(instance)
+        while fluid.step():
+            pass
+        return fluid.result()
+
+
+class FluidStepper:
+    """One instance's fluid relaxation, run one event at a time.
+
+    Each :meth:`step` runs the fluid to its next arrival or finish. A job
+    that gains work there gets a breakpoint on its work-completed curve,
+    and every round whose work target the breakpoint reaches
+    (``work >= target - 1e-12``, :func:`_invert_curves`' rule) is dated at
+    once, on the curve segment that ends there: ``x̂`` interpolates
+    between the job's previous breakpoint and this one. :attr:`starts`
+    fills in as rounds are dated, :attr:`dated` lists them in that order,
+    and a drained stepper's :meth:`result` is the relaxation, the same
+    bytes as inverting the finished curves.
+
+    Until the end, :meth:`bound` limits what the undated rounds can still
+    get. An undated round of job ``j`` is dated on a later segment, so its
+    ``x̂`` is no earlier than ``j``'s last breakpoint ``t_j`` (its arrival
+    while it has none) and its ``H`` no lower than ``t_j + c_j``, with
+    ``c_j = ½·max_m T^c_{j,m}``. The fluid's current time is no such
+    bound: a starved job has no breakpoint across its gap, so its next
+    round is dated by interpolating over the gap, before the time its
+    work resumes.
+
+    A round whose target may lie past its job's final work (rounds of
+    under ~1e-12 work: a job finishes with up to 1e-12 left, and
+    :func:`_invert_curves` clamps such targets to the curve's end) is
+    dated when the job finishes, by :func:`_invert_curves` on the job's
+    whole curve; until then it bounds ``H`` only by the job's arrival
+    plus ``c_j``.
+
+    **Cost.** The WSPT rank is computed once, and the state lives in
+    rank order. Arrivals are a list pointer; the served jobs and their
+    rates are rebuilt only when membership changes (one ``cumsum`` over
+    the caps: the densest jobs take their caps until capacity runs out,
+    so the served jobs are a prefix of the active ones, and their
+    remaining work, total work and next round's key come out in one
+    gather). An event is then about a dozen numpy calls over the served
+    jobs, plus a few scalar operations per round it dates. The
+    fair-share ablation water-fills at each rebuild.
+    """
+
+    def __init__(
+        self, instance: ProblemInstance, harmonic: bool, fair_share: bool
+    ) -> None:
         num_jobs = instance.num_jobs
-        if self.harmonic:
+        if harmonic:
             rep = instance.num_gpus / (
                 (1.0 / (instance.train_time + instance.sync_time)).sum(axis=1)
             )
         else:
             rep = (instance.train_time + instance.sync_time).mean(axis=1)
-
         ids = np.arange(num_jobs)
         rounds, scales = instance.num_rounds, instance.sync_scale
         total_work = (rounds * scales) * rep
-        remaining = total_work.copy()
         weights = instance.weight
-        # Integer-valued floats: every cumsum of caps below is exact.
-        caps = scales.astype(np.float64)
         arrivals = instance.arrival
-        capacity = float(instance.num_gpus)
-
         # Jobs are kept in *rank* order: WSPT density (w_n / total work,
         # static, so a job's priority never drifts), ties toward the lower
         # id. Fair sharing keeps id order, which _water_fill's sums expect.
-        if self.fair_share:
+        if fair_share:
             rank = ids
         else:
             density = weights / np.maximum(total_work, 1e-300)
             rank = np.lexsort((ids, -density))
         pos = np.empty(num_jobs, dtype=np.intp)
         pos[rank] = ids
-        active = np.zeros(num_jobs, dtype=bool)  # indexed by rank position
+        self.instance = instance
+        self._fair_share = fair_share
+        self._capacity = float(instance.num_gpus)
+        self._pos = pos
+        # Per rank position. Integer-valued caps: every cumsum is exact.
+        self._caps = scales[rank].astype(np.float64)
+        self._weights = weights[rank] if fair_share else None
+        self._work = total_work[rank]
+        self._rem = self._work.copy()
+        self._active = np.zeros(num_jobs, dtype=bool)
+        #: Each job's last breakpoint time (its arrival while it has none).
+        self._last_t = arrivals[rank]
         pending = np.argsort(arrivals, kind="stable")
-        pending_pos = pos[pending]
-        pending_t = arrivals[pending]
+        self._arrive_pos = pos[pending].tolist()
+        self._arrive_t = arrivals[pending].tolist()
+        self._next_arrival = 0
+        self._s_pos: np.ndarray | None = None
+        self._s_list: list[int] = []
+        self._idle_after = num_jobs
+        #: Caps of the active jobs, summed (exact: integers).
+        self._cap_list = self._caps.tolist()
+        self._active_caps = 0.0
 
-        # Work-completed breakpoints as columns, one block per event (its
-        # jobs, their done work, and the event time with its block size);
-        # each job's curve starts at (arrival, 0).
-        bp_job: list[np.ndarray] = [ids]
-        bp_done: list[np.ndarray] = [np.zeros(num_jobs)]
-        event_t: list[float] = []
-        event_size: list[int] = []
-        t = 0.0
-        arr_ptr = 0
-        unfinished = num_jobs
-        guard = 0
-        with np.errstate(divide="ignore"):
-            while unfinished:
-                guard += 1
-                if guard > 8 * num_jobs + 64:  # pragma: no cover - defensive
-                    raise SolverError("fluid solver failed to converge")
-                arrived = int(pending_t.searchsorted(t + 1e-12, side="right"))
-                if arrived > arr_ptr:
-                    active[pending_pos[arr_ptr:arrived]] = True
-                    arr_ptr = arrived
-                act_pos = active.nonzero()[0]
-                if len(act_pos) == 0:
-                    if arr_ptr >= num_jobs:
-                        raise SolverError(
-                            "fluid solver: no active jobs and none arriving"
-                        )  # pragma: no cover - defensive
-                    t = float(pending_t[arr_ptr])
-                    continue
-                act = rank[act_pos]
-                act_caps = caps[act]
-                if self.fair_share:
-                    rates = _water_fill(weights[act], act_caps, capacity)
-                else:
-                    # Serve in rank order until capacity runs out: each job
-                    # gets min(cap, capacity left by the denser jobs before).
-                    used = act_caps.cumsum()
-                    if used[-1] <= capacity:
-                        rates = act_caps
-                    else:
-                        rates = np.minimum(
-                            act_caps,
-                            np.maximum(capacity - (used - act_caps), 0.0),
-                        )
-                rem = remaining[act]
-                # Next event: a job finishing or the next arrival.
-                dt = float(np.where(rates > 0, rem / rates, np.inf).min())
-                next_arrival = (
-                    float(pending_t[arr_ptr]) if arr_ptr < num_jobs else np.inf
+        # Per rank position: the first round's id (rounds in canonical
+        # order), the work per round, the round count, the first undated
+        # round, and the first round dated only at the finish (its target
+        # is past the least work the job can end with).
+        num_rounds = rounds[rank]
+        round_work = (scales * rep)[rank]
+        first_round = (np.cumsum(rounds) - rounds)[rank].tolist()
+        self._first_round = first_round
+        self._round_work = round_work.tolist()
+        self._num_rounds = num_rounds.tolist()
+        self._late_from = list(self._num_rounds)
+        # Round 0 (work target 0) is dated at the arrival; the key
+        # (target - 1e-12) of round 1 is then the next to reach.
+        self._next_round = [1] * num_jobs
+        more = num_rounds > 1
+        self._key = np.where(more, round_work - 1e-12, np.inf)
+        #: c_j = ½·max_m T^c_{j,m}, by job id.
+        self.half_tc = instance.train_time.max(axis=1) / 2.0
+        #: c_j while job j has a round to date on crossing, else inf.
+        self._pending_c = np.where(more, self.half_tc[rank], np.inf)
+        #: x̂ of every round in canonical order, ``None`` until dated.
+        self.starts: list[float | None] = [None] * int(rounds.sum())
+        arrival = arrivals[rank].tolist()
+        for g, a in zip(first_round, arrival):
+            self.starts[g] = a
+        #: Round ids in the order they were dated.
+        self.dated: list[int] = list(first_round)
+        #: Jobs with rounds dated at their finish (rank position -> its
+        #: curve so far), and their bound while such a round is undated.
+        self._curves: dict[int, list[tuple[float, float]]] = {}
+        self._late_bound: dict[int, float] = {}
+        #: Jobs that finish at their first event (total work <= 1e-12).
+        self._tiny: set[int] = set()
+        # A job finishes with at least final_floor done: the jobs whose
+        # last target reaches it have rounds to date at the finish, and
+        # include every tiny job.
+        final_floor = self._work - 1e-12
+        odd = (num_rounds - 1) * round_work >= final_floor
+        for p in odd.nonzero()[0].tolist():
+            if final_floor[p] <= 0:
+                self._tiny.add(p)
+            w, late = self._round_work[p], self._num_rounds[p]
+            while late > 1 and (late - 1) * w > final_floor[p]:
+                late -= 1
+            if late == self._num_rounds[p]:
+                continue
+            self._late_from[p] = late
+            self._curves[p] = [(arrival[p], 0.0)]
+            self._late_bound[p] = arrival[p] + float(self.half_tc[rank[p]])
+            self._key[p] = self._advance(p, 1)
+        self.t = 0.0
+        #: Fluid events run so far.
+        self.events = 0
+        self._unfinished = num_jobs
+        self._stale = True  # the served jobs need a rebuild
+
+    # ------------------------------------------------------------------
+    @property
+    def finished(self) -> bool:
+        """Every job has finished and every round is dated."""
+        return not self._unfinished
+
+    def bound(self) -> float:
+        """The least ``H`` an undated round can still get (``inf`` once
+        every round is dated)."""
+        lo = self._last_t + self._pending_c
+        lo = float(lo[lo.argmin()]) if len(lo) else np.inf
+        if self._late_bound:
+            lo = min(lo, *self._late_bound.values())
+        return lo
+
+    def step(self) -> bool:
+        """Run the fluid to its next event; ``False`` once it is done."""
+        if not self._unfinished:
+            return False
+        if self.events > 8 * len(self._pos) + 64:  # pragma: no cover
+            raise SolverError("fluid solver failed to converge")
+        t = self.t
+        arrive_t = self._arrive_t
+        while True:
+            i = self._next_arrival
+            if i < len(arrive_t) and arrive_t[i] <= t + 1e-12:
+                while i < len(arrive_t) and arrive_t[i] <= t + 1e-12:
+                    p = self._arrive_pos[i]
+                    self._active[p] = True
+                    self._active_caps += self._cap_list[p]
+                    # A job ranked after a full served prefix gets no rate.
+                    if p < self._idle_after:
+                        self._stale = True
+                    i += 1
+                self._next_arrival = i
+            if self._stale:
+                self._rebuild()
+            if self._s_list:
+                break
+            if i >= len(arrive_t):  # pragma: no cover - defensive
+                raise SolverError(
+                    "fluid solver: no active jobs and none arriving"
                 )
-                dt = min(dt, next_arrival - t)
-                if not np.isfinite(dt) or dt < 0:
-                    raise SolverError("fluid solver produced a bad step")
-                t_next = t + dt
-                work = total_work[act]
-                new_rem = np.maximum(0.0, rem - rates * dt)
-                remaining[act] = new_rem
-                done_after = work - new_rem
-                grew = (done_after > work - rem).nonzero()[0]
-                if len(grew):
-                    bp_job.append(act[grew])
-                    bp_done.append(done_after[grew])
-                    event_t.append(t_next)
-                    event_size.append(len(grew))
-                finished = (new_rem <= 1e-12).nonzero()[0]
-                if len(finished):
-                    active[act_pos[finished]] = False
-                    unfinished -= len(finished)
-                t = t_next
+            t = arrive_t[i]
+        s_rate, s_rem = self._s_rate, self._s_rem
+        # Next event: a served job finishing or the next arrival.
+        dt = s_rem / s_rate
+        dt = dt.item(dt.argmin())
+        if i < len(arrive_t) and arrive_t[i] - t < dt:
+            dt = arrive_t[i] - t
+        if not dt < np.inf or dt < 0:
+            raise SolverError("fluid solver produced a bad step")
+        t_next = t + dt
+        new_rem = np.maximum(0.0, s_rem - s_rate * dt)
+        self._s_rem = new_rem
+        done_before = self._s_done
+        done = self._s_done = self._s_work - new_rem
+        # Breakpoints: the served jobs whose done work grew.
+        grew = done > done_before
+        cross = done >= self._s_key
+        every = np.count_nonzero(grew) == len(grew)
+        if not every:
+            cross &= grew
+        cross = cross.nonzero()[0]
+        if len(cross):
+            self._date(cross.tolist(), done_before, done, t_next)
+        self._last_t[self._s_pos if every else self._s_pos[grew]] = t_next
+        if self._curves:
+            for i, p in enumerate(self._s_list):
+                if p in self._curves and grew[i]:
+                    self._curves[p].append((t_next, done.item(i)))
+        ended = (new_rem <= 1e-12).nonzero()[0]
+        ended = [self._s_list[i] for i in ended.tolist()]
+        if self._tiny:
+            # Unserved active jobs finish too (their work is <= 1e-12).
+            ended += [
+                p for p in self._tiny if self._active[p] and p not in ended
+            ]
+        if ended:
+            self._finish(ended)
+        self.t = t_next
+        self.events += 1
+        return True
 
-        # Group the breakpoints by job (stable: each curve stays in time
-        # order), then invert every round's work target on its job's
-        # curve in one pass.
-        by_job = np.concatenate(bp_job)
-        # A stable sort's result is unique, and 16-bit keys take numpy's
-        # radix sort: several times faster than timsort on int64 keys.
-        keys = by_job.astype(np.uint16) if num_jobs <= 1 << 16 else by_job
-        order = keys.argsort(kind="stable")
-        curve_t = np.concatenate(
-            [arrivals, np.repeat(event_t, event_size)]
-        )[order]
-        curve_done = np.concatenate(bp_done)[order]
-        ends = np.bincount(by_job, minlength=num_jobs).cumsum()
-        round_job = np.repeat(ids, rounds)
-        first_round = np.cumsum(rounds) - rounds
-        round_idx = np.arange(len(round_job)) - first_round[round_job]
-        targets = round_idx * (scales * rep)[round_job]
-        starts = _invert_curves(
-            curve_t, curve_done, ends, round_job, targets
+    def result(self) -> RelaxationResult:
+        """The relaxation, once :meth:`step` has drained the fluid."""
+        instance = self.instance
+        x_hat = np.repeat(
+            np.array(self.starts, dtype=np.float64),
+            np.repeat(instance.sync_scale, instance.num_rounds),
         )
-        x_hat = np.repeat(starts, scales[round_job])
-
-        h = _middle_completion(instance, x_hat)
         # Completion = each curve's last breakpoint; summed left to right.
-        completion = curve_t[ends - 1]
-        objective = float(sum((weights * completion).tolist()))
+        completion = self._last_t[self._pos]
+        objective = float(sum((instance.weight * completion).tolist()))
+        # H as _middle_completion computes it.
+        h = x_hat + self.half_tc[instance.task_columns()[0]]
         return RelaxationResult(x_hat=x_hat, h=h, objective=objective)
+
+    # ------------------------------------------------------------------
+    def _advance(self, p: int, r: int) -> float:
+        """Job *p* (a rank position) has dated its rounds before *r*; the
+        key of its next round to date on crossing, or inf."""
+        self._next_round[p] = r
+        if r < self._late_from[p]:
+            return r * self._round_work[p] - 1e-12
+        self._pending_c[p] = np.inf
+        return np.inf
+
+    def _rebuild(self) -> None:
+        """The served jobs and their rates, after membership changed."""
+        if self._s_pos is not None:
+            self._rem[self._s_pos] = self._s_rem
+        act = self._active.nonzero()[0]
+        #: Arrivals ranked at or after this position leave the rates as
+        #: they are (the served prefix holds all the capacity).
+        idle_after = len(self._pos)
+        capacity = self._capacity
+        if self._fair_share:
+            act_caps = self._caps[act]
+            rates = _water_fill(self._weights[act], act_caps, capacity)
+            served = rates.nonzero()[0]
+            s_pos, s_rate = act[served], rates[served]
+        elif self._active_caps <= capacity:
+            # Every active job takes its cap.
+            s_pos, s_rate = act, self._caps[act]
+            if self._active_caps == capacity:
+                idle_after = int(act[-1]) + 1
+        else:
+            # Serve in rank order until capacity runs out: each job gets
+            # min(cap, capacity left by the denser jobs before). All are
+            # integers, so the partial rate is exact.
+            act_caps = self._caps[act]
+            used = act_caps.cumsum()
+            k = int(used.searchsorted(capacity, side="right"))
+            left = capacity - (used.item(k - 1) if k else 0.0)
+            n = k + (left > 0)
+            s_pos, s_rate = act[:n], act_caps[:n]
+            if left > 0:
+                s_rate[k] = left
+            idle_after = int(s_pos[-1]) + 1
+        self._idle_after = idle_after
+        self._s_pos, self._s_rate = s_pos, s_rate
+        self._s_list = s_pos.tolist()
+        self._s_rem = self._rem[s_pos]
+        self._s_work = self._work[s_pos]
+        self._s_done = self._s_work - self._s_rem
+        self._s_key = self._key[s_pos]
+        self._stale = False
+
+    def _date(
+        self,
+        cross: list[int],
+        done_before: np.ndarray,
+        done: np.ndarray,
+        t_next: float,
+    ) -> None:
+        """Date the rounds the served jobs at *cross* reached this event,
+        each on its curve's segment from its last breakpoint to
+        (t_next, done)."""
+        starts, dated = self.starts, self.dated
+        next_round, round_work = self._next_round, self._round_work
+        first_round, late_from = self._first_round, self._late_from
+        s_list, key, s_key = self._s_list, self._key, self._s_key
+        last_t = self._last_t
+        for i in cross:
+            p = s_list[i]
+            w0, w1, t0 = done_before.item(i), done.item(i), last_t.item(p)
+            r, w, g = next_round[p], round_work[p], first_round[p]
+            late = late_from[p]
+            work, span = w1 - w0, t_next - t0
+            while True:
+                # _invert_curves' interpolation, at the unclamped target.
+                starts[g + r] = t0 + (r * w - w0) / work * span
+                dated.append(g + r)
+                r += 1
+                if r >= late or w1 < r * w - 1e-12:
+                    break
+            if r < late:
+                next_round[p] = r
+                key[p] = s_key[i] = r * w - 1e-12
+            else:
+                key[p] = s_key[i] = self._advance(p, r)
+
+    def _finish(self, ended: list[int]) -> None:
+        """Retire the jobs at rank positions *ended*; date the rounds
+        left for the finish on each one's whole curve."""
+        for p in ended:
+            self._active[p] = False
+            self._active_caps -= self._cap_list[p]
+            self._tiny.discard(p)
+            curve = self._curves.pop(p, None)
+            if curve is None:
+                continue
+            del self._late_bound[p]
+            r, num = self._next_round[p], self._num_rounds[p]
+            g = self._first_round[p]
+            times, works = (np.array(col) for col in zip(*curve))
+            late = _invert_curves(
+                times, works, np.array([len(curve)]),
+                np.zeros(num - r, dtype=np.intp),
+                np.arange(r, num) * self._round_work[p],
+            )
+            self.starts[g + r:g + num] = late.tolist()
+            self.dated.extend(range(g + r, g + num))
+            self._next_round[p] = num
+        self._unfinished -= len(ended)
+        self._stale = True
 
 
 def _water_fill(

@@ -272,6 +272,33 @@ class TestTieBreakCorners:
         )
 
 
+class TestCommitHorizonHistogram:
+    """The block replay hands ``kernel.commit_horizon_s`` every horizon
+    in one ``observe_all``; the reference loop observes one per commit."""
+
+    @staticmethod
+    def _histogram(kernel_cls, instance, planner):
+        obs = Obs.start(trace=False)
+        with use(obs):
+            kernel_cls(instance, PlannedPolicy(planner)).run()
+        return obs.metrics.histogram("kernel.commit_horizon_s")
+
+    def test_snapshot_is_byte_equal(self, small_instance):
+        """Same sorted samples and the same running total, bit for bit
+        (summed in commit order), so the same snapshot."""
+        for planner in PLANNERS:
+            ref, arr = (
+                self._histogram(k, small_instance, planner) for k in KERNELS
+            )
+            assert arr.count > 0
+            assert (np.array(arr._sorted).tobytes()
+                    == np.array(ref._sorted).tobytes()), planner.name
+            assert np.float64(arr.total).tobytes() == np.float64(
+                ref.total
+            ).tobytes(), planner.name
+            assert repr(arr.snapshot()) == repr(ref.snapshot())
+
+
 class TestMaterializedSchedule:
     """The replay reads the plan's columns, never its objects; its
     schedule materializes to the reference loop's, in the same insertion

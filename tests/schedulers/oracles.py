@@ -530,13 +530,15 @@ class LoopCostAlloxScheduler(SchedAlloxScheduler):
 class UntruncatedOnlineHarePolicy(OnlineHarePolicy):
     """``OnlineHarePolicy`` without the horizon stop rule.
 
-    Every re-plan list-schedules the *whole* residual from the eager π,
-    then commits each round that starts before the next arrival, reading
-    every task of the plan.
+    Every re-plan solves the residual's relaxation in full, list-schedules
+    the *whole* residual from the eager π, then commits each round that
+    starts before the next arrival, reading every task of the plan; the
+    relaxation the policy hands in is not read.
     """
 
     def _plan(self, residual, relaxation, initial_phi, horizon):
-        order = reference_precedence_safe_order(residual, relaxation)
+        eager = select_solver(self.relaxation, residual).solve(residual)
+        order = reference_precedence_safe_order(residual, eager)
         return reference_list_schedule(
             residual, order, placement=self.placement,
             initial_phi=initial_phi,

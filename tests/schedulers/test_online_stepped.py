@@ -24,12 +24,18 @@ from repro.core import Job, ProblemInstance
 from repro.core.types import TaskRef
 from repro.kernel import run_policy
 from repro.schedulers import online
+from repro.schedulers.hare import (
+    _precedence_safe_order,
+    _stepped_order,
+    select_solver,
+)
 from repro.schedulers.online import OnlineHarePolicy
 from repro.schedulers.relaxation import FluidRelaxationSolver
 from tests.schedulers.oracles import (
     EagerFluidOnlineHarePolicy,
     by_task,
     column_bytes,
+    reference_fluid_solve,
 )
 
 SOLVERS = {
@@ -41,15 +47,18 @@ SOLVERS = {
 #: Coarse grids, so arrivals, round boundaries and event times tie often.
 TIMES = (0.5, 1.0, 2.0, 3.0)
 ARRIVALS = (0.0, 0.0, 0.5, 1.0, 1.0, 3.0, 6.0)
+#: Task times whose rounds hold under 1e-12 of work: jobs that finish at
+#: once, with targets past their curve's end.
+TINY = (1e-13, 2.5e-13, 5e-13)
 
 
 @st.composite
-def stepped_instances(draw, max_jobs: int = 8):
+def stepped_instances(draw, max_jobs: int = 8, times=TIMES):
     num_gpus = draw(st.integers(2, 4))
     n_jobs = draw(st.integers(2, max_jobs))
     num_profiles = draw(st.integers(1, 3))
     cells = num_profiles * num_gpus
-    grid = st.lists(st.sampled_from(TIMES), min_size=cells, max_size=cells)
+    grid = st.lists(st.sampled_from(times), min_size=cells, max_size=cells)
     tc = np.array(draw(grid)).reshape(num_profiles, num_gpus)
     ts = np.array(draw(grid)).reshape(num_profiles, num_gpus) / 4.0
     jobs, profile = [], []
@@ -88,7 +97,7 @@ class TestMatchesEagerFluid:
     @pytest.mark.parametrize("solver", sorted(SOLVERS))
     @settings(max_examples=40, deadline=None)
     @given(
-        instance=stepped_instances(),
+        instance=stepped_instances(times=TIMES + TINY),
         replan_interval=st.sampled_from((None, 1.0)),
         crash=st.sampled_from((None, (1.0, 0), (2.5, 0))),
     )
@@ -97,6 +106,28 @@ class TestMatchesEagerFluid:
             instance, SOLVERS[solver], replan_interval=replan_interval,
             crashes=None if crash is None else [crash],
         )
+
+
+class TestSteppedOrder:
+    """Read to the end, the stepped π is the sorted π of the drained
+    fluid, and the drained fluid is the per-job oracle loop's; tiny
+    rounds included."""
+
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    @settings(max_examples=60, deadline=None)
+    @given(instance=stepped_instances(times=TIMES + TINY))
+    def test_full_read_is_the_sorted_order(self, solver, instance):
+        solver = select_solver(SOLVERS[solver], instance)
+        fluid = solver.stepper(instance)
+        got = np.fromiter(_stepped_order(instance, fluid), np.int64)
+        assert fluid.finished
+        drained = fluid.result()
+        want = reference_fluid_solve(solver, instance)
+        assert drained.x_hat.tobytes() == want.x_hat.tobytes()
+        assert drained.h.tobytes() == want.h.tobytes()
+        assert drained.objective == want.objective
+        order = _precedence_safe_order(instance, want)
+        assert got.tobytes() == order.tobytes()
 
 
 def _instance(num_gpus, specs, tc, ts=None) -> ProblemInstance:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import SolverError
-from repro.schedulers import relaxation
 from repro.schedulers.relaxation import (
     FluidRelaxationSolver,
     _invert_curves,
@@ -248,9 +247,12 @@ class TestOnePassInversion:
             [[2.5], [0.5]],
         ))
 
-    def test_fleet_sized_solve(self, monkeypatch):
-        """Every inversion of a fleet-sized solve (500 jobs, 1000 GPUs,
-        ~11k tasks) equals the per-job oracle bit for bit."""
+    def test_fleet_sized_solve(self):
+        """Every round of a fleet-sized solve (500 jobs, 1000 GPUs, ~11k
+        tasks) is dated as the per-job oracle inverts its job's finished
+        curve, bit for bit. The stepper dates a round at the breakpoint
+        that reaches it; the curves are read off the stepper after each
+        event (the served jobs whose last breakpoint moved to its time)."""
         from repro.cluster import scaled_cluster
         from repro.harness.experiments import make_loaded_workload, make_problem
         from repro.workload import WorkloadConfig
@@ -260,21 +262,28 @@ class TestOnePassInversion:
             config=WorkloadConfig(rounds_scale=0.15),
         )
         instance = make_problem(scaled_cluster(1000), jobs)
-        calls = []
-
-        def checked(*args):
-            calls.append(args)
-            return _invert_curves(*args)
-
-        monkeypatch.setattr(relaxation, "_invert_curves", checked)
+        rep = (instance.train_time + instance.sync_time).mean(axis=1)
+        round_work = instance.sync_scale * rep
         for solver in (
             FluidRelaxationSolver(), FluidRelaxationSolver(fair_share=True)
         ):
-            solver.solve(instance)
-        assert len(calls) == 2
-        for args in calls:
-            assert len(args[1]) > 2 * instance.num_jobs
-            self._assert_bit_equal(*args)
+            fluid = solver.stepper(instance)
+            job_at = np.argsort(fluid._pos)  # rank position -> job
+            curves = [[(a, 0.0)] for a in instance.arrival.tolist()]
+            while fluid.step():
+                grown = fluid._last_t[fluid._s_pos] == fluid.t
+                for p, work in zip(
+                    fluid._s_pos[grown].tolist(),
+                    fluid._s_done[grown].tolist(),
+                ):
+                    curves[job_at[p]].append((fluid.t, work))
+            assert sum(map(len, curves)) > 2 * instance.num_jobs
+            x_hat = fluid.result().x_hat
+            offset, scale = instance.task_offset, instance.sync_scale
+            for n, curve in enumerate(curves):
+                targets = np.arange(instance.num_rounds[n]) * round_work[n]
+                got = x_hat[offset[n]:offset[n + 1]:scale[n]]
+                assert got.tobytes() == _batch(curve, targets).tobytes(), n
 
 
 class TestCutSeparation:

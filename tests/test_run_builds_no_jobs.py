@@ -77,3 +77,60 @@ def test_run_builds_no_job(spec, monkeypatch):
         # The control plane runs the run's instance; it profiles nothing.
         assert result.instance is result.chaos.instance
     assert built == []
+
+
+def test_job_table_readers_build_no_job(monkeypatch):
+    """The schedule, report, bound and admission helpers read the job
+    table's columns: on a view whose ``jobs`` is built only when read,
+    none of them constructs a ``Job``."""
+    import numpy as np
+
+    from repro.cells.admission import GlobalAdmission
+    from repro.cells.partition import CellPartitioner
+    from repro.cluster import testbed_cluster
+    from repro.core import ProblemInstance
+    from repro.core.fairness import isolated_flow_time
+    from repro.harness.experiments import make_loaded_workload, make_problem
+    from repro.harness.gantt import render_job_timeline
+    from repro.obs.attrib import attribute_records
+    from repro.obs.recorder import Record
+    from repro.schedulers import HareScheduler
+    from repro.schedulers.optimal import brute_force_optimal
+    from repro.workload import WorkloadConfig
+
+    cluster = testbed_cluster()
+    base = make_problem(cluster, make_loaded_workload(
+        6, reference_gpus=cluster.num_gpus, load=1.5, seed=3,
+        config=WorkloadConfig(rounds_scale=0.05),
+    ))
+    view = base.subset(np.arange(base.num_jobs))
+    tiny = ProblemInstance(
+        jobs=[Job(job_id=0, model="a", num_rounds=2),
+              Job(job_id=1, model="b", arrival=0.5, sync_scale=2)],
+        train_time=np.array([[1.0, 2.0], [1.5, 1.0]]),
+        sync_time=np.array([[0.1, 0.2], [0.1, 0.1]]),
+    ).subset(np.arange(2))
+    partition = CellPartitioner(cells=3).partition(cluster)
+    round_record = Record(
+        0, "instant", "kernel", "kernel.round", "kernel", 2.0,
+        args={"job": 1, "round": 0, "start": 1.0, "end": 2.0, "gpu": 0,
+              "busy": 1.0, "best": 1.0},
+    )
+    built = []
+    post_init = Job.__post_init__
+
+    def counted(job):
+        built.append(job)
+        post_init(job)
+
+    monkeypatch.setattr(Job, "__post_init__", counted)
+    plan = HareScheduler(relaxation="fluid").schedule(view)
+    plan.total_weighted_completion()
+    plan.round_end(1, 0)
+    view.total_work_lower_bound(1)
+    isolated_flow_time(view, 1)
+    render_job_timeline(plan, 1)
+    brute_force_optimal(tiny)
+    GlobalAdmission().admit(view, partition)
+    attribute_records([round_record], instance=view)
+    assert built == []
