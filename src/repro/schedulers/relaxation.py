@@ -513,14 +513,14 @@ class FluidStepper:
     plus ``c_j``.
 
     **Cost.** The WSPT rank is computed once, and the state lives in
-    rank order. Arrivals are a list pointer; the served jobs and their
-    rates are rebuilt only when membership changes (one ``cumsum`` over
-    the caps: the densest jobs take their caps until capacity runs out,
-    so the served jobs are a prefix of the active ones, and their
-    remaining work, total work and next round's key come out in one
-    gather). An event is then about a dozen numpy calls over the served
-    jobs, plus a few scalar operations per round it dates. The
-    fair-share ablation water-fills at each rebuild.
+    rank order. Arrivals are a list pointer. The served jobs and their
+    rates are rebuilt only when membership changes: the densest jobs
+    take their caps until capacity runs out, so the served jobs are a
+    prefix of the active ones (every active job, with no ``cumsum``,
+    while their caps fit). A rebuild gathers the served jobs' remaining
+    work, total work and next key once; an event is then about a dozen
+    numpy calls over them, plus a few scalar operations per round it
+    dates. The fair-share ablation water-fills at each rebuild.
     """
 
     def __init__(
@@ -566,7 +566,6 @@ class FluidStepper:
         self._next_arrival = 0
         self._s_pos: np.ndarray | None = None
         self._s_list: list[int] = []
-        self._idle_after = num_jobs
         #: Caps of the active jobs, summed (exact: integers).
         self._cap_list = self._caps.tolist()
         self._active_caps = 0.0
@@ -624,15 +623,11 @@ class FluidStepper:
         self.t = 0.0
         #: Fluid events run so far.
         self.events = 0
+        self._max_events = 8 * num_jobs + 64
         self._unfinished = num_jobs
         self._stale = True  # the served jobs need a rebuild
 
     # ------------------------------------------------------------------
-    @property
-    def finished(self) -> bool:
-        """Every job has finished and every round is dated."""
-        return not self._unfinished
-
     def bound(self) -> float:
         """The least ``H`` an undated round can still get (``inf`` once
         every round is dated)."""
@@ -646,22 +641,20 @@ class FluidStepper:
         """Run the fluid to its next event; ``False`` once it is done."""
         if not self._unfinished:
             return False
-        if self.events > 8 * len(self._pos) + 64:  # pragma: no cover
+        if self.events > self._max_events:  # pragma: no cover
             raise SolverError("fluid solver failed to converge")
         t = self.t
         arrive_t = self._arrive_t
+        i = self._next_arrival
         while True:
-            i = self._next_arrival
             if i < len(arrive_t) and arrive_t[i] <= t + 1e-12:
                 while i < len(arrive_t) and arrive_t[i] <= t + 1e-12:
                     p = self._arrive_pos[i]
                     self._active[p] = True
                     self._active_caps += self._cap_list[p]
-                    # A job ranked after a full served prefix gets no rate.
-                    if p < self._idle_after:
-                        self._stale = True
                     i += 1
                 self._next_arrival = i
+                self._stale = True
             if self._stale:
                 self._rebuild()
             if self._s_list:
@@ -671,7 +664,7 @@ class FluidStepper:
                     "fluid solver: no active jobs and none arriving"
                 )
             t = arrive_t[i]
-        s_rate, s_rem = self._s_rate, self._s_rem
+        s_pos, s_rate, s_rem = self._s_pos, self._s_rate, self._s_rem
         # Next event: a served job finishing or the next arrival.
         dt = s_rem / s_rate
         dt = dt.item(dt.argmin())
@@ -693,20 +686,19 @@ class FluidStepper:
         cross = cross.nonzero()[0]
         if len(cross):
             self._date(cross.tolist(), done_before, done, t_next)
-        self._last_t[self._s_pos if every else self._s_pos[grew]] = t_next
+        self._last_t[s_pos if every else s_pos[grew]] = t_next
         if self._curves:
-            for i, p in enumerate(self._s_list):
-                if p in self._curves and grew[i]:
-                    self._curves[p].append((t_next, done.item(i)))
+            self._extend_curves(grew, done, t_next)
         ended = (new_rem <= 1e-12).nonzero()[0]
-        ended = [self._s_list[i] for i in ended.tolist()]
-        if self._tiny:
+        if len(ended) or self._tiny:
+            s_list = self._s_list
+            ended = [s_list[i] for i in ended.tolist()]
             # Unserved active jobs finish too (their work is <= 1e-12).
             ended += [
                 p for p in self._tiny if self._active[p] and p not in ended
             ]
-        if ended:
-            self._finish(ended)
+            if ended:
+                self._finish(ended)
         self.t = t_next
         self.events += 1
         return True
@@ -740,9 +732,6 @@ class FluidStepper:
         if self._s_pos is not None:
             self._rem[self._s_pos] = self._s_rem
         act = self._active.nonzero()[0]
-        #: Arrivals ranked at or after this position leave the rates as
-        #: they are (the served prefix holds all the capacity).
-        idle_after = len(self._pos)
         capacity = self._capacity
         if self._fair_share:
             act_caps = self._caps[act]
@@ -752,8 +741,6 @@ class FluidStepper:
         elif self._active_caps <= capacity:
             # Every active job takes its cap.
             s_pos, s_rate = act, self._caps[act]
-            if self._active_caps == capacity:
-                idle_after = int(act[-1]) + 1
         else:
             # Serve in rank order until capacity runs out: each job gets
             # min(cap, capacity left by the denser jobs before). All are
@@ -766,8 +753,6 @@ class FluidStepper:
             s_pos, s_rate = act[:n], act_caps[:n]
             if left > 0:
                 s_rate[k] = left
-            idle_after = int(s_pos[-1]) + 1
-        self._idle_after = idle_after
         self._s_pos, self._s_rate = s_pos, s_rate
         self._s_list = s_pos.tolist()
         self._s_rem = self._rem[s_pos]
@@ -809,6 +794,14 @@ class FluidStepper:
                 key[p] = s_key[i] = r * w - 1e-12
             else:
                 key[p] = s_key[i] = self._advance(p, r)
+
+    def _extend_curves(
+        self, grew: np.ndarray, done: np.ndarray, t_next: float
+    ) -> None:
+        """Append this event's breakpoints to the curves kept whole."""
+        for i, p in enumerate(self._s_list):
+            if p in self._curves and grew[i]:
+                self._curves[p].append((t_next, done.item(i)))
 
     def _finish(self, ended: list[int]) -> None:
         """Retire the jobs at rank positions *ended*; date the rounds

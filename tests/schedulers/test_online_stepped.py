@@ -120,7 +120,7 @@ class TestSteppedOrder:
         solver = select_solver(SOLVERS[solver], instance)
         fluid = solver.stepper(instance)
         got = np.fromiter(_stepped_order(instance, fluid), np.int64)
-        assert fluid.finished
+        assert not fluid.step()  # read to the end: drained
         drained = fluid.result()
         want = reference_fluid_solve(solver, instance)
         assert drained.x_hat.tobytes() == want.x_hat.tobytes()
