@@ -10,10 +10,11 @@ job table and T^c/T^s rows, with no :class:`~repro.core.job.Job` built
 (it used to live in ``repro.schedulers.online``, forcing the control
 plane to import from a sibling scheduler module — the layering
 inversion this module fixes).
-:func:`build_residual`, :func:`solve_relaxation`, :func:`start_relaxation`
-and :func:`replan` are the policies' timed entry points: build/solve latency histograms, spans
-and the ``kernel.replans`` counter land in the ambient
-:class:`repro.obs.Obs` registry.
+:func:`build_residual`, :func:`solve_relaxation`,
+:func:`start_relaxation` and :func:`replan` are the policies' timed
+entry points: build/solve latency histograms, spans and the
+``kernel.replans`` counter land in the ambient :class:`repro.obs.Obs`
+registry.
 """
 
 from __future__ import annotations

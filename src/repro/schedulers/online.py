@@ -17,7 +17,10 @@ running natively on :mod:`repro.kernel`:
   stops as soon as no further task can join a committed round (the
   ``horizon`` of :func:`~repro.schedulers.hare.list_schedule`), so a
   re-plan's per-task Python work covers what it commits, not the whole
-  residual, and only the committed tasks become objects;
+  residual, and only the committed tasks become objects. The fluid
+  relaxation stops there too: π is read lazily from its
+  :class:`~repro.schedulers.relaxation.FluidStepper`, which runs only
+  the events needed to make the next task certain;
 * at the final arrival the whole residual plan is committed.
 
 Commitment is at round granularity: once any task of a round is committed

@@ -24,17 +24,18 @@ MAX_TASKS = 6
 
 def _build(
     instance: ProblemInstance,
+    arrival: list[float],
+    scales: list[int],
     order: tuple[TaskRef, ...],
     assignment: dict[TaskRef, int],
 ) -> tuple[list[ScheduleRow], dict[tuple[int, int], float]] | None:
     """Rows and round barriers of the active schedule for (π, y); None if
-    π violates round precedence."""
+    π violates round precedence. *arrival* and *scales* are the job
+    table's columns as lists."""
     rows: list[ScheduleRow] = []
     phi = [0.0] * instance.num_gpus
     barrier: dict[tuple[int, int], float] = {}
     count: dict[tuple[int, int], int] = {}
-    arrival = instance.arrival.tolist()
-    scales = instance.sync_scale.tolist()
     for task in order:
         if task.round_idx == 0:
             avail = arrival[task.job_id]
@@ -71,6 +72,8 @@ def brute_force_optimal(instance: ProblemInstance) -> Schedule:
     best: list[ScheduleRow] | None = None
     best_obj = float("inf")
     gpus = range(instance.num_gpus)
+    arrival = instance.arrival.tolist()
+    scales = instance.sync_scale.tolist()
     last = [
         (weight, (n, rounds - 1))
         for n, (weight, rounds) in enumerate(
@@ -80,7 +83,7 @@ def brute_force_optimal(instance: ProblemInstance) -> Schedule:
     for order in permutations(tasks):
         for combo in product(gpus, repeat=len(tasks)):
             assignment = dict(zip(order, combo))
-            built = _build(instance, order, assignment)
+            built = _build(instance, arrival, scales, order, assignment)
             if built is None:
                 continue
             rows, barrier = built
