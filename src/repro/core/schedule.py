@@ -162,7 +162,8 @@ class Schedule:
 
     def job_completion(self, job_id: int) -> float:
         """``C_n``: the end of the job's last round."""
-        return self.round_end(job_id, int(self.instance.num_rounds[job_id]) - 1)
+        last = int(self.instance.num_rounds[job_id]) - 1
+        return self.round_end(job_id, last)
 
     def completions(self) -> dict[int, float]:
         """``C_n`` for every job."""
