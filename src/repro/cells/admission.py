@@ -44,9 +44,12 @@ def throughput_matrix(
     same-type columns are identical and one representative per type is
     exact, keeping this O(jobs × types × cells) instead of
     O(jobs × gpus). Columns without a type prefix each form their own
-    group, which degrades gracefully to the exact per-column sum.
+    group, which degrades gracefully to the exact per-column sum. A
+    representative's column is its type's column of the instance's
+    tables.
     """
-    train, sync = instance.train_time, instance.sync_time
+    train, sync = instance.train_by_type, instance.sync_by_type
+    gpu_type = instance.gpu_type
     n_jobs = instance.num_jobs
     rate = np.zeros((n_jobs, partition.num_cells))
     for cell in partition.cells:
@@ -56,8 +59,8 @@ def throughput_matrix(
             groups.setdefault(key, []).append(m)
         col = np.zeros(n_jobs)
         for members in groups.values():
-            rep = members[0]
-            col += len(members) / (train[:, rep] + sync[:, rep])
+            k = gpu_type[members[0]]
+            col += len(members) / (train[:, k] + sync[:, k])
         rate[:, cell.index] = col
     return rate
 

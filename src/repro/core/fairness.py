@@ -32,7 +32,10 @@ def isolated_flow_time(instance: ProblemInstance, job_id: int) -> float:
     scale = int(instance.sync_scale[job_id])
     m = instance.num_gpus
     k = min(scale, m)
-    times = np.sort(instance.train_time[job_id] + instance.sync_time[job_id])
+    times = np.sort(np.take(
+        instance.train_by_type[job_id] + instance.sync_by_type[job_id],
+        instance.gpu_type,
+    ))
     waves = -(-scale // k)
     per_round = waves * float(times[min(k, len(times)) - 1])
     return int(instance.num_rounds[job_id]) * per_round

@@ -5,11 +5,12 @@ arrival time ``a_n``, weight ``w_n``, number of training rounds ``|R_n|`` and
 the number of parallel tasks per round ``|D_r|`` (the *sync scale*).
 
 A :class:`ProblemInstance` holds the jobs as one table of columns, with
-the per-(job, GPU) training and synchronization time matrices ``T^c`` and
-``T^s``. The paper drops the round subscript ``r`` because per-round times
-are stable (Fig. 11); we keep that simplification: every task of job ``n``
-takes ``T^c[n, m]`` seconds of compute and ``T^s[n, m]`` seconds of
-gradient synchronization when placed on GPU ``m``.
+the training and synchronization times ``T^c`` and ``T^s`` per job and
+GPU *type*, and each GPU's type. The paper drops the round subscript
+``r`` because per-round times are stable (Fig. 11); we keep that
+simplification: every task of job ``n`` takes ``T^c[n, m]`` seconds of
+compute and ``T^s[n, m]`` seconds of gradient synchronization when placed
+on GPU ``m``, the entries of its type.
 """
 
 from __future__ import annotations
@@ -90,8 +91,12 @@ class Job:
         return [TaskRef(self.job_id, round_idx, d) for d in range(self.sync_scale)]
 
 
+#: Largest jobs × GPUs block (elements) a reduction over GPUs expands.
+_BLOCK = 1 << 16
+
+
 class ProblemInstance:
-    """A scheduling problem: jobs ``N``, GPUs ``M`` and time matrices.
+    """A scheduling problem: jobs ``N``, GPUs ``M`` and time tables.
 
     The jobs are one table indexed by job id: read-only numpy columns
     :attr:`arrival` (``a_n``), :attr:`weight` (``w_n``),
@@ -103,21 +108,33 @@ class ProblemInstance:
     without building a :class:`Job`, and :attr:`jobs` is then built from
     the columns the first time it is read.
 
+    The times are per GPU *type*: GPU ``m`` has type :attr:`gpu_type`
+    ``[m]``, and a task of job ``n`` on it takes
+    ``train_by_type[n, gpu_type[m]]`` seconds of compute (``T^c``,
+    ``batch_scale`` included) and ``sync_by_type[n, gpu_type[m]]`` of
+    synchronization (``T^s``). Types are numbered in order of first
+    appearance, and every type has a GPU. The dense constructor takes
+    jobs × GPUs matrices and makes one type of each distinct
+    (``T^c``, ``T^s``) column pair; :attr:`train_time`/:attr:`sync_time`
+    expand the tables back, read-only, on first read.
+
     Attributes
     ----------
-    train_time:
-        ``(|N|, |M|)`` array; ``train_time[n, m]`` is ``T^c`` of any task of
-        job ``n`` on GPU ``m`` (already including ``batch_scale``).
-    sync_time:
-        ``(|N|, |M|)`` array; ``sync_time[n, m]`` is ``T^s``.
+    gpu_type:
+        ``(|M|,)`` int64 array, the type of each GPU.
+    train_by_type:
+        ``(|N|, K)`` array of ``T^c`` per job and GPU type.
+    sync_by_type:
+        ``(|N|, K)`` array of ``T^s`` per job and GPU type.
     gpu_labels:
         Optional human-readable per-GPU labels (e.g. ``"V100#3"``).
     """
 
     __slots__ = (
-        "train_time", "sync_time", "gpu_labels", "arrival", "weight",
-        "num_rounds", "sync_scale", "model", "batch_scale", "task_offset",
-        "_jobs", "_tasks",
+        "gpu_type", "train_by_type", "sync_by_type", "gpu_labels",
+        "arrival", "weight", "num_rounds", "sync_scale", "model",
+        "batch_scale", "task_offset", "_jobs", "_tasks", "_types",
+        "_row_class", "_rows", "_train", "_sync",
     )
 
     def __init__(
@@ -129,37 +146,94 @@ class ProblemInstance:
     ) -> None:
         jobs = tuple(jobs)
         n_jobs = len(jobs)
-        self.train_time = np.asarray(train_time, dtype=float)
-        self.sync_time = np.asarray(sync_time, dtype=float)
-        if self.train_time.shape != self.sync_time.shape:
+        tc = np.asarray(train_time, dtype=float)
+        ts = np.asarray(sync_time, dtype=float)
+        if tc.shape != ts.shape:
             raise ConfigurationError(
                 "train_time and sync_time shapes differ: "
-                f"{self.train_time.shape} vs {self.sync_time.shape}"
+                f"{tc.shape} vs {ts.shape}"
             )
-        if self.train_time.ndim != 2 or self.train_time.shape[0] != n_jobs:
+        if tc.ndim != 2 or tc.shape[0] != n_jobs:
             raise ConfigurationError(
-                f"train_time must be ({n_jobs}, M), got {self.train_time.shape}"
+                f"train_time must be ({n_jobs}, M), got {tc.shape}"
             )
-        if self.num_gpus < 1:
+        if tc.shape[1] < 1:
             raise InfeasibleProblemError("a problem instance needs >= 1 GPU")
-        tc, ts = self.train_time, self.sync_time
+        gpu_type, first = _factor_columns(tc, ts)
+        self._set_times(gpu_type, tc[:, first], ts[:, first])
+        self._row_class = None
+        self._finish(jobs, gpu_labels)
+
+    @classmethod
+    def from_types(
+        cls,
+        jobs: Sequence[Job],
+        gpu_type: np.ndarray,
+        train_by_type: np.ndarray,
+        sync_by_type: np.ndarray,
+        gpu_labels: Sequence[str] = (),
+    ) -> ProblemInstance:
+        """The instance with GPU types *gpu_type* (numbered in order of
+        first appearance) and the jobs × types tables."""
+        jobs = tuple(jobs)
+        gpu_type = np.array(gpu_type, dtype=np.int64)
+        tc = np.array(train_by_type, dtype=float)
+        ts = np.array(sync_by_type, dtype=float)
+        if not len(gpu_type):
+            raise InfeasibleProblemError("a problem instance needs >= 1 GPU")
+        kinds, first = np.unique(gpu_type, return_index=True)
+        k = len(kinds)
+        if not (
+            tc.shape == ts.shape == (len(jobs), k)
+            and np.array_equal(kinds, np.arange(k))
+            and (np.diff(first) > 0).all()
+        ):
+            raise ConfigurationError(
+                f"time tables {tc.shape}/{ts.shape} do not fit "
+                f"{len(jobs)} jobs on GPU types numbered by first "
+                f"appearance"
+            )
+        inst = object.__new__(cls)
+        inst._set_times(gpu_type, tc, ts)
+        inst._row_class = None
+        inst._finish(jobs, gpu_labels)
+        return inst
+
+    def _set_times(
+        self, gpu_type: np.ndarray, tc: np.ndarray, ts: np.ndarray
+    ) -> None:
+        """Install the type tables read-only after checking every time
+        is finite, ``T^c > 0`` and ``T^s >= 0``; the first offending
+        (job, GPU) in row-major order is named."""
         # min/max reduce without a temporary array, and NaN propagates
         # through both, so it fails these comparisons as ±inf does.
         if tc.size and not (
             tc.min() > 0 and tc.max() < np.inf
             and ts.min() >= 0 and ts.max() < np.inf
         ):
-            for name, matrix, ok, rule in (
+            for name, table, ok, rule in (
                 ("train_time", tc, tc > 0, "> 0"),
                 ("sync_time", ts, ts >= 0, ">= 0"),
             ):
-                bad = ~(ok & (matrix < np.inf))
+                bad = ~(ok & (table < np.inf))
                 if bad.any():
-                    n, m = np.argwhere(bad)[0]
+                    # Types number in first-appearance order, so a row's
+                    # first bad type holds its first bad GPU.
+                    n, k = np.argwhere(bad)[0]
+                    m = int((gpu_type == k).argmax())
                     raise ConfigurationError(
-                        f"{name}[job {n}, GPU {m}] = {matrix[n, m]}: task "
+                        f"{name}[job {n}, GPU {m}] = {table[n, k]}: task "
                         f"times must be finite and {rule}"
                     )
+        tc, ts = np.ascontiguousarray(tc), np.ascontiguousarray(ts)
+        for col in (gpu_type, tc, ts):
+            col.flags.writeable = False
+        self.gpu_type, self.train_by_type, self.sync_by_type = gpu_type, tc, ts
+        self._types = self._train = self._sync = None
+        self._rows: dict[int, np.ndarray] = {}
+
+    def _finish(self, jobs: tuple[Job, ...], gpu_labels: Sequence[str]) -> None:
+        n_jobs = len(jobs)
         for n, job in enumerate(jobs):
             if job.job_id != n:
                 raise ConfigurationError(
@@ -225,21 +299,34 @@ class ProblemInstance:
         Job ``rows[i]`` becomes job ``i`` and GPU ``gpus[j]`` GPU ``j``,
         keeping its label. *arrival*, *weight* and *num_rounds*, given
         one value per row, replace the sliced columns (a residual's ready
-        times, boosted weights and remaining rounds). No :class:`Job` is
-        built.
+        times, boosted weights and remaining rounds). The types the GPUs
+        keep are renumbered in their order of first appearance, and the
+        rest are dropped. No :class:`Job` is built.
         """
         rows = np.asarray(rows, dtype=np.int64)
         sub = object.__new__(ProblemInstance)
-        # A row take is many times faster than an np.ix_ block.
-        block = rows if gpus is None else np.ix_(rows, np.asarray(gpus, int))
-        sub.train_time = self.train_time[block]
-        sub.sync_time = self.sync_time[block]
-        sub.gpu_labels = (
-            list(self.gpu_labels) if gpus is None
-            else [self.gpu_labels[m] for m in gpus]
-        )
-        if sub.num_gpus < 1:
+        tc, ts = self.train_by_type[rows], self.sync_by_type[rows]
+        if gpus is None:
+            gpu_type = self.gpu_type
+            sub.gpu_labels = list(self.gpu_labels)
+        else:
+            gpus = np.asarray(gpus, dtype=np.int64)
+            kept, first, gpu_type = np.unique(
+                self.gpu_type[gpus], return_index=True, return_inverse=True
+            )
+            order = np.argsort(first)
+            renumber = np.empty_like(order)
+            renumber[order] = np.arange(len(order))
+            gpu_type = renumber[gpu_type]
+            tc = np.take(tc, kept[order], axis=1)
+            ts = np.take(ts, kept[order], axis=1)
+            sub.gpu_labels = [self.gpu_labels[m] for m in gpus.tolist()]
+        if not len(gpu_type):
             raise InfeasibleProblemError("a problem instance needs >= 1 GPU")
+        sub._set_times(gpu_type, tc, ts)
+        sub._row_class = (
+            None if self._type_per_gpu() else self.row_class()[rows]
+        )
         picked = rows.tolist()
         sub._set_table(
             self.arrival[rows] if arrival is None
@@ -275,7 +362,7 @@ class ProblemInstance:
 
     @property
     def num_gpus(self) -> int:
-        return int(self.train_time.shape[1])
+        return len(self.gpu_type)
 
     @property
     def num_tasks(self) -> int:
@@ -285,17 +372,116 @@ class ProblemInstance:
     # ------------------------------------------------------------------
     # Time lookups (the only way schedulers should read T^c / T^s)
     # ------------------------------------------------------------------
+    @property
+    def train_time(self) -> np.ndarray:
+        """``T^c`` as a read-only ``(|N|, |M|)`` matrix, expanded from
+        :attr:`train_by_type` on first read and kept. For cold readers:
+        a run's hot paths read the type table."""
+        if self._train is None:
+            self._train = self._expand(self.train_by_type)
+        return self._train
+
+    @property
+    def sync_time(self) -> np.ndarray:
+        """``T^s`` as a read-only ``(|N|, |M|)`` matrix (see
+        :attr:`train_time`)."""
+        if self._sync is None:
+            self._sync = self._expand(self.sync_by_type)
+        return self._sync
+
+    def _expand(self, table: np.ndarray) -> np.ndarray:
+        matrix = np.take(table, self.gpu_type, axis=1)
+        matrix.flags.writeable = False
+        return matrix
+
     def tc(self, job_id: int, gpu: int) -> float:
         """Training time ``T^c_{i,m}`` of any task of *job_id* on *gpu*."""
-        return float(self.train_time[job_id, gpu])
+        return self.train_by_type.item(job_id, self._type_list()[gpu])
 
     def ts(self, job_id: int, gpu: int) -> float:
         """Synchronization time ``T^s_{i,m}``."""
-        return float(self.sync_time[job_id, gpu])
+        return self.sync_by_type.item(job_id, self._type_list()[gpu])
 
     def task_time(self, job_id: int, gpu: int) -> float:
         """``T^c + T^s`` — the span a task contributes to its round."""
         return self.tc(job_id, gpu) + self.ts(job_id, gpu)
+
+    def times(self, job, gpu) -> tuple[np.ndarray, np.ndarray]:
+        """``T^c`` and ``T^s`` gathered at ``(job, gpu)`` (numpy index
+        arrays or ints, broadcast together)."""
+        k = self.gpu_type[gpu]
+        return self.train_by_type[job, k], self.sync_by_type[job, k]
+
+    def _type_list(self) -> list[int]:
+        if self._types is None:
+            self._types = self.gpu_type.tolist()
+        return self._types
+
+    def row_class(self) -> np.ndarray:
+        """A label per job; jobs with the same label have the same rows
+        in :attr:`train_by_type` and :attr:`sync_by_type`. A
+        :meth:`subset` keeps its parent's labels."""
+        if self._row_class is None:
+            both = np.concatenate(
+                (self.train_by_type, self.sync_by_type), axis=1
+            )
+            key = both.view(np.dtype((np.void, both.itemsize * both.shape[1])))
+            self._row_class = np.unique(key.ravel(), return_inverse=True)[1]
+        return self._row_class
+
+    def _type_per_gpu(self) -> bool:
+        """Whether every GPU is its own type: the tables are then the
+        jobs × GPUs matrices (first-appearance numbering makes
+        :attr:`gpu_type` ``0..M-1``)."""
+        return self.train_by_type.shape[1] == len(self.gpu_type)
+
+    def train_row(self, job_id: int) -> np.ndarray:
+        """``T^c`` of *job_id* over the GPUs, read-only: expanded once
+        per distinct per-type row (:meth:`row_class`) and kept."""
+        if self._type_per_gpu():
+            return self.train_by_type[job_id]
+        label = self.row_class().item(job_id)
+        row = self._rows.get(label)
+        if row is None:
+            row = np.take(self.train_by_type[job_id], self.gpu_type)
+            row.flags.writeable = False
+            self._rows[label] = row
+        return row
+
+    def mean_task_time(self, *, harmonic: bool = False) -> np.ndarray:
+        """Per job, the mean of ``T^c + T^s`` over the GPUs (with
+        *harmonic*, ``M`` over the sum of its inverses).
+
+        The bytes are those of reducing the C-ordered jobs × GPUs matrix
+        (:attr:`train_time` + :attr:`sync_time`) along its rows: a
+        per-type sum weighted by type counts rounds differently, and so
+        does an F-ordered matrix. So each distinct row is expanded over
+        the GPUs, in C-ordered blocks of at most :data:`_BLOCK` elements,
+        and reduced the same way.
+        """
+        tc, ts = self.train_by_type, self.sync_by_type
+        per_gpu = self._type_per_gpu()
+        if per_gpu:
+            per_type, inv = tc + ts, None
+        else:
+            _, first, inv = np.unique(
+                self.row_class(), return_index=True, return_inverse=True
+            )
+            per_type = tc[first] + ts[first]
+        if harmonic:
+            per_type = 1.0 / per_type
+        out = np.empty(len(per_type))
+        step = max(1, _BLOCK // self.num_gpus)
+        for a in range(0, len(per_type), step):
+            block = per_type[a:a + step]
+            if not per_gpu:
+                block = np.take(block, self.gpu_type, axis=1)
+            out[a:a + step] = (
+                block.sum(axis=1) if harmonic else block.mean(axis=1)
+            )
+        if harmonic:
+            out = self.num_gpus / out
+        return out if inv is None else out[inv]
 
     def best_round_time(self, job_id: int) -> float:
         """Fastest profiled single-round time ``min_m (T^c + T^s)`` of
@@ -306,12 +492,14 @@ class ProblemInstance:
         uses it to split a round's span into compute and heterogeneity
         penalty."""
         return float(
-            (self.train_time[job_id] + self.sync_time[job_id]).min()
+            (self.train_by_type[job_id] + self.sync_by_type[job_id]).min()
         )
 
     def fastest_gpu(self, job_id: int) -> int:
-        """GPU index minimizing ``T^c + T^s`` for the job."""
-        return int(np.argmin(self.train_time[job_id] + self.sync_time[job_id]))
+        """GPU index minimizing ``T^c + T^s`` for the job (the lowest on
+        a tie: the fastest types' first GPU)."""
+        k = np.argmin(self.train_by_type[job_id] + self.sync_by_type[job_id])
+        return int((self.gpu_type == k).argmax())
 
     def all_tasks(self) -> Iterator[TaskRef]:
         """Every task of every job, jobs in id order."""
@@ -342,9 +530,10 @@ class ProblemInstance:
         ``α = max_i max(T_i^{c,max}/T_i^{c,min}, T_i^{s,max}/T_i^{s,min})``.
         Sync ratios of jobs with all-zero sync time are treated as 1.
         """
-        tc_ratio = self.train_time.max(axis=1) / self.train_time.min(axis=1)
-        smax = self.sync_time.max(axis=1)
-        smin = self.sync_time.min(axis=1)
+        tc, ts = self.train_by_type, self.sync_by_type
+        tc_ratio = tc.max(axis=1) / tc.min(axis=1)
+        smax = ts.max(axis=1)
+        smin = ts.min(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             ts_ratio = np.where(smin > 0, smax / np.maximum(smin, 1e-300), 1.0)
         ts_ratio = np.where(smax == 0, 1.0, ts_ratio)
@@ -355,6 +544,24 @@ class ProblemInstance:
         m = self.fastest_gpu(job_id)
         per_round = self.task_time(job_id, m)
         return int(self.num_rounds[job_id]) * per_round
+
+
+def _factor_columns(
+    tc: np.ndarray, ts: np.ndarray
+) -> tuple[np.ndarray, list[int]]:
+    """Each GPU's type and each type's first GPU: one type per distinct
+    (``T^c``, ``T^s``) column pair, compared by bytes, numbered in order
+    of first appearance."""
+    pairs = np.ascontiguousarray(np.concatenate((tc, ts)).T)
+    types: dict[bytes, int] = {}
+    first: list[int] = []
+    gpu_type = np.empty(len(pairs), dtype=np.int64)
+    for m, col in enumerate(pairs):
+        k = types.setdefault(col.tobytes(), len(types))
+        if k == len(first):
+            first.append(m)
+        gpu_type[m] = k
+    return gpu_type, first
 
 
 def make_uniform_instance(

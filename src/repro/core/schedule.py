@@ -498,9 +498,9 @@ def validate_schedule(
     bad |= ~(np.isfinite(train) & np.isfinite(sync))
     with np.errstate(invalid="ignore"):
         if check_durations:
-            g = np.where(gpu_ok, gpu, 0)
-            bad |= np.abs(train - inst.train_time[job, g]) > eps
-            bad |= np.abs(sync - inst.sync_time[job, g]) > eps
+            want_train, want_sync = inst.times(job, np.where(gpu_ok, gpu, 0))
+            bad |= np.abs(train - want_train) > eps
+            bad |= np.abs(sync - want_sync) > eps
         else:
             bad |= (train < 0) | (sync < 0)
     if bad.any():
@@ -583,8 +583,7 @@ def schedule_from_rows(
             5, f"{task} placed on nonexistent GPU {int(gpu[k])}"
         )
     return ScheduleColumns(
-        instance, job, rnd, slot, gpu, start,
-        instance.train_time[job, gpu], instance.sync_time[job, gpu],
+        instance, job, rnd, slot, gpu, start, *instance.times(job, gpu)
     ).to_schedule()
 
 

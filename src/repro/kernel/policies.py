@@ -298,8 +298,7 @@ def gang_commitment(
     done = int(state.rounds_done[job_id])
     k = int(instance.num_rounds[job_id]) - done
     gpu = np.asarray(gpus, dtype=np.int64)
-    train = instance.train_time[job_id, gpu]
-    sync = instance.sync_time[job_id, gpu]
+    train, sync = instance.times(job_id, gpu)
     round_time = float((train + sync).max())
     # A running sum, not a product: round r starts where r - 1 ended,
     # and the last round's end releases the gang.

@@ -607,10 +607,7 @@ def attribute_records(
             profiled = busy
             if instance is not None:
                 try:
-                    profiled = float(
-                        instance.train_time[j, gpu]
-                        + instance.sync_time[j, gpu]
-                    )
+                    profiled = instance.task_time(j, gpu)
                 except (IndexError, TypeError):
                     profiled = busy
             out.append(
@@ -680,10 +677,7 @@ def attribute_schedule(
                 gpu=gpu,
                 busy=busy,
                 best=best[j],
-                profiled=float(
-                    instance.train_time[j, gpu]
-                    + instance.sync_time[j, gpu]
-                ),
+                profiled=instance.task_time(j, gpu),
             )
         )
     arrivals = {

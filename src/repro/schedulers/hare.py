@@ -306,17 +306,24 @@ def list_schedule(
 
     This is the vectorized hot path: φ lives in one numpy array, and each
     placement is a single ``argmin`` over it (``earliest_available``) or
-    over ``max(φ, t_avail) + T^c`` (``earliest_finish``). Per-round counts
-    and barriers are flat lists indexed by round, placements are appended
-    to column lists, and the result is a column-backed
-    :class:`~repro.core.schedule.Schedule` (:meth:`ScheduleColumns.to_schedule`)
-    whose objects are built only if somebody reads them. Only the chosen
-    GPU's ``T^c``/``T^s`` entries are read back as Python floats, so a
-    call costs O(tasks × GPUs) numpy work and O(tasks + GPUs) Python
-    objects, never a boxed copy of the J×M matrices. ``np.argmin`` breaks
-    ties toward the lowest GPU index, exactly like a heap of φ popped for
-    its fresh entry or a strict-``<`` scan; the equivalence suite pins the
-    schedules byte-identical to that straightforward implementation.
+    over the finish vector ``max(φ, t_avail) + T^c`` (``earliest_finish``).
+    A round's tasks are consecutive in π and share their job and release,
+    so the finish vector is built once per round: after a placement only
+    the chosen GPU's entry changes, to ``released + T^c`` (its φ is now
+    past the release), the float operation numpy would redo. The
+    ``T^c`` row over the GPUs is :meth:`ProblemInstance.train_row`,
+    expanded from the type table once per distinct per-type row, never
+    per job. Per-round counts and barriers are flat lists indexed
+    by round, placements are appended to column lists, and the result is
+    a column-backed :class:`~repro.core.schedule.Schedule`
+    (:meth:`ScheduleColumns.to_schedule`) whose objects are built only if
+    somebody reads them. Only the chosen GPU's ``T^c``/``T^s`` entries
+    are read back as Python floats, so a call costs at most
+    O(tasks × GPUs) numpy work and O(tasks + GPUs) Python objects.
+    ``np.argmin`` breaks ties toward the lowest GPU index, exactly like a
+    heap of φ popped for its fresh entry or a strict-``<`` scan; the
+    equivalence suite pins the schedules byte-identical to that
+    straightforward implementation.
     """
     num_gpus = instance.num_gpus
     if initial_phi is None:
@@ -341,14 +348,17 @@ def list_schedule(
     rounds = _Rounds(instance, job_col, rnd_col)
     task_job, task_prev = rounds.task_job, rounds.task_prev
     need, counts, barrier = rounds.need, rounds.counts, rounds.barrier
-    # Per-job T^c rows as numpy views for the vector math; phi_list shadows
-    # the numpy φ for the scalar read of the chosen GPU.
-    train_time, sync_time = instance.train_time, instance.sync_time
-    tc_rows = list(train_time)
-    tc_item, ts_item = train_time.item, sync_time.item
-    phi_list = phi.tolist()
-    finish = np.empty(num_gpus)  # scratch for the earliest-finish rule
+    # T^c rows over the GPUs for the vector math; phi_list shadows the
+    # numpy φ for the scalar read of the chosen GPU, whose T^c/T^s come
+    # from the type tables.
+    types = instance.gpu_type.tolist()
+    train_row = instance.train_row
+    tc_item = instance.train_by_type.item
+    ts_item = instance.sync_by_type.item
     earliest_finish = placement != "earliest_available"
+    phi_list = phi.tolist()
+    finish = np.empty(num_gpus)  # the earliest-finish rule's vector
+    finish_for = -1  # the previous round id (one job's) it was built for
     np_maximum, np_add = np.maximum, np.add
     seen = bytearray(len(job_col))
     placed: list[int] = []
@@ -376,8 +386,10 @@ def list_schedule(
 
         if earliest_finish:
             # Ablation: minimize this task's finish time.
-            np_maximum(phi, t_avail, out=finish)
-            np_add(finish, tc_rows[j], out=finish)
+            if p != finish_for:
+                np_maximum(phi, t_avail, out=finish)
+                np_add(finish, train_row(j), out=finish)
+                finish_for = p
             m = int(finish.argmin())
         else:
             # Line 12: the GPU with smallest φ_m.
@@ -387,12 +399,16 @@ def list_schedule(
         put_gpu(m)
         put_start(start)
 
-        released = start + tc_item(j, m)  # sync overlaps the next task
+        k_m = types[m]
+        tc = tc_item(j, k_m)
+        released = start + tc  # sync overlaps the next task
         phi[m] = released
         phi_list[m] = released
+        if earliest_finish:
+            finish[m] = released + tc
         r = p + 1
         counts[r] += 1
-        end = released + ts_item(j, m)
+        end = released + ts_item(j, k_m)
         if end > barrier[r]:
             barrier[r] = end
 
@@ -401,8 +417,7 @@ def list_schedule(
     job = job_col[rows]
     return ScheduleColumns(
         instance, job, rnd_col[rows], slot_col[rows], gpu,
-        np.array(starts, dtype=np.float64),
-        train_time[job, gpu], sync_time[job, gpu],
+        np.array(starts, dtype=np.float64), *instance.times(job, gpu),
     ).to_schedule()
 
 

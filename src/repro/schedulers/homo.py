@@ -48,9 +48,7 @@ class SchedHomoPolicy(GangPolicy):
         instance = state.instance
         # Homogeneous-world estimate of a job's total processing time: the
         # cluster-average round time, times the number of rounds.
-        avg_round = np.mean(
-            instance.train_time + instance.sync_time, axis=1
-        )
+        avg_round = instance.mean_task_time()
         # Smallest processing-per-weight first (classic WSPT ordering).
         self._wspt = instance.num_rounds * avg_round / instance.weight
 

@@ -98,7 +98,7 @@ class RelaxationSolver(Protocol):
 def _middle_completion(
     instance: ProblemInstance, x_hat: np.ndarray
 ) -> np.ndarray:
-    half_max_tc = instance.train_time.max(axis=1) / 2.0
+    half_max_tc = instance.train_by_type.max(axis=1) / 2.0
     return x_hat + half_max_tc[instance.task_columns()[0]]
 
 
@@ -116,7 +116,7 @@ def greedy_assignment(instance: ProblemInstance) -> dict[TaskRef, int]:
     # all_tasks() is in (job, round, slot) order, and the sort is stable.
     ordered = sorted(instance.all_tasks(), key=lambda t: arrival[t.job_id])
     for task in ordered:
-        tc_row = instance.train_time[task.job_id]
+        tc_row = instance.train_row(task.job_id)
         m = int(np.argmin(load + tc_row))
         y[task] = m
         load[m] += tc_row[m]
@@ -260,7 +260,7 @@ class ExactRelaxationSolver:
         tasks = list(instance.all_tasks())
         for k in np.argsort(result.x_hat, kind="stable").tolist():
             task = tasks[k]
-            tc_row = instance.train_time[task.job_id]
+            tc_row = instance.train_row(task.job_id)
             m = int(np.argmin(load + tc_row))
             y[task] = m
             load[m] += tc_row[m]
@@ -307,8 +307,8 @@ class ExactRelaxationSolver:
 
         # Durations on the assigned GPU.
         gpu = np.array([y[t] for t in instance.all_tasks()], dtype=np.int64)
-        q = instance.train_time[job, gpu]  # T^c
-        p = q + instance.sync_time[job, gpu]  # T^c + T^s
+        q, sync = instance.times(job, gpu)  # T^c, T^s
+        p = q + sync  # T^c + T^s
 
         c = np.zeros(n_vars)
         c[first + rounds - 1] = instance.weight
@@ -498,19 +498,29 @@ class FluidStepper:
 
     Until the end, :meth:`bound` limits what the undated rounds can still
     get. An undated round of job ``j`` is dated on a later segment, so its
-    ``x̂`` is no earlier than ``j``'s last breakpoint ``t_j`` (its arrival
-    while it has none) and its ``H`` no lower than ``t_j + c_j``, with
-    ``c_j = ½·max_m T^c_{j,m}``. The fluid's current time is no such
-    bound: a starved job has no breakpoint across its gap, so its next
-    round is dated by interpolating over the gap, before the time its
-    work resumes.
+    ``x̂`` is no earlier than ``j``'s last breakpoint ``t_j`` and its
+    ``H`` no lower than ``t_j + c_j``, with ``c_j = ½·max_m T^c_{j,m}``.
+    The fluid's current time is no such bound: a starved job has no
+    breakpoint across its gap, so its next round is dated by
+    interpolating over the gap, before the time its work resumes.
+
+    Before its first breakpoint a job's segment starts at its arrival
+    ``a_j``, and that segment can run backwards: an arrival up to 1e-12
+    after an event joins at the event, so its first breakpoint may come
+    before ``a_j``. A round it reaches there needs at most 4/3 of the
+    breakpoint's work once its target is 4e-12 or more, so its ``x̂`` is
+    at least ``a_j - 2e-12`` (less four ulps of ``a_j``), and that is
+    ``t_j`` until the first breakpoint. Rounds of smaller targets give no
+    such limit, so a job with ``a_j > 0`` and rounds under 4e-12 bounds
+    nothing (``-inf``) until its first round is dated on a breakpoint.
 
     A round whose target may lie past its job's final work (rounds of
     under ~1e-12 work: a job finishes with up to 1e-12 left, and
     :func:`_invert_curves` clamps such targets to the curve's end) is
     dated when the job finishes, by :func:`_invert_curves` on the job's
-    whole curve; until then it bounds ``H`` only by the job's arrival
-    plus ``c_j``.
+    whole curve; until then it bounds ``H`` by the job's arrival plus
+    ``c_j`` once the job has joined at or after its arrival, and by
+    ``-inf`` before that or for good if it joined early.
 
     **Cost.** The WSPT rank is computed once, and the state lives in
     rank order. Arrivals are a list pointer. The served jobs and their
@@ -527,12 +537,7 @@ class FluidStepper:
         self, instance: ProblemInstance, harmonic: bool, fair_share: bool
     ) -> None:
         num_jobs = instance.num_jobs
-        if harmonic:
-            rep = instance.num_gpus / (
-                (1.0 / (instance.train_time + instance.sync_time)).sum(axis=1)
-            )
-        else:
-            rep = (instance.train_time + instance.sync_time).mean(axis=1)
+        rep = instance.mean_task_time(harmonic=harmonic)
         ids = np.arange(num_jobs)
         rounds, scales = instance.num_rounds, instance.sync_scale
         total_work = (rounds * scales) * rep
@@ -560,6 +565,14 @@ class FluidStepper:
         self._active = np.zeros(num_jobs, dtype=bool)
         #: Each job's last breakpoint time (its arrival while it has none).
         self._last_t = arrivals[rank]
+        #: t_j of :meth:`bound`: the last breakpoint, or before the first
+        #: the least x̂ a backwards first segment can date.
+        early = self._last_t > 0
+        self._bound_t = np.where(
+            early,
+            self._last_t - 2e-12 - 4 * np.spacing(self._last_t),
+            self._last_t,
+        )
         pending = np.argsort(arrivals, kind="stable")
         self._arrive_pos = pos[pending].tolist()
         self._arrive_t = arrivals[pending].tolist()
@@ -587,9 +600,16 @@ class FluidStepper:
         more = num_rounds > 1
         self._key = np.where(more, round_work - 1e-12, np.inf)
         #: c_j = ½·max_m T^c_{j,m}, by job id.
-        self.half_tc = instance.train_time.max(axis=1) / 2.0
-        #: c_j while job j has a round to date on crossing, else inf.
-        self._pending_c = np.where(more, self.half_tc[rank], np.inf)
+        self.half_tc = instance.train_by_type.max(axis=1) / 2.0
+        #: c_j while job j has a round to date on crossing, else inf;
+        #: -inf for rounds too small to bound, until one is dated.
+        half_c = self.half_tc[rank]
+        self._pending_c = np.where(more, half_c, np.inf)
+        unsure = more & early & (round_work < 4e-12)
+        self._pending_c[unsure] = -np.inf
+        self._unsure = dict(zip(
+            unsure.nonzero()[0].tolist(), half_c[unsure].tolist()
+        ))
         #: x̂ of every round in canonical order, ``None`` until dated.
         self.starts: list[float | None] = [None] * int(rounds.sum())
         arrival = arrivals[rank].tolist()
@@ -601,6 +621,8 @@ class FluidStepper:
         #: curve so far), and their bound while such a round is undated.
         self._curves: dict[int, list[tuple[float, float]]] = {}
         self._late_bound: dict[int, float] = {}
+        #: Late bounds that hold once their job joins on time.
+        self._late_on_time: dict[int, float] = {}
         #: Jobs that finish at their first event (total work <= 1e-12).
         self._tiny: set[int] = set()
         # A job finishes with at least final_floor done: the jobs whose
@@ -618,7 +640,10 @@ class FluidStepper:
                 continue
             self._late_from[p] = late
             self._curves[p] = [(arrival[p], 0.0)]
-            self._late_bound[p] = arrival[p] + float(self.half_tc[rank[p]])
+            self._late_bound[p] = arrival[p] + float(half_c[p])
+            if early[p]:
+                self._late_on_time[p] = self._late_bound[p]
+                self._late_bound[p] = -np.inf
             self._key[p] = self._advance(p, 1)
         self.t = 0.0
         #: Fluid events run so far.
@@ -631,7 +656,7 @@ class FluidStepper:
     def bound(self) -> float:
         """The least ``H`` an undated round can still get (``inf`` once
         every round is dated)."""
-        lo = self._last_t + self._pending_c
+        lo = self._bound_t + self._pending_c
         lo = float(lo[lo.argmin()]) if len(lo) else np.inf
         if self._late_bound:
             lo = min(lo, *self._late_bound.values())
@@ -652,6 +677,8 @@ class FluidStepper:
                     p = self._arrive_pos[i]
                     self._active[p] = True
                     self._active_caps += self._cap_list[p]
+                    if p in self._late_on_time and arrive_t[i] <= t:
+                        self._late_bound[p] = self._late_on_time.pop(p)
                     i += 1
                 self._next_arrival = i
                 self._stale = True
@@ -686,7 +713,9 @@ class FluidStepper:
         cross = cross.nonzero()[0]
         if len(cross):
             self._date(cross.tolist(), done_before, done, t_next)
-        self._last_t[s_pos if every else s_pos[grew]] = t_next
+        grown = s_pos if every else s_pos[grew]
+        self._last_t[grown] = t_next
+        self._bound_t[grown] = t_next
         if self._curves:
             self._extend_curves(grew, done, t_next)
         ended = (new_rem <= 1e-12).nonzero()[0]
@@ -725,6 +754,7 @@ class FluidStepper:
         if r < self._late_from[p]:
             return r * self._round_work[p] - 1e-12
         self._pending_c[p] = np.inf
+        self._unsure.pop(p, None)
         return np.inf
 
     def _rebuild(self) -> None:
@@ -775,9 +805,11 @@ class FluidStepper:
         next_round, round_work = self._next_round, self._round_work
         first_round, late_from = self._first_round, self._late_from
         s_list, key, s_key = self._s_list, self._key, self._s_key
-        last_t = self._last_t
+        last_t, unsure = self._last_t, self._unsure
         for i in cross:
             p = s_list[i]
+            if unsure and p in unsure:
+                self._pending_c[p] = unsure.pop(p)
             w0, w1, t0 = done_before.item(i), done.item(i), last_t.item(p)
             r, w, g = next_round[p], round_work[p], first_round[p]
             late = late_from[p]

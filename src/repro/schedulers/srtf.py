@@ -44,9 +44,7 @@ class SrtfPolicy(GangPolicy):
     def setup(self, state: KernelState) -> None:
         super().setup(state)
         instance = state.instance
-        avg_round = np.mean(
-            instance.train_time + instance.sync_time, axis=1
-        )
+        avg_round = instance.mean_task_time()
         self._est_total = instance.num_rounds * avg_round
 
     def select(

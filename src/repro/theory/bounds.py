@@ -45,7 +45,7 @@ def critical_path_lower_bound(instance: ProblemInstance) -> float:
     schedule can complete job *n* before this time.
     """
     total = 0.0
-    p_min = (instance.train_time + instance.sync_time).min(axis=1)
+    p_min = (instance.train_by_type + instance.sync_by_type).min(axis=1)
     for w, a, r, p in zip(
         instance.weight.tolist(), instance.arrival.tolist(),
         instance.num_rounds.tolist(), p_min.tolist(),
@@ -67,7 +67,7 @@ def capacity_lower_bound(instance: ProblemInstance) -> float:
     argument and overstates the bound (a bug hypothesis once caught here).
     """
     m = instance.num_gpus
-    p_min = instance.train_time.min(axis=1)
+    p_min = instance.train_by_type.min(axis=1)
     work = (instance.num_rounds * instance.sync_scale) * p_min
     weights = instance.weight
     order = sorted(
@@ -89,7 +89,7 @@ def parallel_work_lower_bound(instance: ProblemInstance) -> float:
     weighted sum is a valid bound.
     """
     m = instance.num_gpus
-    p_min = instance.train_time.min(axis=1)
+    p_min = instance.train_by_type.min(axis=1)
     total = 0.0
     for w, a, r, scale, p in zip(
         instance.weight.tolist(), instance.arrival.tolist(),

@@ -214,21 +214,20 @@ def build_instance(
 ) -> ProblemInstance:
     """Assemble the scheduler-facing :class:`ProblemInstance`.
 
-    ``T^c[n, m]`` and ``T^s[n, m]`` are filled from the profiler (which may
-    add measurement noise and uses its database to avoid re-measuring
-    repeated (model, GPU type, batch) combinations).
+    ``T^c[n, k]`` and ``T^s[n, k]`` of each job and GPU type are filled
+    from the profiler (which may add measurement noise and uses its
+    database to avoid re-measuring repeated (model, GPU type, batch)
+    combinations). No jobs × GPUs matrix is built.
     """
     profiler = profiler or TaskProfiler(cluster)
     gpu_models = cluster.gpu_models()
     # GPU types in order of first appearance, so profile() is called once
     # per (job, type) in the order the retired per-column loop used:
     # database traffic and noise-path RNG draws stay byte-identical.
-    # The jobs × types table then expands to jobs × GPUs in one gather
-    # per matrix; np.take keeps the result C-ordered for row reads.
     types: dict[GPUModel, int] = {}
-    col_type = np.array(
+    gpu_type = np.array(
         [types.setdefault(gm, len(types)) for gm in gpu_models],
-        dtype=np.intp,
+        dtype=np.int64,
     )
     tc = np.empty((len(jobs), len(types)))
     ts = np.empty((len(jobs), len(types)))
@@ -240,9 +239,6 @@ def build_instance(
             )
             tc[n, k] = rec.train_time
             ts[n, k] = rec.sync_time
-    return ProblemInstance(
-        jobs=list(jobs),
-        train_time=np.take(tc, col_type, axis=1),
-        sync_time=np.take(ts, col_type, axis=1),
-        gpu_labels=cluster.labels(),
+    return ProblemInstance.from_types(
+        jobs, gpu_type, tc, ts, gpu_labels=cluster.labels()
     )

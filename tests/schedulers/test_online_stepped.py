@@ -221,3 +221,25 @@ class TestNamedCases:
         horizon, placed, tasks = calls[-1]
         assert horizon is None and placed == tasks
         _assert_same(inst)
+
+    def test_arrival_joined_before_it_comes(self):
+        """Job 7 of re-plan 1 arrives at 7.75e-13, within 1e-12 of the
+        fluid's start, so it joins at 0 and its first breakpoint comes
+        before its arrival: the backwards segment dates its rounds at
+        5.5e-13 and 3.25e-13. Its arrival plus c bounds nothing then,
+        and the stepped π must wait for those rounds (the first committed
+        start read 1.0000000000005 against 1.000000000001025)."""
+        odd = (0, 2, 5, 7)
+        specs = [
+            (0.5, 0.25, 1, 1), (0.0, 0.25, 1, 1), (0.0, 1.0, 2, 2),
+            (0.0, 0.25, 1, 1), (0.0, 0.25, 1, 1), (0.0, 0.25, 2, 1),
+            (0.0, 0.25, 1, 1), (0.0, 0.25, 4, 1),
+        ]
+        inst = _instance(
+            2, specs,
+            [[5e-13, 2.5e-13] if n in odd else [0.5, 0.5]
+             for n in range(8)],
+            [[0.5, 2.5e-14] if n in odd else [0.125, 0.125]
+             for n in range(8)],
+        )
+        _assert_same(inst, SOLVERS["harmonic"])
