@@ -95,6 +95,134 @@ class Job:
 _BLOCK = 1 << 16
 
 
+def expand(table: np.ndarray, gpu_type: np.ndarray) -> np.ndarray:
+    """A jobs × types *table* as the read-only, C-ordered jobs × GPUs
+    matrix."""
+    matrix = np.take(table, gpu_type, axis=1)
+    matrix.flags.writeable = False
+    return matrix
+
+
+def row_reduce(table: np.ndarray, gpu_type: np.ndarray, how: str) -> np.ndarray:
+    """Each row of *table* (rows × types) expanded over the GPUs and
+    reduced by *how* (``"mean"`` or ``"sum"``), in C-ordered blocks of at
+    most :data:`_BLOCK` elements. The bytes are those of reducing
+    ``expand(table, gpu_type)`` along its rows: a per-type sum weighted
+    by type counts rounds differently, and so does reducing an F-ordered
+    matrix."""
+    out = np.empty(len(table))
+    step = max(1, _BLOCK // len(gpu_type))
+    for a in range(0, len(table), step):
+        block = np.take(table[a:a + step], gpu_type, axis=1)
+        out[a:a + step] = getattr(block, how)(axis=1)
+    return out
+
+
+class GpuView(np.lib.mixins.NDArrayOperatorsMixin):
+    """A jobs × types table read as the jobs × GPUs matrix it stands for,
+    without building it unless it must.
+
+    Indexing gathers from the table (``view[n, m]``, ``view[rows]``,
+    ``view[rows, cols]``, slices and ``np.ix_`` blocks, as on the
+    matrix). Element-wise ufuncs over views of one GPU typing and scalars
+    stay views, computed on the tables (the same float operations), and
+    ``min``/``max``/``mean``/``sum`` along the GPU axis reduce per type or
+    by :func:`row_reduce`, with the matrix's bytes. Anything else — numpy
+    conversion, other attributes and reductions — works on the matrix,
+    expanded by :func:`expand` once and kept. Read-only.
+    """
+
+    __slots__ = ("table", "gpu_type", "_matrix")
+
+    def __init__(self, table: np.ndarray, gpu_type: np.ndarray) -> None:
+        self.table, self.gpu_type = table, gpu_type
+        self._matrix: np.ndarray | None = None
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.table), len(self.gpu_type))
+
+    ndim = 2
+    dtype = np.dtype(np.float64)
+
+    @property
+    def size(self) -> int:
+        return len(self.table) * len(self.gpu_type)
+
+    def matrix(self) -> np.ndarray:
+        """The expanded matrix (built on first call, then kept)."""
+        if self._matrix is None:
+            self._matrix = expand(self.table, self.gpu_type)
+        return self._matrix
+
+    def __array__(self, dtype=None, copy=None):
+        matrix = self.matrix()
+        if dtype is not None and np.dtype(dtype) != matrix.dtype:
+            return matrix.astype(dtype)
+        return matrix.copy() if copy else matrix
+
+    def __getattr__(self, name):
+        if name.startswith("_"):  # unset slots, pickle's probes
+            raise AttributeError(name)
+        return getattr(self.matrix(), name)
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def __iter__(self):
+        return iter(self.matrix())
+
+    def __repr__(self) -> str:
+        return f"GpuView({self.matrix()!r})"
+
+    def __getitem__(self, key):
+        if not isinstance(key, tuple):
+            return np.take(self.table[key], self.gpu_type, axis=-1)
+        if len(key) == 2 and not any(k is None or k is Ellipsis for k in key):
+            rows, cols = key
+            return self.table[rows, self.gpu_type[cols]]
+        return self.matrix()[key]
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if method == "__call__" and not kwargs and all(
+            np.isscalar(x) or (
+                isinstance(x, GpuView) and (
+                    x.gpu_type is self.gpu_type
+                    or np.array_equal(x.gpu_type, self.gpu_type)
+                )
+            )
+            for x in inputs
+        ):
+            return GpuView(
+                ufunc(*(getattr(x, "table", x) for x in inputs)),
+                self.gpu_type,
+            )
+        inputs = tuple(
+            x.matrix() if isinstance(x, GpuView) else x for x in inputs
+        )
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+    def _reduce(self, how: str, axis, kwargs):
+        kwargs = {k: v for k, v in kwargs.items() if v is not None}
+        if axis not in (1, -1) or kwargs:
+            return getattr(self.matrix(), how)(axis=axis, **kwargs)
+        if how in ("min", "max"):  # every type has a GPU: exact per type
+            return getattr(self.table, how)(axis=1)
+        return row_reduce(self.table, self.gpu_type, how)
+
+    def min(self, axis=None, **kwargs):
+        return self._reduce("min", axis, kwargs)
+
+    def max(self, axis=None, **kwargs):
+        return self._reduce("max", axis, kwargs)
+
+    def mean(self, axis=None, **kwargs):
+        return self._reduce("mean", axis, kwargs)
+
+    def sum(self, axis=None, **kwargs):
+        return self._reduce("sum", axis, kwargs)
+
+
 class ProblemInstance:
     """A scheduling problem: jobs ``N``, GPUs ``M`` and time tables.
 
@@ -116,7 +244,8 @@ class ProblemInstance:
     appearance, and every type has a GPU. The dense constructor takes
     jobs × GPUs matrices and makes one type of each distinct
     (``T^c``, ``T^s``) column pair; :attr:`train_time`/:attr:`sync_time`
-    expand the tables back, read-only, on first read.
+    read the tables back as jobs × GPUs :class:`GpuView` s, which expand
+    only for a reader that needs the matrix itself.
 
     Attributes
     ----------
@@ -373,26 +502,21 @@ class ProblemInstance:
     # Time lookups (the only way schedulers should read T^c / T^s)
     # ------------------------------------------------------------------
     @property
-    def train_time(self) -> np.ndarray:
-        """``T^c`` as a read-only ``(|N|, |M|)`` matrix, expanded from
-        :attr:`train_by_type` on first read and kept. For cold readers:
-        a run's hot paths read the type table."""
+    def train_time(self) -> GpuView:
+        """``T^c`` as the read-only ``(|N|, |M|)`` matrix: a
+        :class:`GpuView` of :attr:`train_by_type`, expanded only for
+        readers that need the matrix itself."""
         if self._train is None:
-            self._train = self._expand(self.train_by_type)
+            self._train = GpuView(self.train_by_type, self.gpu_type)
         return self._train
 
     @property
-    def sync_time(self) -> np.ndarray:
-        """``T^s`` as a read-only ``(|N|, |M|)`` matrix (see
+    def sync_time(self) -> GpuView:
+        """``T^s`` as the read-only ``(|N|, |M|)`` matrix (see
         :attr:`train_time`)."""
         if self._sync is None:
-            self._sync = self._expand(self.sync_by_type)
+            self._sync = GpuView(self.sync_by_type, self.gpu_type)
         return self._sync
-
-    def _expand(self, table: np.ndarray) -> np.ndarray:
-        matrix = np.take(table, self.gpu_type, axis=1)
-        matrix.flags.writeable = False
-        return matrix
 
     def tc(self, job_id: int, gpu: int) -> float:
         """Training time ``T^c_{i,m}`` of any task of *job_id* on *gpu*."""
@@ -453,15 +577,11 @@ class ProblemInstance:
         *harmonic*, ``M`` over the sum of its inverses).
 
         The bytes are those of reducing the C-ordered jobs × GPUs matrix
-        (:attr:`train_time` + :attr:`sync_time`) along its rows: a
-        per-type sum weighted by type counts rounds differently, and so
-        does an F-ordered matrix. So each distinct row is expanded over
-        the GPUs, in C-ordered blocks of at most :data:`_BLOCK` elements,
-        and reduced the same way.
+        along its rows (:func:`row_reduce`), each distinct per-type row
+        (:meth:`row_class`) once.
         """
         tc, ts = self.train_by_type, self.sync_by_type
-        per_gpu = self._type_per_gpu()
-        if per_gpu:
+        if self._type_per_gpu():
             per_type, inv = tc + ts, None
         else:
             _, first, inv = np.unique(
@@ -469,18 +589,11 @@ class ProblemInstance:
             )
             per_type = tc[first] + ts[first]
         if harmonic:
-            per_type = 1.0 / per_type
-        out = np.empty(len(per_type))
-        step = max(1, _BLOCK // self.num_gpus)
-        for a in range(0, len(per_type), step):
-            block = per_type[a:a + step]
-            if not per_gpu:
-                block = np.take(block, self.gpu_type, axis=1)
-            out[a:a + step] = (
-                block.sum(axis=1) if harmonic else block.mean(axis=1)
+            out = self.num_gpus / row_reduce(
+                1.0 / per_type, self.gpu_type, "sum"
             )
-        if harmonic:
-            out = self.num_gpus / out
+        else:
+            out = row_reduce(per_type, self.gpu_type, "mean")
         return out if inv is None else out[inv]
 
     def best_round_time(self, job_id: int) -> float:

@@ -1,8 +1,8 @@
 """Fleet runs never expand ``T^c``/``T^s`` into jobs × GPUs matrices.
 
-A :class:`ProblemInstance` keeps its times per GPU type; the dense
-:attr:`~ProblemInstance.train_time`/:attr:`~ProblemInstance.sync_time`
-views are expanded only for cold readers. A flat planned Hare run, a
+A :class:`~repro.core.job.ProblemInstance` keeps its times per GPU
+type; its dense ``train_time``/``sync_time`` views are expanded only for
+readers that need the matrix itself. A flat planned Hare run, a
 sharded one and an online run with a crash (residual re-plans on the
 surviving GPUs) read the type tables on every layer, so from the start
 of ``make_problem`` to the end of ``run_experiment`` nothing expands.
@@ -10,11 +10,12 @@ of ``make_problem`` to the end of ``run_experiment`` nothing expands.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import repro.api as api
 from repro.cluster import scaled_cluster
-from repro.core.job import ProblemInstance
+import repro.core.job as job_module
 
 FLEET = dict(
     cluster=scaled_cluster(125), jobs=40, seed=3, rounds_scale=0.05,
@@ -33,13 +34,13 @@ SHAPES = {
 @pytest.mark.parametrize("spec", SHAPES.values(), ids=SHAPES.keys())
 def test_run_expands_no_matrix(spec, monkeypatch):
     expanded = []
-    expand = ProblemInstance._expand
+    expand = job_module.expand
 
-    def counted(instance, table):
+    def counted(table, gpu_type):
         expanded.append(table.shape)
-        return expand(instance, table)
+        return expand(table, gpu_type)
 
-    monkeypatch.setattr(ProblemInstance, "_expand", counted)
+    monkeypatch.setattr(job_module, "expand", counted)
     result = api.run_experiment(trace=False, **spec)
     assert result.metrics.num_jobs == spec["jobs"]
     if "crashes" in spec:
@@ -47,8 +48,13 @@ def test_run_expands_no_matrix(spec, monkeypatch):
     if "cells" in spec:
         assert len(result.kernel.cell_stats) == spec["cells"]
     assert expanded == []
-    # The counter sees a cold reader's expansion.
-    assert result.instance.train_time.shape == (
+    # The view reduces per type; the counter sees a cold reader's
+    # expansion.
+    inst = result.instance
+    best = (inst.train_time + inst.sync_time).min(axis=1)
+    assert best.shape == (spec["jobs"],)
+    assert expanded == []
+    assert np.asarray(inst.train_time).shape == (
         spec["jobs"], spec["cluster"].num_gpus
     )
-    assert expanded == [(spec["jobs"], result.instance.gpu_type.max() + 1)]
+    assert expanded == [(spec["jobs"], inst.gpu_type.max() + 1)]
