@@ -329,14 +329,16 @@ class ProblemInstance:
         return inst
 
     def _set_times(
-        self, gpu_type: np.ndarray, tc: np.ndarray, ts: np.ndarray
+        self, gpu_type: np.ndarray, tc: np.ndarray, ts: np.ndarray,
+        *, check: bool = True,
     ) -> None:
-        """Install the type tables read-only after checking every time
-        is finite, ``T^c > 0`` and ``T^s >= 0``; the first offending
-        (job, GPU) in row-major order is named."""
+        """Install the type tables read-only, after checking (unless a
+        :meth:`subset` copies checked ones) that every time is finite,
+        ``T^c > 0`` and ``T^s >= 0``; the first offending (job, GPU) in
+        row-major order is named."""
         # min/max reduce without a temporary array, and NaN propagates
         # through both, so it fails these comparisons as ±inf does.
-        if tc.size and not (
+        if check and tc.size and not (
             tc.min() > 0 and tc.max() < np.inf
             and ts.min() >= 0 and ts.max() < np.inf
         ):
@@ -452,7 +454,7 @@ class ProblemInstance:
             sub.gpu_labels = [self.gpu_labels[m] for m in gpus.tolist()]
         if not len(gpu_type):
             raise InfeasibleProblemError("a problem instance needs >= 1 GPU")
-        sub._set_times(gpu_type, tc, ts)
+        sub._set_times(gpu_type, tc, ts, check=False)
         sub._row_class = (
             None if self._type_per_gpu() else self.row_class()[rows]
         )
@@ -578,11 +580,11 @@ class ProblemInstance:
 
         The bytes are those of reducing the C-ordered jobs × GPUs matrix
         along its rows (:func:`row_reduce`), each distinct per-type row
-        (:meth:`row_class`) once.
+        (:meth:`row_class`) once on an instance of more than one block.
         """
         tc, ts = self.train_by_type, self.sync_by_type
-        if self._type_per_gpu():
-            per_type, inv = tc + ts, None
+        if self._type_per_gpu() or tc.shape[0] * self.num_gpus <= _BLOCK:
+            per_type, inv = tc + ts, None  # one block: nothing to share
         else:
             _, first, inv = np.unique(
                 self.row_class(), return_index=True, return_inverse=True

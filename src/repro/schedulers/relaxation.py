@@ -605,11 +605,13 @@ class FluidStepper:
         #: -inf for rounds too small to bound, until one is dated.
         half_c = self.half_tc[rank]
         self._pending_c = np.where(more, half_c, np.inf)
-        unsure = more & early & (round_work < 4e-12)
-        self._pending_c[unsure] = -np.inf
-        self._unsure = dict(zip(
-            unsure.nonzero()[0].tolist(), half_c[unsure].tolist()
-        ))
+        unsure = (round_work < 4e-12) & more & early
+        self._unsure: dict[int, float] = {}
+        if unsure.any():
+            self._pending_c[unsure] = -np.inf
+            self._unsure = dict(zip(
+                unsure.nonzero()[0].tolist(), half_c[unsure].tolist()
+            ))
         #: x̂ of every round in canonical order, ``None`` until dated.
         self.starts: list[float | None] = [None] * int(rounds.sum())
         arrival = arrivals[rank].tolist()
