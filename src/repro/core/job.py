@@ -110,8 +110,10 @@ def row_reduce(table: np.ndarray, gpu_type: np.ndarray, how: str) -> np.ndarray:
     ``expand(table, gpu_type)`` along its rows: a per-type sum weighted
     by type counts rounds differently, and so does reducing an F-ordered
     matrix."""
-    out = np.empty(len(table))
     step = max(1, _BLOCK // len(gpu_type))
+    if len(table) <= step:
+        return getattr(np.take(table, gpu_type, axis=1), how)(axis=1)
+    out = np.empty(len(table))
     for a in range(0, len(table), step):
         block = np.take(table[a:a + step], gpu_type, axis=1)
         out[a:a + step] = getattr(block, how)(axis=1)
@@ -143,7 +145,10 @@ class GpuView(np.lib.mixins.NDArrayOperatorsMixin):
         return (len(self.table), len(self.gpu_type))
 
     ndim = 2
-    dtype = np.dtype(np.float64)
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.table.dtype
 
     @property
     def size(self) -> int:
@@ -442,15 +447,15 @@ class ProblemInstance:
             sub.gpu_labels = list(self.gpu_labels)
         else:
             gpus = np.asarray(gpus, dtype=np.int64)
-            kept, first, gpu_type = np.unique(
-                self.gpu_type[gpus], return_index=True, return_inverse=True
+            kept: dict[int, int] = {}  # old type -> new, first appearance
+            gpu_type = np.array(
+                [kept.setdefault(k, len(kept))
+                 for k in self.gpu_type[gpus].tolist()],
+                dtype=np.int64,
             )
-            order = np.argsort(first)
-            renumber = np.empty_like(order)
-            renumber[order] = np.arange(len(order))
-            gpu_type = renumber[gpu_type]
-            tc = np.take(tc, kept[order], axis=1)
-            ts = np.take(ts, kept[order], axis=1)
+            kept_types = list(kept)
+            tc = np.take(tc, kept_types, axis=1)
+            ts = np.take(ts, kept_types, axis=1)
             sub.gpu_labels = [self.gpu_labels[m] for m in gpus.tolist()]
         if not len(gpu_type):
             raise InfeasibleProblemError("a problem instance needs >= 1 GPU")

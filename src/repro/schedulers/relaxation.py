@@ -566,13 +566,10 @@ class FluidStepper:
         #: Each job's last breakpoint time (its arrival while it has none).
         self._last_t = arrivals[rank]
         #: t_j of :meth:`bound`: the last breakpoint, or before the first
-        #: the least x̂ a backwards first segment can date.
+        #: the least x̂ a backwards first segment can date, a_j - 2e-12
+        #: less four ulps (a_j·2^-50 is at least that).
+        self._bound_t = self._last_t * (1 - 2**-50) - 2e-12
         early = self._last_t > 0
-        self._bound_t = np.where(
-            early,
-            self._last_t - 2e-12 - 4 * np.spacing(self._last_t),
-            self._last_t,
-        )
         pending = np.argsort(arrivals, kind="stable")
         self._arrive_pos = pos[pending].tolist()
         self._arrive_t = arrivals[pending].tolist()

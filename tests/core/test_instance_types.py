@@ -2,9 +2,10 @@
 
 The dense constructor factors identical (``T^c``, ``T^s``) column pairs
 into types; :attr:`ProblemInstance.train_time`/``sync_time`` must hand
-back the input bytes, :meth:`ProblemInstance.subset` must equal slicing
-the dense matrices, and every reduction over GPUs must keep the bytes
-of reducing the dense matrix.
+back the input bytes and read as the matrix (:class:`GpuView`),
+:meth:`ProblemInstance.subset` must equal slicing the dense matrices, and
+every reduction over GPUs must keep the bytes of reducing the dense
+matrix.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 import repro.core.job as job_module
 from repro.core import Job, ProblemInstance
 from repro.core.errors import ConfigurationError, InfeasibleProblemError
+from repro.core.job import GpuView
 
 #: Values whose sums and means round: -0.0 is a distinct column for the
 #: bytes-compared factoring, and a valid T^s.
@@ -134,6 +136,50 @@ def test_blocked_reductions_keep_the_dense_bytes(block, data):
         _assert_reductions(inst, tc, ts)
     finally:
         job_module._BLOCK = saved
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=dense(), pick=st.data())
+def test_views_read_as_the_dense_matrix(data, pick):
+    jobs, tc, ts = data
+    if not jobs:
+        return
+    inst = ProblemInstance(jobs, tc, ts)
+    view = inst.train_time
+    n_jobs, n_gpus = tc.shape
+    j = pick.draw(st.integers(0, n_jobs - 1))
+    g = pick.draw(st.integers(0, n_gpus - 1))
+    rows = pick.draw(st.lists(st.integers(0, n_jobs - 1), max_size=4))
+    cols = pick.draw(st.lists(
+        st.integers(0, n_gpus - 1), min_size=len(rows), max_size=len(rows)
+    ))
+    assert view.shape == tc.shape and len(view) == n_jobs
+    assert view[j, g] == tc[j, g]
+    for key in (
+        j, rows, (rows, cols), np.ix_(rows, cols), (slice(None), cols),
+        (slice(0, 2), slice(1, None)), (j, slice(None)), (slice(None), g),
+        (..., g),
+    ):
+        got, want = np.asarray(view[key]), tc[key]
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    both = inst.train_time + inst.sync_time
+    assert isinstance(both, GpuView)
+    dense_both = tc + ts
+    assert np.asarray(both).tobytes() == dense_both.tobytes()
+    for how in ("min", "max", "mean", "sum"):
+        assert (
+            getattr(both, how)(axis=1).tobytes()
+            == getattr(dense_both, how)(axis=1).tobytes()
+        )
+        assert getattr(both, how)() == getattr(dense_both, how)()
+    assert np.min(both, axis=1).tobytes() == dense_both.min(axis=1).tobytes()
+    assert np.mean(both, axis=1).tobytes() == dense_both.mean(axis=1).tobytes()
+    inverse = (1.0 / both).sum(axis=1)
+    assert inverse.tobytes() == (1.0 / dense_both).sum(axis=1).tobytes()
+    mixed = both + tc  # a plain array: the view expands
+    assert type(mixed) is np.ndarray
+    assert mixed.tobytes() == (dense_both + tc).tobytes()
+    assert (inst.train_time == inst.train_time).all()
 
 
 def test_bad_time_names_the_first_bad_gpu():
