@@ -144,16 +144,6 @@ class GpuView(np.lib.mixins.NDArrayOperatorsMixin):
     def shape(self) -> tuple[int, int]:
         return (len(self.table), len(self.gpu_type))
 
-    ndim = 2
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self.table.dtype
-
-    @property
-    def size(self) -> int:
-        return len(self.table) * len(self.gpu_type)
-
     def matrix(self) -> np.ndarray:
         """The expanded matrix (built on first call, then kept)."""
         if self._matrix is None:
@@ -295,8 +285,7 @@ class ProblemInstance:
             raise InfeasibleProblemError("a problem instance needs >= 1 GPU")
         gpu_type, first = _factor_columns(tc, ts)
         self._set_times(gpu_type, tc[:, first], ts[:, first])
-        self._row_class = None
-        self._finish(jobs, gpu_labels)
+        self._set_jobs(jobs, gpu_labels)
 
     @classmethod
     def from_types(
@@ -329,8 +318,7 @@ class ProblemInstance:
             )
         inst = object.__new__(cls)
         inst._set_times(gpu_type, tc, ts)
-        inst._row_class = None
-        inst._finish(jobs, gpu_labels)
+        inst._set_jobs(jobs, gpu_labels)
         return inst
 
     def _set_times(
@@ -365,10 +353,12 @@ class ProblemInstance:
         for col in (gpu_type, tc, ts):
             col.flags.writeable = False
         self.gpu_type, self.train_by_type, self.sync_by_type = gpu_type, tc, ts
-        self._types = self._train = self._sync = None
+        self._types = self._train = self._sync = self._row_class = None
         self._rows: dict[int, np.ndarray] = {}
 
-    def _finish(self, jobs: tuple[Job, ...], gpu_labels: Sequence[str]) -> None:
+    def _set_jobs(
+        self, jobs: tuple[Job, ...], gpu_labels: Sequence[str]
+    ) -> None:
         n_jobs = len(jobs)
         for n, job in enumerate(jobs):
             if job.job_id != n:
@@ -460,9 +450,8 @@ class ProblemInstance:
         if not len(gpu_type):
             raise InfeasibleProblemError("a problem instance needs >= 1 GPU")
         sub._set_times(gpu_type, tc, ts, check=False)
-        sub._row_class = (
-            None if self._type_per_gpu() else self.row_class()[rows]
-        )
+        if not self._type_per_gpu():  # the parent's labels still hold
+            sub._row_class = self.row_class()[rows]
         picked = rows.tolist()
         sub._set_table(
             self.arrival[rows] if arrival is None
