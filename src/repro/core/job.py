@@ -179,7 +179,7 @@ class GpuView(np.lib.mixins.NDArrayOperatorsMixin):
         return self.matrix()[key]
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if method == "__call__" and not kwargs and all(
+        if method == "__call__" and ufunc.nout == 1 and not kwargs and all(
             np.isscalar(x) or (
                 isinstance(x, GpuView) and (
                     x.gpu_type is self.gpu_type
@@ -450,7 +450,7 @@ class ProblemInstance:
         if not len(gpu_type):
             raise InfeasibleProblemError("a problem instance needs >= 1 GPU")
         sub._set_times(gpu_type, tc, ts, check=False)
-        if not self._type_per_gpu():  # the parent's labels still hold
+        if not self._type_per_gpu():  # this instance's labels still hold
             sub._row_class = self.row_class()[rows]
         picked = rows.tolist()
         sub._set_table(
@@ -540,7 +540,7 @@ class ProblemInstance:
     def row_class(self) -> np.ndarray:
         """A label per job; jobs with the same label have the same rows
         in :attr:`train_by_type` and :attr:`sync_by_type`. A
-        :meth:`subset` keeps its parent's labels."""
+        :meth:`subset` keeps the labels of the instance it slices."""
         if self._row_class is None:
             both = np.concatenate(
                 (self.train_by_type, self.sync_by_type), axis=1
