@@ -13,17 +13,101 @@ on that GPU (one device trains every mini-batch, then synchronizes once):
 ``round_time = sync_scale · T^c + T^s``. Heterogeneity is fully exploited —
 the cost matrix uses the true per-GPU times — but intra-job parallelism is
 not (the paper's Fig. 1(b) scenario), which is the gap Hare exploits.
+
+The matching is solved in-process by :func:`min_cost_assignment`, so an
+AlloX run never imports ``scipy.optimize``.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from ..core.errors import InfeasibleProblemError
-from ..core.job import ProblemInstance
+from ..core.errors import InfeasibleProblemError, SolverError
+from ..core.job import ProblemInstance, expand
 from ..core.schedule import Schedule, ScheduleColumns
 from .base import Scheduler
 from .registry import register
+
+
+def min_cost_assignment(cost: np.ndarray) -> list[int]:
+    """The column matched to each row of a wide *cost* matrix, at least
+    cost in total.
+
+    Crouse's shortest augmenting path method (D. F. Crouse, "On
+    implementing 2D rectangular assignment algorithms", IEEE TAES 52(4),
+    2016), a port of scipy's ``rectangular_lsap.cpp`` (BSD-3) that
+    returns ``scipy.optimize.linear_sum_assignment``'s columns exactly,
+    ties included. That needs scipy's order of operations:
+
+    - the remaining columns start as ``nc-1 … 0``, and a picked column is
+      swap-removed (the last remaining column takes its place);
+    - a reduced cost is ``((min_val + c[i][j]) - u[i]) - v[j]``;
+    - the pick is the first strict minimum in remaining order, replaced
+      by a later equal column only if that column is unassigned;
+    - after each augmentation ``u[cur] += min_val``, every other visited
+      row gets ``u[i] += min_val - spc[col4row[i]]`` and every visited
+      column ``v[j] -= min_val - spc[j]``.
+
+    Only what AlloX builds is accepted: ``nr <= nc`` and finite costs;
+    anything else raises :class:`SolverError`.
+
+    Each augmentation scans every remaining column once per visited row,
+    so a matching takes up to about ``nr² · nc / 2`` inner-loop steps in
+    Python: fine at the testbed's 16 × 30, but 28–43× slower than scipy
+    from 137 × 160 up (DESIGN.md §13 has the measured sizes).
+    """
+    cost = np.asarray(cost, dtype=np.float64)
+    if cost.ndim != 2 or cost.shape[0] > cost.shape[1]:
+        raise SolverError(f"assignment needs a wide matrix, got {cost.shape}")
+    if not np.isfinite(cost).all():
+        raise SolverError("assignment costs must be finite")
+    nr, nc = cost.shape
+    c = cost.tolist()
+    u = [0.0] * nr
+    v = [0.0] * nc
+    col4row = [-1] * nr
+    row4col = [-1] * nc
+    path = [-1] * nc
+    for cur in range(nr):
+        spc = [math.inf] * nc
+        remaining = list(range(nc - 1, -1, -1))
+        rows: list[int] = []
+        cols: list[int] = []
+        i, min_val = cur, 0.0
+        while True:
+            rows.append(i)
+            ci, ui = c[i], u[i]
+            lowest, index = math.inf, -1
+            for it, j in enumerate(remaining):
+                s = spc[j]
+                r = min_val + ci[j] - ui - v[j]
+                if r < s:
+                    path[j] = i
+                    spc[j] = s = r
+                if s <= lowest and (s < lowest or row4col[j] == -1):
+                    lowest, index = s, it
+            min_val = lowest
+            j = remaining[index]
+            cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+            if row4col[j] == -1:
+                break
+            i = row4col[j]
+        u[cur] += min_val
+        for i in rows[1:]:
+            u[i] += min_val - spc[col4row[i]]
+        for k in cols:
+            v[k] -= min_val - spc[k]
+        while True:  # augment along the path, from the sink back to cur
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
 
 
 @register("sched_allox", summary="AlloX min-cost matching to single GPUs")
@@ -76,6 +160,12 @@ class SchedAlloxScheduler(Scheduler):
         gpu_free = [0.0] * num_gpus
         arrival = instance.arrival.tolist()
         waiting = set(range(instance.num_jobs))
+        # p_{j,m} = rounds · (scale·T^c + T^s), the job run serially on m.
+        rounds = instance.num_rounds[:, None]
+        serial = expand(rounds * (
+            instance.sync_scale[:, None] * instance.train_by_type
+            + instance.sync_by_type
+        ), instance.gpu_type)
         t = 0.0
         guard = 0
         max_iters = 4 * len(waiting) + 4 * num_gpus + 64
@@ -89,7 +179,9 @@ class SchedAlloxScheduler(Scheduler):
             free = [m for m in range(num_gpus) if gpu_free[m] <= t + 1e-12]
             started = False
             if runnable and free:
-                starts = self._match(instance, runnable, gpu_free, t)
+                starts = self._match(
+                    instance, runnable, gpu_free, t, serial[runnable]
+                )
                 for job_id, gpu in starts:
                     start = max(t, arrival[job_id])
                     gpu_free[gpu] = self._run_job(
@@ -112,6 +204,7 @@ class SchedAlloxScheduler(Scheduler):
         runnable: list[int],
         gpu_free: list[float],
         now: float,
+        serial: np.ndarray,
     ) -> list[tuple[int, int]]:
         """Min-cost matching; returns the (job, gpu) pairs to start now.
 
@@ -125,33 +218,20 @@ class SchedAlloxScheduler(Scheduler):
         the one at that machine's largest matched position; of those, only
         jobs matched to currently **free** machines start now. Everyone
         else re-enters the matching at the next event, which is how AlloX
-        stays adaptive online.
+        stays adaptive online. *serial* holds ``p_{j,m}`` for the runnable
+        jobs' rows.
         """
-        from scipy.optimize import linear_sum_assignment
-
         num_gpus = len(gpu_free)
         positions = max(1, -(-len(runnable) // num_gpus))
-        rounds = instance.num_rounds[runnable]
-        scale = instance.sync_scale[runnable]
-        w = (
-            instance.weight[runnable] if self.weighted
-            else np.ones(len(runnable))
-        )
-        # p_{j,m} = rounds · (scale·T^c + T^s), the job run serially on m;
-        # columns run GPU-major over positions k = 1..positions.
-        serial = rounds[:, None] * (
-            scale[:, None] * instance.train_time[runnable]
-            + instance.sync_time[runnable]
-        )
+        # Columns run GPU-major over positions k = 1..positions.
         r = np.maximum(0.0, np.asarray(gpu_free) - now)
         pos = np.arange(1, positions + 1)
-        cost = (
-            (pos[None, None, :] * serial[:, :, None] + r[None, :, None])
-            / w[:, None, None]
-        ).reshape(len(runnable), num_gpus * positions)
-        rows, chosen = linear_sum_assignment(cost)
+        cost = pos[None, None, :] * serial[:, :, None] + r[None, :, None]
+        if self.weighted:
+            cost /= instance.weight[runnable][:, None, None]
+        cost = cost.reshape(len(runnable), num_gpus * positions)
         head: dict[int, tuple[int, int]] = {}  # gpu -> (k, job)
-        for i, c in zip(rows.tolist(), chosen.tolist()):
+        for i, c in enumerate(min_cost_assignment(cost)):
             m, k = divmod(c, positions)
             k += 1
             if m not in head or k > head[m][0]:

@@ -494,9 +494,11 @@ def reference_solve_fixed_y(
 # ----------------------------------------------------------------------
 class LoopCostAlloxScheduler(SchedAlloxScheduler):
     """``SchedAlloxScheduler`` whose ``_match`` fills the cost matrix with
-    a Python double loop over ``k · rounds·(scale·T^c + T^s) + r_m``."""
+    a Python double loop over ``k · rounds·(scale·T^c + T^s) + r_m`` and
+    solves it with ``scipy.optimize.linear_sum_assignment``; the serial
+    times ``schedule`` passes in are not read."""
 
-    def _match(self, instance, runnable, gpu_free, now):
+    def _match(self, instance, runnable, gpu_free, now, serial):
         num_gpus = len(gpu_free)
         positions = max(1, -(-len(runnable) // num_gpus))
         cols = [(m, k) for m in range(num_gpus) for k in range(1, positions + 1)]

@@ -5,13 +5,15 @@
 its public names on first read, and ``repro.api`` imports the control
 plane, healing, sweeps, baselines, attribution and monitors only in the
 functions that use them. ``scipy.optimize`` costs more than half of a
-cold start, so only the exact LP and AlloX import it, on first use.
+cold start, so only the exact LP imports it, on first use; AlloX solves
+its matching in-process.
 
 One fresh interpreter checks, in order: ``import repro`` alone; the
 registry after ``import repro.api``; that a fluid ``hare_online`` run
-leaves no ``scipy`` module behind; that a planned ``hare`` run loads none
-of :data:`UNUSED_BY_A_RUN`; that the exact LP (both cut-loop backends)
-and ``sched_allox`` still import scipy and run; and that every facade
+leaves no ``scipy`` module behind, and nor does a simulated
+``sched_allox`` run on a Fig. 12 testbed input; that a planned ``hare``
+run loads none of :data:`UNUSED_BY_A_RUN`; that the exact LP (both
+cut-loop backends) still imports scipy and runs; and that every facade
 name resolves.
 """
 
@@ -68,6 +70,14 @@ run = run_experiment(
 )
 stage(scipy_after_fluid=loaded("scipy"))
 
+from repro.cluster import testbed_cluster
+
+allox = run_experiment(
+    scheduler="sched_allox", cluster=testbed_cluster(), jobs=40, seed=1,
+    simulate=True, trace=False,
+)
+stage(allox_jct=allox.weighted_jct, scipy_after_allox=loaded("scipy"))
+
 run_experiment(
     scheduler="hare", gpus=15, jobs=8, seed=0, rounds_scale=0.05,
     simulate=False, trace=False,
@@ -81,14 +91,7 @@ objectives = {
     b: ExactRelaxationSolver(lp_backend=b).solve(run.instance).objective
     for b in backends
 }
-allox = run_experiment(
-    scheduler="sched_allox", gpus=6, jobs=5, seed=0, rounds_scale=0.05,
-    trace=False,
-)
-stage(
-    objectives=objectives, allox_jct=allox.weighted_jct,
-    after_exact="scipy.optimize" in sys.modules,
-)
+stage(objectives=objectives, after_exact="scipy.optimize" in sys.modules)
 
 problems = []
 for name in ["repro", "repro.api"] + [f"repro.{p}" for p in SUBPACKAGES]:
@@ -142,6 +145,12 @@ def test_fluid_run_loads_no_scipy_and_exact_lp_still_runs(cold_start):
     objectives = list(out["objectives"].values())
     assert all(v > 0 for v in objectives)
     assert max(objectives) - min(objectives) <= 1e-6 * max(objectives)
+
+
+def test_allox_run_loads_no_scipy(cold_start):
+    out, stderr = cold_start
+    assert out.get("scipy_after_allox") == [], "an AlloX run loaded scipy"
+    assert out["returncode"] == 0, stderr
     assert out["allox_jct"] > 0
 
 

@@ -16,7 +16,7 @@ import hashlib
 import pytest
 
 import repro.api as api
-from repro.cluster import scaled_cluster, testbed_cluster
+from repro.cluster import scaled_cluster, testbed_cluster as _testbed_cluster
 from repro.harness.experiments import make_loaded_workload
 from repro.workload.jobs import WorkloadConfig
 
@@ -32,7 +32,7 @@ def _workload(num_jobs: int, gpus: int, seed: int):
 
 def _specs() -> dict[str, dict]:
     fleet = scaled_cluster(125)
-    testbed = testbed_cluster()
+    testbed = _testbed_cluster()
     fleet_jobs = _workload(60, 125, 5)
     testbed_jobs = _workload(16, 15, 5)
     specs = {
