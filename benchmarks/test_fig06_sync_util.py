@@ -9,9 +9,9 @@ per-GPU busy fractions.
 
 from benchmarks.conftest import run_once
 from repro.cluster import make_cluster
-from repro.core import Job, metrics_from_schedule, schedule_from_rows
+from repro.core import Job
 from repro.harness import render_table
-from repro.schedulers.base import gang_run_job
+from repro.schedulers import GavelFifoScheduler
 from repro.sim import simulate_plan
 from repro.workload import build_instance
 
@@ -24,9 +24,8 @@ def test_fig06_sync_util(benchmark, report):
     instance = build_instance(jobs, cluster)
 
     def run():
-        rows = []
-        gang_run_job(rows, instance, instance.jobs[0], [0, 1], 0.0)
-        plan = schedule_from_rows(instance, rows)
+        # one gang: a task per GPU every round, at the K80's pace
+        plan = GavelFifoScheduler().plan(instance)
         result = simulate_plan(cluster, instance, plan)
         return result.telemetry.gpu_utilization()
 

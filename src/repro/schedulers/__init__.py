@@ -1,13 +1,7 @@
 """Schedulers: Hare's Algorithm 1 and the §7.1 comparison baselines."""
 
 from .allox import SchedAlloxScheduler
-from .base import (
-    HeapTimeline,
-    Scheduler,
-    check_gang_feasible,
-    fastest_free_gpus,
-    gang_run_job,
-)
+from .base import Scheduler, check_gang_feasible, fastest_free_gpus
 from .fifo import GavelFifoPolicy, GavelFifoScheduler
 from .hare import (
     AUTO_LP_TASK_LIMIT,
@@ -39,26 +33,6 @@ from .srtf import SrtfPolicy, SrtfScheduler
 from .timeslice import TimeSliceScheduler
 
 
-def default_schedulers() -> list[Scheduler]:
-    """The paper's five compared schemes, Hare last."""
-    return [
-        GavelFifoScheduler(),
-        SrtfScheduler(),
-        SchedHomoScheduler(),
-        SchedAlloxScheduler(),
-        HareScheduler(),
-    ]
-
-
-def all_schedulers() -> list[Scheduler]:
-    """The paper's five schemes plus the extension schedulers."""
-    return [
-        *default_schedulers(),
-        OnlineHareScheduler(),
-        TimeSliceScheduler(),
-    ]
-
-
 __all__ = [
     "AUTO_LP_TASK_LIMIT",
     "ExactRelaxationSolver",
@@ -66,7 +40,6 @@ __all__ = [
     "GavelFifoPolicy",
     "GavelFifoScheduler",
     "HareScheduler",
-    "HeapTimeline",
     "OnlineHarePolicy",
     "OnlineHareScheduler",
     "RelaxationResult",
@@ -80,15 +53,12 @@ __all__ = [
     "SrtfScheduler",
     "TimeSliceScheduler",
     "UnknownSchedulerError",
-    "all_schedulers",
     "available",
     "brute_force_optimal",
     "check_gang_feasible",
     "create",
     "create_from_spec",
-    "default_schedulers",
     "fastest_free_gpus",
-    "gang_run_job",
     "greedy_assignment",
     "info",
     "list_schedule",

@@ -11,24 +11,21 @@ Execution over time is the job of :mod:`repro.kernel`: every scheduler can
 produce an incremental kernel policy through :meth:`Scheduler.make_policy`
 (by default a clairvoyant :class:`~repro.kernel.policies.PlannedPolicy`
 over this planner; event-driven schemes override it with a native
-policy). The virtual-time gang loop that used to live here
-(``run_gang_scheduler``/``GangState``) is gone — the gang baselines now
-run on the kernel — while the helpers gang policies share
-(:func:`check_gang_feasible`, from :mod:`repro.kernel.policies`,
-:func:`gang_run_job`,
-:class:`ObliviousPicker`, :func:`fastest_free_gpus`,
-:class:`HeapTimeline`) remain here.
+policy). The gang baselines run on the kernel, where a gang's rows come
+from :func:`repro.kernel.policies.gang_commitment`; the GPU pickers they
+share (:class:`ObliviousPicker`, :func:`fastest_free_gpus`) live here,
+beside :func:`check_gang_feasible`, re-exported from
+:mod:`repro.kernel.policies`.
 """
 
 from __future__ import annotations
 
-import heapq
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Sequence
 
 from ..core.errors import InfeasibleProblemError
-from ..core.job import Job, ProblemInstance
-from ..core.schedule import Schedule, ScheduleRow
+from ..core.job import ProblemInstance
+from ..core.schedule import Schedule
 from ..kernel.policies import check_gang_feasible
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -78,37 +75,6 @@ class Scheduler(ABC):
         return f"<{type(self).__name__} {self.name!r}>"
 
 
-def gang_run_job(
-    rows: list[ScheduleRow],
-    instance: ProblemInstance,
-    job: Job,
-    gpus: Sequence[int],
-    start: float,
-) -> float:
-    """Execute *job* with one task pinned per GPU, all rounds, from *start*.
-
-    Every round takes ``max_d (T^c + T^s)`` over the assigned GPUs — the
-    straggler effect that motivates the paper (§2.2.2): fast GPUs idle at
-    the barrier waiting for the slowest one. Appends one
-    ``(job, rnd, slot, gpu, start)`` row per task to *rows*
-    (:func:`~repro.core.schedule.schedule_from_rows`) and returns the job
-    completion time ``C_n``.
-    """
-    if len(gpus) != job.sync_scale:
-        raise InfeasibleProblemError(
-            f"job {job.job_id} with scale {job.sync_scale} given "
-            f"{len(gpus)} GPUs"
-        )
-    round_time = max(instance.task_time(job.job_id, m) for m in gpus)
-    t = start
-    for r in range(job.num_rounds):
-        rows.extend(
-            (job.job_id, r, slot, m, t) for slot, m in enumerate(gpus)
-        )
-        t += round_time
-    return t
-
-
 class ObliviousPicker:
     """Heterogeneity-oblivious GPU selection: rotating round-robin.
 
@@ -141,25 +107,3 @@ def fastest_free_gpus(
     """The *count* free GPUs with smallest ``T^c + T^s`` for the job."""
     ranked = sorted(free, key=lambda m: (instance.task_time(job_id, m), m))
     return ranked[:count]
-
-
-class HeapTimeline:
-    """Min-heap over per-GPU available times φ_m (Algorithm 1, line 12).
-
-    ``pop_earliest`` returns the GPU with the smallest available time;
-    ``push`` re-inserts it with its updated time. Ties break on GPU index
-    for determinism.
-    """
-
-    def __init__(self, num_gpus: int) -> None:
-        self._heap: list[tuple[float, int]] = [(0.0, m) for m in range(num_gpus)]
-        heapq.heapify(self._heap)
-
-    def pop_earliest(self) -> tuple[float, int]:
-        return heapq.heappop(self._heap)
-
-    def push(self, available: float, gpu: int) -> None:
-        heapq.heappush(self._heap, (available, gpu))
-
-    def peek(self) -> tuple[float, int]:
-        return self._heap[0]

@@ -35,11 +35,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Iterator, Literal, Sequence
+from typing import Iterator, Literal, Sequence, get_args
 
 import numpy as np
 
 from ..core.errors import (
+    ConfigurationError,
     InfeasibleProblemError,
     ScheduleValidationError,
     SolverError,
@@ -64,6 +65,7 @@ from .relaxation import (
 )
 
 Placement = Literal["earliest_available", "earliest_finish"]
+_PLACEMENTS = get_args(Placement)
 
 #: Above this many tasks the "auto" policy switches from the cutting-plane
 #: LP to the fluid relaxation.
@@ -217,10 +219,7 @@ def _stepped_order(
 
 
 def strict_gang_schedule(
-    instance: ProblemInstance,
-    order: Sequence[int] | np.ndarray,
-    *,
-    hold_gpus: bool = False,
+    instance: ProblemInstance, order: Sequence[int] | np.ndarray
 ) -> Schedule:
     """Ablation: Algorithm 1's ordering with **strict** scale-fixed rounds.
 
@@ -271,9 +270,6 @@ def strict_gang_schedule(
             rows.append((job_id, r, slot, m, start))
             phi[m] = start + tc
             end = max(end, start + tc + instance.ts(job_id, m))
-        if hold_gpus:
-            for m in chosen:
-                phi[m] = max(phi[m], end)
         barrier[(job_id, r)] = end
     return schedule_from_rows(instance, rows)
 
@@ -325,6 +321,11 @@ def list_schedule(
     equivalence suite pins the schedules byte-identical to that
     straightforward implementation.
     """
+    if placement not in _PLACEMENTS:
+        raise ConfigurationError(
+            f"unknown placement {placement!r}: expected "
+            + " or ".join(map(repr, _PLACEMENTS))
+        )
     num_gpus = instance.num_gpus
     if initial_phi is None:
         phi = np.zeros(num_gpus)
@@ -355,7 +356,7 @@ def list_schedule(
     train_row = instance.train_row
     tc_item = instance.train_by_type.item
     ts_item = instance.sync_by_type.item
-    earliest_finish = placement != "earliest_available"
+    earliest_finish = placement == "earliest_finish"
     phi_list = phi.tolist()
     finish = np.empty(num_gpus)  # the earliest-finish rule's vector
     finish_for = -1  # the previous round id (one job's) it was built for

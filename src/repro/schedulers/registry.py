@@ -9,8 +9,6 @@ Scheduling schemes self-register with :func:`register`::
 and callers construct them by key with :func:`create`, which validates
 keyword arguments against the scheme's constructor and raises errors that
 name the known schemes / accepted parameters instead of a bare ``KeyError``.
-This replaces the old if-ladder in ``scheduler_by_name`` (kept as a
-deprecation shim for one release).
 """
 
 from __future__ import annotations

@@ -12,8 +12,7 @@ DESIGN.md):
     times with **Queyranne cutting planes**: constraint (9) must hold for
     every prefix of tasks on a machine (that is exactly what Lemma 2 uses),
     and the most violated prefix is found by sorting tasks by ``x̂`` —
-    the classical separation routine for this polyhedron. Optionally
-    re-derives ``ŷ`` from the solved ``x̂`` and iterates.
+    the classical separation routine for this polyhedron.
 
 :class:`FluidRelaxationSolver`
     A fluid approximation for large instances: arrived jobs take the
@@ -39,7 +38,7 @@ rounds, then slots — the numbering of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from typing import TYPE_CHECKING, Protocol
 
@@ -57,10 +56,16 @@ if TYPE_CHECKING:
 # and in memory, which runs that never reach the exact LP should not pay.
 
 
+#: The cut loop stops after this many LP solves, separated cuts or not.
+MAX_CUT_ROUNDS = 25
+#: A prefix is cut when its violation exceeds this share of its bound.
+CUT_TOLERANCE = 1e-6
+
+
 @cache
 def _highs():
     """scipy's vendored HiGHS pybind API, or ``None`` when this scipy
-    layout does not expose it (``auto`` then picks ``linprog``)."""
+    layout does not expose it (the cut loop then uses ``linprog``)."""
     try:  # scipy vendors the HiGHS pybind API; no standalone highspy needed.
         from scipy.optimize._highspy import _core
     except Exception:  # pragma: no cover - older/newer scipy layouts
@@ -82,11 +87,6 @@ class RelaxationResult:
     h: np.ndarray
     #: Objective value of the relaxation (Σ w_n Ĉ_n).
     objective: float
-    #: Assignment ŷ used by the solver (empty for the fluid solver).
-    y_hat: dict[TaskRef, int] = field(default_factory=dict)
-    #: Solver diagnostics.
-    iterations: int = 0
-    cuts_added: int = 0
 
 
 class RelaxationSolver(Protocol):
@@ -130,8 +130,6 @@ class _LinprogCutLp:
     a from-scratch COO rebuild), but each :meth:`solve` is a cold start.
     """
 
-    warm_started = False
-
     def __init__(
         self,
         c: np.ndarray,
@@ -173,8 +171,6 @@ class _HighsCutLp:
     round's simplex basis, so a cut round typically costs a handful of
     dual-simplex pivots instead of a full solve.
     """
-
-    warm_started = True
 
     def __init__(
         self,
@@ -232,63 +228,15 @@ class _HighsCutLp:
 
 @dataclass(slots=True)
 class ExactRelaxationSolver:
-    """LP over start times with Queyranne prefix cuts (fixed greedy ŷ)."""
+    """LP over start times with Queyranne prefix cuts (fixed greedy ŷ).
 
-    max_cut_rounds: int = 25
-    cut_tolerance: float = 1e-6
-    #: Re-derive ŷ from the solved x̂ and re-solve this many extra times.
-    reassignment_rounds: int = 0
-    #: Cut-loop LP backend: "auto" picks the warm-started in-process HiGHS
-    #: when scipy exposes it, else the cold-start ``linprog`` fallback.
-    lp_backend: str = "auto"
+    The cut loop runs on the warm-started in-process HiGHS when scipy
+    exposes it (:func:`_highs`), else on the cold-start ``linprog``
+    fallback.
+    """
 
     def solve(self, instance: ProblemInstance) -> RelaxationResult:
-        y = greedy_assignment(instance)
-        result = self._solve_fixed_y(instance, y)
-        for _ in range(self.reassignment_rounds):
-            y = self._reassign(instance, result)
-            result = self._solve_fixed_y(instance, y)
-        return result
-
-    # ------------------------------------------------------------------
-    def _reassign(
-        self, instance: ProblemInstance, result: RelaxationResult
-    ) -> dict[TaskRef, int]:
-        """New ŷ: sweep tasks in x̂ order, place on least-loaded GPU."""
-        load = np.zeros(instance.num_gpus)
-        y: dict[TaskRef, int] = {}
-        tasks = list(instance.all_tasks())
-        for k in np.argsort(result.x_hat, kind="stable").tolist():
-            task = tasks[k]
-            tc_row = instance.train_row(task.job_id)
-            m = int(np.argmin(load + tc_row))
-            y[task] = m
-            load[m] += tc_row[m]
-        return y
-
-    def _make_backend(
-        self,
-        c: np.ndarray,
-        lb: np.ndarray,
-        a_ub: sparse.csr_matrix,
-        rhs: list[float],
-    ) -> _LinprogCutLp | _HighsCutLp:
-        backend = self.lp_backend
-        if backend == "auto":
-            backend = "highs" if _highs() is not None else "linprog"
-        if backend == "highs":
-            if _highs() is None:
-                raise SolverError(
-                    "lp_backend='highs' needs scipy's vendored highspy "
-                    "(scipy.optimize._highspy); use 'auto' or 'linprog'"
-                )
-            return _HighsCutLp(c, lb, a_ub, rhs)
-        if backend == "linprog":
-            return _LinprogCutLp(c, lb, a_ub, rhs)
-        raise SolverError(
-            f"unknown lp_backend {self.lp_backend!r}: "
-            "expected 'auto', 'highs', or 'linprog'"
-        )
+        return self._solve_fixed_y(instance, greedy_assignment(instance))
 
     def _solve_fixed_y(
         self, instance: ProblemInstance, y: dict[TaskRef, int]
@@ -365,13 +313,12 @@ class ExactRelaxationSolver:
         a_base = sparse.csr_matrix(
             (data, indices, indptr), shape=(len(rhs), n_vars)
         )
-        lp = self._make_backend(c, lb, a_base, rhs)
+        backend = _HighsCutLp if _highs() is not None else _LinprogCutLp
+        lp = backend(c, lb, a_base, rhs)
 
-        cuts_added = 0
         x_sol = np.zeros(n_vars)
         objective = 0.0
-        iteration = 0
-        for iteration in range(1, self.max_cut_rounds + 1):
+        for _ in range(MAX_CUT_ROUNDS):
             x_sol, objective = lp.solve()
             new_cuts = self._separate(machine_tasks, q, x_sol, emitted)
             if not new_cuts:
@@ -393,7 +340,6 @@ class ExactRelaxationSolver:
             )
             block.sort_indices()
             lp.add_rows(block, block_rhs)
-            cuts_added += len(new_cuts)
 
         # The x columns come first, in all_tasks() order.
         x_hat = np.array(x_sol[:n_x], dtype=np.float64)
@@ -401,9 +347,6 @@ class ExactRelaxationSolver:
             x_hat=x_hat,
             h=_middle_completion(instance, x_hat),
             objective=objective,
-            y_hat=dict(y),
-            iterations=iteration,
-            cuts_added=cuts_added,
         )
 
     def _separate(
@@ -418,7 +361,7 @@ class ExactRelaxationSolver:
         With *emitted*, prefixes whose task set was already cut are skipped:
         the relative tolerance can otherwise re-separate the same near-
         degenerate prefix on consecutive rounds, growing the LP with
-        duplicate rows until ``max_cut_rounds`` exhausts.
+        duplicate rows until :data:`MAX_CUT_ROUNDS` exhausts.
         """
         new_cuts: list[list[int]] = []
         for subset in machine_tasks.values():
@@ -431,7 +374,7 @@ class ExactRelaxationSolver:
             bound = 0.5 * (csum**2 + csq) - csq  # rhs of -Σqx <= ... inverted
             violation = bound - lhs  # >0 means prefix violated
             k = int(np.argmax(violation))
-            if violation[k] > self.cut_tolerance * max(1.0, abs(bound[k])):
+            if violation[k] > CUT_TOLERANCE * max(1.0, abs(bound[k])):
                 prefix = order[: k + 1]
                 if emitted is not None:
                     key = tuple(sorted(prefix))

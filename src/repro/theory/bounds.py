@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..core.job import ProblemInstance
 from ..core.metrics import metrics_from_schedule
 from ..schedulers.hare import HareScheduler

@@ -17,9 +17,10 @@ from repro.core import (
     InfeasibleProblemError,
     Job,
     ProblemInstance,
+    validate_schedule,
 )
 from repro.core.schedule import Schedule, ScheduleRow, schedule_from_rows
-from repro.kernel import run_policy
+from repro.kernel import KernelState, gang_commitment, run_policy
 from repro.schedulers import (
     GavelFifoPolicy,
     GavelFifoScheduler,
@@ -32,13 +33,33 @@ from repro.schedulers.base import (
     ObliviousPicker,
     check_gang_feasible,
     fastest_free_gpus,
-    gang_run_job,
 )
 
 from tests.conftest import make_random_instance
 
 
 # -- the retired loop, verbatim semantics --------------------------------
+def gang_rows(
+    rows: list[ScheduleRow],
+    instance: ProblemInstance,
+    job: Job,
+    gpus: list[int],
+    start: float,
+) -> float:
+    """The retired loop's gang rule: *job* pinned one task per GPU from
+    *start*, every round at the gang's slowest ``T^c + T^s``. Appends one
+    ``(job, rnd, slot, gpu, start)`` row per task to *rows* and returns
+    the job's completion time."""
+    round_time = max(instance.task_time(job.job_id, m) for m in gpus)
+    t = start
+    for r in range(job.num_rounds):
+        rows.extend(
+            (job.job_id, r, slot, m, t) for slot, m in enumerate(gpus)
+        )
+        t += round_time
+    return t
+
+
 def legacy_gang_schedule(instance: ProblemInstance, select) -> Schedule:
     """The pre-kernel virtual-time gang loop (oracle copy).
 
@@ -60,7 +81,7 @@ def legacy_gang_schedule(instance: ProblemInstance, select) -> Schedule:
             job_id, gpus = decision
             job = instance.jobs[job_id]
             start = max(t, job.arrival)
-            completion = gang_run_job(rows, instance, job, gpus, start)
+            completion = gang_rows(rows, instance, job, gpus, start)
             for m in gpus:
                 gpu_free[m] = completion
             waiting.discard(job_id)
@@ -240,3 +261,39 @@ def test_gang_holds_gpus_through_sync_tail():
     sched = GavelFifoScheduler().schedule(inst)
     # Job 0 occupies gpu0 until 1.0 (compute) + 2.0 (sync) = 3.0.
     assert sched.assignments[next(iter(inst.jobs[1].tasks()))].start == 3.0
+
+
+class TestGangCommitment:
+    """The one gang rule, ``gang_commitment``: a job's rounds pinned one
+    task per GPU, each at the pace of the gang's slowest GPU."""
+
+    @pytest.fixture
+    def state(self):
+        jobs = [Job(job_id=0, model="m", num_rounds=2, sync_scale=2)]
+        inst = ProblemInstance(
+            jobs=jobs,
+            train_time=np.array([[1.0, 2.0, 3.0]]),
+            sync_time=np.full((1, 3), 0.1),
+        )
+        return KernelState(inst)
+
+    def test_round_time_is_slowest_gpu(self, state):
+        block = gang_commitment(state, 0, [0, 2], 1.0)
+        # round = max(1.1, 3.1) = 3.1; two rounds from t=1.0
+        assert block.start.tolist() == [1.0, 1.0, 1.0 + 3.1, 1.0 + 3.1]
+        assert block.gpu_release == pytest.approx(1.0 + 2 * 3.1)
+        rows = zip(
+            [block.job] * len(block.rnd), block.rnd.tolist(),
+            block.slot.tolist(), block.gpu.tolist(), block.start.tolist(),
+        )
+        validate_schedule(schedule_from_rows(state.instance, list(rows)))
+
+    def test_one_row_per_task(self, state):
+        block = gang_commitment(state, 0, [0, 1], 0.0)
+        tasks = list(zip(block.rnd.tolist(), block.slot.tolist()))
+        assert tasks == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert block.gpu.tolist() == [0, 1, 0, 1]
+
+    def test_wrong_gpu_count(self, state):
+        with pytest.raises(InfeasibleProblemError, match="given 1 GPUs"):
+            gang_commitment(state, 0, [0], 0.0)

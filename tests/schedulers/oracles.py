@@ -47,7 +47,7 @@ from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 
 from repro.core.errors import InfeasibleProblemError, SolverError
-from repro.core.job import Job, ProblemInstance
+from repro.core.job import ProblemInstance
 from repro.core.schedule import Schedule, TaskAssignment
 from repro.core.types import TaskRef
 from repro.kernel.residual import to_global
@@ -62,6 +62,7 @@ from repro.schedulers.hare import (
 from repro.schedulers.online import OnlineHarePolicy
 from repro.schedulers.optimal import MAX_TASKS
 from repro.schedulers.relaxation import (
+    MAX_CUT_ROUNDS,
     ExactRelaxationSolver,
     FluidRelaxationSolver,
     RelaxationResult,
@@ -387,11 +388,10 @@ def reference_list_schedule(
 # Exact relaxation: the cold-start cut loop
 # ----------------------------------------------------------------------
 def reference_solve_fixed_y(
-    solver: ExactRelaxationSolver,
-    instance: ProblemInstance,
-    y: dict[TaskRef, int],
+    instance: ProblemInstance, y: dict[TaskRef, int]
 ) -> RelaxationResult:
-    """``solver._solve_fixed_y`` rebuilt from scratch every cut round.
+    """``ExactRelaxationSolver._solve_fixed_y`` rebuilt from scratch every
+    cut round.
 
     Rebuilds the COO constraint matrix every round, cold-starts
     ``linprog`` each time and never dedupes separated prefixes. The
@@ -456,11 +456,10 @@ def reference_solve_fixed_y(
         lb[i] = instance.jobs[task.job_id].arrival
     bounds = [(float(lb[i]), None) for i in range(n_vars)]
 
-    cuts_added = 0
+    solver = ExactRelaxationSolver()
     x_sol = np.zeros(n_vars)
     objective = 0.0
-    iteration = 0
-    for iteration in range(1, solver.max_cut_rounds + 1):
+    for _ in range(MAX_CUT_ROUNDS):
         a_ub = sparse.coo_matrix(
             (vals, (rows, cols)), shape=(len(rhs), n_vars)
         ).tocsr()
@@ -476,16 +475,12 @@ def reference_solve_fixed_y(
             break
         for subset in new_cuts:
             add_cut(subset)
-        cuts_added += len(new_cuts)
 
     x_hat = np.array([float(x_sol[t_index[t]]) for t in tasks])
     return RelaxationResult(
         x_hat=x_hat,
         h=_middle_completion(instance, x_hat),
         objective=objective,
-        y_hat=dict(y),
-        iterations=iteration,
-        cuts_added=cuts_added,
     )
 
 
@@ -596,12 +591,7 @@ class EagerFluidOnlineHarePolicy(OnlineHarePolicy):
 # The producers as they were when a Schedule could be filled assignment by
 # assignment: each builds one TaskAssignment per task, in the order the
 # old code called Schedule.add, and the list becomes the schedule.
-def reference_strict_gang_schedule(
-    instance: ProblemInstance,
-    order,
-    *,
-    hold_gpus: bool = False,
-) -> Schedule:
+def reference_strict_gang_schedule(instance: ProblemInstance, order) -> Schedule:
     """``strict_gang_schedule`` building a ``TaskAssignment`` per task."""
     for job in instance.jobs:
         if job.sync_scale > instance.num_gpus:
@@ -646,41 +636,8 @@ def reference_strict_gang_schedule(
             )
             phi[m] = start + tc
             end = max(end, start + tc + ts)
-        if hold_gpus:
-            for m in chosen:
-                phi[m] = max(phi[m], end)
         barrier[(job_id, r)] = end
     return schedule_of(instance, schedule)
-
-
-def reference_gang_run_job(
-    schedule: list[TaskAssignment],
-    instance: ProblemInstance,
-    job: Job,
-    gpus,
-    start: float,
-) -> float:
-    """``gang_run_job`` appending a ``TaskAssignment`` per task."""
-    if len(gpus) != job.sync_scale:
-        raise InfeasibleProblemError(
-            f"job {job.job_id} with scale {job.sync_scale} given "
-            f"{len(gpus)} GPUs"
-        )
-    round_time = max(instance.task_time(job.job_id, m) for m in gpus)
-    t = start
-    for r in range(job.num_rounds):
-        for slot, m in enumerate(gpus):
-            schedule.append(
-                TaskAssignment(
-                    task=TaskRef(job.job_id, r, slot),
-                    gpu=m,
-                    start=t,
-                    train_time=instance.tc(job.job_id, m),
-                    sync_time=instance.ts(job.job_id, m),
-                )
-            )
-        t += round_time
-    return t
 
 
 class ObjectTimeSliceScheduler(TimeSliceScheduler):

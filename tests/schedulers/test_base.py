@@ -3,19 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    InfeasibleProblemError,
-    Job,
-    ProblemInstance,
-    schedule_from_rows,
-    validate_schedule,
-)
-from repro.schedulers import (
-    HeapTimeline,
-    check_gang_feasible,
-    fastest_free_gpus,
-    gang_run_job,
-)
+from repro.core import InfeasibleProblemError, Job, ProblemInstance
+from repro.schedulers import check_gang_feasible, fastest_free_gpus
 from repro.schedulers.base import ObliviousPicker
 
 
@@ -40,26 +29,6 @@ class TestGangFeasibility:
             check_gang_feasible(bad)
 
 
-class TestGangRunJob:
-    def test_round_time_is_slowest_gpu(self, inst):
-        rows = []
-        completion = gang_run_job(rows, inst, inst.jobs[0], [0, 2], 1.0)
-        # round = max(1.1, 3.1) = 3.1; two rounds from t=1.0
-        assert completion == pytest.approx(1.0 + 2 * 3.1)
-        validate_schedule(schedule_from_rows(inst, rows))
-
-    def test_all_tasks_emitted(self, inst):
-        rows = []
-        gang_run_job(rows, inst, inst.jobs[0], [0, 1], 0.0)
-        assert len(rows) == 4
-
-    def test_wrong_gpu_count(self, inst):
-        rows = []
-        with pytest.raises(InfeasibleProblemError):
-            gang_run_job(rows, inst, inst.jobs[0], [0], 0.0)
-        assert rows == []
-
-
 class TestFastestFreeGpus:
     def test_picks_by_task_time(self, inst):
         assert fastest_free_gpus(inst, 0, [2, 1, 0], 2) == [0, 1]
@@ -70,23 +39,6 @@ class TestFastestFreeGpus:
             jobs=jobs, train_time=np.ones((1, 3)), sync_time=np.zeros((1, 3))
         )
         assert fastest_free_gpus(flat, 0, [2, 0, 1], 2) == [0, 1]
-
-
-class TestHeapTimeline:
-    def test_pop_earliest(self):
-        h = HeapTimeline(3)
-        t, m = h.pop_earliest()
-        assert (t, m) == (0.0, 0)
-        h.push(5.0, 0)
-        assert h.pop_earliest() == (0.0, 1)
-
-    def test_updates_order(self):
-        h = HeapTimeline(2)
-        h.pop_earliest()
-        h.push(10.0, 0)
-        h.pop_earliest()
-        h.push(3.0, 1)
-        assert h.peek() == (3.0, 1)
 
 
 class TestObliviousPicker:

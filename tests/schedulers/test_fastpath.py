@@ -12,13 +12,15 @@ equality between ``repro.api.sweep`` and serial ``run_experiment``.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import validate_schedule
-from repro.schedulers import available, create
+from repro.schedulers import available, create, relaxation
 from repro.schedulers.hare import _precedence_safe_order, list_schedule
 from repro.schedulers.relaxation import (
     ExactRelaxationSolver,
@@ -38,6 +40,16 @@ from tests.schedulers.oracles import (
 PLACEMENTS = ("earliest_available", "earliest_finish")
 
 LP_BACKENDS = ["linprog"] + (["highs"] if _highs() is not None else [])
+CUT_LPS = {"highs": "_HighsCutLp", "linprog": "_LinprogCutLp"}
+
+
+@contextmanager
+def cut_lp(backend):
+    """The cut loop on *backend*: ``linprog`` hides scipy's HiGHS."""
+    with pytest.MonkeyPatch.context() as mp:
+        if backend == "linprog":
+            mp.setattr(relaxation, "_highs", lambda: None)
+        yield mp
 
 
 def _fluid_order(instance):
@@ -132,24 +144,35 @@ class TestExactSolverEquivalence:
         inst = make_random_instance(
             seed, max_jobs=3, max_gpus=3, max_rounds=2, max_scale=2
         )
-        solver = ExactRelaxationSolver(lp_backend=backend)
         y = greedy_assignment(inst)
-        fast = solver._solve_fixed_y(inst, y)
-        ref = reference_solve_fixed_y(solver, inst, y)
+        with cut_lp(backend):
+            fast = ExactRelaxationSolver()._solve_fixed_y(inst, y)
+        ref = reference_solve_fixed_y(inst, y)
         assert fast.objective == pytest.approx(
             ref.objective, rel=1e-9, abs=1e-9
         )
 
     def test_auto_backend_end_to_end(self, tiny_instance):
         result = ExactRelaxationSolver().solve(tiny_instance)
-        ref = ExactRelaxationSolver(lp_backend="linprog").solve(tiny_instance)
+        with cut_lp("linprog"):
+            ref = ExactRelaxationSolver().solve(tiny_instance)
         assert result.objective == pytest.approx(ref.objective, rel=1e-9)
 
-    def test_unknown_backend_rejected(self, tiny_instance):
-        from repro.core import SolverError
+    @pytest.mark.parametrize("backend", LP_BACKENDS)
+    def test_backend_follows_highs_probe(self, backend, tiny_instance):
+        """HiGHS when ``_highs()`` finds it, ``linprog`` when it is
+        ``None``, and nothing else runs."""
+        ran = set()
+        with cut_lp(backend) as mp:
+            for cls in (relaxation._HighsCutLp, relaxation._LinprogCutLp):
 
-        with pytest.raises(SolverError, match="unknown lp_backend"):
-            ExactRelaxationSolver(lp_backend="simplex??").solve(tiny_instance)
+                def solve(self, _solve=cls.solve):
+                    ran.add(type(self).__name__)
+                    return _solve(self)
+
+                mp.setattr(cls, "solve", solve)
+            ExactRelaxationSolver().solve(tiny_instance)
+        assert ran == {CUT_LPS[backend]}
 
 
 class TestCutDedup:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    ConfigurationError,
     Job,
     ProblemInstance,
     ScheduleValidationError,
@@ -13,6 +14,7 @@ from repro.core import (
     validate_schedule,
 )
 from repro.schedulers import (
+    ExactRelaxationSolver,
     FluidRelaxationSolver,
     GavelFifoScheduler,
     HareScheduler,
@@ -67,8 +69,9 @@ class TestAlgorithmMechanics:
     def test_auto_uses_exact_for_small(self, tiny_instance):
         sched = HareScheduler(relaxation="auto")
         sched.schedule(tiny_instance)
-        assert sched.last_relaxation is not None
-        assert sched.last_relaxation.y_hat  # exact solver records ŷ
+        exact = ExactRelaxationSolver().solve(tiny_instance)
+        assert sched.last_relaxation.x_hat.tobytes() == exact.x_hat.tobytes()
+        assert sched.last_relaxation.objective == exact.objective
 
     def test_auto_uses_fluid_for_large(self):
         jobs = [
@@ -82,7 +85,9 @@ class TestAlgorithmMechanics:
         )
         sched = HareScheduler(relaxation="auto")
         sched.schedule(inst)
-        assert not sched.last_relaxation.y_hat  # fluid records no ŷ
+        fluid = FluidRelaxationSolver().solve(inst)
+        assert sched.last_relaxation.x_hat.tobytes() == fluid.x_hat.tobytes()
+        assert sched.last_relaxation.objective == fluid.objective
 
     def test_unknown_relaxation_rejected(self, tiny_instance):
         with pytest.raises(SolverError):
@@ -169,6 +174,26 @@ class TestListSchedule:
         )
         sched = list_schedule(inst, [0, 1])
         assert sched[TaskRef(1, 0, 0)].start == pytest.approx(1.0)
+
+    def test_unknown_placement_raises(self, tiny_instance):
+        """A misspelt rule is refused, not run as ``earliest_finish``."""
+        order = np.arange(tiny_instance.num_tasks)
+        with pytest.raises(
+            ConfigurationError,
+            match="'bogus': expected 'earliest_available' or "
+            "'earliest_finish'",
+        ):
+            list_schedule(tiny_instance, order, placement="bogus")
+
+    @pytest.mark.parametrize("name", ["hare", "hare_online"])
+    def test_unknown_placement_in_a_spec_raises(self, name):
+        from repro.api import run_experiment
+
+        with pytest.raises(ConfigurationError, match="placement 'bogus'"):
+            run_experiment(
+                scheduler={"name": name, "placement": "bogus"}, gpus=4,
+                jobs=3, simulate=False, trace=False,
+            )
 
 
 class TestWeightSensitivity:

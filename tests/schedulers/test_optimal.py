@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import DEFAULT_SCHEMES
 from repro.core import (
     InfeasibleProblemError,
     Job,
@@ -11,7 +12,7 @@ from repro.core import (
     metrics_from_schedule,
     validate_schedule,
 )
-from repro.schedulers import brute_force_optimal, default_schedulers
+from repro.schedulers import brute_force_optimal, create
 from tests.conftest import make_random_instance
 
 
@@ -70,7 +71,7 @@ class TestDominance:
         opt_obj = metrics_from_schedule(
             brute_force_optimal(inst)
         ).total_weighted_completion
-        for sched in default_schedulers():
+        for sched in map(create, DEFAULT_SCHEMES):
             obj = metrics_from_schedule(
                 sched.schedule(inst)
             ).total_weighted_completion

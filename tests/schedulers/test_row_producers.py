@@ -1,6 +1,6 @@
 """Row-building producers ≡ their object-building originals, byte for byte.
 
-``strict_gang_schedule``, ``gang_run_job``, ``TimeSliceScheduler`` and
+``strict_gang_schedule``, ``TimeSliceScheduler`` and
 ``brute_force_optimal`` append ``(job, rnd, slot, gpu, start)`` rows and
 build one schedule from them (``schedule_from_rows``). The originals,
 kept in ``tests/schedulers/oracles.py``, built one ``TaskAssignment`` per
@@ -11,22 +11,19 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import InfeasibleProblemError, schedule_from_rows
+from repro.core import InfeasibleProblemError
 from repro.schedulers import (
     HareScheduler,
     TimeSliceScheduler,
     brute_force_optimal,
-    gang_run_job,
     strict_gang_schedule,
 )
 from repro.schedulers.hare import _precedence_safe_order
 from tests.conftest import make_random_instance
-from tests.core.oracles import schedule_of
 from tests.schedulers.oracles import (
     ObjectTimeSliceScheduler,
     column_bytes,
     reference_brute_force_optimal,
-    reference_gang_run_job,
     reference_strict_gang_schedule,
 )
 
@@ -45,39 +42,15 @@ def _outcome(build):
         return type(exc)
 
 
-@pytest.mark.parametrize("hold_gpus", [False, True])
 @pytest.mark.parametrize("seed", SEEDS)
-def test_strict_gang(seed, hold_gpus):
+def test_strict_gang(seed):
     inst = _instance(seed)
     hare = HareScheduler(relaxation="fluid")
     hare.schedule(inst)
     order = _precedence_safe_order(inst, hare.last_relaxation)
-    got = _outcome(
-        lambda: strict_gang_schedule(inst, order, hold_gpus=hold_gpus)
-    )
-    want = _outcome(
-        lambda: reference_strict_gang_schedule(
-            inst, order, hold_gpus=hold_gpus
-        )
-    )
+    got = _outcome(lambda: strict_gang_schedule(inst, order))
+    want = _outcome(lambda: reference_strict_gang_schedule(inst, order))
     assert got == want
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_gang_run_job(seed):
-    inst = _instance(seed)
-    rows, objects = [], []
-    start = 0.0
-    for job in inst.jobs:
-        if job.sync_scale > inst.num_gpus:
-            continue
-        gpus = list(range(inst.num_gpus))[-job.sync_scale:]
-        end = gang_run_job(rows, inst, job, gpus, start)
-        assert end == reference_gang_run_job(objects, inst, job, gpus, start)
-        start = end
-    assert column_bytes(schedule_from_rows(inst, rows)) == column_bytes(
-        schedule_of(inst, objects)
-    )
 
 
 @pytest.mark.parametrize("quantum", [1e-3, 0.5, 2.0, 10.0, 60.0])

@@ -83,16 +83,3 @@ class TestStrictGang:
         ):
             strict_gang_schedule(inst, list(inst.all_tasks()))
 
-    def test_hold_gpus_variant(self):
-        jobs = [
-            Job(job_id=0, model="m", num_rounds=2, sync_scale=1),
-            Job(job_id=1, model="m2", num_rounds=1, sync_scale=1),
-        ]
-        inst = ProblemInstance(
-            jobs=jobs,
-            train_time=np.ones((2, 2)),
-            sync_time=np.full((2, 2), 0.5),
-        )
-        order = ordering_for(inst)
-        held = strict_gang_schedule(inst, order, hold_gpus=True)
-        validate_schedule(held)

@@ -8,10 +8,10 @@ from repro.cluster import make_cluster
 from repro.core import Job, SwitchMode, TaskRef, validate_schedule
 from repro.core.errors import ConfigurationError
 from repro.core.schedule import TaskAssignment
-from repro.api import compare
+from repro.api import DEFAULT_SCHEMES, compare
 from repro.harness import make_workload
 from repro.obs import Obs, use
-from repro.schedulers import HareScheduler, default_schedulers
+from repro.schedulers import HareScheduler, create
 from repro.sim import ClusterSimulator, simulate_plan
 from repro.switching import SwitchCostModel
 from repro.workload import WorkloadConfig, build_instance
@@ -177,7 +177,9 @@ class TestSwitchCostMemo:
 
 
 class TestAllSchedulersSimulate:
-    @pytest.mark.parametrize("sched", default_schedulers(), ids=lambda s: s.name)
+    @pytest.mark.parametrize(
+        "sched", [create(k) for k in DEFAULT_SCHEMES], ids=lambda s: s.name
+    )
     def test_plan_replays(self, scenario, sched):
         cluster, instance = scenario
         plan = sched.schedule(instance)

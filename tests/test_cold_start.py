@@ -84,13 +84,17 @@ run_experiment(
 )
 stage(unused_after_runs=loaded(*UNUSED_BY_A_RUN))
 
-from repro.schedulers.relaxation import ExactRelaxationSolver, _highs
+from repro.schedulers import relaxation
 
-backends = ["linprog"] + (["highs"] if _highs() is not None else [])
-objectives = {
-    b: ExactRelaxationSolver(lp_backend=b).solve(run.instance).objective
-    for b in backends
-}
+objectives = {}
+if relaxation._highs() is not None:
+    objectives["highs"] = relaxation.ExactRelaxationSolver().solve(
+        run.instance
+    ).objective
+relaxation._highs = lambda: None  # the cut loop falls back to linprog
+objectives["linprog"] = relaxation.ExactRelaxationSolver().solve(
+    run.instance
+).objective
 stage(objectives=objectives, after_exact="scipy.optimize" in sys.modules)
 
 problems = []
