@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cluster import scaled_cluster, testbed_cluster
+from repro.cluster import testbed_cluster
 from repro.harness.experiments import make_loaded_workload
 from repro.workload import WorkloadConfig
 

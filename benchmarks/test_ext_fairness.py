@@ -11,7 +11,7 @@ first orderings concentrate slowdown on a few victims.
 from benchmarks.conftest import run_once
 from repro.api import compare
 from repro.cluster import scaled_cluster
-from repro.core import finish_time_fairness, make_uniform_instance
+from repro.core import finish_time_fairness
 from repro.harness import render_table
 from repro.harness.experiments import make_loaded_workload, make_problem
 from repro.workload import WorkloadConfig

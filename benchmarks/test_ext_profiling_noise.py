@@ -7,8 +7,6 @@ sweeping the measurement noise level. The paper's profiler averages several
 mini-batches, so a few percent of error is the realistic regime.
 """
 
-import numpy as np
-
 from benchmarks.conftest import run_once
 from repro.core import Schedule, metrics_from_schedule, schedule_from_rows
 from repro.harness import render_series

@@ -5,8 +5,6 @@ models on 8 V100s are flat over training rounds, which is what justifies
 dropping the round index from T^c_{i,m,r} in the problem formulation.
 """
 
-import numpy as np
-
 from benchmarks.conftest import run_once
 from repro.cluster import testbed_cluster as _testbed_cluster
 from repro.core import GPUModel

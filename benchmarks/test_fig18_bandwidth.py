@@ -10,7 +10,7 @@ from repro.api import compare
 from repro.cluster import NetworkConfig, scaled_cluster
 from repro.core import improvement_percent
 from repro.harness import render_series
-from repro.harness.experiments import make_loaded_workload, make_problem
+from repro.harness.experiments import make_loaded_workload
 from repro.workload import WorkloadConfig
 
 GBPS_SWEEP = (10, 15, 20, 25)

@@ -7,7 +7,7 @@ __getattr__, __dir__, __all__ = lazy_facade(globals(), {
         "TESTBED_MIX Cluster heterogeneity_preset make_cluster scaled_cluster "
         "testbed_cluster"
     ),
-    ".gpu": "GPUSpec catalog gpu_spec",
+    ".gpu": "GPUSpec gpu_spec",
     ".network": "NetworkConfig",
     ".node": "GPUDevice Node build_nodes",
 })

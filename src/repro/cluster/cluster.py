@@ -18,7 +18,6 @@ from typing import Iterator, Sequence
 
 from ..core.errors import ConfigurationError
 from ..core.types import GPUModel
-from .gpu import GPUSpec
 from .network import NetworkConfig
 from .node import GPUDevice, Node, build_nodes
 
@@ -67,9 +66,6 @@ class Cluster:
         """Per-GPU device model, indexed by ``m``."""
         return [g.model for g in self.devices()]
 
-    def gpu_specs(self) -> list[GPUSpec]:
-        return [g.spec for g in self.devices()]
-
     def labels(self) -> list[str]:
         return [g.label for g in self.devices()]
 
@@ -78,14 +74,6 @@ class Cluster:
         for g in self.devices():
             counts[g.model] = counts.get(g.model, 0) + 1
         return counts
-
-    def heterogeneity_degree(self) -> int:
-        """Number of distinct GPU models present."""
-        return len(self.type_counts())
-
-    def with_network(self, network: NetworkConfig) -> "Cluster":
-        """Same hardware, different interconnect (Fig. 18 sweeps)."""
-        return Cluster(nodes=self.nodes, network=network)
 
     def subcluster(self, gpu_ids: Sequence[int]) -> "Cluster":
         """A dense sub-cluster view over *gpu_ids* (ascending global order).

@@ -109,8 +109,3 @@ def gpu_spec(model: GPUModel | str) -> GPUSpec:
         raise UnknownGPUTypeError(
             str(model), tuple(m.value for m in GPUModel)
         ) from None
-
-
-def catalog() -> dict[GPUModel, GPUSpec]:
-    """A copy of the full device catalog."""
-    return dict(_CATALOG)

@@ -4,14 +4,15 @@ The paper stores all data (datasets, checkpoints) in HDFS, and the
 Hare_Parameter_Server saves each job's checkpoint with PyTorch's
 ``save()``. This module provides a versioned blob store with write/read
 accounting, plus a :class:`CheckpointManager` that implements the per-job
-save-every-k-rounds policy and restores the latest version.
+save-every-k-rounds policy. A restore is priced with
+:meth:`BlobStore.read_time`; no run reads a blob back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.errors import CheckpointMissingError, ConfigurationError
+from ..core.errors import ConfigurationError
 
 
 @dataclass(frozen=True, slots=True)
@@ -32,7 +33,6 @@ class BlobStore:
     the actual tensor bytes, only the storage behaviour and accounting.
     """
 
-    write_bandwidth: float = 1.2e9  # HDFS-ish aggregate write, bytes/s
     read_bandwidth: float = 2.4e9  # reads stream from replicas, bytes/s
     _blobs: dict[str, list[BlobMeta]] = field(default_factory=dict)
     bytes_written: float = 0.0
@@ -59,17 +59,17 @@ class BlobStore:
         versions = self._blobs.get(path)
         if not versions:
             raise KeyError(path)
-        meta = versions[-1] if version is None else versions[version - 1]
+        if version is None:
+            version = len(versions)
+        elif not 1 <= version <= len(versions):
+            raise KeyError(f"{path} has no version {version}")
+        meta = versions[version - 1]
         self.bytes_read += meta.size_bytes
         self.reads += 1
         return meta
 
     def latest_version(self, path: str) -> int:
         return len(self._blobs.get(path, []))
-
-    def write_time(self, size_bytes: float) -> float:
-        """Seconds to persist a blob of this size."""
-        return size_bytes / self.write_bandwidth
 
     def read_time(self, size_bytes: float) -> float:
         """Seconds to read a blob back (the checkpoint-restore cost)."""
@@ -108,18 +108,3 @@ class CheckpointManager:
     def final_checkpoint(self, *, at: float = 0.0) -> BlobMeta:
         """Persist the trained model at job completion."""
         return self.store.put(self.path, self.model_bytes, at=at)
-
-    def restore_latest(self) -> BlobMeta:
-        """Read back the newest checkpoint (the crash-recovery path).
-
-        Raises :class:`~repro.core.errors.CheckpointMissingError` when the
-        job has never checkpointed — callers then restart from round 0.
-        """
-        try:
-            return self.store.get(self.path)
-        except KeyError:
-            raise CheckpointMissingError(self.job_id, self.path) from None
-
-    def restore_time(self, meta: BlobMeta) -> float:
-        """Seconds the restore read occupies storage bandwidth."""
-        return self.store.read_time(meta.size_bytes)

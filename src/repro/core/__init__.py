@@ -14,7 +14,7 @@ __getattr__, __dir__, __all__ = lazy_facade(globals(), {
         "MemoryModelError ProfileMissError ReproError ScheduleValidationError "
         "SimulationError SolverError UnknownGPUTypeError UnknownModelError"
     ),
-    ".job": "Job ProblemInstance make_uniform_instance",
+    ".job": "Job ProblemInstance",
     ".metrics": (
         "JobMetrics ScheduleMetrics gpu_utilization improvement_percent "
         "jct_cdf mean_cluster_utilization metrics_from_columns "

@@ -91,17 +91,6 @@ class MemoryModelError(ReproError):
     """The GPU memory manager was driven into an impossible state."""
 
 
-class CheckpointMissingError(ReproError):
-    """A job's checkpoint was requested but none has ever been written."""
-
-    def __init__(self, job_id: int, path: str) -> None:
-        self.job_id = job_id
-        self.path = path
-        super().__init__(
-            f"job {job_id} has no checkpoint to restore at {path!r}"
-        )
-
-
 class ProfileMissError(ReproError):
     """A (model, GPU) pair has no calibrated profile entry."""
 

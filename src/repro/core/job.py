@@ -648,12 +648,6 @@ class ProblemInstance:
         ts_ratio = np.where(smax == 0, 1.0, ts_ratio)
         return float(max(tc_ratio.max(), ts_ratio.max()))
 
-    def total_work_lower_bound(self, job_id: int) -> float:
-        """Serial work of the job on its fastest GPU — a crude LB on C_n - a_n."""
-        m = self.fastest_gpu(job_id)
-        per_round = self.task_time(job_id, m)
-        return int(self.num_rounds[job_id]) * per_round
-
 
 def _factor_columns(
     tc: np.ndarray, ts: np.ndarray
@@ -671,28 +665,3 @@ def _factor_columns(
             first.append(m)
         gpu_type[m] = k
     return gpu_type, first
-
-
-def make_uniform_instance(
-    num_jobs: int,
-    num_gpus: int,
-    *,
-    train_time: float = 1.0,
-    sync_time: float = 0.0,
-    num_rounds: int = 1,
-    sync_scale: int = 1,
-    model: str = "synthetic",
-) -> ProblemInstance:
-    """Build a homogeneous toy instance (mainly for tests and docs)."""
-    jobs = [
-        Job(
-            job_id=n,
-            model=model,
-            num_rounds=num_rounds,
-            sync_scale=sync_scale,
-        )
-        for n in range(num_jobs)
-    ]
-    tc = np.full((num_jobs, num_gpus), float(train_time))
-    ts = np.full((num_jobs, num_gpus), float(sync_time))
-    return ProblemInstance(jobs=jobs, train_time=tc, sync_time=ts)

@@ -3,7 +3,7 @@
 from .._lazy import lazy_facade
 
 __getattr__, __dir__, __all__ = lazy_facade(globals(), {
-    ".data": "Dataset make_classification make_regression",
-    ".model": "LogisticRegression MLPRegressor TrainableModel",
-    ".training": "ParameterServer TrainingResult compare_schemes train",
+    ".data": "Dataset make_classification",
+    ".model": "LogisticRegression TrainableModel",
+    ".training": "ParameterServer TrainingResult train",
 })

@@ -1,9 +1,9 @@
 """Synthetic datasets for the mini-DML training engine.
 
 The paper's convergence argument (§2.2.3) is about *gradient dynamics*, not
-about any particular dataset, so small synthetic problems suffice: a
-linearly separable (plus noise) classification task and a nonlinear
-regression task. Both are deterministic given a seed.
+about any particular dataset, so a small synthetic problem suffices: a
+linearly separable (plus noise) classification task, deterministic given a
+seed.
 """
 
 from __future__ import annotations
@@ -74,18 +74,3 @@ def make_classification(
     y[flips] = 1.0 - y[flips]
     return Dataset(x=x, y=y)
 
-
-def make_regression(
-    num_samples: int = 2048,
-    num_features: int = 16,
-    *,
-    noise: float = 0.1,
-    seed: int = 0,
-) -> Dataset:
-    """Nonlinear (quadratic feature) regression targets."""
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(num_samples, num_features))
-    w1 = rng.normal(size=num_features)
-    w2 = rng.normal(size=num_features) / np.sqrt(num_features)
-    y = x @ w1 + (x**2) @ w2 + noise * rng.normal(size=num_samples)
-    return Dataset(x=x, y=y)

@@ -1,9 +1,9 @@
 """Pure-NumPy trainable models for the mini-DML engine.
 
-Two models with analytic gradients: logistic regression and a one-hidden-
-layer MLP. Parameters live in a flat vector (the "model" a parameter server
-ships around); ``loss_and_grad`` evaluates one mini-batch, mirroring
-equation (2) of the paper.
+One model with analytic gradients: logistic regression. Parameters live
+in a flat vector (the "model" a parameter server ships around);
+``loss_and_grad`` evaluates one mini-batch, mirroring equation (2) of the
+paper.
 """
 
 from __future__ import annotations
@@ -74,57 +74,3 @@ class LogisticRegression(TrainableModel):
         w, b = params[:-1], params[-1]
         return float(np.mean(((x @ w + b) > 0) == (y > 0.5)))
 
-
-@dataclass(frozen=True, slots=True)
-class MLPRegressor(TrainableModel):
-    """One-hidden-layer tanh MLP with squared-error loss."""
-
-    num_features: int
-    hidden: int = 32
-    l2: float = 1e-5
-
-    def __post_init__(self) -> None:
-        if self.num_features < 1 or self.hidden < 1:
-            raise ConfigurationError("dimensions must be >= 1")
-
-    @property
-    def num_params(self) -> int:
-        # W1 (d, h) + b1 (h) + w2 (h) + b2 (1)
-        return self.num_features * self.hidden + self.hidden + self.hidden + 1
-
-    def _unpack(
-        self, params: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        d, h = self.num_features, self.hidden
-        w1 = params[: d * h].reshape(d, h)
-        b1 = params[d * h : d * h + h]
-        w2 = params[d * h + h : d * h + 2 * h]
-        b2 = float(params[-1])
-        return w1, b1, w2, b2
-
-    def init_params(self, seed: int = 0) -> np.ndarray:
-        rng = np.random.default_rng(seed)
-        scale = 1.0 / np.sqrt(self.num_features)
-        return scale * rng.normal(size=self.num_params)
-
-    def loss_and_grad(
-        self, params: np.ndarray, x: np.ndarray, y: np.ndarray
-    ) -> tuple[float, np.ndarray]:
-        w1, b1, w2, b2 = self._unpack(params)
-        n = len(y)
-        a = np.tanh(x @ w1 + b1)  # (n, h)
-        pred = a @ w2 + b2
-        resid = pred - y
-        loss = float(0.5 * np.mean(resid**2)) + 0.5 * self.l2 * float(
-            params @ params
-        )
-        # backprop
-        dpred = resid / n
-        gw2 = a.T @ dpred
-        gb2 = dpred.sum()
-        da = np.outer(dpred, w2) * (1 - a**2)
-        gw1 = x.T @ da
-        gb1 = da.sum(axis=0)
-        grad = np.concatenate([gw1.ravel(), gb1, gw2, [gb2]])
-        grad += self.l2 * params
-        return loss, grad

@@ -141,48 +141,3 @@ def train(
         round_scales=np.array(scales),
     )
 
-
-def compare_schemes(
-    model: TrainableModel,
-    dataset: Dataset,
-    *,
-    sync_scale: int = 4,
-    batch_size: int = 32,
-    num_rounds: int = 100,
-    learning_rate: float = 0.5,
-    seed: int = 0,
-    free_gpus_per_round: Sequence[int] | None = None,
-) -> dict[SyncScheme, TrainingResult]:
-    """Train under all three schemes with identical hyper-parameters.
-
-    If *free_gpus_per_round* is omitted, a bursty trajectory oscillating
-    between 1 and ``sync_scale`` free GPUs is synthesized for the adaptive
-    scheme (deterministic from *seed*).
-    """
-    if free_gpus_per_round is None:
-        rng = np.random.default_rng(seed + 1)
-        free_gpus_per_round = rng.integers(
-            1, sync_scale + 1, size=num_rounds
-        ).tolist()
-    common = dict(
-        sync_scale=sync_scale,
-        batch_size=batch_size,
-        num_rounds=num_rounds,
-        learning_rate=learning_rate,
-        seed=seed,
-    )
-    return {
-        SyncScheme.SCALE_FIXED: train(
-            model, dataset, scheme=SyncScheme.SCALE_FIXED, **common
-        ),
-        SyncScheme.RELAXED_SCALE_FIXED: train(
-            model, dataset, scheme=SyncScheme.RELAXED_SCALE_FIXED, **common
-        ),
-        SyncScheme.SCALE_ADAPTIVE: train(
-            model,
-            dataset,
-            scheme=SyncScheme.SCALE_ADAPTIVE,
-            free_gpus_per_round=free_gpus_per_round,
-            **common,
-        ),
-    }

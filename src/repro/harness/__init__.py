@@ -1,10 +1,9 @@
-"""Experiment harness: workload builders, table and report rendering."""
+"""Experiment harness: workload builders, table and Gantt rendering."""
 
 from .._lazy import lazy_facade
 
 __getattr__, __dir__, __all__ = lazy_facade(globals(), {
     ".experiments": "make_loaded_workload make_problem make_workload",
-    ".gantt": "GanttOptions render_gantt render_job_timeline",
-    ".report": "PAPER_CLAIMS Claim Verdict render_claims",
-    ".tables": "normalize_to render_series render_table",
+    ".gantt": "GanttOptions render_gantt",
+    ".tables": "render_series render_table",
 })

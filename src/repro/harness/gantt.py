@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from ..core.errors import ConfigurationError
 from ..core.schedule import Schedule
-from ..core.types import TaskRef
 
 #: job-id glyphs: digits, then letters.
 _GLYPHS = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -87,24 +86,3 @@ def render_gantt(
         lines.append(f"{'':{label_w}} {legend[: width + 8]}")
     return "\n".join(lines)
 
-
-def render_job_timeline(schedule: Schedule, job_id: int) -> str:
-    """One-line-per-round view of a single job's execution."""
-    inst = schedule.instance
-    rounds = int(inst.num_rounds[job_id])
-    scale = int(inst.sync_scale[job_id])
-    lines = [f"job {job_id} ({inst.model[job_id]}): {rounds} rounds x "
-             f"{scale} tasks, arrival {float(inst.arrival[job_id]):.2f}"]
-    for r in range(rounds):
-        parts = []
-        for t in (TaskRef(job_id, r, d) for d in range(scale)):
-            a = schedule[t]
-            parts.append(
-                f"t{t.slot}@{inst.gpu_labels[a.gpu]}"
-                f" [{a.start:.2f}-{a.compute_end:.2f}]"
-            )
-        barrier = schedule.round_end(job_id, r)
-        lines.append(
-            f"  round {r:>3}: {', '.join(parts)} | barrier {barrier:.2f}"
-        )
-    return "\n".join(lines)

@@ -53,12 +53,3 @@ def render_series(
         rows.append([x, *(vals[i] for vals in series.values())])
     return render_table(headers, rows, title=title, float_fmt=float_fmt)
 
-
-def normalize_to(
-    series: Mapping[str, float], reference: str
-) -> dict[str, float]:
-    """Each value divided by the reference entry's (e.g. "vs Hare" ratios)."""
-    ref = series[reference]
-    if ref == 0:
-        return {k: float("inf") for k in series}
-    return {k: v / ref for k, v in series.items()}

@@ -5,11 +5,12 @@ findings; this package closes the loop by *acting* on them while the run
 is still in flight. A :class:`RemediationEngine` subscribes to the
 flight-recorder stream like any monitor, evaluates its wrapped monitor
 catalogue incrementally (``Monitor.poll``), maps each finding type to a
-typed :class:`RemediationAction` through a declarative, user-overridable
-policy table, and applies the action through kernel/control hooks:
+typed :class:`RemediationAction` through a declarative policy table
+(:data:`DEFAULT_POLICY`), and applies the action through kernel/control
+hooks:
 
 ========================  =======================================
-finding type              default action
+finding type              action
 ========================  =======================================
 ``replan_storm``          :data:`throttle_replans <DEFAULT_POLICY>`
 ``job_starvation``        ``boost_weight`` (capped, decaying)
@@ -36,5 +37,5 @@ __getattr__, __dir__, __all__ = lazy_facade(globals(), {
         "RemediationRecord"
     ),
     ".engine": "HEAL_TRACK RemediationEngine",
-    ".policy": "DEFAULT_POLICY ActionSpec resolve_policy",
+    ".policy": "DEFAULT_POLICY ActionSpec",
 })

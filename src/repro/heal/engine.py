@@ -17,7 +17,7 @@ attach *either* plain monitors *or* the engine — not both (the engine's
 ``findings`` already include everything its wrapped monitors found,
 plus an INFO finding per action taken, so ``recorder.diagnose()`` keeps
 working). The engine itself sees every sim-time record: each one counts
-towards the ``poll_every`` cadence. Wall-domain records (the tooling's
+towards the :data:`POLL_EVERY` cadence. Wall-domain records (the tooling's
 own phase timings) reach neither the engine nor its monitors, so a
 decision never depends on how many timed spans the run emitted or on
 their wall-clock times.
@@ -25,19 +25,18 @@ their wall-clock times.
 Dispatch is three-stage: streaming monitors (replan storm, the invariant
 checkers, RPC budget) surface findings the moment they observe them;
 finish-time analyses (starvation, collapse) are evaluated incrementally
-via ``Monitor.poll`` every ``poll_every`` records; failure-detector
+via ``Monitor.poll`` every :data:`POLL_EVERY` records; failure-detector
 SUSPECT/ALIVE/DEAD instants are consumed directly (``gpu_suspect`` is a
 synthetic finding type — today those transitions are emitted but nothing
-else consumes them). Each fresh finding is looked up in the policy
-table and the mapped action applied through whatever hosts are attached:
-a :class:`~repro.kernel.runner.SchedulingKernel` (throttle, boost,
+else consumes them). Each fresh finding is looked up in
+:data:`~repro.heal.policy.DEFAULT_POLICY` and the mapped action applied
+through whatever hosts are attached: a
+:class:`~repro.kernel.runner.SchedulingKernel` (throttle, boost,
 force-replan) and/or the chaos control plane (quarantine consumption at
 re-plan time).
 """
 
 from __future__ import annotations
-
-from typing import Mapping
 
 from ..obs import Category, current as obs_current
 from ..obs.monitors import (
@@ -48,13 +47,16 @@ from ..obs.monitors import (
 )
 from ..obs.recorder import RecordRouter
 from .actions import RemediationAction, RemediationLog, RemediationRecord
-from .policy import ActionSpec, resolve_policy
+from .policy import DEFAULT_POLICY
 
 #: Trace track carrying ``remediation`` instants.
 HEAL_TRACK = "heal"
 
 #: Boost multipliers within this of 1.0 are dropped entirely.
 BOOST_FLOOR = 0.05
+
+#: Sim-time records between two polls of the wrapped monitors.
+POLL_EVERY = 64
 
 
 class RemediationEngine:
@@ -70,21 +72,10 @@ class RemediationEngine:
     name = "remediation_engine"
     invariant = False
 
-    def __init__(
-        self,
-        instance=None,
-        *,
-        policy: Mapping[str, ActionSpec | None] | None = None,
-        monitors=None,
-        poll_every: int = 64,
-    ) -> None:
+    def __init__(self, instance=None) -> None:
         self.instance = instance
-        self.policy_table = resolve_policy(policy)
-        self.poll_every = poll_every
         #: The wrapped monitors; the recorder routes records to them.
-        self.monitors = tuple(
-            monitors if monitors is not None else default_monitors(instance)
-        )
+        self.monitors = tuple(default_monitors(instance))
         self.log = RemediationLog()
         #: Assembled at :meth:`finish`: wrapped monitors' findings plus
         #: one INFO finding per action (the monitor protocol surface).
@@ -148,7 +139,7 @@ class RemediationEngine:
                     self._drain()
                     break
             self._records += 1
-            if self._records % self.poll_every == 0:
+            if self._records % POLL_EVERY == 0:
                 self.poll_now()
 
         return after
@@ -216,7 +207,7 @@ class RemediationEngine:
             self.quarantined.discard(gpu)
 
     def _dispatch(self, finding: Finding) -> None:
-        spec = self.policy_table.get(finding.monitor)
+        spec = DEFAULT_POLICY.get(finding.monitor)
         if spec is None:
             self.log.unremediated.append(finding)
             obs_current().metrics.counter("heal.unremediated").inc()

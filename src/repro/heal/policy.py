@@ -2,24 +2,11 @@
 
 Each entry maps a finding type (the emitting monitor's name, or the
 synthetic ``gpu_suspect`` type the engine derives from failure-detector
-transitions) to an :class:`ActionSpec`. Users override per run::
-
-    engine = RemediationEngine(
-        instance,
-        policy={
-            # react harder to starvation, ignore collapse entirely
-            "job_starvation": ActionSpec(
-                "boost_weight", {"factor": 4.0, "cap": 16.0}
-            ),
-            "utilization_collapse": None,
-        },
-    )
-
-``None`` removes the default entry: matching findings then land in the
-log's *unremediated* list like any unmapped finding. Invariant checkers
-(double booking, barrier violations, ...) are deliberately unmapped — a
-violated invariant means the run is wrong, and no online knob makes
-wrong results right.
+transitions) to an :class:`ActionSpec`. A finding with no entry lands in
+the log's *unremediated* list. Invariant checkers (double booking,
+barrier violations, ...) are deliberately unmapped — a violated
+invariant means the run is wrong, and no online knob makes wrong results
+right.
 """
 
 from __future__ import annotations
@@ -59,21 +46,3 @@ DEFAULT_POLICY: dict[str, ActionSpec] = {
     "gpu_suspect": ActionSpec("quarantine_gpu"),
     "rpc_budget_exhausted": ActionSpec("observe"),
 }
-
-
-def resolve_policy(
-    overrides: Mapping[str, ActionSpec | None] | None = None,
-) -> dict[str, ActionSpec]:
-    """The default table with *overrides* merged in (``None`` deletes)."""
-    table = dict(DEFAULT_POLICY)
-    for name, spec in (overrides or {}).items():
-        if spec is None:
-            table.pop(name, None)
-        elif isinstance(spec, ActionSpec):
-            table[name] = spec
-        else:
-            raise TypeError(
-                f"policy override for {name!r} must be an ActionSpec or "
-                f"None, got {type(spec).__name__}"
-            )
-    return table

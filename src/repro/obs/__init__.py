@@ -38,9 +38,8 @@ from .._lazy import lazy_facade
 __getattr__, __dir__, __all__ = lazy_facade(globals(), {
     ".attrib": (
         "ATTRIB_DIFF_SCHEMA ATTRIB_SCHEMA COMPONENTS AttributionEngine "
-        "AttributionReport JobAttribution attribute_flight_log "
-        "attribute_records attribute_schedule load_attribution "
-        "write_attribution"
+        "AttributionReport JobAttribution attribute_records "
+        "attribute_schedule load_attribution write_attribution"
     ),
     ".baseline": (
         "BASELINE_SCHEMA Tolerance compare_bench_reports compare_snapshots "

@@ -632,13 +632,6 @@ def attribute_records(
     )
 
 
-def attribute_flight_log(path, *, instance=None) -> AttributionReport:
-    """Attribute a ``repro.flight-log/1`` JSONL file."""
-    from .recorder import load_flight_log
-
-    return attribute_records(load_flight_log(path), instance=instance)
-
-
 def attribute_schedule(
     schedule,
     *,
@@ -739,7 +732,6 @@ __all__ = [
     "AttributionEngine",
     "AttributionReport",
     "JobAttribution",
-    "attribute_flight_log",
     "attribute_records",
     "attribute_schedule",
     "load_attribution",

@@ -38,10 +38,6 @@ class TaskRecord:
     def compute_end(self) -> float:
         return self.start + self.train_time
 
-    @property
-    def sync_end(self) -> float:
-        return self.compute_end + self.sync_time
-
 
 def _total(values: Iterable[float]) -> float:
     """Left-to-right sum, as a counter or histogram accumulates it."""

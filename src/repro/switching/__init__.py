@@ -7,7 +7,7 @@ __getattr__, __dir__, __all__ = lazy_facade(globals(), {
         "CALIBRATION SwitchBreakdown SwitchCalibration SwitchCostModel "
         "switch_time_table switching_ratio"
     ),
-    ".memory": "GpuMemoryManager SwitchDecision plan_retention_hits",
+    ".memory": "GpuMemoryManager SwitchDecision",
     ".planner": (
         "BeladyPolicy ModelFootprint OldestFirstPolicy RetentionOutcome "
         "evaluate_policy optimal_retention_cost"

@@ -28,10 +28,6 @@ class SwitchDecision:
     retained_hit: bool
     evicted: tuple[str, ...]
 
-    @property
-    def needs_transfer(self) -> bool:
-        return not self.retained_hit
-
 
 @dataclass(slots=True)
 class GpuMemoryManager:
@@ -67,13 +63,6 @@ class GpuMemoryManager:
     @property
     def used_bytes(self) -> float:
         return self.retained_bytes + self._active_bytes
-
-    @property
-    def free_bytes(self) -> float:
-        return self.capacity_bytes - self.used_bytes
-
-    def resident_models(self) -> tuple[str, ...]:
-        return tuple(self._retained)
 
     def is_resident(self, model: str) -> bool:
         return model in self._retained
@@ -156,22 +145,3 @@ class GpuMemoryManager:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-
-def plan_retention_hits(
-    sequence: list[str],
-    model_weight_bytes: dict[str, float],
-    model_working_bytes: dict[str, float],
-    capacity_bytes: float,
-) -> list[bool]:
-    """Offline prediction of which tasks in a GPU's sequence hit retention.
-
-    Replays the greedy policy over a task-model sequence; used by schedulers
-    or analyses that want switch costs without running the simulator.
-    """
-    mgr = GpuMemoryManager(capacity_bytes=capacity_bytes)
-    hits: list[bool] = []
-    for model in sequence:
-        decision = mgr.begin_task(model, model_working_bytes[model])
-        hits.append(decision.retained_hit)
-        mgr.end_task(retain_bytes=model_weight_bytes[model])
-    return hits

@@ -3,12 +3,9 @@
 from .._lazy import lazy_facade
 
 __getattr__, __dir__, __all__ = lazy_facade(globals(), {
-    ".allreduce": (
-        "RingTrace ps_round_sync_time ring_allreduce ring_allreduce_time "
-        "tree_allreduce_time"
-    ),
+    ".allreduce": "ps_round_sync_time ring_allreduce_time",
     ".schemes": (
-        "RoundPlan plan_relaxed_scale_fixed plan_round plan_scale_adaptive "
+        "RoundPlan plan_relaxed_scale_fixed plan_scale_adaptive "
         "plan_scale_fixed"
     ),
 })

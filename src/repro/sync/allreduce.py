@@ -1,29 +1,18 @@
 """Gradient aggregation substrates: parameter server vs All-Reduce (§2.1, §8).
 
 The paper uses the PS scheme "due to its simplicity" and cites All-Reduce
-[18, 30] as the alternative. This module provides both, at two levels:
-
-* **cost models** — per-round synchronization time among ``k`` workers for
-  a sharded parameter server, bandwidth-optimal ring all-reduce and a
-  binary-tree all-reduce, so experiments can swap the aggregation fabric;
-* **a functional ring all-reduce** — the actual reduce-scatter/all-gather
-  algorithm over NumPy arrays, verified against direct averaging, so the
-  mini-DML engine can train through it.
+[18, 30] as the alternative. This module prices both: the per-round
+synchronization time among ``k`` workers for a sharded parameter server and
+for a bandwidth-optimal ring all-reduce, so experiments can swap the
+aggregation fabric.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-import numpy as np
 
 from ..cluster.network import NetworkConfig
 from ..core.errors import ConfigurationError
 
 
-# ----------------------------------------------------------------------
-# Cost models (seconds per synchronization round)
-# ----------------------------------------------------------------------
 def ps_round_sync_time(
     model_bytes: float,
     num_workers: int,
@@ -68,89 +57,3 @@ def ring_allreduce_time(
     transfer = 2 * (k - 1) / k * model_bytes / network.nic_bandwidth
     return 2 * (k - 1) * network.latency_s + transfer
 
-
-def tree_allreduce_time(
-    model_bytes: float,
-    num_workers: int,
-    network: NetworkConfig,
-) -> float:
-    """Binary-tree reduce + broadcast: latency-friendly, bandwidth 2×log2(k)."""
-    if num_workers < 1:
-        raise ConfigurationError("num_workers must be >= 1")
-    if num_workers == 1:
-        return 0.0
-    depth = int(np.ceil(np.log2(num_workers)))
-    per_hop = network.latency_s + model_bytes / network.nic_bandwidth
-    return 2 * depth * per_hop
-
-
-# ----------------------------------------------------------------------
-# Functional ring all-reduce over NumPy buffers
-# ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
-class RingTrace:
-    """Bookkeeping of one ring all-reduce execution."""
-
-    steps: int
-    bytes_per_link: float
-
-
-def ring_allreduce(
-    buffers: list[np.ndarray], *, average: bool = True
-) -> tuple[list[np.ndarray], RingTrace]:
-    """Reduce-scatter + all-gather over *buffers* (one per worker).
-
-    Returns per-worker result buffers (all equal) and a trace of the
-    communication performed. With ``average=True`` the result is the mean
-    of the inputs — the PS aggregation of eq. (3) — otherwise the sum.
-    """
-    if not buffers:
-        raise ConfigurationError("ring_allreduce needs >= 1 buffer")
-    shape = buffers[0].shape
-    for b in buffers:
-        if b.shape != shape:
-            raise ConfigurationError("all buffers must share a shape")
-    k = len(buffers)
-    if k == 1:
-        # mean of a single buffer is itself
-        return [buffers[0].astype(float, copy=True)], RingTrace(
-            steps=0, bytes_per_link=0.0
-        )
-
-    work = [b.astype(float, copy=True).ravel() for b in buffers]
-    n = work[0].size
-    # pad so the buffer splits into k equal chunks
-    pad = (-n) % k
-    if pad:
-        work = [np.concatenate([w, np.zeros(pad)]) for w in work]
-    chunks = [np.split(w, k) for w in work]  # chunks[worker][segment]
-
-    steps = 0
-    # reduce-scatter: after k-1 steps worker i holds the full sum of
-    # segment (i+1) mod k
-    for step in range(k - 1):
-        for i in range(k):
-            src = i
-            dst = (i + 1) % k
-            seg = (i - step) % k
-            chunks[dst][seg] = chunks[dst][seg] + chunks[src][seg]
-        steps += 1
-    # all-gather: circulate the completed segments
-    for step in range(k - 1):
-        for i in range(k):
-            src = i
-            dst = (i + 1) % k
-            seg = (i + 1 - step) % k
-            chunks[dst][seg] = chunks[src][seg].copy()
-        steps += 1
-
-    results = []
-    for i in range(k):
-        flat = np.concatenate(chunks[i])[: n]
-        if average:
-            flat = flat / k
-        results.append(flat.reshape(shape))
-    seg_bytes = work[0].itemsize * (work[0].size / k)
-    return results, RingTrace(
-        steps=steps, bytes_per_link=2 * (k - 1) * seg_bytes
-    )

@@ -140,24 +140,3 @@ def plan_scale_adaptive(
         effective_scale=len(chosen),
     )
 
-
-def plan_round(
-    scheme: SyncScheme,
-    free_times: Sequence[float],
-    task_time: Sequence[float],
-    scale: int,
-    *,
-    arrival: float = 0.0,
-) -> RoundPlan:
-    """Dispatch to the scheme-specific planner."""
-    if scheme is SyncScheme.SCALE_FIXED:
-        return plan_scale_fixed(free_times, task_time, scale, arrival=arrival)
-    if scheme is SyncScheme.RELAXED_SCALE_FIXED:
-        return plan_relaxed_scale_fixed(
-            free_times, task_time, scale, arrival=arrival
-        )
-    if scheme is SyncScheme.SCALE_ADAPTIVE:
-        return plan_scale_adaptive(
-            free_times, task_time, scale, arrival=arrival
-        )
-    raise ConfigurationError(f"unknown scheme {scheme!r}")

@@ -16,7 +16,7 @@ import numpy as np
 from ..core.errors import ConfigurationError
 from ..core.job import Job
 from ..core.types import Domain, ModelName
-from .models import model_spec, models_by_domain
+from .models import models_by_domain
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,11 +166,6 @@ def generate_jobs(
         sample_job(job_id, arrival, config, rng)
         for job_id, arrival in enumerate(ordered)
     ]
-
-
-def domain_of_job(job: Job) -> Domain:
-    """The application domain of a generated job."""
-    return model_spec(job.model).domain
 
 
 def mix_with_boost(domain: Domain, fraction: float) -> dict[Domain, float]:

@@ -214,11 +214,6 @@ def model_spec(name: ModelName | str) -> DLModelSpec:
         ) from None
 
 
-def model_zoo() -> dict[ModelName, DLModelSpec]:
-    """A copy of the full zoo (Table 2)."""
-    return dict(_ZOO)
-
-
 def models_by_domain(domain: Domain) -> list[DLModelSpec]:
     """All zoo models in one application domain."""
     return [spec for spec in _ZOO.values() if spec.domain == domain]

@@ -2,11 +2,10 @@
 
 The paper feeds its simulator job arrival times "set according to the trace
 in Google cluster [3]" (§7.1). We cannot ship that trace, so this module
-synthesizes arrival processes with the same qualitative features published
+synthesizes an arrival process with the same qualitative features published
 for Google cluster workloads: bursty submissions (many jobs arrive together)
-with heavy-tailed gaps between bursts. A plain Poisson process and a
-batch-at-zero process (the testbed experiment submits all jobs up front) are
-also provided. All generators are seedable and deterministic.
+with heavy-tailed gaps between bursts. The generator is seedable and
+deterministic.
 """
 
 from __future__ import annotations
@@ -57,50 +56,7 @@ class GoogleLikeTrace:
         return np.array(sorted(arrivals[:num_jobs]))
 
 
-@dataclass(frozen=True, slots=True)
-class PoissonTrace:
-    """Memoryless arrivals with the given mean inter-arrival time."""
-
-    mean_interarrival_s: float = 30.0
-
-    def __post_init__(self) -> None:
-        if self.mean_interarrival_s <= 0:
-            raise ConfigurationError("mean_interarrival_s must be > 0")
-
-    def sample(
-        self, num_jobs: int, seed: int | np.random.Generator = 0
-    ) -> np.ndarray:
-        rng = _as_rng(seed)
-        gaps = rng.exponential(self.mean_interarrival_s, size=num_jobs)
-        return np.cumsum(gaps) - gaps[0]  # first job at t=0
-
-
-@dataclass(frozen=True, slots=True)
-class BatchTrace:
-    """All jobs submitted at one instant (the testbed-style experiment)."""
-
-    at: float = 0.0
-
-    def sample(
-        self, num_jobs: int, seed: int | np.random.Generator = 0
-    ) -> np.ndarray:
-        return np.full(num_jobs, float(self.at))
-
-
 def _as_rng(seed: int | np.random.Generator) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def burstiness_index(arrivals: np.ndarray) -> float:
-    """Coefficient-of-variation of inter-arrival gaps.
-
-    1.0 for Poisson; > 1 for bursty processes. Used by tests to check the
-    Google-like generator actually is burstier than Poisson.
-    """
-    arr = np.sort(np.asarray(arrivals, dtype=float))
-    gaps = np.diff(arr)
-    if len(gaps) == 0 or gaps.mean() == 0:
-        return 0.0
-    return float(gaps.std() / gaps.mean())

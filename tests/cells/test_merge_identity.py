@@ -28,11 +28,11 @@ from repro.core import (
     Schedule,
     TaskAssignment,
     TaskRef,
-    make_uniform_instance,
 )
 from repro.kernel import run_policy
 from repro.obs import Obs, use
 from repro.schedulers.registry import available, create
+from tests.conftest import make_uniform_instance
 from tests.core.oracles import (
     object_walk_rounds,
     reference_metrics_from_schedule,

@@ -68,11 +68,12 @@ class TestSyncTime:
 
     def test_training_exceeds_sync_for_zoo_defaults(self):
         """§5.1's standing assumption holds for the calibrated defaults."""
-        from repro.core.types import GPUModel
-        from repro.workload import batch_time, model_zoo
+        from repro.core.types import GPUModel, ModelName
+        from repro.workload import batch_time, model_spec
 
         net = NetworkConfig()
-        for name, spec in model_zoo().items():
+        for name in ModelName:
+            spec = model_spec(name)
             ts = net.sync_time(spec.model_bytes, 15.75e9)
             # On the slowest GPU the batch far exceeds sync; check V100 too.
             assert batch_time(name, GPUModel.K80) > ts

@@ -114,3 +114,27 @@ def make_random_instance(
     tc = rng.uniform(0.2, 3.0, size=(n_jobs, n_gpus))
     ts = rng.uniform(0.0, 0.3, size=(n_jobs, n_gpus)) if with_sync else np.zeros((n_jobs, n_gpus))
     return ProblemInstance(jobs=jobs, train_time=tc, sync_time=ts)
+
+
+def make_uniform_instance(
+    num_jobs: int,
+    num_gpus: int,
+    *,
+    train_time: float = 1.0,
+    sync_time: float = 0.0,
+    num_rounds: int = 1,
+    sync_scale: int = 1,
+) -> ProblemInstance:
+    """A homogeneous toy instance: every job the same on every GPU."""
+    jobs = [
+        Job(
+            job_id=n,
+            model="synthetic",
+            num_rounds=num_rounds,
+            sync_scale=sync_scale,
+        )
+        for n in range(num_jobs)
+    ]
+    tc = np.full((num_jobs, num_gpus), float(train_time))
+    ts = np.full((num_jobs, num_gpus), float(sync_time))
+    return ProblemInstance(jobs=jobs, train_time=tc, sync_time=ts)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.control import BlobStore, CheckpointManager
-from repro.core.errors import CheckpointMissingError, ConfigurationError
+from repro.core.errors import ConfigurationError
 
 
 class TestBlobStore:
@@ -25,6 +25,15 @@ class TestBlobStore:
         with pytest.raises(KeyError):
             BlobStore().get("nope")
 
+    @pytest.mark.parametrize("version", [0, -1, 3])
+    def test_version_outside_index_rejected(self, version):
+        store = BlobStore()
+        store.put("x", 1.0)
+        store.put("x", 2.0)
+        with pytest.raises(KeyError, match=f"x has no version {version}"):
+            store.get("x", version)
+        assert store.reads == 0 and store.bytes_read == 0.0
+
     def test_traffic_accounting(self):
         store = BlobStore()
         store.put("x", 10.0)
@@ -34,9 +43,9 @@ class TestBlobStore:
         assert store.bytes_read == 10.0
         assert store.writes == 2 and store.reads == 1
 
-    def test_write_time(self):
-        store = BlobStore(write_bandwidth=100.0)
-        assert store.write_time(50.0) == pytest.approx(0.5)
+    def test_read_time(self):
+        store = BlobStore(read_bandwidth=100.0)
+        assert store.read_time(50.0) == pytest.approx(0.5)
 
     def test_negative_size_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -64,39 +73,6 @@ class TestCheckpointManager:
         mgr = CheckpointManager(store, job_id=1, model_bytes=50.0, interval=100)
         mgr.final_checkpoint(at=9.0)
         assert store.latest_version(mgr.path) == 1
-
-    def test_restore_latest(self):
-        store = BlobStore()
-        mgr = CheckpointManager(store, job_id=2, model_bytes=10.0, interval=1)
-        mgr.maybe_checkpoint(0, at=1.0)
-        mgr.maybe_checkpoint(1, at=2.0)
-        assert mgr.restore_latest().version == 2
-
-    def test_restore_latest_picks_newest_of_many(self):
-        store = BlobStore()
-        mgr = CheckpointManager(store, job_id=3, model_bytes=10.0, interval=2)
-        for r in range(10):
-            mgr.maybe_checkpoint(r, at=float(r))
-        meta = mgr.restore_latest()
-        assert meta.version == 5  # rounds 1,3,5,7,9 checkpointed
-        assert meta.written_at == 9.0
-
-    def test_restore_without_checkpoint_is_clean_error(self):
-        mgr = CheckpointManager(
-            BlobStore(), job_id=7, model_bytes=10.0, interval=2
-        )
-        with pytest.raises(CheckpointMissingError) as exc:
-            mgr.restore_latest()
-        assert exc.value.job_id == 7
-        assert "job 7 has no checkpoint" in str(exc.value)
-
-    def test_restore_accounts_read_traffic_and_time(self):
-        store = BlobStore(read_bandwidth=100.0)
-        mgr = CheckpointManager(store, job_id=4, model_bytes=50.0, interval=1)
-        mgr.maybe_checkpoint(0, at=1.0)
-        meta = mgr.restore_latest()
-        assert store.bytes_read == 50.0 and store.reads == 1
-        assert mgr.restore_time(meta) == pytest.approx(0.5)
 
     def test_invalid_interval(self):
         with pytest.raises(ConfigurationError):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.control import SequenceAck, SimTransport, SubmitJob
+from repro.control import SequenceAck, SimTransport
 from repro.control.messages import CheckpointRestored
 from repro.core.errors import ConfigurationError, SimulationError
 

@@ -9,7 +9,6 @@ from repro.core import (
     ProblemInstance,
     finish_time_fairness,
     isolated_flow_time,
-    metrics_from_completions,
     metrics_from_schedule,
 )
 from repro.schedulers import HareScheduler

@@ -9,8 +9,8 @@ from repro.core import (
     Job,
     ProblemInstance,
     TaskRef,
-    make_uniform_instance,
 )
+from tests.conftest import make_uniform_instance
 
 
 class TestJob:
@@ -147,10 +147,6 @@ class TestProblemInstance:
     def test_uniform_factory_requires_gpu(self):
         with pytest.raises(InfeasibleProblemError):
             make_uniform_instance(1, 0)
-
-    def test_total_work_lower_bound(self, tiny_instance):
-        # job 0: 2 rounds × fastest (1.0 + 0.1)
-        assert tiny_instance.total_work_lower_bound(0) == pytest.approx(2.2)
 
 
 class TestJobTable:

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.errors import ConfigurationError
-from repro.dml import (
-    LogisticRegression,
-    MLPRegressor,
-    make_classification,
-    make_regression,
-)
+from repro.dml import LogisticRegression, make_classification
 
 
 def numerical_gradient(model, params, x, y, eps=1e-6):
@@ -45,24 +40,6 @@ class TestLogisticRegression:
     def test_invalid_features(self):
         with pytest.raises(ConfigurationError):
             LogisticRegression(num_features=0)
-
-
-class TestMLPRegressor:
-    def test_gradient_matches_numerical(self):
-        data = make_regression(48, 4, seed=2)
-        model = MLPRegressor(num_features=4, hidden=6)
-        params = model.init_params(1)
-        _, grad = model.loss_and_grad(params, data.x, data.y)
-        num = numerical_gradient(model, params, data.x, data.y)
-        np.testing.assert_allclose(grad, num, atol=1e-4)
-
-    def test_param_count(self):
-        m = MLPRegressor(num_features=3, hidden=5)
-        assert m.num_params == 3 * 5 + 5 + 5 + 1
-
-    def test_invalid_dims(self):
-        with pytest.raises(ConfigurationError):
-            MLPRegressor(num_features=2, hidden=0)
 
 
 class TestDatasets:

@@ -7,11 +7,8 @@ from repro.core import SyncScheme
 from repro.core.errors import ConfigurationError
 from repro.dml import (
     LogisticRegression,
-    MLPRegressor,
     ParameterServer,
-    compare_schemes,
     make_classification,
-    make_regression,
     train,
 )
 
@@ -54,15 +51,6 @@ class TestConvergence:
         res = train(model, data, num_rounds=120, learning_rate=0.5, seed=1)
         acc = model.accuracy(res.params, data.x, data.y)
         assert acc > 0.8
-
-    def test_mlp_regression_converges(self):
-        data = make_regression(num_samples=512, num_features=8, seed=2)
-        model = MLPRegressor(num_features=8, hidden=16)
-        res = train(
-            model, data, num_rounds=150, learning_rate=0.1, seed=2,
-            sync_scale=2,
-        )
-        assert res.losses[-1] < res.losses[0] * 0.7
 
 
 class TestSchemeEquivalence:
@@ -109,14 +97,6 @@ class TestSchemeEquivalence:
         model, data = clf_setup
         with pytest.raises(ConfigurationError):
             train(model, data, scheme=SyncScheme.SCALE_ADAPTIVE)
-
-    def test_compare_schemes_returns_all_three(self, clf_setup):
-        model, data = clf_setup
-        out = compare_schemes(model, data, num_rounds=30, seed=3)
-        assert set(out) == set(SyncScheme)
-        fixed = out[SyncScheme.SCALE_FIXED]
-        relaxed = out[SyncScheme.RELAXED_SCALE_FIXED]
-        np.testing.assert_array_equal(fixed.params, relaxed.params)
 
 
 class TestTrainingResult:

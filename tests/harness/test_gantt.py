@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import Job, ProblemInstance, TaskRef, schedule_from_mapping
 from repro.core.errors import ConfigurationError
-from repro.harness.gantt import GanttOptions, render_gantt, render_job_timeline
+from repro.harness.gantt import GanttOptions, render_gantt
 from repro.schedulers import HareScheduler
 
 
@@ -79,16 +79,3 @@ class TestRenderGantt:
         sched = HareScheduler(relaxation="fluid").schedule(fig1_instance)
         out = render_gantt(sched, options=GanttOptions(width=40))
         assert len(out.splitlines()) == 1 + 3 + 1  # header + 3 GPUs + legend
-
-
-class TestJobTimeline:
-    def test_lists_every_round(self, fig1_instance):
-        sched = HareScheduler(relaxation="fluid").schedule(fig1_instance)
-        out = render_job_timeline(sched, 2)
-        # header says "2 rounds"; then one "  round r:" line per round
-        assert out.count("  round") == 2
-        assert "barrier" in out
-
-    def test_mentions_gpu_labels(self, small_schedule):
-        out = render_job_timeline(small_schedule, 0)
-        assert "gpu0" in out

@@ -1,8 +1,6 @@
 """Tests for table/series rendering helpers."""
 
-import pytest
-
-from repro.harness import normalize_to, render_series, render_table
+from repro.harness import render_series, render_table
 
 
 class TestRenderTable:
@@ -33,12 +31,3 @@ class TestRenderSeries:
         assert "gpus" in out and "Hare" in out and "FIFO" in out
         assert "40" in out and "4.00" in out
 
-
-class TestNormalize:
-    def test_ratios(self):
-        out = normalize_to({"a": 10.0, "b": 5.0}, "b")
-        assert out == {"a": 2.0, "b": 1.0}
-
-    def test_zero_reference(self):
-        out = normalize_to({"a": 1.0, "b": 0.0}, "b")
-        assert out["a"] == float("inf")

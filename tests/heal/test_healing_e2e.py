@@ -6,12 +6,7 @@ import pytest
 from repro.cluster import testbed_cluster as make_testbed
 from repro.control import ControlPlane
 from repro.core.metrics import metrics_from_schedule
-from repro.faults import (
-    FaultScenario,
-    GpuCrash,
-    GpuSlowdown,
-    HeartbeatConfig,
-)
+from repro.faults import FaultScenario, GpuCrash, GpuSlowdown
 from repro.harness import make_problem, make_workload
 from repro.heal import RemediationEngine
 from repro.kernel import run_policy

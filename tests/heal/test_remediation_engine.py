@@ -10,7 +10,6 @@ from repro.heal import (
     REMEDIATION_SCHEMA,
     RemediationEngine,
     RemediationLog,
-    resolve_policy,
 )
 from repro.kernel.policies import Policy
 from repro.obs.monitors import DiagnosisContext, Finding, Severity
@@ -32,20 +31,6 @@ class TestPolicyTable:
             "replan_storm", "job_starvation", "utilization_collapse",
             "gpu_suspect", "rpc_budget_exhausted",
         }
-
-    def test_override_replaces_and_none_deletes(self):
-        table = resolve_policy({
-            "replan_storm": ActionSpec("observe"),
-            "job_starvation": None,
-        })
-        assert table["replan_storm"].kind == "observe"
-        assert "job_starvation" not in table
-        # untouched entries keep their defaults
-        assert table["gpu_suspect"].kind == "quarantine_gpu"
-
-    def test_bad_override_type_raises(self):
-        with pytest.raises(TypeError):
-            resolve_policy({"replan_storm": "observe"})
 
     def test_unknown_action_kind_raises(self):
         with pytest.raises(ValueError):
@@ -121,6 +106,38 @@ class TestDispatch:
         engine.finish(DiagnosisContext(instance=None, metrics=None))
         assert any(f.monitor == "remediation_engine" for f in engine.findings)
 
+
+
+class TestPollCadence:
+    def test_polls_once_per_poll_every_sim_records(self, monkeypatch):
+        from repro.heal import engine as engine_module
+        from repro.obs.monitors import Monitor
+        from repro.obs.recorder import Record
+
+        class CountsPolls(Monitor):
+            name = "counts_polls"
+            polls = 0
+
+            def poll(self, ctx):
+                self.polls += 1
+
+        counter = CountsPolls()
+        monkeypatch.setattr(
+            engine_module, "default_monitors", lambda instance: [counter]
+        )
+        engine = RemediationEngine()
+        every = engine_module.POLL_EVERY
+
+        def sim(seq):
+            return Record(seq, "span", "kernel", "task", "gpu0", float(seq))
+
+        for seq in range(2 * every - 1):
+            engine.observe(sim(seq))
+            # Wall-domain records never count towards the cadence.
+            engine.observe(Record(seq, "wall", "api", "phase", "wall", 0.0))
+        assert counter.polls == 1
+        engine.observe(sim(2 * every - 1))
+        assert counter.polls == 2
 
 class TestLogSerialization:
     def test_schema_and_roundtrip(self, tmp_path):

@@ -5,7 +5,6 @@ simulator) at reduced scale and check the *shape* of the results: who wins,
 roughly by how much, and in which direction each sweep moves.
 """
 
-import numpy as np
 import pytest
 
 from repro.cluster import (

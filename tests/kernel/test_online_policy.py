@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
-
 from repro.core import (
     Job,
     ProblemInstance,

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import make_uniform_instance
 from repro.kernel.array import ArraySchedulingKernel
 from repro.kernel.runner import SchedulingKernel, run_policy
 from repro.obs import Obs, use
 from repro.obs.attrib import attribute_schedule
 from repro.schedulers.registry import create
+from tests.conftest import make_uniform_instance
 from tests.core.oracles import object_walk_rounds
 
 KERNELS = {"reference": SchedulingKernel, "array": ArraySchedulingKernel}

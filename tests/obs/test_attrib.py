@@ -18,7 +18,6 @@ from repro.obs.attrib import (
     ATTRIB_SCHEMA,
     COMPONENTS,
     SUM_TOLERANCE,
-    AttributionReport,
     attribute_records,
     attribute_schedule,
     load_attribution,

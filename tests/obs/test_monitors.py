@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro import api
 from repro.obs import Severity, default_monitors, diagnose_schedule
-from repro.core.job import make_uniform_instance
 from repro.core.schedule import merge_intervals
 from repro.obs.monitors import (
     CellImbalanceMonitor,
@@ -23,6 +22,7 @@ from repro.obs.monitors import (
     replay_monitors,
 )
 from repro.obs.recorder import Record
+from tests.conftest import make_uniform_instance
 from tests.core.oracles import schedule_of
 
 

@@ -1,46 +1,10 @@
-"""Property-based tests for the ring all-reduce and sync cost models."""
+"""Property-based tests for the sync cost models."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import NetworkConfig
-from repro.sync import (
-    ps_round_sync_time,
-    ring_allreduce,
-    ring_allreduce_time,
-    tree_allreduce_time,
-)
-
-
-@given(
-    k=st.integers(1, 7),
-    n=st.integers(1, 120),
-    seed=st.integers(0, 10_000),
-)
-@settings(max_examples=60, deadline=None)
-def test_ring_allreduce_equals_mean(k, n, seed):
-    rng = np.random.default_rng(seed)
-    bufs = [rng.normal(size=n) for _ in range(k)]
-    out, trace = ring_allreduce(bufs)
-    expected = np.mean(bufs, axis=0)
-    for o in out:
-        np.testing.assert_allclose(o, expected, atol=1e-10)
-    assert trace.steps == (0 if k == 1 else 2 * (k - 1))
-
-
-@given(
-    k=st.integers(1, 6),
-    n=st.integers(1, 60),
-    seed=st.integers(0, 1000),
-)
-@settings(max_examples=40, deadline=None)
-def test_ring_sum_is_k_times_mean(k, n, seed):
-    rng = np.random.default_rng(seed)
-    bufs = [rng.normal(size=n) for _ in range(k)]
-    mean_out, _ = ring_allreduce(bufs, average=True)
-    sum_out, _ = ring_allreduce(bufs, average=False)
-    np.testing.assert_allclose(sum_out[0], k * mean_out[0], atol=1e-9)
+from repro.sync import ps_round_sync_time, ring_allreduce_time
 
 
 @given(
@@ -52,7 +16,7 @@ def test_ring_sum_is_k_times_mean(k, n, seed):
 @settings(max_examples=80, deadline=None)
 def test_cost_models_nonnegative_and_monotone_in_bytes(bytes_, k, shards, gbps):
     net = NetworkConfig(ps_shards=shards).with_bandwidth_gbps(gbps)
-    for fn in (ps_round_sync_time, ring_allreduce_time, tree_allreduce_time):
+    for fn in (ps_round_sync_time, ring_allreduce_time):
         t1 = fn(bytes_, k, net)
         t2 = fn(2 * bytes_, k, net)
         assert t1 >= 0

@@ -1,11 +1,10 @@
 """Property-based tests for the DES replay: causality and conservation."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import make_cluster
-from repro.core import Job, ProblemInstance, SwitchMode
+from repro.core import Job, SwitchMode
 from repro.schedulers import HareScheduler
 from repro.sim import simulate_plan
 from repro.workload import build_instance

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.api import DEFAULT_SCHEMES
-from repro.core import (
-    Job,
-    ProblemInstance,
-    metrics_from_schedule,
-    validate_schedule,
-)
+from repro.core import Job, ProblemInstance, validate_schedule
 from repro.schedulers import (
     GavelFifoScheduler,
     SchedAlloxScheduler,

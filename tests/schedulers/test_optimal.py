@@ -8,12 +8,11 @@ from repro.core import (
     InfeasibleProblemError,
     Job,
     ProblemInstance,
-    make_uniform_instance,
     metrics_from_schedule,
     validate_schedule,
 )
 from repro.schedulers import brute_force_optimal, create
-from tests.conftest import make_random_instance
+from tests.conftest import make_random_instance, make_uniform_instance
 
 
 class TestKnownOptima:

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core import Job, ProblemInstance, TaskRef, make_uniform_instance
+from repro.core import Job, ProblemInstance, TaskRef
 from repro.schedulers import (
     ExactRelaxationSolver,
     FluidRelaxationSolver,
     greedy_assignment,
 )
-from tests.conftest import make_random_instance
+from tests.conftest import make_random_instance, make_uniform_instance
 from tests.schedulers.oracles import by_task, reference_ordering
 
 

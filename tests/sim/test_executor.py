@@ -1,14 +1,11 @@
 """Tests for the replay oracle's per-GPU executor state machine."""
 
-from collections import deque
-
 import numpy as np
 import pytest
 
 from repro.cluster import make_cluster
 from repro.core import Job, ProblemInstance, SimulationError, SwitchMode, TaskRef
 from repro.core.schedule import TaskAssignment
-from repro.switching import SwitchCostModel
 from tests.sim.oracles import build_executors
 
 

@@ -1,6 +1,5 @@
 """Tests for runtime jitter injection in the simulator."""
 
-import numpy as np
 import pytest
 
 from repro.cluster import make_cluster

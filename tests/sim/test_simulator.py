@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from repro.cluster import make_cluster
-from repro.core import Job, SwitchMode, TaskRef, validate_schedule
+from repro.core import SwitchMode, TaskRef, validate_schedule
 from repro.core.errors import ConfigurationError
 from repro.core.schedule import TaskAssignment
 from repro.api import DEFAULT_SCHEMES, compare

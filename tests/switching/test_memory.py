@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.errors import MemoryModelError
-from repro.switching import GpuMemoryManager, plan_retention_hits
+from repro.switching import GpuMemoryManager
 
 GB = 1e9
 
@@ -106,29 +106,3 @@ class TestFlush:
         mgr.begin_task("a", 1 * GB)
         with pytest.raises(MemoryModelError):
             mgr.flush()
-
-
-class TestPlanRetention:
-    def test_alternating_two_models_that_fit(self):
-        weights = {"a": 1 * GB, "b": 1 * GB}
-        working = {"a": 3 * GB, "b": 3 * GB}
-        hits = plan_retention_hits(
-            ["a", "b", "a", "b"], weights, working, 10 * GB
-        )
-        assert hits == [False, False, True, True]
-
-    def test_three_models_too_big_to_keep(self):
-        weights = {m: 4 * GB for m in "abc"}
-        working = {m: 5 * GB for m in "abc"}
-        hits = plan_retention_hits(
-            ["a", "b", "c", "a"], weights, working, 10 * GB
-        )
-        # capacity 10, working 5 + retained ≤ 5 → only one model retained;
-        # "a" was evicted by the time it re-runs.
-        assert hits[3] is False
-
-    def test_same_model_streak_hits(self):
-        weights = {"a": 1 * GB}
-        working = {"a": 2 * GB}
-        hits = plan_retention_hits(["a"] * 5, weights, working, 4 * GB)
-        assert hits == [False, True, True, True, True]

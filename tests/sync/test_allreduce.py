@@ -1,92 +1,18 @@
 """Tests for the PS / All-Reduce aggregation substrates."""
 
-import numpy as np
 import pytest
 
 from repro.cluster import NetworkConfig
 from repro.core.errors import ConfigurationError
-from repro.sync import (
-    ps_round_sync_time,
-    ring_allreduce,
-    ring_allreduce_time,
-    tree_allreduce_time,
-)
+from repro.sync import ps_round_sync_time, ring_allreduce_time
 
 NET = NetworkConfig(ps_shards=4)
 MB400 = 4e8
 
 
-class TestFunctionalRing:
-    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
-    @pytest.mark.parametrize("n", [1, 7, 64, 100])
-    def test_matches_mean(self, k, n):
-        rng = np.random.default_rng(k * 100 + n)
-        bufs = [rng.normal(size=n) for _ in range(k)]
-        out, _ = ring_allreduce(bufs)
-        expected = np.mean(bufs, axis=0)
-        for o in out:
-            np.testing.assert_allclose(o, expected, atol=1e-12)
-
-    def test_sum_mode(self):
-        bufs = [np.ones(10), 2 * np.ones(10)]
-        out, _ = ring_allreduce(bufs, average=False)
-        np.testing.assert_allclose(out[0], 3.0 * np.ones(10))
-
-    def test_multidimensional_buffers(self):
-        rng = np.random.default_rng(0)
-        bufs = [rng.normal(size=(4, 5)) for _ in range(3)]
-        out, _ = ring_allreduce(bufs)
-        assert out[0].shape == (4, 5)
-        np.testing.assert_allclose(out[0], np.mean(bufs, axis=0))
-
-    def test_all_workers_agree(self):
-        rng = np.random.default_rng(1)
-        bufs = [rng.normal(size=33) for _ in range(6)]
-        out, _ = ring_allreduce(bufs)
-        for o in out[1:]:
-            np.testing.assert_array_equal(o, out[0])
-
-    def test_step_count(self):
-        bufs = [np.ones(8) for _ in range(4)]
-        _, trace = ring_allreduce(bufs)
-        assert trace.steps == 2 * (4 - 1)
-
-    def test_inputs_not_mutated(self):
-        bufs = [np.ones(4), np.full(4, 3.0)]
-        copies = [b.copy() for b in bufs]
-        ring_allreduce(bufs)
-        for b, c in zip(bufs, copies):
-            np.testing.assert_array_equal(b, c)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ring_allreduce([np.ones(3), np.ones(4)])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ring_allreduce([])
-
-    def test_gradient_aggregation_equivalence(self):
-        """Ring all-reduce of per-worker gradients == PS mean (eq. 3)."""
-        from repro.dml import LogisticRegression, make_classification
-
-        data = make_classification(128, 6, seed=4)
-        model = LogisticRegression(num_features=6)
-        params = model.init_params(0)
-        grads = []
-        for idx in data.partition_round(0, 4, 16):
-            x, y = data.batch(idx)
-            grads.append(model.loss_and_grad(params, x, y)[1])
-        ring_out, _ = ring_allreduce(grads)
-        np.testing.assert_allclose(
-            ring_out[0], np.mean(grads, axis=0), atol=1e-12
-        )
-
-
 class TestCostModels:
     def test_single_worker_free_for_collectives(self):
         assert ring_allreduce_time(MB400, 1, NET) == 0.0
-        assert tree_allreduce_time(MB400, 1, NET) == 0.0
 
     def test_ring_bandwidth_term_saturates(self):
         """Ring transfer time approaches 2×bytes/bw as k grows."""
@@ -111,12 +37,6 @@ class TestCostModels:
         assert ps_round_sync_time(MB400, 2, NET) < ring_allreduce_time(
             MB400, 2, NET
         )
-
-    def test_tree_latency_scales_logarithmically(self):
-        lat_only = NetworkConfig(ps_shards=1, latency_s=1e-3)
-        t8 = tree_allreduce_time(1.0, 8, lat_only)
-        t64 = tree_allreduce_time(1.0, 64, lat_only)
-        assert t64 == pytest.approx(2 * t8, rel=1e-6)
 
     def test_invalid_worker_counts(self):
         with pytest.raises(ConfigurationError):

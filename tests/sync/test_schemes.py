@@ -2,11 +2,9 @@
 
 import pytest
 
-from repro.core import SyncScheme
 from repro.core.errors import ConfigurationError
 from repro.sync import (
     plan_relaxed_scale_fixed,
-    plan_round,
     plan_scale_adaptive,
     plan_scale_fixed,
 )
@@ -89,12 +87,6 @@ class TestScaleAdaptive:
 
 
 class TestDispatch:
-    @pytest.mark.parametrize("scheme", list(SyncScheme))
-    def test_plan_round_dispatch(self, scheme):
-        plan = plan_round(scheme, FREE, TIME, 2)
-        assert plan.scheme is scheme
-        assert plan.barrier > plan.start
-
     def test_mismatched_lengths(self):
         with pytest.raises(ConfigurationError):
             plan_scale_fixed([0.0], TIME, 1)

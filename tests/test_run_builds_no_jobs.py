@@ -80,7 +80,7 @@ def test_run_builds_no_job(spec, monkeypatch):
 
 
 def test_job_table_readers_build_no_job(monkeypatch):
-    """The schedule, report, bound and admission helpers read the job
+    """The schedule, attribution, bound and admission helpers read the job
     table's columns: on a view whose ``jobs`` is built only when read,
     none of them constructs a ``Job``."""
     import numpy as np
@@ -91,7 +91,6 @@ def test_job_table_readers_build_no_job(monkeypatch):
     from repro.core import ProblemInstance
     from repro.core.fairness import isolated_flow_time
     from repro.harness.experiments import make_loaded_workload, make_problem
-    from repro.harness.gantt import render_job_timeline
     from repro.obs.attrib import attribute_records
     from repro.obs.recorder import Record
     from repro.schedulers import HareScheduler
@@ -127,9 +126,7 @@ def test_job_table_readers_build_no_job(monkeypatch):
     plan = HareScheduler(relaxation="fluid").schedule(view)
     plan.total_weighted_completion()
     plan.round_end(1, 0)
-    view.total_work_lower_bound(1)
     isolated_flow_time(view, 1)
-    render_job_timeline(plan, 1)
     brute_force_optimal(tiny)
     GlobalAdmission().admit(view, partition)
     attribute_records([round_record], instance=view)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import Job, ProblemInstance, make_uniform_instance, metrics_from_schedule
+from repro.core import Job, ProblemInstance, metrics_from_schedule
 from repro.schedulers import HareScheduler, brute_force_optimal
 from repro.theory import (
     alpha,
@@ -13,7 +13,7 @@ from repro.theory import (
     critical_path_lower_bound,
     lower_bound,
 )
-from tests.conftest import make_random_instance
+from tests.conftest import make_random_instance, make_uniform_instance
 
 
 class TestAlpha:

@@ -7,9 +7,9 @@ from repro.core import Domain, ModelName
 from repro.core.errors import ConfigurationError
 from repro.workload import (
     WorkloadConfig,
-    domain_of_job,
     generate_jobs,
     mix_with_boost,
+    model_spec,
     sample_job,
     sample_model,
 )
@@ -106,7 +106,7 @@ class TestGenerateJobs:
         jobs = generate_jobs(
             [0.0] * 5, WorkloadConfig(domain_mix={Domain.SPEECH: 1.0}), seed=2
         )
-        assert all(domain_of_job(j) is Domain.SPEECH for j in jobs)
+        assert all(model_spec(j.model).domain is Domain.SPEECH for j in jobs)
 
 
 class TestMixWithBoost:

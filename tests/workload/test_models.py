@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core import Domain, ModelName, UnknownModelError
-from repro.workload import model_spec, model_zoo, models_by_domain
+from repro.workload import model_spec, models_by_domain
 from repro.workload.models import spec_or_synthetic
 
 
 class TestZoo:
     def test_eight_models(self):
-        assert len(model_zoo()) == 8
+        assert len({model_spec(m).name for m in ModelName}) == 8
 
     def test_domains_match_table2(self):
         assert model_spec("VGG19").domain is Domain.CV
@@ -53,19 +53,19 @@ class TestSizes:
         assert model_spec("GraphSAGE").model_bytes < 10e6
 
     def test_training_memory_exceeds_weights(self):
-        for spec in model_zoo().values():
+        for spec in map(model_spec, ModelName):
             assert spec.training_memory_bytes() > 3 * spec.model_bytes
 
 
 class TestLayerSplit:
     def test_layer_bytes_sum_to_model(self):
-        for spec in model_zoo().values():
+        for spec in map(model_spec, ModelName):
             layers = spec.layer_bytes()
             assert layers.sum() == pytest.approx(spec.model_bytes, rel=1e-9)
             assert len(layers) == spec.num_layers
 
     def test_layers_positive(self):
-        for spec in model_zoo().values():
+        for spec in map(model_spec, ModelName):
             assert (spec.layer_bytes() > 0).all()
 
     def test_vgg_head_dominates(self):

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.cluster import testbed_cluster as _testbed_cluster
 from repro.core import GPUModel, Job
 from repro.workload import TaskProfiler, build_instance
 
