@@ -15,6 +15,7 @@ release time, when the run ships it late).
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -34,6 +35,7 @@ from ..obs import Category, Obs, gpu_track, job_track, use
 from ..obs import current as obs_current
 from ..obs.metrics import MetricsRegistry, NullRegistry
 from ..switching.costmodel import SwitchCostModel
+from ..switching.memory import sequence_hits
 from ..workload.models import spec_or_synthetic
 from .events import EventType
 from .executor import build_executors
@@ -78,7 +80,6 @@ class ClusterSimulator:
     cluster: Cluster
     instance: ProblemInstance
     switch_mode: SwitchMode = SwitchMode.HARE
-    switch_model: SwitchCostModel | None = None
     #: Override speculative-memory retention (None = per switch mode).
     #: Setting False under HARE ablates speculative memory while keeping
     #: early cleaning — the §4 ablation.
@@ -211,16 +212,9 @@ class ClusterSimulator:
         sampled = not isinstance(registry, NullRegistry)
         nic = self.nic_contention
 
-        switch_model = self.switch_model or SwitchCostModel(
-            mode=self.switch_mode
-        )
-        if switch_model.mode is not self.switch_mode:
-            raise SimulationError(
-                f"switch model mode {switch_model.mode} != requested "
-                f"{self.switch_mode}"
-            )
-        hare = self.switch_mode is SwitchMode.HARE
-        same_job_cost = switch_model.same_job_cost_s
+        mode = self.switch_mode
+        hare = mode is SwitchMode.HARE
+        same_job_cost = SwitchCostModel(mode=mode).same_job_cost_s
 
         # Columns in: each GPU's rows in (start, task) order, with the
         # per-row values the loop reads as plain lists.
@@ -241,10 +235,6 @@ class ClusterSimulator:
         executors = build_executors(
             devices,
             {m: order_list[a:b] for m, a, b in zip(gpu_ids, first, last)},
-            retention_enabled=(
-                hare if self.retention_enabled is None
-                else self.retention_enabled
-            ),
             slowdowns=self.slowdowns,
         )
         position = {m: g for g, m in enumerate(gpu_ids)}
@@ -270,14 +260,55 @@ class ClusterSimulator:
         # Per-job constants, hoisted out of the per-task path.
         model_of = instance.model
         specs = [spec_or_synthetic(model) for model in model_of]
-        working = [spec.training_memory_bytes() for spec in specs]
-        retain = [spec.model_bytes if hare else 0.0 for spec in specs]
+        footprint = [
+            (model, spec.training_memory_bytes(),
+             spec.model_bytes if hare else 0.0)
+            for model, spec in zip(model_of, specs)
+        ]
         arrival = instance.arrival.tolist()
         scale = instance.sync_scale.tolist()
         #: barriers open in round order, so round r - 1 is open iff
         #: r <= rounds_open[job]
         rounds_open = [0] * instance.num_jobs
         syncs_in_flight = {node.node_id: 0 for node in self.cluster.nodes}
+
+        # Each row's retention hit, switch time and the switch.* writes
+        # its cross-job switch cost made: a GPU's are fixed by its
+        # shipped sequence (§4) until a crash wipes the device.
+        retention = hare if self.retention_enabled is None else (
+            self.retention_enabled
+        )
+        hit_of = [False] * len(cols)
+        switch_of = [0.0] * len(cols)
+        writes_of: list[tuple] = [()] * len(cols)
+
+        def derive(ex, head: int) -> None:
+            """Hits and switches of *ex*'s rows from *head* on, starting
+            from empty memory and no previous job."""
+            rows = ex.queue[head:]
+            hits = sequence_hits(
+                ex.spec.memory_bytes,
+                [footprint[job_of[row]] for row in rows],
+                retention_enabled=retention,
+            )
+            prev = None
+            for row, hit in zip(rows, hits):
+                j = job_of[row]
+                if prev is None or prev == j:
+                    # Same-job successors share context; a GPU's first
+                    # task loads during the idle warm-up.
+                    switch_of[row] = 0.0 if prev is None else same_job_cost
+                    writes_of[row] = ()
+                else:
+                    hit = hit and hare
+                    switch_of[row], writes_of[row] = _cross_job_switch(
+                        mode, model_of[j], ex.spec, hit
+                    )
+                hit_of[row] = hit
+                prev = j
+
+        for ex in executors:
+            derive(ex, 0)
 
         seq = itertools.count()
         heap = [
@@ -336,30 +367,15 @@ class ClusterSimulator:
                 held.add(g)
                 return
             ex.head += 1
-            model = model_of[j]
-            hit = ex.memory.begin_task(model, working[j]).retained_hit
-            prev = ex.prev_job
-            if prev is None or prev == j:
-                # Same-job successors share context; a GPU's very first
-                # task loads during the idle warm-up.
-                switch = 0.0 if prev is None else same_job_cost
-            else:
-                hit = hit and hare
-                memo = ex.switch_costs.get((model, hit))
-                if memo is None:
-                    memo = _cross_job_switch(switch_model, model, ex.spec,
-                                             hit)
-                    ex.switch_costs[model, hit] = memo
-                switch, writes = memo
-                if sampled:
-                    # The transfer pipeline counts every modeled upload.
-                    for name, observed, amount in writes:
-                        if observed:
-                            registry.histogram(name).observe(amount)
-                        else:
-                            registry.counter(name).inc(amount)
+            switch = switch_of[row]
+            if sampled:
+                # The transfer pipeline counts every modeled upload.
+                for name, observed, amount in writes_of[row]:
+                    if observed:
+                        registry.histogram(name).observe(amount)
+                    else:
+                        registry.counter(name).inc(amount)
             start = now + switch
-            ex.prev_job = j
             ex.serial += 1
             train = train_of[row]
             if ex.slowdowns:
@@ -369,7 +385,7 @@ class ClusterSimulator:
                         factor = max(factor, f)
                 if factor > 1.0:
                     train = train * factor
-            ex.running = (row, start, switch, hit, train)
+            ex.running = (row, start, switch, hit_of[row], train)
             busy += 1.0
             if sampled:
                 # Busy-GPU curve, sampled at deterministic sim times so
@@ -424,8 +440,6 @@ class ClusterSimulator:
                     samples.append((time, GPUS_BUSY, busy))
                     samples.append((time, TASKS_COMPLETED, completed))
                 row, start, switch, hit, train = running
-                j = job_of[row]
-                ex.memory.end_task(retain_bytes=retain[j])
                 sync = sync_of[row]
                 if nic and sync > 0:
                     syncs_in_flight[ex.node_id] += 1
@@ -485,15 +499,12 @@ class ClusterSimulator:
                     busy -= 1.0
                     if sampled:
                         samples.append((float(time), GPUS_BUSY, busy))
-                    ex.memory.end_task(retain_bytes=0.0)
-                    ex.memory.flush()
                     ex.head -= 1
-                    ex.prev_job = None
+                    derive(ex, ex.head)
                     held.add(g)
                 elif not ex.done:
                     # idle crash: device state is still lost
-                    ex.memory.flush()
-                    ex.prev_job = None
+                    derive(ex, ex.head)
                 # Down until the restart check: arrivals and barriers in
                 # the window must not start the GPU early.
                 restart = time + payload
@@ -624,20 +635,22 @@ def _emit_records(
                     time=time, restart_delay_s=delay)
 
 
+@functools.lru_cache(maxsize=1024)
 def _cross_job_switch(
-    switch_model: SwitchCostModel, model: str, spec: GPUSpec, hit: bool
+    mode: SwitchMode, model: str, spec: GPUSpec, hit: bool
 ) -> tuple[float, tuple]:
     """A cross-job switch cost and the metric writes computing it makes.
 
     The transfer pipeline counts each modeled upload in the ambient
     registry (``switch.*``: counters, and one observation per
     histogram). The cost is computed against a scratch registry, so a
-    memoized cost replays the same writes on every use.
+    memoized cost replays the same writes on every use. The memo is
+    process-wide and bounded; its key is everything the cost reads.
     """
     log = MetricsRegistry()
     with use(Obs(metrics=log)):
-        cost = switch_model.cost(model, spec, same_job=False,
-                                 retained_hit=hit)
+        cost = SwitchCostModel(mode=mode).cost(model, spec, same_job=False,
+                                               retained_hit=hit)
     writes = tuple(
         (name, True, snap["total"]) if snap["type"] == "histogram"
         else (name, False, snap["value"])
@@ -652,7 +665,6 @@ def simulate_plan(
     plan: Schedule,
     *,
     switch_mode: SwitchMode = SwitchMode.HARE,
-    switch_model: SwitchCostModel | None = None,
     retention_enabled: bool | None = None,
     jitter_sigma: float = 0.0,
     jitter_seed: int = 0,
@@ -666,7 +678,6 @@ def simulate_plan(
         cluster=cluster,
         instance=instance,
         switch_mode=switch_mode,
-        switch_model=switch_model,
         retention_enabled=retention_enabled,
         jitter_sigma=jitter_sigma,
         jitter_seed=jitter_seed,

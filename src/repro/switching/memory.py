@@ -6,16 +6,19 @@ that a later task on the same GPU will reuse. The paper's policy is a simple
 greedy: give the next task's working set absolute priority, then keep the
 models of the most recently completed tasks for as long as they fit.
 
-:class:`GpuMemoryManager` is the runtime state machine the simulator drives;
-it enforces capacity, implements the greedy retention policy, and reports
-whether each task switch was a *retention hit* (model already resident → the
-transfer is skipped entirely).
+:class:`GpuMemoryManager` is the runtime state machine: it enforces
+capacity, implements the greedy retention policy, and reports whether each
+task switch was a *retention hit* (model already resident → the transfer is
+skipped entirely). :func:`sequence_hits` is the same rule over a whole
+shipped sequence at once, which is how the simulator applies it: a GPU's
+hits depend only on its sequence until a crash wipes the device.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from ..core.errors import MemoryModelError
 
@@ -145,3 +148,65 @@ class GpuMemoryManager:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
+
+def sequence_hits(
+    capacity_bytes: float,
+    tasks: Iterable[tuple[str, float, float]],
+    *,
+    retention_enabled: bool = True,
+) -> list[bool]:
+    """The retention hit of each task of one GPU's sequence.
+
+    *tasks* are ``(model, working_bytes, retain_bytes)`` in run order:
+    what one :class:`GpuMemoryManager` reports when each task is begun
+    and then ended with ``end_task(retain_bytes=...)``. This is that walk
+    in one pass, with the class's checks, errors and ``sum()``-order
+    capacity arithmetic, so the hits match it bit for bit.
+    """
+    if capacity_bytes <= 0:
+        raise MemoryModelError("capacity_bytes must be > 0")
+    #: model name -> retained weight bytes, oldest first
+    retained: dict[str, float] = {}
+    hits = []
+    last, settled = None, False
+    for task in tasks:
+        if settled and task == last:
+            # A repeat of a task that kept its model: a fixed point. The
+            # model is resident and taken out; the rest is a suffix of
+            # what fitted beside it when the predecessor began (a float
+            # sum of a suffix is no larger), so nothing is evicted, and
+            # putting the model back restores the predecessor's end.
+            hits.append(True)
+            continue
+        model, working_bytes, retain_bytes = task
+        # begin_task
+        if working_bytes <= 0:
+            raise MemoryModelError("working_bytes must be > 0")
+        if working_bytes > capacity_bytes:
+            raise MemoryModelError(
+                f"task of {model} needs {working_bytes:.3e} B but GPU has "
+                f"{capacity_bytes:.3e} B"
+            )
+        hit = retention_enabled and model in retained
+        if hit:
+            del retained[model]
+        while float(sum(retained.values())) + working_bytes > capacity_bytes:
+            if not retained:
+                raise MemoryModelError(
+                    "capacity accounting error: nothing left to evict"
+                )  # pragma: no cover - guarded by the fit check above
+            del retained[next(iter(retained))]
+        hits.append(hit)
+        # end_task; begin_task already took the model out of `retained`
+        kept = retention_enabled and bool(retain_bytes)
+        if kept:
+            if retain_bytes < 0:
+                raise MemoryModelError("retain_bytes must be >= 0")
+            kept = retain_bytes <= capacity_bytes
+            if kept:
+                retained[model] = float(retain_bytes)
+                while float(sum(retained.values())) > capacity_bytes:
+                    del retained[next(iter(retained))]
+        settled = kept
+        last = task
+    return hits

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.switching import GpuMemoryManager
+from repro.switching.memory import sequence_hits
 
 GB = 1e9
 
@@ -87,3 +88,60 @@ def test_hits_counted_consistently(data):
     assert mgr.misses == len(stream) - hits
     if stream:
         assert mgr.hit_rate == hits / len(stream)
+
+
+@st.composite
+def sequences(draw):
+    """A GPU's shipped sequence as (model, working, retain) tasks, with
+    runs of one task kind, non-integer byte sizes and, when ``tight``,
+    a capacity barely above the largest working set, so evictions
+    happen at the start and at the end of tasks."""
+    n_models = draw(st.integers(1, 5))
+    models = {}
+    for i in range(n_models):
+        weights = draw(st.floats(0.1, 2.0)) * GB + 0.37
+        models[f"m{i}"] = (weights, weights + draw(st.floats(0.01, 2.0)) * GB)
+    largest = max(working for _, working in models.values())
+    if draw(st.booleans()):  # tight
+        capacity = largest * draw(st.floats(1.0, 1.5))
+    else:
+        capacity = largest + draw(st.floats(0.0, 30.0)) * GB
+    runs = draw(st.lists(
+        st.tuples(st.sampled_from(sorted(models)), st.integers(1, 4)),
+        min_size=1, max_size=20,
+    ))
+    tasks = [
+        (name, models[name][1], models[name][0])
+        for name, length in runs for _ in range(length)
+    ]
+    return capacity, tasks
+
+
+def manager_hits(capacity, tasks, *, retention_enabled, flush_at=None):
+    """Hits of a :class:`GpuMemoryManager` driven task by task."""
+    mgr = GpuMemoryManager(capacity_bytes=capacity,
+                           retention_enabled=retention_enabled)
+    hits = []
+    for i, (name, working, weights) in enumerate(tasks):
+        if i == flush_at:
+            mgr.flush()
+        hits.append(mgr.begin_task(name, working).retained_hit)
+        mgr.end_task(retain_bytes=weights)
+    return hits
+
+
+@given(data=sequences(), retention_enabled=st.booleans(), cut=st.data())
+@settings(max_examples=100, deadline=None)
+def test_sequence_pass_matches_the_manager(data, retention_enabled, cut):
+    """The one-pass rule gives the manager's hits; a flush (a crash
+    wiping the device) is a fresh pass from that task on."""
+    capacity, tasks = data
+    kw = {"retention_enabled": retention_enabled}
+    assert sequence_hits(capacity, tasks, **kw) == manager_hits(
+        capacity, tasks, **kw
+    )
+    at = cut.draw(st.integers(0, len(tasks)))
+    assert (
+        sequence_hits(capacity, tasks[:at], **kw)
+        + sequence_hits(capacity, tasks[at:], **kw)
+    ) == manager_hits(capacity, tasks, flush_at=at, **kw)

@@ -409,7 +409,6 @@ def reference_run(
         list(sim.cluster.devices()),
         sequences,
         sim.switch_mode,
-        switch_model=sim.switch_model,
         retention_enabled=sim.retention_enabled,
     )
     by_gpu: dict[int, GpuExecutor] = {e.gpu_id: e for e in executors}

@@ -9,8 +9,10 @@ from repro.core import Job, ProblemInstance, TaskRef, schedule_from_mapping, val
 from repro.core.errors import ConfigurationError
 from repro.harness import make_workload
 from repro.schedulers import HareScheduler
-from repro.sim import simulate_plan
+from repro.sim import ClusterSimulator, simulate_plan
+from repro.switching import SwitchCostModel
 from repro.workload import WorkloadConfig, build_instance
+from tests.sim.oracles import reference_run
 
 
 def single_gpu_plan(num_rounds=3):
@@ -232,4 +234,88 @@ class TestFailureRecovery:
         assert (
             failed.total_weighted_completion
             >= clean.total_weighted_completion - 1e-9
+        )
+
+
+class TestCrashWipesRetention:
+    """A crash re-derives the GPU's retention hits from its queue head.
+
+    One V100 alternates VGG19 job 0 and ResNet50 job 1, three 2 s rounds
+    each. Clean, every task after the first two is a retention hit with
+    the 0.6 ms warm start. GPU 0 crashes before job 0's round 1 — a hit
+    to be — once idle (the round is released at t=10) and once while
+    the round runs. After the restart that round is a miss loaded with
+    the restart (no switch, as a GPU's first task), job 1's round 1
+    misses and pays ResNet50's cold switch, and both rounds 2 hit again.
+    """
+
+    def run(self, **kw):
+        cluster = make_cluster(["V100"])
+        jobs = [
+            Job(job_id=0, model="VGG19", num_rounds=3, sync_scale=1),
+            Job(job_id=1, model="ResNet50", num_rounds=3, sync_scale=1),
+        ]
+        inst = ProblemInstance(
+            jobs=jobs,
+            train_time=np.full((2, 1), 2.0),
+            sync_time=np.zeros((2, 1)),
+        )
+        plan = schedule_from_mapping(inst, {
+            TaskRef(j, r, 0): (0, 2.0 * (2 * r + j))
+            for j in range(2) for r in range(3)
+        })
+        sim = ClusterSimulator(cluster=cluster, instance=inst, **kw)
+        res = sim.run(plan)
+        oracle, _ = reference_run(sim, plan)
+        assert res.telemetry.records == oracle.telemetry.records
+        assert res.realized.assignments == oracle.realized.assignments
+        records = sorted(res.telemetry.records, key=lambda r: r.start)
+        return res.telemetry, [
+            (r.task.job_id, r.task.round_idx, r.switch_time, r.retained_hit)
+            for r in records
+        ]
+
+    @staticmethod
+    def costs():
+        model = SwitchCostModel()
+        (v100,) = (d.spec for d in make_cluster(["V100"]).devices())
+        cold = model.cost("ResNet50", v100)
+        warm = model.cost("VGG19", v100, retained_hit=True)
+        assert warm == model.cost("ResNet50", v100, retained_hit=True)
+        return cold, warm
+
+    def test_clean_run_hits_after_the_first_switch(self):
+        cold, warm = self.costs()
+        telemetry, tasks = self.run(releases={TaskRef(0, 1, 0): 10.0})
+        assert tasks == [
+            (0, 0, 0.0, False), (1, 0, cold, False), (0, 1, warm, True),
+            (1, 1, warm, True), (0, 2, warm, True), (1, 2, warm, True),
+        ]
+        assert telemetry.retention_hits == 4
+
+    @pytest.mark.parametrize("crash", ["idle", "mid-task"])
+    def test_restart_misses_then_hits_again(self, crash):
+        cold, warm = self.costs()
+        if crash == "idle":
+            # idle from ~4 s until the release at 10 s; down 6 → 7 s
+            telemetry, tasks = self.run(
+                releases={TaskRef(0, 1, 0): 10.0},
+                failures=[(6.0, 0, 1.0)],
+            )
+            assert telemetry.aborted_attempts == 0
+        else:
+            # round 1 starts at ~4.003 s; down 5 → 6 s, then re-runs
+            telemetry, tasks = self.run(failures=[(5.0, 0, 1.0)])
+            assert telemetry.aborted_attempts == 1
+            assert telemetry.wasted_compute_s == pytest.approx(
+                5.0 - (4.0 + cold + warm)
+            )
+        assert tasks == [
+            (0, 0, 0.0, False), (1, 0, cold, False), (0, 1, 0.0, False),
+            (1, 1, cold, False), (0, 2, warm, True), (1, 2, warm, True),
+        ]
+        assert telemetry.retention_hits == 2
+        assert telemetry.switch_count == 4
+        assert telemetry.total_switch_time == pytest.approx(
+            2 * cold + 2 * warm
         )

@@ -13,6 +13,7 @@ from repro.harness import make_workload
 from repro.obs import Obs, use
 from repro.schedulers import HareScheduler, create
 from repro.sim import ClusterSimulator, simulate_plan
+from repro.sim.simulator import _cross_job_switch
 from repro.switching import SwitchCostModel
 from repro.workload import WorkloadConfig, build_instance
 from tests.core.oracles import schedule_of
@@ -120,21 +121,6 @@ class TestConfiguration:
         with pytest.raises(SimulationError):
             ClusterSimulator(cluster=small, instance=instance)
 
-    def test_custom_switch_model_mode_checked(self, scenario):
-        cluster, instance = scenario
-        from repro.core import SimulationError
-
-        plan = HareScheduler().schedule(instance)
-        with pytest.raises(SimulationError):
-            simulate_plan(
-                cluster,
-                instance,
-                plan,
-                switch_mode=SwitchMode.HARE,
-                switch_model=SwitchCostModel(mode=SwitchMode.DEFAULT),
-            )
-
-
     def test_plan_task_outside_the_instance_rejected(self, scenario):
         cluster, instance = scenario
         plan = HareScheduler().schedule(instance)
@@ -150,8 +136,9 @@ class TestSwitchCostMemo:
     def test_live_registry_computes_each_switch_cost_once(
         self, testbed, monkeypatch
     ):
-        """A metrics-only replay memoizes cross-job switch costs: one
-        ``breakdown`` per (device model, job model, retained hit)."""
+        """Cross-job switch costs are memoized process-wide: across two
+        replays, one ``breakdown`` per (device model, job model, retained
+        hit), and a memo hit still writes its ``switch.*`` instruments."""
         jobs = make_workload(
             12, seed=5, config=WorkloadConfig(rounds_scale=0.1)
         )
@@ -165,15 +152,19 @@ class TestSwitchCostMemo:
             return breakdown(self, next_model, gpu, **kw)
 
         monkeypatch.setattr(SwitchCostModel, "breakdown", counting)
-        obs = Obs.start(trace=False)
-        with use(obs):
-            result = simulate_plan(testbed, instance, plan)
+        _cross_job_switch.cache_clear()
+        snapshots = []
+        for _ in range(2):
+            obs = Obs.start(trace=False)
+            with use(obs):
+                result = simulate_plan(testbed, instance, plan)
+            snapshots.append(obs.metrics.snapshot())
         assert result.telemetry.switch_count > len(calls) > 0
         assert max(calls.values()) == 1
+        first, second = snapshots
+        assert first == second
         # Every switch still counts its modeled transfer.
-        assert obs.metrics.counter("switch.pipelined_transfers").value > len(
-            calls
-        )
+        assert first["switch.pipelined_transfers"]["value"] > len(calls)
 
 
 class TestAllSchedulersSimulate:
