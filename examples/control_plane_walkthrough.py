@@ -39,7 +39,7 @@ def main() -> None:
     bill = traffic_bill(instance, sim.realized, checkpoint_interval=5)
 
     print("\n== Sequences shipped ==")
-    gpus, tasks = np.unique(plan.columns().gpu, return_counts=True)
+    gpus, tasks = np.unique(plan.gpu, return_counts=True)
     rows = [
         [f"executor-{gpu} ({cluster.device(gpu).model.value})", n]
         for gpu, n in zip(gpus.tolist(), tasks.tolist())

@@ -35,7 +35,7 @@ import tempfile
 from pathlib import Path
 
 from repro.api import run_experiment
-from repro.core import ScheduleColumns
+from repro.core import Schedule
 from repro.harness import render_table
 from repro.obs import diagnose_schedule, read_baseline
 from repro.obs.baseline import compare_snapshots, flatten_metrics
@@ -127,14 +127,14 @@ def main() -> None:
     print("\n== Triggered finding: corrupted schedule ==")
     # A schedule never changes, so the corrupted one is a copy of the
     # plan's columns with the victim's row moved.
-    plan = recorded.plan.columns()
-    victim, donor = plan.rows_of(sorted(recorded.plan.assignments)[:2])
+    plan = recorded.plan
+    victim, donor = plan.rows_of(sorted(plan.assignments)[:2])
     gpu, start = plan.gpu.copy(), plan.start.copy()
     gpu[victim], start[victim] = gpu[donor], start[donor]
-    schedule = ScheduleColumns(
+    schedule = Schedule(
         plan.instance, plan.job, plan.rnd, plan.slot, gpu, start,
         plan.train, plan.sync,
-    ).to_schedule()
+    )
     report = diagnose_schedule(schedule, instance=recorded.instance)
     print(report.summary())
     for finding in report.invariant_violations()[:2]:

@@ -284,7 +284,7 @@ class ExperimentSpec:
         return cls(**{**values, **overrides})
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, repr=False)
 class RunResult:
     """Everything one scheduler produced on one workload."""
 
@@ -307,6 +307,13 @@ class RunResult:
     #: Cached attribution report (filled eagerly on recorded runs;
     #: computed lazily by :meth:`attribution` otherwise).
     _attribution: AttributionReport | None = None
+
+    def __repr__(self) -> str:
+        return (
+            f"RunResult(scheduler={self.scheduler!r}, plan={self.plan!r}, "
+            f"simulated={self.sim is not None}, "
+            f"weighted_jct={self.weighted_jct:.6g})"
+        )
 
     # -- headline numbers ----------------------------------------------
     @property

@@ -8,9 +8,10 @@ onto exactly one cell, so the per-cell
 interleaving them on one global clock or running them to completion
 one-by-one produces the same merged commit log. That is the "single
 logical event clock" argument — the merge below is a pure re-indexing,
-not a semantic synchronization: each cell result's column view
-(:meth:`KernelResult.columns`) is remapped to global job and GPU ids and
-concatenated in cell order, so a cell's schedule is never materialized.
+not a semantic synchronization: each cell result's schedule columns
+(:attr:`KernelResult.schedule`) are remapped to global job and GPU ids
+and concatenated in cell order, so a cell's schedule is never
+materialized.
 
 The merged result is a :class:`ShardedKernelResult`: a plain
 :class:`~repro.kernel.runner.KernelResult` (schedule over the *global*
@@ -36,8 +37,8 @@ import numpy as np
 
 from ..core.errors import ConfigurationError, GangDoesNotFitError
 from ..core.job import ProblemInstance
-from ..core.metrics import metrics_from_columns
-from ..core.schedule import ScheduleColumns, schedule_from_rows
+from ..core.metrics import metrics_from_schedule
+from ..core.schedule import Schedule, schedule_from_rows
 from ..kernel.runner import (
     KernelResult,
     emit_replan,
@@ -194,7 +195,7 @@ class ShardedKernel:
                 ) from None
             wall = _time.perf_counter() - start
             # Re-index the cell's columns to global job and GPU ids.
-            c = result.columns()
+            c = result.schedule
             parts.append((
                 np.asarray(job_ids, dtype=np.int64)[c.job], c.rnd, c.slot,
                 np.asarray(cell.gpu_ids, dtype=np.int64)[c.gpu],
@@ -237,11 +238,11 @@ class ShardedKernel:
         obs.metrics.counter("kernel.commitments").inc(commitments)
 
         merged = (
-            ScheduleColumns(
+            Schedule(
                 instance, *(np.concatenate(col) for col in zip(*parts))
             )
             if parts
-            else schedule_from_rows(instance, []).columns()
+            else schedule_from_rows(instance, [])
         )
         # Cells share no state: ordering by time (stable, so each cell
         # keeps its own order) is one global order; re-plan passes are
@@ -261,8 +262,8 @@ class ShardedKernel:
             partition=partition,
             admission_plan=plan,
             cell_stats=tuple(stats),
-            schedule=merged.to_schedule(),
-            metrics=metrics_from_columns(merged),
+            schedule=merged,
+            metrics=metrics_from_schedule(merged),
             events=events,
             commitments=commitments,
             replans=replans,

@@ -30,7 +30,7 @@ from ..cluster.cluster import Cluster
 from ..core.errors import ConfigurationError, SimulationError
 from ..core.job import ProblemInstance
 from ..core.metrics import ScheduleMetrics
-from ..core.schedule import Schedule, ScheduleColumns, validate_schedule
+from ..core.schedule import Schedule, validate_schedule
 from ..core.types import SwitchMode, TaskRef
 from ..faults.detector import HeartbeatConfig, run_detection
 from ..faults.recovery import ChaosTelemetry, RecoveryReport
@@ -74,14 +74,14 @@ _ROW = ("gpu", "start", "job", "rnd", "slot", "train", "sync")
 
 
 def _sequences(
-    parts: list[ScheduleColumns], at: float
+    parts: list[Schedule], at: float
 ) -> list[TaskSequence]:
     """Each GPU's rows of *parts* starting at or after *at*, in start
     then task order: one wire message per GPU, by ascending id."""
     rows = sorted(
         row
-        for cols in parts
-        for row in zip(*(getattr(cols, name).tolist() for name in _ROW))
+        for part in parts
+        for row in zip(*(getattr(part, name).tolist() for name in _ROW))
         if row[1] >= at
     )
     return [
@@ -159,7 +159,7 @@ class ControlPlane:
 
     # ------------------------------------------------------------------
     def _ship(
-        self, parts: list[ScheduleColumns], policy: RetryPolicy, *, at: float
+        self, parts: list[Schedule], policy: RetryPolicy, *, at: float
     ) -> list[SequenceAck]:
         """Ship every GPU's tasks starting at or after *at* over the
         (unreliable) wire.
@@ -278,7 +278,7 @@ class ControlPlane:
         # Arm the unreliable wire; every send below may drop.
         self.transport.faults = scenario.network()
         telemetry = ChaosTelemetry()
-        acks = self._ship([plan.columns()], retry, at=0.0)
+        acks = self._ship([plan], retry, at=0.0)
         kernel = SchedulingKernel(
             instance, self.scheduler.make_policy(instance)
         )
@@ -445,7 +445,7 @@ def _write_checkpoints(
     barriers (a round's barrier is its end): one every *interval* rounds
     and a final one at the job's last barrier. Returns the bytes
     written."""
-    job_of, rnd_of, _, ends, _, _ = realized.columns().round_spans()
+    job_of, rnd_of, _, ends, _, _ = realized.round_spans()
     barriers = dict(zip(zip(job_of.tolist(), rnd_of.tolist()),
                         ends.tolist()))
     written = 0.0
@@ -504,20 +504,19 @@ def traffic_bill(
     and one ack per busy GPU, one gradient push per task and one model
     update per round, and the checkpoints :func:`_write_checkpoints`
     writes. Reduced from the columns; no message is built."""
-    cols = realized.columns()
     specs = [spec_or_synthetic(model) for model in instance.model]
-    tasks = np.bincount(cols.job, minlength=instance.num_jobs)
+    tasks = np.bincount(realized.job, minlength=instance.num_jobs)
     rounds = instance.num_rounds
     store = BlobStore()
     checkpoint_bytes = _write_checkpoints(
         store, instance, realized, interval=checkpoint_interval
     )
-    busy = len(np.unique(cols.gpu))
+    busy = len(np.unique(realized.gpu))
     return TrafficBill(
         submissions=instance.num_jobs,
         sequences=busy,
         acks=busy,
-        gradient_pushes=len(cols),
+        gradient_pushes=len(realized),
         model_updates=int(rounds.sum()),
         completions=instance.num_jobs,
         payload_bytes=float(
@@ -537,10 +536,10 @@ def _releases(
     rounds a job re-runs after a rollback also wait for its restore.
     Tasks of the initial plan have no entry (shipped at t=0)."""
     releases: dict[TaskRef, float] = {}
-    cols = run.schedule.columns()
+    schedule = run.schedule
     for job, rnd, slot, start in zip(
-        cols.job.tolist(), cols.rnd.tolist(), cols.slot.tolist(),
-        cols.start.tolist(),
+        schedule.job.tolist(), schedule.rnd.tolist(),
+        schedule.slot.tolist(), schedule.start.tolist(),
     ):
         k = bisect_right(detections, start)
         if k:

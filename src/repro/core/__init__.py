@@ -17,11 +17,11 @@ __getattr__, __dir__, __all__ = lazy_facade(globals(), {
     ".job": "Job ProblemInstance",
     ".metrics": (
         "JobMetrics ScheduleMetrics gpu_utilization improvement_percent "
-        "jct_cdf mean_cluster_utilization metrics_from_columns "
-        "metrics_from_completions metrics_from_schedule utilization_timeline"
+        "jct_cdf mean_cluster_utilization metrics_from_completions "
+        "metrics_from_schedule utilization_timeline"
     ),
     ".schedule": (
-        "Schedule ScheduleColumns TaskAssignment merge_intervals "
+        "Schedule TaskAssignment merge_intervals "
         "schedule_from_mapping schedule_from_rows validate_schedule"
     ),
     ".types": (

@@ -617,7 +617,7 @@ class ProblemInstance:
     def task_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Job, round and slot of every task as read-only int64 arrays,
         in :meth:`all_tasks` order — entry ``k`` names canonical task
-        ``k`` (:attr:`repro.core.schedule.ScheduleColumns.canon`).
+        ``k`` (:attr:`repro.core.schedule.Schedule.canon`).
         Computed once, from :attr:`task_offset`."""
         if self._tasks is None:
             offset = self.task_offset

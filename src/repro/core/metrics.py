@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .job import Job, ProblemInstance
-from .schedule import Schedule, ScheduleColumns, merge_intervals
+from .schedule import Schedule, merge_intervals
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,17 +117,12 @@ def metrics_from_completions(
 
 
 def metrics_from_schedule(schedule: Schedule) -> ScheduleMetrics:
-    """Compute metrics directly from an (analytic) schedule."""
-    return metrics_from_columns(schedule.columns())
-
-
-def metrics_from_columns(columns: ScheduleColumns) -> ScheduleMetrics:
-    """:func:`metrics_from_schedule` over a schedule's column view: one
-    ``np.maximum.at`` over final-round rows, bit-equal to the object walk."""
+    """A schedule's metrics: one ``np.maximum.at`` over its final-round
+    rows, bit-equal to the object walk."""
     return metrics_from_completions(
-        columns.instance,
-        columns.completions(),
-        makespan=columns.makespan(),
+        schedule.instance,
+        schedule.completions(),
+        makespan=schedule.makespan(),
     )
 
 
@@ -162,16 +157,15 @@ def gpu_utilization(
     starting at or past the horizon are excluded; a straddling interval
     contributes its part before the horizon.
     """
-    cols = schedule.columns()
     if horizon is None:
-        horizon = cols.makespan()
-    out = {m: 0.0 for m in range(cols.instance.num_gpus)}
+        horizon = schedule.makespan()
+    out = {m: 0.0 for m in range(schedule.instance.num_gpus)}
     if horizon <= 0:
         return out
     busy: dict[int, list[tuple[float, float]]] = {}
     for gpu, start, end in zip(
-        cols.gpu.tolist(), cols.start.tolist(),
-        (cols.start + cols.train).tolist(),
+        schedule.gpu.tolist(), schedule.start.tolist(),
+        (schedule.start + schedule.train).tolist(),
     ):
         busy.setdefault(gpu, []).append((start, end))
     for gpu, intervals in busy.items():

@@ -7,10 +7,10 @@ also provides :func:`validate_schedule`, which checks the full Hare_Sched
 constraint set, and helpers to derive per-GPU task sequences and per-job
 completion times.
 
-A schedule *is* one :class:`ScheduleColumns` view — the schedule as numpy
-columns, one row per task — built by :func:`schedule_from_rows` or straight
-from a producer's arrays. Checks and metrics read the view; per-task
-objects are built only for a reader that asks for them.
+A schedule is numpy columns, one row per task, built by
+:func:`schedule_from_rows` or straight from a producer's arrays. Checks
+and metrics read the columns; per-task objects are built only for a
+reader that asks for them.
 """
 
 from __future__ import annotations
@@ -28,6 +28,9 @@ from .types import TaskRef
 
 #: Start-time comparisons tolerate this much float slack (seconds).
 TIME_EPS = 1e-9
+
+#: The columns a :class:`Schedule` is built from, in constructor order.
+_COLUMNS = ("job", "rnd", "slot", "gpu", "start", "train", "sync")
 
 #: One task's placement as :func:`schedule_from_rows` reads it:
 #: ``(job, rnd, slot, gpu, start)``.
@@ -62,143 +65,27 @@ class TaskAssignment:
 
 
 class Schedule:
-    """A complete task schedule for a problem instance.
+    """A task schedule for a problem instance, as numpy columns, one row
+    per task.
 
-    A schedule is one :class:`ScheduleColumns` view, made by
-    :meth:`ScheduleColumns.to_schedule` or :func:`schedule_from_rows`,
-    and never changes. :attr:`assignments` is a read-only
-    ``task -> TaskAssignment`` mapping built from the view on its first
-    read and kept beside it; ``len``, :meth:`columns`, validation and
-    the metrics read the view, so they never build objects. A schedule
-    pickles as its view.
-    """
-
-    __slots__ = ("instance", "_columns", "_assignments")
-    __hash__ = None  # type: ignore[assignment]
-
-    def __init__(self, columns: ScheduleColumns) -> None:
-        self.instance = columns.instance
-        self._columns = columns
-        self._assignments: Mapping[TaskRef, TaskAssignment] | None = None
-
-    def __reduce__(self):
-        return Schedule, (self._columns,)
-
-    @property
-    def assignments(self) -> Mapping[TaskRef, TaskAssignment]:
-        """Task → assignment, read-only, in row order; built from the
-        view on first read."""
-        if self._assignments is None:
-            self._assignments = MappingProxyType(
-                self._columns._build_assignments()
-            )
-        return self._assignments
-
-    def __len__(self) -> int:
-        return len(self._columns)
-
-    def __contains__(self, task: TaskRef) -> bool:
-        return task in self.assignments
-
-    def __getitem__(self, task: TaskRef) -> TaskAssignment:
-        return self.assignments[task]
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.instance, self.assignments) == (
-            other.instance, other.assignments
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"Schedule(instance={self.instance!r}, "
-            f"assignments={dict(self.assignments)!r})"
-        )
-
-    # ------------------------------------------------------------------
-    # Derived views
-    # ------------------------------------------------------------------
-    def columns(self) -> ScheduleColumns:
-        """The schedule as columns: its view."""
-        return self._columns
-
-    def gpu_sequences(self) -> dict[int, list[TaskAssignment]]:
-        """Per-GPU task sequences ordered by start time.
-
-        This is exactly what the Hare scheduler ships to each executor
-        (§3, Fig. 9): an ordered list of tasks per GPU.
-        """
-        seqs: dict[int, list[TaskAssignment]] = {}
-        for a in self.assignments.values():
-            seqs.setdefault(a.gpu, []).append(a)
-        for seq in seqs.values():
-            seq.sort(key=lambda a: (a.start, a.task))
-        return seqs
-
-    def round_end(self, job_id: int, round_idx: int) -> float:
-        """Completion (post-sync) time of a round: max end over its tasks."""
-        instance = self.instance
-        rounds = int(instance.num_rounds[job_id])
-        if not 0 <= round_idx < rounds:
-            raise ConfigurationError(
-                f"round {round_idx} out of range for job {job_id} "
-                f"with {rounds} rounds"
-            )
-        scale = int(instance.sync_scale[job_id])
-        assignments = self.assignments
-        ends = [
-            assignments[t].end
-            for t in (TaskRef(job_id, round_idx, d) for d in range(scale))
-            if t in assignments
-        ]
-        if len(ends) != scale:
-            raise ScheduleValidationError(
-                5,
-                f"job {job_id} round {round_idx} has {len(ends)} scheduled "
-                f"tasks, expected {scale}",
-            )
-        return max(ends)
-
-    def job_completion(self, job_id: int) -> float:
-        """``C_n``: the end of the job's last round."""
-        last = int(self.instance.num_rounds[job_id]) - 1
-        return self.round_end(job_id, last)
-
-    def completions(self) -> dict[int, float]:
-        """``C_n`` for every job."""
-        return self.columns().completions()
-
-    def makespan(self) -> float:
-        """Latest task end over all jobs (0 for an empty schedule)."""
-        return self.columns().makespan()
-
-    def total_weighted_completion(self) -> float:
-        """The paper's objective ``Σ_n w_n · C_n``."""
-        return sum(
-            weight * self.job_completion(n)
-            for n, weight in enumerate(self.instance.weight.tolist())
-        )
-
-
-class ScheduleColumns:
-    """A schedule as numpy columns, one row per assignment.
-
-    Rows keep the schedule's insertion order. ``job``/``rnd``/``slot``
-    name each row's task, ``gpu``/``start``/``train``/``sync`` its
-    placement, and ``canon`` its position in ``instance.all_tasks()``
-    order — ``task_offset[job] + rnd · sync_scale[job] + slot``, read
-    from the instance's job table — or -1 for a task the instance does
-    not have. Producers build it straight from their
-    arrays or rows (:func:`schedule_from_rows`), and :meth:`to_schedule`
-    wraps it in a :class:`Schedule` that builds objects only when they
-    are read.
+    Rows keep the producer's order. ``job``/``rnd``/``slot`` name each
+    row's task, ``gpu``/``start``/``train``/``sync`` its placement, and
+    ``canon`` its position in ``instance.all_tasks()`` order —
+    ``task_offset[job] + rnd · sync_scale[job] + slot``, read from the
+    instance's job table — or -1 for a task the instance does not have.
+    Producers build it straight from their arrays or rows
+    (:func:`schedule_from_rows`), and it never changes.
+    :attr:`assignments` is a read-only ``task -> TaskAssignment`` mapping
+    built on its first read; ``len``, validation and the metrics read the
+    columns, so they never build objects. A schedule pickles as its
+    columns.
     """
 
     __slots__ = (
         "instance", "job", "rnd", "slot", "gpu",
-        "start", "train", "sync", "canon",
+        "start", "train", "sync", "canon", "_assignments",
     )
+    __hash__ = None  # type: ignore[assignment]
 
     def __init__(
         self, instance: ProblemInstance, job, rnd, slot, gpu, start, train,
@@ -212,6 +99,15 @@ class ScheduleColumns:
         self.start = np.asarray(start, dtype=np.float64)
         self.train = np.asarray(train, dtype=np.float64)
         self.sync = np.asarray(sync, dtype=np.float64)
+        self._assignments: Mapping[TaskRef, TaskAssignment] | None = None
+        lengths = [len(getattr(self, name)) for name in _COLUMNS]
+        if len(set(lengths)) > 1:
+            raise ConfigurationError(
+                "schedule columns differ in length: "
+                + ", ".join(
+                    f"{name}={n}" for name, n in zip(_COLUMNS, lengths)
+                )
+            )
         nj = instance.num_jobs
         # Unknown job ids index a sentinel job with no rounds.
         j = np.where((self.job >= 0) & (self.job < nj), self.job, nj)
@@ -224,14 +120,72 @@ class ScheduleColumns:
             -1,
         )
 
+    def __reduce__(self):
+        return Schedule, (
+            self.instance, *(getattr(self, name) for name in _COLUMNS)
+        )
+
+    @property
+    def assignments(self) -> Mapping[TaskRef, TaskAssignment]:
+        """Task → assignment, read-only, in row order; built on first
+        read. A task on two rows keeps its last (:func:`validate_schedule`
+        rejects it)."""
+        if self._assignments is None:
+            assignments: dict[TaskRef, TaskAssignment] = {}
+            for j, r, s, g, st, tr, sy in zip(
+                *(getattr(self, name).tolist() for name in _COLUMNS)
+            ):
+                task = TaskRef(j, r, s)
+                assignments[task] = TaskAssignment(
+                    task=task, gpu=g, start=st, train_time=tr, sync_time=sy
+                )
+            self._assignments = MappingProxyType(assignments)
+        return self._assignments
+
     def __len__(self) -> int:
         return len(self.job)
+
+    def __contains__(self, task: TaskRef) -> bool:
+        return task in self.assignments
+
+    def __getitem__(self, task: TaskRef) -> TaskAssignment:
+        return self.assignments[task]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.instance == other.instance
+            and len(self) == len(other)
+            and self.assignments == other.assignments
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"Schedule(rows={len(self)}, "
+            f"jobs={np.unique(self.job).size}, "
+            f"gpus={np.unique(self.gpu).size}, "
+            f"makespan={self.makespan():.6g})"
+        )
 
     @property
     def end(self) -> np.ndarray:
         """Per-row ``(start + train) + sync``, bit-equal to
         :attr:`TaskAssignment.end`."""
         return (self.start + self.train) + self.sync
+
+    def gpu_sequences(self) -> dict[int, list[TaskAssignment]]:
+        """Per-GPU task sequences ordered by start time.
+
+        This is exactly what the Hare scheduler ships to each executor
+        (§3, Fig. 9): an ordered list of tasks per GPU.
+        """
+        seqs: dict[int, list[TaskAssignment]] = {}
+        for a in self.assignments.values():
+            seqs.setdefault(a.gpu, []).append(a)
+        for seq in seqs.values():
+            seq.sort(key=lambda a: (a.start, a.task))
+        return seqs
 
     def _canonical_task(self, k: int) -> TaskRef:
         """The instance task at canonical index *k*."""
@@ -250,7 +204,7 @@ class ScheduleColumns:
     def canonical_rows(self) -> np.ndarray:
         """Row holding each instance task, in ``all_tasks()`` order.
 
-        Raises :class:`KeyError` naming the first task the view lacks;
+        Raises :class:`KeyError` naming the first task the schedule lacks;
         rows for tasks the instance does not have are ignored.
         """
         rows = self._rows_by_canon()
@@ -259,7 +213,7 @@ class ScheduleColumns:
         return rows
 
     def rows_of(self, tasks: Iterable[TaskRef]) -> list[int]:
-        """The row holding each of *tasks* (-1: the view lacks it)."""
+        """The row holding each of *tasks* (-1: the schedule lacks it)."""
         by_canon = self._rows_by_canon().tolist()
         inst = self.instance
         rounds, scale = inst.num_rounds.tolist(), inst.sync_scale.tolist()
@@ -277,9 +231,8 @@ class ScheduleColumns:
     def completions(self) -> dict[int, float]:
         """``C_n`` for every job: the max end over its final round.
 
-        Raises the same :class:`ScheduleValidationError` as
-        :meth:`Schedule.round_end` for the first job, by id, whose final
-        round is not fully scheduled.
+        Raises :class:`ScheduleValidationError` (5) for the first job, by
+        id, whose final round is not fully scheduled.
         """
         rounds, scale = self.instance.num_rounds, self.instance.sync_scale
         num_jobs = len(rounds)
@@ -332,27 +285,6 @@ class ScheduleColumns:
             self.gpu[rows], self.train[rows] + self.sync[rows],
         )
 
-    def to_schedule(self) -> Schedule:
-        """The :class:`Schedule` of this view: its objects are built
-        only when somebody reads them (:attr:`Schedule.assignments`)."""
-        return Schedule(self)
-
-    def _build_assignments(self) -> dict[TaskRef, TaskAssignment]:
-        """One :class:`TaskAssignment` per row, in row order: the only
-        place objects are built. A task on two rows keeps its last
-        (:func:`validate_schedule` rejects it)."""
-        assignments: dict[TaskRef, TaskAssignment] = {}
-        for j, r, s, g, st, tr, sy in zip(
-            self.job.tolist(), self.rnd.tolist(), self.slot.tolist(),
-            self.gpu.tolist(), self.start.tolist(), self.train.tolist(),
-            self.sync.tolist(),
-        ):
-            task = TaskRef(j, r, s)
-            assignments[task] = TaskAssignment(
-                task=task, gpu=g, start=st, train_time=tr, sync_time=sy
-            )
-        return assignments
-
 
 def _check_assignment(
     instance: ProblemInstance,
@@ -397,15 +329,18 @@ def _check_assignment(
         raise ScheduleValidationError(6, f"{task} has negative durations")
 
 
-def _task(cols: ScheduleColumns, row: int) -> TaskRef:
+def _task(schedule: Schedule, row: int) -> TaskRef:
     """The task on *row*."""
-    return TaskRef(int(cols.job[row]), int(cols.rnd[row]), int(cols.slot[row]))
+    return TaskRef(
+        int(schedule.job[row]), int(schedule.rnd[row]),
+        int(schedule.slot[row]),
+    )
 
 
 def _item(schedule: Schedule, row: int) -> tuple[TaskRef, TaskAssignment]:
     """The (task, assignment) pair on *row* of a schedule whose tasks
     are on one row each."""
-    task = _task(schedule.columns(), row)
+    task = _task(schedule, row)
     return task, schedule[task]
 
 
@@ -447,51 +382,50 @@ def validate_schedule(
     4. (8) the first overlapping pair on the first GPU, GPUs in order of
        first appearance, each GPU's tasks by ``(start, task)``.
 
-    **Cost.** :meth:`Schedule.columns` is the schedule's view; every
-    check is numpy work over the columns — one ``bincount``,
-    masks, per-round ``reduceat`` and one ``lexsort`` — so O(n log n)
-    with no per-task Python work.
+    **Cost.** Every check is numpy work over the schedule's columns —
+    one ``bincount``, masks, per-round ``reduceat`` and one ``lexsort``
+    — so O(n log n) with no per-task Python work.
     """
     inst = schedule.instance
-    cols = schedule.columns()
 
     # (5): full coverage, then no unknown and no duplicated tasks (a
     # schedule can hold a task on two rows).
-    known = cols.canon >= 0
-    times = np.bincount(cols.canon[known], minlength=inst.num_tasks)
+    known = schedule.canon >= 0
+    times = np.bincount(schedule.canon[known], minlength=inst.num_tasks)
     missing = times == 0
     if missing.any():
         raise ScheduleValidationError(
             5,
             f"{int(missing.sum())} tasks unscheduled, e.g. "
-            f"{cols._canonical_task(int(missing.argmax()))}",
+            f"{schedule._canonical_task(int(missing.argmax()))}",
         )
     unknown = np.flatnonzero(~known)
     if unknown.size:
         first = unknown[
-            np.lexsort(
-                (cols.slot[unknown], cols.rnd[unknown], cols.job[unknown])
-            )[0]
+            np.lexsort((
+                schedule.slot[unknown], schedule.rnd[unknown],
+                schedule.job[unknown],
+            ))[0]
         ]
         raise ScheduleValidationError(
             5,
             f"{unknown.size} unknown tasks scheduled, e.g. "
-            f"{_task(cols, int(first))}",
+            f"{_task(schedule, int(first))}",
         )
     repeated = times > 1
     if repeated.any():
         raise ScheduleValidationError(
             5,
             f"{int(repeated.sum())} tasks assigned more than once, e.g. "
-            f"{cols._canonical_task(int(repeated.argmax()))}",
+            f"{schedule._canonical_task(int(repeated.argmax()))}",
         )
-    if not len(cols):
+    if not len(schedule):
         return
-    canon_rows = cols._rows_by_canon()
+    canon_rows = schedule._rows_by_canon()
 
     # Per-task checks, each row in the precedence of _check_assignment.
-    job, gpu = cols.job, cols.gpu
-    start, train, sync = cols.start, cols.train, cols.sync
+    job, gpu = schedule.job, schedule.gpu
+    start, train, sync = schedule.start, schedule.train, schedule.sync
     arrival = inst.arrival
     gpu_ok = (gpu >= 0) & (gpu < inst.num_gpus)
     bad = ~gpu_ok | ~np.isfinite(start) | (start < arrival[job] - eps)
@@ -515,7 +449,7 @@ def validate_schedule(
     block = np.zeros(int(rounds.sum()), dtype=np.int64)
     np.cumsum(np.repeat(inst.sync_scale, rounds)[:-1], out=block[1:])
     round_start = np.minimum.reduceat(start[canon_rows], block)
-    round_end = np.maximum.reduceat(cols.end[canon_rows], block)
+    round_end = np.maximum.reduceat(schedule.end[canon_rows], block)
     first_round = np.cumsum(rounds) - rounds
     barrier = np.empty_like(round_end)
     barrier[1:] = round_end[:-1]
@@ -534,7 +468,7 @@ def validate_schedule(
     # (8): non-overlap of compute on each GPU — rows by (GPU, start,
     # task), adjacent pairs (canonical order is task order). The report
     # names the first clash on the clashing GPU that appears first.
-    order = np.lexsort((cols.canon, start, gpu))
+    order = np.lexsort((schedule.canon, start, gpu))
     g_sorted = gpu[order]
     compute_end = (start + train)[order]
     clash = np.flatnonzero(
@@ -582,9 +516,9 @@ def schedule_from_rows(
         raise ScheduleValidationError(
             5, f"{task} placed on nonexistent GPU {int(gpu[k])}"
         )
-    return ScheduleColumns(
+    return Schedule(
         instance, job, rnd, slot, gpu, start, *instance.times(job, gpu)
-    ).to_schedule()
+    )
 
 
 def schedule_from_mapping(

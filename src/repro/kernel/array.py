@@ -33,8 +33,8 @@ instants in the same order, from the same arrays.
 
 Both loops share one :class:`~repro.kernel.state.KernelState`: the
 commit log (:class:`~repro.kernel.state.CommitLog`) both append to, and
-φ, ``rounds_done`` and ``ready_at`` as arrays. The result wraps the log
-as a column-backed :class:`~repro.core.schedule.Schedule`, whose
+φ, ``rounds_done`` and ``ready_at`` as arrays. The result's
+:class:`~repro.core.schedule.Schedule` is the log's columns, whose
 per-task objects are built only when somebody reads them.
 
 Equivalence subtleties worth knowing before editing:
@@ -61,7 +61,7 @@ import numpy as np
 
 from ..core.errors import ConfigurationError, SimulationError
 from ..core.job import ProblemInstance
-from ..core.metrics import metrics_from_columns
+from ..core.metrics import metrics_from_schedule
 from ..core.types import TaskRef
 from ..obs import current as obs_current
 from .events import KernelEventType
@@ -182,14 +182,14 @@ class ArraySchedulingKernel:
     def run(self) -> KernelResult:
         self.policy.setup(self.state)
         self._replay_plan()
-        columns = self.state.committed.columns()
+        schedule = self.state.committed.columns()
         obs = obs_current()
         obs.metrics.counter("kernel.events").inc(self.processed)
         if obs.tracer.enabled:
-            emit_rounds(columns)
+            emit_rounds(schedule)
         return KernelResult(
-            schedule=columns.to_schedule(),
-            metrics=metrics_from_columns(columns),
+            schedule=schedule,
+            metrics=metrics_from_schedule(schedule),
             events=self.processed,
             commitments=self.commitments,
             replans=int(getattr(self.policy, "replans", 0)),

@@ -36,7 +36,7 @@ import numpy as np
 
 from ..core.errors import GangDoesNotFitError, InfeasibleProblemError
 from ..core.job import ProblemInstance
-from ..core.schedule import ScheduleColumns
+from ..core.schedule import Schedule
 from .events import Event, KernelEventType
 from .residual import build_residual, replan, to_global
 from .state import KERNEL_EPS, Commitment, KernelState
@@ -113,13 +113,13 @@ class PlannedPolicy(Policy):
 
     def setup(self, state: KernelState) -> None:
         instance = state.instance
-        cols = self.planner.schedule(instance).columns()
-        rows = cols.canonical_rows()
+        plan = self.planner.schedule(instance)
+        rows = plan.canonical_rows()
         self.canon = [
-            cols.gpu[rows], cols.start[rows], cols.train[rows],
-            cols.sync[rows],
+            plan.gpu[rows], plan.start[rows], plan.train[rows],
+            plan.sync[rows],
         ]
-        self._tasks = (cols.job[rows], cols.rnd[rows], cols.slot[rows])
+        self._tasks = (plan.job[rows], plan.rnd[rows], plan.slot[rows])
         self._first = instance.task_offset.tolist()
         self._alive = frozenset(state.alive)
         self.replans = 0
@@ -141,12 +141,12 @@ class PlannedPolicy(Policy):
             gpu[lo:hi], start[lo:hi], train[lo:hi], sync[lo:hi],
         )]
 
-    def uncommitted(self, state: KernelState) -> ScheduleColumns:
+    def uncommitted(self, state: KernelState) -> Schedule:
         """The current plan's rows for every round not yet committed:
         what this policy will still commit unless a crash re-plans."""
         job, rnd, slot = self._tasks
         left = rnd >= state.rounds_done[job]
-        return ScheduleColumns(
+        return Schedule(
             state.instance, job[left], rnd[left], slot[left],
             *(col[left] for col in self.canon),
         )
@@ -182,12 +182,12 @@ class PlannedPolicy(Policy):
         )
         if residual is None:
             return []
-        local = replan(self.planner, residual).columns()
+        local = replan(self.planner, residual)
         self.replans += 1
         job, rnd, gpu = to_global(
             local.job, local.rnd, local.gpu, id_map, gpu_subset
         )
-        plan = ScheduleColumns(
+        plan = Schedule(
             instance, job, rnd, local.slot, gpu, local.start, local.train,
             local.sync,
         )

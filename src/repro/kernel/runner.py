@@ -40,8 +40,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..core.errors import InfeasibleProblemError, SimulationError
-from ..core.metrics import ScheduleMetrics, metrics_from_columns
-from ..core.schedule import Schedule, ScheduleColumns
+from ..core.metrics import ScheduleMetrics, metrics_from_schedule
+from ..core.schedule import Schedule
 from ..core.job import ProblemInstance
 from ..obs import Category, current as obs_current
 from .events import Event, EventQueue, KernelEventType
@@ -61,13 +61,11 @@ from .state import (
 class KernelResult:
     """Outcome of one kernel run.
 
-    :attr:`schedule` is a snapshot of the commit log. Both loops and
-    the cell merge hand it over column-backed
-    (:meth:`~repro.core.schedule.ScheduleColumns.to_schedule`), so runs
+    :attr:`schedule` is a snapshot of the commit log, as columns: runs
     pay the per-task :class:`~repro.core.schedule.TaskAssignment`
-    construction only when somebody reads its objects, and readers of
-    :meth:`columns` (the cell merge, validation, metrics) never do; a
-    result pickles whatever the schedule holds. The statistics
+    construction only when somebody reads its objects, and the cell
+    merge, validation and metrics, which read the columns, never do. The
+    statistics
     (``events``/``commitments``/``replans``/``retracted_rounds``) are
     plain ints, byte-comparable across backends; :attr:`retractions`
     lists what each crash took from each job, in application order, and
@@ -83,11 +81,6 @@ class KernelResult:
     retracted_rounds: int
     retractions: tuple[Retraction, ...] = ()
     replan_instants: tuple[tuple[float, int], ...] = ()
-
-    def columns(self) -> ScheduleColumns:
-        """The committed schedule's column view
-        (:meth:`Schedule.columns`)."""
-        return self.schedule.columns()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -394,12 +387,12 @@ class SchedulingKernel:
             )
         obs = obs_current()
         obs.metrics.counter("kernel.events").inc(self.processed)
-        columns = state.committed.columns()
+        schedule = state.committed.columns()
         if obs.tracer.enabled:
-            emit_rounds(columns)
+            emit_rounds(schedule)
         return KernelResult(
-            schedule=columns.to_schedule(),
-            metrics=metrics_from_columns(columns),
+            schedule=schedule,
+            metrics=metrics_from_schedule(schedule),
             events=self.processed,
             commitments=self.commitments,
             replans=int(getattr(self.policy, "replans", 0)),
@@ -522,21 +515,21 @@ def emit_retract(retraction: Retraction) -> None:
     )
 
 
-def emit_rounds(columns: ScheduleColumns) -> None:
-    """One ``kernel.round`` instant per committed round of *columns*.
+def emit_rounds(schedule: Schedule) -> None:
+    """One ``kernel.round`` instant per committed round of *schedule*.
 
     The attribution engine's input (:mod:`repro.obs.attrib`): each row of
-    :meth:`~repro.core.schedule.ScheduleColumns.round_spans`, at its
+    :meth:`~repro.core.schedule.Schedule.round_spans`, at its
     round end, with the job's best-profiled round time
     (:meth:`~repro.core.job.ProblemInstance.best_round_time`) as
     ``best``. Every kernel calls this once, after its run, on the
-    columns it committed; rounds a crash retracted are not among them.
+    schedule it committed; rounds a crash retracted are not among them.
     """
     tracer = obs_current().tracer
-    instance = columns.instance
+    instance = schedule.instance
     best: dict[int, float] = {}
     for job, r, start, end, gpu, busy in zip(
-        *(col.tolist() for col in columns.round_spans())
+        *(col.tolist() for col in schedule.round_spans())
     ):
         if job not in best:
             best[job] = instance.best_round_time(job)

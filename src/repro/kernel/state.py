@@ -26,7 +26,7 @@ import numpy as np
 
 from ..core.errors import ScheduleValidationError, SimulationError
 from ..core.job import ProblemInstance
-from ..core.schedule import ScheduleColumns
+from ..core.schedule import Schedule
 from ..core.types import TaskRef
 
 #: Time comparisons in the kernel tolerate this much float slack.
@@ -103,9 +103,9 @@ class CommitLog:
         )
         return ends
 
-    def columns(self) -> ScheduleColumns:
+    def columns(self) -> Schedule:
         """A copy of the committed rows."""
-        return ScheduleColumns(
+        return Schedule(
             self.instance, *(buf[: self.n].copy() for buf in self.buffers)
         )
 

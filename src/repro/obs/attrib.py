@@ -41,13 +41,13 @@ file (:func:`attribute_records`) — and produces an
   reports component-by-component, so "JCT regressed 12%" decomposes
   into "9 points are added queue wait".
 
-Round spans are :meth:`~repro.core.schedule.ScheduleColumns.round_spans`
-of the committed schedule: every kernel emits them after its run as
+Round spans are :meth:`~repro.core.schedule.Schedule.round_spans` of
+the committed schedule: every kernel emits them after its run as
 ``kernel.round`` instants (:func:`repro.kernel.runner.emit_rounds`),
-and :func:`attribute_schedule` reads them straight from any
-:class:`~repro.core.schedule.Schedule`'s columns when there is no
-record stream. Arrivals come from ``JOB_ARRIVED`` (flat runs) or
-``cells.admit`` (sharded runs, which also supply per-cell residency).
+and :func:`attribute_schedule` reads them straight from any schedule
+when there is no record stream. Arrivals come from ``JOB_ARRIVED``
+(flat runs) or ``cells.admit`` (sharded runs, which also supply
+per-cell residency).
 """
 
 from __future__ import annotations
@@ -650,13 +650,13 @@ def attribute_schedule(
     gap classification. Realized (DES) schedules whose task durations
     include switching costs surface the excess as ``switch_overhead``
     against the instance's profile matrices. Only the schedule's columns
-    are read, so a column-backed schedule is never materialized.
+    are read, so no per-task object is built.
     """
     if instance is None:
         instance = schedule.instance
     job_rounds: dict[int, list[_Round]] = {}
     best: dict[int, float] = {}
-    spans = schedule.columns().round_spans()
+    spans = schedule.round_spans()
     for j, r, start, end, gpu, busy in sorted(
         zip(*(col.tolist() for col in spans))
     ):

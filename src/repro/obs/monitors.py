@@ -995,7 +995,8 @@ def replay_monitors(
 def diagnose_schedule(
     schedule, *, instance=None, monitors: Sequence[Monitor] | None = None
 ) -> DiagnosisReport:
-    """Check an in-memory :class:`~repro.core.schedule.Schedule`.
+    """Check an in-memory :class:`~repro.core.schedule.Schedule`, read
+    from its columns (no per-task object is built).
 
     Synthesizes the records a simulated replay would have produced —
     compute spans on GPU tracks, sync spans and barrier instants on job
@@ -1017,13 +1018,13 @@ def diagnose_schedule(
         )
         seq += 1
 
-    cols = schedule.columns()
     round_end: dict[tuple[int, int], float] = {}
     # Rows by (start, task), as the executors would run them.
     for start, job, rnd, slot, gpu, train, sync in sorted(zip(
-        cols.start.tolist(), cols.job.tolist(), cols.rnd.tolist(),
-        cols.slot.tolist(), cols.gpu.tolist(), cols.train.tolist(),
-        cols.sync.tolist(),
+        schedule.start.tolist(), schedule.job.tolist(),
+        schedule.rnd.tolist(), schedule.slot.tolist(),
+        schedule.gpu.tolist(), schedule.train.tolist(),
+        schedule.sync.tolist(),
     )):
         key = (job, rnd)
         round_end[key] = max(round_end.get(key, 0.0), start + train + sync)

@@ -26,7 +26,7 @@ import numpy as np
 
 from ..core.errors import InfeasibleProblemError, SolverError
 from ..core.job import ProblemInstance, expand
-from ..core.schedule import Schedule, ScheduleColumns
+from ..core.schedule import Schedule
 from .base import Scheduler
 from .registry import register
 
@@ -196,7 +196,7 @@ class SchedAlloxScheduler(Scheduler):
             if not future:  # pragma: no cover - defensive
                 raise InfeasibleProblemError("AlloX deadlock")
             t = min(future)
-        return ScheduleColumns(instance, **cols).to_schedule()
+        return Schedule(instance, **cols)
 
     def _match(
         self,

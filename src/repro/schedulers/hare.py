@@ -46,12 +46,7 @@ from ..core.errors import (
     SolverError,
 )
 from ..core.job import ProblemInstance
-from ..core.schedule import (
-    Schedule,
-    ScheduleColumns,
-    ScheduleRow,
-    schedule_from_rows,
-)
+from ..core.schedule import Schedule, ScheduleRow, schedule_from_rows
 from ..core.types import TaskRef
 from ..obs import Category, current as obs_current
 from .base import Scheduler
@@ -311,11 +306,11 @@ def list_schedule(
     expanded from the type table once per distinct per-type row, never
     per job. Per-round counts and barriers are flat lists indexed
     by round, placements are appended to column lists, and the result is
-    a column-backed :class:`~repro.core.schedule.Schedule`
-    (:meth:`ScheduleColumns.to_schedule`) whose objects are built only if
-    somebody reads them. Only the chosen GPU's ``T^c``/``T^s`` entries
-    are read back as Python floats, so a call costs at most
-    O(tasks × GPUs) numpy work and O(tasks + GPUs) Python objects.
+    a :class:`~repro.core.schedule.Schedule` built from those columns,
+    whose objects are built only if somebody reads them. Only the chosen
+    GPU's ``T^c``/``T^s`` entries are read back as Python floats, so a
+    call costs at most O(tasks × GPUs) numpy work and O(tasks + GPUs)
+    Python objects.
     ``np.argmin`` breaks ties toward the lowest GPU index, exactly like a
     heap of φ popped for its fresh entry or a strict-``<`` scan; the
     equivalence suite pins the schedules byte-identical to that
@@ -416,10 +411,10 @@ def list_schedule(
     rows = np.array(placed, dtype=np.int64)  # the placed prefix of π
     gpu = np.array(gpus, dtype=np.int64)
     job = job_col[rows]
-    return ScheduleColumns(
+    return Schedule(
         instance, job, rnd_col[rows], slot_col[rows], gpu,
         np.array(starts, dtype=np.float64), *instance.times(job, gpu),
-    ).to_schedule()
+    )
 
 
 class _Rounds:

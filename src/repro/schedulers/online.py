@@ -207,12 +207,11 @@ class OnlineHarePolicy:
         (:func:`~repro.kernel.residual.to_global`) and cut into one
         block per round.
         """
-        cols = plan.columns()
         n = residual.num_tasks
         row = np.full(n, -1, dtype=np.int64)
-        row[cols.canon] = np.arange(len(cols))
+        row[plan.canon] = np.arange(len(plan))
         start = np.full(n, np.inf)
-        start[cols.canon] = cols.start
+        start[plan.canon] = plan.start
         job, rnd, slot = residual.task_columns()
         # Canonical order holds each round's tasks as one block, and each
         # job's rounds as consecutive blocks.
@@ -234,11 +233,11 @@ class OnlineHarePolicy:
         tasks = np.repeat(keep, sizes)
         take = row[tasks]
         g_job, g_rnd, g_gpu = to_global(
-            job[tasks], rnd[tasks], cols.gpu[take], id_map, gpu_subset
+            job[tasks], rnd[tasks], plan.gpu[take], id_map, gpu_subset
         )
         columns = (
-            g_rnd, slot[tasks], g_gpu, cols.start[take], cols.train[take],
-            cols.sync[take],
+            g_rnd, slot[tasks], g_gpu, plan.start[take], plan.train[take],
+            plan.sync[take],
         )
         hi = np.cumsum(sizes[keep])
         lo = hi - sizes[keep]

@@ -60,9 +60,9 @@ def brute_force_optimal(instance: ProblemInstance) -> Schedule:
     """The minimum total weighted completion time schedule (tiny instances).
 
     Each candidate is scored from its round barriers — ``Σ_n w_n`` times
-    the barrier of job n's last round, equal to
-    :meth:`Schedule.total_weighted_completion` — and only the winner is
-    built into a :class:`Schedule`.
+    the barrier of job n's last round, the schedule's
+    :attr:`~repro.core.metrics.ScheduleMetrics.total_weighted_completion`
+    — and only the winner is built into a :class:`Schedule`.
     """
     tasks = list(instance.all_tasks())
     if len(tasks) > MAX_TASKS:

@@ -33,7 +33,7 @@ completion times ``H_i = x̂_i + ½·max_m T^c_{i,m}`` that drive the list
 scheduling of step 2, as float64 arrays in canonical task order: task
 ``i`` is the ``i``-th of ``instance.all_tasks()`` (jobs by id, then
 rounds, then slots — the numbering of
-:attr:`repro.core.schedule.ScheduleColumns.canon`).
+:attr:`repro.core.schedule.Schedule.canon`).
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from ..cluster.gpu import GPUSpec
 from ..core.errors import ConfigurationError, SimulationError
 from ..core.job import ProblemInstance
 from ..core.metrics import ScheduleMetrics, metrics_from_completions
-from ..core.schedule import Schedule, ScheduleColumns
+from ..core.schedule import Schedule
 from ..core.types import SwitchMode, TaskRef
 from ..obs import Category, Obs, gpu_track, job_track, use
 from ..obs import current as obs_current
@@ -164,10 +164,10 @@ class ClusterSimulator:
         return np.clip(rng.normal(1.0, self.jitter_sigma, size=(n, 2)),
                        0.5, 1.5)
 
-    def _release_rows(self, cols: ScheduleColumns) -> dict[int, float]:
+    def _release_rows(self, plan: Schedule) -> dict[int, float]:
         """The plan row of each released task → its release time."""
         releases = self.releases
-        rows = cols.rows_of(releases)
+        rows = plan.rows_of(releases)
         for task, row in zip(releases, rows):
             if row < 0:
                 raise ConfigurationError(
@@ -180,13 +180,13 @@ class ClusterSimulator:
         """Replay *plan*: one event loop over plain ``(time, priority,
         seq, gpu, payload)`` heap entries (DESIGN §13).
 
-        The plan is read as columns (:meth:`Schedule.columns`) and each
-        task is its plan row. An idle executor whose head cannot start
-        is parked on what it waits for: its job's arrival, the previous
-        round's barrier, or the ``held`` set (restart window or
-        unshipped release). A scan — an arrival or a barrier opening —
-        tries only the executors it can wake, in device order, which is
-        exactly the set a scan of every executor would start.
+        The plan is read as columns and each task is its plan row. An
+        idle executor whose head cannot start is parked on what it waits
+        for: its job's arrival, the previous round's barrier, or the
+        ``held`` set (restart window or unshipped release). A scan — an
+        arrival or a barrier opening — tries only the executors it can
+        wake, in device order, which is exactly the set a scan of every
+        executor would start.
 
         When the ambient tracer records, the loop appends one plain
         tuple per record group to a log, and :func:`_emit_records`
@@ -194,12 +194,11 @@ class ClusterSimulator:
         the loop, in loop order. A replay that raises emits none.
         """
         instance = self.instance
-        cols = plan.columns()
-        release_at = self._release_rows(cols) if self.releases else {}
-        if len(cols) and cols.canon.min() < 0:
-            row = cols.canon.argmin()
-            task = TaskRef(*map(int, (cols.job[row], cols.rnd[row],
-                                      cols.slot[row])))
+        release_at = self._release_rows(plan) if self.releases else {}
+        if len(plan) and plan.canon.min() < 0:
+            row = plan.canon.argmin()
+            task = TaskRef(*map(int, (plan.job[row], plan.rnd[row],
+                                      plan.slot[row])))
             raise ConfigurationError(f"plan task {task} is not in the "
                                      f"instance")
         obs = obs_current()
@@ -218,17 +217,17 @@ class ClusterSimulator:
 
         # Columns in: each GPU's rows in (start, task) order, with the
         # per-row values the loop reads as plain lists.
-        order = np.lexsort((cols.slot, cols.rnd, cols.job, cols.start,
-                            cols.gpu))
-        trains, syncs = cols.train, cols.sync
+        order = np.lexsort((plan.slot, plan.rnd, plan.job, plan.start,
+                            plan.gpu))
+        trains, syncs = plan.train, plan.sync
         if self.jitter_sigma > 0:
-            factors = self._jitter_factors(len(cols))
+            factors = self._jitter_factors(len(plan))
             trains, syncs = trains.copy(), syncs.copy()
             trains[order] *= factors[:, 0]
             syncs[order] *= factors[:, 1]
         devices = list(self.cluster.devices())
         gpu_ids = [d.gpu_id for d in devices]
-        by_gpu = cols.gpu[order]
+        by_gpu = plan.gpu[order]
         first = np.searchsorted(by_gpu, gpu_ids, side="left").tolist()
         last = np.searchsorted(by_gpu, gpu_ids, side="right").tolist()
         order_list = order.tolist()
@@ -238,13 +237,13 @@ class ClusterSimulator:
             slowdowns=self.slowdowns,
         )
         position = {m: g for g, m in enumerate(gpu_ids)}
-        job_of = cols.job.tolist()
-        rnd_of = cols.rnd.tolist()
-        slot_of = cols.slot.tolist()
-        planned_of = cols.start.tolist()
+        job_of = plan.job.tolist()
+        rnd_of = plan.rnd.tolist()
+        slot_of = plan.slot.tolist()
+        planned_of = plan.start.tolist()
         train_of = trains.tolist()
         sync_of = syncs.tolist()
-        canon_of = cols.canon.tolist()
+        canon_of = plan.canon.tolist()
         # The parameter servers' round barriers, flat: round r of job j
         # is round id round_base[j] + r, and a task is its canonical
         # index. Per round id: syncs landed and the latest one (the
@@ -254,7 +253,7 @@ class ClusterSimulator:
         synced = bytearray(instance.num_tasks)
         #: the row's round id: barrier state is indexed by it
         rid_of = (
-            np.asarray(round_base[:-1], dtype=np.int64)[cols.job] + cols.rnd
+            np.asarray(round_base[:-1], dtype=np.int64)[plan.job] + plan.rnd
         ).tolist()
 
         # Per-job constants, hoisted out of the per-task path.
@@ -278,9 +277,9 @@ class ClusterSimulator:
         retention = hare if self.retention_enabled is None else (
             self.retention_enabled
         )
-        hit_of = [False] * len(cols)
-        switch_of = [0.0] * len(cols)
-        writes_of: list[tuple] = [()] * len(cols)
+        hit_of = [False] * len(plan)
+        switch_of = [0.0] * len(plan)
+        writes_of: list[tuple] = [()] * len(plan)
 
         def derive(ex, head: int) -> None:
             """Hits and switches of *ex*'s rows from *head* on, starting
@@ -322,7 +321,7 @@ class ClusterSimulator:
             for time, gpu_id, delay in self.failures
         ]
         heap += [
-            (time, CHECK, next(seq), position[int(cols.gpu[row])], None)
+            (time, CHECK, next(seq), position[int(plan.gpu[row])], None)
             for row, time in release_at.items()
         ]
         heapq.heapify(heap)
@@ -542,12 +541,12 @@ class ClusterSimulator:
             zip(*finished) if finished else ((),) * 7
         )
         rows = np.asarray(rows, dtype=np.int64)
-        realized = ScheduleColumns(
-            instance, cols.job[rows], cols.rnd[rows], cols.slot[rows], gpu,
+        realized = Schedule(
+            instance, plan.job[rows], plan.rnd[rows], plan.slot[rows], gpu,
             start, train, sync,
         )
         telemetry = Telemetry.from_columns(
-            realized, cols.start[rows].tolist(), switch, hit, wasted,
+            realized, plan.start[rows].tolist(), switch, hit, wasted,
         )
         if sampled:
             # The run's sim.* instruments: every completion in order,
@@ -574,7 +573,7 @@ class ClusterSimulator:
             instance, realized.completions(), makespan=telemetry.makespan
         )
         return SimResult(
-            realized=realized.to_schedule(),
+            realized=realized,
             metrics=metrics,
             telemetry=telemetry,
             events_processed=processed,

@@ -1,7 +1,7 @@
 """Simulation telemetry: what one replay ran, as views over its columns.
 
 A :class:`Telemetry` is a finished replay's completions, one row each in
-completion order: the realized schedule's column view plus each task's
+completion order: the realized schedule plus each task's
 planned start, switch time and retention hit, and the compute every
 aborted attempt wasted. Its scalars (``switch_count``,
 ``retention_hits``, ``total_switch_time``, ...) are reductions of those
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ..core.metrics import gpu_utilization, mean_cluster_utilization
-from ..core.schedule import ScheduleColumns
+from ..core.schedule import Schedule
 from ..core.types import TaskRef
 
 
@@ -61,14 +61,14 @@ class Telemetry:
     @classmethod
     def from_columns(
         cls,
-        realized: ScheduleColumns,
+        realized: Schedule,
         planned_start: Sequence[float],
         switch_time: Sequence[float],
         retained_hit: Sequence[bool],
         wasted_compute_s: Iterable[float] = (),
     ) -> "Telemetry":
         """A finished run's telemetry from its completions, one row each
-        in completion order: the realized schedule's view plus each
+        in completion order: the realized schedule plus each
         task's planned start, switch time and retention hit; then the
         compute each destroyed attempt lost, in abort order."""
         telemetry = cls.__new__(cls)
@@ -166,11 +166,11 @@ class Telemetry:
         """Compute-busy fraction per GPU over [0, horizon]
         (:func:`~repro.core.metrics.gpu_utilization` of the realized
         schedule)."""
-        return gpu_utilization(self.realized.to_schedule(), horizon=horizon)
+        return gpu_utilization(self.realized, horizon=horizon)
 
     @property
     def mean_utilization(self) -> float:
-        return mean_cluster_utilization(self.realized.to_schedule())
+        return mean_cluster_utilization(self.realized)
 
     def plan_deviation(self) -> float:
         """Max relative start-time slip vs the plan (sim-accuracy metric).

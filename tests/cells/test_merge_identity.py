@@ -144,14 +144,14 @@ def test_columnar_merge_matches_object_walk(inst, key, crash_frac):
 
 
 def test_unmaterialized_result_pickles_its_columns(fixed_instance):
-    """An array-kernel result pickles its column view, not objects."""
+    """An array-kernel result pickles its columns, not objects."""
     result = run_policy(
         fixed_instance, create("hare").make_policy(fixed_instance)
     )
     again = pickle.loads(pickle.dumps(result))
     assert result.schedule._assignments is None
     assert again.schedule._assignments is None
-    cols, want = again.columns(), result.columns()
+    cols, want = again.schedule, result.schedule
     for name in ("job", "rnd", "slot", "gpu", "start", "train", "sync"):
         assert np.array_equal(getattr(cols, name), getattr(want, name))
     assert list(again.schedule.assignments.items()) == list(

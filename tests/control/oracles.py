@@ -42,6 +42,7 @@ from repro.obs import Category, current as obs_current
 from repro.obs.context import DISABLED, use as obs_use
 from repro.sim.simulator import simulate_plan
 from repro.workload.models import spec_or_synthetic
+from tests.core.oracles import reference_round_end
 
 
 def _ship_schedule(
@@ -200,7 +201,7 @@ def reference_run_chaos(
         )
         for r in range(job.num_rounds):
             meta = manager.maybe_checkpoint(
-                r, at=realized.round_end(job.job_id, r)
+                r, at=reference_round_end(realized, job.job_id, r)
             )
             checkpoint_bytes += meta.size_bytes if meta else 0.0
         checkpoint_bytes += manager.final_checkpoint(

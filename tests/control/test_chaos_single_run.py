@@ -84,10 +84,9 @@ DRAWN = (
 
 
 def columns(schedule):
-    cols = schedule.columns()
-    order = np.lexsort((cols.slot, cols.rnd, cols.job))
+    order = np.lexsort((schedule.slot, schedule.rnd, schedule.job))
     return tuple(
-        getattr(cols, name)[order].tobytes()
+        getattr(schedule, name)[order].tobytes()
         for name in ("job", "rnd", "slot", "gpu", "start", "train", "sync")
     )
 

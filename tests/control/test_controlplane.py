@@ -160,9 +160,7 @@ class TestConfigurations:
 
         jobs, instance, sim, bill = outcome
         specs = [spec_or_synthetic(job.model) for job in jobs]
-        tasks = np.bincount(
-            sim.realized.columns().job, minlength=len(jobs)
-        )
+        tasks = np.bincount(sim.realized.job, minlength=len(jobs))
         assert bill.payload_bytes == pytest.approx(sum(
             n * s.gradient_bytes + job.num_rounds * s.model_bytes
             for n, s, job in zip(tasks.tolist(), specs, jobs)

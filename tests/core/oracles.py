@@ -14,10 +14,12 @@ makespan for :func:`reference_metrics_from_schedule`.
   modes), which the loop originally lacked: a NaN start made every
   comparison false and passed.
 - :func:`reference_metrics_from_schedule` — completions through
-  ``Schedule.round_end`` per job, makespan as a max over
+  :func:`reference_round_end` per job, makespan as a max over
   ``TaskAssignment.end``.
+- :func:`reference_round_end` — a round's barrier as a walk over its
+  assignment objects (once ``Schedule.round_end``).
 - :func:`object_walk_rounds` — the ``kernel.round`` args
-  (``ScheduleColumns.round_spans`` plus ``best``) from grouped
+  (``Schedule.round_spans`` plus ``best``) from grouped
   assignment objects and a strict ``>`` scan for the critical task.
 
 :func:`schedule_of` turns ``TaskAssignment`` objects — with arbitrary
@@ -32,14 +34,10 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from repro.core.errors import ScheduleValidationError
+from repro.core.errors import ConfigurationError, ScheduleValidationError
 from repro.core.metrics import ScheduleMetrics, metrics_from_completions
-from repro.core.schedule import (
-    TIME_EPS,
-    Schedule,
-    ScheduleColumns,
-    TaskAssignment,
-)
+from repro.core.schedule import TIME_EPS, Schedule, TaskAssignment
+from repro.core.types import TaskRef
 
 
 def schedule_of(
@@ -52,9 +50,7 @@ def schedule_of(
          a.train_time, a.sync_time)
         for a in assignments
     ]
-    return ScheduleColumns(
-        instance, *(zip(*rows) if rows else ((),) * 7)
-    ).to_schedule()
+    return Schedule(instance, *(zip(*rows) if rows else ((),) * 7))
 
 
 def reference_validate_schedule(
@@ -128,7 +124,7 @@ def reference_validate_schedule(
                     f"job {job.job_id} round {r} starts at {min(starts):.6f} "
                     f"before previous round barrier {prev_end:.6f}",
                 )
-            prev_end = schedule.round_end(job.job_id, r)
+            prev_end = reference_round_end(schedule, job.job_id, r)
 
     # (8): non-overlap of compute on each GPU.
     for gpu, seq in schedule.gpu_sequences().items():
@@ -142,10 +138,39 @@ def reference_validate_schedule(
                 )
 
 
+def reference_round_end(
+    schedule: Schedule, job_id: int, round_idx: int
+) -> float:
+    """Completion (post-sync) time of a round: max end over its tasks."""
+    instance = schedule.instance
+    rounds = int(instance.num_rounds[job_id])
+    if not 0 <= round_idx < rounds:
+        raise ConfigurationError(
+            f"round {round_idx} out of range for job {job_id} "
+            f"with {rounds} rounds"
+        )
+    scale = int(instance.sync_scale[job_id])
+    assignments = schedule.assignments
+    ends = [
+        assignments[t].end
+        for t in (TaskRef(job_id, round_idx, d) for d in range(scale))
+        if t in assignments
+    ]
+    if len(ends) != scale:
+        raise ScheduleValidationError(
+            5,
+            f"job {job_id} round {round_idx} has {len(ends)} scheduled "
+            f"tasks, expected {scale}",
+        )
+    return max(ends)
+
+
 def reference_completions(schedule: Schedule) -> dict[int, float]:
     """``C_n`` per job: ``round_end`` of each job's final round."""
     return {
-        job.job_id: schedule.round_end(job.job_id, job.num_rounds - 1)
+        job.job_id: reference_round_end(
+            schedule, job.job_id, job.num_rounds - 1
+        )
         for job in schedule.instance.jobs
     }
 

@@ -16,6 +16,7 @@ from repro.core import (
     schedule_from_mapping,
     utilization_timeline,
 )
+from tests.core.oracles import reference_metrics_from_schedule
 
 
 @pytest.fixture
@@ -124,6 +125,6 @@ def test_metrics_from_schedule_consistency(fig1_instance):
     sched = HareScheduler(relaxation="fluid").schedule(fig1_instance)
     m = metrics_from_schedule(sched)
     assert m.total_weighted_completion == pytest.approx(
-        sched.total_weighted_completion()
+        reference_metrics_from_schedule(sched).total_weighted_completion
     )
     assert m.makespan == pytest.approx(sched.makespan())

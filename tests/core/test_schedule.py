@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    ConfigurationError,
     Job,
     ProblemInstance,
     Schedule,
-    ScheduleColumns,
     ScheduleValidationError,
     TaskAssignment,
     TaskRef,
@@ -19,7 +19,8 @@ from repro.core import (
     schedule_from_rows,
     validate_schedule,
 )
-from tests.core.oracles import schedule_of
+from repro.core.metrics import metrics_from_schedule
+from tests.core.oracles import reference_round_end, schedule_of
 
 
 @pytest.fixture
@@ -63,8 +64,8 @@ class TestScheduleBasics:
         sched = schedule_from_mapping(
             two_round_instance, valid_mapping(two_round_instance)
         )
-        assert sched.round_end(0, 0) == pytest.approx(3.5)
-        assert sched.job_completion(0) == pytest.approx(6.0)
+        assert reference_round_end(sched, 0, 0) == pytest.approx(3.5)
+        assert sched.completions()[0] == pytest.approx(6.0)
 
     def test_makespan(self, two_round_instance):
         sched = schedule_from_mapping(
@@ -76,7 +77,9 @@ class TestScheduleBasics:
         sched = schedule_from_mapping(
             two_round_instance, valid_mapping(two_round_instance)
         )
-        assert sched.total_weighted_completion() == pytest.approx(6.0)
+        assert metrics_from_schedule(
+            sched
+        ).total_weighted_completion == pytest.approx(6.0)
 
     def test_empty_makespan(self, two_round_instance):
         assert schedule_from_rows(two_round_instance, []).makespan() == 0.0
@@ -234,7 +237,7 @@ class TestNonFiniteTimes:
 class TestScheduleColumns:
     def test_columns_follow_insertion_order(self, two_round_instance):
         mapping = dict(reversed(valid_mapping(two_round_instance).items()))
-        cols = schedule_from_mapping(two_round_instance, mapping).columns()
+        cols = schedule_from_mapping(two_round_instance, mapping)
         assert cols.canon.tolist() == [3, 2, 1, 0]
         assert cols.gpu.tolist() == [1, 0, 1, 0]
         assert cols.canonical_rows().tolist() == [3, 2, 1, 0]
@@ -252,7 +255,7 @@ class TestScheduleColumns:
                 TaskAssignment(TaskRef(1, 0, 0), 0, 9.0, 1.0, 0.5),
             ],
         )
-        assert sched.columns().canon.tolist() == [0, 1, 2, 3, -1, -1]
+        assert sched.canon.tolist() == [0, 1, 2, 3, -1, -1]
 
     def test_instance_without_jobs(self):
         inst = ProblemInstance(
@@ -264,7 +267,7 @@ class TestScheduleColumns:
         sched = schedule_of(
             inst, [TaskAssignment(TaskRef(0, 0, 0), 0, 0.0, 1.0, 0.0)]
         )
-        assert sched.columns().canon.tolist() == [-1]
+        assert sched.canon.tolist() == [-1]
         assert sched.makespan() == 1.0
         with pytest.raises(ScheduleValidationError, match="1 unknown tasks"):
             validate_schedule(sched)
@@ -274,7 +277,7 @@ class TestScheduleColumns:
     ):
         mapping = valid_mapping(two_round_instance)
         del mapping[TaskRef(0, 1, 0)]
-        cols = schedule_from_mapping(two_round_instance, mapping).columns()
+        cols = schedule_from_mapping(two_round_instance, mapping)
         with pytest.raises(KeyError) as e:
             cols.canonical_rows()
         assert e.value.args[0] == TaskRef(0, 1, 0)
@@ -283,7 +286,10 @@ class TestScheduleColumns:
         sched = schedule_from_mapping(
             two_round_instance, valid_mapping(two_round_instance)
         )
-        again = sched.columns().to_schedule()
+        again = Schedule(
+            sched.instance, sched.job, sched.rnd, sched.slot, sched.gpu,
+            sched.start, sched.train, sched.sync,
+        )
         assert list(again.assignments.items()) == list(
             sched.assignments.items()
         )
@@ -295,24 +301,23 @@ class TestScheduleColumns:
         del mapping[TaskRef(0, 1, 1)]
         sched = schedule_from_mapping(two_round_instance, mapping)
         with pytest.raises(ScheduleValidationError) as want:
-            sched.round_end(0, 1)
+            reference_round_end(sched, 0, 1)
         with pytest.raises(ScheduleValidationError) as got:
             sched.completions()
         assert str(got.value) == str(want.value)
 
 
 def _backed(inst) -> Schedule:
-    """A column-backed copy of the valid two-round schedule."""
-    sched = schedule_from_mapping(inst, valid_mapping(inst))
-    backed = sched.columns().to_schedule()
+    """The valid two-round schedule, no object read yet."""
+    backed = schedule_from_mapping(inst, valid_mapping(inst))
     assert backed._assignments is None
     return backed
 
 
 class TestColumnBackedSchedule:
-    """A schedule is its view: it builds its objects on the first object
-    read, keeps them read-only beside the view, and answers ``len`` and
-    ``columns()`` from the view."""
+    """A schedule is its columns: it builds its objects on the first
+    object read, keeps them read-only beside the columns, and answers
+    ``len`` from the columns."""
 
     def test_equals_its_materialized_twin(self, two_round_instance):
         backed = _backed(two_round_instance)
@@ -333,7 +338,7 @@ class TestColumnBackedSchedule:
         backed = _backed(two_round_instance)
         again = pickle.loads(pickle.dumps(backed))
         assert backed._assignments is None and again._assignments is None
-        assert again.columns().canon.tolist() == [0, 1, 2, 3]
+        assert again.canon.tolist() == [0, 1, 2, 3]
         assert list(again.assignments.items()) == list(
             backed.assignments.items()
         )
@@ -393,19 +398,50 @@ class TestColumnBackedSchedule:
         reject it."""
         cols = schedule_from_mapping(
             two_round_instance, valid_mapping(two_round_instance)
-        ).columns()
+        )
         rows = [0, 1, 2, 3, 3]
-        twice = ScheduleColumns(
+        twice = Schedule(
             two_round_instance, cols.job[rows], cols.rnd[rows],
             cols.slot[rows], cols.gpu[rows], cols.start[rows],
             cols.train[rows], cols.sync[rows],
-        ).to_schedule()
+        )
         with pytest.raises(
             ScheduleValidationError, match="1 tasks assigned more than once"
         ) as e:
             validate_schedule(twice)
         assert e.value.constraint == 5
         assert str(TaskRef(0, 1, 1)) in str(e.value)
+
+
+class TestOneScheduleClass:
+    def test_ragged_columns_rejected(self, two_round_instance):
+        with pytest.raises(ConfigurationError) as e:
+            Schedule(
+                two_round_instance, job=[0, 0], rnd=[0, 1], slot=[0, 0],
+                gpu=[0], start=[0.0, 1.2], train=[1.0, 1.0],
+                sync=[0.5, 0.5],
+            )
+        assert "job=2" in str(e.value) and "gpu=1" in str(e.value)
+
+    def test_duplicated_row_is_not_equal(self, two_round_instance):
+        sched = schedule_from_mapping(
+            two_round_instance, valid_mapping(two_round_instance)
+        )
+        rows = [0, 1, 2, 3, 0]
+        twice = Schedule(
+            two_round_instance, sched.job[rows], sched.rnd[rows],
+            sched.slot[rows], sched.gpu[rows], sched.start[rows],
+            sched.train[rows], sched.sync[rows],
+        )
+        assert len(twice) == 5
+        assert sched != twice and twice != sched
+
+    def test_repr_is_a_column_summary(self, two_round_instance):
+        sched = schedule_from_mapping(
+            two_round_instance, valid_mapping(two_round_instance)
+        )
+        assert repr(sched) == "Schedule(rows=4, jobs=1, gpus=2, makespan=6)"
+        assert sched._assignments is None
 
 
 class TestScheduleFromRows:
@@ -424,7 +460,7 @@ class TestScheduleFromRows:
             TaskRef(0, 0, 0), 1, 2.0, 7.0, 0.25
         )
         rows = [(0, 1, 0, 1, 5.0), (0, 0, 0, 0, 1.0)]
-        cols = schedule_from_rows(one_job, rows).columns()
+        cols = schedule_from_rows(one_job, rows)
         assert cols.rnd.tolist() == [1, 0]
         assert cols.train.tolist() == [7.0, 3.0]
 

@@ -1,7 +1,7 @@
 """Columnar checks ≡ the object-walk oracles (Hypothesis).
 
 ``validate_schedule`` and the schedule metrics read a
-:class:`~repro.core.schedule.ScheduleColumns` view; ``tests/core/oracles.py``
+:class:`~repro.core.schedule.Schedule`'s columns; ``tests/core/oracles.py``
 keeps the per-task loops they replaced. On plans from every registered
 scheduler — planned, streaming, and streaming at ``cells=4`` — and on
 single and double mutations of those plans, the two must agree: the same
@@ -38,6 +38,7 @@ from tests.core.oracles import (
     reference_completions,
     reference_makespan,
     reference_metrics_from_schedule,
+    reference_round_end,
     reference_validate_schedule,
     schedule_of,
 )
@@ -172,7 +173,9 @@ def mutate(plan: Schedule, kind: str, pick: int, delta: float) -> Schedule:
         if later:
             task, a = later[0]
             try:
-                barrier = plan.round_end(task.job_id, task.round_idx - 1)
+                barrier = reference_round_end(
+                    plan, task.job_id, task.round_idx - 1
+                )
             except ScheduleValidationError:  # that round lost a task
                 return plan
             start = max(inst.jobs[task.job_id].arrival, barrier - delta)
@@ -322,7 +325,7 @@ def test_reference_kernel_retraction_is_seen(fig1_instance):
     kernel._apply_crash(0, 0.0)
     assert kernel.retracted_rounds > 0
     validate_schedule(result.schedule)
-    committed = kernel.state.committed.columns().to_schedule()
+    committed = kernel.state.committed.columns()
     got = _outcome(validate_schedule, committed)
     assert got[:2] == (ScheduleValidationError, 5)
     assert got == _outcome(reference_validate_schedule, committed)

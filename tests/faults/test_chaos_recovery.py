@@ -17,6 +17,7 @@ from repro.faults import (
 from repro.harness.experiments import make_loaded_workload, make_problem
 from repro.sim import simulate_plan
 from repro.workload import WorkloadConfig
+from tests.core.oracles import reference_round_end
 
 
 def chaos_plane(num_jobs=6, gpus=6, seed=3, interval=2):
@@ -160,10 +161,12 @@ class TestChaosRecovery:
             ]
             last = job.num_rounds - 1
             assert written == [
-                realized.round_end(job.job_id, r)
+                reference_round_end(realized, job.job_id, r)
                 for r in range(job.num_rounds) if (r + 1) % 2 == 0
             ] + [result.metrics.per_job[job.job_id].completion]
-            assert written[-1] == realized.round_end(job.job_id, last)
+            assert written[-1] == reference_round_end(
+                realized, job.job_id, last
+            )
 
     def test_restart_replays_its_own_delay(self):
         """A restart's delay reaches the replay: the 5 s restart costs

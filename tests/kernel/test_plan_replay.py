@@ -66,7 +66,7 @@ def _observe(kernel_cls, instance, planner, *, traced, prior):
         obs.metrics.counter("kernel.commitments").inc(prior)
     with use(obs):
         result = kernel_cls(instance, PlannedPolicy(planner)).run()
-    cols = result.columns()
+    cols = result.schedule
     snapshot = {
         k: v
         for k, v in obs.metrics.snapshot().items()

@@ -1,7 +1,7 @@
 """Flat ``kernel.round`` instants ≡ the object-walk oracle, on both loops.
 
 Every kernel emits its ``kernel.round`` instants once, after the run,
-from the committed columns (``ScheduleColumns.round_spans``). The args
+from the committed columns (``Schedule.round_spans``). The args
 must equal :func:`tests.core.oracles.object_walk_rounds` over the
 committed schedule: uniform times tie round ends, so the critical-task
 pick is tested too. A crash run emits no instant for a retracted

@@ -407,7 +407,7 @@ class TestSteppedRun:
                 for e in obs.tracer.instants
             ]
             snap = obs.metrics.snapshot()
-        cols = result.columns()
+        cols = result.schedule
         return (
             [getattr(cols, n).tobytes() for n in (
                 "job", "rnd", "slot", "gpu", "start", "train", "sync",

@@ -70,7 +70,7 @@ from repro.schedulers.relaxation import (
     _water_fill,
 )
 from repro.schedulers.timeslice import TimeSliceScheduler
-from tests.core.oracles import schedule_of
+from tests.core.oracles import reference_metrics_from_schedule, schedule_of
 
 
 # ----------------------------------------------------------------------
@@ -97,9 +97,8 @@ def column_bytes(schedule: Schedule) -> tuple[bytes, ...]:
     """A schedule's columns, row by row, as bytes: equal for two
     schedules exactly when they place the same tasks, identically, in the
     same order."""
-    cols = schedule.columns()
     return tuple(
-        getattr(cols, name).tobytes()
+        getattr(schedule, name).tobytes()
         for name in ("job", "rnd", "slot", "gpu", "start", "train", "sync")
     )
 
@@ -802,7 +801,9 @@ def reference_brute_force_optimal(instance: ProblemInstance) -> Schedule:
             schedule = _reference_build(instance, order, assignment)
             if schedule is None:
                 continue
-            obj = schedule.total_weighted_completion()
+            obj = reference_metrics_from_schedule(
+                schedule
+            ).total_weighted_completion
             if obj < best_obj - 1e-12:
                 best_obj = obj
                 best = schedule

@@ -97,7 +97,7 @@ class TestGavelFifo:
             sync_time=np.zeros((2, 2)),
         )
         sched = GavelFifoScheduler().schedule(inst)
-        assert sched.job_completion(1) > sched.job_completion(0) - 1.0
+        assert sched.completions()[1] > sched.completions()[0] - 1.0
         validate_schedule(sched)
 
 
@@ -114,7 +114,7 @@ class TestSrtf:
             sync_time=np.zeros((2, 1)),
         )
         sched = SrtfScheduler().schedule(inst)
-        assert sched.job_completion(1) < sched.job_completion(0)
+        assert sched.completions()[1] < sched.completions()[0]
 
     def test_backfills_past_wide_job(self):
         # Wide job cannot fit (needs 2 GPUs, only 1 free) — narrow job runs.
@@ -150,7 +150,7 @@ class TestSchedHomo:
             sync_time=np.zeros((2, 1)),
         )
         sched = SchedHomoScheduler().schedule(inst)
-        assert sched.job_completion(1) < sched.job_completion(0)
+        assert sched.completions()[1] < sched.completions()[0]
 
     def test_oblivious_picks_hit_slow_gpus(self):
         # Many single-task jobs on a fast+slow cluster: rotation must place
@@ -201,7 +201,7 @@ class TestSchedAllox:
             sync_time=np.zeros((2, 1)),
         )
         sched = SchedAlloxScheduler(weighted=True).schedule(inst)
-        assert sched.job_completion(1) < sched.job_completion(0)
+        assert sched.completions()[1] < sched.completions()[0]
 
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("seed", range(8))

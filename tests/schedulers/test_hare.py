@@ -62,8 +62,12 @@ class TestAlgorithmMechanics:
     def test_earliest_finish_not_worse_on_fig1(self, fig1_instance):
         ef = HareScheduler(relaxation="exact", placement="earliest_finish")
         ea = HareScheduler(relaxation="exact", placement="earliest_available")
-        jef = ef.schedule(fig1_instance).total_weighted_completion()
-        jea = ea.schedule(fig1_instance).total_weighted_completion()
+        jef = metrics_from_schedule(
+            ef.schedule(fig1_instance)
+        ).total_weighted_completion
+        jea = metrics_from_schedule(
+            ea.schedule(fig1_instance)
+        ).total_weighted_completion
         assert jef <= jea
 
     def test_auto_uses_exact_for_small(self, tiny_instance):
@@ -206,4 +210,4 @@ class TestWeightSensitivity:
             jobs=jobs, train_time=np.ones((2, 1)), sync_time=np.zeros((2, 1))
         )
         sched = HareScheduler(relaxation="exact").schedule(inst)
-        assert sched.job_completion(1) < sched.job_completion(0)
+        assert sched.completions()[1] < sched.completions()[0]

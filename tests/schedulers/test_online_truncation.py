@@ -229,7 +229,7 @@ class TestHorizonStopRule:
             placement=placement, initial_phi=initial_phi, horizon=horizon,
         )
         n = len(cut)
-        fc, cc = full.columns(), cut.columns()
+        fc, cc = full, cut
         assert cc.canon.tobytes() == order[:n].tobytes()
         for name in ("gpu", "start", "train", "sync"):
             assert getattr(cc, name).tobytes() == getattr(fc, name)[:n].tobytes()

@@ -24,7 +24,9 @@ class TestKnownOptima:
             sync_time=np.array([[0.0, 0.5]]),
         )
         opt = brute_force_optimal(inst)
-        assert opt.total_weighted_completion() == pytest.approx(1.5)
+        assert metrics_from_schedule(
+            opt
+        ).total_weighted_completion == pytest.approx(1.5)
 
     def test_two_identical_tasks_parallelize(self):
         inst = make_uniform_instance(2, 2, train_time=1.0)
@@ -44,7 +46,9 @@ class TestKnownOptima:
         )
         opt = brute_force_optimal(inst)
         # run heavy first: 4*1 + 1*3 = 7 (vs 1*2 + 4*3 = 14)
-        assert opt.total_weighted_completion() == pytest.approx(7.0)
+        assert metrics_from_schedule(
+            opt
+        ).total_weighted_completion == pytest.approx(7.0)
 
     def test_respects_arrivals(self):
         jobs = [Job(job_id=0, model="m", arrival=2.0)]
@@ -54,7 +58,9 @@ class TestKnownOptima:
             sync_time=np.zeros((1, 1)),
         )
         opt = brute_force_optimal(inst)
-        assert opt.total_weighted_completion() == pytest.approx(3.0)
+        assert metrics_from_schedule(
+            opt
+        ).total_weighted_completion == pytest.approx(3.0)
 
 
 class TestDominance:

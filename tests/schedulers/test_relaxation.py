@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import Job, ProblemInstance, TaskRef
+from repro.core import Job, ProblemInstance, TaskRef, metrics_from_schedule
 from repro.schedulers import (
     ExactRelaxationSolver,
     FluidRelaxationSolver,
@@ -45,7 +45,9 @@ class TestExactSolver:
 
         res = ExactRelaxationSolver().solve(fig1_instance)
         sched = HareScheduler(relaxation="exact").schedule(fig1_instance)
-        assert res.objective <= sched.total_weighted_completion() + 1e-6
+        assert res.objective <= (
+            metrics_from_schedule(sched).total_weighted_completion + 1e-6
+        )
 
     def test_x_hat_respects_arrivals(self, tiny_instance):
         res = ExactRelaxationSolver().solve(tiny_instance)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import InfeasibleProblemError
+from repro.core import InfeasibleProblemError, metrics_from_schedule
 from repro.schedulers import (
     HareScheduler,
     TimeSliceScheduler,
@@ -81,4 +81,7 @@ def test_brute_force_optimal(seed):
     best = brute_force_optimal(inst)
     ref = reference_brute_force_optimal(inst)
     assert column_bytes(best) == column_bytes(ref)
-    assert best.total_weighted_completion() == ref.total_weighted_completion()
+    assert (
+        metrics_from_schedule(best).total_weighted_completion
+        == metrics_from_schedule(ref).total_weighted_completion
+    )

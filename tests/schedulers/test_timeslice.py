@@ -41,7 +41,7 @@ class TestFeasibility:
         )
         sched = TimeSliceScheduler(quantum_s=1.0).schedule(inst)
         validate_schedule(sched)
-        assert sched.job_completion(0) == pytest.approx(15.0)
+        assert sched.completions()[0] == pytest.approx(15.0)
 
 
 class TestQuantization:
@@ -59,7 +59,7 @@ class TestQuantization:
         sched = TimeSliceScheduler(quantum_s=2.0).schedule(inst)
         validate_schedule(sched)
         # both jobs finish near each other (fair sharing), not one-then-other
-        gap = abs(sched.job_completion(0) - sched.job_completion(1))
+        gap = abs(sched.completions()[0] - sched.completions()[1])
         assert gap <= 2.0 + 1e-9
 
     def test_coarser_quanta_are_worse_under_load(self):

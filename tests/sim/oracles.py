@@ -665,7 +665,7 @@ def reference_run(
     }
     schedule = schedule_of(instance, realized)
     telemetry = Telemetry.from_columns(
-        schedule.columns(), planned, switches, hits, wasted
+        schedule, planned, switches, hits, wasted
     )
     metrics = metrics_from_completions(
         instance.jobs, completions, makespan=telemetry.makespan

@@ -107,7 +107,7 @@ class TestBarriers:
         obs = Obs.start()
         with use(obs):
             res = simulate_plan(cluster, inst, plan)
-        job, rnd, _, end, _, _ = res.realized.columns().round_spans()
+        job, rnd, _, end, _, _ = res.realized.round_spans()
         ends = dict(zip(zip(job.tolist(), rnd.tolist()), end.tolist()))
         barriers = {
             (i.args["job"], i.args["round"]): i.time

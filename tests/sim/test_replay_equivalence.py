@@ -168,10 +168,10 @@ def features(draw, instance, plan):
             )
         )
     if draw(st.booleans()):
-        cols = plan.columns()  # reading the objects would build them
+        # Reading the objects would build them.
         tasks = sorted(
-            map(TaskRef, cols.job.tolist(), cols.rnd.tolist(),
-                cols.slot.tolist())
+            map(TaskRef, plan.job.tolist(), plan.rnd.tolist(),
+                plan.slot.tolist())
         )
         picked = draw(st.lists(st.sampled_from(tasks), max_size=3,
                                unique=True))
@@ -198,9 +198,7 @@ def test_loop_matches_oracle(scenario, key, mode, obs_mode, data):
     kw = data.draw(features(instance, plan))
     sim = ClusterSimulator(cluster=cluster, instance=instance,
                            switch_mode=mode, **kw)
-    # Both plan forms: as drawn, and column-backed.
     assert_equivalent(sim, plan, obs_mode)
-    assert_equivalent(sim, plan.columns().to_schedule(), obs_mode)
 
 
 # ----------------------------------------------------------------------

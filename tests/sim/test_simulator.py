@@ -5,7 +5,12 @@ from collections import Counter
 import pytest
 
 from repro.cluster import make_cluster
-from repro.core import SwitchMode, TaskRef, validate_schedule
+from repro.core import (
+    SwitchMode,
+    TaskRef,
+    metrics_from_schedule,
+    validate_schedule,
+)
 from repro.core.errors import ConfigurationError
 from repro.core.schedule import TaskAssignment
 from repro.api import DEFAULT_SCHEMES, compare
@@ -16,7 +21,7 @@ from repro.sim import ClusterSimulator, simulate_plan
 from repro.sim.simulator import _cross_job_switch
 from repro.switching import SwitchCostModel
 from repro.workload import WorkloadConfig, build_instance
-from tests.core.oracles import schedule_of
+from tests.core.oracles import reference_completions, schedule_of
 
 
 @pytest.fixture(scope="module")
@@ -83,8 +88,9 @@ class TestReplayBasics:
         cluster, instance = scenario
         plan = HareScheduler().schedule(instance)
         result = simulate_plan(cluster, instance, plan)
+        want = reference_completions(result.realized)
         for jm in result.metrics.per_job:
-            assert jm.completion == result.realized.job_completion(jm.job_id)
+            assert jm.completion == want[jm.job_id]
 
 
 class TestTelemetry:
@@ -178,7 +184,8 @@ class TestAllSchedulersSimulate:
         assert len(result.realized) == instance.num_tasks
         # weighted JCT within 10% of the plan under Hare switching
         assert result.total_weighted_completion <= (
-            1.10 * plan.total_weighted_completion() + 1.0
+            1.10 * metrics_from_schedule(plan).total_weighted_completion
+            + 1.0
         )
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cluster import make_cluster
 from repro.core import Job, ProblemInstance, TaskRef
-from repro.core.schedule import ScheduleColumns, schedule_from_mapping
+from repro.core.schedule import Schedule, schedule_from_mapping
 from repro.obs import Obs, use
 from repro.obs.metrics import NULL_REGISTRY
 from repro.sim import TaskRecord, Telemetry, simulate_plan
@@ -32,7 +32,7 @@ def telemetry(*records: TaskRecord, num_gpus: int = 1) -> Telemetry:
         train_time=np.ones((1, num_gpus)),
         sync_time=np.zeros((1, num_gpus)),
     )
-    realized = ScheduleColumns(
+    realized = Schedule(
         inst,
         *(zip(*[
             (r.task.job_id, r.task.round_idx, r.task.slot, r.gpu, r.start,

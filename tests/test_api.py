@@ -113,6 +113,15 @@ def test_replay_builds_no_per_task_objects(testbed, scheduler):
     assert result.sim.realized._assignments is None
 
 
+def test_repr_builds_no_per_task_objects():
+    """A run's repr is a short summary read from the columns."""
+    result = run_experiment(jobs=6, seed=3, rounds_scale=0.05)
+    text = repr(result)
+    assert result.plan._assignments is None
+    assert result.sim.realized._assignments is None
+    assert len(text) < 2000, len(text)
+
+
 def test_reference_loop_builds_no_per_task_objects(testbed):
     """An online crash run with a re-plan timer, which only the reference
     loop takes, commits column blocks into the commit log and returns it

@@ -90,6 +90,7 @@ def test_job_table_readers_build_no_job(monkeypatch):
     from repro.cluster import testbed_cluster
     from repro.core import ProblemInstance
     from repro.core.fairness import isolated_flow_time
+    from repro.core.metrics import metrics_from_schedule
     from repro.harness.experiments import make_loaded_workload, make_problem
     from repro.obs.attrib import attribute_records
     from repro.obs.recorder import Record
@@ -124,8 +125,8 @@ def test_job_table_readers_build_no_job(monkeypatch):
 
     monkeypatch.setattr(Job, "__post_init__", counted)
     plan = HareScheduler(relaxation="fluid").schedule(view)
-    plan.total_weighted_completion()
-    plan.round_end(1, 0)
+    metrics_from_schedule(plan)
+    plan.completions()
     isolated_flow_time(view, 1)
     brute_force_optimal(tiny)
     GlobalAdmission().admit(view, partition)

@@ -56,9 +56,8 @@ def _specs() -> dict[str, dict]:
 
 
 def _columns(schedule) -> list[bytes]:
-    cols = schedule.columns()
     return [
-        getattr(cols, name).tobytes()
+        getattr(schedule, name).tobytes()
         for name in ("job", "rnd", "slot", "gpu", "start", "train", "sync")
     ]
 
