@@ -18,8 +18,8 @@ It then tours the analysis stack on top of the raw events:
 * the **flight recorder** — a bounded ring of normalized records you can
   query and dump to JSONL (``repro record`` / ``repro replay``);
 * the **streaming monitors** — online invariant checkers that watch the
-  event stream and grade findings (a deliberately corrupted schedule
-  trips the GPU double-booking invariant);
+  event stream and grade findings — and the schedule check beside them
+  (a deliberately corrupted schedule fails the paper's constraints);
 * the **baseline engine** — direction-aware tolerance bands over the
   metrics snapshot (``repro check --baseline``), which CI uses to gate
   on kernel-bench drift;
@@ -120,9 +120,11 @@ def main() -> None:
     print("  -> inspect with: repro replay", log_path.name, "--monitors")
 
     # ------------------------------------------------------------------
-    # Monitors on a *broken* schedule: clone one task assignment onto
-    # another task's GPU and start time, then ask for a diagnosis. The
-    # GPU double-booking invariant fires at ERROR severity.
+    # The schedule check on a *broken* schedule: clone one task
+    # assignment onto another task's GPU and start time, then ask for a
+    # diagnosis. The moved task now overlaps the other on its GPU (8)
+    # and ends after its job's next round starts (7); the ERROR finding
+    # names the first failing constraint in validate_schedule's order.
     # ------------------------------------------------------------------
     print("\n== Triggered finding: corrupted schedule ==")
     # A schedule never changes, so the corrupted one is a copy of the
@@ -135,7 +137,7 @@ def main() -> None:
         plan.instance, plan.job, plan.rnd, plan.slot, gpu, start,
         plan.train, plan.sync,
     )
-    report = diagnose_schedule(schedule, instance=recorded.instance)
+    report = diagnose_schedule(schedule)
     print(report.summary())
     for finding in report.invariant_violations()[:2]:
         print(f"  [{finding.severity.name}] {finding.monitor}: {finding.message}")

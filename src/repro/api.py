@@ -678,6 +678,8 @@ def _run_one(
             sim = simulate_plan(
                 cluster, instance, plan, switch_mode=spec.switch_mode
             )
+        if spec.validate and sim is not None:
+            validate_schedule(sim.realized, check_durations=False)
     result = RunResult(
         scheduler=sched.name,
         cluster=cluster,
@@ -719,6 +721,9 @@ def run_experiment(
     ``simulate`` (the default) the plan is replayed on the DES with
     ``switch_mode`` switching costs; with ``trace`` the run records
     structured events exportable via :meth:`RunResult.write_trace`.
+    Unless ``validate=False``, the plan and the replay's realized
+    schedule (the latter without the duration rule) must pass
+    :func:`~repro.core.schedule.validate_schedule`.
 
     Every run drives the scheduler as an incremental policy on the
     :mod:`repro.kernel` event loop — arrivals land as events, and

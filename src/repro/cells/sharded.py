@@ -19,8 +19,8 @@ instance, backed by the merged columns until its objects are read, summed
 event/commitment/replan/retraction stats, the cells' retractions on
 global ids and their re-plan instants in time order, metrics computed
 from the merged columns) plus the admission plan and
-per-cell statistics. The merged schedule passes the same streaming
-monitors as a flat run (:func:`repro.obs.monitors.diagnose_schedule`).
+per-cell statistics. The merged schedule passes the same constraint
+check as a flat run (:func:`repro.core.schedule.validate_schedule`).
 
 The flat path is pinned: ``cells=1`` delegates to
 :func:`repro.kernel.runner.run_policy` unchanged, byte-identical for

@@ -571,7 +571,10 @@ def cmd_record(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    """Filter/summarize a flight log; optionally re-run the monitors."""
+    """Filter/summarize a flight log; optionally re-run the monitors,
+    which a log missing its oldest records would mislead."""
+    import json as _json
+
     from .obs import load_flight_log, replay_monitors
 
     try:
@@ -579,6 +582,16 @@ def cmd_replay(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"cannot load flight log: {exc}", file=sys.stderr)
         return 2
+    if args.monitors:
+        with open(args.log) as fh:
+            dropped = _json.loads(fh.readline()).get("dropped", 0)
+        if dropped:
+            print(
+                f"cannot check {args.log}: its recorder dropped the "
+                f"{dropped} oldest records",
+                file=sys.stderr,
+            )
+            return 2
     matched = records
     if args.category:
         matched = [r for r in matched if r.category == args.category]
@@ -1025,8 +1038,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_replay.add_argument("--limit", type=int, default=20,
                           help="max records to print (default: 20)")
     p_replay.add_argument("--monitors", action="store_true",
-                          help="re-run the streaming monitors over the "
-                               "full log and fail on ERROR findings")
+                          help="re-run the monitors and the schedule "
+                               "check over the full log and fail on ERROR "
+                               "findings (a log that dropped records is "
+                               "refused)")
     p_replay.set_defaults(func=cmd_replay)
 
     p_check = sub.add_parser(

@@ -30,7 +30,7 @@ from ..cluster.cluster import Cluster
 from ..core.errors import ConfigurationError, SimulationError
 from ..core.job import ProblemInstance
 from ..core.metrics import ScheduleMetrics
-from ..core.schedule import Schedule, validate_schedule
+from ..core.schedule import Schedule
 from ..core.types import SwitchMode, TaskRef
 from ..faults.detector import HeartbeatConfig, run_detection
 from ..faults.recovery import ChaosTelemetry, RecoveryReport
@@ -363,7 +363,6 @@ class ControlPlane:
             slowdowns=scenario.slowdown_windows(),
             releases=_releases(final, detections),
         )
-        validate_schedule(sim.realized, check_durations=False)
         completions = {j.job_id: j.completion for j in sim.metrics.per_job}
         checkpoint_bytes = _write_checkpoints(
             self.store, instance, sim.realized,

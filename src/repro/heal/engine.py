@@ -22,8 +22,8 @@ own phase timings) reach neither the engine nor its monitors, so a
 decision never depends on how many timed spans the run emitted or on
 their wall-clock times.
 
-Dispatch is three-stage: streaming monitors (replan storm, the invariant
-checkers, RPC budget) surface findings the moment they observe them;
+Dispatch is three-stage: streaming monitors (replan storm, commitment
+monotonicity, RPC budget) surface findings the moment they observe them;
 finish-time analyses (starvation, collapse) are evaluated incrementally
 via ``Monitor.poll`` every :data:`POLL_EVERY` records; failure-detector
 SUSPECT/ALIVE/DEAD instants are consumed directly (``gpu_suspect`` is a

@@ -3,10 +3,10 @@
 Each entry maps a finding type (the emitting monitor's name, or the
 synthetic ``gpu_suspect`` type the engine derives from failure-detector
 transitions) to an :class:`ActionSpec`. A finding with no entry lands in
-the log's *unremediated* list. Invariant checkers (double booking,
-barrier violations, ...) are deliberately unmapped — a violated
-invariant means the run is wrong, and no online knob makes wrong results
-right.
+the log's *unremediated* list. Invariant checkers (commitment
+monotonicity, utilization conservation) are deliberately unmapped — a
+violated invariant means the run is wrong, and no online knob makes
+wrong results right.
 """
 
 from __future__ import annotations

@@ -7,16 +7,18 @@ it happens*: each :class:`~repro.obs.recorder.Record` it wants flows into
 :func:`collect_findings` (via ``recorder.diagnose()``) finishes every
 monitor into one severity-graded :class:`DiagnosisReport`.
 
-Two families:
+The paper's schedule constraints (4)–(8) are not a monitor: one checker,
+:func:`~repro.core.schedule.validate_schedule`, holds them. Every
+simulated run validates what it replayed; :func:`diagnose_schedule`
+reports a schedule's violation as the ``schedule_constraints`` finding,
+and :func:`replay_monitors` applies it to the schedule a flight log
+realized (rebuilt by :func:`realized_schedule`).
+
+Two families of monitors:
 
 **Invariant checkers** (``invariant = True``; violations are ERROR — a
 correct run must never produce one):
 
-* :class:`GpuDoubleBookingMonitor` — compute spans on one GPU track never
-  overlap (the paper's constraint (8), non-preemption);
-* :class:`RoundBarrierMonitor` — every completed round runs exactly
-  ``sync_scale`` tasks (scale-fixed semantics, constraint (6)) and round
-  ``r+1`` starts only after round ``r``'s sync barrier (constraint (7));
 * :class:`CommitmentMonotonicityMonitor` — the kernel's per-job committed
   round count only grows, except across an explicit fault retraction;
 * :class:`UtilizationConservationMonitor` — per-GPU busy time never
@@ -56,12 +58,19 @@ from dataclasses import dataclass, field
 from statistics import median
 from typing import Iterable, Mapping, Sequence
 
-from ..core.schedule import merge_intervals
+import numpy as np
+
+from ..core.errors import ScheduleValidationError
+from ..core.job import Job, ProblemInstance
+from ..core.schedule import Schedule, merge_intervals, validate_schedule
 from .recorder import Record, RecordRouter
 from .trace import gpu_track
 
 #: Float slack for time comparisons, mirroring the schedule validator.
 MONITOR_EPS = 1e-9
+
+#: The monitor name of a :func:`diagnose_schedule` finding.
+SCHEDULE_CONSTRAINTS = "schedule_constraints"
 
 #: Per-monitor cap so a systematically-broken run doesn't flood the report.
 MAX_FINDINGS_PER_MONITOR = 20
@@ -202,7 +211,7 @@ class Monitor:
         Unlike :meth:`finish` this may be called repeatedly mid-run;
         implementations must deduplicate so each anomaly is reported
         once. The default is a no-op — purely streaming monitors
-        (the invariant checkers, the replan-storm detector) already
+        (commitment monotonicity, the replan-storm detector) already
         emit from :meth:`observe`, and finish-time-only analyses
         override this where a mid-run answer is meaningful.
         """
@@ -236,8 +245,8 @@ class Monitor:
 class DiagnosisContext:
     """What monitors may consult when finishing."""
 
-    #: The problem instance, when the caller has it (enables exact
-    #: sync-scale and arrival checks).
+    #: The problem instance, when the caller has it (enables the
+    #: arrival and GPU-count checks).
     instance: object | None = None
     #: A metrics snapshot (``MetricsRegistry.snapshot()`` shape) for
     #: conservation cross-checks.
@@ -247,154 +256,6 @@ class DiagnosisContext:
 # ----------------------------------------------------------------------
 # Invariant checkers
 # ----------------------------------------------------------------------
-class GpuDoubleBookingMonitor(Monitor):
-    """No two compute spans on one GPU track may overlap.
-
-    Invariant (paper constraint (8)): GPUs are non-preemptive — on every
-    ``gpu/*`` track, ``sim``-category compute spans are disjoint (sync
-    legally overlaps the successor; it lives on job tracks).
-    """
-
-    name = "gpu_double_booking"
-    invariant = True
-
-    def __init__(self, eps: float = MONITOR_EPS) -> None:
-        super().__init__()
-        self.eps = eps
-        #: per track: parallel sorted lists of (start, end)
-        self._starts: dict[str, list[float]] = {}
-        self._ends: dict[str, list[float]] = {}
-
-    def wants(self, kind: str, category: str, prefix: str) -> bool:
-        return kind == "span" and category == "sim"
-
-    def on_record(self, record: Record) -> None:
-        if (
-            record.kind != "span"
-            or record.category != "sim"
-            or not record.track.startswith("gpu/")
-        ):
-            return
-        starts = self._starts.setdefault(record.track, [])
-        ends = self._ends.setdefault(record.track, [])
-        i = bisect.bisect_left(starts, record.time)
-        # Overlap with the predecessor (ends after we start)?
-        if i > 0 and ends[i - 1] > record.time + self.eps:
-            self.emit(
-                Severity.ERROR,
-                f"GPU double-booked: {record.name!r} starts at "
-                f"{record.time:.6f} inside a span computing until "
-                f"{ends[i - 1]:.6f}",
-                time=record.time,
-                track=record.track,
-                overlap_s=ends[i - 1] - record.time,
-            )
-        # Overlap with the successor (we end after it starts)?
-        if i < len(starts) and record.end > starts[i] + self.eps:
-            self.emit(
-                Severity.ERROR,
-                f"GPU double-booked: {record.name!r} computes until "
-                f"{record.end:.6f} past the next span's start "
-                f"{starts[i]:.6f}",
-                time=record.time,
-                track=record.track,
-                overlap_s=record.end - starts[i],
-            )
-        starts.insert(i, record.time)
-        ends.insert(i, record.end)
-
-
-class RoundBarrierMonitor(Monitor):
-    """Scale-fixed rounds behind strict sync barriers.
-
-    Invariants (paper constraints (6)/(7)): every *completed* round of a
-    job — one whose ``barrier`` instant fired — ran exactly ``sync_scale``
-    tasks, and no round-``r+1`` task starts before round ``r``'s barrier.
-    """
-
-    name = "round_barrier"
-    invariant = True
-
-    def __init__(self, eps: float = MONITOR_EPS) -> None:
-        super().__init__()
-        self.eps = eps
-        self._task_count: dict[tuple[int, int], int] = {}
-        self._min_start: dict[tuple[int, int], float] = {}
-        self._barrier: dict[tuple[int, int], float] = {}
-
-    def wants(self, kind: str, category: str, prefix: str) -> bool:
-        return (kind == "span" and category == "sim") or (
-            kind == "instant" and prefix.startswith("barrier")
-        )
-
-    def on_record(self, record: Record) -> None:
-        args = record.args
-        job, rnd = args.get("job"), args.get("round")
-        if job is None or rnd is None:
-            return
-        key = (int(job), int(rnd))
-        if (
-            record.kind == "span"
-            and record.category == "sim"
-            and record.track.startswith("gpu/")
-        ):
-            self._task_count[key] = self._task_count.get(key, 0) + 1
-            prev = self._min_start.get(key)
-            if prev is None or record.time < prev:
-                self._min_start[key] = record.time
-        elif record.kind == "instant" and record.name.startswith("barrier"):
-            self._barrier[key] = record.time
-
-    def _scale_of(self, ctx: DiagnosisContext | None, job: int) -> int | None:
-        instance = ctx.instance if ctx is not None else None
-        if instance is None:
-            return None
-        try:
-            return int(instance.sync_scale[job])
-        except (AttributeError, IndexError, KeyError):
-            return None
-
-    def _check(self, ctx: DiagnosisContext | None = None) -> None:
-        jobs = sorted({job for job, _ in self._barrier})
-        for job in jobs:
-            rounds = sorted(r for j, r in self._barrier if j == job)
-            expected = self._scale_of(ctx, job)
-            if expected is None:
-                # Scale-fixed semantics: infer the job's scale from its
-                # completed rounds — they must all agree.
-                counts = [
-                    self._task_count.get((job, r), 0) for r in rounds
-                ]
-                expected = max(set(counts), key=counts.count) if counts else 0
-            for r in rounds:
-                count = self._task_count.get((job, r), 0)
-                if count != expected:
-                    self.emit(
-                        Severity.ERROR,
-                        f"job {job} round {r} completed with {count} tasks; "
-                        f"scale-fixed semantics require {expected}",
-                        time=self._barrier[(job, r)],
-                        job=job, round=r, tasks=count, expected=expected,
-                    )
-                start = self._min_start.get((job, r + 1))
-                if (
-                    start is not None
-                    and start < self._barrier[(job, r)] - self.eps
-                ):
-                    self.emit(
-                        Severity.ERROR,
-                        f"job {job} round {r + 1} starts at {start:.6f} "
-                        f"before round {r}'s barrier at "
-                        f"{self._barrier[(job, r)]:.6f}",
-                        time=start,
-                        job=job, round=r + 1,
-                        barrier=self._barrier[(job, r)],
-                    )
-
-    def finish(self, ctx: DiagnosisContext) -> None:
-        self._check(ctx)
-
-
 class CommitmentMonotonicityMonitor(Monitor):
     """The kernel's committed-round counter per job only grows.
 
@@ -930,8 +791,6 @@ class CellImbalanceMonitor(Monitor):
 def default_monitors(instance=None) -> list[Monitor]:
     """The full catalogue (the *instance* is consumed at finish time)."""
     return [
-        GpuDoubleBookingMonitor(),
-        RoundBarrierMonitor(),
         CommitmentMonotonicityMonitor(),
         UtilizationConservationMonitor(),
         ReplanStormMonitor(),
@@ -979,68 +838,91 @@ def replay_monitors(
     instance=None,
     metrics: Mapping | None = None,
 ) -> DiagnosisReport:
-    """Run monitors post-hoc over a recorded (or loaded) stream."""
+    """Run monitors post-hoc over a recorded (or loaded) stream, and
+    check the schedule the stream realized (:func:`realized_schedule`)
+    with :func:`diagnose_schedule`; a kernel-only stream has none."""
+    records = list(records)
     monitors = default_monitors(instance) if monitors is None else monitors
     route = RecordRouter(monitors).route
-    seen = 0
     for record in records:
-        seen += 1
         for observe in route(record.kind, record.category, record.name):
             observe(record)
+    realized = realized_schedule(records, instance)
     return collect_findings(
-        monitors, records_seen=seen, instance=instance, metrics=metrics
+        monitors, records_seen=len(records), instance=instance,
+        metrics=metrics,
+        extra=() if realized is None else diagnose_schedule(realized).findings,
     )
 
 
-def diagnose_schedule(
-    schedule, *, instance=None, monitors: Sequence[Monitor] | None = None
-) -> DiagnosisReport:
-    """Check an in-memory :class:`~repro.core.schedule.Schedule`, read
-    from its columns (no per-task object is built).
+def realized_schedule(records: Sequence[Record], instance=None):
+    """The schedule a recorded DES replay realized, or ``None`` when the
+    stream has no ``sim`` compute span (a kernel-only run).
 
-    Synthesizes the records a simulated replay would have produced —
-    compute spans on GPU tracks, sync spans and barrier instants on job
-    tracks — and streams them through the monitors. This is how a plan
-    can be diagnosed *without* running it (and how tests corrupt a
-    schedule and watch the double-booking monitor object).
+    Each ``sim`` span on a ``gpu/*`` track is one row: job, round and
+    slot from its args (-1 where one is missing: a task no instance
+    has), the GPU from its track, start and train from its extent. The
+    ``sync`` span of the same task gives its sync (0 without one).
+    Without an *instance*, the one the log implies: jobs ``0..max id``,
+    each with its largest round + 1 rounds and largest slot + 1 tasks
+    per round, arriving at 0, on GPUs ``0..max id`` of one type.
     """
-    instance = instance if instance is not None else schedule.instance
-    records: list[Record] = []
-    seq = 0
+    syncs: dict[tuple, float] = {}
+    rows = []
+    for r in records:
+        if r.kind != "span":
+            continue
+        task = (r.args.get("job", -1), r.args.get("round", -1),
+                r.args.get("slot", -1))
+        if r.category == "sim" and r.track.startswith("gpu/"):
+            rows.append((*task, int(r.track[4:]), r.time, r.duration))
+        elif r.category == "sync":
+            syncs[task] = r.duration
+    if not rows:
+        return None
+    job, rnd, slot, gpu, start, train = zip(*rows)
+    sync = [syncs.get(task, 0.0) for task in zip(job, rnd, slot)]
+    job, rnd, slot, gpu = (
+        np.array(col, dtype=np.int64) for col in (job, rnd, slot, gpu)
+    )
+    if instance is None:
+        n = max(int(job.max()) + 1, 1)
+        known = job >= 0
+        rounds, scale = np.ones(n, np.int64), np.ones(n, np.int64)
+        np.maximum.at(rounds, job[known], rnd[known] + 1)
+        np.maximum.at(scale, job[known], slot[known] + 1)
+        instance = ProblemInstance.from_types(
+            [
+                Job(j, "flight-log", num_rounds=int(r), sync_scale=int(s))
+                for j, (r, s) in enumerate(zip(rounds, scale))
+            ],
+            np.zeros(max(int(gpu.max()) + 1, 1), dtype=np.int64),
+            np.ones((n, 1)),
+            np.zeros((n, 1)),
+        )
+    return Schedule(instance, job, rnd, slot, gpu, start, train, sync)
 
-    def rec(kind, category, name, track, time, duration=0.0, **args):
-        nonlocal seq
-        records.append(
-            Record(
-                seq=seq, kind=kind, category=category, name=name,
-                track=track, time=time, duration=duration, args=args,
-            )
-        )
-        seq += 1
 
-    round_end: dict[tuple[int, int], float] = {}
-    # Rows by (start, task), as the executors would run them.
-    for start, job, rnd, slot, gpu, train, sync in sorted(zip(
-        schedule.start.tolist(), schedule.job.tolist(),
-        schedule.rnd.tolist(), schedule.slot.tolist(),
-        schedule.gpu.tolist(), schedule.train.tolist(),
-        schedule.sync.tolist(),
-    )):
-        key = (job, rnd)
-        round_end[key] = max(round_end.get(key, 0.0), start + train + sync)
-        rec(
-            "span", "sim", f"j{job} r{rnd}", f"gpu/{gpu}", start, train,
-            job=job, round=rnd, slot=slot,
+def diagnose_schedule(schedule) -> DiagnosisReport:
+    """Check a :class:`~repro.core.schedule.Schedule` against the paper's
+    constraints (4)–(8) and report, as the ``schedule_constraints``
+    monitor, a violation as one invariant ERROR finding.
+
+    The check is :func:`~repro.core.schedule.validate_schedule` without
+    the duration rule, so a plan and a realized schedule both pass it.
+    """
+    try:
+        validate_schedule(schedule, check_durations=False)
+    except ScheduleValidationError as exc:
+        findings = (
+            Finding(
+                severity=Severity.ERROR,
+                monitor=SCHEDULE_CONSTRAINTS,
+                message=str(exc),
+                invariant=True,
+                details={"constraint": exc.constraint},
+            ),
         )
-        if sync > 0:
-            rec(
-                "span", "sync", f"sync j{job} r{rnd}", f"job/{job}",
-                start + train, sync, job=job, round=rnd, gpu=gpu,
-            )
-    for (job, rnd), end in sorted(round_end.items(), key=lambda kv: kv[1]):
-        rec(
-            "instant", "sync", f"barrier j{job} r{rnd}", f"job/{job}",
-            end, job=job, round=rnd,
-        )
-    records.sort(key=lambda r: (r.time, r.seq))
-    return replay_monitors(records, monitors, instance=instance)
+    else:
+        findings = ()
+    return DiagnosisReport(findings=findings, monitors=(SCHEDULE_CONSTRAINTS,))

@@ -62,7 +62,8 @@ class TestMergedResult:
         result = run_sharded(
             instance, "hare", cells=3, cluster=cluster
         )
-        report = diagnose_schedule(result.schedule, instance=instance)
+        assert result.schedule.instance is instance
+        report = diagnose_schedule(result.schedule)
         assert report.invariant_violations() == []
 
     def test_result_pickles(self, workload):

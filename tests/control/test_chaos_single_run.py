@@ -20,6 +20,7 @@ import pytest
 
 from repro.cluster import scaled_cluster
 from repro.control import ControlPlane
+from repro.core import validate_schedule
 from repro.faults import (
     FaultScenario,
     GpuCrash,
@@ -144,7 +145,9 @@ def chaos(run, scheduler, scenario, *, heal=False):
 
 
 def one_run(plane, instance, scenario, **kwargs):
-    return plane.run_chaos(instance, scenario, **kwargs)
+    result = plane.run_chaos(instance, scenario, **kwargs)
+    validate_schedule(result.realized, check_durations=False)
+    return result
 
 
 @pytest.mark.parametrize(

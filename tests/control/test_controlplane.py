@@ -6,7 +6,7 @@ import pytest
 
 from repro.cluster import make_cluster
 from repro.control import ControlPlane, traffic_bill
-from repro.core import SwitchMode
+from repro.core import SwitchMode, validate_schedule
 from repro.core.errors import ConfigurationError
 from repro.faults import FaultScenario
 from repro.harness.experiments import make_loaded_workload, make_problem
@@ -77,6 +77,7 @@ class TestPipelineConservation:
         jobs, instance, sim, bill = outcome
         cp = ControlPlane(make_cluster(["V100", "T4", "K80", "V100"]))
         result = cp.run_chaos(instance, FaultScenario())
+        validate_schedule(result.realized, check_durations=False)
         for endpoint in (UPPER, SCHEDULER, PS):
             assert cp.transport.pending(endpoint) == 0
         assert result.control_messages == (
@@ -104,9 +105,9 @@ class TestConfigurations:
         results = {}
         for mode in (SwitchMode.DEFAULT, SwitchMode.HARE):
             cp = ControlPlane(cluster, switch_mode=mode)
-            results[mode] = cp.run_chaos(
-                make_problem(cluster, jobs), FaultScenario()
-            ).sim.total_weighted_completion
+            sim = cp.run_chaos(make_problem(cluster, jobs), FaultScenario()).sim
+            validate_schedule(sim.realized, check_durations=False)
+            results[mode] = sim.total_weighted_completion
         assert results[SwitchMode.HARE] <= results[SwitchMode.DEFAULT]
 
     @pytest.mark.parametrize("interval", [0, -1])

@@ -74,6 +74,7 @@ class TestChaosRecovery:
         scenario = FaultScenario(flakiness=RpcFlakiness(drop_rate=0.2, seed=1))
         result = plane.run_chaos(make_problem(plane.cluster, jobs), scenario)
         assert sorted(result.completions) == [j.job_id for j in jobs]
+        validate_schedule(result.realized, check_durations=False)
         assert result.report.replans == 0
         assert result.report.rpc_retries > 0
         assert result.report.jct_degradation == pytest.approx(1.0)
@@ -88,6 +89,7 @@ class TestChaosRecovery:
             heartbeat=HeartbeatConfig(interval_s=1.0, lease_s=5.0),
         )
         assert sorted(result.completions) == [j.job_id for j in jobs]
+        validate_schedule(result.realized, check_durations=False)
         assert result.report.restore_reads == 0
         assert result.report.total_lost_rounds >= 0
 
@@ -115,6 +117,7 @@ class TestChaosRecovery:
         scenario = FaultScenario(crashes=(GpuCrash(time=1e6, gpu_id=0),))
         result = plane.run_chaos(make_problem(plane.cluster, jobs), scenario)
         assert sorted(result.completions) == [j.job_id for j in jobs]
+        validate_schedule(result.realized, check_durations=False)
         assert result.report.total_lost_rounds == 0
         assert result.report.degraded_makespan == pytest.approx(
             result.report.failure_free_makespan
@@ -138,6 +141,7 @@ class TestChaosRecovery:
         )
         result = plane.run_chaos(make_problem(plane.cluster, jobs), scenario)
         assert sorted(result.completions) == [j.job_id for j in jobs]
+        validate_schedule(result.realized, check_durations=False)
         assert result.report.replans == 0
         assert result.report.degraded_makespan >= (
             result.report.failure_free_makespan - 1e-9
@@ -153,6 +157,7 @@ class TestChaosRecovery:
             FaultScenario(crashes=(GpuCrash(time=5.0, gpu_id=1),))
         )
         store, realized = plane.store, result.realized
+        validate_schedule(realized, check_durations=False)
         for job in result.instance.jobs:
             path = f"checkpoints/job{job.job_id}/model.pt"
             written = [

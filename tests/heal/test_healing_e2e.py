@@ -5,6 +5,7 @@ import pytest
 
 from repro.cluster import testbed_cluster as make_testbed
 from repro.control import ControlPlane
+from repro.core import validate_schedule
 from repro.core.metrics import metrics_from_schedule
 from repro.faults import FaultScenario, GpuCrash, GpuSlowdown
 from repro.harness import make_problem, make_workload
@@ -101,6 +102,7 @@ class TestChaosHealing:
                 make_problem(plane.cluster, jobs), scenario, heal=engine
             )
         assert sorted(result.completions) == [j.job_id for j in jobs]
+        validate_schedule(result.realized, check_durations=False)
         log = result.remediation
         assert log is engine.log
         assert log.ok
@@ -118,6 +120,7 @@ class TestChaosHealing:
         result = plane.run_chaos(make_problem(plane.cluster, jobs), scenario)
         assert result.remediation is None
         assert sorted(result.completions) == [j.job_id for j in jobs]
+        validate_schedule(result.realized, check_durations=False)
 
 
 class TestApiSurface:

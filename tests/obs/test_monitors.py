@@ -3,25 +3,33 @@ corrupted fixtures, routing, and heuristic detectors."""
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import api
+from repro.faults import FaultScenario, GpuCrash, GpuRestart, HeartbeatConfig
 from repro.obs import Severity, default_monitors, diagnose_schedule
-from repro.core.schedule import merge_intervals
+from repro.core.errors import ScheduleValidationError
+from repro.core.schedule import (
+    TIME_EPS,
+    Schedule,
+    merge_intervals,
+    validate_schedule,
+)
 from repro.obs.monitors import (
     CellImbalanceMonitor,
     CommitmentMonotonicityMonitor,
     DiagnosisContext,
-    GpuDoubleBookingMonitor,
     JobStarvationMonitor,
     ReplanStormMonitor,
     UtilizationCollapseMonitor,
     collect_findings,
+    realized_schedule,
     replay_monitors,
 )
-from repro.obs.recorder import Record
+from repro.obs.recorder import Record, load_flight_log
 from tests.conftest import make_uniform_instance
 from tests.core.oracles import schedule_of
 
@@ -64,7 +72,8 @@ class TestCleanRuns:
 class TestCorruptedSchedule:
     def test_double_booked_schedule_trips_invariant(self):
         """Acceptance pin: cloning one assignment onto another task's GPU
-        and start time produces a gpu_double_booking ERROR."""
+        and start time produces a schedule_constraints ERROR naming the
+        overlap (8) on the donor's GPU."""
         r = api.run_experiment(
             gpus=4, jobs=5, scheduler="hare", seed=3, rounds_scale=0.2,
             simulate=False, trace=False,
@@ -82,44 +91,62 @@ class TestCorruptedSchedule:
                 for t, a in sched.assignments.items()
             ),
         )
-        report = diagnose_schedule(sched, instance=r.instance)
+        report = diagnose_schedule(sched)
         assert not report.ok
-        booked = [
-            f for f in report.invariant_violations()
-            if f.monitor == "gpu_double_booking"
-        ]
-        assert booked, report.summary()
-        assert booked[0].severity is Severity.ERROR
-        assert booked[0].invariant
+        assert report.monitors == ("schedule_constraints",)
+        (booked,) = report.invariant_violations()
+        assert booked.monitor == "schedule_constraints"
+        assert booked.severity is Severity.ERROR
+        assert booked.invariant
+        assert booked.details == {"constraint": 8}
+        assert booked.message.startswith(
+            f"constraint (8): GPU {sched[donor].gpu}: {donor} starts at"
+        )
+        assert f"inside {victim} which computes" in booked.message
 
     def test_clean_schedule_diagnoses_ok(self):
         r = api.run_experiment(
             gpus=4, jobs=5, scheduler="hare", seed=3, rounds_scale=0.2,
             simulate=False, trace=False,
         )
-        assert diagnose_schedule(r.plan, instance=r.instance).ok
+        report = diagnose_schedule(r.plan)
+        assert report.ok
+        assert report.findings == ()
+        assert report.monitors == ("schedule_constraints",)
 
 
-class TestGpuDoubleBooking:
-    def test_overlap_detected_out_of_order(self):
-        mon = GpuDoubleBookingMonitor()
-        # Later span arrives first: the check is order-independent.
-        mon.observe(span(0, "j1 r0", "gpu/0", 5.0, 2.0, job=1))
-        mon.observe(span(1, "j0 r0", "gpu/0", 4.0, 3.0, job=0))
-        assert mon.findings
-        assert mon.findings[0].severity is Severity.ERROR
+class TestRunValidatesItsReplay:
+    def test_overlapping_realized_rows_raise(self, monkeypatch):
+        """A plain simulated run checks the schedule it replayed: a
+        replay whose realized rows overlap on one GPU fails (8)."""
+        real = api.simulate_plan
 
-    def test_distinct_gpus_do_not_conflict(self):
-        mon = GpuDoubleBookingMonitor()
-        mon.observe(span(0, "j0 r0", "gpu/0", 0.0, 2.0))
-        mon.observe(span(1, "j1 r0", "gpu/1", 0.0, 2.0))
-        assert mon.findings == []
+        def overlapping(cluster, instance, plan, **kwargs):
+            sim = real(cluster, instance, plan, **kwargs)
+            done = sim.realized
+            start, train = done.start, done.train
+            # Row j starts while row i computes on another GPU: move j
+            # onto i's GPU, leaving every start (so (4) and (7)) as is.
+            i, j = next(
+                (i, j)
+                for i in range(len(done)) for j in range(len(done))
+                if done.gpu[i] != done.gpu[j]
+                and start[i] < start[j] < start[i] + train[i] - 1e-6
+            )
+            gpu = done.gpu.copy()
+            gpu[j] = gpu[i]
+            return dataclasses.replace(sim, realized=Schedule(
+                instance, done.job, done.rnd, done.slot, gpu, start, train,
+                done.sync,
+            ))
 
-    def test_back_to_back_is_fine(self):
-        mon = GpuDoubleBookingMonitor()
-        mon.observe(span(0, "j0 r0", "gpu/0", 0.0, 2.0))
-        mon.observe(span(1, "j1 r0", "gpu/0", 2.0, 2.0))
-        assert mon.findings == []
+        monkeypatch.setattr(api, "simulate_plan", overlapping)
+        with pytest.raises(ScheduleValidationError) as err:
+            api.run_experiment(
+                gpus=4, jobs=5, scheduler="hare", seed=3, rounds_scale=0.2,
+                simulate=True, trace=False,
+            )
+        assert err.value.constraint == 8
 
 
 class TestCommitmentMonotonicity:
@@ -322,11 +349,77 @@ class TestReplay:
     def test_default_monitors_cover_the_catalogue(self):
         names = {m.name for m in default_monitors()}
         assert names == {
-            "gpu_double_booking", "round_barrier",
             "commitment_monotonicity", "utilization_conservation",
             "replan_storm", "job_starvation", "utilization_collapse",
             "rpc_budget_exhausted", "cell_load_imbalance",
         }
+
+    @pytest.mark.parametrize("spans, ok", [
+        # The later span arrives first: the check is order-independent.
+        (((1, "gpu/0", 5.0, 2.0), (0, "gpu/0", 4.0, 3.0)), False),
+        (((0, "gpu/0", 0.0, 2.0), (1, "gpu/1", 0.0, 2.0)), True),
+        (((0, "gpu/0", 0.0, 2.0), (1, "gpu/0", 2.0, 2.0)), True),
+    ], ids=["overlap_out_of_order", "distinct_gpus", "back_to_back"])
+    def test_replayed_spans_meet_the_schedule_constraints(self, spans, ok):
+        """The compute spans of a log are the schedule it realized: two
+        that overlap on one GPU fail (8), and nothing else does."""
+        report = replay_monitors([
+            span(k, f"j{job} r0", track, t, dur, job=job, round=0, slot=0)
+            for k, (job, track, t, dur) in enumerate(spans)
+        ])
+        assert report.ok is ok
+        if not ok:
+            (finding,) = report.invariant_violations()
+            assert finding.monitor == "schedule_constraints"
+            assert finding.details == {"constraint": 8}
+            assert finding.message == (
+                "constraint (8): GPU 0: J1.r0.t0 starts at 5.000000 "
+                "inside J0.r0.t0 which computes until 7.000000"
+            )
+
+    @pytest.mark.parametrize("run", [
+        dict(
+            gpus=6, jobs=8, scheduler="hare_online", seed=5,
+            rounds_scale=0.3, arrivals="streaming", replan_interval=1.0,
+            crashes=((4.0, 1),), heal=True,
+        ),
+        dict(
+            gpus=6, jobs=5, seed=3, rounds_scale=0.3, record=True,
+            faults=FaultScenario(
+                crashes=(GpuCrash(6.0, 1),),
+                restarts=(GpuRestart(2.0, 0, restart_delay_s=1.0),),
+            ),
+            heartbeat=HeartbeatConfig(interval_s=1.0, lease_s=3.0),
+        ),
+    ], ids=["crashed_online", "faults_restart"])
+    def test_flight_log_is_the_realized_schedule(self, tmp_path, run):
+        """A crashed run's log rebuilds its realized schedule row for
+        row: a retracted round or an attempt the DES killed leaves no
+        ``sim`` span."""
+        r = api.run_experiment(trace=False, **run)
+        if "faults" in run:
+            aborted = r.metrics_snapshot()["sim.aborted_attempts"]
+            assert aborted["value"] == 1
+        else:
+            assert r.kernel.retracted_rounds > 0
+        log = load_flight_log(r.write_flight_log(tmp_path / "run.jsonl"))
+        for instance in (r.instance, None):
+            rebuilt = realized_schedule(log, instance)
+            done = r.sim.realized
+            assert len(rebuilt) == len(done)
+            mine, theirs = np.argsort(rebuilt.canon), np.argsort(done.canon)
+            for col in ("job", "rnd", "slot", "gpu", "start"):
+                assert np.array_equal(
+                    getattr(rebuilt, col)[mine], getattr(done, col)[theirs]
+                ), col
+            for col in ("train", "sync"):
+                assert np.allclose(
+                    getattr(rebuilt, col)[mine], getattr(done, col)[theirs],
+                    rtol=0, atol=TIME_EPS,
+                ), col
+        assert realized_schedule(
+            [rec for rec in log if rec.category != "sim"]
+        ) is None
 
 
 class TestChaosRuns:
@@ -355,15 +448,23 @@ class TestChaosRuns:
         scenario = FaultScenario(
             crashes=(GpuCrash(time=8.0, gpu_id=2),)
         ).validate(cluster.num_gpus)
+        instance = make_problem(plane.cluster, jobs)
         with use(obs):
-            plane.run_chaos(
-                make_problem(plane.cluster, jobs),
+            result = plane.run_chaos(
+                instance,
                 scenario,
                 heartbeat=HeartbeatConfig(interval_s=2.0, lease_s=6.0),
             )
-        report = obs.recorder.diagnose(metrics=obs.metrics.snapshot())
-        assert report.invariant_violations() == [], report.summary()
-        assert report.records_seen > 0
+        validate_schedule(result.realized, check_durations=False)
+        metrics = obs.metrics.snapshot()
+        for report in (
+            obs.recorder.diagnose(metrics=metrics),
+            replay_monitors(
+                obs.recorder.records(), instance=instance, metrics=metrics
+            ),
+        ):
+            assert report.invariant_violations() == [], report.summary()
+            assert report.records_seen > 0
 
 
 class TestCellImbalance:

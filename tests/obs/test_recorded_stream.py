@@ -163,8 +163,8 @@ PINS = {
             "9dc1c589e5be6ac1842563b94784a4f1"
         ),
         "diagnosis": (
-            "c6ca2943d4e4ecaa8d02076365aeb9a1"
-            "aa941073d6cdc4cd0fd9a4e9463bd017"
+            "9b49c6ea1ec01bb61b7fb90b323ba2d7"
+            "4094539402b0a7b3c9633e0c579ebed1"
         ),
         "records": 1231,
         "stream": (

@@ -81,7 +81,7 @@ class TestRoutedEqualsUnrouted:
         )
 
         def run():
-            return diagnose_schedule(sched, instance=r.instance).to_json()
+            return diagnose_schedule(sched).to_json()
 
         routed, plain = _routed_and_unrouted(run)
         assert routed == plain
@@ -109,8 +109,6 @@ class TestRoutedEqualsUnrouted:
         )
         add("span", "sim", "clone", "gpu/0", first.time, first.duration,
             job=first.args["job"], round=first.args["round"])
-        add("instant", "sync", "barrier j0 r0", "job/0", end + 5.0,
-            job=0, round=0)
         add("instant", "sched", "kernel.commit", "kernel", end,
             job=0, rounds_done=0)
         for k in range(10):
@@ -132,7 +130,9 @@ class TestRoutedEqualsUnrouted:
         routed, plain = _routed_and_unrouted(run)
         assert routed == plain
         fired = {f["monitor"] for f in plain["findings"]}
-        assert fired == {m.name for m in default_monitors()}
+        assert fired == {m.name for m in default_monitors()} | {
+            "schedule_constraints"
+        }
 
     def test_repro_chaos(self, capsys):
         argv = [

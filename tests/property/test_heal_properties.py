@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import scaled_cluster
 from repro.control import ControlPlane
+from repro.core import validate_schedule
 from repro.faults import FaultScenario, GpuCrash, GpuSlowdown
 from repro.harness.experiments import make_loaded_workload, make_problem
 from repro.heal import DEFAULT_POLICY, RemediationEngine
@@ -43,6 +44,8 @@ def test_chaos_with_healing_stays_invariant_clean(scheduler, seed):
         )
     # every job still completes with the engine in the loop
     assert sorted(result.completions) == [j.job_id for j in jobs]
+    # what ran meets the paper's constraints
+    validate_schedule(result.realized, check_durations=False)
     # no invariant checker fired: healing never corrupts the execution
     report = obs.recorder.diagnose(metrics=obs.metrics.snapshot())
     assert report.invariant_violations() == []

@@ -354,7 +354,7 @@ class TestDiagnosisAndRecorder:
         diagnosis = monitored_run.diagnosis
         assert diagnosis is not None
         assert diagnosis.records_seen > 0
-        assert len(diagnosis.monitors) == 9
+        assert len(diagnosis.monitors) == 7
         assert "rpc_budget_exhausted" in diagnosis.monitors
         assert diagnosis.invariant_violations() == []
 

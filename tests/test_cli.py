@@ -303,9 +303,9 @@ class TestAnalysisCommands:
     def test_replay_monitors_gate_corrupted_log_exits_1(
         self, tmp_path, capsys
     ):
-        """Satellite pin (ISSUE 9): ``replay --monitors`` is a CI gate —
-        a flight log with an invariant violation (here, a duplicated
-        compute span double-booking its GPU) must exit non-zero."""
+        """``replay --monitors`` is a CI gate — a flight log with an
+        invariant violation (here, a duplicated compute span: its task
+        runs twice) must exit non-zero."""
         import json
 
         log = tmp_path / "flight.jsonl"
@@ -326,7 +326,28 @@ class TestAnalysisCommands:
         rc = main(["replay", str(log), "--monitors", "--limit", "0"])
         text = capsys.readouterr().out
         assert rc == 1
-        assert "double-booked" in text
+        task = "J{job}.r{round}.t{slot}".format(**victim["args"])
+        assert (
+            f"constraint (5): 1 tasks assigned more than once, e.g. {task}"
+        ) in text
+
+    def test_replay_monitors_refuses_a_truncated_log(self, tmp_path, capsys):
+        """A log whose recorder dropped its oldest records misses their
+        spans, so ``replay --monitors`` refuses it (exit 2) and names the
+        count; plain filtering still reads it."""
+        from repro.obs import FlightRecorder
+
+        recorder = FlightRecorder(capacity=2)
+        for k in range(5):
+            recorder.record("instant", "sched", "kernel.replan", "kernel",
+                            float(k))
+        log = recorder.dump(tmp_path / "flight.jsonl")
+        assert main(["replay", str(log), "--monitors"]) == 2
+        captured = capsys.readouterr()
+        assert "dropped the 3 oldest records" in captured.err
+        assert captured.out == ""
+        assert main(["replay", str(log)]) == 0
+        assert "2/2 records match" in capsys.readouterr().out
 
 
 class TestExplainCommand:
