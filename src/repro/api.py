@@ -785,7 +785,10 @@ def simulate(
     """Replay an existing *plan* on the DES under a fresh observability
     context; the returned :class:`RunResult` carries the simulation, its
     telemetry, and the trace (plus the flight recorder / monitor
-    diagnosis when ``record`` / ``monitors`` are set)."""
+    diagnosis when ``record`` / ``monitors`` are set). The realized
+    schedule is validated like a simulated :func:`run_experiment`'s
+    (``check_durations=False``): a replay that breaks (4)-(8) raises
+    :class:`~repro.core.errors.ScheduleValidationError`."""
     watchers = None
     if monitors:
         from .obs.monitors import default_monitors
@@ -798,6 +801,7 @@ def simulate(
         sim = simulate_plan(
             cluster, instance, plan, switch_mode=switch_mode
         )
+        validate_schedule(sim.realized, check_durations=False)
     result = RunResult(
         scheduler=scheduler,
         cluster=cluster,

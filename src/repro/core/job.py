@@ -427,7 +427,9 @@ class ProblemInstance:
         one value per row, replace the sliced columns (a residual's ready
         times, boosted weights and remaining rounds). The types the GPUs
         keep are renumbered in their order of first appearance, and the
-        rest are dropped. No :class:`Job` is built.
+        rest are dropped. No :class:`Job` is built. On all of the GPUs
+        the sub-instance shares this one's expanded ``T^c`` rows
+        (:meth:`train_row`).
         """
         rows = np.asarray(rows, dtype=np.int64)
         sub = object.__new__(ProblemInstance)
@@ -452,6 +454,8 @@ class ProblemInstance:
         sub._set_times(gpu_type, tc, ts, check=False)
         if not self._type_per_gpu():  # this instance's labels still hold
             sub._row_class = self.row_class()[rows]
+            if gpus is None:  # and so do its expanded rows
+                sub._rows = self._rows
         picked = rows.tolist()
         sub._set_table(
             self.arrival[rows] if arrival is None
@@ -557,7 +561,8 @@ class ProblemInstance:
 
     def train_row(self, job_id: int) -> np.ndarray:
         """``T^c`` of *job_id* over the GPUs, read-only: expanded once
-        per distinct per-type row (:meth:`row_class`) and kept."""
+        per distinct per-type row (:meth:`row_class`) and kept, in a
+        table that every :meth:`subset` on all of the GPUs shares."""
         if self._type_per_gpu():
             return self.train_by_type[job_id]
         label = self.row_class().item(job_id)

@@ -304,7 +304,7 @@ def list_schedule(
     past the release), the float operation numpy would redo. The
     ``T^c`` row over the GPUs is :meth:`ProblemInstance.train_row`,
     expanded from the type table once per distinct per-type row, never
-    per job. Per-round counts and barriers are flat lists indexed
+    per job, and looked up once per job. Per-round counts and barriers are flat lists indexed
     by round, placements are appended to column lists, and the result is
     a :class:`~repro.core.schedule.Schedule` built from those columns,
     whose objects are built only if somebody reads them. Only the chosen
@@ -348,7 +348,7 @@ def list_schedule(
     # numpy φ for the scalar read of the chosen GPU, whose T^c/T^s come
     # from the type tables.
     types = instance.gpu_type.tolist()
-    train_row = instance.train_row
+    rows_by_job: dict[int, np.ndarray] = {}
     tc_item = instance.train_by_type.item
     ts_item = instance.sync_by_type.item
     earliest_finish = placement == "earliest_finish"
@@ -384,7 +384,10 @@ def list_schedule(
             # Ablation: minimize this task's finish time.
             if p != finish_for:
                 np_maximum(phi, t_avail, out=finish)
-                np_add(finish, train_row(j), out=finish)
+                row = rows_by_job.get(j)
+                if row is None:
+                    row = rows_by_job[j] = instance.train_row(j)
+                np_add(finish, row, out=finish)
                 finish_for = p
             m = int(finish.argmin())
         else:

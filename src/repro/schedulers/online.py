@@ -39,6 +39,7 @@ registry; being natively online it has no offline ``schedule()`` — use
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -201,51 +202,53 @@ class OnlineHarePolicy:
 
         A ``None`` horizon (the final arrival) commits the whole plan. A
         truncated plan lacks only tasks that start at or after the
-        horizon, in rounds that would not be committed anyway. The plan
-        is read as columns: the committed rounds' rows are gathered in
-        canonical order, moved to the base instance's frame
+        horizon, in rounds that would not be committed anyway. One walk
+        over the plan's rows counts each ``(job, round)``'s placed tasks
+        and earliest start (a round's rows need not be adjacent); a job
+        commits its prefix of complete rounds that start before the
+        horizon. The committed rows are gathered in canonical order,
+        moved to the base instance's frame
         (:func:`~repro.kernel.residual.to_global`) and cut into one
         block per round.
         """
-        n = residual.num_tasks
-        row = np.full(n, -1, dtype=np.int64)
-        row[plan.canon] = np.arange(len(plan))
-        start = np.full(n, np.inf)
-        start[plan.canon] = plan.start
-        job, rnd, slot = residual.task_columns()
-        # Canonical order holds each round's tasks as one block, and each
-        # job's rounds as consecutive blocks.
-        first = np.flatnonzero(
-            (np.diff(job, prepend=-1) != 0) | (np.diff(rnd, prepend=-1) != 0)
-        )
         cut = np.inf if horizon is None else horizon
-        ok = np.logical_and.reduceat(row >= 0, first)
-        ok &= np.minimum.reduceat(start, first) < cut
-        # A job commits its rounds up to its first round that is not ok:
-        # the rounds with no failed round of their job at or before them.
-        failed = np.cumsum(~ok)
-        job_first = np.flatnonzero(np.diff(job[first], prepend=-1))
-        failed_before = np.repeat(
-            (failed - ~ok)[job_first], np.diff(job_first, append=len(first))
-        )
-        keep = failed == failed_before
-        sizes = np.diff(first, append=n)
-        tasks = np.repeat(keep, sizes)
-        take = row[tasks]
+        # (job, round) -> [tasks placed, earliest start]
+        placed: dict[tuple[int, int], list] = {}
+        for key, s in zip(
+            zip(plan.job.tolist(), plan.rnd.tolist()), plan.start.tolist()
+        ):
+            seen = placed.get(key)
+            if seen is None:
+                placed[key] = [1, s]
+            else:
+                seen[0] += 1
+                if s < seen[1]:
+                    seen[1] = s
+        need = residual.sync_scale.tolist()
+        committed = np.zeros(residual.num_jobs, dtype=np.int64)
+        sizes: list[int] = []
+        for j in sorted({j for j, _ in placed}):
+            r = 0
+            while (seen := placed.get((j, r))) and (
+                seen[0] == need[j] and seen[1] < cut
+            ):
+                r += 1
+            committed[j] = r
+            sizes += [need[j]] * r
+        rows = np.flatnonzero(plan.rnd < committed[plan.job])
+        rows = rows[np.argsort(plan.canon[rows])]
         g_job, g_rnd, g_gpu = to_global(
-            job[tasks], rnd[tasks], plan.gpu[take], id_map, gpu_subset
+            plan.job[rows], plan.rnd[rows], plan.gpu[rows], id_map,
+            gpu_subset,
         )
         columns = (
-            g_rnd, slot[tasks], g_gpu, plan.start[take], plan.train[take],
-            plan.sync[take],
+            g_rnd, plan.slot[rows], g_gpu, plan.start[rows],
+            plan.train[rows], plan.sync[rows],
         )
-        hi = np.cumsum(sizes[keep])
-        lo = hi - sizes[keep]
+        job_ids, bounds = g_job.tolist(), [0, *accumulate(sizes)]
         return [
-            Commitment(job_id, *(col[a:b] for col in columns))
-            for job_id, a, b in zip(
-                g_job[lo].tolist(), lo.tolist(), hi.tolist()
-            )
+            Commitment(job_ids[a], *(col[a:b] for col in columns))
+            for a, b in zip(bounds, bounds[1:])
         ]
 
 

@@ -215,3 +215,45 @@ def test_subset_drops_the_types_its_gpus_lack():
     assert sub.gpu_type.tolist() == [0, 1]
     assert sub.train_by_type.tolist() == [[2.0, 3.0]]
     assert sub.alpha() == 1.5
+
+
+def _typed_instance() -> ProblemInstance:
+    """Four jobs on five GPUs of three types; jobs 0 and 2 share rows."""
+    jobs = [Job(job_id=n, model=f"m{n}") for n in range(4)]
+    tc = np.array([
+        [1.0, 2.0, 3.0], [0.5, 0.7, 0.9], [1.0, 2.0, 3.0], [4.0, 2.0, 1.0]
+    ])
+    return ProblemInstance.from_types(
+        jobs, [0, 1, 0, 2, 1], tc, np.full((4, 3), 0.25)
+    )
+
+
+def _expanded(inst: ProblemInstance, j: int) -> bytes:
+    return np.take(inst.train_by_type[j], inst.gpu_type).tobytes()
+
+
+def test_subsets_on_every_gpu_share_the_row_table():
+    """A residual on the parent's GPUs reads and fills the parent's
+    expanded T^c rows: one expansion per label across them all."""
+    inst = _typed_instance()
+    sub = inst.subset([2, 0, 3], num_rounds=[1, 1, 1])
+    assert sub._rows is inst._rows
+    for j in range(sub.num_jobs):
+        assert sub.train_row(j).tobytes() == _expanded(sub, j)
+    assert len(inst._rows) == 2  # jobs 2 and 0 share a label
+    assert inst.train_row(0) is sub.train_row(0)
+    for j in range(inst.num_jobs):
+        assert inst.train_row(j).tobytes() == _expanded(inst, j)
+    nested = sub.subset([2, 1])
+    assert nested._rows is inst._rows
+    assert nested.train_row(0) is inst.train_row(3)
+
+
+def test_subsets_on_other_gpus_keep_their_own_rows():
+    inst = _typed_instance()
+    inst.train_row(0)
+    cell = inst.subset([0, 3, 2], [4, 2, 3])
+    assert cell._rows is not inst._rows
+    for j in range(cell.num_jobs):
+        assert cell.train_row(j).tobytes() == _expanded(cell, j)
+    assert len(inst._rows) == 1

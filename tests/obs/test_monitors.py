@@ -116,9 +116,10 @@ class TestCorruptedSchedule:
 
 
 class TestRunValidatesItsReplay:
-    def test_overlapping_realized_rows_raise(self, monkeypatch):
-        """A plain simulated run checks the schedule it replayed: a
-        replay whose realized rows overlap on one GPU fails (8)."""
+    @pytest.fixture
+    def overlapping(self, monkeypatch):
+        """``api.simulate_plan`` returning realized rows that overlap on
+        one GPU."""
         real = api.simulate_plan
 
         def overlapping(cluster, instance, plan, **kwargs):
@@ -141,11 +142,25 @@ class TestRunValidatesItsReplay:
             ))
 
         monkeypatch.setattr(api, "simulate_plan", overlapping)
+
+    def test_overlapping_realized_rows_raise(self, overlapping):
+        """A plain simulated run checks the schedule it replayed: a
+        replay whose realized rows overlap on one GPU fails (8)."""
         with pytest.raises(ScheduleValidationError) as err:
             api.run_experiment(
                 gpus=4, jobs=5, scheduler="hare", seed=3, rounds_scale=0.2,
                 simulate=True, trace=False,
             )
+        assert err.value.constraint == 8
+
+    def test_simulate_checks_what_it_replays(self, overlapping):
+        """``api.simulate`` checks its replay as a simulated run does."""
+        r = api.run_experiment(
+            gpus=4, jobs=5, scheduler="hare", seed=3, rounds_scale=0.2,
+            simulate=False, trace=False,
+        )
+        with pytest.raises(ScheduleValidationError) as err:
+            api.simulate(r.cluster, r.instance, r.plan, trace=False)
         assert err.value.constraint == 8
 
 
