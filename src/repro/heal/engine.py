@@ -12,7 +12,9 @@ observability plumbing unchanged::
 It wraps its own copy of the monitor catalogue, which the recorder's
 one :class:`~repro.obs.recorder.RecordRouter` routes to directly: a
 record reaches the wrapped monitors that want it, then the engine's
-per-record bookkeeping (:meth:`RemediationEngine.bookkeeper`). Callers
+per-record bookkeeping (:meth:`RemediationEngine.bookkeeper`), or, for
+a block of records, its bookkeeping of the whole slice
+(:meth:`RemediationEngine.take_block`). Callers
 attach *either* plain monitors *or* the engine — not both (the engine's
 ``findings`` already include everything its wrapped monitors found,
 plus an INFO finding per action taken, so ``recorder.diagnose()`` keeps
@@ -95,6 +97,11 @@ class RemediationEngine:
         #: True while acting on findings: the remediation instants the
         #: engine emits then echo back uncounted.
         self._dispatching = False
+        #: Routes records handed to :meth:`observe`.
+        self._router = RecordRouter((self,))
+        #: The last block taken, and its health-report schemas.
+        self._block = None
+        self._health: set[int] = set()
 
     # -- host attachment ------------------------------------------------
     def attach_kernel(self, kernel) -> None:
@@ -131,22 +138,70 @@ class RemediationEngine:
             if record.time > self._now:
                 self._now = record.time
             if health and "gpu" in record.args and "state" in record.args:
-                self._on_health(record)
+                self._on_health(record.time, record.track, record.args)
             # Findings grow only in a monitor that just ran (or in a
             # poll, which drains on its own).
             for m, i in watched:
                 if len(m.findings) != drained[i]:
                     self._drain()
                     break
-            self._records += 1
-            if self._records % POLL_EVERY == 0:
-                self.poll_now()
+            self._count(1)
 
         return after
 
+    def slice_stop(self, block, lo: int) -> int:
+        """Where a slice of *block* from row *lo* ends: after the row
+        that polls or the next GPU health report, whichever is first,
+        or at the block's end. Only a slice's last row emits."""
+        stop = min(len(block), lo + POLL_EVERY - self._records % POLL_EVERY)
+        health = self._health_schemas(block)
+        if health:
+            for i in range(lo, stop):
+                if block.schema[i] in health:
+                    return i + 1
+        return stop
+
+    def take_block(self, block, lo: int, hi: int) -> None:
+        """The bookkeeping of block rows *lo* to *hi* (a slice ending at
+        :meth:`slice_stop`) once their records have reached the wrapped
+        monitors, as :meth:`bookkeeper`'s would do it record by record:
+        clock, the last row's health report, drain, count and poll.
+
+        The drain runs once, after the slice: the wrapped monitors emit
+        findings on block rows (sim spans and instants) only when
+        polled, so nothing is left to drain earlier.
+        """
+        if self._dispatching:
+            return
+        latest = max(block.time[lo:hi])
+        if latest > self._now:
+            self._now = latest
+        if block.schema[hi - 1] in self._health_schemas(block):
+            _, _, _, track, time, _, args = block.rows((hi - 1,))[0]
+            self._on_health(time, track, args)
+        self._drain()
+        self._count(hi - lo)
+
+    def _health_schemas(self, block) -> set[int]:
+        """The schemas of *block* whose rows report a GPU's health: fault
+        instants with ``gpu`` and ``state`` arguments."""
+        if block is not self._block:
+            self._block = block
+            self._health = {
+                k for k, s in enumerate(block.schemas)
+                if s.kind == "instant" and s.category == "fault"
+                and "gpu" in s.args and "state" in s.args
+            }
+        return self._health
+
+    def _count(self, n: int) -> None:
+        self._records += n
+        if self._records % POLL_EVERY == 0:
+            self.poll_now()
+
     def observe(self, record) -> None:
         """Take one record as the recorder's route would deliver it."""
-        for deliver in RecordRouter((self,)).route(
+        for deliver in self._router.route(
             record.kind, record.category, record.name
         ):
             deliver(record)
@@ -177,6 +232,8 @@ class RemediationEngine:
         self._dispatching = True
         try:
             for i, m in enumerate(self.monitors):
+                if len(m.findings) == self._drained[i]:
+                    continue
                 fresh = m.findings[self._drained[i]:]
                 self._drained[i] = len(m.findings)
                 for finding in fresh:
@@ -184,16 +241,16 @@ class RemediationEngine:
         finally:
             self._dispatching = False
 
-    def _on_health(self, record) -> None:
-        gpu = int(record.args["gpu"])
-        state = record.args["state"]
+    def _on_health(self, time: float, track: str, args) -> None:
+        gpu = int(args["gpu"])
+        state = args["state"]
         if state == "suspect":
             finding = Finding(
                 severity=Severity.WARNING,
                 monitor="gpu_suspect",
                 message=f"gpu {gpu} suspected by the failure detector",
-                time=record.time,
-                track=record.track,
+                time=time,
+                track=track,
                 details={"gpu": gpu},
             )
             self._dispatching = True

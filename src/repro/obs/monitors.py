@@ -437,6 +437,12 @@ class JobStarvationMonitor(Monitor):
         self._first_start: dict[int, float] = {}
         #: Jobs already reported — poll/finish idempotence.
         self._reported: set[int] = set()
+        #: Whether an arrival or a first start changed since the last
+        #: poll.
+        self._fresh = False
+        #: The instance whose arrivals :attr:`_table` holds.
+        self._table_of = None
+        self._table: list[float] = []
 
     def wants(self, kind: str, category: str, prefix: str) -> bool:
         return (kind == "span" and category == "sim") or (
@@ -446,8 +452,9 @@ class JobStarvationMonitor(Monitor):
     def on_record(self, record: Record) -> None:
         if record.kind == "instant" and record.name == "JOB_ARRIVED":
             job = record.args.get("job")
-            if job is not None:
-                self._arrival.setdefault(int(job), record.time)
+            if job is not None and int(job) not in self._arrival:
+                self._arrival[int(job)] = record.time
+                self._fresh = True
         elif (
             record.kind == "span"
             and record.category == "sim"
@@ -459,19 +466,25 @@ class JobStarvationMonitor(Monitor):
                 prev = self._first_start.get(job)
                 if prev is None or record.time < prev:
                     self._first_start[job] = record.time
+                    self._fresh = True
 
     def _evaluate(self, ctx: DiagnosisContext) -> None:
-        arrivals = dict(self._arrival)
-        arrival = getattr(ctx.instance, "arrival", None)
-        if arrival is not None:
+        if ctx.instance is not self._table_of:
             # The job table: job ids are its rows.
-            for job, t0 in enumerate(arrival.tolist()):
-                arrivals.setdefault(job, t0)
-        waits = {
-            job: self._first_start[job] - t0
-            for job, t0 in arrivals.items()
-            if job in self._first_start
-        }
+            arrival = getattr(ctx.instance, "arrival", None)
+            self._table = [] if arrival is None else arrival.tolist()
+            self._table_of = ctx.instance
+        # Each started job's recorded arrival, else the instance's.
+        own, table = self._arrival, self._table
+        arrivals, waits = {}, {}
+        for job, start in self._first_start.items():
+            t0 = own.get(job)
+            if t0 is None:
+                if not 0 <= job < len(table):
+                    continue
+                t0 = table[job]
+            arrivals[job] = t0
+            waits[job] = start - t0
         if len(waits) < self.min_jobs:
             return
         typical = median(sorted(waits.values()))
@@ -488,7 +501,11 @@ class JobStarvationMonitor(Monitor):
                 )
 
     def poll(self, ctx: DiagnosisContext) -> None:
-        self._evaluate(ctx)
+        # With no new arrival or first start (and the same instance) the
+        # last poll already reported every wait this one would.
+        if self._fresh or ctx.instance is not self._table_of:
+            self._fresh = False
+            self._evaluate(ctx)
 
     def finish(self, ctx: DiagnosisContext) -> None:
         self._evaluate(ctx)
@@ -541,6 +558,10 @@ class UtilizationCollapseMonitor(Monitor):
         self._arrival: dict[int, float] = {}
         #: Gaps already reported — poll/finish idempotence.
         self._reported: set[tuple[float, float]] = set()
+        #: Whether a record arrived since the last poll, and the
+        #: instance that poll graded against.
+        self._fresh = False
+        self._polled_with = None
 
     def wants(self, kind: str, category: str, prefix: str) -> bool:
         return (kind == "span" and category == "sim") or (
@@ -552,6 +573,7 @@ class UtilizationCollapseMonitor(Monitor):
         )
 
     def on_record(self, record: Record) -> None:
+        self._fresh = True
         if (
             record.kind == "span"
             and record.category == "sim"
@@ -582,6 +604,12 @@ class UtilizationCollapseMonitor(Monitor):
         """Fold ``[s, e]`` into the merged list with the same ``s <= end``
         touch rule as :func:`~repro.core.schedule.merge_intervals`."""
         starts, ends = self._starts, self._ends
+        if starts and starts[-1] <= s <= ends[-1]:
+            # Inside the last interval, the usual case: spans arrive as
+            # they finish.
+            if e > ends[-1]:
+                ends[-1] = e
+            return
         lo = bisect.bisect_left(ends, s)  # first interval ending at or after s
         hi = bisect.bisect_right(starts, e)  # past the last starting by e
         if lo < hi:
@@ -640,6 +668,10 @@ class UtilizationCollapseMonitor(Monitor):
                     break
 
     def poll(self, ctx: DiagnosisContext) -> None:
+        if not self._fresh and ctx.instance is self._polled_with:
+            return  # nothing new since the last poll graded the gaps
+        self._fresh = False
+        self._polled_with = ctx.instance
         num_gpus = getattr(ctx.instance, "num_gpus", None)
         marks, crashed = self._watermark, self._crashed
         if num_gpus is None or len(marks.keys() | crashed.keys()) < num_gpus:

@@ -4,11 +4,12 @@ The tracer answers "what does this run look like in Perfetto"; the flight
 recorder answers "what happened, in order, and can something *watch* it as
 it streams by". It subscribes to a :class:`~repro.obs.trace.Tracer` as its
 ``sink``: every span, instant, flow arrow and wall-clock phase the run
-emits is normalized into a flat :class:`Record` with a monotonic sequence
-number and appended to a bounded ring. When the ring is full the oldest
-records are evicted — spilled to a JSONL file when ``spill_path`` is set,
-counted as :attr:`FlightRecorder.dropped` otherwise — so recording a long
-run costs bounded memory.
+emits, one at a time or as a :class:`~repro.obs.trace.RecordBlock`, joins
+a bounded row log with a monotonic sequence number, and is read back as a
+flat :class:`Record`. When the ring is full the oldest records are
+evicted — spilled to a JSONL file when ``spill_path`` is set, counted as
+:attr:`FlightRecorder.dropped` otherwise — so recording a long run costs
+bounded memory.
 
 Three consumers sit on top:
 
@@ -33,6 +34,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping
+
+import numpy as np
 
 #: Flight-log schema identifier (the JSONL header line), bumped on
 #: breaking layout changes.
@@ -115,21 +118,38 @@ class RecordRouter:
     the route's key and the monitors it *reached* (``None``: the wrapper
     takes no such records, and neither do its monitors).
 
+    A :class:`~repro.obs.trace.RecordBlock` is routed by slices (see
+    :meth:`FlightRecorder.on_block`): its rows reach the consumers and
+    wrapped monitors that want them (:meth:`block_route`), and each
+    wrapper then does its bookkeeping over the whole slice with
+    ``take_block(block, lo, hi)``. A wrapper's ``slice_stop(block,
+    lo)`` ends the slice at the row where its bookkeeping would emit (a
+    poll, a health report), so only a slice's last row can. A block
+    holds sim-time records only, and every wrapper takes them.
+
     Routes are memoized per ``(kind, category, prefix)``, never per full
     name, since names embed job and round ids.
     """
 
-    __slots__ = ("consumers", "_routes")
+    __slots__ = ("consumers", "wrappers", "_routes", "_takers")
 
     def __init__(self, consumers: Iterable = ()) -> None:
         #: Read-only: :meth:`add` is the only way to subscribe, so no
         #: consumer misses a memoized route.
-        self.consumers = tuple(consumers)
+        self.consumers = ()
+        #: The consumers with a ``bookkeeper``.
+        self.wrappers = ()
         self._routes: dict[tuple[str, str, str], tuple] = {}
+        self._takers: dict[tuple[str, str, str], tuple] = {}
+        for consumer in consumers:
+            self.add(consumer)
 
     def add(self, consumer) -> None:
         self.consumers += (consumer,)
+        if getattr(consumer, "bookkeeper", None) is not None:
+            self.wrappers += (consumer,)
         self._routes.clear()
+        self._takers.clear()
 
     def route(self, kind: str, category: str, name: str) -> tuple:
         """The callables that take the record, in delivery order."""
@@ -138,6 +158,22 @@ class RecordRouter:
         if route is None:
             route = self._routes[key] = self._resolve(key)
         return route
+
+    def block_route(self, key: tuple[str, str, str]) -> tuple:
+        """The callables that take a block row of *key*: the consumers
+        and wrapped monitors that want it, in route order, without the
+        wrappers' bookkeeping."""
+        takers = self._takers.get(key)
+        if takers is None:
+            found = []
+            for consumer in self.consumers:
+                if getattr(consumer, "bookkeeper", None) is not None:
+                    found.extend(m for m in consumer.monitors
+                                 if self.wants(m, key))
+                elif self.wants(consumer, key):
+                    found.append(consumer)
+            takers = self._takers[key] = tuple(map(_entry, found))
+        return takers
 
     def _resolve(self, key: tuple[str, str, str]) -> tuple:
         calls = []
@@ -168,13 +204,29 @@ def _entry(consumer):
     return getattr(consumer, "on_record", None) or consumer.observe
 
 
+@dataclass(slots=True)
+class _BlockRows:
+    """Rows ``lo`` to ``hi`` of a block, in the recorder's log."""
+
+    block: object
+    lo: int
+    hi: int
+
+
 class FlightRecorder:
     """Bounded-ring structured event log with streaming observers.
 
     Implements the tracer sink protocol (``on_span`` / ``on_instant`` /
-    ``on_flow`` / ``on_wall``); install it by building the tracer with
-    ``sink=recorder`` — :meth:`repro.obs.Obs.start` does this when asked
-    to ``record``.
+    ``on_flow`` / ``on_wall`` / ``on_block``); install it by building
+    the tracer with ``sink=recorder`` — :meth:`repro.obs.Obs.start` does
+    this when asked to ``record``.
+
+    The ring is one row log: :meth:`record` appends a row of plain
+    values, :meth:`on_block` a run of a block's rows. A :class:`Record`
+    is built when something reads the log (:meth:`records`,
+    :meth:`query`, :meth:`dump`, a spill on eviction) or when a
+    consumer's route takes the row. Sequence numbers are positions in
+    the log: the oldest retained row is ``seen - len(self)``.
     """
 
     def __init__(
@@ -190,8 +242,12 @@ class FlightRecorder:
         self.spill_path = Path(spill_path) if spill_path is not None else None
         self._router = RecordRouter(monitors)
         self.dropped = 0
-        self._ring: deque[Record] = deque()
+        #: rows: ``(kind, category, name, track, time, duration, args)``
+        #: tuples and :class:`_BlockRows`
+        self._log: deque = deque()
+        #: seq of the next row, and of the oldest retained one
         self._seq = 0
+        self._first = 0
         self._spill_file: IO[str] | None = None
         self._spilled = 0
 
@@ -205,26 +261,111 @@ class FlightRecorder:
         time: float,
         duration: float = 0.0,
         args: Mapping | None = None,
-    ) -> Record:
-        rec = Record(
-            self._seq, kind, category, name, track, time, duration,
-            args if args is not None else {},
-        )
-        self._seq += 1
-        ring = self._ring
-        ring.append(rec)
-        if len(ring) > self.capacity:
-            self._evict(ring.popleft())
+    ) -> None:
+        """Log one record and hand it to the consumers its route takes."""
+        args = args if args is not None else {}
+        seq = self._seq
+        self._log.append((kind, category, name, track, time, duration, args))
+        self._seq = seq + 1
+        if seq + 1 - self._first > self.capacity:
+            self._evict(1)
         router = self._router
         if router.consumers:
-            for deliver in router.route(kind, category, name):
-                deliver(rec)
-        return rec
+            route = router.route(kind, category, name)
+            if route:
+                rec = Record(seq, kind, category, name, track, time,
+                             duration, args)
+                for deliver in route:
+                    deliver(rec)
 
-    def _evict(self, rec: Record) -> None:
-        if self.spill_path is None:
-            self.dropped += 1
+    def on_block(self, block) -> None:
+        """Take a :class:`~repro.obs.trace.RecordBlock`, rows in order.
+
+        The block is logged slice by slice. A slice ends after the row
+        where a wrapper's bookkeeping emits (``slice_stop``: its next
+        poll or health report), or at the block's end. Its rows join
+        the log, the rows some consumer takes are built into records and
+        delivered, then each wrapper does its bookkeeping over the slice
+        (``take_block``), so a poll at the slice's last row sees the same
+        records, and emits at the same sequence numbers, as it would
+        record by record. Rows no consumer takes are never built here.
+        Consumers of block rows only observe: anything they record
+        follows the slice.
+        """
+        n = len(block)
+        router = self._router
+        if not router.consumers:
+            self._extend(block, 0, n)
             return
+        keys, key_of = block.route_keys()
+        routes = [router.block_route(key) for key in keys]
+        taken = np.fromiter(map(bool, routes), dtype=bool, count=len(keys))
+        picked = np.flatnonzero(taken[key_of])
+        # (row, route, record fields) of each row some consumer takes,
+        # then a sentinel
+        rows = picked.tolist()
+        picked = [*zip(rows, map(routes.__getitem__, key_of[picked].tolist()),
+                       block.rows(rows)), (n, (), ())]
+        wrappers = router.wrappers
+        k = 0  # the next picked row
+        start = 0
+        while start < n:
+            stop = min([n, *(w.slice_stop(block, start) for w in wrappers)])
+            base = self._seq - start  # row i's seq is base + i
+            self._extend(block, start, stop)
+            row, route, fields = picked[k]
+            while row < stop:
+                rec = Record(base + row, *fields)
+                for deliver in route:
+                    deliver(rec)
+                k += 1
+                row, route, fields = picked[k]
+            for w in wrappers:
+                w.take_block(block, start, stop)
+            start = stop
+
+    def _extend(self, block, lo: int, hi: int) -> None:
+        """Log *block*'s rows *lo* to *hi*."""
+        log = self._log
+        tail = log[-1] if log else None
+        if type(tail) is _BlockRows and tail.block is block and tail.hi == lo:
+            tail.hi = hi
+        else:
+            log.append(_BlockRows(block, lo, hi))
+        self._seq += hi - lo
+        excess = self._seq - self._first - self.capacity
+        if excess > 0:
+            self._evict(excess)
+
+    def _evict(self, count: int) -> None:
+        """Evict the *count* oldest rows: spilled when there is a spill
+        file, counted as dropped otherwise."""
+        log, spill = self._log, self.spill_path is not None
+        seq = self._first
+        self._first += count
+        if not spill:
+            self.dropped += count
+        while count:
+            head = log[0]
+            if type(head) is tuple:
+                log.popleft()
+                if spill:
+                    self._spill(Record(seq, *head))
+                seq += 1
+                count -= 1
+                continue
+            take = min(count, head.hi - head.lo)
+            if spill:
+                rows = head.block.rows(range(head.lo, head.lo + take))
+                for fields in rows:
+                    self._spill(Record(seq, *fields))
+                    seq += 1
+            head.lo += take
+            count -= take
+            if head.lo == head.hi:
+                log.popleft()
+
+    def _spill(self, rec: Record) -> None:
         if self._spill_file is None:
             self.spill_path.parent.mkdir(parents=True, exist_ok=True)
             self._spill_file = self.spill_path.open("w")
@@ -263,7 +404,7 @@ class FlightRecorder:
 
     # -- views ---------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._ring)
+        return self._seq - self._first
 
     @property
     def seen(self) -> int:
@@ -272,7 +413,18 @@ class FlightRecorder:
 
     def records(self) -> list[Record]:
         """The in-memory window, oldest first."""
-        return list(self._ring)
+        return list(self._records())
+
+    def _records(self) -> Iterator[Record]:
+        seq = self._first
+        for entry in self._log:
+            if type(entry) is tuple:
+                yield Record(seq, *entry)
+                seq += 1
+                continue
+            for fields in entry.block.rows(range(entry.lo, entry.hi)):
+                yield Record(seq, *fields)
+                seq += 1
 
     def query(
         self,
@@ -301,7 +453,7 @@ class FlightRecorder:
             return value == pattern
 
         out: list[Record] = []
-        for rec in self._ring:
+        for rec in self._records():
             if kind is not None and rec.kind != kind:
                 continue
             if category is not None and rec.category != category:
@@ -390,7 +542,7 @@ class FlightRecorder:
             fh.write(json.dumps(
                 {
                     "schema": FLIGHT_SCHEMA,
-                    "records": self._spilled + len(self._ring),
+                    "records": self._spilled + len(self),
                     "dropped": self.dropped,
                 },
                 sort_keys=True,
@@ -399,7 +551,7 @@ class FlightRecorder:
             for rec in self._spilled_records():
                 fh.write(json.dumps(rec.to_json(), sort_keys=True))
                 fh.write("\n")
-            for rec in self._ring:
+            for rec in self._records():
                 fh.write(json.dumps(rec.to_json(), sort_keys=True))
                 fh.write("\n")
         return path

@@ -34,6 +34,7 @@ from ..core.types import SwitchMode, TaskRef
 from ..obs import Category, Obs, gpu_track, job_track, use
 from ..obs import current as obs_current
 from ..obs.metrics import MetricsRegistry, NullRegistry
+from ..obs.trace import RecordBlock, RecordSchema
 from ..switching.costmodel import SwitchCostModel
 from ..switching.memory import sequence_hits
 from ..workload.models import spec_or_synthetic
@@ -47,8 +48,30 @@ SYNC, COMPUTE, ARRIVAL, CHECK, FAILURE = (int(t) for t in EventType)
 EVENT_NAMES = [t.name for t in EventType]
 #: Track every dispatched event appears under in exported traces.
 ENGINE_TRACK = "engine"
-#: Tags of the loop's trace log entries (see :func:`_emit_records`).
-_POP, _TASK, _FLOW, _BARRIER, _CRASH = range(5)
+#: The replay's record shapes: an engine instant per event type (schema
+#: = the type's value), then the switch, compute and sync spans, the
+#: barrier→task flow, the barrier opening and the GPU failure. Track
+#: templates are the track names of a ``{gpu}`` or ``{job}``.
+_GPU, _JOB = gpu_track("{gpu}"), job_track("{job}")
+_SCHEMAS = (
+    *(RecordSchema("instant", Category.SIM, name, ENGINE_TRACK)
+      for name in EVENT_NAMES),
+    RecordSchema("span", Category.SWITCH, "switch→j{job}", _GPU,
+                 ("job", "retained_hit")),
+    RecordSchema("span", Category.SIM, "j{job} r{round}", _GPU,
+                 ("job", "round", "slot", "planned_start")),
+    RecordSchema("span", Category.SYNC, "sync j{job} r{round}", _JOB,
+                 ("job", "round", "gpu", "slot")),
+    RecordSchema("flow", Category.SYNC, "j{job} barrier", _JOB,
+                 dst_track=_GPU),
+    RecordSchema("instant", Category.SYNC, "barrier j{job} r{round}", _JOB,
+                 ("job", "round")),
+    RecordSchema("instant", Category.FAULT, "gpu failure", _GPU,
+                 ("restart_delay_s",)),
+)
+_SWITCH, _COMPUTE, _SYNCED, _RELEASE, _OPENED, _FAILED = range(
+    len(EVENT_NAMES), len(_SCHEMAS)
+)
 #: The replay's sampled instruments.
 GPUS_BUSY, TASKS_COMPLETED = "sim.gpus_busy", "sim.tasks_completed"
 
@@ -188,10 +211,13 @@ class ClusterSimulator:
         wake, in device order, which is exactly the set a scan of every
         executor would start.
 
-        When the ambient tracer records, the loop appends one plain
-        tuple per record group to a log, and :func:`_emit_records`
-        turns the log into the trace's spans, instants and flows after
-        the loop, in loop order. A replay that raises emits none.
+        When the ambient tracer records, the loop appends each record's
+        row of plain values to a flat log (schema, time, duration, job,
+        round, slot, gpu, value; durations as the tracer's ``max(0.0,
+        end - start)``). After the loop the log becomes one
+        :class:`~repro.obs.trace.RecordBlock`, rows in loop order, and
+        the tracer takes it in one call. A replay that raises emits
+        none.
         """
         instance = self.instance
         release_at = self._release_rows(plan) if self.releases else {}
@@ -204,9 +230,11 @@ class ClusterSimulator:
         obs = obs_current()
         tracer = obs.tracer
         traced = tracer.enabled
-        #: the trace log: (tag, *values) tuples, in emission order
-        log: list[tuple] = []
-        note = log.append
+        #: the trace log: each record's row, rows laid end to end in
+        #: emission order (plain values only: a long replay leaves the
+        #: garbage collector nothing new to track)
+        log: list = []
+        note = log.extend
         registry = obs.metrics
         sampled = not isinstance(registry, NullRegistry)
         nic = self.nic_contention
@@ -392,8 +420,9 @@ class ClusterSimulator:
                 samples.append((start, GPUS_BUSY, busy))
             if traced and r > 0:
                 # Arrow: previous round's barrier released this task.
-                note((_FLOW, row, ex.gpu_id, start,
-                      barrier[rid_of[row] - 1]))
+                opened = barrier[rid_of[row] - 1]
+                note((_RELEASE, opened, max(0.0, start - opened), j, r,
+                      slot_of[row], ex.gpu_id, start))
             push(heap, (start + train, COMPUTE, next(seq), g, ex.serial))
 
         def scan(now: float, woken: Iterable[int]) -> None:
@@ -426,7 +455,7 @@ class ClusterSimulator:
             time, kind, _, g, payload = pop(heap)
             processed += 1
             if traced:
-                note((_POP, time, kind))
+                note((kind, time, 0.0, -1, -1, -1, -1, None))
             if kind == COMPUTE:
                 ex = executors[g]
                 running = ex.running
@@ -449,8 +478,16 @@ class ClusterSimulator:
                                  ex.gpu_id))
                 if traced:
                     # The switch, compute and sync spans.
-                    note((_TASK, time, row, start, switch, hit, sync,
-                          ex.gpu_id))
+                    j, r, gpu = job_of[row], rnd_of[row], ex.gpu_id
+                    if switch > 0:
+                        begin = start - switch
+                        note((_SWITCH, begin, max(0.0, start - begin), j,
+                              -1, -1, gpu, hit))
+                    note((_COMPUTE, start, max(0.0, time - start), j, r,
+                          slot_of[row], gpu, planned_of[row]))
+                    if sync > 0:
+                        note((_SYNCED, time, max(0.0, (time + sync) - time),
+                              j, r, slot_of[row], gpu, None))
                 push(heap, (time + sync, SYNC, next(seq), g, row))
                 # The GPU is free; sync overlaps the successor (§5.2).
                 try_start(g, time)
@@ -479,7 +516,8 @@ class ClusterSimulator:
                 if count == scale[j]:
                     rounds_open[j] += 1
                     if traced:
-                        note((_BARRIER, time, row))
+                        note((_OPENED, time, 0.0, j, rnd_of[row], -1, -1,
+                              None))
                     # The barrier opened: next-round tasks may be heads.
                     scan(time, by_barrier.pop(rid, ()))
             elif kind == ARRIVAL:
@@ -489,7 +527,8 @@ class ClusterSimulator:
             else:  # FAILURE
                 ex = executors[g]
                 if traced:
-                    note((_CRASH, time, ex.gpu_id, payload))
+                    note((_FAILED, time, 0.0, -1, -1, -1, ex.gpu_id,
+                          payload))
                 if ex.running is not None:
                     # The attempt is lost and re-runs from the queue head;
                     # the crash wipes device memory and context.
@@ -532,8 +571,7 @@ class ClusterSimulator:
                     f"GPU {ex.gpu_id} still has queued tasks"
                 )
         if log:
-            _emit_records(tracer, log, instance.num_jobs, gpu_ids, job_of,
-                          rnd_of, slot_of, planned_of)
+            tracer.block(RecordBlock.from_flat(_SCHEMAS, log))
 
         # Columns out: the realized schedule and the telemetry as views
         # over the completions, in completion order.
@@ -579,59 +617,6 @@ class ClusterSimulator:
             events_processed=processed,
             wakeups=wakeups,
         )
-
-
-def _emit_records(
-    tracer, log: list[tuple], num_jobs: int, gpu_ids: list[int],
-    job_of: list[int], rnd_of: list[int], slot_of: list[int],
-    planned_of: list[float],
-) -> None:
-    """The replay's records, in loop order, from its trace log.
-
-    Each log entry is one record group as the loop met it: a popped
-    event's engine instant; a completion's switch, compute and sync
-    spans; a barrier→task flow; a barrier opening; a GPU failure. Track
-    names are built once per GPU and once per job.
-    """
-    span, instant, flow = tracer.span, tracer.instant, tracer.flow
-    gpu_tracks = {m: gpu_track(m) for m in gpu_ids}
-    job_tracks = [job_track(j) for j in range(num_jobs)]
-    SIM, SYNC, SWITCH = Category.SIM, Category.SYNC, Category.SWITCH
-    for entry in log:
-        tag = entry[0]
-        if tag == _POP:
-            _, time, kind = entry
-            instant(SIM, EVENT_NAMES[kind], track=ENGINE_TRACK, time=time)
-        elif tag == _TASK:
-            _, time, row, start, switch, hit, sync, gpu = entry
-            j, r = job_of[row], rnd_of[row]
-            track = gpu_tracks[gpu]
-            if switch > 0:
-                span(SWITCH, f"switch→j{j}", track=track,
-                     start=start - switch, end=start, job=j,
-                     retained_hit=hit)
-            span(SIM, f"j{j} r{r}", track=track, start=start, end=time,
-                 job=j, round=r, slot=slot_of[row],
-                 planned_start=planned_of[row])
-            if sync > 0:
-                span(SYNC, f"sync j{j} r{r}", track=job_tracks[j],
-                     start=time, end=time + sync, job=j, round=r, gpu=gpu,
-                     slot=slot_of[row])
-        elif tag == _FLOW:
-            _, row, gpu, start, opened = entry
-            j, r = job_of[row], rnd_of[row]
-            flow((j * 10_000 + r) * 10_000 + slot_of[row], SYNC,
-                 f"j{j} barrier", src_track=job_tracks[j], src_time=opened,
-                 dst_track=gpu_tracks[gpu], dst_time=start)
-        elif tag == _BARRIER:
-            _, time, row = entry
-            j, r = job_of[row], rnd_of[row]
-            instant(SYNC, f"barrier j{j} r{r}", track=job_tracks[j],
-                    time=time, job=j, round=r)
-        else:  # _CRASH
-            _, time, gpu, delay = entry
-            instant(Category.FAULT, "gpu failure", track=gpu_tracks[gpu],
-                    time=time, restart_delay_s=delay)
 
 
 @functools.lru_cache(maxsize=1024)

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 
@@ -20,7 +22,12 @@ from repro.api import ExperimentSpec, run_experiment
 from repro.cluster import scaled_cluster
 from repro.faults import FaultScenario, GpuCrash, HeartbeatConfig
 from repro.harness.experiments import make_loaded_workload
+from repro.heal.engine import POLL_EVERY, RemediationEngine
+from repro.obs import Category, Obs, use
+from repro.obs.trace import RecordBlock, RecordSchema
+from repro.sim import ClusterSimulator
 from repro.workload import WorkloadConfig
+from tests.sim.oracles import reference_run
 
 #: Hare on the fluid relaxation: the exact LP's optimal vertex depends on
 #: the HiGHS build, and these pins must not.
@@ -69,13 +76,13 @@ def _workload(jobs: int, gpus: int, seed: int, rounds_scale: float):
     ))
 
 
-def online_chaos(seed: int):
+def online_chaos(seed: int, *, trace: bool = False):
     """The ``online_chaos`` bench workload's shape, scaled down."""
     return run_experiment(ExperimentSpec(
         scheduler="hare_online", cluster=scaled_cluster(8),
         workload=_workload(16, 8, seed, 0.15), arrivals="streaming",
         replan_interval=2.0, crashes=((5.0, 1),), heal=True,
-        simulate=True, trace=False, validate=True,
+        simulate=True, trace=trace, validate=True,
     ))
 
 
@@ -191,3 +198,138 @@ def pinned_run(name: str, tmp_path=None) -> dict:
 @pytest.mark.parametrize("name", sorted(PINS))
 def test_recorded_stream_is_pinned(name, tmp_path):
     assert pinned_run(name, tmp_path) == PINS[name]
+
+
+# ---------------------------------------------------------------------
+# The DES replay hands the recorder one block of records; the reference
+# loop hands the tracer each record as it meets it. A run must not tell
+# them apart.
+
+#: An online run whose starvation polls boost a job during the replay.
+HEALED_IN_REPLAY = 7
+
+
+@contextmanager
+def per_event_replay():
+    """Within the block the DES replay is the reference loop."""
+    with mock.patch.object(ClusterSimulator, "run",
+                           lambda self, plan: reference_run(self, plan)[0]):
+        yield
+
+
+@contextmanager
+def small_ring(capacity: int, spill_path=None):
+    """Within the block a run's recorder keeps *capacity* records."""
+    start = Obs.start.__func__
+
+    def small(cls, **kwargs):
+        return start(cls, record_capacity=capacity, spill_path=spill_path,
+                     **kwargs)
+
+    with mock.patch.object(Obs, "start", classmethod(small)):
+        yield
+
+
+def log_records(path) -> list:
+    """A flight log's or spill file's records, wall records by position
+    and identity only."""
+    out = []
+    for line in path.read_text().splitlines():
+        rec = json.loads(line)
+        if rec.get("kind") == "wall":
+            for key in ("t", "dur", "args"):
+                rec.pop(key, None)
+        out.append(rec)
+    return out
+
+
+class TestBlockIngestionEqualsPerEventEmission:
+    def test_a_poll_inside_the_replay_dispatches_a_remediation(self):
+        result = online_chaos(HEALED_IN_REPLAY)
+        records = result.obs.recorder.records()
+        replay = [r.seq for r in records if r.track == "engine"]
+        assert any(
+            r.name == "remediation" and replay[0] < r.seq < replay[-1]
+            for r in records
+        )
+        with per_event_replay():
+            reference = online_chaos(HEALED_IN_REPLAY)
+        assert digest(result) == digest(reference)
+
+    @pytest.mark.parametrize("spill", [False, True], ids=["drop", "spill"])
+    def test_a_ring_smaller_than_the_replay(self, spill, tmp_path):
+        def run(tag: str):
+            spill_path = tmp_path / f"{tag}.spill.jsonl" if spill else None
+            with small_ring(700, spill_path):
+                result = online_chaos(HEALED_IN_REPLAY)
+            log = result.write_flight_log(tmp_path / f"{tag}.jsonl")
+            result.obs.recorder.close()
+            return result, log, spill_path
+
+        result, log, spilled = run("block")
+        with per_event_replay():
+            reference, ref_log, ref_spilled = run("reference")
+        recorder = result.obs.recorder
+        # The replay's records alone overflow the ring.
+        assert {r.category for r in recorder.records()} <= {
+            "sim", "sync", "switch"
+        }
+        assert recorder.dropped == reference.obs.recorder.dropped
+        assert recorder.dropped == (0 if spill else recorder.seen - 700)
+        assert log_records(log) == log_records(ref_log)
+        if spill:
+            assert log_records(spilled) == log_records(ref_spilled)
+        assert digest(result) == digest(reference)
+
+    def test_a_traced_run_writes_the_same_perfetto_bytes(self, tmp_path):
+        result = online_chaos(HEALED_IN_REPLAY, trace=True)
+        with per_event_replay():
+            reference = online_chaos(HEALED_IN_REPLAY, trace=True)
+        assert digest(
+            result, result.write_trace(tmp_path / "block.json")
+        ) == digest(
+            reference, reference.write_trace(tmp_path / "reference.json")
+        )
+
+    def test_health_reports_in_a_block(self):
+        """A block's GPU health reports are consumed in row order, a
+        poll falling on one of them included."""
+        schemas = (
+            RecordSchema("instant", Category.SIM, "GPU_CHECK", "engine"),
+            RecordSchema("span", Category.SIM, "j{job} r{round}",
+                         "gpu/{gpu}", ("job", "round", "slot")),
+            *(RecordSchema("instant", Category.FAULT, f"gpu {{gpu}} {state}",
+                           "detector", ("gpu", "state"))
+              for state in ("suspect", "alive")),
+        )
+        values = []
+        for i in range(3 * POLL_EVERY):
+            if i in (10, POLL_EVERY - 1, 2 * POLL_EVERY + 5):
+                values += [2, float(i), 0.0, -1, -1, -1, i % 3, "suspect"]
+            elif i == POLL_EVERY + 20:
+                values += [3, float(i), 0.0, -1, -1, -1, 1, "alive"]
+            elif i % 4:
+                values += [0, float(i), 0.0, -1, -1, -1, -1, None]
+            else:
+                values += [1, float(i), 1.0, i % 5, i // 5, 0, i % 3, None]
+        block = RecordBlock.from_flat(schemas, values)
+
+        def run(per_record: bool):
+            engine = RemediationEngine()
+            obs = Obs.start(trace=False, monitors=[engine])
+            with use(obs):
+                if per_record:
+                    for fields in block.rows(range(len(block))):
+                        obs.recorder.record(*fields)
+                else:
+                    obs.tracer.block(block)
+            return obs.recorder.records(), engine
+
+        records, engine = run(per_record=False)
+        ref_records, ref_engine = run(per_record=True)
+        assert records == ref_records
+        assert engine.log.to_json() == ref_engine.log.to_json()
+        assert [r.action.kind for r in engine.log.records] == [
+            "quarantine_gpu"
+        ] * 3
+        assert engine.quarantined == ref_engine.quarantined == {0, 1}

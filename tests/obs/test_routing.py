@@ -5,14 +5,17 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from unittest import mock
 
 import pytest
 
 from repro import api
 from repro.cli import main
 from repro.obs import diagnose_schedule
+from repro.heal.engine import RemediationEngine
 from repro.obs.monitors import (
     CommitmentMonotonicityMonitor,
+    DiagnosisContext,
     Monitor,
     default_monitors,
     replay_monitors,
@@ -177,6 +180,40 @@ def _instant(rec: FlightRecorder, name: str, t: float, **args) -> None:
 
 
 class TestRoutingContract:
+    def test_engine_observe_equals_the_recorders_route(self):
+        """``RemediationEngine.observe`` resolves each route once and
+        finds what the engine finds behind a recorder."""
+        r = api.run_experiment(
+            gpus=6, jobs=8, scheduler="hare_online", seed=5,
+            rounds_scale=0.3, arrivals="streaming", replan_interval=1.0,
+            crashes=((4.0, 1),), heal=True, trace=False,
+        )
+        records = r.obs.recorder.records()
+        observed = RemediationEngine(r.instance)
+        resolve = RecordRouter._resolve
+        with mock.patch.object(RecordRouter, "_resolve", autospec=True,
+                               side_effect=resolve) as resolved:
+            for record in records:
+                observed.observe(record)
+        keys = {
+            (rec.kind, rec.category, rec.name.partition(" ")[0])
+            for rec in records
+        }
+        assert resolved.call_count == len(keys)
+        routed = RemediationEngine(r.instance)
+        recorder = FlightRecorder(monitors=[routed])
+        for rec in records:
+            recorder.record(rec.kind, rec.category, rec.name, rec.track,
+                            rec.time, rec.duration, rec.args)
+        ctx = DiagnosisContext(instance=r.instance)
+        observed.finish(ctx)
+        routed.finish(ctx)
+        assert [f.to_json() for f in observed.findings] == [
+            f.to_json() for f in routed.findings
+        ]
+        assert observed.log.to_json() == routed.log.to_json()
+        assert observed.log.records
+
     def test_name_with_a_space_after_a_wanted_prefix_still_arrives(self):
         """The route key is the name up to its first space, so
         ``kernel.commit x`` reaches a ``kernel.commit`` consumer, which
